@@ -775,10 +775,11 @@ let micro () =
        Test.make ~name:"lint.effects"
          (Staged.stage (fun () ->
               ignore (Xia_analysis.Lint.effects_dump [ lint_dir ]))));
-      (* The flow-sensitive L/X-series alone: parse every unit, build the
-         call graph and effect summaries, then per-binding CFG construction
-         (exceptional edges, Fun.protect inlining) plus the can-raise and
-         optimizer-reachability fixpoints and the worklist solve.  The
+      (* The flow-sensitive R002 and L/X-series alone: parse every unit,
+         build the call graph and effect summaries, then per-binding CFG
+         construction (exceptional edges, Fun.protect inlining) plus the
+         can-raise, optimizer-reach and callee-lock fixpoints and the
+         worklist solve.  The
          absolute budget in bench.baseline keeps whole-program dataflow
          cheap enough to stay in the default @lint alias. *)
       (let lint_dir =

@@ -1,6 +1,6 @@
 (* xia_lint — domain-safety and hygiene analyzer for this repository.
 
-   Usage: xia_lint [--json] [--allow-file FILE] [--whatif-modules a,b]
+   Usage: xia_lint [--json] [--allow-file FILE]
                    [--only ID[,ID...]] [--skip ID[,ID...]]
                    [--callgraph] [--effects] [--explain ID] PATH...
 
@@ -8,7 +8,8 @@
    whole library set is parsed once, a cross-unit call graph is built from
    it, the interprocedural effect pass (Xia_analysis.Effects) summarizes
    every binding, and the check catalog in Xia_analysis.Checks /
-   Xia_analysis.Races runs over the shared graph and summaries.
+   Xia_analysis.Races / Xia_analysis.Dataflow runs over the shared graph and
+   summaries.
    --callgraph prints the graph as Graphviz DOT instead of linting;
    --effects prints the per-binding effect summaries; --explain ID prints
    one check's documentation.  --only/--skip filter the catalog (stable
@@ -27,7 +28,6 @@ let () =
   let effects = ref false in
   let explain = ref "" in
   let allow_file = ref "" in
-  let whatif = ref "" in
   let only = ref "" in
   let skip = ref "" in
   let paths = ref [] in
@@ -46,10 +46,6 @@ let () =
       ( "--allow-file",
         Arg.Set_string allow_file,
         "FILE per-site suppressions (ID path[:line] -- reason)" );
-      ( "--whatif-modules",
-        Arg.Set_string whatif,
-        "NAMES comma-separated module basenames subject to D003 (default: \
-         benefit,optimizer)" );
       ( "--only",
         Arg.Set_string only,
         "IDS run only these comma-separated check IDs" );
@@ -90,17 +86,6 @@ let () =
     print_string dump;
     exit (if errors = [] then 0 else 2)
   end;
-  let config =
-    if !whatif = "" then Checks.default_config
-    else
-      {
-        Checks.default_config with
-        Checks.whatif_modules =
-          String.split_on_char ',' !whatif
-          |> List.map String.trim
-          |> List.filter (fun s -> s <> "");
-      }
-  in
   let allow =
     if !allow_file = "" then []
     else
@@ -124,7 +109,7 @@ let () =
           Printf.eprintf "xia_lint: %s\n" msg;
           exit 2
   in
-  let report = Lint.lint_paths ~config ~allow paths in
+  let report = Lint.lint_paths ~allow paths in
   if report.Lint.errors <> [] then begin
     List.iter
       (fun (e : Lint.error) -> Printf.eprintf "xia_lint: %s: %s\n" e.path e.message)

@@ -3,12 +3,12 @@
    [catalog] below is the single source of truth for IDs, titles and the
    [--explain] text.
 
-   Unit-local checks (this file): D001, D002, D004, H002 walk one
+   Unit-local checks (this file): D001, D002, D004, H002 and R003 walk one
    compilation unit's parsetree; H001 is filesystem-level.  Whole-program
    checks: D003, N001, E001 and E002 (below) are queries over the
    interprocedural effect summaries computed by [Effects] on the
-   cross-unit call graph built by [Callgraph]; the R-series race checks
-   and N002 live in [Races] on the same summaries.
+   cross-unit call graph built by [Callgraph]; R001 and N002 live in
+   [Races] on the same summaries, R002 and the L/X-series in [Dataflow].
 
    Identifier references are matched on [Longident] paths after module-alias
    expansion through the graph — full name resolution (shadowing, functors,
@@ -18,24 +18,17 @@
 
 open Parsetree
 
-type config = {
-  whatif_modules : string list;
-      (* lowercase module basenames subject to D003 *)
-  io_modules : string list;
-      (* lowercase module basenames sanctioned to perform IO (E001) *)
-  batch_roots : string list;
-      (* binding names whose call closure E002 polices *)
-}
+(* Lowercase module basenames whose bindings are D003 entry points. *)
+let whatif_modules = [ "benefit"; "optimizer" ]
 
-let default_config =
-  {
-    whatif_modules = [ "benefit"; "optimizer" ];
-    io_modules = [ "persist" ];
-    batch_roots = [ "optimize_batch" ];
-  }
+(* Lowercase module basenames sanctioned to perform IO: the persistence
+   boundary E001 carves out. *)
+let io_modules = [ "persist" ]
+
+(* Binding names whose transitive call closure E002 polices. *)
+let batch_roots = [ "optimize_batch" ]
 
 let has_suffix = Effects.has_suffix
-let allow id attrs = List.mem id (Suppress.allow_ids attrs)
 
 (* ---------------------------------------------------------------- D001 -- *)
 
@@ -63,15 +56,15 @@ let check_d001 structure =
         | Pstr_value (_, vbs) ->
             List.iter
               (fun (vb : value_binding) ->
-                if not (allow "D001" vb.pvb_attributes) then
+                if not (Effects.allow "D001" vb.pvb_attributes) then
                   List.iter emit (Effects.d001_hits mutable_fields [] vb.pvb_expr))
               vbs
         | Pstr_module mb ->
-            if not (allow "D001" mb.pmb_attributes) then module_expr mb.pmb_expr
+            if not (Effects.allow "D001" mb.pmb_attributes) then module_expr mb.pmb_expr
         | Pstr_recmodule mbs ->
             List.iter
               (fun (mb : module_binding) ->
-                if not (allow "D001" mb.pmb_attributes) then module_expr mb.pmb_expr)
+                if not (Effects.allow "D001" mb.pmb_attributes) then module_expr mb.pmb_expr)
               mbs
         | Pstr_include incl -> module_expr incl.pincl_mod
         | _ -> ())
@@ -85,7 +78,7 @@ let check_d001 structure =
   items structure;
   !findings
 
-(* -------------------------------------------------- D002, D004 & H002 -- *)
+(* ------------------------------------------- D002, D004, H002 & R003 -- *)
 
 let d002_message =
   "Sys.time measures process CPU time, not wall-clock; use Xia_obs.Obs.now_s \
@@ -105,6 +98,23 @@ let d004_applies filename =
 
 let h002_message what =
   Printf.sprintf "%s without a (* lint: reason *) note explaining why it cannot happen" what
+
+let r003_message target =
+  Printf.sprintf
+    "non-atomic read-modify-write: Atomic.set of %s computed from Atomic.get of \
+     the same atomic loses concurrent updates; use Atomic.fetch_and_add/incr or \
+     a compare_and_set retry loop"
+    target
+
+(* R003 matches only the syntactically nested shape [Atomic.set x (...
+   Atomic.get x ...)]: a get let-bound earlier (the save/restore idiom) is
+   not a hit. *)
+let atomic_get_of target (e : expression) =
+  match e.pexp_desc with
+  | Pexp_apply ({ pexp_desc = Pexp_ident lid; _ }, args)
+    when has_suffix ~suffix:[ "Atomic"; "get" ] (Longident.flatten lid.txt) ->
+      Option.bind (Effects.first_nolabel args) Effects.sym = Some target
+  | _ -> false
 
 let check_exprs ~notes ~d004 structure =
   let findings = ref [] in
@@ -141,6 +151,17 @@ let check_exprs ~notes ~d004 structure =
             Finding.of_location ~id:"H002" ~message:(h002_message "assert false")
               e.pexp_loc
             :: !findings
+    | Pexp_apply
+        ( { pexp_desc = Pexp_ident lid; _ },
+          (Asttypes.Nolabel, target) :: (Asttypes.Nolabel, value) :: _ )
+      when has_suffix ~suffix:[ "Atomic"; "set" ] (Longident.flatten lid.txt) -> (
+        match Effects.sym target with
+        | Some s when (not (active "R003")) && Effects.exists_expr (atomic_get_of s) value
+          ->
+            findings :=
+              Finding.of_location ~id:"R003" ~message:(r003_message s) e.pexp_loc
+              :: !findings
+        | _ -> ())
     | _ -> ()
   in
   let it =
@@ -175,8 +196,8 @@ let check_exprs ~notes ~d004 structure =
    every binding whose summary contains the site ([mutation_entries], the
    pass's reverse index — the site's host included), qualified with the
    unit module name when it lives in another unit. *)
-let check_d003_program ~config eff graph =
-  let is_whatif (u : Callgraph.unit_info) = List.mem u.basename config.whatif_modules in
+let check_d003_program eff graph =
+  let is_whatif (u : Callgraph.unit_info) = List.mem u.basename whatif_modules in
   List.concat_map
     (fun (n : Callgraph.node) ->
       List.filter_map
@@ -242,15 +263,15 @@ let e001_message what =
 
 (* E001: IO in lib/ outside the sanctioned surfaces.  lib/obs owns logging,
    lib/analysis is the linter itself (it reads the source tree it checks),
-   and [config.io_modules] names the persistence boundary. *)
-let check_e001_program ~config eff graph =
+   and [io_modules] names the persistence boundary. *)
+let check_e001_program eff graph =
   List.concat_map
     (fun (n : Callgraph.node) ->
       if
         (not (in_lib n.u.path))
         || in_dir "obs" n.u.path
         || in_dir "analysis" n.u.path
-        || List.mem n.u.basename config.io_modules
+        || List.mem n.u.basename io_modules
       then []
       else
         List.filter_map
@@ -270,13 +291,13 @@ let e002_message what root via =
     what root
     (match via with [] -> "" | _ -> " via " ^ String.concat " -> " via)
 
-(* E002: walk the call closure of every [config.batch_roots] binding (the
+(* E002: walk the call closure of every [batch_roots] binding (the
    virtual-config what-if path) and flag raw shared-state writes.  Cuts:
    [warm_stats]/[table_env] are the sanctioned synchronization points,
    lib/obs and the Par runtime are instrumentation/scheduling, and a
    lock-disciplined callee (Mutex body or [@lint.allow "R001"]) manages its
    own state.  Atomic writes never produce witnesses in the first place. *)
-let check_e002_program ~config eff graph =
+let check_e002_program eff graph =
   let sanctioned (m : Callgraph.node) =
     List.mem m.name [ "warm_stats"; "table_env" ]
     || in_dir "obs" m.u.path
@@ -297,7 +318,7 @@ let check_e002_program ~config eff graph =
   in
   let roots =
     List.filter
-      (fun (n : Callgraph.node) -> List.mem n.name config.batch_roots)
+      (fun (n : Callgraph.node) -> List.mem n.name batch_roots)
       (Callgraph.nodes graph)
   in
   List.iter
@@ -349,8 +370,7 @@ let missing_mli ~mls ~mlis =
 
 (* Unit-local parsetree checks for one compilation unit.  [source] is the
    raw text (for lint-note comments); H001 is filesystem-level and lives in
-   [missing_mli]; D003 and the R-series are whole-program
-   ([check_d003_program], [Races.check]). *)
+   [missing_mli]; the rest of the catalog is whole-program. *)
 let check_structure ~filename ~source structure =
   let notes = Suppress.lint_note_lines source in
   List.sort Finding.compare
@@ -511,13 +531,15 @@ let catalog =
       id = "R002";
       title = "inconsistent mutex acquisition order";
       detail =
-        "Mutex.lock while another mutex is statically held, when the opposite \
-         nesting order occurs elsewhere (directly or through callees resolved \
-         via the call graph): two domains taking the locks in opposite orders \
-         can deadlock.  Mutexes are identified by the symbolic path of the \
-         lock expression (pool.lock, shard.lock); re-locking the same symbol \
-         is reported as a self-deadlock because stdlib mutexes are not \
-         reentrant.";
+        "Mutex.lock while another mutex is held on some path of the \
+         flow-sensitive CFG, when the opposite nesting order occurs \
+         elsewhere (directly or through callees resolved via the call \
+         graph): two domains taking the locks in opposite orders can \
+         deadlock.  Locks taken on exclusive branches are never held \
+         together and do not nest.  Mutexes are identified by the symbolic \
+         path of the lock expression (pool.lock, shard.lock); locking a \
+         symbol that is held on some path is reported as a self-deadlock \
+         because stdlib mutexes are not reentrant.";
     };
     {
       id = "R003";

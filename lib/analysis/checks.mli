@@ -9,6 +9,8 @@
       wall-clock reads must go through [Xia_obs.Obs.now_s].
     - [H001] module without an [.mli] interface (filesystem-level).
     - [H002] [failwith]/[assert false] without a [(* lint: reason *)] note.
+    - [R003] non-atomic read-modify-write:
+      [Atomic.set x (... Atomic.get x ...)].
 
     Whole-program checks (interprocedural, queries over the {!Effects}
     summaries computed on the cross-unit call graph built by {!Callgraph}):
@@ -21,13 +23,17 @@
     - [E001] IO effects in [lib/] outside the sanctioned surfaces.
     - [E002] shared-state writes reachable from the virtual-config batch
       path.
-    - [R001]/[R002]/[R003] the domain-race series and [N002] (order-fragile
-      parallel float reduction); implemented in {!Races}.
+    - [R001] mutable state reachable from a parallel task and [N002]
+      (order-fragile parallel float reduction); implemented in {!Races}.
 
     Flow-sensitive checks (a forward may-analysis over an intraprocedural
     CFG with explicit exceptional edges; implemented in {!Dataflow},
     semantics in DESIGN.md §5k):
 
+    - [R002] inconsistent mutex acquisition order: a mutex locked (directly
+      or by a callee resolved through the graph) while another is held on
+      some path, when the opposite nesting occurs elsewhere; re-locking a
+      mutex held on some path is a self-deadlock.
     - [L001] blocking effect ([PerformsIO] or an [Optimizer.optimize*]
       entry) reachable while a mutex is held.
     - [L002] mutex acquired with an exceptional path to exit that never
@@ -42,21 +48,7 @@
     (shadowing, functors, first-class modules) is out of scope.  Suppress
     intentional sites with [\[@lint.allow "ID"\]] or an allow-file entry. *)
 
-type config = {
-  whatif_modules : string list;
-      (** lowercase module basenames whose bindings are D003 entry points,
-          e.g. [\["benefit"; "optimizer"\]] *)
-  io_modules : string list;
-      (** lowercase module basenames sanctioned to perform IO — the
-          persistence boundary E001 carves out, e.g. [\["persist"\]] *)
-  batch_roots : string list;
-      (** binding names whose transitive call closure E002 polices,
-          e.g. [\["optimize_batch"\]] *)
-}
-
-val default_config : config
-
-(** Run every unit-local parsetree check (D001, D002, D004, H002) on one
+(** Run every unit-local parsetree check (D001, D002, D004, H002, R003) on one
     compilation unit.  [source] is the raw file text, used to honor
     [(* lint: reason *)] notes; [filename] selects D004 applicability.
     Attribute suppressions are already applied; allow-file suppression is the
@@ -69,24 +61,21 @@ val check_structure :
 
 (** Whole-program D003 over the effect summaries: flags every
     alias-expanded [Catalog.*]/[Doc_store.*] mutator site carried in the
-    summary of a what-if-module binding. *)
-val check_d003_program :
-  config:config -> Effects.t -> Callgraph.t -> Finding.t list
+    summary of a binding of a what-if module ([benefit], [optimizer]). *)
+val check_d003_program : Effects.t -> Callgraph.t -> Finding.t list
 
 (** N001: order-dependent folds in [lib/] whose literal closure builds a
     list with no canonicalizing sort in the same binding. *)
 val check_n001_program : Effects.t -> Callgraph.t -> Finding.t list
 
-(** E001: IO sites in [lib/] outside [lib/obs], [lib/analysis] and
-    [config.io_modules]. *)
-val check_e001_program :
-  config:config -> Effects.t -> Callgraph.t -> Finding.t list
+(** E001: IO sites in [lib/] outside [lib/obs], [lib/analysis] and the
+    persistence boundary ([persist]). *)
+val check_e001_program : Effects.t -> Callgraph.t -> Finding.t list
 
 (** E002: shared-state writes in the transitive call closure of
-    [config.batch_roots] bindings, beyond the sanctioned
+    [optimize_batch] bindings, beyond the sanctioned
     [warm_stats]/[table_env]/lock-disciplined sites. *)
-val check_e002_program :
-  config:config -> Effects.t -> Callgraph.t -> Finding.t list
+val check_e002_program : Effects.t -> Callgraph.t -> Finding.t list
 
 (** [missing_mli ~mls ~mlis] — H001: every [.ml] path with no matching
     [.mli] path (compared by extension-stripped name). *)

@@ -1,17 +1,19 @@
-(* Flow-sensitive lock-discipline and exception-safety analysis: the
-   L/X-series.  An intraprocedural CFG over Parsetree expressions with
-   explicit exceptional edges, and a forward may-analysis over a small
-   product lattice:
+(* Flow-sensitive lock-discipline and exception-safety analysis: R002 and
+   the L/X-series.  The analyzer's only lockset.  An intraprocedural CFG
+   over Parsetree expressions with explicit exceptional edges, and a
+   forward may-analysis over a small product lattice:
 
      per-mutex lock state  (Unknown | NotHeld | Held provs | Mixed provs)
    × pending save/restore obligations on Atomic.t / ref / catalog
      virtual state
 
-   Mutexes are identified nominally, like R002: the symbolic path of the
-   lock expression ("pool.lock", "shard.lock").  Each toplevel binding and
-   each closure body is a separate analysis root entered with an Unknown
-   lockset — held-ness does not flow through calls (documented
-   incompleteness; DESIGN.md §5k).
+   Mutexes are identified nominally by [Effects.sym]: the symbolic path of
+   the lock expression ("pool.lock", "shard.lock").  Each toplevel binding
+   and each closure body is a separate analysis root entered with an
+   Unknown lockset — held-ness does not flow through calls (documented
+   incompleteness; DESIGN.md §5k).  What a call may lock does: the callee
+   lock sets are a transitive fixpoint over the Effects call lists, and a
+   call reaching any becomes an Acquire event.
 
    Exceptional edges:
    - [raise]/[failwith]/[invalid_arg]/[assert] divert to the current
@@ -35,6 +37,10 @@
      finalizer on both edges.
 
    The checks:
+   - R002  a Lock or Acquire of [b] while [a] is may-held records the
+           nesting (a, b); once every root has run, a nesting recorded in
+           both orientations is an inversion, reported at each site with
+           the earliest opposite site, and (a, a) a self-deadlock.
    - L001  a Blocking event (PerformsIO per the Effects summaries, or an
            Optimizer.optimize* entry, transitively) while any mutex is
            may-held.
@@ -59,35 +65,24 @@ open Parsetree
 let has_suffix = Effects.has_suffix
 let active stack id = List.exists (List.mem id) stack
 
-(* Symbolic identity of a lock/atomic expression, mirroring R002. *)
-let rec sym (e : expression) =
-  match e.pexp_desc with
-  | Pexp_ident lid -> Some (String.concat "." (Longident.flatten lid.txt))
-  | Pexp_field (b, lid) -> (
-      match sym b with
-      | Some s -> (
-          match List.rev (Longident.flatten lid.txt) with
-          | f :: _ -> Some (s ^ "." ^ f)
-          | [] -> None)
-      | None -> None)
-  | Pexp_constraint (e, _) | Pexp_coerce (e, _, _) | Pexp_open (_, e) -> sym e
-  | _ -> None
-
 let rec ident_name (e : expression) =
   match e.pexp_desc with
   | Pexp_ident { txt = Longident.Lident x; _ } -> Some x
   | Pexp_constraint (e, _) | Pexp_coerce (e, _, _) -> ident_name e
   | _ -> None
 
-let first_nolabel args =
-  List.find_map
-    (fun (l, a) -> match l with Asttypes.Nolabel -> Some a | _ -> None)
-    args
-
-let nolabel_args args =
-  List.filter_map
-    (fun (l, a) -> match l with Asttypes.Nolabel -> Some a | _ -> None)
-    args
+(* [Mutex.lock m] / [Mutex.unlock m] on a nominally identified mutex.  A
+   lock of an unnamed mutex (an array cell, a call result) is invisible. *)
+let mutex_op path args =
+  let op =
+    if has_suffix ~suffix:[ "Mutex"; "lock" ] path then Some `Lock
+    else if has_suffix ~suffix:[ "Mutex"; "unlock" ] path then Some `Unlock
+    else None
+  in
+  match op with
+  | None -> None
+  | Some op ->
+      Option.map (fun s -> (op, s)) (Option.bind (Effects.first_nolabel args) Effects.sym)
 
 (* ----------------------------------------------- raise classification -- *)
 
@@ -257,31 +252,53 @@ let optimizer_entry_node (n : Callgraph.node) =
   n.Callgraph.u.Callgraph.basename = "optimizer"
   && starts_with_optimize n.Callgraph.name
 
-(* Transitive optimizer reach: a binding is blocking if it is an
-   optimize* entry of the optimizer unit or calls (per the resolved
-   Effects call lists) a binding that is. *)
-let compute_opt_reach graph eff =
+(* Mutexes a binding's body locks directly, closures included. *)
+let direct_locks (n : Callgraph.node) =
+  let acc = ref [] in
+  let it =
+    {
+      Ast_iterator.default_iterator with
+      expr =
+        (fun it e ->
+          (match e.pexp_desc with
+          | Pexp_apply ({ pexp_desc = Pexp_ident lid; _ }, args) -> (
+              match mutex_op (Longident.flatten lid.txt) args with
+              | Some (`Lock, s) -> acc := s :: !acc
+              | _ -> ())
+          | _ -> ());
+          Ast_iterator.default_iterator.expr it e);
+    }
+  in
+  it.expr it n.Callgraph.expr;
+  List.sort_uniq String.compare !acc
+
+let union_syms a b = if b = [] then a else List.sort_uniq String.compare (a @ b)
+
+(* One fixpoint for every transitive fact over the resolved Effects call
+   lists: [fact n = local n ⊔ fact c] for each callee [c], iterated until
+   nothing changes.  Used for optimizer reach (is some optimize* entry
+   reachable?) and callee lock sets (which mutexes may a call take?). *)
+let transitive graph eff ~join local =
   let nodes = Callgraph.nodes graph in
-  let tbl : (string * string, unit) Hashtbl.t = Hashtbl.create 64 in
-  List.iter
-    (fun n -> if optimizer_entry_node n then Hashtbl.replace tbl (Callgraph.key n) ())
-    nodes;
+  let tbl = Hashtbl.create (2 * List.length nodes) in
+  List.iter (fun n -> Hashtbl.replace tbl (Callgraph.key n) (local n)) nodes;
+  let callees =
+    List.map
+      (fun n -> (Callgraph.key n, List.map Callgraph.key (Effects.calls eff n)))
+      nodes
+  in
   let changed = ref true in
   while !changed do
     changed := false;
     List.iter
-      (fun n ->
-        let k = Callgraph.key n in
-        if
-          (not (Hashtbl.mem tbl k))
-          && List.exists
-               (fun t -> Hashtbl.mem tbl (Callgraph.key t))
-               (Effects.calls eff n)
-        then begin
-          Hashtbl.replace tbl k ();
+      (fun (k, cs) ->
+        let cur = Hashtbl.find tbl k in
+        let next = List.fold_left (fun acc c -> join acc (Hashtbl.find tbl c)) cur cs in
+        if next <> cur then begin
+          Hashtbl.replace tbl k next;
           changed := true
         end)
-      nodes
+      callees
   done;
   tbl
 
@@ -297,7 +314,10 @@ type obligation = {
 
 type ev =
   | Nop
-  | Lock of { lsym : string; lloc : Location.t; lsup : bool }
+  | Lock of { lsym : string; lloc : Location.t; lsup : bool; lr002 : bool }
+      (* [lsup]: L002-suppressed, [lr002]: R002-suppressed *)
+  | Acquire of { asyms : string list; aloc : Location.t; asup : bool }
+      (* a call whose targets may lock [asyms]; the lockset is unchanged *)
   | Unlock of { usym : string; uloc : Location.t; usup : bool }
   | Blocking of { bwhat : string; bloc : Location.t; bsup : bool }
   | Save of obligation
@@ -321,7 +341,8 @@ type ctx = {
   eff : Effects.t;
   u : Callgraph.unit_info;
   raise_tbl : (string * string, bool) Hashtbl.t;
-  opt_tbl : (string * string, unit) Hashtbl.t;
+  opt_tbl : (string * string, bool) Hashtbl.t;
+  lock_tbl : (string * string, string list) Hashtbl.t;
   restores : (string * string, unit) Hashtbl.t;  (* (sym, var) in this root *)
   stack : string list list ref;
   queue : pending Queue.t;        (* closure roots discovered while walking *)
@@ -351,9 +372,9 @@ let rec thunk_body e =
 let scan_restores graph (u : Callgraph.unit_info) expr =
   let tbl : (string * string, unit) Hashtbl.t = Hashtbl.create 4 in
   let record args =
-    match nolabel_args args with
+    match Effects.nolabel_args args with
     | [ target; value ] -> (
-        match (sym target, ident_name value) with
+        match (Effects.sym target, ident_name value) with
         | Some s, Some v -> Hashtbl.replace tbl (s, v) ()
         | _ -> ())
     | _ -> ()
@@ -386,7 +407,7 @@ let save_shape ctx e =
   match e.pexp_desc with
   | Pexp_apply ({ pexp_desc = Pexp_ident lid; _ }, args) -> (
       let path = Longident.flatten lid.txt in
-      match Option.bind (first_nolabel args) sym with
+      match Option.bind (Effects.first_nolabel args) Effects.sym with
       | None -> None
       | Some s ->
           if has_suffix ~suffix:[ "Atomic"; "get" ] path then
@@ -404,9 +425,9 @@ let save_shape ctx e =
    Catalog.set_virtual_indexes c v where (sym x, v) is a tracked key. *)
 let restore_shape ctx path args =
   let pair () =
-    match nolabel_args args with
+    match Effects.nolabel_args args with
     | [ target; value ] -> (
-        match (sym target, ident_name value) with
+        match (Effects.sym target, ident_name value) with
         | Some s, Some v when Hashtbl.mem ctx.restores (s, v) -> Some (s, v)
         | _ -> None)
     | _ -> None
@@ -437,7 +458,7 @@ let blocking_of_call ctx path expanded targets =
     | _ ->
         List.find_map
           (fun (t : Callgraph.node) ->
-            if Hashtbl.mem ctx.opt_tbl (Callgraph.key t) then
+            if Hashtbl.find_opt ctx.opt_tbl (Callgraph.key t) = Some true then
               Some (Printf.sprintf "%s reaches an optimizer entry" t.name)
             else if List.mem Effects.Performs_io (Effects.total_effects ctx.eff t)
             then Some (Printf.sprintf "%s performs IO" t.name)
@@ -608,76 +629,59 @@ and walk_desc ctx ~cur ~exc e =
       walk_list ctx ~cur ~exc (List.rev !kids)
 
 and walk_call ctx ~cur ~exc e path args =
-  if has_suffix ~suffix:[ "Fun"; "protect" ] path && first_nolabel args <> None
+  if has_suffix ~suffix:[ "Fun"; "protect" ] path && Effects.first_nolabel args <> None
   then walk_protect ctx ~cur ~exc args
   else begin
     let cur = walk_list ctx ~cur ~exc (List.map snd args) in
-    let target_sym () = Option.bind (first_nolabel args) sym in
-    if has_suffix ~suffix:[ "Mutex"; "lock" ] path then
-      match target_sym () with
-      | Some s ->
-          let nd =
-            node ctx
-              (Lock
-                 { lsym = s; lloc = e.pexp_loc; lsup = active !(ctx.stack) "L002" })
-          in
-          edge ctx cur nd;
-          nd
-      | None -> cur
-    else if has_suffix ~suffix:[ "Mutex"; "unlock" ] path then
-      match target_sym () with
-      | Some s ->
-          let nd =
-            node ctx
-              (Unlock
-                 { usym = s; uloc = e.pexp_loc; usup = active !(ctx.stack) "X002" })
-          in
-          edge ctx cur nd;
-          nd
-      | None -> cur
-    else if raiser path then begin
-      edge ctx cur exc;
-      node ctx Nop (* dead *)
-    end
-    else
-      match restore_shape ctx path args with
-      | Some (s, v) ->
-          let nd = node ctx (Restore { rsym = s; rvar = v }) in
-          edge ctx cur nd;
-          nd
-      | None ->
-          if never_raises path then cur
-          else begin
-            let expanded = Callgraph.expand ctx.graph ctx.u path in
-            let targets = Callgraph.resolve ctx.graph ctx.u path in
-            let may_raise =
-              match targets with
-              | [] -> true
-              | _ ->
-                  List.exists
-                    (fun t ->
-                      Hashtbl.find_opt ctx.raise_tbl (Callgraph.key t)
-                      <> Some false)
-                    targets
-            in
-            match blocking_of_call ctx path expanded targets with
-            | Some what ->
-                let nd =
-                  node ctx
-                    (Blocking
-                       {
-                         bwhat = what;
-                         bloc = e.pexp_loc;
-                         bsup = active !(ctx.stack) "L001";
-                       })
-                in
-                edge ctx cur nd;
-                if may_raise then edge ctx nd exc;
-                nd
-            | None ->
-                if may_raise then edge ctx cur exc;
-                cur
-          end
+    let step cur ev =
+      let nd = node ctx ev in
+      edge ctx cur nd;
+      nd
+    in
+    let sup id = active !(ctx.stack) id in
+    match mutex_op path args with
+    | Some (`Lock, s) ->
+        step cur (Lock { lsym = s; lloc = e.pexp_loc; lsup = sup "L002"; lr002 = sup "R002" })
+    | Some (`Unlock, s) -> step cur (Unlock { usym = s; uloc = e.pexp_loc; usup = sup "X002" })
+    | None -> (
+        let targets = Callgraph.resolve ctx.graph ctx.u path in
+        let callee_locks =
+          List.fold_left
+            (fun acc t ->
+              union_syms acc
+                (Option.value ~default:[] (Hashtbl.find_opt ctx.lock_tbl (Callgraph.key t))))
+            [] targets
+        in
+        let cur =
+          if callee_locks = [] then cur
+          else step cur (Acquire { asyms = callee_locks; aloc = e.pexp_loc; asup = sup "R002" })
+        in
+        if raiser path then begin
+          edge ctx cur exc;
+          node ctx Nop (* dead *)
+        end
+        else
+          match restore_shape ctx path args with
+          | Some (s, v) -> step cur (Restore { rsym = s; rvar = v })
+          | None when never_raises path -> cur
+          | None -> (
+              let expanded = Callgraph.expand ctx.graph ctx.u path in
+              let may_raise =
+                targets = []
+                || List.exists
+                     (fun t -> Hashtbl.find_opt ctx.raise_tbl (Callgraph.key t) <> Some false)
+                     targets
+              in
+              match blocking_of_call ctx path expanded targets with
+              | Some what ->
+                  let nd =
+                    step cur (Blocking { bwhat = what; bloc = e.pexp_loc; bsup = sup "L001" })
+                  in
+                  if may_raise then edge ctx nd exc;
+                  nd
+              | None ->
+                  if may_raise then edge ctx cur exc;
+                  cur))
   end
 
 (* Fun.protect ~finally:F B: run B with its exceptional edge collected,
@@ -692,7 +696,7 @@ and walk_protect ctx ~cur ~exc args =
         | _ -> None)
       args
   in
-  let body = first_nolabel args in
+  let body = Effects.first_nolabel args in
   (* Argument expressions evaluate first; literal thunks contribute no
      events and are inlined below instead. *)
   let cur =
@@ -773,10 +777,24 @@ let join_state a b =
     obs = List.sort_uniq compare (a.obs @ b.obs);
   }
 
-let transfer ~record ev st =
+(* Mutexes held on some path into this state, sorted. *)
+let may_held st =
+  StrMap.fold
+    (fun s l acc -> match l with Held _ | Mixed _ -> s :: acc | NotHeld -> acc)
+    st.locks []
+  |> List.rev
+
+(* [pair held acquired site] records one R002 nesting; [record] one
+   L001/X002 finding. *)
+let transfer ~record ~pair ev st =
   match ev with
   | Nop -> st
-  | Lock { lsym; lloc; lsup } ->
+  | Acquire { asyms; aloc; asup } ->
+      let site = { p_loc = aloc; p_sup = asup } in
+      List.iter (fun h -> List.iter (fun l -> pair h l site) asyms) (may_held st);
+      st
+  | Lock { lsym; lloc; lsup; lr002 } ->
+      List.iter (fun h -> pair h lsym { p_loc = lloc; p_sup = lr002 }) (may_held st);
       let prev =
         match StrMap.find_opt lsym st.locks with
         | Some (Held p | Mixed p) -> p
@@ -805,16 +823,9 @@ let transfer ~record ev st =
       | _ -> ());
       { st with locks = StrMap.add usym NotHeld st.locks }
   | Blocking { bwhat; bloc; bsup } ->
-      let held =
-        StrMap.fold
-          (fun s l acc ->
-            match l with Held _ | Mixed _ -> s :: acc | NotHeld -> acc)
-          st.locks []
-        |> List.sort String.compare
-      in
-      (match held with
+      (match may_held st with
       | [] -> ()
-      | _ ->
+      | held ->
           if not bsup then
             record
               (Finding.of_location ~id:"L001"
@@ -836,7 +847,7 @@ let transfer ~record ev st =
             st.obs;
       }
 
-let run_analysis ctx ~entry ~exit_x ~record =
+let run_analysis ctx ~entry ~exit_x ~record ~pair =
   let n = ctx.g.n in
   let evs = Array.of_list (List.rev ctx.g.evs) in
   let succs = Array.make n [] in
@@ -859,7 +870,7 @@ let run_analysis ctx ~entry ~exit_x ~record =
     match states.(i) with
     | None -> ()
     | Some st ->
-        let out = transfer ~record evs.(i) st in
+        let out = transfer ~record ~pair evs.(i) st in
         List.iter
           (fun j ->
             let merged =
@@ -914,7 +925,8 @@ let run_analysis ctx ~entry ~exit_x ~record =
 
 (* --------------------------------------------------------------- roots -- *)
 
-let analyze_root ~graph ~eff ~raise_tbl ~opt_tbl ~queue ~record (p : pending) =
+let analyze_root ~graph ~eff ~raise_tbl ~opt_tbl ~lock_tbl ~queue ~record ~pair
+    (p : pending) =
   let g = { n = 0; evs = []; edges = [] } in
   let ctx =
     {
@@ -924,6 +936,7 @@ let analyze_root ~graph ~eff ~raise_tbl ~opt_tbl ~queue ~record (p : pending) =
       u = p.p_u;
       raise_tbl;
       opt_tbl;
+      lock_tbl;
       restores = scan_restores graph p.p_u p.p_expr;
       stack = ref p.p_stack;
       queue;
@@ -944,11 +957,57 @@ let analyze_root ~graph ~eff ~raise_tbl ~opt_tbl ~queue ~record (p : pending) =
   | _ ->
       let b_end = walk ctx ~cur:entry ~exc:exit_x body in
       edge ctx b_end exit_n);
-  run_analysis ctx ~entry ~exit_x ~record
+  run_analysis ctx ~entry ~exit_x ~record ~pair
+
+(* ---------------------------------------------------------------- R002 -- *)
+
+let r002_inversion_message b a (rev : prov) =
+  let p = rev.p_loc.Location.loc_start in
+  Printf.sprintf
+    "Mutex.lock on %s while %s is held, but the opposite order occurs at %s:%d: \
+     inconsistent acquisition order can deadlock; pick one global order"
+    b a p.Lexing.pos_fname p.Lexing.pos_lnum
+
+let r002_self_message a =
+  Printf.sprintf
+    "Mutex.lock on %s while %s is already held: stdlib mutexes are not reentrant — \
+     this self-deadlocks"
+    a a
+
+(* Every recorded nesting [(held, acquired)] whose reverse was recorded
+   too is an inversion, reported at each unsuppressed site naming the
+   earliest reverse site; [(a, a)] is a self-deadlock. *)
+let r002_findings pairs =
+  let pos (s : prov) =
+    let p = s.p_loc.Location.loc_start in
+    (p.Lexing.pos_fname, p.Lexing.pos_lnum, p.Lexing.pos_cnum)
+  in
+  let first_site sites =
+    List.hd (List.sort (fun a b -> compare (pos a) (pos b)) sites)
+  in
+  Hashtbl.fold
+    (fun (a, b) sites acc ->
+      let message =
+        if String.equal a b then Some (r002_self_message a)
+        else
+          Option.map
+            (fun rev -> r002_inversion_message b a (first_site rev))
+            (Hashtbl.find_opt pairs (b, a))
+      in
+      match message with
+      | None -> acc
+      | Some message ->
+          List.fold_left
+            (fun acc (s : prov) ->
+              if s.p_sup then acc
+              else Finding.of_location ~id:"R002" ~message s.p_loc :: acc)
+            acc sites)
+    pairs []
 
 let check graph eff =
   let raise_tbl = compute_raises graph in
-  let opt_tbl = compute_opt_reach graph eff in
+  let opt_tbl = transitive graph eff ~join:( || ) optimizer_entry_node in
+  let lock_tbl = transitive graph eff ~join:union_syms direct_locks in
   (* Deduplicated sticky findings: keyed by (id, location); the final
      transfer of a node runs with its final (largest) in-state, so the
      last write carries the complete message. *)
@@ -957,6 +1016,13 @@ let check graph eff =
   in
   let record (f : Finding.t) =
     Hashtbl.replace findings (f.Finding.id, f.Finding.file, f.Finding.line, f.Finding.col) f
+  in
+  (* R002's nestings, (held, acquired) -> sites, collected over every root
+     and judged once all have run. *)
+  let pairs : (string * string, prov list) Hashtbl.t = Hashtbl.create 32 in
+  let pair a b site =
+    let sites = Option.value ~default:[] (Hashtbl.find_opt pairs (a, b)) in
+    if not (List.mem site sites) then Hashtbl.replace pairs (a, b) (site :: sites)
   in
   let queue = Queue.create () in
   List.iter
@@ -970,7 +1036,8 @@ let check graph eff =
         queue)
     (Callgraph.nodes graph);
   while not (Queue.is_empty queue) do
-    analyze_root ~graph ~eff ~raise_tbl ~opt_tbl ~queue ~record
+    analyze_root ~graph ~eff ~raise_tbl ~opt_tbl ~lock_tbl ~queue ~record ~pair
       (Queue.pop queue)
   done;
-  List.sort Finding.compare (Hashtbl.fold (fun _ f acc -> f :: acc) findings [])
+  List.sort Finding.compare
+    (Hashtbl.fold (fun _ f acc -> f :: acc) findings [] @ r002_findings pairs)

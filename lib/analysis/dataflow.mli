@@ -1,10 +1,16 @@
-(** Flow-sensitive lock-discipline and exception-safety analysis (the
-    L/X-series): an intraprocedural CFG over Parsetree expressions with
-    explicit exceptional edges, and a forward may-analysis over a small
-    product lattice — held locksets (R002's nominal mutex identities) ×
-    pending save/restore obligations on [Atomic.t]/[ref]/catalog virtual
-    state.
+(** Flow-sensitive lock-discipline and exception-safety analysis (R002
+    and the L/X-series): an intraprocedural CFG over Parsetree expressions
+    with explicit exceptional edges, and a forward may-analysis over a
+    small product lattice — held locksets (nominal mutex identities,
+    {!Effects.sym}) × pending save/restore obligations on
+    [Atomic.t]/[ref]/catalog virtual state.  This is the analyzer's only
+    lockset.
 
+    - [R002] inconsistent mutex acquisition order: a mutex locked —
+      directly, or by a call whose resolved targets transitively lock it —
+      while another is held on some path, when the opposite nesting occurs
+      elsewhere; locking a mutex that is held on some path is a
+      self-deadlock.
     - [L001] a blocking effect ([PerformsIO] per the {!Effects} summaries,
       or an [Optimizer.optimize*] entry) is reachable while a mutex is
       statically held.
@@ -25,12 +31,12 @@
     incompleteness trade-offs are documented in DESIGN.md §5k.
 
     Suppression: [\[@lint.allow "ID"\]] at the site a finding anchors to
-    (the blocking call for L001, the [Mutex.lock] for L002, the save
-    binding for X001, the [Mutex.unlock] for X002), plus allow-file
-    entries downstream. *)
+    (the inner [Mutex.lock] or the call for R002, the blocking call for
+    L001, the [Mutex.lock] for L002, the save binding for X001, the
+    [Mutex.unlock] for X002), plus allow-file entries downstream. *)
 
-(** Run L001, L002, X001 and X002 over every binding of the graph (each
-    closure body is analyzed as its own root, entered with an unknown
-    lockset).  Findings are deduplicated and carry attribute suppressions
-    already applied. *)
+(** Run R002, L001, L002, X001 and X002 over every binding of the graph
+    (each closure body is analyzed as its own root, entered with an
+    unknown lockset).  Findings are deduplicated and carry attribute
+    suppressions already applied. *)
 val check : Callgraph.t -> Effects.t -> Finding.t list

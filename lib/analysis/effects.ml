@@ -75,6 +75,61 @@ let has_suffix ~suffix path =
   | Some tail -> List.equal String.equal tail suffix
   | None -> false
 
+let nolabel_args args =
+  List.filter_map
+    (fun (label, (a : expression)) ->
+      match label with Asttypes.Nolabel -> Some a | _ -> None)
+    args
+
+(* The subject of a call: its first unlabeled argument ([Mutex.lock m],
+   [Par.map ~domains f arr]'s task, [x := v]'s target). *)
+let first_nolabel args = match nolabel_args args with a :: _ -> Some a | [] -> None
+
+(* Symbolic identity of a lock/atomic/target expression: dotted ident or
+   field path ("pool.lock", "t.shards.lock"); [None] when the expression
+   has no stable name (array cells, call results). *)
+let rec sym (e : expression) =
+  match e.pexp_desc with
+  | Pexp_ident lid -> Some (String.concat "." (Longident.flatten lid.txt))
+  | Pexp_field (b, lid) -> (
+      match sym b with
+      | Some s -> (
+          match List.rev (Longident.flatten lid.txt) with
+          | f :: _ -> Some (s ^ "." ^ f)
+          | [] -> None)
+      | None -> None)
+  | Pexp_constraint (e, _) | Pexp_coerce (e, _, _) | Pexp_open (_, e) -> sym e
+  | _ -> None
+
+let rec is_closure (e : expression) =
+  match e.pexp_desc with
+  | Pexp_fun _ | Pexp_function _ | Pexp_newtype _ -> true
+  | Pexp_constraint (e, _) | Pexp_coerce (e, _, _) -> is_closure e
+  | _ -> false
+
+(* Does [e] or some subexpression satisfy [p]?  Stops descending at the
+   first hit. *)
+let exists_expr p (e : expression) =
+  let found = ref false in
+  let it =
+    {
+      Ast_iterator.default_iterator with
+      expr =
+        (fun it e ->
+          if not !found then
+            if p e then found := true else Ast_iterator.default_iterator.expr it e);
+    }
+  in
+  it.expr it e;
+  !found
+
+let ident_with_suffix suffixes (e : expression) =
+  match e.pexp_desc with
+  | Pexp_ident lid ->
+      let path = Longident.flatten lid.txt in
+      List.exists (fun suffix -> has_suffix ~suffix path) suffixes
+  | _ -> false
+
 (* Field names declared [mutable] anywhere in this compilation unit.  The
    parsetree carries no type information, so this is the file-local
    approximation of "record literal with mutable fields". *)
@@ -237,23 +292,7 @@ let bound_vars (e : expression) =
   it.expr it e;
   bound
 
-let contains_mutex_lock (e : expression) =
-  let found = ref false in
-  let it =
-    {
-      Ast_iterator.default_iterator with
-      expr =
-        (fun it e ->
-          (match e.pexp_desc with
-          | Pexp_ident lid
-            when has_suffix ~suffix:[ "Mutex"; "lock" ] (Longident.flatten lid.txt) ->
-              found := true
-          | _ -> ());
-          if not !found then Ast_iterator.default_iterator.expr it e);
-    }
-  in
-  it.expr it e;
-  !found
+let contains_mutex_lock = exists_expr (ident_with_suffix [ [ "Mutex"; "lock" ] ])
 
 (* Raw mutable locals let-bound anywhere inside a node body, name -> kind.
    Scope is deliberately ignored: a name in this table that an inner
@@ -493,30 +532,28 @@ let phys_eq_path path =
   | [ "==" ] | [ "!=" ] | [ "Stdlib"; "==" ] | [ "Stdlib"; "!=" ] -> true
   | _ -> false
 
-(* The parallel fan-out entry points (mirrors Races.par_entries). *)
-let par_entry_suffixes =
-  [ [ "Par"; "map" ]; [ "Par"; "map_list" ]; [ "Par"; "iter" ]; [ "Domain"; "spawn" ] ]
+(* The parallel fan-out entry points, with their display names.  An
+   argument in function position of one of these escapes to another
+   domain. *)
+let par_entries =
+  [
+    ([ "Par"; "map" ], "Par.map");
+    ([ "Par"; "map_list" ], "Par.map_list");
+    ([ "Par"; "iter" ], "Par.iter");
+    ([ "Domain"; "spawn" ], "Domain.spawn");
+  ]
+
+let par_entry_of_path path =
+  List.find_map
+    (fun (suffix, name) -> if has_suffix ~suffix path then Some name else None)
+    par_entries
 
 let float_ops = [ "+."; "-."; "*."; "/." ]
 
 (* --------------------------------------------------- small AST predicates -- *)
 
-let subject_arg args =
-  List.find_map
-    (fun (label, (a : expression)) ->
-      match label with Asttypes.Nolabel -> Some a | _ -> None)
-    args
-
 (* The second positional argument (for element-first container ops). *)
-let second_arg args =
-  match
-    List.filter_map
-      (fun (label, (a : expression)) ->
-        match label with Asttypes.Nolabel -> Some a | _ -> None)
-      args
-  with
-  | _ :: a :: _ -> Some a
-  | _ -> None
+let second_arg args = match nolabel_args args with _ :: a :: _ -> Some a | _ -> None
 
 let rec head_ident_name (e : expression) =
   match e.pexp_desc with
@@ -525,111 +562,35 @@ let rec head_ident_name (e : expression) =
   | Pexp_constraint (e, _) | Pexp_coerce (e, _, _) | Pexp_open (_, e) -> head_ident_name e
   | _ -> None
 
-(* Symbolic identity of a target expression ("pool.lock", "t.docs"). *)
-let rec sym (e : expression) =
-  match e.pexp_desc with
-  | Pexp_ident lid -> Some (String.concat "." (Longident.flatten lid.txt))
-  | Pexp_field (b, lid) -> (
-      match sym b with
-      | Some s -> (
-          match List.rev (Longident.flatten lid.txt) with
-          | f :: _ -> Some (s ^ "." ^ f)
-          | [] -> None)
-      | None -> None)
-  | Pexp_constraint (e, _) | Pexp_coerce (e, _, _) | Pexp_open (_, e) -> sym e
-  | _ -> None
-
-let rec is_closure (e : expression) =
-  match e.pexp_desc with
-  | Pexp_fun _ | Pexp_function _ | Pexp_newtype _ -> true
-  | Pexp_constraint (e, _) | Pexp_coerce (e, _, _) -> is_closure e
-  | _ -> false
-
-let contains_float_op (e : expression) =
-  let found = ref false in
-  let it =
-    {
-      Ast_iterator.default_iterator with
-      expr =
-        (fun it e ->
-          (match e.pexp_desc with
-          | Pexp_ident { txt = Longident.Lident op; _ } when List.mem op float_ops ->
-              found := true
-          | _ -> ());
-          if not !found then Ast_iterator.default_iterator.expr it e);
-    }
-  in
-  it.expr it e;
-  !found
+let contains_float_op =
+  exists_expr (fun e ->
+      match e.pexp_desc with
+      | Pexp_ident { txt = Longident.Lident op; _ } -> List.mem op float_ops
+      | _ -> false)
 
 (* Does [e] read back the symbolic target [target] (deref or field path)? *)
-let reads_target ~target (e : expression) =
-  let found = ref false in
-  let it =
-    {
-      Ast_iterator.default_iterator with
-      expr =
-        (fun it e ->
-          (match e.pexp_desc with
-          | Pexp_apply
-              ({ pexp_desc = Pexp_ident { txt = Longident.Lident "!"; _ }; _ }, args) -> (
-              match Option.bind (subject_arg args) sym with
-              | Some s when String.equal s target -> found := true
-              | _ -> ())
-          | Pexp_field _ -> (
-              match sym e with
-              | Some s when String.equal s target -> found := true
-              | _ -> ())
-          | _ -> ());
-          if not !found then Ast_iterator.default_iterator.expr it e);
-    }
-  in
-  it.expr it e;
-  !found
+let reads_target ~target =
+  exists_expr (fun e ->
+      match e.pexp_desc with
+      | Pexp_apply ({ pexp_desc = Pexp_ident { txt = Longident.Lident "!"; _ }; _ }, args)
+        ->
+          Option.bind (first_nolabel args) sym = Some target
+      | Pexp_field _ -> sym e = Some target
+      | _ -> false)
 
 (* Does this closure body build a list (cons, append, rev_append)? *)
-let builds_list (e : expression) =
-  let found = ref false in
-  let it =
-    {
-      Ast_iterator.default_iterator with
-      expr =
-        (fun it e ->
-          (match e.pexp_desc with
-          | Pexp_construct ({ txt = Longident.Lident "::"; _ }, Some _) -> found := true
-          | Pexp_ident { txt = Longident.Lident "@"; _ } -> found := true
-          | Pexp_ident lid
-            when List.exists
-                   (fun suffix -> has_suffix ~suffix (Longident.flatten lid.txt))
-                   [ [ "List"; "rev_append" ]; [ "List"; "append" ]; [ "List"; "cons" ];
-                     [ "Seq"; "cons" ] ] ->
-              found := true
-          | _ -> ());
-          if not !found then Ast_iterator.default_iterator.expr it e);
-    }
-  in
-  it.expr it e;
-  !found
+let builds_list =
+  exists_expr (fun e ->
+      match e.pexp_desc with
+      | Pexp_construct ({ txt = Longident.Lident "::"; _ }, Some _) -> true
+      | Pexp_ident { txt = Longident.Lident "@"; _ } -> true
+      | _ ->
+          ident_with_suffix
+            [ [ "List"; "rev_append" ]; [ "List"; "append" ]; [ "List"; "cons" ];
+              [ "Seq"; "cons" ] ]
+            e)
 
-let contains_sort (e : expression) =
-  let found = ref false in
-  let it =
-    {
-      Ast_iterator.default_iterator with
-      expr =
-        (fun it e ->
-          (match e.pexp_desc with
-          | Pexp_ident lid
-            when List.exists
-                   (fun suffix -> has_suffix ~suffix (Longident.flatten lid.txt))
-                   sort_suffixes ->
-              found := true
-          | _ -> ());
-          if not !found then Ast_iterator.default_iterator.expr it e);
-    }
-  in
-  it.expr it e;
-  !found
+let contains_sort = exists_expr (ident_with_suffix sort_suffixes)
 
 (* Read-modify-write float updates ([t := !t +. x], [r.sum <- r.sum +. x])
    whose target head is not exempted (per-call raw locals for a whole node,
@@ -776,8 +737,7 @@ let scan_node t (n : Callgraph.node) =
   (* Classification of one (shadow-checked) identifier reference. *)
   let classify_ident path loc =
     let expanded = Callgraph.expand graph n.u path in
-    (if List.exists (fun suffix -> has_suffix ~suffix expanded) par_entry_suffixes then
-       fanout := true);
+    if par_entry_of_path expanded <> None then fanout := true;
     (if has_suffix ~suffix:[ "Par"; "sum_list" ] expanded then sum_list := true);
     (match mutator_of_path expanded with
     | Some m ->
@@ -834,7 +794,7 @@ let scan_node t (n : Callgraph.node) =
               | _ -> classify_ident path e.pexp_loc)
           | Pexp_apply ({ pexp_desc = Pexp_ident lid; _ }, args) -> (
               let path = Longident.flatten lid.txt in
-              let target = subject_arg args in
+              let target = first_nolabel args in
               match path with
               | [ ":=" ] | [ "Stdlib"; ":=" ] ->
                   if not (local_target target) then

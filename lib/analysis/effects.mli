@@ -124,13 +124,44 @@ val dump : t -> string
 
 (** {1 Shared syntactic classifiers}
 
-    Used by {!Checks} and {!Races}; they live here so the whole analysis
-    stack agrees on what counts as mutable state. *)
+    Used by {!Checks}, {!Races} and {!Dataflow}; they live here, once, so
+    the whole analysis stack agrees on what counts as mutable state, which
+    expression names which mutex, and where a task escapes. *)
+
+(** Is ["ID"] among the [\[@lint.allow\]] ids of these attributes? *)
+val allow : string -> Parsetree.attributes -> bool
 
 (** Is [suffix] a component suffix of [path]?
     [has_suffix ~suffix:\["Par"; "map"\] \["Xia_core"; "Par"; "map"\]] is
     [true]. *)
 val has_suffix : suffix:string list -> string list -> bool
+
+(** The unlabeled arguments of an application, in order. *)
+val nolabel_args :
+  (Asttypes.arg_label * Parsetree.expression) list -> Parsetree.expression list
+
+(** The first unlabeled argument: the subject of [Mutex.lock m], the task
+    of [Par.map ~domains f arr], the target of [x := v]. *)
+val first_nolabel :
+  (Asttypes.arg_label * Parsetree.expression) list -> Parsetree.expression option
+
+(** Symbolic identity of a lock/atomic/target expression: the dotted ident
+    or field path (["pool.lock"], ["t.shards.lock"]); [None] for array
+    cells, call results and other unnamed values.  Mutexes are identified
+    nominally by it. *)
+val sym : Parsetree.expression -> string option
+
+(** Is the expression a literal function (through type constraints)? *)
+val is_closure : Parsetree.expression -> bool
+
+(** Does the expression or one of its subexpressions satisfy the
+    predicate?  Stops descending at the first hit. *)
+val exists_expr : (Parsetree.expression -> bool) -> Parsetree.expression -> bool
+
+(** The display name of a parallel fan-out entry point ([Par.map],
+    [Par.map_list], [Par.iter], [Domain.spawn]) the alias-expanded path
+    denotes, if any. *)
+val par_entry_of_path : string list -> string option
 
 (** Field names declared [mutable] anywhere in this compilation unit. *)
 val mutable_field_names : Parsetree.structure -> (string, unit) Hashtbl.t
@@ -147,9 +178,6 @@ val d001_hits :
 
 (** All variable names bound by patterns anywhere inside the expression. *)
 val bound_vars : Parsetree.expression -> (string, unit) Hashtbl.t
-
-(** Does the expression body contain a [Mutex.lock] reference? *)
-val contains_mutex_lock : Parsetree.expression -> bool
 
 (** Classify a dotted path as an unambiguous IO builtin (console/channel/
     filesystem traffic); returns the display name.  Callers gate on empty

@@ -32,11 +32,11 @@ let parse_structure ~filename source =
   | e -> Error { path = filename; message = Printexc.to_string e }
 
 (* Every parsetree-level finding of a program: the unit-local checks per
-   unit, then the whole-program checks (D003, N001, E001, E002, the
-   R-series and N002) over the shared graph and one effect-inference
-   pass, then the flow-sensitive L/X-series over the same graph and
+   unit, then the whole-program checks (D003, N001, E001, E002, R001 and
+   N002) over the shared graph and one effect-inference pass, then the
+   flow-sensitive R002 and L/X-series over the same graph and
    summaries. *)
-let program_findings ~config units =
+let program_findings units =
   let graph = Callgraph.build units in
   let eff = Effects.analyze graph in
   let per_unit =
@@ -46,19 +46,19 @@ let program_findings ~config units =
       units
   in
   per_unit
-  @ Checks.check_d003_program ~config eff graph
+  @ Checks.check_d003_program eff graph
   @ Checks.check_n001_program eff graph
-  @ Checks.check_e001_program ~config eff graph
-  @ Checks.check_e002_program ~config eff graph
+  @ Checks.check_e001_program eff graph
+  @ Checks.check_e002_program eff graph
   @ Races.check graph eff
   @ Dataflow.check graph eff
 
-let lint_source ?(config = Checks.default_config) ~filename source =
+let lint_source ~filename source =
   match parse_structure ~filename source with
   | Error e -> Error e
   | Ok structure ->
       let u = Callgraph.make_unit ~path:filename ~source structure in
-      Ok (List.sort Finding.compare (program_findings ~config [ u ]))
+      Ok (List.sort Finding.compare (program_findings [ u ]))
 
 let read_file path =
   let ic = open_in_bin path in
@@ -66,10 +66,10 @@ let read_file path =
     ~finally:(fun () -> close_in_noerr ic)
     (fun () -> really_input_string ic (in_channel_length ic))
 
-let lint_file ?config path =
+let lint_file path =
   match read_file path with
   | exception Sys_error m -> Error { path; message = m }
-  | source -> lint_source ?config ~filename:path source
+  | source -> lint_source ~filename:path source
 
 (* Recursively collect .ml/.mli files under [paths]; skips _build and dot
    directories.  Sorted for deterministic reports. *)
@@ -108,10 +108,10 @@ let load_units mls =
     ([], []) mls
   |> fun (units, errors) -> (List.rev units, List.rev errors)
 
-let lint_paths ?(config = Checks.default_config) ?(allow = []) paths =
+let lint_paths ?(allow = []) paths =
   let mls, mlis, walk_errors = collect_sources paths in
   let units, parse_errors = load_units mls in
-  let all = Checks.missing_mli ~mls ~mlis @ program_findings ~config units in
+  let all = Checks.missing_mli ~mls ~mlis @ program_findings units in
   let kept, suppressed = Suppress.apply allow all in
   {
     findings = List.sort Finding.compare kept;
@@ -134,8 +134,8 @@ let effects_dump paths =
   let units, parse_errors = load_units mls in
   (Effects.dump (Effects.analyze (Callgraph.build units)), walk_errors @ parse_errors)
 
-(* Just the flow-sensitive L/X-series over the unit set (the bench
-   harness's [lint.dataflow] exhibit: CFG construction + fixpoints +
+(* Just the flow-sensitive R002 and L/X-series over the unit set (the
+   bench harness's [lint.dataflow] exhibit: CFG construction + fixpoints +
    worklist, without the rest of the catalog). *)
 let dataflow_findings paths =
   let mls, _, walk_errors = collect_sources paths in

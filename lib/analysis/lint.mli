@@ -15,20 +15,15 @@ val empty_report : report
 (** Lint one source string as a one-unit program (every parsetree-level
     check including D003, the R-series and the flow-sensitive L/X-series;
     no H001). *)
-val lint_source :
-  ?config:Checks.config ->
-  filename:string ->
-  string ->
-  (Finding.t list, error) result
+val lint_source : filename:string -> string -> (Finding.t list, error) result
 
 (** Lint one file from disk. *)
-val lint_file : ?config:Checks.config -> string -> (Finding.t list, error) result
+val lint_file : string -> (Finding.t list, error) result
 
 (** Lint every [.ml] under [paths] (recursively; skips [_build] and dot
     directories) as one program sharing one call graph, including the H001
     interface check, then apply the allow-file [entries]. *)
-val lint_paths :
-  ?config:Checks.config -> ?allow:Suppress.entry list -> string list -> report
+val lint_paths : ?allow:Suppress.entry list -> string list -> report
 
 (** Deterministic Graphviz rendering of the call graph over every [.ml]
     under [paths], plus any walk/parse errors (the graph covers the parsable
@@ -40,7 +35,7 @@ val callgraph_dot : string list -> string * error list
     the parsable subset). *)
 val effects_dump : string list -> string * error list
 
-(** Just the flow-sensitive L/X-series ({!Dataflow.check}) over every
+(** Just the flow-sensitive R002 and L/X-series ({!Dataflow.check}) over every
     [.ml] under [paths], plus any walk/parse errors (the bench harness's
     [lint.dataflow] exhibit). *)
 val dataflow_findings : string list -> Finding.t list * error list

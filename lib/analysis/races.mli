@@ -1,5 +1,8 @@
-(** The R-series domain-race checks and N002, run over the whole-program
-    call graph and the {!Effects} summaries computed on it:
+(** R001 (domain races on shared state) and N002, run over the
+    whole-program call graph and the {!Effects} summaries computed on it.
+    The rest of the R-series lives elsewhere: [R002] (lock order) is a
+    query on {!Dataflow}'s flow-sensitive lockset, [R003] (non-atomic
+    read-modify-write) a unit-local check in {!Checks}.
 
     - [R001] mutable state reachable from a parallel task: a closure or
       named function passed to [Par.map]/[Par.map_list]/[Par.iter]/
@@ -9,11 +12,6 @@
       state.  Atomic/Mutex/Domain.DLS/Lazy-wrapped state never classifies
       as raw; a lock-disciplined function (body takes a [Mutex.lock])
       contributes no witnesses and blocks their propagation.
-    - [R002] inconsistent mutex acquisition order, including locks taken by
-      callees resolved through the graph; re-locking the same mutex symbol
-      is a self-deadlock.
-    - [R003] non-atomic read-modify-write:
-      [Atomic.set x (... Atomic.get x ...)].
     - [N002] parallel float reduction without [Par.sum_list]: an escaping
       task accumulating floats into shared state
       ([Effects.float_accumulations] — propagates through lock discipline,
@@ -24,7 +22,7 @@
     Semantics, worked examples and the soundness/incompleteness trade-offs
     are documented in DESIGN.md §5f and §5h. *)
 
-(** Run R001, R002, R003 and N002 over every unit of the graph.  Attribute
+(** Run R001 and N002 over every unit of the graph.  Attribute
     suppressions ([\[@lint.allow "R001"\]] etc.) are applied; allow-file
     suppression is the caller's job. *)
 val check : Callgraph.t -> Effects.t -> Finding.t list

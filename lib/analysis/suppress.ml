@@ -93,14 +93,21 @@ let parse_allow_file ~file contents =
   | [] -> Ok (List.rev entries)
   | es -> Error (List.rev es)
 
+(* Any unreadable path — missing, a directory, no permission — is an
+   [Error] naming it, never an escaped [Sys_error]. *)
 let load_allow_file path =
   if not (Sys.file_exists path) then
     Error [ Printf.sprintf "allow file %s does not exist" path ]
   else
-    let ic = open_in_bin path in
-    let contents = really_input_string ic (in_channel_length ic) in
-    close_in ic;
-    parse_allow_file ~file:path contents
+    match
+      let ic = open_in_bin path in
+      Fun.protect
+        ~finally:(fun () -> close_in_noerr ic)
+        (fun () -> really_input_string ic (in_channel_length ic))
+    with
+    | contents -> parse_allow_file ~file:path contents
+    | exception Sys_error m ->
+        Error [ Printf.sprintf "allow file %s is unreadable: %s" path m ]
 
 let path_components p =
   String.split_on_char '/' p |> List.filter (fun c -> c <> "" && c <> ".")

@@ -12,7 +12,8 @@ type entry = {
     entry must carry a reason after [--]. *)
 val parse_allow_file : file:string -> string -> (entry list, string list) result
 
-(** Read and parse an allow file from disk. *)
+(** Read and parse an allow file from disk.  A missing or unreadable path
+    (a directory, say) is an [Error] naming it. *)
 val load_allow_file : string -> (entry list, string list) result
 
 (** Does this entry suppress this finding? *)

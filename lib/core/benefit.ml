@@ -51,6 +51,7 @@ module Workload = Xia_workload.Workload
 module Ast = Xia_query.Ast
 module Rewriter = Xia_query.Rewriter
 module Int_set = Candidate.Int_set
+module Par = Xia_par.Par
 
 (* One cached sub-configuration: the per-statement what-if costs computed so
    far, plus the defs list the first computation used.  [e_defs] is pinned at
@@ -109,14 +110,11 @@ type t = {
 }
 
 (* Observability: cache traffic and shard contention, mirrored into the
-   metrics registry when enabled.  The [evaluations]/[cache_hits] fields
-   below stay authoritative (and always on) — these counters only exist so a
+   metrics registry when enabled ("benefit.*" counters, looked up by name at
+   each use).  The [evaluations]/[cache_hits] fields below stay
+   authoritative (and always on) — these counters only exist so a
    [--metrics] snapshot can report them without an evaluator handle. *)
-let m_cache_hits = lazy (Xia_obs.Metrics.counter "benefit.cache_hits")
-let m_cache_misses = lazy (Xia_obs.Metrics.counter "benefit.cache_misses")
-let m_shard_waits = lazy (Xia_obs.Metrics.counter "benefit.shard_waits")
-let m_evaluations = lazy (Xia_obs.Metrics.counter "benefit.evaluations")
-let m_pruned = lazy (Xia_obs.Metrics.counter "benefit.pruned_configs")
+let count name n = if Xia_obs.Obs.on () then Xia_obs.Metrics.add (Xia_obs.Metrics.counter name) n
 
 (* Process-wide running total of sub-configuration cache hits, for the bench
    harness's perf trajectory (per-evaluator counters die with the evaluator). *)
@@ -196,18 +194,18 @@ let create ?domains catalog (workload : Workload.t) =
 
 let count_evaluations t n =
   ignore (Atomic.fetch_and_add t.evaluations n);
-  if Xia_obs.Obs.on () then Xia_obs.Metrics.add (Lazy.force m_evaluations) n
+  count "benefit.evaluations" n
 
 let count_pruned t n =
   if n > 0 then begin
     ignore (Atomic.fetch_and_add t.pruned n);
-    if Xia_obs.Obs.on () then Xia_obs.Metrics.add (Lazy.force m_pruned) n
+    count "benefit.pruned_configs" n
   end
 
 let count_hit t =
   Atomic.incr t.cache_hits;
   Atomic.incr global_hits;
-  if Xia_obs.Obs.on () then Xia_obs.Metrics.incr (Lazy.force m_cache_hits)
+  count "benefit.cache_hits" 1
 
 let base_workload_cost t =
   let total = ref 0.0 in
@@ -329,15 +327,13 @@ let config_costs t ~defs key stmts =
     | (Some _ | None) as existing ->
         if Hashtbl.mem shard.pending key then begin
           (* Another domain is computing this key: shard contention. *)
-          if Xia_obs.Obs.on () then
-            Xia_obs.Metrics.incr (Lazy.force m_shard_waits);
+          count "benefit.shard_waits" 1;
           Condition.wait shard.cond shard.lock;
           acquire ()
         end
         else begin
           Hashtbl.replace shard.pending key ();
-          if Xia_obs.Obs.on () then
-            Xia_obs.Metrics.incr (Lazy.force m_cache_misses);
+          count "benefit.cache_misses" 1;
           `Compute
             (match existing with
             | Some (Ok entry) -> Some entry

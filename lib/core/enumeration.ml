@@ -7,9 +7,6 @@
 
 module Index_def = Xia_index.Index_def
 
-let m_statements = lazy (Xia_obs.Metrics.counter "enumeration.statements")
-let m_patterns = lazy (Xia_obs.Metrics.counter "enumeration.patterns")
-
 (* Enumerate basic candidates for a workload into a fresh candidate set. *)
 let basic_candidates catalog (workload : Xia_workload.Workload.t) =
   let set = Candidate.create_set () in
@@ -26,8 +23,10 @@ let basic_candidates catalog (workload : Xia_workload.Workload.t) =
             Xia_optimizer.Optimizer.enumerate_indexes catalog item.statement
           in
           if Xia_obs.Obs.on () then begin
-            Xia_obs.Metrics.incr (Lazy.force m_statements);
-            Xia_obs.Metrics.add (Lazy.force m_patterns) (List.length patterns)
+            Xia_obs.Metrics.incr (Xia_obs.Metrics.counter "enumeration.statements");
+            Xia_obs.Metrics.add
+              (Xia_obs.Metrics.counter "enumeration.patterns")
+              (List.length patterns)
           end;
           List.iter
             (fun (table, pattern, dtype) ->

@@ -118,9 +118,6 @@ let compatible (a : Candidate.t) (b : Candidate.t) =
    anything the experiments produce. *)
 let max_candidates = 20_000
 
-let m_rounds = lazy (Xia_obs.Metrics.counter "generalize.rounds")
-let m_added = lazy (Xia_obs.Metrics.counter "generalize.added")
-
 (* Expand the candidate set to a fixpoint: repeatedly generalize every
    compatible pair (including newly produced generals), wiring DAG edges as
    we go. *)
@@ -185,7 +182,9 @@ let close set =
   in
   drain ();
   if Xia_obs.Obs.on () then begin
-    Xia_obs.Metrics.add (Lazy.force m_rounds) !rounds;
-    Xia_obs.Metrics.add (Lazy.force m_added) (Candidate.cardinality set - before)
+    Xia_obs.Metrics.add (Xia_obs.Metrics.counter "generalize.rounds") !rounds;
+    Xia_obs.Metrics.add
+      (Xia_obs.Metrics.counter "generalize.added")
+      (Candidate.cardinality set - before)
   end;
   Candidate.compute_affected set

@@ -21,6 +21,7 @@ module Index_def = Xia_index.Index_def
 module Obs = Xia_obs.Obs
 module Trace = Xia_obs.Trace
 module Metrics = Xia_obs.Metrics
+module Par = Xia_par.Par
 
 (* Per-algorithm event counter, e.g. "search.greedy.admitted".  Looked up by
    name on each use; only reached when observability is on, and the registry

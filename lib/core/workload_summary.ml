@@ -45,10 +45,6 @@ module Ast = Xia_query.Ast
    publication), and ids are only ever used for identity. *)
 let atoms : (int * int * int) Interner.t = Interner.create ()
 
-let m_statements = lazy (Xia_obs.Metrics.counter "summary.statements")
-let m_clusters = lazy (Xia_obs.Metrics.counter "summary.clusters")
-let g_ratio = lazy (Xia_obs.Metrics.gauge "summary.compression_ratio")
-
 let dtype_tag = function
   | Xia_index.Index_def.Dstring -> 0
   | Xia_index.Index_def.Ddouble -> 1
@@ -141,11 +137,11 @@ let compress catalog (workload : Workload.t) =
   in
   let t = { source = workload; clusters; compressed = true } in
   if Xia_obs.Obs.on () then begin
-    Xia_obs.Metrics.add (Lazy.force m_statements) (List.length workload);
-    Xia_obs.Metrics.add (Lazy.force m_clusters) (Array.length clusters);
+    Xia_obs.Metrics.add (Xia_obs.Metrics.counter "summary.statements") (List.length workload);
+    Xia_obs.Metrics.add (Xia_obs.Metrics.counter "summary.clusters") (Array.length clusters);
     let n = List.length workload in
     if Array.length clusters > 0 then
-      Xia_obs.Metrics.set (Lazy.force g_ratio)
+      Xia_obs.Metrics.set (Xia_obs.Metrics.gauge "summary.compression_ratio")
         (float_of_int n /. float_of_int (Array.length clusters))
   end;
   t

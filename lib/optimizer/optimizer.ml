@@ -292,9 +292,9 @@ let modify_cost_per_doc tstats ~factor =
   +. (avg_doc_elements tstats *. C.cpu_per_node)
 
 (* Every what-if call's latency, for the advisor's observability layer.
-   Lazy so the metric only registers once an instrumented call runs. *)
-let optimize_latency =
-  lazy (Xia_obs.Metrics.histogram "optimizer.optimize_latency_us")
+   Looked up by name at each instrumented call, so the metric only
+   registers once one runs. *)
+let optimize_latency () = Xia_obs.Metrics.histogram "optimizer.optimize_latency_us"
 
 (* Documents a DML statement modifies, from its locating binding(s).  Every
    binding constrains the same documents, so with several the statement
@@ -347,18 +347,17 @@ let optimize ?mode ?virtual_config catalog stmt =
   else begin
     let t0 = Xia_obs.Obs.now_s () in
     let plan = do_optimize ?mode ?virtual_config catalog stmt in
-    Xia_obs.Metrics.observe_s (Lazy.force optimize_latency)
+    Xia_obs.Metrics.observe_s (optimize_latency ())
       (Xia_obs.Obs.now_s () -. t0);
     plan
   end
 
 (* Distribution of batch sizes, for the observability layer.  Unitless
    bounds: a sample is a statement count, not a latency. *)
-let batch_size_hist =
-  lazy
-    (Xia_obs.Metrics.histogram
-       ~bounds_us:[| 1.; 2.; 4.; 8.; 16.; 32.; 64.; 128.; 256.; 512.; 1024. |]
-       "optimizer.batch_size")
+let batch_size_hist () =
+  Xia_obs.Metrics.histogram
+    ~bounds_us:[| 1.; 2.; 4.; 8.; 16.; 32.; 64.; 128.; 256.; 512.; 1024. |]
+    "optimizer.batch_size"
 
 (* The batched what-if entry point (Section VI-C).  One virtual-config
    setup per call: statistics warming and the per-table planning
@@ -395,10 +394,10 @@ let optimize_batch ?(mode = Evaluate) ?(domains = 1) ~virtual_config catalog
       Xia_obs.Trace.with_span "optimizer.batch"
         ~args:(fun () -> [ ("statements", string_of_int n) ])
         (fun () ->
-          Xia_obs.Metrics.observe (Lazy.force batch_size_hist) (float_of_int n);
+          Xia_obs.Metrics.observe (batch_size_hist ()) (float_of_int n);
           let t0 = Xia_obs.Obs.now_s () in
           let plans = run () in
-          Xia_obs.Metrics.observe_s (Lazy.force optimize_latency)
+          Xia_obs.Metrics.observe_s (optimize_latency ())
             (Xia_obs.Obs.now_s () -. t0);
           plans)
   end

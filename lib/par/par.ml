@@ -44,12 +44,10 @@ type pool = {
 
 let default_domains () = Domain.recommended_domain_count ()
 
-(* Observability: batch/item counts and cumulative worker idle time.  The
-   idle clock only runs while observability is enabled, so an idle pool still
-   costs nothing when it is off. *)
-let m_batches = lazy (Xia_obs.Metrics.counter "par.batches")
-let m_items = lazy (Xia_obs.Metrics.counter "par.items")
-let m_idle_us = lazy (Xia_obs.Metrics.counter "par.idle_us")
+(* Observability: batch/item counts ("par.batches", "par.items") and
+   cumulative worker idle time ("par.idle_us"), looked up by name at each
+   use.  The idle clock only runs while observability is enabled, so an idle
+   pool still costs nothing when it is off. *)
 
 let worker_loop pool () =
   let rec next () =
@@ -67,7 +65,7 @@ let worker_loop pool () =
                   if Obs.on () then begin
                     let t0 = Obs.now_s () in
                     Condition.wait pool.nonempty pool.lock;
-                    Metrics.add (Lazy.force m_idle_us)
+                    Metrics.add (Metrics.counter "par.idle_us")
                       (int_of_float ((Obs.now_s () -. t0) *. 1e6))
                   end
                   else Condition.wait pool.nonempty pool.lock;
@@ -129,7 +127,7 @@ let map ~domains f arr =
   if n = 0 then [||]
   else if domains <= 1 || n <= 1 then Array.map f arr
   else begin
-    if Obs.on () then Metrics.incr (Lazy.force m_batches);
+    if Obs.on () then Metrics.incr (Metrics.counter "par.batches");
     Trace.with_span "par.batch"
       ~args:(fun () ->
         [ ("items", string_of_int n); ("domains", string_of_int domains) ])
@@ -163,7 +161,7 @@ let map ~domains f arr =
       let mine = claim 0 in
       claimed := mine;
       if mine > 0 then begin
-        if Obs.on () then Metrics.add (Lazy.force m_items) mine;
+        if Obs.on () then Metrics.add (Metrics.counter "par.items") mine;
         Mutex.lock fin_lock;
         completed := !completed + mine;
         if !completed >= n then Condition.broadcast fin_cond;

@@ -277,6 +277,17 @@ let allow_file_tests =
         match Suppress.parse_allow_file ~file:"lint.allow" "D001 lib/core/par.ml\n" with
         | Ok _ -> Alcotest.fail "entry without reason must be an error"
         | Error msgs -> Alcotest.(check int) "one error" 1 (List.length msgs));
+    tc "a directory as the allow file is an error naming it" (fun () ->
+        let dir = Filename.temp_dir "xia_allow" "" in
+        Fun.protect
+          ~finally:(fun () -> Sys.rmdir dir)
+          (fun () ->
+            match Suppress.load_allow_file dir with
+            | Ok _ -> Alcotest.fail "a directory must not load as an allow file"
+            | Error msgs ->
+                Alcotest.(check bool)
+                  "names the path" true
+                  (List.exists (fun m -> contains m dir) msgs)));
     tc "path matches by component suffix" (fun () ->
         let f =
           Finding.make ~file:"../lib/index/index_def.ml" ~line:29 ~col:0 ~id:"D001"
@@ -562,6 +573,24 @@ let r002_tests =
           \  Mutex.lock a; (Mutex.lock b [@lint.allow \"R002\"]);\n\
           \  Mutex.unlock b; Mutex.unlock a\n\
            let g () = Mutex.lock b; Mutex.lock a; Mutex.unlock a; Mutex.unlock b\n");
+    tc "locks on exclusive branches are never held together" (fun () ->
+        check_ids "clean" []
+          "let a = Mutex.create ()\n\
+           let b = Mutex.create ()\n\
+           let f c = if c then Mutex.lock a else Mutex.lock b\n\
+           let g () = Mutex.lock b; Mutex.lock a; Mutex.unlock a; Mutex.unlock b\n");
+    tc "re-lock of a mutex held on one branch self-deadlocks" (fun () ->
+        let fs =
+          findings
+            "let m = Mutex.create ()\n\
+             let f p = (if p then Mutex.lock m else Mutex.unlock m); Mutex.lock m\n"
+        in
+        Alcotest.(check (list (pair int string)))
+          "flagged at the second lock" [ (2, "R002") ]
+          (List.map (fun (f : Finding.t) -> (f.line, f.id)) fs);
+        Alcotest.(check bool)
+          "self-deadlock message" true
+          (contains (List.hd fs).Finding.message "m is already held"));
   ]
 
 (* ---------------------------------------------------------------- R003 -- *)
@@ -885,7 +914,8 @@ let dataflow_fixture_tests =
 (* A tiny shape language over one mutex, rendered to source and linted; a
    reference interpreter enumerates every execution path and decides
    whether some path exits exceptionally with the lock held — which is
-   exactly L002's claim.  This pits the CFG construction (exceptional
+   exactly L002's claim — and whether some path locks the mutex while it
+   is held, which is R002's self-deadlock claim.  This pits the CFG construction (exceptional
    edges, try re-joins, Fun.protect inlining, joins at merges) against an
    independent, obviously-correct semantics. *)
 type shape =
@@ -912,8 +942,11 @@ let rec render = function
 
 type outcome = Normal | Exc
 
-(* Every (held, outcome) end state reachable by some path. *)
+(* Every (held, outcome) end state reachable by some path — as a set, so
+   a long run of branches stays four states wide instead of doubling. *)
 let rec eval s held =
+  List.sort_uniq compare
+  @@
   match s with
   | Nop -> [ (held, Normal) ]
   | Lock -> [ (true, Normal) ]
@@ -936,6 +969,22 @@ let rec eval s held =
               (hf, match (o, fo) with Normal, Normal -> Normal | _ -> Exc))
             (eval f h))
         (eval a held)
+
+(* Does some path lock the mutex while it is already held?  (R002's
+   self-deadlock claim, for one mutex.) *)
+let rec relocks s held =
+  match s with
+  | Nop | Unlock | Raise -> false
+  | Lock -> held
+  | Seq (a, b) ->
+      relocks a held
+      || List.exists (fun (h, o) -> o = Normal && relocks b h) (eval a held)
+  | If (a, b) -> relocks a held || relocks b held
+  | Try (a, b) ->
+      relocks a held
+      || List.exists (fun (h, o) -> o = Exc && relocks b h) (eval a held)
+  | Protect (a, f) ->
+      relocks a held || List.exists (fun (h, _) -> relocks f h) (eval a held)
 
 let shape_gen =
   QCheck.Gen.(
@@ -973,6 +1022,20 @@ let dataflow_qcheck_tests =
              List.exists (fun (h, o) -> h && o = Exc) (eval s false)
            in
            got = want));
+    (* For one mutex the may-held lockset is exact: a lock is reached with
+       the mutex held on some path iff the path enumeration finds one. *)
+    QCheck_alcotest.to_alcotest
+      (QCheck.Test.make ~name:"R002 self-deadlock agrees with the path interpreter"
+         ~count:300 shape_arbitrary (fun s ->
+           let src =
+             "let m = Mutex.create ()\nlet run p = " ^ render s ^ "\n"
+           in
+           let got =
+             List.exists
+               (fun (f : Finding.t) -> f.id = "R002")
+               (findings src)
+           in
+           got = relocks s false));
   ]
 
 (* --------------------------------------------- --only/--skip selection -- *)

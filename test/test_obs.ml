@@ -266,6 +266,32 @@ let metrics_tests =
         Metrics.incr c;
         Metrics.add (Metrics.counter "test_obs.counter") 4;
         Alcotest.(check int) "value" (base + 5) (Metrics.value c));
+    tc "concurrent first registration yields one instrument" (fun () ->
+        (* Instrumentation sites look metrics up by name on every use, from
+           any domain: racing first registrations must agree on a single
+           instrument and lose no increment. *)
+        let name = "test_obs.concurrent_registration" in
+        let domains = 4 and per_domain = 1000 in
+        let ready = Atomic.make 0 in
+        let work () =
+          Atomic.incr ready;
+          while Atomic.get ready < domains do
+            Domain.cpu_relax ()
+          done;
+          let first = Metrics.counter name in
+          for _ = 1 to per_domain do
+            Metrics.incr (Metrics.counter name)
+          done;
+          first
+        in
+        let handles =
+          List.map Domain.join (List.init domains (fun _ -> Domain.spawn work))
+        in
+        let c = List.hd handles in
+        Alcotest.(check bool)
+          "one instrument" true
+          (List.for_all (fun h -> h == c) handles);
+        Alcotest.(check int) "summed count" (domains * per_domain) (Metrics.value c));
     tc "kind clash raises Invalid_argument" (fun () ->
         ignore (Metrics.counter "test_obs.clash");
         match Metrics.gauge "test_obs.clash" with

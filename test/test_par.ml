@@ -7,7 +7,7 @@ module B = Xia_advisor.Benefit
 module C = Xia_advisor.Candidate
 module S = Xia_advisor.Search
 module En = Xia_advisor.Enumeration
-module Par = Xia_advisor.Par
+module Par = Xia_par.Par
 module Cat = Xia_index.Catalog
 module O = Xia_optimizer.Optimizer
 module W = Xia_workload.Workload
