@@ -47,7 +47,13 @@ let load_catalog benchmark small data_dirs =
 
 let base_workload benchmark update_freq synthetic workload_file catalog =
   match workload_file with
-  | Some path -> W.of_file path
+  | Some path -> (
+      (* A bad workload file is an input error: report it with its location
+         and stop, as for any other bad argument. *)
+      try W.of_file path
+      with Invalid_argument msg | Sys_error msg ->
+        prerr_endline ("xia_advise: " ^ msg);
+        exit 1)
   | None ->
       let queries =
         match benchmark with

@@ -111,28 +111,52 @@ let raw (workload : Workload.t) =
   in
   { source = workload; clusters; compressed = false }
 
+(* Distinct statements, keyed by value: a long workload repeats a few
+   hundred templates, so [cluster_key] (Enumerate Indexes plus interning)
+   runs once per distinct statement.  Keying by value rather than by
+   physical identity also catches duplicates built separately in memory. *)
+module Statements = Hashtbl.Make (struct
+  type t = Ast.statement
+
+  let equal a b = compare a b = 0
+  let hash = Ast.hash
+end)
+
+(* A cluster being built: members in reverse order, frequencies summed in
+   workload order. *)
+type acc = { first : int; mutable rev_members : int list; mutable sum : float }
+
 let compress catalog (workload : Workload.t) =
   Xia_obs.Trace.with_span "summary.compress"
     ~args:(fun () -> [ ("statements", string_of_int (List.length workload)) ])
   @@ fun () ->
   let by_key = Hashtbl.create 64 in
-  let order = ref [] in  (* cluster reps in reverse first-occurrence order *)
+  let by_statement = Statements.create 256 in
+  let order = ref [] in  (* clusters in reverse first-occurrence order *)
+  let join acc i freq =
+    acc.rev_members <- i :: acc.rev_members;
+    acc.sum <- acc.sum +. freq
+  in
   List.iteri
     (fun i (item : Workload.item) ->
-      let key = cluster_key catalog item.statement in
-      match Hashtbl.find_opt by_key key with
-      | Some (members, weight) ->
-          Hashtbl.replace by_key key (i :: members, weight +. item.freq)
-      | None ->
-          order := (key, i) :: !order;
-          Hashtbl.replace by_key key ([ i ], item.freq))
+      match Statements.find_opt by_statement item.statement with
+      | Some acc -> join acc i item.freq
+      | None -> (
+          let key = cluster_key catalog item.statement in
+          match Hashtbl.find_opt by_key key with
+          | Some acc ->
+              Statements.add by_statement item.statement acc;
+              join acc i item.freq
+          | None ->
+              let acc = { first = i; rev_members = [ i ]; sum = item.freq } in
+              Hashtbl.add by_key key acc;
+              Statements.add by_statement item.statement acc;
+              order := acc :: !order))
     workload;
   let clusters =
     Array.of_list
       (List.rev_map
-         (fun (key, rep) ->
-           let members, weight = Hashtbl.find by_key key in
-           { rep; members = List.rev members; weight })
+         (fun acc -> { rep = acc.first; members = List.rev acc.rev_members; weight = acc.sum })
          !order)
   in
   let t = { source = workload; clusters; compressed = true } in

@@ -26,8 +26,10 @@ type info = {
     frequency.  The raw and compressed paths share all downstream code. *)
 val raw : Workload.t -> t
 
-(** Cluster by signature.  Costs one [enumerate_indexes] pass (pure
-    statement analysis — no optimizer cost-model calls) over the workload. *)
+(** Cluster by signature.  Costs one [enumerate_indexes] call (pure
+    statement analysis — no optimizer cost-model calls) per distinct
+    statement: repeated statements, whether physically shared or only
+    structurally equal, reuse the first one's cluster key. *)
 val compress : Xia_index.Catalog.t -> Workload.t -> t
 
 (** Basic-candidate signature of one statement: sorted interned triple ids.

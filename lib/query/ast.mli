@@ -47,3 +47,9 @@ val statement_table : statement -> string option
 
 val return_vars : return_item -> string list
 val tables : statement -> string list
+
+(** Full-depth structural hash, consistent with structural equality:
+    [compare a b = 0] implies [hash a = hash b].  Unlike [Hashtbl.hash] it
+    reads the whole statement, so statements that differ only deep inside
+    (a constant, the last step of a path) hash apart. *)
+val hash : statement -> int

@@ -60,28 +60,50 @@ let save_directory store dir =
 
 (* Workload files: '#' comments and blank lines ignored; each remaining line
    is "[freq|]statement"; parsing of the statement itself is left to the
-   caller (query front ends live above this library). *)
-let workload_lines path =
+   caller (query front ends live above this library).
+
+   One streaming pass: a line is trimmed and split in place, so it costs
+   the line read plus one copy of its statement text (none when it carries
+   no prefix and no surrounding whitespace). *)
+
+let is_space = function ' ' | '\012' | '\n' | '\r' | '\t' -> true | _ -> false
+
+(* [s.[lo..hi)] without surrounding whitespace; [s] itself when that is all
+   of it, otherwise one copy. *)
+let trimmed_sub s lo hi =
+  let lo = ref lo and hi = ref hi in
+  while !lo < !hi && is_space s.[!lo] do incr lo done;
+  while !hi > !lo && is_space s.[!hi - 1] do decr hi done;
+  if !lo = 0 && !hi = String.length s then s else String.sub s !lo (!hi - !lo)
+
+(* A frequency prefix that reads as a number must be a usable weight: NaN,
+   infinities and negative values would poison every weighted cost sum. *)
+let workload_entry path line_no raw =
+  let line = trimmed_sub raw 0 (String.length raw) in
+  if line = "" || line.[0] = '#' then None
+  else
+    match String.index_opt line '|' with
+    | None -> Some (1.0, line)
+    | Some bar -> (
+        match float_of_string_opt (trimmed_sub line 0 bar) with
+        | None -> Some (1.0, line)
+        | Some freq when Float.is_finite freq && freq >= 0.0 ->
+            Some (freq, trimmed_sub line (bar + 1) (String.length line))
+        | Some freq ->
+            invalid_arg
+              (Printf.sprintf "%s: line %d: frequency %g is not a finite non-negative number"
+                 path line_no freq))
+
+let workload_lines path f =
   let ic = open_in path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () ->
-      let lines = ref [] in
-      (try
-         while true do
-           lines := input_line ic :: !lines
-         done
-       with End_of_file -> ());
-      List.rev !lines)
-  |> List.filter_map (fun line ->
-         let line = String.trim line in
-         if line = "" || line.[0] = '#' then None
-         else
-           match String.index_opt line '|' with
-           | Some i -> (
-               let prefix = String.trim (String.sub line 0 i) in
-               let rest = String.trim (String.sub line (i + 1) (String.length line - i - 1)) in
-               match float_of_string_opt prefix with
-               | Some freq -> Some (freq, rest)
-               | None -> Some (1.0, line))
-           | None -> Some (1.0, line))
+  let[@tail_mod_cons] rec from line_no =
+    match input_line ic with
+    | exception End_of_file -> []
+    | raw -> (
+        match workload_entry path line_no raw with
+        | Some (freq, text) ->
+            let x = f line_no freq text in
+            x :: from (line_no + 1)
+        | None -> from (line_no + 1))
+  in
+  Fun.protect ~finally:(fun () -> close_in_noerr ic) (fun () -> from 1)

@@ -14,7 +14,14 @@ val load_directory : Doc_store.t -> string -> load_report
 (** Write every document as [NNNNNN.xml]; creates the directory. *)
 val save_directory : Doc_store.t -> string -> unit
 
-(** Read a workload file: ['#'] comments and blank lines skipped, each line
-    is ["freq|statement"] or just a statement (frequency 1.0).  Statement
-    text is returned verbatim. *)
-val workload_lines : string -> (float * string) list
+(** [workload_lines path f] reads a workload file in one streaming pass:
+    ['#'] comments and blank lines are skipped, every other line is
+    ["freq|statement"] or just a statement (frequency 1.0).  [f line freq
+    text] is applied to each statement line in file order, [line] being its
+    1-based line number in the file and [text] the statement, trimmed but
+    otherwise verbatim; the results come back in file order.  An exception
+    from [f] stops the read, so the first bad line is the one reported.
+    @raise Invalid_argument naming the file and line when a frequency
+    prefix is negative, NaN or infinite.
+    @raise Sys_error when the file cannot be read. *)
+val workload_lines : string -> (int -> float -> string -> 'a) -> 'a list

@@ -13,8 +13,13 @@ val item : ?freq:float -> string -> Xia_query.Ast.statement -> item
 val of_statements : Xia_query.Ast.statement list -> t
 
 (** Load a workload file (['#'] comments, blank lines, ["freq|statement"]
-    lines; statements may be mini-XQuery or SQL/XML).
-    @raise Invalid_argument on parse errors. *)
+    lines; statements may be mini-XQuery or SQL/XML).  Items are labelled
+    [S1..Sn] in file order; lines with the same statement text share one
+    parsed statement.
+    @raise Invalid_argument naming the file and its 1-based line on the
+    first statement that does not parse or frequency that is negative or
+    not finite.
+    @raise Sys_error when the file cannot be read. *)
 val of_file : string -> t
 
 (** Parse one statement per string. @raise Invalid_argument on parse errors. *)

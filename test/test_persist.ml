@@ -76,10 +76,14 @@ let workload_file_tests =
         let dir = tmp_dir "xia_wl" in
         write_file dir "wl.txt"
           "# comment\n\nfor $x in T/a return $x\n5.5|delete from T where /a\n";
-        let lines = P.workload_lines (Filename.concat dir "wl.txt") in
+        let lines =
+          P.workload_lines (Filename.concat dir "wl.txt") (fun line freq text ->
+              (line, freq, text))
+        in
         Alcotest.(check int) "two" 2 (List.length lines);
         (match lines with
-        | [ (f1, _); (f2, s2) ] ->
+        | [ (l1, f1, _); (l2, f2, s2) ] ->
+            Alcotest.(check (list int)) "file lines" [ 3; 4 ] [ l1; l2 ];
             Alcotest.(check (float 0.001)) "default" 1.0 f1;
             Alcotest.(check (float 0.001)) "explicit" 5.5 f2;
             Alcotest.(check string) "text" "delete from T where /a" s2
@@ -105,6 +109,85 @@ let workload_file_tests =
              ignore (W.of_file (Filename.concat dir "wl.txt"));
              false
            with Invalid_argument msg -> String.length msg > 0));
+    tc "of_file reports the file line, not the statement count" (fun () ->
+        let dir = tmp_dir "xia_wl4" in
+        let path = Filename.concat dir "wl.txt" in
+        write_file dir "wl.txt" "# header\n\nfor $x in T/a return $x\nnot a statement\n";
+        match W.of_file path with
+        | _ -> Alcotest.fail "expected a parse error"
+        | exception Invalid_argument msg ->
+            Alcotest.(check bool)
+              (Printf.sprintf "names line 4: %s" msg)
+              true
+              (String.starts_with ~prefix:(path ^ ": line 4: ") msg));
+    tc "negative and non-finite frequencies are rejected, zero is not" (fun () ->
+        let dir = tmp_dir "xia_wl5" in
+        let path = Filename.concat dir "wl.txt" in
+        List.iter
+          (fun prefix ->
+            write_file dir "wl.txt"
+              ("for $x in T/a return $x\n" ^ prefix ^ "|for $x in T/a return $x\n");
+            match W.of_file path with
+            | _ -> Alcotest.failf "prefix %S accepted" prefix
+            | exception Invalid_argument msg ->
+                Alcotest.(check bool)
+                  (Printf.sprintf "%S names file and line 2: %s" prefix msg)
+                  true
+                  (String.starts_with ~prefix:(path ^ ": line 2: ") msg))
+          [ "nan"; "inf"; "-inf"; "-5"; " -0.5 " ];
+        write_file dir "wl.txt" "0|for $x in T/a return $x\n";
+        match W.of_file path with
+        | [ item ] -> Alcotest.(check (float 0.0)) "zero kept" 0.0 item.W.freq
+        | _ -> Alcotest.fail "expected one item");
+    tc "repeated lines parse to per-line parse_any and share one value" (fun () ->
+        let dir = tmp_dir "xia_wl6" in
+        let xq = {|for $x in T/a where $x/k = "v" return $x|} in
+        let sql = {|SELECT * FROM T WHERE XMLEXISTS('/a[k="v"]')|} in
+        let upd = {|update T set /a/b = "9" where /a[c=1]|} in
+        (* (frequency prefix, statement text) per statement line; the file
+           interleaves comments, blanks and stray whitespace. *)
+        let lines =
+          [ ("", xq); ("2|", sql); ("3.5|", xq); ("", sql); ("0.25|", upd);
+            ("  7 | ", xq); ("", upd); ("1|", sql) ]
+        in
+        write_file dir "wl.txt"
+          ("# repeated statements\n\n"
+          ^ String.concat "\n# between\n"
+              (List.map (fun (prefix, text) -> prefix ^ text) lines)
+          ^ "\n");
+        let wl = W.of_file (Filename.concat dir "wl.txt") in
+        let expected =
+          List.mapi
+            (fun i (prefix, text) ->
+              let freq =
+                match String.index_opt prefix '|' with
+                | Some bar -> float_of_string (String.trim (String.sub prefix 0 bar))
+                | None -> 1.0
+              in
+              match Xia_query.Sqlxml.parse_any text with
+              | Ok (`Xquery s | `Sqlxml s) -> (Printf.sprintf "S%d" (i + 1), freq, s)
+              | Error msg -> Alcotest.fail msg)
+            lines
+        in
+        Alcotest.(check int) "size" (List.length lines) (W.size wl);
+        List.iter2
+          (fun (label, freq, stmt) (it : W.item) ->
+            Alcotest.(check string) "label" label it.W.label;
+            Alcotest.(check (float 0.0)) (label ^ " freq") freq it.W.freq;
+            Alcotest.(check bool) (label ^ " statement") true (stmt = it.W.statement))
+          expected wl;
+        (* Lines with the same text share one parsed value. *)
+        let texts = List.map snd lines in
+        List.iteri
+          (fun i (a : W.item) ->
+            List.iteri
+              (fun j (b : W.item) ->
+                if String.equal (List.nth texts i) (List.nth texts j) then
+                  Alcotest.(check bool)
+                    (a.W.label ^ " shares " ^ b.W.label)
+                    true (a.W.statement == b.W.statement))
+              wl)
+          wl);
   ]
 
 let report_tests =

@@ -169,6 +169,158 @@ let qcheck_clustering =
       let p = partition wl in
       p = partition wl && p = partition shuffled)
 
+(* ---------- the per-statement memo against a memo-free oracle ------------ *)
+
+(* The clustering [compress] must produce, recomputed afresh for
+   every statement: group by kind, target tables (DML only) and
+   signature, clusters in first-occurrence order, members ascending, the
+   first member as representative, frequencies summed in workload order. *)
+let oracle catalog (wl : W.t) =
+  let key (stmt : Xia_query.Ast.statement) =
+    let kind, tables =
+      match stmt with
+      | Xia_query.Ast.Select _ -> (0, [])
+      | Insert _ -> (1, Xia_query.Ast.tables stmt)
+      | Delete _ -> (2, Xia_query.Ast.tables stmt)
+      | Update _ -> (3, Xia_query.Ast.tables stmt)
+    in
+    (kind, List.sort_uniq compare tables, WS.signature catalog stmt)
+  in
+  let clusters =
+    List.fold_left
+      (fun (i, clusters) (it : W.item) ->
+        let k = key it.W.statement in
+        let clusters =
+          if List.mem_assoc k clusters then
+            List.map
+              (fun (k', (members, weight)) ->
+                if k' = k then (k', (members @ [ i ], weight +. it.W.freq))
+                else (k', (members, weight)))
+              clusters
+          else clusters @ [ (k, ([ i ], it.W.freq)) ]
+        in
+        (i + 1, clusters))
+      (0, []) wl
+    |> snd
+  in
+  (List.map (fun (_, (members, _)) -> members) clusters,
+   List.map (fun (_, (_, weight)) -> weight) clusters)
+
+let check_against_oracle what catalog wl =
+  let s = WS.compress catalog wl in
+  let members, weights = oracle catalog wl in
+  let items = Array.of_list wl in
+  Alcotest.(check (list (list int))) (what ^ ": partition") members (WS.members s);
+  Alcotest.(check bool)
+    (what ^ ": weights bit-identical")
+    true
+    (List.equal
+       (fun a b -> Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b))
+       weights
+       (Array.to_list (WS.weights s)));
+  Alcotest.(check (list string))
+    (what ^ ": representatives")
+    (List.map (fun m -> items.(List.hd m).W.label) members)
+    (W.labels (WS.workload s))
+
+(* Statements, DML included, each parsed anew: duplicates are structurally
+   equal but never physically shared. *)
+let separately_parsed () =
+  let texts =
+    [
+      {|for $s in SECURITY('SDOC')/Security where $s/Symbol = "SYM00042" return $s|};
+      {|for $s in SECURITY('SDOC')/Security where $s/Symbol = "SYM00007" return $s|};
+      {|for $c in CUSTACC('CADOC')/Customer where $c/@id = 1042 return $c/Name|};
+      {|update SECURITY set /Security/Price/LastTrade = "99.50" where /Security[Symbol="SYM00042"]|};
+      {|delete from SECURITY where /Security[Symbol="SYM00042"]|};
+      {|delete from XORDER where /FIXML/Order[@Acct="A1"]|};
+      {|insert into XORDER <FIXML><Order ID="X1" Acct="A1"/></FIXML>|};
+      {|for $s in SECURITY('SDOC')/Security where $s/Yield > 4.5 return $s|};
+    ]
+  in
+  let picks = [ 0; 1; 0; 3; 2; 0; 4; 5; 3; 6; 1; 7; 6; 2; 0; 5; 7; 4 ] in
+  W.of_strings (List.map (List.nth texts) picks)
+  |> List.mapi (fun i (it : W.item) -> { it with W.freq = 0.5 +. float_of_int (i mod 5) })
+
+let memo_tests =
+  [
+    tc "compress = oracle on separately parsed duplicates" (fun () ->
+        let catalog = Lazy.force Helpers.shared_catalog in
+        let wl = separately_parsed () in
+        (match wl with
+        | a :: _ :: b :: _ ->
+            Alcotest.(check bool) "equal values" true (a.W.statement = b.W.statement);
+            Alcotest.(check bool) "not shared" false (a.W.statement == b.W.statement)
+        | _ -> Alcotest.fail "short workload");
+        check_against_oracle "separately parsed" catalog wl);
+    tc "compress = oracle on physically shared duplicates" (fun () ->
+        let catalog = Lazy.force Helpers.shared_catalog in
+        let wl =
+          Synthetic.skewed_workload ~seed:3 ~distinct:16 catalog
+            (Cat.table_names catalog) 300
+          @ Xia_workload.Tpox.workload_with_updates ~update_freq:2.0 ()
+        in
+        check_against_oracle "shared" catalog wl);
+    tc "enumerate_calls grow by the number of distinct statements" (fun () ->
+        let catalog = Lazy.force Helpers.shared_catalog in
+        List.iter
+          (fun (what, (wl : W.t)) ->
+            let distinct =
+              List.length (List.sort_uniq compare (List.map (fun (it : W.item) -> it.W.statement) wl))
+            in
+            let counter = Xia_optimizer.Optimizer.counters.enumerate_calls in
+            let before = Atomic.get counter in
+            ignore (WS.compress catalog wl);
+            Alcotest.(check int) what distinct (Atomic.get counter - before))
+          [
+            ("separately parsed", separately_parsed ());
+            ( "shared",
+              Synthetic.skewed_workload ~seed:9 ~distinct:24 catalog
+                (Cat.table_names catalog) 1000 );
+          ]);
+    tc "statement hash reads the whole statement" (fun () ->
+        (* Templates over one table differ only past Hashtbl.hash's ten
+           meaningful words (it gives these 64 templates 3 values, one per
+           table); Ast.hash still tells them apart. *)
+        let catalog = Lazy.force Helpers.shared_catalog in
+        let pool =
+          List.sort_uniq compare
+            (List.map
+               (fun (it : W.item) -> it.W.statement)
+               (Synthetic.workload ~seed:4 catalog (Cat.table_names catalog) 64))
+        in
+        let distinct_hashes h = List.length (List.sort_uniq compare (List.map h pool)) in
+        Alcotest.(check int) "Ast.hash: no collision" (List.length pool)
+          (distinct_hashes Xia_query.Ast.hash);
+        List.iter
+          (fun (it : W.item) ->
+            let copy = Helpers.statement (Xia_query.Printer.statement_to_string it.W.statement) in
+            Alcotest.(check int) "equal statements, equal hashes"
+              (Xia_query.Ast.hash it.W.statement) (Xia_query.Ast.hash copy))
+          (separately_parsed ()));
+  ]
+
+let qcheck_memo_oracle =
+  QCheck.Test.make ~count:12 ~name:"compress = memo-free oracle under shuffles"
+    QCheck.(make Gen.(int_range 1 1000))
+    (fun seed ->
+      let catalog = Lazy.force Helpers.shared_catalog in
+      let wl =
+        separately_parsed ()
+        @ Synthetic.skewed_workload ~seed ~distinct:10 catalog (Cat.table_names catalog) 40
+      in
+      let rng = Random.State.make [| seed |] in
+      let shuffled =
+        wl
+        |> List.map (fun it -> (Random.State.bits rng, it))
+        |> List.sort (fun (a, _) (b, _) -> compare a b)
+        |> List.map snd
+      in
+      let s = WS.compress catalog shuffled in
+      let members, weights = oracle catalog shuffled in
+      WS.members s = members
+      && List.equal Float.equal weights (Array.to_list (WS.weights s)))
+
 (* ---------- pruning soundness -------------------------------------------- *)
 
 let config_ids (o : S.outcome) =
@@ -305,5 +457,6 @@ let suites =
   [
     ("summary.differential", summary_tests);
     ("summary.pruning", prune_tests);
-    Helpers.qsuite "summary.qcheck" [ qcheck_clustering ];
+    ("summary.memo", memo_tests);
+    Helpers.qsuite "summary.qcheck" [ qcheck_clustering; qcheck_memo_oracle ];
   ]

@@ -5,14 +5,16 @@
 # Re-runs the quick-scale advisor exhibits (par plus the scale10k
 # compression pair) in a scratch directory (so the committed
 # BENCH_advisor.json is never clobbered), extracts per-exhibit
-# optimizer_calls / optimizer_calls_raw / wall_seconds from the fresh JSON,
-# and compares against the committed bench.baseline (one
+# optimizer_calls / optimizer_calls_raw / enumerate_calls / wall_seconds
+# from the fresh JSON, and compares against the committed bench.baseline (one
 # "exhibit metric value" triple per line, '#' comments allowed).
 #
 # The scale10k/scale10k-raw pair is the workload-compression acceptance
 # exhibit: the compressed run's raw-equivalent calls must stay >= 10x below
 # the uncompressed run's — checked explicitly below, on top of the
-# per-exhibit ratchets.
+# per-exhibit ratchets.  Its enumerate_calls count locks in that
+# compression runs Enumerate Indexes once per distinct statement, not once
+# per statement.
 #
 # Call counts are deterministic — any increase fails hard.  Wall-clock is
 # noisy, so it only fails above WALL_TOL x baseline (default 3.0; override
@@ -80,8 +82,8 @@ metrics_of() {
   awk '
     match($0, /"name": "[^"]*"/) {
       name = substr($0, RSTART + 9, RLENGTH - 10)
-      for (m = 1; m <= 3; m++) {
-        metric = (m == 1 ? "optimizer_calls" : m == 2 ? "optimizer_calls_raw" : "wall_seconds")
+      for (m = 1; m <= 4; m++) {
+        metric = (m == 1 ? "optimizer_calls" : m == 2 ? "optimizer_calls_raw" : m == 3 ? "enumerate_calls" : "wall_seconds")
         pat = "\"" metric "\": "
         if (index($0, pat) > 0) {
           v = $0; sub(".*" pat, "", v); sub(/[,}].*/, "", v)
