@@ -679,9 +679,9 @@ let scale10k_raw () =
 
 (* The committed eval cases (lib/eval): regret against the true optimum and
    executor-validated benefit, the same numbers `xia_advise eval --small`
-   reports and tools/eval_ratchet.sh ratchets.  Always at the tiny scale —
-   the exhaustive oracle is exponential in the candidate pool, so the full
-   benchmark scale is out of reach by design. *)
+   reports and the eval ratchet (tools/ratchet.ml) holds.  Always at the
+   tiny scale — the exhaustive oracle is exponential in the candidate pool,
+   so the full benchmark scale is out of reach by design. *)
 let eval_quality () =
   header "Recommendation quality: regret vs exhaustive optimum (tiny scale)";
   let cases = Xia_eval.Eval.run ~small:true Xia_eval.Eval.default_specs in
@@ -766,7 +766,7 @@ let micro () =
               ignore (Xia_analysis.Lint.lint_paths [ lint_dir ]))));
       (* The interprocedural effect pass alone: parse every unit, build the
          call graph, run Effects.analyze to fixpoint and render the summary
-         dump — the @lint budget in bench.baseline rides on this staying
+         dump — the @lint budget in ratchet.baseline rides on this staying
          cheap. *)
       (let lint_dir =
          List.find_opt Sys.file_exists [ "lib"; "../lib"; "../../lib" ]
@@ -780,7 +780,7 @@ let micro () =
          construction (exceptional edges, Fun.protect inlining) plus the
          can-raise, optimizer-reach and callee-lock fixpoints and the
          worklist solve.  The
-         absolute budget in bench.baseline keeps whole-program dataflow
+         absolute budget in ratchet.baseline keeps whole-program dataflow
          cheap enough to stay in the default @lint alias. *)
       (let lint_dir =
          List.find_opt Sys.file_exists [ "lib"; "../lib"; "../../lib" ]

@@ -465,7 +465,8 @@ let perturb_arg =
         ~doc:
           "Multiply every index-plan cost by $(docv) during the search phase \
            only; ground truth stays unperturbed, so a broken cost model \
-           shows up as regret.  Test hook for tools/eval_ratchet.sh.")
+           shows up as regret.  Test hook: the eval ratchet \
+           (tools/ratchet.ml) must fail at --perturb 1000.")
 
 let eval_term =
   Term.(

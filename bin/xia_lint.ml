@@ -13,8 +13,8 @@
    --callgraph prints the graph as Graphviz DOT instead of linting;
    --effects prints the per-binding effect summaries; --explain ID prints
    one check's documentation.  --only/--skip filter the catalog (stable
-   intersection, reflected in the JSON envelope's "checks" array) so the
-   ratchet scripts and local runs can target one check cheaply.
+   intersection, reflected in the JSON envelope's "checks" array) so
+   local runs can target one check cheaply.
    Exit codes: 0 clean, 1 findings, 2 usage/parse/allow-file errors. *)
 
 module Lint = Xia_analysis.Lint

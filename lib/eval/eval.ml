@@ -5,7 +5,8 @@
    (exhaustive optimum, regret scoring) always runs on a second evaluator
    built after the factor is reset to 1.0.  A deliberately broken cost model
    therefore degrades the recommendations, never the yardstick — which is
-   exactly what lets tools/eval_ratchet.sh fail on quality regressions.
+   exactly what lets the eval ratchet (tools/ratchet.ml) fail on quality
+   regressions.
 
    No IO here: the report renders to a string ([to_json]) or a formatter
    ([pp_case]); printing and file writes live in bin/. *)
@@ -92,8 +93,8 @@ type case_result = {
   r_elapsed : float;
 }
 
-(* Whitespace-free algorithm keys: stable identifiers for the JSON report,
-   the baseline file and the awk extraction in tools/eval_ratchet.sh. *)
+(* Whitespace-free algorithm keys: stable identifiers for the JSON report
+   and the keys of ratchet.baseline's eval lines. *)
 let algorithm_key = function
   | Advisor.Greedy -> "greedy"
   | Advisor.Greedy_heuristics -> "heuristics"
@@ -334,8 +335,8 @@ let run ?domains ?(perturb = 1.0) ?(prune = true) ~small specs =
 (* --- Rendering -------------------------------------------------------- *)
 
 (* Compact ["name":value] fields with no space after the colon, one entry
-   object per line: awk-greppable by the ratchet and scrubbable by
-   test/scrub_obs.ml's eval mode (which blanks "elapsed"). *)
+   object per line: scrubbable by test/scrub_obs.ml's eval mode (which
+   blanks "elapsed"). *)
 let entry_json b e =
   Buffer.add_string b
     (Printf.sprintf

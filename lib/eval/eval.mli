@@ -17,8 +17,8 @@
     [perturb]; scoring always runs under the unperturbed model, so a
     perturbed (deliberately broken) cost model shows up as regret < 1, not
     as a shifted yardstick.  All reported numbers except [elapsed] are
-    deterministic — the quality ratchet ([tools/eval_ratchet.sh]) compares
-    them byte-for-byte against [eval.baseline]. *)
+    deterministic — the quality ratchet ([tools/ratchet.ml]) compares
+    them against the eval lines of [ratchet.baseline]. *)
 
 module Catalog = Xia_index.Catalog
 module Workload = Xia_workload.Workload
@@ -90,8 +90,8 @@ val run :
   case_result list
 
 (** Machine-readable report: envelope plus one compact object per entry
-    line, awk-greppable by [tools/eval_ratchet.sh] (fields are emitted as
-    ["name":value] with no space, like the trace/metrics exports). *)
+    line (fields are emitted as ["name":value] with no space, like the
+    trace/metrics exports), read by [tools/ratchet.ml]. *)
 val to_json : small:bool -> perturb:float -> case_result list -> string
 
 val pp_case : Format.formatter -> case_result -> unit

@@ -156,4 +156,5 @@ let search ?(limit = default_limit) ?ids ?weight ?capacity ev set ~budget =
   }
 
 let rank r benefit =
-  1 + Array.fold_left (fun acc b -> if b > benefit then acc + 1 else acc) 0 r.benefits
+  let above = benefit +. (1e-9 *. Float.abs benefit) in
+  1 + Array.fold_left (fun acc b -> if b > above then acc + 1 else acc) 0 r.benefits

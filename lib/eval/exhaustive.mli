@@ -69,6 +69,11 @@ val search :
   result
 
 (** [rank r benefit] is 1 + the number of feasible subsets whose benefit
-    strictly exceeds [benefit]: rank 1 means optimal.  Counts over
-    [r.benefits], so equal-benefit configurations share a rank. *)
+    exceeds [benefit] by more than a relative tolerance of [1e-9]
+    ([1e-9 *. |benefit|]): rank 1 means optimal.  Counts over
+    [r.benefits], so configurations whose benefits agree within the
+    tolerance share a rank.  The tolerance absorbs last-bit differences of
+    float sums, which depend on summation order and so on the host; real
+    differences between configurations are many orders of magnitude
+    larger. *)
 val rank : result -> float -> int

@@ -76,8 +76,8 @@ let visible_indexes ?virtual_config catalog mode table =
    (IEEE-754: x *. 1.0 = x for every finite x), so plans, costs and every
    committed fixture are unaffected; a large factor makes index plans lose
    every cost comparison, which collapses recommendations to the empty
-   configuration — the deliberate quality regression tools/eval_ratchet.sh
-   must catch.  Atomic for D001; read on the what-if path, written only by
+   configuration — the deliberate quality regression the eval ratchet
+   (tools/ratchet.ml) must catch.  Atomic for D001; read on the what-if path, written only by
    the eval CLI before any evaluator exists. *)
 let index_cost_factor = Atomic.make 1.0
 

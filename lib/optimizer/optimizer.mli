@@ -35,8 +35,8 @@ val reset_counters : unit -> unit
     competing with the document scan.  The default [1.0] is a bitwise no-op;
     a large factor makes index plans lose every comparison, collapsing
     recommendations to the empty configuration — the deliberate regression
-    [tools/eval_ratchet.sh] must catch.  Test/eval-only: never set it in
-    production paths. *)
+    the eval ratchet ([tools/ratchet.ml]) must catch.  Test/eval-only:
+    never set it in production paths. *)
 val index_cost_factor : float Atomic.t
 
 (** Index matching: can [def] serve [access]?  Same table and data type, and

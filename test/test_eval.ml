@@ -67,6 +67,19 @@ let exhaustive_unit_tests =
         Alcotest.(check int) "feasible" 1 r.Ex.feasible;
         Alcotest.(check bool) "benefit" true (Float.equal 0.0 r.Ex.benefit);
         Alcotest.(check int) "rank of 0" 1 (Ex.rank r 0.0));
+    tc "rank ignores last-bit differences from the optimum" (fun () ->
+        (* synthetic-small at the 0.70 budget: summation order alone moves
+           the optimum's last bits from host to host *)
+        let opt = 103184.198 in
+        let r =
+          { Ex.config = []; benefit = opt; size = 0; pool = 2; feasible = 3;
+            optimizer_calls = 0; elapsed = 0.0;
+            benefits = [| 0.0; opt; 73726.335 |] }
+        in
+        let ulps_below = Float.pred (Float.pred (Float.pred opt)) in
+        Alcotest.(check int) "a few ulps below" 1 (Ex.rank r ulps_below);
+        Alcotest.(check int) "a real gap" 2 (Ex.rank r (opt *. 0.999));
+        Alcotest.(check int) "runner-up" 2 (Ex.rank r 73726.335));
     tc "pool-limit guard refuses large instances" (fun () ->
         let catalog = Lazy.force Helpers.shared_catalog in
         let wl = W.prefix 4 (Xia_workload.Tpox.workload ()) in
