@@ -11,49 +11,68 @@ module W = Xia_workload.Workload
 
 (* ---------- shared setup ---------- *)
 
+module Scan = Xia_xml.Scan
+
 type benchmark = Tpox | Xmark
 
-(* Either generated benchmark data or user directories of XML files
-   ("TABLE=DIR" pairs). *)
+(* Input errors travel as [Scan.error] results; [exit_code] is the one place
+   that reports them: "xia_advise: <error>" on stderr and exit code 1. *)
+let ( let* ) = Result.bind
+
+let exit_code = function
+  | Ok () -> 0
+  | Error e ->
+      prerr_endline ("xia_advise: " ^ Scan.to_string e);
+      1
+
+let iter_result f l = List.fold_left (fun acc x -> Result.bind acc (fun () -> f x)) (Ok ()) l
+
+(* One "TABLE=DIR" argument: malformed files are warned about and skipped. *)
+let load_table catalog spec =
+  match String.index_opt spec '=' with
+  | None -> Error (Scan.error "--data" (Printf.sprintf "expected TABLE=DIR, got %S" spec))
+  | Some i ->
+      let table = String.sub spec 0 i in
+      let dir = String.sub spec (i + 1) (String.length spec - i - 1) in
+      let store = Xia_storage.Doc_store.create table in
+      let* report = Xia_storage.Persist.load_directory store dir in
+      List.iter
+        (fun e -> Format.eprintf "warning: %s@." (Scan.to_string e))
+        report.Xia_storage.Persist.failed;
+      Format.printf "Loaded %d documents into %s from %s@."
+        report.Xia_storage.Persist.loaded table dir;
+      Ok (ignore (Catalog.add_table catalog store))
+
+(* Either generated benchmark data or user directories of XML files. *)
 let load_catalog benchmark small data_dirs =
   let catalog = Catalog.create () in
-  if data_dirs <> [] then begin
-    List.iter
-      (fun spec ->
-        match String.index_opt spec '=' with
-        | None -> invalid_arg (Printf.sprintf "--data expects TABLE=DIR, got %S" spec)
-        | Some i ->
-            let table = String.sub spec 0 i in
-            let dir = String.sub spec (i + 1) (String.length spec - i - 1) in
-            let store = Xia_storage.Doc_store.create table in
-            let report = Xia_storage.Persist.load_directory store dir in
-            List.iter
-              (fun (file, err) -> Format.eprintf "warning: %s: %s@." file err)
-              report.Xia_storage.Persist.failed;
-            Format.printf "Loaded %d documents into %s from %s@."
-              report.Xia_storage.Persist.loaded table dir;
-            ignore (Catalog.add_table catalog store))
-      data_dirs;
-    Catalog.runstats_all catalog
-  end
-  else begin
-    match benchmark, small with
-    | Tpox, false -> Xia_workload.Tpox.load catalog
-    | Tpox, true -> Xia_workload.Tpox.load ~scale:Xia_workload.Tpox.tiny_scale catalog
-    | Xmark, false -> Xia_workload.Xmark.load catalog
-    | Xmark, true -> Xia_workload.Xmark.load ~scale:Xia_workload.Xmark.tiny_scale catalog
-  end;
-  catalog
+  let* () =
+    if data_dirs <> [] then
+      let* () = iter_result (load_table catalog) data_dirs in
+      Ok (Catalog.runstats_all catalog)
+    else
+      Ok
+        (match benchmark, small with
+        | Tpox, false -> Xia_workload.Tpox.load catalog
+        | Tpox, true -> Xia_workload.Tpox.load ~scale:Xia_workload.Tpox.tiny_scale catalog
+        | Xmark, false -> Xia_workload.Xmark.load catalog
+        | Xmark, true -> Xia_workload.Xmark.load ~scale:Xia_workload.Xmark.tiny_scale catalog)
+  in
+  Ok catalog
+
+(* Every table that [source] names must have been loaded. *)
+let check_tables catalog source tables =
+  let loaded = Catalog.table_names catalog in
+  match List.find_opt (fun t -> not (List.mem t loaded)) tables with
+  | None -> Ok ()
+  | Some t ->
+      Error
+        (Scan.error source
+           (Printf.sprintf "unknown table %s (loaded: %s)" t (String.concat ", " loaded)))
 
 let base_workload benchmark update_freq synthetic workload_file catalog =
   match workload_file with
-  | Some path -> (
-      (* A bad workload file is an input error: report it with its location
-         and stop, as for any other bad argument. *)
-      try W.of_file path
-      with Invalid_argument msg | Sys_error msg ->
-        prerr_endline ("xia_advise: " ^ msg);
-        exit 1)
+  | Some path -> W.read path
   | None ->
       let queries =
         match benchmark with
@@ -63,10 +82,47 @@ let base_workload benchmark update_freq synthetic workload_file catalog =
             else Xia_workload.Tpox.workload ()
         | Xmark -> Xia_workload.Xmark.workload ()
       in
-      if synthetic = 0 then queries
-      else
-        queries
-        @ Xia_workload.Synthetic.workload catalog (Catalog.table_names catalog) synthetic
+      Ok
+        (if synthetic = 0 then queries
+         else
+           queries
+           @ Xia_workload.Synthetic.workload catalog (Catalog.table_names catalog) synthetic)
+
+(* "TABLE:PATTERN:TYPE"; a pattern error points into the whole argument. *)
+let index_def spec =
+  let bad message = Error (Scan.error "--index" message) in
+  match String.split_on_char ':' spec with
+  | [ table; pattern; dtype ] -> (
+      match String.uppercase_ascii dtype, Xia_xpath.Pattern.of_string_result pattern with
+      | _, Error e ->
+          Error { e with Scan.source = "--index"; column = e.Scan.column + String.length table + 1 }
+      | ("VARCHAR" | "STRING" | "S"), Ok pattern ->
+          Ok (Xia_index.Index_def.make ~table ~pattern ~dtype:Xia_index.Index_def.Dstring ())
+      | ("DOUBLE" | "NUMBER" | "D"), Ok pattern ->
+          Ok (Xia_index.Index_def.make ~table ~pattern ~dtype:Xia_index.Index_def.Ddouble ())
+      | other, Ok _ -> bad (Printf.sprintf "unknown type %S" other))
+  | _ -> bad (Printf.sprintf "expected TABLE:PATTERN:TYPE, got %S" spec)
+
+(* Catalog, workload and --index definitions of a run, with every table
+   they name checked loaded: the one setup of every workload command. *)
+let setup benchmark small data_dirs workload_file update_freq synthetic index_specs =
+  let* catalog = load_catalog benchmark small data_dirs in
+  let* workload = base_workload benchmark update_freq synthetic workload_file catalog in
+  let* defs =
+    List.fold_right
+      (fun spec acc ->
+        let* d = index_def spec in
+        let* ds = acc in
+        Ok (d :: ds))
+      index_specs (Ok [])
+  in
+  let* () =
+    check_tables catalog
+      (Option.value workload_file ~default:"--workload")
+      (List.concat_map (fun (i : W.item) -> Xia_query.Ast.tables i.statement) workload)
+  in
+  let* () = check_tables catalog "--index" (List.map (fun d -> d.Xia_index.Index_def.table) defs) in
+  Ok (catalog, workload, defs)
 
 let algorithm_of_string = function
   | "greedy" -> Ok Advisor.Greedy
@@ -75,7 +131,7 @@ let algorithm_of_string = function
   | "top-down-full" | "tdfull" -> Ok Advisor.Top_down_full
   | "dp" | "dynamic-programming" -> Ok Advisor.Dynamic_programming
   | "all" | "all-index" -> Ok Advisor.All_index
-  | s -> Error (Printf.sprintf "unknown algorithm %S" s)
+  | s -> Error (Scan.error "--algorithm" (Printf.sprintf "unknown algorithm %S" s))
 
 (* ---------- commands ---------- *)
 
@@ -84,76 +140,74 @@ let advise_cmd benchmark small data_dirs workload_file budget_mb algorithm beta
   (* Either observability flag switches the whole pipeline's spans and
      metrics on for this run. *)
   if trace_file <> None || metrics_file <> None then Xia_obs.Obs.set_enabled true;
-  let catalog = load_catalog benchmark small data_dirs in
-  let workload = base_workload benchmark update_freq synthetic workload_file catalog in
-  match algorithm_of_string algorithm with
-  | Error e ->
-      prerr_endline e;
-      1
-  | Ok alg ->
-      let budget = int_of_float (budget_mb *. 1024.0 *. 1024.0) in
-      let r, elapsed =
-        Xia_obs.Trace.timed "cli.advise" (fun () ->
-            Advisor.advise ~beta ?domains ?compress catalog workload ~budget alg)
-      in
-      if r.Advisor.summary.Xia_advisor.Workload_summary.compressed then
-        Format.printf "workload compressed: %a@."
-          Xia_advisor.Workload_summary.pp_info r.Advisor.summary;
-      Format.printf "%a@." Advisor.pp_recommendation r;
-      Format.printf
-        "base cost %.0f -> new cost %.0f (estimated speedup %.2fx)@.advisor time %.2fs, optimizer calls %d@."
-        r.Advisor.base_cost r.Advisor.new_cost r.Advisor.est_speedup elapsed
-        r.Advisor.outcome.Xia_advisor.Search.optimizer_calls;
-      if verbose then begin
-        Format.printf "@.Workload:@.%a@." W.pp workload
-      end;
-      Option.iter
-        (fun path ->
-          Xia_obs.Trace.write_file path
-            (Xia_obs.Trace.export_chrome (Xia_obs.Trace.flush ())))
-        trace_file;
-      Option.iter
-        (fun path ->
-          Xia_obs.Trace.write_file path
-            (Xia_obs.Metrics.to_json (Xia_obs.Metrics.snapshot ())))
-        metrics_file;
-      0
+  let* catalog, workload, _ =
+    setup benchmark small data_dirs workload_file update_freq synthetic []
+  in
+  let* alg = algorithm_of_string algorithm in
+  let budget = int_of_float (budget_mb *. 1024.0 *. 1024.0) in
+  let r, elapsed =
+    Xia_obs.Trace.timed "cli.advise" (fun () ->
+        Advisor.advise ~beta ?domains ?compress catalog workload ~budget alg)
+  in
+  if r.Advisor.summary.Xia_advisor.Workload_summary.compressed then
+    Format.printf "workload compressed: %a@."
+      Xia_advisor.Workload_summary.pp_info r.Advisor.summary;
+  Format.printf "%a@." Advisor.pp_recommendation r;
+  Format.printf
+    "base cost %.0f -> new cost %.0f (estimated speedup %.2fx)@.advisor time %.2fs, optimizer calls %d@."
+    r.Advisor.base_cost r.Advisor.new_cost r.Advisor.est_speedup elapsed
+    r.Advisor.outcome.Xia_advisor.Search.optimizer_calls;
+  if verbose then begin
+    Format.printf "@.Workload:@.%a@." W.pp workload
+  end;
+  Option.iter
+    (fun path ->
+      Xia_obs.Trace.write_file path
+        (Xia_obs.Trace.export_chrome (Xia_obs.Trace.flush ())))
+    trace_file;
+  Option.iter
+    (fun path ->
+      Xia_obs.Trace.write_file path
+        (Xia_obs.Metrics.to_json (Xia_obs.Metrics.snapshot ())))
+    metrics_file;
+  Ok ()
 
 let explain_cmd benchmark small data_dirs query with_recommended =
-  let catalog = load_catalog benchmark small data_dirs in
-  match Xia_query.Sqlxml.parse_any query with
-  | Error msg ->
-      prerr_endline msg;
-      1
-  | Ok (`Xquery stmt) | Ok (`Sqlxml stmt) ->
-      Format.printf "Statement: %s@.@." (Xia_query.Printer.statement_to_string stmt);
-      Format.printf "Indexable patterns (Enumerate Indexes mode):@.";
-      let candidates = Optimizer.enumerate_indexes catalog stmt in
-      List.iter
-        (fun (table, pattern, dtype) ->
-          Format.printf "  %s on %s AS %s@."
-            (Xia_xpath.Pattern.to_string pattern)
-            table
-            (Xia_index.Index_def.data_type_to_string dtype))
-        candidates;
-      Format.printf "@.Plan without indexes:@.  %a@."
-        Xia_optimizer.Plan.pp
-        (Optimizer.optimize ~mode:Optimizer.Evaluate catalog stmt);
-      if with_recommended then begin
-        let defs =
-          List.map
-            (fun (table, pattern, dtype) -> Xia_index.Index_def.make ~table ~pattern ~dtype ())
-            candidates
-        in
-        Format.printf "@.Plan with every candidate indexed (virtually):@.  %a@."
-          Xia_optimizer.Plan.pp
-          (Optimizer.optimize ~mode:Optimizer.Evaluate ~virtual_config:defs catalog stmt)
-      end;
-      0
+  let* catalog = load_catalog benchmark small data_dirs in
+  let* (`Xquery stmt | `Sqlxml stmt) =
+    Result.map_error (fun e -> { e with Scan.source = "--query" })
+      (Xia_query.Sqlxml.parse_located query)
+  in
+  let* () = check_tables catalog "--query" (Xia_query.Ast.tables stmt) in
+  Format.printf "Statement: %s@.@." (Xia_query.Printer.statement_to_string stmt);
+  Format.printf "Indexable patterns (Enumerate Indexes mode):@.";
+  let candidates = Optimizer.enumerate_indexes catalog stmt in
+  List.iter
+    (fun (table, pattern, dtype) ->
+      Format.printf "  %s on %s AS %s@."
+        (Xia_xpath.Pattern.to_string pattern)
+        table
+        (Xia_index.Index_def.data_type_to_string dtype))
+    candidates;
+  Format.printf "@.Plan without indexes:@.  %a@."
+    Xia_optimizer.Plan.pp
+    (Optimizer.optimize ~mode:Optimizer.Evaluate catalog stmt);
+  if with_recommended then begin
+    let defs =
+      List.map
+        (fun (table, pattern, dtype) -> Xia_index.Index_def.make ~table ~pattern ~dtype ())
+        candidates
+    in
+    Format.printf "@.Plan with every candidate indexed (virtually):@.  %a@."
+      Xia_optimizer.Plan.pp
+      (Optimizer.optimize ~mode:Optimizer.Evaluate ~virtual_config:defs catalog stmt)
+  end;
+  Ok ()
 
 let candidates_cmd benchmark small data_dirs workload_file update_freq synthetic =
-  let catalog = load_catalog benchmark small data_dirs in
-  let workload = base_workload benchmark update_freq synthetic workload_file catalog in
+  let* catalog, workload, _ =
+    setup benchmark small data_dirs workload_file update_freq synthetic []
+  in
   let set = Xia_advisor.Enumeration.candidates catalog workload in
   Format.printf "Workload: %d statements@." (W.size workload);
   Format.printf "Basic candidates: %d, total after generalization: %d@.@."
@@ -164,68 +218,34 @@ let candidates_cmd benchmark small data_dirs workload_file update_freq synthetic
       Format.printf "  %a (size %d KB)@." Xia_advisor.Candidate.pp c
         (Xia_advisor.Candidate.size catalog c / 1024))
     (Xia_advisor.Candidate.to_list set);
-  0
+  Ok ()
 
 (* What-if: evaluate a user-supplied configuration. *)
 let whatif_cmd benchmark small data_dirs workload_file update_freq synthetic index_specs =
-  let catalog = load_catalog benchmark small data_dirs in
-  let workload = base_workload benchmark update_freq synthetic workload_file catalog in
-  let parse_spec spec =
-    match String.split_on_char ':' spec with
-    | [ table; pattern; dtype ] ->
-        let dtype =
-          match String.uppercase_ascii dtype with
-          | "VARCHAR" | "STRING" | "S" -> Xia_index.Index_def.Dstring
-          | "DOUBLE" | "NUMBER" | "D" -> Xia_index.Index_def.Ddouble
-          | other -> invalid_arg (Printf.sprintf "unknown type %S" other)
-        in
-        Xia_index.Index_def.make ~table
-          ~pattern:(Xia_xpath.Pattern.of_string pattern) ~dtype ()
-    | _ -> invalid_arg (Printf.sprintf "--index expects TABLE:PATTERN:TYPE, got %S" spec)
+  let* catalog, workload, defs =
+    setup benchmark small data_dirs workload_file update_freq synthetic index_specs
   in
-  match List.map parse_spec index_specs with
-  | exception Invalid_argument msg ->
-      prerr_endline msg;
-      1
-  | defs ->
-      let report = Xia_advisor.Report.evaluate_configuration catalog workload defs in
-      Format.printf "%a@." Xia_advisor.Report.pp report;
-      0
+  let report = Xia_advisor.Report.evaluate_configuration catalog workload defs in
+  Format.printf "%a@." Xia_advisor.Report.pp report;
+  Ok ()
 
 (* Review a materialized configuration: recommend drops. *)
 let review_cmd benchmark small data_dirs workload_file update_freq synthetic index_specs =
-  let catalog = load_catalog benchmark small data_dirs in
-  let workload = base_workload benchmark update_freq synthetic workload_file catalog in
-  let parse_spec spec =
-    match String.split_on_char ':' spec with
-    | [ table; pattern; dtype ] ->
-        let dtype =
-          match String.uppercase_ascii dtype with
-          | "VARCHAR" | "STRING" | "S" -> Xia_index.Index_def.Dstring
-          | "DOUBLE" | "NUMBER" | "D" -> Xia_index.Index_def.Ddouble
-          | other -> invalid_arg (Printf.sprintf "unknown type %S" other)
-        in
-        Xia_index.Index_def.make ~table
-          ~pattern:(Xia_xpath.Pattern.of_string pattern) ~dtype ()
-    | _ -> invalid_arg (Printf.sprintf "--index expects TABLE:PATTERN:TYPE, got %S" spec)
+  let* catalog, workload, defs =
+    setup benchmark small data_dirs workload_file update_freq synthetic index_specs
   in
-  match List.map parse_spec index_specs with
-  | exception Invalid_argument msg ->
-      prerr_endline msg;
-      1
-  | defs ->
-      List.iter (fun d -> ignore (Catalog.create_index catalog d)) defs;
-      let drops = Advisor.drop_recommendations catalog workload in
-      if drops = [] then Format.printf "No drops recommended: every index earns its keep.@."
-      else begin
-        Format.printf "Recommended drops:@.";
-        List.iter
-          (fun (d, reason) ->
-            Format.printf "  DROP INDEX %s  -- %a@." d.Xia_index.Index_def.name
-              Advisor.pp_drop_reason reason)
-          drops
-      end;
-      0
+  List.iter (fun d -> ignore (Catalog.create_index catalog d)) defs;
+  let drops = Advisor.drop_recommendations catalog workload in
+  if drops = [] then Format.printf "No drops recommended: every index earns its keep.@."
+  else begin
+    Format.printf "Recommended drops:@.";
+    List.iter
+      (fun (d, reason) ->
+        Format.printf "  DROP INDEX %s  -- %a@." d.Xia_index.Index_def.name
+          Advisor.pp_drop_reason reason)
+      drops
+  end;
+  Ok ()
 
 (* Recommendation-quality evaluation: regret vs the exhaustive optimum plus
    executor validation, on the committed small cases.  The heavy lifting
@@ -271,11 +291,11 @@ let eval_cmd benchmark small json_file perturb domains trace_file metrics_file =
       Xia_obs.Trace.write_file path
         (Xia_obs.Metrics.to_json (Xia_obs.Metrics.snapshot ())))
     metrics_file;
-  0
+  Ok ()
 
 (* Generate benchmark data to directories of XML files. *)
 let generate_cmd benchmark small out_dir =
-  let catalog = load_catalog benchmark small [] in
+  let* catalog = load_catalog benchmark small [] in
   List.iter
     (fun table ->
       let dir = Filename.concat out_dir table in
@@ -284,11 +304,11 @@ let generate_cmd benchmark small out_dir =
         (Xia_storage.Doc_store.doc_count (Catalog.store catalog table))
         dir)
     (Catalog.table_names catalog);
-  0
+  Ok ()
 
 (* Show the dataguide with statistics: the DBA's view of RUNSTATS. *)
 let stats_cmd benchmark small data_dirs =
-  let catalog = load_catalog benchmark small data_dirs in
+  let* catalog = load_catalog benchmark small data_dirs in
   List.iter
     (fun table ->
       let stats = Catalog.stats catalog table in
@@ -308,7 +328,7 @@ let stats_cmd benchmark small data_dirs =
             /. float_of_int (max 1 info.Xia_storage.Path_stats.node_count)))
         stats)
     (Catalog.table_names catalog);
-  0
+  Ok ()
 
 (* ---------- cmdliner wiring ---------- *)
 
@@ -488,31 +508,20 @@ let review_term =
 let stats_term = Term.(const stats_cmd $ benchmark_arg $ small_arg $ data_arg)
 
 let cmds =
+  let cmd name doc term = Cmd.v (Cmd.info name ~doc) Term.(const exit_code $ term) in
   [
-    Cmd.v (Cmd.info "advise" ~doc:"Recommend an index configuration.") advise_term;
-    Cmd.v (Cmd.info "explain" ~doc:"Show candidates and plans for one statement.") explain_term;
-    Cmd.v
-      (Cmd.info "candidates" ~doc:"Show the candidate set (basic + generalized).")
-      candidates_term;
-    Cmd.v
-      (Cmd.info "whatif" ~doc:"Evaluate a user-supplied index configuration (what-if).")
-      whatif_term;
-    Cmd.v
-      (Cmd.info "eval"
-         ~doc:
-           "Score every search algorithm against the exhaustive optimum \
-            (regret) and the executor (predicted vs actual benefit).")
+    cmd "advise" "Recommend an index configuration." advise_term;
+    cmd "explain" "Show candidates and plans for one statement." explain_term;
+    cmd "candidates" "Show the candidate set (basic + generalized)." candidates_term;
+    cmd "whatif" "Evaluate a user-supplied index configuration (what-if)." whatif_term;
+    cmd "eval"
+      "Score every search algorithm against the exhaustive optimum (regret) and the \
+       executor (predicted vs actual benefit)."
       eval_term;
-    Cmd.v
-      (Cmd.info "generate" ~doc:"Write benchmark data to directories of XML files.")
-      generate_term;
-    Cmd.v
-      (Cmd.info "review"
-         ~doc:"Materialize a configuration and recommend drops (unused or update-swamped).")
+    cmd "generate" "Write benchmark data to directories of XML files." generate_term;
+    cmd "review" "Materialize a configuration and recommend drops (unused or update-swamped)."
       review_term;
-    Cmd.v
-      (Cmd.info "stats" ~doc:"Show the dataguide (paths with statistics) of each table.")
-      stats_term;
+    cmd "stats" "Show the dataguide (paths with statistics) of each table." stats_term;
   ]
 
 let () =

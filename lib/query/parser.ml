@@ -1,4 +1,4 @@
-(* Parser for workload statements.
+(* Parser for workload statements, over the shared Scan cursor.
 
    Accepted forms (case-sensitive keywords, whitespace-insensitive):
 
@@ -10,239 +10,129 @@
      delete from TABLE where /absolute/path[pred]
      update TABLE set /absolute/path = "value" where /absolute/path[pred]
 
-   ITEM ::= $v | $v/rel | <tag>{ ITEM [, ITEM] }</tag> *)
+   ITEM ::= $v | $v/rel | <tag>{ ITEM [, ITEM] }</tag>
 
+   Embedded paths and documents are read by the XPath and XML parsers on the
+   same cursor, so their errors point into the statement as they are. *)
+
+module Scan = Xia_xml.Scan
+module Xp = Xia_xpath.Ast
 module Xp_parser = Xia_xpath.Parser
-
-type error = { position : int; message : string }
-
-let pp_error ppf e = Fmt.pf ppf "query parse error at offset %d: %s" e.position e.message
-
-exception Fail of error
-
-type state = {
-  input : string;
-  mutable pos : int;
-}
-
-let fail st message = raise (Fail { position = st.pos; message })
-
-let peek st = if st.pos < String.length st.input then Some st.input.[st.pos] else None
-
-let advance st = st.pos <- st.pos + 1
-
-let is_space = function ' ' | '\t' | '\n' | '\r' -> true | _ -> false
-
-let skip_space st =
-  while (match peek st with Some c when is_space c -> true | _ -> false) do
-    advance st
-  done
-
-let looking_at st s =
-  let n = String.length s in
-  st.pos + n <= String.length st.input && String.sub st.input st.pos n = s
 
 let is_word_char = function
   | 'a' .. 'z' | 'A' .. 'Z' | '0' .. '9' | '_' | '-' -> true
   | _ -> false
 
-(* Keyword match: the keyword must not be followed by a word character. *)
-let keyword st kw =
-  skip_space st;
-  let n = String.length kw in
-  if
-    looking_at st kw
-    && (st.pos + n >= String.length st.input || not (is_word_char st.input.[st.pos + n]))
-  then begin
-    st.pos <- st.pos + n;
-    true
-  end
-  else false
+let keyword st kw = Scan.keyword st ~fold:false is_word_char kw
+let expect_keyword st kw = Scan.expect_keyword st ~fold:false is_word_char kw
+let word st = Scan.word st is_word_char
 
-let expect_keyword st kw =
-  if not (keyword st kw) then fail st (Printf.sprintf "expected keyword %S" kw)
+let var st =
+  Scan.token st "$";
+  word st
 
-let parse_word st =
-  skip_space st;
-  let start = st.pos in
-  while (match peek st with Some c when is_word_char c -> true | _ -> false) do
-    advance st
-  done;
-  if st.pos = start then fail st "expected an identifier";
-  String.sub st.input start (st.pos - start)
+let quoted st =
+  Scan.skip_space st;
+  match Scan.peek st with
+  | Some ('"' | '\'') -> Scan.quoted st
+  | _ -> Scan.fail st "expected a quoted string"
 
-let parse_var st =
-  skip_space st;
-  (match peek st with
-  | Some '$' -> advance st
-  | _ -> fail st "expected a variable ($name)");
-  parse_word st
+let absolute_path st =
+  Scan.skip_space st;
+  Xp_parser.absolute st
 
-let embed_xpath st result =
-  match result with
-  | Ok (path, pos) ->
-      st.pos <- pos;
-      path
-  | Error (e : Xp_parser.error) ->
-      raise (Fail { position = e.position; message = "in path: " ^ e.message })
-
-let parse_absolute_path st =
-  skip_space st;
-  embed_xpath st (Xp_parser.parse_prefix st.input ~pos:st.pos)
-
-let parse_relative_path st =
-  embed_xpath st (Xp_parser.parse_relative_prefix st.input ~pos:st.pos)
-
-let parse_quoted st =
-  skip_space st;
-  match peek st with
-  | Some (('"' | '\'') as q) ->
-      advance st;
-      let start = st.pos in
-      while (match peek st with Some c when c <> q -> true | _ -> false) do
-        advance st
-      done;
-      (match peek st with
-      | Some c when c = q ->
-          let s = String.sub st.input start (st.pos - start) in
-          advance st;
-          s
-      | _ -> fail st "unterminated string literal")
-  | _ -> fail st "expected a quoted string"
-
-let parse_source st =
-  let table = parse_word st in
-  skip_space st;
+let source st =
+  let table = word st in
+  Scan.skip_space st;
   let column =
-    if peek st = Some '(' then begin
-      advance st;
-      let c = parse_quoted st in
-      skip_space st;
-      (match peek st with
-      | Some ')' -> advance st
-      | _ -> fail st "expected ')'");
+    if Scan.looking_at st "(" then begin
+      Scan.advance st;
+      let c = quoted st in
+      Scan.token st ")";
       c
     end
     else "XMLDOC"
   in
-  let path = parse_absolute_path st in
-  { Ast.table; column; path }
+  { Ast.table; column; path = absolute_path st }
 
-let parse_cmp st =
-  skip_space st;
-  match peek st with
-  | Some '=' -> advance st; Some Xia_xpath.Ast.Eq
-  | Some '!' ->
-      advance st;
-      if peek st = Some '=' then (advance st; Some Xia_xpath.Ast.Ne)
-      else fail st "expected '!='"
-  | Some '<' ->
-      advance st;
-      if peek st = Some '=' then (advance st; Some Xia_xpath.Ast.Le)
-      else Some Xia_xpath.Ast.Lt
-  | Some '>' ->
-      advance st;
-      if peek st = Some '=' then (advance st; Some Xia_xpath.Ast.Ge)
-      else Some Xia_xpath.Ast.Gt
-  | _ -> None
-
-let parse_literal st =
-  skip_space st;
-  match peek st with
-  | Some ('"' | '\'') -> Xia_xpath.Ast.String_lit (parse_quoted st)
-  | Some ('0' .. '9' | '-') ->
+let literal (st : Scan.t) =
+  Scan.skip_space st;
+  match Scan.peek st with
+  | Some ('"' | '\'') -> Xp.String_lit (Scan.quoted st)
+  | Some ('0' .. '9' | '-') -> (
       let start = st.pos in
-      if peek st = Some '-' then advance st;
-      while
-        (match peek st with Some ('0' .. '9' | '.') -> true | _ -> false)
-      do
-        advance st
-      done;
-      (match float_of_string_opt (String.sub st.input start (st.pos - start)) with
-      | Some f -> Xia_xpath.Ast.Number_lit f
-      | None -> fail st "invalid number")
-  | _ -> fail st "expected a literal"
+      Scan.advance st;
+      Scan.skip_while st (function '0' .. '9' | '.' -> true | _ -> false);
+      match float_of_string_opt (String.sub st.input start (st.pos - start)) with
+      | Some f -> Xp.Number_lit f
+      | None -> Scan.fail st "invalid number")
+  | _ -> Scan.fail st "expected a literal"
 
-let parse_where_clause st =
-  let var = parse_var st in
-  skip_space st;
-  let rel = if peek st = Some '/' then (advance st; parse_relative_path st) else [] in
-  match parse_cmp st with
+let where_clause st =
+  let var = var st in
+  Scan.skip_space st;
+  let rel = if Scan.looking_at st "/" then (Scan.advance st; Xp_parser.relative st) else [] in
+  Scan.skip_space st;
+  match Xp_parser.comparison st with
   | None ->
-      if rel = [] then fail st "a bare $var cannot be a where clause";
-      { Ast.var; predicate = Xia_xpath.Ast.Exists rel }
-  | Some cmp ->
-      let lit = parse_literal st in
-      { Ast.var; predicate = Xia_xpath.Ast.Compare (rel, cmp, lit) }
+      if rel = [] then Scan.fail st "a bare $var cannot be a where clause";
+      { Ast.var; predicate = Xp.Exists rel }
+  | Some cmp -> { Ast.var; predicate = Xp.Compare (rel, cmp, literal st) }
 
-let rec parse_return_item st =
-  skip_space st;
-  match peek st with
+let rec return_item st =
+  Scan.skip_space st;
+  match Scan.peek st with
   | Some '$' ->
-      let var = parse_var st in
-      if peek st = Some '/' then begin
-        advance st;
-        let rel = parse_relative_path st in
-        Ast.Ret_path (var, rel)
+      let var = var st in
+      if Scan.looking_at st "/" then begin
+        Scan.advance st;
+        Ast.Ret_path (var, Xp_parser.relative st)
       end
       else Ast.Ret_var var
   | Some '<' ->
-      advance st;
-      let tag = parse_word st in
-      skip_space st;
-      (match peek st with
-      | Some '>' -> advance st
-      | _ -> fail st "expected '>'");
-      skip_space st;
-      (match peek st with
-      | Some '{' -> advance st
-      | _ -> fail st "expected '{'");
-      let items = parse_return_items st in
-      skip_space st;
-      (match peek st with
-      | Some '}' -> advance st
-      | _ -> fail st "expected '}'");
-      skip_space st;
-      if not (looking_at st ("</" ^ tag ^ ">")) then
-        fail st (Printf.sprintf "expected closing </%s>" tag);
-      st.pos <- st.pos + String.length tag + 3;
+      Scan.advance st;
+      let tag = word st in
+      Scan.token st ">";
+      Scan.token st "{";
+      let items = return_items st in
+      Scan.token st "}";
+      Scan.token st ("</" ^ tag ^ ">");
       Ast.Ret_element (tag, items)
-  | _ -> fail st "expected a return item ($var, $var/path or an element constructor)"
+  | _ -> Scan.fail st "expected a return item ($var, $var/path or an element constructor)"
 
-and parse_return_items st =
-  let first = parse_return_item st in
+and return_items st =
+  let first = return_item st in
   let rec more acc =
-    skip_space st;
-    if peek st = Some ',' then begin
-      advance st;
-      more (parse_return_item st :: acc)
+    Scan.skip_space st;
+    if Scan.looking_at st "," then begin
+      Scan.advance st;
+      more (return_item st :: acc)
     end
     else List.rev acc
   in
   more [ first ]
 
-let parse_flwor st =
-  let rec parse_bindings acc =
-    let var = parse_var st in
+let flwor st =
+  let rec bindings acc =
+    let var = var st in
     expect_keyword st "in";
-    let src = parse_source st in
-    skip_space st;
-    if peek st = Some ',' then begin
-      advance st;
-      skip_space st;
-      parse_bindings ((var, src) :: acc)
+    let src = source st in
+    Scan.skip_space st;
+    if Scan.looking_at st "," then begin
+      Scan.advance st;
+      bindings ((var, src) :: acc)
     end
     else List.rev ((var, src) :: acc)
   in
-  let bindings = parse_bindings [] in
+  let bindings = bindings [] in
   let where =
     (* conjunction of disjunctions: OR binds tighter than AND *)
     if keyword st "where" then begin
       let rec disjuncts acc =
-        let c = parse_where_clause st in
+        let c = where_clause st in
         (match acc with
         | first :: _ when not (String.equal first.Ast.var c.Ast.var) ->
-            fail st "all branches of an 'or' must constrain the same variable"
+            Scan.fail st "all branches of an 'or' must constrain the same variable"
         | _ -> ());
         if keyword st "or" then disjuncts (c :: acc) else List.rev (c :: acc)
       in
@@ -255,70 +145,40 @@ let parse_flwor st =
     else []
   in
   expect_keyword st "return";
-  let return_ = parse_return_items st in
+  let return_ = return_items st in
   { Ast.bindings; where; return_ }
 
-let finish st result =
-  skip_space st;
-  (* Allow a trailing semicolon. *)
-  if peek st = Some ';' then advance st;
-  skip_space st;
-  if st.pos <> String.length st.input then
-    Error { position = st.pos; message = "trailing characters" }
-  else Ok result
-
-let parse_statement_state st =
-  skip_space st;
-  if keyword st "for" then Ast.Select (parse_flwor st)
+let body st =
+  if keyword st "for" then Ast.Select (flwor st)
   else if keyword st "insert" then begin
     expect_keyword st "into";
-    let table = parse_word st in
-    skip_space st;
-    let rest = String.sub st.input st.pos (String.length st.input - st.pos) in
-    let rest =
-      (* Strip a trailing semicolon from the XML payload. *)
-      let r = String.trim rest in
-      if String.length r > 0 && r.[String.length r - 1] = ';' then
-        String.sub r 0 (String.length r - 1)
-      else r
-    in
-    match Xia_xml.Parser.parse rest with
-    | Ok document ->
-        st.pos <- String.length st.input;
-        Ast.Insert { table; document }
-    | Error e ->
-        raise (Fail { position = st.pos + e.position; message = "in XML: " ^ e.message })
+    let table = word st in
+    Ast.Insert { table; document = Xia_xml.Parser.document st }
   end
   else if keyword st "delete" then begin
     expect_keyword st "from";
-    let table = parse_word st in
+    let table = word st in
     expect_keyword st "where";
-    let selector = parse_absolute_path st in
-    Ast.Delete { table; selector }
+    Ast.Delete { table; selector = absolute_path st }
   end
   else if keyword st "update" then begin
-    let table = parse_word st in
+    let table = word st in
     expect_keyword st "set";
-    let target = parse_absolute_path st in
-    skip_space st;
-    (match peek st with
-    | Some '=' -> advance st
-    | _ -> fail st "expected '='");
-    let new_value = parse_quoted st in
+    let target = absolute_path st in
+    Scan.token st "=";
+    let new_value = quoted st in
     expect_keyword st "where";
-    let selector = parse_absolute_path st in
-    Ast.Update { table; selector; target; new_value }
+    Ast.Update { table; selector = absolute_path st; target; new_value }
   end
-  else fail st "expected 'for', 'insert', 'delete' or 'update'"
+  else Scan.fail st "expected 'for', 'insert', 'delete' or 'update'"
 
-let parse_statement input =
-  let st = { input; pos = 0 } in
-  try
-    let s = parse_statement_state st in
-    finish st s
-  with Fail e -> Error e
+let statement st =
+  let s = body st in
+  (* Allow a trailing semicolon. *)
+  Scan.skip_space st;
+  if Scan.looking_at st ";" then Scan.advance st;
+  Scan.finish st;
+  s
 
-let parse_statement_exn input =
-  match parse_statement input with
-  | Ok s -> s
-  | Error e -> invalid_arg (Fmt.str "%S: %a" input pp_error e)
+let parse_statement input = Scan.run input statement
+let parse_statement_exn = Scan.unwrap parse_statement

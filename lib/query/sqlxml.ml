@@ -21,139 +21,73 @@
    variable prefix ("$d/") is optional.  The PASSING clause is accepted and
    recorded as the column name. *)
 
-type error = { position : int; message : string }
-
-let pp_error ppf e = Fmt.pf ppf "SQL/XML parse error at offset %d: %s" e.position e.message
-
-exception Fail of error
-
-type state = {
-  input : string;
-  mutable pos : int;
-}
-
-let fail st message = raise (Fail { position = st.pos; message })
-
-let peek st = if st.pos < String.length st.input then Some st.input.[st.pos] else None
-let advance st = st.pos <- st.pos + 1
-
-let is_space = function ' ' | '\t' | '\n' | '\r' -> true | _ -> false
-
-let skip_space st =
-  while (match peek st with Some c when is_space c -> true | _ -> false) do
-    advance st
-  done
+module Scan = Xia_xml.Scan
 
 let is_word_char = function
   | 'a' .. 'z' | 'A' .. 'Z' | '0' .. '9' | '_' -> true
   | _ -> false
 
-(* Case-insensitive keyword. *)
-let keyword st kw =
-  skip_space st;
-  let n = String.length kw in
-  if
-    st.pos + n <= String.length st.input
-    && String.uppercase_ascii (String.sub st.input st.pos n) = String.uppercase_ascii kw
-    && (st.pos + n >= String.length st.input || not (is_word_char st.input.[st.pos + n]))
-  then begin
-    st.pos <- st.pos + n;
-    true
-  end
-  else false
+(* Case-insensitive keywords. *)
+let keyword st kw = Scan.keyword st ~fold:true is_word_char kw
+let expect_keyword st kw = Scan.expect_keyword st ~fold:true is_word_char kw
+let word st = Scan.word st is_word_char
 
-let expect_keyword st kw =
-  if not (keyword st kw) then fail st (Printf.sprintf "expected %s" (String.uppercase_ascii kw))
-
-let parse_word st =
-  skip_space st;
+(* SQL single-quoted string with '' escaping: the offset of its first
+   character and its decoded text. *)
+let sql_string (st : Scan.t) =
+  Scan.token st "'";
   let start = st.pos in
-  while (match peek st with Some c when is_word_char c -> true | _ -> false) do
-    advance st
-  done;
-  if st.pos = start then fail st "expected an identifier";
-  String.sub st.input start (st.pos - start)
-
-let expect_char st c =
-  skip_space st;
-  match peek st with
-  | Some x when x = c -> advance st
-  | _ -> fail st (Printf.sprintf "expected '%c'" c)
-
-(* SQL single-quoted string with '' escaping. *)
-let parse_sql_string st =
-  skip_space st;
-  (match peek st with
-  | Some '\'' -> advance st
-  | _ -> fail st "expected a string literal");
   let buf = Buffer.create 32 in
   let rec loop () =
-    match peek st with
-    | None -> fail st "unterminated string literal"
-    | Some '\'' ->
-        advance st;
-        if peek st = Some '\'' then begin
-          Buffer.add_char buf '\'';
-          advance st;
-          loop ()
-        end
-    | Some c ->
-        Buffer.add_char buf c;
-        advance st;
-        loop ()
+    Buffer.add_string buf (Scan.take_while st (fun c -> c <> '\''));
+    if Scan.eof st then Scan.fail st "unterminated string literal";
+    Scan.advance st;
+    if Scan.looking_at st "'" then (Buffer.add_char buf '\''; Scan.advance st; loop ())
   in
   loop ();
-  Buffer.contents buf
+  (start, Buffer.contents buf)
 
-(* Strip an optional leading "$var/" from an XMLEXISTS/XMLQUERY argument. *)
-let strip_binding_var s =
-  let s = String.trim s in
-  if String.length s > 1 && s.[0] = '$' then
-    match String.index_opt s '/' with
-    | Some i -> String.sub s i (String.length s - i)
-    | None -> s
-  else s
+(* Run [parse] over the decoded text of a literal read by [sql_string]; a
+   failure at the k-th decoded character is re-raised at that character of
+   the literal in [st], where each '' stands for one quote. *)
+let inside_literal (st : Scan.t) (start, text) parse =
+  try parse { Scan.input = text; pos = 0 }
+  with Scan.Fail (k, message) ->
+    let rec raw i k = if k = 0 then i else raw (i + if st.input.[i] = '\'' then 2 else 1) (k - 1) in
+    raise (Scan.Fail (raw start k, message))
 
-let parse_inner_path st raw =
-  match Xia_xpath.Parser.parse (strip_binding_var raw) with
-  | Ok p -> p
-  | Error (e : Xia_xpath.Parser.error) ->
-      raise (Fail { position = st.pos; message = "in XMLEXISTS path: " ^ e.message })
+(* An XMLEXISTS/XMLQUERY/XMLPATH argument: an absolute path, optionally
+   behind a "$var" binding prefix. *)
+let inner_path st literal =
+  inside_literal st literal (fun c ->
+      Scan.skip_space c;
+      if Scan.looking_at c "$" then
+        Option.iter (fun i -> c.pos <- i) (String.index_from_opt c.input c.pos '/');
+      let path = Xia_xpath.Parser.absolute c in
+      Scan.finish c;
+      path)
+
+(* [PASSING col [AS "var" | AS var]]: the column, if present. *)
+let passing st =
+  if keyword st "PASSING" then begin
+    let col = word st in
+    if keyword st "AS" then begin
+      Scan.skip_space st;
+      if Scan.looking_at st "\"" then (Scan.advance st; ignore (word st); Scan.token st "\"")
+      else ignore (word st)
+    end;
+    Some col
+  end
+  else None
 
 (* XMLEXISTS('path' [PASSING col AS "d"]); returns (path, column). *)
-let parse_xmlexists st =
+let xmlexists st =
   expect_keyword st "XMLEXISTS";
-  expect_char st '(';
-  let raw = parse_sql_string st in
-  let path = parse_inner_path st raw in
-  let column =
-    if keyword st "PASSING" then begin
-      let col = parse_word st in
-      if keyword st "AS" then begin
-        skip_space st;
-        (match peek st with
-        | Some '"' -> (
-            advance st;
-            let _var = parse_word st in
-            match peek st with
-            | Some '"' -> advance st
-            | _ -> fail st "expected closing '\"'")
-        | _ -> ignore (parse_word st))
-      end;
-      col
-    end
-    else "XMLDOC"
-  in
-  expect_char st ')';
+  Scan.token st "(";
+  let path = inner_path st (sql_string st) in
+  let column = Option.value (passing st) ~default:"XMLDOC" in
+  Scan.token st ")";
   (path, column)
-
-let finish st stmt =
-  skip_space st;
-  if peek st = Some ';' then advance st;
-  skip_space st;
-  if st.pos <> String.length st.input then
-    Error { position = st.pos; message = "trailing characters" }
-  else Ok stmt
 
 (* Derive the relative return path of XMLQUERY('$d/p2') against the
    XMLEXISTS binding path: if p2 extends the binding's first step, the rest
@@ -165,124 +99,101 @@ let return_of_xmlquery binding_path q_path =
       Ast.Ret_path ("d", rest)
   | _ -> Ast.Ret_var "d"
 
-let parse_statement_state st =
-  skip_space st;
+let body st =
   if keyword st "SELECT" then begin
-    let xmlquery_raw =
+    let xmlquery =
       if keyword st "XMLQUERY" then begin
-        expect_char st '(';
-        let raw = parse_sql_string st in
+        Scan.token st "(";
+        let literal = sql_string st in
         (* tolerate a PASSING clause inside XMLQUERY too *)
-        if keyword st "PASSING" then begin
-          ignore (parse_word st);
-          if keyword st "AS" then begin
-            skip_space st;
-            match peek st with
-            | Some '"' ->
-                advance st;
-                ignore (parse_word st);
-                expect_char st '"'
-            | _ -> ignore (parse_word st)
-          end
-        end;
-        expect_char st ')';
-        Some raw
+        ignore (passing st);
+        Scan.token st ")";
+        Some literal
       end
-      else begin
-        skip_space st;
-        (match peek st with
-        | Some '*' -> advance st
-        | _ -> fail st "expected '*' or XMLQUERY(...)");
-        None
-      end
+      else (Scan.token st "*"; None)
     in
     expect_keyword st "FROM";
-    let table = parse_word st in
+    let table = word st in
     expect_keyword st "WHERE";
-    let path, column = parse_xmlexists st in
+    let path, column = xmlexists st in
     let return_ =
-      match xmlquery_raw with
+      match xmlquery with
       | None -> [ Ast.Ret_var "d" ]
-      | Some raw -> [ return_of_xmlquery path (parse_inner_path st raw) ]
+      | Some literal -> [ return_of_xmlquery path (inner_path st literal) ]
     in
-    Ast.Select
-      {
-        bindings = [ ("d", { Ast.table; column; path }) ];
-        where = [];
-        return_;
-      }
+    Ast.Select { bindings = [ ("d", { Ast.table; column; path }) ]; where = []; return_ }
   end
   else if keyword st "INSERT" then begin
     expect_keyword st "INTO";
-    let table = parse_word st in
+    let table = word st in
     expect_keyword st "VALUES";
-    expect_char st '(';
-    let xml_text =
+    Scan.token st "(";
+    let literal =
       if keyword st "XMLPARSE" then begin
-        expect_char st '(';
-        let s = parse_sql_string st in
-        expect_char st ')';
-        s
+        Scan.token st "(";
+        let l = sql_string st in
+        Scan.token st ")";
+        l
       end
-      else parse_sql_string st
+      else sql_string st
     in
-    expect_char st ')';
-    match Xia_xml.Parser.parse xml_text with
-    | Ok document -> Ast.Insert { table; document }
-    | Error e ->
-        raise (Fail { position = st.pos; message = "in XML value: " ^ e.message })
+    Scan.token st ")";
+    let document =
+      inside_literal st literal (fun c ->
+          let d = Xia_xml.Parser.document c in
+          Scan.finish c;
+          d)
+    in
+    Ast.Insert { table; document }
   end
   else if keyword st "DELETE" then begin
     expect_keyword st "FROM";
-    let table = parse_word st in
+    let table = word st in
     expect_keyword st "WHERE";
-    let selector, _ = parse_xmlexists st in
-    Ast.Delete { table; selector }
+    Ast.Delete { table; selector = fst (xmlexists st) }
   end
   else if keyword st "UPDATE" then begin
-    let table = parse_word st in
+    let table = word st in
     expect_keyword st "SET";
     expect_keyword st "XMLPATH";
-    let target_raw = parse_sql_string st in
-    let target = parse_inner_path st target_raw in
-    expect_char st '=';
-    let new_value = parse_sql_string st in
+    let target = inner_path st (sql_string st) in
+    Scan.token st "=";
+    let new_value = snd (sql_string st) in
     expect_keyword st "WHERE";
-    let selector, _ = parse_xmlexists st in
-    Ast.Update { table; selector; target; new_value }
+    Ast.Update { table; selector = fst (xmlexists st); target; new_value }
   end
-  else fail st "expected SELECT, INSERT, DELETE or UPDATE"
+  else Scan.fail st "expected SELECT, INSERT, DELETE or UPDATE"
 
-let parse_statement input =
-  let st = { input; pos = 0 } in
-  try finish st (parse_statement_state st) with Fail e -> Error e
+let statement st =
+  let s = body st in
+  Scan.skip_space st;
+  if Scan.looking_at st ";" then Scan.advance st;
+  Scan.finish st;
+  s
 
-let parse_statement_exn input =
-  match parse_statement input with
-  | Ok s -> s
-  | Error e -> invalid_arg (Fmt.str "%S: %a" input pp_error e)
+let parse_statement input = Scan.run input statement
+let parse_statement_exn = Scan.unwrap parse_statement
 
-(* Parse either language: SQL/XML when the statement starts with a SQL verb,
-   mini-XQuery otherwise. *)
-let parse_any input =
-  let trimmed = String.trim input in
-  let starts_with_sql =
+(* Either language: SQL/XML when the statement starts with a SQL verb,
+   mini-XQuery otherwise.  "insert into"/"delete from"/"update" exist in
+   both grammars; the XQuery front end is tried first for them, the SQL/XML
+   one on failure, and when both fail the error that got further wins. *)
+let any (st : Scan.t) =
+  let start = st.pos in
+  (* A SQL verb as a prefix, in any case. *)
+  let sql =
     List.exists
-      (fun kw ->
-        String.length trimmed >= String.length kw
-        && String.uppercase_ascii (String.sub trimmed 0 (String.length kw)) = kw)
+      (fun kw -> Scan.keyword st ~fold:true (fun _ -> false) kw)
       [ "SELECT"; "DELETE FROM"; "UPDATE "; "INSERT INTO" ]
   in
-  (* "insert into"/"delete from"/"update" exist in both grammars; the XQuery
-     front end is tried first for them, the SQL/XML one on failure. *)
-  if starts_with_sql then
-    match Parser.parse_statement input with
-    | Ok s -> Ok (`Xquery s)
-    | Error _ -> (
-        match parse_statement input with
-        | Ok s -> Ok (`Sqlxml s)
-        | Error e -> Error (Fmt.str "%a" pp_error e))
+  st.pos <- start;
+  if not sql then `Xquery (Parser.statement st)
   else
-    match Parser.parse_statement input with
-    | Ok s -> Ok (`Xquery s)
-    | Error e -> Error (Fmt.str "%a" Parser.pp_error e)
+    try `Xquery (Parser.statement st)
+    with Scan.Fail (xq_at, _) as xq -> (
+      st.pos <- start;
+      try `Sqlxml (statement st)
+      with Scan.Fail (sql_at, _) when xq_at > sql_at -> raise xq)
+
+let parse_located input = Scan.run input any
+let parse_any input = Result.map_error Scan.to_string (parse_located input)

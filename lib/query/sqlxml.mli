@@ -11,15 +11,22 @@
     UPDATE t SET XMLPATH '/a/b' = 'v' WHERE XMLEXISTS('$d/path[pred]' ...)
     v} *)
 
-type error = { position : int; message : string }
-
-val pp_error : Format.formatter -> error -> unit
-
-val parse_statement : string -> (Ast.statement, error) result
+val parse_statement : string -> (Ast.statement, Xia_xml.Scan.error) result
 
 (** @raise Invalid_argument on malformed input. *)
 val parse_statement_exn : string -> Ast.statement
 
-(** Parse either language, tagging which grammar matched. *)
+(** One whole statement in either language, tagging which grammar matched:
+    SQL/XML when it starts with a SQL verb, mini-XQuery otherwise.  When
+    both grammars reject an [insert into]/[delete from]/[update]
+    statement, the failure that got further is raised.
+    @raise Xia_xml.Scan.Fail on malformed input. *)
+val any : Xia_xml.Scan.t -> [ `Xquery of Ast.statement | `Sqlxml of Ast.statement ]
+
+(** {!any} over a whole string. *)
+val parse_located :
+  string -> ([ `Xquery of Ast.statement | `Sqlxml of Ast.statement ], Xia_xml.Scan.error) result
+
+(** {!parse_located} with the error printed. *)
 val parse_any :
   string -> ([ `Xquery of Ast.statement | `Sqlxml of Ast.statement ], string) result

@@ -5,39 +5,56 @@
    This is how external data enters the advisor: point the CLI at a directory
    of XML documents. *)
 
+module Scan = Xia_xml.Scan
+
 type load_report = {
   loaded : int;
-  failed : (string * string) list;  (* filename, error *)
+  failed : Scan.error list;
 }
 
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
+(* A [Sys_error] as an error about [path]: its message without the
+   "path: " prefix the runtime puts in front. *)
+let sys_error path msg =
+  let prefix = path ^ ": " in
+  let n = String.length prefix in
+  Scan.error path
+    (if String.starts_with ~prefix msg then String.sub msg n (String.length msg - n) else msg)
 
-let xml_files dir =
-  Sys.readdir dir |> Array.to_list
-  |> List.filter (fun f -> Filename.check_suffix (String.lowercase_ascii f) ".xml")
-  |> List.sort String.compare
+let read_file path =
+  match open_in_bin path with
+  | exception Sys_error msg -> Error (sys_error path msg)
+  | ic ->
+      Fun.protect
+        ~finally:(fun () -> close_in_noerr ic)
+        (fun () ->
+          try Ok (really_input_string ic (in_channel_length ic))
+          with Sys_error msg -> Error (sys_error path msg))
+
+(* The document in [path], or the error located in that file. *)
+let read_document path =
+  Result.bind (read_file path) (fun text ->
+      Result.map_error (fun e -> { e with Scan.source = path }) (Xia_xml.Parser.parse text))
 
 (* Load every *.xml file of [dir] into [store].  Malformed files are
    reported, not fatal. *)
 let load_directory store dir =
-  if not (Sys.file_exists dir && Sys.is_directory dir) then
-    invalid_arg (Printf.sprintf "Persist.load_directory: %s is not a directory" dir);
-  let loaded = ref 0 in
-  let failed = ref [] in
-  List.iter
-    (fun file ->
-      let path = Filename.concat dir file in
-      match Xia_xml.Parser.parse (read_file path) with
-      | Ok doc ->
-          ignore (Doc_store.insert store doc);
-          incr loaded
-      | Error e -> failed := (file, Fmt.str "%a" Xia_xml.Parser.pp_error e) :: !failed)
-    (xml_files dir);
-  { loaded = !loaded; failed = List.rev !failed }
+  match Sys.readdir dir with
+  | exception Sys_error msg -> Error (sys_error dir msg)
+  | files ->
+      let loaded = ref 0 in
+      let failed = ref [] in
+      Array.sort String.compare files;
+      Array.iter
+        (fun file ->
+          let path = Filename.concat dir file in
+          if Filename.check_suffix (String.lowercase_ascii file) ".xml" then
+            match read_document path with
+            | Ok doc ->
+                ignore (Doc_store.insert store doc);
+                incr loaded
+            | Error e -> failed := e :: !failed)
+        files;
+      Ok { loaded = !loaded; failed = List.rev !failed }
 
 let rec mkdir_p dir =
   if not (Sys.file_exists dir) then begin
@@ -68,42 +85,50 @@ let save_directory store dir =
 
 let is_space = function ' ' | '\012' | '\n' | '\r' | '\t' -> true | _ -> false
 
-(* [s.[lo..hi)] without surrounding whitespace; [s] itself when that is all
-   of it, otherwise one copy. *)
-let trimmed_sub s lo hi =
-  let lo = ref lo and hi = ref hi in
-  while !lo < !hi && is_space s.[!lo] do incr lo done;
-  while !hi > !lo && is_space s.[!hi - 1] do decr hi done;
-  if !lo = 0 && !hi = String.length s then s else String.sub s !lo (!hi - !lo)
+(* The first non-space offset of [s] in [lo, hi), and one past the last. *)
+let rec skip_fwd s lo hi = if lo < hi && is_space s.[lo] then skip_fwd s (lo + 1) hi else lo
+let rec skip_back s lo hi = if hi > lo && is_space s.[hi - 1] then skip_back s lo (hi - 1) else hi
 
-(* A frequency prefix that reads as a number must be a usable weight: NaN,
-   infinities and negative values would poison every weighted cost sum. *)
-let workload_entry path line_no raw =
-  let line = trimmed_sub raw 0 (String.length raw) in
-  if line = "" || line.[0] = '#' then None
+let sub s lo hi = if lo = 0 && hi = String.length s then s else String.sub s lo (hi - lo)
+
+(* [f freq text] on a statement line, with a [Scan.Fail] from [f] moved from
+   [text] to [raw].  A frequency prefix that reads as a number must be a
+   usable weight: NaN, infinities and negative values would poison every
+   weighted cost sum. *)
+let workload_entry f raw =
+  let n = String.length raw in
+  let lo = skip_fwd raw 0 n and hi = skip_back raw 0 n in
+  if lo = hi || raw.[lo] = '#' then None
   else
-    match String.index_opt line '|' with
-    | None -> Some (1.0, line)
-    | Some bar -> (
-        match float_of_string_opt (trimmed_sub line 0 bar) with
-        | None -> Some (1.0, line)
-        | Some freq when Float.is_finite freq && freq >= 0.0 ->
-            Some (freq, trimmed_sub line (bar + 1) (String.length line))
-        | Some freq ->
-            invalid_arg
-              (Printf.sprintf "%s: line %d: frequency %g is not a finite non-negative number"
-                 path line_no freq))
+    let freq, at =
+      match String.index_from_opt raw lo '|' with
+      | None -> (1.0, lo)
+      | Some bar -> (
+          match float_of_string_opt (sub raw lo (skip_back raw lo bar)) with
+          | None -> (1.0, lo)
+          | Some freq when Float.is_finite freq && freq >= 0.0 -> (freq, skip_fwd raw (bar + 1) hi)
+          | Some freq ->
+              raise
+                (Scan.Fail (lo, Printf.sprintf "frequency %g is not a finite non-negative number" freq)))
+    in
+    try Some (f freq (sub raw at hi)) with Scan.Fail (k, message) -> raise (Scan.Fail (at + k, message))
 
 let workload_lines path f =
-  let ic = open_in path in
-  let[@tail_mod_cons] rec from line_no =
-    match input_line ic with
-    | exception End_of_file -> []
-    | raw -> (
-        match workload_entry path line_no raw with
-        | Some (freq, text) ->
-            let x = f line_no freq text in
-            x :: from (line_no + 1)
-        | None -> from (line_no + 1))
-  in
-  Fun.protect ~finally:(fun () -> close_in_noerr ic) (fun () -> from 1)
+  match open_in path with
+  | exception Sys_error msg -> Error (sys_error path msg)
+  | ic -> (
+      let line = ref 0 in
+      let[@tail_mod_cons] rec from () =
+        match input_line ic with
+        | exception End_of_file -> []
+        | raw -> (
+            incr line;
+            match workload_entry f raw with
+            | Some x -> x :: from ()
+            | None -> from ())
+      in
+      match Fun.protect ~finally:(fun () -> close_in_noerr ic) from with
+      | items -> Ok items
+      | exception Scan.Fail (at, message) ->
+          Error { Scan.source = path; line = !line; column = at + 1; message }
+      | exception Sys_error msg -> Error (sys_error path msg))

@@ -16,26 +16,26 @@ let item ?(freq = 1.0) label statement = { label; statement; freq }
 let of_statements stmts =
   List.mapi (fun i s -> item (Printf.sprintf "S%d" (i + 1)) s) stmts
 
-(* Load a workload file: '#' comments, blank lines, "freq|statement" lines;
+(* Read a workload file: '#' comments, blank lines, "freq|statement" lines;
    statements may be mini-XQuery or SQL/XML.  Query logs repeat a few
    templates many times, so each distinct statement text is parsed once and
    its lines share the parsed value; only label and frequency are per line. *)
-let of_file path =
+let read path =
   let parsed = Hashtbl.create 256 in
   let count = ref 0 in
-  Xia_storage.Persist.workload_lines path (fun line freq text ->
+  Xia_storage.Persist.workload_lines path (fun freq text ->
       let statement =
         match Hashtbl.find_opt parsed text with
         | Some s -> s
-        | None -> (
-            match Xia_query.Sqlxml.parse_any text with
-            | Ok (`Xquery s) | Ok (`Sqlxml s) ->
-                Hashtbl.add parsed text s;
-                s
-            | Error msg -> invalid_arg (Printf.sprintf "%s: line %d: %s" path line msg))
+        | None ->
+            let (`Xquery s | `Sqlxml s) = Xia_query.Sqlxml.any { Xia_xml.Scan.input = text; pos = 0 } in
+            Hashtbl.add parsed text s;
+            s
       in
       incr count;
       { label = "S" ^ string_of_int !count; statement; freq })
+
+let of_file path = Xia_xml.Scan.unwrap read path
 
 let of_strings strs =
   List.mapi

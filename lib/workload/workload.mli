@@ -12,14 +12,15 @@ val item : ?freq:float -> string -> Xia_query.Ast.statement -> item
 
 val of_statements : Xia_query.Ast.statement list -> t
 
-(** Load a workload file (['#'] comments, blank lines, ["freq|statement"]
+(** Read a workload file (['#'] comments, blank lines, ["freq|statement"]
     lines; statements may be mini-XQuery or SQL/XML).  Items are labelled
     [S1..Sn] in file order; lines with the same statement text share one
-    parsed statement.
-    @raise Invalid_argument naming the file and its 1-based line on the
-    first statement that does not parse or frequency that is negative or
-    not finite.
-    @raise Sys_error when the file cannot be read. *)
+    parsed statement.  [Error] names the file, and the line and column of
+    the first statement that does not parse or frequency that is negative
+    or not finite; or the file itself when it cannot be read. *)
+val read : string -> (t, Xia_xml.Scan.error) result
+
+(** {!read}. @raise Invalid_argument with the printed error. *)
 val of_file : string -> t
 
 (** Parse one statement per string. @raise Invalid_argument on parse errors. *)

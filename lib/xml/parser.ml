@@ -1,40 +1,10 @@
-(* Recursive-descent XML parser.
+(* Recursive-descent XML parser over the shared Scan cursor.
 
    Supports elements, attributes, text, entity references, CDATA sections,
    comments and processing instructions/declarations.  This is not a validating
-   parser; it accepts the well-formed subset needed for benchmark data. *)
-
-type error = { position : int; message : string }
-
-let pp_error ppf e = Fmt.pf ppf "XML parse error at offset %d: %s" e.position e.message
-
-exception Fail of error
-
-type state = {
-  input : string;
-  mutable pos : int;
-}
-
-let fail st message = raise (Fail { position = st.pos; message })
-
-let peek st = if st.pos < String.length st.input then Some st.input.[st.pos] else None
-
-let advance st = st.pos <- st.pos + 1
-
-let looking_at st s =
-  let n = String.length s in
-  st.pos + n <= String.length st.input && String.sub st.input st.pos n = s
-
-let expect st s =
-  if looking_at st s then st.pos <- st.pos + String.length s
-  else fail st (Printf.sprintf "expected %S" s)
-
-let is_space = function ' ' | '\t' | '\n' | '\r' -> true | _ -> false
-
-let skip_space st =
-  while (match peek st with Some c when is_space c -> true | _ -> false) do
-    advance st
-  done
+   parser; it accepts the well-formed subset needed for benchmark data.  Names,
+   text runs and attribute values are read with Scan's bulk primitives: the
+   per-character loops stay inside Scan. *)
 
 let is_name_start = function
   | 'a' .. 'z' | 'A' .. 'Z' | '_' | ':' -> true
@@ -43,26 +13,14 @@ let is_name_start = function
 let is_name_char c =
   is_name_start c || (match c with '0' .. '9' | '-' | '.' -> true | _ -> false)
 
-let parse_name st =
-  let start = st.pos in
-  (match peek st with
-  | Some c when is_name_start c -> advance st
-  | _ -> fail st "expected a name");
-  while (match peek st with Some c when is_name_char c -> true | _ -> false) do
-    advance st
-  done;
-  String.sub st.input start (st.pos - start)
+let name st = Scan.name st is_name_start is_name_char
 
-let decode_entity st =
+let decode_entity (st : Scan.t) =
   (* Called with pos on '&'. *)
-  advance st;
-  let start = st.pos in
-  while (match peek st with Some ';' -> false | Some _ -> true | None -> false) do
-    advance st
-  done;
-  (match peek st with Some ';' -> () | _ -> fail st "unterminated entity reference");
-  let name = String.sub st.input start (st.pos - start) in
-  advance st;
+  Scan.advance st;
+  let name = Scan.take_while st (fun c -> c <> ';') in
+  if Scan.eof st then Scan.fail st "unterminated entity reference";
+  Scan.advance st;
   match name with
   | "amp" -> "&"
   | "lt" -> "<"
@@ -70,134 +28,130 @@ let decode_entity st =
   | "quot" -> "\""
   | "apos" -> "'"
   | _ ->
-      if String.length name > 1 && name.[0] = '#' then
-        let code =
-          try
-            if name.[1] = 'x' || name.[1] = 'X' then
-              int_of_string ("0x" ^ String.sub name 2 (String.length name - 2))
-            else int_of_string (String.sub name 1 (String.length name - 1))
-          with _ -> fail st "invalid character reference"
-        in
-        if code < 0x80 then String.make 1 (Char.chr code) else "?"
-      else fail st (Printf.sprintf "unknown entity &%s;" name)
+      let code =
+        if String.length name > 1 && name.[0] = '#' then
+          int_of_string_opt
+            (if name.[1] = 'x' || name.[1] = 'X' then "0x" ^ String.sub name 2 (String.length name - 2)
+             else String.sub name 1 (String.length name - 1))
+        else Scan.fail st (Printf.sprintf "unknown entity &%s;" name)
+      in
+      match code with
+      | Some code when code >= 0 -> if code < 0x80 then String.make 1 (Char.chr code) else "?"
+      | _ -> Scan.fail st "invalid character reference"
 
-let parse_quoted st =
-  let quote =
-    match peek st with
-    | Some (('"' | '\'') as q) -> advance st; q
-    | _ -> fail st "expected a quoted value"
-  in
-  let buf = Buffer.create 16 in
-  let rec loop () =
-    match peek st with
-    | None -> fail st "unterminated attribute value"
-    | Some c when c = quote -> advance st
-    | Some '&' -> Buffer.add_string buf (decode_entity st); loop ()
-    | Some c -> Buffer.add_char buf c; advance st; loop ()
-  in
-  loop ();
-  Buffer.contents buf
+(* Append the characters [plain] accepts, and the entity references among
+   them, to [buf]; [plain] rejects '&'. *)
+let rec text (st : Scan.t) plain buf =
+  let start = st.pos in
+  Scan.skip_while st plain;
+  Buffer.add_substring buf st.input start (st.pos - start);
+  if Scan.looking_at st "&" then begin
+    Buffer.add_string buf (decode_entity st);
+    text st plain buf
+  end
 
-let parse_attributes st =
-  let rec loop acc =
-    skip_space st;
-    match peek st with
-    | Some c when is_name_start c ->
-        let name = parse_name st in
-        skip_space st;
-        expect st "=";
-        skip_space st;
-        let value = parse_quoted st in
-        loop ((name, value) :: acc)
-    | _ -> List.rev acc
-  in
-  loop []
+(* Text runs of content and of the two kinds of attribute value, as closed
+   functions: a run costs no allocation. *)
+let content_char c = c <> '<' && c <> '&'
+let double_quoted_char c = c <> '"' && c <> '&'
+let single_quoted_char c = c <> '\'' && c <> '&'
 
-let skip_until st terminator =
-  let n = String.length st.input in
-  let rec loop () =
-    if st.pos >= n then fail st (Printf.sprintf "expected %S before end of input" terminator)
-    else if looking_at st terminator then st.pos <- st.pos + String.length terminator
-    else (advance st; loop ())
-  in
-  loop ()
+let attribute_value st =
+  match Scan.peek st with
+  | Some (('"' | '\'') as q) ->
+      Scan.advance st;
+      let buf = Buffer.create 16 in
+      text st (if q = '"' then double_quoted_char else single_quoted_char) buf;
+      if Scan.eof st then Scan.fail st "unterminated attribute value";
+      Scan.advance st;
+      Buffer.contents buf
+  | _ -> Scan.fail st "expected a quoted value"
+
+let rec attributes st acc =
+  Scan.skip_space st;
+  match Scan.peek st with
+  | Some c when is_name_start c ->
+      let name = name st in
+      Scan.skip_space st;
+      Scan.expect st "=";
+      Scan.skip_space st;
+      let value = attribute_value st in
+      attributes st ((name, value) :: acc)
+  | _ -> List.rev acc
 
 let rec skip_misc st =
-  skip_space st;
-  if looking_at st "<?" then (skip_until st "?>"; skip_misc st)
-  else if looking_at st "<!--" then (skip_until st "-->"; skip_misc st)
-  else if looking_at st "<!DOCTYPE" then (skip_until st ">"; skip_misc st)
+  Scan.skip_space st;
+  if Scan.looking_at st "<?" then (Scan.skip_past st "?>"; skip_misc st)
+  else if Scan.looking_at st "<!--" then (Scan.skip_past st "-->"; skip_misc st)
+  else if Scan.looking_at st "<!DOCTYPE" then (Scan.skip_past st ">"; skip_misc st)
 
-let rec parse_element st =
-  expect st "<";
-  let tag = parse_name st in
-  let attrs = parse_attributes st in
-  skip_space st;
-  if looking_at st "/>" then begin
-    expect st "/>";
+let rec element st =
+  Scan.expect st "<";
+  let tag = name st in
+  let attrs = attributes st [] in
+  Scan.skip_space st;
+  if Scan.looking_at st "/>" then begin
+    Scan.expect st "/>";
     Types.Element { tag; attrs; children = [] }
   end
   else begin
-    expect st ">";
-    let children = parse_content st tag in
+    Scan.expect st ">";
+    let children = content st tag in
     Types.Element { tag; attrs; children }
   end
 
-and parse_content st tag =
+and content (st : Scan.t) tag =
   let buf = Buffer.create 16 in
   let children = ref [] in
   let flush_text () =
     let s = Buffer.contents buf in
     Buffer.clear buf;
     (* Whitespace-only runs between elements are formatting noise. *)
-    if String.exists (fun c -> not (is_space c)) s then
+    if String.exists (fun c -> not (Scan.is_space c)) s then
       children := Types.Text s :: !children
   in
   let rec loop () =
-    match peek st with
-    | None -> fail st (Printf.sprintf "unterminated element <%s>" tag)
-    | Some '<' ->
-        if looking_at st "</" then begin
-          flush_text ();
-          expect st "</";
-          let closing = parse_name st in
-          if not (String.equal closing tag) then
-            fail st (Printf.sprintf "mismatched closing tag </%s> for <%s>" closing tag);
-          skip_space st;
-          expect st ">"
-        end
-        else if looking_at st "<!--" then (skip_until st "-->"; loop ())
-        else if looking_at st "<![CDATA[" then begin
-          st.pos <- st.pos + String.length "<![CDATA[";
-          let start = st.pos in
-          skip_until st "]]>";
-          Buffer.add_string buf (String.sub st.input start (st.pos - start - 3));
-          loop ()
-        end
-        else if looking_at st "<?" then (skip_until st "?>"; loop ())
-        else begin
-          flush_text ();
-          children := parse_element st :: !children;
-          loop ()
-        end
-    | Some '&' -> Buffer.add_string buf (decode_entity st); loop ()
-    | Some c -> Buffer.add_char buf c; advance st; loop ()
+    text st content_char buf;
+    if Scan.eof st then Scan.fail st (Printf.sprintf "unterminated element <%s>" tag)
+    else if Scan.looking_at st "</" then begin
+      flush_text ();
+      Scan.expect st "</";
+      let closing = name st in
+      if not (String.equal closing tag) then
+        raise
+          (Scan.Fail
+             ( st.pos - String.length closing,
+               Printf.sprintf "mismatched closing tag </%s> for <%s>" closing tag ));
+      Scan.skip_space st;
+      Scan.expect st ">"
+    end
+    else if Scan.looking_at st "<!--" then (Scan.skip_past st "-->"; loop ())
+    else if Scan.looking_at st "<![CDATA[" then begin
+      let start = st.pos + String.length "<![CDATA[" in
+      Scan.skip_past st "]]>";
+      Buffer.add_substring buf st.input start (st.pos - start - 3);
+      loop ()
+    end
+    else if Scan.looking_at st "<?" then (Scan.skip_past st "?>"; loop ())
+    else begin
+      flush_text ();
+      children := element st :: !children;
+      loop ()
+    end
   in
   loop ();
   List.rev !children
 
-let parse input =
-  let st = { input; pos = 0 } in
-  try
-    skip_misc st;
-    let root = parse_element st in
-    skip_misc st;
-    skip_space st;
-    if st.pos <> String.length input then Error { position = st.pos; message = "trailing content after document element" }
-    else Ok root
-  with Fail e -> Error e
+let document st =
+  skip_misc st;
+  let root = element st in
+  skip_misc st;
+  root
 
-let parse_exn input =
-  match parse input with
-  | Ok doc -> doc
-  | Error e -> invalid_arg (Fmt.str "%a" pp_error e)
+let parse input =
+  Scan.run input (fun st ->
+      let root = document st in
+      Scan.finish st;
+      root)
+
+let parse_exn = Scan.unwrap parse

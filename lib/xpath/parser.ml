@@ -1,4 +1,4 @@
-(* Parser for the XPath subset.
+(* Parser for the XPath subset, over the shared Scan cursor.
 
    Grammar (whitespace allowed around tokens inside predicates):
 
@@ -11,32 +11,7 @@
      CMP       ::= '=' | '!=' | '<' | '<=' | '>' | '>='
      literal   ::= NUMBER | '"' chars '"' | '\'' chars '\'' *)
 
-type error = { position : int; message : string }
-
-let pp_error ppf e = Fmt.pf ppf "XPath parse error at offset %d: %s" e.position e.message
-
-exception Fail of error
-
-type state = {
-  input : string;
-  mutable pos : int;
-}
-
-let fail st message = raise (Fail { position = st.pos; message })
-
-let peek st = if st.pos < String.length st.input then Some st.input.[st.pos] else None
-
-let peek2 st =
-  if st.pos + 1 < String.length st.input then Some st.input.[st.pos + 1] else None
-
-let advance st = st.pos <- st.pos + 1
-
-let is_space = function ' ' | '\t' | '\n' | '\r' -> true | _ -> false
-
-let skip_space st =
-  while (match peek st with Some c when is_space c -> true | _ -> false) do
-    advance st
-  done
+module Scan = Xia_xml.Scan
 
 let is_name_start = function
   | 'a' .. 'z' | 'A' .. 'Z' | '_' -> true
@@ -45,172 +20,102 @@ let is_name_start = function
 let is_name_char c =
   is_name_start c || (match c with '0' .. '9' | '-' | '.' | ':' -> true | _ -> false)
 
-let parse_name st =
-  let start = st.pos in
-  (match peek st with
-  | Some c when is_name_start c -> advance st
-  | _ -> fail st "expected a name");
-  while (match peek st with Some c when is_name_char c -> true | _ -> false) do
-    advance st
-  done;
-  String.sub st.input start (st.pos - start)
+let is_digit = function '0' .. '9' -> true | _ -> false
 
-let parse_axis_leading st =
+let name st = Scan.name st is_name_start is_name_char
+
+let axis st =
   (* At the start of an absolute path or between steps. *)
-  match peek st with
-  | Some '/' ->
-      advance st;
-      if peek st = Some '/' then (advance st; Ast.Descendant) else Ast.Child
-  | _ -> fail st "expected '/' or '//'"
+  if Scan.looking_at st "//" then (Scan.expect st "//"; Ast.Descendant)
+  else (Scan.expect st "/"; Ast.Child)
 
-let parse_name_test st =
-  match peek st with
-  | Some '*' -> advance st; Ast.Elem Ast.Wildcard
+let name_test st =
+  match Scan.peek st with
+  | Some '*' -> Scan.advance st; Ast.Elem Ast.Wildcard
   | Some '@' ->
-      advance st;
-      (match peek st with
-      | Some '*' -> advance st; Ast.Attr Ast.Wildcard
-      | _ -> Ast.Attr (Ast.Name (parse_name st)))
-  | _ -> Ast.Elem (Ast.Name (parse_name st))
+      Scan.advance st;
+      if Scan.looking_at st "*" then (Scan.advance st; Ast.Attr Ast.Wildcard)
+      else Ast.Attr (Ast.Name (name st))
+  | _ -> Ast.Elem (Ast.Name (name st))
 
-let parse_number st =
+let number (st : Scan.t) =
   let start = st.pos in
-  (match peek st with Some '-' -> advance st | _ -> ());
-  let digits = ref 0 in
-  while (match peek st with Some ('0' .. '9') -> true | _ -> false) do
-    incr digits; advance st
-  done;
-  if peek st = Some '.' && (match peek2 st with Some ('0' .. '9') -> true | _ -> false)
-  then begin
-    advance st;
-    while (match peek st with Some ('0' .. '9') -> true | _ -> false) do
-      incr digits; advance st
-    done
-  end;
-  if !digits = 0 then fail st "expected a number";
+  if Scan.looking_at st "-" then Scan.advance st;
+  let digits = st.pos in
+  Scan.skip_while st is_digit;
+  if
+    Scan.looking_at st "."
+    && st.pos + 1 < String.length st.input
+    && is_digit st.input.[st.pos + 1]
+  then (Scan.advance st; Scan.skip_while st is_digit);
+  if st.pos = digits then Scan.fail st "expected a number";
   float_of_string (String.sub st.input start (st.pos - start))
 
-let parse_literal st =
-  match peek st with
-  | Some (('"' | '\'') as q) ->
-      advance st;
-      let start = st.pos in
-      while (match peek st with Some c when c <> q -> true | _ -> false) do
-        advance st
-      done;
-      (match peek st with
-      | Some c when c = q ->
-          let s = String.sub st.input start (st.pos - start) in
-          advance st;
-          Ast.String_lit s
-      | _ -> fail st "unterminated string literal")
-  | Some ('0' .. '9' | '-') -> Ast.Number_lit (parse_number st)
-  | _ -> fail st "expected a literal"
+let literal st =
+  match Scan.peek st with
+  | Some ('"' | '\'') -> Ast.String_lit (Scan.quoted st)
+  | Some ('0' .. '9' | '-') -> Ast.Number_lit (number st)
+  | _ -> Scan.fail st "expected a literal"
 
-let parse_cmp st =
-  match peek st with
-  | Some '=' -> advance st; Ast.Eq
-  | Some '!' ->
-      advance st;
-      if peek st = Some '=' then (advance st; Ast.Ne) else fail st "expected '!='"
-  | Some '<' ->
-      advance st;
-      if peek st = Some '=' then (advance st; Ast.Le) else Ast.Lt
-  | Some '>' ->
-      advance st;
-      if peek st = Some '=' then (advance st; Ast.Ge) else Ast.Gt
-  | _ -> fail st "expected a comparison operator"
+let comparison st =
+  let two_char op op_eq =
+    Scan.advance st;
+    if Scan.looking_at st "=" then (Scan.advance st; op_eq) else op
+  in
+  match Scan.peek st with
+  | Some '=' -> Scan.advance st; Some Ast.Eq
+  | Some '!' -> Scan.advance st; Scan.expect st "="; Some Ast.Ne
+  | Some '<' -> Some (two_char Ast.Lt Ast.Le)
+  | Some '>' -> Some (two_char Ast.Gt Ast.Ge)
+  | _ -> None
 
-let rec parse_step st =
-  let test = parse_name_test st in
-  let predicates = parse_predicates st [] in
-  (test, predicates)
+let rec step st axis =
+  let test = name_test st in
+  { Ast.axis; test; predicates = predicates st [] }
 
-and parse_predicates st acc =
-  if peek st = Some '[' then begin
-    advance st;
-    skip_space st;
-    let rel =
-      if peek st = Some '.' then (advance st; [])
-      else parse_relative st
-    in
-    skip_space st;
+and predicates st acc =
+  if Scan.looking_at st "[" then begin
+    Scan.advance st;
+    Scan.skip_space st;
+    let rel = if Scan.looking_at st "." then (Scan.advance st; []) else relative st in
+    Scan.skip_space st;
     let pred =
-      match peek st with
-      | Some ']' -> Ast.Exists rel
-      | _ ->
-          let cmp = parse_cmp st in
-          skip_space st;
-          let lit = parse_literal st in
-          Ast.Compare (rel, cmp, lit)
+      if Scan.looking_at st "]" then Ast.Exists rel
+      else
+        match comparison st with
+        | None -> Scan.fail st "expected a comparison operator"
+        | Some cmp ->
+            Scan.skip_space st;
+            Ast.Compare (rel, cmp, literal st)
     in
-    skip_space st;
-    (match peek st with
-    | Some ']' -> advance st
-    | _ -> fail st "expected ']'");
-    parse_predicates st (pred :: acc)
+    Scan.skip_space st;
+    Scan.expect st "]";
+    predicates st (pred :: acc)
   end
   else List.rev acc
 
-and parse_relative st =
+and relative st =
   (* First step has an implicit Child axis (or Descendant for a leading //). *)
-  let first_axis =
-    if peek st = Some '/' then parse_axis_leading st else Ast.Child
-  in
-  let test, predicates = parse_step st in
-  let first = { Ast.axis = first_axis; test; predicates } in
-  parse_rest st [ first ]
+  let first = step st (if Scan.looking_at st "/" then axis st else Ast.Child) in
+  rest st [ first ]
 
-and parse_rest st acc =
-  match peek st with
-  | Some '/' ->
-      let axis = parse_axis_leading st in
-      let test, predicates = parse_step st in
-      parse_rest st ({ Ast.axis; test; predicates } :: acc)
-  | _ -> List.rev acc
+and rest st acc =
+  if Scan.looking_at st "/" then
+    let axis = axis st in
+    rest st (step st axis :: acc)
+  else List.rev acc
 
-let parse_absolute_state st =
-  let axis = parse_axis_leading st in
-  let test, predicates = parse_step st in
-  parse_rest st [ { Ast.axis; test; predicates } ]
+let absolute st =
+  let axis = axis st in
+  rest st [ step st axis ]
 
-let finish st result =
-  skip_space st;
-  if st.pos <> String.length st.input then
-    Error { position = st.pos; message = "trailing characters" }
-  else Ok result
+let whole path input =
+  Scan.run input (fun st ->
+      let p = path st in
+      Scan.finish st;
+      p)
 
-let parse input =
-  let st = { input; pos = 0 } in
-  try finish st (parse_absolute_state st) with Fail e -> Error e
-
-(* Prefix variants: parse greedily from [pos], returning the path and the
-   position of the first unconsumed character.  Used by the query parser to
-   embed paths inside larger statements. *)
-let parse_prefix input ~pos =
-  let st = { input; pos } in
-  try
-    let p = parse_absolute_state st in
-    Ok (p, st.pos)
-  with Fail e -> Error e
-
-let parse_relative_prefix input ~pos =
-  let st = { input; pos } in
-  try
-    let p = parse_relative st in
-    Ok (p, st.pos)
-  with Fail e -> Error e
-
-let parse_relative_path input =
-  let st = { input; pos = 0 } in
-  try finish st (parse_relative st) with Fail e -> Error e
-
-let parse_exn input =
-  match parse input with
-  | Ok p -> p
-  | Error e -> invalid_arg (Fmt.str "%S: %a" input pp_error e)
-
-let parse_relative_exn input =
-  match parse_relative_path input with
-  | Ok p -> p
-  | Error e -> invalid_arg (Fmt.str "%S: %a" input pp_error e)
+let parse = whole absolute
+let parse_relative_path = whole relative
+let parse_exn = Scan.unwrap parse
+let parse_relative_exn = Scan.unwrap parse_relative_path

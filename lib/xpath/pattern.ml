@@ -24,16 +24,19 @@ let pp ppf p = Fmt.string ppf (to_string p)
 
 let of_string_result s =
   match Parser.parse s with
-  | Ok path ->
-      if Ast.has_predicates path then
-        Error { Parser.position = 0; message = "index patterns cannot contain predicates" }
-      else Ok (of_path path)
+  | Ok path when Ast.has_predicates path ->
+      (* Point at the first predicate. *)
+      Error
+        {
+          Xia_xml.Scan.source = "";
+          line = 1;
+          column = String.index s '[' + 1;
+          message = "index patterns cannot contain predicates";
+        }
+  | Ok path -> Ok (of_path path)
   | Error e -> Error e
 
-let of_string s =
-  match of_string_result s with
-  | Ok p -> p
-  | Error e -> invalid_arg (Fmt.str "Pattern.of_string %S: %a" s Parser.pp_error e)
+let of_string s = Xia_xml.Scan.unwrap of_string_result s
 
 let equal_step a b = Ast.equal_axis a.axis b.axis && Ast.equal_node_test a.test b.test
 

@@ -16,7 +16,7 @@ val to_path : t -> Ast.path
 val to_string : t -> string
 val pp : Format.formatter -> t -> unit
 
-val of_string_result : string -> (t, Parser.error) result
+val of_string_result : string -> (t, Xia_xml.Scan.error) result
 
 (** @raise Invalid_argument on malformed input or a path with predicates. *)
 val of_string : string -> t

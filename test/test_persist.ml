@@ -14,6 +14,10 @@ let tmp_dir prefix =
   Sys.mkdir dir 0o755;
   dir
 
+let ok = function
+  | Ok v -> v
+  | Error e -> Alcotest.failf "unexpected error: %s" (Xia_xml.Scan.to_string e)
+
 let write_file dir name content =
   let oc = open_out (Filename.concat dir name) in
   output_string oc content;
@@ -28,27 +32,31 @@ let persist_tests =
         let dir = tmp_dir "xia_save" in
         P.save_directory store dir;
         let store2 = DS.create "T2" in
-        let report = P.load_directory store2 dir in
+        let report = ok (P.load_directory store2 dir) in
         Alcotest.(check int) "loaded" 2 report.P.loaded;
-        Alcotest.(check (list (pair string string))) "no failures" [] report.P.failed;
+        Alcotest.(check int) "no failures" 0 (List.length report.P.failed);
         Alcotest.(check int) "count" 2 (DS.doc_count store2);
         Alcotest.(check int) "elements" (DS.total_elements store) (DS.total_elements store2));
     tc "load skips non-xml files and reports bad xml" (fun () ->
         let dir = tmp_dir "xia_load" in
         write_file dir "good.xml" "<a/>";
-        write_file dir "bad.xml" "<a><b></a>";
+        write_file dir "bad.xml" "<a>\n  <b></a>";
         write_file dir "notes.txt" "not xml";
         let store = DS.create "T" in
-        let report = P.load_directory store dir in
+        let report = ok (P.load_directory store dir) in
         Alcotest.(check int) "loaded" 1 report.P.loaded;
-        Alcotest.(check int) "failed" 1 (List.length report.P.failed);
+        (match report.P.failed with
+        | [ e ] ->
+            Alcotest.(check string) "file" (Filename.concat dir "bad.xml") e.Xia_xml.Scan.source;
+            Alcotest.(check (pair int int)) "line:col" (2, 8) (e.line, e.column)
+        | _ -> Alcotest.fail "expected one failure");
         Alcotest.(check int) "count" 1 (DS.doc_count store));
-    tc "load of missing directory raises" (fun () ->
-        Alcotest.(check bool) "raises" true
-          (try
-             ignore (P.load_directory (DS.create "T") "/nonexistent/dir/xyz");
-             false
-           with Invalid_argument _ -> true));
+    tc "load of missing directory is an error naming it" (fun () ->
+        match P.load_directory (DS.create "T") "/nonexistent/dir/xyz" with
+        | Ok _ -> Alcotest.fail "expected an error"
+        | Error e ->
+            Alcotest.(check string) "source" "/nonexistent/dir/xyz" e.Xia_xml.Scan.source;
+            Alcotest.(check int) "no position" 0 e.line);
     tc "save creates nested directories" (fun () ->
         let store = DS.create "T" in
         ignore (DS.insert store (Helpers.xml "<a/>"));
@@ -62,7 +70,7 @@ let persist_tests =
         write_file dir "b.xml" "<b/>";
         write_file dir "a.xml" "<a/>";
         let store = DS.create "T" in
-        ignore (P.load_directory store dir);
+        ignore (ok (P.load_directory store dir));
         match DS.find store 0 with
         | Some doc ->
             Alcotest.(check (option string)) "first is a.xml" (Some "a")
@@ -77,23 +85,28 @@ let workload_file_tests =
         write_file dir "wl.txt"
           "# comment\n\nfor $x in T/a return $x\n5.5|delete from T where /a\n";
         let lines =
-          P.workload_lines (Filename.concat dir "wl.txt") (fun line freq text ->
-              (line, freq, text))
+          ok (P.workload_lines (Filename.concat dir "wl.txt") (fun freq text -> (freq, text)))
         in
         Alcotest.(check int) "two" 2 (List.length lines);
         (match lines with
-        | [ (l1, f1, _); (l2, f2, s2) ] ->
-            Alcotest.(check (list int)) "file lines" [ 3; 4 ] [ l1; l2 ];
+        | [ (f1, _); (f2, s2) ] ->
             Alcotest.(check (float 0.001)) "default" 1.0 f1;
             Alcotest.(check (float 0.001)) "explicit" 5.5 f2;
             Alcotest.(check string) "text" "delete from T where /a" s2
-        | _ -> Alcotest.fail "unexpected"));
+        | _ -> Alcotest.fail "unexpected");
+        (* A failure [f] raises in a statement is moved to its file line and column. *)
+        match
+          P.workload_lines (Filename.concat dir "wl.txt") (fun _ text ->
+              if text.[0] = 'd' then raise (Xia_xml.Scan.Fail (2, "bad")))
+        with
+        | Ok _ -> Alcotest.fail "expected an error"
+        | Error e -> Alcotest.(check (pair int int)) "file line and column" (4, 7) (e.line, e.column));
     tc "Workload.of_file accepts both languages" (fun () ->
         let dir = tmp_dir "xia_wl2" in
         write_file dir "wl.txt"
           ("for $x in T/a where $x/k = \"v\" return $x\n"
          ^ "2.0|SELECT * FROM T WHERE XMLEXISTS('/a[k=\"v\"]')\n");
-        let wl = W.of_file (Filename.concat dir "wl.txt") in
+        let wl = ok (W.read (Filename.concat dir "wl.txt")) in
         Alcotest.(check int) "two" 2 (W.size wl);
         (* Both lines must expose the same indexable pattern. *)
         match List.map (fun (i : W.item) -> Xia_query.Rewriter.indexable_patterns i.W.statement) wl with
@@ -104,7 +117,8 @@ let workload_file_tests =
     tc "of_file reports parse errors with line numbers" (fun () ->
         let dir = tmp_dir "xia_wl3" in
         write_file dir "wl.txt" "for $x in T/a return $x\nnot a statement\n";
-        Alcotest.(check bool) "raises" true
+        Alcotest.(check bool) "error" true (Result.is_error (W.read (Filename.concat dir "wl.txt")));
+        Alcotest.(check bool) "of_file raises" true
           (try
              ignore (W.of_file (Filename.concat dir "wl.txt"));
              false
@@ -112,14 +126,12 @@ let workload_file_tests =
     tc "of_file reports the file line, not the statement count" (fun () ->
         let dir = tmp_dir "xia_wl4" in
         let path = Filename.concat dir "wl.txt" in
-        write_file dir "wl.txt" "# header\n\nfor $x in T/a return $x\nnot a statement\n";
-        match W.of_file path with
-        | _ -> Alcotest.fail "expected a parse error"
-        | exception Invalid_argument msg ->
-            Alcotest.(check bool)
-              (Printf.sprintf "names line 4: %s" msg)
-              true
-              (String.starts_with ~prefix:(path ^ ": line 4: ") msg));
+        write_file dir "wl.txt" "# header\n\nfor $x in T/a return $x\n  2 | not a statement\n";
+        match W.read path with
+        | Ok _ -> Alcotest.fail "expected a parse error"
+        | Error e ->
+            Alcotest.(check string) "file" path e.Xia_xml.Scan.source;
+            Alcotest.(check (pair int int)) "file line and column" (4, 7) (e.line, e.column));
     tc "negative and non-finite frequencies are rejected, zero is not" (fun () ->
         let dir = tmp_dir "xia_wl5" in
         let path = Filename.concat dir "wl.txt" in
@@ -127,16 +139,15 @@ let workload_file_tests =
           (fun prefix ->
             write_file dir "wl.txt"
               ("for $x in T/a return $x\n" ^ prefix ^ "|for $x in T/a return $x\n");
-            match W.of_file path with
-            | _ -> Alcotest.failf "prefix %S accepted" prefix
-            | exception Invalid_argument msg ->
-                Alcotest.(check bool)
-                  (Printf.sprintf "%S names file and line 2: %s" prefix msg)
-                  true
-                  (String.starts_with ~prefix:(path ^ ": line 2: ") msg))
+            match W.read path with
+            | Ok _ -> Alcotest.failf "prefix %S accepted" prefix
+            | Error e ->
+                Alcotest.(check (pair string int))
+                  (Printf.sprintf "%S names file and line 2" prefix)
+                  (path, 2) (e.Xia_xml.Scan.source, e.line))
           [ "nan"; "inf"; "-inf"; "-5"; " -0.5 " ];
         write_file dir "wl.txt" "0|for $x in T/a return $x\n";
-        match W.of_file path with
+        match ok (W.read path) with
         | [ item ] -> Alcotest.(check (float 0.0)) "zero kept" 0.0 item.W.freq
         | _ -> Alcotest.fail "expected one item");
     tc "repeated lines parse to per-line parse_any and share one value" (fun () ->
@@ -155,7 +166,7 @@ let workload_file_tests =
           ^ String.concat "\n# between\n"
               (List.map (fun (prefix, text) -> prefix ^ text) lines)
           ^ "\n");
-        let wl = W.of_file (Filename.concat dir "wl.txt") in
+        let wl = ok (W.read (Filename.concat dir "wl.txt")) in
         let expected =
           List.mapi
             (fun i (prefix, text) ->

@@ -62,6 +62,14 @@ let parser_tests =
         | _ -> Alcotest.fail "expected update");
     tc "rejects garbage" (fun () ->
         Alcotest.(check bool) "err" true (Result.is_error (S.parse_statement "DROP TABLE x")));
+    tc "xmlexists path errors point inside the literal" (fun () ->
+        (match S.parse_statement {|SELECT * FROM T WHERE XMLEXISTS('/a[b=]')|} with
+        | Ok _ -> Alcotest.fail "expected an error"
+        | Error e -> Alcotest.(check (pair int int)) "at ]" (1, 39) (e.line, e.column));
+        (* Each '' escape before the error counts as the two characters it is. *)
+        match S.parse_statement {|SELECT * FROM T WHERE XMLEXISTS('/a[b=''x'' c]')|} with
+        | Ok _ -> Alcotest.fail "expected an error"
+        | Error e -> Alcotest.(check (pair int int)) "at c" (1, 45) (e.line, e.column));
     tc "rejects trailing content" (fun () ->
         Alcotest.(check bool) "err" true
           (Result.is_error (S.parse_statement {|SELECT * FROM T WHERE XMLEXISTS('/a') junk|})));
@@ -108,6 +116,14 @@ let equivalence_tests =
         (match S.parse_any {|INSERT INTO T VALUES ('<a/>')|} with
         | Ok (`Sqlxml _) -> ()
         | _ -> Alcotest.fail "expected sqlxml insert"));
+    tc "parse_any reports the grammar that got further" (fun () ->
+        (* XQuery fails at the closing tag, SQL/XML already at the missing
+           VALUES: the XML error is the one that explains the statement. *)
+        match S.parse_located "insert into T <a><b></a>" with
+        | Ok _ -> Alcotest.fail "expected an error"
+        | Error e ->
+            Alcotest.(check (pair int int)) "at </a>" (1, 23) (e.line, e.column);
+            Alcotest.(check string) "message" "mismatched closing tag </a> for <b>" e.message);
   ]
 
 let suites =

@@ -10,7 +10,7 @@ let tc name f = Alcotest.test_case name `Quick f
 let parse_ok s =
   match P.parse s with
   | Ok doc -> doc
-  | Error e -> Alcotest.failf "parse %S failed: %a" s P.pp_error e
+  | Error e -> Alcotest.failf "parse %S failed: %a" s Xia_xml.Scan.pp_error e
 
 let parse_err s =
   match P.parse s with

@@ -58,11 +58,10 @@ let parser_tests =
         let p = P.parse_relative_exn "a//b" in
         check Alcotest.string "rt" "a//b" (Pr.relative_to_string p));
     tc "prefix parsing stops at foreign char" (fun () ->
-        match P.parse_prefix "/a/b = 3" ~pos:0 with
-        | Ok (p, stop) ->
-            check Alcotest.string "path" "/a/b" (Pr.path_to_string p);
-            check Alcotest.int "pos" 4 stop
-        | Error _ -> Alcotest.fail "prefix parse failed");
+        let st = { Xia_xml.Scan.input = "/a/b = 3"; pos = 0 } in
+        let p = P.absolute st in
+        check Alcotest.string "path" "/a/b" (Pr.path_to_string p);
+        check Alcotest.int "pos" 4 st.pos);
     tc "rejects empty" (fun () ->
         Alcotest.(check bool) "err" true (Result.is_error (P.parse "")));
     tc "rejects relative in absolute position" (fun () ->
