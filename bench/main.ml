@@ -703,6 +703,8 @@ let micro () =
     Xia_query.Parser.parse_statement_exn
       {|for $sec in SECURITY('SDOC')/Security[Yield>4.5] where $sec/SecInfo/*/Sector = "Energy" return $sec|}
   in
+  let quick_catalog = Catalog.create () in
+  Tpox.load ~scale:Tpox.tiny_scale quick_catalog;
   let pat_g = Xia_xpath.Pattern.of_string "/Security//*" in
   let pat_s = Xia_xpath.Pattern.of_string "/Security/SecInfo/*/Sector" in
   let path = Xia_xpath.Parser.parse_exn "/Security[Yield>4.5]/SecInfo/*/Sector" in
@@ -723,8 +725,8 @@ let micro () =
       Test.make ~name:"xpath.parse"
         (Staged.stage (fun () ->
              ignore (Xia_xpath.Parser.parse_exn "/Security[Yield>4.5]/SecInfo/*/Sector")));
-      Test.make ~name:"xpath.eval_doc"
-        (Staged.stage (fun () -> ignore (Xia_xpath.Eval.eval_doc doc path)));
+      Test.make ~name:"xpath.eval"
+        (Staged.stage (fun () -> ignore (Xia_xpath.Eval.eval doc path)));
       Test.make ~name:"nfa.containment"
         (Staged.stage (fun () ->
              ignore (Xia_xpath.Nfa.contained (nfa_of pat_s) (nfa_of pat_g))));
@@ -738,12 +740,7 @@ let micro () =
       Test.make ~name:"optimizer.evaluate"
         (Staged.stage (fun () ->
              ignore (Optimizer.statement_cost ~mode:Optimizer.Evaluate catalog q2)));
-      (* Old vs new matching: the linear scan re-runs the NFA over every
-         distinct path; the production path is one trie walk, served from the
-         shared per-stats cache on repeats. *)
-      Test.make ~name:"stats.matching_linear"
-        (Staged.stage (fun () ->
-             ignore (Xia_storage.Path_stats.matching_linear stats pat_g)));
+      (* One trie walk, served from the shared per-stats cache on repeats. *)
       Test.make ~name:"stats.matching"
         (Staged.stage (fun () -> ignore (Xia_storage.Path_stats.matching stats pat_g)));
       Test.make ~name:"benefit.basics_warm"
@@ -753,6 +750,13 @@ let micro () =
              ignore (Benefit.individual_benefit ev (List.hd basics))));
       Test.make ~name:"advisor.enumerate_workload"
         (Staged.stage (fun () -> ignore (Enumeration.basic_candidates catalog workload)));
+      (* Validation's document scan: Q2 without indexes over the quick TPoX
+         catalog (300 SECURITY documents, whatever the harness scale), so
+         every document is visited, charged and tested against the where
+         clause. *)
+      Test.make ~name:"executor.scan"
+        (Staged.stage (fun () ->
+             ignore (Xia_optimizer.Executor.run_statement quick_catalog q2)));
       (* Whole-program lint over lib/: parse every unit, build the cross-unit
          call graph, run all checks.  The directory probe covers both launch
          modes (dune exec from the checkout root; @bench-quick from the build

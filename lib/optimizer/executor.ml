@@ -71,28 +71,27 @@ let probe pi (access : Rewriter.access) =
               Physical_index.lookup_range pi ~lo:(Physical_index.Inclusive key)
                 ~hi:Physical_index.Unbounded))
 
-(* Bound nodes of a binding within one document, after the where clauses
-   (CNF: every group must have at least one satisfied disjunct). *)
-let binding_matches (info : Rewriter.binding_info) (where : Ast.where_group list) doc =
-  let root = Eval.annotate doc in
-  let bound = Eval.eval_elements root info.source.Ast.path in
-  let my_groups =
-    List.filter
-      (fun (group : Ast.where_group) ->
-        match group with
-        | [] -> false
-        | first :: _ -> String.equal first.Ast.var info.var)
-      where
-  in
+(* The where-clause groups (CNF: every group must have at least one
+   satisfied disjunct) that constrain a binding's variable. *)
+let binding_groups (info : Rewriter.binding_info) (where : Ast.where_group list) =
   List.filter
-    (fun node ->
-      List.for_all
-        (fun group ->
-          List.exists
-            (fun (w : Ast.where_clause) -> Eval.predicate_holds_on node w.predicate)
-            group)
-        my_groups)
-    bound
+    (fun (group : Ast.where_group) ->
+      match group with
+      | [] -> false
+      | first :: _ -> String.equal first.Ast.var info.var)
+    where
+
+let rec groups_hold e = function
+  | [] -> true
+  | group :: groups -> group_holds e group && groups_hold e groups
+
+and group_holds e = function
+  | [] -> false
+  | (w : Ast.where_clause) :: ws -> Eval.predicate_holds_on e w.predicate || group_holds e ws
+
+(* Bound nodes of a binding within one document, after its where groups. *)
+let binding_matches path groups doc =
+  List.filter (fun (n : Eval.elem) -> groups_hold n.element groups) (Eval.eval_elements doc path)
 
 let where_of_statement = function
   | Ast.Select f -> f.where
@@ -105,12 +104,13 @@ let physical_for catalog (choice : Plan.index_choice) =
     (fun pi -> Index_def.same (Physical_index.def pi) choice.def)
     (Catalog.real_indexes catalog table)
 
-let doc_pages doc =
-  Float.max 1.0 (float_of_int (Xia_xml.Types.byte_size doc) /. float_of_int C.page_size)
+(* Charges for one document, from the sizes its store entry keeps. *)
+let doc_pages (e : Doc_store.entry) =
+  Float.max 1.0 (float_of_int e.bytes /. float_of_int C.page_size)
 
 (* CPU charge for navigating one document during verification. *)
-let doc_cpu doc nfilters =
-  (float_of_int (Xia_xml.Types.count_elements doc) *. C.cpu_per_node)
+let doc_cpu (e : Doc_store.entry) nfilters =
+  (float_of_int e.elements *. C.cpu_per_node)
   +. (float_of_int (nfilters + 1) *. C.cpu_per_predicate)
 
 (* Execute one binding, returning the matching (doc_id, bound nodes) pairs. *)
@@ -118,15 +118,17 @@ let run_binding catalog metrics where (b : Plan.planned_binding) =
   let table = b.info.Rewriter.source.Ast.table in
   let store = Catalog.store catalog table in
   let nfilters = List.length b.info.Rewriter.filters in
+  let path = b.info.Rewriter.source.Ast.path in
+  let groups = binding_groups b.info where in
   let scan_all () =
     metrics.simulated_cost <-
       metrics.simulated_cost
       +. (float_of_int (Doc_store.pages store) *. C.sequential_page_cost);
     Doc_store.fold
-      (fun doc_id doc acc ->
+      (fun doc_id (e : Doc_store.entry) acc ->
         metrics.docs_scanned <- metrics.docs_scanned + 1;
-        metrics.simulated_cost <- metrics.simulated_cost +. doc_cpu doc nfilters;
-        match binding_matches b.info where doc with
+        metrics.simulated_cost <- metrics.simulated_cost +. doc_cpu e nfilters;
+        match binding_matches path groups e.doc with
         | [] -> acc
         | nodes -> (doc_id, nodes) :: acc)
       store []
@@ -134,15 +136,15 @@ let run_binding catalog metrics where (b : Plan.planned_binding) =
   let fetch_and_verify doc_ids =
     List.filter_map
       (fun doc_id ->
-        match Doc_store.find store doc_id with
+        match Doc_store.find_entry store doc_id with
         | None -> None
-        | Some doc ->
+        | Some e ->
             metrics.docs_fetched <- metrics.docs_fetched + 1;
             metrics.simulated_cost <-
               metrics.simulated_cost
-              +. (doc_pages doc *. C.effective_random_page_cost)
-              +. doc_cpu doc nfilters;
-            (match binding_matches b.info where doc with
+              +. (doc_pages e *. C.effective_random_page_cost)
+              +. doc_cpu e nfilters;
+            (match binding_matches path groups e.doc with
             | [] -> None
             | nodes -> Some (doc_id, nodes)))
       doc_ids
@@ -232,10 +234,8 @@ let run_binding catalog metrics where (b : Plan.planned_binding) =
 
 (* Replace the direct text of the elements matched by [target]. *)
 let set_value doc target new_value =
-  let root = Eval.annotate doc in
-  let hits = Eval.eval_elements root target in
   let hit_set = Hashtbl.create 8 in
-  List.iter (fun (n : Eval.anode) -> Hashtbl.replace hit_set n.pre ()) hits;
+  List.iter (fun (n : Eval.elem) -> Hashtbl.replace hit_set n.pre ()) (Eval.eval_elements doc target);
   let counter = ref 0 in
   let rec rebuild = function
     | Xia_xml.Types.Text _ as t -> t
@@ -276,9 +276,12 @@ let run_plan catalog (plan : Plan.t) =
           1 plan.Plan.bindings
     | Ast.Insert { table; document } ->
         let store = Catalog.store catalog table in
-        ignore (Doc_store.insert store document);
-        metrics.simulated_cost <-
-          metrics.simulated_cost +. (doc_pages document *. C.sequential_page_cost);
+        let id = Doc_store.insert store document in
+        Option.iter
+          (fun e ->
+            metrics.simulated_cost <-
+              metrics.simulated_cost +. (doc_pages e *. C.sequential_page_cost))
+          (Doc_store.find_entry store id);
         1
     | Ast.Delete { table; _ } ->
         let store = Catalog.store catalog table in
@@ -298,12 +301,12 @@ let run_plan catalog (plan : Plan.t) =
         in
         List.iter
           (fun doc_id ->
-            match Doc_store.find store doc_id with
+            match Doc_store.find_entry store doc_id with
             | None -> ()
-            | Some doc ->
-                ignore (Doc_store.replace store doc_id (set_value doc target new_value));
+            | Some e ->
+                ignore (Doc_store.replace store doc_id (set_value e.doc target new_value));
                 metrics.simulated_cost <-
-                  metrics.simulated_cost +. (doc_pages doc *. C.sequential_page_cost))
+                  metrics.simulated_cost +. (doc_pages e *. C.sequential_page_cost))
           victims;
         List.length victims
   in

@@ -19,9 +19,18 @@ type change = {
    full rebuild. *)
 let log_limit = 20_000
 
+(* A stored document with its sizes, computed once on the way in: the
+   executor charges every visit from them, and delete and replace subtract
+   them from the table totals without re-walking the old document. *)
+type entry = {
+  doc : Xia_xml.Types.t;
+  elements : int;
+  bytes : int;
+}
+
 type t = {
   name : string;
-  docs : (doc_id, Xia_xml.Types.t) Hashtbl.t;
+  docs : (doc_id, entry) Hashtbl.t;
   mutable next_id : int;
   mutable total_bytes : int;
   mutable total_elements : int;
@@ -70,43 +79,51 @@ let total_elements t = t.total_elements
 let pages t =
   max 1 ((t.total_bytes + Cost_params.page_size - 1) / Cost_params.page_size)
 
+let entry doc =
+  { doc; elements = Xia_xml.Types.count_elements doc; bytes = Xia_xml.Types.byte_size doc }
+
+let add_sizes t sign e =
+  t.total_bytes <- t.total_bytes + (sign * e.bytes);
+  t.total_elements <- t.total_elements + (sign * e.elements)
+
 let insert t doc =
   let id = t.next_id in
+  let e = entry doc in
   t.next_id <- id + 1;
-  Hashtbl.replace t.docs id doc;
-  t.total_bytes <- t.total_bytes + Xia_xml.Types.byte_size doc;
-  t.total_elements <- t.total_elements + Xia_xml.Types.count_elements doc;
+  Hashtbl.replace t.docs id e;
+  add_sizes t 1 e;
   t.generation <- t.generation + 1;
   record t `Insert id doc;
   id
 
-let find t id = Hashtbl.find_opt t.docs id
+let find_entry t id = Hashtbl.find_opt t.docs id
+
+let find t id = Option.map (fun e -> e.doc) (find_entry t id)
 
 let delete t id =
   match Hashtbl.find_opt t.docs id with
   | None -> false
-  | Some doc ->
+  | Some old ->
       Hashtbl.remove t.docs id;
-      t.total_bytes <- t.total_bytes - Xia_xml.Types.byte_size doc;
-      t.total_elements <- t.total_elements - Xia_xml.Types.count_elements doc;
+      add_sizes t (-1) old;
       t.generation <- t.generation + 1;
-      record t `Delete id doc;
+      record t `Delete id old.doc;
       true
 
 let replace t id doc =
   match Hashtbl.find_opt t.docs id with
   | None -> false
   | Some old ->
-      Hashtbl.replace t.docs id doc;
-      t.total_bytes <- t.total_bytes - Xia_xml.Types.byte_size old + Xia_xml.Types.byte_size doc;
-      t.total_elements <-
-        t.total_elements - Xia_xml.Types.count_elements old + Xia_xml.Types.count_elements doc;
+      let e = entry doc in
+      Hashtbl.replace t.docs id e;
+      add_sizes t (-1) old;
+      add_sizes t 1 e;
       t.generation <- t.generation + 1;
-      record t `Delete id old;
+      record t `Delete id old.doc;
       record t `Insert id doc;
       true
 
-let iter f t = Hashtbl.iter f t.docs
+let iter f t = Hashtbl.iter (fun id e -> f id e.doc) t.docs
 
 let fold f t init = Hashtbl.fold f t.docs init
 

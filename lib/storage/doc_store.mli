@@ -12,6 +12,15 @@ type change = {
 
 type t
 
+(** A stored document with its element count and serialized byte size
+    ({!Xia_xml.Types.count_elements}, {!Xia_xml.Types.byte_size}), computed
+    once on insert or replace. *)
+type entry = private {
+  doc : Xia_xml.Types.t;
+  elements : int;
+  bytes : int;
+}
+
 val create : string -> t
 
 val name : t -> string
@@ -33,6 +42,7 @@ val pages : t -> int
 
 val insert : t -> Xia_xml.Types.t -> doc_id
 val find : t -> doc_id -> Xia_xml.Types.t option
+val find_entry : t -> doc_id -> entry option
 
 (** [false] when the document does not exist. *)
 val delete : t -> doc_id -> bool
@@ -41,7 +51,7 @@ val delete : t -> doc_id -> bool
 val replace : t -> doc_id -> Xia_xml.Types.t -> bool
 
 val iter : (doc_id -> Xia_xml.Types.t -> unit) -> t -> unit
-val fold : (doc_id -> Xia_xml.Types.t -> 'a -> 'a) -> t -> 'a -> 'a
+val fold : (doc_id -> entry -> 'a -> 'a) -> t -> 'a -> 'a
 val doc_ids : t -> doc_id list
 
 val avg_doc_bytes : t -> float

@@ -208,18 +208,11 @@ let path_count t = Hashtbl.length t.paths
 
 let all_paths t = List.map (fun info -> info.path) t.ordered
 
-(* Reference implementation of pattern-to-path matching: one full NFA run
-   per dataguide path.  Kept (uncached) as the differential-test oracle and
-   the "before" side of the micro-benchmarks; [matching] below must return
-   the identical list. *)
-let matching_linear t pattern =
-  List.filter (fun info -> Xia_xpath.Pattern.accepts pattern info.path) t.ordered
-
 (* Paths covered by a linear index pattern, via a single trie walk: the NFA
    state set advances once per shared label prefix instead of once per path,
    and a dead state set prunes the whole subtree.  Each label's match mask is
    computed once per walk ([mask_memo]); matched terminal indices are sorted
-   so the result order equals the linear filter's ([ordered] order). *)
+   so the result is in [ordered] order. *)
 let matching_walk t nfa =
   let desc = Xia_xpath.Nfa.desc_mask nfa in
   let mask_memo : (int, int) Hashtbl.t = Hashtbl.create 32 in

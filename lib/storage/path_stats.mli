@@ -52,9 +52,4 @@ val all_paths : t -> string list list
     label prefix.  Memoized per pattern id (shared across domains). *)
 val matching : t -> Xia_xpath.Pattern.t -> path_info list
 
-(** Reference implementation (one NFA run per path, no cache): the
-    differential-test oracle and micro-benchmark baseline.  Always equal to
-    {!matching}. *)
-val matching_linear : t -> Xia_xpath.Pattern.t -> path_info list
-
 val avg_value_bytes : path_info -> float

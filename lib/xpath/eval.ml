@@ -1,54 +1,28 @@
 (* XPath evaluation over an XML document.
 
-   Evaluation works on an annotated view of the tree in which every element
-   carries its preorder rank and its concatenated direct text value.  The
-   result of evaluating a path is the set of matched nodes (elements or
-   attributes) with their values, in document order and without duplicates. *)
+   Evaluation walks [Xia_xml.Types.t] directly; nothing is copied.  A path
+   is evaluated step by step over a list of contexts (elements or
+   attributes).  Element contexts carry their preorder rank, counted during
+   the walk, because the rank is the node's identity ([Types.node_id.pre]).
+   The result is the list of nodes the last step reaches, in the order the
+   steps reach them and without duplicates; a node's value is read only
+   when a result or a predicate needs it.
 
-type anode = {
+   Predicates only ask whether some node exists, so they are a depth-first
+   existential search over the raw tree that stops at the first witness.
+   It needs no ranks, no intermediate lists and no duplicate removal
+   (duplicates cannot change "exists").  Its functions are all top-level,
+   so testing a predicate allocates nothing. *)
+
+module T = Xia_xml.Types
+
+type elem = {
+  element : T.element;
   pre : int;
-  tag : string;
-  attrs : (string * string) array;
-  value : string;
-  children : anode list;
 }
 
-let annotate doc =
-  let counter = ref 0 in
-  let rec walk = function
-    | Xia_xml.Types.Text _ -> None
-    | Xia_xml.Types.Element e ->
-        let pre = !counter in
-        incr counter;
-        let children = List.filter_map walk e.children in
-        Some
-          {
-            pre;
-            tag = e.tag;
-            attrs = Array.of_list e.attrs;
-            value = Xia_xml.Types.direct_text e;
-            children;
-          }
-  in
-  match walk doc with
-  | Some root -> root
-  | None -> invalid_arg "Eval.annotate: document root is a text node"
-
-(* Evaluation context: an element or one of its attributes. *)
-type context =
-  | C_elem of anode
-  | C_attr of anode * int
-
-let context_id = function
-  | C_elem n -> { Xia_xml.Types.pre = n.pre; attr = None }
-  | C_attr (n, i) -> { Xia_xml.Types.pre = n.pre; attr = Some i }
-
-let context_value = function
-  | C_elem n -> n.value
-  | C_attr (n, i) -> snd n.attrs.(i)
-
 type match_ = {
-  id : Xia_xml.Types.node_id;
+  id : T.node_id;
   value : string;
 }
 
@@ -57,46 +31,185 @@ let name_test_ok nt tag =
   | Ast.Wildcard -> true
   | Ast.Name s -> String.equal s tag
 
-let rec descendants_acc n acc =
-  List.fold_left (fun acc c -> descendants_acc c (c :: acc)) acc n.children
+(* The value a value index stores for an element, its direct text; the
+   usual leaf [<a>v</a>] returns [v] itself. *)
+let element_value (e : T.element) =
+  match e.children with
+  | [] -> ""
+  | [ T.Text s ] -> s
+  | _ -> T.direct_text e
 
-(* All proper descendants of [n], in reverse document order. *)
-let descendants n = descendants_acc n []
+let root_element fn = function
+  | T.Element e -> e
+  | T.Text _ -> invalid_arg (fn ^ ": document root is a text node")
 
-let attr_contexts nt n =
-  let acc = ref [] in
-  Array.iteri
-    (fun i (k, _) -> if name_test_ok nt k then acc := C_attr (n, i) :: !acc)
-    n.attrs;
-  List.rev !acc
+(* ---------- predicates: existential search ---------- *)
 
-(* One structural step from a single context node (predicates not applied). *)
-let step_from ctx (s : Ast.step) =
-  match ctx with
-  | C_attr _ -> []
-  | C_elem n -> (
-      match s.axis, s.test with
-      | Ast.Child, Ast.Elem nt ->
-          List.filter_map
-            (fun c -> if name_test_ok nt c.tag then Some (C_elem c) else None)
-            n.children
-      | Ast.Child, Ast.Attr nt -> attr_contexts nt n
-      | Ast.Descendant, Ast.Elem nt ->
-          List.rev
-            (List.filter
-               (fun c -> match c with C_elem d -> name_test_ok nt d.tag | C_attr _ -> false)
-               (List.rev_map (fun d -> C_elem d) (descendants n)))
-      | Ast.Descendant, Ast.Attr nt ->
-          (* descendant-or-self::node()/attribute::nt *)
-          let nodes = n :: List.rev (descendants n) in
-          List.concat_map (attr_contexts nt) nodes)
+(* [goal] is the predicate under test.  A node its relative path reaches is
+   a witness for [Exists], and for [Compare] when its value compares true. *)
+let goal_value goal v =
+  match goal with
+  | Ast.Exists _ -> true
+  | Ast.Compare (_, cmp, lit) -> Ast.literal_matches v cmp lit
 
-let dedup_contexts ctxs =
+(* From an attribute, only the empty relative path reaches a node. *)
+let holds_on_attr v = function
+  | Ast.Exists [] -> true
+  | Ast.Compare ([], cmp, lit) -> Ast.literal_matches v cmp lit
+  | Ast.Exists (_ :: _) | Ast.Compare (_ :: _, _, _) -> false
+
+let rec all_hold_on_attr v = function
+  | [] -> true
+  | p :: ps -> holds_on_attr v p && all_hold_on_attr v ps
+
+(* Does a node that [steps] reach from element [e] witness [goal]? *)
+let rec reach goal (e : T.element) steps =
+  match steps with
+  | [] -> (
+      match goal with
+      | Ast.Exists _ -> true
+      | Ast.Compare (_, cmp, lit) -> Ast.literal_matches (element_value e) cmp lit)
+  | s :: rest -> step_reach goal e.attrs e.children s rest
+
+(* One step from a parent with attributes [attrs] and children [cs]. *)
+and step_reach goal attrs cs (s : Ast.step) rest =
+  match s.axis, s.test, rest with
+  | Ast.Child, Ast.Elem nt, _ -> child_reach goal nt s.predicates rest cs
+  | Ast.Descendant, Ast.Elem nt, _ -> desc_reach goal nt s.predicates rest cs
+  | _, Ast.Attr _, _ :: _ -> false
+  | Ast.Child, Ast.Attr nt, [] -> attr_reach goal nt s.predicates attrs
+  | Ast.Descendant, Ast.Attr nt, [] ->
+      attr_reach goal nt s.predicates attrs || desc_attr_reach goal nt s.predicates cs
+
+and child_reach goal nt preds rest = function
+  | [] -> false
+  | T.Text _ :: cs -> child_reach goal nt preds rest cs
+  | T.Element c :: cs ->
+      (name_test_ok nt c.tag && all_hold c preds && reach goal c rest)
+      || child_reach goal nt preds rest cs
+
+and desc_reach goal nt preds rest = function
+  | [] -> false
+  | T.Text _ :: cs -> desc_reach goal nt preds rest cs
+  | T.Element c :: cs ->
+      (name_test_ok nt c.tag && all_hold c preds && reach goal c rest)
+      || desc_reach goal nt preds rest c.children
+      || desc_reach goal nt preds rest cs
+
+and attr_reach goal nt preds = function
+  | [] -> false
+  | (k, v) :: attrs ->
+      (name_test_ok nt k && all_hold_on_attr v preds && goal_value goal v)
+      || attr_reach goal nt preds attrs
+
+and desc_attr_reach goal nt preds = function
+  | [] -> false
+  | T.Text _ :: cs -> desc_attr_reach goal nt preds cs
+  | T.Element c :: cs ->
+      attr_reach goal nt preds c.attrs
+      || desc_attr_reach goal nt preds c.children
+      || desc_attr_reach goal nt preds cs
+
+and all_hold e = function
+  | [] -> true
+  | p :: ps -> predicate_holds_on e p && all_hold e ps
+
+and predicate_holds_on e p =
+  match p with
+  | Ast.Exists rel | Ast.Compare (rel, _, _) -> reach p e rel
+
+let any_node = Ast.Exists []
+
+let exists_doc doc path =
+  ignore (root_element "Eval.exists_doc" doc);
+  match path with
+  | [] -> true
+  | s :: rest -> step_reach any_node [] [ doc ] s rest
+
+(* ---------- paths: context lists with ranks ---------- *)
+
+type context =
+  | C_elem of elem
+  | C_attr of {
+      owner : int;  (* rank of the owning element *)
+      index : int;
+      value : string;
+    }
+
+(* [n] plus the number of elements in [cs] and below: skipping a sibling's
+   subtree gives the next sibling's rank. *)
+let rec elements_in n = function
+  | [] -> n
+  | T.Text _ :: cs -> elements_in n cs
+  | T.Element c :: cs -> elements_in (elements_in (n + 1) c.children) cs
+
+(* Each step below conses the contexts it reaches onto [acc], last first.
+   [pre] is the rank of the first element of [cs]. *)
+let rec children_into nt preds cs pre acc =
+  match cs with
+  | [] -> acc
+  | T.Text _ :: cs -> children_into nt preds cs pre acc
+  | T.Element c :: cs ->
+      let acc =
+        if name_test_ok nt c.tag && all_hold c preds then C_elem { element = c; pre } :: acc
+        else acc
+      in
+      (match cs with
+      | [] -> acc
+      | _ -> children_into nt preds cs (elements_in (pre + 1) c.children) acc)
+
+let rec attrs_into nt preds owner index attrs acc =
+  match attrs with
+  | [] -> acc
+  | (k, v) :: attrs ->
+      let acc =
+        if name_test_ok nt k && all_hold_on_attr v preds then
+          C_attr { owner; index; value = v } :: acc
+        else acc
+      in
+      attrs_into nt preds owner (index + 1) attrs acc
+
+(* Preorder walks: return the rank after the last element of [cs]. *)
+let rec desc_into nt preds cs pre acc =
+  match cs with
+  | [] -> pre
+  | T.Text _ :: cs -> desc_into nt preds cs pre acc
+  | T.Element c :: cs ->
+      if name_test_ok nt c.tag && all_hold c preds then
+        acc := C_elem { element = c; pre } :: !acc;
+      desc_into nt preds cs (desc_into nt preds c.children (pre + 1) acc) acc
+
+let rec desc_attrs_into nt preds cs pre acc =
+  match cs with
+  | [] -> pre
+  | T.Text _ :: cs -> desc_attrs_into nt preds cs pre acc
+  | T.Element c :: cs ->
+      acc := attrs_into nt preds pre 0 c.attrs !acc;
+      desc_attrs_into nt preds cs (desc_attrs_into nt preds c.children (pre + 1) acc) acc
+
+(* One step from the element ranked [pre] with [attrs] and [cs]. *)
+let step_into (s : Ast.step) pre attrs cs acc =
+  match s.axis, s.test with
+  | Ast.Child, Ast.Elem nt -> children_into nt s.predicates cs (pre + 1) acc
+  | Ast.Child, Ast.Attr nt -> attrs_into nt s.predicates pre 0 attrs acc
+  | Ast.Descendant, Ast.Elem nt ->
+      let acc = ref acc in
+      ignore (desc_into nt s.predicates cs (pre + 1) acc);
+      !acc
+  | Ast.Descendant, Ast.Attr nt ->
+      let acc = ref (attrs_into nt s.predicates pre 0 attrs acc) in
+      ignore (desc_attrs_into nt s.predicates cs (pre + 1) acc);
+      !acc
+
+let dedup ctxs =
   let seen = Hashtbl.create 16 in
   List.filter
     (fun c ->
-      let id = context_id c in
-      let key = (id.Xia_xml.Types.pre, id.Xia_xml.Types.attr) in
+      let key =
+        match c with
+        | C_elem e -> (e.pre, -1)
+        | C_attr a -> (a.owner, a.index)
+      in
       if Hashtbl.mem seen key then false
       else begin
         Hashtbl.add seen key ();
@@ -104,93 +217,43 @@ let dedup_contexts ctxs =
       end)
     ctxs
 
-let rec eval_steps ctxs path =
-  match path with
+(* A step from distinct contexts can reach a node twice only along the
+   descendant axis, and only when one context lies below another.  Contexts
+   are an antichain (none below another) until the first descendant step,
+   so duplicate removal is needed only from the second one on. *)
+let rec eval_steps ctxs antichain = function
   | [] -> ctxs
-  | s :: rest ->
-      let next = List.concat_map (fun c -> step_after_predicates c s) ctxs in
-      eval_steps (dedup_contexts next) rest
+  | (s : Ast.step) :: rest ->
+      let next =
+        List.rev
+          (List.fold_left
+             (fun acc c ->
+               match c with
+               | C_elem { element; pre } -> step_into s pre element.attrs element.children acc
+               | C_attr _ -> acc)
+             [] ctxs)
+      in
+      let child = match s.axis with Ast.Child -> true | Ast.Descendant -> false in
+      eval_steps (if antichain || child then next else dedup next) (antichain && child) rest
 
-and step_after_predicates ctx s =
-  let reached = step_from ctx s in
-  if s.Ast.predicates = [] then reached
-  else List.filter (fun c -> List.for_all (predicate_holds c) s.Ast.predicates) reached
-
-and predicate_holds ctx = function
-  | Ast.Exists rel -> eval_steps [ ctx ] rel <> []
-  | Ast.Compare ([], cmp, lit) -> Ast.literal_matches (context_value ctx) cmp lit
-  | Ast.Compare (rel, cmp, lit) ->
-      List.exists
-        (fun c -> Ast.literal_matches (context_value c) cmp lit)
-        (eval_steps [ ctx ] rel)
-
-(* Evaluate an absolute path from the (virtual) document node.  The document
-   node has the root element as its single child, and its descendants are the
-   root element and everything below it. *)
-let eval root path =
+(* Contexts an absolute path reaches.  The document node has no attributes
+   and the root element, ranked 0, as its only child. *)
+let contexts fn doc path =
+  let root = root_element fn doc in
   match path with
-  | [] -> [ { id = context_id (C_elem root); value = root.value } ]
-  | first :: rest ->
-      let initial =
-        match first.Ast.axis, first.Ast.test with
-        | Ast.Child, Ast.Elem nt ->
-            if name_test_ok nt root.tag then [ C_elem root ] else []
-        | Ast.Child, Ast.Attr _ -> []
-        | Ast.Descendant, Ast.Elem nt ->
-            let all = C_elem root :: List.rev_map (fun d -> C_elem d) (descendants root) in
-            List.filter
-              (fun c -> match c with C_elem n -> name_test_ok nt n.tag | C_attr _ -> false)
-              all
-        | Ast.Descendant, Ast.Attr nt ->
-            let nodes = root :: List.rev (descendants root) in
-            List.concat_map (attr_contexts nt) nodes
-      in
-      let initial =
-        if first.Ast.predicates = [] then initial
-        else
-          List.filter
-            (fun c -> List.for_all (predicate_holds c) first.Ast.predicates)
-            initial
-      in
-      let finals = eval_steps (dedup_contexts initial) rest in
-      List.map (fun c -> { id = context_id c; value = context_value c }) finals
+  | [] -> [ C_elem { element = root; pre = 0 } ]
+  | path ->
+      let document = { T.tag = ""; attrs = []; children = [ doc ] } in
+      eval_steps [ C_elem { element = document; pre = -1 } ] true path
 
-let eval_doc doc path = eval (annotate doc) path
-
-(* Element nodes reached by an absolute path (attribute matches dropped). *)
-let eval_elements root path =
-  match path with
-  | [] -> [ root ]
-  | first :: rest ->
-      let initial =
-        match first.Ast.axis, first.Ast.test with
-        | Ast.Child, Ast.Elem nt ->
-            if name_test_ok nt root.tag then [ C_elem root ] else []
-        | Ast.Descendant, Ast.Elem nt ->
-            let all = C_elem root :: List.rev_map (fun d -> C_elem d) (descendants root) in
-            List.filter
-              (fun c -> match c with C_elem n -> name_test_ok nt n.tag | C_attr _ -> false)
-              all
-        | _, Ast.Attr _ -> []
-      in
-      let initial =
-        if first.Ast.predicates = [] then initial
-        else
-          List.filter
-            (fun c -> List.for_all (predicate_holds c) first.Ast.predicates)
-            initial
-      in
-      List.filter_map
-        (fun c -> match c with C_elem n -> Some n | C_attr _ -> None)
-        (eval_steps (dedup_contexts initial) rest)
-
-(* Does the predicate hold for an element context? *)
-let predicate_holds_on node pred = predicate_holds (C_elem node) pred
-
-(* Evaluate a relative path from an element context. *)
-let eval_relative node path =
+let eval doc path =
   List.map
-    (fun c -> { id = context_id c; value = context_value c })
-    (eval_steps [ C_elem node ] path)
+    (function
+      | C_elem e -> { id = { T.pre = e.pre; attr = None }; value = element_value e.element }
+      | C_attr a -> { id = { T.pre = a.owner; attr = Some a.index }; value = a.value })
+    (contexts "Eval.eval" doc path)
 
-let exists_doc doc path = eval_doc doc path <> []
+let eval_elements doc path =
+  List.filter_map
+    (function C_elem e -> Some e | C_attr _ -> None)
+    (contexts "Eval.eval_elements" doc path)

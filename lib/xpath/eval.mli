@@ -1,38 +1,36 @@
-(** XPath evaluation over XML documents. *)
+(** XPath evaluation over XML documents, walking [Xia_xml.Types.t] directly. *)
 
-(** Annotated element: preorder rank, tag, attributes, direct-text value and
-    element children.  Built once per document with {!annotate}. *)
-type anode = {
+(** An element reached by a path, with its preorder rank in the document
+    (the root element has rank 0). *)
+type elem = {
+  element : Xia_xml.Types.element;
   pre : int;
-  tag : string;
-  attrs : (string * string) array;
-  value : string;
-  children : anode list;
 }
-
-(** @raise Invalid_argument if the root is a text node. *)
-val annotate : Xia_xml.Types.t -> anode
 
 type match_ = {
   id : Xia_xml.Types.node_id;
   value : string;
 }
 
-(** Evaluate an absolute path (with predicates) against an annotated document.
-    Results are in document order, duplicate-free. *)
-val eval : anode -> Ast.path -> match_ list
+(** Evaluate an absolute path (with predicates): the elements and attributes
+    the last step reaches, with their values, duplicate-free, in the order
+    the steps reach them: document order, except that after a descendant
+    step the nodes reached from one context all precede those reached from
+    the next.
+    @raise Invalid_argument if the root is a text node. *)
+val eval : Xia_xml.Types.t -> Ast.path -> match_ list
 
-(** [eval] composed with {!annotate}. *)
-val eval_doc : Xia_xml.Types.t -> Ast.path -> match_ list
+(** The elements {!eval} reaches; attribute matches are dropped (an element
+    binding is required to navigate further).
+    @raise Invalid_argument if the root is a text node. *)
+val eval_elements : Xia_xml.Types.t -> Ast.path -> elem list
 
-(** Element nodes reached by an absolute path; attribute matches are dropped
-    (an element binding is required to navigate further). *)
-val eval_elements : anode -> Ast.path -> anode list
+(** Does the predicate hold with the element as context node?  A
+    depth-first search that stops at the first witness and allocates
+    nothing. *)
+val predicate_holds_on : Xia_xml.Types.element -> Ast.predicate -> bool
 
-(** Does the predicate hold with the element as context node? *)
-val predicate_holds_on : anode -> Ast.predicate -> bool
-
-(** Evaluate a relative path from a given element context. *)
-val eval_relative : anode -> Ast.path -> match_ list
-
+(** Does the path reach any node?  The same search as
+    {!predicate_holds_on}, from the document node.
+    @raise Invalid_argument if the root is a text node. *)
 val exists_doc : Xia_xml.Types.t -> Ast.path -> bool

@@ -92,3 +92,48 @@ let label_path_arbitrary =
   QCheck.make ~print:(String.concat "/") label_path_gen
 
 let qsuite name cells = (name, List.map QCheck_alcotest.to_alcotest cells)
+
+(* Random XPath paths over the tags and attributes [doc_gen] uses: child
+   and descendant steps with element, attribute and wildcard tests, and
+   nested existence and comparison predicates (an empty relative path is
+   the context itself, [.]). *)
+let xpath_gen =
+  QCheck.Gen.(
+    let module A = Xia_xpath.Ast in
+    let test_gen =
+      frequency
+        [
+          (4, map (fun t -> A.Elem (A.Name t)) tag_gen);
+          (2, return (A.Elem A.Wildcard));
+          (1, map (fun t -> A.Attr (A.Name t)) (oneofl [ "id"; "Acct"; "Sym" ]));
+          (1, return (A.Attr A.Wildcard));
+        ]
+    in
+    let literal_gen =
+      oneof
+        [
+          map (fun s -> A.String_lit s) text_gen;
+          map (fun f -> A.Number_lit f) (oneofl [ 4.5; 42.; -3.25; 0.; 5. ]);
+        ]
+    in
+    let cmp_gen = oneofl [ A.Eq; A.Ne; A.Lt; A.Le; A.Gt; A.Ge ] in
+    let rec steps_gen depth lo hi = list_size (int_range lo hi) (step_gen depth)
+    and step_gen depth =
+      let preds = if depth <= 0 then return [] else list_size (int_range 0 2) (pred_gen (depth - 1)) in
+      map3
+        (fun axis test predicates -> A.step ~predicates axis test)
+        (oneofl [ A.Child; A.Descendant ])
+        test_gen preds
+    and pred_gen depth =
+      frequency
+        [
+          (2, map (fun rel -> A.Exists rel) (steps_gen depth 1 2));
+          ( 3,
+            map3
+              (fun rel cmp lit -> A.Compare (rel, cmp, lit))
+              (steps_gen depth 0 2) cmp_gen literal_gen );
+        ]
+    in
+    steps_gen 2 1 4)
+
+let xpath_arbitrary = QCheck.make ~print:Xia_xpath.Printer.path_to_string xpath_gen

@@ -18,7 +18,7 @@ let deep_tests =
   [
     tc "evaluation survives 2000-deep documents" (fun () ->
         let doc = deep_doc 2000 in
-        let ms = E.eval_doc doc (Helpers.xpath "//leaf") in
+        let ms = E.eval doc (Helpers.xpath "//leaf") in
         Alcotest.(check int) "one leaf" 1 (List.length ms));
     tc "iter_nodes survives deep documents" (fun () ->
         let n = ref 0 in
@@ -35,7 +35,7 @@ let deep_tests =
             (List.init 5000 (fun i -> Xia_xml.Types.leaf "c" (string_of_int i)))
         in
         Alcotest.(check int) "all" 5000
-          (List.length (E.eval_doc doc (Helpers.xpath "/r/c"))));
+          (List.length (E.eval doc (Helpers.xpath "/r/c"))));
   ]
 
 let pattern_tests =

@@ -142,9 +142,73 @@ let properties =
         PS.fold (fun ok i -> ok && i.PS.doc_count <= st.PS.doc_count) st true);
   ]
 
+(* ---------- per-document sizes under random DML ---------- *)
+
+type op =
+  | Insert of Xia_xml.Types.t
+  | Delete of int
+  | Replace of int * Xia_xml.Types.t
+
+let op_gen =
+  QCheck.Gen.(
+    frequency
+      [
+        (3, map (fun d -> Insert d) Helpers.doc_gen);
+        (2, map (fun k -> Delete k) (int_range 0 12));
+        (2, map2 (fun k d -> Replace (k, d)) (int_range 0 12) Helpers.doc_gen);
+      ])
+
+let print_op = function
+  | Insert d -> "insert " ^ Xia_xml.Printer.to_string d
+  | Delete k -> Printf.sprintf "delete %d" k
+  | Replace (k, d) -> Printf.sprintf "replace %d %s" k (Xia_xml.Printer.to_string d)
+
+(* Everything a failed delete or replace must leave alone. *)
+let snapshot s =
+  ( DS.generation s,
+    DS.total_bytes s,
+    DS.total_elements s,
+    List.map
+      (fun id ->
+        match DS.find_entry s id with
+        | Some e -> (id, Xia_xml.Printer.to_string e.DS.doc, e.DS.elements, e.DS.bytes)
+        | None -> (id, "", -1, -1))
+      (DS.doc_ids s) )
+
+let sizes_consistent s =
+  let entries = List.filter_map (DS.find_entry s) (DS.doc_ids s) in
+  List.for_all
+    (fun (e : DS.entry) ->
+      e.elements = Xia_xml.Types.count_elements e.doc && e.bytes = Xia_xml.Types.byte_size e.doc)
+    entries
+  && DS.total_elements s = List.fold_left (fun n (e : DS.entry) -> n + e.elements) 0 entries
+  && DS.total_bytes s = List.fold_left (fun n (e : DS.entry) -> n + e.bytes) 0 entries
+
+let size_properties =
+  [
+    QCheck.Test.make ~count:300 ~name:"per-document sizes stay exact under DML"
+      (QCheck.make
+         ~print:(fun ops -> String.concat "\n" (List.map print_op ops))
+         QCheck.Gen.(list_size (int_range 1 25) op_gen))
+      (fun ops ->
+        let s = DS.create "P" in
+        List.for_all
+          (fun op ->
+            let before = snapshot s in
+            let ok =
+              match op with
+              | Insert d -> ignore (DS.insert s d); true
+              | Delete k -> DS.delete s k
+              | Replace (k, d) -> DS.replace s k d
+            in
+            sizes_consistent s && (ok || snapshot s = before))
+          ops);
+  ]
+
 let suites =
   [
     ("storage.doc_store", doc_store_tests);
     ("storage.path_stats", path_stats_tests);
     Helpers.qsuite "storage.properties" properties;
+    Helpers.qsuite "storage.sizes" size_properties;
   ]

@@ -98,7 +98,11 @@ let ast_tests =
           (A.equal_path (Helpers.xpath "/a/b") (Helpers.xpath "/a//b")));
   ]
 
-let eval_on doc path = E.eval_doc (Helpers.xml doc) (Helpers.xpath path)
+let eval_on doc path = E.eval (Helpers.xml doc) (Helpers.xpath path)
+
+let root_of = function
+  | Xia_xml.Types.Element e -> e
+  | Xia_xml.Types.Text _ -> invalid_arg "root_of"
 
 let values matches = List.map (fun (m : E.match_) -> m.E.value) matches
 
@@ -145,7 +149,7 @@ let eval_tests =
     tc "paper example Q2 pattern" (fun () ->
         check (Alcotest.list Alcotest.string) "vals" [ "Energy" ]
           (values
-             (E.eval_doc Helpers.security_doc
+             (E.eval Helpers.security_doc
                 (Helpers.xpath "/Security[Yield>4.5]/SecInfo/*/Sector"))));
     tc "predicate on mid path with descendant" (fun () ->
         Alcotest.(check int) "n" 1
@@ -160,40 +164,45 @@ let eval_tests =
         check (Alcotest.list Alcotest.string) "vals" [ "1"; "2"; "3" ]
           (values (eval_on "<r><x>1</x><y><x>2</x></y><x>3</x></r>" "//x")));
     tc "eval_elements drops attributes" (fun () ->
-        let root = E.annotate (Helpers.xml {|<a id="1"><b/></a>|}) in
-        Alcotest.(check int) "n" 0 (List.length (E.eval_elements root (Helpers.xpath "/a/@id")));
-        Alcotest.(check int) "n" 1 (List.length (E.eval_elements root (Helpers.xpath "/a/b"))));
+        let doc = Helpers.xml {|<a id="1"><b/></a>|} in
+        Alcotest.(check int) "n" 0 (List.length (E.eval_elements doc (Helpers.xpath "/a/@id")));
+        check (Alcotest.list Alcotest.int) "pre" [ 1 ]
+          (List.map (fun (n : E.elem) -> n.E.pre) (E.eval_elements doc (Helpers.xpath "/a/b"))));
     tc "eval_relative" (fun () ->
-        let root = E.annotate Helpers.security_doc in
+        (* A relative path is evaluated from a context node by a predicate. *)
+        let root = root_of Helpers.security_doc in
         let rel = P.parse_relative_exn "SecInfo/*/Sector" in
-        check (Alcotest.list Alcotest.string) "vals" [ "Energy" ]
-          (List.map (fun (m : E.match_) -> m.E.value) (E.eval_relative root rel)));
+        Alcotest.(check bool) "Energy" true
+          (E.predicate_holds_on root (A.Compare (rel, A.Eq, A.String_lit "Energy")));
+        Alcotest.(check bool) "not Tech" false
+          (E.predicate_holds_on root (A.Compare (rel, A.Eq, A.String_lit "Tech")));
+        Alcotest.(check bool) "exists" true (E.predicate_holds_on root (A.Exists rel)));
     tc "predicate_holds_on" (fun () ->
-        let root = E.annotate Helpers.security_doc in
+        let root = root_of Helpers.security_doc in
         let pred =
           A.Compare (P.parse_relative_exn "Yield", A.Gt, A.Number_lit 4.5)
         in
         Alcotest.(check bool) "holds" true (E.predicate_holds_on root pred));
     tc "annotate rejects text root" (fun () ->
-        Alcotest.check_raises "invalid" (Invalid_argument "Eval.annotate: document root is a text node")
-          (fun () -> ignore (E.annotate (Xia_xml.Types.text "x"))));
+        Alcotest.check_raises "invalid" (Invalid_argument "Eval.eval: document root is a text node")
+          (fun () -> ignore (E.eval (Xia_xml.Types.text "x") (Helpers.xpath "/a"))));
   ]
 
 let properties =
   [
     QCheck.Test.make ~count:200 ~name:"//* returns every element" Helpers.doc_arbitrary
       (fun doc ->
-        List.length (E.eval_doc doc (Helpers.xpath "//*"))
+        List.length (E.eval doc (Helpers.xpath "//*"))
         = Xia_xml.Types.count_elements doc);
     QCheck.Test.make ~count:200 ~name:"eval results are distinct node ids"
       Helpers.doc_arbitrary (fun doc ->
-        let ms = E.eval_doc doc (Helpers.xpath "//*") in
+        let ms = E.eval doc (Helpers.xpath "//*") in
         let ids = List.map (fun (m : E.match_) -> (m.E.id.pre, m.E.id.attr)) ms in
         List.length ids = List.length (List.sort_uniq compare ids));
     QCheck.Test.make ~count:200 ~name:"/a subset of //a" Helpers.doc_arbitrary
       (fun doc ->
-        let direct = E.eval_doc doc (Helpers.xpath "/a") in
-        let deep = E.eval_doc doc (Helpers.xpath "//a") in
+        let direct = E.eval doc (Helpers.xpath "/a") in
+        let deep = E.eval doc (Helpers.xpath "//a") in
         List.for_all
           (fun (m : E.match_) ->
             List.exists
@@ -202,10 +211,63 @@ let properties =
           direct);
   ]
 
+(* ---------- differential: Eval against the copying oracle ---------- *)
+
+let elements_preorder doc =
+  let acc = ref [] in
+  let rec walk = function
+    | Xia_xml.Types.Text _ -> ()
+    | Xia_xml.Types.Element e ->
+        acc := e :: !acc;
+        List.iter walk e.children
+  in
+  walk doc;
+  List.rev !acc
+
+let anodes_preorder root =
+  let rec walk (n : Eval_oracle.anode) acc = List.fold_left (fun acc c -> walk c acc) (n :: acc) n.children in
+  List.rev (walk root [])
+
+let ids matches =
+  List.map (fun (m : E.match_) -> (m.E.id.pre, m.E.id.attr, m.E.value)) matches
+
+let doc_and_path = QCheck.pair Helpers.doc_arbitrary Helpers.xpath_arbitrary
+
+let differential =
+  [
+    QCheck.Test.make ~count:1000 ~name:"eval = oracle (ids, values, order)" doc_and_path
+      (fun (doc, path) ->
+        ids (E.eval doc path) = ids (Eval_oracle.eval (Eval_oracle.annotate doc) path));
+    QCheck.Test.make ~count:1000 ~name:"eval_elements ranks = oracle" doc_and_path
+      (fun (doc, path) ->
+        List.map (fun (n : E.elem) -> n.E.pre) (E.eval_elements doc path)
+        = List.map
+            (fun (n : Eval_oracle.anode) -> n.pre)
+            (Eval_oracle.eval_elements (Eval_oracle.annotate doc) path));
+    QCheck.Test.make ~count:1000 ~name:"exists_doc = oracle non-empty" doc_and_path
+      (fun (doc, path) ->
+        E.exists_doc doc path = (Eval_oracle.eval (Eval_oracle.annotate doc) path <> []));
+    QCheck.Test.make ~count:500 ~name:"predicate_holds_on = oracle on every element"
+      doc_and_path (fun (doc, path) ->
+        let preds =
+          A.Exists path
+          :: A.Compare (path, A.Ge, A.Number_lit 0.)
+          :: List.concat_map (fun (s : A.step) -> s.A.predicates) path
+        in
+        let pairs = List.combine (elements_preorder doc) (anodes_preorder (Eval_oracle.annotate doc)) in
+        List.for_all
+          (fun p ->
+            List.for_all
+              (fun (e, n) -> E.predicate_holds_on e p = Eval_oracle.predicate_holds_on n p)
+              pairs)
+          preds);
+  ]
+
 let suites =
   [
     ("xpath.parser", parser_tests);
     ("xpath.ast", ast_tests);
     ("xpath.eval", eval_tests);
     Helpers.qsuite "xpath.properties" properties;
+    Helpers.qsuite "xpath.differential" differential;
   ]
