@@ -237,39 +237,6 @@ let maintenance_charge t (config : Candidate.t list) =
     t.items;
   !total
 
-(* Partition a configuration into sub-configurations with overlapping
-   affected sets (union-find over candidates). *)
-let sub_configurations (config : Candidate.t list) =
-  let arr = Array.of_list config in
-  let n = Array.length arr in
-  let parent = Array.init n (fun i -> i) in
-  let rec find i = if parent.(i) = i then i else (parent.(i) <- find parent.(i); parent.(i)) in
-  let union i j =
-    let ri = find i and rj = find j in
-    if ri <> rj then parent.(ri) <- rj
-  in
-  for i = 0 to n - 1 do
-    for j = i + 1 to n - 1 do
-      if not (Int_set.disjoint arr.(i).Candidate.affected arr.(j).Candidate.affected) then
-        union i j
-    done
-  done;
-  (* Emit groups in first-member order: the previous [Hashtbl.fold] let
-     hash iteration order pick the fan-out's work-list order, so the same
-     configuration could partition into a differently-ordered list across
-     runs (lint N001). *)
-  let groups = Hashtbl.create 8 in
-  let order = ref [] in
-  Array.iteri
-    (fun i c ->
-      let r = find i in
-      (match Hashtbl.find_opt groups r with
-      | None -> order := r :: !order
-      | Some _ -> ());
-      Hashtbl.replace groups r (c :: Option.value ~default:[] (Hashtbl.find_opt groups r)))
-    arr;
-  List.rev_map (fun r -> Hashtbl.find groups r) !order
-
 (* Fingerprint of a sub-configuration: the sorted array of its members'
    interned logical ids.  Equal configurations (up to order and index names)
    get equal fingerprints; no string is built or hashed. *)
@@ -424,16 +391,11 @@ let workload_cost t (config : Candidate.t list) =
   end
 
 (* Cost-delta term of one sub-configuration: Σ freq·(s_old − s_new) over its
-   affected statements.  The per-statement costs come from {!config_costs}
-   — one batched optimizer invocation on a cache miss, pure lookup on a
-   hit. *)
-let sub_config_delta t (sub : Candidate.t list) =
-  let affected =
-    List.fold_left
-      (fun acc c -> Int_set.union acc c.Candidate.affected)
-      Int_set.empty sub
-  in
-  let stmts = Int_set.elements affected in
+   affected statements ([affected], sorted).  The per-statement costs come
+   from {!config_costs} — one batched optimizer invocation on a cache miss,
+   pure lookup on a hit. *)
+let sub_config_delta t (sub : Candidate.t list) affected =
+  let stmts = Array.to_list affected in
   (* An evaluator is always paired with the candidate set derived from its
      own workload, so every affected index must land inside it.  One outside
      means the caller mixed a stale candidate set with a different workload;
@@ -462,17 +424,130 @@ let sub_config_delta t (sub : Candidate.t list) =
       acc +. (t.weights.(stmt_index) *. (t.base_costs.(stmt_index) -. cost_new)))
     0.0 stmts costs
 
-(* The paper's Benefit(x1..xn; W).  Independent sub-configurations are
-   evaluated concurrently; [Par.sum_list] combines the deltas with a fixed
-   sequential fold, so the sum never depends on scheduling order. *)
-let benefit t (config : Candidate.t list) =
-  match config with
-  | [] -> 0.0
+(* A configuration, partitioned into sub-configurations ("groups") of
+   candidates with overlapping affected sets: candidates in different groups
+   cannot interact, so each group's cost delta is computed once, when the
+   group forms, and carried by every configuration extended from this one.
+
+   Two orders make the result bit-identical to partitioning the whole list
+   from scratch:
+
+   - groups are kept in first-member order (the order of their first member
+     in the list), and {!value} sums their deltas in that order;
+   - a group lists its members in reverse list order.  That list is the
+     defs list its fingerprint's cache entry pins on first compute, and the
+     planner keeps the FIRST index on an exact cost tie.
+
+   Members carry a stamp that grows with each prepend, so reverse list order
+   is increasing stamp order and merging groups is a merge of sorted
+   lists. *)
+type group = {
+  g_members : (int * Candidate.t) list;  (* (stamp, candidate), stamps increasing *)
+  g_affected : int array;                (* sorted union of the members' affected sets *)
+  g_delta : float;
+}
+
+type config = {
+  c_members : Candidate.t list;  (* list order: the newest member first *)
+  c_groups : group list;         (* first-member order *)
+  c_next : int;                  (* stamp of the next member *)
+}
+
+let empty = { c_members = []; c_groups = []; c_next = 0 }
+let members cfg = cfg.c_members
+let groups cfg = List.map (fun g -> List.map snd g.g_members) cfg.c_groups
+
+(* A group while [extend] runs: carried over with its delta, or formed by
+   this extension and still to be evaluated. *)
+type slot =
+  | Carried of group
+  | Fresh of (int * Candidate.t) list * int array
+
+let slot_members = function Carried g -> g.g_members | Fresh (m, _) -> m
+let slot_affected = function Carried g -> g.g_affected | Fresh (_, a) -> a
+
+(* Union of two sorted, duplicate-free arrays. *)
+let union_sorted a b =
+  let la = Array.length a and lb = Array.length b in
+  let out = Array.make (la + lb) 0 in
+  let i = ref 0 and j = ref 0 and k = ref 0 in
+  while !i < la || !j < lb do
+    let x =
+      if !j >= lb || (!i < la && a.(!i) < b.(!j)) then (let x = a.(!i) in incr i; x)
+      else if !i >= la || b.(!j) < a.(!i) then (let x = b.(!j) in incr j; x)
+      else (let x = a.(!i) in incr i; incr j; x)
+    in
+    out.(!k) <- x;
+    incr k
+  done;
+  if !k = la + lb then out else Array.sub out 0 !k
+
+let by_stamp (a, _) (b, _) = Int.compare a b
+
+(* Prepend one candidate: every group it overlaps merges with it into one
+   fresh group, which goes first (its first member is the new head); the
+   other groups keep their order. *)
+let prepend (slots, next) (c : Candidate.t) =
+  let affected = Candidate.affected_array c in
+  let joined, rest =
+    List.partition (fun s -> Candidate.overlap affected (slot_affected s)) slots
+  in
+  let members =
+    List.fold_left (fun acc s -> List.merge by_stamp acc (slot_members s)) [] joined
+    @ [ (next, c) ]
+  in
+  let affected =
+    List.fold_left (fun acc s -> union_sorted acc (slot_affected s)) affected joined
+  in
+  (Fresh (members, affected) :: rest, next + 1)
+
+(* The configuration [xs @ members cfg].  Only the groups this extension
+   forms are evaluated, concurrently in group order; the others keep their
+   deltas. *)
+let extend t cfg xs =
+  match xs with
+  | [] -> cfg
   | _ ->
       Catalog.warm_stats t.catalog;
-      let subs = sub_configurations config in
-      let delta = Par.sum_list ~domains:t.domains (sub_config_delta t) subs in
-      delta -. maintenance_charge t config
+      let slots, next =
+        List.fold_left prepend
+          (List.map (fun g -> Carried g) cfg.c_groups, cfg.c_next)
+          (List.rev xs)
+      in
+      let fresh =
+        Array.of_list
+          (List.filter_map
+             (function Fresh (m, a) -> Some (m, a) | Carried _ -> None)
+             slots)
+      in
+      let deltas =
+        Par.map ~domains:t.domains
+          (fun (m, a) -> sub_config_delta t (List.map snd m) a)
+          fresh
+      in
+      let k = ref 0 in
+      let c_groups =
+        List.map
+          (function
+            | Carried g -> g
+            | Fresh (g_members, g_affected) ->
+                let g_delta = deltas.(!k) in
+                incr k;
+                { g_members; g_affected; g_delta })
+          slots
+      in
+      { c_members = xs @ cfg.c_members; c_groups; c_next = next }
+
+(* The paper's Benefit(x1..xn; W): the group deltas summed in group order,
+   minus the configuration's maintenance charge. *)
+let value t cfg =
+  match cfg.c_members with
+  | [] -> 0.0
+  | members ->
+      List.fold_left (fun acc g -> acc +. g.g_delta) 0.0 cfg.c_groups
+      -. maintenance_charge t members
+
+let benefit t (config : Candidate.t list) = value t (extend t empty config)
 
 (* Individual benefit of a single candidate, memoized through the
    sub-configuration cache (a singleton is its own sub-configuration). *)

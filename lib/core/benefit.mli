@@ -82,14 +82,37 @@ val workload_cost : t -> Candidate.t list -> float
 (** Total maintenance charge [Σ freq·mc(x, s)] of a configuration. *)
 val maintenance_charge : t -> Candidate.t list -> float
 
-(** Partition into sub-configurations with overlapping affected sets. *)
-val sub_configurations : Candidate.t list -> Candidate.t list list
+(** A configuration partitioned into sub-configurations ("groups") of
+    candidates with overlapping affected sets, each carrying its cost delta,
+    computed once when the group forms.  A configuration belongs to the
+    evaluator that extended it. *)
+type config
 
-(** The paper's [Benefit(x1..xn; W)].
+(** The configuration with no indexes. *)
+val empty : config
+
+(** The members, in list order. *)
+val members : config -> Candidate.t list
+
+(** The groups in first-member order, each listing its members in reverse
+    list order. *)
+val groups : config -> Candidate.t list list
+
+(** [extend t cfg xs] is the configuration of [xs @ members cfg].  The
+    groups a new candidate overlaps merge into one group; only groups formed
+    by this extension are evaluated, and the rest keep their deltas.
     @raise Invalid_argument if a candidate's affected set references a
     statement index outside the evaluator's workload — a stale candidate set
     paired with the wrong evaluator (such indices used to be dropped
     silently, undercounting the delta). *)
+val extend : t -> config -> Candidate.t list -> config
+
+(** The paper's [Benefit(x1..xn; W)] of a configuration: its group deltas
+    summed in group order, minus its maintenance charge. *)
+val value : t -> config -> float
+
+(** [benefit t l] is [value t (extend t empty l)].
+    @raise Invalid_argument as {!extend}. *)
 val benefit : t -> Candidate.t list -> float
 
 val individual_benefit : t -> Candidate.t -> float

@@ -78,6 +78,22 @@ let add_edge ~parent ~child =
 
 let mark_affected c stmt_index = c.affected <- Int_set.add stmt_index c.affected
 
+(* The affected set as a sorted array, for {!overlap}. *)
+let affected_array c = Array.of_list (Int_set.elements c.affected)
+
+(* Merge walk over two sorted arrays from positions [i] and [j].  A
+   top-level function of plain ints, so the walk allocates nothing. *)
+let rec overlap_from a b i j =
+  i < Array.length a
+  && j < Array.length b
+  &&
+  let x = a.(i) and y = b.(j) in
+  x = y || if x < y then overlap_from a b (i + 1) j else overlap_from a b i (j + 1)
+
+let overlap a b =
+  let la = Array.length a and lb = Array.length b in
+  la > 0 && lb > 0 && a.(la - 1) >= b.(0) && b.(lb - 1) >= a.(0) && overlap_from a b 0 0
+
 let to_list set =
   List.sort
     (fun a b -> compare a.id b.id)

@@ -41,6 +41,13 @@ val add_edge : parent:t -> child:t -> unit
 
 val mark_affected : t -> int -> unit
 
+(** The affected set as a sorted array of statement indices. *)
+val affected_array : t -> int array
+
+(** Do two sorted arrays (as from {!affected_array}) share an element?
+    Allocates nothing. *)
+val overlap : int array -> int array -> bool
+
 val to_list : set -> t list
 val basics : set -> t list
 val generals : set -> t list

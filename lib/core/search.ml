@@ -242,42 +242,70 @@ let greedy ?(prune = true) ev set ~budget =
 
 (* -------- Greedy with heuristics -------- *)
 
-(* Basic candidates covered by a candidate (for the covered-pattern bitmap). *)
-let covered_basics set (c : Candidate.t) =
-  List.filter
-    (fun (b : Candidate.t) -> Index_def.covers ~general:c.def ~specific:b.def)
-    (Candidate.basics set)
-
 let greedy_heuristics ?(beta = beta_default) ev set ~budget =
   Trace.with_span "search.greedy_heuristics" @@ fun () ->
   let t0 = Obs.now_s () in
   let calls_before = Benefit.evaluations ev in
   let pruned_before = Benefit.pruned_count ev in
   let cands = by_density ev (Benefit.individual_benefit ev) (pool ev set) in
+  (* Per-search tables: the sorted affected set of every pool candidate, and
+     the basic ids each visited candidate covers (one containment test per
+     basic, once per candidate). *)
+  let affected = Hashtbl.create 64 in
+  List.iter
+    (fun (c : Candidate.t) -> Hashtbl.replace affected c.id (Candidate.affected_array c))
+    cands;
+  let basics = Candidate.basics set in
+  let covered_ids = Hashtbl.create 64 in
+  let covered_basic_ids (c : Candidate.t) =
+    match Hashtbl.find_opt covered_ids c.id with
+    | Some ids -> ids
+    | None ->
+        let ids =
+          List.fold_left
+            (fun acc (b : Candidate.t) ->
+              if Index_def.covers ~general:c.def ~specific:b.def then Int_set.add b.id acc
+              else acc)
+            Int_set.empty basics
+        in
+        Hashtbl.replace covered_ids c.id ids;
+        ids
+  in
   let covered = ref Int_set.empty in
   let config = ref [] in
+  (* [cfg] is [!config] with its interaction groups already evaluated: a
+     probe extends it by the candidates tried, and only the groups those
+     candidates join are re-evaluated. *)
+  let cfg = ref Benefit.empty in
   let used = ref 0 in
   let cur_benefit = ref 0.0 in
   let in_config (c : Candidate.t) =
     List.exists (fun (x : Candidate.t) -> x.id = c.id) !config
   in
-  let admit c s basic_ids =
+  (* Adopt [probed], the configuration [c :: !config], and its benefit. *)
+  let admit c s probed ib =
     count "search.greedy_heuristics.admitted" 1;
     config := c :: !config;
+    cfg := probed;
     used := !used + s;
-    cur_benefit := Benefit.benefit ev !config;
-    covered := Int_set.union !covered basic_ids
+    cur_benefit := ib;
+    covered := Int_set.union !covered (covered_basic_ids c)
+  in
+  let probe xs =
+    let probed = Benefit.extend ev !cfg xs in
+    (probed, Benefit.value ev probed)
   in
   (* Candidates whose value only shows in combination (e.g. the two sides of
      an OR filter, or index-ANDing partners): try the whole interaction group
      at once. *)
   let try_partner_group (c : Candidate.t) =
+    let c_affected = Hashtbl.find affected c.id in
     let partners =
       List.filter
         (fun (x : Candidate.t) ->
           (not (in_config x))
           && x.id <> c.id
-          && not (Int_set.disjoint x.affected c.affected))
+          && Candidate.overlap (Hashtbl.find affected x.id) c_affected)
         cands
     in
     let group = c :: partners in
@@ -286,15 +314,12 @@ let greedy_heuristics ?(beta = beta_default) ev set ~budget =
         List.fold_left (fun acc x -> acc + candidate_size ev x) 0 group
       in
       if !used + group_size <= budget then begin
-        let ib = Benefit.benefit ev (group @ !config) in
+        let _, ib = probe group in
         if ib > !cur_benefit then
           List.iter
             (fun (x : Candidate.t) ->
-              let ids =
-                Int_set.of_list
-                  (List.map (fun b -> b.Candidate.id) (covered_basics set x))
-              in
-              admit x (candidate_size ev x) ids)
+              let probed, ib = probe [ x ] in
+              admit x (candidate_size ev x) probed ib)
             group
       end
     end
@@ -303,9 +328,7 @@ let greedy_heuristics ?(beta = beta_default) ev set ~budget =
     (fun (c : Candidate.t) ->
       let s = candidate_size ev c in
       if (not (in_config c)) && !used + s <= budget then begin
-        let basics = covered_basics set c in
-        let basic_ids = Int_set.of_list (List.map (fun b -> b.Candidate.id) basics) in
-        let adds_coverage = not (Int_set.subset basic_ids !covered) in
+        let adds_coverage = not (Int_set.subset (covered_basic_ids c) !covered) in
         if adds_coverage then begin
           if Candidate.is_general c then begin
             (* The general index must beat the indexes it generalizes and
@@ -314,17 +337,17 @@ let greedy_heuristics ?(beta = beta_default) ev set ~budget =
             let children_size =
               List.fold_left (fun acc x -> acc + candidate_size ev x) 0 children
             in
-            let ib_general = Benefit.benefit ev (c :: !config) in
-            let ib_children = Benefit.benefit ev (children @ !config) in
+            let with_general, ib_general = probe [ c ] in
+            let _, ib_children = probe children in
             if
               ib_general >= ib_children
               && float_of_int s <= (1.0 +. beta) *. float_of_int children_size
               && ib_general > !cur_benefit
-            then admit c s basic_ids
+            then admit c s with_general ib_general
           end
           else begin
-            let ib = Benefit.benefit ev (c :: !config) in
-            if ib > !cur_benefit then admit c s basic_ids
+            let probed, ib = probe [ c ] in
+            if ib > !cur_benefit then admit c s probed ib
             else if not (Candidate.is_general c) then try_partner_group c
           end
         end

@@ -14,9 +14,6 @@ type outcome = {
 (** β = 0.10, the size-expansion threshold of the heuristic search. *)
 val beta_default : float
 
-(** Basic candidates covered by a candidate. *)
-val covered_basics : Candidate.set -> Candidate.t -> Candidate.t list
-
 (** Plain greedy on individual benefit density; ignores interaction.
 
     With [~prune:true] (the default) candidates are cost-probed lazily: each

@@ -78,7 +78,7 @@ let benefit_tests =
         let sec = by_pat "/Security/Symbol" "SECURITY" in
         let cust = by_pat "/Customer/Nationality" "CUSTACC" in
         Alcotest.(check int) "two groups" 2
-          (List.length (B.sub_configurations [ sec; cust ])));
+          (List.length (B.groups (B.extend s.A.evaluator B.empty [ sec; cust ]))));
     tc "sub-configurations merge overlapping affected sets" (fun () ->
         let s = Lazy.force fixture in
         let by p dt =
@@ -89,7 +89,7 @@ let benefit_tests =
         let yield = by "/Security/Yield" D.Ddouble in
         let sector = by "/Security/SecInfo/*/Sector" D.Dstring in
         Alcotest.(check int) "one group" 1
-          (List.length (B.sub_configurations [ yield; sector ])));
+          (List.length (B.groups (B.extend s.A.evaluator B.empty [ yield; sector ]))));
     tc "cache avoids repeat optimizer calls" (fun () ->
         let catalog = Lazy.force Helpers.shared_catalog in
         let ev = B.create catalog (Xia_workload.Tpox.workload ()) in
@@ -143,6 +143,55 @@ let benefit_tests =
 let budget_of session frac =
   let all = A.session_advise session ~budget:max_int A.All_index in
   int_of_float (frac *. float_of_int all.A.outcome.S.size)
+
+(* ---------- incremental configurations = one-shot partition ---------- *)
+
+(* TPoX plus synthetic statements: overlapping affected sets build
+   multi-member groups, and the TPoX DML statements charge maintenance. *)
+let interaction_fixture =
+  lazy
+    (let catalog = Lazy.force Helpers.shared_catalog in
+     let wl =
+       Xia_workload.Tpox.workload ()
+       @ Xia_workload.Synthetic.workload ~seed:11 catalog (Cat.table_names catalog) 8
+     in
+     (catalog, wl, Array.of_list (C.to_list (En.candidates catalog wl))))
+
+let ids l = List.map (fun (c : C.t) -> c.C.id) l
+
+(* Extending [ys] by [xs] scores and partitions exactly like evaluating
+   [xs @ ys] in one shot (each on a fresh evaluator, so neither borrows the
+   other's cache), the groups match the pairwise oracle, and the counters
+   do not depend on the domain count. *)
+let qcheck_incremental =
+  QCheck.Test.make ~count:25 ~name:"extend ys then xs = benefit (xs @ ys)"
+    QCheck.(make Gen.(int_range 0 100_000))
+    (fun seed ->
+      let catalog, wl, cands = Lazy.force interaction_fixture in
+      let rng = Random.State.make [| seed |] in
+      let picked =
+        Array.to_list cands
+        |> List.filter (fun _ -> Random.State.int rng 4 = 0)
+        |> List.map (fun c -> (Random.State.bits rng, c))
+        |> List.sort (fun (a, _) (b, _) -> compare a b)
+        |> List.map snd
+      in
+      let split = Random.State.int rng (List.length picked + 1) in
+      let xs = List.filteri (fun i _ -> i < split) picked in
+      let ys = List.filteri (fun i _ -> i >= split) picked in
+      let incremental domains =
+        let ev = B.create ~domains catalog wl in
+        let cfg = B.extend ev (B.extend ev B.empty ys) xs in
+        (B.value ev cfg, B.groups cfg, B.evaluations ev, B.cache_hits ev)
+      in
+      let v1, groups, evals1, hits1 = incremental 1 in
+      let v2, _, evals2, hits2 = incremental 2 in
+      let one_shot = B.benefit (B.create ~domains:1 catalog wl) (xs @ ys) in
+      if not (Float.equal v1 one_shot) then
+        QCheck.Test.fail_reportf "value %h <> one-shot benefit %h (seed %d)" v1 one_shot seed;
+      if List.map ids groups <> List.map ids (Benefit_oracle.sub_configurations (xs @ ys))
+      then QCheck.Test.fail_reportf "groups differ from the oracle (seed %d)" seed;
+      Float.equal v1 v2 && evals1 = evals2 && hits1 = hits2)
 
 let search_tests =
   [
@@ -311,6 +360,7 @@ let suites =
   [
     ("advisor.enumeration", enumeration_tests);
     ("advisor.benefit", benefit_tests);
+    Helpers.qsuite "advisor.benefit.qcheck" [ qcheck_incremental ];
     ("advisor.search", search_tests);
     ("advisor.end_to_end", advisor_tests);
   ]

@@ -177,7 +177,7 @@ let qcheck_oracle =
       let interaction_free =
         List.for_all
           (fun g -> List.length g = 1)
-          (B.sub_configurations pool)
+          (B.groups (B.extend ev B.empty pool))
       in
       if interaction_free then begin
         let unit = max Xia_storage.Cost_params.page_size (budget / 2048) in
@@ -218,7 +218,9 @@ let dp_matches_on_interaction_free =
         in
         let interaction_free =
           pool <> []
-          && List.for_all (fun g -> List.length g = 1) (B.sub_configurations pool)
+          && List.for_all
+               (fun g -> List.length g = 1)
+               (B.groups (B.extend ev B.empty pool))
         in
         if interaction_free && List.length pool <= Ex.default_limit then begin
           incr hits;
