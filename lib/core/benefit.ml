@@ -449,11 +449,12 @@ type group = {
 
 type config = {
   c_members : Candidate.t list;  (* list order: the newest member first *)
+  c_ids : Int_set.t;             (* the members' candidate ids *)
   c_groups : group list;         (* first-member order *)
   c_next : int;                  (* stamp of the next member *)
 }
 
-let empty = { c_members = []; c_groups = []; c_next = 0 }
+let empty = { c_members = []; c_ids = Int_set.empty; c_groups = []; c_next = 0 }
 let members cfg = cfg.c_members
 let groups cfg = List.map (fun g -> List.map snd g.g_members) cfg.c_groups
 
@@ -486,32 +487,44 @@ let by_stamp (a, _) (b, _) = Int.compare a b
 
 (* Prepend one candidate: every group it overlaps merges with it into one
    fresh group, which goes first (its first member is the new head); the
-   other groups keep their order. *)
-let prepend (slots, next) (c : Candidate.t) =
-  let affected = Candidate.affected_array c in
-  let joined, rest =
-    List.partition (fun s -> Candidate.overlap affected (slot_affected s)) slots
-  in
-  let members =
-    List.fold_left (fun acc s -> List.merge by_stamp acc (slot_members s)) [] joined
-    @ [ (next, c) ]
-  in
-  let affected =
-    List.fold_left (fun acc s -> union_sorted acc (slot_affected s)) affected joined
-  in
-  (Fresh (members, affected) :: rest, next + 1)
+   other groups keep their order.  A candidate already in the configuration
+   is skipped: listing it twice would install the same virtual index twice
+   and charge its maintenance twice. *)
+let prepend ((slots, cfg) as acc) (c : Candidate.t) =
+  if Int_set.mem c.id cfg.c_ids then acc
+  else begin
+    let next = cfg.c_next in
+    let affected = Candidate.affected_array c in
+    let joined, rest =
+      List.partition (fun s -> Candidate.overlap affected (slot_affected s)) slots
+    in
+    let members =
+      List.fold_left (fun acc s -> List.merge by_stamp acc (slot_members s)) [] joined
+      @ [ (next, c) ]
+    in
+    let affected =
+      List.fold_left (fun acc s -> union_sorted acc (slot_affected s)) affected joined
+    in
+    ( Fresh (members, affected) :: rest,
+      {
+        cfg with
+        c_members = c :: cfg.c_members;
+        c_ids = Int_set.add c.id cfg.c_ids;
+        c_next = next + 1;
+      } )
+  end
 
-(* The configuration [xs @ members cfg].  Only the groups this extension
-   forms are evaluated, concurrently in group order; the others keep their
-   deltas. *)
+(* The configuration [xs @ members cfg], less the candidates already in it.
+   Only the groups this extension forms are evaluated, concurrently in group
+   order; the others keep their deltas. *)
 let extend t cfg xs =
   match xs with
   | [] -> cfg
   | _ ->
       Catalog.warm_stats t.catalog;
-      let slots, next =
+      let slots, cfg =
         List.fold_left prepend
-          (List.map (fun g -> Carried g) cfg.c_groups, cfg.c_next)
+          (List.map (fun g -> Carried g) cfg.c_groups, cfg)
           (List.rev xs)
       in
       let fresh =
@@ -536,7 +549,7 @@ let extend t cfg xs =
                 { g_members; g_affected; g_delta })
           slots
       in
-      { c_members = xs @ cfg.c_members; c_groups; c_next = next }
+      { cfg with c_groups }
 
 (* The paper's Benefit(x1..xn; W): the group deltas summed in group order,
    minus the configuration's maintenance charge. *)

@@ -98,7 +98,8 @@ val members : config -> Candidate.t list
     list order. *)
 val groups : config -> Candidate.t list list
 
-(** [extend t cfg xs] is the configuration of [xs @ members cfg].  The
+(** [extend t cfg xs] is the configuration of [xs @ members cfg], less the
+    candidates already in [cfg] (extending by a member is a no-op).  The
     groups a new candidate overlaps merge into one group; only groups formed
     by this extension are evaluated, and the rest keep their deltas.
     @raise Invalid_argument if a candidate's affected set references a

@@ -100,6 +100,29 @@ let benefit_tests =
         let _ = B.benefit ev [ c ] in
         Alcotest.(check int) "no new calls" calls (B.evaluations ev);
         Alcotest.(check bool) "hit recorded" true (B.cache_hits ev > 0));
+    tc "extending by a member is a no-op" (fun () ->
+        (* greedy+heuristics probes a general index's children on top of a
+           configuration that may already hold some of them. *)
+        let catalog = Lazy.force Helpers.shared_catalog in
+        let wl = Xia_workload.Tpox.workload_with_updates ~update_freq:50.0 () in
+        let set = En.candidates catalog wl in
+        let g = List.find (fun c -> C.children_of set c <> []) (C.generals set) in
+        let children = C.children_of set g in
+        let child = List.hd children in
+        let others = List.filter (fun (c : C.t) -> c.C.id <> child.C.id) children in
+        let ids l = List.map (fun (c : C.t) -> c.C.id) l in
+        let ev = B.create ~domains:1 catalog wl in
+        let cfg = B.extend ev B.empty [ child ] in
+        let calls = B.evaluations ev in
+        Alcotest.(check (list int)) "member again" [ child.C.id ]
+          (ids (B.members (B.extend ev cfg [ child ])));
+        Alcotest.(check int) "no evaluation" calls (B.evaluations ev);
+        let probed = B.extend ev cfg children in
+        Alcotest.(check (list int)) "child listed once" (ids (others @ [ child ]))
+          (ids (B.members probed));
+        let once = B.benefit (B.create ~domains:1 catalog wl) (others @ [ child ]) in
+        Alcotest.(check bool) "indexed and charged once" true
+          (Float.equal once (B.value ev probed)));
     tc "maintenance charge positive with DML" (fun () ->
         let catalog = Lazy.force Helpers.shared_catalog in
         let wl = Xia_workload.Tpox.workload_with_updates ~update_freq:50.0 () in
