@@ -720,6 +720,16 @@ let micro () =
   let basics = Candidate.basics set in
   ignore (Benefit.benefit ev basics);
   List.iter (fun c -> ignore (Benefit.individual_benefit ev c)) basics;
+  (* Warm search: greedy+heuristics over 300 distinct synthetic queries,
+     uncompressed, after one untimed run has cached every what-if cost, so
+     the measurement is the search's own work (probes, interaction-group
+     upkeep, coverage tests) and grows with the workload if that work
+     does. *)
+  let search_wl = Synthetic.workload ~seed:17 catalog (Catalog.table_names catalog) 300 in
+  let search_set = Enumeration.candidates catalog search_wl in
+  let search_ev = Benefit.create ~domains:1 catalog search_wl in
+  let search_budget = Benefit.config_size search_ev (Candidate.basics search_set) / 2 in
+  ignore (Search.greedy_heuristics search_ev search_set ~budget:search_budget);
   let tests =
     [
       Test.make ~name:"xpath.parse"
@@ -748,6 +758,9 @@ let micro () =
       Test.make ~name:"benefit.single_warm"
         (Staged.stage (fun () ->
              ignore (Benefit.individual_benefit ev (List.hd basics))));
+      Test.make ~name:"search.heuristics_warm"
+        (Staged.stage (fun () ->
+             ignore (Search.greedy_heuristics search_ev search_set ~budget:search_budget)));
       Test.make ~name:"advisor.enumerate_workload"
         (Staged.stage (fun () -> ignore (Enumeration.basic_candidates catalog workload)));
       (* Validation's document scan: Q2 without indexes over the quick TPoX

@@ -12,6 +12,10 @@
      cannot interact);
    - evaluated sub-configurations are cached.
 
+   A configuration value ({!config}) carries its partition and each
+   sub-configuration's delta, so a search that extends it by one index
+   evaluates only the sub-configuration that index joins.
+
    What-if calls pass the virtual configuration to the optimizer explicitly
    ([~virtual_config]), so an evaluation never mutates the catalog, and they
    go through [Optimizer.optimize_batch]: ONE optimizer invocation per
@@ -91,6 +95,8 @@ type t = {
          the raw and compressed paths share one code path. *)
   base_costs : float array;       (* per statement, no indexes *)
   base_affected : float array;    (* per statement, estimated documents modified *)
+  dml : (int * Maintenance.dml_kind * string list) array;
+      (* the DML statements, in workload order: index, kind, tables *)
   shards : shard array;
   domains : int;                  (* parallelism for what-if fan-out *)
   evaluations : int Atomic.t;     (* optimizer calls made through this evaluator *)
@@ -147,6 +153,14 @@ let dml_kind = function
   | Ast.Update _ -> Some Maintenance.Dml_update
   | Ast.Select _ -> None
 
+let dml_statements items =
+  Array.to_list items
+  |> List.mapi (fun i (item : Workload.item) ->
+         Option.map
+           (fun kind -> (i, kind, Ast.tables item.statement))
+           (dml_kind item.statement))
+  |> List.filter_map Fun.id |> Array.of_list
+
 (* Build an evaluator over a workload summary: the per-statement arrays hold
    the cluster REPRESENTATIVES, and [weights] their cluster frequencies, so
    every downstream cost sum is weighted per cluster.  For a raw summary
@@ -169,6 +183,7 @@ let of_summary ?domains catalog summary =
     weights = Workload_summary.weights summary;
     base_costs = Array.map (fun p -> p.Plan.total_cost) base;
     base_affected = Array.map (fun p -> p.Plan.affected_docs) base;
+    dml = dml_statements items;
     shards =
       Array.init shard_count (fun _ ->
           {
@@ -218,23 +233,19 @@ let base_workload_cost t =
    index of the configuration on the statement's table pays mc. *)
 let maintenance_charge t (config : Candidate.t list) =
   let total = ref 0.0 in
-  Array.iteri
-    (fun i (item : Workload.item) ->
-      match dml_kind item.statement with
-      | None -> ()
-      | Some kind ->
-          let tables = Ast.tables item.statement in
-          List.iter
-            (fun (c : Candidate.t) ->
-              if List.mem c.def.Xia_index.Index_def.table tables then begin
-                let stats = Candidate.stats t.catalog c in
-                total :=
-                  !total
-                  +. t.weights.(i)
-                     *. Maintenance.cost stats kind ~docs_affected:t.base_affected.(i)
-              end)
-            config)
-    t.items;
+  Array.iter
+    (fun (i, kind, tables) ->
+      List.iter
+        (fun (c : Candidate.t) ->
+          if List.mem c.def.Xia_index.Index_def.table tables then begin
+            let stats = Candidate.stats t.catalog c in
+            total :=
+              !total
+              +. t.weights.(i)
+                 *. Maintenance.cost stats kind ~docs_affected:t.base_affected.(i)
+          end)
+        config)
+    t.dml;
   !total
 
 (* Fingerprint of a sub-configuration: the sorted array of its members'
@@ -471,17 +482,13 @@ let slot_affected = function Carried g -> g.g_affected | Fresh (_, a) -> a
 let union_sorted a b =
   let la = Array.length a and lb = Array.length b in
   let out = Array.make (la + lb) 0 in
-  let i = ref 0 and j = ref 0 and k = ref 0 in
-  while !i < la || !j < lb do
-    let x =
-      if !j >= lb || (!i < la && a.(!i) < b.(!j)) then (let x = a.(!i) in incr i; x)
-      else if !i >= la || b.(!j) < a.(!i) then (let x = b.(!j) in incr j; x)
-      else (let x = a.(!i) in incr i; incr j; x)
-    in
-    out.(!k) <- x;
-    incr k
-  done;
-  if !k = la + lb then out else Array.sub out 0 !k
+  let rec go i j k =
+    if i = la && j = lb then Array.sub out 0 k
+    else if j = lb || (i < la && a.(i) < b.(j)) then (out.(k) <- a.(i); go (i + 1) j (k + 1))
+    else if i = la || b.(j) < a.(i) then (out.(k) <- b.(j); go i (j + 1) (k + 1))
+    else (out.(k) <- a.(i); go (i + 1) (j + 1) (k + 1))
+  in
+  go 0 0 0
 
 let by_stamp (a, _) (b, _) = Int.compare a b
 

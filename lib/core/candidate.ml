@@ -83,14 +83,14 @@ let affected_array c = Array.of_list (Int_set.elements c.affected)
 
 (* Merge walk over two sorted arrays from positions [i] and [j].  A
    top-level function of plain ints, so the walk allocates nothing. *)
-let rec overlap_from a b i j =
+let rec overlap_from (a : int array) (b : int array) i j =
   i < Array.length a
   && j < Array.length b
   &&
   let x = a.(i) and y = b.(j) in
   x = y || if x < y then overlap_from a b (i + 1) j else overlap_from a b i (j + 1)
 
-let overlap a b =
+let overlap (a : int array) (b : int array) =
   let la = Array.length a and lb = Array.length b in
   la > 0 && lb > 0 && a.(la - 1) >= b.(0) && b.(lb - 1) >= a.(0) && overlap_from a b 0 0
 

@@ -272,20 +272,18 @@ let greedy_heuristics ?(beta = beta_default) ev set ~budget =
         ids
   in
   let covered = ref Int_set.empty in
-  let config = ref [] in
-  (* [cfg] is [!config] with its interaction groups already evaluated: a
-     probe extends it by the candidates tried, and only the groups those
-     candidates join are re-evaluated. *)
+  (* The configuration so far, newest index first, with its interaction
+     groups already evaluated: a probe extends it by the candidates tried,
+     and only the groups those candidates join are evaluated. *)
   let cfg = ref Benefit.empty in
   let used = ref 0 in
   let cur_benefit = ref 0.0 in
   let in_config (c : Candidate.t) =
-    List.exists (fun (x : Candidate.t) -> x.id = c.id) !config
+    List.exists (fun (x : Candidate.t) -> x.id = c.id) (Benefit.members !cfg)
   in
-  (* Adopt [probed], the configuration [c :: !config], and its benefit. *)
+  (* Adopt [probed], the configuration with [c] prepended, and its benefit. *)
   let admit c s probed ib =
     count "search.greedy_heuristics.admitted" 1;
-    config := c :: !config;
     cfg := probed;
     used := !used + s;
     cur_benefit := ib;
@@ -353,10 +351,10 @@ let greedy_heuristics ?(beta = beta_default) ev set ~budget =
         end
       end)
     cands;
-  count "search.greedy_heuristics.rejected"
-    (List.length cands - List.length !config);
+  let config = Benefit.members !cfg in
+  count "search.greedy_heuristics.rejected" (List.length cands - List.length config);
   finalize ~algorithm:"greedy+heuristics" ev ~calls_before ~pruned_before ~t0
-    (List.rev !config)
+    (List.rev config)
 
 (* -------- Top-down -------- *)
 
