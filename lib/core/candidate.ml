@@ -82,7 +82,8 @@ let mark_affected c stmt_index = c.affected <- Int_set.add stmt_index c.affected
 let affected_array c = Array.of_list (Int_set.elements c.affected)
 
 (* Merge walk over two sorted arrays from positions [i] and [j].  A
-   top-level function of plain ints, so the walk allocates nothing. *)
+   top-level function typed to [int], so the walk allocates nothing and
+   compares without the polymorphic [compare]. *)
 let rec overlap_from (a : int array) (b : int array) i j =
   i < Array.length a
   && j < Array.length b
@@ -90,9 +91,7 @@ let rec overlap_from (a : int array) (b : int array) i j =
   let x = a.(i) and y = b.(j) in
   x = y || if x < y then overlap_from a b (i + 1) j else overlap_from a b i (j + 1)
 
-let overlap (a : int array) (b : int array) =
-  let la = Array.length a and lb = Array.length b in
-  la > 0 && lb > 0 && a.(la - 1) >= b.(0) && b.(lb - 1) >= a.(0) && overlap_from a b 0 0
+let overlap a b = overlap_from a b 0 0
 
 let to_list set =
   List.sort
