@@ -761,6 +761,14 @@ let micro () =
       Test.make ~name:"search.heuristics_warm"
         (Staged.stage (fun () ->
              ignore (Search.greedy_heuristics search_ev search_set ~budget:search_budget)));
+      (* The cold what-if path over the same 300 queries: a fresh evaluator
+         (every statement prepared and costed once) and a greedy+heuristics
+         search whose probes all reach the optimizer, since nothing is
+         cached yet. *)
+      Test.make ~name:"optimizer.whatif_cold"
+        (Staged.stage (fun () ->
+             let ev = Benefit.create ~domains:1 catalog search_wl in
+             ignore (Search.greedy_heuristics ev search_set ~budget:search_budget)));
       Test.make ~name:"advisor.enumerate_workload"
         (Staged.stage (fun () -> ignore (Enumeration.basic_candidates catalog workload)));
       (* Validation's document scan: Q2 without indexes over the quick TPoX

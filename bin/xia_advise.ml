@@ -191,7 +191,7 @@ let explain_cmd benchmark small data_dirs query with_recommended =
     candidates;
   Format.printf "@.Plan without indexes:@.  %a@."
     Xia_optimizer.Plan.pp
-    (Optimizer.optimize ~mode:Optimizer.Evaluate catalog stmt);
+    (Optimizer.optimize ~mode:Optimizer.Evaluate ~virtual_config:[] catalog stmt);
   if with_recommended then begin
     let defs =
       List.map

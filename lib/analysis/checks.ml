@@ -26,7 +26,7 @@ let whatif_modules = [ "benefit"; "optimizer" ]
 let io_modules = [ "persist" ]
 
 (* Binding names whose transitive call closure E002 polices. *)
-let batch_roots = [ "optimize_batch" ]
+let batch_roots = [ "optimize_batch"; "optimize_prepared" ]
 
 let has_suffix = Effects.has_suffix
 
@@ -285,7 +285,7 @@ let check_e001_program eff graph =
 let e002_message what root via =
   Printf.sprintf
     "shared-state write (%s) reachable from %s's virtual-config path%s; \
-     what-if evaluation beyond the sanctioned warm_stats/table_env sites \
+     what-if evaluation beyond the sanctioned warm_stats/prepare sites \
      must stay effect-free — thread state through arguments or move the \
      write outside the batch"
     what root
@@ -293,13 +293,16 @@ let e002_message what root via =
 
 (* E002: walk the call closure of every [batch_roots] binding (the
    virtual-config what-if path) and flag raw shared-state writes.  Cuts:
-   [warm_stats]/[table_env] are the sanctioned synchronization points,
+   [warm_stats] and the optimizer's [prepare] (which binds a statement to
+   the statistics warmed before it) are the sanctioned synchronization
+   points,
    lib/obs and the Par runtime are instrumentation/scheduling, and a
    lock-disciplined callee (Mutex body or [@lint.allow "R001"]) manages its
    own state.  Atomic writes never produce witnesses in the first place. *)
 let check_e002_program eff graph =
   let sanctioned (m : Callgraph.node) =
-    List.mem m.name [ "warm_stats"; "table_env" ]
+    String.equal m.name "warm_stats"
+    || (String.equal m.name "prepare" && String.equal m.u.basename "optimizer")
     || in_dir "obs" m.u.path
     || String.equal m.u.basename "par"
     || Effects.lock_disciplined eff m
@@ -442,11 +445,13 @@ let catalog =
       detail =
         "A write to shared mutable state (ref assignment, container mutator, \
          mutable-field write) is transitively reachable from \
-         Optimizer.optimize_batch's virtual-config what-if path.  The batch \
-         contract allows exactly two synchronization points — Catalog.warm_stats \
-         before the fan-out and the memoized table_env — plus Atomic/Mutex-\
-         disciplined state; anything else can corrupt concurrent what-if \
-         evaluations.  Thread state through arguments instead.";
+         the virtual-config what-if path: Optimizer.optimize_batch or \
+         Optimizer.optimize_prepared.  The batch contract allows exactly two \
+         synchronization points — Catalog.warm_stats and Optimizer.prepare, \
+         which binds a statement to the warmed statistics before any plan \
+         runs — plus Atomic/Mutex-disciplined state; anything else can \
+         corrupt concurrent what-if evaluations.  Thread state through \
+         arguments instead.";
     };
     {
       id = "H001";

@@ -16,12 +16,16 @@
    sub-configuration's delta, so a search that extends it by one index
    evaluates only the sub-configuration that index joins.
 
-   What-if calls pass the virtual configuration to the optimizer explicitly
+   Every statement is prepared once, when the evaluator is built
+   ([Optimizer.prepare]: rewritten, its configuration-independent costs
+   derived, its index-scan parts memoized from then on), so the prepared
+   statements are bound to the statistics the evaluator was created over —
+   like [base_costs] and the sub-configuration cache.  What-if calls pass
+   the virtual configuration to the optimizer explicitly
    ([~virtual_config]), so an evaluation never mutates the catalog, and they
-   go through [Optimizer.optimize_batch]: ONE optimizer invocation per
-   (sub-)configuration plans every statement it needs against a shared
-   planning context (virtual-index installation, statistic warming and
-   index matching set up once, then fanned out over [domains t] domains).
+   go through [Optimizer.optimize_prepared]: ONE optimizer invocation per
+   (sub-)configuration plans every statement it needs against one index
+   setup, fanned out over [domains t] domains.
    Results are deterministic — batch outputs are positional and bit-for-bit
    the per-statement plans, and every sum is folded in sequential order —
    and the sub-configuration cache uses a compute-once discipline (a pending
@@ -53,7 +57,6 @@ module Optimizer = Xia_optimizer.Optimizer
 module Plan = Xia_optimizer.Plan
 module Workload = Xia_workload.Workload
 module Ast = Xia_query.Ast
-module Rewriter = Xia_query.Rewriter
 module Int_set = Candidate.Int_set
 module Par = Xia_par.Par
 
@@ -89,6 +92,7 @@ type t = {
   items : Workload.item array;
       (* the summary's representative statements — for a raw summary,
          exactly the workload *)
+  prepared : Optimizer.prepared array;  (* per representative *)
   weights : float array;
       (* per representative: the summed frequency of its cluster (for a raw
          summary, the item frequency).  Every cost sum multiplies these, so
@@ -171,15 +175,20 @@ let of_summary ?domains catalog summary =
   (* Force lazy statistics collection for every table up front: afterwards
      concurrent what-if calls only read the catalog. *)
   Catalog.warm_stats catalog;
+  let prepared =
+    Par.map ~domains
+      (fun (item : Workload.item) -> Optimizer.prepare catalog item.statement)
+      items
+  in
   let base =
-    Optimizer.optimize_batch ~mode:Optimizer.Evaluate ~domains ~virtual_config:[]
-      catalog
-      (Array.map (fun (item : Workload.item) -> item.statement) items)
+    Optimizer.optimize_prepared ~mode:Optimizer.Evaluate ~domains ~virtual_config:[]
+      catalog prepared
   in
   {
     catalog;
     summary;
     items;
+    prepared;
     weights = Workload_summary.weights summary;
     base_costs = Array.map (fun p -> p.Plan.total_cost) base;
     base_affected = Array.map (fun p -> p.Plan.affected_docs) base;
@@ -252,10 +261,7 @@ let maintenance_charge t (config : Candidate.t list) =
    interned logical ids.  Equal configurations (up to order and index names)
    get equal fingerprints; no string is built or hashed. *)
 let fingerprint (sub : Candidate.t list) =
-  let arr =
-    Array.of_list
-      (List.map (fun c -> Xia_index.Index_def.logical_id c.Candidate.def) sub)
-  in
+  let arr = Array.of_list (List.map (fun c -> c.Candidate.lid) sub) in
   Array.sort compare arr;
   arr
 
@@ -276,7 +282,7 @@ let shard_of t fp = t.shards.(shard_index fp)
    the sharded compute-once cache.
 
    - Fully covered request: one cache hit, no planning.
-   - Uncovered statements: ONE [Optimizer.optimize_batch] invocation plans
+   - Uncovered statements: ONE [Optimizer.optimize_prepared] invocation plans
      all of them under the entry's pinned [e_defs] ([defs] when the entry is
      fresh); the new costs are merged under the shard lock, where every
      reader of a published entry also sits.
@@ -341,10 +347,9 @@ let config_costs t ~defs key stmts =
            match missing with
            | [] -> [||]
            | _ ->
-               Optimizer.optimize_batch ~mode:Optimizer.Evaluate
+               Optimizer.optimize_prepared ~mode:Optimizer.Evaluate
                  ~domains:t.domains ~virtual_config:entry.e_defs t.catalog
-                 (Array.of_list
-                    (List.map (fun i -> t.items.(i).Workload.statement) missing))
+                 (Array.of_list (List.map (fun i -> t.prepared.(i)) missing))
          in
          Mutex.lock shard.lock;
          Fun.protect
@@ -390,9 +395,6 @@ let workload_cost t (config : Candidate.t list) =
   @@ fun () ->
   if Array.length t.items = 0 then 0.0
   else begin
-    (* Re-warm in case the store changed since [create]: concurrent [stats]
-       reads below must never hit the lazy collection path. *)
-    Catalog.warm_stats t.catalog;
     let defs = List.map (fun c -> c.Candidate.def) config in
     let stmts = List.init (Array.length t.items) Fun.id in
     let costs = config_costs t ~defs (fingerprint config) stmts in
@@ -583,6 +585,11 @@ let candidate_size t (c : Candidate.t) =
 let config_size t (config : Candidate.t list) =
   List.fold_left (fun acc c -> acc + candidate_size t c) 0 config
 
+(* Candidates paired with their interned matching ids, for the
+   [Optimizer.serves] tests below. *)
+let with_index_ids cands =
+  List.map (fun (c : Candidate.t) -> (c, Optimizer.index_ids c.Candidate.def)) cands
+
 (* Per-statement cost FLOORS: statement i's what-if cost under the
    configuration of EVERY candidate that could possibly apply to it — the
    candidates affecting i plus any candidate whose definition matches one of
@@ -609,21 +616,17 @@ let floors t (set : Candidate.set) =
         ~args:(fun () ->
           [ ("statements", string_of_int (Array.length t.items)) ])
       @@ fun () ->
-      Catalog.warm_stats t.catalog;
-      let cands = Candidate.to_list set in
+      let cands = with_index_ids (Candidate.to_list set) in
       let fl = Array.copy t.base_costs in
       let groups = Hashtbl.create 32 in
       let order = ref [] in  (* fingerprints, reverse first-occurrence order *)
       Array.iteri
-        (fun i (item : Workload.item) ->
-          let accesses = Rewriter.indexable_accesses item.statement in
+        (fun i p ->
           let cfg =
-            List.filter
-              (fun (c : Candidate.t) ->
-                Int_set.mem i c.affected
-                || List.exists
-                     (fun a -> Optimizer.index_matches c.Candidate.def a)
-                     accesses)
+            List.filter_map
+              (fun ((c : Candidate.t), ix) ->
+                if Int_set.mem i c.affected || Optimizer.serves p ix then Some c
+                else None)
               cands
           in
           if cfg <> [] then begin
@@ -637,7 +640,7 @@ let floors t (set : Candidate.set) =
                 in
                 Hashtbl.replace groups key (defs, ref [ i ])
           end)
-        t.items;
+        t.prepared;
       List.iter
         (fun key ->
           let defs, idxs = Hashtbl.find groups key in
@@ -692,26 +695,22 @@ let atomic_upper_bound t (set : Candidate.set) (c : Candidate.t) =
    fall back to batches over their exact configuration, grouped by
    fingerprint. *)
 let compute_used_in_plans t (set : Candidate.set) =
-  Catalog.warm_stats t.catalog;
   let basics = Candidate.basics set in
+  let basics_ix = with_index_ids basics in
   let all_defs = List.map (fun (c : Candidate.t) -> c.Candidate.def) basics in
   let union_ok = ref [] in          (* statement indices, reverse order *)
   let fallback = ref [] in          (* (fingerprint, defs, indices rev) *)
   Array.iteri
-    (fun i (item : Workload.item) ->
+    (fun i p ->
       let config =
         List.filter (fun (c : Candidate.t) -> Int_set.mem i c.affected) basics
       in
       if config <> [] then begin
-        let accesses = Rewriter.indexable_accesses item.statement in
         let cross =
           List.exists
-            (fun (c : Candidate.t) ->
-              (not (Int_set.mem i c.affected))
-              && List.exists
-                   (fun a -> Optimizer.index_matches c.Candidate.def a)
-                   accesses)
-            basics
+            (fun ((c : Candidate.t), ix) ->
+              (not (Int_set.mem i c.affected)) && Optimizer.serves p ix)
+            basics_ix
         in
         if not cross then union_ok := i :: !union_ok
         else begin
@@ -725,16 +724,14 @@ let compute_used_in_plans t (set : Candidate.set) =
               fallback := (key, (defs, ref [ i ])) :: !fallback
         end
       end)
-    t.items;
+    t.prepared;
   let used = Hashtbl.create 32 in
   let batches = ref 0 in
   let plan_group defs idxs =
-    let stmts =
-      Array.of_list (List.map (fun i -> t.items.(i).Workload.statement) idxs)
-    in
     let plans =
-      Optimizer.optimize_batch ~mode:Optimizer.Evaluate ~domains:t.domains
-        ~virtual_config:defs t.catalog stmts
+      Optimizer.optimize_prepared ~mode:Optimizer.Evaluate ~domains:t.domains
+        ~virtual_config:defs t.catalog
+        (Array.of_list (List.map (fun i -> t.prepared.(i)) idxs))
     in
     incr batches;
     Array.iter
@@ -781,7 +778,7 @@ let useful_ids ?(prune = false) t set =
       let probe =
         List.filter_map
           (fun (c : Candidate.t) ->
-            if Hashtbl.mem used (Xia_index.Index_def.logical_id c.def) then begin
+            if Hashtbl.mem used c.Candidate.lid then begin
               Hashtbl.replace ids c.Candidate.id ();
               None
             end

@@ -18,8 +18,11 @@ module Workload = Xia_workload.Workload
 
 type t
 
-(** Build an evaluator: costs every statement once with no indexes (one
-    batched optimizer invocation).  [domains] (default
+(** Build an evaluator: prepares every statement once
+    ({!Xia_optimizer.Optimizer.prepare}) and costs it with no indexes (one
+    batched optimizer invocation).  Every later what-if evaluation plans the
+    prepared statements, so the evaluator is bound to the catalog
+    statistics current at creation.  [domains] (default
     [Par.default_domains ()]) bounds the parallel what-if fan-out; any value
     yields bit-for-bit identical results.  Equivalent to [of_summary] over
     {!Workload_summary.raw}. *)
@@ -39,7 +42,7 @@ val summary : t -> Workload_summary.t
 val domains : t -> int
 
 (** Optimizer invocations made through this evaluator.  Every invocation is
-    batched ({!Xia_optimizer.Optimizer.optimize_batch}), so a
+    batched ({!Xia_optimizer.Optimizer.optimize_prepared}), so a
     (sub-)configuration evaluation counts one however many statements it
     plans; the per-statement raw equivalent is tracked by
     [Optimizer.counters.batch_setup_saved].  Deterministic for any [domains]

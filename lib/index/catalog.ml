@@ -1,12 +1,12 @@
-(* Database catalog: tables with their statistics and their real and virtual
-   indexes.
+(* Database catalog: tables with their statistics and their real indexes.
 
-   Virtual indexes exist only here — they have definitions and derived
-   statistics but no physical entries, and are visible to the optimizer in
-   its special advisor modes only.  This mirrors the paper's server-side
-   extension: "virtual indexes are added to the database catalog and to all
-   the internal data structures of the optimizer, but they are not physically
-   created". *)
+   Virtual indexes are not catalog state: the optimizer's Evaluate mode takes
+   a virtual-index configuration with each call and derives its statistics
+   from the data statistics kept here.  That plays the role of the paper's
+   server-side extension ("virtual indexes are added to the database catalog
+   and to all the internal data structures of the optimizer, but they are
+   not physically created") without a shared mutable configuration, so
+   concurrent what-if evaluations never interfere. *)
 
 module Doc_store = Xia_storage.Doc_store
 module Path_stats = Xia_storage.Path_stats
@@ -15,7 +15,6 @@ type table = {
   store : Doc_store.t;
   mutable stats : Path_stats.t option;
   mutable real_indexes : Physical_index.t list;
-  mutable virtual_indexes : Index_def.t list;
 }
 
 type t = {
@@ -28,7 +27,7 @@ let add_table t store =
   let name = Doc_store.name store in
   if Hashtbl.mem t.tables name then
     invalid_arg (Printf.sprintf "Catalog.add_table: table %s already exists" name);
-  let table = { store; stats = None; real_indexes = []; virtual_indexes = [] } in
+  let table = { store; stats = None; real_indexes = [] } in
   Hashtbl.add t.tables name table;
   table
 
@@ -115,24 +114,6 @@ let refresh_indexes t =
     t.tables
 
 let real_indexes t name = (table_exn t name).real_indexes
-
-(* Virtual index management.  Legacy mutation-based interface: the optimizer
-   now takes the virtual configuration as an explicit [?virtual_config]
-   argument, which is reentrant and safe under parallel evaluation; this
-   catalog-wide mutable configuration remains only as a fallback for callers
-   that install a configuration once and run many statements against it. *)
-let set_virtual_indexes t defs =
-  Hashtbl.iter (fun _ tbl -> tbl.virtual_indexes <- []) t.tables;
-  List.iter
-    (fun (def : Index_def.t) ->
-      let tbl = table_exn t def.table in
-      tbl.virtual_indexes <- def :: tbl.virtual_indexes)
-    defs
-
-let clear_virtual_indexes t =
-  Hashtbl.iter (fun _ tbl -> tbl.virtual_indexes <- []) t.tables
-
-let virtual_indexes t name = (table_exn t name).virtual_indexes
 
 let total_data_bytes t =
   Hashtbl.fold (fun _ tbl acc -> acc + Doc_store.total_bytes tbl.store) t.tables 0

@@ -1,7 +1,8 @@
-(** Database catalog: tables, statistics, real indexes and virtual indexes.
+(** Database catalog: tables, statistics and real indexes.
 
-    Virtual indexes have definitions and derived statistics but no entries;
-    they are visible to the optimizer only in its advisor modes. *)
+    Virtual indexes are not stored here: the optimizer's Evaluate mode takes
+    a virtual-index configuration with each call
+    ([Optimizer.optimize ~virtual_config]). *)
 
 module Doc_store = Xia_storage.Doc_store
 module Path_stats = Xia_storage.Path_stats
@@ -10,7 +11,6 @@ type table = {
   store : Doc_store.t;
   mutable stats : Path_stats.t option;
   mutable real_indexes : Physical_index.t list;
-  mutable virtual_indexes : Index_def.t list;
 }
 
 type t
@@ -53,14 +53,5 @@ val drop_all_indexes : t -> unit
 val refresh_indexes : t -> unit
 
 val real_indexes : t -> string -> Physical_index.t list
-
-(** Install a virtual-index configuration (replaces the previous one).
-    Legacy interface: prefer passing [?virtual_config] to
-    [Optimizer.optimize], which is reentrant and does not mutate the
-    catalog. *)
-val set_virtual_indexes : t -> Index_def.t list -> unit
-
-val clear_virtual_indexes : t -> unit
-val virtual_indexes : t -> string -> Index_def.t list
 
 val total_data_bytes : t -> int

@@ -6,8 +6,8 @@
    - Enumerate Indexes: optimize the statement with a virtual universal index
      ("//*", and "//@*" for attributes) in place and report every query
      pattern the index-matching step matched against it;
-   - Evaluate Indexes: cost the statement against the catalog's current
-     virtual-index configuration.
+   - Evaluate Indexes: cost the statement against a virtual-index
+     configuration, passed with each call.
 
    All index statistics — virtual or real — are derived from data statistics,
    so estimated costs are consistent across modes. *)
@@ -48,26 +48,6 @@ let reset_counters () =
   Atomic.set counters.plans_considered 0;
   Atomic.set counters.batched_calls 0;
   Atomic.set counters.batch_setup_saved 0
-
-(* Indexes visible to the optimizer in the given mode.  In [Evaluate] mode
-   the virtual configuration is normally passed explicitly ([virtual_config]),
-   which is reentrant: no catalog state is touched, so any number of
-   evaluations can run concurrently.  Without it we fall back to the
-   catalog's legacy mutable virtual-index configuration. *)
-let visible_indexes ?virtual_config catalog mode table =
-  match mode with
-  | Normal ->
-      List.map
-        (fun pi -> (Xia_index.Physical_index.def pi, false))
-        (Catalog.real_indexes catalog table)
-  | Evaluate ->
-      let defs =
-        match virtual_config with
-        | Some defs ->
-            List.filter (fun (d : Index_def.t) -> String.equal d.table table) defs
-        | None -> Catalog.virtual_indexes catalog table
-      in
-      List.map (fun d -> (d, true)) defs
 
 (* Cost-model perturbation knob for the recommendation-quality evaluation
    harness (lib/eval): every index-plan cost (single scan, index OR, index
@@ -116,168 +96,6 @@ let doc_scan_cost tstats store (info : Rewriter.binding_info) =
   (pages *. C.sequential_page_cost)
   +. (docs *. verify_cost_per_doc tstats (predicate_count info))
 
-let index_scan_parts tstats (choice : Plan.index_choice) =
-  let s = choice.stats in
-  let entries = float_of_int s.Index_stats.entries in
-  let est =
-    Selectivity.lookup_estimate ~query:choice.access.Rewriter.pattern tstats
-      choice.def.Index_def.pattern choice.def.Index_def.dtype
-      choice.access.condition
-  in
-  let entries_scanned = est.Selectivity.entries_matched in
-  let leaf_frac = if entries = 0.0 then 0.0 else entries_scanned /. entries in
-  let descend = float_of_int s.Index_stats.levels *. C.effective_random_page_cost in
-  let leaf_io =
-    float_of_int s.Index_stats.leaf_pages *. leaf_frac *. C.sequential_page_cost
-  in
-  let entry_cpu = entries_scanned *. C.cpu_per_index_entry in
-  let docs_fetched = est.Selectivity.docs_matched in
-  let lookup = descend +. leaf_io +. entry_cpu in
-  (lookup, docs_fetched, Float.min 1.0 (docs_fetched /. Float.max 1.0 (float_of_int tstats.Path_stats.doc_count)))
-
-let fetch_and_verify_cost tstats nfilters docs =
-  docs
-  *. ((C.effective_random_page_cost *. avg_doc_pages tstats)
-     +. verify_cost_per_doc tstats nfilters)
-
-let index_scan_cost tstats (info : Rewriter.binding_info) choice =
-  let nfilters = predicate_count info in
-  let lookup, docs_fetched, _frac = index_scan_parts tstats choice in
-  perturbed (lookup +. fetch_and_verify_cost tstats nfilters docs_fetched)
-
-(* OR filter served by one index per disjunct: union of the probes. *)
-let index_or_cost tstats (info : Rewriter.binding_info) choices =
-  let nfilters = predicate_count info in
-  let docs_cap = Float.max 1.0 (float_of_int tstats.Path_stats.doc_count) in
-  let lookups, docs_union =
-    List.fold_left
-      (fun (lk, du) choice ->
-        let lookup, docs_fetched, _ = index_scan_parts tstats choice in
-        (lk +. lookup, du +. docs_fetched))
-      (0.0, 0.0) choices
-  in
-  let docs_union = Float.min docs_cap docs_union in
-  perturbed (lookups +. fetch_and_verify_cost tstats nfilters docs_union)
-
-let index_and_cost tstats (info : Rewriter.binding_info) choices =
-  let nfilters = predicate_count info in
-  let docs = Float.max 1.0 (float_of_int tstats.Path_stats.doc_count) in
-  let lookups, rid_cpu, inter_frac =
-    List.fold_left
-      (fun (lk, rc, fr) choice ->
-        let lookup, docs_fetched, frac = index_scan_parts tstats choice in
-        (lk +. lookup, rc +. (docs_fetched *. C.cpu_per_index_entry), fr *. frac))
-      (0.0, 0.0, 1.0) choices
-  in
-  let inter_docs = docs *. inter_frac in
-  perturbed (lookups +. rid_cpu +. fetch_and_verify_cost tstats nfilters inter_docs)
-
-(* Result-size estimate, independent of the access path. *)
-let est_result_docs tstats (info : Rewriter.binding_info) =
-  float_of_int tstats.Path_stats.doc_count
-  *. Selectivity.combined_doc_fraction tstats info.filters
-
-(* Everything the planner reads about one table, assembled once and shared by
-   every statement planned against the same (virtual) configuration: data
-   statistics, the store handle, and the visible indexes with their derived
-   statistics.  [Index_stats.derive_cached] is pure and memoized, so forcing
-   it eagerly here changes no number — it only moves the derivation out of
-   the per-statement loop, and leaves the environment read-only (safe to
-   share across domains; no [Lazy.t] crosses a domain boundary). *)
-type table_env = {
-  tstats : Path_stats.t;
-  store : Doc_store.t;
-  indexes : (Index_def.t * bool * Index_stats.t) list;
-      (* visible defs in [visible_indexes] order — preserved exactly, because
-         [best_choice_for] keeps the first index on an exact cost tie *)
-}
-
-let table_env ?virtual_config catalog mode table =
-  let tstats = Catalog.stats catalog table in
-  {
-    tstats;
-    store = Catalog.store catalog table;
-    indexes =
-      List.map
-        (fun (def, is_virtual) ->
-          (def, is_virtual, Index_stats.derive_cached tstats def))
-        (visible_indexes ?virtual_config catalog mode table);
-  }
-
-let plan_binding env (info : Rewriter.binding_info) =
-  let tstats = env.tstats in
-  let est_docs = est_result_docs tstats info in
-  let result_cpu = est_docs *. C.cpu_per_result in
-  let scan_cost = doc_scan_cost tstats env.store info +. result_cpu in
-  Atomic.incr counters.plans_considered;
-  (* Best matching index per access. *)
-  let best_choice_for (access : Rewriter.access) =
-    let applicable =
-      List.filter_map
-        (fun (def, is_virtual, stats) ->
-          if index_matches def access then
-            if stats.Index_stats.entries = 0 then None
-            else Some { Plan.def; stats; access; is_virtual }
-          else None)
-        env.indexes
-    in
-    List.fold_left
-      (fun acc c ->
-        let cost = index_scan_cost tstats info c in
-        Atomic.incr counters.plans_considered;
-        match acc with
-        | Some (_, best_cost) when best_cost <= cost -> acc
-        | Some _ | None -> Some (c, cost))
-      None applicable
-  in
-  (* Per filter: a single index scan for a plain predicate, an index OR (one
-     index per disjunct, all required) for a disjunctive one. *)
-  let filter_plans =
-    List.filter_map
-      (fun (filter : Rewriter.filter) ->
-        match filter with
-        | [] -> None
-        | [ access ] ->
-            Option.map (fun (c, cost) -> (Plan.Index_scan c, cost)) (best_choice_for access)
-        | disjuncts ->
-            let choices = List.map best_choice_for disjuncts in
-            if List.for_all Option.is_some choices then begin
-              let choices = List.map (fun o -> fst (Option.get o)) choices in
-              Atomic.incr counters.plans_considered;
-              Some (Plan.Index_or choices, index_or_cost tstats info choices)
-            end
-            else None)
-      info.filters
-  in
-  let single_plans =
-    List.map (fun (p, cost) -> (p, cost +. result_cpu)) filter_plans
-  in
-  (* AND-combinations of the single-scan winners (pairs). *)
-  let scan_winners =
-    List.filter_map
-      (fun (p, _) -> match p with Plan.Index_scan c -> Some c | _ -> None)
-      filter_plans
-  in
-  let rec pairs = function
-    | [] -> []
-    | c :: rest -> List.map (fun c' -> (c, c')) rest @ pairs rest
-  in
-  let and_plans =
-    List.map
-      (fun (c, c') ->
-        Atomic.incr counters.plans_considered;
-        let cost = index_and_cost tstats info [ c; c' ] +. result_cpu in
-        (Plan.Index_and [ c; c' ], cost))
-      (pairs scan_winners)
-  in
-  let all_plans = ((Plan.Doc_scan, scan_cost) :: single_plans) @ and_plans in
-  let plan, est_cost =
-    List.fold_left
-      (fun (bp, bc) (p, c) -> if c < bc then (p, c) else (bp, bc))
-      (List.hd all_plans) (List.tl all_plans)
-  in
-  { Plan.info; plan; est_cost; est_docs }
-
 (* Pure in the document: page-in plus parse CPU.  (An earlier version
    pulled [Catalog.stats] here and ignored it — a shared-state read the
    E002 effect check rightly flagged on the batched what-if path.) *)
@@ -290,6 +108,164 @@ let insert_cost doc =
 let modify_cost_per_doc tstats ~factor =
   (avg_doc_pages tstats *. C.sequential_page_cost *. factor)
   +. (avg_doc_elements tstats *. C.cpu_per_node)
+
+(* Result-size estimate, independent of the access path. *)
+let est_result_docs tstats (info : Rewriter.binding_info) =
+  float_of_int tstats.Path_stats.doc_count
+  *. Selectivity.combined_doc_fraction tstats info.filters
+
+(* ---------- prepared statements ----------
+
+   Planning splits in two.  [prepare] runs once per statement: it rewrites
+   the statement and derives everything no index configuration can change.
+   Planning a prepared statement then runs once per configuration and only
+   matches indexes and adds up costs.  CoPhy's INUM builds a per-query plan
+   template the same way and re-costs it per configuration. *)
+
+(* One indexable access: its interned pattern id, and its ordinal among the
+   statement's accesses (half of a probe's memo key). *)
+type prepared_access = {
+  access : Rewriter.access;
+  pid : int;
+  slot : int;
+}
+
+(* One binding's configuration-independent numbers. *)
+type prepared_binding = {
+  info : Rewriter.binding_info;
+  tstats : Path_stats.t;
+  est_docs : float;
+  result_cpu : float;
+  scan_cost : float;      (* the document scan, result CPU included *)
+  docs_cap : float;       (* documents, at least one *)
+  fetch_per_doc : float;  (* fetching and verifying one document *)
+  filters : prepared_access list list;
+}
+
+(* How a statement's total cost follows from its bindings' costs. *)
+type tail =
+  | Select_tail                  (* their sum *)
+  | Insert_tail of float         (* none: this fixed cost *)
+  | Modify_tail of float         (* their sum, plus this per modified document *)
+
+(* The configuration-independent parts of one index scan: the index's
+   derived statistics, the probe's lookup cost, the documents it fetches
+   and their fraction of the table. *)
+type probe = {
+  stats : Index_stats.t;
+  lookup : float;
+  docs_fetched : float;
+  frac : float;
+}
+
+type prepared = {
+  statement : Ast.statement;
+  bindings : prepared_binding list;
+  accesses : prepared_access list;  (* every binding's, in slot order *)
+  slots : int;
+  tail : tail;
+  probes : (int, probe) Xia_xpath.Interner.Cache.t;
+      (* index logical id × [slots] + access slot -> probe; matching pairs
+         only.  Every entry is a pure function of the key and the statistics
+         bound here, so racing domains agree on it. *)
+}
+
+let prepared_statement p = p.statement
+
+let prepare catalog (stmt : Ast.statement) =
+  let next = ref 0 in
+  let prepare_access (access : Rewriter.access) =
+    let slot = !next in
+    incr next;
+    { access; pid = Pattern.id access.pattern; slot }
+  in
+  let prepare_binding (info : Rewriter.binding_info) =
+    let table = info.Rewriter.source.Ast.table in
+    let tstats = Catalog.stats catalog table in
+    let est_docs = est_result_docs tstats info in
+    let result_cpu = est_docs *. C.cpu_per_result in
+    let filters = List.map (List.map prepare_access) info.filters in
+    {
+      info;
+      tstats;
+      est_docs;
+      result_cpu;
+      scan_cost = doc_scan_cost tstats (Catalog.store catalog table) info +. result_cpu;
+      docs_cap = Float.max 1.0 (float_of_int tstats.Path_stats.doc_count);
+      fetch_per_doc =
+        (C.effective_random_page_cost *. avg_doc_pages tstats)
+        +. verify_cost_per_doc tstats (predicate_count info);
+      filters;
+    }
+  in
+  let bindings = List.map prepare_binding (Rewriter.bindings_of_statement stmt) in
+  let modify table ~factor =
+    Modify_tail (modify_cost_per_doc (Catalog.stats catalog table) ~factor)
+  in
+  {
+    statement = stmt;
+    bindings;
+    accesses = List.concat_map (fun b -> List.concat b.filters) bindings;
+    slots = !next;
+    tail =
+      (match stmt with
+      | Ast.Select _ -> Select_tail
+      | Ast.Insert { document; _ } -> Insert_tail (insert_cost document)
+      | Ast.Delete { table; _ } -> modify table ~factor:1.0
+      | Ast.Update { table; _ } -> modify table ~factor:2.0);
+    probes = Xia_xpath.Interner.Cache.create ~hash:Fun.id ~equal:Int.equal ();
+  }
+
+(* An index definition interned for matching. *)
+type index_ids = {
+  def : Index_def.t;
+  def_pid : int;
+  lid : int;
+}
+
+let index_ids (def : Index_def.t) =
+  { def; def_pid = Pattern.id def.pattern; lid = Index_def.logical_id def }
+
+(* [index_matches] over interned ids. *)
+let serves_access ix (pa : prepared_access) =
+  String.equal ix.def.table pa.access.table
+  && Index_def.equal_data_type ix.def.dtype pa.access.dtype
+  && Pattern.covers_id ~general:ix.def_pid ~specific:pa.pid
+
+let serves p ix = List.exists (serves_access ix) p.accesses
+
+let probe_of tstats (def : Index_def.t) (access : Rewriter.access) =
+  let s = Index_stats.derive_cached tstats def in
+  if s.Index_stats.entries = 0 then
+    { stats = s; lookup = 0.0; docs_fetched = 0.0; frac = 0.0 }
+  else begin
+    let est =
+      Selectivity.lookup_estimate ~query:access.Rewriter.pattern tstats
+        def.Index_def.pattern def.Index_def.dtype access.condition
+    in
+    let entries_scanned = est.Selectivity.entries_matched in
+    let leaf_frac = entries_scanned /. float_of_int s.Index_stats.entries in
+    let descend = float_of_int s.Index_stats.levels *. C.effective_random_page_cost in
+    let leaf_io =
+      float_of_int s.Index_stats.leaf_pages *. leaf_frac *. C.sequential_page_cost
+    in
+    let entry_cpu = entries_scanned *. C.cpu_per_index_entry in
+    let docs_fetched = est.Selectivity.docs_matched in
+    {
+      stats = s;
+      lookup = descend +. leaf_io +. entry_cpu;
+      docs_fetched;
+      frac =
+        Float.min 1.0
+          (docs_fetched /. Float.max 1.0 (float_of_int tstats.Path_stats.doc_count));
+    }
+  end
+
+(* An index the planner may use, with whether it is virtual. *)
+type visible = {
+  ix : index_ids;
+  is_virtual : bool;
+}
 
 (* Every what-if call's latency, for the advisor's observability layer.
    Looked up by name at each instrumented call, so the metric only
@@ -308,45 +284,173 @@ let affected_docs_of_bindings = function
         (fun acc (b : Plan.planned_binding) -> Float.min acc b.Plan.est_docs)
         infinity planned
 
-(* Plan one statement against prebuilt table environments ([env_of] must
-   cover every table the statement touches).  Shared by the per-statement
-   and batched entry points — counters are incremented by the callers. *)
-let plan_statement ~env_of (stmt : Ast.statement) =
-  let bindings = Rewriter.bindings_of_statement stmt in
+(* Plan one prepared binding over [indexes], the visible indexes of its
+   table in tie-break order: on an exact cost tie the first index wins.
+   Every cost is the expression the cost model defines, over the memoized
+   probe parts. *)
+let plan_binding p indexes (b : prepared_binding) =
+  Atomic.incr counters.plans_considered;
+  let index_scan_cost pr = perturbed (pr.lookup +. (pr.docs_fetched *. b.fetch_per_doc)) in
+  (* Best matching index per access. *)
+  let best_choice_for (pa : prepared_access) =
+    List.fold_left
+      (fun acc v ->
+        if not (serves_access v.ix pa) then acc
+        else begin
+          let pr =
+            Xia_xpath.Interner.Cache.find_or_compute p.probes
+              ((v.ix.lid * p.slots) + pa.slot)
+              (fun () -> probe_of b.tstats v.ix.def pa.access)
+          in
+          if pr.stats.Index_stats.entries = 0 then acc
+          else begin
+            let cost = index_scan_cost pr in
+            Atomic.incr counters.plans_considered;
+            match acc with
+            | Some (_, best_cost) when best_cost <= cost -> acc
+            | Some _ | None ->
+                let choice =
+                  { Plan.def = v.ix.def; stats = pr.stats; access = pa.access;
+                    is_virtual = v.is_virtual }
+                in
+                Some ((choice, pr), cost)
+          end
+        end)
+      None indexes
+  in
+  (* OR filter served by one index per disjunct: union of the probes. *)
+  let index_or_cost prs =
+    let lookups, docs_union =
+      List.fold_left
+        (fun (lk, du) pr -> (lk +. pr.lookup, du +. pr.docs_fetched))
+        (0.0, 0.0) prs
+    in
+    let docs_union = Float.min b.docs_cap docs_union in
+    perturbed (lookups +. (docs_union *. b.fetch_per_doc))
+  in
+  let index_and_cost prs =
+    let lookups, rid_cpu, inter_frac =
+      List.fold_left
+        (fun (lk, rc, fr) pr ->
+          (lk +. pr.lookup, rc +. (pr.docs_fetched *. C.cpu_per_index_entry), fr *. pr.frac))
+        (0.0, 0.0, 1.0) prs
+    in
+    let inter_docs = b.docs_cap *. inter_frac in
+    perturbed (lookups +. rid_cpu +. (inter_docs *. b.fetch_per_doc))
+  in
+  (* Per filter: a single index scan for a plain predicate, an index OR (one
+     index per disjunct, all required) for a disjunctive one. *)
+  let filter_plans =
+    List.filter_map
+      (fun (filter : prepared_access list) ->
+        match filter with
+        | [] -> None
+        | [ pa ] ->
+            Option.map
+              (fun ((c, pr), cost) -> (Plan.Index_scan c, Some (c, pr), cost))
+              (best_choice_for pa)
+        | disjuncts ->
+            let choices = List.map best_choice_for disjuncts in
+            if List.for_all Option.is_some choices then begin
+              let choices = List.map (fun o -> fst (Option.get o)) choices in
+              Atomic.incr counters.plans_considered;
+              Some
+                ( Plan.Index_or (List.map fst choices),
+                  None,
+                  index_or_cost (List.map snd choices) )
+            end
+            else None)
+      b.filters
+  in
+  let single_plans =
+    List.map (fun (plan, _, cost) -> (plan, cost +. b.result_cpu)) filter_plans
+  in
+  (* AND-combinations of the single-scan winners (pairs). *)
+  let scan_winners = List.filter_map (fun (_, scan, _) -> scan) filter_plans in
+  let rec pairs = function
+    | [] -> []
+    | c :: rest -> List.map (fun c' -> (c, c')) rest @ pairs rest
+  in
+  let and_plans =
+    List.map
+      (fun ((c, pr), (c', pr')) ->
+        Atomic.incr counters.plans_considered;
+        let cost = index_and_cost [ pr; pr' ] +. b.result_cpu in
+        (Plan.Index_and [ c; c' ], cost))
+      (pairs scan_winners)
+  in
+  let plan, est_cost =
+    List.fold_left
+      (fun (bp, bc) (p, c) -> if c < bc then (p, c) else (bp, bc))
+      (Plan.Doc_scan, b.scan_cost)
+      (single_plans @ and_plans)
+  in
+  { Plan.info = b.info; plan; est_cost; est_docs = b.est_docs }
+
+(* Plan one prepared statement; [indexes_of table] lists the table's visible
+   indexes.  The one planner: every entry point below ends here, and the
+   callers count the invocations. *)
+let plan_prepared ~indexes_of p =
   let planned =
     List.map
-      (fun (info : Rewriter.binding_info) ->
-        plan_binding (env_of info.Rewriter.source.Ast.table) info)
-      bindings
+      (fun b -> plan_binding p (indexes_of b.info.Rewriter.source.Ast.table) b)
+      p.bindings
   in
   let locate_cost = List.fold_left (fun acc b -> acc +. b.Plan.est_cost) 0.0 planned in
-  match stmt with
-  | Ast.Select _ ->
-      { Plan.statement = stmt; bindings = planned; total_cost = locate_cost; affected_docs = 0.0 }
-  | Ast.Insert { table = _; document } ->
-      let cost = insert_cost document in
-      { Plan.statement = stmt; bindings = planned; total_cost = cost; affected_docs = 1.0 }
-  | Ast.Delete { table; _ } ->
-      let tstats = (env_of table).tstats in
+  let plan total_cost affected_docs =
+    { Plan.statement = p.statement; bindings = planned; total_cost; affected_docs }
+  in
+  match p.tail with
+  | Select_tail -> plan locate_cost 0.0
+  | Insert_tail cost -> plan cost 1.0
+  | Modify_tail per_doc ->
       let affected = affected_docs_of_bindings planned in
-      let cost = locate_cost +. (affected *. modify_cost_per_doc tstats ~factor:1.0) in
-      { Plan.statement = stmt; bindings = planned; total_cost = cost; affected_docs = affected }
-  | Ast.Update { table; _ } ->
-      let tstats = (env_of table).tstats in
-      let affected = affected_docs_of_bindings planned in
-      let cost = locate_cost +. (affected *. modify_cost_per_doc tstats ~factor:2.0) in
-      { Plan.statement = stmt; bindings = planned; total_cost = cost; affected_docs = affected }
+      plan (locate_cost +. (affected *. per_doc)) affected
 
-let do_optimize ?(mode = Evaluate) ?virtual_config catalog (stmt : Ast.statement) =
-  Atomic.incr counters.optimize_calls;
-  plan_statement stmt
-    ~env_of:(fun table -> table_env ?virtual_config catalog mode table)
+(* Batch setup: per table the prepared statements touch, its visible
+   indexes, each interned once.  [Evaluate] keeps [virtual_config] order,
+   which is the tie-break order. *)
+let visible_indexes mode ~virtual_config catalog (prepared : prepared array) =
+  let tables =
+    List.sort_uniq String.compare
+      (Array.fold_left
+         (fun acc p ->
+           List.fold_left
+             (fun acc b -> b.info.Rewriter.source.Ast.table :: acc)
+             acc p.bindings)
+         [] prepared)
+  in
+  let of_table table =
+    match mode with
+    | Normal ->
+        List.map
+          (fun pi ->
+            { ix = index_ids (Xia_index.Physical_index.def pi); is_virtual = false })
+          (Catalog.real_indexes catalog table)
+    | Evaluate ->
+        List.filter_map
+          (fun (d : Index_def.t) ->
+            if String.equal d.table table then Some { ix = index_ids d; is_virtual = true }
+            else None)
+          virtual_config
+  in
+  let by_table = List.map (fun t -> (t, of_table t)) tables in
+  fun table -> List.assoc table by_table
 
-let optimize ?mode ?virtual_config catalog stmt =
-  if not (Xia_obs.Obs.on ()) then do_optimize ?mode ?virtual_config catalog stmt
+let plan_all ?(mode = Evaluate) ?(domains = 1) ~virtual_config catalog prepared =
+  Par.map ~domains
+    (plan_prepared ~indexes_of:(visible_indexes mode ~virtual_config catalog prepared))
+    prepared
+
+let optimize ?mode ?(virtual_config = []) catalog stmt =
+  let run () =
+    Atomic.incr counters.optimize_calls;
+    (plan_all ?mode ~virtual_config catalog [| prepare catalog stmt |]).(0)
+  in
+  if not (Xia_obs.Obs.on ()) then run ()
   else begin
     let t0 = Xia_obs.Obs.now_s () in
-    let plan = do_optimize ?mode ?virtual_config catalog stmt in
+    let plan = run () in
     Xia_obs.Metrics.observe_s (optimize_latency ())
       (Xia_obs.Obs.now_s () -. t0);
     plan
@@ -359,36 +463,20 @@ let batch_size_hist () =
     ~bounds_us:[| 1.; 2.; 4.; 8.; 16.; 32.; 64.; 128.; 256.; 512.; 1024. |]
     "optimizer.batch_size"
 
-(* The batched what-if entry point (Section VI-C).  One virtual-config
-   setup per call: statistics warming and the per-table planning
-   environments are built once, then every statement is planned against the
-   shared context — fanned out over up to [domains] domains, positionally
-   deterministic.  Plans are bit-for-bit what per-statement [optimize] calls
-   would return: the environment precomputes exactly what per-statement
-   planning derives on the fly (same defs, same order, same memoized index
-   statistics), so no cost or tie-break can differ. *)
-let optimize_batch ?(mode = Evaluate) ?(domains = 1) ~virtual_config catalog
-    (stmts : Ast.statement array) =
-  let n = Array.length stmts in
+(* The batched what-if entry point (Section VI-C): one optimizer invocation
+   plans every prepared statement against one index setup, fanned out over
+   up to [domains] domains, positionally deterministic.  Each result is
+   bit-for-bit what [optimize] returns for the statement: both plan through
+   [plan_prepared] over the same defs in the same order. *)
+let optimize_prepared ?mode ?domains ~virtual_config catalog
+    (prepared : prepared array) =
+  let n = Array.length prepared in
   if n = 0 then [||]
   else begin
     Atomic.incr counters.optimize_calls;
     Atomic.incr counters.batched_calls;
     ignore (Atomic.fetch_and_add counters.batch_setup_saved (n - 1));
-    let run () =
-      (* Force lazy statistics collection up front: afterwards the parallel
-         planners only read the catalog. *)
-      Catalog.warm_stats catalog;
-      let tables =
-        List.sort_uniq String.compare
-          (Array.fold_left (fun acc s -> List.rev_append (Ast.tables s) acc) [] stmts)
-      in
-      let envs =
-        List.map (fun t -> (t, table_env ~virtual_config catalog mode t)) tables
-      in
-      let env_of table = List.assoc table envs in
-      Par.map ~domains (plan_statement ~env_of) stmts
-    in
+    let run () = plan_all ?mode ?domains ~virtual_config catalog prepared in
     if not (Xia_obs.Obs.on ()) then run ()
     else
       Xia_obs.Trace.with_span "optimizer.batch"
@@ -401,6 +489,13 @@ let optimize_batch ?(mode = Evaluate) ?(domains = 1) ~virtual_config catalog
             (Xia_obs.Obs.now_s () -. t0);
           plans)
   end
+
+(* [optimize_prepared] over statements prepared here.  Statistics are
+   warmed first, so preparing reads the catalog only. *)
+let optimize_batch ?mode ?domains ~virtual_config catalog stmts =
+  Catalog.warm_stats catalog;
+  optimize_prepared ?mode ?domains ~virtual_config catalog
+    (Array.map (prepare catalog) stmts)
 
 let statement_cost ?mode ?virtual_config catalog stmt =
   (optimize ?mode ?virtual_config catalog stmt).Plan.total_cost

@@ -8,7 +8,7 @@ module Pattern = Xia_xpath.Pattern
 
 type mode =
   | Normal    (** plan over real (materialized) indexes *)
-  | Evaluate  (** plan over the catalog's virtual-index configuration *)
+  | Evaluate  (** plan over a virtual-index configuration *)
 
 type counters = {
   optimize_calls : int Atomic.t;
@@ -43,29 +43,64 @@ val index_cost_factor : float Atomic.t
     the index pattern covers the access pattern. *)
 val index_matches : Index_def.t -> Xia_query.Rewriter.access -> bool
 
-(** Optimize a statement; default mode is [Evaluate].
+(** A statement prepared for planning: rewritten once, with every number
+    no index configuration can change (per binding: result estimate, result
+    CPU, document-scan cost, filter count; per access: its interned pattern
+    id), and a concurrent memo of index-scan parts per (access, index
+    logical id) pair that matches.  A prepared statement is bound to the
+    catalog statistics (and {!Selectivity.use_histograms} setting) current
+    when it was prepared: prepare again after the data changes. *)
+type prepared
 
-    [virtual_config] is the virtual-index configuration for [Evaluate] mode,
-    passed explicitly: the call is then reentrant — it touches no catalog
-    state, so any number of what-if evaluations (including concurrent ones)
-    can be in flight.  When omitted, [Evaluate] mode falls back to the
-    catalog's legacy mutable virtual-index configuration
-    ([Catalog.set_virtual_indexes]).  [Normal] mode ignores it. *)
+(** Rewrite [stmt] and derive its configuration-independent costs.  Reads
+    the catalog's statistics (collecting any that are missing or stale), so
+    call {!Catalog.warm_stats} first when preparing from several domains.
+    @raise Invalid_argument when the statement names an unknown table. *)
+val prepare : Catalog.t -> Ast.statement -> prepared
+
+val prepared_statement : prepared -> Ast.statement
+
+(** An index definition with its pattern and logical identity interned, for
+    repeated matching. *)
+type index_ids
+
+val index_ids : Index_def.t -> index_ids
+
+(** Can the index serve some access of the statement ({!index_matches} over
+    the prepared accesses)? *)
+val serves : prepared -> index_ids -> bool
+
+(** Optimize a statement: {!prepare} it, then plan it once.  Default mode
+    is [Evaluate].  [virtual_config] (default none) is the virtual-index
+    configuration [Evaluate] mode plans against; [Normal] mode plans over
+    the catalog's real indexes and ignores it.  The call touches no catalog
+    state beyond reading statistics, so any number of what-if evaluations
+    (including concurrent ones) can be in flight. *)
 val optimize :
   ?mode:mode -> ?virtual_config:Index_def.t list -> Catalog.t -> Ast.statement -> Plan.t
 
 val statement_cost :
   ?mode:mode -> ?virtual_config:Index_def.t list -> Catalog.t -> Ast.statement -> float
 
-(** Batched what-if evaluation: plan every statement of [stmts] against one
-    shared planning context — virtual-index installation, catalog statistic
-    warming and index-matching setup happen once per call instead of once
+(** Batched what-if evaluation: plan every prepared statement against one
+    index setup — each visible index is interned once per call, not once
     per statement (the paper's Section VI-C lever).  Results are positional
-    and bit-for-bit identical to mapping {!optimize} over [stmts] with the
-    same [virtual_config]; the internal fan-out over up to [domains]
-    (default 1) domains never changes a plan, a cost, or a tie-break.
-    Counters: one [optimize_calls], one [batched_calls], and
-    [batch_setup_saved += length stmts − 1] per call. *)
+    and bit-for-bit identical to {!optimize} on each statement with the same
+    [virtual_config]: on an exact cost tie the index listed first wins, in
+    both.  The internal fan-out over up to [domains] (default 1) domains
+    never changes a plan, a cost, or a tie-break.  Counters: one
+    [optimize_calls], one [batched_calls], and
+    [batch_setup_saved += length prepared − 1] per call. *)
+val optimize_prepared :
+  ?mode:mode ->
+  ?domains:int ->
+  virtual_config:Index_def.t list ->
+  Catalog.t ->
+  prepared array ->
+  Plan.t array
+
+(** {!optimize_prepared} over statements prepared by this call (after
+    {!Catalog.warm_stats}); same results and counters. *)
 val optimize_batch :
   ?mode:mode ->
   ?domains:int ->

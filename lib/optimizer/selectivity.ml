@@ -11,17 +11,8 @@
    specific index. *)
 
 module Path_stats = Xia_storage.Path_stats
-module Index_stats = Xia_index.Index_stats
 module Index_def = Xia_index.Index_def
 module Xp = Xia_xpath.Ast
-
-(* Aggregate statistics of an arbitrary pattern over a table, reusing the
-   virtual-index derivation (a pattern behaves like an index definition). *)
-let pattern_stats stats pattern dtype =
-  let def =
-    Index_def.make ~name:"__pattern_probe" ~table:stats.Path_stats.table ~pattern ~dtype ()
-  in
-  Index_stats.derive_cached stats def
 
 (* Per-path view of the entries an index of type [dtype] stores. *)
 type path_view = {

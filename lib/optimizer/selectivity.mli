@@ -6,13 +6,7 @@
     (more entries match any condition in a bigger, more mixed population). *)
 
 module Path_stats = Xia_storage.Path_stats
-module Index_stats = Xia_index.Index_stats
 module Index_def = Xia_index.Index_def
-
-(** Aggregate statistics of a pattern over a table (same derivation as a
-    virtual index with that pattern). *)
-val pattern_stats :
-  Path_stats.t -> Xia_xpath.Pattern.t -> Index_def.data_type -> Index_stats.t
 
 (** Per-path view of the entries an index of a given type stores. *)
 type path_view = {

@@ -109,10 +109,14 @@ let covers_cache : (int, bool) Interner.Cache.t =
 
 (* [covers ~general ~specific]: every node reachable by [specific] is also
    reachable by [general] (in any document). *)
-let covers ~general ~specific =
-  let k = (id general lsl 31) lor id specific in
+let covers_id ~general ~specific =
+  let k = (general lsl 31) lor specific in
   Interner.Cache.find_or_compute covers_cache k (fun () ->
-      Nfa.contained (nfa_of specific) (nfa_of general))
+      Nfa.contained
+        (nfa_of (Interner.value interner specific))
+        (nfa_of (Interner.value interner general)))
+
+let covers ~general ~specific = covers_id ~general:(id general) ~specific:(id specific)
 
 let equivalent a b = covers ~general:a ~specific:b && covers ~general:b ~specific:a
 

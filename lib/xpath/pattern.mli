@@ -67,6 +67,10 @@ val accepts : t -> string list -> bool
     memoized. *)
 val covers : general:t -> specific:t -> bool
 
+(** {!covers} over interned ids (as from {!id}): no pattern is interned, so
+    a cached pair costs one memo lookup. *)
+val covers_id : general:int -> specific:int -> bool
+
 val equivalent : t -> t -> bool
 
 (** The paper's rewrite rule 0: middle wildcard steps are folded into a

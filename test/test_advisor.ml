@@ -286,16 +286,14 @@ let search_tests =
         let s = Lazy.force fixture in
         let r = A.session_advise s ~budget:(budget_of s 1.0) A.Greedy_heuristics in
         let defs = A.indexes r in
-        Cat.set_virtual_indexes s.A.catalog defs;
         let used =
           List.concat_map
             (fun (item : W.item) ->
               Xia_optimizer.Plan.indexes_used
                 (Xia_optimizer.Optimizer.optimize ~mode:Xia_optimizer.Optimizer.Evaluate
-                   s.A.catalog item.W.statement))
+                   ~virtual_config:defs s.A.catalog item.W.statement))
             s.A.workload
         in
-        Cat.clear_virtual_indexes s.A.catalog;
         List.iter
           (fun d ->
             Alcotest.(check bool)

@@ -73,18 +73,20 @@ let optimizer_tests =
   [
     tc "index OR plan chosen when both disjuncts indexed" (fun () ->
         let catalog = or_catalog () in
-        Cat.set_virtual_indexes catalog [ def "/a/k"; def "/a/m" ];
-        let p = O.optimize ~mode:O.Evaluate catalog (Helpers.statement or_query) in
-        Cat.clear_virtual_indexes catalog;
+        let p =
+          O.optimize ~mode:O.Evaluate ~virtual_config:[ def "/a/k"; def "/a/m" ] catalog
+            (Helpers.statement or_query)
+        in
         match p.Plan.bindings with
         | [ { plan = Plan.Index_or [ _; _ ]; _ } ] -> ()
         | [ b ] -> Alcotest.failf "expected IXOR, got %a" Plan.pp_binding_plan b.Plan.plan
         | _ -> Alcotest.fail "one binding expected");
     tc "no index OR when one disjunct lacks an index" (fun () ->
         let catalog = or_catalog () in
-        Cat.set_virtual_indexes catalog [ def "/a/k" ];
-        let p = O.optimize ~mode:O.Evaluate catalog (Helpers.statement or_query) in
-        Cat.clear_virtual_indexes catalog;
+        let p =
+          O.optimize ~mode:O.Evaluate ~virtual_config:[ def "/a/k" ] catalog
+            (Helpers.statement or_query)
+        in
         match p.Plan.bindings with
         | [ { plan = Plan.Doc_scan; _ } ] -> ()
         | _ -> Alcotest.fail "expected doc scan");
@@ -102,11 +104,11 @@ let optimizer_tests =
         let base =
           (O.optimize ~mode:O.Evaluate catalog (Helpers.statement or_query)).Plan.total_cost
         in
-        Cat.set_virtual_indexes catalog [ def "/a/k"; def "/a/m" ];
         let indexed =
-          (O.optimize ~mode:O.Evaluate catalog (Helpers.statement or_query)).Plan.total_cost
+          (O.optimize ~mode:O.Evaluate ~virtual_config:[ def "/a/k"; def "/a/m" ] catalog
+             (Helpers.statement or_query))
+            .Plan.total_cost
         in
-        Cat.clear_virtual_indexes catalog;
         Alcotest.(check bool) "cheaper" true (indexed < base));
   ]
 

@@ -74,13 +74,11 @@ let correctness_tests =
           (rows catalog {|for $x in T/a, $y in T/a where $x/k = "K02" and $y/v >= 395 return $x|}));
     tc "virtual-only plan falls back to scan" (fun () ->
         let catalog = small_catalog () in
-        Cat.set_virtual_indexes catalog [ def "/a/k" ];
         let plan =
-          O.optimize ~mode:O.Evaluate catalog
+          O.optimize ~mode:O.Evaluate ~virtual_config:[ def "/a/k" ] catalog
             (Helpers.statement {|for $x in T/a where $x/k = "K02" return $x|})
         in
         let r = E.run_plan catalog plan in
-        Cat.clear_virtual_indexes catalog;
         Alcotest.(check int) "rows" 10 r.E.rows;
         Alcotest.(check bool) "scanned" true (r.E.metrics.E.docs_scanned > 0));
   ]

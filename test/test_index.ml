@@ -295,15 +295,6 @@ let catalog_tests =
         match Cat.real_indexes c "T" with
         | [ pi ] -> Alcotest.(check int) "entries" 2 (PI.entry_count pi)
         | _ -> Alcotest.fail "expected one index");
-    tc "virtual indexes set and cleared" (fun () ->
-        let c = Cat.create () in
-        ignore (Cat.add_table c (store_with [ "<a/>" ]));
-        Cat.set_virtual_indexes c [ def "/a/b"; def "/a/c" ];
-        Alcotest.(check int) "two" 2 (List.length (Cat.virtual_indexes c "T"));
-        Cat.set_virtual_indexes c [ def "/a/d" ];
-        Alcotest.(check int) "replaced" 1 (List.length (Cat.virtual_indexes c "T"));
-        Cat.clear_virtual_indexes c;
-        Alcotest.(check int) "cleared" 0 (List.length (Cat.virtual_indexes c "T")));
   ]
 
 let maintenance_tests =

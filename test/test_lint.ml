@@ -1277,6 +1277,18 @@ let e002_tests =
         check_ids "clean" [] ~filename:"lib/optimizer/optimizer.ml"
           "let warm_stats tbl = Hashtbl.replace tbl 0 ()\n\
            let optimize_batch tbl stmts = warm_stats tbl; stmts\n");
+    tc "optimize_prepared is a batch root" (fun () ->
+        check_ids "flagged at the write" [ (1, "E002") ] ~filename:"lib/optimizer/optimizer.ml"
+          "let bump tbl k = Hashtbl.replace tbl k ()\n\
+           let optimize_prepared tbl ps = Array.map (fun p -> bump tbl p; p) ps\n");
+    tc "the optimizer's prepare is a sanctioned sink" (fun () ->
+        check_ids "clean" [] ~filename:"lib/optimizer/optimizer.ml"
+          "let prepare tbl s = Hashtbl.replace tbl s (); s\n\
+           let optimize_batch tbl stmts = List.map (prepare tbl) stmts\n");
+    tc "a prepare outside the optimizer is not" (fun () ->
+        check_ids "flagged" [ (1, "E002") ] ~filename:"lib/core/benefit.ml"
+          "let prepare tbl s = Hashtbl.replace tbl s (); s\n\
+           let optimize_batch tbl stmts = List.map (prepare tbl) stmts\n");
     tc "no finding without a batch root" (fun () ->
         check_ids "clean" [] ~filename:"lib/optimizer/optimizer.ml"
           "let bump tbl k = Hashtbl.replace tbl k ()\nlet run tbl s = bump tbl s\n");

@@ -127,13 +127,8 @@ let matching_tests =
           (O.index_matches (def "/a/k") (access "/a/*" (eq_str "x"))));
   ]
 
-let plan_of catalog stmt = O.optimize ~mode:O.Evaluate catalog (Helpers.statement stmt)
-
-(* Exercises the legacy mutable virtual-index interface on purpose;
-   [Fun.protect] so a failing test body cannot leave the catalog dirty. *)
-let with_virtual catalog defs f =
-  Cat.set_virtual_indexes catalog defs;
-  Fun.protect ~finally:(fun () -> Cat.clear_virtual_indexes catalog) f
+let plan_of ?(cfg = []) catalog stmt =
+  O.optimize ~mode:O.Evaluate ~virtual_config:cfg catalog (Helpers.statement stmt)
 
 let plan_tests =
   [
@@ -144,57 +139,59 @@ let plan_tests =
         | _ -> Alcotest.fail "expected doc scan");
     tc "selective predicate picks index scan" (fun () ->
         let catalog = controlled_catalog () in
-        with_virtual catalog [ def "/a/k" ] (fun () ->
-            match
-              (plan_of catalog {|for $x in T/a where $x/k = "K03" return $x|}).Plan.bindings
-            with
-            | [ { plan = Plan.Index_scan c; _ } ] ->
-                Alcotest.(check bool) "virtual" true c.Plan.is_virtual
-            | _ -> Alcotest.fail "expected index scan"));
+        match
+          (plan_of ~cfg:[ def "/a/k" ] catalog
+             {|for $x in T/a where $x/k = "K03" return $x|})
+            .Plan.bindings
+        with
+        | [ { plan = Plan.Index_scan c; _ } ] ->
+            Alcotest.(check bool) "virtual" true c.Plan.is_virtual
+        | _ -> Alcotest.fail "expected index scan");
     tc "index scan is cheaper than doc scan" (fun () ->
         let catalog = controlled_catalog () in
         let base = (plan_of catalog {|for $x in T/a where $x/k = "K03" return $x|}).Plan.total_cost in
         let indexed =
-          with_virtual catalog [ def "/a/k" ] (fun () ->
-              (plan_of catalog {|for $x in T/a where $x/k = "K03" return $x|}).Plan.total_cost)
+          (plan_of ~cfg:[ def "/a/k" ] catalog
+             {|for $x in T/a where $x/k = "K03" return $x|})
+            .Plan.total_cost
         in
         Alcotest.(check bool) "cheaper" true (indexed < base));
     tc "two predicates can use index anding" (fun () ->
         let catalog = controlled_catalog () in
-        with_virtual catalog [ def "/a/k"; def ~dtype:D.Ddouble "/a/v" ] (fun () ->
-            let p =
-              plan_of catalog {|for $x in T/a where $x/k = "K03" and $x/v > 449.5 return $x|}
-            in
-            match p.Plan.bindings with
-            | [ { plan = Plan.Index_and [ _; _ ]; _ } ] -> ()
-            | [ { plan = Plan.Index_scan _; _ } ] -> () (* acceptable if single wins *)
-            | _ -> Alcotest.fail "expected an index plan"));
+        let p =
+          plan_of ~cfg:[ def "/a/k"; def ~dtype:D.Ddouble "/a/v" ] catalog
+            {|for $x in T/a where $x/k = "K03" and $x/v > 449.5 return $x|}
+        in
+        match p.Plan.bindings with
+        | [ { plan = Plan.Index_and [ _; _ ]; _ } ] -> ()
+        | [ { plan = Plan.Index_scan _; _ } ] -> () (* acceptable if single wins *)
+        | _ -> Alcotest.fail "expected an index plan");
     tc "specific index preferred over general" (fun () ->
         let catalog = controlled_catalog () in
-        with_virtual catalog [ def "/a/k"; def "/a//*" ] (fun () ->
-            match
-              (plan_of catalog {|for $x in T/a where $x/k = "K03" return $x|}).Plan.bindings
-            with
-            | [ { plan = Plan.Index_scan c; _ } ] ->
-                Alcotest.(check string) "pattern" "/a/k"
-                  (Xia_xpath.Pattern.to_string c.Plan.def.D.pattern)
-            | _ -> Alcotest.fail "expected index scan"));
+        match
+          (plan_of ~cfg:[ def "/a/k"; def "/a//*" ] catalog
+             {|for $x in T/a where $x/k = "K03" return $x|})
+            .Plan.bindings
+        with
+        | [ { plan = Plan.Index_scan c; _ } ] ->
+            Alcotest.(check string) "pattern" "/a/k"
+              (Xia_xpath.Pattern.to_string c.Plan.def.D.pattern)
+        | _ -> Alcotest.fail "expected index scan");
     tc "normal mode ignores virtual indexes" (fun () ->
         let catalog = controlled_catalog () in
-        with_virtual catalog [ def "/a/k" ] (fun () ->
-            match
-              (O.optimize ~mode:O.Normal catalog
-                 (Helpers.statement {|for $x in T/a where $x/k = "K03" return $x|}))
-                .Plan.bindings
-            with
-            | [ { plan = Plan.Doc_scan; _ } ] -> ()
-            | _ -> Alcotest.fail "expected doc scan in normal mode"));
+        match
+          (O.optimize ~mode:O.Normal ~virtual_config:[ def "/a/k" ] catalog
+             (Helpers.statement {|for $x in T/a where $x/k = "K03" return $x|}))
+            .Plan.bindings
+        with
+        | [ { plan = Plan.Doc_scan; _ } ] -> ()
+        | _ -> Alcotest.fail "expected doc scan in normal mode");
     tc "insert cost independent of indexes" (fun () ->
         let catalog = controlled_catalog () in
         let stmt = "insert into T <a><k>K1</k><v>5</v></a>" in
         let c0 = (plan_of catalog stmt).Plan.total_cost in
         let c1 =
-          with_virtual catalog [ def "/a/k" ] (fun () -> (plan_of catalog stmt).Plan.total_cost)
+          (plan_of ~cfg:[ def "/a/k" ] catalog stmt).Plan.total_cost
         in
         Alcotest.(check (float 0.001)) "same" c0 c1;
         Alcotest.(check (float 0.001)) "affected" 1.0 (plan_of catalog stmt).Plan.affected_docs);
@@ -203,7 +200,7 @@ let plan_tests =
         let stmt = {|delete from T where /a[k="K03"]|} in
         let base = (plan_of catalog stmt).Plan.total_cost in
         let indexed =
-          with_virtual catalog [ def "/a/k" ] (fun () -> (plan_of catalog stmt).Plan.total_cost)
+          (plan_of ~cfg:[ def "/a/k" ] catalog stmt).Plan.total_cost
         in
         Alcotest.(check bool) "cheaper" true (indexed < base);
         Alcotest.(check bool) "affected ~10" true
@@ -214,9 +211,10 @@ let plan_tests =
         Alcotest.(check bool) "positive" true (p.Plan.affected_docs > 0.0));
     tc "plan indexes_used dedups" (fun () ->
         let catalog = controlled_catalog () in
-        with_virtual catalog [ def "/a/k" ] (fun () ->
-            let p = plan_of catalog {|for $x in T/a where $x/k = "K03" return $x|} in
-            Alcotest.(check int) "one" 1 (List.length (Plan.indexes_used p))));
+        let p =
+          plan_of ~cfg:[ def "/a/k" ] catalog {|for $x in T/a where $x/k = "K03" return $x|}
+        in
+        Alcotest.(check int) "one" 1 (List.length (Plan.indexes_used p)));
     tc "counters accumulate" (fun () ->
         let catalog = controlled_catalog () in
         O.reset_counters ();
@@ -262,7 +260,8 @@ let enumerate_tests =
   ]
 
 (* Consistency invariants tying the two optimizer modes together. *)
-let plan_stmt catalog stmt = O.optimize ~mode:O.Evaluate catalog stmt
+let plan_stmt ?(cfg = []) catalog stmt =
+  O.optimize ~mode:O.Evaluate ~virtual_config:cfg catalog stmt
 
 let consistency_tests =
   [
@@ -271,7 +270,7 @@ let consistency_tests =
         let stmt = Helpers.statement {|for $x in T/a where $x/k = "K03" return $x|} in
         let d = def "/a/k" in
         let virtual_cost =
-          with_virtual catalog [ d ] (fun () -> (plan_stmt catalog stmt).Plan.total_cost)
+          (plan_stmt ~cfg:[ d ] catalog stmt).Plan.total_cost
         in
         ignore (Cat.create_index catalog d);
         let real_cost =
@@ -292,9 +291,10 @@ let consistency_tests =
           (fun stmt ->
             let base = (plan_stmt catalog stmt).Plan.total_cost in
             let indexed =
-              with_virtual catalog
-                [ def "/a/k"; def ~dtype:D.Ddouble "/a/v"; def "/a//*" ]
-                (fun () -> (plan_stmt catalog stmt).Plan.total_cost)
+              (plan_stmt
+                 ~cfg:[ def "/a/k"; def ~dtype:D.Ddouble "/a/v"; def "/a//*" ]
+                 catalog stmt)
+                .Plan.total_cost
             in
             Alcotest.(check bool) "monotone" true (indexed <= base))
           stmts);

@@ -152,38 +152,10 @@ let exception_safety_tests =
             ~dtype:Xia_index.Index_def.Dstring ()
         in
         let base = A.estimated_workload_cost catalog good [] in
-        (* The what-if evaluation of the bad workload raises mid-flight; it
-           must not leave the virtual configuration installed (the old
-           set/clear dance did). *)
+        (* The what-if evaluation of the bad workload raises mid-flight. *)
         (try ignore (A.estimated_workload_cost catalog bad [ d ]) with _ -> ());
-        Alcotest.(check int)
-          "no virtual indexes left behind" 0
-          (List.length (Cat.virtual_indexes catalog "SECURITY"));
         let base' = A.estimated_workload_cost catalog good [] in
         Alcotest.(check bool) "base cost unchanged" true (Float.equal base base'));
-    tc "explicit virtual_config ignores catalog virtual indexes" (fun () ->
-        let catalog = Helpers.fresh_tiny_catalog () in
-        let stmt =
-          Helpers.statement
-            {|for $s in SECURITY('SDOC')/Security where $s/Symbol = "X" return $s|}
-        in
-        let d =
-          Xia_index.Index_def.make ~table:"SECURITY"
-            ~pattern:(Helpers.pattern "/Security/Symbol")
-            ~dtype:Xia_index.Index_def.Dstring ()
-        in
-        let base = O.statement_cost ~mode:O.Evaluate ~virtual_config:[] catalog stmt in
-        (* Legacy catalog state must not leak into explicit-config calls. *)
-        Cat.set_virtual_indexes catalog [ d ];
-        let still_base =
-          O.statement_cost ~mode:O.Evaluate ~virtual_config:[] catalog stmt
-        in
-        let with_index =
-          O.statement_cost ~mode:O.Evaluate ~virtual_config:[ d ] catalog stmt
-        in
-        Cat.clear_virtual_indexes catalog;
-        Alcotest.(check bool) "base unchanged" true (Float.equal base still_base);
-        Alcotest.(check bool) "index helps" true (with_index < base));
   ]
 
 (* ---------- regression: DP with a budget below one granularity unit ---------- *)

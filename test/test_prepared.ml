@@ -1,0 +1,229 @@
+(* Prepared planning against the from-scratch planner it replaced
+   ([Optimizer_oracle]): for random virtual configurations over tiny TPoX,
+   tiny XMark and synthetic statements (OR filters, AND pairs, several
+   bindings, DML), and over real indexes in Normal mode, every plan must be
+   bit-identical — shape, index names, the access each index serves, [%h]
+   costs and [est_docs] — and must count the same [plans_considered], with
+   the probe memo cold and warm, at one and two domains. *)
+
+module O = Xia_optimizer.Optimizer
+module Plan = Xia_optimizer.Plan
+module Catalog = Xia_index.Catalog
+module Index_def = Xia_index.Index_def
+module Pattern = Xia_xpath.Pattern
+module W = Xia_workload.Workload
+module C = Xia_advisor.Candidate
+module En = Xia_advisor.Enumeration
+
+let tc name f = Alcotest.test_case name `Quick f
+
+let choice_repr (c : Plan.index_choice) =
+  Printf.sprintf "%s%s<%s>#%d" c.Plan.def.Index_def.name
+    (if c.Plan.is_virtual then "*" else "")
+    (Pattern.to_string c.Plan.access.Xia_query.Rewriter.pattern)
+    c.Plan.stats.Xia_index.Index_stats.entries
+
+let shape_repr = function
+  | Plan.Doc_scan -> "DOCSCAN"
+  | Plan.Index_scan c -> "IXSCAN(" ^ choice_repr c ^ ")"
+  | Plan.Index_and cs -> "IXAND(" ^ String.concat ", " (List.map choice_repr cs) ^ ")"
+  | Plan.Index_or cs -> "IXOR(" ^ String.concat ", " (List.map choice_repr cs) ^ ")"
+
+let plan_repr (p : Plan.t) =
+  String.concat " "
+    (Printf.sprintf "total=%h affected=%h" p.Plan.total_cost p.Plan.affected_docs
+    :: List.map
+         (fun (b : Plan.planned_binding) ->
+           Printf.sprintf "[$%s %s cost=%h docs=%h]" b.Plan.info.Xia_query.Rewriter.var
+             (shape_repr b.Plan.plan) b.Plan.est_cost b.Plan.est_docs)
+         p.Plan.bindings)
+
+(* Statements the generated workloads lack: OR filters (two and three
+   disjuncts, mixed types), AND pairs and triples, two bindings, and DML
+   with locating predicates. *)
+let tpox_extras =
+  [
+    {|for $s in SECURITY('SDOC')/Security where $s/Symbol = "SYM00042" or $s/Yield > 4.5 return $s|};
+    {|for $s in SECURITY('SDOC')/Security where $s/Symbol = "SYM00007" or $s/Name = "x" or $s/SecInfo/*/Sector = "Energy" return $s|};
+    {|for $c in CUSTACC('CADOC')/Customer where $c/Nationality = "Norway" and $c/Tier = "Platinum" return $c|};
+    {|for $s in SECURITY('SDOC')/Security where $s/Symbol = "SYM00042" and $s/Yield > 4.5 and $s/SecInfo/*/Sector = "Energy" return $s|};
+    {|for $s in SECURITY('SDOC')/Security, $o in XORDER('ODOC')/FIXML/Order where $s/Symbol = "SYM00042" and $o/@Acct = "ACCT000770" return $s|};
+    {|for $s in SECURITY('SDOC')/Security[Yield>4.5] where $s/Symbol = "SYM00042" or $s/Price/LastTrade < 20 return $s|};
+    {|delete from SECURITY where /Security[Yield>4.5]|};
+    {|update CUSTACC set /Customer/Tier = "Gold" where /Customer[Nationality="Norway"]|};
+  ]
+
+let statements workload = Array.of_list (List.map (fun (it : W.item) -> it.W.statement) workload)
+
+let xmark_catalog =
+  lazy
+    (let catalog = Catalog.create () in
+     Xia_workload.Xmark.load ~scale:Xia_workload.Xmark.tiny_scale ~seed:7 catalog;
+     catalog)
+
+(* (label, catalog, statements, index defs to draw configurations from):
+   every candidate the advisor would consider, plus universal indexes. *)
+let fixtures =
+  lazy
+    (let tpox = Lazy.force Helpers.shared_catalog in
+     let xmark = Lazy.force xmark_catalog in
+     let universals catalog =
+       List.concat_map
+         (fun table ->
+           List.map
+             (fun (pattern, dtype) -> Index_def.make ~table ~pattern ~dtype ())
+             [
+               (Pattern.universal, Index_def.Dstring);
+               (Pattern.universal, Index_def.Ddouble);
+               (Pattern.universal_attr, Index_def.Dstring);
+             ])
+         (Catalog.table_names catalog)
+     in
+     let fixture label catalog workload =
+       let set = En.candidates catalog workload in
+       ( label,
+         catalog,
+         statements workload,
+         Array.of_list
+           (List.map (fun (c : C.t) -> c.C.def) (C.to_list set) @ universals catalog) )
+     in
+     [
+       fixture "tpox" tpox
+         (Xia_workload.Tpox.workload_with_updates () @ W.of_strings tpox_extras);
+       fixture "xmark" xmark (Xia_workload.Xmark.workload ());
+       fixture "synthetic" tpox
+         (Xia_workload.Synthetic.workload ~seed:5 tpox (Catalog.table_names tpox) 16);
+     ])
+
+(* A random configuration: up to 12 distinct defs in random order, and
+   sometimes a renamed copy of one of them — same logical index, so its
+   probes share a memo entry while the tie-break must still pick by
+   position. *)
+let random_config rng defs =
+  let n = Array.length defs in
+  let picked =
+    List.init (Random.State.int rng (min 12 n + 1)) (fun _ -> defs.(Random.State.int rng n))
+    |> List.sort_uniq (fun (a : Index_def.t) b -> String.compare a.name b.name)
+    |> List.map (fun d -> (Random.State.bits rng, d))
+    |> List.sort compare |> List.map snd
+  in
+  match picked with
+  | d :: _ when Random.State.bool rng ->
+      let copy = Index_def.make ~name:("COPY_" ^ d.Index_def.name) ~table:d.table
+          ~pattern:d.pattern ~dtype:d.dtype ()
+      in
+      if Random.State.bool rng then picked @ [ copy ] else copy :: picked
+  | _ -> picked
+
+let plans_considered () = Atomic.get O.counters.O.plans_considered
+
+(* Bindings planned with an index so far: a run that saw none compared
+   document scans only. *)
+let index_plans = ref 0
+
+let check_same label mode ~virtual_config catalog stmts got got_count =
+  let before = !Optimizer_oracle.plans_considered in
+  let expected =
+    Array.map (Optimizer_oracle.optimize ~mode ~virtual_config catalog) stmts
+  in
+  let expected_count = !Optimizer_oracle.plans_considered - before in
+  Array.iteri
+    (fun i p ->
+      List.iter
+        (fun (b : Plan.planned_binding) ->
+          match b.Plan.plan with Plan.Doc_scan -> () | _ -> incr index_plans)
+        p.Plan.bindings;
+      let want = plan_repr expected.(i) and have = plan_repr p in
+      if not (String.equal want have) then
+        QCheck.Test.fail_reportf "%s statement %d:\n oracle   %s\n prepared %s" label i want
+          have)
+    got;
+  if expected_count <> got_count then
+    QCheck.Test.fail_reportf "%s: plans_considered %d, oracle %d" label got_count
+      expected_count
+
+(* Plan [prepared] under [cfg] twice — cold memo, then warm — and compare
+   both rounds with the oracle. *)
+let plan_twice label mode ~domains ~virtual_config catalog stmts prepared =
+  List.iter
+    (fun round ->
+      let c0 = plans_considered () in
+      let got = O.optimize_prepared ~mode ~domains ~virtual_config catalog prepared in
+      check_same
+        (Printf.sprintf "%s %s domains=%d" label round domains)
+        mode ~virtual_config catalog stmts got
+        (plans_considered () - c0))
+    [ "cold"; "warm" ]
+
+let qcheck_evaluate =
+  QCheck.Test.make ~count:12 ~name:"prepared = oracle under random virtual configs"
+    QCheck.(make Gen.(int_range 0 100_000))
+    (fun seed ->
+      let rng = Random.State.make [| seed |] in
+      let seen = !index_plans in
+      List.iter
+        (fun (label, catalog, stmts, defs) ->
+          let configs = List.init 3 (fun _ -> random_config rng defs) in
+          List.iter
+            (fun domains ->
+              (* One preparation per domain count: its memo starts cold and
+                 warms across the configurations. *)
+              let prepared = Array.map (O.prepare catalog) stmts in
+              List.iteri
+                (fun k virtual_config ->
+                  plan_twice
+                    (Printf.sprintf "%s seed=%d cfg%d" label seed k)
+                    O.Evaluate ~domains ~virtual_config catalog stmts prepared)
+                configs)
+            [ 1; 2 ];
+          (* The one-statement entry point plans through the same path. *)
+          let virtual_config = random_config rng defs in
+          let c0 = plans_considered () in
+          let got = Array.map (O.optimize ~mode:O.Evaluate ~virtual_config catalog) stmts in
+          check_same
+            (Printf.sprintf "%s seed=%d optimize" label seed)
+            O.Evaluate ~virtual_config catalog stmts got
+            (plans_considered () - c0))
+        (Lazy.force fixtures);
+      !index_plans > seen)
+
+(* Normal mode over materialized indexes, including two real indexes with
+   the same pattern (the catalog's order breaks their cost tie). *)
+let normal_mode_tests =
+  [
+    tc "Normal mode: prepared = oracle over real indexes" (fun () ->
+        let catalog = Helpers.fresh_tiny_catalog () in
+        let _, _, stmts, _ = List.hd (Lazy.force fixtures) in
+        let mk p dtype = Index_def.make ~table:"SECURITY" ~pattern:(Helpers.pattern p) ~dtype () in
+        List.iter
+          (fun d -> ignore (Catalog.create_index catalog d))
+          [
+            mk "/Security/Symbol" Index_def.Dstring;
+            mk "/Security/Yield" Index_def.Ddouble;
+            mk "/Security//*" Index_def.Dstring;
+            Index_def.make ~table:"CUSTACC" ~pattern:(Helpers.pattern "/Customer/Tier")
+              ~dtype:Index_def.Dstring ();
+            Index_def.make ~table:"XORDER" ~pattern:(Helpers.pattern "/FIXML/Order/@Acct")
+              ~dtype:Index_def.Dstring ();
+          ];
+        let run () =
+          List.iter
+            (fun domains ->
+              let prepared = Array.map (O.prepare catalog) stmts in
+              plan_twice "normal" O.Normal ~domains ~virtual_config:[] catalog stmts prepared)
+            [ 1; 2 ]
+        in
+        let seen = !index_plans in
+        run ();
+        Alcotest.(check bool) "some binding planned with an index" true (!index_plans > seen);
+        (* Perturbed cost model (the eval harness's knob): the factor applies
+           at plan time, never inside a memoized probe. *)
+        Atomic.set O.index_cost_factor 1000.0;
+        Fun.protect ~finally:(fun () -> Atomic.set O.index_cost_factor 1.0) run);
+  ]
+
+let suites =
+  [
+    ("prepared.differential", [ QCheck_alcotest.to_alcotest qcheck_evaluate ]);
+    ("prepared.normal", normal_mode_tests);
+  ]
