@@ -173,7 +173,8 @@ let of_summary ?domains catalog summary =
   let domains = match domains with Some d -> max 1 d | None -> Par.default_domains () in
   let items = Array.of_list (Workload_summary.workload summary) in
   (* Force lazy statistics collection for every table up front: afterwards
-     concurrent what-if calls only read the catalog. *)
+     the concurrent [prepare] calls only read the catalog, and every later
+     evaluation plans against the statistics they bound. *)
   Catalog.warm_stats catalog;
   let prepared =
     Par.map ~domains

@@ -148,29 +148,36 @@ type tail =
   | Insert_tail of float         (* none: this fixed cost *)
   | Modify_tail of float         (* their sum, plus this per modified document *)
 
-(* The configuration-independent parts of one index scan: the index's
-   derived statistics, the probe's lookup cost, the documents it fetches
-   and their fraction of the table. *)
-type probe = {
-  stats : Index_stats.t;
+(* The configuration-independent costs of one index scan: the lookup, the
+   documents it fetches and their fraction of the table.  All floats, so
+   stored flat. *)
+type parts = {
   lookup : float;
   docs_fetched : float;
   frac : float;
 }
 
+(* One memoized (access, index) pair: its key (see [prepared]), the index's
+   derived statistics and its scan parts. *)
+type probe = {
+  key : int;
+  stats : Index_stats.t;
+  parts : parts;
+}
+
 type prepared = {
   statement : Ast.statement;
   bindings : prepared_binding list;
-  accesses : prepared_access list;  (* every binding's, in slot order *)
-  slots : int;
+  slots : int;  (* number of accesses *)
   tail : tail;
-  probes : (int, probe) Xia_xpath.Interner.Cache.t;
-      (* index logical id × [slots] + access slot -> probe; matching pairs
-         only.  Every entry is a pure function of the key and the statistics
-         bound here, so racing domains agree on it. *)
+  probes : probe list Atomic.t;
+      (* the memo: keyed by index logical id × [slots] + access slot,
+         matching pairs only, published by compare-and-set.  An entry is a
+         pure function of its key and the statistics bound here, so racing
+         domains agree on it.  A list, not a map: a statement has a few
+         matching pairs, and every statement of an evaluator keeps its memo
+         for the evaluator's life. *)
 }
-
-let prepared_statement p = p.statement
 
 let prepare catalog (stmt : Ast.statement) =
   let next = ref 0 in
@@ -205,7 +212,6 @@ let prepare catalog (stmt : Ast.statement) =
   {
     statement = stmt;
     bindings;
-    accesses = List.concat_map (fun b -> List.concat b.filters) bindings;
     slots = !next;
     tail =
       (match stmt with
@@ -213,7 +219,7 @@ let prepare catalog (stmt : Ast.statement) =
       | Ast.Insert { document; _ } -> Insert_tail (insert_cost document)
       | Ast.Delete { table; _ } -> modify table ~factor:1.0
       | Ast.Update { table; _ } -> modify table ~factor:2.0);
-    probes = Xia_xpath.Interner.Cache.create ~hash:Fun.id ~equal:Int.equal ();
+    probes = Atomic.make [];
   }
 
 (* An index definition interned for matching. *)
@@ -232,12 +238,11 @@ let serves_access ix (pa : prepared_access) =
   && Index_def.equal_data_type ix.def.dtype pa.access.dtype
   && Pattern.covers_id ~general:ix.def_pid ~specific:pa.pid
 
-let serves p ix = List.exists (serves_access ix) p.accesses
+let serves p ix =
+  List.exists (fun b -> List.exists (List.exists (serves_access ix)) b.filters) p.bindings
 
-let probe_of tstats (def : Index_def.t) (access : Rewriter.access) =
-  let s = Index_stats.derive_cached tstats def in
-  if s.Index_stats.entries = 0 then
-    { stats = s; lookup = 0.0; docs_fetched = 0.0; frac = 0.0 }
+let scan_parts tstats (s : Index_stats.t) (def : Index_def.t) (access : Rewriter.access) =
+  if s.Index_stats.entries = 0 then { lookup = 0.0; docs_fetched = 0.0; frac = 0.0 }
   else begin
     let est =
       Selectivity.lookup_estimate ~query:access.Rewriter.pattern tstats
@@ -252,7 +257,6 @@ let probe_of tstats (def : Index_def.t) (access : Rewriter.access) =
     let entry_cpu = entries_scanned *. C.cpu_per_index_entry in
     let docs_fetched = est.Selectivity.docs_matched in
     {
-      stats = s;
       lookup = descend +. leaf_io +. entry_cpu;
       docs_fetched;
       frac =
@@ -260,6 +264,29 @@ let probe_of tstats (def : Index_def.t) (access : Rewriter.access) =
           (docs_fetched /. Float.max 1.0 (float_of_int tstats.Path_stats.doc_count));
     }
   end
+
+let rec find_probe key = function
+  | [] -> None
+  | pr :: rest -> if pr.key = key then Some pr else find_probe key rest
+
+(* The memoized probe of index [ix] for access [pa] of [p]; the pair must
+   match. *)
+let probe p (b : prepared_binding) ix (pa : prepared_access) =
+  let key = (ix.lid * p.slots) + pa.slot in
+  match find_probe key (Atomic.get p.probes) with
+  | Some pr -> pr
+  | None ->
+      let stats = Index_stats.derive_cached b.tstats ix.def in
+      let fresh = { key; stats; parts = scan_parts b.tstats stats ix.def pa.access } in
+      let rec publish () =
+        let memo = Atomic.get p.probes in
+        match find_probe key memo with
+        | Some pr -> pr  (* another domain published it first *)
+        | None ->
+            if Atomic.compare_and_set p.probes memo (fresh :: memo) then fresh
+            else publish ()
+      in
+      publish ()
 
 (* An index the planner may use, with whether it is virtual. *)
 type visible = {
@@ -290,21 +317,19 @@ let affected_docs_of_bindings = function
    probe parts. *)
 let plan_binding p indexes (b : prepared_binding) =
   Atomic.incr counters.plans_considered;
-  let index_scan_cost pr = perturbed (pr.lookup +. (pr.docs_fetched *. b.fetch_per_doc)) in
+  let index_scan_cost (pr : parts) =
+    perturbed (pr.lookup +. (pr.docs_fetched *. b.fetch_per_doc))
+  in
   (* Best matching index per access. *)
   let best_choice_for (pa : prepared_access) =
     List.fold_left
       (fun acc v ->
         if not (serves_access v.ix pa) then acc
         else begin
-          let pr =
-            Xia_xpath.Interner.Cache.find_or_compute p.probes
-              ((v.ix.lid * p.slots) + pa.slot)
-              (fun () -> probe_of b.tstats v.ix.def pa.access)
-          in
+          let pr = probe p b v.ix pa in
           if pr.stats.Index_stats.entries = 0 then acc
           else begin
-            let cost = index_scan_cost pr in
+            let cost = index_scan_cost pr.parts in
             Atomic.incr counters.plans_considered;
             match acc with
             | Some (_, best_cost) when best_cost <= cost -> acc
@@ -313,7 +338,7 @@ let plan_binding p indexes (b : prepared_binding) =
                   { Plan.def = v.ix.def; stats = pr.stats; access = pa.access;
                     is_virtual = v.is_virtual }
                 in
-                Some ((choice, pr), cost)
+                Some ((choice, pr.parts), cost)
           end
         end)
       None indexes
@@ -322,7 +347,7 @@ let plan_binding p indexes (b : prepared_binding) =
   let index_or_cost prs =
     let lookups, docs_union =
       List.fold_left
-        (fun (lk, du) pr -> (lk +. pr.lookup, du +. pr.docs_fetched))
+        (fun (lk, du) (pr : parts) -> (lk +. pr.lookup, du +. pr.docs_fetched))
         (0.0, 0.0) prs
     in
     let docs_union = Float.min b.docs_cap docs_union in
@@ -331,7 +356,7 @@ let plan_binding p indexes (b : prepared_binding) =
   let index_and_cost prs =
     let lookups, rid_cpu, inter_frac =
       List.fold_left
-        (fun (lk, rc, fr) pr ->
+        (fun (lk, rc, fr) (pr : parts) ->
           (lk +. pr.lookup, rc +. (pr.docs_fetched *. C.cpu_per_index_entry), fr *. pr.frac))
         (0.0, 0.0, 1.0) prs
     in

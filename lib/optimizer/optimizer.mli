@@ -58,8 +58,6 @@ type prepared
     @raise Invalid_argument when the statement names an unknown table. *)
 val prepare : Catalog.t -> Ast.statement -> prepared
 
-val prepared_statement : prepared -> Ast.statement
-
 (** An index definition with its pattern and logical identity interned, for
     repeated matching. *)
 type index_ids
@@ -73,9 +71,10 @@ val serves : prepared -> index_ids -> bool
 (** Optimize a statement: {!prepare} it, then plan it once.  Default mode
     is [Evaluate].  [virtual_config] (default none) is the virtual-index
     configuration [Evaluate] mode plans against; [Normal] mode plans over
-    the catalog's real indexes and ignores it.  The call touches no catalog
-    state beyond reading statistics, so any number of what-if evaluations
-    (including concurrent ones) can be in flight. *)
+    the catalog's real indexes and ignores it.  The call installs nothing
+    in the catalog (it only reads statistics, collecting missing or stale
+    ones as {!prepare} does), so any number of what-if evaluations can be
+    in flight. *)
 val optimize :
   ?mode:mode -> ?virtual_config:Index_def.t list -> Catalog.t -> Ast.statement -> Plan.t
 
@@ -88,7 +87,9 @@ val statement_cost :
     and bit-for-bit identical to {!optimize} on each statement with the same
     [virtual_config]: on an exact cost tie the index listed first wins, in
     both.  The internal fan-out over up to [domains] (default 1) domains
-    never changes a plan, a cost, or a tie-break.  Counters: one
+    never changes a plan, a cost, or a tie-break.  In [Evaluate] mode the
+    call reads nothing from [catalog]: statistics come from the prepared
+    statements.  Counters: one
     [optimize_calls], one [batched_calls], and
     [batch_setup_saved += length prepared − 1] per call. *)
 val optimize_prepared :
