@@ -168,7 +168,8 @@ type probe = {
 type prepared = {
   statement : Ast.statement;
   bindings : prepared_binding list;
-  slots : int;  (* number of accesses *)
+  accesses : prepared_access list;  (* every binding's, in slot order *)
+  slots : int;
   tail : tail;
   probes : probe list Atomic.t;
       (* the memo: keyed by index logical id × [slots] + access slot,
@@ -212,6 +213,7 @@ let prepare catalog (stmt : Ast.statement) =
   {
     statement = stmt;
     bindings;
+    accesses = List.concat_map (fun b -> List.concat b.filters) bindings;
     slots = !next;
     tail =
       (match stmt with
@@ -238,8 +240,11 @@ let serves_access ix (pa : prepared_access) =
   && Index_def.equal_data_type ix.def.dtype pa.access.dtype
   && Pattern.covers_id ~general:ix.def_pid ~specific:pa.pid
 
-let serves p ix =
-  List.exists (fun b -> List.exists (List.exists (serves_access ix)) b.filters) p.bindings
+let rec serves_any ix = function
+  | [] -> false
+  | pa :: rest -> serves_access ix pa || serves_any ix rest
+
+let serves p ix = serves_any ix p.accesses
 
 let scan_parts tstats (s : Index_stats.t) (def : Index_def.t) (access : Rewriter.access) =
   if s.Index_stats.entries = 0 then { lookup = 0.0; docs_fetched = 0.0; frac = 0.0 }
@@ -265,28 +270,33 @@ let scan_parts tstats (s : Index_stats.t) (def : Index_def.t) (access : Rewriter
     }
   end
 
+(* What [find_probe] returns for an absent key (keys are never negative),
+   so a lookup allocates nothing. *)
+let absent =
+  { key = -1; stats = Index_stats.empty; parts = { lookup = 0.0; docs_fetched = 0.0; frac = 0.0 } }
+
 let rec find_probe key = function
-  | [] -> None
-  | pr :: rest -> if pr.key = key then Some pr else find_probe key rest
+  | [] -> absent
+  | pr :: rest -> if pr.key = key then pr else find_probe key rest
 
 (* The memoized probe of index [ix] for access [pa] of [p]; the pair must
    match. *)
 let probe p (b : prepared_binding) ix (pa : prepared_access) =
   let key = (ix.lid * p.slots) + pa.slot in
-  match find_probe key (Atomic.get p.probes) with
-  | Some pr -> pr
-  | None ->
-      let stats = Index_stats.derive_cached b.tstats ix.def in
-      let fresh = { key; stats; parts = scan_parts b.tstats stats ix.def pa.access } in
-      let rec publish () =
-        let memo = Atomic.get p.probes in
-        match find_probe key memo with
-        | Some pr -> pr  (* another domain published it first *)
-        | None ->
-            if Atomic.compare_and_set p.probes memo (fresh :: memo) then fresh
-            else publish ()
-      in
-      publish ()
+  let pr = find_probe key (Atomic.get p.probes) in
+  if pr != absent then pr
+  else begin
+    let stats = Index_stats.derive_cached b.tstats ix.def in
+    let fresh = { key; stats; parts = scan_parts b.tstats stats ix.def pa.access } in
+    let rec publish () =
+      let memo = Atomic.get p.probes in
+      let pr = find_probe key memo in
+      if pr != absent then pr (* another domain published it first *)
+      else if Atomic.compare_and_set p.probes memo (fresh :: memo) then fresh
+      else publish ()
+    in
+    publish ()
+  end
 
 (* An index the planner may use, with whether it is virtual. *)
 type visible = {
