@@ -48,26 +48,25 @@ let key_of_value dtype value =
       | Some v -> Some (Kdouble v)
       | None -> None)
 
-(* Memoize pattern acceptance per distinct label path: documents of a table
-   share a small dataguide, so this avoids re-running the NFA per node. *)
-let acceptor (def : Index_def.t) =
-  let accepts_memo : (string, bool) Hashtbl.t = Hashtbl.create 64 in
-  fun path ->
-    let k = String.concat "/" path in
-    match Hashtbl.find_opt accepts_memo k with
-    | Some b -> b
-    | None ->
-        let b = Xia_xpath.Pattern.accepts def.pattern path in
-        Hashtbl.add accepts_memo k b;
-        b
+(* The guided walk's value for a path is the pattern's NFA state set after
+   reading it, computed once per distinct path of the walk.  Nodes whose set
+   accepts are indexed.  A state set that has died stays empty on every
+   extension, so the walk skips that subtree without losing an entry. *)
+let guide (def : Index_def.t) =
+  let nfa = Xia_xpath.Pattern.nfa_of def.pattern in
+  let desc = Xia_xpath.Nfa.desc_mask nfa in
+  let label set l =
+    Xia_xpath.Nfa.advance_masks ~desc ~matches:(Xia_xpath.Nfa.match_mask nfa l) set
+  in
+  (nfa, Xia_xml.Types.guide ~root:Xia_xpath.Nfa.initial ~label ~dead:(Int.equal 0))
 
 let key_size = function Kstring s -> String.length s | Kdouble _ -> 8
 
-let entries_of_doc (def : Index_def.t) accepts doc_id doc =
+let entries_of_doc (def : Index_def.t) (nfa, guide) doc_id doc =
   let acc = ref [] in
-  Xia_xml.Types.iter_nodes
-    (fun node path value ->
-      if accepts path then
+  Xia_xml.Types.walk guide
+    (fun node set value ->
+      if Xia_xpath.Nfa.accepting nfa set then
         match key_of_value def.dtype value with
         | None -> ()
         | Some key -> acc := { key; doc = doc_id; node } :: !acc)
@@ -89,10 +88,10 @@ let of_entry_list def ~generation acc =
   { def; entries; built_generation = generation; key_bytes }
 
 let build store (def : Index_def.t) =
-  let accepts = acceptor def in
+  let guide = guide def in
   let acc = ref [] in
   Doc_store.iter
-    (fun doc_id doc -> acc := List.rev_append (entries_of_doc def accepts doc_id doc) !acc)
+    (fun doc_id doc -> acc := List.rev_append (entries_of_doc def guide doc_id doc) !acc)
     store;
   of_entry_list def ~generation:(Doc_store.generation store) !acc
 
@@ -111,7 +110,7 @@ let apply_changes pi ~generation (changes : Doc_store.change list) =
     Array.to_list pi.entries
     |> List.filter (fun e -> not (Hashtbl.mem net e.doc))
   in
-  let accepts = acceptor pi.def in
+  let guide = guide pi.def in
   let added =
     (* Hash iteration order is fine here: [of_entry_list] sorts the combined
        entry list under a total order before anything reads it. *)
@@ -119,7 +118,7 @@ let apply_changes pi ~generation (changes : Doc_store.change list) =
        (fun doc_id doc acc ->
          match doc with
          | None -> acc
-         | Some doc -> List.rev_append (entries_of_doc pi.def accepts doc_id doc) acc)
+         | Some doc -> List.rev_append (entries_of_doc pi.def guide doc_id doc) acc)
        net [] [@lint.allow "N001"])
   in
   of_entry_list pi.def ~generation (List.rev_append added kept)

@@ -38,7 +38,6 @@ type t = {
   doc_count : int;
   total_elements : int;
   total_bytes : int;
-  paths : (string, path_info) Hashtbl.t;
   ordered : path_info list; (* deterministic order: by path key *)
   infos : path_info array;  (* [ordered] as an array (same order) *)
   trie : trie;
@@ -56,10 +55,27 @@ let distinct_cap = 200_000
 (* Reservoir size for the numeric sample feeding each path's histogram. *)
 let sample_cap = 4096
 
+(* Distinct-value sets.  Float equality is [Float.equal] and hashing is
+   [Hashtbl.hash], which both identify every [nan] and equate [-0.0] with
+   [0.0], as polymorphic equality does. *)
+module String_set = Hashtbl.Make (struct
+  type t = string
+
+  let equal = String.equal
+  let hash = Hashtbl.hash
+end)
+
+module Float_set = Hashtbl.Make (struct
+  type t = float
+
+  let equal = Float.equal
+  let hash = Hashtbl.hash
+end)
+
 type collector_entry = {
   info : path_info;
-  values : (string, unit) Hashtbl.t;
-  numerics : (float, unit) Hashtbl.t;
+  values : unit String_set.t;
+  numerics : unit Float_set.t;
   mutable sample : float list;  (* reservoir of numeric values *)
   mutable sample_size : int;
   mutable last_doc : int;
@@ -104,85 +120,87 @@ let build_trie infos =
   in
   freeze root
 
+let new_entry path key =
+  {
+    info =
+      {
+        path;
+        path_key = key;
+        node_count = 0;
+        doc_count = 0;
+        distinct_values = 0;
+        total_value_bytes = 0;
+        numeric_count = 0;
+        distinct_numeric = 0;
+        min_num = infinity;
+        max_num = neg_infinity;
+        histogram = None;
+      };
+    values = String_set.create 64;
+    numerics = Float_set.create 16;
+    sample = [];
+    sample_size = 0;
+    last_doc = -1;
+    rng = Random.State.make [| Hashtbl.hash key |];
+  }
+
+let touch doc_id entry value =
+  let info = entry.info in
+  info.node_count <- info.node_count + 1;
+  if entry.last_doc <> doc_id then begin
+    entry.last_doc <- doc_id;
+    info.doc_count <- info.doc_count + 1
+  end;
+  info.total_value_bytes <- info.total_value_bytes + String.length value;
+  if String_set.length entry.values < distinct_cap && not (String_set.mem entry.values value)
+  then String_set.add entry.values value ();
+  match float_of_string_opt (String.trim value) with
+  | None -> ()
+  | Some v ->
+      info.numeric_count <- info.numeric_count + 1;
+      if info.min_num > v then info.min_num <- v;
+      if info.max_num < v then info.max_num <- v;
+      if Float_set.length entry.numerics < distinct_cap && not (Float_set.mem entry.numerics v)
+      then Float_set.add entry.numerics v ();
+      (* Bernoulli reservoir: keep every value up to the cap, then thin. *)
+      if entry.sample_size < sample_cap then begin
+        entry.sample <- v :: entry.sample;
+        entry.sample_size <- entry.sample_size + 1
+      end
+      else if Random.State.int entry.rng info.node_count < sample_cap then
+        entry.sample <- (match entry.sample with _ :: rest -> v :: rest | [] -> [ v ])
+
+(* One guided walk per document: a node's guide value is its path's
+   collector entry, created on the path's first sight, so no per-node path
+   or key is built.  Entries are still keyed by path key here, once per
+   guide node, so labels that spell the same key share one entry. *)
 let collect store =
   let acc : (string, collector_entry) Hashtbl.t = Hashtbl.create 256 in
-  let touch doc_id path value =
+  let label parent l =
+    let path = parent.info.path @ [ l ] in
     let key = path_key path in
-    let entry =
-      match Hashtbl.find_opt acc key with
-      | Some e -> e
-      | None ->
-          let info =
-            {
-              path;
-              path_key = key;
-              node_count = 0;
-              doc_count = 0;
-              distinct_values = 0;
-              total_value_bytes = 0;
-              numeric_count = 0;
-              distinct_numeric = 0;
-              min_num = infinity;
-              max_num = neg_infinity;
-              histogram = None;
-            }
-          in
-          let e =
-            {
-              info;
-              values = Hashtbl.create 64;
-              numerics = Hashtbl.create 16;
-              sample = [];
-              sample_size = 0;
-              last_doc = -1;
-              rng = Random.State.make [| Hashtbl.hash key |];
-            }
-          in
-          Hashtbl.add acc key e;
-          e
-    in
-    let info = entry.info in
-    info.node_count <- info.node_count + 1;
-    if entry.last_doc <> doc_id then begin
-      entry.last_doc <- doc_id;
-      info.doc_count <- info.doc_count + 1
-    end;
-    info.total_value_bytes <- info.total_value_bytes + String.length value;
-    if Hashtbl.length entry.values < distinct_cap && not (Hashtbl.mem entry.values value)
-    then Hashtbl.add entry.values value ();
-    (match float_of_string_opt (String.trim value) with
-    | None -> ()
-    | Some v ->
-        info.numeric_count <- info.numeric_count + 1;
-        if info.min_num > v then info.min_num <- v;
-        if info.max_num < v then info.max_num <- v;
-        if Hashtbl.length entry.numerics < distinct_cap && not (Hashtbl.mem entry.numerics v)
-        then Hashtbl.add entry.numerics v ();
-        (* Bernoulli reservoir: keep every value up to the cap, then thin. *)
-        if entry.sample_size < sample_cap then begin
-          entry.sample <- v :: entry.sample;
-          entry.sample_size <- entry.sample_size + 1
-        end
-        else if Random.State.int entry.rng info.node_count < sample_cap then
-          entry.sample <-
-            (match entry.sample with _ :: rest -> v :: rest | [] -> [ v ]))
+    match Hashtbl.find_opt acc key with
+    | Some e -> e
+    | None ->
+        let e = new_entry path key in
+        Hashtbl.add acc key e;
+        e
   in
+  let guide = Xia_xml.Types.guide ~root:(new_entry [] "") ~label ~dead:(fun _ -> false) in
   Doc_store.iter
     (fun doc_id doc ->
-      Xia_xml.Types.iter_nodes (fun _id path value -> touch doc_id path value) doc)
+      Xia_xml.Types.walk guide (fun _id entry value -> touch doc_id entry value) doc)
     store;
-  let paths = Hashtbl.create (Hashtbl.length acc) in
-  Hashtbl.iter
-    (fun key entry ->
-      entry.info.distinct_values <- max 1 (Hashtbl.length entry.values);
-      entry.info.distinct_numeric <- Hashtbl.length entry.numerics;
-      entry.info.histogram <- Histogram.create entry.sample;
-      Hashtbl.add paths key entry.info)
-    acc;
+  let finish _ entry infos =
+    entry.info.distinct_values <- max 1 (String_set.length entry.values);
+    entry.info.distinct_numeric <- Float_set.length entry.numerics;
+    entry.info.histogram <- Histogram.create entry.sample;
+    entry.info :: infos
+  in
   let ordered =
     List.sort
       (fun a b -> String.compare a.path_key b.path_key)
-      (Hashtbl.fold (fun _ info l -> info :: l) paths [])
+      (Hashtbl.fold finish acc [])
   in
   let infos = Array.of_list ordered in
   {
@@ -191,20 +209,31 @@ let collect store =
     doc_count = Doc_store.doc_count store;
     total_elements = Doc_store.total_elements store;
     total_bytes = Doc_store.total_bytes store;
-    paths;
     ordered;
     infos;
     trie = build_trie infos;
     matching_cache = Xia_xpath.Interner.Cache.create ~hash:Fun.id ~equal:Int.equal ();
   }
 
-let find t path = Hashtbl.find_opt t.paths (path_key path)
+(* Walks the trie; a label never interned is on no path. *)
+let find t path =
+  let rec go node = function
+    | [] -> if node.terminal >= 0 then Some t.infos.(node.terminal) else None
+    | label :: rest -> (
+        match Xia_xpath.Interner.find Xia_xpath.Interner.labels label with
+        | None -> None
+        | Some id -> (
+            match Array.find_index (Int.equal id) node.child_labels with
+            | None -> None
+            | Some i -> go node.child_nodes.(i) rest))
+  in
+  go t.trie path
 
 let iter f t = List.iter f t.ordered
 
 let fold f t init = List.fold_left (fun acc info -> f acc info) init t.ordered
 
-let path_count t = Hashtbl.length t.paths
+let path_count t = Array.length t.infos
 
 let all_paths t = List.map (fun info -> info.path) t.ordered
 

@@ -28,7 +28,6 @@ type t = {
   doc_count : int;
   total_elements : int;
   total_bytes : int;
-  paths : (string, path_info) Hashtbl.t;
   ordered : path_info list;
   infos : path_info array;  (** [ordered] as an array (same order) *)
   trie : trie;

@@ -38,7 +38,11 @@ val tag_of : t -> string option
 (** Concatenated direct text children of an element. *)
 val direct_text : element -> string
 
-(** Value of a node: [direct_text] for elements, the text for text nodes. *)
+(** [direct_text] without a copy in the usual cases: [""] for an element
+    without children, the text itself for a single text child. *)
+val element_value : element -> string
+
+(** Value of a node: [element_value] for elements, the text for text nodes. *)
 val node_value : t -> string
 
 val count_elements : t -> int
@@ -49,10 +53,28 @@ val count_nodes : t -> int
 (** Approximate serialized size in bytes. *)
 val byte_size : t -> int
 
-(** [iter_nodes f doc] calls [f id label_path value] for every element and
-    every attribute of [doc] in document order.  Attribute labels appear as
-    ["@name"] path components. *)
-val iter_nodes : (node_id -> string list -> string -> unit) -> t -> unit
+(** {2 Guided walk}
+
+    A walk over a document that carries a small dataguide along: one guide
+    node per distinct rooted label path (attribute components spelled
+    ["@name"]).  A guide node holds a consumer value, computed once from its
+    parent's value and its label, so per-path work is done once per path
+    instead of once per node.  A guide may be reused across documents. *)
+
+type 'a guide
+
+(** [guide ~root ~label ~dead]: [root] is the value of the empty path,
+    [label v l] the value of the path extended by label [l] from a path
+    with value [v].  A path whose value is [dead] is never reported, and
+    neither is anything below it. *)
+val guide : root:'a -> label:('a -> string -> 'a) -> dead:('a -> bool) -> 'a guide
+
+(** [walk g f doc] calls [f id v value] for every element and every
+    attribute of [doc] whose path value [v] is live, in document order:
+    each element (valued by {!element_value}) followed by its attributes.
+    Ranks count every element, skipped subtrees included, so [id.pre] is
+    the element's preorder rank (root = 0). *)
+val walk : 'a guide -> (node_id -> 'a -> string -> unit) -> t -> unit
 
 (** Element with the given preorder rank. *)
 val find_by_pre : t -> int -> element option

@@ -31,14 +31,6 @@ let name_test_ok nt tag =
   | Ast.Wildcard -> true
   | Ast.Name s -> String.equal s tag
 
-(* The value a value index stores for an element, its direct text; the
-   usual leaf [<a>v</a>] returns [v] itself. *)
-let element_value (e : T.element) =
-  match e.children with
-  | [] -> ""
-  | [ T.Text s ] -> s
-  | _ -> T.direct_text e
-
 let root_element fn = function
   | T.Element e -> e
   | T.Text _ -> invalid_arg (fn ^ ": document root is a text node")
@@ -68,7 +60,7 @@ let rec reach goal (e : T.element) steps =
   | [] -> (
       match goal with
       | Ast.Exists _ -> true
-      | Ast.Compare (_, cmp, lit) -> Ast.literal_matches (element_value e) cmp lit)
+      | Ast.Compare (_, cmp, lit) -> Ast.literal_matches (T.element_value e) cmp lit)
   | s :: rest -> step_reach goal e.attrs e.children s rest
 
 (* One step from a parent with attributes [attrs] and children [cs]. *)
@@ -249,7 +241,7 @@ let contexts fn doc path =
 let eval doc path =
   List.map
     (function
-      | C_elem e -> { id = { T.pre = e.pre; attr = None }; value = element_value e.element }
+      | C_elem e -> { id = { T.pre = e.pre; attr = None }; value = T.element_value e.element }
       | C_attr a -> { id = { T.pre = a.owner; attr = Some a.index }; value = a.value })
     (contexts "Eval.eval" doc path)
 

@@ -20,11 +20,32 @@ let deep_tests =
         let doc = deep_doc 2000 in
         let ms = E.eval doc (Helpers.xpath "//leaf") in
         Alcotest.(check int) "one leaf" 1 (List.length ms));
-    tc "iter_nodes survives deep documents" (fun () ->
+    tc "guided walk, RUNSTATS and pruned builds survive deep documents" (fun () ->
+        let doc = deep_doc 2000 in
         let n = ref 0 in
-        Xia_xml.Types.iter_nodes (fun _ _ _ -> incr n) (deep_doc 2000);
+        let g = Xia_xml.Types.guide ~root:() ~label:(fun () _ -> ()) ~dead:(fun () -> false) in
+        Xia_xml.Types.walk g (fun _ () _ -> incr n) doc;
         (* 2000 wrappers + the leaf element; text nodes are not visited *)
-        Alcotest.(check int) "nodes" 2001 !n);
+        Alcotest.(check int) "nodes" 2001 !n;
+        (* The deep chain followed by a sibling, and the bare chain. *)
+        let store = Xia_storage.Doc_store.create "D" in
+        let wrapped = Xia_xml.Types.element "w" [ doc; Xia_xml.Types.leaf "x" "v" ] in
+        ignore (Xia_storage.Doc_store.insert store wrapped);
+        ignore (Xia_storage.Doc_store.insert store doc);
+        let stats = Xia_storage.Path_stats.collect store in
+        (* w, 2000 n's, leaf and x; then 2000 n's and leaf *)
+        Alcotest.(check int) "paths" 4004 (Xia_storage.Path_stats.path_count stats);
+        let ranks p =
+          Xia_index.Physical_index.build store
+            (Xia_index.Index_def.make ~table:"D" ~pattern:(Helpers.pattern p)
+               ~dtype:Xia_index.Index_def.Dstring ())
+          |> Xia_index.Physical_index.all
+          |> List.map (fun (e : Xia_index.Physical_index.entry) -> e.node.Xia_xml.Types.pre)
+        in
+        (* /w/x dies below w, so the chain is skipped but counted: x is
+           rank 2002; the bare chain's root is dead at once. *)
+        Alcotest.(check (list int)) "pruned build" [ 2002 ] (ranks "/w/x");
+        Alcotest.(check (list int)) "leaf ranks" [ 2001; 2000 ] (ranks "//leaf"));
     tc "serialization round-trips deep documents" (fun () ->
         let doc = deep_doc 1000 in
         let doc' = Xia_xml.Parser.parse_exn (Xia_xml.Printer.to_string doc) in

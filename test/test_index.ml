@@ -126,7 +126,7 @@ let physical_tests =
         let s = store_with [ {|<a id="7"><b id="8"/></a>|} ] in
         let pi = PI.build s (def "//@id") in
         Alcotest.(check int) "entries" 2 (PI.entry_count pi));
-    tc "wildcard pattern build uses memoized acceptance" (fun () ->
+    tc "wildcard pattern build indexes every matching child" (fun () ->
         let s = store_with [ "<a><b>1</b><c>2</c></a>"; "<a><b>3</b></a>" ] in
         let pi = PI.build s (def "/a/*") in
         Alcotest.(check int) "entries" 3 (PI.entry_count pi));
@@ -201,6 +201,57 @@ let incremental_tests =
             Alcotest.(check int) "fresh" (DS.generation t.Cat.store)
               (PI.built_generation pi)
         | _ -> Alcotest.fail "expected one index");
+  ]
+
+(* Random linear patterns as [Helpers.pattern_gen] draws them, plus
+   attribute wildcards. *)
+let oracle_pattern_gen =
+  QCheck.Gen.(
+    let module A = Xia_xpath.Ast in
+    let step_gen =
+      map2
+        (fun axis test -> { Xia_xpath.Pattern.axis; test })
+        (oneofl [ A.Child; A.Descendant ])
+        (frequency
+           [
+             (4, map (fun t -> A.Elem (A.Name t)) Helpers.tag_gen);
+             (1, return (A.Elem A.Wildcard));
+             (1, map (fun t -> A.Attr (A.Name t)) (oneofl [ "id"; "Sym" ]));
+             (1, return (A.Attr A.Wildcard));
+           ])
+    in
+    list_size (int_range 1 5) step_gen)
+
+let oracle_build_arbitrary =
+  QCheck.make
+    ~print:(fun (p, dtype, docs) ->
+      Printf.sprintf "%s %s\n%s" (Xia_xpath.Pattern.to_string p) (D.data_type_to_string dtype)
+        (String.concat "\n" (List.map Xia_xml.Printer.to_string docs)))
+    QCheck.Gen.(
+      triple oracle_pattern_gen (oneofl [ D.Dstring; D.Ddouble ])
+        (list_size (int_range 1 6) Helpers.doc_gen))
+
+let oracle_properties =
+  [
+    QCheck.Test.make ~count:300 ~name:"build equals the oracle build" oracle_build_arbitrary
+      (fun (pattern, dtype, docs) ->
+        let s = DS.create "T" in
+        List.iter (fun d -> ignore (DS.insert s d)) docs;
+        let d = D.make ~table:"T" ~pattern ~dtype () in
+        PI.all (PI.build s d) = Walk_oracle.build s d);
+    QCheck.Test.make ~count:200 ~name:"apply_changes equals the oracle build"
+      oracle_build_arbitrary (fun (pattern, dtype, docs) ->
+        (* Build over the first document, then insert the rest and delete
+           the first. *)
+        let s = DS.create "T" in
+        let first = DS.insert s (List.hd docs) in
+        let d = D.make ~table:"T" ~pattern ~dtype () in
+        let pi = PI.build s d in
+        List.iter (fun doc -> ignore (DS.insert s doc)) (List.tl docs);
+        ignore (DS.delete s first);
+        let changes = Option.get (DS.changes_since s (PI.built_generation pi)) in
+        PI.all (PI.apply_changes pi ~generation:(DS.generation s) changes)
+        = Walk_oracle.build s d);
   ]
 
 let incremental_properties =
@@ -333,6 +384,7 @@ let suites =
     ("index.physical", physical_tests);
     ("index.incremental", incremental_tests);
     Helpers.qsuite "index.incremental_properties" incremental_properties;
+    Helpers.qsuite "index.oracle_properties" oracle_properties;
     ("index.catalog", catalog_tests);
     ("index.maintenance", maintenance_tests);
   ]

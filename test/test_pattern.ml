@@ -168,7 +168,7 @@ let properties =
         (* Every node whose label path the pattern accepts is found by
            evaluating the pattern as a path, and vice versa. *)
         let by_accepts = ref 0 in
-        Xia_xml.Types.iter_nodes
+        Walk_oracle.iter_nodes
           (fun _ path _ -> if Pat.accepts p path then incr by_accepts)
           doc;
         let by_eval =

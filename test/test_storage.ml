@@ -94,6 +94,11 @@ let path_stats_tests =
         let st = stats_of [ "<a><b/><c><d/></c></a>" ] in
         Alcotest.(check int) "paths" 4 (PS.path_count st);
         Alcotest.(check int) "all_paths" 4 (List.length (PS.all_paths st)));
+    tc "find misses absent paths" (fun () ->
+        let st = stats_of [ "<a><b/></a>" ] in
+        Alcotest.(check bool) "empty path" true (PS.find st [] = None);
+        Alcotest.(check bool) "unseen label" true (PS.find st [ "a"; "never-seen" ] = None);
+        Alcotest.(check bool) "too long" true (PS.find st [ "a"; "b"; "a" ] = None));
     tc "doc-level aggregates" (fun () ->
         let st = stats_of [ "<a><b/></a>"; "<a/>" ] in
         Alcotest.(check int) "docs" 2 st.PS.doc_count;
@@ -131,8 +136,35 @@ let properties =
         let st = PS.collect s in
         let total_from_stats = PS.fold (fun acc i -> acc + i.PS.node_count) st 0 in
         let total_walk = ref 0 in
-        DS.iter (fun _ d -> Xia_xml.Types.iter_nodes (fun _ _ _ -> incr total_walk) d) s;
+        DS.iter (fun _ d -> Walk_oracle.iter_nodes (fun _ _ _ -> incr total_walk) d) s;
         total_from_stats = !total_walk);
+    QCheck.Test.make ~count:200 ~name:"per-path stats equal an oracle recount"
+      (QCheck.list_of_size (QCheck.Gen.int_range 1 6) Helpers.doc_arbitrary)
+      (fun docs ->
+        let s = DS.create "P" in
+        List.iter (fun d -> ignore (DS.insert s d)) docs;
+        let st = PS.collect s in
+        let collected =
+          List.map
+            (fun (i : PS.path_info) ->
+              ( i.path_key,
+                {
+                  Walk_oracle.nodes = i.node_count;
+                  docs = i.doc_count;
+                  distinct = i.distinct_values;
+                  numeric = i.numeric_count;
+                  distinct_numeric = i.distinct_numeric;
+                  min_num = i.min_num;
+                  max_num = i.max_num;
+                } ))
+            st.PS.ordered
+        in
+        collected = Walk_oracle.recount s
+        && PS.path_count st = List.length collected
+        && List.for_all
+             (fun (i : PS.path_info) ->
+               match PS.find st i.path with Some j -> j == i | None -> false)
+             st.PS.ordered);
     QCheck.Test.make ~count:100 ~name:"doc_count per path never exceeds table docs"
       (QCheck.list_of_size (QCheck.Gen.int_range 1 5) Helpers.doc_arbitrary)
       (fun docs ->

@@ -83,7 +83,7 @@ let model_tests =
     tc "iter_nodes preorder ids and label paths" (fun () ->
         let doc = parse_ok {|<a id="7"><b>x</b><c><d/></c></a>|} in
         let seen = ref [] in
-        T.iter_nodes
+        Walk_oracle.iter_nodes
           (fun id path value -> seen := (id, path, value) :: !seen)
           doc;
         let seen = List.rev !seen in
@@ -136,14 +136,52 @@ let properties =
     QCheck.Test.make ~count:200 ~name:"count_elements = iter_nodes elements"
       Helpers.doc_arbitrary (fun doc ->
         let n = ref 0 in
-        T.iter_nodes (fun id _ _ -> if id.T.attr = None then incr n) doc;
+        Walk_oracle.iter_nodes (fun id _ _ -> if id.T.attr = None then incr n) doc;
         !n = T.count_elements doc);
     QCheck.Test.make ~count:200 ~name:"preorder ids are dense and increasing"
       Helpers.doc_arbitrary (fun doc ->
         let ids = ref [] in
-        T.iter_nodes (fun id _ _ -> if id.T.attr = None then ids := id.T.pre :: !ids) doc;
+        Walk_oracle.iter_nodes
+          (fun id _ _ -> if id.T.attr = None then ids := id.T.pre :: !ids)
+          doc;
         let ids = List.rev !ids in
         List.mapi (fun i x -> (i, x)) ids |> List.for_all (fun (i, x) -> i = x));
+    QCheck.Test.make ~count:300 ~name:"guided walk visits what the oracle walk visits"
+      Helpers.doc_arbitrary (fun doc ->
+        (* The guide value is the label path itself. *)
+        let g = T.guide ~root:[] ~label:(fun p l -> p @ [ l ]) ~dead:(fun _ -> false) in
+        let seen = ref [] in
+        T.walk g (fun id path value -> seen := (id, path, value) :: !seen) doc;
+        let oracle = ref [] in
+        Walk_oracle.iter_nodes (fun id path value -> oracle := (id, path, value) :: !oracle) doc;
+        !seen = !oracle);
+    QCheck.Test.make ~count:300 ~name:"guided walk skips dead subtrees, ranks unchanged"
+      (QCheck.pair Helpers.doc_arbitrary (QCheck.make Helpers.tag_gen)) (fun (doc, tag) ->
+        (* Paths through an element [tag] are dead: the walk reports exactly
+           the oracle's nodes off such paths, with the oracle's ranks. *)
+        let g =
+          T.guide ~root:(true, []) ~dead:(fun (live, _) -> not live)
+            ~label:(fun (_, p) l -> (not (String.equal l tag), p @ [ l ]))
+        in
+        let seen = ref [] in
+        T.walk g (fun id (_, path) value -> seen := (id, path, value) :: !seen) doc;
+        let oracle = ref [] in
+        Walk_oracle.iter_nodes
+          (fun id path value ->
+            if not (List.mem tag path) then oracle := (id, path, value) :: !oracle)
+          doc;
+        !seen = !oracle);
+    QCheck.Test.make ~count:200 ~name:"element_value = direct_text" Helpers.doc_arbitrary
+      (fun doc ->
+        let ok = ref true in
+        let rec check = function
+          | T.Text _ -> ()
+          | T.Element e ->
+              ok := !ok && String.equal (T.element_value e) (T.direct_text e);
+              List.iter check e.children
+        in
+        check doc;
+        !ok);
   ]
 
 let suites =
