@@ -675,6 +675,56 @@ let scale10k_raw () =
   header "Workload compression baseline: the same workload, uncompressed";
   ignore (scale10k_impl ~compress:false)
 
+(* ---------- RUNSTATS and index builds ---------- *)
+
+(* Minor words the running exhibit measured itself, for its record; an
+   exhibit that sets it must allocate the same on every run. *)
+let exhibit_minor_words : float option Atomic.t = Atomic.make None
+
+(* RUNSTATS over every TPoX table, then a build of every basic candidate
+   index of the TPoX workload, on a fresh catalog at one domain.  The
+   record's minor words are the second of two identical passes, with
+   observability off: the first pass fills the process-wide label and
+   pattern caches, so the count depends on neither the exhibits run before
+   nor the clock, and the bench ratchet holds it with a [max] line. *)
+let walk () =
+  header "RUNSTATS and index builds: the guided document walk";
+  let catalog = Catalog.create () in
+  if Atomic.get quick then Tpox.load ~scale:Tpox.tiny_scale catalog else Tpox.load catalog;
+  let tables = Catalog.table_names catalog in
+  let defs =
+    List.map
+      (fun (c : Candidate.t) -> c.Candidate.def)
+      (Candidate.basics (Enumeration.basic_candidates catalog (Tpox.workload ())))
+  in
+  let pass () =
+    let paths =
+      List.fold_left
+        (fun n t -> n + Xia_storage.Path_stats.path_count (Catalog.runstats catalog t))
+        0 tables
+    in
+    let entries =
+      List.fold_left
+        (fun n d -> n + Xia_index.Physical_index.entry_count (Catalog.create_index catalog d))
+        0 defs
+    in
+    Catalog.drop_all_indexes catalog;
+    (paths, entries)
+  in
+  Obs.with_enabled false (fun () ->
+      ignore (pass ());
+      let w0 = Gc.minor_words () in
+      let (paths, entries), elapsed = Trace.timed "walk.pass" pass in
+      let words = Gc.minor_words () -. w0 in
+      Atomic.set exhibit_minor_words (Some words);
+      Format.printf "%d tables, %d documents, %d paths; %d indexes, %d entries@."
+        (List.length tables)
+        (List.fold_left
+           (fun n t -> n + Xia_storage.Doc_store.doc_count (Catalog.store catalog t))
+           0 tables)
+        paths (List.length defs) entries;
+      Format.printf "RUNSTATS + builds: %.4fs, %.0f minor words@." elapsed words)
+
 (* ---------- Recommendation quality vs the exhaustive optimum ---------- *)
 
 (* The committed eval cases (lib/eval): regret against the true optimum and
@@ -910,6 +960,7 @@ type exhibit_record = {
       (* Enumerate Indexes passes: compression makes one per distinct
          statement, not one per statement *)
   sub_cache_hits : int;
+  minor_words : float option;  (* only from an exhibit that measures its own *)
   phases : phase list;
 }
 
@@ -956,10 +1007,15 @@ let write_advisor_json path records =
                  (json_escape p.ph_name) p.ph_count p.ph_seconds)
              r.phases)
       in
+      let words =
+        match r.minor_words with
+        | Some w -> Printf.sprintf " \"minor_words\": %.0f," w
+        | None -> ""
+      in
       Printf.fprintf oc
-        "    {\"name\": \"%s\", \"wall_seconds\": %.4f, \"optimizer_calls\": %d, \"optimizer_calls_raw\": %d, \"enumerate_calls\": %d, \"sub_cache_hits\": %d, \"phases\": [%s]}%s\n"
+        "    {\"name\": \"%s\", \"wall_seconds\": %.4f, \"optimizer_calls\": %d, \"optimizer_calls_raw\": %d, \"enumerate_calls\": %d, \"sub_cache_hits\": %d,%s \"phases\": [%s]}%s\n"
         (json_escape r.ex_name) r.wall_seconds r.optimizer_calls r.raw_calls
-        r.enumerate_calls r.sub_cache_hits phases
+        r.enumerate_calls r.sub_cache_hits words phases
         (if i = List.length records - 1 then "" else ","))
     records;
   Printf.fprintf oc "  ]\n}\n";
@@ -1002,6 +1058,7 @@ let experiments =
     ("par", par);
     ("scale10k", scale10k);
     ("scale10k-raw", scale10k_raw);
+    ("walk", walk);
     ("eval-quality", eval_quality);
   ]
 
@@ -1052,6 +1109,7 @@ let () =
         enumerate_calls =
           Atomic.get Optimizer.counters.Optimizer.enumerate_calls - enums0;
         sub_cache_hits = Benefit.total_cache_hits () - hits0;
+        minor_words = Atomic.exchange exhibit_minor_words None;
         phases;
       }
       :: !records

@@ -203,12 +203,15 @@ let incremental_tests =
         | _ -> Alcotest.fail "expected one index");
   ]
 
-(* Random linear patterns as [Helpers.pattern_gen] draws them, plus
-   attribute wildcards. *)
-let oracle_pattern_gen =
+(* Random linear patterns: mostly a generalization of a label path that
+   occurs in the documents (some names made wildcards, some steps dropped
+   behind a descendant step), so that builds find entries next to pruned
+   subtrees; otherwise [Helpers.pattern_gen]'s steps plus attribute
+   wildcards. *)
+let oracle_pattern_gen docs =
   QCheck.Gen.(
     let module A = Xia_xpath.Ast in
-    let step_gen =
+    let random_step =
       map2
         (fun axis test -> { Xia_xpath.Pattern.axis; test })
         (oneofl [ A.Child; A.Descendant ])
@@ -220,7 +223,37 @@ let oracle_pattern_gen =
              (1, return (A.Attr A.Wildcard));
            ])
     in
-    list_size (int_range 1 5) step_gen)
+    let generalize label =
+      let attr = String.length label > 0 && label.[0] = '@' in
+      let name = if attr then String.sub label 1 (String.length label - 1) else label in
+      let* wildcard = map (fun n -> n = 0) (int_bound 3) in
+      let* axis = frequency [ (3, return A.Child); (1, return A.Descendant) ] in
+      let* drop = map (fun n -> n = 0) (int_bound 4) in
+      let test =
+        match attr, wildcard with
+        | true, true -> A.Attr A.Wildcard
+        | true, false -> A.Attr (A.Name name)
+        | false, true -> A.Elem A.Wildcard
+        | false, false -> A.Elem (A.Name name)
+      in
+      return (drop, { Xia_xpath.Pattern.axis; test })
+    in
+    (* A dropped step turns the next kept one into a descendant step. *)
+    let rec assemble pending = function
+      | [] -> []
+      | (true, _) :: rest -> assemble true rest
+      | (false, (st : Xia_xpath.Pattern.step)) :: rest ->
+          let st = if pending then { st with axis = A.Descendant } else st in
+          st :: assemble false rest
+    in
+    let paths = ref [] in
+    List.iter (Walk_oracle.iter_nodes (fun _ path _ -> paths := path :: !paths)) docs;
+    let from_data =
+      let* path = oneofl !paths in
+      let* steps = flatten_l (List.map generalize path) in
+      return (match assemble false steps with [] -> [ snd (List.hd steps) ] | l -> l)
+    in
+    frequency [ (3, from_data); (1, list_size (int_range 1 5) random_step) ])
 
 let oracle_build_arbitrary =
   QCheck.make
@@ -228,8 +261,10 @@ let oracle_build_arbitrary =
       Printf.sprintf "%s %s\n%s" (Xia_xpath.Pattern.to_string p) (D.data_type_to_string dtype)
         (String.concat "\n" (List.map Xia_xml.Printer.to_string docs)))
     QCheck.Gen.(
-      triple oracle_pattern_gen (oneofl [ D.Dstring; D.Ddouble ])
-        (list_size (int_range 1 6) Helpers.doc_gen))
+      let* docs = list_size (int_range 1 6) Helpers.doc_gen in
+      let* pattern = oracle_pattern_gen docs in
+      let* dtype = oneofl [ D.Dstring; D.Ddouble ] in
+      return (pattern, dtype, docs))
 
 let oracle_properties =
   [

@@ -98,7 +98,11 @@ let bench_rows report =
   let metrics =
     [ "optimizer_calls"; "optimizer_calls_raw"; "enumerate_calls"; "wall_seconds" ]
   in
-  let exhibit e = List.map (fun m -> row (str "name" e) m (num m e)) metrics in
+  (* minor_words only where the exhibit measured an exact count *)
+  let exhibit e =
+    let metrics = if find "minor_words" e = None then metrics else metrics @ [ "minor_words" ] in
+    List.map (fun m -> row (str "name" e) m (num m e)) metrics
+  in
   let rows = List.concat_map exhibit (arr "exhibits" report) in
   let raw name =
     List.find_opt (fun r -> r.key = name && r.metric = "optimizer_calls_raw") rows
@@ -158,7 +162,7 @@ let produce domain exe scratch =
   let log = Filename.concat scratch "producer.log" in
   match domain with
   | "bench" ->
-    run ~dir:scratch ~out:log exe [ "quick"; "par"; "scale10k"; "scale10k-raw" ];
+    run ~dir:scratch ~out:log exe [ "quick"; "par"; "scale10k"; "scale10k-raw"; "walk" ];
     bench_rows (read_json (Filename.concat scratch "BENCH_advisor.json"))
   | "eval" ->
     let perturb = Option.value (Sys.getenv_opt "XIA_EVAL_PERTURB") ~default:"1" in
