@@ -27,6 +27,9 @@ let deep_tests =
         Xia_xml.Types.walk g (fun _ () _ -> incr n) doc;
         (* 2000 wrappers + the leaf element; text nodes are not visited *)
         Alcotest.(check int) "nodes" 2001 !n;
+        let oracle = ref 0 in
+        Walk_oracle.iter_nodes (fun _ _ _ -> incr oracle) doc;
+        Alcotest.(check int) "oracle nodes" !oracle !n;
         (* The deep chain followed by a sibling, and the bare chain. *)
         let store = Xia_storage.Doc_store.create "D" in
         let wrapped = Xia_xml.Types.element "w" [ doc; Xia_xml.Types.leaf "x" "v" ] in
