@@ -387,7 +387,7 @@ let catalog_mutators =
     "runstats"; "runstats_all";
   ]
 
-let store_mutators = [ "insert"; "delete"; "replace" ]
+let store_mutators = [ "insert"; "delete"; "replace"; "update" ]
 
 let mutator_of_path path =
   match List.rev path with

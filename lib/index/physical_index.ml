@@ -52,19 +52,19 @@ let key_of_value dtype value =
    reading it, computed once per distinct path of the walk.  Nodes whose set
    accepts are indexed.  A state set that has died stays empty on every
    extension, so the walk skips that subtree without losing an entry. *)
-let guide (def : Index_def.t) =
+let guide labels (def : Index_def.t) =
   let nfa = Xia_xpath.Pattern.nfa_of def.pattern in
   let desc = Xia_xpath.Nfa.desc_mask nfa in
   let label set l =
     Xia_xpath.Nfa.advance_masks ~desc ~matches:(Xia_xpath.Nfa.match_mask nfa l) set
   in
-  (nfa, Xia_xml.Types.guide ~root:Xia_xpath.Nfa.initial ~label ~dead:(Int.equal 0))
+  (nfa, Xia_xml.Packed.guide labels ~root:Xia_xpath.Nfa.initial ~label ~dead:(Int.equal 0))
 
 let key_size = function Kstring s -> String.length s | Kdouble _ -> 8
 
 let entries_of_doc (def : Index_def.t) (nfa, guide) doc_id doc =
   let acc = ref [] in
-  Xia_xml.Types.walk guide
+  Xia_xml.Packed.walk guide
     (fun node set value ->
       if Xia_xpath.Nfa.accepting nfa set then
         match key_of_value def.dtype value with
@@ -88,7 +88,7 @@ let of_entry_list def ~generation acc =
   { def; entries; built_generation = generation; key_bytes }
 
 let build store (def : Index_def.t) =
-  let guide = guide def in
+  let guide = guide (Doc_store.labels store) def in
   let acc = ref [] in
   Doc_store.iter
     (fun doc_id doc -> acc := List.rev_append (entries_of_doc def guide doc_id doc) !acc)
@@ -99,7 +99,7 @@ let build store (def : Index_def.t) =
    rescanning the whole table.  Every touched document's old entries are
    dropped; documents whose final state is present contribute fresh ones. *)
 let apply_changes pi ~generation (changes : Doc_store.change list) =
-  let net : (Doc_store.doc_id, Xia_xml.Types.t option) Hashtbl.t = Hashtbl.create 16 in
+  let net : (Doc_store.doc_id, Xia_xml.Packed.t option) Hashtbl.t = Hashtbl.create 16 in
   List.iter
     (fun (c : Doc_store.change) ->
       match c.kind with
@@ -110,16 +110,22 @@ let apply_changes pi ~generation (changes : Doc_store.change list) =
     Array.to_list pi.entries
     |> List.filter (fun e -> not (Hashtbl.mem net e.doc))
   in
-  let guide = guide pi.def in
   let added =
-    (* Hash iteration order is fine here: [of_entry_list] sorts the combined
-       entry list under a total order before anything reads it. *)
-    (Hashtbl.fold
-       (fun doc_id doc acc ->
-         match doc with
-         | None -> acc
-         | Some doc -> List.rev_append (entries_of_doc pi.def guide doc_id doc) acc)
-       net [] [@lint.allow "N001"])
+    match changes with
+    | [] -> []
+    | first :: _ ->
+        (* Every change carries a document of the one store, so one guide
+           over its label table serves them all. *)
+        let guide = guide first.doc.labels pi.def in
+        (* Hash iteration order is fine here: [of_entry_list] sorts the
+           combined entry list under a total order before anything reads
+           it. *)
+        (Hashtbl.fold
+           (fun doc_id doc acc ->
+             match doc with
+             | None -> acc
+             | Some doc -> List.rev_append (entries_of_doc pi.def guide doc_id doc) acc)
+           net [] [@lint.allow "N001"])
   in
   of_entry_list pi.def ~generation (List.rev_append added kept)
 

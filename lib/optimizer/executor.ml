@@ -15,6 +15,7 @@ module Ast = Xia_query.Ast
 module Rewriter = Xia_query.Rewriter
 module Xp = Xia_xpath.Ast
 module Eval = Xia_xpath.Eval
+module Packed = Xia_xml.Packed
 
 type metrics = {
   mutable docs_scanned : int;
@@ -81,17 +82,13 @@ let binding_groups (info : Rewriter.binding_info) (where : Ast.where_group list)
       | first :: _ -> String.equal first.Ast.var info.var)
     where
 
-let rec groups_hold e = function
+let rec groups_hold doc e = function
   | [] -> true
-  | group :: groups -> group_holds e group && groups_hold e groups
+  | group :: groups -> group_holds doc e group && groups_hold doc e groups
 
-and group_holds e = function
+and group_holds doc e = function
   | [] -> false
-  | (w : Ast.where_clause) :: ws -> Eval.predicate_holds_on e w.predicate || group_holds e ws
-
-(* Bound nodes of a binding within one document, after its where groups. *)
-let binding_matches path groups doc =
-  List.filter (fun (n : Eval.elem) -> groups_hold n.element groups) (Eval.eval_elements doc path)
+  | p :: ps -> Eval.holds doc e p || group_holds doc e ps
 
 let where_of_statement = function
   | Ast.Select f -> f.where
@@ -104,51 +101,25 @@ let physical_for catalog (choice : Plan.index_choice) =
     (fun pi -> Index_def.same (Physical_index.def pi) choice.def)
     (Catalog.real_indexes catalog table)
 
-(* Charges for one document, from the sizes its store entry keeps. *)
-let doc_pages (e : Doc_store.entry) =
-  Float.max 1.0 (float_of_int e.bytes /. float_of_int C.page_size)
+(* Charges for one document, from the sizes its packed form keeps. *)
+let doc_pages (doc : Packed.t) =
+  Float.max 1.0 (float_of_int doc.bytes /. float_of_int C.page_size)
 
 (* CPU charge for navigating one document during verification. *)
-let doc_cpu (e : Doc_store.entry) nfilters =
-  (float_of_int e.elements *. C.cpu_per_node)
+let doc_cpu doc nfilters =
+  (float_of_int (Packed.elements doc) *. C.cpu_per_node)
   +. (float_of_int (nfilters + 1) *. C.cpu_per_predicate)
 
-(* Execute one binding, returning the matching (doc_id, bound nodes) pairs. *)
-let run_binding catalog metrics where (b : Plan.planned_binding) =
-  let table = b.info.Rewriter.source.Ast.table in
-  let store = Catalog.store catalog table in
-  let nfilters = List.length b.info.Rewriter.filters in
-  let path = b.info.Rewriter.source.Ast.path in
-  let groups = binding_groups b.info where in
-  let scan_all () =
-    metrics.simulated_cost <-
-      metrics.simulated_cost
-      +. (float_of_int (Doc_store.pages store) *. C.sequential_page_cost);
-    Doc_store.fold
-      (fun doc_id (e : Doc_store.entry) acc ->
-        metrics.docs_scanned <- metrics.docs_scanned + 1;
-        metrics.simulated_cost <- metrics.simulated_cost +. doc_cpu e nfilters;
-        match binding_matches path groups e.doc with
-        | [] -> acc
-        | nodes -> (doc_id, nodes) :: acc)
-      store []
-  in
-  let fetch_and_verify doc_ids =
-    List.filter_map
-      (fun doc_id ->
-        match Doc_store.find_entry store doc_id with
-        | None -> None
-        | Some e ->
-            metrics.docs_fetched <- metrics.docs_fetched + 1;
-            metrics.simulated_cost <-
-              metrics.simulated_cost
-              +. (doc_pages e *. C.effective_random_page_cost)
-              +. doc_cpu e nfilters;
-            (match binding_matches path groups e.doc with
-            | [] -> None
-            | nodes -> Some (doc_id, nodes)))
-      doc_ids
-  in
+(* The documents a binding's plan visits: the whole table, or the ones its
+   index probes return, in probe order. *)
+type access =
+  | Table_scan
+  | Fetch of Doc_store.doc_id list
+
+(* Probe the plan's indexes, charging the probes.  A plan whose indexes are
+   not all materialized (a virtual plan executed without them) scans the
+   table. *)
+let access catalog metrics (b : Plan.planned_binding) =
   let doc_ids_of_entries entries =
     metrics.index_entries <- metrics.index_entries + List.length entries;
     metrics.simulated_cost <-
@@ -164,6 +135,16 @@ let run_binding catalog metrics where (b : Plan.planned_binding) =
         end)
       entries
   in
+  let probe_all physicals choices =
+    List.map2
+      (fun pi (choice : Plan.index_choice) ->
+        metrics.simulated_cost <-
+          metrics.simulated_cost
+          +. (float_of_int choice.stats.Xia_index.Index_stats.levels
+             *. C.effective_random_page_cost);
+        doc_ids_of_entries (probe pi choice.access))
+      physicals choices
+  in
   let union_of doc_sets =
     let seen = Hashtbl.create 64 in
     List.concat_map
@@ -178,82 +159,95 @@ let run_binding catalog metrics where (b : Plan.planned_binding) =
           ids)
       doc_sets
   in
+  let inter_of = function
+    | [] -> []
+    | first :: rest ->
+        List.fold_left
+          (fun acc ids ->
+            let set = Hashtbl.create 64 in
+            List.iter (fun id -> Hashtbl.replace set id ()) ids;
+            List.filter (Hashtbl.mem set) acc)
+          first rest
+  in
+  let combined combine choices =
+    let physicals = List.filter_map (physical_for catalog) choices in
+    if List.length physicals <> List.length choices then Table_scan
+    else Fetch (combine (probe_all physicals choices))
+  in
   match b.plan with
-  | Plan.Doc_scan -> scan_all ()
-  | Plan.Index_or choices -> (
-      let physicals = List.filter_map (physical_for catalog) choices in
-      if List.length physicals <> List.length choices then scan_all ()
-      else
-        let doc_sets =
-          List.map2
-            (fun pi choice ->
+  | Plan.Doc_scan -> Table_scan
+  | Plan.Index_or choices -> combined union_of choices
+  | Plan.Index_scan choice -> combined List.concat [ choice ] (* one probe, as it is *)
+  | Plan.Index_and choices -> combined inter_of choices
+
+(* Fold [f doc_id doc] over the documents [access] visits, charging each
+   visit. *)
+let visit_docs catalog metrics (b : Plan.planned_binding) access f init =
+  let store = Catalog.store catalog b.info.Rewriter.source.Ast.table in
+  let nfilters = List.length b.info.Rewriter.filters in
+  match access with
+  | Table_scan ->
+      metrics.simulated_cost <-
+        metrics.simulated_cost
+        +. (float_of_int (Doc_store.pages store) *. C.sequential_page_cost);
+      Doc_store.fold
+        (fun doc_id doc acc ->
+          metrics.docs_scanned <- metrics.docs_scanned + 1;
+          metrics.simulated_cost <- metrics.simulated_cost +. doc_cpu doc nfilters;
+          f doc_id doc acc)
+        store init
+  | Fetch doc_ids ->
+      List.fold_left
+        (fun acc doc_id ->
+          match Doc_store.find_packed store doc_id with
+          | None -> acc
+          | Some doc ->
+              metrics.docs_fetched <- metrics.docs_fetched + 1;
               metrics.simulated_cost <-
                 metrics.simulated_cost
-                +. (float_of_int choice.Plan.stats.Xia_index.Index_stats.levels
-                   *. C.effective_random_page_cost);
-              doc_ids_of_entries (probe pi choice.Plan.access))
-            physicals choices
-        in
-        fetch_and_verify (union_of doc_sets))
-  | Plan.Index_scan choice -> (
-      match physical_for catalog choice with
-      | None -> scan_all () (* virtual plan executed without the index *)
-      | Some pi ->
-          metrics.simulated_cost <-
-            metrics.simulated_cost
-            +. (float_of_int choice.stats.Xia_index.Index_stats.levels
-               *. C.effective_random_page_cost);
-          fetch_and_verify (doc_ids_of_entries (probe pi choice.access)))
-  | Plan.Index_and choices -> (
-      let physicals = List.filter_map (physical_for catalog) choices in
-      if List.length physicals <> List.length choices then scan_all ()
-      else begin
-        let doc_sets =
-          List.map2
-            (fun pi choice ->
-              metrics.simulated_cost <-
-                metrics.simulated_cost
-                +. (float_of_int choice.Plan.stats.Xia_index.Index_stats.levels
-                   *. C.effective_random_page_cost);
-              doc_ids_of_entries (probe pi choice.Plan.access))
-            physicals choices
-        in
-        match doc_sets with
-        | [] -> []
-        | first :: rest ->
-            let inter =
-              List.fold_left
-                (fun acc ids ->
-                  let set = Hashtbl.create 64 in
-                  List.iter (fun id -> Hashtbl.replace set id ()) ids;
-                  List.filter (Hashtbl.mem set) acc)
-                first rest
-            in
-            fetch_and_verify inter
-      end)
+                +. (doc_pages doc *. C.effective_random_page_cost)
+                +. doc_cpu doc nfilters;
+              f doc_id doc acc)
+        init doc_ids
+
+(* [bound doc] counts a binding's bound nodes within one document, after
+   its where groups.  The path and predicates are compiled once per
+   binding, so a document where nothing binds allocates nothing. *)
+let bound_counter catalog where (b : Plan.planned_binding) =
+  let labels = Doc_store.labels (Catalog.store catalog b.info.Rewriter.source.Ast.table) in
+  let path = Eval.path labels b.info.Rewriter.source.Ast.path in
+  let groups =
+    List.map
+      (List.map (fun (w : Ast.where_clause) -> Eval.predicate labels w.predicate))
+      (binding_groups b.info where)
+  in
+  let keep doc e = groups_hold doc e groups in
+  fun doc -> Eval.count path keep doc
+
+(* Rows of one binding: its bound nodes summed over the documents. *)
+let binding_rows catalog metrics where b =
+  let bound = bound_counter catalog where b in
+  visit_docs catalog metrics b (access catalog metrics b) (fun _ doc rows -> rows + bound doc) 0
+
+(* Documents where a binding binds a node: a scan lists them last visited
+   first, a fetch in probe order, which is the order an update charges
+   them in. *)
+let binding_docs catalog metrics where b =
+  let bound = bound_counter catalog where b in
+  let access = access catalog metrics b in
+  let found =
+    visit_docs catalog metrics b access
+      (fun doc_id doc acc -> if bound doc > 0 then doc_id :: acc else acc)
+      []
+  in
+  match access with
+  | Table_scan -> found
+  | Fetch _ -> List.rev found
 
 (* Replace the direct text of the elements matched by [target]. *)
 let set_value doc target new_value =
-  let hit_set = Hashtbl.create 8 in
-  List.iter (fun (n : Eval.elem) -> Hashtbl.replace hit_set n.pre ()) (Eval.eval_elements doc target);
-  let counter = ref 0 in
-  let rec rebuild = function
-    | Xia_xml.Types.Text _ as t -> t
-    | Xia_xml.Types.Element e ->
-        let pre = !counter in
-        incr counter;
-        let children = List.map rebuild e.children in
-        if Hashtbl.mem hit_set pre then
-          let non_text =
-            List.filter
-              (fun c -> match c with Xia_xml.Types.Element _ -> true | Xia_xml.Types.Text _ -> false)
-              children
-          in
-          Xia_xml.Types.Element
-            { e with children = Xia_xml.Types.Text new_value :: non_text }
-        else Xia_xml.Types.Element { e with children }
-  in
-  rebuild doc
+  let target = Eval.path doc.Packed.labels target in
+  Packed.set_text doc (Eval.elements target doc) new_value
 
 let run_plan catalog (plan : Plan.t) =
   let metrics = fresh_metrics () in
@@ -261,52 +255,42 @@ let run_plan catalog (plan : Plan.t) =
      advisor evaluates on several domains, which made the field nonsense. *)
   let t0 = Xia_obs.Obs.now_s () in
   let where = where_of_statement plan.Plan.statement in
+  let victims () =
+    List.concat_map (fun b -> binding_docs catalog metrics where b) plan.Plan.bindings
+  in
   let rows =
     match plan.Plan.statement with
     | Ast.Select _ ->
         (* FLWOR without join predicates: result cardinality is the product of
            the per-binding bound-node counts. *)
         List.fold_left
-          (fun acc b ->
-            let matches = run_binding catalog metrics where b in
-            let count =
-              List.fold_left (fun n (_, nodes) -> n + List.length nodes) 0 matches
-            in
-            acc * count)
+          (fun acc b -> acc * binding_rows catalog metrics where b)
           1 plan.Plan.bindings
     | Ast.Insert { table; document } ->
         let store = Catalog.store catalog table in
         let id = Doc_store.insert store document in
         Option.iter
-          (fun e ->
+          (fun doc ->
             metrics.simulated_cost <-
-              metrics.simulated_cost +. (doc_pages e *. C.sequential_page_cost))
-          (Doc_store.find_entry store id);
+              metrics.simulated_cost +. (doc_pages doc *. C.sequential_page_cost))
+          (Doc_store.find_packed store id);
         1
     | Ast.Delete { table; _ } ->
         let store = Catalog.store catalog table in
-        let victims =
-          List.concat_map
-            (fun b -> List.map fst (run_binding catalog metrics where b))
-            plan.Plan.bindings
-        in
+        let victims = victims () in
         List.iter (fun doc_id -> ignore (Doc_store.delete store doc_id)) victims;
         List.length victims
     | Ast.Update { table; target; new_value; _ } ->
         let store = Catalog.store catalog table in
-        let victims =
-          List.concat_map
-            (fun b -> List.map fst (run_binding catalog metrics where b))
-            plan.Plan.bindings
-        in
+        let victims = victims () in
         List.iter
           (fun doc_id ->
-            match Doc_store.find_entry store doc_id with
+            match Doc_store.find_packed store doc_id with
             | None -> ()
-            | Some e ->
-                ignore (Doc_store.replace store doc_id (set_value e.doc target new_value));
+            | Some doc ->
+                ignore (Doc_store.update store doc_id (set_value doc target new_value));
                 metrics.simulated_cost <-
-                  metrics.simulated_cost +. (doc_pages e *. C.sequential_page_cost))
+                  metrics.simulated_cost +. (doc_pages doc *. C.sequential_page_cost))
           victims;
         List.length victims
   in

@@ -20,8 +20,8 @@ type result = {
 }
 
 (** Replace the direct text content of the elements matched by the target
-    path (element children are preserved). *)
-val set_value : Xia_xml.Types.t -> Xia_xpath.Ast.path -> string -> Xia_xml.Types.t
+    path (element children are preserved); the document is copied. *)
+val set_value : Xia_xml.Packed.t -> Xia_xpath.Ast.path -> string -> Xia_xml.Packed.t
 
 (** Execute a plan.  A virtual index scan whose index is not materialized
     falls back to a document scan. *)

@@ -2,7 +2,11 @@
 
    The unit of storage is a document in an XML-typed column, as in DB2
    pureXML.  Documents get stable integer ids; DML bumps a generation counter
-   so that cached statistics and materialized indexes can detect staleness. *)
+   so that cached statistics and materialized indexes can detect staleness.
+   Each document is kept only packed ([Xia_xml.Packed]), its labels
+   interned in the table's own label table; [find] unpacks the exact tree. *)
+
+module Packed = Xia_xml.Packed
 
 type doc_id = int
 
@@ -12,25 +16,17 @@ type change = {
   gen : int;
   kind : [ `Insert | `Delete ];
   doc_id : doc_id;
-  doc : Xia_xml.Types.t;
+  doc : Packed.t;
 }
 
 (* Bound on the retained change log; beyond it consumers must fall back to a
    full rebuild. *)
 let log_limit = 20_000
 
-(* A stored document with its sizes, computed once on the way in: the
-   executor charges every visit from them, and delete and replace subtract
-   them from the table totals without re-walking the old document. *)
-type entry = {
-  doc : Xia_xml.Types.t;
-  elements : int;
-  bytes : int;
-}
-
 type t = {
   name : string;
-  docs : (doc_id, entry) Hashtbl.t;
+  labels : Packed.labels;
+  docs : (doc_id, Packed.t) Hashtbl.t;
   mutable next_id : int;
   mutable total_bytes : int;
   mutable total_elements : int;
@@ -43,6 +39,7 @@ type t = {
 let create name =
   {
     name;
+    labels = Packed.labels ();
     docs = Hashtbl.create 1024;
     next_id = 0;
     total_bytes = 0;
@@ -71,6 +68,7 @@ let changes_since t gen =
     Some (List.rev (List.filter (fun c -> c.gen > gen) t.log))
 
 let name t = t.name
+let labels t = t.labels
 let generation t = t.generation
 let doc_count t = Hashtbl.length t.docs
 let total_bytes t = t.total_bytes
@@ -79,26 +77,26 @@ let total_elements t = t.total_elements
 let pages t =
   max 1 ((t.total_bytes + Cost_params.page_size - 1) / Cost_params.page_size)
 
-let entry doc =
-  { doc; elements = Xia_xml.Types.count_elements doc; bytes = Xia_xml.Types.byte_size doc }
-
-let add_sizes t sign e =
-  t.total_bytes <- t.total_bytes + (sign * e.bytes);
-  t.total_elements <- t.total_elements + (sign * e.elements)
+(* The packed sizes: the executor charges every visit from them, and delete
+   and replace subtract them from the table totals without re-walking the
+   old document. *)
+let add_sizes t sign (doc : Packed.t) =
+  t.total_bytes <- t.total_bytes + (sign * doc.bytes);
+  t.total_elements <- t.total_elements + (sign * Packed.elements doc)
 
 let insert t doc =
   let id = t.next_id in
-  let e = entry doc in
+  let doc = Packed.pack t.labels doc in
   t.next_id <- id + 1;
-  Hashtbl.replace t.docs id e;
-  add_sizes t 1 e;
+  Hashtbl.replace t.docs id doc;
+  add_sizes t 1 doc;
   t.generation <- t.generation + 1;
   record t `Insert id doc;
   id
 
-let find_entry t id = Hashtbl.find_opt t.docs id
+let find_packed t id = Hashtbl.find_opt t.docs id
 
-let find t id = Option.map (fun e -> e.doc) (find_entry t id)
+let find t id = Option.map Packed.unpack (find_packed t id)
 
 let delete t id =
   match Hashtbl.find_opt t.docs id with
@@ -107,23 +105,25 @@ let delete t id =
       Hashtbl.remove t.docs id;
       add_sizes t (-1) old;
       t.generation <- t.generation + 1;
-      record t `Delete id old.doc;
+      record t `Delete id old;
       true
 
-let replace t id doc =
+let update t id (doc : Packed.t) =
+  if doc.labels != t.labels then invalid_arg "Doc_store.update: document packed for another table";
   match Hashtbl.find_opt t.docs id with
   | None -> false
   | Some old ->
-      let e = entry doc in
-      Hashtbl.replace t.docs id e;
+      Hashtbl.replace t.docs id doc;
       add_sizes t (-1) old;
-      add_sizes t 1 e;
+      add_sizes t 1 doc;
       t.generation <- t.generation + 1;
-      record t `Delete id old.doc;
+      record t `Delete id old;
       record t `Insert id doc;
       true
 
-let iter f t = Hashtbl.iter (fun id e -> f id e.doc) t.docs
+let replace t id doc = Hashtbl.mem t.docs id && update t id (Packed.pack t.labels doc)
+
+let iter f t = Hashtbl.iter f t.docs
 
 let fold f t init = Hashtbl.fold f t.docs init
 

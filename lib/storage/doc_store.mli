@@ -1,4 +1,7 @@
-(** A table of XML documents (one XML-typed column, as in DB2 pureXML). *)
+(** A table of XML documents (one XML-typed column, as in DB2 pureXML).
+    Documents are stored packed ({!Xia_xml.Packed}) with the table's own
+    label table; trees go in through {!insert} and {!replace} and come back
+    out, exactly, through {!find}. *)
 
 type doc_id = int
 
@@ -7,23 +10,17 @@ type change = {
   gen : int;
   kind : [ `Insert | `Delete ];
   doc_id : doc_id;
-  doc : Xia_xml.Types.t;
+  doc : Xia_xml.Packed.t;
 }
 
 type t
 
-(** A stored document with its element count and serialized byte size
-    ({!Xia_xml.Types.count_elements}, {!Xia_xml.Types.byte_size}), computed
-    once on insert or replace. *)
-type entry = private {
-  doc : Xia_xml.Types.t;
-  elements : int;
-  bytes : int;
-}
-
 val create : string -> t
 
 val name : t -> string
+
+(** The label table every document of the store is packed with. *)
+val labels : t -> Xia_xml.Packed.labels
 
 (** Monotone counter bumped by every DML operation; lets caches detect
     staleness. *)
@@ -40,9 +37,13 @@ val total_elements : t -> int
 (** Number of storage pages occupied by the table. *)
 val pages : t -> int
 
+(** @raise Invalid_argument if the root is a text node. *)
 val insert : t -> Xia_xml.Types.t -> doc_id
+
+(** The stored tree, unpacked: equal to the one inserted or replaced. *)
 val find : t -> doc_id -> Xia_xml.Types.t option
-val find_entry : t -> doc_id -> entry option
+
+val find_packed : t -> doc_id -> Xia_xml.Packed.t option
 
 (** [false] when the document does not exist. *)
 val delete : t -> doc_id -> bool
@@ -50,8 +51,12 @@ val delete : t -> doc_id -> bool
 (** Replace the document stored under an existing id. *)
 val replace : t -> doc_id -> Xia_xml.Types.t -> bool
 
-val iter : (doc_id -> Xia_xml.Types.t -> unit) -> t -> unit
-val fold : (doc_id -> entry -> 'a -> 'a) -> t -> 'a -> 'a
+(** {!replace} with a document already packed with {!labels}.
+    @raise Invalid_argument if it was packed with another label table. *)
+val update : t -> doc_id -> Xia_xml.Packed.t -> bool
+
+val iter : (doc_id -> Xia_xml.Packed.t -> unit) -> t -> unit
+val fold : (doc_id -> Xia_xml.Packed.t -> 'a -> 'a) -> t -> 'a -> 'a
 val doc_ids : t -> doc_id list
 
 val avg_doc_bytes : t -> float

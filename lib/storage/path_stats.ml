@@ -186,10 +186,13 @@ let collect store =
         Hashtbl.add acc key e;
         e
   in
-  let guide = Xia_xml.Types.guide ~root:(new_entry [] "") ~label ~dead:(fun _ -> false) in
+  let guide =
+    Xia_xml.Packed.guide (Doc_store.labels store) ~root:(new_entry [] "") ~label
+      ~dead:(fun _ -> false)
+  in
   Doc_store.iter
     (fun doc_id doc ->
-      Xia_xml.Types.walk guide (fun _id entry value -> touch doc_id entry value) doc)
+      Xia_xml.Packed.walk guide (fun _id entry value -> touch doc_id entry value) doc)
     store;
   let finish _ entry infos =
     entry.info.distinct_values <- max 1 (String_set.length entry.values);

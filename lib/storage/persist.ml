@@ -72,7 +72,7 @@ let save_directory store dir =
       let oc = open_out_bin path in
       Fun.protect
         ~finally:(fun () -> close_out_noerr oc)
-        (fun () -> output_string oc (Xia_xml.Printer.to_string doc)))
+        (fun () -> output_string oc (Xia_xml.Printer.to_string (Xia_xml.Packed.unpack doc))))
     store
 
 (* Workload files: '#' comments and blank lines ignored; each remaining line

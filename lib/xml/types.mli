@@ -53,30 +53,4 @@ val count_nodes : t -> int
 (** Approximate serialized size in bytes. *)
 val byte_size : t -> int
 
-(** {2 Guided walk}
-
-    A walk over a document that carries a small dataguide along: one guide
-    node per distinct rooted label path (attribute components spelled
-    ["@name"]).  A guide node holds a consumer value, computed once from its
-    parent's value and its label, so per-path work is done once per path
-    instead of once per node.  A guide may be reused across documents. *)
-
-type 'a guide
-
-(** [guide ~root ~label ~dead]: [root] is the value of the empty path,
-    [label v l] the value of the path extended by label [l] from a path
-    with value [v].  A path whose value is [dead] is never reported, and
-    neither is anything below it. *)
-val guide : root:'a -> label:('a -> string -> 'a) -> dead:('a -> bool) -> 'a guide
-
-(** [walk g f doc] calls [f id v value] for every element and every
-    attribute of [doc] whose path value [v] is live, in document order:
-    each element (valued by {!element_value}) followed by its attributes.
-    Ranks count every element, skipped subtrees included, so [id.pre] is
-    the element's preorder rank (root = 0). *)
-val walk : 'a guide -> (node_id -> 'a -> string -> unit) -> t -> unit
-
-(** Element with the given preorder rank. *)
-val find_by_pre : t -> int -> element option
-
 val equal : t -> t -> bool

@@ -100,11 +100,40 @@ let eval_cmp_int c n =
   | Ge -> n >= 0
 
 (* Comparison semantics: a numeric literal coerces the node value to a number
-   (no match if the coercion fails); a string literal compares lexically. *)
+   (no match if the coercion fails); a string literal compares lexically.
+
+   Node values are mostly plain decimals: an optional minus sign, digits,
+   and optionally a point and more digits.  With at most 15 digits and 22
+   after the point, the digits read as an integer and the power of ten
+   (every product on the way to it too) are exact doubles, so one division
+   rounds exactly as [float_of_string] does, and nothing is allocated.  Anything else goes to
+   [float_of_string]. *)
 let literal_matches value cmp literal =
   match literal with
-  | Number_lit x -> (
-      match float_of_string_opt (String.trim value) with
-      | None -> false
-      | Some v -> eval_cmp_int cmp (Float.compare v x))
+  | Number_lit x ->
+      let n = String.length value in
+      let start = if n > 0 && value.[0] = '-' then 1 else 0 in
+      let i = ref start and digits = ref 0 and point = ref (-1) and mantissa = ref 0 in
+      while !i < n do
+        (match value.[!i] with
+        | '0' .. '9' as c ->
+            mantissa := (10 * !mantissa) + Char.code c - Char.code '0';
+            incr digits
+        | '.' when !point < 0 && !digits > 0 -> point := !i
+        | _ -> i := n + 1);
+        incr i
+      done;
+      let fraction = if !point < 0 then 0 else n - 1 - !point in
+      if !i = n && !digits <= 15 && (!point < 0 || fraction > 0) && fraction <= 22 && !digits > 0
+      then
+        let scale = ref 1.0 in
+        for _ = 1 to fraction do
+          scale := !scale *. 10.0
+        done;
+        let v = float_of_int !mantissa /. !scale in
+        eval_cmp_int cmp (Float.compare (if start = 1 then -.v else v) x)
+      else (
+        match float_of_string_opt (String.trim value) with
+        | None -> false
+        | Some v -> eval_cmp_int cmp (Float.compare v x))
   | String_lit s -> eval_cmp_int cmp (String.compare value s)

@@ -1,39 +1,82 @@
-(* XPath evaluation over an XML document.
+(* XPath evaluation over packed documents.
 
-   Evaluation walks [Xia_xml.Types.t] directly; nothing is copied.  A path
-   is evaluated step by step over a list of contexts (elements or
-   attributes).  Element contexts carry their preorder rank, counted during
-   the walk, because the rank is the node's identity ([Types.node_id.pre]).
-   The result is the list of nodes the last step reaches, in the order the
-   steps reach them and without duplicates; a node's value is read only
-   when a result or a predicate needs it.
+   Elements are ranks into the document's preorder arrays: the children of
+   [e] are found by hopping over subtrees ([last.(c) + 1]), its descendants
+   are the ranks [e + 1 .. last.(e)], and the attributes of a subtree are
+   one contiguous slot range.  The document node is rank [-1], whose only
+   child is the root and whose subtree is every element.  Name tests are
+   compiled to label ids, so testing a node compares two integers.
+
+   A path is followed depth first, one context at a time.  The result is
+   the nodes the last step reaches, in the order the steps reach them and
+   without duplicates; counting them allocates nothing.
 
    Predicates only ask whether some node exists, so they are a depth-first
-   existential search over the raw tree that stops at the first witness.
-   It needs no ranks, no intermediate lists and no duplicate removal
-   (duplicates cannot change "exists").  Its functions are all top-level,
-   so testing a predicate allocates nothing. *)
+   existential search that stops at the first witness, with no duplicate
+   removal (duplicates cannot change "exists"). *)
 
+module P = Xia_xml.Packed
 module T = Xia_xml.Types
-
-type elem = {
-  element : T.element;
-  pre : int;
-}
 
 type match_ = {
   id : T.node_id;
   value : string;
 }
 
-let name_test_ok nt tag =
-  match nt with
-  | Ast.Wildcard -> true
-  | Ast.Name s -> String.equal s tag
+(* A name test is a label id; [any] is the wildcard, and a name the table
+   has never seen compiles to [-1], which no label equals. *)
+let any = -2
 
-let root_element fn = function
-  | T.Element e -> e
-  | T.Text _ -> invalid_arg (fn ^ ": document root is a text node")
+let name_ok name label = name = label || name = any
+
+type step = {
+  axis : Ast.axis;
+  attribute : bool;
+  name : int;
+  predicates : predicate list;
+}
+
+and predicate = {
+  rel : step list;
+  goal : Ast.predicate;
+}
+
+let name_id labels = function
+  | Ast.Wildcard -> any
+  | Ast.Name s -> P.find_label labels s
+
+let rec compile_step labels (s : Ast.step) =
+  let attribute, test =
+    match s.test with
+    | Ast.Elem nt -> (false, nt)
+    | Ast.Attr nt -> (true, nt)
+  in
+  {
+    axis = s.axis;
+    attribute;
+    name = name_id labels test;
+    predicates = List.map (predicate labels) s.predicates;
+  }
+
+and predicate labels p =
+  match p with
+  | Ast.Exists rel | Ast.Compare (rel, _, _) -> { rel = List.map (compile_step labels) rel; goal = p }
+
+(* ---------- ranges ---------- *)
+
+let last (doc : P.t) e = if e < 0 then Array.length doc.tags - 1 else doc.last.(e)
+
+(* Slots of [e]'s own attributes, and the end of its subtree's slots. *)
+let own_first (doc : P.t) e = if e < 0 then 0 else doc.attr_first.(e)
+let own_end (doc : P.t) e = if e < 0 then 0 else doc.attr_first.(e + 1)
+let subtree_end (doc : P.t) e = doc.attr_first.(last doc e + 1)
+
+(* Attribute slots an attribute step reaches from [e]: its own, or along
+   the descendant axis those of [e] and every element below it. *)
+let attr_end doc (s : step) e =
+  match s.axis with
+  | Ast.Child -> own_end doc e
+  | Ast.Descendant -> subtree_end doc e
 
 (* ---------- predicates: existential search ---------- *)
 
@@ -45,207 +88,191 @@ let goal_value goal v =
   | Ast.Compare (_, cmp, lit) -> Ast.literal_matches v cmp lit
 
 (* From an attribute, only the empty relative path reaches a node. *)
-let holds_on_attr v = function
-  | Ast.Exists [] -> true
-  | Ast.Compare ([], cmp, lit) -> Ast.literal_matches v cmp lit
-  | Ast.Exists (_ :: _) | Ast.Compare (_ :: _, _, _) -> false
+let holds_on_attr v p =
+  match p.rel with
+  | [] -> goal_value p.goal v
+  | _ :: _ -> false
 
 let rec all_hold_on_attr v = function
   | [] -> true
   | p :: ps -> holds_on_attr v p && all_hold_on_attr v ps
 
 (* Does a node that [steps] reach from element [e] witness [goal]? *)
-let rec reach goal (e : T.element) steps =
+let rec reach (doc : P.t) goal e steps =
   match steps with
   | [] -> (
       match goal with
       | Ast.Exists _ -> true
-      | Ast.Compare (_, cmp, lit) -> Ast.literal_matches (T.element_value e) cmp lit)
-  | s :: rest -> step_reach goal e.attrs e.children s rest
+      | Ast.Compare (_, cmp, lit) -> Ast.literal_matches doc.values.(e) cmp lit)
+  | s :: rest ->
+      if s.attribute then
+        match rest with
+        | _ :: _ -> false
+        | [] -> attr_reach doc goal s (own_first doc e) (attr_end doc s e)
+      else
+        match s.axis with
+        | Ast.Child -> child_reach doc goal s rest (e + 1) (last doc e)
+        | Ast.Descendant -> desc_reach doc goal s rest (e + 1) (last doc e)
 
-(* One step from a parent with attributes [attrs] and children [cs]. *)
-and step_reach goal attrs cs (s : Ast.step) rest =
-  match s.axis, s.test, rest with
-  | Ast.Child, Ast.Elem nt, _ -> child_reach goal nt s.predicates rest cs
-  | Ast.Descendant, Ast.Elem nt, _ -> desc_reach goal nt s.predicates rest cs
-  | _, Ast.Attr _, _ :: _ -> false
-  | Ast.Child, Ast.Attr nt, [] -> attr_reach goal nt s.predicates attrs
-  | Ast.Descendant, Ast.Attr nt, [] ->
-      attr_reach goal nt s.predicates attrs || desc_attr_reach goal nt s.predicates cs
+and child_reach doc goal s rest j stop =
+  j <= stop
+  && ((name_ok s.name doc.tags.(j) && all_hold doc j s.predicates && reach doc goal j rest)
+     || child_reach doc goal s rest (doc.last.(j) + 1) stop)
 
-and child_reach goal nt preds rest = function
-  | [] -> false
-  | T.Text _ :: cs -> child_reach goal nt preds rest cs
-  | T.Element c :: cs ->
-      (name_test_ok nt c.tag && all_hold c preds && reach goal c rest)
-      || child_reach goal nt preds rest cs
+and desc_reach doc goal s rest j stop =
+  j <= stop
+  && ((name_ok s.name doc.tags.(j) && all_hold doc j s.predicates && reach doc goal j rest)
+     || desc_reach doc goal s rest (j + 1) stop)
 
-and desc_reach goal nt preds rest = function
-  | [] -> false
-  | T.Text _ :: cs -> desc_reach goal nt preds rest cs
-  | T.Element c :: cs ->
-      (name_test_ok nt c.tag && all_hold c preds && reach goal c rest)
-      || desc_reach goal nt preds rest c.children
-      || desc_reach goal nt preds rest cs
+and attr_reach doc goal s k stop =
+  k < stop
+  && ((name_ok s.name doc.attr_names.(k)
+      && all_hold_on_attr doc.attr_values.(k) s.predicates
+      && goal_value goal doc.attr_values.(k))
+     || attr_reach doc goal s (k + 1) stop)
 
-and attr_reach goal nt preds = function
-  | [] -> false
-  | (k, v) :: attrs ->
-      (name_test_ok nt k && all_hold_on_attr v preds && goal_value goal v)
-      || attr_reach goal nt preds attrs
-
-and desc_attr_reach goal nt preds = function
-  | [] -> false
-  | T.Text _ :: cs -> desc_attr_reach goal nt preds cs
-  | T.Element c :: cs ->
-      attr_reach goal nt preds c.attrs
-      || desc_attr_reach goal nt preds c.children
-      || desc_attr_reach goal nt preds cs
-
-and all_hold e = function
+and all_hold doc e = function
   | [] -> true
-  | p :: ps -> predicate_holds_on e p && all_hold e ps
+  | p :: ps -> holds doc e p && all_hold doc e ps
 
-and predicate_holds_on e p =
-  match p with
-  | Ast.Exists rel | Ast.Compare (rel, _, _) -> reach p e rel
+and holds doc e p = reach doc p.goal e p.rel
 
-let any_node = Ast.Exists []
+(* ---------- paths: depth-first, one pass ---------- *)
 
-let exists_doc doc path =
-  ignore (root_element "Eval.exists_doc" doc);
-  match path with
-  | [] -> true
-  | s :: rest -> step_reach any_node [] [ doc ] s rest
+(* What a path evaluation does with a reached node: count it if it is an
+   element [keep] accepts, or collect it. *)
+type mode =
+  | Count
+  | Collect
 
-(* ---------- paths: context lists with ranks ---------- *)
+type path = {
+  steps : step list;
+  levels : int;  (* steps that may reach a node twice: 0, or all of them *)
+  mutable mode : mode;
+  mutable count : int;
+  mutable found : int list;  (* reached nodes, last first *)
+  mutable seen : int array;  (* [seen.(x) = stamp]: [x] already reached *)
+  mutable stamp : int;
+}
 
-type context =
-  | C_elem of elem
-  | C_attr of {
-      owner : int;  (* rank of the owning element *)
-      index : int;
-      value : string;
-    }
+let path labels steps =
+  let descendant (s : Ast.step) = s.axis = Ast.Descendant in
+  {
+    steps = List.map (compile_step labels) steps;
+    levels = (if List.length (List.filter descendant steps) >= 2 then List.length steps else 0);
+    mode = Count;
+    count = 0;
+    found = [];
+    seen = [||];
+    stamp = 0;
+  }
 
-(* [n] plus the number of elements in [cs] and below: skipping a sibling's
-   subtree gives the next sibling's rank. *)
-let rec elements_in n = function
-  | [] -> n
-  | T.Text _ :: cs -> elements_in n cs
-  | T.Element c :: cs -> elements_in (elements_in (n + 1) c.children) cs
+(* Node ids: an element is its rank, the attribute in slot [k] is [k] plus
+   the element count. *)
+let node_count (doc : P.t) = Array.length doc.tags + Array.length doc.attr_names
 
-(* Each step below conses the contexts it reaches onto [acc], last first.
-   [pre] is the rank of the first element of [cs]. *)
-let rec children_into nt preds cs pre acc =
-  match cs with
-  | [] -> acc
-  | T.Text _ :: cs -> children_into nt preds cs pre acc
-  | T.Element c :: cs ->
-      let acc =
-        if name_test_ok nt c.tag && all_hold c preds then C_elem { element = c; pre } :: acc
-        else acc
-      in
-      (match cs with
-      | [] -> acc
-      | _ -> children_into nt preds cs (elements_in (pre + 1) c.children) acc)
+(* Has [x] been reached by step [level] before, in this evaluation? *)
+let reached_before p doc level x =
+  let i = (level * node_count doc) + x in
+  p.seen.(i) = p.stamp
+  || begin
+       p.seen.(i) <- p.stamp;
+       false
+     end
 
-let rec attrs_into nt preds owner index attrs acc =
-  match attrs with
-  | [] -> acc
-  | (k, v) :: attrs ->
-      let acc =
-        if name_test_ok nt k && all_hold_on_attr v preds then
-          C_attr { owner; index; value = v } :: acc
-        else acc
-      in
-      attrs_into nt preds owner (index + 1) attrs acc
+(* The steps are followed depth first: everything reached through one
+   context before the next context.  That visits the nodes the last step
+   reaches in the order the steps reach them.  A node can be reached twice
+   by one step only along the descendant axis, and only from contexts of
+   which one lies below another; contexts are an antichain (none below
+   another) until the first descendant step.  From the second descendant
+   step on, a node reached again at the same step is skipped, with
+   everything below it, so no node is visited twice. *)
+let rec follow p keep (doc : P.t) level antichain e steps =
+  match steps with
+  | [] -> arrive p keep doc e
+  | s :: rest ->
+      let dedup = not (antichain || s.axis = Ast.Child) in
+      let antichain = antichain && s.axis = Ast.Child in
+      if s.attribute then (
+        (* Nothing is below an attribute. *)
+        match rest with
+        | _ :: _ -> ()
+        | [] ->
+            let base = Array.length doc.tags in
+            for k = own_first doc e to attr_end doc s e - 1 do
+              if name_ok s.name doc.attr_names.(k)
+                 && all_hold_on_attr doc.attr_values.(k) s.predicates
+                 && not (dedup && reached_before p doc level (base + k))
+              then arrive p keep doc (base + k)
+            done)
+      else
+        match s.axis with
+        | Ast.Child ->
+            let stop = last doc e in
+            let j = ref (e + 1) in
+            while !j <= stop do
+              enter p keep doc level antichain dedup s rest !j;
+              j := doc.last.(!j) + 1
+            done
+        | Ast.Descendant ->
+            for j = e + 1 to last doc e do
+              enter p keep doc level antichain dedup s rest j
+            done
 
-(* Preorder walks: return the rank after the last element of [cs]. *)
-let rec desc_into nt preds cs pre acc =
-  match cs with
-  | [] -> pre
-  | T.Text _ :: cs -> desc_into nt preds cs pre acc
-  | T.Element c :: cs ->
-      if name_test_ok nt c.tag && all_hold c preds then
-        acc := C_elem { element = c; pre } :: !acc;
-      desc_into nt preds cs (desc_into nt preds c.children (pre + 1) acc) acc
+and enter p keep doc level antichain dedup s rest j =
+  if name_ok s.name doc.tags.(j)
+     && all_hold doc j s.predicates
+     && not (dedup && reached_before p doc level j)
+  then follow p keep doc (level + 1) antichain j rest
 
-let rec desc_attrs_into nt preds cs pre acc =
-  match cs with
-  | [] -> pre
-  | T.Text _ :: cs -> desc_attrs_into nt preds cs pre acc
-  | T.Element c :: cs ->
-      acc := attrs_into nt preds pre 0 c.attrs !acc;
-      desc_attrs_into nt preds cs (desc_attrs_into nt preds c.children (pre + 1) acc) acc
+and arrive p keep doc x =
+  match p.mode with
+  | Count -> if x < Array.length doc.tags && keep doc x then p.count <- p.count + 1
+  | Collect -> p.found <- x :: p.found
 
-(* One step from the element ranked [pre] with [attrs] and [cs]. *)
-let step_into (s : Ast.step) pre attrs cs acc =
-  match s.axis, s.test with
-  | Ast.Child, Ast.Elem nt -> children_into nt s.predicates cs (pre + 1) acc
-  | Ast.Child, Ast.Attr nt -> attrs_into nt s.predicates pre 0 attrs acc
-  | Ast.Descendant, Ast.Elem nt ->
-      let acc = ref acc in
-      ignore (desc_into nt s.predicates cs (pre + 1) acc);
-      !acc
-  | Ast.Descendant, Ast.Attr nt ->
-      let acc = ref (attrs_into nt s.predicates pre 0 attrs acc) in
-      ignore (desc_attrs_into nt s.predicates cs (pre + 1) acc);
-      !acc
+(* Runs the path; the empty path reaches the root element. *)
+let run p mode keep doc =
+  p.mode <- mode;
+  p.count <- 0;
+  (match mode with Count -> () | Collect -> p.found <- []);
+  p.stamp <- p.stamp + 1;
+  let marks = p.levels * node_count doc in
+  if Array.length p.seen < marks then p.seen <- Array.make (max marks (2 * Array.length p.seen)) 0;
+  match p.steps with
+  | [] -> arrive p keep doc 0
+  | steps -> follow p keep doc 0 true (-1) steps
 
-let dedup ctxs =
-  let seen = Hashtbl.create 16 in
-  List.filter
-    (fun c ->
-      let key =
-        match c with
-        | C_elem e -> (e.pre, -1)
-        | C_attr a -> (a.owner, a.index)
-      in
-      if Hashtbl.mem seen key then false
-      else begin
-        Hashtbl.add seen key ();
-        true
-      end)
-    ctxs
+let any _ _ = true
 
-(* A step from distinct contexts can reach a node twice only along the
-   descendant axis, and only when one context lies below another.  Contexts
-   are an antichain (none below another) until the first descendant step,
-   so duplicate removal is needed only from the second one on. *)
-let rec eval_steps ctxs antichain = function
-  | [] -> ctxs
-  | (s : Ast.step) :: rest ->
-      let next =
-        List.rev
-          (List.fold_left
-             (fun acc c ->
-               match c with
-               | C_elem { element; pre } -> step_into s pre element.attrs element.children acc
-               | C_attr _ -> acc)
-             [] ctxs)
-      in
-      let child = match s.axis with Ast.Child -> true | Ast.Descendant -> false in
-      eval_steps (if antichain || child then next else dedup next) (antichain && child) rest
+(* The element owning attribute slot [k]: the last one whose first slot is
+   at most [k]. *)
+let owner (doc : P.t) k =
+  let rec search lo hi =
+    if lo >= hi then lo
+    else
+      let mid = (lo + hi + 1) / 2 in
+      if doc.attr_first.(mid) <= k then search mid hi else search lo (mid - 1)
+  in
+  search 0 (Array.length doc.tags - 1)
 
-(* Contexts an absolute path reaches.  The document node has no attributes
-   and the root element, ranked 0, as its only child. *)
-let contexts fn doc path =
-  let root = root_element fn doc in
-  match path with
-  | [] -> [ C_elem { element = root; pre = 0 } ]
-  | path ->
-      let document = { T.tag = ""; attrs = []; children = [ doc ] } in
-      eval_steps [ C_elem { element = document; pre = -1 } ] true path
+let eval p (doc : P.t) =
+  run p Collect any doc;
+  let elements = Array.length doc.tags in
+  List.rev_map
+    (fun x ->
+      if x < elements then { id = { T.pre = x; attr = None }; value = doc.values.(x) }
+      else
+        let k = x - elements in
+        let e = owner doc k in
+        { id = { T.pre = e; attr = Some (k - doc.attr_first.(e)) }; value = doc.attr_values.(k) })
+    p.found
 
-let eval doc path =
-  List.map
-    (function
-      | C_elem e -> { id = { T.pre = e.pre; attr = None }; value = T.element_value e.element }
-      | C_attr a -> { id = { T.pre = a.owner; attr = Some a.index }; value = a.value })
-    (contexts "Eval.eval" doc path)
+let elements p doc =
+  List.filter_map (fun m -> match m.id.attr with None -> Some m.id.pre | Some _ -> None) (eval p doc)
 
-let eval_elements doc path =
-  List.filter_map
-    (function C_elem e -> Some e | C_attr _ -> None)
-    (contexts "Eval.eval_elements" doc path)
+let count p keep doc =
+  run p Count keep doc;
+  p.count
+
+let exists p doc = reach doc (Ast.Exists []) (-1) p.steps

@@ -1,36 +1,44 @@
-(** XPath evaluation over XML documents, walking [Xia_xml.Types.t] directly. *)
+(** XPath evaluation over packed documents ({!Xia_xml.Packed}).
 
-(** An element reached by a path, with its preorder rank in the document
-    (the root element has rank 0). *)
-type elem = {
-  element : Xia_xml.Types.element;
-  pre : int;
-}
+    A path or predicate is compiled once against a label table, which turns
+    its name tests into label ids; the compiled form then evaluates over any
+    document of that table.  Names the table has never seen match nothing,
+    so a compiled form must not outlive inserts into its table. *)
 
 type match_ = {
   id : Xia_xml.Types.node_id;
   value : string;
 }
 
-(** Evaluate an absolute path (with predicates): the elements and attributes
-    the last step reaches, with their values, duplicate-free, in the order
-    the steps reach them: document order, except that after a descendant
-    step the nodes reached from one context all precede those reached from
-    the next.
-    @raise Invalid_argument if the root is a text node. *)
-val eval : Xia_xml.Types.t -> Ast.path -> match_ list
+(** A compiled absolute path.  It keeps scratch state, so it must be used
+    by one domain at a time. *)
+type path
 
-(** The elements {!eval} reaches; attribute matches are dropped (an element
-    binding is required to navigate further).
-    @raise Invalid_argument if the root is a text node. *)
-val eval_elements : Xia_xml.Types.t -> Ast.path -> elem list
+(** A compiled predicate, tested with an element as context node. *)
+type predicate
 
-(** Does the predicate hold with the element as context node?  A
-    depth-first search that stops at the first witness and allocates
-    nothing. *)
-val predicate_holds_on : Xia_xml.Types.element -> Ast.predicate -> bool
+val path : Xia_xml.Packed.labels -> Ast.path -> path
+val predicate : Xia_xml.Packed.labels -> Ast.predicate -> predicate
 
-(** Does the path reach any node?  The same search as
-    {!predicate_holds_on}, from the document node.
-    @raise Invalid_argument if the root is a text node. *)
-val exists_doc : Xia_xml.Types.t -> Ast.path -> bool
+(** The elements and attributes the last step reaches, with their values,
+    duplicate-free, in the order the steps reach them: document order,
+    except that after a descendant step the nodes reached from one context
+    all precede those reached from the next. *)
+val eval : path -> Xia_xml.Packed.t -> match_ list
+
+(** The ranks of the elements {!eval} reaches, in the same order;
+    attributes are dropped (an element binding is required to navigate
+    further). *)
+val elements : path -> Xia_xml.Packed.t -> int list
+
+(** [count p keep doc] is the number of {!elements} ranks [r] with
+    [keep doc r].  Allocates nothing. *)
+val count : path -> (Xia_xml.Packed.t -> int -> bool) -> Xia_xml.Packed.t -> int
+
+(** Does the path reach any node?  A depth-first search that stops at the
+    first witness. *)
+val exists : path -> Xia_xml.Packed.t -> bool
+
+(** Does the predicate hold with the element ranked [r] as context node?
+    The same search as {!exists}; allocates nothing. *)
+val holds : Xia_xml.Packed.t -> int -> predicate -> bool

@@ -190,3 +190,22 @@ let eval_elements root path =
 
 (* Does the predicate hold for an element context? *)
 let predicate_holds_on node pred = predicate_holds (C_elem node) pred
+
+(* The tree update that [Executor.set_value] replaced, kept as the oracle
+   for packed updates: every element [target] reaches gets the one text
+   child [v], placed before its element children. *)
+let set_value doc target v =
+  let hits = Hashtbl.create 8 in
+  List.iter (fun n -> Hashtbl.replace hits n.pre ()) (eval_elements (annotate doc) target);
+  let counter = ref 0 in
+  let rec rebuild = function
+    | T.Text _ as t -> t
+    | T.Element e ->
+        let pre = !counter in
+        incr counter;
+        let children = List.map rebuild e.children in
+        if Hashtbl.mem hits pre then
+          T.Element { e with children = T.Text v :: List.filter T.is_element children }
+        else T.Element { e with children }
+  in
+  rebuild doc

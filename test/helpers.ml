@@ -4,6 +4,19 @@ module T = Xia_xml.Types
 
 let xml s = Xia_xml.Parser.parse_exn s
 let xpath s = Xia_xpath.Parser.parse_exn s
+
+(* A document packed with a label table of its own, as a store would. *)
+let packed doc = Xia_xml.Packed.pack (Xia_xml.Packed.labels ()) doc
+
+(* Evaluation over a tree: its packed form, with the path compiled against
+   that form's labels. *)
+let eval_tree doc path =
+  let p = packed doc in
+  Xia_xpath.Eval.eval (Xia_xpath.Eval.path p.labels path) p
+
+let exists_tree doc path =
+  let p = packed doc in
+  Xia_xpath.Eval.exists (Xia_xpath.Eval.path p.labels path) p
 let pattern s = Xia_xpath.Pattern.of_string s
 let statement s = Xia_query.Parser.parse_statement_exn s
 

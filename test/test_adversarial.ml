@@ -3,7 +3,6 @@
    experiments. *)
 
 module Pat = Xia_xpath.Pattern
-module E = Xia_xpath.Eval
 module A = Xia_advisor.Advisor
 module S = Xia_advisor.Search
 
@@ -18,13 +17,16 @@ let deep_tests =
   [
     tc "evaluation survives 2000-deep documents" (fun () ->
         let doc = deep_doc 2000 in
-        let ms = E.eval doc (Helpers.xpath "//leaf") in
+        let ms = Helpers.eval_tree doc (Helpers.xpath "//leaf") in
         Alcotest.(check int) "one leaf" 1 (List.length ms));
     tc "guided walk, RUNSTATS and pruned builds survive deep documents" (fun () ->
         let doc = deep_doc 2000 in
         let n = ref 0 in
-        let g = Xia_xml.Types.guide ~root:() ~label:(fun () _ -> ()) ~dead:(fun () -> false) in
-        Xia_xml.Types.walk g (fun _ () _ -> incr n) doc;
+        let packed = Helpers.packed doc in
+        let g =
+          Xia_xml.Packed.guide packed.labels ~root:() ~label:(fun () _ -> ()) ~dead:(fun () -> false)
+        in
+        Xia_xml.Packed.walk g (fun _ () _ -> incr n) packed;
         (* 2000 wrappers + the leaf element; text nodes are not visited *)
         Alcotest.(check int) "nodes" 2001 !n;
         let oracle = ref 0 in
@@ -45,8 +47,8 @@ let deep_tests =
           |> Xia_index.Physical_index.all
           |> List.map (fun (e : Xia_index.Physical_index.entry) -> e.node.Xia_xml.Types.pre)
         in
-        (* /w/x dies below w, so the chain is skipped but counted: x is
-           rank 2002; the bare chain's root is dead at once. *)
+        (* /w/x dies below w, so the chain is skipped, and x keeps its rank
+           2002; the bare chain's root is dead at once. *)
         Alcotest.(check (list int)) "pruned build" [ 2002 ] (ranks "/w/x");
         Alcotest.(check (list int)) "leaf ranks" [ 2001; 2000 ] (ranks "//leaf"));
     tc "serialization round-trips deep documents" (fun () ->
@@ -59,7 +61,7 @@ let deep_tests =
             (List.init 5000 (fun i -> Xia_xml.Types.leaf "c" (string_of_int i)))
         in
         Alcotest.(check int) "all" 5000
-          (List.length (E.eval doc (Helpers.xpath "/r/c"))));
+          (List.length (Helpers.eval_tree doc (Helpers.xpath "/r/c"))));
   ]
 
 let pattern_tests =

@@ -85,6 +85,21 @@ let correctness_tests =
 
 let dml_tests =
   [
+    tc "update through an index rewrites documents in probe order" (fun () ->
+        (* The order an update visits its victims fixes the order its
+           charges are summed in and the order of the change log. *)
+        let catalog = small_catalog () in
+        ignore (Cat.create_index catalog (def "/a/k"));
+        let store = Cat.store catalog "T" in
+        let gen0 = DS.generation store in
+        let r = E.run_statement catalog (Helpers.statement {|update T set /a/v = "0" where /a[k="K02"]|}) in
+        Alcotest.(check bool) "fetched" true (r.E.metrics.E.docs_fetched > 0);
+        let updated =
+          List.filter_map
+            (fun (c : DS.change) -> match c.kind with `Insert -> Some c.doc_id | `Delete -> None)
+            (Option.get (DS.changes_since store gen0))
+        in
+        Alcotest.(check (list int)) "probe order" (List.init 10 (fun i -> 2 + (40 * i))) updated);
     tc "insert adds a document" (fun () ->
         let catalog = small_catalog () in
         let n0 = DS.doc_count (Cat.store catalog "T") in
@@ -114,16 +129,30 @@ let dml_tests =
         ignore (rows catalog "insert into T <a><k>K02</k><v>777</v></a>");
         Alcotest.(check int) "eleven" 11 (rows catalog {|for $x in T/a where $x/k = "K02" return $x|}));
     tc "set_value replaces direct text only" (fun () ->
-        let doc = Helpers.xml "<a><b>old<c>keep</c></b></a>" in
+        let doc = Helpers.packed (Helpers.xml "<a><b>old<c>keep</c></b></a>") in
         let doc' = E.set_value doc (Helpers.xpath "/a/b") "new" in
         Alcotest.(check string) "rewritten" "<a><b>new<c>keep</c></b></a>"
-          (Xia_xml.Printer.to_string doc'));
+          (Xia_xml.Printer.to_string (Xia_xml.Packed.unpack doc')));
   ]
 
 (* Property: for random synthetic queries, the indexed run always returns the
    same row count as the unindexed run. *)
 let property_tests =
   [
+    QCheck.Test.make ~count:500 ~name:"packed set_value = tree oracle"
+      (QCheck.quad Helpers.doc_arbitrary Helpers.xpath_arbitrary Helpers.xpath_arbitrary
+         (QCheck.make ~print:Fun.id Helpers.text_gen))
+      (fun (doc, first, second, v) ->
+        (* Two updates in a row, the second over the first's output; the
+           input document is copied, never changed. *)
+        let packed = Helpers.packed doc in
+        let once = E.set_value packed first v in
+        let twice = E.set_value once second (v ^ "!") in
+        let expected = Eval_oracle.set_value (Eval_oracle.set_value doc first v) second (v ^ "!") in
+        Xia_xml.Types.equal (Xia_xml.Packed.unpack twice) expected
+        && twice.bytes = Xia_xml.Types.byte_size expected
+        && Xia_xml.Packed.elements twice = Xia_xml.Types.count_elements expected
+        && Xia_xml.Types.equal (Xia_xml.Packed.unpack packed) doc);
     QCheck.Test.make ~count:30 ~name:"indexed execution agrees with scans"
       QCheck.(int_range 0 10_000)
       (fun seed ->

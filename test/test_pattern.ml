@@ -172,7 +172,7 @@ let properties =
           (fun _ path _ -> if Pat.accepts p path then incr by_accepts)
           doc;
         let by_eval =
-          List.length (Xia_xpath.Eval.eval doc (Pat.to_path p))
+          List.length (Helpers.eval_tree doc (Pat.to_path p))
         in
         !by_accepts = by_eval);
   ]

@@ -37,6 +37,30 @@ let persist_tests =
         Alcotest.(check int) "no failures" 0 (List.length report.P.failed);
         Alcotest.(check int) "count" 2 (DS.doc_count store2);
         Alcotest.(check int) "elements" (DS.total_elements store) (DS.total_elements store2));
+    tc "save then load prints stored documents byte-identically" (fun () ->
+        (* Mixed content, attributes, empty elements and entities: [find]
+           unpacks each exactly, before the save and after the load. *)
+        let texts =
+          [
+            {|<a x="1" y="&lt;2&amp;3">t<b>u</b>v<c/>w</a>|};
+            "<r><s>1</s><s/><s>3<t>4</t></s></r>";
+            {|<FIXML><Order ID="7" Side="1"><Instrmt Sym="S"/></Order></FIXML>|};
+            "<e/>";
+          ]
+        in
+        let store = DS.create "T" in
+        List.iter (fun t -> ignore (DS.insert store (Helpers.xml t))) texts;
+        let printed s =
+          List.map
+            (fun id -> Xia_xml.Printer.to_string (Option.get (DS.find s id)))
+            (DS.doc_ids s)
+        in
+        Alcotest.(check (list string)) "stored" texts (printed store);
+        let dir = tmp_dir "xia_exact" in
+        P.save_directory store dir;
+        let loaded = DS.create "T" in
+        ignore (ok (P.load_directory loaded dir));
+        Alcotest.(check (list string)) "loaded" texts (printed loaded));
     tc "load skips non-xml files and reports bad xml" (fun () ->
         let dir = tmp_dir "xia_load" in
         write_file dir "good.xml" "<a/>";

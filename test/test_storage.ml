@@ -40,6 +40,14 @@ let doc_store_tests =
         Alcotest.(check bool) "replaced" true (DS.replace s id (Helpers.xml "<b><c/></b>"));
         Alcotest.(check int) "elements" 2 (DS.total_elements s);
         Alcotest.(check bool) "missing" false (DS.replace s 999 (Helpers.xml "<x/>")));
+    tc "update takes only documents packed for the table" (fun () ->
+        let s = DS.create "T" in
+        let id = DS.insert s (Helpers.xml "<a>x</a>") in
+        let own = Option.get (DS.find_packed s id) in
+        Alcotest.(check bool) "own" true (DS.update s id own);
+        Alcotest.check_raises "foreign"
+          (Invalid_argument "Doc_store.update: document packed for another table")
+          (fun () -> ignore (DS.update s id (Helpers.packed (Helpers.xml "<a>y</a>")))));
     tc "generation bumps on DML only" (fun () ->
         let s = DS.create "T" in
         let g0 = DS.generation s in
@@ -136,7 +144,10 @@ let properties =
         let st = PS.collect s in
         let total_from_stats = PS.fold (fun acc i -> acc + i.PS.node_count) st 0 in
         let total_walk = ref 0 in
-        DS.iter (fun _ d -> Walk_oracle.iter_nodes (fun _ _ _ -> incr total_walk) d) s;
+        DS.iter
+          (fun _ d ->
+            Walk_oracle.iter_nodes (fun _ _ _ -> incr total_walk) (Xia_xml.Packed.unpack d))
+          s;
         total_from_stats = !total_walk);
     QCheck.Test.make ~count:200 ~name:"per-path stats equal an oracle recount"
       (QCheck.list_of_size (QCheck.Gen.int_range 1 6) Helpers.doc_arbitrary)
@@ -202,19 +213,23 @@ let snapshot s =
     DS.total_elements s,
     List.map
       (fun id ->
-        match DS.find_entry s id with
-        | Some e -> (id, Xia_xml.Printer.to_string e.DS.doc, e.DS.elements, e.DS.bytes)
+        match DS.find_packed s id with
+        | Some p ->
+            (id, Xia_xml.Printer.to_string (Xia_xml.Packed.unpack p), Xia_xml.Packed.elements p, p.bytes)
         | None -> (id, "", -1, -1))
       (DS.doc_ids s) )
 
+(* The sizes packing sums up equal those of the stored tree. *)
 let sizes_consistent s =
-  let entries = List.filter_map (DS.find_entry s) (DS.doc_ids s) in
+  let docs = List.filter_map (DS.find_packed s) (DS.doc_ids s) in
+  let elements = Xia_xml.Packed.elements in
   List.for_all
-    (fun (e : DS.entry) ->
-      e.elements = Xia_xml.Types.count_elements e.doc && e.bytes = Xia_xml.Types.byte_size e.doc)
-    entries
-  && DS.total_elements s = List.fold_left (fun n (e : DS.entry) -> n + e.elements) 0 entries
-  && DS.total_bytes s = List.fold_left (fun n (e : DS.entry) -> n + e.bytes) 0 entries
+    (fun (p : Xia_xml.Packed.t) ->
+      let tree = Xia_xml.Packed.unpack p in
+      elements p = Xia_xml.Types.count_elements tree && p.bytes = Xia_xml.Types.byte_size tree)
+    docs
+  && DS.total_elements s = List.fold_left (fun n p -> n + elements p) 0 docs
+  && DS.total_bytes s = List.fold_left (fun n (p : Xia_xml.Packed.t) -> n + p.bytes) 0 docs
 
 let size_properties =
   [

@@ -47,22 +47,22 @@ let tpox_tests =
         (* bonds/funds always carry Yield; scan a few to find one *)
         let docs = List.init 20 (fun i -> Tpox.security rng i) in
         Alcotest.(check bool) "symbol" true
-          (List.for_all (fun d -> Xia_xpath.Eval.exists_doc d (Helpers.xpath "/Security/Symbol")) docs);
+          (List.for_all (fun d -> Helpers.exists_tree d (Helpers.xpath "/Security/Symbol")) docs);
         Alcotest.(check bool) "sector via wildcard" true
           (List.for_all
-             (fun d -> Xia_xpath.Eval.exists_doc d (Helpers.xpath "/Security/SecInfo/*/Sector"))
+             (fun d -> Helpers.exists_tree d (Helpers.xpath "/Security/SecInfo/*/Sector"))
              docs);
         Alcotest.(check bool) "some yield" true
-          (List.exists (fun d -> Xia_xpath.Eval.exists_doc d (Helpers.xpath "/Security/Yield")) docs));
+          (List.exists (fun d -> Helpers.exists_tree d (Helpers.xpath "/Security/Yield")) docs));
     tc "customer and order shapes" (fun () ->
         let rng = Random.State.make [| 2 |] in
         let c = Tpox.customer rng 7 in
         Alcotest.(check bool) "balance path" true
-          (Xia_xpath.Eval.exists_doc c
+          (Helpers.exists_tree c
              (Helpers.xpath "/Customer/Accounts/Account/Balance/OnlineActualBal"));
         let o = Tpox.order rng 3 ~n_securities:10 ~n_customers:10 in
         Alcotest.(check bool) "order id" true
-          (Xia_xpath.Eval.exists_doc o (Helpers.xpath "/FIXML/Order/@ID")));
+          (Helpers.exists_tree o (Helpers.xpath "/FIXML/Order/@ID")));
     tc "load creates three tables with stats" (fun () ->
         let catalog = Lazy.force Helpers.shared_catalog in
         Alcotest.(check (list string)) "tables"
@@ -101,7 +101,7 @@ let xmark_tests =
         let rng = Random.State.make [| 3 |] in
         let found = ref false in
         for i = 0 to 19 do
-          if Xia_xpath.Eval.exists_doc (Xmark.person rng i) (Helpers.xpath "/person/profile/@income")
+          if Helpers.exists_tree (Xmark.person rng i) (Helpers.xpath "/person/profile/@income")
           then found := true
         done;
         Alcotest.(check bool) "found" true !found);

@@ -3,6 +3,7 @@
 module T = Xia_xml.Types
 module P = Xia_xml.Parser
 module Pr = Xia_xml.Printer
+module Packed = Xia_xml.Packed
 
 let check = Alcotest.check
 let tc name f = Alcotest.test_case name `Quick f
@@ -99,11 +100,11 @@ let model_tests =
         let paths = List.map (fun (_, p, _) -> String.concat "/" p) seen in
         Alcotest.(check bool) "d path present" true (List.mem "a/c/d" paths));
     tc "find_by_pre" (fun () ->
-        let doc = parse_ok "<a><b/><c><d/></c></a>" in
-        (match T.find_by_pre doc 3 with
-        | Some e -> check Alcotest.string "tag" "d" e.T.tag
-        | None -> Alcotest.fail "pre 3 not found");
-        Alcotest.(check bool) "missing" true (T.find_by_pre doc 99 = None));
+        (* A packed document's preorder rank is its array index. *)
+        let doc = Helpers.packed (parse_ok "<a><b/><c><d/></c></a>") in
+        check Alcotest.string "tag" "d" (Packed.label doc.labels doc.tags.(3));
+        check Alcotest.int "subtree of c" 3 doc.last.(2);
+        Alcotest.(check bool) "missing" true (Packed.elements doc <= 99));
     tc "equal structural" (fun () ->
         Alcotest.(check bool) "eq" true
           (T.equal (parse_ok "<a><b>x</b></a>") (parse_ok "<a><b>x</b></a>"));
@@ -149,9 +150,10 @@ let properties =
     QCheck.Test.make ~count:300 ~name:"guided walk visits what the oracle walk visits"
       Helpers.doc_arbitrary (fun doc ->
         (* The guide value is the label path itself. *)
-        let g = T.guide ~root:[] ~label:(fun p l -> p @ [ l ]) ~dead:(fun _ -> false) in
+        let packed = Helpers.packed doc in
+        let g = Packed.guide packed.labels ~root:[] ~label:(fun p l -> p @ [ l ]) ~dead:(fun _ -> false) in
         let seen = ref [] in
-        T.walk g (fun id path value -> seen := (id, path, value) :: !seen) doc;
+        Packed.walk g (fun id path value -> seen := (id, path, value) :: !seen) packed;
         let oracle = ref [] in
         Walk_oracle.iter_nodes (fun id path value -> oracle := (id, path, value) :: !oracle) doc;
         !seen = !oracle);
@@ -159,12 +161,13 @@ let properties =
       (QCheck.pair Helpers.doc_arbitrary (QCheck.make Helpers.tag_gen)) (fun (doc, tag) ->
         (* Paths through an element [tag] are dead: the walk reports exactly
            the oracle's nodes off such paths, with the oracle's ranks. *)
+        let packed = Helpers.packed doc in
         let g =
-          T.guide ~root:(true, []) ~dead:(fun (live, _) -> not live)
+          Packed.guide packed.labels ~root:(true, []) ~dead:(fun (live, _) -> not live)
             ~label:(fun (_, p) l -> (not (String.equal l tag), p @ [ l ]))
         in
         let seen = ref [] in
-        T.walk g (fun id (_, path) value -> seen := (id, path, value) :: !seen) doc;
+        Packed.walk g (fun id (_, path) value -> seen := (id, path, value) :: !seen) packed;
         let oracle = ref [] in
         Walk_oracle.iter_nodes
           (fun id path value ->
@@ -184,9 +187,53 @@ let properties =
         !ok);
   ]
 
+(* Documents that stress packing: the random trees (mixed content, [Text
+   ""] and attributes), plus deep chains and wide fans with text between
+   the elements. *)
+let packing_gen =
+  QCheck.Gen.(
+    let mixed_child = oneof [ map T.text Helpers.text_gen; Helpers.xml_gen ] in
+    let deep =
+      let* depth = int_range 50 400 in
+      let* leaf = Helpers.doc_gen in
+      let* texts = list_repeat depth (opt Helpers.text_gen) in
+      return
+        (List.fold_left
+           (fun inner text ->
+             match text with
+             | None -> T.element "n" [ inner ]
+             | Some s -> T.element ~attrs:[ ("d", s) ] "n" [ T.text s; inner; T.text s ])
+           leaf texts)
+    in
+    let wide =
+      let* children = list_size (int_range 100 800) mixed_child in
+      let* attrs = list_size (int_range 0 3) Helpers.attr_gen in
+      return (T.element ~attrs "w" children)
+    in
+    frequency [ (6, Helpers.doc_gen); (1, deep); (1, wide) ])
+
+let packing_properties =
+  [
+    QCheck.Test.make ~count:400 ~name:"packing round-trips exactly"
+      (QCheck.make
+         ~print:(fun (a, b) -> Pr.to_string a ^ "\n" ^ Pr.to_string b)
+         (QCheck.Gen.pair packing_gen packing_gen))
+      (fun (a, b) ->
+        (* Both share one label table, as a store's documents do. *)
+        let labels = Packed.labels () in
+        List.for_all
+          (fun doc ->
+            let p = Packed.pack labels doc in
+            T.equal (Packed.unpack p) doc
+            && Packed.elements p = T.count_elements doc
+            && p.bytes = T.byte_size doc)
+          [ a; b ]);
+  ]
+
 let suites =
   [
     ("xml.parser", basic_tests);
     ("xml.model", model_tests);
     Helpers.qsuite "xml.properties" properties;
+    Helpers.qsuite "xml.packed" packing_properties;
   ]

@@ -98,11 +98,17 @@ let ast_tests =
           (A.equal_path (Helpers.xpath "/a/b") (Helpers.xpath "/a//b")));
   ]
 
-let eval_on doc path = E.eval (Helpers.xml doc) (Helpers.xpath path)
+let eval_on doc path = Helpers.eval_tree (Helpers.xml doc) (Helpers.xpath path)
 
-let root_of = function
-  | Xia_xml.Types.Element e -> e
-  | Xia_xml.Types.Text _ -> invalid_arg "root_of"
+(* Ranks of the elements a path reaches in a tree's packed form. *)
+let elements_of doc path =
+  let p = Helpers.packed doc in
+  E.elements (E.path p.labels path) p
+
+(* Does the predicate hold on the element ranked [r] of a tree? *)
+let holds_on doc r pred =
+  let p = Helpers.packed doc in
+  E.holds p r (E.predicate p.labels pred)
 
 let values matches = List.map (fun (m : E.match_) -> m.E.value) matches
 
@@ -149,7 +155,7 @@ let eval_tests =
     tc "paper example Q2 pattern" (fun () ->
         check (Alcotest.list Alcotest.string) "vals" [ "Energy" ]
           (values
-             (E.eval Helpers.security_doc
+             (Helpers.eval_tree Helpers.security_doc
                 (Helpers.xpath "/Security[Yield>4.5]/SecInfo/*/Sector"))));
     tc "predicate on mid path with descendant" (fun () ->
         Alcotest.(check int) "n" 1
@@ -165,44 +171,78 @@ let eval_tests =
           (values (eval_on "<r><x>1</x><y><x>2</x></y><x>3</x></r>" "//x")));
     tc "eval_elements drops attributes" (fun () ->
         let doc = Helpers.xml {|<a id="1"><b/></a>|} in
-        Alcotest.(check int) "n" 0 (List.length (E.eval_elements doc (Helpers.xpath "/a/@id")));
-        check (Alcotest.list Alcotest.int) "pre" [ 1 ]
-          (List.map (fun (n : E.elem) -> n.E.pre) (E.eval_elements doc (Helpers.xpath "/a/b"))));
+        Alcotest.(check int) "n" 0 (List.length (elements_of doc (Helpers.xpath "/a/@id")));
+        check (Alcotest.list Alcotest.int) "pre" [ 1 ] (elements_of doc (Helpers.xpath "/a/b")));
     tc "eval_relative" (fun () ->
         (* A relative path is evaluated from a context node by a predicate. *)
-        let root = root_of Helpers.security_doc in
+        let root = Helpers.security_doc in
         let rel = P.parse_relative_exn "SecInfo/*/Sector" in
         Alcotest.(check bool) "Energy" true
-          (E.predicate_holds_on root (A.Compare (rel, A.Eq, A.String_lit "Energy")));
+          (holds_on root 0 (A.Compare (rel, A.Eq, A.String_lit "Energy")));
         Alcotest.(check bool) "not Tech" false
-          (E.predicate_holds_on root (A.Compare (rel, A.Eq, A.String_lit "Tech")));
-        Alcotest.(check bool) "exists" true (E.predicate_holds_on root (A.Exists rel)));
+          (holds_on root 0 (A.Compare (rel, A.Eq, A.String_lit "Tech")));
+        Alcotest.(check bool) "exists" true (holds_on root 0 (A.Exists rel)));
     tc "predicate_holds_on" (fun () ->
-        let root = root_of Helpers.security_doc in
         let pred =
           A.Compare (P.parse_relative_exn "Yield", A.Gt, A.Number_lit 4.5)
         in
-        Alcotest.(check bool) "holds" true (E.predicate_holds_on root pred));
+        Alcotest.(check bool) "holds" true (holds_on Helpers.security_doc 0 pred));
     tc "annotate rejects text root" (fun () ->
-        Alcotest.check_raises "invalid" (Invalid_argument "Eval.eval: document root is a text node")
-          (fun () -> ignore (E.eval (Xia_xml.Types.text "x") (Helpers.xpath "/a"))));
+        (* A document is packed before anything evaluates it. *)
+        Alcotest.check_raises "invalid" (Invalid_argument "Packed.pack: document root is a text node")
+          (fun () -> ignore (Helpers.packed (Xia_xml.Types.text "x"))));
   ]
+
+(* Node values around the plain decimals [literal_matches] reads without
+   [float_of_string]: signs, points, long digit runs, exponents, spaces. *)
+let number_text_gen =
+  QCheck.Gen.(
+    let digits lo hi = string_size ~gen:numeral (int_range lo hi) in
+    let plain =
+      map3
+        (fun sign whole frac -> sign ^ whole ^ frac)
+        (oneofl [ ""; "-"; "+" ])
+        (digits 0 18)
+        (frequency [ (2, return ""); (3, map (( ^ ) ".") (digits 0 24)) ])
+    in
+    frequency
+      [
+        (6, plain);
+        (1, string_size ~gen:(oneofl [ '0'; '1'; '9'; '.'; '-'; 'e'; ' '; '_'; 'x' ]) (int_range 0 8));
+        (1, Helpers.text_gen);
+      ])
 
 let properties =
   [
+    QCheck.Test.make ~count:3000 ~name:"numeric literal_matches = float_of_string"
+      (QCheck.make ~print:(fun (v, l, c) -> Printf.sprintf "%S %S %d" v l c)
+         QCheck.Gen.(
+           let* value = number_text_gen in
+           let* lit = frequency [ (1, return value); (2, number_text_gen) ] in
+           map (fun c -> (value, lit, c)) (int_range 0 5)))
+      (fun (value, lit, c) ->
+        let cmp = List.nth [ A.Eq; A.Ne; A.Lt; A.Le; A.Gt; A.Ge ] c in
+        match float_of_string_opt lit with
+        | None -> true
+        | Some x ->
+            A.literal_matches value cmp (A.Number_lit x)
+            =
+            match float_of_string_opt (String.trim value) with
+            | None -> false
+            | Some v -> A.eval_cmp_int cmp (Float.compare v x));
     QCheck.Test.make ~count:200 ~name:"//* returns every element" Helpers.doc_arbitrary
       (fun doc ->
-        List.length (E.eval doc (Helpers.xpath "//*"))
+        List.length (Helpers.eval_tree doc (Helpers.xpath "//*"))
         = Xia_xml.Types.count_elements doc);
     QCheck.Test.make ~count:200 ~name:"eval results are distinct node ids"
       Helpers.doc_arbitrary (fun doc ->
-        let ms = E.eval doc (Helpers.xpath "//*") in
+        let ms = Helpers.eval_tree doc (Helpers.xpath "//*") in
         let ids = List.map (fun (m : E.match_) -> (m.E.id.pre, m.E.id.attr)) ms in
         List.length ids = List.length (List.sort_uniq compare ids));
     QCheck.Test.make ~count:200 ~name:"/a subset of //a" Helpers.doc_arbitrary
       (fun doc ->
-        let direct = E.eval doc (Helpers.xpath "/a") in
-        let deep = E.eval doc (Helpers.xpath "//a") in
+        let direct = Helpers.eval_tree doc (Helpers.xpath "/a") in
+        let deep = Helpers.eval_tree doc (Helpers.xpath "//a") in
         List.for_all
           (fun (m : E.match_) ->
             List.exists
@@ -212,17 +252,6 @@ let properties =
   ]
 
 (* ---------- differential: Eval against the copying oracle ---------- *)
-
-let elements_preorder doc =
-  let acc = ref [] in
-  let rec walk = function
-    | Xia_xml.Types.Text _ -> ()
-    | Xia_xml.Types.Element e ->
-        acc := e :: !acc;
-        List.iter walk e.children
-  in
-  walk doc;
-  List.rev !acc
 
 let anodes_preorder root =
   let rec walk (n : Eval_oracle.anode) acc = List.fold_left (fun acc c -> walk c acc) (n :: acc) n.children in
@@ -237,16 +266,32 @@ let differential =
   [
     QCheck.Test.make ~count:1000 ~name:"eval = oracle (ids, values, order)" doc_and_path
       (fun (doc, path) ->
-        ids (E.eval doc path) = ids (Eval_oracle.eval (Eval_oracle.annotate doc) path));
+        ids (Helpers.eval_tree doc path) = ids (Eval_oracle.eval (Eval_oracle.annotate doc) path));
     QCheck.Test.make ~count:1000 ~name:"eval_elements ranks = oracle" doc_and_path
       (fun (doc, path) ->
-        List.map (fun (n : E.elem) -> n.E.pre) (E.eval_elements doc path)
+        elements_of doc path
         = List.map
             (fun (n : Eval_oracle.anode) -> n.pre)
             (Eval_oracle.eval_elements (Eval_oracle.annotate doc) path));
     QCheck.Test.make ~count:1000 ~name:"exists_doc = oracle non-empty" doc_and_path
       (fun (doc, path) ->
-        E.exists_doc doc path = (Eval_oracle.eval (Eval_oracle.annotate doc) path <> []));
+        Helpers.exists_tree doc path = (Eval_oracle.eval (Eval_oracle.annotate doc) path <> []));
+    QCheck.Test.make ~count:300 ~name:"one compiled path serves a whole table"
+      (QCheck.pair (QCheck.list_of_size (QCheck.Gen.int_range 1 6) Helpers.doc_arbitrary)
+         Helpers.xpath_arbitrary)
+      (fun (docs, path) ->
+        (* As the executor runs it: compiled once against the table's labels,
+           its buffers reused from document to document. *)
+        let labels = Xia_xml.Packed.labels () in
+        let packed = List.map (Xia_xml.Packed.pack labels) docs in
+        let compiled = E.path labels path in
+        List.for_all2
+          (fun doc p ->
+            let oracle = Eval_oracle.eval_elements (Eval_oracle.annotate doc) path in
+            ids (E.eval compiled p) = ids (Eval_oracle.eval (Eval_oracle.annotate doc) path)
+            && E.count compiled (fun _ r -> r mod 2 = 0) p
+               = List.length (List.filter (fun (n : Eval_oracle.anode) -> n.pre mod 2 = 0) oracle))
+          docs packed);
     QCheck.Test.make ~count:500 ~name:"predicate_holds_on = oracle on every element"
       doc_and_path (fun (doc, path) ->
         let preds =
@@ -254,12 +299,15 @@ let differential =
           :: A.Compare (path, A.Ge, A.Number_lit 0.)
           :: List.concat_map (fun (s : A.step) -> s.A.predicates) path
         in
-        let pairs = List.combine (elements_preorder doc) (anodes_preorder (Eval_oracle.annotate doc)) in
+        let packed = Helpers.packed doc in
+        let nodes = anodes_preorder (Eval_oracle.annotate doc) in
         List.for_all
           (fun p ->
+            let compiled = E.predicate packed.labels p in
             List.for_all
-              (fun (e, n) -> E.predicate_holds_on e p = Eval_oracle.predicate_holds_on n p)
-              pairs)
+              (fun (n : Eval_oracle.anode) ->
+                E.holds packed n.pre compiled = Eval_oracle.predicate_holds_on n p)
+              nodes)
           preds);
   ]
 

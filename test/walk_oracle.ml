@@ -1,5 +1,6 @@
-(* The document walk that [Types.walk] replaced, kept as the differential
-   oracle for it and for the layers built on it.
+(* The document walk that [Packed.walk] replaced, kept as the differential
+   oracle for it and for the layers built on it.  It walks trees; stored
+   documents are unpacked first.
 
    It builds each node's rooted label path as a fresh list and copies its
    direct text, so every node costs allocation; in exchange each rule is
@@ -43,7 +44,7 @@ let build store (def : Xia_index.Index_def.t) =
             match PI.key_of_value def.dtype value with
             | None -> ()
             | Some key -> acc := { PI.key; doc = doc_id; node } :: !acc)
-        doc)
+        (Xia_xml.Packed.unpack doc))
     store;
   List.sort PI.compare_entry !acc
 
@@ -67,7 +68,7 @@ let recount store =
           let key = String.concat "/" path in
           let prev = Option.value ~default:[] (Hashtbl.find_opt rows key) in
           Hashtbl.replace rows key ((doc_id, value) :: prev))
-        doc)
+        (Xia_xml.Packed.unpack doc))
     store;
   Hashtbl.fold
     (fun key seen acc ->

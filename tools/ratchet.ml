@@ -162,7 +162,8 @@ let produce domain exe scratch =
   let log = Filename.concat scratch "producer.log" in
   match domain with
   | "bench" ->
-    run ~dir:scratch ~out:log exe [ "quick"; "par"; "scale10k"; "scale10k-raw"; "walk" ];
+    run ~dir:scratch ~out:log exe
+      [ "quick"; "par"; "scale10k"; "scale10k-raw"; "walk"; "executor" ];
     bench_rows (read_json (Filename.concat scratch "BENCH_advisor.json"))
   | "eval" ->
     let perturb = Option.value (Sys.getenv_opt "XIA_EVAL_PERTURB") ~default:"1" in
