@@ -54,11 +54,11 @@ type recommendation = {
 
 let indexes r = List.map (fun c -> c.Candidate.def) r.outcome.Search.config
 
-let run_search ?beta ?prune ev set ~budget = function
-  | Greedy -> Search.greedy ?prune ev set ~budget
+let run_search ?beta ev set ~budget = function
+  | Greedy -> Search.greedy ev set ~budget
   | Greedy_heuristics -> Search.greedy_heuristics ?beta ev set ~budget
-  | Top_down_lite -> Search.top_down_lite ?prune ev set ~budget
-  | Top_down_full -> Search.top_down_full ?prune ev set ~budget
+  | Top_down_lite -> Search.top_down_lite ev set ~budget
+  | Top_down_full -> Search.top_down_full ev set ~budget
   | Dynamic_programming -> Search.dynamic_programming ev set ~budget
   | All_index -> Search.all_index ev set
 
@@ -101,7 +101,7 @@ let summarize_workload ~compress catalog workload =
    affected-set indices must index the evaluator's statement array — which
    yields the same candidate definitions as the full workload (clustered
    statements share their signature, hence their enumerated patterns). *)
-let advise ?beta ?prune ?domains ?compress catalog workload ~budget algorithm =
+let advise ?beta ?domains ?compress catalog workload ~budget algorithm =
   Xia_obs.Trace.with_span "advisor.advise"
     ~args:(fun () -> [ ("algorithm", algorithm_name algorithm) ])
     (fun () ->
@@ -122,7 +122,7 @@ let advise ?beta ?prune ?domains ?compress catalog workload ~budget algorithm =
       in
       let outcome =
         timed (algorithm_name algorithm) (fun () ->
-            run_search ?beta ?prune ev set ~budget algorithm)
+            run_search ?beta ev set ~budget algorithm)
       in
       summarize ev algorithm outcome)
 
@@ -149,12 +149,12 @@ let create_session ?domains ?compress catalog workload =
   in
   { catalog; workload; candidates; evaluator }
 
-let session_advise ?beta ?prune session ~budget algorithm =
+let session_advise ?beta session ~budget algorithm =
   Xia_obs.Trace.with_span "advisor.session_advise"
     ~args:(fun () -> [ ("algorithm", algorithm_name algorithm) ])
     (fun () ->
       let outcome =
-        run_search ?beta ?prune session.evaluator session.candidates ~budget
+        run_search ?beta session.evaluator session.candidates ~budget
           algorithm
       in
       summarize session.evaluator algorithm outcome)
@@ -193,15 +193,12 @@ let execute_workload catalog (workload : Workload.t) defs =
   (!wall, !cost, !rows)
 
 (* Actual speedup: measured ratio between the no-index run and the configured
-   run.  [`Wall] uses elapsed wall-clock time; [`Cost] the deterministic
-   simulated cost of the work actually performed (pages touched, nodes
-   navigated). *)
-let actual_speedup ?(metric = `Cost) catalog workload defs =
-  let wall0, cost0, _ = execute_workload catalog workload [] in
-  let wall1, cost1, _ = execute_workload catalog workload defs in
-  match metric with
-  | `Wall -> if wall1 > 0.0 then wall0 /. wall1 else 1.0
-  | `Cost -> if cost1 > 0.0 then cost0 /. cost1 else 1.0
+   run, in the deterministic simulated cost of the work actually performed
+   (pages touched, nodes navigated). *)
+let actual_speedup catalog workload defs =
+  let _, cost0, _ = execute_workload catalog workload [] in
+  let _, cost1, _ = execute_workload catalog workload defs in
+  if cost1 > 0.0 then cost0 /. cost1 else 1.0
 
 (* Review the catalog's REAL indexes against a workload: recommend dropping
    any index that no plan uses, or whose maintenance charge under the

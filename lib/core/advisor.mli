@@ -41,12 +41,9 @@ val compress_threshold : int
     [domains] bounds the parallel what-if fan-out (default
     [Par.default_domains ()]); the recommendation is identical for every
     value.  [compress] forces workload compression on or off; unset, it
-    turns on at {!compress_threshold} statements.  [prune] (default true) is
-    forwarded to the prunable searches; recommendations are identical either
-    way — only the optimizer-call count changes. *)
+    turns on at {!compress_threshold} statements. *)
 val advise :
   ?beta:float ->
-  ?prune:bool ->
   ?domains:int ->
   ?compress:bool ->
   Catalog.t ->
@@ -68,7 +65,7 @@ val create_session :
   ?domains:int -> ?compress:bool -> Catalog.t -> Workload.t -> session
 
 val session_advise :
-  ?beta:float -> ?prune:bool -> session -> budget:int -> algorithm -> recommendation
+  ?beta:float -> session -> budget:int -> algorithm -> recommendation
 
 (** Estimated (optimizer) cost of a workload under a virtual configuration. *)
 val estimated_workload_cost :
@@ -82,11 +79,9 @@ val estimated_speedup : Catalog.t -> Workload.t -> Index_def.t list -> float
 val execute_workload :
   Catalog.t -> Workload.t -> Index_def.t list -> float * float * int
 
-(** Measured speedup of the configured run over the no-index run.  [`Cost]
-    (default) compares the deterministic simulated cost of the work actually
-    done; [`Wall] compares elapsed wall-clock time. *)
-val actual_speedup :
-  ?metric:[ `Cost | `Wall ] -> Catalog.t -> Workload.t -> Index_def.t list -> float
+(** Measured speedup of the configured run over the no-index run: the ratio
+    of the deterministic simulated costs of the work actually done. *)
+val actual_speedup : Catalog.t -> Workload.t -> Index_def.t list -> float
 
 (** Why an existing index should be dropped. *)
 type drop_reason =

@@ -80,26 +80,32 @@ let by_density ev benefit_of cands =
       | c -> c)
     cands
 
-let finalize ~algorithm ev ~calls_before ~pruned_before ~t0 config =
-  {
-    algorithm;
-    config;
-    size = config_size ev config;
-    benefit = Benefit.benefit ev config;
-    optimizer_calls = Benefit.evaluations ev - calls_before;
-    pruned = Benefit.pruned_count ev - pruned_before;
-    elapsed = Obs.now_s () -. t0;
-  }
+(* The bookkeeping every search shares: a trace span around the run, and
+   the outcome's time, pruning and call deltas taken across the search.
+   The final configuration's benefit is evaluated after them, still inside
+   the span. *)
+let bracket span ~algorithm ev search =
+  Trace.with_span span @@ fun () ->
+  let t0 = Obs.now_s () in
+  let calls_before = Benefit.evaluations ev in
+  let pruned_before = Benefit.pruned_count ev in
+  let config = search () in
+  let elapsed = Obs.now_s () -. t0 in
+  let pruned = Benefit.pruned_count ev - pruned_before in
+  let optimizer_calls = Benefit.evaluations ev - calls_before in
+  let benefit = Benefit.benefit ev config in
+  { algorithm; config; size = config_size ev config; benefit; optimizer_calls;
+    pruned; elapsed }
 
 (* -------- Plain greedy -------- *)
 
 (* Search pool: candidates with positive individual benefit or used by some
    plan in combination. *)
-let pool ?prune ev set =
-  let useful = Benefit.useful_ids ?prune ev set in
+let pool ev set =
+  let useful = Benefit.useful_ids ev set in
   List.filter (fun (c : Candidate.t) -> Hashtbl.mem useful c.id) (Candidate.to_list set)
 
-(* Lazy-evaluation entry for the pruned greedy (CELF-style): [le_value] is
+(* Lazy-evaluation entry for greedy (CELF-style): [le_value] is
    the candidate's benefit DENSITY — initialized from its atomic upper bound
    and only refreshed to the exact value when the entry reaches the front of
    the queue.  Since the upper bound dominates the exact benefit, an entry
@@ -139,10 +145,11 @@ let celf_entry ev used_tbl ~value ~exact (c : Candidate.t) =
     le_exact = exact;
   }
 
-(* Pruned greedy: identical configuration to the eager version (sort the
-   whole pool by exact density, admit in order while the budget fits), but
-   candidates are only cost-probed when their upper bound forces them to the
-   front.  Exactness argument:
+(* Plain greedy on individual benefit density, ignoring interaction.  The
+   configuration is that of the eager version (sort the whole pool by exact
+   density, admit in order while the budget fits; test/search_oracle.ml),
+   but candidates are only cost-probed when their upper bound forces them
+   to the front.  Exactness argument:
 
    - the queue holds {plan-used} ∪ {upper bound > 0}; everything else has
      individual benefit <= 0.0 -. mc <= 0 and is outside the eager pool, so
@@ -156,7 +163,8 @@ let celf_entry ev used_tbl ~value ~exact (c : Candidate.t) =
      no remaining entry can be admitted and none can change the state
      (rejection keeps the accumulator), so the stale remainder is skipped
      without probing (counted pruned). *)
-let greedy_pruned ev set ~budget ~calls_before ~pruned_before ~t0 =
+let greedy ev set ~budget =
+  bracket "search.greedy" ~algorithm:"greedy" ev @@ fun () ->
   let used_tbl = Benefit.used_in_plans ev set in
   let entries = ref [] in
   List.iter
@@ -211,42 +219,13 @@ let greedy_pruned ev set ~budget ~calls_before ~pruned_before ~t0 =
       end
     end
   done;
-  finalize ~algorithm:"greedy" ev ~calls_before ~pruned_before ~t0
-    (List.rev !config)
-
-let greedy ?(prune = true) ev set ~budget =
-  Trace.with_span "search.greedy" @@ fun () ->
-  let t0 = Obs.now_s () in
-  let calls_before = Benefit.evaluations ev in
-  let pruned_before = Benefit.pruned_count ev in
-  if prune then greedy_pruned ev set ~budget ~calls_before ~pruned_before ~t0
-  else begin
-    let cands = by_density ev (Benefit.individual_benefit ev) (pool ev set) in
-    let config, _ =
-      List.fold_left
-        (fun (config, used) c ->
-          let s = candidate_size ev c in
-          if used + s <= budget then begin
-            count "search.greedy.admitted" 1;
-            (c :: config, used + s)
-          end
-          else begin
-            count "search.greedy.rejected" 1;
-            (config, used)
-          end)
-        ([], 0) cands
-    in
-    finalize ~algorithm:"greedy" ev ~calls_before ~pruned_before ~t0
-      (List.rev config)
-  end
+  List.rev !config
 
 (* -------- Greedy with heuristics -------- *)
 
 let greedy_heuristics ?(beta = beta_default) ev set ~budget =
-  Trace.with_span "search.greedy_heuristics" @@ fun () ->
-  let t0 = Obs.now_s () in
-  let calls_before = Benefit.evaluations ev in
-  let pruned_before = Benefit.pruned_count ev in
+  bracket "search.greedy_heuristics" ~algorithm:"greedy+heuristics" ev
+  @@ fun () ->
   let cands = by_density ev (Benefit.individual_benefit ev) (pool ev set) in
   (* Per-search tables: the sorted affected set of every pool candidate, and
      the basic ids each visited candidate covers (one containment test per
@@ -353,12 +332,11 @@ let greedy_heuristics ?(beta = beta_default) ev set ~budget =
     cands;
   let config = Benefit.members !cfg in
   count "search.greedy_heuristics.rejected" (List.length cands - List.length config);
-  finalize ~algorithm:"greedy+heuristics" ev ~calls_before ~pruned_before ~t0
-    (List.rev config)
+  List.rev config
 
 (* -------- Top-down -------- *)
 
-type td_variant = Lite | Full
+type variant = Lite | Full
 
 let dedup_by_id config =
   let seen = Hashtbl.create 16 in
@@ -372,24 +350,22 @@ let dedup_by_id config =
     config
 
 (* Greedy fallback once no general candidate can be replaced: keep the best
-   subset of the (now specific) configuration that fits.  Under [prune],
-   candidates whose upper bound is non-positive are dropped before the
-   density sort without probing: their individual benefit is at most
-   [0. -. mc <= 0], so the fold's [> 0.0] admission test can never pass for
-   them, and rejected candidates never change the accumulator — the kept
-   list is identical. *)
-let greedy_fallback ?(prune = false) ev set ~budget config =
+   subset of the (now specific) configuration that fits.  Candidates whose
+   upper bound is non-positive are dropped before the density sort without
+   probing: their individual benefit is at most [0. -. mc <= 0], so the
+   fold's [> 0.0] admission test can never pass for them, and rejected
+   candidates never change the accumulator — the kept list is that of the
+   unpruned fallback. *)
+let greedy_fallback ev set ~budget config =
   let config =
-    if not prune then config
-    else
-      List.filter
-        (fun (c : Candidate.t) ->
-          if Benefit.atomic_upper_bound ev set c <= 0.0 then begin
-            Benefit.count_pruned ev 1;
-            false
-          end
-          else true)
-        config
+    List.filter
+      (fun (c : Candidate.t) ->
+        if Benefit.atomic_upper_bound ev set c <= 0.0 then begin
+          Benefit.count_pruned ev 1;
+          false
+        end
+        else true)
+      config
   in
   let ordered = by_density ev (Benefit.individual_benefit ev) config in
   let kept, _ =
@@ -403,31 +379,26 @@ let greedy_fallback ?(prune = false) ev set ~budget config =
   in
   List.rev kept
 
-let top_down ?(variant = Full) ?(prune = true) ev set ~budget =
-  let span, counter_prefix =
+(* Top-down DAG descent; test/search_oracle.ml is the unpruned reference. *)
+let top_down variant ev set ~budget =
+  let span, algorithm =
     match variant with
-    | Lite -> ("search.top_down_lite", "search.top_down_lite")
-    | Full -> ("search.top_down_full", "search.top_down_full")
+    | Lite -> ("search.top_down_lite", "top-down lite")
+    | Full -> ("search.top_down_full", "top-down full")
   in
-  Trace.with_span span @@ fun () ->
-  let t0 = Obs.now_s () in
-  let calls_before = Benefit.evaluations ev in
-  let pruned_before = Benefit.pruned_count ev in
-  let algorithm =
-    match variant with Lite -> "top-down lite" | Full -> "top-down full"
-  in
+  bracket span ~algorithm ev @@ fun () ->
   (* Force the floors memo from this thread before any parallel round: the
      bound computations inside the fan-out must hit the memo, not race to
      build it (racing would keep results exact but skew the cache-hit
      counters away from the sequential run). *)
-  if prune then ignore (Benefit.floors ev set);
+  ignore (Benefit.floors ev set);
   (* Individual benefit with the zero-bound shortcut: a candidate whose
      upper bound is 0 provably has a delta term of exactly +0.0, so its
      benefit is [0.0 -. mc] bit-for-bit — no optimizer probe needed.  Only
      the Lite variant scores with individual benefits; Full re-evaluates
      whole configurations, where the bound says nothing. *)
   let ib_sharp (c : Candidate.t) =
-    if prune && Benefit.atomic_upper_bound ev set c <= 0.0 then begin
+    if Benefit.atomic_upper_bound ev set c <= 0.0 then begin
       Benefit.count_pruned ev 1;
       0.0 -. Benefit.maintenance_charge ev [ c ]
     end
@@ -435,7 +406,7 @@ let top_down ?(variant = Full) ?(prune = true) ev set ~budget =
   in
   (* Preprocessing: drop candidates with zero or negative benefit that no
      optimizer plan uses (the paper's two removal reasons). *)
-  let in_space = Benefit.useful_ids ~prune ev set in
+  let in_space = Benefit.useful_ids ~prune:true ev set in
   let space_mem (c : Candidate.t) = Hashtbl.mem in_space c.id in
   let space = List.filter space_mem (Candidate.to_list set) in
   let roots =
@@ -491,11 +462,11 @@ let top_down ?(variant = Full) ?(prune = true) ev set ~budget =
         replaceable
       |> List.filter_map Fun.id
     in
-    count (counter_prefix ^ ".rounds") 1;
+    count (span ^ ".rounds") 1;
     match scored with
     | [] -> continue_ := false
     | _ ->
-        count (counter_prefix ^ ".replacements") 1;
+        count (span ^ ".replacements") 1;
         let ratio (_, _, db, dc) = db /. float_of_int dc in
         let best =
           List.fold_left
@@ -514,31 +485,24 @@ let top_down ?(variant = Full) ?(prune = true) ev set ~budget =
           dedup_by_id
             (children @ List.filter (fun (x : Candidate.t) -> x.id <> g.id) !config)
   done;
-  let config =
-    if config_size ev !config > budget then
-      greedy_fallback ~prune ev set ~budget !config
-    else !config
-  in
-  finalize ~algorithm ev ~calls_before ~pruned_before ~t0 config
+  if config_size ev !config > budget then
+    greedy_fallback ev set ~budget !config
+  else !config
 
-let top_down_lite ?prune ev set ~budget = top_down ~variant:Lite ?prune ev set ~budget
-let top_down_full ?prune ev set ~budget = top_down ~variant:Full ?prune ev set ~budget
+let top_down_lite ev set ~budget = top_down Lite ev set ~budget
+let top_down_full ev set ~budget = top_down Full ev set ~budget
 
 (* -------- Dynamic programming (exact knapsack, no interaction) -------- *)
 
 let dynamic_programming ev set ~budget =
-  Trace.with_span "search.dynamic_programming" @@ fun () ->
-  let t0 = Obs.now_s () in
-  let calls_before = Benefit.evaluations ev in
-  let pruned_before = Benefit.pruned_count ev in
+  bracket "search.dynamic_programming" ~algorithm:"dynamic programming" ev
+  @@ fun () ->
   let items =
     List.filter (fun c -> candidate_size ev c <= budget) (pool ev set)
   in
   let items = Array.of_list items in
   let n = Array.length items in
-  if n = 0 then
-    finalize ~algorithm:"dynamic programming" ev ~calls_before ~pruned_before
-      ~t0 []
+  if n = 0 then []
   else begin
     (* Size granularity keeps the table small; round item sizes UP so the
        budget is never exceeded.  [units] is clamped to at least 1: every
@@ -581,8 +545,7 @@ let dynamic_programming ev set ~budget =
     done;
     count "search.dynamic_programming.admitted" (List.length !config);
     count "search.dynamic_programming.rejected" (n - List.length !config);
-    finalize ~algorithm:"dynamic programming" ev ~calls_before ~pruned_before
-      ~t0 !config
+    !config
   end
 
 (* -------- All-Index configuration -------- *)
@@ -590,12 +553,8 @@ let dynamic_programming ev set ~budget =
 (* Indexes for every indexable XPath expression in the workload: all basic
    candidates.  The best possible configuration for a query-only workload. *)
 let all_index ev set =
-  Trace.with_span "search.all_index" @@ fun () ->
-  let t0 = Obs.now_s () in
-  let calls_before = Benefit.evaluations ev in
-  let pruned_before = Benefit.pruned_count ev in
-  finalize ~algorithm:"all index" ev ~calls_before ~pruned_before ~t0
-    (Candidate.basics set)
+  bracket "search.all_index" ~algorithm:"all index" ev @@ fun () ->
+  Candidate.basics set
 
 let pp_outcome ppf o =
   Fmt.pf ppf "%-18s size=%8d benefit=%12.1f calls=%5d time=%.3fs indexes=%d" o.algorithm

@@ -204,7 +204,7 @@ let executed_cost memo catalog workload config =
       Hashtbl.add memo key cost;
       cost
 
-let run_case ?domains ~perturb ~prune ~small spec =
+let run_case ?domains ~perturb ~small spec =
   Trace.with_span "eval.case" ~args:(fun () -> [ ("case", spec.s_name) ])
   @@ fun () ->
   let t0 = Obs.now_s () in
@@ -228,13 +228,13 @@ let run_case ?domains ~perturb ~prune ~small spec =
             (fun alg ->
               let outcome =
                 match alg with
-                | Advisor.Greedy -> Search.greedy ~prune search_ev set ~budget
+                | Advisor.Greedy -> Search.greedy search_ev set ~budget
                 | Advisor.Greedy_heuristics ->
                     Search.greedy_heuristics search_ev set ~budget
                 | Advisor.Top_down_lite ->
-                    Search.top_down_lite ~prune search_ev set ~budget
+                    Search.top_down_lite search_ev set ~budget
                 | Advisor.Top_down_full ->
-                    Search.top_down_full ~prune search_ev set ~budget
+                    Search.top_down_full search_ev set ~budget
                 | Advisor.Dynamic_programming ->
                     Search.dynamic_programming search_ev set ~budget
                 | Advisor.All_index -> Search.all_index search_ev set
@@ -323,9 +323,9 @@ let run_case ?domains ~perturb ~prune ~small spec =
     r_elapsed = Obs.now_s () -. t0;
   }
 
-let run ?domains ?(perturb = 1.0) ?(prune = true) ~small specs =
+let run ?domains ?(perturb = 1.0) ~small specs =
   let results =
-    List.map (fun spec -> run_case ?domains ~perturb ~prune ~small spec) specs
+    List.map (fun spec -> run_case ?domains ~perturb ~small spec) specs
   in
   (* run_case leaves the factor at 1.0; make that invariant hold even for an
      empty spec list. *)

@@ -80,14 +80,11 @@ val spearman : float array -> float array -> float
 (** Run the cases.  [domains] bounds the what-if fan-out (results identical
     for every value); [perturb] (default 1.0) is applied to
     {!Xia_optimizer.Optimizer.index_cost_factor} for the search phase only
-    and the factor is reset to 1.0 before scoring; [prune] (default true)
-    is passed to the prunable searches — configurations and every quality
-    score (benefit, regret, rank, spearman) are identical either way, only
-    the per-algorithm optimizer-call counts differ; [small] selects the tiny
-    benchmark scale. *)
+    and the factor is reset to 1.0 before scoring; [small] selects the tiny
+    benchmark scale.  The searches all run on one evaluator per case, in
+    {!Xia_advisor.Advisor.all_algorithms} order. *)
 val run :
-  ?domains:int -> ?perturb:float -> ?prune:bool -> small:bool -> spec list ->
-  case_result list
+  ?domains:int -> ?perturb:float -> small:bool -> spec list -> case_result list
 
 (** Machine-readable report: envelope plus one compact object per entry
     line (fields are emitted as ["name":value] with no space, like the

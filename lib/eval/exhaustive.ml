@@ -5,9 +5,7 @@
    such subsets yields a sound, exact upper bound on every algorithm's
    outcome — including the top-down searches, whose descent can retain
    candidates outside the [useful_ids] probe pool (that near-miss is why
-   the oracle does NOT restrict itself to the useful pool by default; the
-   [ids] override exists for differential tests that must mirror a specific
-   algorithm's universe).
+   the oracle does NOT restrict itself to the useful pool).
 
    The sweep reuses the evaluator the algorithms ran on, so identical
    configurations score bit-for-bit identical benefits (the
@@ -58,28 +56,23 @@ let canonical config =
         (Index_def.logical_key b.Candidate.def))
     config
 
-let search ?(limit = default_limit) ?ids ?weight ?capacity ev set ~budget =
+let search ev set ~budget =
   Trace.with_span "eval.exhaustive" @@ fun () ->
   let t0 = Obs.now_s () in
   let calls_before = Benefit.evaluations ev in
-  let weight =
-    match weight with Some w -> w | None -> Benefit.candidate_size ev
-  in
-  let capacity = match capacity with Some c -> c | None -> budget in
-  let admitted (c : Candidate.t) =
-    (match ids with None -> true | Some h -> Hashtbl.mem h c.id)
-    && weight c <= capacity
-  in
   let items =
-    List.filter admitted (Candidate.to_list set) |> Array.of_list
+    List.filter
+      (fun c -> Benefit.candidate_size ev c <= budget)
+      (Candidate.to_list set)
+    |> Array.of_list
   in
   let n = Array.length items in
-  if n > limit then
+  if n > default_limit then
     invalid_arg
       (Printf.sprintf
          "Exhaustive.search: %d candidates exceed the small-instance limit %d"
-         n limit);
-  let weights = Array.map weight items in
+         n default_limit);
+  let weights = Array.map (Benefit.candidate_size ev) items in
   (* Feasible masks, ascending.  Mask 0 (the empty configuration, weight 0)
      is always feasible — even under a zero budget the algorithms can and do
      return empty configurations, so the oracle must admit it too. *)
@@ -90,7 +83,7 @@ let search ?(limit = default_limit) ?ids ?weight ?capacity ev set ~budget =
       for i = 0 to n - 1 do
         if mask land (1 lsl i) <> 0 then w := !w + weights.(i)
       done;
-      if mask = 0 || !w <= capacity then acc := mask :: !acc
+      if mask = 0 || !w <= budget then acc := mask :: !acc
     done;
     Array.of_list !acc
   in

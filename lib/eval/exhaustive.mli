@@ -9,7 +9,7 @@
     The result is the true optimum of the search problem, which turns every
     algorithm's outcome into a regret score.  Small instances only: the
     subset count is exponential in the pool size, so {!search} refuses pools
-    above [limit]. *)
+    above {!default_limit}. *)
 
 module Benefit = Xia_advisor.Benefit
 module Candidate = Xia_advisor.Candidate
@@ -39,34 +39,18 @@ val default_limit : int
 val canonical : Candidate.t list -> Candidate.t list
 
 (** [search ev set ~budget] enumerates every subset of the candidate set
-    whose total weight fits the capacity and returns the best, under the
-    SAME benefit evaluator the algorithms under test use — identical
-    configurations therefore score bit-for-bit identical benefits, so the
-    optimum dominates every algorithm's outcome exactly (no epsilon).
-
-    [ids] restricts the pool to candidates whose id is a key (differential
-    tests pass {!Benefit.useful_ids} to mirror the knapsack's universe);
-    default is the whole set.  [weight] (default
-    {!Benefit.candidate_size}) and [capacity] (default [budget]) define
-    feasibility: a subset is feasible iff the sum of its members' weights
-    is at most the capacity.  The override exists for the
-    dynamic-programming differential test, which must reproduce DP's
-    rounded-up unit granularity to compare like with like.
+    whose total {!Benefit.candidate_size} fits the budget and returns the
+    best, under the SAME benefit evaluator the algorithms under test use —
+    identical configurations therefore score bit-for-bit identical
+    benefits, so the optimum dominates every algorithm's outcome exactly
+    (no epsilon).
 
     Ties on benefit break deterministically: smaller size, then fewer
     indexes, then lexicographic logical keys.
 
-    @raise Invalid_argument when the pool exceeds [limit] (default
-    {!default_limit}) — exhaustive search is for small instances only. *)
-val search :
-  ?limit:int ->
-  ?ids:(int, unit) Hashtbl.t ->
-  ?weight:(Candidate.t -> int) ->
-  ?capacity:int ->
-  Benefit.t ->
-  Candidate.set ->
-  budget:int ->
-  result
+    @raise Invalid_argument when more than {!default_limit} candidates fit
+    the budget — exhaustive search is for small instances only. *)
+val search : Benefit.t -> Candidate.set -> budget:int -> result
 
 (** [rank r benefit] is 1 + the number of feasible subsets whose benefit
     exceeds [benefit] by more than a relative tolerance of [1e-9]

@@ -12,14 +12,14 @@ type t = {
   total : int;
 }
 
-let default_buckets = 16
+let buckets = 16
 
 let bucket_count t = Array.length t.counts
 let total t = t.total
 let bounds t = (t.lo, t.hi)
 
 (* Build from a sample; [None] when the sample is empty or degenerate. *)
-let create ?(buckets = default_buckets) values =
+let create values =
   match values with
   | [] -> None
   | v0 :: _ ->
@@ -27,7 +27,7 @@ let create ?(buckets = default_buckets) values =
       let hi = List.fold_left Float.max v0 values in
       if hi <= lo then None
       else begin
-        let counts = Array.make (max 1 buckets) 0 in
+        let counts = Array.make buckets 0 in
         let width = (hi -. lo) /. float_of_int (Array.length counts) in
         List.iter
           (fun v ->

@@ -3,10 +3,11 @@
 
 type t
 
-val default_buckets : int
+(** Bucket count of every histogram. *)
+val buckets : int
 
 (** [None] on an empty or single-point sample. *)
-val create : ?buckets:int -> float list -> t option
+val create : float list -> t option
 
 val bucket_count : t -> int
 val total : t -> int

@@ -320,7 +320,7 @@ let advisor_tests =
         let catalog = Helpers.fresh_tiny_catalog () in
         let wl = Xia_workload.Tpox.workload () in
         let r = A.advise catalog wl ~budget:(4 * 1024 * 1024) A.Greedy_heuristics in
-        let speedup = A.actual_speedup ~metric:`Cost catalog wl (A.indexes r) in
+        let speedup = A.actual_speedup catalog wl (A.indexes r) in
         Alcotest.(check bool) "faster" true (speedup > 1.0));
     tc "training on fewer queries generalizes with top-down" (fun () ->
         let catalog = Lazy.force Helpers.shared_catalog in

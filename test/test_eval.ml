@@ -5,7 +5,8 @@
      sub-configuration cache — no epsilon), across synthetic instances,
      budgets and domain counts; and whenever the useful pool has no index
      interaction, dynamic programming matches the optimum under its own
-     rounded-unit feasibility (modulo float-summation order).
+     rounded-unit feasibility (modulo float-summation order), found by
+     test/search_oracle.ml's knapsack enumerator.
    - Committed cases: every algorithm's regret on the default eval specs is
      in (0, 1], the heuristic search stays at >= 0.9, and the oracle rows
      are exactly optimal.
@@ -82,7 +83,7 @@ let exhaustive_unit_tests =
         Alcotest.(check int) "runner-up" 2 (Ex.rank r 73726.335));
     tc "pool-limit guard refuses large instances" (fun () ->
         let catalog = Lazy.force Helpers.shared_catalog in
-        let wl = W.prefix 4 (Xia_workload.Tpox.workload ()) in
+        let wl = Xia_workload.Tpox.workload () in
         let set = En.candidates catalog wl in
         let ev = B.create ~domains:1 catalog wl in
         let budget = 1024 * 1024 in
@@ -92,13 +93,16 @@ let exhaustive_unit_tests =
                (fun c -> B.candidate_size ev c <= budget)
                (C.to_list set))
         in
-        Alcotest.check_raises "limit 0"
+        Alcotest.(check bool)
+          (Printf.sprintf "%d fitting candidates above the limit" fitting)
+          true (fitting > Ex.default_limit);
+        Alcotest.check_raises "default limit"
           (Invalid_argument
              (Printf.sprintf
                 "Exhaustive.search: %d candidates exceed the small-instance \
-                 limit 0"
-                fitting))
-          (fun () -> ignore (Ex.search ~limit:0 ev set ~budget)));
+                 limit %d"
+                fitting Ex.default_limit))
+          (fun () -> ignore (Ex.search ev set ~budget)));
   ]
 
 (* One synthetic instance: tiny TPoX catalog, [n] random queries, a budget
@@ -169,34 +173,25 @@ let qcheck_oracle =
         algorithms;
       (* DP-vs-optimum under DP's own feasibility (sizes rounded UP to its
          knapsack granularity), when benefit is additive. *)
-      let useful = B.useful_ids ev set in
-      let pool =
-        List.filter (fun (c : C.t) -> Hashtbl.mem useful c.C.id)
-          (C.to_list set)
-      in
+      let pool = Search_oracle.pool ev set in
       let interaction_free =
         List.for_all
           (fun g -> List.length g = 1)
           (B.groups (B.extend ev B.empty pool))
       in
       if interaction_free then begin
-        let unit = max Xia_storage.Cost_params.page_size (budget / 2048) in
-        let units = max 1 (budget / unit) in
-        let weight c = (B.candidate_size ev c + unit - 1) / unit in
-        let rounded =
-          Ex.search ~ids:useful ~weight ~capacity:units ev set ~budget
-        in
+        let rounded = Search_oracle.knapsack_optimum ev set ~budget in
         let dp = S.dynamic_programming ev set ~budget in
         let dpb = truth_of ev dp in
-        if dpb > rounded.Ex.benefit then
+        if dpb > rounded then
           QCheck.Test.fail_reportf
             "dp beats the rounded-feasibility optimum: %.9f > %.9f (seed %d)"
-            dpb rounded.Ex.benefit seed;
-        let eps = 1e-6 *. Float.max 1.0 rounded.Ex.benefit in
-        if rounded.Ex.benefit -. dpb > eps then
+            dpb rounded seed;
+        let eps = 1e-6 *. Float.max 1.0 rounded in
+        if rounded -. dpb > eps then
           QCheck.Test.fail_reportf
             "dp suboptimal without interaction: %.9f vs optimum %.9f (seed %d)"
-            dpb rounded.Ex.benefit seed
+            dpb rounded seed
       end;
       true)
 
@@ -211,11 +206,7 @@ let dp_matches_on_interaction_free =
         let _catalog, _wl, set, ev, budget =
           build_instance ~seed ~n:3 ~frac:0.9 ~domains:1
         in
-        let useful = B.useful_ids ev set in
-        let pool =
-          List.filter (fun (c : C.t) -> Hashtbl.mem useful c.C.id)
-            (C.to_list set)
-        in
+        let pool = Search_oracle.pool ev set in
         let interaction_free =
           pool <> []
           && List.for_all
@@ -224,19 +215,13 @@ let dp_matches_on_interaction_free =
         in
         if interaction_free && List.length pool <= Ex.default_limit then begin
           incr hits;
-          let unit = max Xia_storage.Cost_params.page_size (budget / 2048) in
-          let units = max 1 (budget / unit) in
-          let weight c = (B.candidate_size ev c + unit - 1) / unit in
-          let rounded =
-            Ex.search ~ids:useful ~weight ~capacity:units ev set ~budget
-          in
+          let rounded = Search_oracle.knapsack_optimum ev set ~budget in
           let dpb = truth_of ev (S.dynamic_programming ev set ~budget) in
-          let eps = 1e-6 *. Float.max 1.0 rounded.Ex.benefit in
+          let eps = 1e-6 *. Float.max 1.0 rounded in
           Alcotest.(check bool)
-            (Printf.sprintf "seed %d: dp %.9f = optimum %.9f" seed dpb
-               rounded.Ex.benefit)
+            (Printf.sprintf "seed %d: dp %.9f = optimum %.9f" seed dpb rounded)
             true
-            (dpb <= rounded.Ex.benefit && rounded.Ex.benefit -. dpb <= eps)
+            (dpb <= rounded && rounded -. dpb <= eps)
         end
       done;
       Alcotest.(check bool)

@@ -23,7 +23,7 @@ let histogram_tests =
         Alcotest.(check (float 0.001)) "lo" 0.0 lo;
         Alcotest.(check (float 0.001)) "hi" 999.0 hi;
         Alcotest.(check int) "total" 1000 (H.total h);
-        Alcotest.(check int) "buckets" H.default_buckets (H.bucket_count h));
+        Alcotest.(check int) "buckets" H.buckets (H.bucket_count h));
     tc "fraction_below on uniform data" (fun () ->
         let h = Option.get (H.create uniform_sample) in
         Alcotest.(check (float 0.02)) "half" 0.5 (H.fraction_below h 499.5);
@@ -50,9 +50,6 @@ let histogram_tests =
           (let d = H.point_density h 500.0 in
            d > 0.03 && d < 0.1);
         Alcotest.(check (float 0.0001)) "outside" 0.0 (H.point_density h 5000.0));
-    tc "custom bucket count" (fun () ->
-        let h = Option.get (H.create ~buckets:4 uniform_sample) in
-        Alcotest.(check int) "four" 4 (H.bucket_count h));
   ]
 
 (* A table with a skewed numeric path: 90% of values uniform in [0,100), a

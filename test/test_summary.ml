@@ -9,7 +9,8 @@
    - Clustering determinism: the signature partition is a stable,
      permutation-insensitive function of the workload.
    - Pruning soundness: every pruned search returns the same outcome as its
-     unpruned twin, and the pruned counter actually fires at scale. *)
+     unpruned reference in test/search_oracle.ml, on fresh and shared
+     evaluators, and the pruned counter actually fires at scale. *)
 
 module A = Xia_advisor.Advisor
 module B = Xia_advisor.Benefit
@@ -326,40 +327,60 @@ let qcheck_memo_oracle =
 let config_ids (o : S.outcome) =
   List.map (fun (c : C.t) -> c.C.id) o.S.config
 
+(* The pruned searches and their unpruned references in test/search_oracle.ml. *)
+let pruned_searches =
+  [
+    (A.Greedy, S.greedy, Search_oracle.greedy);
+    (A.Top_down_lite, S.top_down_lite, Search_oracle.top_down_lite);
+    (A.Top_down_full, S.top_down_full, Search_oracle.top_down_full);
+  ]
+
+let check_agrees label (lib : S.outcome) (oracle : S.outcome) =
+  Alcotest.(check (list int)) (label ^ " config") (config_ids oracle) (config_ids lib);
+  Alcotest.(check int) (label ^ " size") oracle.S.size lib.S.size;
+  Alcotest.(check bool)
+    (label ^ " benefit") true
+    (Float.equal oracle.S.benefit lib.S.benefit)
+
+(* Each search on a fresh evaluator, at 1/2 and 1/4 of the All-Index size:
+   the pruned search reproduces the oracle's outcome, and once the floors
+   pass behind its upper bounds is paid it makes no more optimizer calls.
+   (At this scale the floors pass can cost more than pruning saves.) *)
 let prune_case (name, catalog, wl) =
-  tc (name ^ ": prune on = prune off") (fun () ->
+  tc (name ^ ": prune on = prune off oracle, budgets 1/2 and 1/4") (fun () ->
       let catalog = Lazy.force catalog in
       let set = En.candidates catalog wl in
-      let budget =
-        let ev = B.create ~domains:1 catalog wl in
-        (S.all_index ev set).S.size / 2
+      let all_size =
+        (S.all_index (B.create ~domains:1 catalog wl) set).S.size
       in
       List.iter
-        (fun (sname, search) ->
-          let run prune =
-            let ev = B.create ~domains:1 catalog wl in
-            search ~prune ev set ~budget
-          in
-          let on = run true and off = run false in
-          Alcotest.(check (list int))
-            (sname ^ " config") (config_ids off) (config_ids on);
-          Alcotest.(check int) (sname ^ " size") off.S.size on.S.size;
-          Alcotest.(check bool)
-            (sname ^ " benefit") true
-            (Float.equal off.S.benefit on.S.benefit);
-          Alcotest.(check int) (sname ^ " off pruned nothing") 0 off.S.pruned)
-        [
-          ("greedy", fun ~prune ev set ~budget -> S.greedy ~prune ev set ~budget);
-          ( "top-down lite",
-            fun ~prune ev set ~budget -> S.top_down_lite ~prune ev set ~budget );
-          ( "top-down full",
-            fun ~prune ev set ~budget -> S.top_down_full ~prune ev set ~budget );
-        ])
+        (fun k ->
+          let budget = all_size / k in
+          List.iter
+            (fun (alg, search, oracle) ->
+              let label = Printf.sprintf "%s 1/%d" (A.algorithm_name alg) k in
+              let ev = B.create ~domains:1 catalog wl in
+              ignore (B.floors ev set);
+              let floor_calls = B.evaluations ev in
+              let lib = search ev set ~budget in
+              let ref_ = oracle (B.create ~domains:1 catalog wl) set ~budget in
+              check_agrees label lib ref_;
+              Alcotest.(check int) (label ^ " oracle pruned nothing") 0 ref_.S.pruned;
+              Alcotest.(check bool)
+                (Printf.sprintf "%s calls %d (after %d for the floors) <= oracle's %d"
+                   label lib.S.optimizer_calls floor_calls ref_.S.optimizer_calls)
+                true
+                (lib.S.optimizer_calls <= ref_.S.optimizer_calls))
+            pruned_searches)
+        [ 2; 4 ])
 
 let prune_fixtures =
   [
     ("tpox", Helpers.shared_catalog, Xia_workload.Tpox.workload ());
     ("xmark", xmark_catalog, Xia_workload.Xmark.workload ());
+    ( "tpox+updates",
+      Helpers.shared_catalog,
+      Xia_workload.Tpox.workload_with_updates () );
     ( "tpox+synthetic",
       Helpers.shared_catalog,
       Xia_workload.Tpox.workload ()
@@ -367,7 +388,65 @@ let prune_fixtures =
           (Lazy.force Helpers.shared_catalog)
           (Cat.table_names (Lazy.force Helpers.shared_catalog))
           8 );
+    (* Candidates tied on density and specificity: only the logical-key
+       tie-break orders them. *)
+    ( "synthetic ties",
+      Helpers.shared_catalog,
+      Synthetic.workload ~seed:2
+        (Lazy.force Helpers.shared_catalog)
+        (Cat.table_names (Lazy.force Helpers.shared_catalog))
+        10 );
   ]
+
+(* The eval harness's order: every algorithm of [A.all_algorithms] at each
+   budget on ONE evaluator, so the searches share its memos (the
+   [useful_ids] pool is first built unpruned by greedy+heuristics and then
+   served to top-down, which asks for it pruned).  Runs through the
+   advisor's session API. *)
+let prune_eval_path =
+  tc "eval path: prune on = oracle, one evaluator for all searches" (fun () ->
+      List.iter
+        (fun (name, catalog, wl) ->
+          let catalog = Lazy.force catalog in
+          let session = A.create_session ~domains:1 ~compress:false catalog wl in
+          let set = session.A.candidates in
+          let all_size = B.config_size session.A.evaluator (C.basics set) in
+          List.iter
+            (fun k ->
+              let budget = all_size / k in
+              List.iter
+                (fun alg ->
+                  let lib = (A.session_advise session ~budget alg).A.outcome in
+                  match List.find_opt (fun (a, _, _) -> a = alg) pruned_searches with
+                  | None -> ()
+                  | Some (_, _, oracle) ->
+                      check_agrees
+                        (Printf.sprintf "%s: %s 1/%d" name (A.algorithm_name alg) k)
+                        lib
+                        (oracle (B.create ~domains:1 catalog wl) set ~budget))
+                A.all_algorithms)
+            [ 2; 4 ])
+        prune_fixtures)
+
+let qcheck_prune_oracle =
+  QCheck.Test.make ~count:30 ~name:"pruned searches = oracle on synthetic workloads"
+    QCheck.(triple (int_range 0 1000) (int_range 6 12) (oneofl [ 0.2; 0.5; 0.8 ]))
+    (fun (seed, n, frac) ->
+      let catalog = Lazy.force Helpers.shared_catalog in
+      let wl = Synthetic.workload ~seed catalog (Cat.table_names catalog) n in
+      let set = En.candidates catalog wl in
+      let all_size =
+        B.config_size (B.create ~domains:1 catalog wl) (C.basics set)
+      in
+      let budget = int_of_float (frac *. float_of_int all_size) in
+      List.iter
+        (fun (alg, search, oracle) ->
+          check_agrees
+            (Printf.sprintf "seed %d n %d frac %.1f %s" seed n frac (A.algorithm_name alg))
+            (search (B.create ~domains:1 catalog wl) set ~budget)
+            (oracle (B.create ~domains:1 catalog wl) set ~budget))
+        pruned_searches;
+      true)
 
 let pruned_counter_fires =
   tc "pruned counter strictly positive at scale" (fun () ->
@@ -392,71 +471,14 @@ let summary_tests =
   List.map differential_case differential_fixtures
   @ [ synthetic_differential; bounded_regret ]
 
-(* The eval harness's prune plumbing: quality scores are bit-identical with
-   pruning on and off — only per-algorithm optimizer-call counts may
-   differ.  Extends the search-level prune twins above to the whole
-   regret/validation pipeline (and, via Advisor.run_search, covers the new
-   ?prune plumbing on the advisor API). *)
-let prune_eval_path =
-  tc "eval path: prune on = prune off (regret bit-for-bit)" (fun () ->
-      let module Eval = Xia_eval.Eval in
-      let spec =
-        List.filter (fun s -> s.Eval.s_name = "tpox-small") Eval.default_specs
-      in
-      let run prune = Eval.run ~domains:1 ~prune ~small:true spec in
-      let on = run true and off = run false in
-      List.iter2
-        (fun (a : Eval.case_result) (b : Eval.case_result) ->
-          Alcotest.(check string) "case" a.Eval.r_case b.Eval.r_case;
-          Alcotest.(check bool)
-            "spearman" true
-            (Float.equal a.Eval.r_spearman b.Eval.r_spearman);
-          List.iter2
-            (fun (x : Eval.entry) (y : Eval.entry) ->
-              let label =
-                Printf.sprintf "%s/%.2f/%s" x.Eval.e_case x.Eval.e_frac
-                  x.Eval.e_algorithm
-              in
-              Alcotest.(check string) (label ^ " alg") x.Eval.e_algorithm
-                y.Eval.e_algorithm;
-              Alcotest.(check bool)
-                (label ^ " regret") true
-                (Float.equal x.Eval.e_regret y.Eval.e_regret);
-              Alcotest.(check bool)
-                (label ^ " benefit") true
-                (Float.equal x.Eval.e_benefit y.Eval.e_benefit);
-              Alcotest.(check int) (label ^ " rank") x.Eval.e_rank y.Eval.e_rank)
-            a.Eval.r_entries b.Eval.r_entries)
-        on off)
-
-(* ?prune on the one-shot advisor API: pruned and unpruned twins recommend
-   identical indexes, and prune:false really probes everything. *)
-let prune_advise_api =
-  tc "Advisor.advise ?prune twins agree" (fun () ->
-      let catalog = Lazy.force Helpers.shared_catalog in
-      let wl = Xia_workload.Tpox.workload () in
-      let budget = 256 * 1024 in
-      List.iter
-        (fun alg ->
-          let run prune =
-            A.advise ~prune ~domains:1 ~compress:false catalog wl ~budget alg
-          in
-          let on = run true and off = run false in
-          Alcotest.(check (list string))
-            (A.algorithm_name alg ^ " indexes") (defs_of off) (defs_of on);
-          Alcotest.(check int)
-            (A.algorithm_name alg ^ " off pruned nothing") 0
-            off.A.outcome.S.pruned)
-        [ A.Greedy; A.Top_down_lite; A.Top_down_full ])
-
 let prune_tests =
-  List.map prune_case prune_fixtures
-  @ [ pruned_counter_fires; prune_eval_path; prune_advise_api ]
+  List.map prune_case prune_fixtures @ [ pruned_counter_fires; prune_eval_path ]
 
 let suites =
   [
     ("summary.differential", summary_tests);
     ("summary.pruning", prune_tests);
     ("summary.memo", memo_tests);
-    Helpers.qsuite "summary.qcheck" [ qcheck_clustering; qcheck_memo_oracle ];
+    Helpers.qsuite "summary.qcheck"
+      [ qcheck_clustering; qcheck_memo_oracle; qcheck_prune_oracle ];
   ]
