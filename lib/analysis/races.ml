@@ -15,8 +15,9 @@
          lock-disciplined binding (a body taking [Mutex.lock], or
          [@lint.allow "R001"]), and this check emits the unsuppressed
          witnesses of every task that escapes to another domain.  Wrapped
-         state (Atomic, Mutex, Domain.DLS, Lazy, Interner.Cache) never
-         classifies as raw.
+         state (Atomic, Mutex, Domain.DLS, Lazy, and the Interner.Cache,
+         Dense and Pairs memo tables built on them) never classifies as
+         raw.
    N002  a parallel fan-out combining float work without [Par.sum_list]:
          either the escaping task accumulates into shared state
          ([t := !t +. x] — racy and order-varying; witness list

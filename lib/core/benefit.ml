@@ -111,8 +111,10 @@ type t = {
          is always paired with one candidate set (ids are per-set) *)
   aub_memo : (int, float) Xia_xpath.Interner.Cache.t;
       (* candidate id -> atomic-benefit upper bound; same pairing assumption *)
-  floors_memo : float array option Atomic.t;
-      (* per-statement cost floors (see [floors]); same pairing assumption *)
+  floors_memo : (float array * float array) option Atomic.t;
+      (* per-statement cost floors (see [floors]) and the weighted gaps
+         weight_i · (base_i − floor_i) that upper bounds sum; same pairing
+         assumption *)
   used_memo : (int, unit) Hashtbl.t option Atomic.t;
       (* memoized [used_in_plans] result; same pairing assumption *)
   useful_memo : (int, unit) Hashtbl.t option Atomic.t;
@@ -262,7 +264,7 @@ let maintenance_charge t (config : Candidate.t list) =
    interned logical ids.  Equal configurations (up to order and index names)
    get equal fingerprints; no string is built or hashed. *)
 let fingerprint (sub : Candidate.t list) =
-  let arr = Array.of_list (List.map (fun c -> c.Candidate.lid) sub) in
+  let arr = Array.of_list (List.map (fun (c : Candidate.t) -> c.def.lid) sub) in
   Array.sort compare arr;
   arr
 
@@ -580,16 +582,11 @@ let individual_benefit t c = benefit t [ c ]
    recompute catalog-derived sizes inside every density sort and knapsack
    round, and the derivation walk is far from free. *)
 let candidate_size t (c : Candidate.t) =
-  Xia_xpath.Interner.Cache.find_or_compute t.size_memo c.Candidate.id (fun () ->
-      Candidate.size t.catalog c)
+  Xia_xpath.Interner.Cache.find_or_compute t.size_memo c.Candidate.id Candidate.size
+    t.catalog c
 
 let config_size t (config : Candidate.t list) =
   List.fold_left (fun acc c -> acc + candidate_size t c) 0 config
-
-(* Candidates paired with their interned matching ids, for the
-   [Optimizer.serves] tests below. *)
-let with_index_ids cands =
-  List.map (fun (c : Candidate.t) -> (c, Optimizer.index_ids c.Candidate.def)) cands
 
 (* Per-statement cost FLOORS: statement i's what-if cost under the
    configuration of EVERY candidate that could possibly apply to it — the
@@ -609,25 +606,24 @@ let with_index_ids cands =
    fingerprint a search later evaluates in full is already paid for).
    Memoized per evaluator; computed from the search's main thread before any
    fan-out, so the compute-once note on the memo field holds. *)
-let floors t (set : Candidate.set) =
+let bounds t (set : Candidate.set) =
   match Atomic.get t.floors_memo with
-  | Some fl -> fl
+  | Some b -> b
   | None ->
       Xia_obs.Trace.with_span "benefit.floors"
         ~args:(fun () ->
           [ ("statements", string_of_int (Array.length t.items)) ])
       @@ fun () ->
-      let cands = with_index_ids (Candidate.to_list set) in
+      let cands = Candidate.to_list set in
       let fl = Array.copy t.base_costs in
       let groups = Hashtbl.create 32 in
       let order = ref [] in  (* fingerprints, reverse first-occurrence order *)
       Array.iteri
         (fun i p ->
           let cfg =
-            List.filter_map
-              (fun ((c : Candidate.t), ix) ->
-                if Int_set.mem i c.affected || Optimizer.serves p ix then Some c
-                else None)
+            List.filter
+              (fun (c : Candidate.t) ->
+                Int_set.mem i c.affected || Optimizer.serves p c.def)
               cands
           in
           if cfg <> [] then begin
@@ -649,8 +645,11 @@ let floors t (set : Candidate.set) =
           let costs = config_costs t ~defs key stmts in
           List.iter2 (fun i c -> fl.(i) <- c) stmts costs)
         (List.rev !order);
-      Atomic.set t.floors_memo (Some fl);
-      fl
+      let gaps = Array.mapi (fun i f -> t.weights.(i) *. (t.base_costs.(i) -. f)) fl in
+      Atomic.set t.floors_memo (Some (fl, gaps));
+      (fl, gaps)
+
+let floors t set = fst (bounds t set)
 
 (* Atomic-benefit upper bound of one candidate:
 
@@ -670,12 +669,12 @@ let floors t (set : Candidate.set) =
        individual_benefit c  =  0.0 -. maintenance_charge t [c]   (bitwise)
 
    which the pruned search paths substitute without an optimizer call. *)
+let sum_gaps gaps (c : Candidate.t) =
+  Int_set.fold (fun i acc -> acc +. gaps.(i)) c.Candidate.affected 0.0
+
 let atomic_upper_bound t (set : Candidate.set) (c : Candidate.t) =
-  Xia_xpath.Interner.Cache.find_or_compute t.aub_memo c.Candidate.id (fun () ->
-      let fl = floors t set in
-      Int_set.fold
-        (fun i acc -> acc +. (t.weights.(i) *. (t.base_costs.(i) -. fl.(i))))
-        c.Candidate.affected 0.0)
+  Xia_xpath.Interner.Cache.find_or_compute t.aub_memo c.Candidate.id sum_gaps
+    (snd (bounds t set)) c
 
 (* Candidates used by at least one optimizer plan when every basic candidate
    of a statement is installed together.  This captures indexes whose value
@@ -697,7 +696,6 @@ let atomic_upper_bound t (set : Candidate.set) (c : Candidate.t) =
    fingerprint. *)
 let compute_used_in_plans t (set : Candidate.set) =
   let basics = Candidate.basics set in
-  let basics_ix = with_index_ids basics in
   let all_defs = List.map (fun (c : Candidate.t) -> c.Candidate.def) basics in
   let union_ok = ref [] in          (* statement indices, reverse order *)
   let fallback = ref [] in          (* (fingerprint, defs, indices rev) *)
@@ -709,9 +707,9 @@ let compute_used_in_plans t (set : Candidate.set) =
       if config <> [] then begin
         let cross =
           List.exists
-            (fun ((c : Candidate.t), ix) ->
-              (not (Int_set.mem i c.affected)) && Optimizer.serves p ix)
-            basics_ix
+            (fun (c : Candidate.t) ->
+              (not (Int_set.mem i c.affected)) && Optimizer.serves p c.def)
+            basics
         in
         if not cross then union_ok := i :: !union_ok
         else begin
@@ -738,7 +736,7 @@ let compute_used_in_plans t (set : Candidate.set) =
     Array.iter
       (fun plan ->
         List.iter
-          (fun d -> Hashtbl.replace used (Xia_index.Index_def.logical_id d) ())
+          (fun (d : Xia_index.Index_def.t) -> Hashtbl.replace used d.lid ())
           (Plan.indexes_used plan))
       plans
   in
@@ -779,7 +777,7 @@ let useful_ids ?(prune = false) t set =
       let probe =
         List.filter_map
           (fun (c : Candidate.t) ->
-            if Hashtbl.mem used c.Candidate.lid then begin
+            if Hashtbl.mem used c.def.lid then begin
               Hashtbl.replace ids c.Candidate.id ();
               None
             end

@@ -20,7 +20,6 @@ type origin =
 type t = {
   id : int;
   def : Index_def.t;
-  lid : int;  (* [Index_def.logical_id def], interned once *)
   origin : origin;
   mutable parents : Int_set.t;   (* candidates generalizing this one *)
   mutable children : Int_set.t;  (* candidates this one was generalized from *)
@@ -61,7 +60,6 @@ let add set ~origin (def : Index_def.t) =
         {
           id;
           def;
-          lid = Index_def.logical_id def;
           origin;
           parents = Int_set.empty;
           children = Int_set.empty;

@@ -17,7 +17,6 @@ type origin =
 type t = {
   id : int;
   def : Index_def.t;
-  lid : int;  (** [Index_def.logical_id def], recorded by {!add} *)
   origin : origin;
   mutable parents : Int_set.t;
   mutable children : Int_set.t;

@@ -140,7 +140,7 @@ let celf_entry ev used_tbl ~value ~exact (c : Candidate.t) =
     le_size = candidate_size ev c;
     le_spec = Xia_xpath.Pattern.specificity c.Candidate.def.Index_def.pattern;
     le_key = Index_def.logical_key c.Candidate.def;
-    le_used = Hashtbl.mem used_tbl (Index_def.logical_id c.Candidate.def);
+    le_used = Hashtbl.mem used_tbl c.Candidate.def.lid;
     le_value = value;
     le_exact = exact;
   }

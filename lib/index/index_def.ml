@@ -24,7 +24,16 @@ type t = {
   table : string;
   pattern : Xia_xpath.Pattern.t;
   dtype : data_type;
+  pid : int;  (* [Pattern.id pattern] *)
+  lid : int;  (* interned logical identity, see [logical_id] *)
 }
+
+(* Interned logical identity: (table id, dtype, pattern id) triples map to
+   dense ints without building a key string.  Ids are for identity
+   (fingerprints, cache keys) only; user-visible orderings stay on
+   [logical_key]. *)
+let id_interner : (int * data_type * int) Xia_xpath.Interner.t =
+  Xia_xpath.Interner.create ()
 
 (* Atomic: fresh-name allocation must stay race-free when candidates are
    generated from several domains (--domains > 1). *)
@@ -42,11 +51,17 @@ let fresh_name table pattern dtype =
          | _ -> '_')
        s)
 
+(* Both ids are interned here, once per definition, so every later
+   matching or memo question about the definition is a field read. *)
 let make ?name ~table ~pattern ~dtype () =
   let name =
     match name with Some n -> n | None -> fresh_name table pattern dtype
   in
-  { name; table; pattern; dtype }
+  let pid = Xia_xpath.Pattern.id pattern in
+  let lid =
+    Xia_xpath.Interner.intern id_interner (Xia_xpath.Interner.label table, dtype, pid)
+  in
+  { name; table; pattern; dtype; pid; lid }
 
 (* Logical identity ignores the name: same table, same pattern, same type. *)
 let same a b =
@@ -59,23 +74,14 @@ let logical_key d =
     (data_type_to_string d.dtype)
     (Xia_xpath.Pattern.key d.pattern)
 
-(* Interned logical identity: (table id, dtype, pattern id) triples map to
-   dense ints without rebuilding the key string.  Ids are for identity
-   (fingerprints, cache keys) only; user-visible orderings stay on
-   [logical_key]. *)
-let id_interner : (int * data_type * int) Xia_xpath.Interner.t =
-  Xia_xpath.Interner.create ()
-
-let logical_id d =
-  Xia_xpath.Interner.intern id_interner
-    (Xia_xpath.Interner.label d.table, d.dtype, Xia_xpath.Pattern.id d.pattern)
+let logical_id d = d.lid
 
 (* [covers ~general ~specific]: the general index can serve every lookup the
    specific one can — same table and type, containing pattern. *)
 let covers ~general ~specific =
   String.equal general.table specific.table
   && equal_data_type general.dtype specific.dtype
-  && Xia_xpath.Pattern.covers ~general:general.pattern ~specific:specific.pattern
+  && Xia_xpath.Pattern.covers_id ~general:general.pid ~specific:specific.pid
 
 let pp ppf d =
   Fmt.pf ppf "%s ON %s XMLPATTERN '%s' AS %s" d.name d.table

@@ -12,14 +12,19 @@ val data_type_to_string : data_type -> string
 val pp_data_type : Format.formatter -> data_type -> unit
 val equal_data_type : data_type -> data_type -> bool
 
-type t = {
+(** Built only by {!make}, so the two ids always agree with the pattern,
+    table and type. *)
+type t = private {
   name : string;
   table : string;
   pattern : Xia_xpath.Pattern.t;
   dtype : data_type;
+  pid : int;  (** [Xia_xpath.Pattern.id pattern] *)
+  lid : int;  (** {!logical_id} *)
 }
 
-(** Create a definition; a unique name is generated when [name] is absent. *)
+(** Create a definition; a unique name is generated when [name] is absent.
+    Interns the pattern id and the logical id once. *)
 val make :
   ?name:string ->
   table:string ->
@@ -35,8 +40,9 @@ val same : t -> t -> bool
 val logical_key : t -> string
 
 (** Interned int id of the logical identity: equal iff {!logical_key} is
-    equal, computed without rebuilding the key string.  Stable within a run
-    only — identity (fingerprints, cache keys), never user-visible order. *)
+    equal (iff {!same}).  Interned by {!make}, so this is a field read.
+    Stable within a run only — identity (fingerprints, cache keys), never
+    user-visible order. *)
 val logical_id : t -> int
 
 (** [covers ~general ~specific]: the general index can serve every lookup of

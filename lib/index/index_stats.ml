@@ -62,7 +62,7 @@ let btree_shape ~entries ~avg_key_bytes =
   end
 
 let derive (stats : Path_stats.t) (def : Index_def.t) =
-  let infos = Path_stats.matching stats def.pattern in
+  let infos = Path_stats.matching_id stats def.pid in
   let entries, distinct, key_bytes, docs, min_num, max_num =
     List.fold_left
       (fun (entries, distinct, key_bytes, docs, mn, mx) (info : Path_stats.path_info) ->
@@ -106,18 +106,16 @@ let derive (stats : Path_stats.t) (def : Index_def.t) =
     }
   end
 
-(* Shared read-mostly memo keyed by (interned logical id, generation):
-   derivation is pure, and the advisor's parallel what-if evaluator derives
-   statistics from several domains at once.  Replaces a per-domain
-   [Domain.DLS] table that was duplicated per domain, cold after every
-   spawn, and keyed by a rebuilt [logical_key] string. *)
+(* Shared read-mostly memo keyed by (the definition's logical id,
+   generation): derivation is pure, and the advisor's parallel what-if
+   evaluator derives statistics from several domains at once. *)
 let derivation_cache : (int * int, t) Xia_xpath.Interner.Cache.t =
   Xia_xpath.Interner.Cache.create ()
 
-let derive_cached stats def =
+let derive_cached stats (def : Index_def.t) =
   Xia_xpath.Interner.Cache.find_or_compute derivation_cache
-    (Index_def.logical_id def, stats.Path_stats.generation)
-    (fun () -> derive stats def)
+    (def.lid, stats.Path_stats.generation)
+    derive stats def
 
 let pp ppf s =
   Fmt.pf ppf "{entries=%d; distinct=%d; docs=%d; size=%dB; leaves=%d; levels=%d}"

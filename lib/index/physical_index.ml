@@ -53,7 +53,7 @@ let key_of_value dtype value =
    accepts are indexed.  A state set that has died stays empty on every
    extension, so the walk skips that subtree without losing an entry. *)
 let guide labels (def : Index_def.t) =
-  let nfa = Xia_xpath.Pattern.nfa_of def.pattern in
+  let nfa = Xia_xpath.Pattern.nfa_of_id def.pid in
   let desc = Xia_xpath.Nfa.desc_mask nfa in
   let label set l =
     Xia_xpath.Nfa.advance_masks ~desc ~matches:(Xia_xpath.Nfa.match_mask nfa l) set

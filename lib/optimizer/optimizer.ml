@@ -63,12 +63,16 @@ let index_cost_factor = Atomic.make 1.0
 
 let perturbed cost = cost *. Atomic.get index_cost_factor
 
-(* Index matching: can this index serve this access?  Same table, same data
-   type, and the index pattern covers the access pattern. *)
-let index_matches (def : Index_def.t) (access : Rewriter.access) =
+(* Index matching: can this index serve this access, whose pattern id is
+   [access_pid]?  Same table, same data type, and the index pattern covers
+   the access pattern — asked of the coverage table by the two ids, so a
+   known pair allocates nothing. *)
+let matches (def : Index_def.t) (access : Rewriter.access) access_pid =
   String.equal def.table access.table
   && Index_def.equal_data_type def.dtype access.dtype
-  && Pattern.covers ~general:def.pattern ~specific:access.pattern
+  && Pattern.covers_id ~general:def.pid ~specific:access_pid
+
+let index_matches def (access : Rewriter.access) = matches def access (Pattern.id access.pattern)
 
 let avg_doc_pages (tstats : Path_stats.t) =
   if tstats.doc_count = 0 then 1.0
@@ -224,34 +228,21 @@ let prepare catalog (stmt : Ast.statement) =
     probes = Atomic.make [];
   }
 
-(* An index definition interned for matching. *)
-type index_ids = {
-  def : Index_def.t;
-  def_pid : int;
-  lid : int;
-}
+(* [index_matches] for a prepared access. *)
+let serves_access def (pa : prepared_access) = matches def pa.access pa.pid
 
-let index_ids (def : Index_def.t) =
-  { def; def_pid = Pattern.id def.pattern; lid = Index_def.logical_id def }
-
-(* [index_matches] over interned ids. *)
-let serves_access ix (pa : prepared_access) =
-  String.equal ix.def.table pa.access.table
-  && Index_def.equal_data_type ix.def.dtype pa.access.dtype
-  && Pattern.covers_id ~general:ix.def_pid ~specific:pa.pid
-
-let rec serves_any ix = function
+let rec serves_any def = function
   | [] -> false
-  | pa :: rest -> serves_access ix pa || serves_any ix rest
+  | pa :: rest -> serves_access def pa || serves_any def rest
 
-let serves p ix = serves_any ix p.accesses
+let serves p def = serves_any def p.accesses
 
-let scan_parts tstats (s : Index_stats.t) (def : Index_def.t) (access : Rewriter.access) =
+let scan_parts tstats (s : Index_stats.t) (def : Index_def.t) (pa : prepared_access) =
   if s.Index_stats.entries = 0 then { lookup = 0.0; docs_fetched = 0.0; frac = 0.0 }
   else begin
     let est =
-      Selectivity.lookup_estimate ~query:access.Rewriter.pattern tstats
-        def.Index_def.pattern def.Index_def.dtype access.condition
+      Selectivity.lookup_estimate ~query:pa.pid tstats def.pid def.dtype
+        pa.access.Rewriter.condition
     in
     let entries_scanned = est.Selectivity.entries_matched in
     let leaf_frac = entries_scanned /. float_of_int s.Index_stats.entries in
@@ -279,15 +270,15 @@ let rec find_probe key = function
   | [] -> absent
   | pr :: rest -> if pr.key = key then pr else find_probe key rest
 
-(* The memoized probe of index [ix] for access [pa] of [p]; the pair must
+(* The memoized probe of index [def] for access [pa] of [p]; the pair must
    match. *)
-let probe p (b : prepared_binding) ix (pa : prepared_access) =
-  let key = (ix.lid * p.slots) + pa.slot in
+let probe p (b : prepared_binding) (def : Index_def.t) (pa : prepared_access) =
+  let key = (def.lid * p.slots) + pa.slot in
   let pr = find_probe key (Atomic.get p.probes) in
   if pr != absent then pr
   else begin
-    let stats = Index_stats.derive_cached b.tstats ix.def in
-    let fresh = { key; stats; parts = scan_parts b.tstats stats ix.def pa.access } in
+    let stats = Index_stats.derive_cached b.tstats def in
+    let fresh = { key; stats; parts = scan_parts b.tstats stats def pa } in
     let rec publish () =
       let memo = Atomic.get p.probes in
       let pr = find_probe key memo in
@@ -300,7 +291,7 @@ let probe p (b : prepared_binding) ix (pa : prepared_access) =
 
 (* An index the planner may use, with whether it is virtual. *)
 type visible = {
-  ix : index_ids;
+  def : Index_def.t;
   is_virtual : bool;
 }
 
@@ -334,9 +325,9 @@ let plan_binding p indexes (b : prepared_binding) =
   let best_choice_for (pa : prepared_access) =
     List.fold_left
       (fun acc v ->
-        if not (serves_access v.ix pa) then acc
+        if not (serves_access v.def pa) then acc
         else begin
-          let pr = probe p b v.ix pa in
+          let pr = probe p b v.def pa in
           if pr.stats.Index_stats.entries = 0 then acc
           else begin
             let cost = index_scan_cost pr.parts in
@@ -345,7 +336,7 @@ let plan_binding p indexes (b : prepared_binding) =
             | Some (_, best_cost) when best_cost <= cost -> acc
             | Some _ | None ->
                 let choice =
-                  { Plan.def = v.ix.def; stats = pr.stats; access = pa.access;
+                  { Plan.def = v.def; stats = pr.stats; access = pa.access;
                     is_virtual = v.is_virtual }
                 in
                 Some ((choice, pr.parts), cost)
@@ -443,8 +434,8 @@ let plan_prepared ~indexes_of p =
       plan (locate_cost +. (affected *. per_doc)) affected
 
 (* Batch setup: per table the prepared statements touch, its visible
-   indexes, each interned once.  [Evaluate] keeps [virtual_config] order,
-   which is the tie-break order. *)
+   indexes.  [Evaluate] keeps [virtual_config] order, which is the
+   tie-break order. *)
 let visible_indexes mode ~virtual_config catalog (prepared : prepared array) =
   let tables =
     List.sort_uniq String.compare
@@ -460,12 +451,12 @@ let visible_indexes mode ~virtual_config catalog (prepared : prepared array) =
     | Normal ->
         List.map
           (fun pi ->
-            { ix = index_ids (Xia_index.Physical_index.def pi); is_virtual = false })
+            { def = Xia_index.Physical_index.def pi; is_virtual = false })
           (Catalog.real_indexes catalog table)
     | Evaluate ->
         List.filter_map
           (fun (d : Index_def.t) ->
-            if String.equal d.table table then Some { ix = index_ids d; is_virtual = true }
+            if String.equal d.table table then Some { def = d; is_virtual = true }
             else None)
           virtual_config
   in
@@ -538,36 +529,31 @@ let statement_cost ?mode ?virtual_config catalog stmt =
 (* The Enumerate Indexes mode.  A universal virtual index (for each data type
    and node kind) is put in place for every table the statement touches; the
    index-matching step then reports every access it matches.  The result is
-   the statement's basic candidate patterns. *)
-let universal_defs table =
-  [
-    Index_def.make ~name:("__univ_elem_str_" ^ table) ~table ~pattern:Pattern.universal
-      ~dtype:Index_def.Dstring ();
-    Index_def.make ~name:("__univ_elem_num_" ^ table) ~table ~pattern:Pattern.universal
-      ~dtype:Index_def.Ddouble ();
-    Index_def.make ~name:("__univ_attr_str_" ^ table) ~table ~pattern:Pattern.universal_attr
-      ~dtype:Index_def.Dstring ();
-    Index_def.make ~name:("__univ_attr_num_" ^ table) ~table ~pattern:Pattern.universal_attr
-      ~dtype:Index_def.Ddouble ();
-  ]
-
+   the statement's basic candidate patterns.  The universal indexes are
+   never built as definitions: an index of the access's own table and type
+   is there by construction, so matching asks only whether [//*] or [//@*]
+   covers the access pattern. *)
 let enumerate_indexes _catalog (stmt : Ast.statement) =
   Atomic.incr counters.enumerate_calls;
-  let universals = List.concat_map universal_defs (Ast.tables stmt) in
-  let accesses = Rewriter.indexable_accesses stmt in
-  let matched =
-    List.filter
-      (fun access -> List.exists (fun def -> index_matches def access) universals)
-      accesses
-  in
+  let elem = Pattern.id Pattern.universal and attr = Pattern.id Pattern.universal_attr in
+  let tables = Ast.tables stmt in
   let seen = Hashtbl.create 16 in
   List.filter_map
     (fun (a : Rewriter.access) ->
-      (* Dedup on interned ids; no key string is built. *)
-      let key = (Xia_xpath.Interner.label a.table, Pattern.id a.pattern, a.dtype) in
-      if Hashtbl.mem seen key then None
+      let pid = Pattern.id a.pattern in
+      if
+        not
+          (List.mem a.table tables
+          && (Pattern.covers_id ~general:elem ~specific:pid
+             || Pattern.covers_id ~general:attr ~specific:pid))
+      then None
       else begin
-        Hashtbl.add seen key ();
-        Some (a.table, a.pattern, a.dtype)
+        (* Dedup on interned ids; no key string is built. *)
+        let key = (Xia_xpath.Interner.label a.table, pid, a.dtype) in
+        if Hashtbl.mem seen key then None
+        else begin
+          Hashtbl.add seen key ();
+          Some (a.table, a.pattern, a.dtype)
+        end
       end)
-    matched
+    (Rewriter.indexable_accesses stmt)

@@ -58,15 +58,10 @@ type prepared
     @raise Invalid_argument when the statement names an unknown table. *)
 val prepare : Catalog.t -> Ast.statement -> prepared
 
-(** An index definition with its pattern and logical identity interned, for
-    repeated matching. *)
-type index_ids
-
-val index_ids : Index_def.t -> index_ids
-
 (** Can the index serve some access of the statement ({!index_matches} over
-    the prepared accesses)? *)
-val serves : prepared -> index_ids -> bool
+    the prepared accesses, from the definition's and the accesses' interned
+    pattern ids)? *)
+val serves : prepared -> Index_def.t -> bool
 
 (** Optimize a statement: {!prepare} it, then plan it once.  Default mode
     is [Evaluate].  [virtual_config] (default none) is the virtual-index
@@ -82,7 +77,7 @@ val statement_cost :
   ?mode:mode -> ?virtual_config:Index_def.t list -> Catalog.t -> Ast.statement -> float
 
 (** Batched what-if evaluation: plan every prepared statement against one
-    index setup — each visible index is interned once per call, not once
+    index setup — the visible indexes are gathered once per call, not once
     per statement (the paper's Section VI-C lever).  Results are positional
     and bit-for-bit identical to {!optimize} on each statement with the same
     [virtual_config]: on an exact cost tie the index listed first wins, in

@@ -45,7 +45,7 @@ let indexes_used plan =
   let seen = Hashtbl.create 8 in
   List.filter
     (fun (d : Index_def.t) ->
-      let k = Index_def.logical_id d in
+      let k = d.lid in
       if Hashtbl.mem seen k then false
       else begin
         Hashtbl.add seen k ();

@@ -53,12 +53,12 @@ let path_view dtype (info : Path_stats.path_info) =
         hist = info.histogram;
       }
 
-let path_views stats pattern dtype =
+let path_views stats pid dtype =
   List.filter_map
     (fun info ->
       let v = path_view dtype info in
       if v.entries = 0 then None else Some v)
-    (Path_stats.matching stats pattern)
+    (Path_stats.matching_id stats pid)
 
 (* Probability mass of cross-path string collisions: a string value drawn
    from the predicate's home domain hits an unrelated path's domain with
@@ -127,55 +127,50 @@ type lookup_estimate = {
 
 let empty_estimate = { entries_matched = 0.0; docs_matched = 0.0; total_entries = 0.0 }
 
-(* Expected matches of a condition against the key population of [pattern]
-   (per-path mixture; documents collapse binomially per path and are clamped
-   by the table's document count).  When [query] — the predicate's own
-   pattern — is given, string-equality contributions from paths outside the
-   query pattern are damped by [cross_path_collision]. *)
-let lookup_estimate ?query (stats : Path_stats.t) pattern dtype condition =
-  let views = path_views stats pattern dtype in
-  let string_eq_cond =
-    match condition with
-    | Xia_query.Rewriter.Ccompare ((Xp.Eq | Xp.Ne), Xp.String_lit _) -> true
-    | Xia_query.Rewriter.Ccompare (_, _) | Xia_query.Rewriter.Cexists -> false
-  in
-  let is_home v =
-    match query with
-    | Some q -> Xia_xpath.Pattern.accepts q v.path
-    | None -> true
-  in
-  (* Size of the home domain, for scaling cross-path collision mass. *)
-  let home_distinct =
-    let d =
-      List.fold_left (fun acc v -> if is_home v then acc + v.distinct else acc) 0 views
-    in
-    max 1 d
+(* Expected matches of a condition against the key population of the
+   pattern with id [pid] (per-path mixture; documents collapse binomially
+   per path and are clamped by the table's document count).  When [query] —
+   the id of the predicate's own pattern — is given, string-equality
+   contributions from paths outside the query pattern are damped by
+   [cross_path_collision].  Whether a path is the query's own ("home") is
+   an NFA walk, so it is decided once per path, and only for a string
+   equality or inequality, the conditions that ask. *)
+let lookup_estimate ?query (stats : Path_stats.t) pid dtype condition =
+  let views = path_views stats pid dtype in
+  let add acc v sel =
+    let entries = float_of_int v.entries in
+    let epd = Float.max 1.0 (entries /. float_of_int (max 1 v.docs)) in
+    let docs = float_of_int v.docs *. (1.0 -. ((1.0 -. sel) ** epd)) in
+    {
+      entries_matched = acc.entries_matched +. (sel *. entries);
+      docs_matched = acc.docs_matched +. docs;
+      total_entries = acc.total_entries +. entries;
+    }
   in
   let est =
-    List.fold_left
-      (fun acc v ->
-        let sel =
-          if string_eq_cond && not (is_home v) then begin
-            match condition with
-            | Xia_query.Rewriter.Ccompare (Xp.Ne, _) ->
-                (* Ne outside the home path still matches ~everything. *)
-                1.0
-            | _ ->
-                (* Eq: expected foreign hits per entry, uniform over the home
-                   domain. *)
-                Float.min 1.0 (cross_path_collision /. float_of_int home_distinct)
-          end
-          else path_selectivity v condition
+    match condition, query with
+    | Xia_query.Rewriter.Ccompare (((Xp.Eq | Xp.Ne) as cmp), Xp.String_lit _), Some q ->
+        let homes = List.map (fun v -> Xia_xpath.Pattern.accepts_id q v.path) views in
+        (* Size of the home domain, for scaling cross-path collision mass. *)
+        let home_distinct =
+          max 1
+            (List.fold_left2 (fun acc v home -> if home then acc + v.distinct else acc) 0 views homes)
         in
-        let entries = float_of_int v.entries in
-        let epd = Float.max 1.0 (entries /. float_of_int (max 1 v.docs)) in
-        let docs = float_of_int v.docs *. (1.0 -. ((1.0 -. sel) ** epd)) in
-        {
-          entries_matched = acc.entries_matched +. (sel *. entries);
-          docs_matched = acc.docs_matched +. docs;
-          total_entries = acc.total_entries +. entries;
-        })
-      empty_estimate views
+        let foreign =
+          match cmp with
+          | Xp.Ne ->
+              (* Ne outside the home path still matches ~everything. *)
+              1.0
+          | _ ->
+              (* Eq: expected foreign hits per entry, uniform over the home
+                 domain. *)
+              Float.min 1.0 (cross_path_collision /. float_of_int home_distinct)
+        in
+        List.fold_left2
+          (fun acc v home -> add acc v (if home then path_selectivity v condition else foreign))
+          empty_estimate views homes
+    | Xia_query.Rewriter.Ccompare (_, _), _ | Xia_query.Rewriter.Cexists, _ ->
+        List.fold_left (fun acc v -> add acc v (path_selectivity v condition)) empty_estimate views
   in
   { est with docs_matched = Float.min est.docs_matched (float_of_int stats.doc_count) }
 
@@ -183,7 +178,9 @@ let lookup_estimate ?query (stats : Path_stats.t) pattern dtype condition =
 let doc_fraction (stats : Path_stats.t) (access : Xia_query.Rewriter.access) =
   if stats.doc_count = 0 then 0.0
   else
-    let est = lookup_estimate stats access.pattern access.dtype access.condition in
+    let est =
+      lookup_estimate stats (Xia_xpath.Pattern.id access.pattern) access.dtype access.condition
+    in
     Float.min 1.0 (est.docs_matched /. float_of_int stats.doc_count)
 
 (* Fraction of documents satisfying a disjunctive filter (inclusion under

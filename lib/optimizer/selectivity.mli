@@ -32,9 +32,9 @@ val cross_path_collision : float
 
 val path_view : Index_def.data_type -> Path_stats.path_info -> path_view
 
-(** Covered paths with at least one typed entry. *)
-val path_views :
-  Path_stats.t -> Xia_xpath.Pattern.t -> Index_def.data_type -> path_view list
+(** Paths covered by the pattern with this interned id
+    ({!Xia_xpath.Pattern.id}) that hold at least one typed entry. *)
+val path_views : Path_stats.t -> int -> Index_def.data_type -> path_view list
 
 (** Fraction of one path's entries matching a condition. *)
 val path_selectivity : path_view -> Xia_query.Rewriter.condition -> float
@@ -47,13 +47,14 @@ type lookup_estimate = {
 
 val empty_estimate : lookup_estimate
 
-(** Expected matches of a condition against the key population of a
-    pattern.  [query] is the predicate's own pattern; when given,
-    string-equality contributions from paths outside it are damped. *)
+(** Expected matches of a condition against the key population of the
+    pattern with this interned id ({!Xia_xpath.Pattern.id}).  [query] is
+    the id of the predicate's own pattern; when given, string-equality
+    contributions from paths outside it are damped. *)
 val lookup_estimate :
-  ?query:Xia_xpath.Pattern.t ->
+  ?query:int ->
   Path_stats.t ->
-  Xia_xpath.Pattern.t ->
+  int ->
   Index_def.data_type ->
   Xia_query.Rewriter.condition ->
   lookup_estimate

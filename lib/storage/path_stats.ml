@@ -41,7 +41,7 @@ type t = {
   ordered : path_info list; (* deterministic order: by path key *)
   infos : path_info array;  (* [ordered] as an array (same order) *)
   trie : trie;
-  matching_cache : (int, path_info list) Xia_xpath.Interner.Cache.t;
+  matching_memo : path_info list Xia_xpath.Interner.Dense.t;
       (* pattern id -> covered paths; shared across domains (read-mostly) *)
 }
 
@@ -215,7 +215,7 @@ let collect store =
     ordered;
     infos;
     trie = build_trie infos;
-    matching_cache = Xia_xpath.Interner.Cache.create ~hash:Fun.id ~equal:Int.equal ();
+    matching_memo = Xia_xpath.Interner.Dense.create ();
   }
 
 (* Walks the trie; a label never interned is on no path. *)
@@ -271,15 +271,15 @@ let matching_walk t nfa =
     (fun i -> t.infos.(i))
     (List.sort compare !matched)
 
-(* Memoized per interned pattern id.  The cache lives in the stats object
-   itself — stats are immutable once collected and rebuilt wholesale by
-   RUNSTATS, so no table/generation key component is needed — and is shared
-   across domains (read-mostly), where the old per-domain [Domain.DLS] table
-   was duplicated per domain and cold after every spawn. *)
-let matching t pattern =
-  Xia_xpath.Interner.Cache.find_or_compute t.matching_cache
-    (Xia_xpath.Pattern.id pattern)
-    (fun () -> matching_walk t (Xia_xpath.Pattern.nfa_of pattern))
+(* Memoized per interned pattern id, in a table indexed by the id.  The
+   table lives in the stats object itself — stats are immutable once
+   collected and rebuilt wholesale by RUNSTATS, so no table/generation key
+   component is needed — and is shared across domains (read-mostly). *)
+let walk_id t pid = matching_walk t (Xia_xpath.Pattern.nfa_of_id pid)
+
+let matching_id t pid = Xia_xpath.Interner.Dense.find_or_compute t.matching_memo pid walk_id t
+
+let matching t pattern = matching_id t (Xia_xpath.Pattern.id pattern)
 
 let avg_value_bytes info =
   if info.node_count = 0 then 0.0

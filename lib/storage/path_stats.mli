@@ -31,7 +31,7 @@ type t = {
   ordered : path_info list;
   infos : path_info array;  (** [ordered] as an array (same order) *)
   trie : trie;
-  matching_cache : (int, path_info list) Xia_xpath.Interner.Cache.t;
+  matching_memo : path_info list Xia_xpath.Interner.Dense.t;
       (** pattern id → covered paths; shared, read-mostly *)
 }
 
@@ -50,5 +50,9 @@ val all_paths : t -> string list list
     single trie walk advancing the pattern's NFA state set once per shared
     label prefix.  Memoized per pattern id (shared across domains). *)
 val matching : t -> Xia_xpath.Pattern.t -> path_info list
+
+(** {!matching} by interned pattern id ({!Xia_xpath.Pattern.id}): a hit
+    allocates nothing. *)
+val matching_id : t -> int -> path_info list
 
 val avg_value_bytes : path_info -> float

@@ -81,40 +81,40 @@ let is_general_shape p = has_wildcard p || has_descendant p
 
 (* Interned pattern ids.  Interning is structural (over the step list), so
    obtaining a pattern's id never rebuilds its string key; everything
-   downstream — the NFA cache, the covers cache, path-matching memos,
-   benefit fingerprints — hashes the int instead.  Ids identify patterns
-   only; every user-visible ordering stays on the printable key. *)
+   downstream — the NFA table, the coverage table, path-matching memos,
+   benefit fingerprints — indexes or hashes the int instead.  Ids identify
+   patterns only; every user-visible ordering stays on the printable key. *)
 let interner : t Interner.t = Interner.create ~equal ()
 
 let id p = Interner.intern interner p
 
-(* Memo caches are shared and read-mostly ([Interner.Cache]): the parallel
-   what-if evaluator calls [covers]/[accepts] from several domains at once,
-   and the old per-domain ([Domain.DLS]) tables were duplicated per domain
-   and cold after every spawn.  Reads are lock-free; results are pure, so a
-   racing miss merely duplicates a computation. *)
-let nfa_cache : (int, Nfa.t) Interner.Cache.t =
-  Interner.Cache.create ~hash:Fun.id ~equal:Int.equal ()
+(* Both memo tables are shared across domains and indexed by pattern id
+   ([Interner.Dense], [Interner.Pairs]): the parallel what-if evaluator asks
+   [covers]/[accepts] from several domains at once.  Reads take no lock and
+   a hit allocates nothing; results are pure, so a racing miss merely
+   duplicates a computation. *)
+let nfas : Nfa.t Interner.Dense.t = Interner.Dense.create ()
 
-let nfa_of p =
-  Interner.Cache.find_or_compute nfa_cache (id p) (fun () ->
-      Nfa.of_steps (List.map (fun s -> (s.axis, s.test)) p))
+let compile () pid =
+  Nfa.of_steps (List.map (fun s -> (s.axis, s.test)) (Interner.value interner pid))
 
-let accepts p label_path = Nfa.accepts (nfa_of p) label_path
+let nfa_of_id pid = Interner.Dense.find_or_compute nfas pid compile ()
 
-(* Key of the (general, specific) pair: ids packed into one int.  Ids are
-   dense counters, far below 2^31 in any realistic run. *)
-let covers_cache : (int, bool) Interner.Cache.t =
-  Interner.Cache.create ~hash:Fun.id ~equal:Int.equal ()
+let nfa_of p = nfa_of_id (id p)
+
+let accepts_id pid label_path = Nfa.accepts (nfa_of_id pid) label_path
+
+let accepts p label_path = accepts_id (id p) label_path
+
+(* The coverage table: cell (general, specific) of a dense byte matrix. *)
+let coverage = Interner.Pairs.create ()
+
+let contained general specific = Nfa.contained (nfa_of_id specific) (nfa_of_id general)
 
 (* [covers ~general ~specific]: every node reachable by [specific] is also
    reachable by [general] (in any document). *)
 let covers_id ~general ~specific =
-  let k = (general lsl 31) lor specific in
-  Interner.Cache.find_or_compute covers_cache k (fun () ->
-      Nfa.contained
-        (nfa_of (Interner.value interner specific))
-        (nfa_of (Interner.value interner general)))
+  Interner.Pairs.find_or_compute coverage general specific contained
 
 let covers ~general ~specific = covers_id ~general:(id general) ~specific:(id specific)
 

@@ -55,20 +55,28 @@ val has_descendant : t -> bool
 (** [true] when the pattern can match more than one fixed label sequence. *)
 val is_general_shape : t -> bool
 
-(** The pattern's compiled automaton (memoized, shared across domains). *)
+(** The pattern's compiled automaton (memoized, shared across domains).
+    @raise Invalid_argument beyond 60 steps, as {!Nfa.of_steps}. *)
 val nfa_of : t -> Nfa.t
+
+(** {!nfa_of} by interned id (as from {!id}): a hit allocates nothing. *)
+val nfa_of_id : int -> Nfa.t
 
 (** Does the pattern match this concrete rooted label path?  (Attributes are
     labels spelled ["@name"].) *)
 val accepts : t -> string list -> bool
+
+(** {!accepts} by interned id. *)
+val accepts_id : int -> string list -> bool
 
 (** [covers ~general ~specific]: every node reachable by [specific] is
     reachable by [general], in any document.  Exact language containment;
     memoized. *)
 val covers : general:t -> specific:t -> bool
 
-(** {!covers} over interned ids (as from {!id}): no pattern is interned, so
-    a cached pair costs one memo lookup. *)
+(** {!covers} over interned ids (as from {!id}): a cell of a dense table
+    indexed by the two ids, computed once from the NFAs.  A known pair
+    allocates nothing. *)
 val covers_id : general:int -> specific:int -> bool
 
 val equivalent : t -> t -> bool

@@ -18,6 +18,7 @@ let exists_tree doc path =
   let p = packed doc in
   Xia_xpath.Eval.exists (Xia_xpath.Eval.path p.labels path) p
 let pattern s = Xia_xpath.Pattern.of_string s
+let pattern_id s = Xia_xpath.Pattern.id (pattern s)
 let statement s = Xia_query.Parser.parse_statement_exn s
 
 (* The paper's running-example document shape. *)

@@ -69,8 +69,9 @@ let index_scan_parts tstats (choice : Plan.index_choice) =
   let s = choice.stats in
   let entries = float_of_int s.Index_stats.entries in
   let est =
-    Selectivity.lookup_estimate ~query:choice.access.Rewriter.pattern tstats
-      choice.def.Index_def.pattern choice.def.Index_def.dtype
+    Selectivity.lookup_estimate
+      ~query:(Pattern.id choice.access.Rewriter.pattern)
+      tstats choice.def.Index_def.pid choice.def.Index_def.dtype
       choice.access.condition
   in
   let entries_scanned = est.Selectivity.entries_matched in

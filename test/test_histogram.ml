@@ -88,7 +88,7 @@ let selectivity_tests =
         let cond = R.Ccompare (Xia_xpath.Ast.Lt, Xia_xpath.Ast.Number_lit 100.0) in
         let est flag =
           with_histograms flag (fun () ->
-              (Sel.lookup_estimate stats (Helpers.pattern "/a/v") D.Ddouble cond)
+              (Sel.lookup_estimate stats (Helpers.pattern_id "/a/v") D.Ddouble cond)
                 .Sel.entries_matched)
         in
         (* truth: 900 of 1000 values are < 100 *)

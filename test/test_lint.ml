@@ -523,6 +523,30 @@ let r001_tests =
           "let f items =\n\
           \  let acc = ref 0 in\n\
           \  (Par.iter (fun x -> acc := x) items [@lint.allow \"R001\"])\n");
+    tc "raw module-level dense table written from a Par task" (fun () ->
+        (* The shape of the pattern-coverage table without its wrapper: a
+           byte cell per id pair, filled in from the parallel evaluator. *)
+        check_ids "D001 for the table, R001 at the write"
+          [ (1, "D001"); (2, "R001") ]
+          "let cells = Bytes.make 4096 '\\000'\n\
+           let mark i = Bytes.set cells i '\\002'\n\
+           let run ids = Par.iter mark ids\n");
+    tc "snapshot table published under a lock from a Par task is clean" (fun () ->
+        (* The [Interner.Pairs] discipline: readers take the Atomic snapshot,
+           the writer copies it under the mutex and publishes the copy, so
+           no save/restore pair (X001) and no raw global (R001) appear. *)
+        check_ids "clean" []
+          "let rows = Atomic.make [||]\n\
+           let lock = Mutex.create ()\n\
+           let publish a row =\n\
+          \  Mutex.lock lock;\n\
+          \  Fun.protect ~finally:(fun () -> Mutex.unlock lock) (fun () ->\n\
+          \      let current = Atomic.get rows in\n\
+          \      let next = Array.make (max (Array.length current) (a + 1)) Bytes.empty in\n\
+          \      Array.blit current 0 next 0 (Array.length current);\n\
+          \      next.(a) <- row;\n\
+          \      Atomic.set rows next)\n\
+           let run items = Par.iter (fun (a, row) -> publish a row) items\n");
   ]
 
 (* ---------------------------------------------------------------- R002 -- *)

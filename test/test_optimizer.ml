@@ -41,7 +41,7 @@ let selectivity_tests =
         let catalog = controlled_catalog () in
         let stats = Cat.stats catalog "T" in
         let est =
-          Sel.lookup_estimate stats (Helpers.pattern "/a/k") D.Dstring (eq_str "K03")
+          Sel.lookup_estimate stats (Helpers.pattern_id "/a/k") D.Dstring (eq_str "K03")
         in
         Alcotest.(check (float 0.5)) "entries" 10.0 est.Sel.entries_matched;
         Alcotest.(check (float 0.5)) "docs" 10.0 est.Sel.docs_matched);
@@ -49,7 +49,7 @@ let selectivity_tests =
         let catalog = controlled_catalog () in
         let stats = Cat.stats catalog "T" in
         let est =
-          Sel.lookup_estimate stats (Helpers.pattern "/a/v") D.Ddouble (gt_num 449.5)
+          Sel.lookup_estimate stats (Helpers.pattern_id "/a/v") D.Ddouble (gt_num 449.5)
         in
         (* v uniform 0..499; > 449.5 is ~10% *)
         Alcotest.(check bool) "about 50" true
@@ -58,22 +58,22 @@ let selectivity_tests =
         let catalog = controlled_catalog () in
         let stats = Cat.stats catalog "T" in
         let est =
-          Sel.lookup_estimate stats (Helpers.pattern "/a/v") D.Ddouble
+          Sel.lookup_estimate stats (Helpers.pattern_id "/a/v") D.Ddouble
             (R.Ccompare (Xia_xpath.Ast.Eq, Xia_xpath.Ast.Number_lit 5000.0))
         in
         Alcotest.(check (float 0.001)) "zero" 0.0 est.Sel.entries_matched);
     tc "exists matches everything on the path" (fun () ->
         let catalog = controlled_catalog () in
         let stats = Cat.stats catalog "T" in
-        let est = Sel.lookup_estimate stats (Helpers.pattern "/a/k") D.Dstring R.Cexists in
+        let est = Sel.lookup_estimate stats (Helpers.pattern_id "/a/k") D.Dstring R.Cexists in
         Alcotest.(check (float 0.5)) "entries" 500.0 est.Sel.entries_matched);
     tc "general index matches more entries than specific" (fun () ->
         let catalog = controlled_catalog () in
         let stats = Cat.stats catalog "T" in
-        let q = Helpers.pattern "/a/v" in
+        let q = Helpers.pattern_id "/a/v" in
         let spec = Sel.lookup_estimate ~query:q stats q D.Ddouble (gt_num 50.0) in
         let gen =
-          Sel.lookup_estimate ~query:q stats (Helpers.pattern "/a//*") D.Ddouble
+          Sel.lookup_estimate ~query:q stats (Helpers.pattern_id "/a//*") D.Ddouble
             (gt_num 50.0)
         in
         Alcotest.(check bool) "more" true
@@ -81,10 +81,10 @@ let selectivity_tests =
     tc "cross-path string-eq damping" (fun () ->
         let catalog = controlled_catalog () in
         let stats = Cat.stats catalog "T" in
-        let q = Helpers.pattern "/a/k" in
+        let q = Helpers.pattern_id "/a/k" in
         let spec = Sel.lookup_estimate ~query:q stats q D.Dstring (eq_str "K03") in
         let gen =
-          Sel.lookup_estimate ~query:q stats (Helpers.pattern "/a/*") D.Dstring
+          Sel.lookup_estimate ~query:q stats (Helpers.pattern_id "/a/*") D.Dstring
             (eq_str "K03")
         in
         (* The pad/v paths contribute only a tiny collision mass. *)

@@ -147,7 +147,7 @@ let interner_tests =
           List.init 4 (fun _ ->
               Domain.spawn (fun () ->
                   Array.init 50 (fun i ->
-                      Interner.Cache.find_or_compute cache (i mod 10) (compute (i mod 10)))))
+                      Interner.Cache.find_or_compute cache (i mod 10) compute (i mod 10) ())))
         in
         let results = List.map Domain.join workers in
         List.iter
