@@ -558,10 +558,9 @@ let catalog =
       id = "X001";
       title = "save/restore skipped on an exceptional path";
       detail =
-        "A saved value — let old = Atomic.get x, let old = !r, or let old = \
-         Catalog.virtual_indexes c — with a syntactically matching restore \
-         (Atomic.set x old / r := old / Catalog.set_virtual_indexes c old) \
-         later in the same scope is not restored on some exceptional path, \
+        "A saved value — let old = Atomic.get x or let old = !r — with a \
+         syntactically matching restore (Atomic.set x old / r := old) later \
+         in the same scope is not restored on some exceptional path, \
          leaking stale state to the next caller.  Perform the restore in a \
          Fun.protect ~finally.  Bindings with no matching restore anywhere \
          create no obligation: reading state without restoring it is not \

@@ -4,8 +4,7 @@
    forward may-analysis over a small product lattice:
 
      per-mutex lock state  (Unknown | NotHeld | Held provs | Mixed provs)
-   × pending save/restore obligations on Atomic.t / ref / catalog
-     virtual state
+   × pending save/restore obligations on Atomic.t / ref
 
    Mutexes are identified nominally by [Effects.sym]: the symbolic path of
    the lock expression ("pool.lock", "shard.lock").  Each toplevel binding
@@ -369,7 +368,7 @@ let rec thunk_body e =
    obligation is only tracked when a matching restore exists somewhere in
    the root (closures included — inlined finalizers are the common
    carrier). *)
-let scan_restores graph (u : Callgraph.unit_info) expr =
+let scan_restores expr =
   let tbl : (string * string, unit) Hashtbl.t = Hashtbl.create 4 in
   let record args =
     match Effects.nolabel_args args with
@@ -391,8 +390,6 @@ let scan_restores graph (u : Callgraph.unit_info) expr =
                 has_suffix ~suffix:[ "Atomic"; "set" ] path
                 || path = [ ":=" ]
                 || path = [ "Stdlib"; ":=" ]
-                || has_suffix ~suffix:[ "Catalog"; "set_virtual_indexes" ]
-                     (Callgraph.expand graph u path)
               then record args
           | _ -> ());
           Ast_iterator.default_iterator.expr it e);
@@ -401,9 +398,8 @@ let scan_restores graph (u : Callgraph.unit_info) expr =
   it.expr it expr;
   tbl
 
-(* A [let v = <save>] shape: Atomic.get / ! / Catalog.virtual_indexes of a
-   symbolic target. *)
-let save_shape ctx e =
+(* A [let v = <save>] shape: Atomic.get / ! of a symbolic target. *)
+let save_shape e =
   match e.pexp_desc with
   | Pexp_apply ({ pexp_desc = Pexp_ident lid; _ }, args) -> (
       let path = Longident.flatten lid.txt in
@@ -414,30 +410,23 @@ let save_shape ctx e =
             Some (s, Printf.sprintf "Atomic.get %s" s)
           else if path = [ "!" ] || path = [ "Stdlib"; "!" ] then
             Some (s, Printf.sprintf "!%s" s)
-          else if
-            has_suffix ~suffix:[ "Catalog"; "virtual_indexes" ]
-              (Callgraph.expand ctx.graph ctx.u path)
-          then Some (s, Printf.sprintf "Catalog.virtual_indexes %s" s)
           else None)
   | _ -> None
 
-(* The matching restore shape: Atomic.set x v / x := v /
-   Catalog.set_virtual_indexes c v where (sym x, v) is a tracked key. *)
+(* The matching restore shape: Atomic.set x v / x := v where (sym x, v) is
+   a tracked key. *)
 let restore_shape ctx path args =
-  let pair () =
+  if
+    has_suffix ~suffix:[ "Atomic"; "set" ] path
+    || path = [ ":=" ]
+    || path = [ "Stdlib"; ":=" ]
+  then
     match Effects.nolabel_args args with
     | [ target; value ] -> (
         match (Effects.sym target, ident_name value) with
         | Some s, Some v when Hashtbl.mem ctx.restores (s, v) -> Some (s, v)
         | _ -> None)
     | _ -> None
-  in
-  if has_suffix ~suffix:[ "Atomic"; "set" ] path then pair ()
-  else if path = [ ":=" ] || path = [ "Stdlib"; ":=" ] then pair ()
-  else if
-    has_suffix ~suffix:[ "Catalog"; "set_virtual_indexes" ]
-      (Callgraph.expand ctx.graph ctx.u path)
-  then pair ()
   else None
 
 let rec var_of_pattern p =
@@ -513,7 +502,7 @@ and walk_desc ctx ~cur ~exc e =
             ctx.stack := Suppress.allow_ids vb.pvb_attributes :: !(ctx.stack);
             let cur = walk ctx ~cur ~exc vb.pvb_expr in
             let cur =
-              match (var_of_pattern vb.pvb_pat, save_shape ctx vb.pvb_expr) with
+              match (var_of_pattern vb.pvb_pat, save_shape vb.pvb_expr) with
               | Some v, Some (s, what) when Hashtbl.mem ctx.restores (s, v) ->
                   let nd =
                     node ctx
@@ -937,7 +926,7 @@ let analyze_root ~graph ~eff ~raise_tbl ~opt_tbl ~lock_tbl ~queue ~record ~pair
       raise_tbl;
       opt_tbl;
       lock_tbl;
-      restores = scan_restores graph p.p_u p.p_expr;
+      restores = scan_restores p.p_expr;
       stack = ref p.p_stack;
       queue;
     }

@@ -3,8 +3,7 @@
     with explicit exceptional edges, and a forward may-analysis over a
     small product lattice — held locksets (nominal mutex identities,
     {!Effects.sym}) × pending save/restore obligations on
-    [Atomic.t]/[ref]/catalog virtual state.  This is the analyzer's only
-    lockset.
+    [Atomic.t]/[ref].  This is the analyzer's only lockset.
 
     - [R002] inconsistent mutex acquisition order: a mutex locked —
       directly, or by a call whose resolved targets transitively lock it —
@@ -18,9 +17,8 @@
       function exit without unlocking it (a bare [Mutex.lock]/[Mutex.unlock]
       pair not wrapped in a [Fun.protect]-style finalizer).
     - [X001] a save/restore idiom ([let old = Atomic.get x … Atomic.set x
-      old], [let old = !r … r := old], or the [Catalog.virtual_indexes] /
-      [Catalog.set_virtual_indexes] analogue) whose restore is skipped on
-      some exceptional path.
+      old] or [let old = !r … r := old]) whose restore is skipped on some
+      exceptional path.
     - [X002] [Mutex.unlock] on a path where the mutex is statically not
       held (double unlock, or unlock without a lock on this path).
 

@@ -383,8 +383,7 @@ let loc_key (loc : Location.t) =
 let catalog_mutators =
   [
     "add_table"; "create_index"; "drop_index"; "drop_all_indexes";
-    "refresh_indexes"; "set_virtual_indexes"; "clear_virtual_indexes";
-    "runstats"; "runstats_all";
+    "refresh_indexes"; "runstats"; "runstats_all";
   ]
 
 let store_mutators = [ "insert"; "delete"; "replace"; "update" ]

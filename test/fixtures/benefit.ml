@@ -2,7 +2,7 @@
    Named "benefit.ml" so the D003 what-if reentrancy check applies: the
    catalog mutation below is reachable from both toplevel functions. *)
 
-let install catalog defs = Catalog.set_virtual_indexes catalog defs
+let install catalog defs = Catalog.create_index catalog defs
 
 let benefit catalog defs =
   install catalog defs;

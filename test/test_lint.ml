@@ -177,7 +177,7 @@ let d003_tests =
   [
     tc "catalog mutation reachable in what-if module" (fun () ->
         let src =
-          "let install c defs = Catalog.set_virtual_indexes c defs\n\
+          "let install c defs = Catalog.create_index c defs\n\
            let benefit c defs = install c defs\n"
         in
         let fs = findings ~filename:"lib/core/benefit.ml" src in
@@ -191,13 +191,13 @@ let d003_tests =
           let rec scan i = i + n <= m && (String.sub msg i n = needle || scan (i + 1)) in
           scan 0
         in
-        Alcotest.(check bool) "names the mutator" true (has_sub "Catalog.set_virtual_indexes");
+        Alcotest.(check bool) "names the mutator" true (has_sub "Catalog.create_index");
         Alcotest.(check bool)
           "lists both entry points" true
           (has_sub "reachable from: benefit, install"));
     tc "same code outside what-if modules not hit" (fun () ->
         check_ids "clean" [] ~filename:"lib/core/search.ml"
-          "let install c defs = Catalog.set_virtual_indexes c defs\n");
+          "let install c defs = Catalog.create_index c defs\n");
     tc "warm_stats and reads are allowed" (fun () ->
         check_ids "clean" [] ~filename:"benefit.ml"
           "let prepare c = Catalog.warm_stats c\n\
@@ -402,10 +402,26 @@ let self_check_tests =
 
 (* ----------------------------------------- cross-unit call graph cases -- *)
 
+(* A lock-disciplined helper between a what-if caller and a mutator that
+   also touches a raw global: mutations propagate through lock discipline,
+   races do not. *)
+let locked_helper_project =
+  [
+    ( "helpers.ml",
+      "let m = Mutex.create ()\n\
+       let hits = ref 0\n\
+       let install c = hits := 1; Catalog.create_index c \"x\"\n\
+       let locked c =\n\
+      \  Mutex.lock m;\n\
+      \  Fun.protect ~finally:(fun () -> Mutex.unlock m) (fun () -> install c)\n\
+       let run cs = Par.iter locked cs\n" );
+    ("benefit.ml", "let evaluate c = Helpers.locked c\n");
+  ]
+
 let callgraph_tests =
   [
     tc "cross-unit D003 the per-file analysis provably missed" (fun () ->
-        let helpers = "let set c defs = Catalog.set_virtual_indexes c defs\n" in
+        let helpers = "let set c defs = Catalog.create_index c defs\n" in
         let benefit = "let evaluate c defs = Helpers.set c defs\n" in
         (* Either unit alone — the old per-file view — is clean: the mutator
            lives outside the what-if module, and the what-if module only
@@ -458,10 +474,32 @@ let callgraph_tests =
               "names the global and the call path" true
               (contains f.Finding.message "counter"
               && contains f.Finding.message "via tick")));
+    tc "cross-unit D003 propagates through a Mutex.lock helper" (fun () ->
+        with_temp_project locked_helper_project (fun dir ->
+            let d003 =
+              List.filter
+                (fun (f : Finding.t) -> f.id = "D003")
+                (Lint.lint_paths [ dir ]).findings
+            in
+            Alcotest.(check (list string))
+              "anchored at the mutator below the lock" [ "helpers.ml" ]
+              (List.map (fun (f : Finding.t) -> Filename.basename f.file) d003);
+            Alcotest.(check bool)
+              "the what-if caller above the lock is listed" true
+              (contains (List.hd d003).Finding.message "Benefit.evaluate")));
+    tc "the same Mutex.lock helper cuts R001" (fun () ->
+        with_temp_project locked_helper_project (fun dir ->
+            let report = Lint.lint_paths [ dir ] in
+            Alcotest.(check (list string))
+              "no R001 below the lock" []
+              (List.filter_map
+                 (fun (f : Finding.t) ->
+                   if f.id = "R001" then Some (Finding.to_string f) else None)
+                 report.findings)));
     tc "callgraph DOT is deterministic and shows the cross-unit edge" (fun () ->
         with_temp_project
           [
-            ("helpers.ml", "let set c defs = Catalog.set_virtual_indexes c defs\n");
+            ("helpers.ml", "let set c defs = Catalog.create_index c defs\n");
             ("benefit.ml", "let evaluate c defs = Helpers.set c defs\n");
           ]
           (fun dir ->
@@ -1339,7 +1377,7 @@ let effects_tests =
               "let log s = print_endline s\n\
                let choose tbl = Hashtbl.fold (fun k _ acc -> k :: acc) tbl []\n\
                let total f xs = List.fold_left ( +. ) 0.0 (List.map f xs)\n\
-               let install c = Catalog.set_virtual_indexes c []\n\
+               let install c = Catalog.create_index c []\n\
                let run c tbl = log \"go\"; install c; List.length (choose tbl)\n" );
           ]
           (fun dir ->
