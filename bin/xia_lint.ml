@@ -89,7 +89,8 @@ let () =
   let allow =
     if !allow_file = "" then []
     else
-      match Suppress.load_allow_file !allow_file with
+      let known = List.map (fun c -> c.Checks.id) Checks.catalog in
+      match Suppress.load_allow_file ~known !allow_file with
       | Ok entries -> entries
       | Error msgs ->
           List.iter (Printf.eprintf "xia_lint: %s\n") msgs;

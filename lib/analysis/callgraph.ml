@@ -195,10 +195,10 @@ type t = {
   aliases : (string, (string, string list) Hashtbl.t) Hashtbl.t;  (* unit path *)
   opens : (string, string list list) Hashtbl.t;                   (* unit path *)
   succ : (string * string, (string * string) list) Hashtbl.t;
-  pred : (string * string, (string * string) list) Hashtbl.t;
 }
 
 let key n = (n.u.path, n.name)
+let by_key a b = compare (key a) (key b)
 
 let units t = t.units
 let nodes t = t.node_list
@@ -286,11 +286,6 @@ let succs t n =
     (fun k -> Hashtbl.find_opt t.node_tbl k)
     (Option.value ~default:[] (Hashtbl.find_opt t.succ (key n)))
 
-let preds t n =
-  List.filter_map
-    (fun k -> Hashtbl.find_opt t.node_tbl k)
-    (Option.value ~default:[] (Hashtbl.find_opt t.pred (key n)))
-
 let build units_in =
   let units = List.sort (fun a b -> String.compare a.path b.path) units_in in
   let node_tbl = Hashtbl.create 256 in
@@ -333,7 +328,6 @@ let build units_in =
       aliases;
       opens;
       succ = Hashtbl.create 256;
-      pred = Hashtbl.create 256;
     }
   in
   (* Edges: every [Pexp_ident] in a node's body that resolves to other nodes.
@@ -361,14 +355,72 @@ let build units_in =
       in
       it.expr it n.expr;
       let tks = List.sort compare (Hashtbl.fold (fun k () acc -> k :: acc) targets []) in
-      Hashtbl.replace t.succ (key n) tks;
-      List.iter
-        (fun tk ->
-          Hashtbl.replace t.pred tk
-            (Option.value ~default:[] (Hashtbl.find_opt t.pred tk) @ [ key n ]))
-        tks)
+      Hashtbl.replace t.succ (key n) tks)
     t.node_list;
   t
+
+(* -------------------------------------------------- the transitive engine -- *)
+
+(* Every transitive fact of the analyzer is one of two queries over an edge
+   set the caller picks (resolved calls, uncaught calls, inverted calls).
+
+   [fixpoint ~succ ~join local] is the least solution of
+   [fact n = local n ⊔ fact c] over every [c] in [succ n], computed on
+   demand and memoized.  One Tarjan pass: the members of a strongly
+   connected component share the join of their local facts and of the
+   facts of the components they call, so recursion needs no iteration.
+   [join] must be a semilattice join (associative, commutative,
+   idempotent). *)
+let fixpoint ~succ ~join local =
+  let fact = Hashtbl.create 64 and low = Hashtbl.create 64 in
+  let stack = ref [] and counter = ref 0 in
+  let rec visit n =
+    let k = key n and index = !counter in
+    incr counter;
+    Hashtbl.replace low k index;
+    let own = ref (local n) in
+    stack := (k, own) :: !stack;
+    List.iter
+      (fun c ->
+        let ck = key c in
+        if not (Hashtbl.mem low ck) then visit c;
+        match Hashtbl.find_opt fact ck with
+        | Some f -> own := join !own f
+        | None -> Hashtbl.replace low k (min (Hashtbl.find low k) (Hashtbl.find low ck)))
+      (succ n);
+    if Hashtbl.find low k = index then begin
+      let rec split members = function
+        | ((k', _) as top) :: rest when k' = k -> (top :: members, rest)
+        | top :: rest -> split (top :: members) rest
+        | [] -> (members, [])
+      in
+      let members, rest = split [] !stack in
+      stack := rest;
+      let f = List.fold_left (fun acc (_, o) -> join acc !o) !own members in
+      List.iter (fun (k', _) -> Hashtbl.replace fact k' f) members
+    end
+  in
+  fun n ->
+    if not (Hashtbl.mem low (key n)) then visit n;
+    Hashtbl.find fact (key n)
+
+(* [reach ~succ ~cut root]: every node a depth-first walk from [root]
+   enters, in entry order, each with its trail — the nodes from [root]
+   down to the one it was entered from ([] for the root).  Callees are
+   taken in key order, and the walk never enters a node where [cut]
+   holds, the root included. *)
+let reach ~succ ~cut root =
+  let seen = Hashtbl.create 64 in
+  let out = ref [] in
+  let rec visit trail n =
+    if not (Hashtbl.mem seen (key n) || cut n) then begin
+      Hashtbl.replace seen (key n) ();
+      out := (n, List.rev trail) :: !out;
+      List.iter (visit (n :: trail)) (List.sort by_key (succ n))
+    end
+  in
+  visit [] root;
+  List.rev !out
 
 (* ------------------------------------------------------------------ DOT -- *)
 
@@ -378,7 +430,7 @@ let to_dot t =
   let buf = Buffer.create 4096 in
   Buffer.add_string buf "digraph callgraph {\n";
   Buffer.add_string buf "  rankdir=LR;\n  node [shape=box, fontsize=10];\n";
-  let sorted = List.sort (fun a b -> compare (key a) (key b)) t.node_list in
+  let sorted = List.sort by_key t.node_list in
   List.iter
     (fun n ->
       Buffer.add_string buf

@@ -40,6 +40,9 @@ val find_node : t -> unit_path:string -> name:string -> node option
 (** Stable node identity: [(unit path, binding name)]. *)
 val key : node -> string * string
 
+(** Compare nodes by {!key}. *)
+val by_key : node -> node -> int
+
 (** Alias-expand the leading components of a dotted path as seen from a
     unit (e.g. [\["Catalog"; "stats"\]] to
     [\["Xia_index"; "Catalog"; "stats"\]]). *)
@@ -51,7 +54,27 @@ val expand : t -> unit_info -> string list -> string list
 val resolve : t -> unit_info -> string list -> node list
 
 val succs : t -> node -> node list
-val preds : t -> node -> node list
+
+(** {1 The transitive engine}
+
+    Every transitive fact of the analyzer is a query over an edge set the
+    caller picks — resolved calls ({!Effects.calls}), calls in uncaught
+    positions, or calls inverted into caller edges. *)
+
+(** [fixpoint ~succ ~join local] is the least solution of
+    [fact n = local n ⊔ fact c] over every [c] in [succ n], computed on
+    demand (one Tarjan pass per strongly connected component) and
+    memoized.  [join] must be associative, commutative and idempotent. *)
+val fixpoint :
+  succ:(node -> node list) -> join:('a -> 'a -> 'a) -> (node -> 'a) -> node -> 'a
+
+(** [reach ~succ ~cut root]: every node a depth-first walk from [root]
+    enters, in entry order, each with its trail — the nodes from [root]
+    down to the one it was entered from ([\[\]] for the root).  Callees
+    are taken in key order; the walk never enters a node where [cut]
+    holds, the root included. *)
+val reach :
+  succ:(node -> node list) -> cut:(node -> bool) -> node -> (node * node list) list
 
 (** Deterministic Graphviz rendering (nodes and edges sorted). *)
 val to_dot : t -> string

@@ -5,10 +5,11 @@
 
    Unit-local checks (this file): D001, D002, D004, H002 and R003 walk one
    compilation unit's parsetree; H001 is filesystem-level.  Whole-program
-   checks: D003, N001, E001 and E002 (below) are queries over the
-   interprocedural effect summaries computed by [Effects] on the
-   cross-unit call graph built by [Callgraph]; R001 and N002 live in
-   [Races] on the same summaries, R002 and the L/X-series in [Dataflow].
+   checks: N001 and E001 (below) read the local sites [Effects] records
+   per binding of the cross-unit call graph built by [Callgraph]; D003 and
+   E002 are [Callgraph.reach] queries over the same call lists — backwards
+   from each mutator site, forwards from the batch roots.  R001 and N002
+   live in [Races], R002 and the L/X-series in [Dataflow].
 
    Identifier references are matched on [Longident] paths after module-alias
    expansion through the graph — full name resolution (shadowing, functors,
@@ -186,25 +187,37 @@ let check_exprs ~notes ~d004 structure =
 (* ---------------------------------------------------------------- D003 -- *)
 
 (* Whole-program D003: a catalog/store mutator site — in any unit — fires
-   when some binding of a what-if module carries it in its effect summary,
-   i.e. can reach it through the cross-unit call graph.  [Effects] matches
-   mutator paths after alias expansion ([Catalog.runstats],
+   when some binding of a what-if module can reach it through the
+   cross-unit call graph: a reverse [Callgraph.reach] from the site's host
+   over caller edges (the inverted [Effects.calls]), with no cut — a mutex
+   does not make a what-if mutation acceptable.  [Effects] matches mutator
+   paths after alias expansion ([Catalog.runstats],
    [Xia_index.Catalog.runstats], or any local alias of either), so the
    check polices the catalog/store API boundary; mutation smuggled through
    an unqualified internal helper of the mutated module itself is out of
-   reach (DESIGN.md §5f).  The reachable-entries list in the message names
-   every binding whose summary contains the site ([mutation_entries], the
-   pass's reverse index — the site's host included), qualified with the
-   unit module name when it lives in another unit. *)
+   reach (DESIGN.md §5f).  The message lists every binding the reverse
+   walk enters, the host included, qualified with the unit module name
+   when it lives in another unit. *)
 let check_d003_program eff graph =
-  let is_whatif (u : Callgraph.unit_info) = List.mem u.basename whatif_modules in
+  let is_whatif (r : Callgraph.node) = List.mem r.u.basename whatif_modules in
+  let callers = Hashtbl.create 256 in
+  let callers_of c = Option.value ~default:[] (Hashtbl.find_opt callers (Callgraph.key c)) in
+  List.iter
+    (fun n ->
+      List.iter
+        (fun c -> Hashtbl.replace callers (Callgraph.key c) (n :: callers_of c))
+        (Effects.calls eff n))
+    (Callgraph.nodes graph);
   List.concat_map
     (fun (n : Callgraph.node) ->
-      List.filter_map
-        (fun (s : Effects.site) ->
-          let hosts = Effects.mutation_entries eff s.s_loc in
-          if not (List.exists (fun (r : Callgraph.node) -> is_whatif r.u) hosts) then
-            None
+      match Effects.local_mutations eff n with
+      | [] -> []
+      | sites ->
+          let hosts =
+            List.map fst
+              (Callgraph.reach ~succ:callers_of ~cut:(fun _ -> false) n)
+          in
+          if not (List.exists is_whatif hosts) then []
           else
             let entries =
               List.map
@@ -214,15 +227,17 @@ let check_d003_program eff graph =
                 hosts
               |> List.sort String.compare
             in
-            let message =
-              Printf.sprintf
-                "catalog/store mutation %s on a what-if evaluation path (in %s, \
-                 reachable from: %s); what-if evaluation must not mutate shared \
-                 state — pass ?virtual_config instead"
-                s.s_what n.name (String.concat ", " entries)
-            in
-            Some (Finding.of_location ~id:"D003" ~message s.s_loc))
-        (Effects.local_mutations eff n))
+            List.map
+              (fun (s : Effects.site) ->
+                let message =
+                  Printf.sprintf
+                    "catalog/store mutation %s on a what-if evaluation path (in %s, \
+                     reachable from: %s); what-if evaluation must not mutate shared \
+                     state — pass ?virtual_config instead"
+                    s.s_what n.name (String.concat ", " entries)
+                in
+                Finding.of_location ~id:"D003" ~message s.s_loc)
+              sites)
     (Callgraph.nodes graph)
 
 (* --------------------------------------------------------- N001 & E-series -- *)
@@ -291,14 +306,16 @@ let e002_message what root via =
     what root
     (match via with [] -> "" | _ -> " via " ^ String.concat " -> " via)
 
-(* E002: walk the call closure of every [batch_roots] binding (the
-   virtual-config what-if path) and flag raw shared-state writes.  Cuts:
-   [warm_stats] and the optimizer's [prepare] (which binds a statement to
-   the statistics warmed before it) are the sanctioned synchronization
-   points,
-   lib/obs and the Par runtime are instrumentation/scheduling, and a
-   lock-disciplined callee (Mutex body or [@lint.allow "R001"]) manages its
-   own state.  Atomic writes never produce witnesses in the first place. *)
+(* E002: a [Callgraph.reach] from every [batch_roots] binding (the
+   virtual-config what-if path) over the resolved calls, flagging raw
+   shared-state writes with the trail that led to their host (host
+   excluded).  Cuts: [warm_stats] and the optimizer's [prepare] (which
+   binds a statement to the statistics warmed before it) are the
+   sanctioned synchronization points, lib/obs and the Par runtime are
+   instrumentation/scheduling, and a lock-disciplined callee (Mutex body
+   or [@lint.allow "R001"]) manages its own state.  The root itself is
+   never cut.  Atomic writes never produce witnesses in the first
+   place. *)
 let check_e002_program eff graph =
   let sanctioned (m : Callgraph.node) =
     String.equal m.name "warm_stats"
@@ -326,19 +343,12 @@ let check_e002_program eff graph =
   in
   List.iter
     (fun (root : Callgraph.node) ->
-      let seen = Hashtbl.create 64 in
-      let rec visit via (m : Callgraph.node) =
-        let k = Callgraph.key m in
-        if not (Hashtbl.mem seen k) then begin
-          Hashtbl.replace seen k ();
-          List.iter (emit root.name via) (Effects.local_writes eff m);
-          let via' = via @ [ m.name ] in
-          List.iter
-            (fun (c : Callgraph.node) -> if not (sanctioned c) then visit via' c)
-            (Effects.calls eff m)
-        end
-      in
-      visit [] root)
+      let cut m = Callgraph.key m <> Callgraph.key root && sanctioned m in
+      List.iter
+        (fun ((m : Callgraph.node), trail) ->
+          let via = List.map (fun (v : Callgraph.node) -> v.name) trail in
+          List.iter (emit root.name via) (Effects.local_writes eff m))
+        (Callgraph.reach ~succ:(Effects.calls eff) ~cut root))
     roots;
   List.rev !findings
 

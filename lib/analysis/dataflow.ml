@@ -11,8 +11,8 @@
    and each closure body is a separate analysis root entered with an
    Unknown lockset — held-ness does not flow through calls (documented
    incompleteness; DESIGN.md §5k).  What a call may lock does: the callee
-   lock sets are a transitive fixpoint over the Effects call lists, and a
-   call reaching any becomes an Acquire event.
+   lock sets are a [Callgraph.fixpoint] (set union) over the Effects call
+   lists, and a call reaching any becomes an Acquire event.
 
    Exceptional edges:
    - [raise]/[failwith]/[invalid_arg]/[assert] divert to the current
@@ -21,8 +21,9 @@
    - A call may raise unless it is in a closed whitelist of known-total
      primitives (Mutex/Condition/Atomic operations, [!]/[:=], comparison
      and integer/float arithmetic except [/] and [mod]) or every resolved
-     target's can-raise summary — a per-binding syntactic fixpoint over
-     the call graph — is clear.  Unresolved calls (stdlib containers,
+     target's can-raise bit is clear — a [Callgraph.fixpoint] (boolean or)
+     over each binding's calls in uncaught positions, seeded by a
+     syntactic walk of its body.  Unresolved calls (stdlib containers,
      local closures, computed heads) are assumed to raise: Hashtbl/Queue
      bodies under a lock need a finalizer, and that is the point.
    - [try]/[match]-with-[exception] handlers catch the body's exceptional
@@ -41,8 +42,8 @@
            both orientations is an inversion, reported at each site with
            the earliest opposite site, and (a, a) a self-deadlock.
    - L001  a Blocking event (PerformsIO per the Effects summaries, or an
-           Optimizer.optimize* entry, transitively) while any mutex is
-           may-held.
+           Optimizer.optimize* entry, reached through a third
+           [Callgraph.fixpoint]) while any mutex is may-held.
    - L002  at the root's exceptional exit, a mutex is still may-held:
            reported once per contributing lock site.
    - X001  at the root's exceptional exit, a save/restore obligation is
@@ -153,53 +154,39 @@ let iter_child_exprs f e =
   in
   Ast_iterator.default_iterator.expr it e
 
-(* Per-binding can-raise fixpoint: a syntactic walk of each body modelling
-   [try]-with-catch-all, deferring closure bodies, and resolving calls
-   through the graph; iterated until no summary flips.  Unresolved calls
-   are assumed to raise. *)
-let compute_raises graph =
-  let nodes = Callgraph.nodes graph in
-  let tbl : (string * string, bool) Hashtbl.t =
-    Hashtbl.create (2 * List.length nodes)
+(* The can-raise walk of one binding body, modelling [try]-with-catch-all
+   and deferring closure bodies: whether some uncaught position raises
+   whatever its callees do (an explicit raiser, [assert], a computed or
+   unresolved call), plus the resolved callees in uncaught positions —
+   the binding raises iff the first holds or one of those does. *)
+let raise_walk graph (n : Callgraph.node) =
+  let local = ref false and callees = ref [] in
+  let call path =
+    if raiser path then local := true
+    else if not (never_raises path) then
+      match Callgraph.resolve graph n.u path with
+      | [] -> local := true
+      | targets -> callees := List.rev_append targets !callees
   in
-  List.iter (fun n -> Hashtbl.replace tbl (Callgraph.key n) false) nodes;
-  let call_raises u path =
-    if raiser path then true
-    else if never_raises path then false
-    else
-      match Callgraph.resolve graph u path with
-      | [] -> true
-      | targets ->
-          List.exists
-            (fun t ->
-              match Hashtbl.find_opt tbl (Callgraph.key t) with
-              | Some b -> b
-              | None -> true)
-            targets
-  in
-  let rec raises u e =
+  let rec walk e =
     match e.pexp_desc with
-    | Pexp_fun _ | Pexp_function _ | Pexp_lazy _ | Pexp_newtype _ -> false
-    | Pexp_ident _ | Pexp_constant _ -> false
-    | Pexp_assert _ -> true
+    | Pexp_fun _ | Pexp_function _ | Pexp_lazy _ | Pexp_newtype _ -> ()
+    | Pexp_ident _ | Pexp_constant _ -> ()
+    | Pexp_assert _ -> local := true
     | Pexp_try (b, cases) ->
-        let in_cases =
-          List.exists
-            (fun c ->
-              (match c.pc_guard with Some g -> raises u g | None -> false)
-              || raises u c.pc_rhs)
-            cases
-        in
-        if List.exists catch_all_case cases then in_cases
-        else raises u b || in_cases
+        cases_walk cases;
+        if not (List.exists catch_all_case cases) then walk b
     | Pexp_apply ({ pexp_desc = Pexp_ident lid; _ }, args) ->
-        List.exists (fun (_, a) -> raises u a) args
-        || call_raises u (Longident.flatten lid.txt)
-    | Pexp_apply (_, _) -> true (* computed callee *)
-    | _ ->
-        let acc = ref false in
-        iter_child_exprs (fun c -> if raises u c then acc := true) e;
-        !acc
+        List.iter (fun (_, a) -> walk a) args;
+        call (Longident.flatten lid.txt)
+    | Pexp_apply (_, _) -> local := true (* computed callee *)
+    | _ -> iter_child_exprs walk e
+  and cases_walk cases =
+    List.iter
+      (fun c ->
+        Option.iter walk c.pc_guard;
+        walk c.pc_rhs)
+      cases
   in
   let rec body_of e =
     match e.pexp_desc with
@@ -207,34 +194,9 @@ let compute_raises graph =
     | Pexp_constraint (b, _) | Pexp_coerce (b, _, _) -> body_of b
     | _ -> e
   in
-  let changed = ref true in
-  while !changed do
-    changed := false;
-    List.iter
-      (fun (n : Callgraph.node) ->
-        let k = Callgraph.key n in
-        if not (Hashtbl.find tbl k) then begin
-          let b = body_of n.Callgraph.expr in
-          let r =
-            match b.pexp_desc with
-            | Pexp_function cases ->
-                List.exists
-                  (fun c ->
-                    (match c.pc_guard with
-                    | Some g -> raises n.Callgraph.u g
-                    | None -> false)
-                    || raises n.Callgraph.u c.pc_rhs)
-                  cases
-            | _ -> raises n.Callgraph.u b
-          in
-          if r then begin
-            Hashtbl.replace tbl k true;
-            changed := true
-          end
-        end)
-      nodes
-  done;
-  tbl
+  let b = body_of n.expr in
+  (match b.pexp_desc with Pexp_function cases -> cases_walk cases | _ -> walk b);
+  (!local, !callees)
 
 (* --------------------------------------------- blocking classification -- *)
 
@@ -272,34 +234,6 @@ let direct_locks (n : Callgraph.node) =
   List.sort_uniq String.compare !acc
 
 let union_syms a b = if b = [] then a else List.sort_uniq String.compare (a @ b)
-
-(* One fixpoint for every transitive fact over the resolved Effects call
-   lists: [fact n = local n ⊔ fact c] for each callee [c], iterated until
-   nothing changes.  Used for optimizer reach (is some optimize* entry
-   reachable?) and callee lock sets (which mutexes may a call take?). *)
-let transitive graph eff ~join local =
-  let nodes = Callgraph.nodes graph in
-  let tbl = Hashtbl.create (2 * List.length nodes) in
-  List.iter (fun n -> Hashtbl.replace tbl (Callgraph.key n) (local n)) nodes;
-  let callees =
-    List.map
-      (fun n -> (Callgraph.key n, List.map Callgraph.key (Effects.calls eff n)))
-      nodes
-  in
-  let changed = ref true in
-  while !changed do
-    changed := false;
-    List.iter
-      (fun (k, cs) ->
-        let cur = Hashtbl.find tbl k in
-        let next = List.fold_left (fun acc c -> join acc (Hashtbl.find tbl c)) cur cs in
-        if next <> cur then begin
-          Hashtbl.replace tbl k next;
-          changed := true
-        end)
-      callees
-  done;
-  tbl
 
 (* ----------------------------------------------------- CFG construction -- *)
 
@@ -339,9 +273,9 @@ type ctx = {
   graph : Callgraph.t;
   eff : Effects.t;
   u : Callgraph.unit_info;
-  raise_tbl : (string * string, bool) Hashtbl.t;
-  opt_tbl : (string * string, bool) Hashtbl.t;
-  lock_tbl : (string * string, string list) Hashtbl.t;
+  raises : Callgraph.node -> bool;          (* can-raise, transitively *)
+  reaches_optimizer : Callgraph.node -> bool;
+  locks : Callgraph.node -> string list;    (* mutexes a call may take *)
   restores : (string * string, unit) Hashtbl.t;  (* (sym, var) in this root *)
   stack : string list list ref;
   queue : pending Queue.t;        (* closure roots discovered while walking *)
@@ -447,7 +381,7 @@ let blocking_of_call ctx path expanded targets =
     | _ ->
         List.find_map
           (fun (t : Callgraph.node) ->
-            if Hashtbl.find_opt ctx.opt_tbl (Callgraph.key t) = Some true then
+            if ctx.reaches_optimizer t then
               Some (Printf.sprintf "%s reaches an optimizer entry" t.name)
             else if List.mem Effects.Performs_io (Effects.total_effects ctx.eff t)
             then Some (Printf.sprintf "%s performs IO" t.name)
@@ -634,13 +568,7 @@ and walk_call ctx ~cur ~exc e path args =
     | Some (`Unlock, s) -> step cur (Unlock { usym = s; uloc = e.pexp_loc; usup = sup "X002" })
     | None -> (
         let targets = Callgraph.resolve ctx.graph ctx.u path in
-        let callee_locks =
-          List.fold_left
-            (fun acc t ->
-              union_syms acc
-                (Option.value ~default:[] (Hashtbl.find_opt ctx.lock_tbl (Callgraph.key t))))
-            [] targets
-        in
+        let callee_locks = List.fold_left (fun acc t -> union_syms acc (ctx.locks t)) [] targets in
         let cur =
           if callee_locks = [] then cur
           else step cur (Acquire { asyms = callee_locks; aloc = e.pexp_loc; asup = sup "R002" })
@@ -655,12 +583,7 @@ and walk_call ctx ~cur ~exc e path args =
           | None when never_raises path -> cur
           | None -> (
               let expanded = Callgraph.expand ctx.graph ctx.u path in
-              let may_raise =
-                targets = []
-                || List.exists
-                     (fun t -> Hashtbl.find_opt ctx.raise_tbl (Callgraph.key t) <> Some false)
-                     targets
-              in
+              let may_raise = targets = [] || List.exists ctx.raises targets in
               match blocking_of_call ctx path expanded targets with
               | Some what ->
                   let nd =
@@ -914,7 +837,7 @@ let run_analysis ctx ~entry ~exit_x ~record ~pair =
 
 (* --------------------------------------------------------------- roots -- *)
 
-let analyze_root ~graph ~eff ~raise_tbl ~opt_tbl ~lock_tbl ~queue ~record ~pair
+let analyze_root ~graph ~eff ~raises ~reaches_optimizer ~locks ~queue ~record ~pair
     (p : pending) =
   let g = { n = 0; evs = []; edges = [] } in
   let ctx =
@@ -923,9 +846,9 @@ let analyze_root ~graph ~eff ~raise_tbl ~opt_tbl ~lock_tbl ~queue ~record ~pair
       graph;
       eff;
       u = p.p_u;
-      raise_tbl;
-      opt_tbl;
-      lock_tbl;
+      raises;
+      reaches_optimizer;
+      locks;
       restores = scan_restores p.p_expr;
       stack = ref p.p_stack;
       queue;
@@ -994,9 +917,15 @@ let r002_findings pairs =
     pairs []
 
 let check graph eff =
-  let raise_tbl = compute_raises graph in
-  let opt_tbl = transitive graph eff ~join:( || ) optimizer_entry_node in
-  let lock_tbl = transitive graph eff ~join:union_syms direct_locks in
+  let walks = Hashtbl.create 256 in
+  List.iter
+    (fun n -> Hashtbl.replace walks (Callgraph.key n) (raise_walk graph n))
+    (Callgraph.nodes graph);
+  let walk n = Hashtbl.find walks (Callgraph.key n) in
+  let raises = Callgraph.fixpoint ~succ:(fun n -> snd (walk n)) ~join:( || ) (fun n -> fst (walk n)) in
+  let calls = Effects.calls eff in
+  let reaches_optimizer = Callgraph.fixpoint ~succ:calls ~join:( || ) optimizer_entry_node in
+  let locks = Callgraph.fixpoint ~succ:calls ~join:union_syms direct_locks in
   (* Deduplicated sticky findings: keyed by (id, location); the final
      transfer of a node runs with its final (largest) in-state, so the
      last write carries the complete message. *)
@@ -1025,7 +954,7 @@ let check graph eff =
         queue)
     (Callgraph.nodes graph);
   while not (Queue.is_empty queue) do
-    analyze_root ~graph ~eff ~raise_tbl ~opt_tbl ~lock_tbl ~queue ~record ~pair
+    analyze_root ~graph ~eff ~raises ~reaches_optimizer ~locks ~queue ~record ~pair
       (Queue.pop queue)
   done;
   List.sort Finding.compare

@@ -21,39 +21,37 @@
                        deterministic and exempt), raw clock reads, float
                        accumulation into shared state
 
-   [Pure] is the empty set.  Local facts are joined bottom-up through the
-   graph to a fixpoint: the lattice is finite and witness tables only gain
-   keys, so sweeps terminate through recursion; module aliases are already
-   expanded by [Callgraph.resolve]; an ambiguous reference joins the
-   summaries of every plausible target.
+   [Pure] is the empty set.  One scan of each body yields its local flags
+   and local witness sites; the total flags are the pass's one transitive
+   fact, a [Callgraph.fixpoint] of [lor] over the resolved calls (module
+   aliases are already expanded by [Callgraph.resolve]; an ambiguous
+   reference joins the flags of every plausible target).
 
-   Alongside the flags, the pass carries witness lists so downstream checks
-   anchor findings at real source locations:
+   The witness sites stay local.  Downstream checks walk to the ones they
+   need with [Callgraph.reach] over [calls], so findings anchor at real
+   source locations with a call trail:
 
-     race witnesses      references to raw toplevel mutable state, with the
-                         call chain ("via" trail) from the summarized
-                         binding down to the access — R001's transitive
-                         core.  A binding carrying [@lint.allow "R001"] or
-                         taking a [Mutex.lock] is lock-disciplined: it
-                         contributes no race witnesses and blocks their
-                         propagation through itself, exactly like the
-                         bespoke traversal this pass replaced.
-     mutation witnesses  alias-expanded [Catalog.*]/[Doc_store.*] mutator
-                         references — D003's core; the reverse index
-                         ([mutation_entries]) names every binding a mutator
-                         site is reachable from.  Propagates through lock
-                         discipline: a mutex does not make a what-if
-                         mutation acceptable.
+     raw-global refs     references to raw toplevel mutable state — R001's
+                         sites.  A binding carrying [@lint.allow "R001"] or
+                         taking a [Mutex.lock] is lock-disciplined
+                         ([lock_disciplined]); R001's walk never enters
+                         one.
+     mutation sites      alias-expanded [Catalog.*]/[Doc_store.*] mutator
+                         references — D003's sites, reached backwards from
+                         the what-if modules regardless of lock discipline:
+                         a mutex does not make a what-if mutation
+                         acceptable.
+     shared writes       E002's sites, walked from the batch roots.
      order witnesses     Hashtbl/Queue folds whose literal closure builds a
                          list with no canonicalizing sort anywhere in the
                          same binding — N001's sites.  Iteration through an
                          opaque function value only sets the flag.
      float accumulations read-modify-write float updates of non-local
                          state ([t := !t +. x], [r.sum <- r.sum +. x]) —
-                         N002's transitive core.  Also propagates through
-                         lock discipline: a mutex serializes the updates
-                         but does not fix their order, so the sum still
-                         varies across domains.
+                         N002's sites, walked regardless of lock
+                         discipline: a mutex serializes the updates but
+                         does not fix their order, so the sum still varies
+                         across domains.
 
    Soundness/incompleteness trade-offs (DESIGN.md §5h): the analysis is
    syntactic over the untyped parsetree.  Atomic/Mutex/DLS-wrapped state is
@@ -360,20 +358,8 @@ type race_witness = {
   w_global : string;      (* binding name of the raw global *)
   w_kind : string;        (* allocator: "ref", "Hashtbl.create", ... *)
   w_path : string;        (* unit path declaring the global *)
-  w_via : string list;    (* call chain, summarized binding first *)
   w_suppressed : bool;
 }
-
-type acc_witness = {
-  a_loc : Location.t;
-  a_what : string;
-  a_via : string list;
-  a_suppressed : bool;
-}
-
-let loc_key (loc : Location.t) =
-  let p = loc.Location.loc_start in
-  Printf.sprintf "%s:%d:%d" p.Lexing.pos_fname p.Lexing.pos_lnum p.Lexing.pos_cnum
 
 (* ----------------------------------------------------------- op classifiers -- *)
 
@@ -645,34 +631,25 @@ let float_acc_sites ?(stack0 = []) ~exempt (e : expression) =
 
 type info = {
   locals : (string, string) Hashtbl.t;  (* raw per-call allocations, name -> kind *)
-  calls : (string * string) list;       (* resolved references, shadow-skipped, sorted *)
+  calls : Callgraph.node list;          (* resolved references, shadow-skipped, sorted *)
   local_flags : int;
   io : site list;
   order : site list;                    (* N001 witnesses *)
   writes : site list;                   (* shared-target writes, E002 witnesses *)
   mutations : site list;                (* catalog/store mutator refs, D003 *)
-  globals : race_witness list;          (* direct raw-global refs, via = [] *)
-  accs : acc_witness list;              (* float accumulations, via = [] *)
+  globals : race_witness list;          (* raw-global refs, R001 *)
+  accs : site list;                     (* float accumulations, N002 *)
   fanout : bool;                        (* references a Par/Domain fan-out *)
   sum_list : bool;                      (* references Par.sum_list *)
   ffolds : site list;                   (* float List/Array.fold_left sites *)
   blocked : bool;                       (* lock-disciplined or allow "R001" *)
 }
 
-type summary = {
-  mutable total : int;
-  race : (string, race_witness) Hashtbl.t;  (* loc+global -> witness *)
-  muts : (string, site) Hashtbl.t;          (* loc -> mutator site *)
-  faccs : (string, acc_witness) Hashtbl.t;  (* loc -> accumulation *)
-}
-
 type t = {
   graph : Callgraph.t;
   infos : (string * string, info) Hashtbl.t;
-  sums : (string * string, summary) Hashtbl.t;
+  total : Callgraph.node -> int;        (* flags joined over every callee *)
   sorted : Callgraph.node list;
-  mut_hosts : (string, (string * string) list) Hashtbl.t;
-      (* mutator-site loc -> keys of every node whose summary contains it *)
   fields : (string, (string, unit) Hashtbl.t) Hashtbl.t;
       (* unit path -> mutable field names declared there.  Kept per-unit on
          purpose: classifying a record literal by a field name that is only
@@ -762,7 +739,7 @@ let scan_node t (n : Callgraph.node) =
       List.iter
         (fun (tgt : Callgraph.node) ->
           let tk = Callgraph.key tgt in
-          if tk <> Callgraph.key n then Hashtbl.replace calls tk ();
+          if tk <> Callgraph.key n then Hashtbl.replace calls tk tgt;
           match raw_global t tgt with
           | Some kind ->
               set Reads_mutable;
@@ -772,7 +749,6 @@ let scan_node t (n : Callgraph.node) =
                   w_global = tgt.name;
                   w_kind = kind;
                   w_path = tgt.u.path;
-                  w_via = [];
                   w_suppressed = active "R001";
                 }
                 :: !globals
@@ -909,7 +885,7 @@ let scan_node t (n : Callgraph.node) =
     List.map
       (fun (loc, what, suppressed) ->
         set Nondeterministic;
-        { a_loc = loc; a_what = what; a_via = []; a_suppressed = suppressed })
+        { s_loc = loc; s_what = what; s_suppressed = suppressed })
       (float_acc_sites
          ~stack0:(Suppress.allow_ids n.attrs)
          ~exempt:(fun x -> Hashtbl.mem locals x)
@@ -917,7 +893,7 @@ let scan_node t (n : Callgraph.node) =
   in
   {
     locals;
-    calls = List.sort compare (Hashtbl.fold (fun k () acc -> k :: acc) calls []);
+    calls = List.sort Callgraph.by_key (Hashtbl.fold (fun _ tgt acc -> tgt :: acc) calls []);
     local_flags = !flags;
     io = List.rev !io;
     order = List.rev !order;
@@ -931,158 +907,49 @@ let scan_node t (n : Callgraph.node) =
     blocked = allow "R001" n.attrs || contains_mutex_lock n.expr;
   }
 
-(* ---------------------------------------------------------------- fixpoint -- *)
+(* ---------------------------------------------------------------- analysis -- *)
 
+(* The local scan of every node, plus the one transitive fact this pass
+   owns: effect flags joined over the resolved calls.  Witness sites stay
+   local; checks reach them through [Callgraph.reach]. *)
 let analyze graph =
+  let infos = Hashtbl.create 256 in
+  let info n = Hashtbl.find infos (Callgraph.key n) in
   let t =
     {
       graph;
-      infos = Hashtbl.create 256;
-      sums = Hashtbl.create 256;
-      sorted =
-        List.sort
-          (fun a b -> compare (Callgraph.key a) (Callgraph.key b))
-          (Callgraph.nodes graph);
-      mut_hosts = Hashtbl.create 64;
+      infos;
+      total =
+        Callgraph.fixpoint
+          ~succ:(fun n -> (info n).calls)
+          ~join:( lor )
+          (fun n -> (info n).local_flags);
+      sorted = List.sort Callgraph.by_key (Callgraph.nodes graph);
       fields = Hashtbl.create 16;
       raw_memo = Hashtbl.create 64;
     }
   in
-  (* Local pass. *)
-  List.iter
-    (fun n ->
-      let info = scan_node t n in
-      Hashtbl.replace t.infos (Callgraph.key n) info;
-      let s =
-        {
-          total = info.local_flags;
-          race = Hashtbl.create 4;
-          muts = Hashtbl.create 4;
-          faccs = Hashtbl.create 4;
-        }
-      in
-      if not info.blocked then
-        List.iter
-          (fun w ->
-            let key = loc_key w.w_loc ^ "|" ^ w.w_global in
-            if not (Hashtbl.mem s.race key) then
-              Hashtbl.replace s.race key { w with w_via = [ n.name ] })
-          info.globals;
-      List.iter
-        (fun (m : site) ->
-          let key = loc_key m.s_loc in
-          if not (Hashtbl.mem s.muts key) then Hashtbl.replace s.muts key m)
-        info.mutations;
-      List.iter
-        (fun a ->
-          let key = loc_key a.a_loc in
-          if not (Hashtbl.mem s.faccs key) then
-            Hashtbl.replace s.faccs key { a with a_via = [ n.name ] })
-        info.accs;
-      Hashtbl.replace t.sums (Callgraph.key n) s)
-    t.sorted;
-  (* Bottom-up joins to a fixpoint.  Monotone: flag sets only grow and
-     witness tables only gain keys (the first call chain to arrive wins and
-     is never replaced), so the sweep terminates even through recursion.
-     Race witnesses respect lock discipline; mutation and float-accumulation
-     witnesses propagate regardless — a mutex neither sanctions a what-if
-     mutation nor fixes a summation order. *)
-  let changed = ref true in
-  while !changed do
-    changed := false;
-    List.iter
-      (fun n ->
-        let k = Callgraph.key n in
-        let info = Hashtbl.find t.infos k in
-        let s = Hashtbl.find t.sums k in
-        List.iter
-          (fun ck ->
-            match Hashtbl.find_opt t.sums ck with
-            | None -> ()
-            | Some cs ->
-                let joined = s.total lor cs.total in
-                if joined <> s.total then begin
-                  s.total <- joined;
-                  changed := true
-                end;
-                if not info.blocked then
-                  Hashtbl.iter
-                    (fun wkey w ->
-                      if not (Hashtbl.mem s.race wkey) then begin
-                        Hashtbl.replace s.race wkey { w with w_via = n.name :: w.w_via };
-                        changed := true
-                      end)
-                    cs.race;
-                Hashtbl.iter
-                  (fun mkey m ->
-                    if not (Hashtbl.mem s.muts mkey) then begin
-                      Hashtbl.replace s.muts mkey m;
-                      changed := true
-                    end)
-                  cs.muts;
-                Hashtbl.iter
-                  (fun akey a ->
-                    if not (Hashtbl.mem s.faccs akey) then begin
-                      Hashtbl.replace s.faccs akey { a with a_via = n.name :: a.a_via };
-                      changed := true
-                    end)
-                  cs.faccs)
-          info.calls)
-      t.sorted
-  done;
-  (* Reverse index for D003: which bindings reach each mutator site. *)
-  List.iter
-    (fun n ->
-      let k = Callgraph.key n in
-      let s = Hashtbl.find t.sums k in
-      Hashtbl.iter
-        (fun _ (m : site) ->
-          let lkey = loc_key m.s_loc in
-          let prev = Option.value ~default:[] (Hashtbl.find_opt t.mut_hosts lkey) in
-          Hashtbl.replace t.mut_hosts lkey (k :: prev))
-        s.muts)
-    t.sorted;
+  List.iter (fun n -> Hashtbl.replace infos (Callgraph.key n) (scan_node t n)) t.sorted;
   t
 
 (* --------------------------------------------------------------- accessors -- *)
 
 let info t n = Hashtbl.find t.infos (Callgraph.key n)
-let summary t n = Hashtbl.find t.sums (Callgraph.key n)
 
 let local_effects t n = kinds_of_bits (info t n).local_flags
-let total_effects t n = kinds_of_bits (summary t n).total
+let total_effects t n = kinds_of_bits (t.total n)
 let local_io t n = (info t n).io
 let local_order t n = (info t n).order
 let local_writes t n = (info t n).writes
 let local_mutations t n = (info t n).mutations
+let local_globals t n = (info t n).globals
+let local_accumulations t n = (info t n).accs
 let raw_locals t n = (info t n).locals
 let lock_disciplined t n = (info t n).blocked
 let has_par_fanout t n = (info t n).fanout
 let uses_sum_list t n = (info t n).sum_list
 let float_folds t n = (info t n).ffolds
-
-let calls t n =
-  List.filter_map
-    (fun (unit_path, name) -> Callgraph.find_node t.graph ~unit_path ~name)
-    (info t n).calls
-
-let race_witnesses t n =
-  let s = summary t n in
-  Hashtbl.fold (fun _ w acc -> w :: acc) s.race []
-  |> List.sort (fun a b ->
-         compare (loc_key a.w_loc, a.w_global) (loc_key b.w_loc, b.w_global))
-
-let float_accumulations t n =
-  let s = summary t n in
-  Hashtbl.fold (fun _ a acc -> a :: acc) s.faccs []
-  |> List.sort (fun a b -> compare (loc_key a.a_loc) (loc_key b.a_loc))
-
-let mutation_entries t loc =
-  let keys = Option.value ~default:[] (Hashtbl.find_opt t.mut_hosts (loc_key loc)) in
-  List.filter_map
-    (fun (unit_path, name) -> Callgraph.find_node t.graph ~unit_path ~name)
-    keys
-  |> List.sort_uniq (fun a b -> compare (Callgraph.key a) (Callgraph.key b))
+let calls t n = (info t n).calls
 
 (* -------------------------------------------------------------------- dump -- *)
 
@@ -1090,11 +957,9 @@ let dump t =
   let buf = Buffer.create 4096 in
   List.iter
     (fun (n : Callgraph.node) ->
-      let i = info t n in
-      let s = summary t n in
       Buffer.add_string buf
         (Printf.sprintf "%s %s: local=%s total=%s\n" n.u.path n.name
-           (bits_to_string i.local_flags)
-           (bits_to_string s.total)))
+           (bits_to_string (info t n).local_flags)
+           (bits_to_string (t.total n))))
     t.sorted;
   Buffer.contents buf

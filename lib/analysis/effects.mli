@@ -1,12 +1,14 @@
 (** Interprocedural effect inference over the cross-unit call graph.
 
-    Per toplevel value binding the pass computes a summary in a small
-    effect lattice — the powerset of {!effect_kind}, where the empty set is
-    [Pure] — plus witness lists (race accesses, catalog/store mutator
-    sites, order-dependent folds, float accumulations) that the D003, R001
-    and N/E-series checks query instead of re-walking the graph.  Local
-    facts join bottom-up to a fixpoint through recursion, module aliases
-    and ambiguous edges (join of all candidates).
+    Per toplevel value binding the pass scans the body once for its local
+    effects — a set of {!effect_kind}, where the empty set is [Pure] — and
+    its local witness sites (raw-global references, catalog/store mutator
+    references, shared writes, order-dependent folds, float
+    accumulations).  The only transitive fact it computes itself is the
+    total flag set, one {!Callgraph.fixpoint} over {!calls} (recursion,
+    module aliases and ambiguous edges join every candidate).  The D003,
+    R001, N002 and E002 checks reach the local sites they need with
+    {!Callgraph.reach} over the same call lists.
 
     The analysis is syntactic over the untyped parsetree; lattice
     semantics, propagation rules and the soundness/incompleteness
@@ -28,29 +30,19 @@ val kind_name : effect_kind -> string
     this witness kind. *)
 type site = { s_loc : Location.t; s_what : string; s_suppressed : bool }
 
-(** A reference to raw module-toplevel mutable state, with the call chain
-    from the summarized binding down to the access. *)
+(** A reference to raw module-toplevel mutable state. *)
 type race_witness = {
   w_loc : Location.t;
   w_global : string;    (** binding name of the raw global *)
   w_kind : string;      (** allocator: ["ref"], ["Hashtbl.create"], ... *)
   w_path : string;      (** unit path declaring the global *)
-  w_via : string list;  (** call chain, summarized binding first *)
   w_suppressed : bool;
-}
-
-(** A read-modify-write float update of non-local state
-    ([t := !t +. x], [r.sum <- r.sum +. x]). *)
-type acc_witness = {
-  a_loc : Location.t;
-  a_what : string;
-  a_via : string list;
-  a_suppressed : bool;
 }
 
 type t
 
-(** Run the local scan over every node and propagate to a fixpoint. *)
+(** Run the local scan over every node; total flags are joined on
+    demand. *)
 val analyze : Callgraph.t -> t
 
 (** Effects of the node's own body only. *)
@@ -77,17 +69,13 @@ val local_writes : t -> Callgraph.node -> site list
     dropped, mirroring the previous D003 scan. *)
 val local_mutations : t -> Callgraph.node -> site list
 
-(** Every binding whose summary contains the mutator site at [loc] — i.e.
-    everything the site is transitively reachable from, the site's own host
-    included.  Sorted by node key. *)
-val mutation_entries : t -> Location.t -> Callgraph.node list
+(** References to raw module-toplevel mutable state in the node's own body
+    (R001's sites). *)
+val local_globals : t -> Callgraph.node -> race_witness list
 
-(** Raw-global accesses reachable from this binding, with via chains;
-    sorted by (location, global).  Empty for lock-disciplined bindings, and
-    never propagated through one. *)
-val race_witnesses : t -> Callgraph.node -> race_witness list
-
-val float_accumulations : t -> Callgraph.node -> acc_witness list
+(** Read-modify-write float updates of non-local state in the node's own
+    body ([t := !t +. x], [r.sum <- r.sum +. x]; N002's sites). *)
+val local_accumulations : t -> Callgraph.node -> site list
 
 (** Resolved call targets of the node (shadow-skipped, deduplicated,
     sorted by key). *)

@@ -36,14 +36,13 @@ let parse_structure ~filename source =
    N002) over the shared graph and one effect-inference pass, then the
    flow-sensitive R002 and L/X-series over the same graph and
    summaries. *)
-let program_findings units =
-  let graph = Callgraph.build units in
+let program_findings graph =
   let eff = Effects.analyze graph in
   let per_unit =
     List.concat_map
       (fun (u : Callgraph.unit_info) ->
         Checks.check_structure ~filename:u.path ~source:u.source u.structure)
-      units
+      (Callgraph.units graph)
   in
   per_unit
   @ Checks.check_d003_program eff graph
@@ -58,7 +57,7 @@ let lint_source ~filename source =
   | Error e -> Error e
   | Ok structure ->
       let u = Callgraph.make_unit ~path:filename ~source structure in
-      Ok (List.sort Finding.compare (program_findings [ u ]))
+      Ok (List.sort Finding.compare (program_findings (Callgraph.build [ u ])))
 
 let read_file path =
   let ic = open_in_bin path in
@@ -108,40 +107,42 @@ let load_units mls =
     ([], []) mls
   |> fun (units, errors) -> (List.rev units, List.rev errors)
 
-let lint_paths ?(allow = []) paths =
+(* The loader behind every path-based entry point: walk [paths], parse
+   every .ml once and link the parsable units into one call graph.  Walk
+   and parse errors do not abort — the graph over the parsable subset is
+   still useful — and ride along for the caller to report. *)
+let load paths =
   let mls, mlis, walk_errors = collect_sources paths in
   let units, parse_errors = load_units mls in
-  let all = Checks.missing_mli ~mls ~mlis @ program_findings units in
+  (Callgraph.build units, mls, mlis, walk_errors @ parse_errors)
+
+let lint_paths ?(allow = []) paths =
+  let graph, mls, mlis, errors = load paths in
+  let all = Checks.missing_mli ~mls ~mlis @ program_findings graph in
   let kept, suppressed = Suppress.apply allow all in
   {
     findings = List.sort Finding.compare kept;
     suppressed = List.sort Finding.compare suppressed;
-    errors = walk_errors @ parse_errors;
+    errors;
   }
 
-(* DOT rendering of the cross-unit call graph for the given paths.  Parse
-   errors do not abort: the graph over the parsable subset is still useful,
-   and the errors ride along for the caller to report. *)
+(* DOT rendering of the cross-unit call graph for the given paths. *)
 let callgraph_dot paths =
-  let mls, _, walk_errors = collect_sources paths in
-  let units, parse_errors = load_units mls in
-  (Callgraph.to_dot (Callgraph.build units), walk_errors @ parse_errors)
+  let graph, _, _, errors = load paths in
+  (Callgraph.to_dot graph, errors)
 
 (* Deterministic per-binding effect-summary dump over the same unit set
    (the [--effects] output). *)
 let effects_dump paths =
-  let mls, _, walk_errors = collect_sources paths in
-  let units, parse_errors = load_units mls in
-  (Effects.dump (Effects.analyze (Callgraph.build units)), walk_errors @ parse_errors)
+  let graph, _, _, errors = load paths in
+  (Effects.dump (Effects.analyze graph), errors)
 
 (* Just the flow-sensitive R002 and L/X-series over the unit set (the
    bench harness's [lint.dataflow] exhibit: CFG construction + fixpoints +
    worklist, without the rest of the catalog). *)
 let dataflow_findings paths =
-  let mls, _, walk_errors = collect_sources paths in
-  let units, parse_errors = load_units mls in
-  let graph = Callgraph.build units in
-  (Dataflow.check graph (Effects.analyze graph), walk_errors @ parse_errors)
+  let graph, _, _, errors = load paths in
+  (Dataflow.check graph (Effects.analyze graph), errors)
 
 (* ------------------------------------------------------ JSON rendering -- *)
 

@@ -10,20 +10,19 @@
          mutable local ([ref], [Hashtbl.create], ...), mutates a field of a
          captured value, or — transitively, through helpers in any unit —
          references raw module-toplevel mutable state.  The transitive core
-         is [Effects.race_witnesses]: the effect pass records every raw-
-         global access with its call chain, refuses to propagate through a
-         lock-disciplined binding (a body taking [Mutex.lock], or
-         [@lint.allow "R001"]), and this check emits the unsuppressed
-         witnesses of every task that escapes to another domain.  Wrapped
-         state (Atomic, Mutex, Domain.DLS, Lazy, and the Interner.Cache,
-         Dense and Pairs memo tables built on them) never classifies as
-         raw.
+         is one [Callgraph.reach] per escaping task over [Effects.calls],
+         cut at lock-disciplined bindings (a body taking [Mutex.lock], or
+         [@lint.allow "R001"]), collecting [Effects.local_globals] of every
+         binding it enters; the trail in the message runs from the task
+         down to the access's host, host included.  Wrapped state (Atomic,
+         Mutex, Domain.DLS, Lazy, and the Interner.Cache, Dense and Pairs
+         memo tables built on them) never classifies as raw.
    N002  a parallel fan-out combining float work without [Par.sum_list]:
          either the escaping task accumulates into shared state
-         ([t := !t +. x] — racy and order-varying; witness list
-         [Effects.float_accumulations], which propagates even through lock
-         discipline because a mutex serializes the updates without fixing
-         their order), or the fan-out host folds float results with a bare
+         ([t := !t +. x] — racy and order-varying; the same walk with no
+         cut over [Effects.local_accumulations], because a mutex
+         serializes the updates without fixing their order), or the
+         fan-out host folds float results with a bare
          [List.fold_left]/[Array.fold_left] whose grouping the scheduler
          picks.
 
@@ -64,27 +63,36 @@ let r001_setfield_message entry field =
 let emit ctx ~id ~message loc =
   ctx.findings := Finding.of_location ~id ~message loc :: !(ctx.findings)
 
-let witness_key (w : Effects.race_witness) =
-  let p = w.w_loc.Location.loc_start in
-  (p.Lexing.pos_fname, p.Lexing.pos_lnum, p.Lexing.pos_cnum, w.w_global)
+let site_key (loc : Location.t) extra =
+  let p = loc.Location.loc_start in
+  (p.Lexing.pos_fname, p.Lexing.pos_lnum, p.Lexing.pos_cnum, extra)
 
-(* A named function that escapes to another domain: its summary already
-   carries every raw-global access it can transitively reach, each with the
-   call chain from the task down to the access.  [visited] is global — one
-   finding per racy global reference site is enough no matter how many
-   fan-out sites reach it. *)
+(* The [sites] of every binding a task that escapes to another domain
+   reaches without entering a [cut] binding, each with its trail: the
+   bindings from the task down to the site's host, host included. *)
+let escaping ctx ~cut sites (tgt : Callgraph.node) =
+  List.concat_map
+    (fun ((host : Callgraph.node), trail) ->
+      let via = List.map (fun (n : Callgraph.node) -> n.name) (trail @ [ host ]) in
+      List.map (fun s -> (s, via)) (sites host))
+    (Callgraph.reach ~succ:(Effects.calls ctx.eff) ~cut tgt)
+
+(* A named function that escapes to another domain: every raw-global
+   access it reaches through bindings that are not lock-disciplined.
+   [visited] is global — one finding per racy global reference site is
+   enough no matter how many fan-out sites reach it. *)
 let emit_escaping_witnesses ctx ~visited ~entry (tgt : Callgraph.node) =
   List.iter
-    (fun (w : Effects.race_witness) ->
-      let k = witness_key w in
+    (fun ((w : Effects.race_witness), via) ->
+      let k = site_key w.w_loc w.w_global in
       if not (Hashtbl.mem visited k) then begin
         Hashtbl.replace visited k ();
-        if not w.Effects.w_suppressed then
+        if not w.w_suppressed then
           emit ctx ~id:"R001"
-            ~message:(r001_global_message entry w.w_global w.w_kind w.w_path w.w_via)
+            ~message:(r001_global_message entry w.w_global w.w_kind w.w_path via)
             w.w_loc
       end)
-    (Effects.race_witnesses ctx.eff tgt)
+    (escaping ctx ~cut:(Effects.lock_disciplined ctx.eff) (Effects.local_globals ctx.eff) tgt)
 
 (* Scan a literal closure passed to a fan-out point: the capture checks plus
    the witness query for every helper the closure calls. *)
@@ -166,20 +174,16 @@ let n002_fold_message what =
      fan-out's results with Par.sum_list (fixed sequential reduction)"
     what
 
-let acc_key (a : Effects.acc_witness) =
-  let p = a.a_loc.Location.loc_start in
-  (p.Lexing.pos_fname, p.Lexing.pos_lnum, p.Lexing.pos_cnum, "")
-
 let emit_escaping_accs ctx ~visited ~entry (tgt : Callgraph.node) =
   List.iter
-    (fun (a : Effects.acc_witness) ->
-      let k = acc_key a in
+    (fun ((a : Effects.site), via) ->
+      let k = site_key a.s_loc "" in
       if not (Hashtbl.mem visited k) then begin
         Hashtbl.replace visited k ();
-        if not a.Effects.a_suppressed then
-          emit ctx ~id:"N002" ~message:(n002_acc_message entry a.a_what a.a_via) a.a_loc
+        if not a.s_suppressed then
+          emit ctx ~id:"N002" ~message:(n002_acc_message entry a.s_what via) a.s_loc
       end)
-    (Effects.float_accumulations ctx.eff tgt)
+    (escaping ctx ~cut:(fun _ -> false) (Effects.local_accumulations ctx.eff) tgt)
 
 (* Float accumulation inside a literal task closure: shared targets only —
    names the closure itself binds are per-task. *)

@@ -7,15 +7,14 @@
     - [R001] mutable state reachable from a parallel task: a closure or
       named function passed to [Par.map]/[Par.map_list]/[Par.iter]/
       [Domain.spawn] that captures a raw mutable local, writes a mutable
-      record field of a captured value, or (transitively, across units —
-      via [Effects.race_witnesses]) references raw module-toplevel mutable
-      state.  Atomic/Mutex/Domain.DLS/Lazy-wrapped state never classifies
-      as raw; a lock-disciplined function (body takes a [Mutex.lock])
-      contributes no witnesses and blocks their propagation.
+      record field of a captured value, or (transitively, across units — a
+      {!Callgraph.reach} over {!Effects.calls}) references raw
+      module-toplevel mutable state.  Atomic/Mutex/Domain.DLS/Lazy-wrapped
+      state never classifies as raw; the walk never enters a
+      lock-disciplined function (body takes a [Mutex.lock]).
     - [N002] parallel float reduction without [Par.sum_list]: an escaping
-      task accumulating floats into shared state
-      ([Effects.float_accumulations] — propagates through lock discipline,
-      since a mutex serializes updates without fixing their order), or a
+      task accumulating floats into shared state (the same walk with no
+      cut — a mutex serializes updates without fixing their order), or a
       fan-out host folding float results with a bare
       [List.fold_left]/[Array.fold_left].
 

@@ -12,7 +12,8 @@
       The path is matched by component suffix (so entries keep working when
       the tool is invoked from a build sandbox or with a path prefix), the
       ":line" part is optional, and the reason after "--" is mandatory:
-      an allowlist entry without a justification is itself an error. *)
+      an allowlist entry without a justification is itself an error, and so
+      is one whose ID names no check (it would silently suppress nothing). *)
 
 type entry = {
   id : string;
@@ -39,7 +40,7 @@ let split_site s =
       | Some n when n > 0 -> Ok (path, Some n)
       | _ -> Error (Printf.sprintf "invalid line number %S" rest))
 
-let parse_line ~file lineno raw =
+let parse_line ~known ~file lineno raw =
   let line =
     match String.index_opt raw '#' with
     | Some 0 -> ""
@@ -70,6 +71,10 @@ let parse_line ~file lineno raw =
         if reason = "" then err "empty reason after --"
         else
           match split_ws head with
+          | [ id; _ ] when not (List.mem id known) ->
+              Error
+                (Printf.sprintf "%s:%d: unknown check id %s (known: %s)" file lineno id
+                   (String.concat ", " known))
           | [ id; site ] -> (
               match split_site site with
               | Error e -> err e
@@ -77,12 +82,12 @@ let parse_line ~file lineno raw =
           | _ -> err "expected exactly 'ID path[:line]' before --")
     | _ -> err "missing ' -- reason'"
 
-let parse_allow_file ~file contents =
+let parse_allow_file ~known ~file contents =
   let lines = String.split_on_char '\n' contents in
   let entries, errors =
     List.fold_left
       (fun (entries, errors) (lineno, raw) ->
-        match parse_line ~file lineno raw with
+        match parse_line ~known ~file lineno raw with
         | Ok None -> (entries, errors)
         | Ok (Some e) -> (e :: entries, errors)
         | Error msg -> (entries, msg :: errors))
@@ -95,7 +100,7 @@ let parse_allow_file ~file contents =
 
 (* Any unreadable path — missing, a directory, no permission — is an
    [Error] naming it, never an escaped [Sys_error]. *)
-let load_allow_file path =
+let load_allow_file ~known path =
   if not (Sys.file_exists path) then
     Error [ Printf.sprintf "allow file %s does not exist" path ]
   else
@@ -105,7 +110,7 @@ let load_allow_file path =
         ~finally:(fun () -> close_in_noerr ic)
         (fun () -> really_input_string ic (in_channel_length ic))
     with
-    | contents -> parse_allow_file ~file:path contents
+    | contents -> parse_allow_file ~known ~file:path contents
     | exception Sys_error m ->
         Error [ Printf.sprintf "allow file %s is unreadable: %s" path m ]
 

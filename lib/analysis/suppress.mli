@@ -9,12 +9,14 @@ type entry = {
 }
 
 (** Parse allow-file contents; [file] is used in error messages.  Every
-    entry must carry a reason after [--]. *)
-val parse_allow_file : file:string -> string -> (entry list, string list) result
+    entry must carry a reason after [--] and name a check ID in [known];
+    each violation is a located ["file:line: ..."] error. *)
+val parse_allow_file :
+  known:string list -> file:string -> string -> (entry list, string list) result
 
 (** Read and parse an allow file from disk.  A missing or unreadable path
     (a directory, say) is an [Error] naming it. *)
-val load_allow_file : string -> (entry list, string list) result
+val load_allow_file : known:string list -> string -> (entry list, string list) result
 
 (** Does this entry suppress this finding? *)
 val suppresses : entry -> Finding.t -> bool

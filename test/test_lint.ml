@@ -11,6 +11,7 @@ module Lint = Xia_analysis.Lint
 module Checks = Xia_analysis.Checks
 module Finding = Xia_analysis.Finding
 module Suppress = Xia_analysis.Suppress
+module Callgraph = Xia_analysis.Callgraph
 
 let tc name f = Alcotest.test_case name `Quick f
 
@@ -259,11 +260,24 @@ let h002_tests =
 
 (* -------------------------------------------------- allow-file parsing -- *)
 
+let known = List.map (fun (c : Checks.check_info) -> c.id) Checks.catalog
+
 let allow_file_tests =
   [
+    tc "entry naming an unknown check is a located error" (fun () ->
+        match
+          Suppress.parse_allow_file ~known ~file:"lint.allow"
+            "# comment\nD001 lib/a.ml -- fine\nD999 lib/x.ml -- reason\n"
+        with
+        | Ok _ -> Alcotest.fail "an unknown check ID must not load"
+        | Error msgs ->
+            Alcotest.(check int) "one error" 1 (List.length msgs);
+            Alcotest.(check bool)
+              "names the file, line and ID" true
+              (contains (List.hd msgs) "lint.allow:3:" && contains (List.hd msgs) "D999"));
     tc "entry with path, line and reason parses" (fun () ->
         match
-          Suppress.parse_allow_file ~file:"lint.allow"
+          Suppress.parse_allow_file ~known ~file:"lint.allow"
             "# comment\n\nD001 lib/core/par.ml:68 -- intentional pool handle\n"
         with
         | Error msgs -> Alcotest.failf "unexpected errors: %s" (String.concat "; " msgs)
@@ -274,7 +288,7 @@ let allow_file_tests =
             Alcotest.(check string) "reason" "intentional pool handle" e.Suppress.reason
         | Ok es -> Alcotest.failf "expected one entry, got %d" (List.length es));
     tc "entry without a reason is rejected" (fun () ->
-        match Suppress.parse_allow_file ~file:"lint.allow" "D001 lib/core/par.ml\n" with
+        match Suppress.parse_allow_file ~known ~file:"lint.allow" "D001 lib/core/par.ml\n" with
         | Ok _ -> Alcotest.fail "entry without reason must be an error"
         | Error msgs -> Alcotest.(check int) "one error" 1 (List.length msgs));
     tc "a directory as the allow file is an error naming it" (fun () ->
@@ -282,7 +296,7 @@ let allow_file_tests =
         Fun.protect
           ~finally:(fun () -> Sys.rmdir dir)
           (fun () ->
-            match Suppress.load_allow_file dir with
+            match Suppress.load_allow_file ~known dir with
             | Ok _ -> Alcotest.fail "a directory must not load as an allow file"
             | Error msgs ->
                 Alcotest.(check bool)
@@ -337,15 +351,20 @@ let format_tests =
 
 let self_check_tests =
   [
+    tc "lint.allow stays within its 5-entry budget" (fun () ->
+        (* The file's header promises the budget.  The ratchet's allow rows
+           count suppressed findings, not entries, so this case is what
+           holds it. *)
+        match Suppress.load_allow_file ~known "../lint.allow" with
+        | Error msgs -> Alcotest.failf "lint.allow: %s" (String.concat "; " msgs)
+        | Ok entries ->
+            Alcotest.(check bool) "at most 5 entries" true (List.length entries <= 5));
     tc "repo lib/ is lint-clean under lint.allow" (fun () ->
         let allow =
-          match Suppress.load_allow_file "../lint.allow" with
+          match Suppress.load_allow_file ~known "../lint.allow" with
           | Ok entries -> entries
           | Error msgs -> Alcotest.failf "lint.allow: %s" (String.concat "; " msgs)
         in
-        Alcotest.(check bool)
-          "suppression budget: <= 5 allowlisted entries" true
-          (List.length allow <= 5);
         let report = Lint.lint_paths ~allow [ "../lib" ] in
         Alcotest.(check (list string))
           "no analysis errors" []
@@ -1100,6 +1119,126 @@ let dataflow_qcheck_tests =
            got = relocks s false));
   ]
 
+(* ------------------------------------- qcheck: the transitive engine -- *)
+
+(* A random call graph over bindings f0..f(n-1), rendered to source and
+   linked by the real resolver: each body calls its successors.  [marks]
+   seed the boolean fixpoint, [cuts] the reach query from [root]. *)
+type rgraph = {
+  edges : int list array;
+  marks : bool array;
+  cuts : bool array;
+  root : int;
+}
+
+let rgraph_gen =
+  QCheck.Gen.(
+    int_range 1 9 >>= fun size ->
+    let node = int_bound (size - 1) in
+    let per_node g = array_size (return size) g in
+    per_node (list_size (int_bound 3) node) >>= fun edges ->
+    per_node bool >>= fun marks ->
+    per_node (frequency [ (1, return true); (3, return false) ]) >>= fun cuts ->
+    map (fun root -> { edges; marks; cuts; root }) node)
+
+let render_graph g =
+  String.concat ""
+    (List.mapi
+       (fun i cs ->
+         Printf.sprintf "let f%d () = %s()\n" i
+           (String.concat "" (List.map (Printf.sprintf "f%d (); ") cs)))
+       (Array.to_list g.edges))
+
+let rgraph_arbitrary = QCheck.make ~print:render_graph rgraph_gen
+
+let build_graph g =
+  let source = render_graph g in
+  let structure = Parse.implementation (Lexing.from_string source) in
+  Callgraph.build [ Callgraph.make_unit ~path:"g.ml" ~source structure ]
+
+let node_index (n : Callgraph.node) =
+  int_of_string (String.sub n.name 1 (String.length n.name - 1))
+
+let graph_node graph i =
+  Option.get (Callgraph.find_node graph ~unit_path:"g.ml" ~name:(Printf.sprintf "f%d" i))
+
+(* The oracle: a plain DFS from [i] that never enters a [cut] node. *)
+let closure ?(cut = fun _ -> false) g i =
+  let seen = Array.make (Array.length g.edges) false in
+  let rec visit j =
+    if not (seen.(j) || cut j) then begin
+      seen.(j) <- true;
+      List.iter visit g.edges.(j)
+    end
+  in
+  visit i;
+  List.filter (fun j -> seen.(j)) (List.init (Array.length seen) Fun.id)
+
+let union a b = List.sort_uniq compare (a @ b)
+
+let engine_qcheck_tests =
+  [
+    QCheck_alcotest.to_alcotest
+      (QCheck.Test.make ~name:"fixpoint with || and with union equals DFS closure"
+         ~count:300 rgraph_arbitrary (fun g ->
+           let graph = build_graph g in
+           let succ = Callgraph.succs graph in
+           let any_mark =
+             Callgraph.fixpoint ~succ ~join:( || ) (fun n -> g.marks.(node_index n))
+           in
+           let reached = Callgraph.fixpoint ~succ ~join:union (fun n -> [ node_index n ]) in
+           let ids = List.init (Array.length g.edges) Fun.id in
+           (* Query in opposite orders so the two tables fill from different
+              entry points. *)
+           List.for_all
+             (fun i ->
+               any_mark (graph_node graph i)
+               = List.exists (fun j -> g.marks.(j)) (closure g i))
+             ids
+           && List.for_all
+                (fun i -> reached (graph_node graph i) = closure g i)
+                (List.rev ids)));
+    QCheck_alcotest.to_alcotest
+      (QCheck.Test.make
+         ~name:"reach enters exactly the uncut reachable nodes along real call paths"
+         ~count:300 rgraph_arbitrary (fun g ->
+           let graph = build_graph g in
+           let cut n = g.cuts.(node_index n) in
+           let found =
+             Callgraph.reach ~succ:(Callgraph.succs graph) ~cut (graph_node graph g.root)
+           in
+           let is_edge a b = List.mem b g.edges.(a) in
+           let rec real_path = function
+             | a :: (b :: _ as rest) -> is_edge a b && real_path rest
+             | _ -> true
+           in
+           List.sort compare (List.map (fun (n, _) -> node_index n) found)
+           = closure ~cut:(fun j -> g.cuts.(j)) g g.root
+           && List.for_all
+                (fun (n, trail) ->
+                  let path = List.map node_index (trail @ [ n ]) in
+                  List.hd path = g.root
+                  && real_path path
+                  && not (List.exists cut (trail @ [ n ])))
+                found));
+    QCheck_alcotest.to_alcotest
+      (QCheck.Test.make ~name:"fixpoint and reach are deterministic across runs"
+         ~count:300 rgraph_arbitrary (fun g ->
+           let run () =
+             let graph = build_graph g in
+             let succ = Callgraph.succs graph in
+             let reached = Callgraph.fixpoint ~succ ~join:union (fun n -> [ node_index n ]) in
+             let names = List.map (fun (n : Callgraph.node) -> n.name) in
+             ( List.map (fun n -> reached n) (Callgraph.nodes graph),
+               List.map
+                 (fun (n, trail) -> names (trail @ [ n ]))
+                 (Callgraph.reach ~succ
+                    ~cut:(fun n -> g.cuts.(node_index n))
+                    (graph_node graph g.root)) )
+           in
+           run () = run ()));
+  ]
+
 (* --------------------------------------------- --only/--skip selection -- *)
 
 let select_tests =
@@ -1450,6 +1589,7 @@ let suites =
     ("lint.x002", x002_tests);
     ("lint.dataflow_fixture", dataflow_fixture_tests);
     ("lint.dataflow_qcheck", dataflow_qcheck_tests);
+    ("lint.engine_qcheck", engine_qcheck_tests);
     ("lint.select", select_tests);
     ("lint.n001", n001_tests);
     ("lint.n002", n002_tests);
