@@ -202,7 +202,6 @@ let by_key a b = compare (key a) (key b)
 
 let units t = t.units
 let nodes t = t.node_list
-let find_node t ~unit_path ~name = Hashtbl.find_opt t.node_tbl (unit_path, name)
 
 (* Expand leading module-alias components to a fixpoint (bounded: an alias
    chain longer than the alias table is a cycle). *)

@@ -35,7 +35,6 @@ val build : unit_info list -> t
 
 val units : t -> unit_info list
 val nodes : t -> node list
-val find_node : t -> unit_path:string -> name:string -> node option
 
 (** Stable node identity: [(unit path, binding name)]. *)
 val key : node -> string * string

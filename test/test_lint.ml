@@ -1160,7 +1160,7 @@ let node_index (n : Callgraph.node) =
   int_of_string (String.sub n.name 1 (String.length n.name - 1))
 
 let graph_node graph i =
-  Option.get (Callgraph.find_node graph ~unit_path:"g.ml" ~name:(Printf.sprintf "f%d" i))
+  List.find (fun (n : Callgraph.node) -> node_index n = i) (Callgraph.nodes graph)
 
 (* The oracle: a plain DFS from [i] that never enters a [cut] node. *)
 let closure ?(cut = fun _ -> false) g i =
