@@ -806,6 +806,35 @@ let whatif () =
         (List.map config_ids outs = List.map config_ids outs0);
       Format.printf "second pass: %.4fs, %.0f minor words@." elapsed words)
 
+(* ---------- Candidate generation: enumeration and generalization ---------- *)
+
+(* [Enumeration.candidates] over the representatives of [scale10k]'s
+   compressed workload: Enumerate-mode optimizer calls, then the
+   generalization fixpoint.  The record's minor words are the second of
+   two identical passes with observability off, as in [walk]: the first
+   fills the process-wide pattern and coverage tables, so the count is
+   candidate generation's own and the bench ratchet holds it with a [max]
+   line. *)
+let candidates () =
+  header "Candidate generation: the scale10k representatives enumerated and generalized";
+  let catalog, workload, _ = scale10k_workload () in
+  let reps =
+    Xia_advisor.Workload_summary.workload
+      (Xia_advisor.Workload_summary.compress catalog workload)
+  in
+  let pass () = Enumeration.candidates catalog reps in
+  Obs.with_enabled false (fun () ->
+      ignore (pass ());
+      let w0 = Gc.minor_words () in
+      let set, elapsed = Trace.timed "candidates.pass" pass in
+      let words = Gc.minor_words () -. w0 in
+      Atomic.set exhibit_minor_words (Some words);
+      Format.printf "%d statements, %d representatives: %d basic, %d candidates@."
+        (W.size workload) (W.size reps)
+        (List.length (Candidate.basics set))
+        (Candidate.cardinality set);
+      Format.printf "second pass: %.4fs, %.0f minor words@." elapsed words)
+
 (* ---------- Recommendation quality vs the exhaustive optimum ---------- *)
 
 (* The committed eval cases (lib/eval): regret against the true optimum and
@@ -1143,6 +1172,7 @@ let experiments =
     ("walk", walk);
     ("executor", executor);
     ("whatif", whatif);
+    ("candidates", candidates);
     ("eval-quality", eval_quality);
   ]
 

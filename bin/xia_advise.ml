@@ -241,7 +241,7 @@ let review_cmd benchmark small data_dirs workload_file update_freq synthetic ind
     Format.printf "Recommended drops:@.";
     List.iter
       (fun (d, reason) ->
-        Format.printf "  DROP INDEX %s  -- %a@." d.Xia_index.Index_def.name
+        Format.printf "  DROP INDEX %s  -- %a@." (Xia_index.Index_def.name d)
           Advisor.pp_drop_reason reason)
       drops
   end;

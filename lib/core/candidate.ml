@@ -26,36 +26,39 @@ type t = {
   mutable affected : Int_set.t;  (* workload statement indices *)
 }
 
+module Int_tbl = Hashtbl.Make (Int)
+
+(* Candidates stored densely by id: ids are handed out from 0 in order, so
+   [items.(id)] is the candidate with that id for every [id < count].  The
+   logical id of each definition maps to the candidate's id, so adding and
+   finding build no key string. *)
 type set = {
-  by_id : (int, t) Hashtbl.t;
-  by_key : (string, int) Hashtbl.t;  (* logical key -> id *)
-  mutable next_id : int;
+  mutable items : t array;  (* [0, count) filled; the rest is filler *)
+  mutable count : int;
+  by_lid : int Int_tbl.t;  (* [Index_def.logical_id] -> id *)
 }
 
-let create_set () = { by_id = Hashtbl.create 64; by_key = Hashtbl.create 64; next_id = 0 }
+let create_set () = { items = [||]; count = 0; by_lid = Int_tbl.create 64 }
 
-let find_by_key set key =
-  match Hashtbl.find_opt set.by_key key with
-  | None -> None
-  | Some id -> Hashtbl.find_opt set.by_id id
-
-let find set id = Hashtbl.find_opt set.by_id id
+let find set id = if 0 <= id && id < set.count then Some set.items.(id) else None
 
 let get set id =
-  match find set id with
-  | Some c -> c
-  | None -> invalid_arg (Printf.sprintf "Candidate.get: unknown id %d" id)
+  if 0 <= id && id < set.count then set.items.(id)
+  else invalid_arg (Printf.sprintf "Candidate.get: unknown id %d" id)
+
+let find_def set (def : Index_def.t) =
+  match Int_tbl.find set.by_lid def.lid with
+  | id -> Some set.items.(id)
+  | exception Not_found -> None
 
 (* Add a candidate (or return the existing one with the same logical
    identity).  An existing basic candidate is never downgraded: re-adding it
    as general keeps its Basic origin. *)
 let add set ~origin (def : Index_def.t) =
-  let key = Index_def.logical_key def in
-  match find_by_key set key with
-  | Some c -> c
-  | None ->
-      let id = set.next_id in
-      set.next_id <- id + 1;
+  match Int_tbl.find set.by_lid def.lid with
+  | id -> set.items.(id)
+  | exception Not_found ->
+      let id = set.count in
       let c =
         {
           id;
@@ -66,8 +69,15 @@ let add set ~origin (def : Index_def.t) =
           affected = Int_set.empty;
         }
       in
-      Hashtbl.add set.by_id id c;
-      Hashtbl.add set.by_key key id;
+      if id = Array.length set.items then begin
+        (* grow, padding with the new candidate *)
+        let items = Array.make (max 16 (2 * id)) c in
+        Array.blit set.items 0 items 0 id;
+        set.items <- items
+      end;
+      set.items.(id) <- c;
+      set.count <- id + 1;
+      Int_tbl.add set.by_lid def.lid id;
       c
 
 let add_edge ~parent ~child =
@@ -93,18 +103,24 @@ let rec overlap_from (a : int array) (b : int array) i j =
 
 let overlap a b = overlap_from a b 0 0
 
-let to_list set =
-  List.sort
-    (fun a b -> compare a.id b.id)
-    (Hashtbl.fold (fun _ c acc -> c :: acc) set.by_id [])
+(* The candidates in id order that satisfy [keep]. *)
+let select keep set =
+  let rec from i acc =
+    if i < 0 then acc
+    else
+      let c = set.items.(i) in
+      from (i - 1) (if keep c then c :: acc else acc)
+  in
+  from (set.count - 1) []
 
-let basics set = List.filter (fun c -> c.origin = Basic) (to_list set)
-let generals set = List.filter (fun c -> c.origin = General) (to_list set)
+let to_list set = select (fun _ -> true) set
+let basics set = select (fun c -> c.origin = Basic) set
+let generals set = select (fun c -> c.origin = General) set
 
-let cardinality set = Hashtbl.length set.by_id
+let cardinality set = set.count
 
 (* Roots of the DAG: candidates nobody generalizes further. *)
-let roots set = List.filter (fun c -> Int_set.is_empty c.parents) (to_list set)
+let roots set = select (fun c -> Int_set.is_empty c.parents) set
 
 let children_of set c = List.filter_map (find set) (Int_set.elements c.children)
 let parents_of set c = List.filter_map (find set) (Int_set.elements c.parents)

@@ -27,8 +27,10 @@ type set
 
 val create_set : unit -> set
 
-val find_by_key : set -> string -> t option
 val find : set -> int -> t option
+
+(** The candidate with the definition's logical identity, if any. *)
+val find_def : set -> Index_def.t -> t option
 
 (** @raise Invalid_argument on unknown ids. *)
 val get : set -> int -> t
@@ -48,7 +50,10 @@ val affected_array : t -> int array
     Allocates nothing. *)
 val overlap : int array -> int array -> bool
 
+(** All candidates in id order; {!basics}, {!generals} and {!roots} keep
+    that order too. *)
 val to_list : set -> t list
+
 val basics : set -> t list
 val generals : set -> t list
 val cardinality : set -> int

@@ -87,26 +87,22 @@ and advance_step gen pi pj acc =
       in
       acc
 
+(* Keep the first of each pattern, by interned id. *)
+let rec dedup seen = function
+  | [] -> []
+  | pat :: rest ->
+      let id = Pattern.id pat in
+      if List.mem id seen then dedup seen rest else pat :: dedup (id :: seen) rest
+
 (* All generalizations of a pattern pair, normalized by rewrite rule 0 and
    deduplicated. *)
 let pair p q =
   if p = [] || q = [] then []
-  else begin
-    let raw = generalize_step [] p q [] in
-    let normalized =
-      List.map (fun rev -> Pattern.rewrite_middle_wildcards (List.rev rev)) raw
-    in
-    let seen = Hashtbl.create 8 in
-    List.filter
-      (fun pat ->
-        let k = Pattern.key pat in
-        if Hashtbl.mem seen k then false
-        else begin
-          Hashtbl.add seen k ();
-          true
-        end)
-      normalized
-  end
+  else
+    dedup []
+      (List.map
+         (fun rev -> Pattern.rewrite_middle_wildcards (List.rev rev))
+         (generalize_step [] p q []))
 
 (* Compatibility: only candidates over the same table with the same data type
    are generalized together (the paper's "data type and namespace" check). *)
@@ -118,9 +114,12 @@ let compatible (a : Candidate.t) (b : Candidate.t) =
    anything the experiments produce. *)
 let max_candidates = 20_000
 
-(* Expand the candidate set to a fixpoint: repeatedly generalize every
-   compatible pair (including newly produced generals), wiring DAG edges as
-   we go. *)
+(* Expand the candidate set to a fixpoint: generalize every compatible pair
+   (including newly produced generals), wiring DAG edges as we go.
+
+   Candidate [i] is paired with every candidate of a smaller id, in id
+   order.  New generals take the next ids, so the loop over [i] reaches
+   them and every pair is considered once (DESIGN.md §5r). *)
 let close set =
   let rounds = ref 0 in
   let before = Candidate.cardinality set in
@@ -131,56 +130,39 @@ let close set =
         ("added", string_of_int (Candidate.cardinality set - before));
       ])
   @@ fun () ->
-  let queue = Queue.create () in
-  List.iter (fun c -> Queue.add c queue) (Candidate.to_list set);
-  let processed = Hashtbl.create 64 in
   let consider (a : Candidate.t) (b : Candidate.t) =
-    if a.id <> b.id && compatible a b then
+    if compatible a b then
       List.iter
         (fun pat ->
-          let same_as_input =
-            Pattern.equal pat a.def.Index_def.pattern
-            || Pattern.equal pat b.def.Index_def.pattern
-          in
+          (* [make] draws a serial for every generalization, found or new,
+             so the names generated later keep their numbers. *)
           let def =
             Index_def.make ~table:a.def.Index_def.table ~pattern:pat
               ~dtype:a.def.Index_def.dtype ()
           in
-          if same_as_input then begin
+          if def.pid = a.def.pid || def.pid = b.def.pid then begin
             (* One input already is the generalization of the other: record
                the edge, no new node. *)
-            match Candidate.find_by_key set (Index_def.logical_key def) with
+            match Candidate.find_def set def with
             | Some parent ->
                 if parent.id <> a.id then Candidate.add_edge ~parent ~child:a;
                 if parent.id <> b.id then Candidate.add_edge ~parent ~child:b
             | None -> ()
           end
           else if Candidate.cardinality set < max_candidates then begin
-            let existed = Candidate.find_by_key set (Index_def.logical_key def) in
-            let parent =
-              match existed with
-              | Some c -> c
-              | None ->
-                  let c = Candidate.add set ~origin:Candidate.General def in
-                  Queue.add c queue;
-                  c
-            in
+            let parent = Candidate.add set ~origin:Candidate.General def in
             Candidate.add_edge ~parent ~child:a;
             Candidate.add_edge ~parent ~child:b
           end)
         (pair a.def.Index_def.pattern b.def.Index_def.pattern)
   in
-  let rec drain () =
-    match Queue.take_opt queue with
-    | None -> ()
-    | Some c ->
-        incr rounds;
-        let others = List.filter (fun o -> Hashtbl.mem processed o.Candidate.id) (Candidate.to_list set) in
-        Hashtbl.replace processed c.Candidate.id ();
-        List.iter (fun o -> consider c o) others;
-        drain ()
-  in
-  drain ();
+  while !rounds < Candidate.cardinality set do
+    let c = Candidate.get set !rounds in
+    for j = 0 to !rounds - 1 do
+      consider c (Candidate.get set j)
+    done;
+    incr rounds
+  done;
   if Xia_obs.Obs.on () then begin
     Xia_obs.Metrics.add (Xia_obs.Metrics.counter "generalize.rounds") !rounds;
     Xia_obs.Metrics.add

@@ -131,7 +131,7 @@ let pp ppf t =
       Fmt.pf ppf "%-6s %6.1f %12.0f %12.0f %8.2fx  %s@." r.label r.freq r.base_cost
         r.new_cost r.speedup
         (String.concat ", "
-           (List.map (fun (d : Index_def.t) -> d.name) r.indexes_used)))
+           (List.map Index_def.name r.indexes_used)))
     t.statements;
   Fmt.pf ppf "@.workload: base %.0f -> %.0f  (%.2fx), maintenance charge %.0f@."
     t.base_total t.new_total t.est_speedup t.maintenance;

@@ -69,7 +69,9 @@ let create_index t (def : Index_def.t) =
   let tbl = table_exn t def.table in
   if
     List.exists (fun pi -> Index_def.same (Physical_index.def pi) def) tbl.real_indexes
-  then invalid_arg (Printf.sprintf "Catalog.create_index: duplicate of %s" def.name);
+  then
+    invalid_arg
+      (Printf.sprintf "Catalog.create_index: duplicate of %s" (Index_def.name def));
   let pi = Physical_index.build tbl.store def in
   tbl.real_indexes <- pi :: tbl.real_indexes;
   pi
@@ -80,7 +82,7 @@ let drop_index t name =
     (fun _ tbl ->
       let keep, gone =
         List.partition
-          (fun pi -> not (String.equal (Physical_index.def pi).Index_def.name name))
+          (fun pi -> not (String.equal (Index_def.name (Physical_index.def pi)) name))
           tbl.real_indexes
       in
       if gone <> [] then begin

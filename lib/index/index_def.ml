@@ -20,7 +20,8 @@ let equal_data_type a b =
   | Dstring, Ddouble | Ddouble, Dstring -> false
 
 type t = {
-  name : string;
+  serial : int;  (* generated-name number; 0 when [given] *)
+  given : string option;  (* [?name] of [make] *)
   table : string;
   pattern : Xia_xpath.Pattern.t;
   dtype : data_type;
@@ -35,39 +36,40 @@ type t = {
 let id_interner : (int * data_type * int) Xia_xpath.Interner.t =
   Xia_xpath.Interner.create ()
 
-(* Atomic: fresh-name allocation must stay race-free when candidates are
-   generated from several domains (--domains > 1). *)
+(* Atomic: serials must stay unique when candidates are generated from
+   several domains (--domains > 1). *)
 let counter = Atomic.make 0
 
-let fresh_name table pattern dtype =
-  let n = Atomic.fetch_and_add counter 1 + 1 in
-  Printf.sprintf "IDX%d_%s_%s_%s" n table
-    (match dtype with Dstring -> "S" | Ddouble -> "D")
-    (let s = Xia_xpath.Pattern.to_string pattern in
-     String.map
-       (fun c ->
-         match c with
-         | 'a' .. 'z' | 'A' .. 'Z' | '0' .. '9' -> c
-         | _ -> '_')
-       s)
-
 (* Both ids are interned here, once per definition, so every later
-   matching or memo question about the definition is a field read. *)
+   matching or memo question about the definition is a field read.  A
+   definition without [name] draws a serial; its name is only formatted
+   when asked for, by [name]. *)
 let make ?name ~table ~pattern ~dtype () =
-  let name =
-    match name with Some n -> n | None -> fresh_name table pattern dtype
+  let serial =
+    match name with Some _ -> 0 | None -> Atomic.fetch_and_add counter 1 + 1
   in
   let pid = Xia_xpath.Pattern.id pattern in
   let lid =
     Xia_xpath.Interner.intern id_interner (Xia_xpath.Interner.label table, dtype, pid)
   in
-  { name; table; pattern; dtype; pid; lid }
+  { serial; given = name; table; pattern; dtype; pid; lid }
 
-(* Logical identity ignores the name: same table, same pattern, same type. *)
-let same a b =
-  String.equal a.table b.table
-  && equal_data_type a.dtype b.dtype
-  && Xia_xpath.Pattern.equal a.pattern b.pattern
+let name d =
+  match d.given with
+  | Some n -> n
+  | None ->
+      Printf.sprintf "IDX%d_%s_%s_%s" d.serial d.table
+        (match d.dtype with Dstring -> "S" | Ddouble -> "D")
+        (String.map
+           (fun c ->
+             match c with
+             | 'a' .. 'z' | 'A' .. 'Z' | '0' .. '9' -> c
+             | _ -> '_')
+           (Xia_xpath.Pattern.to_string d.pattern))
+
+(* Logical identity ignores the name: same table, same pattern, same type,
+   which is what the interned [lid] stands for. *)
+let same a b = a.lid = b.lid
 
 let logical_key d =
   Printf.sprintf "%s|%s|%s" d.table
@@ -84,6 +86,6 @@ let covers ~general ~specific =
   && Xia_xpath.Pattern.covers_id ~general:general.pid ~specific:specific.pid
 
 let pp ppf d =
-  Fmt.pf ppf "%s ON %s XMLPATTERN '%s' AS %s" d.name d.table
+  Fmt.pf ppf "%s ON %s XMLPATTERN '%s' AS %s" (name d) d.table
     (Xia_xpath.Pattern.to_string d.pattern)
     (data_type_to_string d.dtype)

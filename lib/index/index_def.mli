@@ -15,7 +15,8 @@ val equal_data_type : data_type -> data_type -> bool
 (** Built only by {!make}, so the two ids always agree with the pattern,
     table and type. *)
 type t = private {
-  name : string;
+  serial : int;  (** number of a generated name; [0] when [given] *)
+  given : string option;  (** the [name] passed to {!make} *)
   table : string;
   pattern : Xia_xpath.Pattern.t;
   dtype : data_type;
@@ -23,8 +24,9 @@ type t = private {
   lid : int;  (** {!logical_id} *)
 }
 
-(** Create a definition; a unique name is generated when [name] is absent.
-    Interns the pattern id and the logical id once. *)
+(** Create a definition.  Without [name] it draws the next serial of a
+    process-wide counter, from which {!name} formats a unique name.
+    Interns the pattern id and the logical id once; formats no string. *)
 val make :
   ?name:string ->
   table:string ->
@@ -33,7 +35,13 @@ val make :
   unit ->
   t
 
-(** Logical identity: same table, pattern and type (names ignored). *)
+(** The given name, or [IDX<serial>_<table>_<S|D>_<pattern>] with every
+    non-alphanumeric character of the pattern written as [_].  Formatted on
+    each call. *)
+val name : t -> string
+
+(** Logical identity: same table, pattern and type (names ignored); equal
+    logical ids. *)
 val same : t -> t -> bool
 
 (** Canonical key of the logical identity. *)

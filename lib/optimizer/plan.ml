@@ -59,18 +59,18 @@ let uses_index plan def =
 let pp_binding_plan ppf = function
   | Doc_scan -> Fmt.string ppf "DOCSCAN"
   | Index_scan c ->
-      Fmt.pf ppf "IXSCAN(%s%s on %a)" c.def.Index_def.name
+      Fmt.pf ppf "IXSCAN(%s%s on %a)" (Index_def.name c.def)
         (if c.is_virtual then "*" else "")
         Xia_xpath.Pattern.pp c.def.Index_def.pattern
   | Index_and cs ->
       Fmt.pf ppf "IXAND(%a)"
         (Fmt.list ~sep:(Fmt.any ", ") (fun ppf c ->
-             Fmt.pf ppf "%s%s" c.def.Index_def.name (if c.is_virtual then "*" else "")))
+             Fmt.pf ppf "%s%s" (Index_def.name c.def) (if c.is_virtual then "*" else "")))
         cs
   | Index_or cs ->
       Fmt.pf ppf "IXOR(%a)"
         (Fmt.list ~sep:(Fmt.any ", ") (fun ppf c ->
-             Fmt.pf ppf "%s%s" c.def.Index_def.name (if c.is_virtual then "*" else "")))
+             Fmt.pf ppf "%s%s" (Index_def.name c.def) (if c.is_virtual then "*" else "")))
         cs
 
 let pp ppf plan =

@@ -46,7 +46,7 @@ let enumeration_tests =
           D.make ~table:"SECURITY" ~pattern:(Helpers.pattern "/Security/Symbol")
             ~dtype:D.Dstring ()
         in
-        match C.find_by_key s.A.candidates (D.logical_key d) with
+        match C.find_def s.A.candidates d with
         | Some c -> Alcotest.(check int) "two" 2 (C.Int_set.cardinal c.C.affected)
         | None -> Alcotest.fail "symbol candidate missing");
   ]
@@ -62,7 +62,7 @@ let benefit_tests =
           D.make ~table:"SECURITY" ~pattern:(Helpers.pattern "/Security/Symbol")
             ~dtype:D.Dstring ()
         in
-        let c = Option.get (C.find_by_key s.A.candidates (D.logical_key d)) in
+        let c = Option.get (C.find_def s.A.candidates d) in
         Alcotest.(check bool) "positive" true (B.individual_benefit s.A.evaluator c > 0.0));
     tc "benefit never exceeds base cost" (fun () ->
         let s = Lazy.force fixture in
@@ -73,7 +73,7 @@ let benefit_tests =
         let s = Lazy.force fixture in
         let by_pat p table =
           let d = D.make ~table ~pattern:(Helpers.pattern p) ~dtype:D.Dstring () in
-          Option.get (C.find_by_key s.A.candidates (D.logical_key d))
+          Option.get (C.find_def s.A.candidates d)
         in
         let sec = by_pat "/Security/Symbol" "SECURITY" in
         let cust = by_pat "/Customer/Nationality" "CUSTACC" in
@@ -83,7 +83,7 @@ let benefit_tests =
         let s = Lazy.force fixture in
         let by p dt =
           let d = D.make ~table:"SECURITY" ~pattern:(Helpers.pattern p) ~dtype:dt () in
-          Option.get (C.find_by_key s.A.candidates (D.logical_key d))
+          Option.get (C.find_def s.A.candidates d)
         in
         (* Yield and Sector both come from Q2 -> same sub-configuration. *)
         let yield = by "/Security/Yield" D.Ddouble in
@@ -155,7 +155,7 @@ let benefit_tests =
             D.make ~table:Xia_workload.Tpox.order_table
               ~pattern:(Helpers.pattern "/FIXML/Order/@ID") ~dtype:D.Dstring ()
           in
-          let c = Option.get (C.find_by_key set (D.logical_key d)) in
+          let c = Option.get (C.find_def set d) in
           B.individual_benefit ev c
         in
         let light = pick 1.0 and heavy = pick 100_000.0 in

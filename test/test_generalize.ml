@@ -129,7 +129,7 @@ let close_tests =
     tc "input that is already the generalization gets the edge" (fun () ->
         let set = close_with [ "/a/b"; "/a/*" ] in
         Alcotest.(check int) "no new nodes" 2 (C.cardinality set);
-        let star = Option.get (C.find_by_key set (D.logical_key (mkdef "/a/*"))) in
+        let star = Option.get (C.find_def set (mkdef "/a/*")) in
         Alcotest.(check bool) "has child" true (not (C.Int_set.is_empty star.C.children)));
     tc "closure reaches fixpoint across generations" (fun () ->
         (* b+c gives /a/*; with /x/y it further generalizes. *)
@@ -143,7 +143,7 @@ let close_tests =
         Alcotest.(check (list string)) "one root" [ "/a/*" ] roots);
     tc "basics keep Basic origin after re-derivation" (fun () ->
         let set = close_with [ "/a/*"; "/a/b" ] in
-        let star = Option.get (C.find_by_key set (D.logical_key (mkdef "/a/*"))) in
+        let star = Option.get (C.find_def set (mkdef "/a/*")) in
         Alcotest.(check bool) "still basic" true (star.C.origin = C.Basic));
   ]
 
@@ -166,6 +166,11 @@ let properties =
         match G.pair p p with
         | [ g ] -> Pat.equal g (Pat.rewrite_middle_wildcards p)
         | _ -> false);
+    QCheck.Test.make ~count:300 ~name:"pair returns each pattern once"
+      (QCheck.pair Helpers.pattern_arbitrary Helpers.pattern_arbitrary)
+      (fun (a, b) ->
+        let keys = List.map Pat.key (G.pair a b) in
+        List.length keys = List.length (List.sort_uniq String.compare keys));
     QCheck.Test.make ~count:100 ~name:"generalization terminates and is bounded"
       (QCheck.list_of_size (QCheck.Gen.int_range 1 6) Helpers.pattern_arbitrary)
       (fun pats ->
@@ -180,6 +185,81 @@ let properties =
         C.cardinality set <= G.max_candidates);
   ]
 
+(* ---------------- the fixpoint against the queue oracle ---------------- *)
+
+module Xp = Xia_xpath.Ast
+
+(* Basic candidates over two tables and two types: patterns of one to four
+   element steps over the labels a, b, c and the wildcard, with child or
+   descendant axes, sometimes ending in an [@id] or [@*] step, each with a
+   statement index from a small range so affected sets overlap. *)
+let spec_arbitrary =
+  let open QCheck.Gen in
+  let axis = oneofl [ Xp.Child; Xp.Descendant ] in
+  let name =
+    frequency [ (4, map (fun l -> Xp.Name l) (oneofl [ "a"; "b"; "c" ])); (1, return Xp.Wildcard) ]
+  in
+  let step = map2 (fun axis n -> { Pat.axis; test = Xp.Elem n }) axis name in
+  let attr =
+    frequency
+      [
+        (3, return []);
+        (1, map2 (fun axis n -> [ { Pat.axis; test = Xp.Attr n } ]) axis
+              (oneofl [ Xp.Name "id"; Xp.Wildcard ]));
+      ]
+  in
+  let pattern = map2 ( @ ) (list_size (int_range 1 4) step) attr in
+  let spec =
+    quad (oneofl [ "T"; "U" ]) (oneofl [ D.Dstring; D.Ddouble ]) pattern (int_range 0 4)
+  in
+  QCheck.make
+    ~print:(fun specs ->
+      String.concat "; "
+        (List.map
+           (fun (table, dtype, p, stmt) ->
+             Printf.sprintf "%s %s %s S%d" table (D.data_type_to_string dtype)
+               (Pat.to_string p) stmt)
+           specs))
+    (list_size (int_range 1 7) spec)
+
+(* A fresh set of the basic candidates, and the serial of the first
+   definition made for it. *)
+let basic_set specs =
+  let set = C.create_set () in
+  let serials =
+    List.map
+      (fun (table, dtype, pattern, stmt) ->
+        let d = D.make ~table ~pattern ~dtype () in
+        C.mark_affected (C.add set ~origin:C.Basic d) stmt;
+        d.D.serial)
+      specs
+  in
+  (set, List.hd serials)
+
+let differential =
+  [
+    QCheck.Test.make ~count:300 ~name:"close = queue oracle: ids, keys, DAG, affected, names"
+      spec_arbitrary
+      (fun specs ->
+        let oracle_set, oracle_first = basic_set specs in
+        let names = Generalize_oracle.close oracle_set in
+        let set, first = basic_set specs in
+        G.close set;
+        let same (o : C.t) (c : C.t) =
+          o.id = c.id
+          && String.equal (D.logical_key o.def) (D.logical_key c.def)
+          && o.origin = c.origin
+          && C.Int_set.equal o.parents c.parents
+          && C.Int_set.equal o.children c.children
+          && C.Int_set.equal o.affected c.affected
+          && String.equal
+               (Generalize_oracle.renumber ~by:(first - oracle_first) names.(o.id))
+               (D.name c.def)
+        in
+        C.cardinality set = C.cardinality oracle_set
+        && List.for_all2 same (C.to_list oracle_set) (C.to_list set));
+  ]
+
 let suites =
   [
     ("generalize.paper", paper_examples);
@@ -187,4 +267,5 @@ let suites =
     ("generalize.rules", rule_tests);
     ("generalize.close", close_tests);
     Helpers.qsuite "generalize.properties" properties;
+    Helpers.qsuite "generalize.differential" differential;
   ]

@@ -23,7 +23,7 @@ let def_tests =
   [
     tc "fresh names are unique" (fun () ->
         let a = def "/a/b" and b = def "/a/b" in
-        Alcotest.(check bool) "names differ" true (a.D.name <> b.D.name);
+        Alcotest.(check bool) "names differ" true (D.name a <> D.name b);
         Alcotest.(check bool) "same logically" true (D.same a b));
     tc "logical key distinguishes type" (fun () ->
         Alcotest.(check bool) "differ" true
@@ -36,6 +36,40 @@ let def_tests =
           (D.covers ~general:(def ~dtype:D.Ddouble "/a//*") ~specific:(def "/a/b"));
         Alcotest.(check bool) "table mismatch" false
           (D.covers ~general:(def ~table:"U" "/a//*") ~specific:(def "/a/b")));
+    tc "name formats the serial as make used to" (fun () ->
+        let a = def ~table:"SECURITY" ~dtype:D.Ddouble "/Security/Yield" in
+        let b = def "/a//@id" in
+        Alcotest.(check int) "next serial" (a.D.serial + 1) b.D.serial;
+        Alcotest.(check string) "a"
+          (Printf.sprintf "IDX%d_SECURITY_D__Security_Yield" a.D.serial)
+          (D.name a);
+        Alcotest.(check string) "b" (Printf.sprintf "IDX%d_T_S__a___id" b.D.serial) (D.name b);
+        List.iter
+          (fun d -> Alcotest.(check string) "oracle" (Generalize_oracle.eager_name d) (D.name d))
+          [ a; b; def ~table:"U" "//*"; def ~dtype:D.Ddouble "/a/*/b" ]);
+    tc "a given name is returned unchanged and draws no serial" (fun () ->
+        let before = def "/a" in
+        let d =
+          D.make ~name:"MY-IDX" ~table:"T" ~pattern:(Helpers.pattern "/a") ~dtype:D.Dstring ()
+        in
+        let after = def "/a" in
+        Alcotest.(check string) "given" "MY-IDX" (D.name d);
+        Alcotest.(check int) "no draw" (before.D.serial + 1) after.D.serial;
+        Alcotest.(check bool) "same as the generated" true (D.same d before));
+    tc "a repeat make allocates a few words and no name" (fun () ->
+        let pattern = Helpers.pattern "/ix_alloc/b" in
+        let make () = D.make ~table:"T" ~pattern ~dtype:D.Dstring () in
+        ignore (make ());
+        (* interned: every later make is a hit in both interners *)
+        let n = 10_000 in
+        let w0 = Gc.minor_words () in
+        for _ = 1 to n do
+          ignore (Sys.opaque_identity (make ()))
+        done;
+        let per_make = (Gc.minor_words () -. w0) /. float_of_int n in
+        Alcotest.(check bool)
+          (Printf.sprintf "%.1f words per make <= 16" per_make)
+          true (per_make <= 16.));
   ]
 
 let stats_tests =
@@ -360,7 +394,7 @@ let catalog_tests =
         let d = def "/a/b" in
         ignore (Cat.create_index c d);
         Alcotest.(check int) "one" 1 (List.length (Cat.real_indexes c "T"));
-        Alcotest.(check bool) "dropped" true (Cat.drop_index c d.D.name);
+        Alcotest.(check bool) "dropped" true (Cat.drop_index c (D.name d));
         Alcotest.(check int) "zero" 0 (List.length (Cat.real_indexes c "T"));
         Alcotest.(check bool) "missing" false (Cat.drop_index c "nope"));
     tc "duplicate logical index rejected" (fun () ->

@@ -173,7 +173,13 @@ let def_tests =
       (QCheck.pair def_arbitrary def_arbitrary)
       (fun (x, y) ->
         let a = make x and b = make y in
+        let structural =
+          String.equal a.table b.table
+          && Index_def.equal_data_type a.dtype b.dtype
+          && Pattern.equal a.pattern b.pattern
+        in
         Bool.equal (Index_def.logical_id a = Index_def.logical_id b) (Index_def.same a b)
+        && Bool.equal (Index_def.same a b) structural
         && Index_def.logical_id a = a.lid);
     QCheck.Test.make ~count:300 ~name:"make carries the pattern's id"
       def_arbitrary

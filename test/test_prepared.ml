@@ -18,7 +18,7 @@ module En = Xia_advisor.Enumeration
 let tc name f = Alcotest.test_case name `Quick f
 
 let choice_repr (c : Plan.index_choice) =
-  Printf.sprintf "%s%s<%s>#%d" c.Plan.def.Index_def.name
+  Printf.sprintf "%s%s<%s>#%d" (Index_def.name c.Plan.def)
     (if c.Plan.is_virtual then "*" else "")
     (Pattern.to_string c.Plan.access.Xia_query.Rewriter.pattern)
     c.Plan.stats.Xia_index.Index_stats.entries
@@ -103,13 +103,13 @@ let random_config rng defs =
   let n = Array.length defs in
   let picked =
     List.init (Random.State.int rng (min 12 n + 1)) (fun _ -> defs.(Random.State.int rng n))
-    |> List.sort_uniq (fun (a : Index_def.t) b -> String.compare a.name b.name)
+    |> List.sort_uniq (fun a b -> String.compare (Index_def.name a) (Index_def.name b))
     |> List.map (fun d -> (Random.State.bits rng, d))
     |> List.sort compare |> List.map snd
   in
   match picked with
   | d :: _ when Random.State.bool rng ->
-      let copy = Index_def.make ~name:("COPY_" ^ d.Index_def.name) ~table:d.table
+      let copy = Index_def.make ~name:("COPY_" ^ Index_def.name d) ~table:d.table
           ~pattern:d.pattern ~dtype:d.dtype ()
       in
       if Random.State.bool rng then picked @ [ copy ] else copy :: picked

@@ -163,7 +163,8 @@ let produce domain exe scratch =
   match domain with
   | "bench" ->
     run ~dir:scratch ~out:log exe
-      [ "quick"; "par"; "scale10k"; "scale10k-raw"; "walk"; "executor"; "whatif" ];
+      [ "quick"; "par"; "scale10k"; "scale10k-raw"; "walk"; "executor"; "whatif";
+        "candidates" ];
     bench_rows (read_json (Filename.concat scratch "BENCH_advisor.json"))
   | "eval" ->
     let perturb = Option.value (Sys.getenv_opt "XIA_EVAL_PERTURB") ~default:"1" in
