@@ -27,7 +27,7 @@ let whatif_modules = [ "benefit"; "optimizer" ]
 let io_modules = [ "persist" ]
 
 (* Binding names whose transitive call closure E002 polices. *)
-let batch_roots = [ "optimize_batch"; "optimize_prepared" ]
+let batch_roots = [ "optimize_batch"; "optimize_prepared"; "optimize_costs" ]
 
 let has_suffix = Effects.has_suffix
 
@@ -455,8 +455,9 @@ let catalog =
       detail =
         "A write to shared mutable state (ref assignment, container mutator, \
          mutable-field write) is transitively reachable from \
-         the virtual-config what-if path: Optimizer.optimize_batch or \
-         Optimizer.optimize_prepared.  The batch contract allows exactly two \
+         the virtual-config what-if path: Optimizer.optimize_batch, \
+         Optimizer.optimize_prepared or Optimizer.optimize_costs.  The batch \
+         contract allows exactly two \
          synchronization points — Catalog.warm_stats and Optimizer.prepare, \
          which binds a statement to the warmed statistics before any plan \
          runs — plus Atomic/Mutex-disciplined state; anything else can \

@@ -73,8 +73,9 @@ val check_n001_program : Effects.t -> Callgraph.t -> Finding.t list
 val check_e001_program : Effects.t -> Callgraph.t -> Finding.t list
 
 (** E002: shared-state writes in the transitive call closure of
-    [optimize_batch] and [optimize_prepared] bindings, beyond the sanctioned
-    [warm_stats]/optimizer [prepare]/lock-disciplined sites. *)
+    [optimize_batch], [optimize_prepared] and [optimize_costs] bindings,
+    beyond the sanctioned [warm_stats]/optimizer [prepare]/lock-disciplined
+    sites. *)
 val check_e002_program : Effects.t -> Callgraph.t -> Finding.t list
 
 (** [missing_mli ~mls ~mlis] — H001: every [.ml] path with no matching

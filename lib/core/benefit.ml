@@ -23,11 +23,12 @@
    like [base_costs] and the sub-configuration cache.  What-if calls pass
    the virtual configuration to the optimizer explicitly
    ([~virtual_config]), so an evaluation never mutates the catalog, and they
-   go through [Optimizer.optimize_prepared]: ONE optimizer invocation per
-   (sub-)configuration plans every statement it needs against one index
-   setup, fanned out over [domains t] domains.
+   go through [Optimizer.optimize_costs]: ONE optimizer invocation per
+   (sub-)configuration costs every statement it needs against one index
+   setup, fanned out over [domains t] domains, and builds no plan.
    Results are deterministic — batch outputs are positional and bit-for-bit
-   the per-statement plans, and every sum is folded in sequential order —
+   the per-statement plans' costs, and every sum is folded in sequential
+   order —
    and the sub-configuration cache uses a compute-once discipline (a pending
    set plus a condition variable) so [evaluations] and [cache_hits] also
    match the sequential counts exactly.  [evaluations] counts optimizer
@@ -183,8 +184,8 @@ let of_summary ?domains catalog summary =
       (fun (item : Workload.item) -> Optimizer.prepare catalog item.statement)
       items
   in
-  let base =
-    Optimizer.optimize_prepared ~mode:Optimizer.Evaluate ~domains ~virtual_config:[]
+  let base_costs =
+    Optimizer.optimize_costs ~mode:Optimizer.Evaluate ~domains ~virtual_config:[]
       catalog prepared
   in
   {
@@ -193,8 +194,8 @@ let of_summary ?domains catalog summary =
     items;
     prepared;
     weights = Workload_summary.weights summary;
-    base_costs = Array.map (fun p -> p.Plan.total_cost) base;
-    base_affected = Array.map (fun p -> p.Plan.affected_docs) base;
+    base_costs;
+    base_affected = Array.map Optimizer.affected_docs prepared;
     dml = dml_statements items;
     shards =
       Array.init shard_count (fun _ ->
@@ -285,7 +286,7 @@ let shard_of t fp = t.shards.(shard_index fp)
    the sharded compute-once cache.
 
    - Fully covered request: one cache hit, no planning.
-   - Uncovered statements: ONE [Optimizer.optimize_prepared] invocation plans
+   - Uncovered statements: ONE [Optimizer.optimize_costs] invocation costs
      all of them under the entry's pinned [e_defs] ([defs] when the entry is
      fresh); the new costs are merged under the shard lock, where every
      reader of a published entry also sits.
@@ -346,11 +347,11 @@ let config_costs t ~defs key stmts =
         List.filter (fun i -> not (Hashtbl.mem entry.e_costs i)) stmts
       in
       (try
-         let plans =
+         let costs =
            match missing with
            | [] -> [||]
            | _ ->
-               Optimizer.optimize_prepared ~mode:Optimizer.Evaluate
+               Optimizer.optimize_costs ~mode:Optimizer.Evaluate
                  ~domains:t.domains ~virtual_config:entry.e_defs t.catalog
                  (Array.of_list (List.map (fun i -> t.prepared.(i)) missing))
          in
@@ -363,7 +364,7 @@ let config_costs t ~defs key stmts =
              Hashtbl.remove shard.pending key;
              List.iteri
                (fun k i ->
-                 Hashtbl.replace entry.e_costs i plans.(k).Plan.total_cost)
+                 Hashtbl.replace entry.e_costs i costs.(k))
                missing;
              Hashtbl.replace shard.cache key (Ok entry);
              count_evaluations t (match missing with [] -> 0 | _ -> 1);

@@ -42,7 +42,8 @@ val summary : t -> Workload_summary.t
 val domains : t -> int
 
 (** Optimizer invocations made through this evaluator.  Every invocation is
-    batched ({!Xia_optimizer.Optimizer.optimize_prepared}), so a
+    batched ({!Xia_optimizer.Optimizer.optimize_costs}, or
+    {!Xia_optimizer.Optimizer.optimize_prepared} where plans are read), so a
     (sub-)configuration evaluation counts one however many statements it
     plans; the per-statement raw equivalent is tracked by
     [Optimizer.counters.batch_setup_saved].  Deterministic for any [domains]

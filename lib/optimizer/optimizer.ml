@@ -143,7 +143,8 @@ type prepared_binding = {
   scan_cost : float;      (* the document scan, result CPU included *)
   docs_cap : float;       (* documents, at least one *)
   fetch_per_doc : float;  (* fetching and verifying one document *)
-  filters : prepared_access list list;
+  filters : prepared_access array array;  (* conjunction of disjunctions *)
+  pairs : bool;           (* two or more one-access filters: AND pairs exist *)
 }
 
 (* How a statement's total cost follows from its bindings' costs. *)
@@ -171,10 +172,11 @@ type probe = {
 
 type prepared = {
   statement : Ast.statement;
-  bindings : prepared_binding list;
+  bindings : prepared_binding array;
   accesses : prepared_access list;  (* every binding's, in slot order *)
   slots : int;
   tail : tail;
+  affected : float;  (* [Plan.affected_docs]: no index changes it *)
   probes : probe list Atomic.t;
       (* the memo: keyed by index logical id × [slots] + access slot,
          matching pairs only, published by compare-and-set.  An entry is a
@@ -183,6 +185,19 @@ type prepared = {
          matching pairs, and every statement of an evaluator keeps its memo
          for the evaluator's life. *)
 }
+
+(* Documents a DML statement modifies, from the estimates of its locating
+   binding(s).  Every binding constrains the same documents, so with
+   several the statement touches at most the most selective one's
+   estimate: fold with [min].  (A previous version matched
+   [ [ b ] -> b.est_docs | _ -> 0.0 ], silently zeroing the modification
+   cost of any multi-binding statement.) *)
+let min_docs = function
+  | [] -> 0.0
+  | docs -> List.fold_left Float.min infinity docs
+
+let affected_docs_of_bindings planned =
+  min_docs (List.map (fun (b : Plan.planned_binding) -> b.Plan.est_docs) planned)
 
 let prepare catalog (stmt : Ast.statement) =
   let next = ref 0 in
@@ -196,7 +211,9 @@ let prepare catalog (stmt : Ast.statement) =
     let tstats = Catalog.stats catalog table in
     let est_docs = est_result_docs tstats info in
     let result_cpu = est_docs *. C.cpu_per_result in
-    let filters = List.map (List.map prepare_access) info.filters in
+    let filters =
+      Array.of_list (List.map (fun f -> Array.of_list (List.map prepare_access f)) info.filters)
+    in
     {
       info;
       tstats;
@@ -208,25 +225,44 @@ let prepare catalog (stmt : Ast.statement) =
         (C.effective_random_page_cost *. avg_doc_pages tstats)
         +. verify_cost_per_doc tstats (predicate_count info);
       filters;
+      pairs =
+        Array.fold_left (fun n f -> if Array.length f = 1 then n + 1 else n) 0 filters >= 2;
     }
   in
   let bindings = List.map prepare_binding (Rewriter.bindings_of_statement stmt) in
   let modify table ~factor =
     Modify_tail (modify_cost_per_doc (Catalog.stats catalog table) ~factor)
   in
+  let tail =
+    match stmt with
+    | Ast.Select _ -> Select_tail
+    | Ast.Insert { document; _ } -> Insert_tail (insert_cost document)
+    | Ast.Delete { table; _ } -> modify table ~factor:1.0
+    | Ast.Update { table; _ } -> modify table ~factor:2.0
+  in
   {
     statement = stmt;
-    bindings;
-    accesses = List.concat_map (fun b -> List.concat b.filters) bindings;
+    bindings = Array.of_list bindings;
+    accesses =
+      List.concat_map (fun b -> List.concat_map Array.to_list (Array.to_list b.filters)) bindings;
     slots = !next;
-    tail =
-      (match stmt with
-      | Ast.Select _ -> Select_tail
-      | Ast.Insert { document; _ } -> Insert_tail (insert_cost document)
-      | Ast.Delete { table; _ } -> modify table ~factor:1.0
-      | Ast.Update { table; _ } -> modify table ~factor:2.0);
+    tail;
+    affected =
+      (match tail with
+      | Select_tail -> 0.0
+      | Insert_tail _ -> 1.0
+      | Modify_tail _ -> min_docs (List.map (fun b -> b.est_docs) bindings));
     probes = Atomic.make [];
   }
+
+let affected_docs p = p.affected
+
+(* A statement's total from its bindings' summed costs. *)
+let[@inline] statement_total p locate =
+  match p.tail with
+  | Select_tail -> locate
+  | Insert_tail cost -> cost
+  | Modify_tail per_doc -> locate +. (p.affected *. per_doc)
 
 (* [index_matches] for a prepared access. *)
 let serves_access def (pa : prepared_access) = matches def pa.access pa.pid
@@ -300,187 +336,244 @@ type visible = {
    registers once one runs. *)
 let optimize_latency () = Xia_obs.Metrics.histogram "optimizer.optimize_latency_us"
 
-(* Documents a DML statement modifies, from its locating binding(s).  Every
-   binding constrains the same documents, so with several the statement
-   touches at most the most selective one's estimate: fold with [min].  (A
-   previous version matched [ [ b ] -> b.est_docs | _ -> 0.0 ], silently
-   zeroing the modification cost of any multi-binding statement.) *)
-let affected_docs_of_bindings = function
-  | [] -> 0.0
-  | planned ->
-      List.fold_left
-        (fun acc (b : Plan.planned_binding) -> Float.min acc b.Plan.est_docs)
-        infinity planned
+(* ---------- the planner ----------
 
-(* Plan one prepared binding over [indexes], the visible indexes of its
-   table in tie-break order: on an exact cost tie the first index wins.
-   Every cost is the expression the cost model defines, over the memoized
-   probe parts. *)
-let plan_binding p indexes (b : prepared_binding) =
+   The cost model's four plan costs, each written once.  Inlined, so the
+   walk below reads their floats unboxed. *)
+
+(* A single index scan, from its probe's parts. *)
+let[@inline] scan_cost b (pr : parts) =
+  perturbed (pr.lookup +. (pr.docs_fetched *. b.fetch_per_doc))
+
+(* An index OR, from its disjuncts' summed lookups and fetched documents
+   (their union, capped by the table). *)
+let[@inline] or_cost b ~lookups ~docs =
+  perturbed (lookups +. (Float.min b.docs_cap docs *. b.fetch_per_doc))
+
+(* An index AND of two scans: both lookups, a RID comparison per fetched
+   entry, and the documents of the intersection under independence. *)
+let[@inline] and_cost b (x : parts) (y : parts) =
+  let lookups = 0.0 +. x.lookup +. y.lookup in
+  let rid_cpu =
+    0.0 +. (x.docs_fetched *. C.cpu_per_index_entry) +. (y.docs_fetched *. C.cpu_per_index_entry)
+  in
+  let inter_docs = b.docs_cap *. (1.0 *. x.frac *. y.frac) in
+  perturbed (lookups +. rid_cpu +. (inter_docs *. b.fetch_per_doc))
+
+(* The document scan's cost is fixed per binding: [scan_cost] of
+   [prepared_binding], set by [prepare]. *)
+
+(* Position in [vis] of the cheapest non-empty index serving [pa], or -1.
+   Indexes are tried in order and the first wins a tie.  With [count],
+   each costed index counts as a plan considered. *)
+let best_index ~count p b (vis : visible array) pa =
+  let best = ref (-1) and best_cost = ref 0.0 in
+  for v = 0 to Array.length vis - 1 do
+    let def = vis.(v).def in
+    if serves_access def pa then begin
+      let pr = probe p b def pa in
+      if pr.stats.Index_stats.entries <> 0 then begin
+        let cost = scan_cost b pr.parts in
+        if count then Atomic.incr counters.plans_considered;
+        if !best < 0 || not (!best_cost <= cost) then begin
+          best := v;
+          best_cost := cost
+        end
+      end
+    end
+  done;
+  !best
+
+let parts_at p b (vis : visible array) v pa = (probe p b vis.(v).def pa).parts
+
+let choice_at p b (vis : visible array) v pa =
+  let { def; is_virtual } = vis.(v) in
+  { Plan.def; stats = (probe p b def pa).stats; access = pa.access; is_virtual }
+
+(* What a walk returns: the winner's cost, or the planned binding built
+   from the winner. *)
+type _ outcome =
+  | Cost : float outcome
+  | Planned : Plan.planned_binding outcome
+
+type kind = Doc | Single | Or | And
+
+(* Plan one prepared binding over [vis], the visible indexes of its table
+   in tie-break order.  The candidates, in the order a strict [<] meets
+   them: the document scan; per filter a single index scan (one access) or
+   an index OR (one index per disjunct, every disjunct probed); then the
+   AND of every pair of single-scan winners, in filter order.  The winner
+   is kept as numbers — its kind, filter and index positions, and cost —
+   and only [Planned] turns it into a [Plan.planned_binding]. *)
+let walk : type r. r outcome -> prepared -> visible array -> prepared_binding -> r =
+ fun outcome p vis b ->
   Atomic.incr counters.plans_considered;
-  let index_scan_cost (pr : parts) =
-    perturbed (pr.lookup +. (pr.docs_fetched *. b.fetch_per_doc))
-  in
-  (* Best matching index per access. *)
-  let best_choice_for (pa : prepared_access) =
-    List.fold_left
-      (fun acc v ->
-        if not (serves_access v.def pa) then acc
-        else begin
-          let pr = probe p b v.def pa in
-          if pr.stats.Index_stats.entries = 0 then acc
-          else begin
-            let cost = index_scan_cost pr.parts in
-            Atomic.incr counters.plans_considered;
-            match acc with
-            | Some (_, best_cost) when best_cost <= cost -> acc
-            | Some _ | None ->
-                let choice =
-                  { Plan.def = v.def; stats = pr.stats; access = pa.access;
-                    is_virtual = v.is_virtual }
-                in
-                Some ((choice, pr.parts), cost)
-          end
-        end)
-      None indexes
-  in
-  (* OR filter served by one index per disjunct: union of the probes. *)
-  let index_or_cost prs =
-    let lookups, docs_union =
-      List.fold_left
-        (fun (lk, du) (pr : parts) -> (lk +. pr.lookup, du +. pr.docs_fetched))
-        (0.0, 0.0) prs
-    in
-    let docs_union = Float.min b.docs_cap docs_union in
-    perturbed (lookups +. (docs_union *. b.fetch_per_doc))
-  in
-  let index_and_cost prs =
-    let lookups, rid_cpu, inter_frac =
-      List.fold_left
-        (fun (lk, rc, fr) (pr : parts) ->
-          (lk +. pr.lookup, rc +. (pr.docs_fetched *. C.cpu_per_index_entry), fr *. pr.frac))
-        (0.0, 0.0, 1.0) prs
-    in
-    let inter_docs = b.docs_cap *. inter_frac in
-    perturbed (lookups +. rid_cpu +. (inter_docs *. b.fetch_per_doc))
-  in
-  (* Per filter: a single index scan for a plain predicate, an index OR (one
-     index per disjunct, all required) for a disjunctive one. *)
-  let filter_plans =
-    List.filter_map
-      (fun (filter : prepared_access list) ->
-        match filter with
-        | [] -> None
-        | [ pa ] ->
-            Option.map
-              (fun ((c, pr), cost) -> (Plan.Index_scan c, Some (c, pr), cost))
-              (best_choice_for pa)
-        | disjuncts ->
-            let choices = List.map best_choice_for disjuncts in
-            if List.for_all Option.is_some choices then begin
-              let choices = List.map (fun o -> fst (Option.get o)) choices in
-              Atomic.incr counters.plans_considered;
-              Some
-                ( Plan.Index_or (List.map fst choices),
-                  None,
-                  index_or_cost (List.map snd choices) )
-            end
-            else None)
-      b.filters
-  in
-  let single_plans =
-    List.map (fun (plan, _, cost) -> (plan, cost +. b.result_cpu)) filter_plans
-  in
-  (* AND-combinations of the single-scan winners (pairs). *)
-  let scan_winners = List.filter_map (fun (_, scan, _) -> scan) filter_plans in
-  let rec pairs = function
-    | [] -> []
-    | c :: rest -> List.map (fun c' -> (c, c')) rest @ pairs rest
-  in
-  let and_plans =
-    List.map
-      (fun ((c, pr), (c', pr')) ->
+  let nf = Array.length b.filters in
+  let best = ref b.scan_cost and kind = ref Doc in
+  let fi = ref 0 and fj = ref 0 and vi = ref 0 and vj = ref 0 in
+  (* Each one-access filter's winning index, for the AND pairs. *)
+  let wins = if b.pairs then Array.make nf (-1) else [||] in
+  for f = 0 to nf - 1 do
+    let filter = b.filters.(f) in
+    let nd = Array.length filter in
+    if nd = 1 then begin
+      let v = best_index ~count:true p b vis filter.(0) in
+      if v >= 0 then begin
+        if b.pairs then wins.(f) <- v;
+        let cost = scan_cost b (parts_at p b vis v filter.(0)) +. b.result_cpu in
+        if cost < !best then begin
+          best := cost;
+          kind := Single;
+          fi := f;
+          vi := v
+        end
+      end
+    end
+    else if nd > 1 then begin
+      let served = ref true and lookups = ref 0.0 and docs = ref 0.0 in
+      for d = 0 to nd - 1 do
+        let v = best_index ~count:true p b vis filter.(d) in
+        if v < 0 then served := false
+        else if !served then begin
+          let pr = parts_at p b vis v filter.(d) in
+          lookups := !lookups +. pr.lookup;
+          docs := !docs +. pr.docs_fetched
+        end
+      done;
+      if !served then begin
         Atomic.incr counters.plans_considered;
-        let cost = index_and_cost [ pr; pr' ] +. b.result_cpu in
-        (Plan.Index_and [ c; c' ], cost))
-      (pairs scan_winners)
-  in
-  let plan, est_cost =
-    List.fold_left
-      (fun (bp, bc) (p, c) -> if c < bc then (p, c) else (bp, bc))
-      (Plan.Doc_scan, b.scan_cost)
-      (single_plans @ and_plans)
-  in
-  { Plan.info = b.info; plan; est_cost; est_docs = b.est_docs }
+        let cost = or_cost b ~lookups:!lookups ~docs:!docs +. b.result_cpu in
+        if cost < !best then begin
+          best := cost;
+          kind := Or;
+          fi := f
+        end
+      end
+    end
+  done;
+  if b.pairs then
+    for i = 0 to nf - 2 do
+      let v = wins.(i) in
+      if v >= 0 then begin
+        let x = parts_at p b vis v b.filters.(i).(0) in
+        for j = i + 1 to nf - 1 do
+          let w = wins.(j) in
+          if w >= 0 then begin
+            Atomic.incr counters.plans_considered;
+            let y = parts_at p b vis w b.filters.(j).(0) in
+            let cost = and_cost b x y +. b.result_cpu in
+            if cost < !best then begin
+              best := cost;
+              kind := And;
+              fi := i;
+              fj := j;
+              vi := v;
+              vj := w
+            end
+          end
+        done
+      end
+    done;
+  match outcome with
+  | Cost -> !best
+  | Planned ->
+      let plan =
+        match !kind with
+        | Doc -> Plan.Doc_scan
+        | Single -> Plan.Index_scan (choice_at p b vis !vi b.filters.(!fi).(0))
+        | Or ->
+            Plan.Index_or
+              (List.map
+                 (fun pa -> choice_at p b vis (best_index ~count:false p b vis pa) pa)
+                 (Array.to_list b.filters.(!fi)))
+        | And ->
+            Plan.Index_and
+              [
+                choice_at p b vis !vi b.filters.(!fi).(0);
+                choice_at p b vis !vj b.filters.(!fj).(0);
+              ]
+      in
+      { Plan.info = b.info; plan; est_cost = !best; est_docs = b.est_docs }
 
-(* Plan one prepared statement; [indexes_of table] lists the table's visible
-   indexes.  The one planner: every entry point below ends here, and the
-   callers count the invocations. *)
+(* One prepared statement's cost, [indexes_of table] listing the table's
+   visible indexes: the bindings' winning costs, summed, and the tail. *)
+let cost_prepared ~indexes_of p =
+  let locate = ref 0.0 in
+  for k = 0 to Array.length p.bindings - 1 do
+    let b = p.bindings.(k) in
+    locate := !locate +. walk Cost p (indexes_of b.info.Rewriter.source.Ast.table) b
+  done;
+  statement_total p !locate
+
+(* The same walk, building each binding's plan. *)
 let plan_prepared ~indexes_of p =
-  let planned =
-    List.map
-      (fun b -> plan_binding p (indexes_of b.info.Rewriter.source.Ast.table) b)
-      p.bindings
+  let bindings =
+    Array.to_list
+      (Array.map
+         (fun b -> walk Planned p (indexes_of b.info.Rewriter.source.Ast.table) b)
+         p.bindings)
   in
-  let locate_cost = List.fold_left (fun acc b -> acc +. b.Plan.est_cost) 0.0 planned in
-  let plan total_cost affected_docs =
-    { Plan.statement = p.statement; bindings = planned; total_cost; affected_docs }
-  in
-  match p.tail with
-  | Select_tail -> plan locate_cost 0.0
-  | Insert_tail cost -> plan cost 1.0
-  | Modify_tail per_doc ->
-      let affected = affected_docs_of_bindings planned in
-      plan (locate_cost +. (affected *. per_doc)) affected
+  let locate = List.fold_left (fun acc b -> acc +. b.Plan.est_cost) 0.0 bindings in
+  {
+    Plan.statement = p.statement;
+    bindings;
+    total_cost = statement_total p locate;
+    affected_docs = p.affected;
+  }
 
 (* Batch setup: per table the prepared statements touch, its visible
    indexes.  [Evaluate] keeps [virtual_config] order, which is the
    tie-break order. *)
 let visible_indexes mode ~virtual_config catalog (prepared : prepared array) =
-  let tables =
-    List.sort_uniq String.compare
-      (Array.fold_left
-         (fun acc p ->
-           List.fold_left
-             (fun acc b -> b.info.Rewriter.source.Ast.table :: acc)
-             acc p.bindings)
-         [] prepared)
-  in
+  let tables = ref [] in
+  Array.iter
+    (fun p ->
+      Array.iter
+        (fun b ->
+          let table = b.info.Rewriter.source.Ast.table in
+          if not (List.mem table !tables) then tables := table :: !tables)
+        p.bindings)
+    prepared;
   let of_table table =
     match mode with
     | Normal ->
-        List.map
-          (fun pi ->
-            { def = Xia_index.Physical_index.def pi; is_virtual = false })
-          (Catalog.real_indexes catalog table)
+        Array.of_list
+          (List.map
+             (fun pi -> { def = Xia_index.Physical_index.def pi; is_virtual = false })
+             (Catalog.real_indexes catalog table))
     | Evaluate ->
-        List.filter_map
-          (fun (d : Index_def.t) ->
-            if String.equal d.table table then Some { def = d; is_virtual = true }
-            else None)
-          virtual_config
+        Array.of_list
+          (List.filter_map
+             (fun (d : Index_def.t) ->
+               if String.equal d.table table then Some { def = d; is_virtual = true }
+               else None)
+             virtual_config)
   in
-  let by_table = List.map (fun t -> (t, of_table t)) tables in
+  let by_table = List.map (fun t -> (t, of_table t)) !tables in
   fun table -> List.assoc table by_table
 
-let plan_all ?(mode = Evaluate) ?(domains = 1) ~virtual_config catalog prepared =
-  Par.map ~domains
-    (plan_prepared ~indexes_of:(visible_indexes mode ~virtual_config catalog prepared))
-    prepared
-
-let optimize ?mode ?(virtual_config = []) catalog stmt =
+(* One statement through [planner] ([plan_prepared] or [cost_prepared]),
+   counted and timed as one optimizer invocation. *)
+let optimize_one ?(mode = Evaluate) ~virtual_config catalog stmt planner =
   let run () =
     Atomic.incr counters.optimize_calls;
-    (plan_all ?mode ~virtual_config catalog [| prepare catalog stmt |]).(0)
+    let p = prepare catalog stmt in
+    planner ~indexes_of:(visible_indexes mode ~virtual_config catalog [| p |]) p
   in
   if not (Xia_obs.Obs.on ()) then run ()
   else begin
     let t0 = Xia_obs.Obs.now_s () in
-    let plan = run () in
+    let result = run () in
     Xia_obs.Metrics.observe_s (optimize_latency ())
       (Xia_obs.Obs.now_s () -. t0);
-    plan
+    result
   end
+
+let optimize ?mode ?(virtual_config = []) catalog stmt =
+  optimize_one ?mode ~virtual_config catalog stmt plan_prepared
+
+let statement_cost ?mode ?(virtual_config = []) catalog stmt =
+  optimize_one ?mode ~virtual_config catalog stmt cost_prepared
 
 (* Distribution of batch sizes, for the observability layer.  Unitless
    bounds: a sample is a statement count, not a latency. *)
@@ -489,20 +582,22 @@ let batch_size_hist () =
     ~bounds_us:[| 1.; 2.; 4.; 8.; 16.; 32.; 64.; 128.; 256.; 512.; 1024. |]
     "optimizer.batch_size"
 
-(* The batched what-if entry point (Section VI-C): one optimizer invocation
-   plans every prepared statement against one index setup, fanned out over
-   up to [domains] domains, positionally deterministic.  Each result is
-   bit-for-bit what [optimize] returns for the statement: both plan through
-   [plan_prepared] over the same defs in the same order. *)
-let optimize_prepared ?mode ?domains ~virtual_config catalog
-    (prepared : prepared array) =
+(* The batched what-if invocation (Section VI-C): one optimizer invocation
+   runs [planner] over every prepared statement against one index setup,
+   fanned out over up to [domains] domains, positionally deterministic. *)
+let optimize_batched ?(mode = Evaluate) ?(domains = 1) ~virtual_config catalog
+    (prepared : prepared array) planner =
   let n = Array.length prepared in
   if n = 0 then [||]
   else begin
     Atomic.incr counters.optimize_calls;
     Atomic.incr counters.batched_calls;
     ignore (Atomic.fetch_and_add counters.batch_setup_saved (n - 1));
-    let run () = plan_all ?mode ?domains ~virtual_config catalog prepared in
+    let run () =
+      Par.map ~domains
+        (planner ~indexes_of:(visible_indexes mode ~virtual_config catalog prepared))
+        prepared
+    in
     if not (Xia_obs.Obs.on ()) then run ()
     else
       Xia_obs.Trace.with_span "optimizer.batch"
@@ -510,11 +605,21 @@ let optimize_prepared ?mode ?domains ~virtual_config catalog
         (fun () ->
           Xia_obs.Metrics.observe (batch_size_hist ()) (float_of_int n);
           let t0 = Xia_obs.Obs.now_s () in
-          let plans = run () in
+          let results = run () in
           Xia_obs.Metrics.observe_s (optimize_latency ())
             (Xia_obs.Obs.now_s () -. t0);
-          plans)
+          results)
   end
+
+(* Each plan is bit-for-bit what [optimize] returns for the statement: both
+   walk the same defs in the same order. *)
+let optimize_prepared ?mode ?domains ~virtual_config catalog prepared =
+  optimize_batched ?mode ?domains ~virtual_config catalog prepared plan_prepared
+
+(* The same invocation keeping only each statement's total: the walk
+   builds no plan. *)
+let optimize_costs ?mode ?domains ~virtual_config catalog prepared =
+  optimize_batched ?mode ?domains ~virtual_config catalog prepared cost_prepared
 
 (* [optimize_prepared] over statements prepared here.  Statistics are
    warmed first, so preparing reads the catalog only. *)
@@ -522,9 +627,6 @@ let optimize_batch ?mode ?domains ~virtual_config catalog stmts =
   Catalog.warm_stats catalog;
   optimize_prepared ?mode ?domains ~virtual_config catalog
     (Array.map (prepare catalog) stmts)
-
-let statement_cost ?mode ?virtual_config catalog stmt =
-  (optimize ?mode ?virtual_config catalog stmt).Plan.total_cost
 
 (* The Enumerate Indexes mode.  A universal virtual index (for each data type
    and node kind) is put in place for every table the statement touches; the

@@ -95,6 +95,18 @@ val optimize_prepared :
   prepared array ->
   Plan.t array
 
+(** {!optimize_prepared} keeping only each statement's [total_cost]: the
+    same walk, same counters and observability, bit-for-bit the same costs,
+    but no {!Plan.t} is built — the planner keeps each binding's winner as
+    numbers.  The what-if search reads only these costs. *)
+val optimize_costs :
+  ?mode:mode ->
+  ?domains:int ->
+  virtual_config:Index_def.t list ->
+  Catalog.t ->
+  prepared array ->
+  float array
+
 (** {!optimize_prepared} over statements prepared by this call (after
     {!Catalog.warm_stats}); same results and counters. *)
 val optimize_batch :
@@ -104,6 +116,10 @@ val optimize_batch :
   Catalog.t ->
   Ast.statement array ->
   Plan.t array
+
+(** A prepared statement's {!Plan.affected_docs}: no index configuration
+    changes it. *)
+val affected_docs : prepared -> float
 
 (** Estimated documents a DML statement modifies, derived from its locating
     binding(s): the most selective binding's estimate ([0.] with no locating

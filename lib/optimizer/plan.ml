@@ -53,9 +53,6 @@ let indexes_used plan =
       end)
     all
 
-let uses_index plan def =
-  List.exists (fun d -> Index_def.same d def) (indexes_used plan)
-
 let pp_binding_plan ppf = function
   | Doc_scan -> Fmt.string ppf "DOCSCAN"
   | Index_scan c ->

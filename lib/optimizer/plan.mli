@@ -33,7 +33,5 @@ type t = {
 (** Distinct indexes appearing in the plan. *)
 val indexes_used : t -> Index_def.t list
 
-val uses_index : t -> Index_def.t -> bool
-
 val pp_binding_plan : Format.formatter -> binding_plan -> unit
 val pp : Format.formatter -> t -> unit

@@ -14,51 +14,22 @@ module Path_stats = Xia_storage.Path_stats
 module Index_def = Xia_index.Index_def
 module Xp = Xia_xpath.Ast
 
-(* Per-path view of the entries an index of type [dtype] stores. *)
-type path_view = {
-  path : string list;
-  entries : int;
-  distinct : int;
-  docs : int;
-  min_num : float;
-  max_num : float;
-  hist : Xia_storage.Histogram.t option;
-}
-
 (* Runtime toggle, for the histogram-accuracy ablation bench.  Atomic: it is
    read from every worker domain during a parallel evaluation, and the bench
    flips it between runs. *)
 let use_histograms = Atomic.make true
 
-let path_view dtype (info : Path_stats.path_info) =
+(* The entries an index of type [dtype] stores for one path, and their
+   distinct keys (at least one). *)
+let typed_entries dtype (info : Path_stats.path_info) =
   match dtype with
-  | Index_def.Ddouble ->
-      {
-        path = info.path;
-        entries = info.numeric_count;
-        distinct = max 1 info.distinct_numeric;
-        docs = info.doc_count;
-        min_num = info.min_num;
-        max_num = info.max_num;
-        hist = info.histogram;
-      }
-  | Index_def.Dstring ->
-      {
-        path = info.path;
-        entries = info.node_count;
-        distinct = max 1 info.distinct_values;
-        docs = info.doc_count;
-        min_num = info.min_num;
-        max_num = info.max_num;
-        hist = info.histogram;
-      }
+  | Index_def.Ddouble -> info.numeric_count
+  | Index_def.Dstring -> info.node_count
 
-let path_views stats pid dtype =
-  List.filter_map
-    (fun info ->
-      let v = path_view dtype info in
-      if v.entries = 0 then None else Some v)
-    (Path_stats.matching_id stats pid)
+let typed_distinct dtype (info : Path_stats.path_info) =
+  match dtype with
+  | Index_def.Ddouble -> max 1 info.distinct_numeric
+  | Index_def.Dstring -> max 1 info.distinct_values
 
 (* Probability mass of cross-path string collisions: a string value drawn
    from the predicate's home domain hits an unrelated path's domain with
@@ -68,9 +39,11 @@ let path_views stats pid dtype =
    numeric domains genuinely do, so numeric conditions are never damped. *)
 let cross_path_collision = 0.05
 
-(* Fraction of one path's entries matching the condition. *)
-let path_selectivity (v : path_view) (condition : Xia_query.Rewriter.condition) =
-  let eq_fraction = 1.0 /. float_of_int v.distinct in
+(* Fraction of one path's entries matching the condition; [distinct] is the
+   path's distinct keys for the index type. *)
+let path_selectivity ~distinct (v : Path_stats.path_info)
+    (condition : Xia_query.Rewriter.condition) =
+  let eq_fraction = 1.0 /. float_of_int distinct in
   let clamp f = Float.max 0.0 (Float.min 1.0 f) in
   match condition with
   | Xia_query.Rewriter.Cexists -> 1.0
@@ -98,7 +71,7 @@ let path_selectivity (v : path_view) (condition : Xia_query.Rewriter.condition) 
             if holds then 1.0 else 0.0)
           else begin
             let below =
-              match v.hist with
+              match v.histogram with
               | Some h when Atomic.get use_histograms ->
                   Xia_storage.Histogram.fraction_below h x
               | Some _ | None ->
@@ -125,7 +98,18 @@ type lookup_estimate = {
   total_entries : float;    (* size of the key population *)
 }
 
-let empty_estimate = { entries_matched = 0.0; docs_matched = 0.0; total_entries = 0.0 }
+(* Size of the home domain: distinct keys over the paths (holding typed
+   entries) that the query pattern [q] accepts, for scaling cross-path
+   collision mass. *)
+let rec home_distinct dtype q acc = function
+  | [] -> acc
+  | (info : Path_stats.path_info) :: rest ->
+      let acc =
+        if typed_entries dtype info <> 0 && Xia_xpath.Pattern.accepts_id q info.path then
+          acc + typed_distinct dtype info
+        else acc
+      in
+      home_distinct dtype q acc rest
 
 (* Expected matches of a condition against the key population of the
    pattern with id [pid] (per-path mixture; documents collapse binomially
@@ -133,46 +117,56 @@ let empty_estimate = { entries_matched = 0.0; docs_matched = 0.0; total_entries 
    the id of the predicate's own pattern — is given, string-equality
    contributions from paths outside the query pattern are damped by
    [cross_path_collision].  Whether a path is the query's own ("home") is
-   an NFA walk, so it is decided once per path, and only for a string
-   equality or inequality, the conditions that ask. *)
+   asked only for a string equality or inequality, the conditions that
+   care.  The covered paths are walked in place, summing into local floats
+   (seeded with [0.0]) in path order: a probe builds one record, the
+   result. *)
 let lookup_estimate ?query (stats : Path_stats.t) pid dtype condition =
-  let views = path_views stats pid dtype in
-  let add acc v sel =
-    let entries = float_of_int v.entries in
-    let epd = Float.max 1.0 (entries /. float_of_int (max 1 v.docs)) in
-    let docs = float_of_int v.docs *. (1.0 -. ((1.0 -. sel) ** epd)) in
-    {
-      entries_matched = acc.entries_matched +. (sel *. entries);
-      docs_matched = acc.docs_matched +. docs;
-      total_entries = acc.total_entries +. entries;
-    }
-  in
-  let est =
+  let paths = Path_stats.matching_id stats pid in
+  (* The query pattern when foreign paths are damped, else -1. *)
+  let home =
     match condition, query with
-    | Xia_query.Rewriter.Ccompare (((Xp.Eq | Xp.Ne) as cmp), Xp.String_lit _), Some q ->
-        let homes = List.map (fun v -> Xia_xpath.Pattern.accepts_id q v.path) views in
-        (* Size of the home domain, for scaling cross-path collision mass. *)
-        let home_distinct =
-          max 1
-            (List.fold_left2 (fun acc v home -> if home then acc + v.distinct else acc) 0 views homes)
-        in
-        let foreign =
-          match cmp with
-          | Xp.Ne ->
-              (* Ne outside the home path still matches ~everything. *)
-              1.0
-          | _ ->
-              (* Eq: expected foreign hits per entry, uniform over the home
-                 domain. *)
-              Float.min 1.0 (cross_path_collision /. float_of_int home_distinct)
-        in
-        List.fold_left2
-          (fun acc v home -> add acc v (if home then path_selectivity v condition else foreign))
-          empty_estimate views homes
-    | Xia_query.Rewriter.Ccompare (_, _), _ | Xia_query.Rewriter.Cexists, _ ->
-        List.fold_left (fun acc v -> add acc v (path_selectivity v condition)) empty_estimate views
+    | Xia_query.Rewriter.Ccompare ((Xp.Eq | Xp.Ne), Xp.String_lit _), Some q -> q
+    | Xia_query.Rewriter.Ccompare (_, _), _ | Xia_query.Rewriter.Cexists, _ -> -1
   in
-  { est with docs_matched = Float.min est.docs_matched (float_of_int stats.doc_count) }
+  let foreign =
+    match condition with
+    | _ when home < 0 -> 0.0
+    | Xia_query.Rewriter.Ccompare (Xp.Ne, _) ->
+        (* Ne outside the home path still matches ~everything. *)
+        1.0
+    | Xia_query.Rewriter.Ccompare (_, _) | Xia_query.Rewriter.Cexists ->
+        (* Eq: expected foreign hits per entry, uniform over the home
+           domain. *)
+        Float.min 1.0
+          (cross_path_collision /. float_of_int (max 1 (home_distinct dtype home 0 paths)))
+  in
+  let entries_matched = ref 0.0 and docs_matched = ref 0.0 and total_entries = ref 0.0 in
+  let rest = ref paths and walking = ref true in
+  while !walking do
+    match !rest with
+    | [] -> walking := false
+    | (info : Path_stats.path_info) :: tl ->
+        rest := tl;
+        let n = typed_entries dtype info in
+        if n <> 0 then begin
+          let sel =
+            if home >= 0 && not (Xia_xpath.Pattern.accepts_id home info.path) then foreign
+            else path_selectivity ~distinct:(typed_distinct dtype info) info condition
+          in
+          let entries = float_of_int n in
+          let epd = Float.max 1.0 (entries /. float_of_int (max 1 info.doc_count)) in
+          let docs = float_of_int info.doc_count *. (1.0 -. ((1.0 -. sel) ** epd)) in
+          entries_matched := !entries_matched +. (sel *. entries);
+          docs_matched := !docs_matched +. docs;
+          total_entries := !total_entries +. entries
+        end
+  done;
+  {
+    entries_matched = !entries_matched;
+    docs_matched = Float.min !docs_matched (float_of_int stats.doc_count);
+    total_entries = !total_entries;
+  }
 
 (* Fraction of the table's documents satisfying one access. *)
 let doc_fraction (stats : Path_stats.t) (access : Xia_query.Rewriter.access) =

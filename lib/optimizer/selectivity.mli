@@ -8,17 +8,6 @@
 module Path_stats = Xia_storage.Path_stats
 module Index_def = Xia_index.Index_def
 
-(** Per-path view of the entries an index of a given type stores. *)
-type path_view = {
-  path : string list;
-  entries : int;
-  distinct : int;
-  docs : int;
-  min_num : float;
-  max_num : float;
-  hist : Xia_storage.Histogram.t option;
-}
-
 (** When set (the default), numeric range selectivities use the per-path
     histograms collected by RUNSTATS instead of a uniform-range assumption.
     Exposed for the histogram-accuracy ablation.  Atomic because worker
@@ -30,22 +19,11 @@ val use_histograms : bool Atomic.t
     predicate's own pattern (string value domains rarely overlap). *)
 val cross_path_collision : float
 
-val path_view : Index_def.data_type -> Path_stats.path_info -> path_view
-
-(** Paths covered by the pattern with this interned id
-    ({!Xia_xpath.Pattern.id}) that hold at least one typed entry. *)
-val path_views : Path_stats.t -> int -> Index_def.data_type -> path_view list
-
-(** Fraction of one path's entries matching a condition. *)
-val path_selectivity : path_view -> Xia_query.Rewriter.condition -> float
-
 type lookup_estimate = {
   entries_matched : float;
   docs_matched : float;
   total_entries : float;
 }
-
-val empty_estimate : lookup_estimate
 
 (** Expected matches of a condition against the key population of the
     pattern with this interned id ({!Xia_xpath.Pattern.id}).  [query] is

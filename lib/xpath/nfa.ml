@@ -74,9 +74,11 @@ let advance_masks ~desc ~matches set = (set land desc) lor ((set land matches) l
 let advance nfa set sym =
   advance_masks ~desc:nfa.desc_mask ~matches:(match_mask nfa sym) set
 
-let accepts nfa word =
-  let final = List.fold_left (fun set sym -> advance nfa set sym) initial word in
-  accepting nfa final
+let rec run nfa set = function
+  | [] -> set
+  | sym :: rest -> run nfa (advance nfa set sym) rest
+
+let accepts nfa word = accepting nfa (run nfa initial word)
 
 let names_of_steps steps =
   List.fold_left

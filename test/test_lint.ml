@@ -1482,6 +1482,11 @@ let e002_tests =
         check_ids "flagged at the write" [ (1, "E002") ] ~filename:"lib/optimizer/optimizer.ml"
           "let bump tbl k = Hashtbl.replace tbl k ()\n\
            let optimize_prepared tbl ps = Array.map (fun p -> bump tbl p; p) ps\n");
+    tc "optimize_costs is a batch root" (fun () ->
+        check_ids "flagged at the write" [ (1, "E002") ] ~filename:"lib/optimizer/optimizer.ml"
+          "let bump tbl k = Hashtbl.replace tbl k ()\n\
+           let walk tbl p = bump tbl p; 0.0\n\
+           let optimize_costs tbl ps = Array.map (walk tbl) ps\n");
     tc "the optimizer's prepare is a sanctioned sink" (fun () ->
         check_ids "clean" [] ~filename:"lib/optimizer/optimizer.ml"
           "let prepare tbl s = Hashtbl.replace tbl s (); s\n\

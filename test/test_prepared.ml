@@ -142,17 +142,34 @@ let check_same label mode ~virtual_config catalog stmts got got_count =
     QCheck.Test.fail_reportf "%s: plans_considered %d, oracle %d" label got_count
       expected_count
 
+(* The cost-only entry point against the plans: every cost bit-identical to
+   the plan's [total_cost], and the same [plans_considered]. *)
+let check_costs label (plans : Plan.t array) plan_count costs cost_count =
+  Array.iteri
+    (fun i (p : Plan.t) ->
+      if not (Int64.equal (Int64.bits_of_float p.Plan.total_cost) (Int64.bits_of_float costs.(i)))
+      then
+        QCheck.Test.fail_reportf "%s statement %d: plan total %h, cost entry %h" label i
+          p.Plan.total_cost costs.(i))
+    plans;
+  if plan_count <> cost_count then
+    QCheck.Test.fail_reportf "%s: plans_considered %d planning, %d costing" label plan_count
+      cost_count
+
 (* Plan [prepared] under [cfg] twice — cold memo, then warm — and compare
-   both rounds with the oracle. *)
-let plan_twice label mode ~domains ~virtual_config catalog stmts prepared =
+   both rounds with the oracle; cost [for_costs] (the same statements,
+   prepared separately so its memo is cold too) alongside. *)
+let plan_twice label mode ~domains ~virtual_config catalog stmts prepared for_costs =
   List.iter
     (fun round ->
+      let label = Printf.sprintf "%s %s domains=%d" label round domains in
       let c0 = plans_considered () in
       let got = O.optimize_prepared ~mode ~domains ~virtual_config catalog prepared in
-      check_same
-        (Printf.sprintf "%s %s domains=%d" label round domains)
-        mode ~virtual_config catalog stmts got
-        (plans_considered () - c0))
+      let got_count = plans_considered () - c0 in
+      check_same label mode ~virtual_config catalog stmts got got_count;
+      let c1 = plans_considered () in
+      let costs = O.optimize_costs ~mode ~domains ~virtual_config catalog for_costs in
+      check_costs label got got_count costs (plans_considered () - c1))
     [ "cold"; "warm" ]
 
 let qcheck_evaluate =
@@ -169,21 +186,26 @@ let qcheck_evaluate =
               (* One preparation per domain count: its memo starts cold and
                  warms across the configurations. *)
               let prepared = Array.map (O.prepare catalog) stmts in
+              let for_costs = Array.map (O.prepare catalog) stmts in
               List.iteri
                 (fun k virtual_config ->
                   plan_twice
                     (Printf.sprintf "%s seed=%d cfg%d" label seed k)
-                    O.Evaluate ~domains ~virtual_config catalog stmts prepared)
+                    O.Evaluate ~domains ~virtual_config catalog stmts prepared for_costs)
                 configs)
             [ 1; 2 ];
-          (* The one-statement entry point plans through the same path. *)
+          (* The one-statement entry points plan through the same path. *)
           let virtual_config = random_config rng defs in
+          let label = Printf.sprintf "%s seed=%d optimize" label seed in
           let c0 = plans_considered () in
           let got = Array.map (O.optimize ~mode:O.Evaluate ~virtual_config catalog) stmts in
-          check_same
-            (Printf.sprintf "%s seed=%d optimize" label seed)
-            O.Evaluate ~virtual_config catalog stmts got
-            (plans_considered () - c0))
+          let got_count = plans_considered () - c0 in
+          check_same label O.Evaluate ~virtual_config catalog stmts got got_count;
+          let c1 = plans_considered () in
+          let costs =
+            Array.map (O.statement_cost ~mode:O.Evaluate ~virtual_config catalog) stmts
+          in
+          check_costs label got got_count costs (plans_considered () - c1))
         (Lazy.force fixtures);
       !index_plans > seen)
 
@@ -210,7 +232,9 @@ let normal_mode_tests =
           List.iter
             (fun domains ->
               let prepared = Array.map (O.prepare catalog) stmts in
-              plan_twice "normal" O.Normal ~domains ~virtual_config:[] catalog stmts prepared)
+              let for_costs = Array.map (O.prepare catalog) stmts in
+              plan_twice "normal" O.Normal ~domains ~virtual_config:[] catalog stmts prepared
+                for_costs)
             [ 1; 2 ]
         in
         let seen = !index_plans in
@@ -222,8 +246,51 @@ let normal_mode_tests =
         Fun.protect ~finally:(fun () -> Atomic.set O.index_cost_factor 1.0) run);
   ]
 
+let words_of n f =
+  let w0 = Gc.minor_words () in
+  for _ = 1 to n do
+    ignore (Sys.opaque_identity (f ()))
+  done;
+  Gc.minor_words () -. w0
+
+(* Costing prepared statements whose probes are all memoized builds no
+   plan.  What remains per statement is its slot in the result array, its
+   boxed total and each binding's boxed cost on the way out of the walk
+   (and, for a binding with AND pairs, one small array of winning index
+   positions); the batch's visible-index setup is shared by the fifty
+   copies of the fixture. *)
+let allocation_tests =
+  [
+    tc "re-costing memoized statements allocates a few words each" (fun () ->
+        let _, catalog, stmts, defs = List.hd (Lazy.force fixtures) in
+        let once = Array.map (O.prepare catalog) stmts in
+        let prepared = Array.concat (List.init 50 (fun _ -> once)) in
+        let virtual_config = Array.to_list defs in
+        let cost () = O.optimize_costs ~mode:O.Evaluate ~virtual_config catalog prepared in
+        let c0 = plans_considered () in
+        let costs = cost () in
+        let cost_count = plans_considered () - c0 in
+        let seen = !index_plans in
+        let c1 = plans_considered () in
+        let plans = O.optimize_prepared ~mode:O.Evaluate ~virtual_config catalog prepared in
+        let plan_count = plans_considered () - c1 in
+        check_same "allocation" O.Evaluate ~virtual_config catalog
+          (Array.concat (List.init 50 (fun _ -> stmts)))
+          plans plan_count;
+        check_costs "allocation" plans plan_count costs cost_count;
+        Alcotest.(check bool) "some binding planned with an index" true (!index_plans > seen);
+        let runs = 20 in
+        let per_statement =
+          words_of runs cost /. float_of_int (runs * Array.length prepared)
+        in
+        Alcotest.(check bool)
+          (Printf.sprintf "%.2f words per statement, at most 12" per_statement)
+          true (per_statement <= 12.));
+  ]
+
 let suites =
   [
     ("prepared.differential", [ QCheck_alcotest.to_alcotest qcheck_evaluate ]);
     ("prepared.normal", normal_mode_tests);
+    ("prepared.allocation", allocation_tests);
   ]
