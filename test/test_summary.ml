@@ -448,6 +448,55 @@ let qcheck_prune_oracle =
         pruned_searches;
       true)
 
+(* Order invariance: a workload's recommendation is a function of its
+   statements, not of their order.  For every search algorithm, the
+   reversed or shuffled workload must recommend the same logical-key set
+   with a [Float.equal] benefit. *)
+let qcheck_order_invariance =
+  QCheck.Test.make ~count:60 ~name:"permuted workload: same keys and benefit"
+    QCheck.(
+      quad (int_range 0 1000) (int_range 6 12) (oneofl [ 0.2; 0.5; 0.8 ]) bool)
+    (fun (seed, n, frac, reverse) ->
+      let catalog = Lazy.force Helpers.shared_catalog in
+      let wl = Synthetic.workload ~seed catalog (Cat.table_names catalog) n in
+      let permuted =
+        if reverse then List.rev wl
+        else begin
+          let rng = Random.State.make [| seed |] in
+          List.map snd
+            (List.sort
+               (fun (a, _) (b, _) -> Int.compare a b)
+               (List.map (fun it -> (Random.State.bits rng, it)) wl))
+        end
+      in
+      let set = En.candidates catalog wl in
+      let all_size = B.config_size (B.create ~domains:1 catalog wl) (C.basics set) in
+      let budget = int_of_float (frac *. float_of_int all_size) in
+      let keys (r : A.recommendation) =
+        List.sort String.compare
+          (List.map
+             (fun (c : C.t) -> Xia_index.Index_def.logical_key c.C.def)
+             r.A.outcome.S.config)
+      in
+      List.iter
+        (fun alg ->
+          let run wl = A.advise ~domains:1 ~compress:false catalog wl ~budget alg in
+          let a = run wl and b = run permuted in
+          let label =
+            Printf.sprintf "seed %d n %d frac %.1f %s %s" seed n frac
+              (if reverse then "reversed" else "shuffled")
+              (A.algorithm_name alg)
+          in
+          if keys a <> keys b then
+            QCheck.Test.fail_reportf "%s: keys [%s] vs [%s]" label
+              (String.concat "; " (keys a))
+              (String.concat "; " (keys b));
+          if not (Float.equal a.A.outcome.S.benefit b.A.outcome.S.benefit) then
+            QCheck.Test.fail_reportf "%s: benefit %h vs %h" label a.A.outcome.S.benefit
+              b.A.outcome.S.benefit)
+        A.all_algorithms;
+      true)
+
 let pruned_counter_fires =
   tc "pruned counter strictly positive at scale" (fun () ->
       let catalog = Lazy.force Helpers.shared_catalog in
@@ -480,5 +529,5 @@ let suites =
     ("summary.pruning", prune_tests);
     ("summary.memo", memo_tests);
     Helpers.qsuite "summary.qcheck"
-      [ qcheck_clustering; qcheck_memo_oracle; qcheck_prune_oracle ];
+      [ qcheck_clustering; qcheck_memo_oracle; qcheck_prune_oracle; qcheck_order_invariance ];
   ]
