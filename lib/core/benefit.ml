@@ -242,24 +242,61 @@ let base_workload_cost t =
     t.items;
   !total
 
+(* Heapsort of a float array under [Float.compare], in place.  The floats
+   are read and compared unboxed, so sorting allocates nothing. *)
+let rec sift_down (a : float array) i size =
+  let l = (2 * i) + 1 in
+  if l < size then begin
+    let m = if l + 1 < size && Float.compare a.(l + 1) a.(l) > 0 then l + 1 else l in
+    if Float.compare a.(m) a.(i) > 0 then begin
+      let x = a.(i) in
+      a.(i) <- a.(m);
+      a.(m) <- x;
+      sift_down a m size
+    end
+  end
+
+let sort_floats (a : float array) =
+  let n = Array.length a in
+  for i = (n / 2) - 1 downto 0 do
+    sift_down a i n
+  done;
+  for last = n - 1 downto 1 do
+    let x = a.(0) in
+    a.(0) <- a.(last);
+    a.(last) <- x;
+    sift_down a 0 last
+  done
+
+(* The benefit's sums add their terms in ascending order, from [0.0]: a
+   benefit is then a function of its terms alone, not of the order of the
+   workload's statements or of the configuration's members, so a permuted
+   workload gets a bit-identical benefit. *)
+let canonical_sum terms =
+  sort_floats terms;
+  let total = ref 0.0 in
+  for k = 0 to Array.length terms - 1 do
+    total := !total +. terms.(k)
+  done;
+  !total
+
 (* Maintenance charge of a configuration: for every DML statement, every
    index of the configuration on the statement's table pays mc. *)
 let maintenance_charge t (config : Candidate.t list) =
-  let total = ref 0.0 in
+  let terms = ref [] in
   Array.iter
     (fun (i, kind, tables) ->
       List.iter
         (fun (c : Candidate.t) ->
           if List.mem c.def.Xia_index.Index_def.table tables then begin
             let stats = Candidate.stats t.catalog c in
-            total :=
-              !total
-              +. t.weights.(i)
-                 *. Maintenance.cost stats kind ~docs_affected:t.base_affected.(i)
+            terms :=
+              (t.weights.(i) *. Maintenance.cost stats kind ~docs_affected:t.base_affected.(i))
+              :: !terms
           end)
         config)
     t.dml;
-  !total
+  canonical_sum (Array.of_list !terms)
 
 (* Fingerprint of a sub-configuration: the sorted array of its members'
    interned logical ids.  Equal configurations (up to order and index names)
@@ -408,7 +445,8 @@ let workload_cost t (config : Candidate.t list) =
   end
 
 (* Cost-delta term of one sub-configuration: Σ freq·(s_old − s_new) over its
-   affected statements ([affected], sorted).  The per-statement costs come
+   affected statements ([affected], sorted), a {!canonical_sum}.  The
+   per-statement costs come
    from {!config_costs} — one batched optimizer invocation on a cache miss,
    pure lookup on a hit. *)
 let sub_config_delta t (sub : Candidate.t list) affected =
@@ -436,10 +474,13 @@ let sub_config_delta t (sub : Candidate.t list) affected =
       ])
   @@ fun () ->
   let costs = config_costs t ~defs (fingerprint sub) stmts in
-  List.fold_left2
-    (fun acc stmt_index cost_new ->
-      acc +. (t.weights.(stmt_index) *. (t.base_costs.(stmt_index) -. cost_new)))
-    0.0 stmts costs
+  let terms = Array.make (Array.length affected) 0.0 in
+  List.iteri
+    (fun k cost_new ->
+      let i = affected.(k) in
+      terms.(k) <- t.weights.(i) *. (t.base_costs.(i) -. cost_new))
+    costs;
+  canonical_sum terms
 
 (* A configuration, partitioned into sub-configurations ("groups") of
    candidates with overlapping affected sets: candidates in different groups
@@ -450,7 +491,7 @@ let sub_config_delta t (sub : Candidate.t list) affected =
    from scratch:
 
    - groups are kept in first-member order (the order of their first member
-     in the list), and {!value} sums their deltas in that order;
+     in the list); {!value} sums their deltas canonically, in any order;
    - a group lists its members in reverse list order.  That list is the
      defs list its fingerprint's cache entry pins on first compute, and the
      planner keeps the FIRST index on an exact cost tie.
@@ -564,14 +605,15 @@ let extend t cfg xs =
       in
       { cfg with c_groups }
 
-(* The paper's Benefit(x1..xn; W): the group deltas summed in group order,
-   minus the configuration's maintenance charge. *)
+(* The paper's Benefit(x1..xn; W): the group deltas summed, minus the
+   configuration's maintenance charge. *)
 let value t cfg =
   match cfg.c_members with
   | [] -> 0.0
   | members ->
-      List.fold_left (fun acc g -> acc +. g.g_delta) 0.0 cfg.c_groups
-      -. maintenance_charge t members
+      let deltas = Array.make (List.length cfg.c_groups) 0.0 in
+      List.iteri (fun k g -> deltas.(k) <- g.g_delta) cfg.c_groups;
+      canonical_sum deltas -. maintenance_charge t members
 
 let benefit t (config : Candidate.t list) = value t (extend t empty config)
 

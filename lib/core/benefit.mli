@@ -113,7 +113,10 @@ val groups : config -> Candidate.t list list
 val extend : t -> config -> Candidate.t list -> config
 
 (** The paper's [Benefit(x1..xn; W)] of a configuration: its group deltas
-    summed in group order, minus its maintenance charge. *)
+    summed, minus its maintenance charge.  Every sum in it (a group's
+    statement terms, the group deltas, the maintenance terms) adds its
+    terms in ascending order, so the value is bit-identical for any order
+    of the workload's statements and of the configuration's members. *)
 val value : t -> config -> float
 
 (** [benefit t l] is [value t (extend t empty l)].

@@ -474,9 +474,16 @@ let top_down variant ev set ~budget =
               let r = ratio x and rb = ratio best in
               if r < rb then x
               else if Float.equal r rb then
-                (* ties: largest ΔC *)
-                let (_, _, _, dc) = x and (_, _, _, dcb) = best in
-                if dc > dcb then x else best
+                (* ties: largest ΔC, then the smallest logical key *)
+                let (g, _, _, dc) = x and (gb, _, _, dcb) = best in
+                if
+                  dc > dcb
+                  || dc = dcb
+                     && String.compare (Index_def.logical_key g.Candidate.def)
+                          (Index_def.logical_key gb.Candidate.def)
+                        < 0
+                then x
+                else best
               else best)
             (List.hd scored) (List.tl scored)
         in
@@ -494,11 +501,22 @@ let top_down_full ev set ~budget = top_down Full ev set ~budget
 
 (* -------- Dynamic programming (exact knapsack, no interaction) -------- *)
 
+(* The items are filled in the order greedy breaks density ties in
+   (specificity descending, then logical key), not in candidate-id order,
+   which follows first occurrence in the workload.  A capacity keeps its
+   incumbent on a tie, so of two equal-value sets the table keeps the one
+   whose items come first in that order: the more specific indexes.
+   Individual benefits are canonical sums ({!Benefit}), so a permuted
+   workload fills the same table and chooses the same logical keys. *)
 let dynamic_programming ev set ~budget =
   bracket "search.dynamic_programming" ~algorithm:"dynamic programming" ev
   @@ fun () ->
   let items =
     List.filter (fun c -> candidate_size ev c <= budget) (pool ev set)
+    |> List.map (fun (c : Candidate.t) ->
+           ((-Xia_xpath.Pattern.specificity c.def.pattern, Index_def.logical_key c.def), c))
+    |> List.sort (fun (a, _) (b, _) -> compare a b)
+    |> List.map snd
   in
   let items = Array.of_list items in
   let n = Array.length items in
@@ -545,7 +563,8 @@ let dynamic_programming ev set ~budget =
     done;
     count "search.dynamic_programming.admitted" (List.length !config);
     count "search.dynamic_programming.rejected" (n - List.length !config);
-    !config
+    (* Listed in candidate order, like every other search's pool. *)
+    List.sort (fun (a : Candidate.t) (b : Candidate.t) -> Int.compare a.id b.id) !config
   end
 
 (* -------- All-Index configuration -------- *)

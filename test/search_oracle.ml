@@ -86,9 +86,9 @@ let dedup config =
 
 (* Top-down descent over the [useful_ids] space: start from its roots and,
    while the configuration is over budget, replace the general index with
-   the smallest ΔB/ΔC (ties: largest ΔC) by its children not already
-   chosen.  ΔB sums individual benefits for Lite and re-evaluates the
-   configuration for Full.  When no index can be replaced, fall back to a
+   the smallest ΔB/ΔC (ties: largest ΔC, then the smallest logical key) by
+   its children not already chosen.  ΔB sums individual benefits for Lite
+   and re-evaluates the configuration for Full.  When no index can be replaced, fall back to a
    greedy pass over the configuration that keeps positive benefits. *)
 let top_down ~full ev set ~budget =
   let algorithm = if full then "top-down full" else "top-down lite" in
@@ -129,8 +129,14 @@ let top_down ~full ev set ~budget =
       | first :: rest ->
           let g, children, _, _ =
             List.fold_left
-              (fun ((_, _, rb, dcb) as best) ((_, _, r, dc) as x) ->
-                if r < rb || (Float.equal r rb && dc > dcb) then x else best)
+              (fun ((gb, _, rb, dcb) as best) ((g, _, r, dc) as x) ->
+                let key (c : C.t) = D.logical_key c.C.def in
+                if
+                  r < rb
+                  || Float.equal r rb
+                     && (dc > dcb || (dc = dcb && String.compare (key g) (key gb) < 0))
+                then x
+                else best)
               first rest
           in
           descend (dedup (children @ without g config)) (guard - 1)
