@@ -98,28 +98,16 @@ type lookup_estimate = {
   total_entries : float;    (* size of the key population *)
 }
 
-(* Size of the home domain: distinct keys over the paths (holding typed
-   entries) that the query pattern [q] accepts, for scaling cross-path
-   collision mass. *)
-let rec home_distinct dtype q acc = function
-  | [] -> acc
-  | (info : Path_stats.path_info) :: rest ->
-      let acc =
-        if typed_entries dtype info <> 0 && Xia_xpath.Pattern.accepts_id q info.path then
-          acc + typed_distinct dtype info
-        else acc
-      in
-      home_distinct dtype q acc rest
-
 (* Expected matches of a condition against the key population of the
    pattern with id [pid] (per-path mixture; documents collapse binomially
    per path and are clamped by the table's document count).  When [query] —
    the id of the predicate's own pattern — is given, string-equality
    contributions from paths outside the query pattern are damped by
    [cross_path_collision].  Whether a path is the query's own ("home") is
-   asked only for a string equality or inequality, the conditions that
-   care.  The covered paths are walked in place, summing into local floats
-   (seeded with [0.0]) in path order: a probe builds one record, the
+   an NFA walk, so it is decided once per path, and only for a string
+   equality or inequality, the conditions that ask.  The covered paths are
+   walked in place, summing into local floats (seeded with [0.0]) in path
+   order: besides that flag per path, a probe builds one record, the
    result. *)
 let lookup_estimate ?query (stats : Path_stats.t) pid dtype condition =
   let paths = Path_stats.matching_id stats pid in
@@ -129,6 +117,21 @@ let lookup_estimate ?query (stats : Path_stats.t) pid dtype condition =
     | Xia_query.Rewriter.Ccompare ((Xp.Eq | Xp.Ne), Xp.String_lit _), Some q -> q
     | Xia_query.Rewriter.Ccompare (_, _), _ | Xia_query.Rewriter.Cexists, _ -> -1
   in
+  (* One byte per covered path holding typed entries: set for a home path.
+     The home domain's size scales the cross-path collision mass. *)
+  let homes = Bytes.make (if home < 0 then 0 else List.length paths) '\000' in
+  let home_distinct = ref 0 and rest = ref paths and k = ref 0 in
+  while home >= 0 && !rest <> [] do
+    match !rest with
+    | [] -> ()
+    | (info : Path_stats.path_info) :: tl ->
+        if typed_entries dtype info <> 0 && Xia_xpath.Pattern.accepts_id home info.path then begin
+          Bytes.set homes !k '\001';
+          home_distinct := !home_distinct + typed_distinct dtype info
+        end;
+        rest := tl;
+        incr k
+  done;
   let foreign =
     match condition with
     | _ when home < 0 -> 0.0
@@ -138,20 +141,20 @@ let lookup_estimate ?query (stats : Path_stats.t) pid dtype condition =
     | Xia_query.Rewriter.Ccompare (_, _) | Xia_query.Rewriter.Cexists ->
         (* Eq: expected foreign hits per entry, uniform over the home
            domain. *)
-        Float.min 1.0
-          (cross_path_collision /. float_of_int (max 1 (home_distinct dtype home 0 paths)))
+        Float.min 1.0 (cross_path_collision /. float_of_int (max 1 !home_distinct))
   in
   let entries_matched = ref 0.0 and docs_matched = ref 0.0 and total_entries = ref 0.0 in
-  let rest = ref paths and walking = ref true in
-  while !walking do
+  rest := paths;
+  k := 0;
+  while !rest <> [] do
     match !rest with
-    | [] -> walking := false
+    | [] -> ()
     | (info : Path_stats.path_info) :: tl ->
         rest := tl;
         let n = typed_entries dtype info in
         if n <> 0 then begin
           let sel =
-            if home >= 0 && not (Xia_xpath.Pattern.accepts_id home info.path) then foreign
+            if home >= 0 && Bytes.get homes !k = '\000' then foreign
             else path_selectivity ~distinct:(typed_distinct dtype info) info condition
           in
           let entries = float_of_int n in
@@ -160,7 +163,8 @@ let lookup_estimate ?query (stats : Path_stats.t) pid dtype condition =
           entries_matched := !entries_matched +. (sel *. entries);
           docs_matched := !docs_matched +. docs;
           total_entries := !total_entries +. entries
-        end
+        end;
+        incr k
   done;
   {
     entries_matched = !entries_matched;
