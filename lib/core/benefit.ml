@@ -27,11 +27,10 @@
    (sub-)configuration costs every statement it needs against one index
    setup, fanned out over [domains t] domains, and builds no plan.
    Results are deterministic — batch outputs are positional and bit-for-bit
-   the per-statement plans' costs, and every sum is folded in sequential
-   order —
-   and the sub-configuration cache uses a compute-once discipline (a pending
-   set plus a condition variable) so [evaluations] and [cache_hits] also
-   match the sequential counts exactly.  [evaluations] counts optimizer
+   the per-statement plans' costs, and every sum is folded in a fixed
+   order — and the sub-configuration cache uses a compute-once discipline
+   (a pending set plus a condition variable) so [evaluations] and
+   [cache_hits] also match the sequential counts exactly.  [evaluations] counts optimizer
    INVOCATIONS: a batch of any size counts one (the raw per-statement
    equivalent lives in [Optimizer.counters.batch_setup_saved]).
 
@@ -446,9 +445,8 @@ let workload_cost t (config : Candidate.t list) =
 
 (* Cost-delta term of one sub-configuration: Σ freq·(s_old − s_new) over its
    affected statements ([affected], sorted), a {!canonical_sum}.  The
-   per-statement costs come
-   from {!config_costs} — one batched optimizer invocation on a cache miss,
-   pure lookup on a hit. *)
+   per-statement costs come from {!config_costs} — one batched optimizer
+   invocation on a cache miss, pure lookup on a hit. *)
 let sub_config_delta t (sub : Candidate.t list) affected =
   let stmts = Array.to_list affected in
   (* An evaluator is always paired with the candidate set derived from its
