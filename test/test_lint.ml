@@ -1510,6 +1510,65 @@ let e002_tests =
            let optimize_batch tbl stmts = List.map (fun s -> bump tbl s; s) stmts\n");
   ]
 
+(* ------------------------------------------- sites outside a binding -- *)
+
+(* A functor body and a toplevel [;;] expression are not call-graph nodes;
+   the unit-local checks still reach every site in them. *)
+let site_tests =
+  [
+    tc "D002, D004, H002 and R003 inside a functor body" (fun () ->
+        check_ids "all four fire" ~filename:"lib/core/f.ml"
+          [ (2, "D002"); (3, "D004"); (4, "H002"); (5, "R003") ]
+          "module F (X : sig end) = struct\n\
+          \  let a () = Sys.time ()\n\
+          \  let b () = Unix.gettimeofday ()\n\
+          \  let c () = failwith \"x\"\n\
+          \  let d c = Atomic.set c (Atomic.get c + 1)\n\
+           end\n");
+    tc "D002, D004, H002 and R003 inside toplevel ;; expressions" (fun () ->
+        check_ids "all four fire" ~filename:"lib/core/f.ml"
+          [ (1, "D002"); (2, "D004"); (3, "H002"); (4, "R003") ]
+          ";; ignore (Sys.time ())\n\
+           ;; ignore (Unix.gettimeofday ())\n\
+           ;; if Sys.argv = [||] then failwith \"y\"\n\
+           ;; let c = Atomic.make 0 in Atomic.set c (Atomic.get c + 1)\n");
+    tc "closure binder shadowing a raw global" (fun () ->
+        (* [run]'s task binds [counter] itself, so only [acc] (a captured
+           raw local) and [total] (a raw global) are findings there; in
+           [spawn] the local [total] shadows the global and is a capture,
+           while [counter] is the global. *)
+        let fs =
+          findings
+            "let counter = ref 0\n\
+             let total = ref 0\n\
+             let run items =\n\
+            \  let acc = ref 0 in\n\
+            \  Par.iter (fun counter -> acc := !acc + counter; total := !total + counter) items\n\
+             let spawn items =\n\
+            \  let total = ref 0 in\n\
+            \  Par.iter (fun x -> total := x; counter := x) items\n"
+        in
+        let what (f : Finding.t) =
+          if contains f.message "captures mutable local acc" then "local acc"
+          else if contains f.message "captures mutable local total" then "local total"
+          else if contains f.message "mutable state total" then "global total"
+          else if contains f.message "mutable state counter" then "global counter"
+          else f.message
+        in
+        Alcotest.(check (list (triple int string string)))
+          "captures and globals"
+          [
+            (1, "D001", ""); (2, "D001", "");
+            (5, "R001", "local acc"); (5, "R001", "local acc");
+            (5, "R001", "global total"); (5, "R001", "global total");
+            (8, "R001", "local total"); (8, "R001", "global counter");
+          ]
+          (List.map
+             (fun (f : Finding.t) ->
+               (f.line, f.id, if f.id = "R001" then what f else ""))
+             fs));
+  ]
+
 (* -------------------------------------------------- effect summaries ---- *)
 
 let effects_tests =
@@ -1601,6 +1660,7 @@ let suites =
     ("lint.e001", e001_tests);
     ("lint.e002", e002_tests);
     ("lint.effects", effects_tests);
+    ("lint.sites", site_tests);
     ("lint.allow_file", allow_file_tests);
     ("lint.format", format_tests);
     ("lint.json_report", json_report_tests);
