@@ -451,7 +451,7 @@ let qcheck_prune_oracle =
 (* Order invariance: a workload's recommendation is a function of its
    statements, not of their order.  For every search algorithm, the
    reversed or shuffled workload must recommend the same logical-key set
-   with a [Float.equal] benefit. *)
+   with a [Float.equal] benefit, new cost and estimated speedup. *)
 let qcheck_order_invariance =
   QCheck.Test.make ~count:60 ~name:"permuted workload: same keys and benefit"
     QCheck.(
@@ -493,7 +493,13 @@ let qcheck_order_invariance =
               (String.concat "; " (keys b));
           if not (Float.equal a.A.outcome.S.benefit b.A.outcome.S.benefit) then
             QCheck.Test.fail_reportf "%s: benefit %h vs %h" label a.A.outcome.S.benefit
-              b.A.outcome.S.benefit)
+              b.A.outcome.S.benefit;
+          if not (Float.equal a.A.new_cost b.A.new_cost) then
+            QCheck.Test.fail_reportf "%s: new_cost %h vs %h" label a.A.new_cost
+              b.A.new_cost;
+          if not (Float.equal a.A.est_speedup b.A.est_speedup) then
+            QCheck.Test.fail_reportf "%s: est_speedup %h vs %h" label a.A.est_speedup
+              b.A.est_speedup)
         A.all_algorithms;
       true)
 
