@@ -234,13 +234,6 @@ let count_hit t =
   Atomic.incr global_hits;
   count "benefit.cache_hits" 1
 
-let base_workload_cost t =
-  let total = ref 0.0 in
-  Array.iteri
-    (fun i _ -> total := !total +. (t.weights.(i) *. t.base_costs.(i)))
-    t.items;
-  !total
-
 (* Heapsort of a float array under [Float.compare], in place.  The floats
    are read and compared unboxed, so sorting allocates nothing. *)
 let rec sift_down (a : float array) i size =
@@ -278,6 +271,10 @@ let canonical_sum terms =
     total := !total +. terms.(k)
   done;
   !total
+
+(* Cost of the whole workload with no indexes, a {!canonical_sum}. *)
+let base_workload_cost t =
+  canonical_sum (Array.mapi (fun i base -> t.weights.(i) *. base) t.base_costs)
 
 (* Maintenance charge of a configuration: for every DML statement, every
    index of the configuration on the statement's table pays mc. *)
@@ -424,7 +421,10 @@ let config_costs t ~defs key stmts =
    pass over every statement; captures all interactions).  Used for final
    reporting, and routed through the fingerprint cache: reporting twice over
    the same configuration — or over a configuration whose fingerprint a
-   search already evaluated in full — skips planning entirely. *)
+   search already evaluated in full — skips planning entirely.  The defs
+   are planned in logical-key order and the statement terms summed with
+   {!canonical_sum}, so a permuted workload or configuration reports a
+   bit-identical cost. *)
 let workload_cost t (config : Candidate.t list) =
   Xia_obs.Trace.with_span "benefit.workload_cost"
     ~args:(fun () ->
@@ -435,12 +435,16 @@ let workload_cost t (config : Candidate.t list) =
   @@ fun () ->
   if Array.length t.items = 0 then 0.0
   else begin
-    let defs = List.map (fun c -> c.Candidate.def) config in
+    let defs =
+      List.sort
+        (fun a b ->
+          String.compare (Xia_index.Index_def.logical_key a)
+            (Xia_index.Index_def.logical_key b))
+        (List.map (fun c -> c.Candidate.def) config)
+    in
     let stmts = List.init (Array.length t.items) Fun.id in
     let costs = config_costs t ~defs (fingerprint config) stmts in
-    let total = ref 0.0 in
-    List.iteri (fun i cost -> total := !total +. (t.weights.(i) *. cost)) costs;
-    !total
+    canonical_sum (Array.of_list (List.mapi (fun i cost -> t.weights.(i) *. cost) costs))
   end
 
 (* Cost-delta term of one sub-configuration: Σ freq·(s_old − s_new) over its
