@@ -74,14 +74,15 @@ val total_cache_hits : unit -> int
     distribution regression test. *)
 val shard_index : int array -> int
 
-(** Frequency-weighted workload cost with no indexes, a {!canonical_sum}. *)
+(** Frequency-weighted workload cost with no indexes, its terms summed in
+    ascending order. *)
 val base_workload_cost : t -> float
 
 (** Frequency-weighted workload cost under a configuration (full batched
     pass over every statement, used for final reporting; served from the
     sub-configuration cache when the configuration's fingerprint was already
     evaluated in full).  The defs are planned in logical-key order and the
-    terms summed with {!canonical_sum}: a permuted workload or configuration
+    terms summed in ascending order: a permuted workload or configuration
     gets a bit-identical cost. *)
 val workload_cost : t -> Candidate.t list -> float
 
