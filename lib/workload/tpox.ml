@@ -15,40 +15,40 @@ let custacc_table = "CUSTACC"
 let order_table = "XORDER"
 
 let sectors =
-  [| "Energy"; "Technology"; "Finance"; "Healthcare"; "Utilities"; "Materials";
+  [ "Energy"; "Technology"; "Finance"; "Healthcare"; "Utilities"; "Materials";
      "Industrials"; "ConsumerStaples"; "ConsumerDiscretionary"; "Telecom";
-     "RealEstate"; "Transport" |]
+     "RealEstate"; "Transport" ]
 
 let industries =
-  [| "OilGas"; "Semiconductors"; "Software"; "Banks"; "Insurance"; "Biotech";
+  [ "OilGas"; "Semiconductors"; "Software"; "Banks"; "Insurance"; "Biotech";
      "Pharma"; "ElectricUtilities"; "Chemicals"; "Aerospace"; "Defense";
      "FoodProducts"; "Beverages"; "Retail"; "Automobiles"; "Media"; "Wireless";
      "REITs"; "Railroads"; "Airlines"; "Mining"; "Steel"; "Paper"; "Machinery";
      "Construction"; "Textiles"; "Tobacco"; "Gaming"; "Lodging"; "Restaurants";
      "ITServices"; "Hardware"; "Internet"; "AssetManagement"; "Brokerage";
-     "Reinsurance"; "WaterUtilities"; "GasUtilities"; "Shipping"; "Logistics" |]
+     "Reinsurance"; "WaterUtilities"; "GasUtilities"; "Shipping"; "Logistics" ]
 
 let countries =
-  [| "USA"; "Canada"; "Germany"; "France"; "UK"; "Japan"; "Australia"; "Brazil";
+  [ "USA"; "Canada"; "Germany"; "France"; "UK"; "Japan"; "Australia"; "Brazil";
      "India"; "China"; "Mexico"; "Spain"; "Italy"; "Netherlands"; "Sweden";
      "Norway"; "Switzerland"; "Austria"; "Belgium"; "Denmark"; "Finland";
      "Ireland"; "Portugal"; "Greece"; "Poland"; "Korea"; "Singapore";
-     "SouthAfrica"; "Argentina"; "Chile" |]
+     "SouthAfrica"; "Argentina"; "Chile" ]
 
 let first_names =
-  [| "James"; "Mary"; "Robert"; "Patricia"; "John"; "Jennifer"; "Michael";
+  [ "James"; "Mary"; "Robert"; "Patricia"; "John"; "Jennifer"; "Michael";
      "Linda"; "David"; "Elizabeth"; "William"; "Barbara"; "Richard"; "Susan";
-     "Joseph"; "Jessica"; "Thomas"; "Sarah"; "Charles"; "Karen" |]
+     "Joseph"; "Jessica"; "Thomas"; "Sarah"; "Charles"; "Karen" ]
 
 let last_names =
-  [| "Smith"; "Johnson"; "Williams"; "Brown"; "Jones"; "Garcia"; "Miller";
+  [ "Smith"; "Johnson"; "Williams"; "Brown"; "Jones"; "Garcia"; "Miller";
      "Davis"; "Rodriguez"; "Martinez"; "Hernandez"; "Lopez"; "Gonzalez";
-     "Wilson"; "Anderson"; "Taylor"; "Moore"; "Jackson"; "Martin"; "Lee" |]
+     "Wilson"; "Anderson"; "Taylor"; "Moore"; "Jackson"; "Martin"; "Lee" ]
 
-let tiers = [| "Platinum"; "Gold"; "Silver"; "Standard" |]
-let currencies = [| "USD"; "EUR"; "GBP"; "JPY"; "CAD"; "CHF" |]
+let tiers = [ "Platinum"; "Gold"; "Silver"; "Standard" ]
+let currencies = [ "USD"; "EUR"; "GBP"; "JPY"; "CAD"; "CHF" ]
 
-let pick rng arr = arr.(Random.State.int rng (Array.length arr))
+let pick rng l = List.nth l (Random.State.int rng (List.length l))
 
 let money rng lo hi =
   Printf.sprintf "%.2f" (lo +. Random.State.float rng (hi -. lo))
@@ -65,7 +65,7 @@ let symbol_of i = Printf.sprintf "SYM%05d" i
    which is what makes the paper's /Security/SecInfo/*/Sector wildcard (and
    its /Security//* generalization) meaningful. *)
 let security rng i =
-  let sec_type = pick rng [| "Stock"; "Bond"; "Fund" |] in
+  let sec_type = pick rng [ "Stock"; "Bond"; "Fund" ] in
   let sector = pick rng sectors in
   let industry = pick rng industries in
   let info_children =
@@ -82,7 +82,7 @@ let security rng i =
         [
           T.leaf "CouponRate" (Printf.sprintf "%.2f" (Random.State.float rng 9.0));
           T.leaf "MaturityDate" (date rng);
-          T.leaf "Rating" (pick rng [| "AAA"; "AA"; "A"; "BBB"; "BB"; "B" |]);
+          T.leaf "Rating" (pick rng [ "AAA"; "AA"; "A"; "BBB"; "BB"; "B" ]);
         ]
     | _ ->
         [
@@ -124,7 +124,7 @@ let customer rng i =
           ~attrs:[ ("id", account_id_of i k) ]
           "Account"
           [
-            T.leaf "Category" (pick rng [| "Checking"; "Savings"; "Brokerage"; "Retirement" |]);
+            T.leaf "Category" (pick rng [ "Checking"; "Savings"; "Brokerage"; "Retirement" ]);
             T.leaf "Currency" (pick rng currencies);
             T.element "Balance"
               [

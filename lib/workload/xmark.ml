@@ -11,19 +11,19 @@ let person_table = "XMPERSON"
 let auction_table = "XMAUCTION"
 
 let regions =
-  [| "africa"; "asia"; "australia"; "europe"; "namerica"; "samerica" |]
+  [ "africa"; "asia"; "australia"; "europe"; "namerica"; "samerica" ]
 
-let categories = Array.init 30 (fun i -> Printf.sprintf "category%d" i)
+let categories = List.init 30 (fun i -> Printf.sprintf "category%d" i)
 
 let cities =
-  [| "Amsterdam"; "Berlin"; "Paris"; "Tokyo"; "Sydney"; "Lagos"; "Toronto";
-     "Lima"; "Mumbai"; "Seoul"; "Madrid"; "Rome" |]
+  [ "Amsterdam"; "Berlin"; "Paris"; "Tokyo"; "Sydney"; "Lagos"; "Toronto";
+     "Lima"; "Mumbai"; "Seoul"; "Madrid"; "Rome" ]
 
 let words =
-  [| "vintage"; "rare"; "mint"; "boxed"; "signed"; "antique"; "modern";
-     "classic"; "limited"; "original"; "restored"; "handmade" |]
+  [ "vintage"; "rare"; "mint"; "boxed"; "signed"; "antique"; "modern";
+     "classic"; "limited"; "original"; "restored"; "handmade" ]
 
-let pick rng arr = arr.(Random.State.int rng (Array.length arr))
+let pick rng l = List.nth l (Random.State.int rng (List.length l))
 
 let item rng i =
   let region = pick rng regions in
@@ -35,7 +35,7 @@ let item rng i =
       T.leaf "region" region;
       T.leaf "name" (Printf.sprintf "%s %s %d" (pick rng words) (pick rng words) i);
       T.leaf "quantity" (string_of_int (1 + Random.State.int rng 10));
-      T.element "payment" [ T.leaf "method" (pick rng [| "Cash"; "Creditcard"; "Wire" |]) ];
+      T.element "payment" [ T.leaf "method" (pick rng [ "Cash"; "Creditcard"; "Wire" ]) ];
       T.element "description"
         [
           T.element "parlist"
@@ -79,7 +79,7 @@ let person rng i =
           "profile"
           [
             T.leaf "interest" (pick rng categories);
-            T.leaf "education" (pick rng [| "HighSchool"; "College"; "Graduate" |]);
+            T.leaf "education" (pick rng [ "HighSchool"; "College"; "Graduate" ]);
           ];
       ]
     else [])
