@@ -71,14 +71,11 @@ let scan_toplevel structure =
     structure;
   (aliases, List.rev !opens)
 
-let binding_name (vb : value_binding) =
-  let rec of_pat (p : pattern) =
-    match p.ppat_desc with
-    | Ppat_var v -> Some v.txt
-    | Ppat_constraint (p, _) -> of_pat p
-    | _ -> None
-  in
-  of_pat vb.pvb_pat
+let rec var_of_pattern (p : pattern) =
+  match p.ppat_desc with
+  | Ppat_var v -> Some v.txt
+  | Ppat_constraint (p, _) -> var_of_pattern p
+  | _ -> None
 
 (* Toplevel value bindings of a unit, recursing into named nested modules
    with dotted names ("Cache.find_or_compute").  Bindings with non-variable
@@ -94,7 +91,7 @@ let collect_bindings u =
             List.iter
               (fun (vb : value_binding) ->
                 let name =
-                  match binding_name vb with
+                  match var_of_pattern vb.pvb_pat with
                   | Some n -> prefix ^ n
                   | None ->
                       Printf.sprintf "%s(init:%d)" prefix
@@ -138,50 +135,30 @@ let collect_bindings u =
    for this repository's one-library-per-directory layout; a directory whose
    dune cannot be read simply contributes no library-qualified names. *)
 let library_name_of_dune contents =
-  let find_sub ~start needle =
-    let n = String.length needle and m = String.length contents in
-    let rec scan i =
-      if i + n > m then None
-      else if String.sub contents i n = needle then Some i
-      else scan (i + 1)
-    in
-    scan start
+  let m = String.length contents in
+  let rec find needle i =
+    if i + String.length needle > m then None
+    else if String.sub contents i (String.length needle) = needle then Some i
+    else find needle (i + 1)
   in
-  match find_sub ~start:0 "(library" with
+  let blank c = c = ' ' || c = '\n' || c = '\t' in
+  let rec skip i = if i < m && blank contents.[i] then skip (i + 1) else i in
+  let rec token i =
+    if i < m && not (blank contents.[i] || contents.[i] = ')') then token (i + 1) else i
+  in
+  match Option.bind (find "(library" 0) (find "(name") with
   | None -> None
-  | Some lib_at -> (
-      match find_sub ~start:lib_at "(name" with
-      | None -> None
-      | Some name_at ->
-          let m = String.length contents in
-          let rec skip_ws i =
-            if i < m && (contents.[i] = ' ' || contents.[i] = '\n' || contents.[i] = '\t')
-            then skip_ws (i + 1)
-            else i
-          in
-          let start = skip_ws (name_at + 5) in
-          let rec tok i =
-            if
-              i < m
-              && contents.[i] <> ')'
-              && contents.[i] <> ' '
-              && contents.[i] <> '\n'
-              && contents.[i] <> '\t'
-            then tok (i + 1)
-            else i
-          in
-          let stop = tok start in
-          if stop > start then
-            Some (String.capitalize_ascii (String.sub contents start (stop - start)))
-          else None)
+  | Some at ->
+      let start = skip (at + 5) in
+      let stop = token start in
+      if stop > start then
+        Some (String.capitalize_ascii (String.sub contents start (stop - start)))
+      else None
 
 let read_file_opt path =
-  match open_in_bin path with
+  match In_channel.with_open_bin path In_channel.input_all with
+  | contents -> Some contents
   | exception Sys_error _ -> None
-  | ic ->
-      Fun.protect
-        ~finally:(fun () -> close_in_noerr ic)
-        (fun () -> Some (really_input_string ic (in_channel_length ic)))
 
 (* ----------------------------------------------------------- the graph -- *)
 
@@ -194,7 +171,6 @@ type t = {
   lib_dir : (string, string) Hashtbl.t;  (* "Xia_index" -> source dir *)
   aliases : (string, (string, string list) Hashtbl.t) Hashtbl.t;  (* unit path *)
   opens : (string, string list list) Hashtbl.t;                   (* unit path *)
-  succ : (string * string, (string * string) list) Hashtbl.t;
 }
 
 let key n = (n.u.path, n.name)
@@ -280,11 +256,6 @@ let resolve t (u : unit_info) path =
       end)
     (direct @ via_opens)
 
-let succs t n =
-  List.filter_map
-    (fun k -> Hashtbl.find_opt t.node_tbl k)
-    (Option.value ~default:[] (Hashtbl.find_opt t.succ (key n)))
-
 let build units_in =
   let units = List.sort (fun a b -> String.compare a.path b.path) units_in in
   let node_tbl = Hashtbl.create 256 in
@@ -316,47 +287,7 @@ let build units_in =
           | Some libmod -> Hashtbl.replace lib_dir libmod dir
           | None -> ()))
     dirs;
-  let t =
-    {
-      units;
-      node_tbl;
-      node_list = !all_nodes;
-      by_dir_mod;
-      by_mod;
-      lib_dir;
-      aliases;
-      opens;
-      succ = Hashtbl.create 256;
-    }
-  in
-  (* Edges: every [Pexp_ident] in a node's body that resolves to other nodes.
-     A value reference counts the same as a call — conservative for
-     reachability (a binding stored in a data structure may be invoked
-     later). *)
-  List.iter
-    (fun n ->
-      let targets = Hashtbl.create 8 in
-      let it =
-        {
-          Ast_iterator.default_iterator with
-          expr =
-            (fun it e ->
-              (match e.pexp_desc with
-              | Pexp_ident lid ->
-                  List.iter
-                    (fun tgt ->
-                      let tk = key tgt in
-                      if tk <> key n then Hashtbl.replace targets tk ())
-                    (resolve t n.u (Longident.flatten lid.txt))
-              | _ -> ());
-              Ast_iterator.default_iterator.expr it e);
-        }
-      in
-      it.expr it n.expr;
-      let tks = List.sort compare (Hashtbl.fold (fun k () acc -> k :: acc) targets []) in
-      Hashtbl.replace t.succ (key n) tks)
-    t.node_list;
-  t
+  { units; node_tbl; node_list = !all_nodes; by_dir_mod; by_mod; lib_dir; aliases; opens }
 
 (* -------------------------------------------------- the transitive engine -- *)
 
@@ -425,7 +356,7 @@ let reach ~succ ~cut root =
 
 let dot_id n = Printf.sprintf "%s.%s" n.u.basename n.name
 
-let to_dot t =
+let to_dot ~succ t =
   let buf = Buffer.create 4096 in
   Buffer.add_string buf "digraph callgraph {\n";
   Buffer.add_string buf "  rankdir=LR;\n  node [shape=box, fontsize=10];\n";
@@ -441,7 +372,7 @@ let to_dot t =
         (fun s ->
           Buffer.add_string buf
             (Printf.sprintf "  \"%s\" -> \"%s\";\n" (dot_id n) (dot_id s)))
-        (succs t n))
+        (succ n))
     sorted;
   Buffer.add_string buf "}\n";
   Buffer.contents buf

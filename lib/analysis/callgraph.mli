@@ -1,11 +1,13 @@
 (** Cross-compilation-unit call graph over the untyped parsetree.
 
-    Nodes are toplevel value bindings (dotted names inside nested modules);
-    edges connect a binding to every binding its body may reference, resolving
-    [Longident] paths through the dune library layout, toplevel module
-    aliases and [open]s — conservatively on ambiguity, so reachability
-    over-approximates the real program.  See DESIGN.md §5f for the soundness
-    and incompleteness trade-offs. *)
+    Nodes are toplevel value bindings (dotted names inside nested modules).
+    The graph resolves [Longident] paths through the dune library layout,
+    toplevel module aliases and [open]s — conservatively on ambiguity, so
+    reachability over-approximates the real program.  Its edges are the
+    resolved call lists the one site walk produces ({!Sites.calls}): a
+    binding's edges reach every binding its body references under a name
+    no local binder shadows.  See DESIGN.md §5f for the soundness and
+    incompleteness trade-offs. *)
 
 type unit_info = {
   path : string;      (** as given to the driver, e.g. "lib/core/benefit.ml" *)
@@ -28,9 +30,8 @@ type t
 
 val make_unit : path:string -> source:string -> Parsetree.structure -> unit_info
 
-(** Build the graph: collect bindings, aliases and opens per unit, read each
-    unit directory's [dune] file for the wrapped-library module name, then
-    resolve every identifier reference to edges. *)
+(** Build the graph: collect bindings, aliases and opens per unit, and read
+    each unit directory's [dune] file for the wrapped-library module name. *)
 val build : unit_info list -> t
 
 val units : t -> unit_info list
@@ -42,6 +43,9 @@ val key : node -> string * string
 (** Compare nodes by {!key}. *)
 val by_key : node -> node -> int
 
+(** The variable a pattern binds, through type constraints. *)
+val var_of_pattern : Parsetree.pattern -> string option
+
 (** Alias-expand the leading components of a dotted path as seen from a
     unit (e.g. [\["Catalog"; "stats"\]] to
     [\["Xia_index"; "Catalog"; "stats"\]]). *)
@@ -52,12 +56,10 @@ val expand : t -> unit_info -> string list -> string list
     targets on ambiguity). *)
 val resolve : t -> unit_info -> string list -> node list
 
-val succs : t -> node -> node list
-
 (** {1 The transitive engine}
 
     Every transitive fact of the analyzer is a query over an edge set the
-    caller picks — resolved calls ({!Effects.calls}), calls in uncaught
+    caller picks — resolved calls ({!Sites.calls}), calls in uncaught
     positions, or calls inverted into caller edges. *)
 
 (** [fixpoint ~succ ~join local] is the least solution of
@@ -75,5 +77,6 @@ val fixpoint :
 val reach :
   succ:(node -> node list) -> cut:(node -> bool) -> node -> (node * node list) list
 
-(** Deterministic Graphviz rendering (nodes and edges sorted). *)
-val to_dot : t -> string
+(** Deterministic Graphviz rendering of the graph with the edges [succ]
+    (nodes and edges sorted). *)
+val to_dot : succ:(node -> node list) -> t -> string

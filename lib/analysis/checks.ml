@@ -1,21 +1,20 @@
-(* The check catalog, implemented over the untyped parsetree
-   (compiler-libs [Parse] + [Ast_iterator]).  Every check has a stable ID;
-   [catalog] below is the single source of truth for IDs, titles and the
-   [--explain] text.
+(* The check catalog.  Every check has a stable ID; [catalog] below is the
+   single source of truth for IDs, titles and the [--explain] text.
 
-   Unit-local checks (this file): D001, D002, D004, H002 and R003 walk one
-   compilation unit's parsetree; H001 is filesystem-level.  Whole-program
-   checks: N001 and E001 (below) read the local sites [Effects] records
-   per binding of the cross-unit call graph built by [Callgraph]; D003 and
-   E002 are [Callgraph.reach] queries over the same call lists — backwards
-   from each mutator site, forwards from the batch roots.  R001 and N002
-   live in [Races], R002 and the L/X-series in [Dataflow].
+   Unit-local checks (this file): D001 walks one compilation unit's
+   module-level bindings; D002, D004, H002 and R003 read every site of the
+   unit from the one [Sites] walk, bindings or not; H001 is
+   filesystem-level.  Whole-program checks: N001 and E001 (below) read the
+   local witnesses of each binding's [Effects] summary; D003 and E002 are
+   [Callgraph.reach] queries over [Sites.calls] — backwards from each
+   mutator site, forwards from the batch roots.  R001 and N002 live in
+   [Races], R002 and the L/X-series in [Dataflow].
 
    Identifier references are matched on [Longident] paths after module-alias
-   expansion through the graph — full name resolution (shadowing, functors,
-   first-class modules) is out of scope, so a local [let ref = ...] can
-   still false-positive and a functor-wrapped mutation can hide.  Neither
-   occurs in this codebase; suppressions cover intentional exceptions. *)
+   expansion through the graph — full name resolution (functors,
+   first-class modules) is out of scope, so a functor-wrapped mutation can
+   hide.  It does not occur in this codebase; suppressions cover
+   intentional exceptions. *)
 
 open Parsetree
 
@@ -33,9 +32,10 @@ let has_suffix = Effects.has_suffix
 
 (* ---------------------------------------------------------------- D001 -- *)
 
-(* The D001 state classifiers ([mutable_field_names], [d001_hits], the
-   allocator/wrapper tables) live in [Effects]: the effect pass and this
-   check must agree on what counts as raw mutable state. *)
+(* The D001 state classifiers ([d001_hits], the allocator/wrapper tables)
+   live in [Effects]: the effect pass and this check must agree on what
+   counts as raw mutable state.  The unit's mutable field names come from
+   the site walk. *)
 
 let d001_message what =
   Printf.sprintf
@@ -45,8 +45,7 @@ let d001_message what =
 
 (* Walk only module-toplevel bindings (recursing into nested [module M =
    struct .. end]); allocation inside a function body is per-call and fine. *)
-let check_d001 structure =
-  let mutable_fields = Effects.mutable_field_names structure in
+let check_d001 mutable_fields structure =
   let findings = ref [] in
   let emit (loc, what) =
     findings := Finding.of_location ~id:"D001" ~message:(d001_message what) loc :: !findings
@@ -117,72 +116,32 @@ let atomic_get_of target (e : expression) =
       Option.bind (Effects.first_nolabel args) Effects.sym = Some target
   | _ -> false
 
-let check_exprs ~notes ~d004 structure =
-  let findings = ref [] in
-  let stack = ref [] in
-  let active id = List.exists (List.mem id) !stack in
-  let check (e : expression) =
-    match e.pexp_desc with
-    | Pexp_ident lid when has_suffix ~suffix:[ "Sys"; "time" ] (Longident.flatten lid.txt)
-      ->
-        if not (active "D002") then
-          findings :=
-            Finding.of_location ~id:"D002" ~message:d002_message e.pexp_loc :: !findings
-    | Pexp_ident lid
-      when d004
-           && has_suffix ~suffix:[ "Unix"; "gettimeofday" ] (Longident.flatten lid.txt)
-      ->
-        if not (active "D004") then
-          findings :=
-            Finding.of_location ~id:"D004" ~message:d004_message e.pexp_loc :: !findings
-    | Pexp_apply ({ pexp_desc = Pexp_ident lid; _ }, _)
-      when List.equal String.equal (Longident.flatten lid.txt) [ "failwith" ]
-           || List.equal String.equal (Longident.flatten lid.txt) [ "Stdlib"; "failwith" ]
-      ->
-        let line = e.pexp_loc.Location.loc_start.Lexing.pos_lnum in
-        if not (active "H002") && not (Suppress.has_lint_note notes ~line) then
-          findings :=
-            Finding.of_location ~id:"H002" ~message:(h002_message "failwith") e.pexp_loc
-            :: !findings
-    | Pexp_assert
-        { pexp_desc = Pexp_construct ({ txt = Longident.Lident "false"; _ }, None); _ } ->
-        let line = e.pexp_loc.Location.loc_start.Lexing.pos_lnum in
-        if not (active "H002") && not (Suppress.has_lint_note notes ~line) then
-          findings :=
-            Finding.of_location ~id:"H002" ~message:(h002_message "assert false")
-              e.pexp_loc
-            :: !findings
-    | Pexp_apply
-        ( { pexp_desc = Pexp_ident lid; _ },
-          (Asttypes.Nolabel, target) :: (Asttypes.Nolabel, value) :: _ )
-      when has_suffix ~suffix:[ "Atomic"; "set" ] (Longident.flatten lid.txt) -> (
-        match Effects.sym target with
-        | Some s when (not (active "R003")) && Effects.exists_expr (atomic_get_of s) value
-          ->
-            findings :=
-              Finding.of_location ~id:"R003" ~message:(r003_message s) e.pexp_loc
-              :: !findings
-        | _ -> ())
-    | _ -> ()
-  in
-  let it =
-    {
-      Ast_iterator.default_iterator with
-      expr =
-        (fun it e ->
-          stack := Suppress.allow_ids e.pexp_attributes :: !stack;
-          check e;
-          Ast_iterator.default_iterator.expr it e;
-          stack := List.tl !stack);
-      value_binding =
-        (fun it vb ->
-          stack := Suppress.allow_ids vb.pvb_attributes :: !stack;
-          Ast_iterator.default_iterator.value_binding it vb;
-          stack := List.tl !stack);
-    }
-  in
-  it.structure it structure;
-  !findings
+(* D002, D004, H002 and R003 read every site of the unit, bindings or
+   not: a functor body or a toplevel [;;] expression is in scope too. *)
+let check_sites ~notes ~d004 sites =
+  List.filter_map
+    (fun (s : Sites.site) ->
+      let fire id message =
+        if Sites.active s id then None else Some (Finding.of_location ~id ~message s.loc)
+      in
+      let h002 what =
+        if Suppress.has_lint_note notes ~line:s.loc.Location.loc_start.Lexing.pos_lnum then None
+        else fire "H002" (h002_message what)
+      in
+      match s.kind with
+      | Ref { path; _ } when has_suffix ~suffix:[ "Sys"; "time" ] path -> fire "D002" d002_message
+      | Ref { path; _ } when d004 && has_suffix ~suffix:[ "Unix"; "gettimeofday" ] path ->
+          fire "D004" d004_message
+      | Apply ({ path = [ "failwith" ] | [ "Stdlib"; "failwith" ]; _ }, _) -> h002 "failwith"
+      | Assert { pexp_desc = Pexp_construct ({ txt = Longident.Lident "false"; _ }, None); _ } ->
+          h002 "assert false"
+      | Apply ({ path; _ }, (Asttypes.Nolabel, target) :: (Asttypes.Nolabel, value) :: _)
+        when has_suffix ~suffix:[ "Atomic"; "set" ] path -> (
+          match Effects.sym target with
+          | Some x when Effects.exists_expr (atomic_get_of x) value -> fire "R003" (r003_message x)
+          | _ -> None)
+      | _ -> None)
+    sites
 
 (* ---------------------------------------------------------------- D003 -- *)
 
@@ -198,21 +157,22 @@ let check_exprs ~notes ~d004 structure =
    reach (DESIGN.md §5f).  The message lists every binding the reverse
    walk enters, the host included, qualified with the unit module name
    when it lives in another unit. *)
-let check_d003_program eff graph =
+let check_d003_program sites eff =
   let is_whatif (r : Callgraph.node) = List.mem r.u.basename whatif_modules in
   let callers = Hashtbl.create 256 in
   let callers_of c = Option.value ~default:[] (Hashtbl.find_opt callers (Callgraph.key c)) in
+  let nodes = Callgraph.nodes (Sites.graph sites) in
   List.iter
     (fun n ->
       List.iter
         (fun c -> Hashtbl.replace callers (Callgraph.key c) (n :: callers_of c))
-        (Effects.calls eff n))
-    (Callgraph.nodes graph);
+        (Sites.calls sites n))
+    nodes;
   List.concat_map
     (fun (n : Callgraph.node) ->
-      match Effects.local_mutations eff n with
+      match (Effects.summary eff n).mutations with
       | [] -> []
-      | sites ->
+      | witnesses ->
           let hosts =
             List.map fst
               (Callgraph.reach ~succ:callers_of ~cut:(fun _ -> false) n)
@@ -228,7 +188,7 @@ let check_d003_program eff graph =
               |> List.sort String.compare
             in
             List.map
-              (fun (s : Effects.site) ->
+              (fun (s : Effects.witness) ->
                 let message =
                   Printf.sprintf
                     "catalog/store mutation %s on a what-if evaluation path (in %s, \
@@ -237,13 +197,26 @@ let check_d003_program eff graph =
                     s.s_what n.name (String.concat ", " entries)
                 in
                 Finding.of_location ~id:"D003" ~message s.s_loc)
-              sites)
-    (Callgraph.nodes graph)
+              witnesses)
+    nodes
 
 (* --------------------------------------------------------- N001 & E-series -- *)
 
-let in_lib path = List.mem "lib" (String.split_on_char '/' path)
 let in_dir d path = List.mem d (String.split_on_char '/' path)
+
+(* The unsuppressed local witnesses of every node [applies] to, as
+   findings. *)
+let local_findings sites ~id ~message ~applies witnesses =
+  List.concat_map
+    (fun (n : Callgraph.node) ->
+      if not (applies n) then []
+      else
+        List.filter_map
+          (fun (s : Effects.witness) ->
+            if s.s_suppressed then None
+            else Some (Finding.of_location ~id ~message:(message s.s_what) s.s_loc))
+          (witnesses n))
+    (Callgraph.nodes (Sites.graph sites))
 
 let n001_message what =
   Printf.sprintf
@@ -256,18 +229,10 @@ let n001_message what =
    builds a list and whose binding never sorts — the iteration order leaks
    into a value the advise path may return or cache.  Library-scoped: bin/
    and bench/ print for humans and may keep hash order. *)
-let check_n001_program eff graph =
-  List.concat_map
-    (fun (n : Callgraph.node) ->
-      if not (in_lib n.u.path) then []
-      else
-        List.filter_map
-          (fun (s : Effects.site) ->
-            if s.s_suppressed then None
-            else
-              Some (Finding.of_location ~id:"N001" ~message:(n001_message s.s_what) s.s_loc))
-          (Effects.local_order eff n))
-    (Callgraph.nodes graph)
+let check_n001_program sites eff =
+  local_findings sites ~id:"N001" ~message:n001_message
+    ~applies:(fun n -> in_dir "lib" n.u.path)
+    (fun n -> (Effects.summary eff n).order)
 
 let e001_message what =
   Printf.sprintf
@@ -279,23 +244,14 @@ let e001_message what =
 (* E001: IO in lib/ outside the sanctioned surfaces.  lib/obs owns logging,
    lib/analysis is the linter itself (it reads the source tree it checks),
    and [io_modules] names the persistence boundary. *)
-let check_e001_program eff graph =
-  List.concat_map
-    (fun (n : Callgraph.node) ->
-      if
-        (not (in_lib n.u.path))
-        || in_dir "obs" n.u.path
-        || in_dir "analysis" n.u.path
-        || List.mem n.u.basename io_modules
-      then []
-      else
-        List.filter_map
-          (fun (s : Effects.site) ->
-            if s.s_suppressed then None
-            else
-              Some (Finding.of_location ~id:"E001" ~message:(e001_message s.s_what) s.s_loc))
-          (Effects.local_io eff n))
-    (Callgraph.nodes graph)
+let check_e001_program sites eff =
+  local_findings sites ~id:"E001" ~message:e001_message
+    ~applies:(fun n ->
+      in_dir "lib" n.u.path
+      && (not (in_dir "obs" n.u.path))
+      && (not (in_dir "analysis" n.u.path))
+      && not (List.mem n.u.basename io_modules))
+    (fun n -> (Effects.summary eff n).io)
 
 let e002_message what root via =
   Printf.sprintf
@@ -316,17 +272,17 @@ let e002_message what root via =
    or [@lint.allow "R001"]) manages its own state.  The root itself is
    never cut.  Atomic writes never produce witnesses in the first
    place. *)
-let check_e002_program eff graph =
+let check_e002_program sites eff =
   let sanctioned (m : Callgraph.node) =
     String.equal m.name "warm_stats"
     || (String.equal m.name "prepare" && String.equal m.u.basename "optimizer")
     || in_dir "obs" m.u.path
     || String.equal m.u.basename "par"
-    || Effects.lock_disciplined eff m
+    || (Effects.summary eff m).lock_disciplined
   in
   let emitted = Hashtbl.create 16 in
   let findings = ref [] in
-  let emit root via (s : Effects.site) =
+  let emit root via (s : Effects.witness) =
     let p = s.s_loc.Location.loc_start in
     let dedup = (p.Lexing.pos_fname, p.Lexing.pos_lnum, p.Lexing.pos_cnum) in
     if (not s.s_suppressed) && not (Hashtbl.mem emitted dedup) then begin
@@ -339,7 +295,7 @@ let check_e002_program eff graph =
   let roots =
     List.filter
       (fun (n : Callgraph.node) -> List.mem n.name batch_roots)
-      (Callgraph.nodes graph)
+      (Callgraph.nodes (Sites.graph sites))
   in
   List.iter
     (fun (root : Callgraph.node) ->
@@ -347,8 +303,8 @@ let check_e002_program eff graph =
       List.iter
         (fun ((m : Callgraph.node), trail) ->
           let via = List.map (fun (v : Callgraph.node) -> v.name) trail in
-          List.iter (emit root.name via) (Effects.local_writes eff m))
-        (Callgraph.reach ~succ:(Effects.calls eff) ~cut root))
+          List.iter (emit root.name via) (Effects.summary eff m).writes)
+        (Callgraph.reach ~succ:(Sites.calls sites) ~cut root))
     roots;
   List.rev !findings
 
@@ -381,13 +337,14 @@ let missing_mli ~mls ~mlis =
 
 (* ------------------------------------------------------------- driver -- *)
 
-(* Unit-local parsetree checks for one compilation unit.  [source] is the
-   raw text (for lint-note comments); H001 is filesystem-level and lives in
+(* Unit-local checks for one compilation unit.  The raw source text
+   carries the lint-note comments; H001 is filesystem-level and lives in
    [missing_mli]; the rest of the catalog is whole-program. *)
-let check_structure ~filename ~source structure =
-  let notes = Suppress.lint_note_lines source in
+let check_unit sites (u : Callgraph.unit_info) =
+  let notes = Suppress.lint_note_lines u.source in
   List.sort Finding.compare
-    (check_d001 structure @ check_exprs ~notes ~d004:(d004_applies filename) structure)
+    (check_d001 (Sites.mutable_fields sites u) u.structure
+    @ check_sites ~notes ~d004:(d004_applies u.path) (Sites.unit_sites sites u))
 
 (* ------------------------------------------------------ check catalog -- *)
 

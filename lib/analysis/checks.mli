@@ -1,6 +1,6 @@
 (** The check catalog.
 
-    Unit-local checks (one compilation unit's parsetree):
+    Unit-local checks (one compilation unit's sites, {!Sites.unit_sites}):
 
     - [D001] module-toplevel mutable state not wrapped in
       Atomic/Domain.DLS/Mutex/Lazy (domain-safety).
@@ -13,7 +13,7 @@
       [Atomic.set x (... Atomic.get x ...)].
 
     Whole-program checks (interprocedural, queries over the {!Effects}
-    summaries computed on the cross-unit call graph built by {!Callgraph}):
+    summaries and the call lists of {!Sites} on the cross-unit graph):
 
     - [D003] catalog/store mutation transitively reachable — across
       compilation units — from a binding of a what-if evaluation module,
@@ -26,57 +26,44 @@
     - [R001] mutable state reachable from a parallel task and [N002]
       (order-fragile parallel float reduction); implemented in {!Races}.
 
-    Flow-sensitive checks (a forward may-analysis over an intraprocedural
-    CFG with explicit exceptional edges; implemented in {!Dataflow},
-    semantics in DESIGN.md §5k):
-
-    - [R002] inconsistent mutex acquisition order: a mutex locked (directly
-      or by a callee resolved through the graph) while another is held on
-      some path, when the opposite nesting occurs elsewhere; re-locking a
-      mutex held on some path is a self-deadlock.
-    - [L001] blocking effect ([PerformsIO] or an [Optimizer.optimize*]
-      entry) reachable while a mutex is held.
-    - [L002] mutex acquired with an exceptional path to exit that never
-      unlocks it (bare lock/unlock pairs not wrapped in a
-      [Fun.protect]-style finalizer).
-    - [X001] save/restore idiom whose restore is skipped on some
-      exceptional path.
-    - [X002] double unlock / unlock-without-lock on some path.
+    Flow-sensitive checks — [R002] lock order, [L001] blocking call under
+    a lock, [L002] lock leaked on an exceptional path, [X001] skipped
+    restore, [X002] unmatched unlock — are a forward may-analysis over an
+    intraprocedural CFG, documented in {!Dataflow} and DESIGN.md §5k.
 
     Identifier references are matched on [Longident] paths after
-    module-alias expansion through the graph; full name resolution
-    (shadowing, functors, first-class modules) is out of scope.  Suppress
-    intentional sites with [\[@lint.allow "ID"\]] or an allow-file entry. *)
+    module-alias expansion through the graph; a reference a local binder
+    of the same binding shadows is no call edge, but full name resolution
+    (functors, first-class modules, local modules) is out of scope.
+    Suppress intentional sites with [\[@lint.allow "ID"\]] or an
+    allow-file entry. *)
 
-(** Run every unit-local parsetree check (D001, D002, D004, H002, R003) on one
-    compilation unit.  [source] is the raw file text, used to honor
-    [(* lint: reason *)] notes; [filename] selects D004 applicability.
-    Attribute suppressions are already applied; allow-file suppression is the
-    caller's job. *)
-val check_structure :
-  filename:string ->
-  source:string ->
-  Parsetree.structure ->
-  Finding.t list
+(** Run every unit-local check (D001, D002, D004, H002, R003) on one
+    compilation unit: D001 over its module-level bindings, the rest over
+    every site of the unit ({!Sites.unit_sites}).  The unit's source text
+    honors [(* lint: reason *)] notes; its path selects D004
+    applicability.  Attribute suppressions are already applied; allow-file
+    suppression is the caller's job. *)
+val check_unit : Sites.t -> Callgraph.unit_info -> Finding.t list
 
 (** Whole-program D003 over the effect summaries: flags every
     alias-expanded [Catalog.*]/[Doc_store.*] mutator site carried in the
     summary of a binding of a what-if module ([benefit], [optimizer]). *)
-val check_d003_program : Effects.t -> Callgraph.t -> Finding.t list
+val check_d003_program : Sites.t -> Effects.t -> Finding.t list
 
 (** N001: order-dependent folds in [lib/] whose literal closure builds a
     list with no canonicalizing sort in the same binding. *)
-val check_n001_program : Effects.t -> Callgraph.t -> Finding.t list
+val check_n001_program : Sites.t -> Effects.t -> Finding.t list
 
 (** E001: IO sites in [lib/] outside [lib/obs], [lib/analysis] and the
     persistence boundary ([persist]). *)
-val check_e001_program : Effects.t -> Callgraph.t -> Finding.t list
+val check_e001_program : Sites.t -> Effects.t -> Finding.t list
 
 (** E002: shared-state writes in the transitive call closure of
     [optimize_batch], [optimize_prepared] and [optimize_costs] bindings,
     beyond the sanctioned [warm_stats]/optimizer [prepare]/lock-disciplined
     sites. *)
-val check_e002_program : Effects.t -> Callgraph.t -> Finding.t list
+val check_e002_program : Sites.t -> Effects.t -> Finding.t list
 
 (** [missing_mli ~mls ~mlis] — H001: every [.ml] path with no matching
     [.mli] path (compared by extension-stripped name). *)

@@ -11,8 +11,11 @@
    and each closure body is a separate analysis root entered with an
    Unknown lockset — held-ness does not flow through calls (documented
    incompleteness; DESIGN.md §5k).  What a call may lock does: the callee
-   lock sets are a [Callgraph.fixpoint] (set union) over the Effects call
-   lists, and a call reaching any becomes an Acquire event.
+   lock sets are a [Callgraph.fixpoint] (set union) over [Sites.calls] of
+   each binding's [Mutex.lock] sites, and a call reaching any becomes an
+   Acquire event.  The CFG walk is the only walk here; every
+   flow-insensitive fact — locks, restore sites, raise facts — is read off
+   the [Sites] table.
 
    Exceptional edges:
    - [raise]/[failwith]/[invalid_arg]/[assert] divert to the current
@@ -22,8 +25,8 @@
      primitives (Mutex/Condition/Atomic operations, [!]/[:=], comparison
      and integer/float arithmetic except [/] and [mod]) or every resolved
      target's can-raise bit is clear — a [Callgraph.fixpoint] (boolean or)
-     over each binding's calls in uncaught positions, seeded by a
-     syntactic walk of its body.  Unresolved calls (stdlib containers,
+     over each binding's calls in uncaught positions, seeded by its
+     uncaught raisers ([Sites.site.uncaught]).  Unresolved calls (stdlib containers,
      local closures, computed heads) are assumed to raise: Hashtbl/Queue
      bodies under a lock need a finalizer, and that is the point.
    - [try]/[match]-with-[exception] handlers catch the body's exceptional
@@ -36,25 +39,17 @@
      opaque arguments degrade to may-raise calls routed through the
      finalizer on both edges.
 
-   The checks:
-   - R002  a Lock or Acquire of [b] while [a] is may-held records the
-           nesting (a, b); once every root has run, a nesting recorded in
-           both orientations is an inversion, reported at each site with
-           the earliest opposite site, and (a, a) a self-deadlock.
-   - L001  a Blocking event (PerformsIO per the Effects summaries, or an
-           Optimizer.optimize* entry, reached through a third
-           [Callgraph.fixpoint]) while any mutex is may-held.
-   - L002  at the root's exceptional exit, a mutex is still may-held:
-           reported once per contributing lock site.
-   - X001  at the root's exceptional exit, a save/restore obligation is
-           still pending: reported at the save binding.  An obligation is
-           only created when a syntactically matching restore exists
-           somewhere in the same root, so lock-passing/value-moving code
-           does not fire.
-   - X002  [Mutex.unlock] at a state where the mutex is statically
-           NotHeld (double unlock / unlock-without-lock).  Unknown and
-           Mixed states stay silent: entry-state unlock helpers and
-           may-paths are not reportable.
+   The checks (what each reports: dataflow.mli).  R002 records each Lock
+   or Acquire of [b] while [a] is may-held as a nesting (a, b) and, once
+   every root has run, reports a nesting recorded in both orientations at
+   each site with the earliest opposite site, (a, a) as a self-deadlock.
+   L001 fires on a Blocking event (PerformsIO, or an Optimizer.optimize*
+   entry reached through a third [Callgraph.fixpoint]) while any mutex is
+   may-held.  L002 (a may-held mutex, once per lock site) and X001 (a
+   pending obligation, at the save binding; one is only created when a
+   matching restore exists somewhere in the root) read the root's
+   exceptional exit.  X002 fires on an unlock at a statically NotHeld
+   state; Unknown and Mixed stay silent.
 
    Suppression is captured at CFG build time from the enclosing
    [@lint.allow "ID"] attribute stack, at the site each finding anchors
@@ -125,113 +120,55 @@ let never_raises path =
   | _ -> false)
   || List.exists (fun suffix -> has_suffix ~suffix path) total_suffixes
 
-let catch_all_pat p =
-  let rec all p =
-    match p.ppat_desc with
-    | Ppat_any | Ppat_var _ -> true
-    | Ppat_alias (p, _) | Ppat_constraint (p, _) -> all p
-    | Ppat_or (a, b) -> all a || all b
-    | _ -> false
-  in
-  all p
-
-(* A [try] case that catches every exception. *)
-let catch_all_case (c : case) = c.pc_guard = None && catch_all_pat c.pc_lhs
-
 (* A [match]-with-[exception] case that catches every exception. *)
 let exc_catch_all (c : case) =
   c.pc_guard = None
   &&
   match c.pc_lhs.ppat_desc with
-  | Ppat_exception p -> catch_all_pat p
+  | Ppat_exception p -> Sites.catch_all_pat p
   | _ -> false
 
-(* Apply [f] to every immediate child expression of [e], in syntactic
-   order (the standard one-level Ast_iterator trick). *)
-let iter_child_exprs f e =
-  let it =
-    { Ast_iterator.default_iterator with expr = (fun _ c -> f c) }
-  in
-  Ast_iterator.default_iterator.expr it e
-
-(* The can-raise walk of one binding body, modelling [try]-with-catch-all
-   and deferring closure bodies: whether some uncaught position raises
-   whatever its callees do (an explicit raiser, [assert], a computed or
-   unresolved call), plus the resolved callees in uncaught positions —
-   the binding raises iff the first holds or one of those does. *)
-let raise_walk graph (n : Callgraph.node) =
-  let local = ref false and callees = ref [] in
-  let call path =
-    if raiser path then local := true
-    else if not (never_raises path) then
-      match Callgraph.resolve graph n.u path with
-      | [] -> local := true
-      | targets -> callees := List.rev_append targets !callees
-  in
-  let rec walk e =
-    match e.pexp_desc with
-    | Pexp_fun _ | Pexp_function _ | Pexp_lazy _ | Pexp_newtype _ -> ()
-    | Pexp_ident _ | Pexp_constant _ -> ()
-    | Pexp_assert _ -> local := true
-    | Pexp_try (b, cases) ->
-        cases_walk cases;
-        if not (List.exists catch_all_case cases) then walk b
-    | Pexp_apply ({ pexp_desc = Pexp_ident lid; _ }, args) ->
-        List.iter (fun (_, a) -> walk a) args;
-        call (Longident.flatten lid.txt)
-    | Pexp_apply (_, _) -> local := true (* computed callee *)
-    | _ -> iter_child_exprs walk e
-  and cases_walk cases =
-    List.iter
-      (fun c ->
-        Option.iter walk c.pc_guard;
-        walk c.pc_rhs)
-      cases
-  in
-  let rec body_of e =
-    match e.pexp_desc with
-    | Pexp_fun (_, _, _, b) | Pexp_newtype (_, b) -> body_of b
-    | Pexp_constraint (b, _) | Pexp_coerce (b, _, _) -> body_of b
-    | _ -> e
-  in
-  let b = body_of n.expr in
-  (match b.pexp_desc with Pexp_function cases -> cases_walk cases | _ -> walk b);
-  (!local, !callees)
+(* The can-raise facts of one binding, read off its uncaught sites:
+   whether one of them raises whatever its callees do (an explicit raiser,
+   an [assert], a computed or unresolved call), and the resolved callees
+   among them — the binding raises iff the first holds or one of those
+   does. *)
+let raise_facts sites n =
+  List.fold_left
+    (fun ((local, callees) as acc) (s : Sites.site) ->
+      if not s.uncaught then acc
+      else
+        match s.kind with
+        | Assert _ | Computed_apply -> (true, callees)
+        | Apply ({ path; targets; _ }, _) ->
+            if raiser path || (targets = [] && not (never_raises path)) then (true, callees)
+            else if never_raises path then acc
+            else (local, List.rev_append targets callees)
+        | _ -> acc)
+    (false, []) (Sites.node_sites sites n)
 
 (* --------------------------------------------- blocking classification -- *)
-
-let starts_with_optimize s =
-  String.length s >= 8 && String.sub s 0 8 = "optimize"
 
 (* An alias-expanded reference to Optimizer.optimize*. *)
 let optimizer_entry_path expanded =
   match List.rev expanded with
-  | last :: "Optimizer" :: _ when starts_with_optimize last -> true
+  | last :: "Optimizer" :: _ -> String.starts_with ~prefix:"optimize" last
   | _ -> false
 
 let optimizer_entry_node (n : Callgraph.node) =
   n.Callgraph.u.Callgraph.basename = "optimizer"
-  && starts_with_optimize n.Callgraph.name
+  && String.starts_with ~prefix:"optimize" n.Callgraph.name
 
 (* Mutexes a binding's body locks directly, closures included. *)
-let direct_locks (n : Callgraph.node) =
-  let acc = ref [] in
-  let it =
-    {
-      Ast_iterator.default_iterator with
-      expr =
-        (fun it e ->
-          (match e.pexp_desc with
-          | Pexp_apply ({ pexp_desc = Pexp_ident lid; _ }, args) -> (
-              match mutex_op (Longident.flatten lid.txt) args with
-              | Some (`Lock, s) -> acc := s :: !acc
-              | _ -> ())
-          | _ -> ());
-          Ast_iterator.default_iterator.expr it e);
-    }
-  in
-  it.expr it n.Callgraph.expr;
-  List.sort_uniq String.compare !acc
+let own_locks sites n =
+  List.sort_uniq String.compare
+    (List.filter_map
+       (fun (s : Sites.site) ->
+         match s.kind with
+         | Apply ({ path; _ }, args) -> (
+             match mutex_op path args with Some (`Lock, m) -> Some m | _ -> None)
+         | _ -> None)
+       (Sites.node_sites sites n))
 
 let union_syms a b = if b = [] then a else List.sort_uniq String.compare (a @ b)
 
@@ -263,7 +200,7 @@ type cfg = {
 }
 
 type pending = {
-  p_u : Callgraph.unit_info;
+  p_node : Callgraph.node;        (* the binding the root belongs to *)
   p_expr : expression;
   p_stack : string list list;     (* attribute stack snapshot *)
 }
@@ -272,7 +209,7 @@ type ctx = {
   g : cfg;
   graph : Callgraph.t;
   eff : Effects.t;
-  u : Callgraph.unit_info;
+  node : Callgraph.node;
   raises : Callgraph.node -> bool;          (* can-raise, transitively *)
   reaches_optimizer : Callgraph.node -> bool;
   locks : Callgraph.node -> string list;    (* mutexes a call may take *)
@@ -288,7 +225,7 @@ let node ctx ev =
   i
 
 let edge ctx a b = ctx.g.edges <- (a, b) :: ctx.g.edges
-let enqueue ctx e = Queue.add { p_u = ctx.u; p_expr = e; p_stack = !(ctx.stack) } ctx.queue
+let enqueue ctx e = Queue.add { p_node = ctx.node; p_expr = e; p_stack = !(ctx.stack) } ctx.queue
 
 (* [fun () -> body] (or any one-argument literal fun): the body, for
    inlining Fun.protect thunks. *)
@@ -298,38 +235,33 @@ let rec thunk_body e =
   | Pexp_constraint (e, _) -> thunk_body e
   | _ -> None
 
-(* Pre-scan one root for syntactic restore sites [(sym, var)]: an
-   obligation is only tracked when a matching restore exists somewhere in
-   the root (closures included — inlined finalizers are the common
-   carrier). *)
-let scan_restores expr =
-  let tbl : (string * string, unit) Hashtbl.t = Hashtbl.create 4 in
-  let record args =
+(* A restore shape [Atomic.set x v] / [x := v]: the key (sym x, v). *)
+let restore_key path args =
+  if has_suffix ~suffix:[ "Atomic"; "set" ] path || path = [ ":=" ] || path = [ "Stdlib"; ":=" ]
+  then
     match Effects.nolabel_args args with
     | [ target; value ] -> (
         match (Effects.sym target, ident_name value) with
-        | Some s, Some v -> Hashtbl.replace tbl (s, v) ()
-        | _ -> ())
-    | _ -> ()
-  in
-  let it =
-    {
-      Ast_iterator.default_iterator with
-      expr =
-        (fun it e ->
-          (match e.pexp_desc with
-          | Pexp_apply ({ pexp_desc = Pexp_ident lid; _ }, args) ->
-              let path = Longident.flatten lid.txt in
-              if
-                has_suffix ~suffix:[ "Atomic"; "set" ] path
-                || path = [ ":=" ]
-                || path = [ "Stdlib"; ":=" ]
-              then record args
-          | _ -> ());
-          Ast_iterator.default_iterator.expr it e);
-    }
-  in
-  it.expr it expr;
+        | Some s, Some v -> Some (s, v)
+        | _ -> None)
+    | _ -> None
+  else None
+
+(* The restore keys of one root (closures included — inlined finalizers
+   are the common carrier): an obligation is only tracked when a matching
+   restore exists somewhere in the root. *)
+let root_restores sites (p : pending) =
+  let whole = p.p_expr == p.p_node.expr in
+  let tbl = Hashtbl.create 4 in
+  List.iter
+    (fun (s : Sites.site) ->
+      match s.kind with
+      | Apply ({ path; _ }, args) -> (
+          match restore_key path args with
+          | Some k when whole || Sites.inside p.p_expr s -> Hashtbl.replace tbl k ()
+          | _ -> ())
+      | _ -> ())
+    (Sites.node_sites sites p.p_node);
   tbl
 
 (* A [let v = <save>] shape: Atomic.get / ! of a symbolic target. *)
@@ -347,26 +279,10 @@ let save_shape e =
           else None)
   | _ -> None
 
-(* The matching restore shape: Atomic.set x v / x := v where (sym x, v) is
-   a tracked key. *)
+(* The matching restore shape: a tracked restore key. *)
 let restore_shape ctx path args =
-  if
-    has_suffix ~suffix:[ "Atomic"; "set" ] path
-    || path = [ ":=" ]
-    || path = [ "Stdlib"; ":=" ]
-  then
-    match Effects.nolabel_args args with
-    | [ target; value ] -> (
-        match (Effects.sym target, ident_name value) with
-        | Some s, Some v when Hashtbl.mem ctx.restores (s, v) -> Some (s, v)
-        | _ -> None)
-    | _ -> None
-  else None
-
-let rec var_of_pattern p =
-  match p.ppat_desc with
-  | Ppat_var v -> Some v.Asttypes.txt
-  | Ppat_constraint (p, _) -> var_of_pattern p
+  match restore_key path args with
+  | Some k when Hashtbl.mem ctx.restores k -> Some k
   | _ -> None
 
 (* What makes a call site blocking: a direct optimizer entry reference, an
@@ -436,7 +352,7 @@ and walk_desc ctx ~cur ~exc e =
             ctx.stack := Suppress.allow_ids vb.pvb_attributes :: !(ctx.stack);
             let cur = walk ctx ~cur ~exc vb.pvb_expr in
             let cur =
-              match (var_of_pattern vb.pvb_pat, save_shape vb.pvb_expr) with
+              match (Callgraph.var_of_pattern vb.pvb_pat, save_shape vb.pvb_expr) with
               | Some v, Some (s, what) when Hashtbl.mem ctx.restores (s, v) ->
                   let nd =
                     node ctx
@@ -500,7 +416,7 @@ and walk_desc ctx ~cur ~exc e =
   | Pexp_try (b, cases) ->
       let h = node ctx Nop in
       let b_end = walk ctx ~cur ~exc:h b in
-      if not (List.exists catch_all_case cases) then edge ctx h exc;
+      if not (List.exists Sites.catch_all_case cases) then edge ctx h exc;
       let j = node ctx Nop in
       edge ctx b_end j;
       walk_cases ctx ~entry:h ~exc ~join:j cases;
@@ -548,7 +464,7 @@ and walk_desc ctx ~cur ~exc e =
   | _ ->
       (* generic fallback: children in syntactic order, no raising *)
       let kids = ref [] in
-      iter_child_exprs (fun c -> kids := c :: !kids) e;
+      Sites.iter_child_exprs (fun c -> kids := c :: !kids) e;
       walk_list ctx ~cur ~exc (List.rev !kids)
 
 and walk_call ctx ~cur ~exc e path args =
@@ -567,7 +483,7 @@ and walk_call ctx ~cur ~exc e path args =
         step cur (Lock { lsym = s; lloc = e.pexp_loc; lsup = sup "L002"; lr002 = sup "R002" })
     | Some (`Unlock, s) -> step cur (Unlock { usym = s; uloc = e.pexp_loc; usup = sup "X002" })
     | None -> (
-        let targets = Callgraph.resolve ctx.graph ctx.u path in
+        let targets = Callgraph.resolve ctx.graph ctx.node.u path in
         let callee_locks = List.fold_left (fun acc t -> union_syms acc (ctx.locks t)) [] targets in
         let cur =
           if callee_locks = [] then cur
@@ -582,7 +498,7 @@ and walk_call ctx ~cur ~exc e path args =
           | Some (s, v) -> step cur (Restore { rsym = s; rvar = v })
           | None when never_raises path -> cur
           | None -> (
-              let expanded = Callgraph.expand ctx.graph ctx.u path in
+              let expanded = Callgraph.expand ctx.graph ctx.node.u path in
               let may_raise = targets = [] || List.exists ctx.raises targets in
               match blocking_of_call ctx path expanded targets with
               | Some what ->
@@ -837,19 +753,19 @@ let run_analysis ctx ~entry ~exit_x ~record ~pair =
 
 (* --------------------------------------------------------------- roots -- *)
 
-let analyze_root ~graph ~eff ~raises ~reaches_optimizer ~locks ~queue ~record ~pair
+let analyze_root ~sites ~eff ~raises ~reaches_optimizer ~locks ~queue ~record ~pair
     (p : pending) =
   let g = { n = 0; evs = []; edges = [] } in
   let ctx =
     {
       g;
-      graph;
+      graph = Sites.graph sites;
       eff;
-      u = p.p_u;
+      node = p.p_node;
       raises;
       reaches_optimizer;
       locks;
-      restores = scan_restores p.p_expr;
+      restores = root_restores sites p;
       stack = ref p.p_stack;
       queue;
     }
@@ -916,16 +832,15 @@ let r002_findings pairs =
             acc sites)
     pairs []
 
-let check graph eff =
-  let walks = Hashtbl.create 256 in
-  List.iter
-    (fun n -> Hashtbl.replace walks (Callgraph.key n) (raise_walk graph n))
-    (Callgraph.nodes graph);
-  let walk n = Hashtbl.find walks (Callgraph.key n) in
-  let raises = Callgraph.fixpoint ~succ:(fun n -> snd (walk n)) ~join:( || ) (fun n -> fst (walk n)) in
-  let calls = Effects.calls eff in
+let check sites eff =
+  let nodes = Callgraph.nodes (Sites.graph sites) in
+  let facts = Hashtbl.create 256 in
+  List.iter (fun n -> Hashtbl.replace facts (Callgraph.key n) (raise_facts sites n)) nodes;
+  let fact n = Hashtbl.find facts (Callgraph.key n) in
+  let raises = Callgraph.fixpoint ~succ:(fun n -> snd (fact n)) ~join:( || ) (fun n -> fst (fact n)) in
+  let calls = Sites.calls sites in
   let reaches_optimizer = Callgraph.fixpoint ~succ:calls ~join:( || ) optimizer_entry_node in
-  let locks = Callgraph.fixpoint ~succ:calls ~join:union_syms direct_locks in
+  let locks = Callgraph.fixpoint ~succ:calls ~join:union_syms (own_locks sites) in
   (* Deduplicated sticky findings: keyed by (id, location); the final
      transfer of a node runs with its final (largest) in-state, so the
      last write carries the complete message. *)
@@ -945,16 +860,10 @@ let check graph eff =
   let queue = Queue.create () in
   List.iter
     (fun (n : Callgraph.node) ->
-      Queue.add
-        {
-          p_u = n.Callgraph.u;
-          p_expr = n.Callgraph.expr;
-          p_stack = [ Suppress.allow_ids n.Callgraph.attrs ];
-        }
-        queue)
-    (Callgraph.nodes graph);
+      Queue.add { p_node = n; p_expr = n.expr; p_stack = [ Suppress.allow_ids n.attrs ] } queue)
+    nodes;
   while not (Queue.is_empty queue) do
-    analyze_root ~graph ~eff ~raises ~reaches_optimizer ~locks ~queue ~record ~pair
+    analyze_root ~sites ~eff ~raises ~reaches_optimizer ~locks ~queue ~record ~pair
       (Queue.pop queue)
   done;
   List.sort Finding.compare

@@ -37,4 +37,4 @@
     (each closure body is analyzed as its own root, entered with an
     unknown lockset).  Findings are deduplicated and carry attribute
     suppressions already applied. *)
-val check : Callgraph.t -> Effects.t -> Finding.t list
+val check : Sites.t -> Effects.t -> Finding.t list

@@ -21,37 +21,17 @@
                        deterministic and exempt), raw clock reads, float
                        accumulation into shared state
 
-   [Pure] is the empty set.  One scan of each body yields its local flags
-   and local witness sites; the total flags are the pass's one transitive
-   fact, a [Callgraph.fixpoint] of [lor] over the resolved calls (module
-   aliases are already expanded by [Callgraph.resolve]; an ambiguous
-   reference joins the flags of every plausible target).
-
-   The witness sites stay local.  Downstream checks walk to the ones they
-   need with [Callgraph.reach] over [calls], so findings anchor at real
-   source locations with a call trail:
-
-     raw-global refs     references to raw toplevel mutable state — R001's
-                         sites.  A binding carrying [@lint.allow "R001"] or
-                         taking a [Mutex.lock] is lock-disciplined
-                         ([lock_disciplined]); R001's walk never enters
-                         one.
-     mutation sites      alias-expanded [Catalog.*]/[Doc_store.*] mutator
-                         references — D003's sites, reached backwards from
-                         the what-if modules regardless of lock discipline:
-                         a mutex does not make a what-if mutation
-                         acceptable.
-     shared writes       E002's sites, walked from the batch roots.
-     order witnesses     Hashtbl/Queue folds whose literal closure builds a
-                         list with no canonicalizing sort anywhere in the
-                         same binding — N001's sites.  Iteration through an
-                         opaque function value only sets the flag.
-     float accumulations read-modify-write float updates of non-local
-                         state ([t := !t +. x], [r.sum <- r.sum +. x]) —
-                         N002's sites, walked regardless of lock
-                         discipline: a mutex serializes the updates but
-                         does not fix their order, so the sum still varies
-                         across domains.
+   [Pure] is the empty set.  A binding's local flags and witness sites (the
+   [summary] record: E001's IO, N001's order witnesses, E002's shared
+   writes, D003's mutator references, R001's raw-global references, N002's
+   float accumulations and folds) are a fold over its [Sites] — no walk of
+   its own.  The total flags are the pass's one transitive fact, a
+   [Callgraph.fixpoint] of [lor] over [Sites.calls] (module aliases are
+   already expanded by [Callgraph.resolve]; an ambiguous reference joins
+   the flags of every plausible target).  The witness sites stay local:
+   downstream checks walk to the ones they need with [Callgraph.reach]
+   over the same call lists, so findings anchor at real source locations
+   with a call trail.
 
    Soundness/incompleteness trade-offs (DESIGN.md §5h): the analysis is
    syntactic over the untyped parsetree.  Atomic/Mutex/DLS-wrapped state is
@@ -72,6 +52,10 @@ let has_suffix ~suffix path =
   match strip (List.length path - List.length suffix) path with
   | Some tail -> List.equal String.equal tail suffix
   | None -> false
+
+(* The first of [suffixes] that [path] ends with, as a dotted name. *)
+let suffix_name suffixes path =
+  Option.map (String.concat ".") (List.find_opt (fun suffix -> has_suffix ~suffix path) suffixes)
 
 let nolabel_args args =
   List.filter_map
@@ -107,18 +91,11 @@ let rec is_closure (e : expression) =
 
 (* Does [e] or some subexpression satisfy [p]?  Stops descending at the
    first hit. *)
-let exists_expr p (e : expression) =
+let rec exists_expr p (e : expression) =
+  p e
+  ||
   let found = ref false in
-  let it =
-    {
-      Ast_iterator.default_iterator with
-      expr =
-        (fun it e ->
-          if not !found then
-            if p e then found := true else Ast_iterator.default_iterator.expr it e);
-    }
-  in
-  it.expr it e;
+  Sites.iter_child_exprs (fun c -> if not !found then found := exists_expr p c) e;
   !found
 
 let ident_with_suffix suffixes (e : expression) =
@@ -128,50 +105,14 @@ let ident_with_suffix suffixes (e : expression) =
       List.exists (fun suffix -> has_suffix ~suffix path) suffixes
   | _ -> false
 
-(* Field names declared [mutable] anywhere in this compilation unit.  The
-   parsetree carries no type information, so this is the file-local
-   approximation of "record literal with mutable fields". *)
-let mutable_field_names structure =
-  let fields = Hashtbl.create 16 in
-  let type_declaration _it (td : type_declaration) =
-    (match td.ptype_kind with
-    | Ptype_record labels ->
-        List.iter
-          (fun (ld : label_declaration) ->
-            if ld.pld_mutable = Asttypes.Mutable then
-              Hashtbl.replace fields ld.pld_name.txt ())
-          labels
-    | _ -> ());
-    ()
-  in
-  let it =
-    {
-      Ast_iterator.default_iterator with
-      type_declaration =
-        (fun it td ->
-          type_declaration it td;
-          Ast_iterator.default_iterator.type_declaration it td);
-    }
-  in
-  it.structure it structure;
-  fields
-
 (* A binding whose right-hand side evaluates to one of these at module
    initialization is shared mutable state. *)
 let flagged_allocators =
   [
-    ([ "Hashtbl"; "create" ], "Hashtbl.create");
-    ([ "Buffer"; "create" ], "Buffer.create");
-    ([ "Queue"; "create" ], "Queue.create");
-    ([ "Stack"; "create" ], "Stack.create");
-    ([ "Weak"; "create" ], "Weak.create");
-    ([ "Dynarray"; "create" ], "Dynarray.create");
-    ([ "Bytes"; "create" ], "Bytes.create");
-    ([ "Bytes"; "make" ], "Bytes.make");
-    ([ "Array"; "make" ], "Array.make");
-    ([ "Array"; "create_float" ], "Array.create_float");
-    ([ "Array"; "init" ], "Array.init");
-    ([ "Array"; "make_matrix" ], "Array.make_matrix");
+    [ "Hashtbl"; "create" ]; [ "Buffer"; "create" ]; [ "Queue"; "create" ];
+    [ "Stack"; "create" ]; [ "Weak"; "create" ]; [ "Dynarray"; "create" ];
+    [ "Bytes"; "create" ]; [ "Bytes"; "make" ]; [ "Array"; "make" ];
+    [ "Array"; "create_float" ]; [ "Array"; "init" ]; [ "Array"; "make_matrix" ];
   ]
 
 (* Wrappers that make toplevel state domain-safe (or defer it): their
@@ -244,10 +185,8 @@ let rec d001_hits mutable_fields acc (e : expression) =
                 || List.equal String.equal path [ "Stdlib"; "ref" ]
         then (e.pexp_loc, "ref") :: acc
         else (
-          match
-            List.find_opt (fun (suffix, _) -> has_suffix ~suffix path) flagged_allocators
-          with
-          | Some (_, name) -> (e.pexp_loc, name) :: acc
+          match suffix_name flagged_allocators path with
+          | Some name -> (e.pexp_loc, name) :: acc
           | None -> acc)
     | Pexp_record (fields, base) ->
         let mutable_labels =
@@ -270,51 +209,6 @@ let rec d001_hits mutable_fields acc (e : expression) =
           Option.fold ~none:acc ~some:(d001_hits mutable_fields acc) base
     | Pexp_array _ -> (e.pexp_loc, "array literal") :: acc
     | _ -> acc
-
-(* All variable names bound by patterns anywhere inside [e] (params, lets,
-   match arms).  Over-approximate on purpose: treating a sibling-branch
-   binder as bound only ever silences a finding, never invents one. *)
-let bound_vars (e : expression) =
-  let bound = Hashtbl.create 16 in
-  let it =
-    {
-      Ast_iterator.default_iterator with
-      pat =
-        (fun it p ->
-          (match p.ppat_desc with
-          | Ppat_var v -> Hashtbl.replace bound v.txt ()
-          | _ -> ());
-          Ast_iterator.default_iterator.pat it p);
-    }
-  in
-  it.expr it e;
-  bound
-
-let contains_mutex_lock = exists_expr (ident_with_suffix [ [ "Mutex"; "lock" ] ])
-
-(* Raw mutable locals let-bound anywhere inside a node body, name -> kind.
-   Scope is deliberately ignored: a name in this table that an inner
-   expression uses without binding it itself must come from an enclosing
-   scope, and the only enclosing definition the analysis knows of is the
-   raw one. *)
-let raw_locals_of mutable_fields (e : expression) =
-  let locals = Hashtbl.create 8 in
-  let it =
-    {
-      Ast_iterator.default_iterator with
-      value_binding =
-        (fun it (vb : value_binding) ->
-          (match vb.pvb_pat.ppat_desc with
-          | Ppat_var v -> (
-              match d001_hits mutable_fields [] vb.pvb_expr with
-              | [] -> ()
-              | (_, what) :: _ -> Hashtbl.replace locals v.txt what)
-          | _ -> ());
-          Ast_iterator.default_iterator.value_binding it vb);
-    }
-  in
-  it.expr it e;
-  locals
 
 (* ------------------------------------------------------------ the lattice -- *)
 
@@ -351,7 +245,7 @@ let bits_to_string bits =
 
 (* -------------------------------------------------------------- witnesses -- *)
 
-type site = { s_loc : Location.t; s_what : string; s_suppressed : bool }
+type witness = { s_loc : Location.t; s_what : string; s_suppressed : bool }
 
 type race_witness = {
   w_loc : Location.t;
@@ -363,83 +257,67 @@ type race_witness = {
 
 (* ----------------------------------------------------------- op classifiers -- *)
 
+(* [Module.fn] when the path ends in a member of [table]: (module, fns). *)
+let member_of table path =
+  match List.rev path with
+  | f :: m :: _ ->
+      List.find_map
+        (fun (m', fns) -> if String.equal m m' && List.mem f fns then Some (m ^ "." ^ f) else None)
+        table
+  | _ -> None
+
 (* Mutation entry points of the shared catalog/store API (D003's site set).
    [warm_stats] is deliberately absent: it is the sanctioned synchronization
    point what-if entry code calls *before* fanning out (PR 1's contract). *)
-let catalog_mutators =
-  [
-    "add_table"; "create_index"; "drop_index"; "drop_all_indexes";
-    "refresh_indexes"; "runstats"; "runstats_all";
-  ]
-
-let store_mutators = [ "insert"; "delete"; "replace"; "update" ]
-
-let mutator_of_path path =
-  match List.rev path with
-  | f :: m :: _ when String.equal m "Catalog" && List.mem f catalog_mutators ->
-      Some ("Catalog." ^ f)
-  | f :: m :: _ when String.equal m "Doc_store" && List.mem f store_mutators ->
-      Some ("Doc_store." ^ f)
-  | _ -> None
+let mutator_of_path =
+  member_of
+    [
+      ( "Catalog",
+        [
+          "add_table"; "create_index"; "drop_index"; "drop_all_indexes";
+          "refresh_indexes"; "runstats"; "runstats_all";
+        ] );
+      ("Doc_store", [ "insert"; "delete"; "replace"; "update" ]);
+    ]
 
 (* Container mutators applied to a subject argument. *)
-let container_mutators =
-  [
-    ("Hashtbl", [ "add"; "replace"; "remove"; "reset"; "clear"; "filter_map_inplace" ]);
-    ("Queue", [ "add"; "push"; "pop"; "take"; "clear"; "transfer" ]);
-    ("Stack", [ "push"; "pop"; "clear" ]);
-    ( "Buffer",
-      [
-        "add_string"; "add_char"; "add_bytes"; "add_buffer"; "add_substring";
-        "add_subbytes"; "clear"; "reset"; "truncate";
-      ] );
-    ("Array", [ "set"; "unsafe_set"; "fill"; "blit" ]);
-    ("Bytes", [ "set"; "unsafe_set"; "fill"; "blit" ]);
-    ("Dynarray", [ "add_last"; "append"; "clear"; "set"; "remove_last" ]);
-  ]
+let container_mutator_of_path =
+  member_of
+    [
+      ("Hashtbl", [ "add"; "replace"; "remove"; "reset"; "clear"; "filter_map_inplace" ]);
+      ("Queue", [ "add"; "push"; "pop"; "take"; "clear"; "transfer" ]);
+      ("Stack", [ "push"; "pop"; "clear" ]);
+      ( "Buffer",
+        [
+          "add_string"; "add_char"; "add_bytes"; "add_buffer"; "add_substring";
+          "add_subbytes"; "clear"; "reset"; "truncate";
+        ] );
+      ("Array", [ "set"; "unsafe_set"; "fill"; "blit" ]);
+      ("Bytes", [ "set"; "unsafe_set"; "fill"; "blit" ]);
+      ("Dynarray", [ "add_last"; "append"; "clear"; "set"; "remove_last" ]);
+    ]
 
 (* Mutators whose *element* comes first and the container second
    ([Queue.add x q], [Stack.push x s]) — the subject-argument extraction
    must skip to the second positional argument for these. *)
 let element_first_mutators = [ "Queue.add"; "Queue.push"; "Stack.push" ]
 
-let container_mutator_of_path path =
-  match List.rev path with
-  | f :: m :: _ ->
-      List.find_map
-        (fun (mname, fns) ->
-          if String.equal m mname && List.mem f fns then Some (mname ^ "." ^ f) else None)
-        container_mutators
-  | _ -> None
-
 (* Container reads ([Hashtbl.hash] is a pure function of its argument and
    deliberately absent). *)
-let container_readers =
-  [
-    ("Hashtbl", [ "find"; "find_opt"; "find_all"; "mem"; "length" ]);
-    ("Queue", [ "peek"; "peek_opt"; "top"; "length"; "is_empty" ]);
-    ("Stack", [ "top"; "top_opt"; "length"; "is_empty" ]);
-    ("Buffer", [ "contents"; "length"; "nth"; "sub"; "to_bytes" ]);
-  ]
-
-let container_reader_of_path path =
-  match List.rev path with
-  | f :: m :: _ ->
-      List.exists
-        (fun (mname, fns) -> String.equal m mname && List.mem f fns)
-        container_readers
-  | _ -> false
+let container_reader_of_path =
+  member_of
+    [
+      ("Hashtbl", [ "find"; "find_opt"; "find_all"; "mem"; "length" ]);
+      ("Queue", [ "peek"; "peek_opt"; "top"; "length"; "is_empty" ]);
+      ("Stack", [ "top"; "top_opt"; "length"; "is_empty" ]);
+      ("Buffer", [ "contents"; "length"; "nth"; "sub"; "to_bytes" ]);
+    ]
 
 let atomic_writers = [ "set"; "incr"; "decr"; "fetch_and_add"; "exchange"; "compare_and_set" ]
 
 (* Iteration entry points whose callback observes container order. *)
 let order_sources =
-  [
-    ([ "Hashtbl"; "fold" ], "Hashtbl.fold");
-    ([ "Hashtbl"; "iter" ], "Hashtbl.iter");
-    ([ "Queue"; "fold" ], "Queue.fold");
-    ([ "Queue"; "iter" ], "Queue.iter");
-  ]
+  [ [ "Hashtbl"; "fold" ]; [ "Hashtbl"; "iter" ]; [ "Queue"; "fold" ]; [ "Queue"; "iter" ] ]
 
 let seq_sources =
   [
@@ -486,59 +364,35 @@ let io_suffixes =
 
 let io_of_path path =
   match path with
-  | [ x ] when List.mem x io_single_idents -> Some x
-  | [ "Stdlib"; x ] when List.mem x io_single_idents -> Some x
+  | [ x ] | [ "Stdlib"; x ] when List.mem x io_single_idents -> Some x
   | _ -> (
-      match List.find_opt (fun suffix -> has_suffix ~suffix path) io_suffixes with
-      | Some suffix -> Some (String.concat "." suffix)
-      | None -> (
-          match List.rev path with
-          | f :: m :: _ when String.equal m "In_channel" || String.equal m "Out_channel" ->
-              Some (m ^ "." ^ f)
-          | _ -> None))
+      match (suffix_name io_suffixes path, List.rev path) with
+      | Some name, _ -> Some name
+      | None, f :: m :: _ when String.equal m "In_channel" || String.equal m "Out_channel" ->
+          Some (m ^ "." ^ f)
+      | None, _ -> None)
 
 (* Global [Random.*] draws from process-wide hidden state; seeded
    [Random.State.*] is deterministic and exempt (its [State] component keeps
    the second-to-last element from being ["Random"]). *)
-let nondet_of_path path =
-  match List.rev path with
-  | f :: m :: _ when String.equal m "Random" -> Some ("Random." ^ f)
-  | _ ->
-      List.find_map
-        (fun (suffix, name) -> if has_suffix ~suffix path then Some name else None)
-        [
-          ([ "Unix"; "gettimeofday" ], "Unix.gettimeofday");
-          ([ "Unix"; "time" ], "Unix.time");
-          ([ "Sys"; "time" ], "Sys.time");
-        ]
+let nondet_path path =
+  (match List.rev path with _ :: "Random" :: _ -> true | _ -> false)
+  || suffix_name [ [ "Unix"; "gettimeofday" ]; [ "Unix"; "time" ]; [ "Sys"; "time" ] ] path
+     <> None
 
 let phys_eq_path path =
   match path with
   | [ "==" ] | [ "!=" ] | [ "Stdlib"; "==" ] | [ "Stdlib"; "!=" ] -> true
   | _ -> false
 
-(* The parallel fan-out entry points, with their display names.  An
-   argument in function position of one of these escapes to another
-   domain. *)
-let par_entries =
-  [
-    ([ "Par"; "map" ], "Par.map");
-    ([ "Par"; "map_list" ], "Par.map_list");
-    ([ "Par"; "iter" ], "Par.iter");
-    ([ "Domain"; "spawn" ], "Domain.spawn");
-  ]
-
-let par_entry_of_path path =
-  List.find_map
-    (fun (suffix, name) -> if has_suffix ~suffix path then Some name else None)
-    par_entries
+(* The parallel fan-out entry points.  An argument in function position of
+   one of these escapes to another domain. *)
+let par_entry_of_path =
+  suffix_name [ [ "Par"; "map" ]; [ "Par"; "map_list" ]; [ "Par"; "iter" ]; [ "Domain"; "spawn" ] ]
 
 let float_ops = [ "+."; "-."; "*."; "/." ]
 
 (* --------------------------------------------------- small AST predicates -- *)
-
-(* The second positional argument (for element-first container ops). *)
-let second_arg args = match nolabel_args args with _ :: a :: _ -> Some a | _ -> None
 
 let rec head_ident_name (e : expression) =
   match e.pexp_desc with
@@ -575,96 +429,47 @@ let builds_list =
               [ "Seq"; "cons" ] ]
             e)
 
-let contains_sort = exists_expr (ident_with_suffix sort_suffixes)
-
-(* Read-modify-write float updates ([t := !t +. x], [r.sum <- r.sum +. x])
-   whose target head is not exempted (per-call raw locals for a whole node,
-   closure-bound names for a parallel task body).  [stack0] seeds the
-   suppression stack with the enclosing binding's attributes; the [bool] per
-   site is "suppressed by an [@lint.allow "N002"] attribute". *)
-let float_acc_sites ?(stack0 = []) ~exempt (e : expression) =
-  let acc = ref [] in
-  let stack = ref [ stack0 ] in
-  let active id = List.exists (List.mem id) !stack in
-  let exempted base =
-    match head_ident_name base with Some x -> exempt x | None -> false
+(* A read-modify-write float update ([t := !t +. x],
+   [r.sum <- r.sum +. x]): its description and the target's head variable,
+   which the caller may exempt (a per-call raw local, a name the task
+   closure binds). *)
+let float_acc (s : Sites.site) =
+  let acc tsym value head =
+    if contains_float_op value && reads_target ~target:tsym value then
+      Some (Printf.sprintf "float accumulation into %s" tsym, head)
+    else None
   in
-  let record loc tsym =
-    acc := (loc, Printf.sprintf "float accumulation into %s" tsym, active "N002") :: !acc
-  in
-  let it =
-    {
-      Ast_iterator.default_iterator with
-      expr =
-        (fun it e ->
-          stack := Suppress.allow_ids e.pexp_attributes :: !stack;
-          (match e.pexp_desc with
-          | Pexp_apply
-              ( { pexp_desc = Pexp_ident { txt = Longident.Lident ":="; _ }; _ },
-                (Asttypes.Nolabel, target) :: (Asttypes.Nolabel, value) :: _ ) -> (
-              match sym target with
-              | Some tsym
-                when (not (exempted target))
-                     && contains_float_op value
-                     && reads_target ~target:tsym value ->
-                  record e.pexp_loc tsym
-              | _ -> ())
-          | Pexp_setfield (base, flid, value) -> (
-              match (sym base, List.rev (Longident.flatten flid.txt)) with
-              | Some bsym, f :: _ ->
-                  let tsym = bsym ^ "." ^ f in
-                  if
-                    (not (exempted base))
-                    && contains_float_op value
-                    && reads_target ~target:tsym value
-                  then record e.pexp_loc tsym
-              | _ -> ())
-          | _ -> ());
-          Ast_iterator.default_iterator.expr it e;
-          stack := List.tl !stack);
-    }
-  in
-  it.expr it e;
-  List.rev !acc
+  match s.kind with
+  | Apply ({ path = [ ":=" ]; _ }, (Asttypes.Nolabel, target) :: (Asttypes.Nolabel, value) :: _)
+    ->
+      Option.bind (sym target) (fun tsym -> acc tsym value (head_ident_name target))
+  | Setfield (base, f, value) ->
+      Option.bind (sym base) (fun bsym -> acc (bsym ^ "." ^ f) value (head_ident_name base))
+  | _ -> None
 
 (* --------------------------------------------------------- internal state -- *)
 
-type info = {
+type summary = {
   locals : (string, string) Hashtbl.t;  (* raw per-call allocations, name -> kind *)
-  calls : Callgraph.node list;          (* resolved references, shadow-skipped, sorted *)
-  local_flags : int;
-  io : site list;
-  order : site list;                    (* N001 witnesses *)
-  writes : site list;                   (* shared-target writes, E002 witnesses *)
-  mutations : site list;                (* catalog/store mutator refs, D003 *)
+  io : witness list;                    (* E001 *)
+  order : witness list;                 (* N001 *)
+  writes : witness list;                (* shared-target writes, E002 *)
+  mutations : witness list;             (* catalog/store mutator refs, D003 *)
   globals : race_witness list;          (* raw-global refs, R001 *)
-  accs : site list;                     (* float accumulations, N002 *)
+  accs : witness list;                  (* float accumulations, N002 *)
   fanout : bool;                        (* references a Par/Domain fan-out *)
   sum_list : bool;                      (* references Par.sum_list *)
-  ffolds : site list;                   (* float List/Array.fold_left sites *)
-  blocked : bool;                       (* lock-disciplined or allow "R001" *)
+  float_folds : witness list;           (* float List/Array.fold_left sites *)
+  lock_disciplined : bool;              (* takes a Mutex.lock or allows R001 *)
 }
 
 type t = {
-  graph : Callgraph.t;
-  infos : (string * string, info) Hashtbl.t;
+  sites : Sites.t;
+  infos : (string * string, int * summary) Hashtbl.t;  (* local flags, summary *)
   total : Callgraph.node -> int;        (* flags joined over every callee *)
   sorted : Callgraph.node list;
-  fields : (string, (string, unit) Hashtbl.t) Hashtbl.t;
-      (* unit path -> mutable field names declared there.  Kept per-unit on
-         purpose: classifying a record literal by a field name that is only
-         [mutable] in some *other* unit's unrelated type would invent
-         findings. *)
   raw_memo : (string * string, string option) Hashtbl.t;
 }
-
-let fields_of t (u : Callgraph.unit_info) =
-  match Hashtbl.find_opt t.fields u.path with
-  | Some f -> f
-  | None ->
-      let f = mutable_field_names u.structure in
-      Hashtbl.replace t.fields u.path f;
-      f
 
 (* Is this graph node raw module-toplevel mutable state?  Returns the
    allocator kind ("ref", "Hashtbl.create", ...).  A node carrying
@@ -678,278 +483,219 @@ let raw_global t (n : Callgraph.node) =
       let r =
         if allow "R001" n.attrs then None
         else
-          match d001_hits (fields_of t n.u) [] n.expr with
+          match d001_hits (Sites.mutable_fields t.sites n.u) [] n.expr with
           | [] -> None
           | (_, what) :: _ -> Some what
       in
       Hashtbl.replace t.raw_memo k r;
       r
 
-(* ------------------------------------------------------ per-node local scan -- *)
+(* ------------------------------------------------------- the node fold -- *)
 
-let scan_node t (n : Callgraph.node) =
-  let graph = t.graph in
-  let mutable_fields = fields_of t n.u in
-  let locals = raw_locals_of mutable_fields n.expr in
-  let bound = bound_vars n.expr in
-  let has_sort = contains_sort n.expr in
-  let calls = Hashtbl.create 8 in
+(* One node's summary, folded from its sites.  A first pass gathers what
+   the classification needs from the whole binding: its raw mutable
+   locals (let-bound anywhere; scope is deliberately ignored — a name in
+   this table that an inner expression uses without binding it itself
+   must come from an enclosing scope, and the only enclosing definition
+   the analysis knows of is the raw one), whether it sorts, and whether
+   it takes a [Mutex.lock]. *)
+let scan t (n : Callgraph.node) =
+  let sites = Sites.node_sites t.sites n in
+  let mutable_fields = Sites.mutable_fields t.sites n.u in
+  let locals = Hashtbl.create 8 in
+  let has_sort = ref false and blocked = ref (allow "R001" n.attrs) in
+  List.iter
+    (fun (s : Sites.site) ->
+      match s.kind with
+      | Let (x, rhs) -> (
+          match d001_hits mutable_fields [] rhs with
+          | (_, what) :: _ -> Hashtbl.replace locals x what
+          | [] -> ())
+      | Ref { path; _ } ->
+          if List.exists (fun suffix -> has_suffix ~suffix path) sort_suffixes then
+            has_sort := true;
+          if has_suffix ~suffix:[ "Mutex"; "lock" ] path then blocked := true
+      | _ -> ())
+    sites;
   let flags = ref 0 in
   let io = ref [] and order = ref [] and writes = ref [] in
   let mutations = ref [] and globals = ref [] and ffolds = ref [] in
   let fanout = ref false and sum_list = ref false in
   let set k = flags := !flags lor kind_bit k in
-  let stack = ref [ Suppress.allow_ids n.attrs ] in
-  let active id = List.exists (List.mem id) !stack in
-  let local_target target =
-    match Option.bind target head_ident_name with
-    | Some x -> Hashtbl.mem locals x
-    | None -> false
+  let local head = match head with Some x -> Hashtbl.mem locals x | None -> false in
+  let local_target target = local (Option.bind target head_ident_name) in
+  let witness (s : Sites.site) what id =
+    { s_loc = s.loc; s_what = what; s_suppressed = Sites.active s id }
   in
-  let record_write what loc =
+  let record_write s what =
     set Writes_mutable;
-    writes := { s_loc = loc; s_what = what; s_suppressed = active "E002" } :: !writes
+    writes := witness s what "E002" :: !writes
   in
-  (* Classification of one (shadow-checked) identifier reference. *)
-  let classify_ident path loc =
-    let expanded = Callgraph.expand graph n.u path in
-    if par_entry_of_path expanded <> None then fanout := true;
-    (if has_suffix ~suffix:[ "Par"; "sum_list" ] expanded then sum_list := true);
-    (match mutator_of_path expanded with
+  (* One unshadowed identifier reference. *)
+  let classify_ident (s : Sites.site) (id : Sites.ident) =
+    if par_entry_of_path id.expanded <> None then fanout := true;
+    if has_suffix ~suffix:[ "Par"; "sum_list" ] id.expanded then sum_list := true;
+    (match mutator_of_path id.expanded with
     | Some m ->
         set Writes_mutable;
-        if not (active "D003") then
-          mutations := { s_loc = loc; s_what = m; s_suppressed = false } :: !mutations
+        if not (Sites.active s "D003") then
+          mutations := { s_loc = s.loc; s_what = m; s_suppressed = false } :: !mutations
     | None -> ());
-    let targets = Callgraph.resolve graph n.u path in
-    if targets = [] then begin
+    if id.targets = [] then begin
       (* No project binding answers to this path: classify stdlib/runtime
          builtins.  Gating on empty resolution keeps a sibling binding that
          happens to share a builtin's name (an [input] helper, say) from
          classifying as the builtin. *)
-      (match io_of_path path with
+      (match io_of_path id.path with
       | Some what ->
           set Performs_io;
-          io := { s_loc = loc; s_what = what; s_suppressed = active "E001" } :: !io
+          io := witness s what "E001" :: !io
       | None -> ());
-      (match nondet_of_path path with Some _ -> set Nondeterministic | None -> ());
-      if phys_eq_path path then set Order_dependent
+      if nondet_path id.path then set Nondeterministic;
+      if phys_eq_path id.path then set Order_dependent
     end
     else
       List.iter
         (fun (tgt : Callgraph.node) ->
-          let tk = Callgraph.key tgt in
-          if tk <> Callgraph.key n then Hashtbl.replace calls tk tgt;
           match raw_global t tgt with
           | Some kind ->
               set Reads_mutable;
               globals :=
                 {
-                  w_loc = loc;
+                  w_loc = s.loc;
                   w_global = tgt.name;
                   w_kind = kind;
                   w_path = tgt.u.path;
-                  w_suppressed = active "R001";
+                  w_suppressed = Sites.active s "R001";
                 }
                 :: !globals
           | None -> ())
-        targets
+        id.targets
   in
-  let it =
-    {
-      Ast_iterator.default_iterator with
-      expr =
-        (fun it e ->
-          stack := Suppress.allow_ids e.pexp_attributes :: !stack;
-          (match e.pexp_desc with
-          | Pexp_ident lid -> (
-              let path = Longident.flatten lid.txt in
-              match path with
-              | [ x ] when Hashtbl.mem bound x -> ()  (* shadowed by a binder *)
-              | _ -> classify_ident path e.pexp_loc)
-          | Pexp_apply ({ pexp_desc = Pexp_ident lid; _ }, args) -> (
-              let path = Longident.flatten lid.txt in
-              let target = first_nolabel args in
-              match path with
-              | [ ":=" ] | [ "Stdlib"; ":=" ] ->
-                  if not (local_target target) then
-                    record_write
-                      (match Option.bind target sym with
-                      | Some s -> Printf.sprintf "assignment to %s" s
-                      | None -> "ref assignment")
-                      e.pexp_loc
-              | [ "incr" ] | [ "Stdlib"; "incr" ] | [ "decr" ] | [ "Stdlib"; "decr" ] ->
-                  if not (local_target target) then
-                    record_write
-                      (match Option.bind target sym with
-                      | Some s -> Printf.sprintf "counter update of %s" s
-                      | None -> "counter update")
-                      e.pexp_loc
-              | [ "!" ] | [ "Stdlib"; "!" ] ->
-                  if not (local_target target) then set Reads_mutable
-              | _ ->
-                  (match container_mutator_of_path path with
-                  | Some what ->
-                      let target =
-                        if List.mem what element_first_mutators then second_arg args
-                        else target
-                      in
-                      if not (local_target target) then
-                        record_write
-                          (match Option.bind target sym with
-                          | Some s -> Printf.sprintf "%s on %s" what s
-                          | None -> what)
-                          e.pexp_loc
-                  | None -> ());
-                  (if container_reader_of_path path && not (local_target target) then
-                     set Reads_mutable);
-                  (if has_suffix ~suffix:[ "Atomic"; "get" ] path then set Reads_mutable);
-                  (if
-                     List.exists
-                       (fun f -> has_suffix ~suffix:[ "Atomic"; f ] path)
-                       atomic_writers
-                   then
-                     (* Synchronized: a write, but never a shared-write
-                        (E002) witness. *)
-                     set Writes_mutable);
-                  (if
-                     (has_suffix ~suffix:[ "List"; "fold_left" ] path
-                     || has_suffix ~suffix:[ "Array"; "fold_left" ] path)
-                     && (match args with
-                        | (Asttypes.Nolabel, f) :: _ -> contains_float_op f
-                        | _ -> false)
-                   then
-                     ffolds :=
-                       {
-                         s_loc = e.pexp_loc;
-                         s_what = String.concat "." path ^ " over floats";
-                         s_suppressed = active "N002";
-                       }
-                       :: !ffolds);
-                  (match
-                     List.find_opt
-                       (fun (suffix, _) -> has_suffix ~suffix path)
-                       order_sources
-                   with
-                  | Some (_, what) -> (
-                      set Order_dependent;
-                      let closure =
-                        List.find_map
-                          (fun (label, (a : expression)) ->
-                            match label with
-                            | Asttypes.Nolabel when is_closure a -> Some a
-                            | _ -> None)
-                          args
-                      in
-                      match closure with
-                      | Some c when builds_list c && not has_sort ->
-                          order :=
-                            {
-                              s_loc = e.pexp_loc;
-                              s_what = what;
-                              s_suppressed = active "N001";
-                            }
-                            :: !order
-                      | _ -> ())
-                  | None ->
-                      if List.exists (fun suffix -> has_suffix ~suffix path) seq_sources
-                      then set Order_dependent))
-          | Pexp_setfield (base, flid, _) ->
-              let base_local =
-                match head_ident_name base with
-                | Some x -> Hashtbl.mem locals x
-                | None -> false
-              in
-              if not base_local then
-                record_write
-                  (let fname =
-                     match List.rev (Longident.flatten flid.txt) with
-                     | f :: _ -> f
-                     | [] -> "?"
-                   in
-                   match sym base with
-                   | Some s -> Printf.sprintf "mutable-field write %s.%s" s fname
-                   | None -> Printf.sprintf "mutable-field write .%s" fname)
-                  e.pexp_loc
-          | Pexp_field (_, flid) -> (
-              match List.rev (Longident.flatten flid.txt) with
-              | f :: _ when Hashtbl.mem mutable_fields f -> set Reads_mutable
-              | _ -> ())
-          | _ -> ());
-          Ast_iterator.default_iterator.expr it e;
-          stack := List.tl !stack);
-    }
+  (* One application of an identifier. *)
+  let classify_apply s path args =
+    let target = first_nolabel args in
+    match path with
+    | [ ":=" ] | [ "Stdlib"; ":=" ] ->
+        if not (local_target target) then
+          record_write s
+            (match Option.bind target sym with
+            | Some x -> Printf.sprintf "assignment to %s" x
+            | None -> "ref assignment")
+    | [ "incr" ] | [ "Stdlib"; "incr" ] | [ "decr" ] | [ "Stdlib"; "decr" ] ->
+        if not (local_target target) then
+          record_write s
+            (match Option.bind target sym with
+            | Some x -> Printf.sprintf "counter update of %s" x
+            | None -> "counter update")
+    | [ "!" ] | [ "Stdlib"; "!" ] -> if not (local_target target) then set Reads_mutable
+    | _ -> (
+        (match container_mutator_of_path path with
+        | Some what ->
+            let target =
+              if List.mem what element_first_mutators then
+                match nolabel_args args with _ :: a :: _ -> Some a | _ -> None
+              else target
+            in
+            if not (local_target target) then
+              record_write s
+                (match Option.bind target sym with
+                | Some x -> Printf.sprintf "%s on %s" what x
+                | None -> what)
+        | None -> ());
+        if container_reader_of_path path <> None && not (local_target target) then
+          set Reads_mutable;
+        if has_suffix ~suffix:[ "Atomic"; "get" ] path then set Reads_mutable;
+        if List.exists (fun f -> has_suffix ~suffix:[ "Atomic"; f ] path) atomic_writers then
+          (* Synchronized: a write, but never a shared-write (E002) witness. *)
+          set Writes_mutable;
+        if
+          (has_suffix ~suffix:[ "List"; "fold_left" ] path
+          || has_suffix ~suffix:[ "Array"; "fold_left" ] path)
+          && match args with (Asttypes.Nolabel, f) :: _ -> contains_float_op f | _ -> false
+        then ffolds := witness s (String.concat "." path ^ " over floats") "N002" :: !ffolds;
+        match suffix_name order_sources path with
+        | Some what -> (
+            set Order_dependent;
+            let closure =
+              List.find_map
+                (fun (label, (a : expression)) ->
+                  match label with Asttypes.Nolabel when is_closure a -> Some a | _ -> None)
+                args
+            in
+            match closure with
+            | Some c when builds_list c && not !has_sort ->
+                order := witness s what "N001" :: !order
+            | _ -> ())
+        | None ->
+            if List.exists (fun suffix -> has_suffix ~suffix path) seq_sources then
+              set Order_dependent)
   in
-  it.expr it n.expr;
+  List.iter
+    (fun (s : Sites.site) ->
+      match s.kind with
+      | Ref id when not id.shadowed -> classify_ident s id
+      | Apply (id, args) -> classify_apply s id.path args
+      | Setfield (base, f, _) ->
+          if not (local (head_ident_name base)) then
+            record_write s
+              (match sym base with
+              | Some x -> Printf.sprintf "mutable-field write %s.%s" x f
+              | None -> Printf.sprintf "mutable-field write .%s" f)
+      | Field f -> if Hashtbl.mem mutable_fields f then set Reads_mutable
+      | _ -> ())
+    sites;
   let accs =
-    List.map
-      (fun (loc, what, suppressed) ->
-        set Nondeterministic;
-        { s_loc = loc; s_what = what; s_suppressed = suppressed })
-      (float_acc_sites
-         ~stack0:(Suppress.allow_ids n.attrs)
-         ~exempt:(fun x -> Hashtbl.mem locals x)
-         n.expr)
+    List.filter_map
+      (fun s ->
+        match float_acc s with
+        | Some (what, head) when not (local head) ->
+            set Nondeterministic;
+            Some (witness s what "N002")
+        | _ -> None)
+      sites
   in
-  {
-    locals;
-    calls = List.sort Callgraph.by_key (Hashtbl.fold (fun _ tgt acc -> tgt :: acc) calls []);
-    local_flags = !flags;
-    io = List.rev !io;
-    order = List.rev !order;
-    writes = List.rev !writes;
-    mutations = List.rev !mutations;
-    globals = List.rev !globals;
-    accs;
-    fanout = !fanout;
-    sum_list = !sum_list;
-    ffolds = List.rev !ffolds;
-    blocked = allow "R001" n.attrs || contains_mutex_lock n.expr;
-  }
+  ( !flags,
+    {
+      locals;
+      io = List.rev !io;
+      order = List.rev !order;
+      writes = List.rev !writes;
+      mutations = List.rev !mutations;
+      globals = List.rev !globals;
+      accs;
+      fanout = !fanout;
+      sum_list = !sum_list;
+      float_folds = List.rev !ffolds;
+      lock_disciplined = !blocked;
+    } )
 
 (* ---------------------------------------------------------------- analysis -- *)
 
-(* The local scan of every node, plus the one transitive fact this pass
-   owns: effect flags joined over the resolved calls.  Witness sites stay
-   local; checks reach them through [Callgraph.reach]. *)
-let analyze graph =
+(* The fold of every node, plus the one transitive fact this pass owns:
+   effect flags joined over the resolved calls.  Witness sites stay local;
+   checks reach them through [Callgraph.reach]. *)
+let analyze sites =
   let infos = Hashtbl.create 256 in
   let info n = Hashtbl.find infos (Callgraph.key n) in
   let t =
     {
-      graph;
+      sites;
       infos;
       total =
-        Callgraph.fixpoint
-          ~succ:(fun n -> (info n).calls)
-          ~join:( lor )
-          (fun n -> (info n).local_flags);
-      sorted = List.sort Callgraph.by_key (Callgraph.nodes graph);
-      fields = Hashtbl.create 16;
+        Callgraph.fixpoint ~succ:(Sites.calls sites) ~join:( lor ) (fun n -> fst (info n));
+      sorted = List.sort Callgraph.by_key (Callgraph.nodes (Sites.graph sites));
       raw_memo = Hashtbl.create 64;
     }
   in
-  List.iter (fun n -> Hashtbl.replace infos (Callgraph.key n) (scan_node t n)) t.sorted;
+  List.iter (fun n -> Hashtbl.replace infos (Callgraph.key n) (scan t n)) t.sorted;
   t
 
 (* --------------------------------------------------------------- accessors -- *)
 
 let info t n = Hashtbl.find t.infos (Callgraph.key n)
-
-let local_effects t n = kinds_of_bits (info t n).local_flags
+let summary t n = snd (info t n)
 let total_effects t n = kinds_of_bits (t.total n)
-let local_io t n = (info t n).io
-let local_order t n = (info t n).order
-let local_writes t n = (info t n).writes
-let local_mutations t n = (info t n).mutations
-let local_globals t n = (info t n).globals
-let local_accumulations t n = (info t n).accs
-let raw_locals t n = (info t n).locals
-let lock_disciplined t n = (info t n).blocked
-let has_par_fanout t n = (info t n).fanout
-let uses_sum_list t n = (info t n).sum_list
-let float_folds t n = (info t n).ffolds
-let calls t n = (info t n).calls
 
 (* -------------------------------------------------------------------- dump -- *)
 
@@ -959,7 +705,7 @@ let dump t =
     (fun (n : Callgraph.node) ->
       Buffer.add_string buf
         (Printf.sprintf "%s %s: local=%s total=%s\n" n.u.path n.name
-           (bits_to_string (info t n).local_flags)
+           (bits_to_string (fst (info t n)))
            (bits_to_string (t.total n))))
     t.sorted;
   Buffer.contents buf

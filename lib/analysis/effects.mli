@@ -1,14 +1,13 @@
 (** Interprocedural effect inference over the cross-unit call graph.
 
-    Per toplevel value binding the pass scans the body once for its local
-    effects — a set of {!effect_kind}, where the empty set is [Pure] — and
-    its local witness sites (raw-global references, catalog/store mutator
-    references, shared writes, order-dependent folds, float
-    accumulations).  The only transitive fact it computes itself is the
-    total flag set, one {!Callgraph.fixpoint} over {!calls} (recursion,
-    module aliases and ambiguous edges join every candidate).  The D003,
-    R001, N002 and E002 checks reach the local sites they need with
-    {!Callgraph.reach} over the same call lists.
+    Per toplevel value binding the pass folds the binding's {!Sites} into
+    its local effects — a set of {!effect_kind}, where the empty set is
+    [Pure] — and its local witness sites ({!summary}).  The only
+    transitive fact it computes itself is the total flag set, one
+    {!Callgraph.fixpoint} over {!Sites.calls} (recursion, module aliases
+    and ambiguous edges join every candidate).  The D003, R001, N002 and
+    E002 checks reach the local sites they need with {!Callgraph.reach}
+    over the same call lists.
 
     The analysis is syntactic over the untyped parsetree; lattice
     semantics, propagation rules and the soundness/incompleteness
@@ -28,7 +27,7 @@ val kind_name : effect_kind -> string
 (** A classified source site; [s_suppressed] is true when an enclosing
     [\[@lint.allow "<ID>"\]] covers the site for the check that consumes
     this witness kind. *)
-type site = { s_loc : Location.t; s_what : string; s_suppressed : bool }
+type witness = { s_loc : Location.t; s_what : string; s_suppressed : bool }
 
 (** A reference to raw module-toplevel mutable state. *)
 type race_witness = {
@@ -41,68 +40,47 @@ type race_witness = {
 
 type t
 
-(** Run the local scan over every node; total flags are joined on
-    demand. *)
-val analyze : Callgraph.t -> t
-
-(** Effects of the node's own body only. *)
-val local_effects : t -> Callgraph.node -> effect_kind list
+(** Fold every node's sites into its local summary; total flags are
+    joined on demand. *)
+val analyze : Sites.t -> t
 
 (** Effects joined over the node and everything it may call. *)
 val total_effects : t -> Callgraph.node -> effect_kind list
 
-(** IO sites in the node's own body (E001's witnesses). *)
-val local_io : t -> Callgraph.node -> site list
+(** One binding's local summary, folded from its own sites.  Witness sites
+    of non-local state only: writes to and float accumulations into
+    per-call raw locals are excluded. *)
+type summary = {
+  locals : (string, string) Hashtbl.t;
+      (** raw mutable locals let-bound anywhere in the body, name -> kind *)
+  io : witness list;  (** IO sites (E001) *)
+  order : witness list;
+      (** Hashtbl/Queue folds whose literal closure builds a list with no
+          canonicalizing sort in the same binding (N001) *)
+  writes : witness list;
+      (** shared-state writes (E002); Atomic operations excluded *)
+  mutations : witness list;
+      (** alias-expanded [Catalog.*]/[Doc_store.*] mutator references
+          (D003); attribute-suppressed ones dropped *)
+  globals : race_witness list;  (** raw module-toplevel state references (R001) *)
+  accs : witness list;
+      (** read-modify-write float updates ([t := !t +. x],
+          [r.sum <- r.sum +. x]; N002) *)
+  fanout : bool;  (** references [Par.map]/[map_list]/[iter] or [Domain.spawn] *)
+  sum_list : bool;  (** references [Par.sum_list], the sanctioned reduction *)
+  float_folds : witness list;
+      (** [List]/[Array.fold_left] with float arithmetic in the folding
+          function (N002) *)
+  lock_disciplined : bool;
+      (** takes a [Mutex.lock] or carries [\[@lint.allow "R001"\]] *)
+}
 
-(** Hashtbl/Queue folds in the node's own body whose literal closure builds
-    a list with no canonicalizing sort in the same binding (N001's
-    witnesses). *)
-val local_order : t -> Callgraph.node -> site list
-
-(** Shared-state writes in the node's own body (E002's witnesses).  Atomic
-    operations and writes to per-call raw locals are excluded;
-    catalog/store mutators are carried separately as mutation sites. *)
-val local_writes : t -> Callgraph.node -> site list
-
-(** Alias-expanded [Catalog.*]/[Doc_store.*] mutator references in the
-    node's own body (D003's sites).  Attribute-suppressed sites are already
-    dropped, mirroring the previous D003 scan. *)
-val local_mutations : t -> Callgraph.node -> site list
-
-(** References to raw module-toplevel mutable state in the node's own body
-    (R001's sites). *)
-val local_globals : t -> Callgraph.node -> race_witness list
-
-(** Read-modify-write float updates of non-local state in the node's own
-    body ([t := !t +. x], [r.sum <- r.sum +. x]; N002's sites). *)
-val local_accumulations : t -> Callgraph.node -> site list
-
-(** Resolved call targets of the node (shadow-skipped, deduplicated,
-    sorted by key). *)
-val calls : t -> Callgraph.node -> Callgraph.node list
-
-(** The node takes a [Mutex.lock] or carries [\[@lint.allow "R001"\]]. *)
-val lock_disciplined : t -> Callgraph.node -> bool
-
-(** The node references a [Par.map]/[Par.map_list]/[Par.iter]/
-    [Domain.spawn] fan-out point. *)
-val has_par_fanout : t -> Callgraph.node -> bool
-
-(** The node references [Par.sum_list], the sanctioned deterministic
-    parallel float reduction. *)
-val uses_sum_list : t -> Callgraph.node -> bool
-
-(** [List.fold_left]/[Array.fold_left] applications whose folding function
-    contains float arithmetic (N002's order-fragile reduction sites). *)
-val float_folds : t -> Callgraph.node -> site list
+val summary : t -> Callgraph.node -> summary
 
 (** Is this node raw module-toplevel mutable state?  Returns the allocator
     kind.  Memoized; [\[@lint.allow "R001"\]] on the binding yields
     [None]. *)
 val raw_global : t -> Callgraph.node -> string option
-
-(** Raw mutable locals let-bound anywhere in the node body, name -> kind. *)
-val raw_locals : t -> Callgraph.node -> (string, string) Hashtbl.t
 
 (** Deterministic per-binding summary dump, one
     ["<unit path> <name>: local=<flags> total=<flags>"] line per node,
@@ -151,9 +129,6 @@ val exists_expr : (Parsetree.expression -> bool) -> Parsetree.expression -> bool
     denotes, if any. *)
 val par_entry_of_path : string list -> string option
 
-(** Field names declared [mutable] anywhere in this compilation unit. *)
-val mutable_field_names : Parsetree.structure -> (string, unit) Hashtbl.t
-
 (** Classify an expression as raw shared mutable state: every
     [(location, allocator)] pair found descending through wrappers and data
     constructors.  Empty for deferred allocations (functions, [lazy]) and
@@ -164,21 +139,14 @@ val d001_hits :
   Parsetree.expression ->
   (Location.t * string) list
 
-(** All variable names bound by patterns anywhere inside the expression. *)
-val bound_vars : Parsetree.expression -> (string, unit) Hashtbl.t
-
 (** Classify a dotted path as an unambiguous IO builtin (console/channel/
     filesystem traffic); returns the display name.  Callers gate on empty
     graph resolution first, so project bindings sharing a builtin's name
     do not classify. *)
 val io_of_path : string list -> string option
 
-(** Read-modify-write float-update sites in an expression as
-    [(loc, description, n002_suppressed)] triples; [exempt] names targets
-    to skip (per-call locals, closure-bound accumulators), [stack0] seeds
-    the attribute-suppression stack. *)
-val float_acc_sites :
-  ?stack0:string list ->
-  exempt:(string -> bool) ->
-  Parsetree.expression ->
-  (Location.t * string * bool) list
+(** A read-modify-write float update at this site ([t := !t +. x],
+    [r.sum <- r.sum +. x]): its description and the head variable of its
+    target, for the caller to exempt (per-call locals, closure-bound
+    accumulators). *)
+val float_acc : Sites.site -> (string * string option) option

@@ -31,26 +31,21 @@ let parse_structure ~filename source =
       Error { path = filename; message = String.trim msg }
   | e -> Error { path = filename; message = Printexc.to_string e }
 
-(* Every parsetree-level finding of a program: the unit-local checks per
-   unit, then the whole-program checks (D003, N001, E001, E002, R001 and
-   N002) over the shared graph and one effect-inference pass, then the
-   flow-sensitive R002 and L/X-series over the same graph and
-   summaries. *)
+(* Every parsetree-level finding of a program, all read off one site walk
+   of the shared graph: the unit-local checks per unit, then the
+   whole-program checks (D003, N001, E001, E002, R001 and N002) over one
+   effect-inference pass, then the flow-sensitive R002 and L/X-series over
+   the same sites and summaries. *)
 let program_findings graph =
-  let eff = Effects.analyze graph in
-  let per_unit =
-    List.concat_map
-      (fun (u : Callgraph.unit_info) ->
-        Checks.check_structure ~filename:u.path ~source:u.source u.structure)
-      (Callgraph.units graph)
-  in
-  per_unit
-  @ Checks.check_d003_program eff graph
-  @ Checks.check_n001_program eff graph
-  @ Checks.check_e001_program eff graph
-  @ Checks.check_e002_program eff graph
-  @ Races.check graph eff
-  @ Dataflow.check graph eff
+  let sites = Sites.build graph in
+  let eff = Effects.analyze sites in
+  List.concat_map (Checks.check_unit sites) (Callgraph.units graph)
+  @ Checks.check_d003_program sites eff
+  @ Checks.check_n001_program sites eff
+  @ Checks.check_e001_program sites eff
+  @ Checks.check_e002_program sites eff
+  @ Races.check sites eff
+  @ Dataflow.check sites eff
 
 let lint_source ~filename source =
   match parse_structure ~filename source with
@@ -59,11 +54,7 @@ let lint_source ~filename source =
       let u = Callgraph.make_unit ~path:filename ~source structure in
       Ok (List.sort Finding.compare (program_findings (Callgraph.build [ u ])))
 
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
+let read_file path = In_channel.with_open_bin path In_channel.input_all
 
 let lint_file path =
   match read_file path with
@@ -129,20 +120,21 @@ let lint_paths ?(allow = []) paths =
 (* DOT rendering of the cross-unit call graph for the given paths. *)
 let callgraph_dot paths =
   let graph, _, _, errors = load paths in
-  (Callgraph.to_dot graph, errors)
+  (Callgraph.to_dot ~succ:(Sites.calls (Sites.build graph)) graph, errors)
 
 (* Deterministic per-binding effect-summary dump over the same unit set
    (the [--effects] output). *)
 let effects_dump paths =
   let graph, _, _, errors = load paths in
-  (Effects.dump (Effects.analyze graph), errors)
+  (Effects.dump (Effects.analyze (Sites.build graph)), errors)
 
 (* Just the flow-sensitive R002 and L/X-series over the unit set (the
    bench harness's [lint.dataflow] exhibit: CFG construction + fixpoints +
    worklist, without the rest of the catalog). *)
 let dataflow_findings paths =
   let graph, _, _, errors = load paths in
-  (Dataflow.check graph (Effects.analyze graph), errors)
+  let sites = Sites.build graph in
+  (Dataflow.check sites (Effects.analyze sites), errors)
 
 (* ------------------------------------------------------ JSON rendering -- *)
 
@@ -153,6 +145,9 @@ let dataflow_findings paths =
    an --only/--skip filter when one is active. *)
 let json_schema_version = 4
 
+(* Array elements, one per line, comma-separated. *)
+let json_lines = function [] -> "" | items -> "    " ^ String.concat ",\n    " items ^ "\n"
+
 let report_to_json ?only (r : report) =
   let cat =
     match only with
@@ -160,33 +155,10 @@ let report_to_json ?only (r : report) =
     | Some ids ->
         List.filter (fun (c : Checks.check_info) -> List.mem c.id ids) Checks.catalog
   in
-  let buf = Buffer.create 4096 in
-  Buffer.add_string buf "{\n";
-  Buffer.add_string buf
-    (Printf.sprintf "  \"schema_version\": %d,\n" json_schema_version);
-  Buffer.add_string buf "  \"checks\": [\n";
-  let n_checks = List.length cat in
-  List.iteri
-    (fun i (c : Checks.check_info) ->
-      Buffer.add_string buf
-        (Printf.sprintf "    {\"id\": \"%s\", \"title\": \"%s\"}%s\n"
-           (Finding.json_escape c.id)
-           (Finding.json_escape c.title)
-           (if i = n_checks - 1 then "" else ",")))
-    cat;
-  Buffer.add_string buf "  ],\n";
-  (match List.sort Finding.compare r.findings with
-  | [] -> Buffer.add_string buf "  \"findings\": [],\n"
-  | fs ->
-      Buffer.add_string buf "  \"findings\": [\n";
-      let n = List.length fs in
-      List.iteri
-        (fun i f ->
-          Buffer.add_string buf
-            (Printf.sprintf "    %s%s\n" (Finding.to_json f)
-               (if i = n - 1 then "" else ",")))
-        fs;
-      Buffer.add_string buf "  ],\n");
+  let array name sep = function
+    | [] -> Printf.sprintf "  \"%s\": []%s\n" name sep
+    | items -> Printf.sprintf "  \"%s\": [\n%s  ]%s\n" name (json_lines items) sep
+  in
   let by_id =
     List.sort_uniq String.compare
       (List.map (fun (f : Finding.t) -> f.Finding.id) r.suppressed)
@@ -196,26 +168,30 @@ let report_to_json ?only (r : report) =
                (List.filter (fun (f : Finding.t) -> String.equal f.Finding.id id)
                   r.suppressed) ))
   in
-  Buffer.add_string buf
-    (Printf.sprintf "  \"suppressed\": {\"total\": %d, \"by_id\": {%s}},\n"
-       (List.length r.suppressed)
-       (String.concat ", "
-          (List.map
-             (fun (id, n) -> Printf.sprintf "\"%s\": %d" (Finding.json_escape id) n)
-             by_id)));
-  (match r.errors with
-  | [] -> Buffer.add_string buf "  \"errors\": []\n"
-  | es ->
-      Buffer.add_string buf "  \"errors\": [\n";
-      let n = List.length es in
-      List.iteri
-        (fun i e ->
-          Buffer.add_string buf
-            (Printf.sprintf "    {\"path\":\"%s\",\"message\":\"%s\"}%s\n"
-               (Finding.json_escape e.path)
-               (Finding.json_escape e.message)
-               (if i = n - 1 then "" else ",")))
-        es;
-      Buffer.add_string buf "  ]\n");
-  Buffer.add_string buf "}\n";
-  Buffer.contents buf
+  String.concat ""
+    [
+      "{\n";
+      Printf.sprintf "  \"schema_version\": %d,\n" json_schema_version;
+      Printf.sprintf "  \"checks\": [\n%s  ],\n"
+        (json_lines
+           (List.map
+              (fun (c : Checks.check_info) ->
+                Printf.sprintf "{\"id\": \"%s\", \"title\": \"%s\"}"
+                  (Finding.json_escape c.id) (Finding.json_escape c.title))
+              cat));
+      array "findings" ","
+        (List.map Finding.to_json (List.sort Finding.compare r.findings));
+      Printf.sprintf "  \"suppressed\": {\"total\": %d, \"by_id\": {%s}},\n"
+        (List.length r.suppressed)
+        (String.concat ", "
+           (List.map
+              (fun (id, n) -> Printf.sprintf "\"%s\": %d" (Finding.json_escape id) n)
+              by_id));
+      array "errors" ""
+        (List.map
+           (fun e ->
+             Printf.sprintf "{\"path\":\"%s\",\"message\":\"%s\"}"
+               (Finding.json_escape e.path) (Finding.json_escape e.message))
+           r.errors);
+      "}\n";
+    ]

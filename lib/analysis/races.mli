@@ -24,4 +24,4 @@
 (** Run R001 and N002 over every unit of the graph.  Attribute
     suppressions ([\[@lint.allow "R001"\]] etc.) are applied; allow-file
     suppression is the caller's job. *)
-val check : Callgraph.t -> Effects.t -> Finding.t list
+val check : Sites.t -> Effects.t -> Finding.t list

@@ -12,6 +12,7 @@ module Checks = Xia_analysis.Checks
 module Finding = Xia_analysis.Finding
 module Suppress = Xia_analysis.Suppress
 module Callgraph = Xia_analysis.Callgraph
+module Sites = Xia_analysis.Sites
 
 let tc name f = Alcotest.test_case name `Quick f
 
@@ -1156,6 +1157,9 @@ let build_graph g =
   let structure = Parse.implementation (Lexing.from_string source) in
   Callgraph.build [ Callgraph.make_unit ~path:"g.ml" ~source structure ]
 
+(* The graph's edges: the call lists of one site walk. *)
+let succs graph = Sites.calls (Sites.build graph)
+
 let node_index (n : Callgraph.node) =
   int_of_string (String.sub n.name 1 (String.length n.name - 1))
 
@@ -1182,7 +1186,7 @@ let engine_qcheck_tests =
       (QCheck.Test.make ~name:"fixpoint with || and with union equals DFS closure"
          ~count:300 rgraph_arbitrary (fun g ->
            let graph = build_graph g in
-           let succ = Callgraph.succs graph in
+           let succ = succs graph in
            let any_mark =
              Callgraph.fixpoint ~succ ~join:( || ) (fun n -> g.marks.(node_index n))
            in
@@ -1205,7 +1209,7 @@ let engine_qcheck_tests =
            let graph = build_graph g in
            let cut n = g.cuts.(node_index n) in
            let found =
-             Callgraph.reach ~succ:(Callgraph.succs graph) ~cut (graph_node graph g.root)
+             Callgraph.reach ~succ:(succs graph) ~cut (graph_node graph g.root)
            in
            let is_edge a b = List.mem b g.edges.(a) in
            let rec real_path = function
@@ -1226,7 +1230,7 @@ let engine_qcheck_tests =
          ~count:300 rgraph_arbitrary (fun g ->
            let run () =
              let graph = build_graph g in
-             let succ = Callgraph.succs graph in
+             let succ = succs graph in
              let reached = Callgraph.fixpoint ~succ ~join:union (fun n -> [ node_index n ]) in
              let names = List.map (fun (n : Callgraph.node) -> n.name) in
              ( List.map (fun n -> reached n) (Callgraph.nodes graph),
@@ -1508,6 +1512,11 @@ let e002_tests =
         check_ids "suppressed" [] ~filename:"lib/optimizer/optimizer.ml"
           "let bump tbl k = (Hashtbl.replace tbl k () [@lint.allow \"E002\"])\n\
            let optimize_batch tbl stmts = List.map (fun s -> bump tbl s; s) stmts\n");
+    tc "a nested let's attribute suppresses the write inside it" (fun () ->
+        check_ids "suppressed" [] ~filename:"lib/optimizer/optimizer.ml"
+          "let optimize_batch tbl stmts =\n\
+          \  let () = Hashtbl.replace tbl 0 () [@@lint.allow \"E002\"] in\n\
+          \  stmts\n");
   ]
 
 (* ------------------------------------------- sites outside a binding -- *)
