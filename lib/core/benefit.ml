@@ -98,6 +98,7 @@ type t = {
          summary, the item frequency).  Every cost sum multiplies these, so
          the raw and compressed paths share one code path. *)
   base_costs : float array;       (* per statement, no indexes *)
+  all_stmts : int list;           (* every statement index, in order *)
   base_affected : float array;    (* per statement, estimated documents modified *)
   dml : (int * Maintenance.dml_kind * string list) array;
       (* the DML statements, in workload order: index, kind, tables *)
@@ -194,6 +195,7 @@ let of_summary ?domains catalog summary =
     prepared;
     weights = Workload_summary.weights summary;
     base_costs;
+    all_stmts = List.init (Array.length items) Fun.id;
     base_affected = Array.map Optimizer.affected_docs prepared;
     dml = dml_statements items;
     shards =
@@ -274,7 +276,11 @@ let canonical_sum terms =
 
 (* Cost of the whole workload with no indexes, a {!canonical_sum}. *)
 let base_workload_cost t =
-  canonical_sum (Array.mapi (fun i base -> t.weights.(i) *. base) t.base_costs)
+  let terms = Array.make (Array.length t.base_costs) 0.0 in
+  for i = 0 to Array.length terms - 1 do
+    terms.(i) <- t.weights.(i) *. t.base_costs.(i)
+  done;
+  canonical_sum terms
 
 (* Maintenance charge of a configuration: for every DML statement, every
    index of the configuration on the statement's table pays mc. *)
@@ -422,9 +428,9 @@ let config_costs t ~defs key stmts =
    reporting, and routed through the fingerprint cache: reporting twice over
    the same configuration — or over a configuration whose fingerprint a
    search already evaluated in full — skips planning entirely.  The defs
-   are planned in logical-key order and the statement terms summed with
-   {!canonical_sum}, so a permuted workload or configuration reports a
-   bit-identical cost. *)
+   are planned in logical-identity order and the statement terms summed
+   with {!canonical_sum}, so a permuted workload or configuration reports
+   a bit-identical cost. *)
 let workload_cost t (config : Candidate.t list) =
   Xia_obs.Trace.with_span "benefit.workload_cost"
     ~args:(fun () ->
@@ -435,16 +441,12 @@ let workload_cost t (config : Candidate.t list) =
   @@ fun () ->
   if Array.length t.items = 0 then 0.0
   else begin
-    let defs =
-      List.sort
-        (fun a b ->
-          String.compare (Xia_index.Index_def.logical_key a)
-            (Xia_index.Index_def.logical_key b))
-        (List.map (fun c -> c.Candidate.def) config)
-    in
-    let stmts = List.init (Array.length t.items) Fun.id in
-    let costs = config_costs t ~defs (fingerprint config) stmts in
-    canonical_sum (Array.of_list (List.mapi (fun i cost -> t.weights.(i) *. cost) costs))
+    let defs = Array.of_list (List.map (fun c -> c.Candidate.def) config) in
+    Array.sort Xia_index.Index_def.compare_logical defs;
+    let costs = config_costs t ~defs:(Array.to_list defs) (fingerprint config) t.all_stmts in
+    let terms = Array.make (Array.length t.items) 0.0 in
+    List.iteri (fun i cost -> terms.(i) <- t.weights.(i) *. cost) costs;
+    canonical_sum terms
   end
 
 (* Cost-delta term of one sub-configuration: Σ freq·(s_old − s_new) over its

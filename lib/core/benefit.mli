@@ -81,7 +81,8 @@ val base_workload_cost : t -> float
 (** Frequency-weighted workload cost under a configuration (full batched
     pass over every statement, used for final reporting; served from the
     sub-configuration cache when the configuration's fingerprint was already
-    evaluated in full).  The defs are planned in logical-key order and the
+    evaluated in full).  The defs are planned in logical-identity order
+    ({!Xia_index.Index_def.compare_logical}) and the
     terms summed in ascending order: a permuted workload or configuration
     gets a bit-identical cost. *)
 val workload_cost : t -> Candidate.t list -> float

@@ -78,6 +78,11 @@ let logical_key d =
 
 let logical_id d = d.lid
 
+let compare_logical a b =
+  match String.compare a.table b.table with
+  | 0 -> ( match compare a.dtype b.dtype with 0 -> compare a.pattern b.pattern | c -> c)
+  | c -> c
+
 (* [covers ~general ~specific]: the general index can serve every lookup the
    specific one can — same table and type, containing pattern. *)
 let covers ~general ~specific =

@@ -53,6 +53,11 @@ val logical_key : t -> string
     user-visible order. *)
 val logical_id : t -> int
 
+(** A total order on logical identities (table, then type, then the
+    pattern's structure), independent of interning history and
+    allocation-free; not {!logical_key}'s string order. *)
+val compare_logical : t -> t -> int
+
 (** [covers ~general ~specific]: the general index can serve every lookup of
     the specific one (same table/type, containing pattern). *)
 val covers : general:t -> specific:t -> bool
