@@ -130,14 +130,18 @@ let walk_unit t (u : Callgraph.unit_info) pending =
       { loc; kind; binding = !binding; closures = !closures; allow = !allow; uncaught = !uncaught }
       :: !sites
   in
+  let resolved = Hashtbl.create 256 in
   let resolve (lid : Longident.t Location.loc) =
     let path = Longident.flatten lid.txt in
-    {
-      path;
-      expanded = Callgraph.expand t.graph u path;
-      targets = Callgraph.resolve t.graph u path;
-      shadowed = false;
-    }
+    let expanded, targets =
+      match Hashtbl.find_opt resolved path with
+      | Some r -> r
+      | None ->
+          let r = (Callgraph.expand t.graph u path, Callgraph.resolve t.graph u path) in
+          Hashtbl.replace resolved path r;
+          r
+    in
+    { path; expanded; targets; shadowed = false }
   in
   (* Run [f], then restore the walk's context. *)
   let scoped f =
