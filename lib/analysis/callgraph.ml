@@ -171,6 +171,7 @@ type t = {
   lib_dir : (string, string) Hashtbl.t;  (* "Xia_index" -> source dir *)
   aliases : (string, (string, string list) Hashtbl.t) Hashtbl.t;  (* unit path *)
   opens : (string, string list list) Hashtbl.t;                   (* unit path *)
+  resolved : (string * string list, node list) Hashtbl.t;  (* (unit path, path) *)
 }
 
 let key n = (n.u.path, n.name)
@@ -237,24 +238,22 @@ let resolve_abs t (u : unit_info) path =
             (Option.value ~default:[] (Hashtbl.find_opt t.by_mod m))
       | found -> found)
 
+(* Memoized per (unit, path): a unit names the same paths over and over. *)
 let resolve t (u : unit_info) path =
-  let path = expand t u path in
-  let direct = resolve_abs t u path in
-  let via_opens =
-    List.concat_map
-      (fun o -> resolve_abs t u (expand t u o @ path))
-      (Option.value ~default:[] (Hashtbl.find_opt t.opens u.path))
-  in
-  let seen = Hashtbl.create 4 in
-  List.filter
-    (fun n ->
-      let k = key n in
-      if Hashtbl.mem seen k then false
-      else begin
-        Hashtbl.replace seen k ();
-        true
-      end)
-    (direct @ via_opens)
+  match Hashtbl.find_opt t.resolved (u.path, path) with
+  | Some nodes -> nodes
+  | None ->
+      let full = expand t u path in
+      let nodes =
+        List.concat_map
+          (fun o -> resolve_abs t u (expand t u o @ full))
+          (Option.value ~default:[] (Hashtbl.find_opt t.opens u.path))
+        |> List.append (resolve_abs t u full)
+        |> List.fold_left (fun acc n -> if List.memq n acc then acc else n :: acc) []
+        |> List.rev
+      in
+      Hashtbl.replace t.resolved (u.path, path) nodes;
+      nodes
 
 let build units_in =
   let units = List.sort (fun a b -> String.compare a.path b.path) units_in in
@@ -287,7 +286,8 @@ let build units_in =
           | Some libmod -> Hashtbl.replace lib_dir libmod dir
           | None -> ()))
     dirs;
-  { units; node_tbl; node_list = !all_nodes; by_dir_mod; by_mod; lib_dir; aliases; opens }
+  let resolved = Hashtbl.create 1024 in
+  { units; node_tbl; node_list = !all_nodes; by_dir_mod; by_mod; lib_dir; aliases; opens; resolved }
 
 (* -------------------------------------------------- the transitive engine -- *)
 

@@ -69,15 +69,12 @@ let rec ident_name (e : expression) =
 (* [Mutex.lock m] / [Mutex.unlock m] on a nominally identified mutex.  A
    lock of an unnamed mutex (an array cell, a call result) is invisible. *)
 let mutex_op path args =
-  let op =
-    if has_suffix ~suffix:[ "Mutex"; "lock" ] path then Some `Lock
-    else if has_suffix ~suffix:[ "Mutex"; "unlock" ] path then Some `Unlock
-    else None
+  let subject op =
+    Option.map (fun s -> (op, s)) (Option.bind (Effects.first_nolabel args) Effects.sym)
   in
-  match op with
-  | None -> None
-  | Some op ->
-      Option.map (fun s -> (op, s)) (Option.bind (Effects.first_nolabel args) Effects.sym)
+  if has_suffix ~suffix:[ "Mutex"; "lock" ] path then subject `Lock
+  else if has_suffix ~suffix:[ "Mutex"; "unlock" ] path then subject `Unlock
+  else None
 
 (* ----------------------------------------------- raise classification -- *)
 

@@ -98,13 +98,6 @@ let rec exists_expr p (e : expression) =
   Sites.iter_child_exprs (fun c -> if not !found then found := exists_expr p c) e;
   !found
 
-let ident_with_suffix suffixes (e : expression) =
-  match e.pexp_desc with
-  | Pexp_ident lid ->
-      let path = Longident.flatten lid.txt in
-      List.exists (fun suffix -> has_suffix ~suffix path) suffixes
-  | _ -> false
-
 (* A binding whose right-hand side evaluates to one of these at module
    initialization is shared mutable state. *)
 let flagged_allocators =
@@ -423,11 +416,12 @@ let builds_list =
       match e.pexp_desc with
       | Pexp_construct ({ txt = Longident.Lident "::"; _ }, Some _) -> true
       | Pexp_ident { txt = Longident.Lident "@"; _ } -> true
-      | _ ->
-          ident_with_suffix
-            [ [ "List"; "rev_append" ]; [ "List"; "append" ]; [ "List"; "cons" ];
-              [ "Seq"; "cons" ] ]
-            e)
+      | Pexp_ident lid ->
+          suffix_name
+            [ [ "List"; "rev_append" ]; [ "List"; "append" ]; [ "List"; "cons" ]; [ "Seq"; "cons" ] ]
+            (Longident.flatten lid.txt)
+          <> None
+      | _ -> false)
 
 (* A read-modify-write float update ([t := !t +. x],
    [r.sum <- r.sum +. x]): its description and the target's head variable,

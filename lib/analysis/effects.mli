@@ -21,9 +21,6 @@ type effect_kind =
   | Order_dependent    (** consumes Hashtbl/Queue iteration order or [==] *)
   | Nondeterministic   (** global [Random], raw clocks, shared float accumulation *)
 
-(** Stable display name: ["ReadsMutable"], ["WritesMutable"], ... *)
-val kind_name : effect_kind -> string
-
 (** A classified source site; [s_suppressed] is true when an enclosing
     [\[@lint.allow "<ID>"\]] covers the site for the check that consumes
     this witness kind. *)
@@ -97,9 +94,8 @@ val dump : t -> string
 (** Is ["ID"] among the [\[@lint.allow\]] ids of these attributes? *)
 val allow : string -> Parsetree.attributes -> bool
 
-(** Is [suffix] a component suffix of [path]?
-    [has_suffix ~suffix:\["Par"; "map"\] \["Xia_core"; "Par"; "map"\]] is
-    [true]. *)
+(** Is [suffix] a component suffix of [path] ([\["Par"; "map"\]] of
+    [\["Xia_core"; "Par"; "map"\]])? *)
 val has_suffix : suffix:string list -> string list -> bool
 
 (** The unlabeled arguments of an application, in order. *)
@@ -111,10 +107,9 @@ val nolabel_args :
 val first_nolabel :
   (Asttypes.arg_label * Parsetree.expression) list -> Parsetree.expression option
 
-(** Symbolic identity of a lock/atomic/target expression: the dotted ident
-    or field path (["pool.lock"], ["t.shards.lock"]); [None] for array
-    cells, call results and other unnamed values.  Mutexes are identified
-    nominally by it. *)
+(** Symbolic identity of a lock/atomic/target expression, which names
+    mutexes: the dotted ident or field path (["pool.lock"]); [None] for
+    array cells, call results and other unnamed values. *)
 val sym : Parsetree.expression -> string option
 
 (** Is the expression a literal function (through type constraints)? *)
@@ -124,9 +119,8 @@ val is_closure : Parsetree.expression -> bool
     predicate?  Stops descending at the first hit. *)
 val exists_expr : (Parsetree.expression -> bool) -> Parsetree.expression -> bool
 
-(** The display name of a parallel fan-out entry point ([Par.map],
-    [Par.map_list], [Par.iter], [Domain.spawn]) the alias-expanded path
-    denotes, if any. *)
+(** The fan-out entry point ([Par.map], [Par.map_list], [Par.iter],
+    [Domain.spawn]) an alias-expanded path denotes, if any. *)
 val par_entry_of_path : string list -> string option
 
 (** Classify an expression as raw shared mutable state: every
@@ -139,10 +133,9 @@ val d001_hits :
   Parsetree.expression ->
   (Location.t * string) list
 
-(** Classify a dotted path as an unambiguous IO builtin (console/channel/
-    filesystem traffic); returns the display name.  Callers gate on empty
-    graph resolution first, so project bindings sharing a builtin's name
-    do not classify. *)
+(** The unambiguous IO builtin a dotted path names, if any.  Callers gate
+    on empty graph resolution first, so project bindings sharing a
+    builtin's name do not classify. *)
 val io_of_path : string list -> string option
 
 (** A read-modify-write float update at this site ([t := !t +. x],

@@ -19,7 +19,7 @@
      [function] at its end — is evaluated when the binding is called, so
      it does not defer.
 
-   Each identifier is resolved once, here.  When a node's walk ends, a
+   Each identifier is resolved here.  When a node's walk ends, a
    reference whose single-component name some pattern of the node binds
    is marked shadowed (over-approximate on purpose: a sibling-branch
    binder only ever silences an edge), and the targets of the other
@@ -116,32 +116,21 @@ let finish_node t (n : Callgraph.node) sites =
   Hashtbl.replace t.calls (Callgraph.key n)
     (List.sort Callgraph.by_key (Hashtbl.fold (fun _ tgt acc -> tgt :: acc) targets []))
 
-let rec take k = function x :: rest when k > 0 -> x :: take (k - 1) rest | _ -> []
-
 (* Walk one unit; [pending] holds the graph's nodes not yet reached, in
    collection order. *)
 let walk_unit t (u : Callgraph.unit_info) pending =
-  let sites = ref [] and count = ref 0 and fields = Hashtbl.create 16 in
+  let sites = ref [] and fields = Hashtbl.create 16 in
   let binding = ref None and closures = ref [] and allow = ref [] in
   let uncaught = ref false and chain = ref false and module_level = ref true in
   let add loc kind =
-    incr count;
     sites :=
       { loc; kind; binding = !binding; closures = !closures; allow = !allow; uncaught = !uncaught }
       :: !sites
   in
-  let resolved = Hashtbl.create 256 in
   let resolve (lid : Longident.t Location.loc) =
     let path = Longident.flatten lid.txt in
-    let expanded, targets =
-      match Hashtbl.find_opt resolved path with
-      | Some r -> r
-      | None ->
-          let r = (Callgraph.expand t.graph u path, Callgraph.resolve t.graph u path) in
-          Hashtbl.replace resolved path r;
-          r
-    in
-    { path; expanded; targets; shadowed = false }
+    let targets = Callgraph.resolve t.graph u path in
+    { path; expanded = Callgraph.expand t.graph u path; targets; shadowed = false }
   in
   (* Run [f], then restore the walk's context. *)
   let scoped f =
@@ -150,65 +139,81 @@ let walk_unit t (u : Callgraph.unit_info) pending =
     Fun.protect f ~finally:(fun () ->
         binding := b; closures := c; allow := a; uncaught := un; chain := ch; module_level := m)
   in
+  (* Run [f] with these [@lint.allow] IDs pushed. *)
+  let allowing ids f =
+    if ids = [] then f ()
+    else
+      scoped (fun () ->
+          allow := ids :: !allow;
+          f ())
+  in
   let default = Ast_iterator.default_iterator in
-  let expr (it : Ast_iterator.iterator) e =
-    scoped (fun () ->
-        allow := Suppress.allow_ids e.pexp_attributes :: !allow;
-        let on_chain = !chain in
-        (* Only the chain's own forms pass it on to their body. *)
+  let rec expr (it : Ast_iterator.iterator) e =
+    let ids = Suppress.allow_ids e.pexp_attributes in
+    let deferred =
+      match e.pexp_desc with
+      | Pexp_fun _ | Pexp_function _ | Pexp_lazy _ | Pexp_newtype _ -> true
+      | _ -> false
+    in
+    (* Most expressions change no context: walk those in place. *)
+    if ids = [] && not (deferred || !chain) then visit it e
+    else
+      scoped (fun () ->
+          if ids <> [] then allow := ids :: !allow;
+          visit it e)
+  and visit (it : Ast_iterator.iterator) e =
+    let on_chain = !chain in
+    (* Only the chain's own forms pass it on to their body. *)
+    (match e.pexp_desc with
+    | Pexp_fun _ | Pexp_newtype _ | Pexp_constraint _ | Pexp_coerce _ -> ()
+    | _ -> chain := false);
+    match e.pexp_desc with
+    | Pexp_ident lid -> add e.pexp_loc (Ref (resolve lid))
+    | Pexp_apply (({ pexp_desc = Pexp_ident lid; _ } as f), args) ->
+        let id = resolve lid in
+        add e.pexp_loc (Apply (id, args));
+        allowing (Suppress.allow_ids f.pexp_attributes) (fun () -> add f.pexp_loc (Ref id));
+        List.iter (fun (_, a) -> it.expr it a) args
+    | Pexp_apply _ ->
+        add e.pexp_loc Computed_apply;
+        default.expr it e
+    | Pexp_fun (_, arg_default, p, body) ->
+        closures := e :: !closures;
+        scoped (fun () ->
+            chain := false;
+            uncaught := false;
+            Option.iter (it.expr it) arg_default;
+            it.pat it p);
+        if not on_chain then uncaught := false;
+        it.expr it body
+    | Pexp_function _ | Pexp_lazy _ | Pexp_newtype _ ->
+        closures := e :: !closures;
         (match e.pexp_desc with
-        | Pexp_fun _ | Pexp_newtype _ | Pexp_constraint _ | Pexp_coerce _ -> ()
-        | _ -> chain := false);
-        match e.pexp_desc with
-        | Pexp_ident lid -> add e.pexp_loc (Ref (resolve lid))
-        | Pexp_apply (({ pexp_desc = Pexp_ident lid; _ } as f), args) ->
-            let id = resolve lid in
-            add e.pexp_loc (Apply (id, args));
-            scoped (fun () ->
-                allow := Suppress.allow_ids f.pexp_attributes :: !allow;
-                add f.pexp_loc (Ref id));
-            List.iter (fun (_, a) -> it.expr it a) args
-        | Pexp_apply _ ->
-            add e.pexp_loc Computed_apply;
-            default.expr it e
-        | Pexp_fun (_, arg_default, p, body) ->
-            closures := e :: !closures;
-            scoped (fun () ->
-                chain := false;
-                uncaught := false;
-                Option.iter (it.expr it) arg_default;
-                it.pat it p);
-            if not on_chain then uncaught := false;
-            it.expr it body
-        | Pexp_function _ | Pexp_lazy _ | Pexp_newtype _ ->
-            closures := e :: !closures;
-            (match e.pexp_desc with
-            | (Pexp_function _ | Pexp_newtype _) when on_chain -> ()
-            | _ -> uncaught := false);
-            default.expr it e
-        | Pexp_try (body, cases) when List.exists catch_all_case cases ->
-            scoped (fun () ->
-                uncaught := false;
-                it.expr it body);
-            it.cases it cases
-        | Pexp_assert a ->
-            add e.pexp_loc (Assert a);
-            default.expr it e
-        | Pexp_field (_, lid) ->
-            add e.pexp_loc (Field (Longident.last lid.txt));
-            default.expr it e
-        | Pexp_setfield (base, lid, value) ->
-            add e.pexp_loc (Setfield (base, Longident.last lid.txt, value));
-            default.expr it e
-        | _ -> default.expr it e)
+        | (Pexp_function _ | Pexp_newtype _) when on_chain -> ()
+        | _ -> uncaught := false);
+        default.expr it e
+    | Pexp_try (body, cases) when List.exists catch_all_case cases ->
+        scoped (fun () ->
+            uncaught := false;
+            it.expr it body);
+        it.cases it cases
+    | Pexp_assert a ->
+        add e.pexp_loc (Assert a);
+        default.expr it e
+    | Pexp_field (_, lid) ->
+        add e.pexp_loc (Field (Longident.last lid.txt));
+        default.expr it e
+    | Pexp_setfield (base, lid, value) ->
+        add e.pexp_loc (Setfield (base, Longident.last lid.txt, value));
+        default.expr it e
+    | _ -> default.expr it e
   in
   let pat (it : Ast_iterator.iterator) p =
     (match p.ppat_desc with Ppat_var v -> add p.ppat_loc (Binder v.txt) | _ -> ());
     default.pat it p
   in
   let value_binding (it : Ast_iterator.iterator) vb =
-    scoped (fun () ->
-        allow := Suppress.allow_ids vb.pvb_attributes :: !allow;
+    allowing (Suppress.allow_ids vb.pvb_attributes) (fun () ->
         (match vb.pvb_pat.ppat_desc with
         | Ppat_var v -> add vb.pvb_loc (Let (v.txt, vb.pvb_expr))
         | _ -> ());
@@ -221,7 +226,7 @@ let walk_unit t (u : Callgraph.unit_info) pending =
     match !pending with
     | (n : Callgraph.node) :: rest when n.expr == vb.pvb_expr ->
         pending := rest;
-        let before = !count in
+        let before = !sites in
         scoped (fun () ->
             binding := Some n;
             allow := Suppress.allow_ids vb.pvb_attributes :: !allow;
@@ -229,7 +234,8 @@ let walk_unit t (u : Callgraph.unit_info) pending =
             chain := true;
             module_level := false;
             it.expr it vb.pvb_expr);
-        finish_node t n (List.rev (take (!count - before) !sites))
+        let rec since = function l when l == before -> [] | s :: l -> s :: since l | [] -> [] in
+        finish_node t n (List.rev (since !sites))
     | _ -> value_binding it vb
   in
   let nested f = scoped (fun () -> module_level := false; f ()) in

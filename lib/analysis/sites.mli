@@ -5,8 +5,8 @@
     functor bodies and toplevel [;;] expressions alike — and records the
     syntactic sites the checks classify, each with its context: the
     enclosing binding, the enclosing closures and the [\[@lint.allow\]]
-    IDs active there.  Identifier references are resolved through the
-    {!Callgraph} once, here; a binding's resolved references that no local
+    IDs active there.  Every identifier is resolved through the
+    {!Callgraph} here; a binding's resolved references that no local
     binder shadows are its call list ({!calls}), the one edge set of the
     call graph.  {!Effects} folds a binding's sites into its summary;
     {!Checks}, {!Races} and {!Dataflow} read them.  See DESIGN.md §5c. *)
