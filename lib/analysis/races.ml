@@ -177,11 +177,7 @@ let check_fanout_node ctx ~visited ~acc_visited (n : Callgraph.node) =
           match (Effects.par_entry_of_path id.expanded, Effects.first_nolabel args) with
           | Some entry, Some task when Effects.is_closure task ->
               let within = List.filter (Sites.inside task) sites in
-              let bound = Hashtbl.create 16 in
-              List.iter
-                (fun (b : Sites.site) ->
-                  match b.kind with Binder x -> Hashtbl.replace bound x () | _ -> ())
-                within;
+              let bound = Sites.binders within in
               let locals = (Effects.summary ctx.eff n).locals in
               if not (Sites.active s "R001") then
                 scan_closure ctx ~visited ~entry ~locals ~bound within;

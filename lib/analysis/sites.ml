@@ -96,10 +96,14 @@ let node_sites t n =
    resolve to, so its call list is the name's. *)
 let calls t n = Option.value ~default:[] (Hashtbl.find_opt t.calls (Callgraph.key n))
 
+let binders sites =
+  let bound = Hashtbl.create 16 in
+  List.iter (fun s -> match s.kind with Binder x -> Hashtbl.replace bound x () | _ -> ()) sites;
+  bound
+
 (* Shadowing and the call list of one node, once its walk is done. *)
 let finish_node t (n : Callgraph.node) sites =
-  let bound = Hashtbl.create 16 and targets = Hashtbl.create 8 in
-  List.iter (fun s -> match s.kind with Binder x -> Hashtbl.replace bound x () | _ -> ()) sites;
+  let bound = binders sites and targets = Hashtbl.create 8 in
   List.iter
     (fun s ->
       match s.kind with

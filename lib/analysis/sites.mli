@@ -75,6 +75,9 @@ val mutable_fields : t -> Callgraph.unit_info -> (string, unit) Hashtbl.t
 (** Is the check ID among the site's active [\[@lint.allow\]] IDs? *)
 val active : site -> string -> bool
 
+(** The variables the [Binder] sites among these bind. *)
+val binders : site list -> (string, unit) Hashtbl.t
+
 (** Is the site inside this literal closure (through type constraints)? *)
 val inside : Parsetree.expression -> site -> bool
 
