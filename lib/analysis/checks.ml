@@ -148,7 +148,7 @@ let check_sites ~notes ~d004 sites =
 (* Whole-program D003: a catalog/store mutator site — in any unit — fires
    when some binding of a what-if module can reach it through the
    cross-unit call graph: a reverse [Callgraph.reach] from the site's host
-   over caller edges (the inverted [Effects.calls]), with no cut — a mutex
+   over caller edges (the inverted [Sites.calls]), with no cut — a mutex
    does not make a what-if mutation acceptable.  [Effects] matches mutator
    paths after alias expansion ([Catalog.runstats],
    [Xia_index.Catalog.runstats], or any local alias of either), so the

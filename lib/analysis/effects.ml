@@ -493,7 +493,7 @@ let raw_global t (n : Callgraph.node) =
    must come from an enclosing scope, and the only enclosing definition
    the analysis knows of is the raw one), whether it sorts, and whether
    it takes a [Mutex.lock]. *)
-let scan t (n : Callgraph.node) =
+let summarize t (n : Callgraph.node) =
   let sites = Sites.node_sites t.sites n in
   let mutable_fields = Sites.mutable_fields t.sites n.u in
   let locals = Hashtbl.create 8 in
@@ -682,7 +682,7 @@ let analyze sites =
       raw_memo = Hashtbl.create 64;
     }
   in
-  List.iter (fun n -> Hashtbl.replace infos (Callgraph.key n) (scan t n)) t.sorted;
+  List.iter (fun n -> Hashtbl.replace infos (Callgraph.key n) (summarize t n)) t.sorted;
   t
 
 (* --------------------------------------------------------------- accessors -- *)

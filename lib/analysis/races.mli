@@ -8,7 +8,7 @@
       named function passed to [Par.map]/[Par.map_list]/[Par.iter]/
       [Domain.spawn] that captures a raw mutable local, writes a mutable
       record field of a captured value, or (transitively, across units — a
-      {!Callgraph.reach} over {!Effects.calls}) references raw
+      {!Callgraph.reach} over {!Sites.calls}) references raw
       module-toplevel mutable state.  Atomic/Mutex/Domain.DLS/Lazy-wrapped
       state never classifies as raw; the walk never enters a
       lock-disciplined function (body takes a [Mutex.lock]).
