@@ -117,6 +117,15 @@ let d001_tests =
           "let a = ref 0 [@@lint.allow \"D001\"]\n");
     tc "attribute suppression on expression" (fun () ->
         check_ids "suppressed" [] "let a = (ref 0 [@lint.allow \"D001\"])\n");
+    tc "an anonymous module's toplevel is still toplevel" (fun () ->
+        check_ids "flagged" [ (1, "D001") ] "module _ = struct let r = ref 0 end\n");
+    tc "attribute suppression on an enclosing module binding" (fun () ->
+        check_ids "suppressed" []
+          "module M = struct\n  module N = struct let r = ref 0 end\nend [@@lint.allow \"D001\"]\n");
+    tc "an included structure's toplevel is still toplevel" (fun () ->
+        check_ids "flagged" [ (1, "D001") ] "include struct let r = ref 0 end\n");
+    tc "a tuple pattern binding flags each component" (fun () ->
+        check_ids "two findings" [ (1, "D001"); (1, "D001") ] "let (a, b) = (ref 0, ref 1)\n");
     tc "allow-file suppression by path and line" (fun () ->
         let fs = findings "let a = ref 0\nlet b = ref 1\n" in
         let entry =
@@ -947,6 +956,32 @@ let x002_tests =
            path is an error. *)
         check_ids "clean" []
           "let m = Mutex.create ()\nlet release () = Mutex.unlock m\n");
+    tc "an unlock at a Mixed state stays silent, however long the branch" (fun () ->
+        (* Both last unlocks join the unlocked else path with the locked
+           then path: Mixed, which is silent.  Only the length of the
+           then branch differs. *)
+        check_ids "long branch" []
+          "let m = Mutex.create ()\n\
+           let f c =\n\
+          \  Mutex.lock m;\n\
+          \  Mutex.unlock m;\n\
+          \  if c then begin if c then (); if c then (); if c then (); Mutex.lock m end;\n\
+          \  Mutex.unlock m\n";
+        check_ids "short branch" []
+          "let m = Mutex.create ()\n\
+           let g c =\n\
+          \  Mutex.lock m;\n\
+          \  Mutex.unlock m;\n\
+          \  if c then Mutex.lock m;\n\
+          \  Mutex.unlock m\n");
+    tc "an unlock after a branch that locks and unlocks fires" (fun () ->
+        check_ids "flagged" [ (6, "X002") ]
+          "let m = Mutex.create ()\n\
+           let h c =\n\
+          \  Mutex.lock m;\n\
+          \  Mutex.unlock m;\n\
+          \  if c then (Mutex.lock m; Mutex.unlock m; ignore c);\n\
+          \  Mutex.unlock m\n");
     tc "attribute suppression at the unlock site" (fun () ->
         check_ids "suppressed" []
           "let m = Mutex.create ()\n\
