@@ -962,10 +962,10 @@ let micro () =
          (Staged.stage (fun () ->
               ignore (Xia_analysis.Lint.effects_dump [ lint_dir ]))));
       (* The flow-sensitive R002 and L/X-series alone: parse every unit,
-         build the call graph and effect summaries, then per-binding CFG
-         construction (exceptional edges, Fun.protect inlining) plus the
-         can-raise, optimizer-reach and callee-lock fixpoints and the
-         worklist solve.  The
+         build the call graph and effect summaries, then the can-raise,
+         optimizer-reach and callee-lock fixpoints and the abstract walk
+         of every root (exceptional states, Fun.protect finalizers, loop
+         heads iterated to a fixpoint).  The
          absolute budget in ratchet.baseline keeps whole-program dataflow
          cheap enough to stay in the default @lint alias. *)
       (let lint_dir =

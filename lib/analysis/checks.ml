@@ -445,7 +445,7 @@ let catalog =
         "A call with a blocking effect — PerformsIO per the interprocedural \
          effect summaries, or an Optimizer.optimize* entry (transitively) — \
          is reachable while a mutex is statically held on some path of the \
-         flow-sensitive CFG.  IO and optimizer latency under a lock \
+         flow-sensitive analysis.  IO and optimizer latency under a lock \
          serializes every domain contending on it.  Move the call outside \
          the critical section, or suppress at the call site when the \
          blocking work is the critical section's purpose.";
@@ -505,7 +505,7 @@ let catalog =
       title = "inconsistent mutex acquisition order";
       detail =
         "Mutex.lock while another mutex is held on some path of the \
-         flow-sensitive CFG, when the opposite nesting order occurs \
+         flow-sensitive analysis, when the opposite nesting order occurs \
          elsewhere (directly or through callees resolved via the call \
          graph): two domains taking the locks in opposite orders can \
          deadlock.  Locks taken on exclusive branches are never held \

@@ -28,8 +28,9 @@
 
     Flow-sensitive checks — [R002] lock order, [L001] blocking call under
     a lock, [L002] lock leaked on an exceptional path, [X001] skipped
-    restore, [X002] unmatched unlock — are a forward may-analysis over an
-    intraprocedural CFG, documented in {!Dataflow} and DESIGN.md §5k.
+    restore, [X002] unmatched unlock — are a forward may-analysis by an
+    intraprocedural walk of the parsetree, documented in {!Dataflow} and
+    DESIGN.md §5k.
 
     Identifier references are matched on [Longident] paths after
     module-alias expansion through the graph; a reference a local binder

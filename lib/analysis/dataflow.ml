@@ -1,7 +1,7 @@
 (* Flow-sensitive lock-discipline and exception-safety analysis: R002 and
-   the L/X-series.  The analyzer's only lockset.  An intraprocedural CFG
-   over Parsetree expressions with explicit exceptional edges, and a
-   forward may-analysis over a small product lattice:
+   the L/X-series.  The analyzer's only lockset.  An abstract walk over
+   the Parsetree — OCaml control flow is structured, so no graph is
+   built — computing a forward may-analysis over a small product lattice:
 
      per-mutex lock state  (Unknown | NotHeld | Held provs | Mixed provs)
    × pending save/restore obligations on Atomic.t / ref
@@ -12,15 +12,17 @@
    Unknown lockset — held-ness does not flow through calls (documented
    incompleteness; DESIGN.md §5k).  What a call may lock does: the callee
    lock sets are a [Callgraph.fixpoint] (set union) over [Sites.calls] of
-   each binding's [Mutex.lock] sites, and a call reaching any becomes an
-   Acquire event.  The CFG walk is the only walk here; every
-   flow-insensitive fact — locks, restore sites, raise facts — is read off
-   the [Sites] table.
+   each binding's [Mutex.lock] sites, and a call reaching any is an
+   acquire.  The walk is the only walk here; every flow-insensitive fact —
+   locks, restore sites, raise facts — is read off the [Sites] table.
 
-   Exceptional edges:
-   - [raise]/[failwith]/[invalid_arg]/[assert] divert to the current
-     handler (the enclosing [try]'s handler node, or the root's
-     exceptional exit).
+   [walk] returns the state in which an expression completes normally
+   ([None]: it cannot).  [if], [match] and [try] join their branches
+   where they meet; [while] and [for] iterate the loop-head state to a
+   fixpoint with recording off, then walk the body once more from the
+   stable head.  Exceptional states join into a [ref] owned by the
+   innermost handler:
+   - [raise]/[failwith]/[invalid_arg]/[assert] raise to it.
    - A call may raise unless it is in a closed whitelist of known-total
      primitives (Mutex/Condition/Atomic operations, [!]/[:=], comparison
      and integer/float arithmetic except [/] and [mod]) or every resolved
@@ -29,31 +31,33 @@
      uncaught raisers ([Sites.site.uncaught]).  Unresolved calls (stdlib containers,
      local closures, computed heads) are assumed to raise: Hashtbl/Queue
      bodies under a lock need a finalizer, and that is the point.
-   - [try]/[match]-with-[exception] handlers catch the body's exceptional
-     edge and re-join; without a catch-all pattern the exception also
+   - [try]/[match]-with-[exception] own a handler: its cases are walked
+     from the caught state; without a catch-all pattern the exception also
      propagates outward.
-   - [Fun.protect ~finally:F B] is inlined: B's exceptional edge runs a
-     copy of F's body and then re-raises; the normal edge runs F's body
-     too.  Literal thunks are walked in place (so a finalizer's
-     [Mutex.unlock]/restore discharges the obligation in this CFG);
-     opaque arguments degrade to may-raise calls routed through the
-     finalizer on both edges.
+   - [Fun.protect ~finally:F B] owns one for B; F is walked from B's
+     normal end and from the caught state, which then re-raises.  Literal
+     thunks are walked in place (so a finalizer's [Mutex.unlock]/restore
+     discharges the obligation); opaque arguments degrade to may-raise
+     calls on both ends.
+   - The root's exit owns the outermost one.
+   Unreachable code is still walked, so the closures inside it are still
+   queued as roots.
 
-   The checks (what each reports: dataflow.mli).  R002 records each Lock
-   or Acquire of [b] while [a] is may-held as a nesting (a, b) and, once
+   The checks (what each reports: dataflow.mli).  R002 records each lock
+   or acquire of [b] while [a] is may-held as a nesting (a, b) and, once
    every root has run, reports a nesting recorded in both orientations at
    each site with the earliest opposite site, (a, a) as a self-deadlock.
-   L001 fires on a Blocking event (PerformsIO, or an Optimizer.optimize*
+   L001 fires on a blocking call (PerformsIO, or an Optimizer.optimize*
    entry reached through a third [Callgraph.fixpoint]) while any mutex is
    may-held.  L002 (a may-held mutex, once per lock site) and X001 (a
    pending obligation, at the save binding; one is only created when a
    matching restore exists somewhere in the root) read the root's
-   exceptional exit.  X002 fires on an unlock at a statically NotHeld
-   state; Unknown and Mixed stay silent.
+   exceptional exit.  X002 fires on an unlock at a NotHeld state; Unknown
+   and Mixed stay silent.  Every finding and nesting is recorded from a
+   final state only.
 
-   Suppression is captured at CFG build time from the enclosing
-   [@lint.allow "ID"] attribute stack, at the site each finding anchors
-   to. *)
+   Suppression is read from the enclosing [@lint.allow "ID"] attribute
+   stack, kept by the walk, at the site each finding anchors to. *)
 
 open Parsetree
 
@@ -169,7 +173,7 @@ let own_locks sites n =
 
 let union_syms a b = if b = [] then a else List.sort_uniq String.compare (a @ b)
 
-(* ----------------------------------------------------- CFG construction -- *)
+(* ------------------------------------------------------------ the state -- *)
 
 type obligation = {
   o_sym : string;   (* symbolic target: "enabled", "c" *)
@@ -179,22 +183,54 @@ type obligation = {
   o_sup : bool;     (* X001-suppressed at the save site *)
 }
 
-type ev =
-  | Nop
-  | Lock of { lsym : string; lloc : Location.t; lsup : bool; lr002 : bool }
-      (* [lsup]: L002-suppressed, [lr002]: R002-suppressed *)
-  | Acquire of { asyms : string list; aloc : Location.t; asup : bool }
-      (* a call whose targets may lock [asyms]; the lockset is unchanged *)
-  | Unlock of { usym : string; uloc : Location.t; usup : bool }
-  | Blocking of { bwhat : string; bloc : Location.t; bsup : bool }
-  | Save of obligation
-  | Restore of { rsym : string; rvar : string }
+module StrMap = Map.Make (String)
 
-type cfg = {
-  mutable n : int;
-  mutable evs : ev list;          (* reversed *)
-  mutable edges : (int * int) list;
-}
+type prov = { p_loc : Location.t; p_sup : bool }
+
+type lockst = NotHeld | Held of prov list | Mixed of prov list
+(* Unknown is the absence of an entry in the map. *)
+
+(* Where the walk holds a [state option], [None] is unreachable. *)
+type state = { locks : lockst StrMap.t; obs : obligation list }
+
+let join_provs a b = List.sort_uniq compare (a @ b)
+
+let join_lock a b =
+  match (a, b) with
+  | None, None -> None
+  | Some x, None | None, Some x -> (
+      (* other side is Unknown *)
+      match x with
+      | NotHeld -> Some NotHeld
+      | Held p | Mixed p -> Some (Mixed p))
+  | Some NotHeld, Some NotHeld -> Some NotHeld
+  | Some (Held p), Some (Held q) -> Some (Held (join_provs p q))
+  | Some (Held p | Mixed p), Some (Held q | Mixed q) ->
+      Some (Mixed (join_provs p q))
+  | Some NotHeld, Some (Held p | Mixed p)
+  | Some (Held p | Mixed p), Some NotHeld ->
+      Some (Mixed p)
+
+let join a b =
+  match (a, b) with
+  | None, s | s, None -> s
+  | Some a, Some b ->
+      Some
+        {
+          locks = StrMap.merge (fun _ x y -> join_lock x y) a.locks b.locks;
+          obs = List.sort_uniq compare (a.obs @ b.obs);
+        }
+
+let same = Option.equal (fun a b -> StrMap.equal ( = ) a.locks b.locks && a.obs = b.obs)
+
+(* Mutexes held on some path into this state, sorted. *)
+let may_held st =
+  StrMap.fold
+    (fun s l acc -> match l with Held _ | Mixed _ -> s :: acc | NotHeld -> acc)
+    st.locks []
+  |> List.rev
+
+(* ------------------------------------------------------------- the roots -- *)
 
 type pending = {
   p_node : Callgraph.node;        (* the binding the root belongs to *)
@@ -203,7 +239,6 @@ type pending = {
 }
 
 type ctx = {
-  g : cfg;
   graph : Callgraph.t;
   eff : Effects.t;
   node : Callgraph.node;
@@ -211,18 +246,15 @@ type ctx = {
   reaches_optimizer : Callgraph.node -> bool;
   locks : Callgraph.node -> string list;    (* mutexes a call may take *)
   restores : (string * string, unit) Hashtbl.t;  (* (sym, var) in this root *)
-  stack : string list list ref;
+  mutable stack : string list list;         (* enclosing [@lint.allow] IDs *)
   queue : pending Queue.t;        (* closure roots discovered while walking *)
+  record : Finding.t -> unit;     (* one L001/L002/X001/X002 finding *)
+  pair : string -> string -> prov -> unit;  (* one R002 nesting *)
+  mutable final : bool;           (* off while a loop head iterates *)
 }
 
-let node ctx ev =
-  let i = ctx.g.n in
-  ctx.g.n <- i + 1;
-  ctx.g.evs <- ev :: ctx.g.evs;
-  i
-
-let edge ctx a b = ctx.g.edges <- (a, b) :: ctx.g.edges
-let enqueue ctx e = Queue.add { p_node = ctx.node; p_expr = e; p_stack = !(ctx.stack) } ctx.queue
+let enqueue ctx e =
+  if ctx.final then Queue.add { p_node = ctx.node; p_expr = e; p_stack = ctx.stack } ctx.queue
 
 (* [fun () -> body] (or any one-argument literal fun): the body, for
    inlining Fun.protect thunks. *)
@@ -301,419 +333,262 @@ let blocking_of_call ctx path expanded targets =
             else None)
           targets
 
+(* ------------------------------------------------------------ the events -- *)
+
+(* What each event does to a reachable state.  Findings and R002
+   nestings are recorded only from a final state: never while a loop head
+   is still iterating. *)
+
+let lock ctx sym loc ~sup ~r002 (st : state) =
+  if ctx.final then List.iter (fun h -> ctx.pair h sym { p_loc = loc; p_sup = r002 }) (may_held st);
+  let prev = match StrMap.find_opt sym st.locks with Some (Held p | Mixed p) -> p | _ -> [] in
+  { st with locks = StrMap.add sym (Held (join_provs [ { p_loc = loc; p_sup = sup } ] prev)) st.locks }
+
+(* A call whose targets may lock [syms]: the lockset is unchanged. *)
+let acquire ctx syms site (st : state) =
+  if ctx.final then List.iter (fun h -> List.iter (fun l -> ctx.pair h l site) syms) (may_held st)
+
+let unlock ctx sym loc ~sup (st : state) =
+  if ctx.final && (not sup) && StrMap.find_opt sym st.locks = Some NotHeld then
+    ctx.record
+      (Finding.of_location ~id:"X002"
+         ~message:
+           (Printf.sprintf
+              "Mutex.unlock on %s without a matching lock on this path (double \
+               unlock?): stdlib mutexes are not reentrant and error on double release"
+              sym)
+         loc);
+  { st with locks = StrMap.add sym NotHeld st.locks }
+
+let blocking ctx what loc ~sup (st : state) =
+  match may_held st with
+  | _ :: _ as held when ctx.final && not sup ->
+      ctx.record
+        (Finding.of_location ~id:"L001"
+           ~message:
+             (Printf.sprintf
+                "blocking call (%s) while mutex %s is held: IO/optimizer latency \
+                 serializes every domain contending on the lock; move the call \
+                 outside the critical section"
+                what (String.concat ", " held))
+           loc)
+  | _ -> ()
+
+let save ob st = { st with obs = List.sort_uniq compare (ob :: st.obs) }
+
+let restore (sym, var) st =
+  { st with obs = List.filter (fun o -> not (String.equal o.o_sym sym && String.equal o.o_var var)) st.obs }
+
 (* ------------------------------------------------------------ the walk -- *)
 
-(* [walk ctx ~cur ~exc e]: extend the CFG with [e]'s evaluation starting
-   at node [cur]; exceptional control escapes to [exc].  Returns the node
-   reached on normal completion. *)
-let rec walk ctx ~cur ~exc e =
-  ctx.stack := Suppress.allow_ids e.pexp_attributes :: !(ctx.stack);
-  let res = walk_desc ctx ~cur ~exc e in
-  ctx.stack := List.tl !(ctx.stack);
-  res
+(* Exceptional control joins its state into the innermost handler's. *)
+let raise_to exc st = exc := join !exc st
 
-and walk_list ctx ~cur ~exc es =
-  List.fold_left (fun cur e -> walk ctx ~cur ~exc e) cur es
+(* [walk ctx ~exc st e]: the state after [e] completes normally, entered
+   in [st]; its exceptional states join [exc].  An unreachable [e] is
+   still walked, so the closures inside it are still queued. *)
+let rec walk ctx ~exc st e =
+  ctx.stack <- Suppress.allow_ids e.pexp_attributes :: ctx.stack;
+  let st = walk_desc ctx ~exc st e in
+  ctx.stack <- List.tl ctx.stack;
+  st
 
-and walk_cases ctx ~entry ~exc ~join cases =
-  List.iter
-    (fun c ->
-      let cur =
-        match c.pc_guard with
-        | Some g -> walk ctx ~cur:entry ~exc g
-        | None -> entry
-      in
-      let c_end = walk ctx ~cur ~exc c.pc_rhs in
-      edge ctx c_end join)
-    cases
+and walk_list ctx ~exc st es = List.fold_left (walk ctx ~exc) st es
 
-and walk_desc ctx ~cur ~exc e =
+(* Each case from [st] (through its guard), joined where they meet. *)
+and walk_cases ctx ~exc st cases =
+  List.fold_left
+    (fun acc c ->
+      let g_end = match c.pc_guard with Some g -> walk ctx ~exc st g | None -> st in
+      join acc (walk ctx ~exc g_end c.pc_rhs))
+    None cases
+
+(* The least fixpoint of a loop head entered in [st] whose back edge
+   carries [around head], iterated with recording off. *)
+and loop_head ctx st around =
+  let final = ctx.final in
+  ctx.final <- false;
+  let rec go head =
+    let next = join head (around head) in
+    if same next head then head else go next
+  in
+  let head = go st in
+  ctx.final <- final;
+  head
+
+and walk_desc ctx ~exc st e =
   match e.pexp_desc with
-  | Pexp_ident _ | Pexp_constant _ | Pexp_unreachable -> cur
+  | Pexp_ident _ | Pexp_constant _ | Pexp_unreachable -> st
   | Pexp_fun _ | Pexp_function _ | Pexp_lazy _ | Pexp_newtype _ ->
       (* Deferred body: its own root, entered with an Unknown lockset. *)
       enqueue ctx e;
-      cur
+      st
   | Pexp_apply ({ pexp_desc = Pexp_ident lid; _ }, args) ->
-      walk_call ctx ~cur ~exc e (Longident.flatten lid.txt) args
+      walk_call ctx ~exc st e (Longident.flatten lid.txt) args
   | Pexp_apply (h, args) ->
-      let cur = walk ctx ~cur ~exc h in
-      let cur = walk_list ctx ~cur ~exc (List.map snd args) in
-      edge ctx cur exc;
       (* computed callee: may raise *)
-      cur
+      let st = walk_list ctx ~exc (walk ctx ~exc st h) (List.map snd args) in
+      raise_to exc st;
+      st
   | Pexp_let (_, vbs, body) ->
-      let cur =
-        List.fold_left
-          (fun cur vb ->
-            ctx.stack := Suppress.allow_ids vb.pvb_attributes :: !(ctx.stack);
-            let cur = walk ctx ~cur ~exc vb.pvb_expr in
-            let cur =
-              match (Callgraph.var_of_pattern vb.pvb_pat, save_shape vb.pvb_expr) with
-              | Some v, Some (s, what) when Hashtbl.mem ctx.restores (s, v) ->
-                  let nd =
-                    node ctx
-                      (Save
-                         {
-                           o_sym = s;
-                           o_var = v;
-                           o_what = what;
-                           o_loc = vb.pvb_loc;
-                           o_sup =
-                             active !(ctx.stack) "X001"
-                             || List.mem "X001"
-                                  (Suppress.allow_ids
-                                     vb.pvb_expr.pexp_attributes);
-                         })
-                  in
-                  edge ctx cur nd;
-                  nd
-              | _ -> cur
-            in
-            ctx.stack := List.tl !(ctx.stack);
-            cur)
-          cur vbs
+      let bind st vb =
+        ctx.stack <- Suppress.allow_ids vb.pvb_attributes :: ctx.stack;
+        let st = walk ctx ~exc st vb.pvb_expr in
+        let st =
+          match (Callgraph.var_of_pattern vb.pvb_pat, save_shape vb.pvb_expr) with
+          | Some v, Some (s, what) when Hashtbl.mem ctx.restores (s, v) ->
+              let o_sup =
+                active ctx.stack "X001"
+                || List.mem "X001" (Suppress.allow_ids vb.pvb_expr.pexp_attributes)
+              in
+              Option.map (save { o_sym = s; o_var = v; o_what = what; o_loc = vb.pvb_loc; o_sup }) st
+          | _ -> st
+        in
+        ctx.stack <- List.tl ctx.stack;
+        st
       in
-      walk ctx ~cur ~exc body
-  | Pexp_sequence (a, b) ->
-      let cur = walk ctx ~cur ~exc a in
-      walk ctx ~cur ~exc b
+      walk ctx ~exc (List.fold_left bind st vbs) body
+  | Pexp_sequence (a, b) -> walk ctx ~exc (walk ctx ~exc st a) b
   | Pexp_ifthenelse (c, t, f) ->
-      let c_end = walk ctx ~cur ~exc c in
-      let t_end = walk ctx ~cur:c_end ~exc t in
-      let j = node ctx Nop in
-      edge ctx t_end j;
-      (match f with
-      | Some f -> edge ctx (walk ctx ~cur:c_end ~exc f) j
-      | None -> edge ctx c_end j);
-      j
-  | Pexp_match (scrut, cases) ->
+      let st = walk ctx ~exc st c in
+      let t_end = walk ctx ~exc st t in
+      join t_end (match f with Some f -> walk ctx ~exc st f | None -> st)
+  | Pexp_match (scrut, cases) -> (
       let exc_cases, val_cases =
         List.partition
-          (fun c ->
-            match c.pc_lhs.ppat_desc with Ppat_exception _ -> true | _ -> false)
+          (fun c -> match c.pc_lhs.ppat_desc with Ppat_exception _ -> true | _ -> false)
           cases
       in
-      let j = node ctx Nop in
-      let s_end =
-        match exc_cases with
-        | [] -> walk ctx ~cur ~exc scrut
-        | _ ->
-            (* exception cases catch only scrutinee evaluation *)
-            let h = node ctx Nop in
-            let s_end = walk ctx ~cur ~exc:h scrut in
-            if not (List.exists exc_catch_all exc_cases) then edge ctx h exc;
-            walk_cases ctx ~entry:h ~exc ~join:j exc_cases;
-            s_end
-      in
-      (match val_cases with
-      | [] -> edge ctx s_end j
-      | _ -> walk_cases ctx ~entry:s_end ~exc ~join:j val_cases);
-      j
+      (* exception cases catch only scrutinee evaluation *)
+      let caught = ref None in
+      let s_end = walk ctx ~exc:(if exc_cases = [] then exc else caught) st scrut in
+      if not (List.exists exc_catch_all exc_cases) then raise_to exc !caught;
+      let x_end = walk_cases ctx ~exc !caught exc_cases in
+      match val_cases with
+      | [] -> join x_end s_end
+      | _ -> join x_end (walk_cases ctx ~exc s_end val_cases))
   | Pexp_try (b, cases) ->
-      let h = node ctx Nop in
-      let b_end = walk ctx ~cur ~exc:h b in
-      if not (List.exists Sites.catch_all_case cases) then edge ctx h exc;
-      let j = node ctx Nop in
-      edge ctx b_end j;
-      walk_cases ctx ~entry:h ~exc ~join:j cases;
-      j
+      let caught = ref None in
+      let b_end = walk ctx ~exc:caught st b in
+      if not (List.exists Sites.catch_all_case cases) then raise_to exc !caught;
+      join b_end (walk_cases ctx ~exc !caught cases)
   | Pexp_while (c, body) ->
-      let head = node ctx Nop in
-      edge ctx cur head;
-      let c_end = walk ctx ~cur:head ~exc c in
-      let b_end = walk ctx ~cur:c_end ~exc body in
-      edge ctx b_end head;
+      let head = loop_head ctx st (fun head -> walk ctx ~exc (walk ctx ~exc head c) body) in
+      let c_end = walk ctx ~exc head c in
+      ignore (walk ctx ~exc c_end body);
       c_end
   | Pexp_for (_, lo, hi, _, body) ->
-      let cur = walk ctx ~cur ~exc lo in
-      let cur = walk ctx ~cur ~exc hi in
-      let head = node ctx Nop in
-      edge ctx cur head;
-      let b_end = walk ctx ~cur:head ~exc body in
-      edge ctx b_end head;
+      let st = walk ctx ~exc (walk ctx ~exc st lo) hi in
+      let head = loop_head ctx st (fun head -> walk ctx ~exc head body) in
+      ignore (walk ctx ~exc head body);
       head
-  | Pexp_assert a -> (
-      match a.pexp_desc with
-      | Pexp_construct ({ txt = Longident.Lident "false"; _ }, None) ->
-          edge ctx cur exc;
-          node ctx Nop (* dead: no in-edges *)
-      | _ ->
-          let cur = walk ctx ~cur ~exc a in
-          edge ctx cur exc;
-          (* Assert_failure *)
-          cur)
-  | Pexp_constraint (e, _) | Pexp_coerce (e, _, _) -> walk ctx ~cur ~exc e
+  | Pexp_assert { pexp_desc = Pexp_construct ({ txt = Longident.Lident "false"; _ }, None); _ } ->
+      raise_to exc st;
+      None
+  | Pexp_assert a ->
+      (* Assert_failure *)
+      let st = walk ctx ~exc st a in
+      raise_to exc st;
+      st
+  | Pexp_constraint (e, _) | Pexp_coerce (e, _, _) -> walk ctx ~exc st e
   | Pexp_open (_, e) | Pexp_letmodule (_, _, e) | Pexp_letexception (_, e) ->
-      walk ctx ~cur ~exc e
+      walk ctx ~exc st e
   | Pexp_construct (_, arg) | Pexp_variant (_, arg) -> (
-      match arg with Some a -> walk ctx ~cur ~exc a | None -> cur)
-  | Pexp_tuple es | Pexp_array es -> walk_list ctx ~cur ~exc es
+      match arg with Some a -> walk ctx ~exc st a | None -> st)
+  | Pexp_tuple es | Pexp_array es -> walk_list ctx ~exc st es
   | Pexp_record (fields, base) ->
-      let cur =
-        match base with Some b -> walk ctx ~cur ~exc b | None -> cur
-      in
-      walk_list ctx ~cur ~exc (List.map snd fields)
-  | Pexp_field (b, _) -> walk ctx ~cur ~exc b
-  | Pexp_setfield (b, _, v) ->
-      let cur = walk ctx ~cur ~exc b in
-      walk ctx ~cur ~exc v
+      let st = match base with Some b -> walk ctx ~exc st b | None -> st in
+      walk_list ctx ~exc st (List.map snd fields)
+  | Pexp_field (b, _) -> walk ctx ~exc st b
+  | Pexp_setfield (b, _, v) -> walk ctx ~exc (walk ctx ~exc st b) v
   | _ ->
       (* generic fallback: children in syntactic order, no raising *)
       let kids = ref [] in
       Sites.iter_child_exprs (fun c -> kids := c :: !kids) e;
-      walk_list ctx ~cur ~exc (List.rev !kids)
+      walk_list ctx ~exc st (List.rev !kids)
 
-and walk_call ctx ~cur ~exc e path args =
-  if has_suffix ~suffix:[ "Fun"; "protect" ] path && Effects.first_nolabel args <> None
-  then walk_protect ctx ~cur ~exc args
-  else begin
-    let cur = walk_list ctx ~cur ~exc (List.map snd args) in
-    let step cur ev =
-      let nd = node ctx ev in
-      edge ctx cur nd;
-      nd
-    in
-    let sup id = active !(ctx.stack) id in
-    match mutex_op path args with
-    | Some (`Lock, s) ->
-        step cur (Lock { lsym = s; lloc = e.pexp_loc; lsup = sup "L002"; lr002 = sup "R002" })
-    | Some (`Unlock, s) -> step cur (Unlock { usym = s; uloc = e.pexp_loc; usup = sup "X002" })
-    | None -> (
-        let targets = Callgraph.resolve ctx.graph ctx.node.u path in
-        let callee_locks = List.fold_left (fun acc t -> union_syms acc (ctx.locks t)) [] targets in
-        let cur =
-          if callee_locks = [] then cur
-          else step cur (Acquire { asyms = callee_locks; aloc = e.pexp_loc; asup = sup "R002" })
-        in
-        if raiser path then begin
-          edge ctx cur exc;
-          node ctx Nop (* dead *)
-        end
-        else
-          match restore_shape ctx path args with
-          | Some (s, v) -> step cur (Restore { rsym = s; rvar = v })
-          | None when never_raises path -> cur
-          | None -> (
-              let expanded = Callgraph.expand ctx.graph ctx.node.u path in
-              let may_raise = targets = [] || List.exists ctx.raises targets in
-              match blocking_of_call ctx path expanded targets with
-              | Some what ->
-                  let nd =
-                    step cur (Blocking { bwhat = what; bloc = e.pexp_loc; bsup = sup "L001" })
-                  in
-                  if may_raise then edge ctx nd exc;
-                  nd
-              | None ->
-                  if may_raise then edge ctx cur exc;
-                  cur))
-  end
+and walk_call ctx ~exc st e path args =
+  match Effects.first_nolabel args with
+  | Some body when has_suffix ~suffix:[ "Fun"; "protect" ] path ->
+      walk_protect ctx ~exc st body args
+  | _ -> (
+      let st = walk_list ctx ~exc st (List.map snd args) in
+      let loc = e.pexp_loc and sup id = active ctx.stack id in
+      match mutex_op path args with
+      | Some (`Lock, s) -> Option.map (lock ctx s loc ~sup:(sup "L002") ~r002:(sup "R002")) st
+      | Some (`Unlock, s) -> Option.map (unlock ctx s loc ~sup:(sup "X002")) st
+      | None -> (
+          let targets = Callgraph.resolve ctx.graph ctx.node.u path in
+          let callee_locks = List.fold_left (fun acc t -> union_syms acc (ctx.locks t)) [] targets in
+          if callee_locks <> [] then
+            Option.iter (acquire ctx callee_locks { p_loc = loc; p_sup = sup "R002" }) st;
+          if raiser path then begin
+            raise_to exc st;
+            None
+          end
+          else
+            match restore_shape ctx path args with
+            | Some k -> Option.map (restore k) st
+            | None when never_raises path -> st
+            | None ->
+                let expanded = Callgraph.expand ctx.graph ctx.node.u path in
+                Option.iter
+                  (fun what -> Option.iter (blocking ctx what loc ~sup:(sup "L001")) st)
+                  (blocking_of_call ctx path expanded targets);
+                if targets = [] || List.exists ctx.raises targets then raise_to exc st;
+                st))
 
-(* Fun.protect ~finally:F B: run B with its exceptional edge collected,
-   then run (a copy of) F on both the normal and the exceptional edge; the
-   exceptional copy re-raises afterwards. *)
-and walk_protect ctx ~cur ~exc args =
-  let finally =
-    List.find_map
-      (fun (l, a) ->
-        match l with
-        | Asttypes.Labelled "finally" -> Some a
-        | _ -> None)
-      args
-  in
-  let body = Effects.first_nolabel args in
-  (* Argument expressions evaluate first; literal thunks contribute no
-     events and are inlined below instead. *)
-  let cur =
+(* Fun.protect ~finally:F B: B's exceptional states are caught, and F runs
+   from both B's normal end and its exceptional end, re-raising after the
+   latter.  Literal thunks are walked in place (so a finalizer's
+   [Mutex.unlock]/restore discharges the obligation); opaque ones are
+   may-raise calls. *)
+and walk_protect ctx ~exc st body args =
+  (* Argument expressions evaluate first; literal thunks are inlined below. *)
+  let st =
     List.fold_left
-      (fun cur (_, a) -> if thunk_body a <> None then cur else walk ctx ~cur ~exc a)
-      cur args
+      (fun st (_, a) -> if thunk_body a <> None then st else walk ctx ~exc st a)
+      st args
   in
-  match body with
+  let caught = ref None in
+  let b_end =
+    match thunk_body body with
+    | Some inner -> walk ctx ~exc:caught st inner
+    | None ->
+        raise_to caught st;
+        st
+  in
+  let finally =
+    List.find_map (function Asttypes.Labelled "finally", a -> Some a | _ -> None) args
+  in
+  match Option.bind finally thunk_body with
+  | Some fin ->
+      let n_end = walk ctx ~exc b_end fin in
+      raise_to exc (walk ctx ~exc !caught fin);
+      n_end
   | None ->
-      (* partial application: just a may-raise call *)
-      edge ctx cur exc;
-      cur
-  | Some b ->
-      let exc_collect = node ctx Nop in
-      let b_end =
-        match thunk_body b with
-        | Some inner -> walk ctx ~cur ~exc:exc_collect inner
-        | None ->
-            (* opaque thunk: may-raise call routed through the finalizer *)
-            let call = node ctx Nop in
-            edge ctx cur call;
-            edge ctx call exc_collect;
-            call
-      in
-      let fin_literal = Option.bind finally thunk_body in
-      (match fin_literal with
-      | Some fin ->
-          let n_end = walk ctx ~cur:b_end ~exc fin in
-          let x_end = walk ctx ~cur:exc_collect ~exc fin in
-          edge ctx x_end exc;
-          (* re-raise *)
-          n_end
-      | None ->
-          (* opaque finalizer: a may-raise call on both edges *)
-          let fin_call from_ =
-            let c = node ctx Nop in
-            edge ctx from_ c;
-            edge ctx c exc;
-            c
-          in
-          let n_end = fin_call b_end in
-          let x_after = fin_call exc_collect in
-          edge ctx x_after exc;
-          n_end)
+      raise_to exc b_end;
+      raise_to exc !caught;
+      b_end
 
-(* --------------------------------------------------- forward analysis -- *)
-
-module StrMap = Map.Make (String)
-
-type prov = { p_loc : Location.t; p_sup : bool }
-
-type lockst = NotHeld | Held of prov list | Mixed of prov list
-(* Unknown is the absence of an entry in the map. *)
-
-type state = { locks : lockst StrMap.t; obs : obligation list }
-
-let join_provs a b = List.sort_uniq compare (a @ b)
-
-let join_lock a b =
-  match (a, b) with
-  | None, None -> None
-  | Some x, None | None, Some x -> (
-      (* other side is Unknown *)
-      match x with
-      | NotHeld -> Some NotHeld
-      | Held p | Mixed p -> Some (Mixed p))
-  | Some NotHeld, Some NotHeld -> Some NotHeld
-  | Some (Held p), Some (Held q) -> Some (Held (join_provs p q))
-  | Some (Held p | Mixed p), Some (Held q | Mixed q) ->
-      Some (Mixed (join_provs p q))
-  | Some NotHeld, Some (Held p | Mixed p)
-  | Some (Held p | Mixed p), Some NotHeld ->
-      Some (Mixed p)
-
-let join_state a b =
-  {
-    locks = StrMap.merge (fun _ x y -> join_lock x y) a.locks b.locks;
-    obs = List.sort_uniq compare (a.obs @ b.obs);
-  }
-
-(* Mutexes held on some path into this state, sorted. *)
-let may_held st =
-  StrMap.fold
-    (fun s l acc -> match l with Held _ | Mixed _ -> s :: acc | NotHeld -> acc)
-    st.locks []
-  |> List.rev
-
-(* [pair held acquired site] records one R002 nesting; [record] one
-   L001/X002 finding. *)
-let transfer ~record ~pair ev st =
-  match ev with
-  | Nop -> st
-  | Acquire { asyms; aloc; asup } ->
-      let site = { p_loc = aloc; p_sup = asup } in
-      List.iter (fun h -> List.iter (fun l -> pair h l site) asyms) (may_held st);
-      st
-  | Lock { lsym; lloc; lsup; lr002 } ->
-      List.iter (fun h -> pair h lsym { p_loc = lloc; p_sup = lr002 }) (may_held st);
-      let prev =
-        match StrMap.find_opt lsym st.locks with
-        | Some (Held p | Mixed p) -> p
-        | _ -> []
-      in
-      {
-        st with
-        locks =
-          StrMap.add lsym
-            (Held (join_provs [ { p_loc = lloc; p_sup = lsup } ] prev))
-            st.locks;
-      }
-  | Unlock { usym; uloc; usup } ->
-      (match StrMap.find_opt usym st.locks with
-      | Some NotHeld ->
-          if not usup then
-            record
-              (Finding.of_location ~id:"X002"
-                 ~message:
-                   (Printf.sprintf
-                      "Mutex.unlock on %s without a matching lock on this \
-                       path (double unlock?): stdlib mutexes are not \
-                       reentrant and error on double release"
-                      usym)
-                 uloc)
-      | _ -> ());
-      { st with locks = StrMap.add usym NotHeld st.locks }
-  | Blocking { bwhat; bloc; bsup } ->
-      (match may_held st with
-      | [] -> ()
-      | held ->
-          if not bsup then
-            record
-              (Finding.of_location ~id:"L001"
-                 ~message:
-                   (Printf.sprintf
-                      "blocking call (%s) while mutex %s is held: IO/optimizer \
-                       latency serializes every domain contending on the \
-                       lock; move the call outside the critical section"
-                      bwhat (String.concat ", " held))
-                 bloc));
-      st
-  | Save ob -> { st with obs = List.sort_uniq compare (ob :: st.obs) }
-  | Restore { rsym; rvar } ->
-      {
-        st with
-        obs =
-          List.filter
-            (fun o -> not (String.equal o.o_sym rsym && String.equal o.o_var rvar))
-            st.obs;
-      }
-
-let run_analysis ctx ~entry ~exit_x ~record ~pair =
-  let n = ctx.g.n in
-  let evs = Array.of_list (List.rev ctx.g.evs) in
-  let succs = Array.make n [] in
-  List.iter (fun (a, b) -> succs.(a) <- b :: succs.(a)) ctx.g.edges;
-  Array.iteri (fun i l -> succs.(i) <- List.sort_uniq compare l) succs;
-  let states : state option array = Array.make n None in
-  states.(entry) <- Some { locks = StrMap.empty; obs = [] };
-  let queue = Queue.create () in
-  let inq = Array.make n false in
-  let push i =
-    if not inq.(i) then begin
-      inq.(i) <- true;
-      Queue.add i queue
-    end
+(* One root, entered with an Unknown lockset.  Its exceptional exit is
+   judged once the walk is done: a may-held mutex is an L002 at each of
+   its lock sites, a pending obligation an X001 at its save binding. *)
+let analyze_root ctx root =
+  let exit_x = ref None and entry = Some { locks = StrMap.empty; obs = [] } in
+  let rec split e =
+    match e.pexp_desc with
+    | Pexp_fun (_, _, _, b) | Pexp_newtype (_, b) | Pexp_lazy b -> split b
+    | Pexp_constraint (b, _) | Pexp_coerce (b, _, _) -> split b
+    | _ -> e
   in
-  push entry;
-  while not (Queue.is_empty queue) do
-    let i = Queue.pop queue in
-    inq.(i) <- false;
-    match states.(i) with
-    | None -> ()
-    | Some st ->
-        let out = transfer ~record ~pair evs.(i) st in
-        List.iter
-          (fun j ->
-            let merged =
-              match states.(j) with
-              | None -> out
-              | Some t -> join_state t out
-            in
-            if states.(j) <> Some merged then begin
-              states.(j) <- Some merged;
-              push j
-            end)
-          succs.(i)
-  done;
-  (* Root exceptional exit: leaked locks (L002) and pending save/restore
-     obligations (X001). *)
-  match states.(exit_x) with
-  | None -> ()
-  | Some st ->
+  let body = split root in
+  ignore
+    (match body.pexp_desc with
+    | Pexp_function cases -> walk_cases ctx ~exc:exit_x entry cases
+    | _ -> walk ctx ~exc:exit_x entry body);
+  Option.iter
+    (fun (st : state) ->
       StrMap.iter
         (fun s l ->
           match l with
@@ -721,14 +596,13 @@ let run_analysis ctx ~entry ~exit_x ~record ~pair =
               List.iter
                 (fun p ->
                   if not p.p_sup then
-                    record
+                    ctx.record
                       (Finding.of_location ~id:"L002"
                          ~message:
                            (Printf.sprintf
-                              "Mutex.lock on %s: an exceptional path exits \
-                               without unlocking it; wrap the critical \
-                               section in Fun.protect ~finally:(fun () -> \
-                               Mutex.unlock %s)"
+                              "Mutex.lock on %s: an exceptional path exits without \
+                               unlocking it; wrap the critical section in \
+                               Fun.protect ~finally:(fun () -> Mutex.unlock %s)"
                               s s)
                          p.p_loc))
                 provs
@@ -737,52 +611,16 @@ let run_analysis ctx ~entry ~exit_x ~record ~pair =
       List.iter
         (fun o ->
           if not o.o_sup then
-            record
+            ctx.record
               (Finding.of_location ~id:"X001"
                  ~message:
                    (Printf.sprintf
-                      "saved state %s (bound as %s) is not restored on some \
-                       exceptional path; perform the restore in a Fun.protect \
-                       ~finally"
+                      "saved state %s (bound as %s) is not restored on some exceptional \
+                       path; perform the restore in a Fun.protect ~finally"
                       o.o_what o.o_var)
                  o.o_loc))
-        st.obs
-
-(* --------------------------------------------------------------- roots -- *)
-
-let analyze_root ~sites ~eff ~raises ~reaches_optimizer ~locks ~queue ~record ~pair
-    (p : pending) =
-  let g = { n = 0; evs = []; edges = [] } in
-  let ctx =
-    {
-      g;
-      graph = Sites.graph sites;
-      eff;
-      node = p.p_node;
-      raises;
-      reaches_optimizer;
-      locks;
-      restores = root_restores sites p;
-      stack = ref p.p_stack;
-      queue;
-    }
-  in
-  let entry = node ctx Nop in
-  let exit_x = node ctx Nop in
-  let exit_n = node ctx Nop in
-  let rec split e =
-    match e.pexp_desc with
-    | Pexp_fun (_, _, _, b) | Pexp_newtype (_, b) | Pexp_lazy b -> split b
-    | Pexp_constraint (b, _) | Pexp_coerce (b, _, _) -> split b
-    | _ -> e
-  in
-  let body = split p.p_expr in
-  (match body.pexp_desc with
-  | Pexp_function cases -> walk_cases ctx ~entry ~exc:exit_x ~join:exit_n cases
-  | _ ->
-      let b_end = walk ctx ~cur:entry ~exc:exit_x body in
-      edge ctx b_end exit_n);
-  run_analysis ctx ~entry ~exit_x ~record ~pair
+        st.obs)
+    !exit_x
 
 (* ---------------------------------------------------------------- R002 -- *)
 
@@ -830,7 +668,8 @@ let r002_findings pairs =
     pairs []
 
 let check sites eff =
-  let nodes = Callgraph.nodes (Sites.graph sites) in
+  let graph = Sites.graph sites in
+  let nodes = Callgraph.nodes graph in
   let facts = Hashtbl.create 256 in
   List.iter (fun n -> Hashtbl.replace facts (Callgraph.key n) (raise_facts sites n)) nodes;
   let fact n = Hashtbl.find facts (Callgraph.key n) in
@@ -838,9 +677,8 @@ let check sites eff =
   let calls = Sites.calls sites in
   let reaches_optimizer = Callgraph.fixpoint ~succ:calls ~join:( || ) optimizer_entry_node in
   let locks = Callgraph.fixpoint ~succ:calls ~join:union_syms (own_locks sites) in
-  (* Deduplicated sticky findings: keyed by (id, location); the final
-     transfer of a node runs with its final (largest) in-state, so the
-     last write carries the complete message. *)
+  (* Findings keyed by (id, location): a site walked twice (a finalizer)
+     records once per walk. *)
   let findings : (string * string * int * int, Finding.t) Hashtbl.t =
     Hashtbl.create 16
   in
@@ -860,8 +698,23 @@ let check sites eff =
       Queue.add { p_node = n; p_expr = n.expr; p_stack = [ Suppress.allow_ids n.attrs ] } queue)
     nodes;
   while not (Queue.is_empty queue) do
-    analyze_root ~sites ~eff ~raises ~reaches_optimizer ~locks ~queue ~record ~pair
-      (Queue.pop queue)
+    let p = Queue.pop queue in
+    analyze_root
+      {
+        graph;
+        eff;
+        node = p.p_node;
+        raises;
+        reaches_optimizer;
+        locks;
+        restores = root_restores sites p;
+        stack = p.p_stack;
+        queue;
+        record;
+        pair;
+        final = true;
+      }
+      p.p_expr
   done;
   List.sort Finding.compare
     (Hashtbl.fold (fun _ f acc -> f :: acc) findings [] @ r002_findings pairs)

@@ -1,9 +1,9 @@
 (** Flow-sensitive lock-discipline and exception-safety analysis (R002
-    and the L/X-series): an intraprocedural CFG over Parsetree expressions
-    with explicit exceptional edges, and a forward may-analysis over a
-    small product lattice — held locksets (nominal mutex identities,
-    {!Effects.sym}) × pending save/restore obligations on
-    [Atomic.t]/[ref].  This is the analyzer's only lockset.
+    and the L/X-series): an intraprocedural abstract walk over Parsetree
+    expressions, computing a forward may-analysis over a small product
+    lattice — held locksets (nominal mutex identities, {!Effects.sym}) ×
+    pending save/restore obligations on [Atomic.t]/[ref].  This is the
+    analyzer's only lockset.
 
     - [R002] inconsistent mutex acquisition order: a mutex locked —
       directly, or by a call whose resolved targets transitively lock it —
@@ -19,14 +19,16 @@
     - [X001] a save/restore idiom ([let old = Atomic.get x … Atomic.set x
       old] or [let old = !r … r := old]) whose restore is skipped on some
       exceptional path.
-    - [X002] [Mutex.unlock] on a path where the mutex is statically not
-      held (double unlock, or unlock without a lock on this path).
+    - [X002] [Mutex.unlock] where the mutex is statically not held on
+      any path (double unlock, or unlock without a lock on this path).
 
-    CFG construction (exceptional edges for [raise]/[failwith], any call
-    whose per-binding can-raise summary is set, [try]/[match]-[exception]
-    handlers re-joining, [Fun.protect] finalizers inlined on both the
-    normal and the exceptional edge), the lattice, and the soundness /
-    incompleteness trade-offs are documented in DESIGN.md §5k.
+    The walk (branches joined where they meet, loop heads iterated to a
+    fixpoint, exceptional states — [raise]/[failwith], any call whose
+    per-binding can-raise summary is set — joined at the innermost
+    [try]/[match]-[exception] handler, [Fun.protect] finalizers walked
+    from both the normal and the exceptional end), the lattice, and the
+    soundness / incompleteness trade-offs are documented in DESIGN.md
+    §5k.  Findings are recorded from final states only.
 
     Suppression: [\[@lint.allow "ID"\]] at the site a finding anchors to
     (the inner [Mutex.lock] or the call for R002, the blocking call for

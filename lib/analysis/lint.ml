@@ -129,8 +129,8 @@ let effects_dump paths =
   (Effects.dump (Effects.analyze (Sites.build graph)), errors)
 
 (* Just the flow-sensitive R002 and L/X-series over the unit set (the
-   bench harness's [lint.dataflow] exhibit: CFG construction + fixpoints +
-   worklist, without the rest of the catalog). *)
+   bench harness's [lint.dataflow] exhibit: the fixpoints and the walk of
+   every root, without the rest of the catalog). *)
 let dataflow_findings paths =
   let graph, _, _, errors = load paths in
   let sites = Sites.build graph in

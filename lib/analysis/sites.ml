@@ -9,7 +9,7 @@
 
    - the enclosing closures ([fun], [function], [lazy], [newtype]), so a
      check can ask whether a site sits inside a given task closure or
-     CFG root;
+     dataflow root;
    - the [@lint.allow] stack: the attributes of every enclosing
      expression and value binding, nested [let]s included;
    - whether the site is evaluated by the binding itself, outside any
