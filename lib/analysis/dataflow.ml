@@ -238,6 +238,10 @@ type pending = {
   p_stack : string list list;     (* attribute stack snapshot *)
 }
 
+(* An unlock or a blocking call, with what the state it is reached in
+   says: the mutex's lock state, or the may-held mutexes. *)
+type at_site = Unlock_at of string * lockst option | Blocking_at of string * string list
+
 type ctx = {
   graph : Callgraph.t;
   eff : Effects.t;
@@ -248,8 +252,9 @@ type ctx = {
   restores : (string * string, unit) Hashtbl.t;  (* (sym, var) in this root *)
   mutable stack : string list list;         (* enclosing [@lint.allow] IDs *)
   queue : pending Queue.t;        (* closure roots discovered while walking *)
-  record : Finding.t -> unit;     (* one L001/L002/X001/X002 finding *)
+  record : Finding.t -> unit;     (* one L002/X001 finding *)
   pair : string -> string -> prov -> unit;  (* one R002 nesting *)
+  reach : Location.t -> bool -> at_site -> unit;  (* suppressed? *)
   mutable final : bool;           (* off while a loop head iterates *)
 }
 
@@ -335,9 +340,9 @@ let blocking_of_call ctx path expanded targets =
 
 (* ------------------------------------------------------------ the events -- *)
 
-(* What each event does to a reachable state.  Findings and R002
-   nestings are recorded only from a final state: never while a loop head
-   is still iterating. *)
+(* What each event does to a reachable state.  R002 nestings and the
+   states unlocks and blocking calls are reached in are recorded only from
+   a final state: never while a loop head is still iterating. *)
 
 let lock ctx sym loc ~sup ~r002 (st : state) =
   if ctx.final then List.iter (fun h -> ctx.pair h sym { p_loc = loc; p_sup = r002 }) (may_held st);
@@ -349,30 +354,11 @@ let acquire ctx syms site (st : state) =
   if ctx.final then List.iter (fun h -> List.iter (fun l -> ctx.pair h l site) syms) (may_held st)
 
 let unlock ctx sym loc ~sup (st : state) =
-  if ctx.final && (not sup) && StrMap.find_opt sym st.locks = Some NotHeld then
-    ctx.record
-      (Finding.of_location ~id:"X002"
-         ~message:
-           (Printf.sprintf
-              "Mutex.unlock on %s without a matching lock on this path (double \
-               unlock?): stdlib mutexes are not reentrant and error on double release"
-              sym)
-         loc);
+  if ctx.final then ctx.reach loc sup (Unlock_at (sym, StrMap.find_opt sym st.locks));
   { st with locks = StrMap.add sym NotHeld st.locks }
 
 let blocking ctx what loc ~sup (st : state) =
-  match may_held st with
-  | _ :: _ as held when ctx.final && not sup ->
-      ctx.record
-        (Finding.of_location ~id:"L001"
-           ~message:
-             (Printf.sprintf
-                "blocking call (%s) while mutex %s is held: IO/optimizer latency \
-                 serializes every domain contending on the lock; move the call \
-                 outside the critical section"
-                what (String.concat ", " held))
-           loc)
-  | _ -> ()
+  if ctx.final then ctx.reach loc sup (Blocking_at (what, may_held st))
 
 let save ob st = { st with obs = List.sort_uniq compare (ob :: st.obs) }
 
@@ -667,6 +653,38 @@ let r002_findings pairs =
             acc sites)
     pairs []
 
+(* X002 and L001, from the join of every final state a site is reached
+   in: an unlock at NotHeld, a blocking call with a mutex may-held. *)
+let join_at a b =
+  match (a, b) with
+  | Unlock_at (sym, x), Unlock_at (_, y) -> Unlock_at (sym, join_lock x y)
+  | Blocking_at (what, x), Blocking_at (_, y) -> Blocking_at (what, union_syms x y)
+  | _, b -> b
+
+let at_site_finding loc (sup, at) =
+  match at with
+  | _ when sup -> None
+  | Unlock_at (sym, Some NotHeld) ->
+      Some
+        (Finding.of_location ~id:"X002"
+           ~message:
+             (Printf.sprintf
+                "Mutex.unlock on %s without a matching lock on this path (double \
+                 unlock?): stdlib mutexes are not reentrant and error on double release"
+                sym)
+           loc)
+  | Blocking_at (what, (_ :: _ as held)) ->
+      Some
+        (Finding.of_location ~id:"L001"
+           ~message:
+             (Printf.sprintf
+                "blocking call (%s) while mutex %s is held: IO/optimizer latency \
+                 serializes every domain contending on the lock; move the call \
+                 outside the critical section"
+                what (String.concat ", " held))
+           loc)
+  | _ -> None
+
 let check sites eff =
   let graph = Sites.graph sites in
   let nodes = Callgraph.nodes graph in
@@ -677,8 +695,8 @@ let check sites eff =
   let calls = Sites.calls sites in
   let reaches_optimizer = Callgraph.fixpoint ~succ:calls ~join:( || ) optimizer_entry_node in
   let locks = Callgraph.fixpoint ~succ:calls ~join:union_syms (own_locks sites) in
-  (* Findings keyed by (id, location): a site walked twice (a finalizer)
-     records once per walk. *)
+  (* L002 and X001 findings keyed by (id, location): a closure queued
+     twice (inside a finalizer) is judged twice. *)
   let findings : (string * string * int * int, Finding.t) Hashtbl.t =
     Hashtbl.create 16
   in
@@ -691,6 +709,13 @@ let check sites eff =
   let pair a b site =
     let sites = Option.value ~default:[] (Hashtbl.find_opt pairs (a, b)) in
     if not (List.mem site sites) then Hashtbl.replace pairs (a, b) (site :: sites)
+  in
+  (* Unlocks and blocking calls, each with the join of the final states
+     it is reached in — a finalizer is walked from two ends. *)
+  let at = Hashtbl.create 64 in
+  let reach loc sup a =
+    let a = match Hashtbl.find_opt at loc with Some (_, b) -> join_at b a | None -> a in
+    Hashtbl.replace at loc (sup, a)
   in
   let queue = Queue.create () in
   List.iter
@@ -712,9 +737,12 @@ let check sites eff =
         queue;
         record;
         pair;
+        reach;
         final = true;
       }
       p.p_expr
   done;
   List.sort Finding.compare
-    (Hashtbl.fold (fun _ f acc -> f :: acc) findings [] @ r002_findings pairs)
+    (Hashtbl.fold (fun _ f acc -> f :: acc) findings []
+    @ Hashtbl.fold (fun loc s acc -> Option.to_list (at_site_finding loc s) @ acc) at []
+    @ r002_findings pairs)

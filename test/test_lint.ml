@@ -982,6 +982,14 @@ let x002_tests =
           \  Mutex.unlock m;\n\
           \  if c then (Mutex.lock m; Mutex.unlock m; ignore c);\n\
           \  Mutex.unlock m\n");
+    tc "a finalizer's unlock is judged from both ends joined" (fun () ->
+        (* Held from the normal end, free from the exceptional one: the
+           unlock's state is Mixed, which is silent. *)
+        check_ids "clean" []
+          "let m = Mutex.create ()\n\
+           let run p =\n\
+          \  Fun.protect ~finally:(fun () -> Mutex.unlock m) (fun () ->\n\
+          \    if p then Mutex.lock m else (Mutex.lock m; Mutex.unlock m; raise Exit))\n");
     tc "attribute suppression at the unlock site" (fun () ->
         check_ids "suppressed" []
           "let m = Mutex.create ()\n\
@@ -1031,10 +1039,12 @@ let dataflow_fixture_tests =
 (* A tiny shape language over one mutex, rendered to source and linted; a
    reference interpreter enumerates every execution path and decides
    whether some path exits exceptionally with the lock held — which is
-   exactly L002's claim — and whether some path locks the mutex while it
-   is held, which is R002's self-deadlock claim.  This pits the CFG construction (exceptional
-   edges, try re-joins, Fun.protect inlining, joins at merges) against an
-   independent, obviously-correct semantics. *)
+   exactly L002's claim —, whether some path locks the mutex while it is
+   held, which is R002's self-deadlock claim, and which unlocks some path
+   reaches with the mutex free and none with it held, which is X002's.
+   This pits the abstract walk (exceptional states, try re-joins,
+   Fun.protect finalizers, joins at merges, loop-head fixpoints) against
+   an independent, obviously-correct semantics. *)
 type shape =
   | Nop
   | Lock
@@ -1044,6 +1054,7 @@ type shape =
   | If of shape * shape
   | Try of shape * shape
   | Protect of shape * shape  (* body, finally *)
+  | While of shape
 
 let rec render = function
   | Nop -> "()"
@@ -1056,52 +1067,92 @@ let rec render = function
   | Protect (a, f) ->
       Printf.sprintf "(Fun.protect ~finally:(fun () -> %s) (fun () -> %s))"
         (render f) (render a)
+  | While a -> Printf.sprintf "(while p do %s done)" (render a)
+
+let shape_source s = "let m = Mutex.create ()\nlet run p = " ^ render s ^ "\n"
+
+(* The mutex on one path: the root is entered not knowing it. *)
+type held = Unknown | Held | Free
 
 type outcome = Normal | Exc
 
-(* Every (held, outcome) end state reachable by some path — as a set, so
-   a long run of branches stays four states wide instead of doubling. *)
-let rec eval s held =
+(* Locks and unlocks in a shape. *)
+let rec ops = function
+  | Nop | Raise -> 0
+  | Lock | Unlock -> 1
+  | Seq (a, b) | If (a, b) | Try (a, b) | Protect (a, b) -> ops a + ops b
+  | While a -> ops a
+
+(* Every (held, outcome) end state reachable by some path of [s] entered
+   in [h] — as a set, so a long run of branches stays six states wide
+   instead of doubling.  [visit i h] sees each lock or unlock a path
+   reaches and the mutex there, [i] numbering them in rendered order from
+   [first]. *)
+let rec run visit first s h =
   List.sort_uniq compare
   @@
   match s with
-  | Nop -> [ (held, Normal) ]
-  | Lock -> [ (true, Normal) ]
-  | Unlock -> [ (false, Normal) ]
-  | Raise -> [ (held, Exc) ]
+  | Nop -> [ (h, Normal) ]
+  | Lock ->
+      visit first h;
+      [ (Held, Normal) ]
+  | Unlock ->
+      visit first h;
+      [ (Free, Normal) ]
+  | Raise -> [ (h, Exc) ]
   | Seq (a, b) ->
       List.concat_map
-        (fun (h, o) -> match o with Normal -> eval b h | Exc -> [ (h, Exc) ])
-        (eval a held)
-  | If (a, b) -> eval a held @ eval b held
+        (fun (h, o) ->
+          match o with Normal -> run visit (first + ops a) b h | Exc -> [ (h, Exc) ])
+        (run visit first a h)
+  | If (a, b) -> run visit first a h @ run visit (first + ops a) b h
   | Try (a, b) ->
       List.concat_map
-        (fun (h, o) -> match o with Normal -> [ (h, Normal) ] | Exc -> eval b h)
-        (eval a held)
+        (fun (h, o) ->
+          match o with Normal -> [ (h, Normal) ] | Exc -> run visit (first + ops a) b h)
+        (run visit first a h)
   | Protect (a, f) ->
+      (* the finalizer is rendered first *)
       List.concat_map
         (fun (h, o) ->
           List.map
-            (fun (hf, fo) ->
-              (hf, match (o, fo) with Normal, Normal -> Normal | _ -> Exc))
-            (eval f h))
-        (eval a held)
+            (fun (hf, fo) -> (hf, if o = Normal && fo = Normal then Normal else Exc))
+            (run visit first f h))
+        (run visit (first + ops f) a h)
+  | While a ->
+      (* Zero or more iterations: every state the loop head can be in
+         exits normally, and every exceptional end of the body escapes. *)
+      let rec heads seen = function
+        | [] -> seen
+        | h :: todo ->
+            let next =
+              List.filter_map
+                (fun (h', o) -> if o = Normal && not (List.mem h' seen) then Some h' else None)
+                (run visit first a h)
+            in
+            heads (next @ seen) (next @ todo)
+      in
+      List.concat_map
+        (fun h -> (h, Normal) :: List.filter (fun (_, o) -> o = Exc) (run visit first a h))
+        (heads [ h ] [ h ])
 
-(* Does some path lock the mutex while it is already held?  (R002's
-   self-deadlock claim, for one mutex.) *)
-let rec relocks s held =
-  match s with
-  | Nop | Unlock | Raise -> false
-  | Lock -> held
-  | Seq (a, b) ->
-      relocks a held
-      || List.exists (fun (h, o) -> o = Normal && relocks b h) (eval a held)
-  | If (a, b) -> relocks a held || relocks b held
-  | Try (a, b) ->
-      relocks a held
-      || List.exists (fun (h, o) -> o = Exc && relocks b h) (eval a held)
-  | Protect (a, f) ->
-      relocks a held || List.exists (fun (h, _) -> relocks f h) (eval a held)
+(* The end states of [s] run from an unknown mutex, and a test of whether
+   some path reaches lock or unlock [i] with the mutex in a given state. *)
+let interpret s =
+  let reached = Hashtbl.create 8 in
+  let ends = run (fun i h -> Hashtbl.replace reached (i, h) ()) 0 s Unknown in
+  (ends, fun i h -> Hashtbl.mem reached (i, h))
+
+(* The column of each lock and unlock in [shape_source s], in rendered
+   order, and whether it is an unlock. *)
+let op_columns s =
+  let line = "let run p = " ^ render s in
+  List.filter_map
+    (fun i ->
+      if i + 7 <= String.length line && String.sub line i 6 = "Mutex." then
+        Some (i, line.[i + 6] = 'u')
+      else None)
+    (List.init (String.length line) Fun.id)
 
 let shape_gen =
   QCheck.Gen.(
@@ -1118,41 +1169,48 @@ let shape_gen =
                  ( 1,
                    map2 (fun a b -> Protect (a, b)) (self (n / 2)) (self (n / 2))
                  );
+                 (1, map (fun a -> While a) (self (n / 2)));
                ]))
 
 let shape_arbitrary = QCheck.make ~print:render shape_gen
+
+let fired id s =
+  List.filter_map
+    (fun (f : Finding.t) -> if f.id = id then Some f.col else None)
+    (findings (shape_source s))
 
 let dataflow_qcheck_tests =
   [
     QCheck_alcotest.to_alcotest
       (QCheck.Test.make ~name:"L002 agrees with the path interpreter" ~count:300
          shape_arbitrary (fun s ->
-           let src =
-             "let m = Mutex.create ()\nlet run p = " ^ render s ^ "\n"
-           in
-           let got =
-             List.exists
-               (fun (f : Finding.t) -> f.id = "L002")
-               (findings src)
-           in
-           let want =
-             List.exists (fun (h, o) -> h && o = Exc) (eval s false)
-           in
-           got = want));
+           let ends, _ = interpret s in
+           fired "L002" s <> [] = List.mem (Held, Exc) ends));
     (* For one mutex the may-held lockset is exact: a lock is reached with
        the mutex held on some path iff the path enumeration finds one. *)
     QCheck_alcotest.to_alcotest
       (QCheck.Test.make ~name:"R002 self-deadlock agrees with the path interpreter"
          ~count:300 shape_arbitrary (fun s ->
-           let src =
-             "let m = Mutex.create ()\nlet run p = " ^ render s ^ "\n"
+           let _, reached = interpret s in
+           fired "R002" s <> []
+           = List.exists
+               (fun (i, (_, unlock)) -> (not unlock) && reached i Held)
+               (List.mapi (fun i op -> (i, op)) (op_columns s))));
+    (* An unlock fires iff some path reaches it with the mutex free and no
+       path reaches it with the mutex held: Unknown ⊔ NotHeld is NotHeld,
+       anything joined with Held is silent. *)
+    QCheck_alcotest.to_alcotest
+      (QCheck.Test.make ~name:"X002 agrees with the path interpreter" ~count:300
+         shape_arbitrary (fun s ->
+           let _, reached = interpret s in
+           let want =
+             List.concat
+               (List.mapi
+                  (fun i (col, unlock) ->
+                    if unlock && reached i Free && not (reached i Held) then [ col ] else [])
+                  (op_columns s))
            in
-           let got =
-             List.exists
-               (fun (f : Finding.t) -> f.id = "R002")
-               (findings src)
-           in
-           got = relocks s false));
+           fired "X002" s = want));
   ]
 
 (* ------------------------------------- qcheck: the transitive engine -- *)
