@@ -36,6 +36,7 @@ type node = {
   expr : expression;
   attrs : attributes;
   loc : Location.t;
+  allow : string list;  (* [@@lint.allow] IDs of the enclosing module bindings *)
 }
 
 let make_unit ~path ~source structure =
@@ -51,39 +52,25 @@ let make_unit ~path ~source structure =
 
 (* ------------------------------------------------- per-unit collection -- *)
 
-(* Toplevel [module X = Path] aliases and [open Path] statements.  Only the
-   unit toplevel is scanned: aliases inside nested modules or expressions are
-   rare in this codebase and ignoring them only loses edges for code that
-   also hides from qualified matching. *)
-let scan_toplevel structure =
-  let aliases = Hashtbl.create 8 in
-  let opens = ref [] in
-  List.iter
-    (fun (item : structure_item) ->
-      match item.pstr_desc with
-      | Pstr_module { pmb_name = { txt = Some name; _ }; pmb_expr; _ } -> (
-          match pmb_expr.pmod_desc with
-          | Pmod_ident lid -> Hashtbl.replace aliases name (Longident.flatten lid.txt)
-          | _ -> ())
-      | Pstr_open { popen_expr = { pmod_desc = Pmod_ident lid; _ }; _ } ->
-          opens := Longident.flatten lid.txt :: !opens
-      | _ -> ())
-    structure;
-  (aliases, List.rev !opens)
-
 let rec var_of_pattern (p : pattern) =
   match p.ppat_desc with
   | Ppat_var v -> Some v.txt
   | Ppat_constraint (p, _) -> var_of_pattern p
   | _ -> None
 
-(* Toplevel value bindings of a unit, recursing into named nested modules
-   with dotted names ("Cache.find_or_compute").  Bindings with non-variable
-   patterns still run at module initialization; they get a synthetic
-   "(init:LINE)" name so their call sites participate in reachability. *)
+(* The one module-level pass over a unit.  Its value bindings, recursing
+   into nested structures with dotted names ("Cache.find_or_compute",
+   "_.x" inside [module _]), each with the [[@@lint.allow]] IDs of its
+   enclosing module bindings.  Bindings with non-variable patterns still
+   run at module initialization; they get a synthetic "(init:LINE)" name
+   so their call sites participate in reachability.  And the unit's
+   toplevel [module X = Path] aliases and [open Path] statements: aliases
+   inside nested modules or expressions are rare in this codebase and
+   ignoring them only loses edges for code that also hides from qualified
+   matching. *)
 let collect_bindings u =
-  let acc = ref [] in
-  let rec items prefix stack =
+  let nodes = ref [] and aliases = Hashtbl.create 8 and opens = ref [] in
+  let rec items ~top prefix allow structure =
     List.iter
       (fun (item : structure_item) ->
         match item.pstr_desc with
@@ -97,36 +84,33 @@ let collect_bindings u =
                       Printf.sprintf "%s(init:%d)" prefix
                         vb.pvb_loc.Location.loc_start.Lexing.pos_lnum
                 in
-                acc :=
-                  {
-                    u;
-                    name;
-                    expr = vb.pvb_expr;
-                    attrs = vb.pvb_attributes;
-                    loc = vb.pvb_loc;
-                  }
-                  :: !acc)
+                nodes :=
+                  { u; name; expr = vb.pvb_expr; attrs = vb.pvb_attributes; loc = vb.pvb_loc; allow }
+                  :: !nodes)
               vbs
-        | Pstr_module { pmb_name = { txt = Some name; _ }; pmb_expr; _ } ->
-            module_expr (prefix ^ name ^ ".") pmb_expr
-        | Pstr_recmodule mbs ->
-            List.iter
-              (fun (mb : module_binding) ->
-                match mb.pmb_name.txt with
-                | Some name -> module_expr (prefix ^ name ^ ".") mb.pmb_expr
-                | None -> ())
-              mbs
-        | Pstr_include incl -> module_expr prefix incl.pincl_mod
+        | Pstr_module mb -> module_binding ~top prefix allow mb
+        | Pstr_recmodule mbs -> List.iter (module_binding ~top:false prefix allow) mbs
+        | Pstr_include incl -> module_expr prefix allow incl.pincl_mod
+        | Pstr_open { popen_expr = { pmod_desc = Pmod_ident lid; _ }; _ } when top ->
+            opens := Longident.flatten lid.txt :: !opens
         | _ -> ())
-      stack
-  and module_expr prefix me =
+      structure
+  and module_binding ~top prefix allow mb =
+    (match (mb.pmb_name.txt, mb.pmb_expr.pmod_desc) with
+    | Some name, Pmod_ident lid when top -> Hashtbl.replace aliases name (Longident.flatten lid.txt)
+    | _ -> ());
+    module_expr
+      (prefix ^ Option.value ~default:"_" mb.pmb_name.txt ^ ".")
+      (Suppress.allow_ids mb.pmb_attributes @ allow)
+      mb.pmb_expr
+  and module_expr prefix allow me =
     match me.pmod_desc with
-    | Pmod_structure s -> items prefix s
-    | Pmod_constraint (me, _) -> module_expr prefix me
+    | Pmod_structure s -> items ~top:false prefix allow s
+    | Pmod_constraint (me, _) -> module_expr prefix allow me
     | _ -> ()
   in
-  items "" u.structure;
-  List.rev !acc
+  items ~top:true "" [] u.structure;
+  (List.rev !nodes, aliases, List.rev !opens)
 
 (* ------------------------------------------------------- library layout -- *)
 
@@ -269,10 +253,9 @@ let build units_in =
       Hashtbl.replace by_dir_mod (u.dir, u.modname) u;
       Hashtbl.replace by_mod u.modname
         (Option.value ~default:[] (Hashtbl.find_opt by_mod u.modname) @ [ u ]);
-      let als, ops = scan_toplevel u.structure in
+      let ns, als, ops = collect_bindings u in
       Hashtbl.replace aliases u.path als;
       Hashtbl.replace opens u.path ops;
-      let ns = collect_bindings u in
       List.iter (fun n -> Hashtbl.replace node_tbl (key n) n) ns;
       all_nodes := !all_nodes @ ns)
     units;

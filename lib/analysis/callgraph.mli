@@ -20,10 +20,13 @@ type unit_info = {
 
 type node = {
   u : unit_info;
-  name : string;  (** toplevel binding name; dotted inside nested modules *)
+  name : string;
+      (** toplevel binding name; dotted inside nested modules, [_] naming an
+          anonymous one *)
   expr : Parsetree.expression;
   attrs : Parsetree.attributes;
   loc : Location.t;
+  allow : string list;  (** [\[@@lint.allow\]] IDs of the enclosing module bindings *)
 }
 
 type t

@@ -1,8 +1,8 @@
 (* The check catalog.  Every check has a stable ID; [catalog] below is the
    single source of truth for IDs, titles and the [--explain] text.
 
-   Unit-local checks (this file): D001 walks one compilation unit's
-   module-level bindings; D002, D004, H002 and R003 read every site of the
+   Unit-local checks (this file): D001 folds over one compilation unit's
+   module-level bindings, the call graph's nodes; D002, D004, H002 and R003 read every site of the
    unit from the one [Sites] walk, bindings or not; H001 is
    filesystem-level.  Whole-program checks: N001 and E001 (below) read the
    local witnesses of each binding's [Effects] summary; D003 and E002 are
@@ -35,7 +35,7 @@ let has_suffix = Effects.has_suffix
 (* The D001 state classifiers ([d001_hits], the allocator/wrapper tables)
    live in [Effects]: the effect pass and this check must agree on what
    counts as raw mutable state.  The unit's mutable field names come from
-   the site walk. *)
+   the site walk, its module-level bindings from the call graph's nodes. *)
 
 let d001_message what =
   Printf.sprintf
@@ -43,40 +43,17 @@ let d001_message what =
      Atomic/Domain.DLS/Mutex/Lazy or allocate per instance"
     what
 
-(* Walk only module-toplevel bindings (recursing into nested [module M =
-   struct .. end]); allocation inside a function body is per-call and fine. *)
-let check_d001 mutable_fields structure =
-  let findings = ref [] in
-  let emit (loc, what) =
-    findings := Finding.of_location ~id:"D001" ~message:(d001_message what) loc :: !findings
-  in
-  let rec items stack =
-    List.iter (fun (item : structure_item) ->
-        match item.pstr_desc with
-        | Pstr_value (_, vbs) ->
-            List.iter
-              (fun (vb : value_binding) ->
-                if not (Effects.allow "D001" vb.pvb_attributes) then
-                  List.iter emit (Effects.d001_hits mutable_fields [] vb.pvb_expr))
-              vbs
-        | Pstr_module mb ->
-            if not (Effects.allow "D001" mb.pmb_attributes) then module_expr mb.pmb_expr
-        | Pstr_recmodule mbs ->
-            List.iter
-              (fun (mb : module_binding) ->
-                if not (Effects.allow "D001" mb.pmb_attributes) then module_expr mb.pmb_expr)
-              mbs
-        | Pstr_include incl -> module_expr incl.pincl_mod
-        | _ -> ())
-      stack
-  and module_expr me =
-    match me.pmod_desc with
-    | Pmod_structure s -> items s
-    | Pmod_constraint (me, _) -> module_expr me
-    | _ -> ()
-  in
-  items structure;
-  !findings
+(* Only module-level bindings (nested modules included); allocation
+   inside a function body is per-call and fine. *)
+let check_d001 mutable_fields nodes =
+  List.concat_map
+    (fun (n : Callgraph.node) ->
+      if Effects.allow "D001" n.attrs || List.mem "D001" n.allow then []
+      else
+        List.map
+          (fun (loc, what) -> Finding.of_location ~id:"D001" ~message:(d001_message what) loc)
+          (Effects.d001_hits mutable_fields [] n.expr))
+    nodes
 
 (* ------------------------------------------- D002, D004, H002 & R003 -- *)
 
@@ -343,7 +320,8 @@ let missing_mli ~mls ~mlis =
 let check_unit sites (u : Callgraph.unit_info) =
   let notes = Suppress.lint_note_lines u.source in
   List.sort Finding.compare
-    (check_d001 (Sites.mutable_fields sites u) u.structure
+    (check_d001 (Sites.mutable_fields sites u)
+       (List.filter (fun (n : Callgraph.node) -> n.u == u) (Callgraph.nodes (Sites.graph sites)))
     @ check_sites ~notes ~d004:(d004_applies u.path) (Sites.unit_sites sites u))
 
 (* ------------------------------------------------------ check catalog -- *)

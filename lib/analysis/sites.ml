@@ -2,7 +2,7 @@
 
    The walk is a single [Ast_iterator] over the whole structure.  It
    mirrors [Callgraph]'s binding collection at the module level (toplevel
-   value bindings, recursing into named nested structures), so each
+   value bindings, recursing into nested structures), so each
    node's right-hand side is walked as that node; everything else — a
    toplevel [;;] expression, a functor body, a class — is walked with no
    binding.  Along the way it keeps the context every site records:
@@ -248,14 +248,8 @@ let walk_unit t (u : Callgraph.unit_info) pending =
     else
       match item.pstr_desc with
       | Pstr_value (_, vbs) -> List.iter (node_binding it) vbs
-      | Pstr_module { pmb_name = { txt = Some _; _ }; pmb_expr; _ } -> it.module_expr it pmb_expr
-      | Pstr_recmodule mbs ->
-          List.iter
-            (fun mb ->
-              match mb.pmb_name.txt with
-              | Some _ -> it.module_expr it mb.pmb_expr
-              | None -> nested (fun () -> it.module_binding it mb))
-            mbs
+      | Pstr_module mb -> it.module_expr it mb.pmb_expr
+      | Pstr_recmodule mbs -> List.iter (fun mb -> it.module_expr it mb.pmb_expr) mbs
       | Pstr_include incl -> it.module_expr it incl.pincl_mod
       | _ -> nested (fun () -> default.structure_item it item)
   in
