@@ -695,14 +695,10 @@ let check sites eff =
   let calls = Sites.calls sites in
   let reaches_optimizer = Callgraph.fixpoint ~succ:calls ~join:( || ) optimizer_entry_node in
   let locks = Callgraph.fixpoint ~succ:calls ~join:union_syms (own_locks sites) in
-  (* L002 and X001 findings keyed by (id, location): a closure queued
-     twice (inside a finalizer) is judged twice. *)
-  let findings : (string * string * int * int, Finding.t) Hashtbl.t =
-    Hashtbl.create 16
-  in
-  let record (f : Finding.t) =
-    Hashtbl.replace findings (f.Finding.id, f.Finding.file, f.Finding.line, f.Finding.col) f
-  in
+  (* L002 and X001: a closure queued twice (inside a finalizer) is judged
+     twice, and the final sort drops the copies. *)
+  let findings = ref [] in
+  let record f = findings := f :: !findings in
   (* R002's nestings, (held, acquired) -> sites, collected over every root
      and judged once all have run. *)
   let pairs : (string * string, prov list) Hashtbl.t = Hashtbl.create 32 in
@@ -742,7 +738,7 @@ let check sites eff =
       }
       p.p_expr
   done;
-  List.sort Finding.compare
-    (Hashtbl.fold (fun _ f acc -> f :: acc) findings []
+  List.sort_uniq Finding.compare
+    (!findings
     @ Hashtbl.fold (fun loc s acc -> Option.to_list (at_site_finding loc s) @ acc) at []
     @ r002_findings pairs)

@@ -166,24 +166,22 @@ let allow_ids (attrs : Parsetree.attributes) =
 
 (* Lines carrying a "(* lint: reason *)" note.  Comments never reach the
    parsetree, so we scan the raw text: a line participates when, with blanks
-   removed, it contains "(*lint:". *)
+   removed, it contains "(*lint:".  Matched in place, skipping blanks. *)
 let lint_note_lines source =
-  let notes = Hashtbl.create 8 in
-  List.iteri
-    (fun i line ->
-      let squeezed =
-        String.to_seq line
-        |> Seq.filter (fun c -> c <> ' ' && c <> '\t')
-        |> String.of_seq
-      in
-      let has_note =
-        let needle = "(*lint:" in
-        let n = String.length needle and m = String.length squeezed in
-        let rec scan i = i + n <= m && (String.sub squeezed i n = needle || scan (i + 1)) in
-        scan 0
-      in
-      if has_note then Hashtbl.replace notes (i + 1) ())
-    (String.split_on_char '\n' source);
+  let notes = Hashtbl.create 8 and needle = "(*lint:" and n = String.length source in
+  (* Does the needle from its [k]th character start at [i], on this line? *)
+  let rec matches i k =
+    k = String.length needle
+    || i < n
+       &&
+       match source.[i] with
+       | ' ' | '\t' -> matches (i + 1) k
+       | c -> c = needle.[k] && matches (i + 1) (k + 1)
+  in
+  let line = ref 1 in
+  String.iteri
+    (fun i c -> if c = '\n' then incr line else if c = '(' && matches i 0 then Hashtbl.replace notes !line ())
+    source;
   notes
 
 let has_lint_note notes ~line =

@@ -246,6 +246,27 @@ let h001_tests =
 
 (* ---------------------------------------------------------------- H002 -- *)
 
+(* A line carries a lint note when, with blanks removed, it contains
+   "(*lint:": squeeze each line, then search it. *)
+let lint_note_oracle source =
+  List.concat
+    (List.mapi
+       (fun i line ->
+         let squeezed =
+           String.of_seq (Seq.filter (fun c -> c <> ' ' && c <> '\t') (String.to_seq line))
+         in
+         if contains squeezed "(*lint:" then [ i + 1 ] else [])
+       (String.split_on_char '\n' source))
+
+(* Random sources built from fragments of a note, so that whole notes,
+   blank-split ones and near misses all occur. *)
+let lint_note_source =
+  QCheck.Gen.(
+    map (String.concat "")
+      (list_size (int_range 0 30)
+         (oneofl
+            [ "(*"; "( *"; "lint:"; "l int"; ":"; "(* lint:"; "(*lint"; " "; "\t"; "\n"; "x"; "*)"; "(" ])))
+
 let h002_tests =
   [
     tc "failwith and assert false hit" (fun () ->
@@ -266,6 +287,13 @@ let h002_tests =
     tc "attribute suppression" (fun () ->
         check_ids "suppressed" []
           "let f () = (assert false [@lint.allow \"H002\"])\n");
+    QCheck_alcotest.to_alcotest
+      (QCheck.Test.make ~name:"lint notes agree with the squeeze-and-search oracle"
+         ~count:500
+         (QCheck.make ~print:String.escaped lint_note_source)
+         (fun src ->
+           List.sort compare (Hashtbl.fold (fun l () acc -> l :: acc) (Suppress.lint_note_lines src) [])
+           = lint_note_oracle src));
   ]
 
 (* -------------------------------------------------- allow-file parsing -- *)
