@@ -60,7 +60,7 @@ let rec var_of_pattern (p : pattern) =
 
 (* The one module-level pass over a unit.  Its value bindings, recursing
    into nested structures with dotted names ("Cache.find_or_compute",
-   "_.x" inside [module _]), each with the [[@@lint.allow]] IDs of its
+   "_.x" inside [module _]), each with the [@@lint.allow] IDs of its
    enclosing module bindings.  Bindings with non-variable patterns still
    run at module initialization; they get a synthetic "(init:LINE)" name
    so their call sites participate in reachability.  And the unit's

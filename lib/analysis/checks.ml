@@ -2,9 +2,9 @@
    single source of truth for IDs, titles and the [--explain] text.
 
    Unit-local checks (this file): D001 folds over one compilation unit's
-   module-level bindings, the call graph's nodes; D002, D004, H002 and R003 read every site of the
-   unit from the one [Sites] walk, bindings or not; H001 is
-   filesystem-level.  Whole-program checks: N001 and E001 (below) read the
+   module-level bindings, the call graph's nodes; D002, D004, H002 and
+   R003 read every site of the unit from the one [Sites] walk, bindings
+   or not; H001 is filesystem-level.  Whole-program checks: N001 and E001 (below) read the
    local witnesses of each binding's [Effects] summary; D003 and E002 are
    [Callgraph.reach] queries over [Sites.calls] — backwards from each
    mutator site, forwards from the batch roots.  R001 and N002 live in

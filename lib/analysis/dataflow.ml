@@ -370,6 +370,19 @@ let restore (sym, var) st =
 (* Exceptional control joins its state into the innermost handler's. *)
 let raise_to exc st = exc := join !exc st
 
+(* The least fixpoint of a loop head entered in [st] whose back edge
+   carries [around head], iterated with recording off. *)
+let loop_head ctx st around =
+  let final = ctx.final in
+  ctx.final <- false;
+  let rec go head =
+    let next = join head (around head) in
+    if same next head then head else go next
+  in
+  let head = go st in
+  ctx.final <- final;
+  head
+
 (* [walk ctx ~exc st e]: the state after [e] completes normally, entered
    in [st]; its exceptional states join [exc].  An unreachable [e] is
    still walked, so the closures inside it are still queued. *)
@@ -388,19 +401,6 @@ and walk_cases ctx ~exc st cases =
       let g_end = match c.pc_guard with Some g -> walk ctx ~exc st g | None -> st in
       join acc (walk ctx ~exc g_end c.pc_rhs))
     None cases
-
-(* The least fixpoint of a loop head entered in [st] whose back edge
-   carries [around head], iterated with recording off. *)
-and loop_head ctx st around =
-  let final = ctx.final in
-  ctx.final <- false;
-  let rec go head =
-    let next = join head (around head) in
-    if same next head then head else go next
-  in
-  let head = go st in
-  ctx.final <- final;
-  head
 
 and walk_desc ctx ~exc st e =
   match e.pexp_desc with
@@ -447,7 +447,7 @@ and walk_desc ctx ~exc st e =
       in
       (* exception cases catch only scrutinee evaluation *)
       let caught = ref None in
-      let s_end = walk ctx ~exc:(if exc_cases = [] then exc else caught) st scrut in
+      let s_end = walk ctx ~exc:caught st scrut in
       if not (List.exists exc_catch_all exc_cases) then raise_to exc !caught;
       let x_end = walk_cases ctx ~exc !caught exc_cases in
       match val_cases with
