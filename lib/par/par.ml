@@ -142,9 +142,6 @@ let map ~domains f arr =
       | Some (j, _) when j <= i -> ()
       | cur -> if not (Atomic.compare_and_set error cur (Some (i, e))) then record_error i e
     in
-    let fin_lock = Mutex.create () in
-    let fin_cond = Condition.create () in
-    let completed = ref 0 in
     let work () =
       let claimed = ref 0 in
       Trace.with_span "par.work"
@@ -158,25 +155,39 @@ let map ~domains f arr =
           claim (mine + 1)
         end
       in
-      let mine = claim 0 in
-      claimed := mine;
-      if mine > 0 then begin
-        if Obs.on () then Metrics.add (Metrics.counter "par.items") mine;
+      claimed := claim 0;
+      if Obs.on () && !claimed > 0 then Metrics.add (Metrics.counter "par.items") !claimed
+    in
+    (* A helper joins the batch only while items are left to claim, and
+       leaves it once its par.work span is recorded.  The caller's own
+       [work] returns only when every item has been claimed, so once no
+       helper is left in the batch every item is done, every span recorded,
+       and no helper can join any more. *)
+    let fin_lock = Mutex.create () in
+    let fin_cond = Condition.create () in
+    let joined = ref 0 in
+    let join () =
+      Mutex.lock fin_lock;
+      let ok = Atomic.get next < n in
+      if ok then incr joined;
+      Mutex.unlock fin_lock;
+      if ok then begin
+        work ();
         Mutex.lock fin_lock;
-        completed := !completed + mine;
-        if !completed >= n then Condition.broadcast fin_cond;
+        decr joined;
+        if !joined = 0 then Condition.broadcast fin_cond;
         Mutex.unlock fin_lock
       end
     in
     let helpers = min (domains - 1) (n - 1) in
-    (* Helper jobs reach the batch through this slot, not by capturing [work]
-       directly.  When the batch completes the slot is cleared, so jobs still
-       sitting unclaimed in the pool queue degrade to no-ops that hold no
-       reference to [arr]/[results] — an idle pool never keeps a finished
-       batch's data alive. *)
-    let slot : (unit -> unit) option Atomic.t = Atomic.make (Some work) in
+    (* Helper jobs reach the batch through this slot, not by capturing
+       [join] directly.  When the batch completes the slot is cleared, so
+       jobs still sitting unclaimed in the pool queue degrade to no-ops that
+       hold no reference to [arr]/[results] — an idle pool never keeps a
+       finished batch's data alive. *)
+    let slot : (unit -> unit) option Atomic.t = Atomic.make (Some join) in
     let helper_job () =
-      match Atomic.get slot with Some w -> w () | None -> ()
+      match Atomic.get slot with Some j -> j () | None -> ()
     in
     if pool.workers <> [] then
       for _ = 1 to helpers do
@@ -184,13 +195,13 @@ let map ~domains f arr =
       done;
     work ();
     Mutex.lock fin_lock;
-    while !completed < n do
+    while !joined > 0 do
       Condition.wait fin_cond fin_lock
     done;
     Mutex.unlock fin_lock;
     Atomic.set slot None;
     (match Atomic.get error with Some (_, e) -> raise e | None -> ());
-    (* lint: every slot was filled — the completion barrier above waits for all n *)
+    (* lint: every slot was filled — all n were claimed and no helper is left *)
     Array.map (function Some v -> v | None -> assert false) results
   end
 

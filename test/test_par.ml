@@ -11,6 +11,8 @@ module Par = Xia_par.Par
 module Cat = Xia_index.Catalog
 module O = Xia_optimizer.Optimizer
 module W = Xia_workload.Workload
+module Obs = Xia_obs.Obs
+module Trace = Xia_obs.Trace
 
 let tc name f = Alcotest.test_case name `Quick f
 
@@ -60,6 +62,38 @@ let pool_tests =
         in
         Alcotest.(check (array int))
           "sums" (Array.init 10 (fun i -> i * 190)) result);
+    tc "every helper span is recorded before map returns" (fun () ->
+        (* Many small batches, each followed by a flush.  A helper span
+           recorded after its batch returned lands in a later flush, where it
+           starts before that flush's own par.batch span, or in the final
+           flush.  Items spin for a varying few microseconds, so helpers
+           join at every point of a batch: mid-batch, after the last item
+           was claimed, and as the caller returns. *)
+        let spin us =
+          let t0 = Unix.gettimeofday () in
+          while Unix.gettimeofday () -. t0 < float_of_int us *. 1e-6 do () done
+        in
+        let work spans = List.filter (fun (s : Trace.span) -> s.name = "par.work") spans in
+        ignore (Trace.flush ());
+        let late =
+          Obs.with_enabled true (fun () ->
+              List.fold_left
+                (fun late b ->
+                  ignore (Par.map ~domains:2 (fun x -> spin (b mod 40); x) [| 1; 2; 3; 4 |]);
+                  let spans = Trace.flush () in
+                  match List.find_opt (fun (s : Trace.span) -> s.name = "par.batch") spans with
+                  | None -> late
+                  | Some batch ->
+                      late
+                      + List.length
+                          (List.filter
+                             (fun (s : Trace.span) -> s.start_s < batch.start_s)
+                             (work spans)))
+                0 (List.init 2000 Fun.id))
+        in
+        Unix.sleepf 0.01;
+        Alcotest.(check int) "late par.work spans" 0
+          (late + List.length (work (Trace.flush ()))));
   ]
 
 (* ---------- parallel evaluator determinism ---------- *)
