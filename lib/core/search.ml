@@ -574,7 +574,3 @@ let dynamic_programming ev set ~budget =
 let all_index ev set =
   bracket "search.all_index" ~algorithm:"all index" ev @@ fun () ->
   Candidate.basics set
-
-let pp_outcome ppf o =
-  Fmt.pf ppf "%-18s size=%8d benefit=%12.1f calls=%5d time=%.3fs indexes=%d" o.algorithm
-    o.size o.benefit o.optimizer_calls o.elapsed (List.length o.config)

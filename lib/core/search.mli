@@ -50,5 +50,3 @@ val dynamic_programming : Benefit.t -> Candidate.set -> budget:int -> outcome
 
 (** All basic candidates: an index for every indexable workload pattern. *)
 val all_index : Benefit.t -> Candidate.set -> outcome
-
-val pp_outcome : Format.formatter -> outcome -> unit

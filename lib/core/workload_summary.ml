@@ -176,12 +176,6 @@ let statement_count t = List.length t.source
 
 let cluster_count t = Array.length t.clusters
 
-let is_compressed (t : t) = t.compressed
-
-let compression_ratio t =
-  let c = cluster_count t in
-  if c = 0 then 1.0 else float_of_int (statement_count t) /. float_of_int c
-
 let info (t : t) =
   { statements = statement_count t; cluster_count = cluster_count t;
     compressed = t.compressed }

@@ -52,7 +52,5 @@ val members : t -> int list list
 
 val statement_count : t -> int
 val cluster_count : t -> int
-val compression_ratio : t -> float
-val is_compressed : t -> bool
 val info : t -> info
 val pp_info : Format.formatter -> info -> unit

@@ -65,8 +65,6 @@ let default_specs =
     };
   ]
 
-let spec_names specs = List.map (fun s -> s.s_name) specs
-
 type entry = {
   e_case : string;
   e_frac : float;

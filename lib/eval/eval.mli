@@ -40,8 +40,6 @@ type spec = {
     XMark, and a synthetic workload over the TPoX catalog. *)
 val default_specs : spec list
 
-val spec_names : spec list -> string list
-
 (** Per (case × budget × algorithm) scores.  [e_algorithm] is a short
     whitespace-free key ([greedy], [heuristics], [tdlite], [tdfull], [dp],
     or [exhaustive] for the oracle's own row). *)

@@ -116,6 +116,3 @@ let refresh_indexes t =
     t.tables
 
 let real_indexes t name = (table_exn t name).real_indexes
-
-let total_data_bytes t =
-  Hashtbl.fold (fun _ tbl acc -> acc + Doc_store.total_bytes tbl.store) t.tables 0

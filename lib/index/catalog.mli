@@ -53,5 +53,3 @@ val drop_all_indexes : t -> unit
 val refresh_indexes : t -> unit
 
 val real_indexes : t -> string -> Physical_index.t list
-
-val total_data_bytes : t -> int

@@ -19,10 +19,6 @@ let compare_key a b =
   | Kstring _, Kdouble _ -> 1
   | Kdouble _, Kstring _ -> -1
 
-let pp_key ppf = function
-  | Kstring s -> Fmt.pf ppf "%S" s
-  | Kdouble f -> Fmt.float ppf f
-
 type entry = {
   key : key;
   doc : Doc_store.doc_id;

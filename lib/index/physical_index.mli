@@ -9,7 +9,6 @@ type key =
   | Kdouble of float
 
 val compare_key : key -> key -> int
-val pp_key : Format.formatter -> key -> unit
 
 type entry = {
   key : key;

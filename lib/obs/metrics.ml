@@ -203,17 +203,3 @@ let to_json entries =
     entries;
   Buffer.add_string b "\n]}\n";
   Buffer.contents b
-
-(* Zero every registered instrument (tests and the bench harness isolate
-   exhibits with this); registration survives, values reset. *)
-let reset_all () =
-  List.iter
-    (fun (_, inst) ->
-      match inst with
-      | I_counter c -> Atomic.set c 0
-      | I_gauge g -> Atomic.set g 0.0
-      | I_histogram h ->
-          Array.iter (fun b -> Atomic.set b 0) h.buckets;
-          Atomic.set h.count 0;
-          Atomic.set h.sum_us 0)
-    (Atomic.get registry)

@@ -50,6 +50,3 @@ val snapshot : unit -> (string * snapshot_value) list
 val to_json : (string * snapshot_value) list -> string
 (** Serialize a snapshot: one JSON object per metric per line, inside a
     [{"metrics":[...]}] wrapper, so fixtures diff line-by-line. *)
-
-val reset_all : unit -> unit
-(** Zero every registered instrument, keeping registrations. *)

@@ -19,12 +19,6 @@ type condition =
   | Cexists
   | Ccompare of Xp.cmp * Xp.literal
 
-let equal_condition a b =
-  match a, b with
-  | Cexists, Cexists -> true
-  | Ccompare (c, l), Ccompare (c', l') -> c = c' && Xp.equal_literal l l'
-  | Cexists, Ccompare _ | Ccompare _, Cexists -> false
-
 let pp_condition ppf = function
   | Cexists -> Fmt.string ppf "[exists]"
   | Ccompare (cmp, lit) ->
@@ -38,10 +32,6 @@ type access = {
   condition : condition;
   dtype : Index_def.data_type;
 }
-
-let pp_access ppf a =
-  Fmt.pf ppf "%s:%a %a (%a)" a.table Pattern.pp a.pattern pp_condition a.condition
-    Index_def.pp_data_type a.dtype
 
 let dtype_of_condition = function
   | Cexists -> Index_def.Dstring

@@ -9,7 +9,6 @@ type condition =
   | Cexists
   | Ccompare of Xp.cmp * Xp.literal
 
-val equal_condition : condition -> condition -> bool
 val pp_condition : Format.formatter -> condition -> unit
 
 (** One indexable access: an absolute predicate-free pattern plus the
@@ -20,8 +19,6 @@ type access = {
   condition : condition;
   dtype : Index_def.data_type;
 }
-
-val pp_access : Format.formatter -> access -> unit
 
 val dtype_of_condition : condition -> Index_def.data_type
 

@@ -51,8 +51,6 @@ let length = List.length
 
 let universal = [ { axis = Ast.Descendant; test = Ast.Elem Ast.Wildcard } ]
 
-let is_universal p = equal p universal
-
 let universal_attr = [ { axis = Ast.Descendant; test = Ast.Attr Ast.Wildcard } ]
 
 let last_step p =

@@ -38,8 +38,6 @@ val length : t -> int
     optimizer's Enumerate Indexes mode. *)
 val universal : t
 
-val is_universal : t -> bool
-
 (** The universal attribute pattern [//@*]. *)
 val universal_attr : t
 

@@ -59,7 +59,3 @@ let relative_to_string path =
   let buf = Buffer.create 32 in
   add_path buf ~absolute:false path;
   Buffer.contents buf
-
-let pp_path ppf p = Fmt.string ppf (path_to_string p)
-let pp_cmp ppf c = Fmt.string ppf (cmp_to_string c)
-let pp_literal ppf l = Fmt.string ppf (literal_to_string l)

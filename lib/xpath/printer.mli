@@ -10,7 +10,3 @@ val path_to_string : Ast.path -> string
 
 (** Relative form: no leading slash for a child first step. *)
 val relative_to_string : Ast.path -> string
-
-val pp_path : Format.formatter -> Ast.path -> unit
-val pp_cmp : Format.formatter -> Ast.cmp -> unit
-val pp_literal : Format.formatter -> Ast.literal -> unit
