@@ -1,7 +1,6 @@
 (* xia_lint — domain-safety and hygiene analyzer for this repository.
 
-   Usage: xia_lint [--json] [--allow-file FILE]
-                   [--only ID[,ID...]] [--skip ID[,ID...]]
+   Usage: xia_lint [--json] [--only ID[,ID...]] [--skip ID[,ID...]]
                    [--callgraph] [--effects] [--explain ID] PATH...
 
    Lints every .ml under the given paths (default: lib) as one program: the
@@ -15,19 +14,20 @@
    one check's documentation.  --only/--skip filter the catalog (stable
    intersection, reflected in the JSON envelope's "checks" array) so
    local runs can target one check cheaply.
-   Exit codes: 0 clean, 1 findings, 2 usage/parse/allow-file errors. *)
+   A finding is suppressed only in the source: [@lint.allow "ID"] at the
+   site (or [@@lint.allow "ID"] on an enclosing binding), or, for H002, a
+   "(* lint: reason *)" note on the line or the line above.
+   Exit codes: 0 clean, 1 findings, 2 usage/parse errors. *)
 
 module Lint = Xia_analysis.Lint
 module Checks = Xia_analysis.Checks
 module Finding = Xia_analysis.Finding
-module Suppress = Xia_analysis.Suppress
 
 let () =
   let json = ref false in
   let callgraph = ref false in
   let effects = ref false in
   let explain = ref "" in
-  let allow_file = ref "" in
   let only = ref "" in
   let skip = ref "" in
   let paths = ref [] in
@@ -43,9 +43,6 @@ let () =
       ( "--explain",
         Arg.Set_string explain,
         "ID print one check's title and rationale and exit" );
-      ( "--allow-file",
-        Arg.Set_string allow_file,
-        "FILE per-site suppressions (ID path[:line] -- reason)" );
       ( "--only",
         Arg.Set_string only,
         "IDS run only these comma-separated check IDs" );
@@ -55,8 +52,8 @@ let () =
     ]
   in
   let usage =
-    "xia_lint [--json] [--allow-file FILE] [--only IDS] [--skip IDS] \
-     [--callgraph] [--effects] [--explain ID] PATH..."
+    "xia_lint [--json] [--only IDS] [--skip IDS] [--callgraph] [--effects] \
+     [--explain ID] PATH..."
   in
   Arg.parse spec (fun p -> paths := p :: !paths) usage;
   if !explain <> "" then begin
@@ -86,16 +83,6 @@ let () =
     print_string dump;
     exit (if errors = [] then 0 else 2)
   end;
-  let allow =
-    if !allow_file = "" then []
-    else
-      let known = List.map (fun c -> c.Checks.id) Checks.catalog in
-      match Suppress.load_allow_file ~known !allow_file with
-      | Ok entries -> entries
-      | Error msgs ->
-          List.iter (Printf.eprintf "xia_lint: %s\n") msgs;
-          exit 2
-  in
   let split_ids s =
     String.split_on_char ',' s
     |> List.map String.trim
@@ -110,7 +97,7 @@ let () =
           Printf.eprintf "xia_lint: %s\n" msg;
           exit 2
   in
-  let report = Lint.lint_paths ~allow paths in
+  let report = Lint.lint_paths paths in
   if report.Lint.errors <> [] then begin
     List.iter
       (fun (e : Lint.error) -> Printf.eprintf "xia_lint: %s: %s\n" e.path e.message)
@@ -122,18 +109,12 @@ let () =
     | None -> report
     | Some ids ->
         let keep (f : Finding.t) = List.mem f.Finding.id ids in
-        {
-          report with
-          Lint.findings = List.filter keep report.Lint.findings;
-          Lint.suppressed = List.filter keep report.Lint.suppressed;
-        }
+        { report with Lint.findings = List.filter keep report.Lint.findings }
   in
   if !json then print_string (Lint.report_to_json ?only:selected report)
   else begin
     List.iter (fun f -> print_endline (Finding.to_string f)) report.Lint.findings;
     if report.Lint.findings <> [] then
-      Printf.eprintf "xia_lint: %d finding(s), %d suppressed\n"
-        (List.length report.Lint.findings)
-        (List.length report.Lint.suppressed)
+      Printf.eprintf "xia_lint: %d finding(s)\n" (List.length report.Lint.findings)
   end;
   exit (if report.Lint.findings = [] then 0 else 1)

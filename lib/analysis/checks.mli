@@ -36,15 +36,13 @@
     module-alias expansion through the graph; a reference a local binder
     of the same binding shadows is no call edge, but full name resolution
     (functors, first-class modules, local modules) is out of scope.
-    Suppress intentional sites with [\[@lint.allow "ID"\]] or an
-    allow-file entry. *)
+    Suppress intentional sites with [\[@lint.allow "ID"\]]. *)
 
 (** Run every unit-local check (D001, D002, D004, H002, R003) on one
     compilation unit: D001 over its module-level bindings, the rest over
     every site of the unit ({!Sites.unit_sites}).  The unit's source text
     honors [(* lint: reason *)] notes; its path selects D004
-    applicability.  Attribute suppressions are already applied; allow-file
-    suppression is the caller's job. *)
+    applicability.  Attribute suppressions are already applied. *)
 val check_unit : Sites.t -> Callgraph.unit_info -> Finding.t list
 
 (** Whole-program D003 over the effect summaries: flags every

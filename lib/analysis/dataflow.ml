@@ -35,7 +35,8 @@
      from the caught state; without a catch-all pattern the exception also
      propagates outward.
    - [Fun.protect ~finally:F B] owns one for B; F is walked from B's
-     normal end and from the caught state, which then re-raises.  Literal
+     normal end and from the caught state, which then re-raises; only the
+     first walk queues F's closures, so each root is analyzed once.  Literal
      thunks are walked in place (so a finalizer's [Mutex.unlock]/restore
      discharges the obligation); opaque arguments degrade to may-raise
      calls on both ends.
@@ -550,7 +551,9 @@ and walk_protect ctx ~exc st body args =
   match Option.bind finally thunk_body with
   | Some fin ->
       let n_end = walk ctx ~exc b_end fin in
-      raise_to exc (walk ctx ~exc !caught fin);
+      (* The walk above queued [fin]'s closures; a scratch queue drops the
+         second walk's copies. *)
+      raise_to exc (walk { ctx with queue = Queue.create () } ~exc !caught fin);
       n_end
   | None ->
       raise_to exc b_end;
@@ -695,8 +698,7 @@ let check sites eff =
   let calls = Sites.calls sites in
   let reaches_optimizer = Callgraph.fixpoint ~succ:calls ~join:( || ) optimizer_entry_node in
   let locks = Callgraph.fixpoint ~succ:calls ~join:union_syms (own_locks sites) in
-  (* L002 and X001: a closure queued twice (inside a finalizer) is judged
-     twice, and the final sort drops the copies. *)
+  (* L002 and X001, judged once per root. *)
   let findings = ref [] in
   let record f = findings := f :: !findings in
   (* R002's nestings, (held, acquired) -> sites, collected over every root
@@ -738,7 +740,7 @@ let check sites eff =
       }
       p.p_expr
   done;
-  List.sort_uniq Finding.compare
+  List.sort Finding.compare
     (!findings
     @ Hashtbl.fold (fun loc s acc -> Option.to_list (at_site_finding loc s) @ acc) at []
     @ r002_findings pairs)

@@ -33,7 +33,7 @@
     Suppression: [\[@lint.allow "ID"\]] at the site a finding anchors to
     (the inner [Mutex.lock] or the call for R002, the blocking call for
     L001, the [Mutex.lock] for L002, the save binding for X001, the
-    [Mutex.unlock] for X002), plus allow-file entries downstream. *)
+    [Mutex.unlock] for X002). *)
 
 (** Run R002, L001, L002, X001 and X002 over every binding of the graph
     (each closure body is analyzed as its own root, entered with an

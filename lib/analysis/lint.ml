@@ -1,6 +1,6 @@
 (* Analyzer driver: parse OCaml sources with compiler-libs once, build the
    cross-unit call graph once, run the unit-local and whole-program check
-   catalog over it, apply allow-file suppressions, report.
+   catalog over it, report.
 
    The unit of work is a source *string* ([lint_source]) so the test suite
    can exercise every check on inline fixtures — a one-unit program runs the
@@ -11,12 +11,11 @@
 type error = { path : string; message : string }
 
 type report = {
-  findings : Finding.t list;   (* kept, sorted *)
-  suppressed : Finding.t list; (* matched by an allow-file entry *)
+  findings : Finding.t list;   (* sorted *)
   errors : error list;         (* unreadable / unparsable inputs *)
 }
 
-let empty_report = { findings = []; suppressed = []; errors = [] }
+let empty_report = { findings = []; errors = [] }
 
 let parse_structure ~filename source =
   let lexbuf = Lexing.from_string source in
@@ -55,11 +54,6 @@ let lint_source ~filename source =
       Ok (List.sort Finding.compare (program_findings (Callgraph.build [ u ])))
 
 let read_file path = In_channel.with_open_bin path In_channel.input_all
-
-let lint_file path =
-  match read_file path with
-  | exception Sys_error m -> Error { path; message = m }
-  | source -> lint_source ~filename:path source
 
 (* Recursively collect .ml/.mli files under [paths]; skips _build and dot
    directories.  Sorted for deterministic reports. *)
@@ -107,15 +101,10 @@ let load paths =
   let units, parse_errors = load_units mls in
   (Callgraph.build units, mls, mlis, walk_errors @ parse_errors)
 
-let lint_paths ?(allow = []) paths =
+let lint_paths paths =
   let graph, mls, mlis, errors = load paths in
   let all = Checks.missing_mli ~mls ~mlis @ program_findings graph in
-  let kept, suppressed = Suppress.apply allow all in
-  {
-    findings = List.sort Finding.compare kept;
-    suppressed = List.sort Finding.compare suppressed;
-    errors;
-  }
+  { findings = List.sort Finding.compare all; errors }
 
 (* DOT rendering of the cross-unit call graph for the given paths. *)
 let callgraph_dot paths =
@@ -142,8 +131,9 @@ let dataflow_findings paths =
    shape changes; the fixtures in test/ lock the bytes.  v3: N/E-series
    checks in the catalog, top-level "errors" array.  v4: the
    flow-sensitive L/X-series in the catalog; the "checks" array reflects
-   an --only/--skip filter when one is active. *)
-let json_schema_version = 4
+   an --only/--skip filter when one is active.  v5: no "suppressed"
+   block (suppression lives in the source only). *)
+let json_schema_version = 5
 
 (* Array elements, one per line, comma-separated. *)
 let json_lines = function [] -> "" | items -> "    " ^ String.concat ",\n    " items ^ "\n"
@@ -159,15 +149,6 @@ let report_to_json ?only (r : report) =
     | [] -> Printf.sprintf "  \"%s\": []%s\n" name sep
     | items -> Printf.sprintf "  \"%s\": [\n%s  ]%s\n" name (json_lines items) sep
   in
-  let by_id =
-    List.sort_uniq String.compare
-      (List.map (fun (f : Finding.t) -> f.Finding.id) r.suppressed)
-    |> List.map (fun id ->
-           ( id,
-             List.length
-               (List.filter (fun (f : Finding.t) -> String.equal f.Finding.id id)
-                  r.suppressed) ))
-  in
   String.concat ""
     [
       "{\n";
@@ -181,12 +162,6 @@ let report_to_json ?only (r : report) =
               cat));
       array "findings" ","
         (List.map Finding.to_json (List.sort Finding.compare r.findings));
-      Printf.sprintf "  \"suppressed\": {\"total\": %d, \"by_id\": {%s}},\n"
-        (List.length r.suppressed)
-        (String.concat ", "
-           (List.map
-              (fun (id, n) -> Printf.sprintf "\"%s\": %d" (Finding.json_escape id) n)
-              by_id));
       array "errors" ""
         (List.map
            (fun e ->

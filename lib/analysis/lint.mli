@@ -1,12 +1,10 @@
 (** Analyzer driver: parse with compiler-libs once, build the cross-unit
-    call graph once, run the unit-local and whole-program checks, apply the
-    allow file. *)
+    call graph once, run the unit-local and whole-program checks. *)
 
 type error = { path : string; message : string }
 
 type report = {
-  findings : Finding.t list;   (** kept findings, sorted *)
-  suppressed : Finding.t list; (** findings matched by an allow-file entry *)
+  findings : Finding.t list;   (** findings, sorted *)
   errors : error list;         (** unreadable / unparsable inputs *)
 }
 
@@ -17,13 +15,10 @@ val empty_report : report
     no H001). *)
 val lint_source : filename:string -> string -> (Finding.t list, error) result
 
-(** Lint one file from disk. *)
-val lint_file : string -> (Finding.t list, error) result
-
 (** Lint every [.ml] under [paths] (recursively; skips [_build] and dot
     directories) as one program sharing one call graph, including the H001
-    interface check, then apply the allow-file [entries]. *)
-val lint_paths : ?allow:Suppress.entry list -> string list -> report
+    interface check. *)
+val lint_paths : string list -> report
 
 (** Deterministic Graphviz rendering of the call graph over every [.ml]
     under [paths], plus any walk/parse errors (the graph covers the parsable
@@ -44,8 +39,7 @@ val dataflow_findings : string list -> Finding.t list * error list
 val json_schema_version : int
 
 (** The versioned machine-readable report: schema version, check catalog,
-    findings sorted by (file, line, col, id), suppressed totals per check
-    ID, walk/parse errors.  Byte-stable for identical inputs
+    findings sorted by (file, line, col, id), walk/parse errors.  Byte-stable for identical inputs
     (fixture-locked in test/).  [only] restricts the emitted "checks"
     array to the given IDs (the --only/--skip filter); the caller filters
     the findings themselves. *)

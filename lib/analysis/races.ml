@@ -17,7 +17,7 @@
    references [Par.sum_list].
 
    All checks honor [@lint.allow "ID"] at the site the finding anchors
-   to, plus allow-file entries downstream. *)
+   to. *)
 
 open Parsetree
 

@@ -4,8 +4,7 @@
    get two-unit temp-dir projects proving the cross-module cases the old
    per-file analysis could not see; the interprocedural effect pass gets a
    golden summary dump and cross-unit propagation cases; plus the
-   self-check that the repository's own lib/ is lint-clean under the
-   checked-in allow file. *)
+   self-check that the repository's own lib/ is lint-clean. *)
 
 module Lint = Xia_analysis.Lint
 module Checks = Xia_analysis.Checks
@@ -126,17 +125,6 @@ let d001_tests =
         check_ids "flagged" [ (1, "D001") ] "include struct let r = ref 0 end\n");
     tc "a tuple pattern binding flags each component" (fun () ->
         check_ids "two findings" [ (1, "D001"); (1, "D001") ] "let (a, b) = (ref 0, ref 1)\n");
-    tc "allow-file suppression by path and line" (fun () ->
-        let fs = findings "let a = ref 0\nlet b = ref 1\n" in
-        let entry =
-          { Suppress.id = "D001"; path = "fixture.ml"; line = Some 1; reason = "test" }
-        in
-        let kept, suppressed = Suppress.apply [ entry ] fs in
-        Alcotest.(check (list (pair int string)))
-          "line 1 suppressed, line 2 kept"
-          [ (2, "D001") ]
-          (List.map (fun (f : Finding.t) -> (f.line, f.id)) kept);
-        Alcotest.(check int) "one suppressed" 1 (List.length suppressed));
   ]
 
 (* ---------------------------------------------------------------- D002 -- *)
@@ -296,65 +284,6 @@ let h002_tests =
            = lint_note_oracle src));
   ]
 
-(* -------------------------------------------------- allow-file parsing -- *)
-
-let known = List.map (fun (c : Checks.check_info) -> c.id) Checks.catalog
-
-let allow_file_tests =
-  [
-    tc "entry naming an unknown check is a located error" (fun () ->
-        match
-          Suppress.parse_allow_file ~known ~file:"lint.allow"
-            "# comment\nD001 lib/a.ml -- fine\nD999 lib/x.ml -- reason\n"
-        with
-        | Ok _ -> Alcotest.fail "an unknown check ID must not load"
-        | Error msgs ->
-            Alcotest.(check int) "one error" 1 (List.length msgs);
-            Alcotest.(check bool)
-              "names the file, line and ID" true
-              (contains (List.hd msgs) "lint.allow:3:" && contains (List.hd msgs) "D999"));
-    tc "entry with path, line and reason parses" (fun () ->
-        match
-          Suppress.parse_allow_file ~known ~file:"lint.allow"
-            "# comment\n\nD001 lib/core/par.ml:68 -- intentional pool handle\n"
-        with
-        | Error msgs -> Alcotest.failf "unexpected errors: %s" (String.concat "; " msgs)
-        | Ok [ e ] ->
-            Alcotest.(check string) "id" "D001" e.Suppress.id;
-            Alcotest.(check string) "path" "lib/core/par.ml" e.Suppress.path;
-            Alcotest.(check (option int)) "line" (Some 68) e.Suppress.line;
-            Alcotest.(check string) "reason" "intentional pool handle" e.Suppress.reason
-        | Ok es -> Alcotest.failf "expected one entry, got %d" (List.length es));
-    tc "entry without a reason is rejected" (fun () ->
-        match Suppress.parse_allow_file ~known ~file:"lint.allow" "D001 lib/core/par.ml\n" with
-        | Ok _ -> Alcotest.fail "entry without reason must be an error"
-        | Error msgs -> Alcotest.(check int) "one error" 1 (List.length msgs));
-    tc "a directory as the allow file is an error naming it" (fun () ->
-        let dir = Filename.temp_dir "xia_allow" "" in
-        Fun.protect
-          ~finally:(fun () -> Sys.rmdir dir)
-          (fun () ->
-            match Suppress.load_allow_file ~known dir with
-            | Ok _ -> Alcotest.fail "a directory must not load as an allow file"
-            | Error msgs ->
-                Alcotest.(check bool)
-                  "names the path" true
-                  (List.exists (fun m -> contains m dir) msgs)));
-    tc "path matches by component suffix" (fun () ->
-        let f =
-          Finding.make ~file:"../lib/index/index_def.ml" ~line:29 ~col:0 ~id:"D001"
-            ~message:"m"
-        in
-        let e line =
-          { Suppress.id = "D001"; path = "lib/index/index_def.ml"; line; reason = "r" }
-        in
-        Alcotest.(check bool) "any-line entry" true (Suppress.suppresses (e None) f);
-        Alcotest.(check bool) "right line" true (Suppress.suppresses (e (Some 29)) f);
-        Alcotest.(check bool) "wrong line" false (Suppress.suppresses (e (Some 30)) f);
-        Alcotest.(check bool) "wrong id" false
-          (Suppress.suppresses { (e None) with Suppress.id = "D002" } f));
-  ]
-
 (* ------------------------------------------------------- output format -- *)
 
 let format_tests =
@@ -389,21 +318,8 @@ let format_tests =
 
 let self_check_tests =
   [
-    tc "lint.allow stays within its 5-entry budget" (fun () ->
-        (* The file's header promises the budget.  The ratchet's allow rows
-           count suppressed findings, not entries, so this case is what
-           holds it. *)
-        match Suppress.load_allow_file ~known "../lint.allow" with
-        | Error msgs -> Alcotest.failf "lint.allow: %s" (String.concat "; " msgs)
-        | Ok entries ->
-            Alcotest.(check bool) "at most 5 entries" true (List.length entries <= 5));
-    tc "repo lib/ is lint-clean under lint.allow" (fun () ->
-        let allow =
-          match Suppress.load_allow_file ~known "../lint.allow" with
-          | Ok entries -> entries
-          | Error msgs -> Alcotest.failf "lint.allow: %s" (String.concat "; " msgs)
-        in
-        let report = Lint.lint_paths ~allow [ "../lib" ] in
+    tc "repo lib/ is lint-clean" (fun () ->
+        let report = Lint.lint_paths [ "../lib" ] in
         Alcotest.(check (list string))
           "no analysis errors" []
           (List.map (fun (e : Lint.error) -> e.path ^ ": " ^ e.message) report.errors);
@@ -411,8 +327,8 @@ let self_check_tests =
           "no findings" []
           (List.map Finding.to_string report.findings));
     tc "repo lib/ is R-clean without any suppression" (fun () ->
-        (* The race checks pass on lib/ on their own merits: no allow-file
-           entry and no attribute hides an R-series finding. *)
+        (* The race checks pass on lib/ on their own merits: no attribute
+           hides an R-series finding. *)
         let report = Lint.lint_paths [ "../lib" ] in
         Alcotest.(check (list string))
           "no R-series findings" []
@@ -425,7 +341,7 @@ let self_check_tests =
     tc "repo lib/ is L/X-clean without any suppression" (fun () ->
         (* Same bar for the flow-sensitive checks: every lock region and
            save/restore in lib/ is exception-safe on its own merits — no
-           allow-file entry and no attribute hides an L/X-series finding. *)
+           attribute hides an L/X-series finding. *)
         let report = Lint.lint_paths [ "../lib" ] in
         Alcotest.(check (list string))
           "no L/X-series findings" []
@@ -859,6 +775,16 @@ let l002_tests =
            let run f =\n\
           \  Mutex.lock m;\n\
           \  Fun.protect ~finally:(fun () -> Mutex.unlock m) f\n");
+    tc "a closure inside a finalizer is judged once" (fun () ->
+        (* The finalizer is walked from both ends of the body; its closure
+           must still be queued, analyzed and reported once. *)
+        check_ids "one finding"
+          [ (4, "L002") ]
+          "let m = Mutex.create ()\n\
+           let run g f =\n\
+          \  Fun.protect\n\
+          \    ~finally:(fun () -> g (fun () -> Mutex.lock m; f (); Mutex.unlock m))\n\
+          \    (fun () -> ())\n");
     tc "total critical section needs no finalizer" (fun () ->
         check_ids "clean" []
           "let m = Mutex.create ()\n\
@@ -1409,7 +1335,7 @@ let json_report_tests =
   [
     tc "schema version and check catalog header" (fun () ->
         let s = Lint.report_to_json Lint.empty_report in
-        Alcotest.(check bool) "version" true (contains s "\"schema_version\": 4");
+        Alcotest.(check bool) "version" true (contains s "\"schema_version\": 5");
         Alcotest.(check bool) "catalog has D001" true (contains s "{\"id\": \"D001\"");
         Alcotest.(check bool) "catalog has R003" true (contains s "{\"id\": \"R003\"");
         Alcotest.(check bool) "catalog has E001" true (contains s "{\"id\": \"E001\"");
@@ -1421,9 +1347,7 @@ let json_report_tests =
         Alcotest.(check bool) "catalog has X001" true (contains s "{\"id\": \"X001\"");
         Alcotest.(check bool) "catalog has X002" true (contains s "{\"id\": \"X002\"");
         Alcotest.(check bool) "empty findings" true (contains s "\"findings\": []");
-        Alcotest.(check bool)
-          "empty suppression block" true
-          (contains s "\"suppressed\": {\"total\": 0, \"by_id\": {}}");
+        Alcotest.(check bool) "no suppression block" false (contains s "suppressed");
         Alcotest.(check bool) "empty errors" true (contains s "\"errors\": []"));
     tc "an --only filter shrinks the checks array" (fun () ->
         let s = Lint.report_to_json ~only:[ "L001"; "X002" ] Lint.empty_report in
@@ -1437,7 +1361,6 @@ let json_report_tests =
         let r =
           {
             Lint.findings = [];
-            suppressed = [];
             errors = [ { Lint.path = "x.ml"; message = "boom" } ];
           }
         in
@@ -1448,7 +1371,6 @@ let json_report_tests =
         let r =
           {
             Lint.findings = [ mk_finding ~file:"b.ml" ~line:9 "R001"; mk_finding "D001" ];
-            suppressed = [];
             errors = [];
           }
         in
@@ -1456,22 +1378,9 @@ let json_report_tests =
         let ia = index_of s "\"a.ml\"" and ib = index_of s "\"b.ml\"" in
         Alcotest.(check bool) "both present" true (ia >= 0 && ib >= 0);
         Alcotest.(check bool) "a.ml before b.ml" true (ia < ib));
-    tc "per-ID suppressed counts" (fun () ->
-        let r =
-          {
-            Lint.findings = [];
-            suppressed =
-              [ mk_finding "D001"; mk_finding ~line:2 "D001"; mk_finding ~line:3 "R001" ];
-            errors = [];
-          }
-        in
-        Alcotest.(check bool)
-          "totals and per-ID map" true
-          (contains (Lint.report_to_json r)
-             "\"suppressed\": {\"total\": 3, \"by_id\": {\"D001\": 2, \"R001\": 1}}"));
     tc "byte-stable across runs" (fun () ->
         let r =
-          { Lint.findings = [ mk_finding "D002" ]; suppressed = []; errors = [] }
+          { Lint.findings = [ mk_finding "D002" ]; errors = [] }
         in
         Alcotest.(check string) "identical" (Lint.report_to_json r)
           (Lint.report_to_json r));
@@ -1791,7 +1700,6 @@ let suites =
     ("lint.e002", e002_tests);
     ("lint.effects", effects_tests);
     ("lint.sites", site_tests);
-    ("lint.allow_file", allow_file_tests);
     ("lint.format", format_tests);
     ("lint.json_report", json_report_tests);
     ("lint.self_check", self_check_tests);

@@ -1,6 +1,6 @@
 (* One ratchet for the repo's measured claims.
 
-     ratchet [--write] bench|eval|lint EXE
+     ratchet [--write] bench|eval EXE
 
    Runs the domain's producer EXE, reads its JSON report and checks it
    against that domain's lines of ratchet.baseline in the current directory,
@@ -13,7 +13,7 @@
 
 let die fmt = Printf.ksprintf (fun s -> prerr_endline ("ratchet: " ^ s); exit 2) fmt
 
-(* ---------- JSON: just enough to read the three reports ---------- *)
+(* ---------- JSON: just enough to read the reports ---------- *)
 
 type json =
   | Obj of (string * json) list
@@ -135,26 +135,13 @@ let eval_rows report =
       :: List.concat_map entry (arr "entries" c))
     (arr "cases" report)
 
-(* Raw debt = reported findings + allow-file suppressions.  Every catalog
-   ID gets both rows, so a check whose findings all go away reads 0. *)
-let lint_rows report =
-  let findings = List.map (str "id") (arr "findings" report) in
-  let by_id = member "by_id" (member "suppressed" report) in
-  List.concat_map
-    (fun check ->
-      let id = str "id" check in
-      let allowed = match find id by_id with Some (Atom n) -> int_of_string n | _ -> 0 in
-      let reported = List.length (List.filter (String.equal id) findings) in
-      [ row id "raw" (string_of_int (reported + allowed));
-        row id "allow" (string_of_int allowed) ])
-    (arr "checks" report)
-
-(* Runs [exe args] from [dir]; an exit status above [ok] is a failure. *)
-let run ?(dir = ".") ?(ok = 0) ~out ?(err = out) exe args =
-  let cmd = Filename.quote_command exe args ~stdout:out ~stderr:err in
+(* Runs [exe args] from [dir], its output to [log]; an exit status above 0
+   is a failure. *)
+let run ~dir ~log exe args =
+  let cmd = Filename.quote_command exe args ~stdout:log ~stderr:log in
   let status = Sys.command ("cd " ^ Filename.quote dir ^ " && " ^ cmd) in
-  if status > ok then begin
-    prerr_string (read_file err);
+  if status > 0 then begin
+    prerr_string (read_file log);
     die "%s failed (exit %d)" (Filename.basename exe) status
   end
 
@@ -162,22 +149,16 @@ let produce domain exe scratch =
   let log = Filename.concat scratch "producer.log" in
   match domain with
   | "bench" ->
-    run ~dir:scratch ~out:log exe
+    run ~dir:scratch ~log exe
       [ "quick"; "par"; "scale10k"; "scale10k-raw"; "walk"; "executor"; "whatif";
         "candidates" ];
     bench_rows (read_json (Filename.concat scratch "BENCH_advisor.json"))
   | "eval" ->
     let perturb = Option.value (Sys.getenv_opt "XIA_EVAL_PERTURB") ~default:"1" in
-    run ~dir:scratch ~out:log exe
+    run ~dir:scratch ~log exe
       [ "eval"; "--small"; "--perturb"; perturb; "--json"; "EVAL_advisor.json" ];
     eval_rows (read_json (Filename.concat scratch "EVAL_advisor.json"))
-  | "lint" ->
-    let report = Filename.concat scratch "lint.json" in
-    (* exit 1 means findings were reported: the report is still complete *)
-    run ~ok:1 ~out:report ~err:log exe
-      [ "--json"; "--allow-file"; "lint.allow"; "lib"; "bin"; "bench" ];
-    lint_rows (read_json report)
-  | d -> die "unknown domain %S (bench, eval or lint)" d
+  | d -> die "unknown domain %S (bench or eval)" d
 
 let baseline_file = "ratchet.baseline"
 
@@ -288,7 +269,7 @@ let () =
     match List.tl (Array.to_list Sys.argv) with
     | [ "--write"; d; e ] -> (true, d, e)
     | [ d; e ] -> (false, d, e)
-    | _ -> die "usage: ratchet [--write] bench|eval|lint EXE"
+    | _ -> die "usage: ratchet [--write] bench|eval EXE"
   in
   (* resolve before the producer runs from the scratch directory *)
   let exe =
