@@ -835,6 +835,38 @@ let candidates () =
         (Candidate.cardinality set);
       Format.printf "second pass: %.4fs, %.0f minor words@." elapsed words)
 
+(* ---------- Workload reading: a Zipf-repeated query log ---------- *)
+
+(* [scale10k]'s workload (10k statements over 64 templates at quick scale)
+   written as a "freq|statement" query log, then read back with
+   [Workload.read]: nearly every line repeats an earlier one, the case the
+   reader's raw-line memo serves.  The record's minor words are the second
+   of two identical reads with observability off, as in [walk]; the bench
+   ratchet holds them with a [max] line. *)
+let read () =
+  header "Workload reading: a Zipf-repeated query log read back";
+  let _, workload, distinct = scale10k_workload () in
+  let path = Filename.temp_file "xia_read" ".workload" in
+  Out_channel.with_open_text path (fun oc ->
+      List.iter
+        (fun (it : W.item) ->
+          Printf.fprintf oc "%.17g|%s\n" it.W.freq
+            (Xia_query.Printer.statement_to_string it.W.statement))
+        workload);
+  let pass () = W.of_file path in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      Obs.with_enabled false (fun () ->
+          ignore (pass ());
+          let w0 = Gc.minor_words () in
+          let read, elapsed = Trace.timed "read.pass" pass in
+          let words = Gc.minor_words () -. w0 in
+          Atomic.set exhibit_minor_words (Some words);
+          Format.printf "%d lines over %d templates, %d read back@." (W.size workload) distinct
+            (W.size read);
+          Format.printf "second read: %.4fs, %.0f minor words@." elapsed words))
+
 (* ---------- Recommendation quality vs the exhaustive optimum ---------- *)
 
 (* The committed eval cases (lib/eval): regret against the true optimum and
@@ -1173,6 +1205,7 @@ let experiments =
     ("executor", executor);
     ("whatif", whatif);
     ("candidates", candidates);
+    ("read", read);
     ("eval-quality", eval_quality);
   ]
 

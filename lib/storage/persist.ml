@@ -79,9 +79,22 @@ let save_directory store dir =
    is "[freq|]statement"; parsing of the statement itself is left to the
    caller (query front ends live above this library).
 
-   One streaming pass: a line is trimmed and split in place, so it costs
-   the line read plus one copy of its statement text (none when it carries
-   no prefix and no surrounding whitespace). *)
+   Query logs repeat a few hundred distinct lines many times.  A table from
+   statement text to parsed value parses each text once, so the same
+   statement under another prefix or spacing shares one value.  A raw line
+   whose text is already in that table enters a second table, keyed by the
+   whole line: from then on the line costs [input_line], one hash lookup
+   and the caller's item, with no trimming, splitting, frequency parse or
+   text copy.  A line enters it only when its text repeats, so a file of
+   distinct lines keeps no second copy of its lines.  A new line is trimmed
+   and split in place: its frequency prefix and its statement text are
+   copied once each (the text not at all when the line has no prefix and
+   no surrounding whitespace).  A bad line stops the read, so no error is
+   memoized. *)
+
+module Strings = Hashtbl.Make (String)
+
+type 'b line = Skip | Entry of float * 'b
 
 let is_space = function ' ' | '\012' | '\n' | '\r' | '\t' -> true | _ -> false
 
@@ -91,41 +104,64 @@ let rec skip_back s lo hi = if hi > lo && is_space s.[hi - 1] then skip_back s l
 
 let sub s lo hi = if lo = 0 && hi = String.length s then s else String.sub s lo (hi - lo)
 
-(* [f freq text] on a statement line, with a [Scan.Fail] from [f] moved from
-   [text] to [raw].  A frequency prefix that reads as a number must be a
-   usable weight: NaN, infinities and negative values would poison every
-   weighted cost sum. *)
-let workload_entry f raw =
-  let n = String.length raw in
-  let lo = skip_fwd raw 0 n and hi = skip_back raw 0 n in
-  if lo = hi || raw.[lo] = '#' then None
-  else
-    let freq, at =
-      match String.index_from_opt raw lo '|' with
-      | None -> (1.0, lo)
-      | Some bar -> (
-          match float_of_string_opt (sub raw lo (skip_back raw lo bar)) with
-          | None -> (1.0, lo)
-          | Some freq when Float.is_finite freq && freq >= 0.0 -> (freq, skip_fwd raw (bar + 1) hi)
-          | Some freq ->
-              raise
-                (Scan.Fail (lo, Printf.sprintf "frequency %g is not a finite non-negative number" freq)))
-    in
-    try Some (f freq (sub raw at hi)) with Scan.Fail (k, message) -> raise (Scan.Fail (at + k, message))
+(* [Entry (freq, parse text)] for the statement text of [raw] in [at, hi),
+   parsed only when [texts] does not hold it yet; a [Scan.Fail] from
+   [parse] is moved from the text to [raw].  A line whose text was seen
+   before enters [lines]. *)
+let entry parse lines texts raw hi freq at =
+  let text = sub raw at hi in
+  match Strings.find texts text with
+  | value ->
+      let known = Entry (freq, value) in
+      Strings.add lines raw known;
+      known
+  | exception Not_found -> (
+      match parse text with
+      | value ->
+          Strings.add texts text value;
+          Entry (freq, value)
+      | exception Scan.Fail (k, message) -> raise (Scan.Fail (at + k, message)))
 
-let workload_lines path f =
+(* What the raw line [raw] means: [Skip] for a blank or comment line, else
+   its [entry].  A frequency prefix that reads as a number must be a usable
+   weight: NaN, infinities and negative values would poison every weighted
+   cost sum. *)
+let line_of parse lines texts raw =
+  let n = String.length raw in
+  let lo = skip_fwd raw 0 n in
+  let hi = skip_back raw lo n in
+  if lo = hi || raw.[lo] = '#' then Skip
+  else
+    match String.index_from raw lo '|' with
+    | exception Not_found -> entry parse lines texts raw hi 1.0 lo
+    | bar -> (
+        match float_of_string_opt (sub raw lo (skip_back raw lo bar)) with
+        | None -> entry parse lines texts raw hi 1.0 lo
+        | Some freq when Float.is_finite freq && freq >= 0.0 ->
+            entry parse lines texts raw hi freq (skip_fwd raw (bar + 1) hi)
+        | Some freq ->
+            raise
+              (Scan.Fail (lo, Printf.sprintf "frequency %g is not a finite non-negative number" freq)))
+
+let workload_lines path ~parse f =
   match open_in path with
   | exception Sys_error msg -> Error (sys_error path msg)
   | ic -> (
+      let lines = Strings.create 16 and texts = Strings.create 16 in
       let line = ref 0 in
       let[@tail_mod_cons] rec from () =
         match input_line ic with
         | exception End_of_file -> []
         | raw -> (
             incr line;
-            match workload_entry f raw with
-            | Some x -> x :: from ()
-            | None -> from ())
+            let meaning =
+              match Strings.find lines raw with
+              | known -> known
+              | exception Not_found -> line_of parse lines texts raw
+            in
+            match meaning with
+            | Entry (freq, value) -> f freq value :: from ()
+            | Skip -> from ())
       in
       match Fun.protect ~finally:(fun () -> close_in_noerr ic) from with
       | items -> Ok items

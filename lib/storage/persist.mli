@@ -15,14 +15,19 @@ val load_directory : Doc_store.t -> string -> (load_report, Xia_xml.Scan.error) 
 (** Write every document as [NNNNNN.xml]; creates the directory. *)
 val save_directory : Doc_store.t -> string -> unit
 
-(** [workload_lines path f] reads a workload file in one streaming pass:
-    ['#'] comments and blank lines are skipped, every other line is
-    ["freq|statement"] or just a statement (frequency 1.0).  [f freq text]
-    is applied to each statement line in file order, [text] being the
-    statement, trimmed but otherwise verbatim; the results come back in file
-    order.  The first bad line stops the read: a frequency prefix that is
-    negative, NaN or infinite, or a [Scan.Fail (k, _)] from [f], reported at
-    the file line and column of the k-th character of [text].  [Error] also
+(** [workload_lines path ~parse f] reads a workload file in one streaming
+    pass: ['#'] comments and blank lines are skipped, every other line is
+    ["freq|statement"] or just a statement (frequency 1.0).  [f freq v] is
+    applied to each statement line in file order, [v] being [parse text]
+    for the line's statement [text], trimmed but otherwise verbatim; the
+    results come back in file order.  [parse] runs once per distinct
+    statement text, so lines with the same text share one [v].
+    The first bad line stops the read: a frequency prefix that is negative,
+    NaN or infinite, or a [Scan.Fail (k, _)] from [parse], reported at the
+    file line and column of the k-th character of [text].  [Error] also
     when the file cannot be read. *)
 val workload_lines :
-  string -> (float -> string -> 'a) -> ('a list, Xia_xml.Scan.error) result
+  string ->
+  parse:(string -> 'b) ->
+  (float -> 'b -> 'a) ->
+  ('a list, Xia_xml.Scan.error) result

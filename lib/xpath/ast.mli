@@ -41,7 +41,6 @@ val step : ?predicates:predicate list -> axis -> node_test -> step
 val equal_axis : axis -> axis -> bool
 val equal_name_test : name_test -> name_test -> bool
 val equal_node_test : node_test -> node_test -> bool
-val equal_literal : literal -> literal -> bool
 val equal_step : step -> step -> bool
 val equal_predicate : predicate -> predicate -> bool
 val equal_path : path -> path -> bool

@@ -109,7 +109,9 @@ let workload_file_tests =
         write_file dir "wl.txt"
           "# comment\n\nfor $x in T/a return $x\n5.5|delete from T where /a\n";
         let lines =
-          ok (P.workload_lines (Filename.concat dir "wl.txt") (fun freq text -> (freq, text)))
+          ok
+            (P.workload_lines (Filename.concat dir "wl.txt") ~parse:Fun.id (fun freq text ->
+                 (freq, text)))
         in
         Alcotest.(check int) "two" 2 (List.length lines);
         (match lines with
@@ -120,8 +122,9 @@ let workload_file_tests =
         | _ -> Alcotest.fail "unexpected");
         (* A failure [f] raises in a statement is moved to its file line and column. *)
         match
-          P.workload_lines (Filename.concat dir "wl.txt") (fun _ text ->
-              if text.[0] = 'd' then raise (Xia_xml.Scan.Fail (2, "bad")))
+          P.workload_lines (Filename.concat dir "wl.txt")
+            ~parse:(fun text -> if text.[0] = 'd' then raise (Xia_xml.Scan.Fail (2, "bad")))
+            (fun _ () -> ())
         with
         | Ok _ -> Alcotest.fail "expected an error"
         | Error e -> Alcotest.(check (pair int int)) "file line and column" (4, 7) (e.line, e.column));
@@ -225,6 +228,136 @@ let workload_file_tests =
           wl);
   ]
 
+(* What a memo-free reader makes of one raw line: [None] for a blank or
+   comment line, else its frequency and statement text. *)
+let oracle_line raw =
+  let line = String.trim raw in
+  if line = "" || line.[0] = '#' then None
+  else
+    match String.index_opt line '|' with
+    | None -> Some (1.0, line)
+    | Some bar -> (
+        match float_of_string_opt (String.trim (String.sub line 0 bar)) with
+        | Some freq ->
+            Some (freq, String.trim (String.sub line (bar + 1) (String.length line - bar - 1)))
+        | None -> Some (1.0, line))
+
+(* Raw lines built from a few statements, each under several prefixes and
+   spacings, drawn with repeats and mixed with comments and blank lines. *)
+let memo_file_lines seed =
+  let statements =
+    [
+      {|for $x in T/a where $x/k = "v" return $x|};
+      {|SELECT * FROM T WHERE XMLEXISTS('/a[k="v"]')|};
+      {|update T set /a/b = "9" where /a[c=1]|};
+      "delete from T where /a[k=2]";
+    ]
+  in
+  let prefixes = [ ""; "2|"; "3.5|"; "  7 | "; "0|"; "0.25|"; "1e1|"; "\t12.|"; ".5 |" ] in
+  let others = [ "# comment"; ""; "   "; "  # indented comment" ] in
+  let rng = Random.State.make [| seed |] in
+  let pick l = List.nth l (Random.State.int rng (List.length l)) in
+  let fresh () =
+    if Random.State.int rng 5 = 0 then pick others
+    else pick prefixes ^ pick statements ^ pick [ ""; " "; "\t"; "  " ]
+  in
+  (* A pool of raw lines, then lines drawn from it: most repeat exactly. *)
+  let pool = List.init 24 (fun _ -> fresh ()) in
+  List.init 200 (fun _ -> pick pool)
+
+let memo_tests =
+  [
+    tc "Workload.read = memo-free oracle on repeated, respaced and re-prefixed lines" (fun () ->
+        let dir = tmp_dir "xia_wl7" in
+        let path = Filename.concat dir "wl.txt" in
+        List.iter
+          (fun seed ->
+            let raws = memo_file_lines seed in
+            write_file dir "wl.txt" (String.concat "\n" raws ^ "\n");
+            let expected =
+              List.filter_map
+                (fun raw ->
+                  Option.map
+                    (fun (freq, text) ->
+                      match Xia_query.Sqlxml.parse_any text with
+                      | Ok (`Xquery s | `Sqlxml s) -> (raw, freq, s)
+                      | Error msg -> Alcotest.fail msg)
+                    (oracle_line raw))
+                raws
+            in
+            let wl = ok (W.read path) in
+            Alcotest.(check int) "size" (List.length expected) (W.size wl);
+            List.iteri
+              (fun i ((_, freq, stmt), (it : W.item)) ->
+                let label = Printf.sprintf "S%d" (i + 1) in
+                Alcotest.(check string) "label" label it.W.label;
+                Alcotest.(check int64) (label ^ " freq") (Int64.bits_of_float freq)
+                  (Int64.bits_of_float it.W.freq);
+                Alcotest.(check bool) (label ^ " statement") true (stmt = it.W.statement))
+              (List.combine expected wl);
+            (* Identical raw lines share one statement value. *)
+            List.iter2
+              (fun (raw, _, _) (a : W.item) ->
+                List.iter2
+                  (fun (raw', _, _) (b : W.item) ->
+                    if String.equal raw raw' then
+                      Alcotest.(check bool) (a.W.label ^ " shares " ^ b.W.label) true
+                        (a.W.statement == b.W.statement))
+                  expected wl)
+              expected wl)
+          [ 1; 2; 3 ]);
+    tc "the first bad line is reported, also after and among repeats" (fun () ->
+        let dir = tmp_dir "xia_wl8" in
+        let path = Filename.concat dir "wl.txt" in
+        let q = "for $x in T/a return $x" in
+        List.iter
+          (fun (what, lines, at) ->
+            write_file dir "wl.txt" (String.concat "\n" lines ^ "\n");
+            match W.read path with
+            | Ok _ -> Alcotest.failf "%s: expected an error" what
+            | Error e ->
+                Alcotest.(check (pair string (pair int int))) what (path, at)
+                  (e.Xia_xml.Scan.source, (e.line, e.column)))
+          [
+            ("bad statement after repeats", [ q; q; "2|" ^ q; q; "  2 | not a statement" ], (5, 7));
+            ( "repeated bad statement",
+              [ q; "2|" ^ q; "3| not a statement"; q; "3| not a statement" ],
+              (3, 4) );
+            ("repeated bad frequency", [ q; "-5|" ^ q; q; "-5|" ^ q ], (2, 1));
+            ("bad frequency after repeats", [ "4|" ^ q; "4|" ^ q; " nan |" ^ q ], (3, 2));
+          ]);
+  ]
+
+(* Frequency prefixes: every one the reader takes as a number must read as
+   [float_of_string_opt] reads it. *)
+let frequencies_agree prefixes =
+  let dir = tmp_dir "xia_freq" in
+  let path = Filename.concat dir "wl.txt" in
+  write_file dir "wl.txt" (String.concat "" (List.map (fun p -> p ^ "|x\n") prefixes));
+  let got = ok (P.workload_lines path ~parse:Fun.id (fun freq text -> (freq, text))) in
+  List.length got = List.length prefixes
+  && List.for_all2
+       (fun prefix (freq, text) ->
+         match oracle_line (prefix ^ "|x") with
+         | Some (freq', text') -> Int64.bits_of_float freq = Int64.bits_of_float freq' && text = text'
+         | None -> false)
+       prefixes got
+
+let frequency_tests =
+  [
+    tc "frequency prefixes read as float_of_string_opt reads them" (fun () ->
+        Alcotest.(check bool) "agree" true
+          (frequencies_agree
+             [
+               (* long mantissas around the 15/16/17-digit boundary *)
+               "123456789012345"; "1234567890123456"; "9007199254740993"; "12345678901234.5";
+               "95585765.07325435"; "964.55667375689126"; "0.82645031815421166";
+               "1234567890123.45"; "0.000000000000001"; "0.1"; "0.3"; "2.675"; "000000000000000001";
+               "-"; "12."; ".5"; "."; ""; "1e3"; "0x1p3"; "1_0"; " 7 "; "\t0.25 "; "0"; "0.0";
+               "1.2.3"; "1 2"; "+5"; "5a";
+             ]));
+  ]
+
 let report_tests =
   [
     tc "what-if report on the TPoX fixture" (fun () ->
@@ -272,5 +405,7 @@ let suites =
   [
     ("persist.directory", persist_tests);
     ("persist.workload_file", workload_file_tests);
+    ("persist.memo", memo_tests);
+    ("persist.frequency", frequency_tests);
     ("report.whatif", report_tests);
   ]

@@ -151,7 +151,7 @@ let produce domain exe scratch =
   | "bench" ->
     run ~dir:scratch ~log exe
       [ "quick"; "par"; "scale10k"; "scale10k-raw"; "walk"; "executor"; "whatif";
-        "candidates" ];
+        "candidates"; "read" ];
     bench_rows (read_json (Filename.concat scratch "BENCH_advisor.json"))
   | "eval" ->
     let perturb = Option.value (Sys.getenv_opt "XIA_EVAL_PERTURB") ~default:"1" in
