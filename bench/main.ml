@@ -982,24 +982,13 @@ let micro () =
        Test.make ~name:"lint"
          (Staged.stage (fun () ->
               ignore (Xia_analysis.Lint.lint_paths [ lint_dir ]))));
-      (* The interprocedural effect pass alone: parse every unit, build the
-         call graph, run Effects.analyze to fixpoint and render the summary
-         dump — the @lint budget in ratchet.baseline rides on this staying
-         cheap. *)
-      (let lint_dir =
-         List.find_opt Sys.file_exists [ "lib"; "../lib"; "../../lib" ]
-         |> Option.value ~default:"lib"
-       in
-       Test.make ~name:"lint.effects"
-         (Staged.stage (fun () ->
-              ignore (Xia_analysis.Lint.effects_dump [ lint_dir ]))));
       (* The flow-sensitive R002 and L/X-series alone: parse every unit,
          build the call graph and effect summaries, then the can-raise,
-         optimizer-reach and callee-lock fixpoints and the abstract walk
-         of every root (exceptional states, Fun.protect finalizers, loop
-         heads iterated to a fixpoint).  The
-         absolute budget in ratchet.baseline keeps whole-program dataflow
-         cheap enough to stay in the default @lint alias. *)
+         may-perform-IO, optimizer-reach and callee-lock fixpoints and the
+         abstract walk of every root (exceptional states, Fun.protect
+         finalizers, loop heads iterated to a fixpoint).  The absolute
+         budget in ratchet.baseline keeps whole-program dataflow cheap
+         enough to stay in the default @lint alias. *)
       (let lint_dir =
          List.find_opt Sys.file_exists [ "lib"; "../lib"; "../../lib" ]
          |> Option.value ~default:"lib"

@@ -1,5 +1,5 @@
 (* The check catalog.  Every check has a stable ID; [catalog] below is the
-   single source of truth for IDs, titles and the [--explain] text.
+   single source of truth for IDs and titles.
 
    Unit-local checks (this file): D001 folds over one compilation unit's
    module-level bindings, the call graph's nodes; D002, D004, H002 and
@@ -326,224 +326,25 @@ let check_unit sites (u : Callgraph.unit_info) =
 
 (* ------------------------------------------------------ check catalog -- *)
 
-type check_info = {
-  id : string;
-  title : string;   (* one line, also emitted in the --json "checks" array *)
-  detail : string;  (* the --explain ID text *)
-}
+type check_info = { id : string; title : string }
 
 let catalog =
   [
-    {
-      id = "D001";
-      title = "module-toplevel mutable state";
-      detail =
-        "A module-toplevel binding that evaluates to raw mutable state (ref, \
-         Hashtbl, Buffer, Queue, array, record literal with mutable fields, or \
-         a closure capturing one) is shared by every domain that touches the \
-         module.  Wrap it in Atomic, Domain.DLS, Mutex or Lazy, or allocate it \
-         per instance.";
-    };
-    {
-      id = "D002";
-      title = "Sys.time used for timing";
-      detail =
-        "Sys.time measures process CPU time, which diverges from wall-clock the \
-         moment work runs on several domains.  Use Xia_obs.Obs.now_s, or \
-         suppress for genuinely CPU-bound measurement.";
-    };
-    {
-      id = "D003";
-      title = "catalog/store mutation on a what-if path";
-      detail =
-        "A catalog or document-store mutator (Catalog.create_index, \
-         Doc_store.insert, ...) is transitively reachable — across compilation \
-         units, through the cross-module call graph — from a binding of a \
-         what-if evaluation module (benefit, optimizer).  What-if evaluation \
-         must never mutate shared state: pass ?virtual_config instead.  \
-         Catalog.warm_stats is the sanctioned pre-fan-out synchronization \
-         point and deliberately exempt.";
-    };
-    {
-      id = "D004";
-      title = "wall-clock read outside lib/obs";
-      detail =
-        "Unix.gettimeofday in lib/ code outside lib/obs/: library timing must \
-         go through Xia_obs.Obs.now_s so all instrumentation shares one \
-         sanctioned clock.  bin/, bench/ and test/ may read the clock \
-         directly.";
-    };
-    {
-      id = "E001";
-      title = "IO effect in library code";
-      detail =
-        "The effect pass found an unambiguous IO operation (printf, print_*, \
-         output_*, open_*, In_channel/Out_channel, Sys file ops) in lib/ code \
-         outside lib/obs, lib/analysis and the sanctioned persistence modules.  \
-         Library code reports through Xia_obs.Obs and performs file traffic \
-         behind the persistence boundary; everything else lifts the channel to \
-         the bin/ or bench/ caller.";
-    };
-    {
-      id = "E002";
-      title = "shared-state write on the virtual-config path";
-      detail =
-        "A write to shared mutable state (ref assignment, container mutator, \
-         mutable-field write) is transitively reachable from \
-         the virtual-config what-if path: Optimizer.optimize_batch, \
-         Optimizer.optimize_prepared or Optimizer.optimize_costs.  The batch \
-         contract allows exactly two \
-         synchronization points — Catalog.warm_stats and Optimizer.prepare, \
-         which binds a statement to the warmed statistics before any plan \
-         runs — plus Atomic/Mutex-disciplined state; anything else can \
-         corrupt concurrent what-if evaluations.  Thread state through \
-         arguments instead.";
-    };
-    {
-      id = "H001";
-      title = "module without an .mli interface";
-      detail =
-        "Every library module states its public surface in an .mli.  bin/ and \
-         bench/ executable directories are exempt: entry points have no \
-         importable surface.";
-    };
-    {
-      id = "H002";
-      title = "failwith/assert false without a lint note";
-      detail =
-        "A failwith or assert false without a (* lint: reason *) note on the \
-         same or previous line.  The note documents why the case cannot \
-         happen; without it the dead branch is indistinguishable from an \
-         unhandled one.";
-    };
-    {
-      id = "L001";
-      title = "blocking call while a mutex is held";
-      detail =
-        "A call with a blocking effect — PerformsIO per the interprocedural \
-         effect summaries, or an Optimizer.optimize* entry (transitively) — \
-         is reachable while a mutex is statically held on some path of the \
-         flow-sensitive analysis.  IO and optimizer latency under a lock \
-         serializes every domain contending on it.  Move the call outside \
-         the critical section, or suppress at the call site when the \
-         blocking work is the critical section's purpose.";
-    };
-    {
-      id = "L002";
-      title = "mutex not released on an exceptional path";
-      detail =
-        "A Mutex.lock has an exceptional path to the function exit — raise, \
-         failwith, assert, or a call that may raise — on which no \
-         Mutex.unlock runs: the next contender deadlocks.  Wrap the \
-         critical section in Fun.protect ~finally:(fun () -> Mutex.unlock \
-         m).  The analysis is flow-sensitive: a body made only of \
-         known-total primitives (Mutex/Condition/Atomic operations, !/:=, \
-         comparisons, non-dividing arithmetic) has no exceptional edge and \
-         needs no finalizer; any container operation or unresolved call is \
-         assumed to raise.";
-    };
-    {
-      id = "N001";
-      title = "hash iteration order escapes into a result";
-      detail =
-        "A Hashtbl/Queue fold or iter in lib/ whose closure builds a list, in a \
-         binding that never sorts: the container's unspecified iteration order \
-         escapes into a value the advise path may return or cache, so the same \
-         workload can produce differently-ordered recommendations across runs.  \
-         Sort the result (List.sort) before it leaves the function, or suppress \
-         when a later total-order sort canonicalizes it.";
-    };
-    {
-      id = "N002";
-      title = "order-fragile parallel float reduction";
-      detail =
-        "A parallel fan-out combines float work without the sanctioned \
-         deterministic reduction: either the task body accumulates into shared \
-         state (t := !t +. x) — racy and order-varying — or the fan-out's \
-         results are folded with bare float arithmetic whose grouping depends \
-         on scheduling history.  Use Par.sum_list (fixed sequential combine \
-         over per-task results), which keeps the sum bit-for-bit reproducible.";
-    };
-    {
-      id = "R001";
-      title = "mutable state reachable from a parallel task";
-      detail =
-        "A closure or named function passed to Par.map/Par.map_list/Par.iter/\
-         Domain.spawn captures a raw mutable local, writes a mutable record \
-         field of a captured value, or — transitively, through helpers in any \
-         unit — references raw module-toplevel mutable state.  Multiple \
-         domains then race on the same memory.  Wrap the state in \
-         Atomic/Mutex/Domain.DLS (or Interner.Cache for memo tables), or \
-         return per-item results and combine after the join.  A function \
-         whose body takes a Mutex.lock is assumed lock-disciplined and \
-         skipped.";
-    };
-    {
-      id = "R002";
-      title = "inconsistent mutex acquisition order";
-      detail =
-        "Mutex.lock while another mutex is held on some path of the \
-         flow-sensitive analysis, when the opposite nesting order occurs \
-         elsewhere (directly or through callees resolved via the call \
-         graph): two domains taking the locks in opposite orders can \
-         deadlock.  Locks taken on exclusive branches are never held \
-         together and do not nest.  Mutexes are identified by the symbolic \
-         path of the lock expression (pool.lock, shard.lock); locking a \
-         symbol that is held on some path is reported as a self-deadlock \
-         because stdlib mutexes are not reentrant.";
-    };
-    {
-      id = "R003";
-      title = "non-atomic read-modify-write on an Atomic.t";
-      detail =
-        "Atomic.set x (... Atomic.get x ...): the window between the get and \
-         the set loses concurrent updates.  Use Atomic.fetch_and_add, \
-         Atomic.incr, or a compare_and_set retry loop.";
-    };
-    {
-      id = "X001";
-      title = "save/restore skipped on an exceptional path";
-      detail =
-        "A saved value — let old = Atomic.get x or let old = !r — with a \
-         syntactically matching restore (Atomic.set x old / r := old) later \
-         in the same scope is not restored on some exceptional path, \
-         leaking stale state to the next caller.  Perform the restore in a \
-         Fun.protect ~finally.  Bindings with no matching restore anywhere \
-         create no obligation: reading state without restoring it is not \
-         the save/restore idiom.";
-    };
-    {
-      id = "X002";
-      title = "unlock without a matching lock on this path";
-      detail =
-        "Mutex.unlock runs at a point where the mutex is statically not \
-         held: a double unlock, or an unlock only some branch pairs with a \
-         lock.  Stdlib mutexes raise Sys_error on releasing an unlocked \
-         mutex.  Unlocks at an unknown entry state (release helpers called \
-         with the lock held) stay silent.";
-    };
+    { id = "D001"; title = "module-toplevel mutable state" };
+    { id = "D002"; title = "Sys.time used for timing" };
+    { id = "D003"; title = "catalog/store mutation on a what-if path" };
+    { id = "D004"; title = "wall-clock read outside lib/obs" };
+    { id = "E001"; title = "IO effect in library code" };
+    { id = "E002"; title = "shared-state write on the virtual-config path" };
+    { id = "H001"; title = "module without an .mli interface" };
+    { id = "H002"; title = "failwith/assert false without a lint note" };
+    { id = "L001"; title = "blocking call while a mutex is held" };
+    { id = "L002"; title = "mutex not released on an exceptional path" };
+    { id = "N001"; title = "hash iteration order escapes into a result" };
+    { id = "N002"; title = "order-fragile parallel float reduction" };
+    { id = "R001"; title = "mutable state reachable from a parallel task" };
+    { id = "R002"; title = "inconsistent mutex acquisition order" };
+    { id = "R003"; title = "non-atomic read-modify-write on an Atomic.t" };
+    { id = "X001"; title = "save/restore skipped on an exceptional path" };
+    { id = "X002"; title = "unlock without a matching lock on this path" };
   ]
-
-let find_check id = List.find_opt (fun c -> String.equal c.id id) catalog
-
-(* Stable check-filter used by xia_lint's --only/--skip: intersect the
-   requested IDs with the catalog, preserving catalog order; unknown IDs
-   are an error (a typo must not silently run everything). *)
-let select ~only ~skip =
-  let known = List.map (fun c -> c.id) catalog in
-  let unknown =
-    List.filter (fun id -> not (List.mem id known)) (only @ skip)
-  in
-  match unknown with
-  | _ :: _ ->
-      Error
-        (Printf.sprintf "unknown check id%s: %s (known: %s)"
-           (if List.length unknown > 1 then "s" else "")
-           (String.concat ", " unknown)
-           (String.concat ", " known))
-  | [] ->
-      Ok
-        (List.filter
-           (fun id ->
-             (only = [] || List.mem id only) && not (List.mem id skip))
-           known)

@@ -72,17 +72,9 @@ val missing_mli : mls:string list -> mlis:string list -> Finding.t list
 
 type check_info = {
   id : string;
-  title : string;   (** one line; emitted in the [--json] ["checks"] array *)
-  detail : string;  (** the [--explain ID] text *)
+  title : string;  (** one line; emitted in the [--json] ["checks"] array *)
 }
 
-(** Every check, in catalog (ID) order. *)
+(** Every check, in catalog (ID) order.  Each check's rationale is in
+    DESIGN.md §5c, §5f, §5h and §5k. *)
 val catalog : check_info list
-
-val find_check : string -> check_info option
-
-(** [select ~only ~skip] — the check IDs to run, in catalog order: the
-    catalog intersected with [only] (everything when empty) minus [skip].
-    Any ID unknown to the catalog is an error. *)
-val select :
-  only:string list -> skip:string list -> (string list, string) result

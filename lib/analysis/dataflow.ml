@@ -48,14 +48,14 @@
    or acquire of [b] while [a] is may-held as a nesting (a, b) and, once
    every root has run, reports a nesting recorded in both orientations at
    each site with the earliest opposite site, (a, a) as a self-deadlock.
-   L001 fires on a blocking call (PerformsIO, or an Optimizer.optimize*
-   entry reached through a third [Callgraph.fixpoint]) while any mutex is
-   may-held.  L002 (a may-held mutex, once per lock site) and X001 (a
-   pending obligation, at the save binding; one is only created when a
-   matching restore exists somewhere in the root) read the root's
-   exceptional exit.  X002 fires on an unlock at a NotHeld state; Unknown
-   and Mixed stay silent.  Every finding and nesting is recorded from a
-   final state only.
+   L001 fires on a blocking call (an IO builtin, a call that may perform
+   IO, or one that reaches an Optimizer.optimize* entry — two more
+   [Callgraph.fixpoint]s) while any mutex is may-held.  L002 (a may-held
+   mutex, once per lock site) and X001 (a pending obligation, at the save
+   binding; one is only created when a matching restore exists somewhere
+   in the root) read the root's exceptional exit.  X002 fires on an
+   unlock at a NotHeld state; Unknown and Mixed stay silent.  Every
+   finding and nesting is recorded from a final state only.
 
    Suppression is read from the enclosing [@lint.allow "ID"] attribute
    stack, kept by the walk, at the site each finding anchors to. *)
@@ -245,9 +245,9 @@ type at_site = Unlock_at of string * lockst option | Blocking_at of string * str
 
 type ctx = {
   graph : Callgraph.t;
-  eff : Effects.t;
   node : Callgraph.node;
   raises : Callgraph.node -> bool;          (* can-raise, transitively *)
+  performs_io : Callgraph.node -> bool;     (* may perform IO, transitively *)
   reaches_optimizer : Callgraph.node -> bool;
   locks : Callgraph.node -> string list;    (* mutexes a call may take *)
   restores : (string * string, unit) Hashtbl.t;  (* (sym, var) in this root *)
@@ -321,8 +321,8 @@ let restore_shape ctx path args =
   | _ -> None
 
 (* What makes a call site blocking: a direct optimizer entry reference, an
-   unresolved IO builtin, or a resolved target whose summary performs IO /
-   reaches an optimizer entry. *)
+   unresolved IO builtin, or a resolved target that reaches an optimizer
+   entry or may perform IO. *)
 let blocking_of_call ctx path expanded targets =
   if optimizer_entry_path expanded then
     Some (String.concat "." path ^ " (optimizer entry)")
@@ -334,8 +334,7 @@ let blocking_of_call ctx path expanded targets =
           (fun (t : Callgraph.node) ->
             if ctx.reaches_optimizer t then
               Some (Printf.sprintf "%s reaches an optimizer entry" t.name)
-            else if List.mem Effects.Performs_io (Effects.total_effects ctx.eff t)
-            then Some (Printf.sprintf "%s performs IO" t.name)
+            else if ctx.performs_io t then Some (Printf.sprintf "%s performs IO" t.name)
             else None)
           targets
 
@@ -696,6 +695,9 @@ let check sites eff =
   let fact n = Hashtbl.find facts (Callgraph.key n) in
   let raises = Callgraph.fixpoint ~succ:(fun n -> snd (fact n)) ~join:( || ) (fun n -> fst (fact n)) in
   let calls = Sites.calls sites in
+  let performs_io =
+    Callgraph.fixpoint ~succ:calls ~join:( || ) (fun n -> (Effects.summary eff n).io <> [])
+  in
   let reaches_optimizer = Callgraph.fixpoint ~succ:calls ~join:( || ) optimizer_entry_node in
   let locks = Callgraph.fixpoint ~succ:calls ~join:union_syms (own_locks sites) in
   (* L002 and X001, judged once per root. *)
@@ -725,9 +727,9 @@ let check sites eff =
     analyze_root
       {
         graph;
-        eff;
         node = p.p_node;
         raises;
+        performs_io;
         reaches_optimizer;
         locks;
         restores = root_restores sites p;

@@ -10,8 +10,9 @@
       while another is held on some path, when the opposite nesting occurs
       elsewhere; locking a mutex that is held on some path is a
       self-deadlock.
-    - [L001] a blocking effect ([PerformsIO] per the {!Effects} summaries,
-      or an [Optimizer.optimize*] entry) is reachable while a mutex is
+    - [L001] a blocking call (an IO builtin, a call that may perform IO —
+      one {!Callgraph.fixpoint} over the {!Effects} IO witnesses — or an
+      [Optimizer.optimize*] entry) is reachable while a mutex is
       statically held.
     - [L002] a mutex is acquired and some exceptional path reaches the
       function exit without unlocking it (a bare [Mutex.lock]/[Mutex.unlock]

@@ -1,45 +1,22 @@
-(* Interprocedural effect inference over the cross-unit call graph.
+(* Per-binding effect summaries over the cross-unit call graph.
 
-   Per toplevel value binding (a [Callgraph.node]) the pass computes a
-   summary in a small effect lattice — the powerset of
-
-     ReadsMutable      reads shared mutable state (deref, container read,
-                       mutable-field read, Atomic.get, raw toplevel global)
-     WritesMutable     writes state that may outlive the call (ref
-                       assignment, container mutator, mutable-field write
-                       whose target is not a per-call local allocation;
-                       Atomic writes count but are synchronized — see the
-                       witness rules below)
-     PerformsIO        unambiguous channel/console/filesystem traffic
-                       (printf/print_*/output_*/open_*/In_channel/...;
-                       [sprintf]/[asprintf] are pure string builders and do
-                       not count, and [fprintf] is excluded because a pp
-                       function cannot know its formatter's sink)
-     OrderDependent    consumes Hashtbl/Queue iteration order
-                       ([fold]/[iter]/[to_seq*]) or physical equality
-     Nondeterministic  global [Random.*] (seeded [Random.State.*] is
-                       deterministic and exempt), raw clock reads, float
-                       accumulation into shared state
-
-   [Pure] is the empty set.  A binding's local flags and witness sites (the
-   [summary] record: E001's IO, N001's order witnesses, E002's shared
-   writes, D003's mutator references, R001's raw-global references, N002's
-   float accumulations and folds) are a fold over its [Sites] — no walk of
-   its own.  The total flags are the pass's one transitive fact, a
-   [Callgraph.fixpoint] of [lor] over [Sites.calls] (module aliases are
-   already expanded by [Callgraph.resolve]; an ambiguous reference joins
-   the flags of every plausible target).  The witness sites stay local:
-   downstream checks walk to the ones they need with [Callgraph.reach]
-   over the same call lists, so findings anchor at real source locations
-   with a call trail.
+   Per toplevel value binding (a [Callgraph.node]) the pass folds the
+   binding's [Sites] into its local witness sites — the [summary] record:
+   E001's IO, N001's order witnesses, E002's shared writes, D003's mutator
+   references, R001's raw-global references, N002's float accumulations
+   and folds — with no walk of its own.  Nothing is propagated here: a
+   check that needs the sites below a binding walks to them with
+   [Callgraph.reach] over [Sites.calls], so findings anchor at real
+   source locations with a call trail, and L001's one transitive fact,
+   "may perform IO", is a [Callgraph.fixpoint] in [Dataflow].
 
    Soundness/incompleteness trade-offs (DESIGN.md §5h): the analysis is
    syntactic over the untyped parsetree.  Atomic/Mutex/DLS-wrapped state is
    treated as synchronized (Atomic writes never become shared-write
    witnesses); mutation through a wrapper the matcher does not know, a
    container operation referenced point-free rather than applied, and
-   first-class-function escape are invisible; flags over-approximate
-   through ambiguous edges.  Absence of a flag is evidence, not proof. *)
+   first-class-function escape are invisible.  Absence of a witness is
+   evidence, not proof. *)
 
 open Parsetree
 
@@ -203,39 +180,6 @@ let rec d001_hits mutable_fields acc (e : expression) =
     | Pexp_array _ -> (e.pexp_loc, "array literal") :: acc
     | _ -> acc
 
-(* ------------------------------------------------------------ the lattice -- *)
-
-type effect_kind =
-  | Reads_mutable
-  | Writes_mutable
-  | Performs_io
-  | Order_dependent
-  | Nondeterministic
-
-let all_kinds =
-  [ Reads_mutable; Writes_mutable; Performs_io; Order_dependent; Nondeterministic ]
-
-let kind_bit = function
-  | Reads_mutable -> 1
-  | Writes_mutable -> 2
-  | Performs_io -> 4
-  | Order_dependent -> 8
-  | Nondeterministic -> 16
-
-let kind_name = function
-  | Reads_mutable -> "ReadsMutable"
-  | Writes_mutable -> "WritesMutable"
-  | Performs_io -> "PerformsIO"
-  | Order_dependent -> "OrderDependent"
-  | Nondeterministic -> "Nondeterministic"
-
-let kinds_of_bits bits = List.filter (fun k -> bits land kind_bit k <> 0) all_kinds
-
-let bits_to_string bits =
-  match kinds_of_bits bits with
-  | [] -> "Pure"
-  | ks -> String.concat "," (List.map kind_name ks)
-
 (* -------------------------------------------------------------- witnesses -- *)
 
 type witness = { s_loc : Location.t; s_what : string; s_suppressed : bool }
@@ -295,28 +239,9 @@ let container_mutator_of_path =
    must skip to the second positional argument for these. *)
 let element_first_mutators = [ "Queue.add"; "Queue.push"; "Stack.push" ]
 
-(* Container reads ([Hashtbl.hash] is a pure function of its argument and
-   deliberately absent). *)
-let container_reader_of_path =
-  member_of
-    [
-      ("Hashtbl", [ "find"; "find_opt"; "find_all"; "mem"; "length" ]);
-      ("Queue", [ "peek"; "peek_opt"; "top"; "length"; "is_empty" ]);
-      ("Stack", [ "top"; "top_opt"; "length"; "is_empty" ]);
-      ("Buffer", [ "contents"; "length"; "nth"; "sub"; "to_bytes" ]);
-    ]
-
-let atomic_writers = [ "set"; "incr"; "decr"; "fetch_and_add"; "exchange"; "compare_and_set" ]
-
 (* Iteration entry points whose callback observes container order. *)
 let order_sources =
   [ [ "Hashtbl"; "fold" ]; [ "Hashtbl"; "iter" ]; [ "Queue"; "fold" ]; [ "Queue"; "iter" ] ]
-
-let seq_sources =
-  [
-    [ "Hashtbl"; "to_seq" ]; [ "Hashtbl"; "to_seq_keys" ]; [ "Hashtbl"; "to_seq_values" ];
-    [ "Queue"; "to_seq" ];
-  ]
 
 let sort_suffixes =
   [
@@ -364,19 +289,6 @@ let io_of_path path =
       | None, f :: m :: _ when String.equal m "In_channel" || String.equal m "Out_channel" ->
           Some (m ^ "." ^ f)
       | None, _ -> None)
-
-(* Global [Random.*] draws from process-wide hidden state; seeded
-   [Random.State.*] is deterministic and exempt (its [State] component keeps
-   the second-to-last element from being ["Random"]). *)
-let nondet_path path =
-  (match List.rev path with _ :: "Random" :: _ -> true | _ -> false)
-  || suffix_name [ [ "Unix"; "gettimeofday" ]; [ "Unix"; "time" ]; [ "Sys"; "time" ] ] path
-     <> None
-
-let phys_eq_path path =
-  match path with
-  | [ "==" ] | [ "!=" ] | [ "Stdlib"; "==" ] | [ "Stdlib"; "!=" ] -> true
-  | _ -> false
 
 (* The parallel fan-out entry points.  An argument in function position of
    one of these escapes to another domain. *)
@@ -445,7 +357,7 @@ let float_acc (s : Sites.site) =
 
 type summary = {
   locals : (string, string) Hashtbl.t;  (* raw per-call allocations, name -> kind *)
-  io : witness list;                    (* E001 *)
+  io : witness list;                    (* E001; L001's IO fact *)
   order : witness list;                 (* N001 *)
   writes : witness list;                (* shared-target writes, E002 *)
   mutations : witness list;             (* catalog/store mutator refs, D003 *)
@@ -459,9 +371,7 @@ type summary = {
 
 type t = {
   sites : Sites.t;
-  infos : (string * string, int * summary) Hashtbl.t;  (* local flags, summary *)
-  total : Callgraph.node -> int;        (* flags joined over every callee *)
-  sorted : Callgraph.node list;
+  summaries : (string * string, summary) Hashtbl.t;
   raw_memo : (string * string, string option) Hashtbl.t;
 }
 
@@ -511,49 +421,37 @@ let summarize t (n : Callgraph.node) =
           if has_suffix ~suffix:[ "Mutex"; "lock" ] path then blocked := true
       | _ -> ())
     sites;
-  let flags = ref 0 in
   let io = ref [] and order = ref [] and writes = ref [] in
   let mutations = ref [] and globals = ref [] and ffolds = ref [] in
   let fanout = ref false and sum_list = ref false in
-  let set k = flags := !flags lor kind_bit k in
   let local head = match head with Some x -> Hashtbl.mem locals x | None -> false in
   let local_target target = local (Option.bind target head_ident_name) in
   let witness (s : Sites.site) what id =
     { s_loc = s.loc; s_what = what; s_suppressed = Sites.active s id }
   in
-  let record_write s what =
-    set Writes_mutable;
-    writes := witness s what "E002" :: !writes
-  in
+  let record_write s what = writes := witness s what "E002" :: !writes in
   (* One unshadowed identifier reference. *)
   let classify_ident (s : Sites.site) (id : Sites.ident) =
     if par_entry_of_path id.expanded <> None then fanout := true;
     if has_suffix ~suffix:[ "Par"; "sum_list" ] id.expanded then sum_list := true;
     (match mutator_of_path id.expanded with
-    | Some m ->
-        set Writes_mutable;
-        if not (Sites.active s "D003") then
-          mutations := { s_loc = s.loc; s_what = m; s_suppressed = false } :: !mutations
-    | None -> ());
+    | Some m when not (Sites.active s "D003") ->
+        mutations := { s_loc = s.loc; s_what = m; s_suppressed = false } :: !mutations
+    | _ -> ());
     if id.targets = [] then begin
       (* No project binding answers to this path: classify stdlib/runtime
          builtins.  Gating on empty resolution keeps a sibling binding that
          happens to share a builtin's name (an [input] helper, say) from
          classifying as the builtin. *)
-      (match io_of_path id.path with
-      | Some what ->
-          set Performs_io;
-          io := witness s what "E001" :: !io
-      | None -> ());
-      if nondet_path id.path then set Nondeterministic;
-      if phys_eq_path id.path then set Order_dependent
+      match io_of_path id.path with
+      | Some what -> io := witness s what "E001" :: !io
+      | None -> ()
     end
     else
       List.iter
         (fun (tgt : Callgraph.node) ->
           match raw_global t tgt with
           | Some kind ->
-              set Reads_mutable;
               globals :=
                 {
                   w_loc = s.loc;
@@ -582,7 +480,6 @@ let summarize t (n : Callgraph.node) =
             (match Option.bind target sym with
             | Some x -> Printf.sprintf "counter update of %s" x
             | None -> "counter update")
-    | [ "!" ] | [ "Stdlib"; "!" ] -> if not (local_target target) then set Reads_mutable
     | _ -> (
         (match container_mutator_of_path path with
         | Some what ->
@@ -597,12 +494,6 @@ let summarize t (n : Callgraph.node) =
                 | Some x -> Printf.sprintf "%s on %s" what x
                 | None -> what)
         | None -> ());
-        if container_reader_of_path path <> None && not (local_target target) then
-          set Reads_mutable;
-        if has_suffix ~suffix:[ "Atomic"; "get" ] path then set Reads_mutable;
-        if List.exists (fun f -> has_suffix ~suffix:[ "Atomic"; f ] path) atomic_writers then
-          (* Synchronized: a write, but never a shared-write (E002) witness. *)
-          set Writes_mutable;
         if
           (has_suffix ~suffix:[ "List"; "fold_left" ] path
           || has_suffix ~suffix:[ "Array"; "fold_left" ] path)
@@ -610,7 +501,6 @@ let summarize t (n : Callgraph.node) =
         then ffolds := witness s (String.concat "." path ^ " over floats") "N002" :: !ffolds;
         match suffix_name order_sources path with
         | Some what -> (
-            set Order_dependent;
             let closure =
               List.find_map
                 (fun (label, (a : expression)) ->
@@ -621,9 +511,7 @@ let summarize t (n : Callgraph.node) =
             | Some c when builds_list c && not !has_sort ->
                 order := witness s what "N001" :: !order
             | _ -> ())
-        | None ->
-            if List.exists (fun suffix -> has_suffix ~suffix path) seq_sources then
-              set Order_dependent)
+        | None -> ())
   in
   List.iter
     (fun (s : Sites.site) ->
@@ -636,70 +524,39 @@ let summarize t (n : Callgraph.node) =
               (match sym base with
               | Some x -> Printf.sprintf "mutable-field write %s.%s" x f
               | None -> Printf.sprintf "mutable-field write .%s" f)
-      | Field f -> if Hashtbl.mem mutable_fields f then set Reads_mutable
       | _ -> ())
     sites;
   let accs =
     List.filter_map
       (fun s ->
         match float_acc s with
-        | Some (what, head) when not (local head) ->
-            set Nondeterministic;
-            Some (witness s what "N002")
+        | Some (what, head) when not (local head) -> Some (witness s what "N002")
         | _ -> None)
       sites
   in
-  ( !flags,
-    {
-      locals;
-      io = List.rev !io;
-      order = List.rev !order;
-      writes = List.rev !writes;
-      mutations = List.rev !mutations;
-      globals = List.rev !globals;
-      accs;
-      fanout = !fanout;
-      sum_list = !sum_list;
-      float_folds = List.rev !ffolds;
-      lock_disciplined = !blocked;
-    } )
+  {
+    locals;
+    io = List.rev !io;
+    order = List.rev !order;
+    writes = List.rev !writes;
+    mutations = List.rev !mutations;
+    globals = List.rev !globals;
+    accs;
+    fanout = !fanout;
+    sum_list = !sum_list;
+    float_folds = List.rev !ffolds;
+    lock_disciplined = !blocked;
+  }
 
 (* ---------------------------------------------------------------- analysis -- *)
 
-(* The fold of every node, plus the one transitive fact this pass owns:
-   effect flags joined over the resolved calls.  Witness sites stay local;
-   checks reach them through [Callgraph.reach]. *)
+(* The fold of every node.  Witness sites stay local; checks reach them
+   through [Callgraph.reach]. *)
 let analyze sites =
-  let infos = Hashtbl.create 256 in
-  let info n = Hashtbl.find infos (Callgraph.key n) in
-  let t =
-    {
-      sites;
-      infos;
-      total =
-        Callgraph.fixpoint ~succ:(Sites.calls sites) ~join:( lor ) (fun n -> fst (info n));
-      sorted = List.sort Callgraph.by_key (Callgraph.nodes (Sites.graph sites));
-      raw_memo = Hashtbl.create 64;
-    }
-  in
-  List.iter (fun n -> Hashtbl.replace infos (Callgraph.key n) (summarize t n)) t.sorted;
+  let t = { sites; summaries = Hashtbl.create 256; raw_memo = Hashtbl.create 64 } in
+  List.iter
+    (fun n -> Hashtbl.replace t.summaries (Callgraph.key n) (summarize t n))
+    (Callgraph.nodes (Sites.graph sites));
   t
 
-(* --------------------------------------------------------------- accessors -- *)
-
-let info t n = Hashtbl.find t.infos (Callgraph.key n)
-let summary t n = snd (info t n)
-let total_effects t n = kinds_of_bits (t.total n)
-
-(* -------------------------------------------------------------------- dump -- *)
-
-let dump t =
-  let buf = Buffer.create 4096 in
-  List.iter
-    (fun (n : Callgraph.node) ->
-      Buffer.add_string buf
-        (Printf.sprintf "%s %s: local=%s total=%s\n" n.u.path n.name
-           (bits_to_string (fst (info t n)))
-           (bits_to_string (t.total n))))
-    t.sorted;
-  Buffer.contents buf
+let summary t n = Hashtbl.find t.summaries (Callgraph.key n)

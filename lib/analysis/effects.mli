@@ -1,25 +1,14 @@
-(** Interprocedural effect inference over the cross-unit call graph.
+(** Per-binding effect summaries over the cross-unit call graph.
 
     Per toplevel value binding the pass folds the binding's {!Sites} into
-    its local effects — a set of {!effect_kind}, where the empty set is
-    [Pure] — and its local witness sites ({!summary}).  The only
-    transitive fact it computes itself is the total flag set, one
-    {!Callgraph.fixpoint} over {!Sites.calls} (recursion, module aliases
-    and ambiguous edges join every candidate).  The D003, R001, N002 and
-    E002 checks reach the local sites they need with {!Callgraph.reach}
-    over the same call lists.
+    its local witness sites ({!summary}); it propagates nothing.  The
+    D003, R001, N002 and E002 checks reach the local sites they need with
+    {!Callgraph.reach} over {!Sites.calls}, and L001's "may perform IO"
+    is a {!Callgraph.fixpoint} over the IO witnesses in {!Dataflow}.
 
-    The analysis is syntactic over the untyped parsetree; lattice
-    semantics, propagation rules and the soundness/incompleteness
-    trade-offs are documented in DESIGN.md §5h. *)
-
-(** One effect dimension; a summary is a set of these. *)
-type effect_kind =
-  | Reads_mutable      (** reads shared mutable state *)
-  | Writes_mutable     (** writes state that may outlive the call *)
-  | Performs_io        (** unambiguous channel/console/filesystem traffic *)
-  | Order_dependent    (** consumes Hashtbl/Queue iteration order or [==] *)
-  | Nondeterministic   (** global [Random], raw clocks, shared float accumulation *)
+    The analysis is syntactic over the untyped parsetree; the witness
+    rules and the soundness/incompleteness trade-offs are documented in
+    DESIGN.md §5h. *)
 
 (** A classified source site; [s_suppressed] is true when an enclosing
     [\[@lint.allow "<ID>"\]] covers the site for the check that consumes
@@ -37,12 +26,8 @@ type race_witness = {
 
 type t
 
-(** Fold every node's sites into its local summary; total flags are
-    joined on demand. *)
+(** Fold every node's sites into its local summary. *)
 val analyze : Sites.t -> t
-
-(** Effects joined over the node and everything it may call. *)
-val total_effects : t -> Callgraph.node -> effect_kind list
 
 (** One binding's local summary, folded from its own sites.  Witness sites
     of non-local state only: writes to and float accumulations into
@@ -50,7 +35,7 @@ val total_effects : t -> Callgraph.node -> effect_kind list
 type summary = {
   locals : (string, string) Hashtbl.t;
       (** raw mutable locals let-bound anywhere in the body, name -> kind *)
-  io : witness list;  (** IO sites (E001) *)
+  io : witness list;  (** IO sites (E001; L001's local IO fact) *)
   order : witness list;
       (** Hashtbl/Queue folds whose literal closure builds a list with no
           canonicalizing sort in the same binding (N001) *)
@@ -78,12 +63,6 @@ val summary : t -> Callgraph.node -> summary
     kind.  Memoized; [\[@lint.allow "R001"\]] on the binding yields
     [None]. *)
 val raw_global : t -> Callgraph.node -> string option
-
-(** Deterministic per-binding summary dump, one
-    ["<unit path> <name>: local=<flags> total=<flags>"] line per node,
-    sorted by node key; flag sets print in fixed order and [Pure] stands
-    for the empty set.  Byte-stable across runs (the [--effects] output). *)
-val dump : t -> string
 
 (** {1 Shared syntactic classifiers}
 

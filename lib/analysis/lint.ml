@@ -111,12 +111,6 @@ let callgraph_dot paths =
   let graph, _, _, errors = load paths in
   (Callgraph.to_dot ~succ:(Sites.calls (Sites.build graph)) graph, errors)
 
-(* Deterministic per-binding effect-summary dump over the same unit set
-   (the [--effects] output). *)
-let effects_dump paths =
-  let graph, _, _, errors = load paths in
-  (Effects.dump (Effects.analyze (Sites.build graph)), errors)
-
 (* Just the flow-sensitive R002 and L/X-series over the unit set (the
    bench harness's [lint.dataflow] exhibit: the fixpoints and the walk of
    every root, without the rest of the catalog). *)
@@ -130,21 +124,14 @@ let dataflow_findings paths =
 (* Schema version of the machine-readable report.  Bump when the envelope
    shape changes; the fixtures in test/ lock the bytes.  v3: N/E-series
    checks in the catalog, top-level "errors" array.  v4: the
-   flow-sensitive L/X-series in the catalog; the "checks" array reflects
-   an --only/--skip filter when one is active.  v5: no "suppressed"
-   block (suppression lives in the source only). *)
+   flow-sensitive L/X-series in the catalog.  v5: no "suppressed" block
+   (suppression lives in the source only). *)
 let json_schema_version = 5
 
 (* Array elements, one per line, comma-separated. *)
 let json_lines = function [] -> "" | items -> "    " ^ String.concat ",\n    " items ^ "\n"
 
-let report_to_json ?only (r : report) =
-  let cat =
-    match only with
-    | None -> Checks.catalog
-    | Some ids ->
-        List.filter (fun (c : Checks.check_info) -> List.mem c.id ids) Checks.catalog
-  in
+let report_to_json (r : report) =
   let array name sep = function
     | [] -> Printf.sprintf "  \"%s\": []%s\n" name sep
     | items -> Printf.sprintf "  \"%s\": [\n%s  ]%s\n" name (json_lines items) sep
@@ -159,7 +146,7 @@ let report_to_json ?only (r : report) =
               (fun (c : Checks.check_info) ->
                 Printf.sprintf "{\"id\": \"%s\", \"title\": \"%s\"}"
                   (Finding.json_escape c.id) (Finding.json_escape c.title))
-              cat));
+              Checks.catalog));
       array "findings" ","
         (List.map Finding.to_json (List.sort Finding.compare r.findings));
       array "errors" ""

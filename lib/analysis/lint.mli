@@ -25,11 +25,6 @@ val lint_paths : string list -> report
     subset). *)
 val callgraph_dot : string list -> string * error list
 
-(** Deterministic per-binding effect-summary dump ({!Effects.dump}) over
-    every [.ml] under [paths], plus any walk/parse errors (the dump covers
-    the parsable subset). *)
-val effects_dump : string list -> string * error list
-
 (** Just the flow-sensitive R002 and L/X-series ({!Dataflow.check}) over every
     [.ml] under [paths], plus any walk/parse errors (the bench harness's
     [lint.dataflow] exhibit). *)
@@ -39,8 +34,6 @@ val dataflow_findings : string list -> Finding.t list * error list
 val json_schema_version : int
 
 (** The versioned machine-readable report: schema version, check catalog,
-    findings sorted by (file, line, col, id), walk/parse errors.  Byte-stable for identical inputs
-    (fixture-locked in test/).  [only] restricts the emitted "checks"
-    array to the given IDs (the --only/--skip filter); the caller filters
-    the findings themselves. *)
-val report_to_json : ?only:string list -> report -> string
+    findings sorted by (file, line, col, id), walk/parse errors.
+    Byte-stable for identical inputs (fixture-locked in test/). *)
+val report_to_json : report -> string

@@ -40,7 +40,6 @@ type kind =
   | Computed_apply
   | Binder of string
   | Let of string * expression
-  | Field of string
   | Setfield of expression * string * expression
   | Assert of expression
 
@@ -203,9 +202,6 @@ let walk_unit t (u : Callgraph.unit_info) pending =
         it.cases it cases
     | Pexp_assert a ->
         add e.pexp_loc (Assert a);
-        default.expr it e
-    | Pexp_field (_, lid) ->
-        add e.pexp_loc (Field (Longident.last lid.txt));
         default.expr it e
     | Pexp_setfield (base, lid, value) ->
         add e.pexp_loc (Setfield (base, Longident.last lid.txt, value));

@@ -28,7 +28,6 @@ type kind =
   | Binder of string  (** a variable a pattern binds *)
   | Let of string * Parsetree.expression
       (** [let x = e] (a variable pattern and its right-hand side) *)
-  | Field of string  (** a field read [e.f] *)
   | Setfield of Parsetree.expression * string * Parsetree.expression
       (** [base.f <- value] *)
   | Assert of Parsetree.expression  (** [assert e] *)

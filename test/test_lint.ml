@@ -2,9 +2,9 @@
    positive hit, a negative non-hit and a suppression path; the
    whole-program checks (D003, the N/E-series, the R-series) additionally
    get two-unit temp-dir projects proving the cross-module cases the old
-   per-file analysis could not see; the interprocedural effect pass gets a
-   golden summary dump and cross-unit propagation cases; plus the
-   self-check that the repository's own lib/ is lint-clean. *)
+   per-file analysis could not see; plus the self-check that the
+   repository's own lib/ is lint-clean and a mutant corpus on which each
+   check must fire. *)
 
 module Lint = Xia_analysis.Lint
 module Checks = Xia_analysis.Checks
@@ -316,10 +316,18 @@ let format_tests =
 
 (* ------------------------------------------------------ repo self-check -- *)
 
+(* The repository's lib/, which test/dune copies into the build tree next
+   to this executable's directory, so the suite runs from any working
+   directory. *)
+let repo_lib = Filename.concat (Filename.dirname Sys.executable_name) "../lib"
+
+(* One whole-program lint of lib/, shared by the self-check cases. *)
+let lib_report = lazy (Lint.lint_paths [ repo_lib ])
+
 let self_check_tests =
   [
     tc "repo lib/ is lint-clean" (fun () ->
-        let report = Lint.lint_paths [ "../lib" ] in
+        let report = Lazy.force lib_report in
         Alcotest.(check (list string))
           "no analysis errors" []
           (List.map (fun (e : Lint.error) -> e.path ^ ": " ^ e.message) report.errors);
@@ -329,7 +337,7 @@ let self_check_tests =
     tc "repo lib/ is R-clean without any suppression" (fun () ->
         (* The race checks pass on lib/ on their own merits: no attribute
            hides an R-series finding. *)
-        let report = Lint.lint_paths [ "../lib" ] in
+        let report = Lazy.force lib_report in
         Alcotest.(check (list string))
           "no R-series findings" []
           (List.filter_map
@@ -342,7 +350,7 @@ let self_check_tests =
         (* Same bar for the flow-sensitive checks: every lock region and
            save/restore in lib/ is exception-safe on its own merits — no
            attribute hides an L/X-series finding. *)
-        let report = Lint.lint_paths [ "../lib" ] in
+        let report = Lazy.force lib_report in
         Alcotest.(check (list string))
           "no L/X-series findings" []
           (List.filter_map
@@ -738,6 +746,32 @@ let l001_tests =
             Alcotest.(check bool)
               "names the callee's summary" true
               (contains f.Finding.message "log performs IO")));
+    tc "IO two calls away behind cross-unit recursion" (fun () ->
+        (* The may-perform-IO fixpoint must reach through [pick]'s own
+           recursion into another unit's [log]. *)
+        with_temp_project
+          [
+            ("sink.ml", "let log s = print_endline s\n");
+            ("walk.ml", "let rec pick n = if n = 0 then Sink.log \"x\" else pick (n - 1)\n");
+            ( "worker.ml",
+              "let m = Mutex.create ()\n\
+               let run () =\n\
+              \  Mutex.lock m;\n\
+              \  Fun.protect ~finally:(fun () -> Mutex.unlock m)\n\
+              \    (fun () -> Walk.pick 3)\n" );
+          ]
+          (fun dir ->
+            let l001 =
+              List.filter
+                (fun (f : Finding.t) -> f.id = "L001")
+                (Lint.lint_paths [ dir ]).findings
+            in
+            Alcotest.(check (list (pair string int)))
+              "one L001 at the call under the lock" [ ("worker.ml", 5) ]
+              (List.map (fun (f : Finding.t) -> (Filename.basename f.file, f.line)) l001);
+            Alcotest.(check bool)
+              "names the recursive callee" true
+              (contains (List.hd l001).Finding.message "pick performs IO")));
   ]
 
 (* ------------------------- L002: lock leaked on an exceptional path ---- *)
@@ -1290,42 +1324,6 @@ let engine_qcheck_tests =
            run () = run ()));
   ]
 
-(* --------------------------------------------- --only/--skip selection -- *)
-
-let select_tests =
-  [
-    tc "empty filters keep the whole catalog in order" (fun () ->
-        Alcotest.(check (result (list string) string))
-          "identity"
-          (Ok (List.map (fun (c : Checks.check_info) -> c.id) Checks.catalog))
-          (Checks.select ~only:[] ~skip:[]));
-    tc "only restricts, in catalog order regardless of input order" (fun () ->
-        Alcotest.(check (result (list string) string))
-          "catalog order"
-          (Ok [ "L001"; "X002" ])
-          (Checks.select ~only:[ "X002"; "L001" ] ~skip:[]));
-    tc "skip removes from the catalog" (fun () ->
-        match Checks.select ~only:[] ~skip:[ "D001"; "H001" ] with
-        | Error e -> Alcotest.failf "unexpected error: %s" e
-        | Ok ids ->
-            Alcotest.(check bool)
-              "removed" true
-              ((not (List.mem "D001" ids)) && not (List.mem "H001" ids));
-            Alcotest.(check bool) "kept the rest" true (List.mem "L002" ids));
-    tc "skip intersects only" (fun () ->
-        Alcotest.(check (result (list string) string))
-          "only minus skip"
-          (Ok [ "L001" ])
-          (Checks.select ~only:[ "L001"; "L002" ] ~skip:[ "L002" ]));
-    tc "unknown IDs are an error" (fun () ->
-        (match Checks.select ~only:[ "Z999" ] ~skip:[] with
-        | Ok _ -> Alcotest.fail "expected an error"
-        | Error e -> Alcotest.(check bool) "names the ID" true (contains e "Z999"));
-        match Checks.select ~only:[] ~skip:[ "Q000" ] with
-        | Ok _ -> Alcotest.fail "expected an error"
-        | Error e -> Alcotest.(check bool) "names the ID" true (contains e "Q000"));
-  ]
-
 (* ---------------------------------------------- versioned JSON envelope -- *)
 
 let mk_finding ?(file = "a.ml") ?(line = 1) id =
@@ -1349,14 +1347,6 @@ let json_report_tests =
         Alcotest.(check bool) "empty findings" true (contains s "\"findings\": []");
         Alcotest.(check bool) "no suppression block" false (contains s "suppressed");
         Alcotest.(check bool) "empty errors" true (contains s "\"errors\": []"));
-    tc "an --only filter shrinks the checks array" (fun () ->
-        let s = Lint.report_to_json ~only:[ "L001"; "X002" ] Lint.empty_report in
-        Alcotest.(check bool) "kept L001" true (contains s "{\"id\": \"L001\"");
-        Alcotest.(check bool) "kept X002" true (contains s "{\"id\": \"X002\"");
-        Alcotest.(check bool) "dropped D001" false (contains s "{\"id\": \"D001\"");
-        Alcotest.(check bool) "dropped L002" false (contains s "{\"id\": \"L002\"");
-        let il = index_of s "{\"id\": \"L001\"" and ix = index_of s "{\"id\": \"X002\"" in
-        Alcotest.(check bool) "catalog order preserved" true (il >= 0 && il < ix));
     tc "parse errors are part of the envelope" (fun () ->
         let r =
           {
@@ -1384,14 +1374,6 @@ let json_report_tests =
         in
         Alcotest.(check string) "identical" (Lint.report_to_json r)
           (Lint.report_to_json r));
-    tc "every catalog entry has --explain metadata" (fun () ->
-        List.iter
-          (fun (c : Checks.check_info) ->
-            Alcotest.(check bool) c.id true
-              (String.length c.detail > 40 && Checks.find_check c.id = Some c))
-          Checks.catalog);
-    tc "unknown check ID has no metadata" (fun () ->
-        Alcotest.(check bool) "none" true (Checks.find_check "Z999" = None));
   ]
 
 (* ---------------------------------------------------------------- N001 -- *)
@@ -1608,70 +1590,244 @@ let site_tests =
              fs));
   ]
 
-(* -------------------------------------------------- effect summaries ---- *)
+(* ------------------------------------------------------ mutant corpus -- *)
 
-let effects_tests =
+(* One or more realistic regressions per check, each an edit of a
+   file under lib/: [snippet] replaced [by] another text, or, when both
+   are empty, the file deleted.  [id] must fire in [at], inside the
+   replacement when [at] is the edited file.  DESIGN.md §5h records, per
+   mutant, which checks fire and whether the build or another test
+   catches it. *)
+type mutant = {
+  id : string;
+  what : string;
+  file : string;
+  snippet : string;
+  by : string;
+  at : string;
+}
+
+let mutant ?at id what file snippet by =
+  { id; what; file; snippet; by; at = Option.value at ~default:file }
+
+let mutants =
   [
-    tc "golden per-binding summaries for a benefit-like slice" (fun () ->
-        with_temp_project
-          [
-            ( "slice.ml",
-              "let log s = print_endline s\n\
-               let choose tbl = Hashtbl.fold (fun k _ acc -> k :: acc) tbl []\n\
-               let total f xs = List.fold_left ( +. ) 0.0 (List.map f xs)\n\
-               let install c = Catalog.create_index c []\n\
-               let run c tbl = log \"go\"; install c; List.length (choose tbl)\n" );
-          ]
-          (fun dir ->
-            let dump, errs = Lint.effects_dump [ dir ] in
-            Alcotest.(check (list string))
-              "no errors" []
-              (List.map (fun (e : Lint.error) -> e.message) errs);
-            let p = Filename.concat dir "slice.ml" in
-            Alcotest.(check string) "exact summary dump"
-              (String.concat ""
-                 [
-                   p ^ " choose: local=OrderDependent total=OrderDependent\n";
-                   p ^ " install: local=WritesMutable total=WritesMutable\n";
-                   p ^ " log: local=PerformsIO total=PerformsIO\n";
-                   p ^ " run: local=Pure total=WritesMutable,PerformsIO,OrderDependent\n";
-                   p ^ " total: local=Pure total=Pure\n";
-                 ])
-              dump));
-    tc "dump is byte-deterministic" (fun () ->
-        with_temp_project
-          [
-            ("a.ml", "let f () = B.g ()\n");
-            ("b.ml", "let g () = print_string \"x\"\nlet h t = Hashtbl.clear t\n");
-          ]
-          (fun dir ->
-            let d1, _ = Lint.effects_dump [ dir ] in
-            let d2, _ = Lint.effects_dump [ dir ] in
-            Alcotest.(check string) "identical" d1 d2));
-    tc "IO propagates across units" (fun () ->
-        with_temp_project
-          [
-            ("sink.ml", "let log s = print_endline s\n");
-            ("driver.ml", "let run () = Sink.log \"x\"\n");
-          ]
-          (fun dir ->
-            let dump, _ = Lint.effects_dump [ dir ] in
-            Alcotest.(check bool)
-              "driver picks up the callee's IO" true
-              (contains dump "driver.ml run: local=Pure total=PerformsIO")));
-    tc "order-dependence propagates through cross-unit recursion" (fun () ->
-        with_temp_project
-          [
-            ("store.ml", "let ids tbl = Hashtbl.fold (fun k _ acc -> k :: acc) tbl []\n");
-            ( "top.ml",
-              "let rec pick tbl n = if n = 0 then Store.ids tbl else pick tbl (n - 1)\n"
-            );
-          ]
-          (fun dir ->
-            let dump, _ = Lint.effects_dump [ dir ] in
-            Alcotest.(check bool)
-              "fixpoint reaches through the recursive binding" true
-              (contains dump "top.ml pick: local=Pure total=OrderDependent")));
+    mutant "D001" "toplevel dedup table" "query/rewriter.ml"
+      {|let indexable_patterns stmt =
+  let seen = Hashtbl.create 16 in
+|}
+      {|let seen = Hashtbl.create 16
+
+let indexable_patterns stmt =
+  Hashtbl.reset seen;
+|};
+    mutant "D002" "Sys.time in Executor.run_plan" "optimizer/executor.ml"
+      {|  let t0 = Xia_obs.Obs.now_s () in
+  let where|}
+      {|  let t0 = Sys.time () in
+  let where|};
+    mutant "D003" "runstats in Benefit.of_summary" "core/benefit.ml"
+      {|  Catalog.warm_stats catalog;
+  let prepared =|}
+      {|  Catalog.runstats_all catalog;
+  let prepared =|};
+    mutant "D004" "gettimeofday in Optimizer.optimize_one" "optimizer/optimizer.ml"
+      {|    let t0 = Xia_obs.Obs.now_s () in
+    let result = run () in|}
+      {|    let t0 = Unix.gettimeofday () in
+    let result = run () in|};
+    mutant "E001" "eprintf in Workload_summary.compress" "core/workload_summary.ml"
+      {|  let t = { source = workload; clusters; compressed = true } in
+|}
+      {|  let t = { source = workload; clusters; compressed = true } in
+  Printf.eprintf "summary: %d clusters\n%!" (Array.length clusters);
+|};
+    mutant ~at:"index/catalog.ml" "E002" "Catalog.stats in Optimizer.visible_indexes" "optimizer/optimizer.ml"
+      {|          let table = b.info.Rewriter.source.Ast.table in
+          if not|}
+      {|          let table = b.info.Rewriter.source.Ast.table in
+          ignore (Catalog.stats catalog table);
+          if not|};
+    mutant ~at:"query/printer.ml" "H001" "deleted Query printer interface" "query/printer.mli" "" "";
+    mutant "H002" "unnoted failwith in Selectivity" "optimizer/selectivity.ml"
+      {|| Xp.Gt | Xp.Ge -> 1.0 -. below
+              (* lint: range branch — Eq/Ne handled by the equality arm above *)
+              | Xp.Eq | Xp.Ne -> assert false|}
+      {|| Xp.Gt | Xp.Ge -> 1.0 -. below
+              | Xp.Eq | Xp.Ne -> failwith "Selectivity: Eq/Ne in a range branch"|};
+    mutant "L001" "what-if evaluation under the Benefit shard lock" "core/benefit.ml"
+      {|         let costs =
+           match missing with
+           | [] -> [||]
+           | _ ->
+               Optimizer.optimize_costs ~mode:Optimizer.Evaluate
+                 ~domains:t.domains ~virtual_config:entry.e_defs t.catalog
+                 (Array.of_list (List.map (fun i -> t.prepared.(i)) missing))
+         in
+         Mutex.lock shard.lock;
+         Fun.protect
+           ~finally:(fun () ->
+             Condition.broadcast shard.cond;
+             Mutex.unlock shard.lock)
+           (fun () ->
+|}
+      {|         Mutex.lock shard.lock;
+         Fun.protect
+           ~finally:(fun () ->
+             Condition.broadcast shard.cond;
+             Mutex.unlock shard.lock)
+           (fun () ->
+             let costs =
+               match missing with
+               | [] -> [||]
+               | _ ->
+                   Optimizer.optimize_costs ~mode:Optimizer.Evaluate
+                     ~domains:t.domains ~virtual_config:entry.e_defs t.catalog
+                     (Array.of_list (List.map (fun i -> t.prepared.(i)) missing))
+             in
+|};
+    mutant "L001" "print_endline under the Benefit shard lock" "core/benefit.ml"
+      {|             Hashtbl.replace shard.cache key (Ok entry);
+|}
+      {|             Hashtbl.replace shard.cache key (Ok entry);
+             print_endline "benefit: published";
+|};
+    mutant "L002" "dropped Fun.protect in Par.submit" "par/par.ml"
+      {|  Mutex.lock pool.lock;
+  Fun.protect
+    ~finally:(fun () -> Mutex.unlock pool.lock)
+    (fun () ->
+      Queue.push job pool.jobs;
+      Condition.signal pool.nonempty)|}
+      {|  Mutex.lock pool.lock;
+  Queue.push job pool.jobs;
+  Condition.signal pool.nonempty;
+  Mutex.unlock pool.lock|};
+    mutant "N001" "dropped sort in Doc_store.doc_ids" "storage/doc_store.ml"
+      {|let doc_ids t = List.sort compare (Hashtbl.fold (fun id _ acc -> id :: acc) t.docs [])|}
+      {|let doc_ids t = Hashtbl.fold (fun id _ acc -> id :: acc) t.docs []|};
+    mutant "N001" "dropped sort in Catalog.table_names" "index/catalog.ml"
+      {|  List.sort String.compare (Hashtbl.fold (fun name _ acc -> name :: acc) t.tables [])|}
+      {|  Hashtbl.fold (fun name _ acc -> name :: acc) t.tables []|};
+    mutant "N001" "clusters in hash order in Workload_summary.compress" "core/workload_summary.ml"
+      {|         !order)
+|}
+      {|         (Hashtbl.fold (fun _ acc l -> acc :: l) by_key []))
+|};
+    mutant "N001" "floor groups in hash order in Benefit.bounds" "core/benefit.ml"
+      {|        (List.rev !order);
+      let gaps|}
+      {|        (Hashtbl.fold (fun key _ acc -> key :: acc) groups []);
+      let gaps|};
+    mutant "N002" "float fold beside top-down's fan-out" "core/search.ml"
+      {|ib_sharp g -. Par.sum_list ~domains:1 ib_sharp children|}
+      {|ib_sharp g -. List.fold_left (fun acc c -> acc +. ib_sharp c) 0.0 children|};
+    mutant "R001" "top-down task reads the config ref" "core/search.ml"
+      {|x.id = ch.id) current))|}
+      {|x.id = ch.id) !config))|};
+    mutant "R002" "cache-size count under the shard lock" "core/benefit.ml"
+      {|               Hashtbl.replace shard.cache key (Error e));
+|}
+      {|               Hashtbl.replace shard.cache key (Error e);
+             count "benefit.cached" (cached_sub_configs t));
+|};
+    mutant "R003" "read-modify-write in Metrics.incr" "obs/metrics.ml"
+      {|let incr c = Atomic.incr c|}
+      {|let incr c = Atomic.set c (Atomic.get c + 1)|};
+    mutant "R003" "read-modify-write of the optimizer call counter" "optimizer/optimizer.ml"
+      {|    Atomic.incr counters.optimize_calls;
+    Atomic.incr counters.batched_calls;|}
+      {|    Atomic.set counters.optimize_calls (Atomic.get counters.optimize_calls + 1);
+    Atomic.incr counters.batched_calls;|};
+    mutant "X001" "dropped Fun.protect in Obs.with_enabled" "obs/obs.ml"
+      {|  let saved = Atomic.get enabled in
+  Atomic.set enabled v;
+  Fun.protect ~finally:(fun () -> Atomic.set enabled saved) f|}
+      {|  let saved = Atomic.get enabled in
+  Atomic.set enabled v;
+  let r = f () in
+  Atomic.set enabled saved;
+  r|};
+    mutant "X002" "stray unlock before Benefit re-raises" "core/benefit.ml"
+      {|         raise e)|}
+      {|         Mutex.unlock shard.lock;
+         raise e)|};
+  ]
+
+(* Offset of [needle] in [s] at or after [from]. *)
+let rec find_from s needle from =
+  if from + String.length needle > String.length s then None
+  else if String.sub s from (String.length needle) = needle then Some from
+  else find_from s needle (from + 1)
+
+(* The one occurrence of [needle] in [s]: an edit that no longer matches
+   the source, or matches twice, fails the suite. *)
+let unique s needle what =
+  match find_from s needle 0 with
+  | Some i when find_from s needle (i + 1) = None -> i
+  | _ -> Alcotest.failf "mutant %S: its text is not in its file exactly once" what
+
+let line_at s i = List.length (String.split_on_char '\n' (String.sub s 0 i))
+
+(* Copies the sources only: the build's dot directories of compiled
+   objects are skipped, as the linter skips them. *)
+let rec copy_tree src dst =
+  if Sys.is_directory src then begin
+    Sys.mkdir dst 0o755;
+    Array.iter
+      (fun e -> if e.[0] <> '.' then copy_tree (Filename.concat src e) (Filename.concat dst e))
+      (Sys.readdir src)
+  end
+  else
+    Out_channel.with_open_bin dst (fun oc ->
+        output_string oc (In_channel.with_open_bin src In_channel.input_all))
+
+let rec remove_tree path =
+  if Sys.is_directory path then begin
+    Array.iter (fun e -> remove_tree (Filename.concat path e)) (Sys.readdir path);
+    Sys.rmdir path
+  end
+  else Sys.remove path
+
+let mutant_tests =
+  [
+    tc "every mutant's check fires on one mutated copy of lib/" (fun () ->
+        let dir = Filename.temp_dir "xia_lint_mutants" "" in
+        let root = Filename.concat dir "lib" in
+        Fun.protect
+          ~finally:(fun () -> remove_tree dir)
+          (fun () ->
+            copy_tree repo_lib root;
+            let read m = In_channel.with_open_bin (Filename.concat root m.file) In_channel.input_all in
+            List.iter
+              (fun m ->
+                let path = Filename.concat root m.file in
+                if m.snippet = "" then Sys.remove path
+                else
+                  let s = read m in
+                  let i = unique s m.snippet m.what and n = String.length m.snippet in
+                  Out_channel.with_open_bin path (fun oc ->
+                      output_string oc
+                        (String.sub s 0 i ^ m.by ^ String.sub s (i + n) (String.length s - i - n))))
+              mutants;
+            let report = Lint.lint_paths [ root ] in
+            List.iter
+              (fun m ->
+                let in_edit =
+                  if m.snippet = "" || m.at <> m.file then fun _ -> true
+                  else
+                    let s = read m in
+                    let i = unique s m.by m.what in
+                    fun l -> l >= line_at s i && l <= line_at s (i + String.length m.by)
+                in
+                Alcotest.(check bool)
+                  (Printf.sprintf "%s fires on %s" m.id m.what)
+                  true
+                  (List.exists
+                     (fun (f : Finding.t) ->
+                       f.id = m.id && f.file = Filename.concat root m.at && in_edit f.line)
+                     report.findings))
+              mutants));
   ]
 
 let suites =
@@ -1693,14 +1849,13 @@ let suites =
     ("lint.dataflow_fixture", dataflow_fixture_tests);
     ("lint.dataflow_qcheck", dataflow_qcheck_tests);
     ("lint.engine_qcheck", engine_qcheck_tests);
-    ("lint.select", select_tests);
     ("lint.n001", n001_tests);
     ("lint.n002", n002_tests);
     ("lint.e001", e001_tests);
     ("lint.e002", e002_tests);
-    ("lint.effects", effects_tests);
     ("lint.sites", site_tests);
     ("lint.format", format_tests);
     ("lint.json_report", json_report_tests);
     ("lint.self_check", self_check_tests);
+    ("lint.mutants", mutant_tests);
   ]
