@@ -100,8 +100,8 @@ type t = {
   base_costs : float array;       (* per statement, no indexes *)
   all_stmts : int list;           (* every statement index, in order *)
   base_affected : float array;    (* per statement, estimated documents modified *)
-  dml : (int * Maintenance.dml_kind * string list) array;
-      (* the DML statements, in workload order: index, kind, tables *)
+  dml : (int * string list) array;
+      (* the DML statements, in workload order: index, tables *)
   shards : shard array;
   domains : int;                  (* parallelism for what-if fan-out *)
   evaluations : int Atomic.t;     (* optimizer calls made through this evaluator *)
@@ -154,18 +154,10 @@ let cached_sub_configs t =
       acc + n)
     0 t.shards
 
-let dml_kind = function
-  | Ast.Insert _ -> Some Maintenance.Dml_insert
-  | Ast.Delete _ -> Some Maintenance.Dml_delete
-  | Ast.Update _ -> Some Maintenance.Dml_update
-  | Ast.Select _ -> None
-
 let dml_statements items =
   Array.to_list items
   |> List.mapi (fun i (item : Workload.item) ->
-         Option.map
-           (fun kind -> (i, kind, Ast.tables item.statement))
-           (dml_kind item.statement))
+         if Ast.is_dml item.statement then Some (i, Ast.tables item.statement) else None)
   |> List.filter_map Fun.id |> Array.of_list
 
 (* Build an evaluator over a workload summary: the per-statement arrays hold
@@ -287,13 +279,13 @@ let base_workload_cost t =
 let maintenance_charge t (config : Candidate.t list) =
   let terms = ref [] in
   Array.iter
-    (fun (i, kind, tables) ->
+    (fun (i, tables) ->
       List.iter
         (fun (c : Candidate.t) ->
           if List.mem c.def.Xia_index.Index_def.table tables then begin
             let stats = Candidate.stats t.catalog c in
             terms :=
-              (t.weights.(i) *. Maintenance.cost stats kind ~docs_affected:t.base_affected.(i))
+              (t.weights.(i) *. Maintenance.cost stats ~docs_affected:t.base_affected.(i))
               :: !terms
           end)
         config)

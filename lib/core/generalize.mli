@@ -4,13 +4,6 @@
 
 module Pattern = Xia_xpath.Pattern
 
-(** [gen_axis a b] is descendant if either axis is descendant. *)
-val gen_axis : Xia_xpath.Ast.axis -> Xia_xpath.Ast.axis -> Xia_xpath.Ast.axis
-
-(** Generalize two name tests; [None] on element/attribute kind mismatch. *)
-val gen_test :
-  Xia_xpath.Ast.node_test -> Xia_xpath.Ast.node_test -> Xia_xpath.Ast.node_test option
-
 (** All generalizations of one pattern pair, normalized (rule 0) and
     deduplicated.  [pair /Security/Symbol /Security/SecInfo/*/Sector]
     is [\[/Security//*\]]. *)

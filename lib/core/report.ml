@@ -84,12 +84,6 @@ let evaluate_configuration catalog (workload : Workload.t) defs =
         match item.statement with
         | Xia_query.Ast.Select _ -> acc
         | Xia_query.Ast.Insert _ | Xia_query.Ast.Delete _ | Xia_query.Ast.Update _ ->
-            let kind =
-              match item.statement with
-              | Xia_query.Ast.Insert _ -> Maintenance.Dml_insert
-              | Xia_query.Ast.Delete _ -> Maintenance.Dml_delete
-              | Xia_query.Ast.Update _ | Xia_query.Ast.Select _ -> Maintenance.Dml_update
-            in
             let tables = Xia_query.Ast.tables item.statement in
             List.fold_left
               (fun acc (d : Index_def.t) ->
@@ -97,8 +91,7 @@ let evaluate_configuration catalog (workload : Workload.t) defs =
                   let stats = Index_stats.derive_cached (Catalog.stats catalog d.table) d in
                   acc
                   +. item.freq
-                     *. Maintenance.cost stats kind
-                          ~docs_affected:base_plan.Plan.affected_docs
+                     *. Maintenance.cost stats ~docs_affected:base_plan.Plan.affected_docs
                 else acc)
               acc defs)
       0.0 workload base_plans

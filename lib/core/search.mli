@@ -11,9 +11,6 @@ type outcome = {
   elapsed : float;          (** seconds *)
 }
 
-(** β = 0.10, the size-expansion threshold of the heuristic search. *)
-val beta_default : float
-
 (** Plain greedy on individual benefit density; ignores interaction.
 
     Candidates are cost-probed lazily: each starts at its

@@ -50,7 +50,6 @@ val weights : t -> float array
     {!workload} (head of each list is the representative). *)
 val members : t -> int list list
 
-val statement_count : t -> int
 val cluster_count : t -> int
 val info : t -> info
 val pp_info : Format.formatter -> info -> unit

@@ -22,9 +22,6 @@ val add_table : t -> Doc_store.t -> table
 
 val find_table : t -> string -> table option
 
-(** @raise Invalid_argument on unknown tables. *)
-val table_exn : t -> string -> table
-
 val table_names : t -> string list
 val store : t -> string -> Doc_store.t
 

@@ -5,38 +5,12 @@
    include the cost of updating indexes, so the advisor charges each index in
    a configuration for the entries a data-modifying statement would touch:
    inserting a document adds (on average) [entries_per_doc] entries to every
-   index whose pattern matches somewhere in documents of that table, deleting
-   removes them, and an update is a delete plus an insert of the modified
-   nodes.  Pure queries have zero maintenance cost. *)
+   index whose pattern matches somewhere in documents of that table,
+   deleting removes them, and an update is charged the same entries.  Pure
+   queries have zero maintenance cost. *)
 
-module Cost_params = Xia_storage.Cost_params
-
-type dml_kind =
-  | Dml_insert
-  | Dml_delete
-  | Dml_update
-
-(* Expected number of index entries touched by one statement of the given
-   kind, given how many documents the statement affects. *)
-let entries_touched (stats : Index_stats.t) kind ~docs_affected =
-  let per_doc = stats.Index_stats.entries_per_doc in
+let cost (stats : Index_stats.t) ~docs_affected =
   (* Only documents that actually contribute entries matter. *)
-  let contributing =
-    if stats.Index_stats.matched_docs = 0 then 0.0 else docs_affected
-  in
-  match kind with
-  | Dml_insert | Dml_delete -> per_doc *. contributing
-  | Dml_update ->
-      (* The updated subtree is typically a fraction of the document; charge a
-         delete + insert of half the document's entries. *)
-      per_doc *. contributing
-
-let cost stats kind ~docs_affected =
-  let touched = entries_touched stats kind ~docs_affected in
-  if touched <= 0.0 then 0.0
-  else
-    (* Each touched entry pays a B-tree descend share plus the entry update. *)
-    let descend =
-      float_of_int stats.Index_stats.levels *. Cost_params.cpu_per_index_entry
-    in
-    touched *. (Cost_params.index_update_entry_cost +. descend)
+  Xia_storage.Cost_params.upkeep ~entries_per_doc:stats.entries_per_doc
+    ~docs:(if stats.matched_docs = 0 then 0.0 else docs_affected)
+    ~levels:stats.levels

@@ -1,14 +1,7 @@
 (** Index maintenance cost model — the [mc(x, s)] term in the paper's benefit
     formula.  Charged only for insert / delete / update statements. *)
 
-type dml_kind =
-  | Dml_insert
-  | Dml_delete
-  | Dml_update
-
-(** Expected number of index entries touched by one statement affecting
-    [docs_affected] documents. *)
-val entries_touched : Index_stats.t -> dml_kind -> docs_affected:float -> float
-
-(** Maintenance cost in optimizer cost units. *)
-val cost : Index_stats.t -> dml_kind -> docs_affected:float -> float
+(** Maintenance cost in optimizer cost units of one statement affecting
+    [docs_affected] documents: the same for an insert, a delete and an
+    update. *)
+val cost : Index_stats.t -> docs_affected:float -> float

@@ -3,8 +3,9 @@
    Used to measure the paper's "actual speedup": queries really run, either
    by scanning and navigating every document or by probing materialized
    indexes and verifying the fetched documents.  Execution also accumulates a
-   simulated I/O figure using the same constants as the cost model, giving a
-   hardware-independent view of the work done. *)
+   simulated cost, priced by the same [Cost_params] charges as the
+   optimizer's estimates, giving a hardware-independent view of the work
+   done. *)
 
 module Catalog = Xia_index.Catalog
 module Physical_index = Xia_index.Physical_index
@@ -101,14 +102,12 @@ let physical_for catalog (choice : Plan.index_choice) =
     (fun pi -> Index_def.same (Physical_index.def pi) choice.def)
     (Catalog.real_indexes catalog table)
 
-(* Charges for one document, from the sizes its packed form keeps. *)
-let doc_pages (doc : Packed.t) =
-  Float.max 1.0 (float_of_int doc.bytes /. float_of_int C.page_size)
+(* The running simulated cost, flat so that a charge allocates nothing;
+   [run_plan] copies it into the metrics.  Every charge adds one term, in
+   the order the work happens. *)
+type meter = { mutable cost : float }
 
-(* CPU charge for navigating one document during verification. *)
-let doc_cpu doc nfilters =
-  (float_of_int (Packed.elements doc) *. C.cpu_per_node)
-  +. (float_of_int (nfilters + 1) *. C.cpu_per_predicate)
+let[@inline] charge meter cost = meter.cost <- meter.cost +. cost
 
 (* The documents a binding's plan visits: the whole table, or the ones its
    index probes return, in probe order. *)
@@ -119,12 +118,10 @@ type access =
 (* Probe the plan's indexes, charging the probes.  A plan whose indexes are
    not all materialized (a virtual plan executed without them) scans the
    table. *)
-let access catalog metrics (b : Plan.planned_binding) =
+let access catalog metrics meter (b : Plan.planned_binding) =
   let doc_ids_of_entries entries =
     metrics.index_entries <- metrics.index_entries + List.length entries;
-    metrics.simulated_cost <-
-      metrics.simulated_cost
-      +. (float_of_int (List.length entries) *. C.cpu_per_index_entry);
+    charge meter (C.probe_cpu (List.length entries));
     let seen = Hashtbl.create 64 in
     List.filter_map
       (fun (e : Physical_index.entry) ->
@@ -138,10 +135,7 @@ let access catalog metrics (b : Plan.planned_binding) =
   let probe_all physicals choices =
     List.map2
       (fun pi (choice : Plan.index_choice) ->
-        metrics.simulated_cost <-
-          metrics.simulated_cost
-          +. (float_of_int choice.stats.Xia_index.Index_stats.levels
-             *. C.effective_random_page_cost);
+        charge meter (C.descent choice.stats.Xia_index.Index_stats.levels);
         doc_ids_of_entries (probe pi choice.access))
       physicals choices
   in
@@ -182,18 +176,16 @@ let access catalog metrics (b : Plan.planned_binding) =
 
 (* Fold [f doc_id doc] over the documents [access] visits, charging each
    visit. *)
-let visit_docs catalog metrics (b : Plan.planned_binding) access f init =
+let visit_docs catalog metrics meter (b : Plan.planned_binding) access f init =
   let store = Catalog.store catalog b.info.Rewriter.source.Ast.table in
   let nfilters = List.length b.info.Rewriter.filters in
   match access with
   | Table_scan ->
-      metrics.simulated_cost <-
-        metrics.simulated_cost
-        +. (float_of_int (Doc_store.pages store) *. C.sequential_page_cost);
+      charge meter (C.table_scan_io (Doc_store.pages store));
       Doc_store.fold
         (fun doc_id doc acc ->
           metrics.docs_scanned <- metrics.docs_scanned + 1;
-          metrics.simulated_cost <- metrics.simulated_cost +. doc_cpu doc nfilters;
+          charge meter (C.doc_verify_cpu ~elements:(Packed.elements doc) ~predicates:nfilters);
           f doc_id doc acc)
         store init
   | Fetch doc_ids ->
@@ -203,10 +195,8 @@ let visit_docs catalog metrics (b : Plan.planned_binding) access f init =
           | None -> acc
           | Some doc ->
               metrics.docs_fetched <- metrics.docs_fetched + 1;
-              metrics.simulated_cost <-
-                metrics.simulated_cost
-                +. (doc_pages doc *. C.effective_random_page_cost)
-                +. doc_cpu doc nfilters;
+              charge meter (C.doc_fetch_io doc.bytes);
+              charge meter (C.doc_verify_cpu ~elements:(Packed.elements doc) ~predicates:nfilters);
               f doc_id doc acc)
         init doc_ids
 
@@ -225,18 +215,19 @@ let bound_counter catalog where (b : Plan.planned_binding) =
   fun doc -> Eval.count path keep doc
 
 (* Rows of one binding: its bound nodes summed over the documents. *)
-let binding_rows catalog metrics where b =
+let binding_rows catalog metrics meter where b =
   let bound = bound_counter catalog where b in
-  visit_docs catalog metrics b (access catalog metrics b) (fun _ doc rows -> rows + bound doc) 0
+  visit_docs catalog metrics meter b (access catalog metrics meter b)
+    (fun _ doc rows -> rows + bound doc) 0
 
 (* Documents where a binding binds a node: a scan lists them last visited
    first, a fetch in probe order, which is the order an update charges
    them in. *)
-let binding_docs catalog metrics where b =
+let binding_docs catalog metrics meter where b =
   let bound = bound_counter catalog where b in
-  let access = access catalog metrics b in
+  let access = access catalog metrics meter b in
   let found =
-    visit_docs catalog metrics b access
+    visit_docs catalog metrics meter b access
       (fun doc_id doc acc -> if bound doc > 0 then doc_id :: acc else acc)
       []
   in
@@ -250,13 +241,13 @@ let set_value doc target new_value =
   Packed.set_text doc (Eval.elements target doc) new_value
 
 let run_plan catalog (plan : Plan.t) =
-  let metrics = fresh_metrics () in
+  let metrics = fresh_metrics () and meter = { cost = 0.0 } in
   (* Wall-clock, not [Sys.time]: process CPU time exceeds wall time once the
      advisor evaluates on several domains, which made the field nonsense. *)
   let t0 = Xia_obs.Obs.now_s () in
   let where = where_of_statement plan.Plan.statement in
   let victims () =
-    List.concat_map (fun b -> binding_docs catalog metrics where b) plan.Plan.bindings
+    List.concat_map (fun b -> binding_docs catalog metrics meter where b) plan.Plan.bindings
   in
   let rows =
     match plan.Plan.statement with
@@ -264,15 +255,13 @@ let run_plan catalog (plan : Plan.t) =
         (* FLWOR without join predicates: result cardinality is the product of
            the per-binding bound-node counts. *)
         List.fold_left
-          (fun acc b -> acc * binding_rows catalog metrics where b)
+          (fun acc b -> acc * binding_rows catalog metrics meter where b)
           1 plan.Plan.bindings
     | Ast.Insert { table; document } ->
         let store = Catalog.store catalog table in
         let id = Doc_store.insert store document in
         Option.iter
-          (fun doc ->
-            metrics.simulated_cost <-
-              metrics.simulated_cost +. (doc_pages doc *. C.sequential_page_cost))
+          (fun (doc : Packed.t) -> charge meter (C.doc_write_io doc.bytes))
           (Doc_store.find_packed store id);
         1
     | Ast.Delete { table; _ } ->
@@ -289,11 +278,11 @@ let run_plan catalog (plan : Plan.t) =
             | None -> ()
             | Some doc ->
                 ignore (Doc_store.update store doc_id (set_value doc target new_value));
-                metrics.simulated_cost <-
-                  metrics.simulated_cost +. (doc_pages doc *. C.sequential_page_cost))
+                charge meter (C.doc_write_io doc.bytes))
           victims;
         List.length victims
   in
+  metrics.simulated_cost <- meter.cost;
   { rows; metrics; wall_seconds = Xia_obs.Obs.now_s () -. t0 }
 
 let run_statement catalog stmt =

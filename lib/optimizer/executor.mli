@@ -10,7 +10,8 @@ type metrics = {
   mutable index_entries : int;  (** index entries touched *)
   mutable simulated_cost : float;
   (** work actually performed, in cost-model units: I/O for pages touched plus
-      CPU for nodes navigated and index entries scanned *)
+      CPU for nodes navigated and index entries scanned; set when the run
+      ends *)
 }
 
 type result = {

@@ -75,11 +75,7 @@ let matches (def : Index_def.t) (access : Rewriter.access) access_pid =
 let index_matches def (access : Rewriter.access) = matches def access (Pattern.id access.pattern)
 
 let avg_doc_pages (tstats : Path_stats.t) =
-  if tstats.doc_count = 0 then 1.0
-  else
-    Float.max 1.0
-      (float_of_int tstats.total_bytes
-      /. float_of_int tstats.doc_count /. float_of_int C.page_size)
+  C.avg_doc_pages ~bytes:tstats.total_bytes ~docs:tstats.doc_count
 
 let avg_doc_elements (tstats : Path_stats.t) =
   if tstats.doc_count = 0 then 0.0
@@ -87,31 +83,11 @@ let avg_doc_elements (tstats : Path_stats.t) =
 
 (* Cost of verifying one fetched document against the full binding. *)
 let verify_cost_per_doc tstats nfilters =
-  (avg_doc_elements tstats *. C.cpu_per_node)
-  +. (float_of_int (nfilters + 1) *. C.cpu_per_predicate)
+  C.verify_cpu ~elements:(avg_doc_elements tstats) ~predicates:nfilters
 
 (* Number of elementary predicate evaluations per document. *)
 let predicate_count (info : Rewriter.binding_info) =
   List.length (List.concat info.filters)
-
-let doc_scan_cost tstats store (info : Rewriter.binding_info) =
-  let docs = float_of_int tstats.Path_stats.doc_count in
-  let pages = float_of_int (Doc_store.pages store) in
-  (pages *. C.sequential_page_cost)
-  +. (docs *. verify_cost_per_doc tstats (predicate_count info))
-
-(* Pure in the document: page-in plus parse CPU.  (An earlier version
-   pulled [Catalog.stats] here and ignored it — a shared-state read the
-   E002 effect check rightly flagged on the batched what-if path.) *)
-let insert_cost doc =
-  let bytes = float_of_int (Xia_xml.Types.byte_size doc) in
-  let pages = Float.max 1.0 (bytes /. float_of_int C.page_size) in
-  (pages *. C.sequential_page_cost)
-  +. (float_of_int (Xia_xml.Types.count_elements doc) *. C.cpu_per_node)
-
-let modify_cost_per_doc tstats ~factor =
-  (avg_doc_pages tstats *. C.sequential_page_cost *. factor)
-  +. (avg_doc_elements tstats *. C.cpu_per_node)
 
 (* Result-size estimate, independent of the access path. *)
 let est_result_docs tstats (info : Rewriter.binding_info) =
@@ -154,12 +130,12 @@ type tail =
   | Modify_tail of float         (* their sum, plus this per modified document *)
 
 (* The configuration-independent costs of one index scan: the lookup, the
-   documents it fetches and their fraction of the table.  All floats, so
+   documents it fetches and the RID comparisons of an AND.  All floats, so
    stored flat. *)
-type parts = {
+type parts = C.index_scan = {
   lookup : float;
   docs_fetched : float;
-  frac : float;
+  rid_cpu : float;
 }
 
 (* One memoized (access, index) pair: its key (see [prepared]), the index's
@@ -210,7 +186,7 @@ let prepare catalog (stmt : Ast.statement) =
     let table = info.Rewriter.source.Ast.table in
     let tstats = Catalog.stats catalog table in
     let est_docs = est_result_docs tstats info in
-    let result_cpu = est_docs *. C.cpu_per_result in
+    let result_cpu = C.result_cpu est_docs in
     let filters =
       Array.of_list (List.map (fun f -> Array.of_list (List.map prepare_access f)) info.filters)
     in
@@ -219,11 +195,16 @@ let prepare catalog (stmt : Ast.statement) =
       tstats;
       est_docs;
       result_cpu;
-      scan_cost = doc_scan_cost tstats (Catalog.store catalog table) info +. result_cpu;
+      scan_cost =
+        C.doc_scan
+          ~pages:(Doc_store.pages (Catalog.store catalog table))
+          ~docs:tstats.Path_stats.doc_count
+          ~verify:(verify_cost_per_doc tstats (predicate_count info))
+        +. result_cpu;
       docs_cap = Float.max 1.0 (float_of_int tstats.Path_stats.doc_count);
       fetch_per_doc =
-        (C.effective_random_page_cost *. avg_doc_pages tstats)
-        +. verify_cost_per_doc tstats (predicate_count info);
+        C.fetch ~pages:(avg_doc_pages tstats)
+          ~verify:(verify_cost_per_doc tstats (predicate_count info));
       filters;
       pairs =
         Array.fold_left (fun n f -> if Array.length f = 1 then n + 1 else n) 0 filters >= 2;
@@ -231,12 +212,17 @@ let prepare catalog (stmt : Ast.statement) =
   in
   let bindings = List.map prepare_binding (Rewriter.bindings_of_statement stmt) in
   let modify table ~factor =
-    Modify_tail (modify_cost_per_doc (Catalog.stats catalog table) ~factor)
+    let tstats = Catalog.stats catalog table in
+    Modify_tail
+      (C.modify_cost ~pages:(avg_doc_pages tstats) ~elements:(avg_doc_elements tstats) ~factor)
   in
   let tail =
     match stmt with
     | Ast.Select _ -> Select_tail
-    | Ast.Insert { document; _ } -> Insert_tail (insert_cost document)
+    | Ast.Insert { document; _ } ->
+        Insert_tail
+          (C.insert_cost ~bytes:(Xia_xml.Types.byte_size document)
+             ~elements:(Xia_xml.Types.count_elements document))
     | Ast.Delete { table; _ } -> modify table ~factor:1.0
     | Ast.Update { table; _ } -> modify table ~factor:2.0
   in
@@ -274,33 +260,17 @@ let rec serves_any def = function
 let serves p def = serves_any def p.accesses
 
 let scan_parts tstats (s : Index_stats.t) (def : Index_def.t) (pa : prepared_access) =
-  if s.Index_stats.entries = 0 then { lookup = 0.0; docs_fetched = 0.0; frac = 0.0 }
-  else begin
-    let est =
-      Selectivity.lookup_estimate ~query:pa.pid tstats def.pid def.dtype
-        pa.access.Rewriter.condition
-    in
-    let entries_scanned = est.Selectivity.entries_matched in
-    let leaf_frac = entries_scanned /. float_of_int s.Index_stats.entries in
-    let descend = float_of_int s.Index_stats.levels *. C.effective_random_page_cost in
-    let leaf_io =
-      float_of_int s.Index_stats.leaf_pages *. leaf_frac *. C.sequential_page_cost
-    in
-    let entry_cpu = entries_scanned *. C.cpu_per_index_entry in
-    let docs_fetched = est.Selectivity.docs_matched in
-    {
-      lookup = descend +. leaf_io +. entry_cpu;
-      docs_fetched;
-      frac =
-        Float.min 1.0
-          (docs_fetched /. Float.max 1.0 (float_of_int tstats.Path_stats.doc_count));
-    }
-  end
+  if s.Index_stats.entries = 0 then { lookup = 0.0; docs_fetched = 0.0; rid_cpu = 0.0 }
+  else
+    C.index_scan ~levels:s.Index_stats.levels ~leaf_pages:s.Index_stats.leaf_pages
+      ~entries:s.Index_stats.entries
+      (Selectivity.lookup_estimate ~query:pa.pid tstats def.pid def.dtype
+         pa.access.Rewriter.condition)
 
 (* What [find_probe] returns for an absent key (keys are never negative),
    so a lookup allocates nothing. *)
 let absent =
-  { key = -1; stats = Index_stats.empty; parts = { lookup = 0.0; docs_fetched = 0.0; frac = 0.0 } }
+  { key = -1; stats = Index_stats.empty; parts = { lookup = 0.0; docs_fetched = 0.0; rid_cpu = 0.0 } }
 
 let rec find_probe key = function
   | [] -> absent
@@ -350,14 +320,15 @@ let[@inline] scan_cost b (pr : parts) =
 let[@inline] or_cost b ~lookups ~docs =
   perturbed (lookups +. (Float.min b.docs_cap docs *. b.fetch_per_doc))
 
+(* A scan's fraction of the table's documents. *)
+let[@inline] frac b (x : parts) = Float.min 1.0 (x.docs_fetched /. b.docs_cap)
+
 (* An index AND of two scans: both lookups, a RID comparison per fetched
    entry, and the documents of the intersection under independence. *)
 let[@inline] and_cost b (x : parts) (y : parts) =
   let lookups = 0.0 +. x.lookup +. y.lookup in
-  let rid_cpu =
-    0.0 +. (x.docs_fetched *. C.cpu_per_index_entry) +. (y.docs_fetched *. C.cpu_per_index_entry)
-  in
-  let inter_docs = b.docs_cap *. (1.0 *. x.frac *. y.frac) in
+  let rid_cpu = 0.0 +. x.rid_cpu +. y.rid_cpu in
+  let inter_docs = b.docs_cap *. (1.0 *. frac b x *. frac b y) in
   perturbed (lookups +. rid_cpu +. (inter_docs *. b.fetch_per_doc))
 
 (* The document scan's cost is fixed per binding: [scan_cost] of

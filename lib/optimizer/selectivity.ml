@@ -92,7 +92,8 @@ let path_selectivity ~distinct (v : Path_stats.path_info)
           (* Lexical range without histograms: the classic 1/3 guess. *)
           1.0 /. 3.0)
 
-type lookup_estimate = {
+(* The cost model prices an index scan from it. *)
+type lookup_estimate = Xia_storage.Cost_params.lookup_estimate = {
   entries_matched : float;  (* index entries satisfying the key condition *)
   docs_matched : float;     (* documents with at least one such entry *)
   total_entries : float;    (* size of the key population *)

@@ -15,11 +15,7 @@ module Index_def = Xia_index.Index_def
     evaluations, not while one is in flight. *)
 val use_histograms : bool Atomic.t
 
-(** Damping applied to string-equality matches from paths outside the
-    predicate's own pattern (string value domains rarely overlap). *)
-val cross_path_collision : float
-
-type lookup_estimate = {
+type lookup_estimate = Xia_storage.Cost_params.lookup_estimate = {
   entries_matched : float;
   docs_matched : float;
   total_entries : float;
@@ -40,9 +36,7 @@ val lookup_estimate :
 (** Fraction of the table's documents satisfying one access. *)
 val doc_fraction : Path_stats.t -> Xia_query.Rewriter.access -> float
 
-(** Fraction of documents satisfying a disjunctive filter. *)
-val filter_doc_fraction : Path_stats.t -> Xia_query.Rewriter.access list -> float
-
-(** Product of {!filter_doc_fraction} over the filters (independence). *)
+(** Product over the filters (independence) of the fraction of documents
+    satisfying each disjunctive filter. *)
 val combined_doc_fraction :
   Path_stats.t -> Xia_query.Rewriter.access list list -> float

@@ -65,11 +65,6 @@ let statement_table = function
       | [] -> None)
   | Insert { table; _ } | Delete { table; _ } | Update { table; _ } -> Some table
 
-let rec return_vars = function
-  | Ret_var v -> [ v ]
-  | Ret_path (v, _) -> [ v ]
-  | Ret_element (_, items) -> List.concat_map return_vars items
-
 (* All tables a statement touches. *)
 let tables = function
   | Select f -> List.sort_uniq String.compare (List.map (fun (_, s) -> s.table) f.bindings)

@@ -45,7 +45,6 @@ val is_dml : statement -> bool
 (** Primary table of the statement (first binding for queries). *)
 val statement_table : statement -> string option
 
-val return_vars : return_item -> string list
 val tables : statement -> string list
 
 (** Full-depth structural hash, consistent with structural equality:

@@ -1,5 +1,4 @@
 (** Concrete syntax for workload statements; inverse of {!Parser}. *)
 
-val flwor_to_string : Ast.flwor -> string
 val statement_to_string : Ast.statement -> string
 val pp : Format.formatter -> Ast.statement -> unit

@@ -9,8 +9,6 @@ type condition =
   | Cexists
   | Ccompare of Xp.cmp * Xp.literal
 
-val pp_condition : Format.formatter -> condition -> unit
-
 (** One indexable access: an absolute predicate-free pattern plus the
     condition it must satisfy and the index type able to serve it. *)
 type access = {

@@ -14,8 +14,6 @@ val customer : Random.State.t -> int -> Xia_xml.Types.t
 val order :
   Random.State.t -> int -> n_securities:int -> n_customers:int -> Xia_xml.Types.t
 
-val symbol_of : int -> string
-
 type scale = {
   securities : int;
   customers : int;
@@ -36,8 +34,6 @@ val queries : unit -> Workload.t
 
 (** Insert / update / delete statements (order entry, price update, ...). *)
 val dml : unit -> Workload.t
-
-val variation_query_strings : string list
 
 (** Nine "variation" queries on unseen leaves under the subtrees the main
     queries navigate — the future-workload scenario of Section VII-C. *)

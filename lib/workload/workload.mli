@@ -37,5 +37,4 @@ val prefix : int -> t -> t
 val labels : t -> string list
 val find_opt : t -> string -> item option
 
-val pp_item : Format.formatter -> item -> unit
 val pp : Format.formatter -> t -> unit

@@ -7,9 +7,6 @@ val auction_table : string
 val item : Random.State.t -> int -> Xia_xml.Types.t
 val person : Random.State.t -> int -> Xia_xml.Types.t
 
-val open_auction :
-  Random.State.t -> int -> n_items:int -> n_persons:int -> Xia_xml.Types.t
-
 type scale = {
   items : int;
   persons : int;

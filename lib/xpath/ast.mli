@@ -42,7 +42,6 @@ val equal_axis : axis -> axis -> bool
 val equal_name_test : name_test -> name_test -> bool
 val equal_node_test : node_test -> node_test -> bool
 val equal_step : step -> step -> bool
-val equal_predicate : predicate -> predicate -> bool
 val equal_path : path -> path -> bool
 
 (** Remove all predicates, keeping the structural skeleton. *)

@@ -47,9 +47,6 @@ val last_step : t -> step
 (** Does the pattern index attribute nodes? *)
 val targets_attribute : t -> bool
 
-val has_wildcard : t -> bool
-val has_descendant : t -> bool
-
 (** [true] when the pattern can match more than one fixed label sequence. *)
 val is_general_shape : t -> bool
 

@@ -1,7 +1,5 @@
 (** Rendering XPath ASTs back to concrete syntax; inverse of {!Parser}. *)
 
-val axis_to_string : Ast.axis -> string
-val node_test_to_string : Ast.node_test -> string
 val cmp_to_string : Ast.cmp -> string
 val literal_to_string : Ast.literal -> string
 

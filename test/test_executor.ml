@@ -3,6 +3,7 @@
 
 module E = Xia_optimizer.Executor
 module O = Xia_optimizer.Optimizer
+module Plan = Xia_optimizer.Plan
 module Cat = Xia_index.Catalog
 module D = Xia_index.Index_def
 module DS = Xia_storage.Doc_store
@@ -183,9 +184,35 @@ let property_tests =
         before = after);
   ]
 
+(* The optimizer's estimate and the executor's simulated cost are priced by
+   the same charges.  On identical documents every term of a document scan
+   is an integer, so the executed cost equals the estimate less the result
+   CPU, which only the optimizer charges, exactly: a scan or verification
+   charge changed on one side alone breaks the equality. *)
+let coupling_tests =
+  [
+    tc "document scan: executed cost = estimate - result CPU" (fun () ->
+        let catalog = Cat.create () in
+        let store = DS.create "T" in
+        for _ = 1 to 250 do
+          ignore (DS.insert store (Helpers.xml "<a><k>K01</k><v>7</v><w><x>y</x></w></a>"))
+        done;
+        ignore (Cat.add_table catalog store);
+        ignore (Cat.runstats catalog "T");
+        let stmt = Helpers.statement "for $x in T/a return $x" in
+        match (O.optimize ~mode:O.Normal catalog stmt).Plan.bindings with
+        | [ { plan = Plan.Doc_scan; est_cost; est_docs; _ } ] ->
+            let estimated = est_cost -. (est_docs *. Xia_storage.Cost_params.cpu_per_result) in
+            let executed = (E.run_statement catalog stmt).E.metrics.E.simulated_cost in
+            if not (Float.equal executed estimated) then
+              Alcotest.failf "executed %h, estimated %h" executed estimated
+        | _ -> Alcotest.fail "expected one document-scan binding");
+  ]
+
 let suites =
   [
     ("executor.correctness", correctness_tests);
+    ("executor.coupling", coupling_tests);
     ("executor.dml", dml_tests);
     Helpers.qsuite "executor.properties" property_tests;
   ]

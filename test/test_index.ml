@@ -423,18 +423,18 @@ let maintenance_tests =
         let st = PS.collect (store_with [ "<a><b>1</b></a>" ]) in
         let s = IS.derive st (def "/a/b") in
         Alcotest.(check (float 0.001)) "zero" 0.0
-          (M.cost s M.Dml_insert ~docs_affected:0.0));
+          (M.cost s ~docs_affected:0.0));
     tc "insert charges entries_per_doc" (fun () ->
         let st = PS.collect (store_with [ "<a><b>1</b><b>2</b></a>" ]) in
         let s = IS.derive st (def "/a/b") in
-        let c1 = M.cost s M.Dml_insert ~docs_affected:1.0 in
-        let c2 = M.cost s M.Dml_insert ~docs_affected:2.0 in
+        let c1 = M.cost s ~docs_affected:1.0 in
+        let c2 = M.cost s ~docs_affected:2.0 in
         Alcotest.(check bool) "positive" true (c1 > 0.0);
         Alcotest.(check (float 0.001)) "linear" (2.0 *. c1) c2);
     tc "irrelevant index pays nothing" (fun () ->
         let st = PS.collect (store_with [ "<a><b>1</b></a>" ]) in
         let s = IS.derive st (def "/zzz/q") in
-        Alcotest.(check (float 0.001)) "zero" 0.0 (M.cost s M.Dml_insert ~docs_affected:1.0));
+        Alcotest.(check (float 0.001)) "zero" 0.0 (M.cost s ~docs_affected:1.0));
     tc "bigger index costs more to maintain" (fun () ->
         let st =
           PS.collect (store_with [ "<a><b>1</b><c>2</c><d>3</d></a>" ])
@@ -442,8 +442,8 @@ let maintenance_tests =
         let small = IS.derive st (def "/a/b") in
         let big = IS.derive st (def "/a/*") in
         Alcotest.(check bool) "more" true
-          (M.cost big M.Dml_insert ~docs_affected:1.0
-          > M.cost small M.Dml_insert ~docs_affected:1.0));
+          (M.cost big ~docs_affected:1.0
+          > M.cost small ~docs_affected:1.0));
   ]
 
 let suites =
