@@ -547,7 +547,7 @@ let scale () =
 
 (* The workload, candidates and advisor phase shared by [par] and
    [whatif]: a fresh evaluator over TPoX plus synthetic statements, then
-   All-Index and three searches at half of All-Index's size.  Every
+   All-Index and four searches at half of All-Index's size.  Every
    configuration is costed by batched Evaluate-mode optimizer calls. *)
 let advisor_phase_setup () =
   let catalog = tpox_catalog () in
@@ -568,7 +568,8 @@ let advisor_phase ~domains (catalog, workload, set) =
   let budget = all.Advisor.outcome.Search.size / 2 in
   ( List.map
       (Advisor.session_advise session ~budget)
-      [ Advisor.Greedy; Advisor.Top_down_full; Advisor.Dynamic_programming ],
+      [ Advisor.Greedy; Advisor.Greedy_heuristics; Advisor.Top_down_full;
+        Advisor.Dynamic_programming ],
     ev )
 
 (* Advisor phase (fresh evaluator + searches) at domains=1 vs domains=4.
@@ -690,12 +691,25 @@ let scale10k_raw () =
    exhibit that sets it must allocate the same on every run. *)
 let exhibit_minor_words : float option Atomic.t = Atomic.make None
 
+(* Runs [pass] twice with observability off and records the minor words of
+   the second run: the first fills the process-wide label, pattern,
+   coverage and statistics tables, so the count depends on neither the
+   exhibits run before nor the clock, and the bench ratchet holds it.
+   Returns both results. *)
+let second_pass name pass =
+  let span = name ^ ".pass" in
+  Obs.with_enabled false (fun () ->
+      let first = pass () in
+      let w0 = Gc.minor_words () in
+      let second, elapsed = Trace.timed span pass in
+      let words = Gc.minor_words () -. w0 in
+      Atomic.set exhibit_minor_words (Some words);
+      Format.printf "second pass: %.4fs, %.0f minor words@." elapsed words;
+      (first, second))
+
 (* RUNSTATS over every TPoX table, then a build of every basic candidate
-   index of the TPoX workload, on a fresh catalog at one domain.  The
-   record's minor words are the second of two identical passes, with
-   observability off: the first pass fills the process-wide label and
-   pattern caches, so the count depends on neither the exhibits run before
-   nor the clock, and the bench ratchet holds it with a [max] line. *)
+   index of the TPoX workload, on a fresh catalog at one domain; the
+   record's minor words are those of the [second_pass]. *)
 let walk () =
   header "RUNSTATS and index builds: the guided document walk";
   let catalog = Catalog.create () in
@@ -720,29 +734,21 @@ let walk () =
     Catalog.drop_all_indexes catalog;
     (paths, entries)
   in
-  Obs.with_enabled false (fun () ->
-      ignore (pass ());
-      let w0 = Gc.minor_words () in
-      let (paths, entries), elapsed = Trace.timed "walk.pass" pass in
-      let words = Gc.minor_words () -. w0 in
-      Atomic.set exhibit_minor_words (Some words);
-      Format.printf "%d tables, %d documents, %d paths; %d indexes, %d entries@."
-        (List.length tables)
-        (List.fold_left
-           (fun n t -> n + Xia_storage.Doc_store.doc_count (Catalog.store catalog t))
-           0 tables)
-        paths (List.length defs) entries;
-      Format.printf "RUNSTATS + builds: %.4fs, %.0f minor words@." elapsed words)
+  let _, (paths, entries) = second_pass "walk" pass in
+  Format.printf "%d tables, %d documents, %d paths; %d indexes, %d entries@."
+    (List.length tables)
+    (List.fold_left
+       (fun n t -> n + Xia_storage.Doc_store.doc_count (Catalog.store catalog t))
+       0 tables)
+    paths (List.length defs) entries
 
 (* ---------- Validation: the executor's document scans ---------- *)
 
 (* The read statements of the TPoX workload, executed on a catalog without
    indexes and on one with every basic candidate index built: mostly
-   table scans, and some index probes with fetches.  The record's minor
-   words are the second of two identical passes with observability off, as
-   in [walk]; index builds happen before either pass, so the count is the
-   executor's own (planning included), and the bench ratchet holds it with
-   a [max] line. *)
+   table scans, and some index probes with fetches.  Index builds happen
+   before [second_pass] runs either pass, so its minor words are the
+   executor's own (planning included). *)
 let executor () =
   header "Validation: the TPoX reads executed with and without indexes";
   let load () =
@@ -766,55 +772,38 @@ let executor () =
         (rows + r.rows, scanned + r.metrics.docs_scanned))
       (0, 0) reads
   in
-  let pass () = (run plain, run indexed) in
-  Obs.with_enabled false (fun () ->
-      ignore (pass ());
-      let w0 = Gc.minor_words () in
-      let ((rows, scanned), (rows', scanned')), elapsed = Trace.timed "executor.pass" pass in
-      let words = Gc.minor_words () -. w0 in
-      Atomic.set exhibit_minor_words (Some words);
-      Format.printf "%d reads: %d rows, %d documents scanned without indexes; %d rows, %d scanned with %d indexes@."
-        (List.length reads) rows scanned rows' scanned'
-        (List.length (Catalog.real_indexes indexed Tpox.security_table)
-        + List.length (Catalog.real_indexes indexed Tpox.custacc_table)
-        + List.length (Catalog.real_indexes indexed Tpox.order_table));
-      Format.printf "both passes: %.4fs, %.0f minor words@." elapsed words)
+  let _, ((rows, scanned), (rows', scanned')) =
+    second_pass "executor" (fun () -> (run plain, run indexed))
+  in
+  Format.printf "%d reads: %d rows, %d documents scanned without indexes; %d rows, %d scanned with %d indexes@."
+    (List.length reads) rows scanned rows' scanned'
+    (List.length (Catalog.real_indexes indexed Tpox.security_table)
+    + List.length (Catalog.real_indexes indexed Tpox.custacc_table)
+    + List.length (Catalog.real_indexes indexed Tpox.order_table))
 
 (* ---------- What-if evaluation: the batched Evaluate pass ---------- *)
 
 (* [par]'s advisor phase at one domain: every configuration the searches
-   cost goes through batched Evaluate-mode optimizer calls, so the pass is
-   dominated by index matching and planning.  The record's minor words are
-   the second of two identical passes with observability off, as in
-   [walk]: the first fills the process-wide pattern, coverage and
-   statistics tables, so the count is the what-if path's own and the bench
-   ratchet holds it with a [max] line. *)
+   cost goes through batched Evaluate-mode optimizer calls, so the
+   [second_pass] is dominated by index matching, planning and the
+   searches' own work. *)
 let whatif () =
   header "What-if evaluation: the advisor phase's batched Evaluate pass";
   let ((_, workload, set) as setup) = advisor_phase_setup () in
-  let pass () = advisor_phase ~domains:1 setup in
-  Obs.with_enabled false (fun () ->
-      let outs0, _ = pass () in
-      let w0 = Gc.minor_words () in
-      let (outs, ev), elapsed = Trace.timed "whatif.pass" pass in
-      let words = Gc.minor_words () -. w0 in
-      Atomic.set exhibit_minor_words (Some words);
-      Format.printf "workload: %d statements, %d candidates@." (W.size workload)
-        (Candidate.cardinality set);
-      Format.printf "%d batched optimizer calls; identical recommendations: %b@."
-        (Benefit.evaluations ev)
-        (List.map config_ids outs = List.map config_ids outs0);
-      Format.printf "second pass: %.4fs, %.0f minor words@." elapsed words)
+  let (outs0, _), (outs, ev) =
+    second_pass "whatif" (fun () -> advisor_phase ~domains:1 setup)
+  in
+  Format.printf "workload: %d statements, %d candidates@." (W.size workload)
+    (Candidate.cardinality set);
+  Format.printf "%d batched optimizer calls; identical recommendations: %b@."
+    (Benefit.evaluations ev)
+    (List.map config_ids outs = List.map config_ids outs0)
 
 (* ---------- Candidate generation: enumeration and generalization ---------- *)
 
 (* [Enumeration.candidates] over the representatives of [scale10k]'s
-   compressed workload: Enumerate-mode optimizer calls, then the
-   generalization fixpoint.  The record's minor words are the second of
-   two identical passes with observability off, as in [walk]: the first
-   fills the process-wide pattern and coverage tables, so the count is
-   candidate generation's own and the bench ratchet holds it with a [max]
-   line. *)
+   compressed workload, in a [second_pass]: Enumerate-mode optimizer calls,
+   then the generalization fixpoint. *)
 let candidates () =
   header "Candidate generation: the scale10k representatives enumerated and generalized";
   let catalog, workload, _ = scale10k_workload () in
@@ -822,27 +811,18 @@ let candidates () =
     Xia_advisor.Workload_summary.workload
       (Xia_advisor.Workload_summary.compress catalog workload)
   in
-  let pass () = Enumeration.candidates catalog reps in
-  Obs.with_enabled false (fun () ->
-      ignore (pass ());
-      let w0 = Gc.minor_words () in
-      let set, elapsed = Trace.timed "candidates.pass" pass in
-      let words = Gc.minor_words () -. w0 in
-      Atomic.set exhibit_minor_words (Some words);
-      Format.printf "%d statements, %d representatives: %d basic, %d candidates@."
-        (W.size workload) (W.size reps)
-        (List.length (Candidate.basics set))
-        (Candidate.cardinality set);
-      Format.printf "second pass: %.4fs, %.0f minor words@." elapsed words)
+  let _, set = second_pass "candidates" (fun () -> Enumeration.candidates catalog reps) in
+  Format.printf "%d statements, %d representatives: %d basic, %d candidates@."
+    (W.size workload) (W.size reps)
+    (List.length (Candidate.basics set))
+    (Candidate.cardinality set)
 
 (* ---------- Workload reading: a Zipf-repeated query log ---------- *)
 
 (* [scale10k]'s workload (10k statements over 64 templates at quick scale)
    written as a "freq|statement" query log, then read back with
-   [Workload.read]: nearly every line repeats an earlier one, the case the
-   reader's raw-line memo serves.  The record's minor words are the second
-   of two identical reads with observability off, as in [walk]; the bench
-   ratchet holds them with a [max] line. *)
+   [Workload.read] in a [second_pass]: nearly every line repeats an earlier
+   one, the case the reader's raw-line memo serves. *)
 let read () =
   header "Workload reading: a Zipf-repeated query log read back";
   let _, workload, distinct = scale10k_workload () in
@@ -853,19 +833,49 @@ let read () =
           Printf.fprintf oc "%.17g|%s\n" it.W.freq
             (Xia_query.Printer.statement_to_string it.W.statement))
         workload);
-  let pass () = W.of_file path in
-  Fun.protect
-    ~finally:(fun () -> Sys.remove path)
-    (fun () ->
-      Obs.with_enabled false (fun () ->
-          ignore (pass ());
-          let w0 = Gc.minor_words () in
-          let read, elapsed = Trace.timed "read.pass" pass in
-          let words = Gc.minor_words () -. w0 in
-          Atomic.set exhibit_minor_words (Some words);
-          Format.printf "%d lines over %d templates, %d read back@." (W.size workload) distinct
-            (W.size read);
-          Format.printf "second read: %.4fs, %.0f minor words@." elapsed words))
+  let _, read =
+    Fun.protect
+      ~finally:(fun () -> Sys.remove path)
+      (fun () -> second_pass "read" (fun () -> W.of_file path))
+  in
+  Format.printf "%d lines over %d templates, %d read back@." (W.size workload) distinct
+    (W.size read)
+
+(* ---------- Lint: every check over lib/ ---------- *)
+
+(* The whole-program lint of the lib/ sources next to the executable's
+   directory (the build tree's copy, where the lint.self_check tests find
+   them) in a [second_pass]: parsing, the call graph, effect summaries, the
+   dataflow fixpoints and the walk of every root.  It lints the relative
+   path "lib" from that directory, so the minor words depend on the
+   sources alone, not on where the checkout is; they move with every edit
+   to lib/, so the bench ratchet holds them within a factor, not with a
+   [max] line.  The call graph resolves calls across libraries through
+   their dune files, which only rules that depend on (source_tree lib)
+   copy into the build tree: without them the count would change, so the
+   exhibit fails instead. *)
+let lint () =
+  header "Lint: every check over lib/";
+  let cwd = Sys.getcwd () in
+  Sys.chdir (Filename.dirname (Filename.dirname Sys.executable_name));
+  let errors =
+    Fun.protect
+      ~finally:(fun () -> Sys.chdir cwd)
+      (fun () ->
+        let libs = List.map (Filename.concat "lib") (Array.to_list (Sys.readdir "lib")) in
+        match List.filter (fun d -> not (Sys.file_exists (Filename.concat d "dune"))) libs with
+        | [] ->
+            let _, (report : Xia_analysis.Lint.report) =
+              second_pass "lint" (fun () -> Xia_analysis.Lint.lint_paths [ "lib" ])
+            in
+            Format.printf "%d findings@." (List.length report.findings);
+            List.map (fun (e : Xia_analysis.Lint.error) -> e.path ^ ": " ^ e.message) report.errors
+        | missing -> List.map (fun d -> d ^ ": no dune file in the build tree") missing)
+  in
+  if errors <> [] then begin
+    List.iter prerr_endline errors;
+    exit 1
+  end
 
 (* ---------- Recommendation quality vs the exhaustive optimum ---------- *)
 
@@ -971,31 +981,6 @@ let micro () =
       Test.make ~name:"executor.scan"
         (Staged.stage (fun () ->
              ignore (Xia_optimizer.Executor.run_statement quick_catalog q2)));
-      (* Whole-program lint over lib/: parse every unit, build the cross-unit
-         call graph, run all checks.  The directory probe covers both launch
-         modes (dune exec from the checkout root; @bench-quick from the build
-         context, where the lib/ sources are materialized next to the exe). *)
-      (let lint_dir =
-         List.find_opt Sys.file_exists [ "lib"; "../lib"; "../../lib" ]
-         |> Option.value ~default:"lib"
-       in
-       Test.make ~name:"lint"
-         (Staged.stage (fun () ->
-              ignore (Xia_analysis.Lint.lint_paths [ lint_dir ]))));
-      (* The flow-sensitive R002 and L/X-series alone: parse every unit,
-         build the call graph and effect summaries, then the can-raise,
-         may-perform-IO, optimizer-reach and callee-lock fixpoints and the
-         abstract walk of every root (exceptional states, Fun.protect
-         finalizers, loop heads iterated to a fixpoint).  The absolute
-         budget in ratchet.baseline keeps whole-program dataflow cheap
-         enough to stay in the default @lint alias. *)
-      (let lint_dir =
-         List.find_opt Sys.file_exists [ "lib"; "../lib"; "../../lib" ]
-         |> Option.value ~default:"lib"
-       in
-       Test.make ~name:"lint.dataflow"
-         (Staged.stage (fun () ->
-              ignore (Xia_analysis.Lint.dataflow_findings [ lint_dir ]))));
     ]
   in
   let instance = Toolkit.Instance.monotonic_clock in
@@ -1003,20 +988,15 @@ let micro () =
   let ols =
     Analyze.ols ~r_square:false ~bootstrap:0 ~predictors:[| Measure.run |]
   in
-  List.concat_map
+  List.iter
     (fun test ->
       let raw = Benchmark.all cfg [ instance ] test in
-      let results = Analyze.all ols instance raw in
-      Hashtbl.fold
-        (fun name ols acc ->
+      Hashtbl.iter
+        (fun name ols ->
           match Analyze.OLS.estimates ols with
-          | Some (est :: _) ->
-              Format.printf "  %-32s %14.1f ns/run@." name est;
-              (name, est) :: acc
-          | Some [] | None ->
-              Format.printf "  %-32s (no estimate)@." name;
-              acc)
-        results [])
+          | Some (est :: _) -> Format.printf "  %-32s %14.1f ns/run@." name est
+          | Some [] | None -> Format.printf "  %-32s (no estimate)@." name)
+        (Analyze.all ols instance raw))
     tests
 
 (* ---------- Observability overhead (enabled vs disabled) ---------- *)
@@ -1025,8 +1005,8 @@ let micro () =
    off, the instrumented hot paths (statistics matching, warm benefit
    lookups) must cost the same as before instrumentation to within noise.
    This measures each micro with the switch off and on and prints the
-   ratio; the off-mode numbers are comparable to the historical
-   BENCH_micro.json entries of the same name. *)
+   ratio; the off-mode numbers are comparable to the [micro] rows of the
+   same name. *)
 let micro_obs () =
   header "Observability overhead: micro-benchmarks with tracing off vs on";
   let open Bechamel in
@@ -1060,7 +1040,7 @@ let micro_obs () =
       results Float.nan
   in
   Format.printf "  %-24s %14s %14s %9s@." "micro" "off (ns)" "on (ns)" "overhead";
-  List.concat_map
+  List.iter
     (fun (name, f) ->
       let off = measure name f in
       let on = Obs.with_enabled true (fun () -> measure name f) in
@@ -1068,15 +1048,13 @@ let micro_obs () =
          noise, not exhibit telemetry: drop them. *)
       ignore (Trace.flush ());
       Format.printf "  %-24s %14.1f %14.1f %8.1f%%@." name off on
-        (100.0 *. ((on /. off) -. 1.0));
-      [ (name ^ "@obs=off", off); (name ^ "@obs=on", on) ])
+        (100.0 *. ((on /. off) -. 1.0)))
     cases
 
 (* ---------- machine-readable benchmark reports ---------- *)
 
 (* One record per exhibit run: wall-clock plus the deltas of the process-wide
-   optimizer-call, Enumerate-Indexes-call and sub-configuration-cache-hit
-   counters, plus the phase
+   optimizer-call and Enumerate-Indexes-call counters, plus the phase
    breakdown aggregated from the exhibit's trace spans (observability is on
    while exhibits run): per span name, how many spans fired and their total
    self-reported duration. *)
@@ -1091,7 +1069,6 @@ type exhibit_record = {
   enumerate_calls : int;
       (* Enumerate Indexes passes: compression makes one per distinct
          statement, not one per statement *)
-  sub_cache_hits : int;
   minor_words : float option;  (* only from an exhibit that measures its own *)
   phases : phase list;
 }
@@ -1145,28 +1122,14 @@ let write_advisor_json path records =
         | None -> ""
       in
       Printf.fprintf oc
-        "    {\"name\": \"%s\", \"wall_seconds\": %.4f, \"optimizer_calls\": %d, \"optimizer_calls_raw\": %d, \"enumerate_calls\": %d, \"sub_cache_hits\": %d,%s \"phases\": [%s]}%s\n"
+        "    {\"name\": \"%s\", \"wall_seconds\": %.4f, \"optimizer_calls\": %d, \"optimizer_calls_raw\": %d, \"enumerate_calls\": %d,%s \"phases\": [%s]}%s\n"
         (json_escape r.ex_name) r.wall_seconds r.optimizer_calls r.raw_calls
-        r.enumerate_calls r.sub_cache_hits words phases
+        r.enumerate_calls words phases
         (if i = List.length records - 1 then "" else ","))
     records;
   Printf.fprintf oc "  ]\n}\n";
   close_out oc;
   Format.printf "@.wrote %s (%d exhibits)@." path (List.length records)
-
-let write_micro_json path estimates =
-  let oc = open_out path in
-  Printf.fprintf oc "{\n  \"bench\": \"xia-micro\",\n  \"scale\": %S,\n  \"tests\": [\n"
-    (scale_name ());
-  List.iteri
-    (fun i (name, ns) ->
-      Printf.fprintf oc "    {\"name\": \"%s\", \"ns_per_run\": %.1f}%s\n"
-        (json_escape name) ns
-        (if i = List.length estimates - 1 then "" else ","))
-    estimates;
-  Printf.fprintf oc "  ]\n}\n";
-  close_out oc;
-  Format.printf "wrote %s (%d tests)@." path (List.length estimates)
 
 (* ---------- main ---------- *)
 
@@ -1195,6 +1158,7 @@ let experiments =
     ("whatif", whatif);
     ("candidates", candidates);
     ("read", read);
+    ("lint", lint);
     ("eval-quality", eval_quality);
   ]
 
@@ -1218,12 +1182,10 @@ let () =
   Format.printf "XML Index Advisor - experiment harness%s@."
     (if Atomic.get quick then " (quick scale)" else "");
   let records = ref [] in
-  let micro_estimates = ref [] in
   let instrumented name f =
     let calls0 = Atomic.get Optimizer.counters.Optimizer.optimize_calls in
     let saved0 = Atomic.get Optimizer.counters.Optimizer.batch_setup_saved in
     let enums0 = Atomic.get Optimizer.counters.Optimizer.enumerate_calls in
-    let hits0 = Benefit.total_cache_hits () in
     (* Exhibits run with observability on so the record gets a per-phase
        breakdown; micro-benchmarks below run with it off (the overhead of
        the enabled path is itself measured by the micro-obs experiment). *)
@@ -1244,7 +1206,6 @@ let () =
           - saved0;
         enumerate_calls =
           Atomic.get Optimizer.counters.Optimizer.enumerate_calls - enums0;
-        sub_cache_hits = Benefit.total_cache_hits () - hits0;
         minor_words = Atomic.exchange exhibit_minor_words None;
         phases;
       }
@@ -1252,9 +1213,8 @@ let () =
   in
   List.iter
     (fun name ->
-      if String.equal name "micro" then micro_estimates := !micro_estimates @ micro ()
-      else if String.equal name "micro-obs" then
-        micro_estimates := !micro_estimates @ micro_obs ()
+      if String.equal name "micro" then micro ()
+      else if String.equal name "micro-obs" then micro_obs ()
       else
         match List.assoc_opt name experiments with
         | Some f -> instrumented name f
@@ -1263,5 +1223,4 @@ let () =
               (String.concat ", " (List.map fst experiments)))
     selected;
   if !records <> [] then write_advisor_json "BENCH_advisor.json" (List.rev !records);
-  if !micro_estimates <> [] then write_micro_json "BENCH_micro.json" !micro_estimates;
   Format.printf "@.Done.@."

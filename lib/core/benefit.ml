@@ -129,12 +129,6 @@ type t = {
    [--metrics] snapshot can report them without an evaluator handle. *)
 let count name n = if Xia_obs.Obs.on () then Xia_obs.Metrics.add (Xia_obs.Metrics.counter name) n
 
-(* Process-wide running total of sub-configuration cache hits, for the bench
-   harness's perf trajectory (per-evaluator counters die with the evaluator). *)
-let global_hits = Atomic.make 0
-
-let total_cache_hits () = Atomic.get global_hits
-
 let catalog t = t.catalog
 let summary t = t.summary
 let domains t = t.domains
@@ -225,7 +219,6 @@ let count_pruned t n =
 
 let count_hit t =
   Atomic.incr t.cache_hits;
-  Atomic.incr global_hits;
   count "benefit.cache_hits" 1
 
 (* Heapsort of a float array under [Float.compare], in place.  The floats

@@ -64,10 +64,6 @@ val count_pruned : t -> int -> unit
 (** Number of distinct sub-configurations currently cached. *)
 val cached_sub_configs : t -> int
 
-(** Process-wide running total of sub-configuration cache hits, across every
-    evaluator ever created (bench instrumentation). *)
-val total_cache_hits : unit -> int
-
 (** Cache stripe a fingerprint (sorted logical-id array) maps to — a full
     fold over the ids, never a bounded-prefix hash, so fingerprints sharing
     a long prefix still spread over the stripes.  Exposed for the

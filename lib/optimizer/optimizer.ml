@@ -187,6 +187,7 @@ let prepare catalog (stmt : Ast.statement) =
     let tstats = Catalog.stats catalog table in
     let est_docs = est_result_docs tstats info in
     let result_cpu = C.result_cpu est_docs in
+    let verify = verify_cost_per_doc tstats (predicate_count info) in
     let filters =
       Array.of_list (List.map (fun f -> Array.of_list (List.map prepare_access f)) info.filters)
     in
@@ -198,13 +199,10 @@ let prepare catalog (stmt : Ast.statement) =
       scan_cost =
         C.doc_scan
           ~pages:(Doc_store.pages (Catalog.store catalog table))
-          ~docs:tstats.Path_stats.doc_count
-          ~verify:(verify_cost_per_doc tstats (predicate_count info))
+          ~docs:tstats.Path_stats.doc_count ~verify
         +. result_cpu;
       docs_cap = Float.max 1.0 (float_of_int tstats.Path_stats.doc_count);
-      fetch_per_doc =
-        C.fetch ~pages:(avg_doc_pages tstats)
-          ~verify:(verify_cost_per_doc tstats (predicate_count info));
+      fetch_per_doc = C.fetch ~pages:(avg_doc_pages tstats) ~verify;
       filters;
       pairs =
         Array.fold_left (fun n f -> if Array.length f = 1 then n + 1 else n) 0 filters >= 2;

@@ -161,6 +161,40 @@ let benefit_tests =
         let light = pick 1.0 and heavy = pick 100_000.0 in
         Alcotest.(check bool) "light positive" true (light > 0.0);
         Alcotest.(check bool) "heavy lower" true (heavy < light));
+    tc "a failed evaluation re-raises, counts nothing, and the evaluator goes on"
+      (fun () ->
+        (* A virtual index whose pattern is longer than the NFA's 60 steps
+           makes the what-if call raise: the cache's failure path. *)
+        let catalog = Lazy.force Helpers.shared_catalog in
+        let wl = Xia_workload.Tpox.workload () in
+        let ev = B.create ~domains:1 catalog wl in
+        let long =
+          Helpers.pattern ("/Security" ^ String.concat "" (List.init 60 (fun _ -> "/Symbol")))
+        in
+        let c =
+          C.add (C.create_set ()) ~origin:C.Basic
+            (D.make ~table:"SECURITY" ~pattern:long ~dtype:D.Dstring ())
+        in
+        List.iteri (fun i _ -> C.mark_affected c i) wl;
+        let raises () =
+          match B.benefit ev [ c ] with
+          | _ -> Alcotest.fail "the over-long pattern was costed"
+          | exception Invalid_argument m ->
+              Alcotest.(check string) "exception" "Nfa.of_steps: pattern too long" m
+        in
+        raises ();
+        raises ();
+        Alcotest.(check int) "evaluations" 1 (B.evaluations ev);
+        Alcotest.(check int) "cache hits" 0 (B.cache_hits ev);
+        let set = En.candidates catalog wl in
+        let symbol =
+          Option.get
+            (C.find_def set
+               (D.make ~table:"SECURITY" ~pattern:(Helpers.pattern "/Security/Symbol")
+                  ~dtype:D.Dstring ()))
+        in
+        Alcotest.(check bool) "later request served" true (B.benefit ev [ symbol ] > 0.0);
+        Alcotest.(check int) "one more evaluation" 2 (B.evaluations ev));
   ]
 
 let budget_of session frac =

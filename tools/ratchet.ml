@@ -1,10 +1,12 @@
 (* One ratchet for the repo's measured claims.
 
-     ratchet [--write] bench|eval EXE
+     ratchet [--write] bench|wall|eval EXE
 
-   Runs the domain's producer EXE, reads its JSON report and checks it
-   against that domain's lines of ratchet.baseline in the current directory,
-   the repository root (the file's header explains lines and policies).  A
+   Runs the domain's producer EXE, reads the JSON report it writes and
+   checks it against that domain's lines of ratchet.baseline in the current
+   directory, the repository root (the file's header explains lines and
+   policies).  bench and wall read the same bench report: wall its
+   wall-clock rows, bench every other row.  A
    baseline line without a fresh value fails, and so does a fresh value
    without a baseline line.  --write rewrites the domain's values from the
    fresh run, keeping each line's policy; for eval it also rewrites
@@ -84,17 +86,16 @@ type row = { key : string; metric : string; value : string }
 
 let row key metric value = { key; metric; value }
 
-(* The policy --write gives a new metric.  [None]: checked only where the
-   baseline names it (BENCH_micro.json lists exhibits without a budget). *)
+(* The policy --write gives a new metric. *)
 let default_policy = function
-  | "ns_per_run" -> None
-  | "regret" | "spearman" -> Some "min"
-  | "wall_seconds" -> Some "within 3"
-  | "ratio" -> Some "band 0.25 4"
-  | "compression" -> Some "band 10 inf"
-  | _ -> Some "max"
+  | "regret" | "spearman" -> "min"
+  | "wall_seconds" -> "within 3"
+  | "ratio" -> "band 0.25 4"
+  | "compression" -> "band 10 inf"
+  | _ -> "max"
 
-let bench_rows report =
+(* wall: the exhibits' wall-clock rows; bench: every other row *)
+let bench_rows domain report =
   let metrics =
     [ "optimizer_calls"; "optimizer_calls_raw"; "enumerate_calls"; "wall_seconds" ]
   in
@@ -116,11 +117,7 @@ let bench_rows report =
       [ row "scale10k" "compression" (Printf.sprintf "%.1f" (u /. c)) ]
     | _ -> []
   in
-  let micro = "BENCH_micro.json" in
-  rows @ compression
-  @ List.map
-      (fun t -> row ("micro:" ^ str "name" t) "ns_per_run" (num "ns_per_run" t))
-      (if Sys.file_exists micro then arr "tests" (read_json micro) else [])
+  List.filter (fun r -> (r.metric = "wall_seconds") = (domain = "wall")) (rows @ compression)
 
 let eval_rows report =
   let entry e =
@@ -147,18 +144,23 @@ let run ~dir ~log exe args =
 
 let produce domain exe scratch =
   let log = Filename.concat scratch "producer.log" in
-  match domain with
-  | "bench" ->
-    run ~dir:scratch ~log exe
-      [ "quick"; "par"; "scale10k"; "scale10k-raw"; "walk"; "executor"; "whatif";
-        "candidates"; "read" ];
-    bench_rows (read_json (Filename.concat scratch "BENCH_advisor.json"))
-  | "eval" ->
-    let perturb = Option.value (Sys.getenv_opt "XIA_EVAL_PERTURB") ~default:"1" in
-    run ~dir:scratch ~log exe
-      [ "eval"; "--small"; "--perturb"; perturb; "--json"; "EVAL_advisor.json" ];
-    eval_rows (read_json (Filename.concat scratch "EVAL_advisor.json"))
-  | d -> die "unknown domain %S (bench or eval)" d
+  let args, rows =
+    match domain with
+    | "bench" | "wall" ->
+      ( [ "quick"; "par"; "scale10k"; "scale10k-raw"; "walk"; "executor"; "whatif";
+          "candidates"; "read"; "lint" ],
+        bench_rows domain )
+    | "eval" ->
+      let perturb = Option.value (Sys.getenv_opt "XIA_EVAL_PERTURB") ~default:"1" in
+      ([ "eval"; "--small"; "--perturb"; perturb; "--json"; "EVAL_advisor.json" ], eval_rows)
+    | d -> die "unknown domain %S (bench, wall or eval)" d
+  in
+  run ~dir:scratch ~log exe args;
+  (* the report is the one JSON file the producer wrote *)
+  let json f = Filename.extension f = ".json" in
+  match List.filter json (Array.to_list (Sys.readdir scratch)) with
+  | [ f ] -> rows (read_json (Filename.concat scratch f))
+  | fs -> die "%s wrote %d JSON reports, not 1" (Filename.basename exe) (List.length fs)
 
 let baseline_file = "ratchet.baseline"
 
@@ -225,7 +227,7 @@ let check domain lines fresh =
     lines;
   List.iter
     (fun r ->
-      if default_policy r.metric <> None && not (in_baseline domain lines r) then
+      if not (in_baseline domain lines r) then
         fail r "= %s is not in %s; add it with --write" r.value baseline_file)
     fresh;
   if !failures > 0 then begin
@@ -247,9 +249,8 @@ let write domain lines fresh scratch =
   let added =
     List.filter_map
       (fun r ->
-        match default_policy r.metric with
-        | Some p when not (in_baseline domain lines r) -> Some (Line (domain, r, p))
-        | _ -> None)
+        if in_baseline domain lines r then None
+        else Some (Line (domain, r, default_policy r.metric)))
       fresh
   in
   Out_channel.with_open_bin baseline_file (fun oc ->
@@ -269,7 +270,7 @@ let () =
     match List.tl (Array.to_list Sys.argv) with
     | [ "--write"; d; e ] -> (true, d, e)
     | [ d; e ] -> (false, d, e)
-    | _ -> die "usage: ratchet [--write] bench|eval EXE"
+    | _ -> die "usage: ratchet [--write] bench|wall|eval EXE"
   in
   (* resolve before the producer runs from the scratch directory *)
   let exe =
