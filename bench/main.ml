@@ -12,6 +12,7 @@
    size and print both the byte budget and the paper-equivalent MB. *)
 
 module Advisor = Xia_advisor.Advisor
+module Report = Xia_advisor.Report
 module Search = Xia_advisor.Search
 module Candidate = Xia_advisor.Candidate
 module Benefit = Xia_advisor.Benefit
@@ -232,7 +233,9 @@ let fig4 () =
       let train = W.prefix n test in
       let td = Advisor.advise catalog train ~budget Advisor.Top_down_lite in
       let h = Advisor.advise catalog train ~budget Advisor.Greedy_heuristics in
-      let sp r = Advisor.estimated_speedup catalog test (Advisor.indexes r) in
+      let sp r =
+        (Report.evaluate_configuration catalog test (Advisor.indexes r)).Report.est_speedup
+      in
       Format.printf "%6d | %9.2fx | %9.2fx | %9.2fx@." n all.Advisor.est_speedup (sp td)
         (sp h))
     ns;

@@ -235,14 +235,14 @@ let review_cmd benchmark small data_dirs workload_file update_freq synthetic ind
     setup benchmark small data_dirs workload_file update_freq synthetic index_specs
   in
   List.iter (fun d -> ignore (Catalog.create_index catalog d)) defs;
-  let drops = Advisor.drop_recommendations catalog workload in
+  let drops = Xia_advisor.Report.drop_recommendations catalog workload in
   if drops = [] then Format.printf "No drops recommended: every index earns its keep.@."
   else begin
     Format.printf "Recommended drops:@.";
     List.iter
       (fun (d, reason) ->
         Format.printf "  DROP INDEX %s  -- %a@." (Xia_index.Index_def.name d)
-          Advisor.pp_drop_reason reason)
+          Xia_advisor.Report.pp_drop_reason reason)
       drops
   end;
   Ok ()

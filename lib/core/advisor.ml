@@ -96,39 +96,13 @@ let summarize_workload ~compress catalog workload =
         Workload_summary.compress catalog workload)
   else Workload_summary.raw workload
 
-(* One-shot advise: builds candidates and an evaluator internally.  The
-   candidate set is enumerated over the summary's REPRESENTATIVE workload —
-   affected-set indices must index the evaluator's statement array — which
-   yields the same candidate definitions as the full workload (clustered
-   statements share their signature, hence their enumerated patterns). *)
-let advise ?beta ?domains ?compress catalog workload ~budget algorithm =
-  Xia_obs.Trace.with_span "advisor.advise"
-    ~args:(fun () -> [ ("algorithm", algorithm_name algorithm) ])
-    (fun () ->
-      let compress = resolve_compress compress workload in
-      let summary = summarize_workload ~compress catalog workload in
-      let search_workload = Workload_summary.workload summary in
-      let set =
-        timed "enumerate+generalize" (fun () ->
-            Enumeration.candidates catalog search_workload)
-      in
-      Log.info (fun m ->
-          m "candidates: %d basic, %d total"
-            (List.length (Candidate.basics set))
-            (Candidate.cardinality set));
-      let ev =
-        timed "base cost evaluation" (fun () ->
-            Benefit.of_summary ?domains catalog summary)
-      in
-      let outcome =
-        timed (algorithm_name algorithm) (fun () ->
-            run_search ?beta ev set ~budget algorithm)
-      in
-      summarize ev algorithm outcome)
-
-(* Shared-candidate variant for sweeps: reuse the candidate set and evaluator
-   across budgets/algorithms (the sub-configuration cache carries over, as in
-   a long-running advisor session). *)
+(* Shared-candidate sessions for sweeps: reuse the candidate set and
+   evaluator across budgets/algorithms (the sub-configuration cache carries
+   over, as in a long-running advisor session).  The candidate set is
+   enumerated over the summary's REPRESENTATIVE workload — affected-set
+   indices must index the evaluator's statement array — which yields the
+   same candidate definitions as the full workload (clustered statements
+   share their signature, hence their enumerated patterns). *)
 type session = {
   catalog : Catalog.t;
   workload : Workload.t;  (* the SOURCE workload (never the representatives) *)
@@ -143,11 +117,27 @@ let create_session ?domains ?compress catalog workload =
     timed "enumerate+generalize" (fun () ->
         Enumeration.candidates catalog (Workload_summary.workload summary))
   in
+  Log.info (fun m ->
+      m "candidates: %d basic, %d total"
+        (List.length (Candidate.basics candidates))
+        (Candidate.cardinality candidates));
   let evaluator =
     timed "base cost evaluation" (fun () ->
         Benefit.of_summary ?domains catalog summary)
   in
   { catalog; workload; candidates; evaluator }
+
+(* One-shot advise: a session searched once. *)
+let advise ?beta ?domains ?compress catalog workload ~budget algorithm =
+  Xia_obs.Trace.with_span "advisor.advise"
+    ~args:(fun () -> [ ("algorithm", algorithm_name algorithm) ])
+    (fun () ->
+      let session = create_session ?domains ?compress catalog workload in
+      let outcome =
+        timed (algorithm_name algorithm) (fun () ->
+            run_search ?beta session.evaluator session.candidates ~budget algorithm)
+      in
+      summarize session.evaluator algorithm outcome)
 
 let session_advise ?beta session ~budget algorithm =
   Xia_obs.Trace.with_span "advisor.session_advise"
@@ -158,23 +148,6 @@ let session_advise ?beta session ~budget algorithm =
           algorithm
       in
       summarize session.evaluator algorithm outcome)
-
-(* Estimated cost of an arbitrary workload under an arbitrary configuration
-   of index definitions (used for train/test experiments where the test
-   workload differs from the advisor's training workload). *)
-let estimated_workload_cost catalog (workload : Workload.t) defs =
-  List.fold_left
-    (fun acc (item : Workload.item) ->
-      acc
-      +. item.freq
-         *. Optimizer.statement_cost ~mode:Optimizer.Evaluate ~virtual_config:defs
-              catalog item.statement)
-    0.0 workload
-
-let estimated_speedup catalog workload defs =
-  let base = estimated_workload_cost catalog workload [] in
-  let with_indexes = estimated_workload_cost catalog workload defs in
-  if with_indexes > 0.0 then base /. with_indexes else 1.0
 
 (* Actually materialize a configuration, run the workload, drop the indexes
    again; returns total wall-clock seconds and simulated I/O. *)
@@ -199,44 +172,6 @@ let actual_speedup catalog workload defs =
   let _, cost0, _ = execute_workload catalog workload [] in
   let _, cost1, _ = execute_workload catalog workload defs in
   if cost1 > 0.0 then cost0 /. cost1 else 1.0
-
-(* Review the catalog's REAL indexes against a workload: recommend dropping
-   any index that no plan uses, or whose maintenance charge under the
-   workload exceeds the cost increase its removal would cause. *)
-type drop_reason =
-  | Unused
-  | Maintenance_exceeds_benefit of { benefit : float; maintenance : float }
-
-let pp_drop_reason ppf = function
-  | Unused -> Fmt.string ppf "never used by any plan"
-  | Maintenance_exceeds_benefit { benefit; maintenance } ->
-      Fmt.pf ppf "maintenance %.0f exceeds benefit %.0f" maintenance benefit
-
-let drop_recommendations catalog (workload : Workload.t) =
-  let defs =
-    List.concat_map
-      (fun table ->
-        List.map Xia_index.Physical_index.def (Catalog.real_indexes catalog table))
-      (Catalog.table_names catalog)
-  in
-  let report = Report.evaluate_configuration catalog workload defs in
-  List.filter_map
-    (fun (d : Index_def.t) ->
-      if List.exists (Index_def.same d) report.Report.unused then Some (d, Unused)
-      else begin
-        (* Net effect of keeping just this index vs dropping it. *)
-        let without = List.filter (fun x -> not (Index_def.same x d)) defs in
-        let with_cost = estimated_workload_cost catalog workload defs in
-        let without_cost = estimated_workload_cost catalog workload without in
-        let benefit = without_cost -. with_cost in
-        let maintenance =
-          Report.(evaluate_configuration catalog workload [ d ]).Report.maintenance
-        in
-        if maintenance > benefit then
-          Some (d, Maintenance_exceeds_benefit { benefit; maintenance })
-        else None
-      end)
-    defs
 
 let pp_recommendation ppf r =
   Fmt.pf ppf "%s: %d indexes (%d general, %d specific), size=%d, est speedup %.2fx@."

@@ -33,6 +33,12 @@ type recommendation = {
 (** Recommended index definitions. *)
 val indexes : recommendation -> Index_def.t list
 
+(** Run one algorithm's search over an evaluator and its candidate set.
+    [beta] is Greedy_heuristics' size-expansion threshold (ignored by the
+    other algorithms); [All_index] ignores [budget]. *)
+val run_search :
+  ?beta:float -> Benefit.t -> Candidate.set -> budget:int -> algorithm -> Search.outcome
+
 (** Workloads at or above this many statements are compressed when
     [?compress] is left unset. *)
 val compress_threshold : int
@@ -67,13 +73,6 @@ val create_session :
 val session_advise :
   ?beta:float -> session -> budget:int -> algorithm -> recommendation
 
-(** Estimated (optimizer) cost of a workload under a virtual configuration. *)
-val estimated_workload_cost :
-  Catalog.t -> Workload.t -> Index_def.t list -> float
-
-(** No-index cost divided by configured cost. *)
-val estimated_speedup : Catalog.t -> Workload.t -> Index_def.t list -> float
-
 (** Materialize the configuration, run the workload for real, drop the
     indexes; returns (wall seconds, simulated execution cost, result rows). *)
 val execute_workload :
@@ -82,18 +81,5 @@ val execute_workload :
 (** Measured speedup of the configured run over the no-index run: the ratio
     of the deterministic simulated costs of the work actually done. *)
 val actual_speedup : Catalog.t -> Workload.t -> Index_def.t list -> float
-
-(** Why an existing index should be dropped. *)
-type drop_reason =
-  | Unused
-  | Maintenance_exceeds_benefit of { benefit : float; maintenance : float }
-
-val pp_drop_reason : Format.formatter -> drop_reason -> unit
-
-(** Review the catalog's materialized indexes against a workload and
-    recommend drops: indexes no plan uses, or whose maintenance charge
-    exceeds the benefit of keeping them. *)
-val drop_recommendations :
-  Catalog.t -> Workload.t -> (Index_def.t * drop_reason) list
 
 val pp_recommendation : Format.formatter -> recommendation -> unit

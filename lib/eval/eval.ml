@@ -224,20 +224,7 @@ let run_case ?domains ~perturb ~small spec =
         let outcomes =
           List.map
             (fun alg ->
-              let outcome =
-                match alg with
-                | Advisor.Greedy -> Search.greedy search_ev set ~budget
-                | Advisor.Greedy_heuristics ->
-                    Search.greedy_heuristics search_ev set ~budget
-                | Advisor.Top_down_lite ->
-                    Search.top_down_lite search_ev set ~budget
-                | Advisor.Top_down_full ->
-                    Search.top_down_full search_ev set ~budget
-                | Advisor.Dynamic_programming ->
-                    Search.dynamic_programming search_ev set ~budget
-                | Advisor.All_index -> Search.all_index search_ev set
-              in
-              (algorithm_key alg, outcome))
+              (algorithm_key alg, Advisor.run_search search_ev set ~budget alg))
             Advisor.all_algorithms
         in
         (frac, budget, outcomes))

@@ -2,6 +2,7 @@
    end-to-end advisor. *)
 
 module A = Xia_advisor.Advisor
+module R = Xia_advisor.Report
 module B = Xia_advisor.Benefit
 module C = Xia_advisor.Candidate
 module S = Xia_advisor.Search
@@ -349,7 +350,8 @@ let advisor_tests =
     tc "estimated speedup of empty config is 1" (fun () ->
         let catalog = Lazy.force Helpers.shared_catalog in
         let wl = Xia_workload.Tpox.workload () in
-        Alcotest.(check (float 0.001)) "one" 1.0 (A.estimated_speedup catalog wl []));
+        Alcotest.(check (float 0.001)) "one" 1.0
+          (R.evaluate_configuration catalog wl []).R.est_speedup);
     tc "actual speedup > 1 with recommended indexes" (fun () ->
         let catalog = Helpers.fresh_tiny_catalog () in
         let wl = Xia_workload.Tpox.workload () in
@@ -362,7 +364,7 @@ let advisor_tests =
         let train = W.prefix 4 wl in
         let td = A.advise catalog train ~budget:(32 * 1024 * 1024) A.Top_down_lite in
         let h = A.advise catalog train ~budget:(32 * 1024 * 1024) A.Greedy_heuristics in
-        let sp defs = A.estimated_speedup catalog wl defs in
+        let sp defs = (R.evaluate_configuration catalog wl defs).R.est_speedup in
         (* Top-down recommends more general indexes, and its configuration is
            competitive on the full (partially unseen) workload. *)
         Alcotest.(check bool) "more general" true
@@ -382,17 +384,17 @@ let advisor_tests =
         List.iter
           (fun d -> ignore (Cat.create_index catalog d))
           [ useful; unused; hot ];
-        let drops = A.drop_recommendations catalog wl in
+        let drops = R.drop_recommendations catalog wl in
         Cat.drop_all_indexes catalog;
         let dropped d = List.exists (fun (x, _) -> D.same x d) drops in
         Alcotest.(check bool) "unused dropped" true (dropped unused);
         Alcotest.(check bool) "useful kept" false (dropped useful);
         Alcotest.(check bool) "hot dropped" true (dropped hot);
         (match List.find_opt (fun (x, _) -> D.same x unused) drops with
-        | Some (_, A.Unused) -> ()
+        | Some (_, R.Unused) -> ()
         | _ -> Alcotest.fail "expected Unused reason");
         match List.find_opt (fun (x, _) -> D.same x hot) drops with
-        | Some (_, A.Maintenance_exceeds_benefit _) -> ()
+        | Some (_, R.Maintenance_exceeds_benefit _) -> ()
         | _ -> Alcotest.fail "expected maintenance reason");
     tc "no drops recommended for a useful query-only configuration" (fun () ->
         let catalog = Helpers.fresh_tiny_catalog () in
@@ -402,7 +404,7 @@ let advisor_tests =
             ~dtype:D.Dstring ()
         in
         ignore (Cat.create_index catalog d);
-        let drops = A.drop_recommendations catalog wl in
+        let drops = R.drop_recommendations catalog wl in
         Cat.drop_all_indexes catalog;
         Alcotest.(check int) "none" 0 (List.length drops));
     tc "algorithm names are distinct" (fun () ->

@@ -3,6 +3,7 @@
    safety, DP small-budget clamp). *)
 
 module A = Xia_advisor.Advisor
+module R = Xia_advisor.Report
 module B = Xia_advisor.Benefit
 module C = Xia_advisor.Candidate
 module S = Xia_advisor.Search
@@ -185,10 +186,11 @@ let exception_safety_tests =
             ~pattern:(Helpers.pattern "/Security/Symbol")
             ~dtype:Xia_index.Index_def.Dstring ()
         in
-        let base = A.estimated_workload_cost catalog good [] in
+        let cost wl defs = (R.evaluate_configuration catalog wl defs).R.new_total in
+        let base = cost good [] in
         (* The what-if evaluation of the bad workload raises mid-flight. *)
-        (try ignore (A.estimated_workload_cost catalog bad [ d ]) with _ -> ());
-        let base' = A.estimated_workload_cost catalog good [] in
+        (try ignore (cost bad [ d ]) with _ -> ());
+        let base' = cost good [] in
         Alcotest.(check bool) "base cost unchanged" true (Float.equal base base'));
   ]
 

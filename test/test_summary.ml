@@ -13,6 +13,7 @@
      evaluators, and the pruned counter actually fires at scale. *)
 
 module A = Xia_advisor.Advisor
+module R = Xia_advisor.Report
 module B = Xia_advisor.Benefit
 module C = Xia_advisor.Candidate
 module S = Xia_advisor.Search
@@ -123,7 +124,7 @@ let bounded_regret =
       let budget = 256 * 1024 in
       let raw = A.advise ~domains:1 ~compress:false catalog wl ~budget A.Greedy in
       let comp = A.advise ~domains:1 ~compress:true catalog wl ~budget A.Greedy in
-      let cost defs = A.estimated_workload_cost catalog wl defs in
+      let cost defs = (R.evaluate_configuration catalog wl defs).R.new_total in
       let base = cost [] in
       let raw_cost = cost (A.indexes raw) in
       let comp_cost = cost (A.indexes comp) in
