@@ -9,9 +9,9 @@
    wall-clock rows, bench every other row.  A
    baseline line without a fresh value fails, and so does a fresh value
    without a baseline line.  --write rewrites the domain's values from the
-   fresh run, keeping each line's policy; for eval it also rewrites
-   EVAL_advisor.json.  Exit status: 0 pass, 1 regression, 2 usage error or
-   producer failure. *)
+   fresh run, keeping each line's policy.  Every report lives only in the
+   ratchet's scratch directory: none is committed.  Exit status: 0 pass,
+   1 regression, 2 usage error or producer failure. *)
 
 let die fmt = Printf.ksprintf (fun s -> prerr_endline ("ratchet: " ^ s); exit 2) fmt
 
@@ -237,7 +237,7 @@ let check domain lines fresh =
   end;
   Printf.printf "ratchet: %s OK\n" domain
 
-let write domain lines fresh scratch =
+let write domain lines fresh =
   let refreshed =
     List.filter_map
       (function
@@ -260,9 +260,6 @@ let write domain lines fresh scratch =
           | Line (d, r, p) ->
             Printf.fprintf oc "%s %s %s %s %s\n" d r.key r.metric r.value p)
         (refreshed @ added));
-  if domain = "eval" then
-    Out_channel.with_open_bin "EVAL_advisor.json" (fun oc ->
-        output_string oc (read_file (Filename.concat scratch "EVAL_advisor.json")));
   Printf.printf "ratchet: wrote %s (%s)\n" baseline_file domain
 
 let () =
@@ -280,4 +277,4 @@ let () =
   let scratch = Filename.temp_dir "ratchet" "" in
   at_exit (fun () -> ignore (Sys.command ("rm -rf " ^ Filename.quote scratch)));
   let fresh = produce domain exe scratch in
-  if write_mode then write domain lines fresh scratch else check domain lines fresh
+  if write_mode then write domain lines fresh else check domain lines fresh
