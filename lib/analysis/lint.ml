@@ -111,14 +111,6 @@ let callgraph_dot paths =
   let graph, _, _, errors = load paths in
   (Callgraph.to_dot ~succ:(Sites.calls (Sites.build graph)) graph, errors)
 
-(* Just the flow-sensitive R002 and L/X-series over the unit set (the
-   bench harness's [lint.dataflow] exhibit: the fixpoints and the walk of
-   every root, without the rest of the catalog). *)
-let dataflow_findings paths =
-  let graph, _, _, errors = load paths in
-  let sites = Sites.build graph in
-  (Dataflow.check sites (Effects.analyze sites), errors)
-
 (* ------------------------------------------------------ JSON rendering -- *)
 
 (* Schema version of the machine-readable report.  Bump when the envelope

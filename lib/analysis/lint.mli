@@ -25,11 +25,6 @@ val lint_paths : string list -> report
     subset). *)
 val callgraph_dot : string list -> string * error list
 
-(** Just the flow-sensitive R002 and L/X-series ({!Dataflow.check}) over every
-    [.ml] under [paths], plus any walk/parse errors (the bench harness's
-    [lint.dataflow] exhibit). *)
-val dataflow_findings : string list -> Finding.t list * error list
-
 (** Schema version of {!report_to_json}'s envelope. *)
 val json_schema_version : int
 
