@@ -8,7 +8,6 @@
 module Catalog = Xia_index.Catalog
 module Index_def = Xia_index.Index_def
 module Workload = Xia_workload.Workload
-module Optimizer = Xia_optimizer.Optimizer
 module Executor = Xia_optimizer.Executor
 
 let log_src = Logs.Src.create "xia.advisor" ~doc:"XML Index Advisor phases"
