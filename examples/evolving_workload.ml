@@ -9,6 +9,7 @@
      dune exec examples/evolving_workload.exe *)
 
 module Advisor = Xia_advisor.Advisor
+module Report = Xia_advisor.Report
 module Catalog = Xia_index.Catalog
 module W = Xia_workload.Workload
 
@@ -35,7 +36,10 @@ let () =
       let train = W.prefix n test_workload in
       let td = Advisor.advise catalog train ~budget Advisor.Top_down_lite in
       let h = Advisor.advise catalog train ~budget Advisor.Greedy_heuristics in
-      let sp r = Advisor.estimated_speedup catalog test_workload (Advisor.indexes r) in
+      let sp r =
+        (Report.evaluate_configuration catalog test_workload (Advisor.indexes r))
+          .Report.est_speedup
+      in
       Format.printf "%5d | %10.2fx  (G:%2d, S:%2d)   | %10.2fx  (G:%2d, S:%2d)   | %10.2fx@."
         n (sp td) td.Advisor.general_count td.Advisor.specific_count (sp h)
         h.Advisor.general_count h.Advisor.specific_count all_sp)
