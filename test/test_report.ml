@@ -26,6 +26,22 @@ let fixture =
      in
      (catalog, Array.of_list pool))
 
+(* More DML, at uneven frequencies, so that three or more statements charge
+   an index of each table and the order of a maintenance sum shows in its
+   last bits. *)
+let extra_dml =
+  List.mapi
+    (fun i (freq, s) ->
+      Xia_workload.Workload.item ~freq (Printf.sprintf "X%d" (i + 1))
+        (Xia_query.Parser.parse_statement_exn s))
+    [
+      (0.7, {|delete from SECURITY where /Security[Yield>4.5]|});
+      (3.1, {|update SECURITY set /Security/Yield = "1.5" where /Security[Symbol="SYM00007"]|});
+      (0.3, {|update CUSTACC set /Customer/Tier = "Gold" where /Customer[Nationality="Norway"]|});
+      (1.9, {|delete from CUSTACC where /Customer[@id=1043]|});
+      (2.3, {|delete from XORDER where /FIXML/Order[@Acct="ACCT000770"]|});
+    ]
+
 let names defs = List.map D.name defs
 
 let same_reason a b =
@@ -52,6 +68,7 @@ let qcheck_oracle =
         | u ->
             Xia_workload.Tpox.workload_with_updates
               ~update_freq:(List.nth [ 1.0; 100.0; 1000.0 ] (u - 1)) ()
+            @ extra_dml
       in
       let rng = Random.State.make [| seed |] in
       let defs =
