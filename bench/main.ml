@@ -452,12 +452,12 @@ let calls () =
     (fun alg ->
       let set = Enumeration.candidates catalog workload in
       let ev = Benefit.create catalog workload in
-      let session = { Advisor.catalog; workload; candidates = set; evaluator = ev } in
+      let session = { Advisor.candidates = set; evaluator = ev } in
       let all = Advisor.session_advise session ~budget:max_int Advisor.All_index in
       let budget = all.Advisor.outcome.Search.size in
       (* Fresh evaluator so counters reflect only this search. *)
       let ev = Benefit.create catalog workload in
-      let session = { Advisor.catalog; workload; candidates = set; evaluator = ev } in
+      let session = { Advisor.candidates = set; evaluator = ev } in
       let _ = Advisor.session_advise session ~budget alg in
       let naive = (Benefit.cache_hits ev + Benefit.cached_sub_configs ev) * W.size workload in
       Format.printf "%-20s | %10d | %12d | %10d@." (Advisor.algorithm_name alg)
@@ -527,9 +527,7 @@ let scale () =
         Trace.timed "scale.advise" (fun () ->
             let set = Enumeration.candidates catalog wl in
             let ev = Benefit.create catalog wl in
-            let session =
-              { Advisor.catalog; workload = wl; candidates = set; evaluator = ev }
-            in
+            let session = { Advisor.candidates = set; evaluator = ev } in
             let all = Advisor.session_advise session ~budget:max_int Advisor.All_index in
             let r =
               Advisor.session_advise session ~budget:all.Advisor.outcome.Search.size
@@ -545,80 +543,6 @@ let scale () =
   Format.printf
     "@.End-to-end advisor cost grows roughly linearly in workload size thanks to@.\
      affected sets and the sub-configuration cache.@."
-
-(* ---------- Parallel what-if evaluation ---------- *)
-
-(* The workload, candidates and advisor phase shared by [par] and
-   [whatif]: a fresh evaluator over TPoX plus synthetic statements, then
-   All-Index and four searches at half of All-Index's size.  Every
-   configuration is costed by batched Evaluate-mode optimizer calls. *)
-let advisor_phase_setup () =
-  let catalog = tpox_catalog () in
-  let workload =
-    Tpox.workload ()
-    @ Synthetic.workload ~seed:21 catalog (Catalog.table_names catalog)
-        (if Atomic.get quick then 29 else 69)
-  in
-  (catalog, workload, Enumeration.candidates catalog workload)
-
-let config_ids (r : Advisor.recommendation) =
-  List.map (fun (c : Candidate.t) -> c.Candidate.id) r.Advisor.outcome.Search.config
-
-let advisor_phase ~domains (catalog, workload, set) =
-  let ev = Benefit.create ~domains catalog workload in
-  let session = { Advisor.catalog; workload; candidates = set; evaluator = ev } in
-  let all = Advisor.session_advise session ~budget:max_int Advisor.All_index in
-  let budget = all.Advisor.outcome.Search.size / 2 in
-  ( List.map
-      (Advisor.session_advise session ~budget)
-      [ Advisor.Greedy; Advisor.Greedy_heuristics; Advisor.Top_down_full;
-        Advisor.Dynamic_programming ],
-    ev )
-
-(* Advisor phase (fresh evaluator + searches) at domains=1 vs domains=4.
-   Recommendations must be identical — the parallel evaluator is
-   deterministic by construction — and the wall-clock ratio shows the
-   multicore speedup (≈1x on a single-CPU machine). *)
-let par () =
-  header "Parallel what-if evaluation: domains=1 vs domains=4";
-  let ((_, workload, set) as setup) = advisor_phase_setup () in
-  let run domains =
-    let saved0 = Atomic.get Optimizer.counters.Optimizer.batch_setup_saved in
-    let (outs, ev), elapsed =
-      Trace.timed "par.advisor_phase" (fun () -> advisor_phase ~domains setup)
-    in
-    let saved =
-      Atomic.get Optimizer.counters.Optimizer.batch_setup_saved - saved0
-    in
-    (elapsed, outs, ev, saved)
-  in
-  let t1, outs1, ev1, saved1 = run 1 in
-  let tn, outsn, evn, savedn = run 4 in
-  let identical =
-    List.for_all2
-      (fun (a : Advisor.recommendation) (b : Advisor.recommendation) ->
-        config_ids a = config_ids b
-        && a.Advisor.outcome.Search.size = b.Advisor.outcome.Search.size
-        && Float.equal a.Advisor.outcome.Search.benefit b.Advisor.outcome.Search.benefit)
-      outs1 outsn
-  in
-  Format.printf "workload: %d statements, %d candidates@." (W.size workload)
-    (Candidate.cardinality set);
-  Format.printf
-    "advisor phase, domains=1: %8.3fs  (%d batched optimizer calls; raw-equivalent %d)@."
-    t1 (Benefit.evaluations ev1)
-    (Benefit.evaluations ev1 + saved1);
-  Format.printf
-    "advisor phase, domains=4: %8.3fs  (%d batched optimizer calls; raw-equivalent %d)@."
-    tn (Benefit.evaluations evn)
-    (Benefit.evaluations evn + savedn);
-  Format.printf "speedup: %.2fx; identical recommendations: %b@."
-    (if tn > 0.0 then t1 /. tn else 1.0)
-    identical;
-  if Domain.recommended_domain_count () = 1 then
-    Format.printf
-      "note: this machine reports 1 CPU; the parallel evaluator needs a multicore@.\
-       host to show wall-clock gains (results are identical either way).@."
 
 (* ---------- Workload compression at scale ---------- *)
 
@@ -786,16 +710,40 @@ let executor () =
 
 (* ---------- What-if evaluation: the batched Evaluate pass ---------- *)
 
-(* [par]'s advisor phase at one domain: every configuration the searches
-   cost goes through batched Evaluate-mode optimizer calls, so the
-   [second_pass] is dominated by index matching, planning and the
-   searches' own work. *)
+(* The workload and candidates of the advisor phase: TPoX plus synthetic
+   statements. *)
+let advisor_phase_setup () =
+  let catalog = tpox_catalog () in
+  let workload =
+    Tpox.workload ()
+    @ Synthetic.workload ~seed:21 catalog (Catalog.table_names catalog)
+        (if Atomic.get quick then 29 else 69)
+  in
+  (catalog, workload, Enumeration.candidates catalog workload)
+
+let config_ids (r : Advisor.recommendation) =
+  List.map (fun (c : Candidate.t) -> c.Candidate.id) r.Advisor.outcome.Search.config
+
+(* The advisor phase at one domain: a fresh evaluator, then All-Index and
+   four searches at half of All-Index's size. *)
+let advisor_phase (catalog, workload, set) =
+  let ev = Benefit.create ~domains:1 catalog workload in
+  let session = { Advisor.candidates = set; evaluator = ev } in
+  let all = Advisor.session_advise session ~budget:max_int Advisor.All_index in
+  let budget = all.Advisor.outcome.Search.size / 2 in
+  ( List.map
+      (Advisor.session_advise session ~budget)
+      [ Advisor.Greedy; Advisor.Greedy_heuristics; Advisor.Top_down_full;
+        Advisor.Dynamic_programming ],
+    ev )
+
+(* Every configuration the advisor phase's searches cost goes through
+   batched Evaluate-mode optimizer calls, so the [second_pass] is dominated
+   by index matching, planning and the searches' own work. *)
 let whatif () =
   header "What-if evaluation: the advisor phase's batched Evaluate pass";
   let ((_, workload, set) as setup) = advisor_phase_setup () in
-  let (outs0, _), (outs, ev) =
-    second_pass "whatif" (fun () -> advisor_phase ~domains:1 setup)
-  in
+  let (outs0, _), (outs, ev) = second_pass "whatif" (fun () -> advisor_phase setup) in
   Format.printf "workload: %d statements, %d candidates@." (W.size workload)
     (Candidate.cardinality set);
   Format.printf "%d batched optimizer calls; identical recommendations: %b@."
@@ -1153,7 +1101,6 @@ let experiments =
     ("calls", calls);
     ("ixor", ixor);
     ("scale", scale);
-    ("par", par);
     ("scale10k", scale10k);
     ("scale10k-raw", scale10k_raw);
     ("walk", walk);

@@ -102,12 +102,7 @@ let summarize_workload ~compress catalog workload =
    indices must index the evaluator's statement array — which yields the
    same candidate definitions as the full workload (clustered statements
    share their signature, hence their enumerated patterns). *)
-type session = {
-  catalog : Catalog.t;
-  workload : Workload.t;  (* the SOURCE workload (never the representatives) *)
-  candidates : Candidate.set;
-  evaluator : Benefit.t;
-}
+type session = { candidates : Candidate.set; evaluator : Benefit.t }
 
 let create_session ?domains ?compress catalog workload =
   let compress = resolve_compress compress workload in
@@ -124,7 +119,7 @@ let create_session ?domains ?compress catalog workload =
     timed "base cost evaluation" (fun () ->
         Benefit.of_summary ?domains catalog summary)
   in
-  { catalog; workload; candidates; evaluator }
+  { candidates; evaluator }
 
 (* One-shot advise: a session searched once. *)
 let advise ?beta ?domains ?compress catalog workload ~budget algorithm =

@@ -60,12 +60,7 @@ val advise :
 
 (** A session reuses the candidate set and the benefit-evaluation cache
     across several budgets and algorithms. *)
-type session = {
-  catalog : Catalog.t;
-  workload : Workload.t;  (** the source workload (never the representatives) *)
-  candidates : Candidate.set;
-  evaluator : Benefit.t;
-}
+type session = { candidates : Candidate.set; evaluator : Benefit.t }
 
 val create_session :
   ?domains:int -> ?compress:bool -> Catalog.t -> Workload.t -> session

@@ -83,15 +83,10 @@ let cluster_key catalog (stmt : Ast.statement) =
     in
     Array.concat [ [| kind |]; tables; [| -1 |]; sg ]
 
-type cluster = {
-  rep : int;            (* index (into the source workload) of the representative *)
-  members : int list;   (* member indices, ascending; head = rep *)
-  weight : float;       (* summed frequency of the members *)
-}
-
 type t = {
-  source : Workload.t;
-  clusters : cluster array;  (* first-occurrence order *)
+  items : Workload.t;     (* the representatives, in first-occurrence order *)
+  weights : float array;  (* summed cluster frequencies, aligned with [items] *)
+  statements : int;       (* source workload size *)
   compressed : bool;
 }
 
@@ -101,15 +96,12 @@ type info = {
   compressed : bool;
 }
 
+let cluster_count t = Array.length t.weights
+
 let raw (workload : Workload.t) =
-  let clusters =
-    Array.of_list
-      (List.mapi
-         (fun i (item : Workload.item) ->
-           { rep = i; members = [ i ]; weight = item.freq })
-         workload)
-  in
-  { source = workload; clusters; compressed = false }
+  { items = workload;
+    weights = Array.of_list (List.map (fun (item : Workload.item) -> item.freq) workload);
+    statements = List.length workload; compressed = false }
 
 (* Distinct statements, keyed by value: a long workload repeats a few
    hundred templates, so [cluster_key] (Enumerate Indexes plus interning)
@@ -122,62 +114,52 @@ module Statements = Hashtbl.Make (struct
   let hash = Ast.hash
 end)
 
-(* A cluster being built: members in reverse order, frequencies summed in
-   workload order. *)
-type acc = { first : int; mutable rev_members : int list; mutable sum : float }
+(* A cluster being built: its first item is the representative, and
+   member frequencies are summed in workload order. *)
+type acc = { rep : Workload.item; mutable sum : float }
 
 let compress catalog (workload : Workload.t) =
+  let n = List.length workload in
   Xia_obs.Trace.with_span "summary.compress"
-    ~args:(fun () -> [ ("statements", string_of_int (List.length workload)) ])
+    ~args:(fun () -> [ ("statements", string_of_int n) ])
   @@ fun () ->
   let by_key = Hashtbl.create 64 in
   let by_statement = Statements.create 256 in
   let order = ref [] in  (* clusters in reverse first-occurrence order *)
-  let join acc i freq =
-    acc.rev_members <- i :: acc.rev_members;
-    acc.sum <- acc.sum +. freq
-  in
-  List.iteri
-    (fun i (item : Workload.item) ->
+  List.iter
+    (fun (item : Workload.item) ->
       match Statements.find_opt by_statement item.statement with
-      | Some acc -> join acc i item.freq
+      | Some acc -> acc.sum <- acc.sum +. item.freq
       | None -> (
           let key = cluster_key catalog item.statement in
           match Hashtbl.find_opt by_key key with
           | Some acc ->
               Statements.add by_statement item.statement acc;
-              join acc i item.freq
+              acc.sum <- acc.sum +. item.freq
           | None ->
-              let acc = { first = i; rev_members = [ i ]; sum = item.freq } in
+              let acc = { rep = item; sum = item.freq } in
               Hashtbl.add by_key key acc;
               Statements.add by_statement item.statement acc;
               order := acc :: !order))
     workload;
-  let clusters =
-    Array.of_list
-      (List.rev_map
-         (fun acc -> { rep = acc.first; members = List.rev acc.rev_members; weight = acc.sum })
-         !order)
+  let clusters = List.rev !order in
+  let t =
+    { items = List.map (fun acc -> acc.rep) clusters;
+      weights = Array.of_list (List.map (fun acc -> acc.sum) clusters);
+      statements = n; compressed = true }
   in
-  let t = { source = workload; clusters; compressed = true } in
   if Xia_obs.Obs.on () then begin
-    Xia_obs.Metrics.add (Xia_obs.Metrics.counter "summary.statements") (List.length workload);
-    Xia_obs.Metrics.add (Xia_obs.Metrics.counter "summary.clusters") (Array.length clusters);
-    let n = List.length workload in
-    if Array.length clusters > 0 then
+    let k = cluster_count t in
+    Xia_obs.Metrics.add (Xia_obs.Metrics.counter "summary.statements") n;
+    Xia_obs.Metrics.add (Xia_obs.Metrics.counter "summary.clusters") k;
+    if k > 0 then
       Xia_obs.Metrics.set (Xia_obs.Metrics.gauge "summary.compression_ratio")
-        (float_of_int n /. float_of_int (Array.length clusters))
+        (float_of_int n /. float_of_int k)
   end;
   t
 
-let source t = t.source
-
-let statement_count t = List.length t.source
-
-let cluster_count t = Array.length t.clusters
-
 let info (t : t) =
-  { statements = statement_count t; cluster_count = cluster_count t;
+  { statements = t.statements; cluster_count = cluster_count t;
     compressed = t.compressed }
 
 (* The summarized workload the benefit/search loop runs on: one
@@ -185,17 +167,12 @@ let info (t : t) =
    their own label/statement/frequency; the cluster weight lives in
    {!weights} (so the raw path is the identity and weighted sums stay in one
    code path in [Benefit]). *)
-let workload t =
-  let items = Array.of_list t.source in
-  Array.to_list (Array.map (fun c -> items.(c.rep)) t.clusters)
+let workload t = t.items
 
 (* Per-representative weights, aligned with {!workload}: the summed
    frequency of each cluster (for a raw summary, exactly the item
    frequencies). *)
-let weights t = Array.map (fun c -> c.weight) t.clusters
-
-(* Cluster membership as lists of source indices, for tests and reporting. *)
-let members t = Array.to_list (Array.map (fun c -> c.members) t.clusters)
+let weights t = t.weights
 
 let pp_info ppf i =
   if i.compressed then

@@ -22,7 +22,7 @@ type info = {
   compressed : bool;
 }
 
-(** Identity summary: one singleton cluster per statement, weight = its
+(** Identity summary: the statements themselves, each weighted by its
     frequency.  The raw and compressed paths share all downstream code. *)
 val raw : Workload.t -> t
 
@@ -36,8 +36,6 @@ val compress : Xia_index.Catalog.t -> Workload.t -> t
     Exposed for the differential tests. *)
 val signature : Xia_index.Catalog.t -> Xia_query.Ast.statement -> int array
 
-val source : t -> Workload.t
-
 (** One representative item per cluster, in cluster (first-occurrence)
     order.  This is the workload the evaluator and candidate enumeration
     run on. *)
@@ -45,10 +43,6 @@ val workload : t -> Workload.t
 
 (** Summed cluster frequencies, aligned with {!workload}. *)
 val weights : t -> float array
-
-(** Cluster membership as source-statement index lists, aligned with
-    {!workload} (head of each list is the representative). *)
-val members : t -> int list list
 
 val cluster_count : t -> int
 val info : t -> info

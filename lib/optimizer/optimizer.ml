@@ -33,20 +33,18 @@ type counters = {
   optimize_calls : int Atomic.t;
   enumerate_calls : int Atomic.t;
   plans_considered : int Atomic.t;
-  batched_calls : int Atomic.t;
   batch_setup_saved : int Atomic.t;
 }
 
 let counters =
   { optimize_calls = Atomic.make 0; enumerate_calls = Atomic.make 0;
-    plans_considered = Atomic.make 0; batched_calls = Atomic.make 0;
+    plans_considered = Atomic.make 0;
     batch_setup_saved = Atomic.make 0 }
 
 let reset_counters () =
   Atomic.set counters.optimize_calls 0;
   Atomic.set counters.enumerate_calls 0;
   Atomic.set counters.plans_considered 0;
-  Atomic.set counters.batched_calls 0;
   Atomic.set counters.batch_setup_saved 0
 
 (* Cost-model perturbation knob for the recommendation-quality evaluation
@@ -152,7 +150,7 @@ type prepared = {
   accesses : prepared_access list;  (* every binding's, in slot order *)
   slots : int;
   tail : tail;
-  affected : float;  (* [Plan.affected_docs]: no index changes it *)
+  affected : float;  (* DML only: documents the statement modifies; no index changes it *)
   probes : probe list Atomic.t;
       (* the memo: keyed by index logical id × [slots] + access slot,
          matching pairs only, published by compare-and-set.  An entry is a
@@ -487,7 +485,6 @@ let plan_prepared ~indexes_of p =
     Plan.statement = p.statement;
     bindings;
     total_cost = statement_total p locate;
-    affected_docs = p.affected;
   }
 
 (* Batch setup: per table the prepared statements touch, its visible
@@ -560,7 +557,6 @@ let optimize_batched ?(mode = Evaluate) ?(domains = 1) ~virtual_config catalog
   if n = 0 then [||]
   else begin
     Atomic.incr counters.optimize_calls;
-    Atomic.incr counters.batched_calls;
     ignore (Atomic.fetch_and_add counters.batch_setup_saved (n - 1));
     let run () =
       Par.map ~domains

@@ -16,7 +16,6 @@ type counters = {
           {!optimize_batch} (however many statements the batch plans) *)
   enumerate_calls : int Atomic.t;
   plans_considered : int Atomic.t;
-  batched_calls : int Atomic.t;  (** {!optimize_batch} invocations *)
   batch_setup_saved : int Atomic.t;
       (** per-statement setup phases avoided by batching: Σ (batch size − 1).
           [optimize_calls + batch_setup_saved] is the raw-equivalent call
@@ -84,8 +83,7 @@ val statement_cost :
     both.  The internal fan-out over up to [domains] (default 1) domains
     never changes a plan, a cost, or a tie-break.  In [Evaluate] mode the
     call reads nothing from [catalog]: statistics come from the prepared
-    statements.  Counters: one
-    [optimize_calls], one [batched_calls], and
+    statements.  Counters: one [optimize_calls] and
     [batch_setup_saved += length prepared − 1] per call. *)
 val optimize_prepared :
   ?mode:mode ->
@@ -117,8 +115,8 @@ val optimize_batch :
   Ast.statement array ->
   Plan.t array
 
-(** A prepared statement's {!Plan.affected_docs}: no index configuration
-    changes it. *)
+(** Estimated documents a prepared DML statement modifies ([0.] for a
+    query): no index configuration changes it. *)
 val affected_docs : prepared -> float
 
 (** Estimated documents a DML statement modifies, derived from its locating

@@ -31,7 +31,6 @@ type t = {
   statement : Xia_query.Ast.statement;
   bindings : planned_binding list;
   total_cost : float;
-  affected_docs : float;  (* DML only: documents the statement modifies *)
 }
 
 let indexes_used plan =

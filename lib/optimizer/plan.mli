@@ -27,7 +27,6 @@ type t = {
   statement : Xia_query.Ast.statement;
   bindings : planned_binding list;
   total_cost : float;
-  affected_docs : float;
 }
 
 (** Distinct indexes appearing in the plan. *)

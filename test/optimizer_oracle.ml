@@ -235,23 +235,20 @@ let plan_statement ~env_of (stmt : Ast.statement) =
       bindings
   in
   let locate_cost = List.fold_left (fun acc b -> acc +. b.Plan.est_cost) 0.0 planned in
+  let plan total_cost = { Plan.statement = stmt; bindings = planned; total_cost } in
   match stmt with
-  | Ast.Select _ ->
-      { Plan.statement = stmt; bindings = planned; total_cost = locate_cost; affected_docs = 0.0 }
-  | Ast.Insert { table = _; document } ->
-      let cost = insert_cost document in
-      { Plan.statement = stmt; bindings = planned; total_cost = cost; affected_docs = 1.0 }
+  | Ast.Select _ -> (plan locate_cost, 0.0)
+  | Ast.Insert { table = _; document } -> (plan (insert_cost document), 1.0)
   | Ast.Delete { table; _ } ->
       let tstats = (env_of table).tstats in
       let affected = O.affected_docs_of_bindings planned in
-      let cost = locate_cost +. (affected *. modify_cost_per_doc tstats ~factor:1.0) in
-      { Plan.statement = stmt; bindings = planned; total_cost = cost; affected_docs = affected }
+      (plan (locate_cost +. (affected *. modify_cost_per_doc tstats ~factor:1.0)), affected)
   | Ast.Update { table; _ } ->
       let tstats = (env_of table).tstats in
       let affected = O.affected_docs_of_bindings planned in
-      let cost = locate_cost +. (affected *. modify_cost_per_doc tstats ~factor:2.0) in
-      { Plan.statement = stmt; bindings = planned; total_cost = cost; affected_docs = affected }
+      (plan (locate_cost +. (affected *. modify_cost_per_doc tstats ~factor:2.0)), affected)
 
-(* The old [optimize]: one statement, environments built on demand. *)
+(* The old [optimize]: one statement, environments built on demand.  Returns
+   the plan and the documents a DML statement modifies. *)
 let optimize ?(mode = O.Evaluate) ~virtual_config catalog stmt =
   plan_statement stmt ~env_of:(fun table -> table_env ~virtual_config catalog mode table)

@@ -61,22 +61,23 @@ let evaluate_configuration catalog (workload : Workload.t) defs =
       0.0 workload statements
   in
   let maintenance =
-    List.fold_left2
-      (fun acc (item : Workload.item) base_plan ->
+    List.fold_left
+      (fun acc (item : Workload.item) ->
         match item.statement with
         | Xia_query.Ast.Select _ -> acc
         | Xia_query.Ast.Insert _ | Xia_query.Ast.Delete _ | Xia_query.Ast.Update _ ->
             let tables = Xia_query.Ast.tables item.statement in
+            let docs_affected = Optimizer.affected_docs (Optimizer.prepare catalog item.statement) in
             List.fold_left
               (fun acc (d : Index_def.t) ->
                 if List.mem d.table tables then
                   let stats = Index_stats.derive_cached (Catalog.stats catalog d.table) d in
                   acc
                   +. item.freq
-                     *. Maintenance.cost stats ~docs_affected:base_plan.Plan.affected_docs
+                     *. Maintenance.cost stats ~docs_affected
                 else acc)
               acc defs)
-      0.0 workload base_plans
+      0.0 workload
   in
   let unused =
     List.filter

@@ -34,7 +34,7 @@ let enumeration_tests =
             (fun acc c -> C.Int_set.union acc c.C.affected)
             C.Int_set.empty basics
         in
-        Alcotest.(check int) "all stmts" (W.size s.A.workload)
+        Alcotest.(check int) "all stmts" (W.size (Xia_workload.Tpox.workload ()))
           (C.Int_set.cardinal covered));
     tc "generalization adds candidates" (fun () ->
         let s = Lazy.force fixture in
@@ -326,8 +326,9 @@ let search_tests =
             (fun (item : W.item) ->
               Xia_optimizer.Plan.indexes_used
                 (Xia_optimizer.Optimizer.optimize ~mode:Xia_optimizer.Optimizer.Evaluate
-                   ~virtual_config:defs s.A.catalog item.W.statement))
-            s.A.workload
+                   ~virtual_config:defs (Lazy.force Helpers.shared_catalog)
+                   item.W.statement))
+            (Xia_workload.Tpox.workload ())
         in
         List.iter
           (fun d ->

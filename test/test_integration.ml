@@ -54,7 +54,10 @@ let pipeline_tests =
   [
     tc "affected sets point to statements that expose the pattern" (fun () ->
         let s = Lazy.force session in
-        let items = Array.of_list s.A.workload in
+        (* affected sets index the evaluator's statements *)
+        let items =
+          Array.of_list (Xia_advisor.Workload_summary.workload (B.summary s.A.evaluator))
+        in
         List.iter
           (fun (c : C.t) ->
             C.Int_set.iter

@@ -1637,10 +1637,12 @@ let indexable_patterns stmt =
       {|    let t0 = Unix.gettimeofday () in
     let result = run () in|};
     mutant "E001" "eprintf in Workload_summary.compress" "core/workload_summary.ml"
-      {|  let t = { source = workload; clusters; compressed = true } in
+      {|      statements = n; compressed = true }
+  in
 |}
-      {|  let t = { source = workload; clusters; compressed = true } in
-  Printf.eprintf "summary: %d clusters\n%!" (Array.length clusters);
+      {|      statements = n; compressed = true }
+  in
+  Printf.eprintf "summary: %d clusters\n%!" (cluster_count t);
 |};
     mutant ~at:"index/catalog.ml" "E002" "Catalog.stats in Optimizer.visible_indexes" "optimizer/optimizer.ml"
       {|          let table = b.info.Rewriter.source.Ast.table in
@@ -1710,9 +1712,9 @@ let indexable_patterns stmt =
       {|  List.sort String.compare (Hashtbl.fold (fun name _ acc -> name :: acc) t.tables [])|}
       {|  Hashtbl.fold (fun name _ acc -> name :: acc) t.tables []|};
     mutant "N001" "clusters in hash order in Workload_summary.compress" "core/workload_summary.ml"
-      {|         !order)
+      {|  let clusters = List.rev !order in
 |}
-      {|         (Hashtbl.fold (fun _ acc l -> acc :: l) by_key []))
+      {|  let clusters = Hashtbl.fold (fun _ acc l -> acc :: l) by_key [] in
 |};
     mutant "N001" "floor groups in hash order in Benefit.bounds" "core/benefit.ml"
       {|        (List.rev !order);
@@ -1736,9 +1738,9 @@ let indexable_patterns stmt =
       {|let incr c = Atomic.set c (Atomic.get c + 1)|};
     mutant "R003" "read-modify-write of the optimizer call counter" "optimizer/optimizer.ml"
       {|    Atomic.incr counters.optimize_calls;
-    Atomic.incr counters.batched_calls;|}
+    ignore (Atomic.fetch_and_add counters.batch_setup_saved (n - 1));|}
       {|    Atomic.set counters.optimize_calls (Atomic.get counters.optimize_calls + 1);
-    Atomic.incr counters.batched_calls;|};
+    ignore (Atomic.fetch_and_add counters.batch_setup_saved (n - 1));|};
     mutant "X001" "dropped Fun.protect in Obs.with_enabled" "obs/obs.ml"
       {|  let saved = Atomic.get enabled in
   Atomic.set enabled v;

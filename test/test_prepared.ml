@@ -29,9 +29,9 @@ let shape_repr = function
   | Plan.Index_and cs -> "IXAND(" ^ String.concat ", " (List.map choice_repr cs) ^ ")"
   | Plan.Index_or cs -> "IXOR(" ^ String.concat ", " (List.map choice_repr cs) ^ ")"
 
-let plan_repr (p : Plan.t) =
+let plan_repr ((p : Plan.t), affected) =
   String.concat " "
-    (Printf.sprintf "total=%h affected=%h" p.Plan.total_cost p.Plan.affected_docs
+    (Printf.sprintf "total=%h affected=%h" p.Plan.total_cost affected
     :: List.map
          (fun (b : Plan.planned_binding) ->
            Printf.sprintf "[$%s %s cost=%h docs=%h]" b.Plan.info.Xia_query.Rewriter.var
@@ -133,7 +133,8 @@ let check_same label mode ~virtual_config catalog stmts got got_count =
         (fun (b : Plan.planned_binding) ->
           match b.Plan.plan with Plan.Doc_scan -> () | _ -> incr index_plans)
         p.Plan.bindings;
-      let want = plan_repr expected.(i) and have = plan_repr p in
+      let want = plan_repr expected.(i)
+      and have = plan_repr (p, O.affected_docs (O.prepare catalog stmts.(i))) in
       if not (String.equal want have) then
         QCheck.Test.fail_reportf "%s statement %d:\n oracle   %s\n prepared %s" label i want
           have)
