@@ -28,10 +28,8 @@ module Trace = Xia_obs.Trace
 
 let paper_all_index_mb = 95.0
 
-(* Atomic rather than a bare ref: module-toplevel mutable state must be
-   domain-safe (the lint's D001 rule), even though the flag is only written
-   during argument parsing. *)
-let quick = Atomic.make false
+(* Set once, while parsing the arguments. *)
+let quick = ref false [@@lint.allow "D001"]
 
 let line = String.make 86 '-'
 
@@ -44,7 +42,7 @@ let tpox_catalog =
   let memo =
     Lazy.from_fun (fun () ->
         let catalog = Catalog.create () in
-        if Atomic.get quick then Tpox.load ~scale:Tpox.tiny_scale catalog
+        if !quick then Tpox.load ~scale:Tpox.tiny_scale catalog
         else Tpox.load catalog;
         catalog)
   in
@@ -227,7 +225,7 @@ let fig4 () =
   Format.printf "(disk budget: paper-equivalent 2000 MB)@.@.";
   Format.printf "%6s | %10s | %10s | %10s@." "train" "all-index" "td-lite" "heuristic";
   Format.printf "%s@." line;
-  let ns = if Atomic.get quick then [ 1; 5; 10; 15; 20 ] else [ 1; 2; 4; 6; 8; 10; 12; 14; 16; 18; 20 ] in
+  let ns = if !quick then [ 1; 5; 10; 15; 20 ] else [ 1; 2; 4; 6; 8; 10; 12; 14; 16; 18; 20 ] in
   List.iter
     (fun n ->
       let train = W.prefix n test in
@@ -258,7 +256,7 @@ let fig5 () =
   Format.printf "%6s | %10s | %10s | %10s@." "train" "all-index" "td-lite" "heuristic";
   Format.printf "%s@." line;
   let all_actual = actual (Advisor.indexes all) in
-  let ns = if Atomic.get quick then [ 1; 10; 20 ] else [ 1; 4; 8; 12; 16; 20 ] in
+  let ns = if !quick then [ 1; 10; 20 ] else [ 1; 4; 8; 12; 16; 20 ] in
   List.iter
     (fun n ->
       let train = W.prefix n test in
@@ -277,7 +275,7 @@ let fig5 () =
 let xmark () =
   header "Extension (tech-report): XMark workload";
   let catalog = Catalog.create () in
-  if Atomic.get quick then Xmark.load ~scale:Xmark.tiny_scale catalog else Xmark.load catalog;
+  if !quick then Xmark.load ~scale:Xmark.tiny_scale catalog else Xmark.load catalog;
   let workload = Xmark.workload () in
   let session = Advisor.create_session catalog workload in
   let all = Advisor.session_advise session ~budget:max_int Advisor.All_index in
@@ -418,11 +416,11 @@ let hist () =
     (fun (label, q, truth) ->
       let stmt = Xia_query.Parser.parse_statement_exn q in
       let est flag =
-        let saved = Atomic.get Xia_optimizer.Selectivity.use_histograms in
-        Atomic.set Xia_optimizer.Selectivity.use_histograms flag;
+        let saved = !Xia_optimizer.Selectivity.use_histograms in
+        Xia_optimizer.Selectivity.use_histograms := flag;
         Fun.protect
           ~finally:(fun () ->
-            Atomic.set Xia_optimizer.Selectivity.use_histograms saved)
+            Xia_optimizer.Selectivity.use_histograms := saved)
           (fun () ->
             match (Optimizer.optimize catalog stmt).Xia_optimizer.Plan.bindings with
             | [ b ] -> b.Xia_optimizer.Plan.est_docs
@@ -553,7 +551,7 @@ let scale () =
    the raw record's (the acceptance criterion of the compression work), and
    the ratchet guards each independently. *)
 let scale10k_params () =
-  if Atomic.get quick then (10_000, 64) else (100_000, 256)
+  if !quick then (10_000, 64) else (100_000, 256)
 
 let scale10k_workload () =
   let catalog = tpox_catalog () in
@@ -616,7 +614,12 @@ let scale10k_raw () =
 
 (* Minor words the running exhibit measured itself, for its record; an
    exhibit that sets it must allocate the same on every run. *)
-let exhibit_minor_words : float option Atomic.t = Atomic.make None
+let exhibit_minor_words : float option ref = ref None [@@lint.allow "D001"]
+
+let take_minor_words () =
+  let words = !exhibit_minor_words in
+  exhibit_minor_words := None;
+  words
 
 (* Runs [pass] twice with observability off and records the minor words of
    the second run: the first fills the process-wide label, pattern,
@@ -630,7 +633,7 @@ let second_pass name pass =
       let w0 = Gc.minor_words () in
       let second, elapsed = Trace.timed span pass in
       let words = Gc.minor_words () -. w0 in
-      Atomic.set exhibit_minor_words (Some words);
+      exhibit_minor_words := Some words;
       Format.printf "second pass: %.4fs, %.0f minor words@." elapsed words;
       (first, second))
 
@@ -640,7 +643,7 @@ let second_pass name pass =
 let walk () =
   header "RUNSTATS and index builds: the guided document walk";
   let catalog = Catalog.create () in
-  if Atomic.get quick then Tpox.load ~scale:Tpox.tiny_scale catalog else Tpox.load catalog;
+  if !quick then Tpox.load ~scale:Tpox.tiny_scale catalog else Tpox.load catalog;
   let tables = Catalog.table_names catalog in
   let defs =
     List.map
@@ -680,7 +683,7 @@ let executor () =
   header "Validation: the TPoX reads executed with and without indexes";
   let load () =
     let catalog = Catalog.create () in
-    if Atomic.get quick then Tpox.load ~scale:Tpox.tiny_scale catalog else Tpox.load catalog;
+    if !quick then Tpox.load ~scale:Tpox.tiny_scale catalog else Tpox.load catalog;
     catalog
   in
   let plain = load () and indexed = load () in
@@ -717,7 +720,7 @@ let advisor_phase_setup () =
   let workload =
     Tpox.workload ()
     @ Synthetic.workload ~seed:21 catalog (Catalog.table_names catalog)
-        (if Atomic.get quick then 29 else 69)
+        (if !quick then 29 else 69)
   in
   (catalog, workload, Enumeration.candidates catalog workload)
 
@@ -727,7 +730,7 @@ let config_ids (r : Advisor.recommendation) =
 (* The advisor phase at one domain: a fresh evaluator, then All-Index and
    four searches at half of All-Index's size. *)
 let advisor_phase (catalog, workload, set) =
-  let ev = Benefit.create ~domains:1 catalog workload in
+  let ev = Benefit.create catalog workload in
   let session = { Advisor.candidates = set; evaluator = ev } in
   let all = Advisor.session_advise session ~budget:max_int Advisor.All_index in
   let budget = all.Advisor.outcome.Search.size / 2 in
@@ -880,7 +883,7 @@ let micro () =
      does. *)
   let search_wl = Synthetic.workload ~seed:17 catalog (Catalog.table_names catalog) 300 in
   let search_set = Enumeration.candidates catalog search_wl in
-  let search_ev = Benefit.create ~domains:1 catalog search_wl in
+  let search_ev = Benefit.create catalog search_wl in
   let search_budget = Benefit.config_size search_ev (Candidate.basics search_set) / 2 in
   ignore (Search.greedy_heuristics search_ev search_set ~budget:search_budget);
   let tests =
@@ -921,7 +924,7 @@ let micro () =
          cached yet. *)
       Test.make ~name:"optimizer.whatif_cold"
         (Staged.stage (fun () ->
-             let ev = Benefit.create ~domains:1 catalog search_wl in
+             let ev = Benefit.create catalog search_wl in
              ignore (Search.greedy_heuristics ev search_set ~budget:search_budget)));
       Test.make ~name:"advisor.enumerate_workload"
         (Staged.stage (fun () -> ignore (Enumeration.basic_candidates catalog workload)));
@@ -1051,7 +1054,7 @@ let json_escape s =
     s;
   Buffer.contents b
 
-let scale_name () = if Atomic.get quick then "quick" else "full"
+let scale_name () = if !quick then "quick" else "full"
 
 let write_advisor_json path records =
   let oc = open_out path in
@@ -1118,7 +1121,7 @@ let () =
     List.filter
       (fun a ->
         if String.equal a "quick" then begin
-          Atomic.set quick true;
+          quick := true;
           false
         end
         else true)
@@ -1130,7 +1133,7 @@ let () =
     | l -> l
   in
   Format.printf "XML Index Advisor - experiment harness%s@."
-    (if Atomic.get quick then " (quick scale)" else "");
+    (if !quick then " (quick scale)" else "");
   let records = ref [] in
   let instrumented name f =
     let calls0 = Atomic.get Optimizer.counters.Optimizer.optimize_calls in
@@ -1156,7 +1159,7 @@ let () =
           - saved0;
         enumerate_calls =
           Atomic.get Optimizer.counters.Optimizer.enumerate_calls - enums0;
-        minor_words = Atomic.exchange exhibit_minor_words None;
+        minor_words = take_minor_words ();
         phases;
       }
       :: !records

@@ -136,7 +136,7 @@ let algorithm_of_string = function
 (* ---------- commands ---------- *)
 
 let advise_cmd benchmark small data_dirs workload_file budget_mb algorithm beta
-    update_freq synthetic domains compress trace_file metrics_file verbose =
+    update_freq synthetic compress trace_file metrics_file verbose =
   (* Either observability flag switches the whole pipeline's spans and
      metrics on for this run. *)
   if trace_file <> None || metrics_file <> None then Xia_obs.Obs.set_enabled true;
@@ -147,7 +147,7 @@ let advise_cmd benchmark small data_dirs workload_file budget_mb algorithm beta
   let budget = int_of_float (budget_mb *. 1024.0 *. 1024.0) in
   let r, elapsed =
     Xia_obs.Trace.timed "cli.advise" (fun () ->
-        Advisor.advise ~beta ?domains ?compress catalog workload ~budget alg)
+        Advisor.advise ~beta ?compress catalog workload ~budget alg)
   in
   if r.Advisor.summary.Xia_advisor.Workload_summary.compressed then
     Format.printf "workload compressed: %a@."
@@ -251,7 +251,7 @@ let review_cmd benchmark small data_dirs workload_file update_freq synthetic ind
    executor validation, on the committed small cases.  The heavy lifting
    (two-evaluator protocol, scoring, JSON rendering) lives in lib/eval; this
    command only selects cases, prints the tables and writes the files. *)
-let eval_cmd benchmark small json_file perturb domains trace_file metrics_file =
+let eval_cmd benchmark small json_file perturb trace_file metrics_file =
   if trace_file <> None || metrics_file <> None then Xia_obs.Obs.set_enabled true;
   let specs =
     let all = Xia_eval.Eval.default_specs in
@@ -266,7 +266,7 @@ let eval_cmd benchmark small json_file perturb domains trace_file metrics_file =
     Format.printf "search-phase cost model perturbed: index costs x %.2f@." perturb;
   let results, elapsed =
     Xia_obs.Trace.timed "cli.eval" (fun () ->
-        Xia_eval.Eval.run ?domains ~perturb ~small specs)
+        Xia_eval.Eval.run ~perturb ~small specs)
   in
   List.iter (fun r -> Format.printf "%a@." Xia_eval.Eval.pp_case r) results;
   Format.printf "eval time %.2fs@." elapsed;
@@ -386,16 +386,6 @@ let synthetic_arg =
     value & opt int 0
     & info [ "synthetic" ] ~doc:"Append N synthetic random-path queries.")
 
-let domains_arg =
-  Arg.(
-    value
-    & opt (some int) None
-    & info [ "domains" ]
-        ~doc:
-          "Domains used for parallel what-if evaluation (default: the \
-           machine's recommended domain count).  The recommendation is \
-           identical for every value.")
-
 let compress_arg =
   Arg.(
     value
@@ -442,7 +432,7 @@ let advise_term =
   Term.(
     const advise_cmd $ benchmark_arg $ small_arg $ data_arg $ workload_file_arg
     $ budget_arg $ algorithm_arg $ beta_arg $ updates_arg $ synthetic_arg
-    $ domains_arg $ compress_arg $ trace_arg $ metrics_arg $ verbose_arg)
+    $ compress_arg $ trace_arg $ metrics_arg $ verbose_arg)
 
 let explain_term =
   Term.(
@@ -491,7 +481,7 @@ let perturb_arg =
 let eval_term =
   Term.(
     const eval_cmd $ eval_workload_arg $ small_arg $ json_arg $ perturb_arg
-    $ domains_arg $ trace_arg $ metrics_arg)
+    $ trace_arg $ metrics_arg)
 
 let out_dir_arg =
   Arg.(

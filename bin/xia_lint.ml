@@ -1,4 +1,4 @@
-(* xia_lint — domain-safety and hygiene analyzer for this repository.
+(* xia_lint — state-safety and hygiene analyzer for this repository.
 
    Usage: xia_lint [--json] [--callgraph] PATH...
 
@@ -6,8 +6,7 @@
    whole library set is parsed once, a cross-unit call graph is built from
    it, every binding's effect witnesses are summarized
    (Xia_analysis.Effects), and the check catalog in Xia_analysis.Checks /
-   Xia_analysis.Races / Xia_analysis.Dataflow runs over the shared graph and
-   summaries.  --callgraph prints the graph as Graphviz DOT instead of
+   Xia_analysis.Dataflow runs over the shared graph and summaries.  --callgraph prints the graph as Graphviz DOT instead of
    linting.  Each check's rationale is in DESIGN.md §5c/§5f/§5h/§5k.
    A finding is suppressed only in the source: [@lint.allow "ID"] at the
    site (or [@@lint.allow "ID"] on an enclosing binding), or, for H002, a

@@ -7,8 +7,8 @@
    or not; H001 is filesystem-level.  Whole-program checks: N001 and E001 (below) read the
    local witnesses of each binding's [Effects] summary; D003 and E002 are
    [Callgraph.reach] queries over [Sites.calls] — backwards from each
-   mutator site, forwards from the batch roots.  R001 and N002 live in
-   [Races], R002 and the L/X-series in [Dataflow].
+   mutator site, forwards from the batch roots.  X001 lives in
+   [Dataflow].
 
    Identifier references are matched on [Longident] paths after module-alias
    expansion through the graph — full name resolution (functors,
@@ -39,8 +39,9 @@ let has_suffix = Effects.has_suffix
 
 let d001_message what =
   Printf.sprintf
-    "module-toplevel mutable state (%s): racy under multiple domains; wrap in \
-     Atomic/Domain.DLS/Mutex/Lazy or allocate per instance"
+    "module-toplevel mutable state (%s): it outlives one advise session and \
+     leaks between evaluators; allocate it per instance (or use Lazy for an \
+     immutable table)"
     what
 
 (* Only module-level bindings (nested modules included); allocation
@@ -244,18 +245,17 @@ let e002_message what root via =
    shared-state writes with the trail that led to their host (host
    excluded).  Cuts: [warm_stats] and the optimizer's [prepare] (which
    binds a statement to the statistics warmed before it) are the
-   sanctioned synchronization points, lib/obs and the Par runtime are
-   instrumentation/scheduling, and a lock-disciplined callee (Mutex body
-   or [@lint.allow "R001"]) manages its own state.  The root itself is
-   never cut.  Atomic writes never produce witnesses in the first
+   sanctioned binding points, lib/obs is instrumentation, and the
+   [interner] module's tables hand out identities and memoize pure
+   functions, so a write there never changes a result.  The root itself
+   is never cut.  Atomic writes never produce witnesses in the first
    place. *)
 let check_e002_program sites eff =
   let sanctioned (m : Callgraph.node) =
     String.equal m.name "warm_stats"
     || (String.equal m.name "prepare" && String.equal m.u.basename "optimizer")
     || in_dir "obs" m.u.path
-    || String.equal m.u.basename "par"
-    || (Effects.summary eff m).lock_disciplined
+    || String.equal m.u.basename "interner"
   in
   let emitted = Hashtbl.create 16 in
   let findings = ref [] in
@@ -338,13 +338,7 @@ let catalog =
     { id = "E002"; title = "shared-state write on the virtual-config path" };
     { id = "H001"; title = "module without an .mli interface" };
     { id = "H002"; title = "failwith/assert false without a lint note" };
-    { id = "L001"; title = "blocking call while a mutex is held" };
-    { id = "L002"; title = "mutex not released on an exceptional path" };
     { id = "N001"; title = "hash iteration order escapes into a result" };
-    { id = "N002"; title = "order-fragile parallel float reduction" };
-    { id = "R001"; title = "mutable state reachable from a parallel task" };
-    { id = "R002"; title = "inconsistent mutex acquisition order" };
     { id = "R003"; title = "non-atomic read-modify-write on an Atomic.t" };
     { id = "X001"; title = "save/restore skipped on an exceptional path" };
-    { id = "X002"; title = "unlock without a matching lock on this path" };
   ]

@@ -2,8 +2,8 @@
 
     Unit-local checks (one compilation unit's sites, {!Sites.unit_sites}):
 
-    - [D001] module-toplevel mutable state not wrapped in
-      Atomic/Domain.DLS/Mutex/Lazy (domain-safety).
+    - [D001] module-toplevel mutable state: it outlives one advise session
+      and leaks between evaluators.
     - [D002] [Sys.time] used for timing (CPU time, not wall-clock).
     - [D004] [Unix.gettimeofday] in [lib/] code outside [lib/obs/]: library
       wall-clock reads must go through [Xia_obs.Obs.now_s].
@@ -16,21 +16,17 @@
     summaries and the call lists of {!Sites} on the cross-unit graph):
 
     - [D003] catalog/store mutation transitively reachable — across
-      compilation units — from a binding of a what-if evaluation module,
-      enforcing PR 1's reentrancy contract.
+      compilation units — from a binding of a what-if evaluation module:
+      what-if evaluation never mutates the catalog.
     - [N001] hash iteration order escaping into a returned/cached result in
       [lib/].
     - [E001] IO effects in [lib/] outside the sanctioned surfaces.
     - [E002] shared-state writes reachable from the virtual-config batch
       path.
-    - [R001] mutable state reachable from a parallel task and [N002]
-      (order-fragile parallel float reduction); implemented in {!Races}.
 
-    Flow-sensitive checks — [R002] lock order, [L001] blocking call under
-    a lock, [L002] lock leaked on an exceptional path, [X001] skipped
-    restore, [X002] unmatched unlock — are a forward may-analysis by an
-    intraprocedural walk of the parsetree, documented in {!Dataflow} and
-    DESIGN.md §5k.
+    The flow-sensitive check — [X001] skipped restore — is a forward
+    may-analysis by an intraprocedural walk of the parsetree, documented
+    in {!Dataflow} and DESIGN.md §5k.
 
     Identifier references are matched on [Longident] paths after
     module-alias expansion through the graph; a reference a local binder
@@ -60,8 +56,8 @@ val check_e001_program : Sites.t -> Effects.t -> Finding.t list
 
 (** E002: shared-state writes in the transitive call closure of
     [optimize_batch], [optimize_prepared] and [optimize_costs] bindings,
-    beyond the sanctioned [warm_stats]/optimizer [prepare]/lock-disciplined
-    sites. *)
+    beyond the sanctioned [warm_stats]/optimizer [prepare], [lib/obs] and
+    [interner] sites. *)
 val check_e002_program : Sites.t -> Effects.t -> Finding.t list
 
 (** [missing_mli ~mls ~mlis] — H001: every [.ml] path with no matching

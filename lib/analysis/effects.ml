@@ -2,18 +2,15 @@
 
    Per toplevel value binding (a [Callgraph.node]) the pass folds the
    binding's [Sites] into its local witness sites — the [summary] record:
-   E001's IO, N001's order witnesses, E002's shared writes, D003's mutator
-   references, R001's raw-global references, N002's float accumulations
-   and folds — with no walk of its own.  Nothing is propagated here: a
-   check that needs the sites below a binding walks to them with
+   E001's IO, N001's order witnesses, E002's shared writes and D003's
+   mutator references — with no walk of its own.  Nothing is propagated
+   here: a check that needs the sites below a binding walks to them with
    [Callgraph.reach] over [Sites.calls], so findings anchor at real
-   source locations with a call trail, and L001's one transitive fact,
-   "may perform IO", is a [Callgraph.fixpoint] in [Dataflow].
+   source locations with a call trail.
 
    Soundness/incompleteness trade-offs (DESIGN.md §5h): the analysis is
-   syntactic over the untyped parsetree.  Atomic/Mutex/DLS-wrapped state is
-   treated as synchronized (Atomic writes never become shared-write
-   witnesses); mutation through a wrapper the matcher does not know, a
+   syntactic over the untyped parsetree.  Atomic writes never become
+   shared-write witnesses; mutation through a wrapper the matcher does not know, a
    container operation referenced point-free rather than applied, and
    first-class-function escape are invisible.  Absence of a witness is
    evidence, not proof. *)
@@ -40,13 +37,13 @@ let nolabel_args args =
       match label with Asttypes.Nolabel -> Some a | _ -> None)
     args
 
-(* The subject of a call: its first unlabeled argument ([Mutex.lock m],
-   [Par.map ~domains f arr]'s task, [x := v]'s target). *)
+(* The subject of a call: its first unlabeled argument ([x := v]'s
+   target, [Atomic.get x]'s atomic). *)
 let first_nolabel args = match nolabel_args args with a :: _ -> Some a | [] -> None
 
-(* Symbolic identity of a lock/atomic/target expression: dotted ident or
-   field path ("pool.lock", "t.shards.lock"); [None] when the expression
-   has no stable name (array cells, call results). *)
+(* Symbolic identity of an atomic/target expression: dotted ident or
+   field path ("enabled", "t.memo"); [None] when the expression has no
+   stable name (array cells, call results). *)
 let rec sym (e : expression) =
   match e.pexp_desc with
   | Pexp_ident lid -> Some (String.concat "." (Longident.flatten lid.txt))
@@ -83,20 +80,6 @@ let flagged_allocators =
     [ "Stack"; "create" ]; [ "Weak"; "create" ]; [ "Dynarray"; "create" ];
     [ "Bytes"; "create" ]; [ "Bytes"; "make" ]; [ "Array"; "make" ];
     [ "Array"; "create_float" ]; [ "Array"; "init" ]; [ "Array"; "make_matrix" ];
-  ]
-
-(* Wrappers that make toplevel state domain-safe (or defer it): their
-   arguments may allocate freely. *)
-let safe_wrappers =
-  [
-    [ "Atomic"; "make" ];
-    [ "DLS"; "new_key" ];
-    [ "Mutex"; "create" ];
-    [ "Condition"; "create" ];
-    [ "Semaphore"; "Counting"; "make" ];
-    [ "Semaphore"; "Binary"; "make" ];
-    [ "Lazy"; "from_fun" ];
-    [ "Lazy"; "from_val" ];
   ]
 
 (* Does this expression evaluate to a function?  Walks through the wrappers
@@ -149,9 +132,10 @@ let rec d001_hits mutable_fields acc (e : expression) =
     | Pexp_construct (_, Some e) | Pexp_variant (_, Some e) ->
         d001_hits mutable_fields acc e
     | Pexp_apply ({ pexp_desc = Pexp_ident lid; _ }, _) ->
+        (* A call's arguments are not descended: only its own result can be
+           the shared allocation. *)
         let path = Longident.flatten lid.txt in
-        if List.exists (fun suffix -> has_suffix ~suffix path) safe_wrappers then acc
-        else if List.equal String.equal path [ "ref" ]
+        if List.equal String.equal path [ "ref" ]
                 || List.equal String.equal path [ "Stdlib"; "ref" ]
         then (e.pexp_loc, "ref") :: acc
         else (
@@ -184,14 +168,6 @@ let rec d001_hits mutable_fields acc (e : expression) =
 
 type witness = { s_loc : Location.t; s_what : string; s_suppressed : bool }
 
-type race_witness = {
-  w_loc : Location.t;
-  w_global : string;      (* binding name of the raw global *)
-  w_kind : string;        (* allocator: "ref", "Hashtbl.create", ... *)
-  w_path : string;        (* unit path declaring the global *)
-  w_suppressed : bool;
-}
-
 (* ----------------------------------------------------------- op classifiers -- *)
 
 (* [Module.fn] when the path ends in a member of [table]: (module, fns). *)
@@ -204,8 +180,8 @@ let member_of table path =
   | _ -> None
 
 (* Mutation entry points of the shared catalog/store API (D003's site set).
-   [warm_stats] is deliberately absent: it is the sanctioned synchronization
-   point what-if entry code calls *before* fanning out (PR 1's contract). *)
+   [warm_stats] is deliberately absent: an evaluator calls it when it is
+   built, to bind its statements to the statistics current then. *)
 let mutator_of_path =
   member_of
     [
@@ -290,13 +266,6 @@ let io_of_path path =
           Some (m ^ "." ^ f)
       | None, _ -> None)
 
-(* The parallel fan-out entry points.  An argument in function position of
-   one of these escapes to another domain. *)
-let par_entry_of_path =
-  suffix_name [ [ "Par"; "map" ]; [ "Par"; "map_list" ]; [ "Par"; "iter" ]; [ "Domain"; "spawn" ] ]
-
-let float_ops = [ "+."; "-."; "*."; "/." ]
-
 (* --------------------------------------------------- small AST predicates -- *)
 
 let rec head_ident_name (e : expression) =
@@ -305,22 +274,6 @@ let rec head_ident_name (e : expression) =
   | Pexp_field (b, _) -> head_ident_name b
   | Pexp_constraint (e, _) | Pexp_coerce (e, _, _) | Pexp_open (_, e) -> head_ident_name e
   | _ -> None
-
-let contains_float_op =
-  exists_expr (fun e ->
-      match e.pexp_desc with
-      | Pexp_ident { txt = Longident.Lident op; _ } -> List.mem op float_ops
-      | _ -> false)
-
-(* Does [e] read back the symbolic target [target] (deref or field path)? *)
-let reads_target ~target =
-  exists_expr (fun e ->
-      match e.pexp_desc with
-      | Pexp_apply ({ pexp_desc = Pexp_ident { txt = Longident.Lident "!"; _ }; _ }, args)
-        ->
-          Option.bind (first_nolabel args) sym = Some target
-      | Pexp_field _ -> sym e = Some target
-      | _ -> false)
 
 (* Does this closure body build a list (cons, append, rev_append)? *)
 let builds_list =
@@ -335,64 +288,16 @@ let builds_list =
           <> None
       | _ -> false)
 
-(* A read-modify-write float update ([t := !t +. x],
-   [r.sum <- r.sum +. x]): its description and the target's head variable,
-   which the caller may exempt (a per-call raw local, a name the task
-   closure binds). *)
-let float_acc (s : Sites.site) =
-  let acc tsym value head =
-    if contains_float_op value && reads_target ~target:tsym value then
-      Some (Printf.sprintf "float accumulation into %s" tsym, head)
-    else None
-  in
-  match s.kind with
-  | Apply ({ path = [ ":=" ]; _ }, (Asttypes.Nolabel, target) :: (Asttypes.Nolabel, value) :: _)
-    ->
-      Option.bind (sym target) (fun tsym -> acc tsym value (head_ident_name target))
-  | Setfield (base, f, value) ->
-      Option.bind (sym base) (fun bsym -> acc (bsym ^ "." ^ f) value (head_ident_name base))
-  | _ -> None
-
 (* --------------------------------------------------------- internal state -- *)
 
 type summary = {
-  locals : (string, string) Hashtbl.t;  (* raw per-call allocations, name -> kind *)
-  io : witness list;                    (* E001; L001's IO fact *)
+  io : witness list;                    (* E001 *)
   order : witness list;                 (* N001 *)
   writes : witness list;                (* shared-target writes, E002 *)
   mutations : witness list;             (* catalog/store mutator refs, D003 *)
-  globals : race_witness list;          (* raw-global refs, R001 *)
-  accs : witness list;                  (* float accumulations, N002 *)
-  fanout : bool;                        (* references a Par/Domain fan-out *)
-  sum_list : bool;                      (* references Par.sum_list *)
-  float_folds : witness list;           (* float List/Array.fold_left sites *)
-  lock_disciplined : bool;              (* takes a Mutex.lock or allows R001 *)
 }
 
-type t = {
-  sites : Sites.t;
-  summaries : (string * string, summary) Hashtbl.t;
-  raw_memo : (string * string, string option) Hashtbl.t;
-}
-
-(* Is this graph node raw module-toplevel mutable state?  Returns the
-   allocator kind ("ref", "Hashtbl.create", ...).  A node carrying
-   [@lint.allow "R001"] never classifies as raw: the suppression covers
-   every access to it. *)
-let raw_global t (n : Callgraph.node) =
-  let k = Callgraph.key n in
-  match Hashtbl.find_opt t.raw_memo k with
-  | Some r -> r
-  | None ->
-      let r =
-        if allow "R001" n.attrs then None
-        else
-          match d001_hits (Sites.mutable_fields t.sites n.u) [] n.expr with
-          | [] -> None
-          | (_, what) :: _ -> Some what
-      in
-      Hashtbl.replace t.raw_memo k r;
-      r
+type t = { sites : Sites.t; summaries : (string * string, summary) Hashtbl.t }
 
 (* ------------------------------------------------------- the node fold -- *)
 
@@ -401,13 +306,12 @@ let raw_global t (n : Callgraph.node) =
    locals (let-bound anywhere; scope is deliberately ignored — a name in
    this table that an inner expression uses without binding it itself
    must come from an enclosing scope, and the only enclosing definition
-   the analysis knows of is the raw one), whether it sorts, and whether
-   it takes a [Mutex.lock]. *)
+   the analysis knows of is the raw one), and whether it sorts. *)
 let summarize t (n : Callgraph.node) =
   let sites = Sites.node_sites t.sites n in
   let mutable_fields = Sites.mutable_fields t.sites n.u in
   let locals = Hashtbl.create 8 in
-  let has_sort = ref false and blocked = ref (allow "R001" n.attrs) in
+  let has_sort = ref false in
   List.iter
     (fun (s : Sites.site) ->
       match s.kind with
@@ -417,13 +321,10 @@ let summarize t (n : Callgraph.node) =
           | [] -> ())
       | Ref { path; _ } ->
           if List.exists (fun suffix -> has_suffix ~suffix path) sort_suffixes then
-            has_sort := true;
-          if has_suffix ~suffix:[ "Mutex"; "lock" ] path then blocked := true
+            has_sort := true
       | _ -> ())
     sites;
-  let io = ref [] and order = ref [] and writes = ref [] in
-  let mutations = ref [] and globals = ref [] and ffolds = ref [] in
-  let fanout = ref false and sum_list = ref false in
+  let io = ref [] and order = ref [] and writes = ref [] and mutations = ref [] in
   let local head = match head with Some x -> Hashtbl.mem locals x | None -> false in
   let local_target target = local (Option.bind target head_ident_name) in
   let witness (s : Sites.site) what id =
@@ -432,37 +333,18 @@ let summarize t (n : Callgraph.node) =
   let record_write s what = writes := witness s what "E002" :: !writes in
   (* One unshadowed identifier reference. *)
   let classify_ident (s : Sites.site) (id : Sites.ident) =
-    if par_entry_of_path id.expanded <> None then fanout := true;
-    if has_suffix ~suffix:[ "Par"; "sum_list" ] id.expanded then sum_list := true;
     (match mutator_of_path id.expanded with
     | Some m when not (Sites.active s "D003") ->
         mutations := { s_loc = s.loc; s_what = m; s_suppressed = false } :: !mutations
     | _ -> ());
-    if id.targets = [] then begin
-      (* No project binding answers to this path: classify stdlib/runtime
-         builtins.  Gating on empty resolution keeps a sibling binding that
-         happens to share a builtin's name (an [input] helper, say) from
-         classifying as the builtin. *)
+    (* Only when no project binding answers to this path: classify
+       stdlib/runtime builtins.  Gating on empty resolution keeps a sibling
+       binding that happens to share a builtin's name (an [input] helper,
+       say) from classifying as the builtin. *)
+    if id.targets = [] then
       match io_of_path id.path with
       | Some what -> io := witness s what "E001" :: !io
       | None -> ()
-    end
-    else
-      List.iter
-        (fun (tgt : Callgraph.node) ->
-          match raw_global t tgt with
-          | Some kind ->
-              globals :=
-                {
-                  w_loc = s.loc;
-                  w_global = tgt.name;
-                  w_kind = kind;
-                  w_path = tgt.u.path;
-                  w_suppressed = Sites.active s "R001";
-                }
-                :: !globals
-          | None -> ())
-        id.targets
   in
   (* One application of an identifier. *)
   let classify_apply s path args =
@@ -494,11 +376,6 @@ let summarize t (n : Callgraph.node) =
                 | Some x -> Printf.sprintf "%s on %s" what x
                 | None -> what)
         | None -> ());
-        if
-          (has_suffix ~suffix:[ "List"; "fold_left" ] path
-          || has_suffix ~suffix:[ "Array"; "fold_left" ] path)
-          && match args with (Asttypes.Nolabel, f) :: _ -> contains_float_op f | _ -> false
-        then ffolds := witness s (String.concat "." path ^ " over floats") "N002" :: !ffolds;
         match suffix_name order_sources path with
         | Some what -> (
             let closure =
@@ -526,26 +403,11 @@ let summarize t (n : Callgraph.node) =
               | None -> Printf.sprintf "mutable-field write .%s" f)
       | _ -> ())
     sites;
-  let accs =
-    List.filter_map
-      (fun s ->
-        match float_acc s with
-        | Some (what, head) when not (local head) -> Some (witness s what "N002")
-        | _ -> None)
-      sites
-  in
   {
-    locals;
     io = List.rev !io;
     order = List.rev !order;
     writes = List.rev !writes;
     mutations = List.rev !mutations;
-    globals = List.rev !globals;
-    accs;
-    fanout = !fanout;
-    sum_list = !sum_list;
-    float_folds = List.rev !ffolds;
-    lock_disciplined = !blocked;
   }
 
 (* ---------------------------------------------------------------- analysis -- *)
@@ -553,7 +415,7 @@ let summarize t (n : Callgraph.node) =
 (* The fold of every node.  Witness sites stay local; checks reach them
    through [Callgraph.reach]. *)
 let analyze sites =
-  let t = { sites; summaries = Hashtbl.create 256; raw_memo = Hashtbl.create 64 } in
+  let t = { sites; summaries = Hashtbl.create 256 } in
   List.iter
     (fun n -> Hashtbl.replace t.summaries (Callgraph.key n) (summarize t n))
     (Callgraph.nodes (Sites.graph sites));

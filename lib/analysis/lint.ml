@@ -32,9 +32,9 @@ let parse_structure ~filename source =
 
 (* Every parsetree-level finding of a program, all read off one site walk
    of the shared graph: the unit-local checks per unit, then the
-   whole-program checks (D003, N001, E001, E002, R001 and N002) over one
-   effect-inference pass, then the flow-sensitive R002 and L/X-series over
-   the same sites and summaries. *)
+   whole-program checks (D003, N001, E001 and E002) over one
+   effect-inference pass, then the flow-sensitive X001 over the same
+   sites. *)
 let program_findings graph =
   let sites = Sites.build graph in
   let eff = Effects.analyze sites in
@@ -43,8 +43,7 @@ let program_findings graph =
   @ Checks.check_n001_program sites eff
   @ Checks.check_e001_program sites eff
   @ Checks.check_e002_program sites eff
-  @ Races.check sites eff
-  @ Dataflow.check sites eff
+  @ Dataflow.check sites
 
 let lint_source ~filename source =
   match parse_structure ~filename source with

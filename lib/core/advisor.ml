@@ -14,8 +14,8 @@ let log_src = Logs.Src.create "xia.advisor" ~doc:"XML Index Advisor phases"
 
 module Log = (val Logs.src_log log_src)
 
-(* Wall-clock: with parallel evaluation, CPU time would overstate elapsed.
-   Each phase also records a trace span when observability is enabled. *)
+(* Wall-clock, so time spent outside the process counts too.  Each phase
+   also records a trace span when observability is enabled. *)
 let timed what f =
   let r, dt = Xia_obs.Trace.timed ("advisor." ^ what) f in
   Log.info (fun m -> m "%s: %.3fs" what dt);
@@ -104,7 +104,7 @@ let summarize_workload ~compress catalog workload =
    share their signature, hence their enumerated patterns). *)
 type session = { candidates : Candidate.set; evaluator : Benefit.t }
 
-let create_session ?domains ?compress catalog workload =
+let create_session ?compress catalog workload =
   let compress = resolve_compress compress workload in
   let summary = summarize_workload ~compress catalog workload in
   let candidates =
@@ -117,16 +117,17 @@ let create_session ?domains ?compress catalog workload =
         (Candidate.cardinality candidates));
   let evaluator =
     timed "base cost evaluation" (fun () ->
-        Benefit.of_summary ?domains catalog summary)
+        Benefit.of_summary catalog summary)
   in
   { candidates; evaluator }
 
-(* One-shot advise: a session searched once. *)
-let advise ?beta ?domains ?compress catalog workload ~budget algorithm =
+(* One-shot advise: a session searched once.  [?domains] is accepted and
+   ignored (see advisor.mli). *)
+let advise ?beta ?domains:_ ?compress catalog workload ~budget algorithm =
   Xia_obs.Trace.with_span "advisor.advise"
     ~args:(fun () -> [ ("algorithm", algorithm_name algorithm) ])
     (fun () ->
-      let session = create_session ?domains ?compress catalog workload in
+      let session = create_session ?compress catalog workload in
       let outcome =
         timed (algorithm_name algorithm) (fun () ->
             run_search ?beta session.evaluator session.candidates ~budget algorithm)

@@ -44,10 +44,10 @@ val run_search :
 val compress_threshold : int
 
 (** One-shot recommendation for a workload under a disk budget (bytes).
-    [domains] bounds the parallel what-if fan-out (default
-    [Par.default_domains ()]); the recommendation is identical for every
-    value.  [compress] forces workload compression on or off; unset, it
-    turns on at {!compress_threshold} statements. *)
+    The advisor runs on one domain: [domains] is accepted and ignored, only
+    because the advisor benchmark still passes [~domains:1].  [compress]
+    forces workload compression on or off; unset, it turns on at
+    {!compress_threshold} statements. *)
 val advise :
   ?beta:float ->
   ?domains:int ->
@@ -62,8 +62,7 @@ val advise :
     across several budgets and algorithms. *)
 type session = { candidates : Candidate.set; evaluator : Benefit.t }
 
-val create_session :
-  ?domains:int -> ?compress:bool -> Catalog.t -> Workload.t -> session
+val create_session : ?compress:bool -> Catalog.t -> Workload.t -> session
 
 val session_advise :
   ?beta:float -> session -> budget:int -> algorithm -> recommendation

@@ -25,27 +25,18 @@
    ([~virtual_config]), so an evaluation never mutates the catalog, and they
    go through [Optimizer.optimize_costs]: ONE optimizer invocation per
    (sub-)configuration costs every statement it needs against one index
-   setup, fanned out over [domains t] domains, and builds no plan.
-   Results are deterministic — batch outputs are positional and bit-for-bit
+   setup, and builds no plan.  Batch outputs are positional and bit-for-bit
    the per-statement plans' costs, and every sum is folded in a fixed
-   order — and the sub-configuration cache uses a compute-once discipline
-   (a pending set plus a condition variable) so [evaluations] and
-   [cache_hits] also match the sequential counts exactly.  [evaluations] counts optimizer
-   INVOCATIONS: a batch of any size counts one (the raw per-statement
-   equivalent lives in [Optimizer.counters.batch_setup_saved]).
+   order.  [evaluations] counts optimizer INVOCATIONS: a batch of any size
+   counts one (the raw per-statement equivalent lives in
+   [Optimizer.counters.batch_setup_saved]).
 
-   The sub-configuration cache is sharded (lock-striped): keys are sorted
-   arrays of interned logical-index ids (no strings are built or hashed on
-   the hot path), each key hashes to one of [shard_count] independent
-   {lock, cond, cache, pending} stripes, and the counters are [Atomic]s.
-   An entry holds the per-(sub-configuration × statement) costs — not just
+   The sub-configuration cache is keyed by sorted arrays of interned
+   logical-index ids (no strings are built or hashed on the hot path).  An
+   entry holds the per-(sub-configuration × statement) costs — not just
    the delta — so any later request over the same fingerprint (another
    search round, a [workload_cost] report over the same configuration)
-   skips planning entirely.  Concurrent searches under [--domains > 1]
-   therefore stop serializing on one global mutex, while the per-key
-   compute-once protocol — and with it the counter determinism — is
-   untouched (it only ever needed mutual exclusion per key, which the
-   owning shard still provides).
+   skips planning entirely.
 
    Note: the paper prints the maintenance term outside the frequency product;
    we scale mc by the statement frequency, which is the only reading under
@@ -58,33 +49,16 @@ module Plan = Xia_optimizer.Plan
 module Workload = Xia_workload.Workload
 module Ast = Xia_query.Ast
 module Int_set = Candidate.Int_set
-module Par = Xia_par.Par
 
 (* One cached sub-configuration: the per-statement what-if costs computed so
    far, plus the defs list the first computation used.  [e_defs] is pinned at
    first compute because the planner keeps the FIRST index on an exact cost
    tie — extending the entry under a reordered defs list could flip a
-   tie-break and disagree with the cached costs.  [e_costs] is only ever
-   read or written under the owning shard's lock once the entry is
-   published. *)
+   tie-break and disagree with the cached costs. *)
 type entry = {
   e_defs : Xia_index.Index_def.t list;
   e_costs : (int, float) Hashtbl.t;  (* statement index -> total cost *)
 }
-
-(* One lock stripe of the sub-configuration cache.  A fingerprint (sorted
-   int array of logical ids) always hashes to the same shard, so the
-   compute-once protocol runs entirely under the owning shard's lock. *)
-type shard = {
-  lock : Mutex.t;
-  cond : Condition.t;  (* signaled when one of this shard's pending keys resolves *)
-  cache : (int array, (entry, exn) result) Hashtbl.t;
-      (* fingerprint -> per-statement costs, or the exception the first
-         evaluation raised (re-raised for every later request) *)
-  pending : (int array, unit) Hashtbl.t;  (* keys being computed right now *)
-}
-
-let shard_count = 16
 
 type t = {
   catalog : Catalog.t;
@@ -102,27 +76,26 @@ type t = {
   base_affected : float array;    (* per statement, estimated documents modified *)
   dml : (int * string list) array;
       (* the DML statements, in workload order: index, tables *)
-  shards : shard array;
-  domains : int;                  (* parallelism for what-if fan-out *)
-  evaluations : int Atomic.t;     (* optimizer calls made through this evaluator *)
-  cache_hits : int Atomic.t;
-  pruned : int Atomic.t;          (* configuration evaluations skipped by bounds *)
+  cache : (int array, entry) Hashtbl.t;  (* fingerprint -> per-statement costs *)
+  mutable evaluations : int;      (* optimizer calls made through this evaluator *)
+  mutable cache_hits : int;
+  mutable pruned : int;           (* configuration evaluations skipped by bounds *)
   size_memo : (int, int) Xia_xpath.Interner.Cache.t;
       (* candidate id -> derived size in bytes; sound because an evaluator
          is always paired with one candidate set (ids are per-set) *)
   aub_memo : (int, float) Xia_xpath.Interner.Cache.t;
       (* candidate id -> atomic-benefit upper bound; same pairing assumption *)
-  floors_memo : (float array * float array) option Atomic.t;
+  mutable floors_memo : (float array * float array) option;
       (* per-statement cost floors (see [floors]) and the weighted gaps
          weight_i · (base_i − floor_i) that upper bounds sum; same pairing
          assumption *)
-  used_memo : (int, unit) Hashtbl.t option Atomic.t;
+  mutable used_memo : (int, unit) Hashtbl.t option;
       (* memoized [used_in_plans] result; same pairing assumption *)
-  useful_memo : (int, unit) Hashtbl.t option Atomic.t;
+  mutable useful_memo : (int, unit) Hashtbl.t option;
       (* memoized [useful_ids] result; same pairing assumption *)
 }
 
-(* Observability: cache traffic and shard contention, mirrored into the
+(* Observability: cache traffic, mirrored into the
    metrics registry when enabled ("benefit.*" counters, looked up by name at
    each use).  The [evaluations]/[cache_hits] fields below stay
    authoritative (and always on) — these counters only exist so a
@@ -131,22 +104,10 @@ let count name n = if Xia_obs.Obs.on () then Xia_obs.Metrics.add (Xia_obs.Metric
 
 let catalog t = t.catalog
 let summary t = t.summary
-let domains t = t.domains
-let evaluations t = Atomic.get t.evaluations
-let cache_hits t = Atomic.get t.cache_hits
-let pruned_count t = Atomic.get t.pruned
-
-let cached_sub_configs t =
-  Array.fold_left
-    (fun acc shard ->
-      Mutex.lock shard.lock;
-      let n =
-        Fun.protect
-          ~finally:(fun () -> Mutex.unlock shard.lock)
-          (fun () -> Hashtbl.length shard.cache)
-      in
-      acc + n)
-    0 t.shards
+let evaluations t = t.evaluations
+let cache_hits t = t.cache_hits
+let pruned_count t = t.pruned
+let cached_sub_configs t = Hashtbl.length t.cache
 
 let dml_statements items =
   Array.to_list items
@@ -157,22 +118,19 @@ let dml_statements items =
 (* Build an evaluator over a workload summary: the per-statement arrays hold
    the cluster REPRESENTATIVES, and [weights] their cluster frequencies, so
    every downstream cost sum is weighted per cluster.  For a raw summary
-   (cluster = statement) this is exactly the historical per-item evaluator. *)
-let of_summary ?domains catalog summary =
-  let domains = match domains with Some d -> max 1 d | None -> Par.default_domains () in
+   (cluster = statement) this is exactly the historical per-item evaluator.
+   [?domains] is accepted and ignored (see benefit.mli). *)
+let of_summary ?domains:_ catalog summary =
   let items = Array.of_list (Workload_summary.workload summary) in
-  (* Force lazy statistics collection for every table up front: afterwards
-     the concurrent [prepare] calls only read the catalog, and every later
-     evaluation plans against the statistics they bound. *)
+  (* Collect missing or stale statistics for every table up front: every
+     later evaluation plans against the statistics the prepared statements
+     bound here. *)
   Catalog.warm_stats catalog;
   let prepared =
-    Par.map ~domains
-      (fun (item : Workload.item) -> Optimizer.prepare catalog item.statement)
-      items
+    Array.map (fun (item : Workload.item) -> Optimizer.prepare catalog item.statement) items
   in
   let base_costs =
-    Optimizer.optimize_costs ~mode:Optimizer.Evaluate ~domains ~virtual_config:[]
-      catalog prepared
+    Optimizer.optimize_costs ~mode:Optimizer.Evaluate ~virtual_config:[] catalog prepared
   in
   {
     catalog;
@@ -184,41 +142,32 @@ let of_summary ?domains catalog summary =
     all_stmts = List.init (Array.length items) Fun.id;
     base_affected = Array.map Optimizer.affected_docs prepared;
     dml = dml_statements items;
-    shards =
-      Array.init shard_count (fun _ ->
-          {
-            lock = Mutex.create ();
-            cond = Condition.create ();
-            cache = Hashtbl.create 32;
-            pending = Hashtbl.create 4;
-          });
-    domains;
+    cache = Hashtbl.create 512;
     (* one batched invocation costed the whole base workload *)
-    evaluations = Atomic.make (if Array.length items = 0 then 0 else 1);
-    cache_hits = Atomic.make 0;
-    pruned = Atomic.make 0;
+    evaluations = (if Array.length items = 0 then 0 else 1);
+    cache_hits = 0;
+    pruned = 0;
     size_memo = Xia_xpath.Interner.Cache.create ~hash:Fun.id ~equal:Int.equal ();
     aub_memo = Xia_xpath.Interner.Cache.create ~hash:Fun.id ~equal:Int.equal ();
-    floors_memo = Atomic.make None;
-    used_memo = Atomic.make None;
-    useful_memo = Atomic.make None;
+    floors_memo = None;
+    used_memo = None;
+    useful_memo = None;
   }
 
-let create ?domains catalog (workload : Workload.t) =
-  of_summary ?domains catalog (Workload_summary.raw workload)
+let create catalog (workload : Workload.t) = of_summary catalog (Workload_summary.raw workload)
 
 let count_evaluations t n =
-  ignore (Atomic.fetch_and_add t.evaluations n);
+  t.evaluations <- t.evaluations + n;
   count "benefit.evaluations" n
 
 let count_pruned t n =
   if n > 0 then begin
-    ignore (Atomic.fetch_and_add t.pruned n);
+    t.pruned <- t.pruned + n;
     count "benefit.pruned_configs" n
   end
 
 let count_hit t =
-  Atomic.incr t.cache_hits;
+  t.cache_hits <- t.cache_hits + 1;
   count "benefit.cache_hits" 1
 
 (* Heapsort of a float array under [Float.compare], in place.  The floats
@@ -293,120 +242,40 @@ let fingerprint (sub : Candidate.t list) =
   Array.sort compare arr;
   arr
 
-(* Shard selection must digest the WHOLE fingerprint: [Hashtbl.hash] only
-   inspects a bounded prefix of an array, so large sub-configurations
-   sharing a prefix would all pile onto one stripe.  A full multiplicative
-   fold over the ids keeps the distribution flat ([land] with 15 of any
-   OCaml int is non-negative, so the index is always in range).  Cache
-   semantics are untouched — this only picks which stripe owns a key. *)
-let shard_index fp =
-  let h = Array.fold_left (fun acc id -> (acc * 31) + id) 17 fp in
-  h land (shard_count - 1)
-
-let shard_of t fp = t.shards.(shard_index fp)
-
 (* Per-statement what-if costs of [stmts] (indices into the workload, in the
    caller's order) under the configuration fingerprinted by [key], through
-   the sharded compute-once cache.
+   the sub-configuration cache.
 
    - Fully covered request: one cache hit, no planning.
    - Uncovered statements: ONE [Optimizer.optimize_costs] invocation costs
      all of them under the entry's pinned [e_defs] ([defs] when the entry is
-     fresh); the new costs are merged under the shard lock, where every
-     reader of a published entry also sits.
-   - Concurrent requests for the same key block on the shard condition until
-     the owner publishes, then re-read — so [evaluations]/[cache_hits] match
-     a sequential run exactly.  A fresh entry whose evaluation fails is
-     published as [Error] and re-raised by every later request without
-     recomputing or recounting; a failed EXTENSION leaves the existing entry
-     untouched (its cached costs are still good) and just re-raises. *)
+     fresh), and the entry is published with the new costs.
+   - A failed evaluation publishes nothing and counts no evaluation: a later
+     request for the key recomputes and raises again.  A failed EXTENSION
+     leaves the existing entry's costs as they were. *)
 let config_costs t ~defs key stmts =
-  let shard = shard_of t key in
-  let covered entry = List.for_all (Hashtbl.mem entry.e_costs) stmts in
   let read entry = List.map (Hashtbl.find entry.e_costs) stmts in
-  let rec acquire () =
-    (* shard.lock held *)
-    match Hashtbl.find_opt shard.cache key with
-    | Some (Error e) ->
-        (* A sequential run would recompute and raise again without touching
-           either counter (a failed evaluation never publishes), so
-           re-raising from the cache counts neither a hit nor an
-           evaluation. *)
-        `Raise e
-    | Some (Ok entry) when covered entry ->
-        count_hit t;
-        `Hit (read entry)
-    | (Some _ | None) as existing ->
-        if Hashtbl.mem shard.pending key then begin
-          (* Another domain is computing this key: shard contention. *)
-          count "benefit.shard_waits" 1;
-          Condition.wait shard.cond shard.lock;
-          acquire ()
-        end
-        else begin
-          Hashtbl.replace shard.pending key ();
-          count "benefit.cache_misses" 1;
-          `Compute
-            (match existing with
-            | Some (Ok entry) -> Some entry
-            | Some (Error _) | None -> None)
-        end
-  in
-  Mutex.lock shard.lock;
-  let decision =
-    Fun.protect ~finally:(fun () -> Mutex.unlock shard.lock) acquire
-  in
-  match decision with
-  | `Hit costs -> costs
-  | `Raise e -> raise e
-  | `Compute prior ->
+  match Hashtbl.find_opt t.cache key with
+  | Some entry when List.for_all (Hashtbl.mem entry.e_costs) stmts ->
+      count_hit t;
+      read entry
+  | prior ->
+      count "benefit.cache_misses" 1;
       let entry =
-        match prior with
-        | Some entry -> entry
-        | None -> { e_defs = defs; e_costs = Hashtbl.create 16 }
+        match prior with Some entry -> entry | None -> { e_defs = defs; e_costs = Hashtbl.create 16 }
       in
-      (* Reading [e_costs] without the lock is safe here: only the pending
-         owner — us — may write, and concurrent readers never mutate. *)
-      let missing =
-        List.filter (fun i -> not (Hashtbl.mem entry.e_costs i)) stmts
-      in
-      (try
-         let costs =
-           match missing with
-           | [] -> [||]
-           | _ ->
-               Optimizer.optimize_costs ~mode:Optimizer.Evaluate
-                 ~domains:t.domains ~virtual_config:entry.e_defs t.catalog
-                 (Array.of_list (List.map (fun i -> t.prepared.(i)) missing))
-         in
-         Mutex.lock shard.lock;
-         Fun.protect
-           ~finally:(fun () ->
-             Condition.broadcast shard.cond;
-             Mutex.unlock shard.lock)
-           (fun () ->
-             Hashtbl.remove shard.pending key;
-             List.iteri
-               (fun k i ->
-                 Hashtbl.replace entry.e_costs i costs.(k))
-               missing;
-             Hashtbl.replace shard.cache key (Ok entry);
-             count_evaluations t (match missing with [] -> 0 | _ -> 1);
-             read entry)
-       with e ->
-         Mutex.lock shard.lock;
-         Fun.protect
-           ~finally:(fun () ->
-             Condition.broadcast shard.cond;
-             Mutex.unlock shard.lock)
-           (fun () ->
-             Hashtbl.remove shard.pending key;
-             (* Cache the failure of a FRESH entry: waiters (and any later
-                request for this key) re-raise instead of recomputing.  An
-                existing entry keeps its good costs. *)
-             if Option.is_none prior then
-               Hashtbl.replace shard.cache key (Error e));
-         raise e)
+      let missing = List.filter (fun i -> not (Hashtbl.mem entry.e_costs i)) stmts in
+      if missing <> [] then begin
+        let costs =
+          Optimizer.optimize_costs ~mode:Optimizer.Evaluate ~virtual_config:entry.e_defs
+            t.catalog
+            (Array.of_list (List.map (fun i -> t.prepared.(i)) missing))
+        in
+        List.iteri (fun k i -> Hashtbl.replace entry.e_costs i costs.(k)) missing;
+        count_evaluations t 1
+      end;
+      Hashtbl.replace t.cache key entry;
+      read entry
 
 (* Cost of the whole workload under a configuration (one batched Evaluate
    pass over every statement; captures all interactions).  Used for final
@@ -558,13 +427,12 @@ let prepend ((slots, cfg) as acc) (c : Candidate.t) =
   end
 
 (* The configuration [xs @ members cfg], less the candidates already in it.
-   Only the groups this extension forms are evaluated, concurrently in group
-   order; the others keep their deltas. *)
+   Only the groups this extension forms are evaluated, in group order; the
+   others keep their deltas. *)
 let extend t cfg xs =
   match xs with
   | [] -> cfg
   | _ ->
-      Catalog.warm_stats t.catalog;
       let slots, cfg =
         List.fold_left prepend
           (List.map (fun g -> Carried g) cfg.c_groups, cfg)
@@ -577,7 +445,7 @@ let extend t cfg xs =
              slots)
       in
       let deltas =
-        Par.map ~domains:t.domains
+        Array.map
           (fun (m, a) -> sub_config_delta t (List.map snd m) a)
           fresh
       in
@@ -636,10 +504,9 @@ let config_size t (config : Candidate.t list) =
    Grouped by configuration fingerprint: one batched evaluation per distinct
    group, routed through the sub-configuration cache (so a group whose
    fingerprint a search later evaluates in full is already paid for).
-   Memoized per evaluator; computed from the search's main thread before any
-   fan-out, so the compute-once note on the memo field holds. *)
+   Memoized per evaluator. *)
 let bounds t (set : Candidate.set) =
-  match Atomic.get t.floors_memo with
+  match t.floors_memo with
   | Some b -> b
   | None ->
       Xia_obs.Trace.with_span "benefit.floors"
@@ -678,7 +545,7 @@ let bounds t (set : Candidate.set) =
           List.iter2 (fun i c -> fl.(i) <- c) stmts costs)
         (List.rev !order);
       let gaps = Array.mapi (fun i f -> t.weights.(i) *. (t.base_costs.(i) -. f)) fl in
-      Atomic.set t.floors_memo (Some (fl, gaps));
+      t.floors_memo <- Some (fl, gaps);
       (fl, gaps)
 
 let floors t set = fst (bounds t set)
@@ -760,8 +627,7 @@ let compute_used_in_plans t (set : Candidate.set) =
   let batches = ref 0 in
   let plan_group defs idxs =
     let plans =
-      Optimizer.optimize_prepared ~mode:Optimizer.Evaluate ~domains:t.domains
-        ~virtual_config:defs t.catalog
+      Optimizer.optimize_prepared ~mode:Optimizer.Evaluate ~virtual_config:defs t.catalog
         (Array.of_list (List.map (fun i -> t.prepared.(i)) idxs))
     in
     incr batches;
@@ -782,11 +648,11 @@ let compute_used_in_plans t (set : Candidate.set) =
   used
 
 let used_in_plans t (set : Candidate.set) =
-  match Atomic.get t.used_memo with
+  match t.used_memo with
   | Some used -> used
   | None ->
       let used = compute_used_in_plans t set in
-      Atomic.set t.used_memo (Some used);
+      t.used_memo <- Some used;
       used
 
 (* Is this candidate worth keeping in a search space?  Positive individual
@@ -800,7 +666,7 @@ let used_in_plans t (set : Candidate.set) =
    them, and that was already checked.  Either way the result SET is
    identical to probing everything; only the optimizer-call count drops. *)
 let useful_ids ?(prune = false) t set =
-  match Atomic.get t.useful_memo with
+  match t.useful_memo with
   | Some ids -> ids
   | None ->
       let used = used_in_plans t set in
@@ -821,10 +687,10 @@ let useful_ids ?(prune = false) t set =
           (Array.to_list cands)
       in
       let rest = Array.of_list probe in
-      let indiv = Par.map ~domains:t.domains (individual_benefit t) rest in
+      let indiv = Array.map (individual_benefit t) rest in
       Array.iteri
         (fun i (c : Candidate.t) ->
           if indiv.(i) > 0.0 then Hashtbl.replace ids c.Candidate.id ())
         rest;
-      Atomic.set t.useful_memo (Some ids);
+      t.useful_memo <- Some ids;
       ids

@@ -3,15 +3,9 @@
     (Sections III and VI-C).
 
     What-if calls pass the virtual configuration to the optimizer explicitly,
-    so evaluation never mutates the catalog and independent evaluations run
-    concurrently over up to [domains] domains.  Results (and the
-    [evaluations] / [cache_hits] counters) are deterministic — identical for
-    every [domains] value.
-
-    The sub-configuration cache is sharded (lock-striped) and keyed by sorted
-    arrays of interned logical-index ids, so concurrent searches don't
-    serialize on one global mutex and no key strings are built on the hot
-    path. *)
+    so evaluation never mutates the catalog.  The sub-configuration cache is
+    keyed by sorted arrays of interned logical-index ids, so no key strings
+    are built on the hot path. *)
 
 module Catalog = Xia_index.Catalog
 module Workload = Xia_workload.Workload
@@ -22,15 +16,15 @@ type t
     ({!Xia_optimizer.Optimizer.prepare}) and costs it with no indexes (one
     batched optimizer invocation).  Every later what-if evaluation plans the
     prepared statements, so the evaluator is bound to the catalog
-    statistics current at creation.  [domains] (default
-    [Par.default_domains ()]) bounds the parallel what-if fan-out; any value
-    yields bit-for-bit identical results.  Equivalent to [of_summary] over
+    statistics current at creation.  Equivalent to [of_summary] over
     {!Workload_summary.raw}. *)
-val create : ?domains:int -> Catalog.t -> Workload.t -> t
+val create : Catalog.t -> Workload.t -> t
 
 (** Build an evaluator over a workload summary: statements are the summary's
     cluster representatives and every cost sum is weighted by the cluster
-    frequencies, so the raw and compressed paths share one code path. *)
+    frequencies, so the raw and compressed paths share one code path.  The
+    evaluator runs on one domain: [domains] is accepted and ignored, only
+    because the advisor benchmark still passes [~domains:1]. *)
 val of_summary : ?domains:int -> Catalog.t -> Workload_summary.t -> t
 
 val catalog : t -> Catalog.t
@@ -38,16 +32,12 @@ val catalog : t -> Catalog.t
 (** The summary this evaluator runs on (identity clusters for {!create}). *)
 val summary : t -> Workload_summary.t
 
-(** Parallelism bound for the what-if fan-out. *)
-val domains : t -> int
-
 (** Optimizer invocations made through this evaluator.  Every invocation is
     batched ({!Xia_optimizer.Optimizer.optimize_costs}, or
     {!Xia_optimizer.Optimizer.optimize_prepared} where plans are read), so a
     (sub-)configuration evaluation counts one however many statements it
     plans; the per-statement raw equivalent is tracked by
-    [Optimizer.counters.batch_setup_saved].  Deterministic for any [domains]
-    value. *)
+    [Optimizer.counters.batch_setup_saved]. *)
 val evaluations : t -> int
 
 (** Sub-configuration cache hits of this evaluator. *)
@@ -63,12 +53,6 @@ val count_pruned : t -> int -> unit
 
 (** Number of distinct sub-configurations currently cached. *)
 val cached_sub_configs : t -> int
-
-(** Cache stripe a fingerprint (sorted logical-id array) maps to — a full
-    fold over the ids, never a bounded-prefix hash, so fingerprints sharing
-    a long prefix still spread over the stripes.  Exposed for the
-    distribution regression test. *)
-val shard_index : int array -> int
 
 (** Frequency-weighted workload cost with no indexes, its terms summed in
     ascending order. *)

@@ -21,7 +21,6 @@ module Index_def = Xia_index.Index_def
 module Obs = Xia_obs.Obs
 module Trace = Xia_obs.Trace
 module Metrics = Xia_obs.Metrics
-module Par = Xia_par.Par
 
 (* Per-algorithm event counter, e.g. "search.greedy.admitted".  Looked up by
    name on each use; only reached when observability is on, and the registry
@@ -51,14 +50,13 @@ let density ev benefit_of c =
 
 (* Candidates ordered by decreasing benefit density (deterministic
    tie-breaking on specificity then key).  Densities — and the logical key
-   strings used as the final tie-break — are precomputed once per candidate,
-   the former in parallel across the evaluator's domains, rather than
-   recomputed inside the comparator.  The tie-break stays on the key
+   strings used as the final tie-break — are precomputed once per candidate
+   rather than recomputed inside the comparator.  The tie-break stays on the key
    *string*: interned ids are allocation-order-dependent and must never
    decide a user-visible ordering. *)
 let by_density ev benefit_of cands =
   let arr = Array.of_list cands in
-  let scores = Par.map ~domains:(Benefit.domains ev) (density ev benefit_of) arr in
+  let scores = Array.map (density ev benefit_of) arr in
   let score = Hashtbl.create (Array.length arr) in
   Array.iteri
     (fun i (c : Candidate.t) ->
@@ -387,10 +385,9 @@ let top_down variant ev set ~budget =
     | Full -> ("search.top_down_full", "top-down full")
   in
   bracket span ~algorithm ev @@ fun () ->
-  (* Force the floors memo from this thread before any parallel round: the
-     bound computations inside the fan-out must hit the memo, not race to
-     build it (racing would keep results exact but skew the cache-hit
-     counters away from the sequential run). *)
+  (* Build the floors memo before the first round, so its evaluations come
+     first in the sub-configuration cache and every round's bound hits the
+     memo: the call and cache-hit counts depend on that order. *)
   ignore (Benefit.floors ev set);
   (* Individual benefit with the zero-bound shortcut: a candidate whose
      upper bound is 0 provably has a delta term of exactly +0.0, so its
@@ -422,17 +419,14 @@ let top_down variant ev set ~budget =
   let continue_ = ref true in
   while !continue_ && config_size ev !config > budget && !guard > 0 do
     decr guard;
-    (* Snapshot the configuration for the round: the workers below run on
-       other domains and must not read the ref cell directly. *)
     let current = !config in
     let replaceable =
       List.filter (fun c -> children_in_space c <> []) current
     in
-    (* Score each replaceable general index by ΔB/ΔC.  The scores are
-       independent (the configuration is fixed for the round), so they are
-       computed in parallel; order is preserved by the positional map. *)
+    (* Score each replaceable general index by ΔB/ΔC; the configuration is
+       fixed for the round. *)
     let scored =
-      Par.map_list ~domains:(Benefit.domains ev)
+      List.map
         (fun (g : Candidate.t) ->
           let children =
             List.filter
@@ -449,9 +443,8 @@ let top_down variant ev set ~budget =
             let delta_b =
               match variant with
               | Lite ->
-                  (* Already inside the fan-out's task: domains:1 keeps the
-                     children sum a plain (deterministic) sequential fold. *)
-                  ib_sharp g -. Par.sum_list ~domains:1 ib_sharp children
+                  ib_sharp g
+                  -. List.fold_left (fun acc c -> acc +. ib_sharp c) 0.0 children
               | Full ->
                   let rest =
                     List.filter (fun (x : Candidate.t) -> x.id <> g.id) current
@@ -530,7 +523,7 @@ let dynamic_programming ev set ~budget =
     let unit = max Xia_storage.Cost_params.page_size (budget / 2048) in
     let units = max 1 (budget / unit) in
     let w_of i = (candidate_size ev items.(i) + unit - 1) / unit in
-    let values = Par.map ~domains:(Benefit.domains ev) (Benefit.individual_benefit ev) items in
+    let values = Array.map (Benefit.individual_benefit ev) items in
     let v_of i = values.(i) in
     let value = Array.make (units + 1) 0.0 in
     let take = Array.make_matrix n (units + 1) false in

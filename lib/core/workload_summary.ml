@@ -41,8 +41,7 @@ module Interner = Xia_xpath.Interner
 module Ast = Xia_query.Ast
 
 (* Triple interner: (table label id, pattern id, dtype tag) -> dense id.
-   Toplevel is fine: the interner is internally domain-safe (atomic snapshot
-   publication), and ids are only ever used for identity. *)
+   Toplevel is fine: ids are only ever used for identity. *)
 let atoms : (int * int * int) Interner.t = Interner.create ()
 
 let dtype_tag = function

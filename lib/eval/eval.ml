@@ -202,15 +202,15 @@ let executed_cost memo catalog workload config =
       Hashtbl.add memo key cost;
       cost
 
-let run_case ?domains ~perturb ~small spec =
+let run_case ~perturb ~small spec =
   Trace.with_span "eval.case" ~args:(fun () -> [ ("case", spec.s_name) ])
   @@ fun () ->
   let t0 = Obs.now_s () in
   let catalog, workload = build_case ~small spec in
   (* Search phase: evaluator and algorithms see the (possibly perturbed)
      cost model. *)
-  Atomic.set Optimizer.index_cost_factor perturb;
-  let search_ev = Benefit.create ?domains catalog workload in
+  Optimizer.index_cost_factor := perturb;
+  let search_ev = Benefit.create catalog workload in
   let set = Enumeration.candidates catalog workload in
   let all_size = Benefit.config_size search_ev (Candidate.basics set) in
   let budgets =
@@ -237,8 +237,8 @@ let run_case ?domains ~perturb ~small spec =
   (* Scoring phase: ground truth under the unperturbed model.  The factor is
      reset (not restored): 1.0 is the process-wide resting state and the
      yardstick must never inherit a perturbation. *)
-  Atomic.set Optimizer.index_cost_factor 1.0;
-  let truth_ev = Benefit.create ?domains catalog workload in
+  Optimizer.index_cost_factor := 1.0;
+  let truth_ev = Benefit.create catalog workload in
   let _base_wall, base_cost, _rows =
     Advisor.execute_workload catalog workload []
   in
@@ -308,13 +308,13 @@ let run_case ?domains ~perturb ~small spec =
     r_elapsed = Obs.now_s () -. t0;
   }
 
-let run ?domains ?(perturb = 1.0) ~small specs =
+let run ?(perturb = 1.0) ~small specs =
   let results =
-    List.map (fun spec -> run_case ?domains ~perturb ~small spec) specs
+    List.map (fun spec -> run_case ~perturb ~small spec) specs
   in
   (* run_case leaves the factor at 1.0; make that invariant hold even for an
      empty spec list. *)
-  Atomic.set Optimizer.index_cost_factor 1.0;
+  Optimizer.index_cost_factor := 1.0;
   results
 
 (* --- Rendering -------------------------------------------------------- *)

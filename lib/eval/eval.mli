@@ -75,14 +75,13 @@ type case_result = {
     (average ranks for ties; 0 on degenerate inputs). *)
 val spearman : float array -> float array -> float
 
-(** Run the cases.  [domains] bounds the what-if fan-out (results identical
-    for every value); [perturb] (default 1.0) is applied to
+(** Run the cases.  [perturb] (default 1.0) is applied to
     {!Xia_optimizer.Optimizer.index_cost_factor} for the search phase only
     and the factor is reset to 1.0 before scoring; [small] selects the tiny
     benchmark scale.  The searches all run on one evaluator per case, in
     {!Xia_advisor.Advisor.all_algorithms} order. *)
 val run :
-  ?domains:int -> ?perturb:float -> small:bool -> spec list -> case_result list
+  ?perturb:float -> small:bool -> spec list -> case_result list
 
 (** Machine-readable report: envelope plus one compact object per entry
     line (fields are emitted as ["name":value] with no space, like the

@@ -9,17 +9,13 @@
 
    The sweep reuses the evaluator the algorithms ran on, so identical
    configurations score bit-for-bit identical benefits (the
-   sub-configuration cache serves repeated sub-results), and the benefit
-   calls fan out over the evaluator's domains via [Par.map] — positionally
-   deterministic, so the reduction below is independent of the domain
-   count. *)
+   sub-configuration cache serves repeated sub-results). *)
 
 module Benefit = Xia_advisor.Benefit
 module Candidate = Xia_advisor.Candidate
 module Index_def = Xia_index.Index_def
 module Obs = Xia_obs.Obs
 module Trace = Xia_obs.Trace
-module Par = Xia_par.Par
 
 type result = {
   config : Candidate.t list;
@@ -95,12 +91,11 @@ let search ev set ~budget =
     canonical !cfg
   in
   let benefits =
-    Par.map ~domains:(Benefit.domains ev)
+    Array.map
       (fun mask -> Benefit.benefit ev (config_of mask))
       feasible_masks
   in
-  (* Sequential reduction over the positional results: deterministic for any
-     domain count.  Ties on benefit prefer smaller size, then fewer indexes,
+  (* Ties on benefit prefer smaller size, then fewer indexes,
      then lexicographic logical keys. *)
   let size_of mask = Benefit.config_size ev (config_of mask) in
   let count_of mask =

@@ -5,7 +5,7 @@
     not just the [useful_ids] probe pool, which the top-down searches can
     step outside of — and evaluates each with the full
     {!Xia_advisor.Benefit.benefit} machinery: batched what-if calls,
-    sub-configuration cache, [Par] fan-out across the evaluator's domains.
+    sub-configuration cache.
     The result is the true optimum of the search problem, which turns every
     algorithm's outcome into a regret score.  Small instances only: the
     subset count is exponential in the pool size, so {!search} refuses pools

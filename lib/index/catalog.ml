@@ -59,10 +59,9 @@ let stats t name =
   | Some s when s.Path_stats.generation = Doc_store.generation tbl.store -> s
   | Some _ | None -> runstats t name
 
-(* Force-collect any missing or stale statistics.  The parallel what-if
-   evaluator calls this before fanning out so that concurrent [stats] reads
-   never hit the lazy collection path (a write to [tbl.stats]) from several
-   domains at once. *)
+(* Force-collect any missing or stale statistics.  An evaluator calls this
+   when it is built, binding every statement it prepares to the statistics
+   current at its creation. *)
 let warm_stats t = List.iter (fun name -> ignore (stats t name)) (table_names t)
 
 let create_index t (def : Index_def.t) =

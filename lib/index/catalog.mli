@@ -33,9 +33,10 @@ val runstats_all : t -> unit
 (** Cached statistics, recollected automatically when the table changed. *)
 val stats : t -> string -> Path_stats.t
 
-(** Force-collect any missing or stale statistics for every table.  Call
-    before evaluating from several domains concurrently: it guarantees later
-    [stats] reads are pure lookups. *)
+(** Force-collect any missing or stale statistics for every table.  An
+    evaluator calls it when it is built, so every statement it prepares is
+    bound to the statistics current at its creation
+    ({!Xia_advisor.Benefit.create}) and later [stats] reads are lookups. *)
 val warm_stats : t -> unit
 
 (** Materialize an index. @raise Invalid_argument on logical duplicates. *)

@@ -36,9 +36,9 @@ type t = {
 let id_interner : (int * data_type * int) Xia_xpath.Interner.t =
   Xia_xpath.Interner.create ()
 
-(* Atomic: serials must stay unique when candidates are generated from
-   several domains (--domains > 1). *)
-let counter = Atomic.make 0
+(* Serials are unique per process, across catalogs and evaluators, so two
+   unnamed definitions never share a generated name. *)
+let counter = ref 0 [@@lint.allow "D001"]
 
 (* Both ids are interned here, once per definition, so every later
    matching or memo question about the definition is a field read.  A
@@ -46,7 +46,11 @@ let counter = Atomic.make 0
    when asked for, by [name]. *)
 let make ?name ~table ~pattern ~dtype () =
   let serial =
-    match name with Some _ -> 0 | None -> Atomic.fetch_and_add counter 1 + 1
+    match name with
+    | Some _ -> 0
+    | None ->
+        incr counter;
+        !counter
   in
   let pid = Xia_xpath.Pattern.id pattern in
   let lid =

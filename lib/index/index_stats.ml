@@ -106,9 +106,8 @@ let derive (stats : Path_stats.t) (def : Index_def.t) =
     }
   end
 
-(* Shared read-mostly memo keyed by (the definition's logical id,
-   generation): derivation is pure, and the advisor's parallel what-if
-   evaluator derives statistics from several domains at once. *)
+(* Memo keyed by (the definition's logical id, generation): derivation is
+   pure. *)
 let derivation_cache : (int * int, t) Xia_xpath.Interner.Cache.t =
   Xia_xpath.Interner.Cache.create ()
 

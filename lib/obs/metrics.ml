@@ -2,29 +2,27 @@
 
    Metrics are registered once by name (re-registering returns the existing
    instrument; a kind clash is a programming error) and live in a global
-   CAS-list registry so [snapshot] can serialize everything.  All state is
-   [Atomic], so updates are cheap and safe from any domain.
+   registry so [snapshot] can serialize everything.
 
    Updates at instrumentation sites are gated on [Obs.on ()] by the caller
-   (see e.g. lib/core/benefit.ml), keeping the disabled path to one atomic
-   load.  The instruments themselves do not check the flag: tests and the
-   bench harness update them directly. *)
+   (see e.g. lib/core/benefit.ml), keeping the disabled path to one load.
+   The instruments themselves do not check the flag: tests and the bench
+   harness update them directly. *)
 
 type kind = Counter | Gauge | Histogram
 
-type counter = int Atomic.t
+type counter = int ref
 
-type gauge = float Atomic.t
+type gauge = float ref
 
-(* Cumulative histogram state: [buckets.(i)] counts observations
-   <= [bounds.(i)]; the final cell counts overflows.  [sum] accumulates in
-   integer microseconds so it can live in an [Atomic.t] without a CAS loop
-   on floats. *)
+(* Histogram state: [buckets.(i)] counts observations <= [bounds.(i)] (and
+   above the previous bound); the final cell counts overflows.  [sum_us]
+   accumulates whole microseconds, as the snapshot reports it. *)
 type histogram = {
   bounds : float array;  (* upper bounds, strictly increasing, in us *)
-  buckets : int Atomic.t array;  (* length = Array.length bounds + 1 *)
-  count : int Atomic.t;
-  sum_us : int Atomic.t;
+  buckets : int array;  (* length = Array.length bounds + 1 *)
+  mutable count : int;
+  mutable sum_us : int;
 }
 
 type instrument =
@@ -42,18 +40,18 @@ let kind_name = function
   | Gauge -> "gauge"
   | Histogram -> "histogram"
 
-let registry : (string * instrument) list Atomic.t = Atomic.make []
+(* Process-wide by design: instrumentation sites look their instruments up
+   by name, and a snapshot reports everything registered. *)
+let registry : (string * instrument) list ref = ref [] [@@lint.allow "D001"]
 
-(* Register-once: the winner of the CAS race publishes [fresh ()]; everyone
-   else adopts whatever is already there under that name. *)
-let rec intern name fresh =
-  let cur = Atomic.get registry in
-  match List.assoc_opt name cur with
+(* Register-once: the instrument already under [name], or [fresh ()]. *)
+let intern name fresh =
+  match List.assoc_opt name !registry with
   | Some existing -> existing
   | None ->
       let inst = fresh () in
-      if Atomic.compare_and_set registry cur ((name, inst) :: cur) then inst
-      else intern name fresh
+      registry := (name, inst) :: !registry;
+      inst
 
 let kind_clash name want got =
   invalid_arg
@@ -61,12 +59,12 @@ let kind_clash name want got =
        name (kind_name got) (kind_name want))
 
 let counter name =
-  match intern name (fun () -> I_counter (Atomic.make 0)) with
+  match intern name (fun () -> I_counter (ref 0)) with
   | I_counter c -> c
   | other -> kind_clash name Counter (kind_of other)
 
 let gauge name =
-  match intern name (fun () -> I_gauge (Atomic.make 0.0)) with
+  match intern name (fun () -> I_gauge (ref 0.0)) with
   | I_gauge g -> g
   | other -> kind_clash name Gauge (kind_of other)
 
@@ -77,12 +75,7 @@ let default_bounds () =
 
 let fresh_histogram bounds () =
   I_histogram
-    {
-      bounds;
-      buckets = Array.init (Array.length bounds + 1) (fun _ -> Atomic.make 0);
-      count = Atomic.make 0;
-      sum_us = Atomic.make 0;
-    }
+    { bounds; buckets = Array.make (Array.length bounds + 1) 0; count = 0; sum_us = 0 }
 
 let histogram ?bounds_us name =
   let bounds =
@@ -92,12 +85,12 @@ let histogram ?bounds_us name =
   | I_histogram h -> h
   | other -> kind_clash name Histogram (kind_of other)
 
-let incr c = Atomic.incr c
-let add c n = ignore (Atomic.fetch_and_add c n)
-let value c = Atomic.get c
+let incr c = Stdlib.incr c
+let add c n = c := !c + n
+let value c = !c
 
-let set g v = Atomic.set g v
-let get g = Atomic.get g
+let set g v = g := v
+let get g = !g
 
 let observe_us h us =
   let rec bucket i =
@@ -105,9 +98,10 @@ let observe_us h us =
     else if us <= h.bounds.(i) then i
     else bucket (i + 1)
   in
-  ignore (Atomic.fetch_and_add h.buckets.(bucket 0) 1);
-  Atomic.incr h.count;
-  ignore (Atomic.fetch_and_add h.sum_us (int_of_float us))
+  let i = bucket 0 in
+  h.buckets.(i) <- h.buckets.(i) + 1;
+  h.count <- h.count + 1;
+  h.sum_us <- h.sum_us + int_of_float us
 
 let observe_s h s = observe_us h (s *. 1e6)
 let observe = observe_us
@@ -127,8 +121,8 @@ let snapshot () =
       (fun (name, inst) ->
         let v =
           (match inst with
-          | I_counter c -> Counter_v (Atomic.get c)
-          | I_gauge g -> Gauge_v (Atomic.get g)
+          | I_counter c -> Counter_v !c
+          | I_gauge g -> Gauge_v !g
           | I_histogram h ->
               let buckets =
                 List.init
@@ -138,17 +132,12 @@ let snapshot () =
                       if i < Array.length h.bounds then h.bounds.(i)
                       else infinity
                     in
-                    (bound, Atomic.get h.buckets.(i)))
+                    (bound, h.buckets.(i)))
               in
-              Histogram_v
-                {
-                  count = Atomic.get h.count;
-                  sum_us = Atomic.get h.sum_us;
-                  buckets;
-                })
+              Histogram_v { count = h.count; sum_us = h.sum_us; buckets })
         in
         (name, v))
-      (Atomic.get registry)
+      !registry
   in
   List.sort (fun (a, _) (b, _) -> compare a b) entries
 

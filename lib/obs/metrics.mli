@@ -3,11 +3,11 @@
     Instruments are registered once by name — re-requesting a name returns
     the existing instrument, requesting it with a different kind raises
     [Invalid_argument] — and every registered instrument appears in
-    {!snapshot}.  All state is [Atomic]; updates are safe from any domain.
+    {!snapshot}.
 
     The instruments themselves are unconditional.  Instrumentation sites in
     the advisor gate their updates on [Obs.on ()] so the disabled path costs
-    a single atomic load. *)
+    a single load. *)
 
 type counter
 type gauge

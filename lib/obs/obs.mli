@@ -2,18 +2,18 @@
 
     The advisor pipeline is instrumented with {!Trace} spans and {!Metrics}
     updates, all gated on {!enabled}.  With the flag off (the default) the
-    instrumentation is a single atomic load per site; with it on, spans and
-    metric updates record into per-domain buffers and atomic registers.
+    instrumentation is a single load per site; with it on, spans and metric
+    updates record into the trace buffer and the metrics registry.
 
     Behavior is identical either way: instrumentation only ever reads the
     clock and bumps observability state, never advisor state.  The
     differential suite in [test/test_obs.ml] locks this in. *)
 
-val enabled : bool Atomic.t
+val enabled : bool ref
 (** The master switch.  Off by default. *)
 
 val on : unit -> bool
-(** [on ()] is [Atomic.get enabled]. *)
+(** [on ()] is [!enabled]. *)
 
 val set_enabled : bool -> unit
 

@@ -1,19 +1,15 @@
-(* Structured tracing: nestable spans with per-domain buffers.
+(* Structured tracing: nestable spans in one buffer.
 
-   Each domain records the spans it closes into a domain-local buffer
-   ([Domain.DLS]), so tracing adds no cross-domain contention on the hot
-   path; [flush] merges every buffer into one chronological list.
+   Timestamps are monotonized: every timestamp handed out by the buffer is
+   clamped to be >= the previous one.  With spans closed strictly LIFO
+   (guaranteed by [with_span]), this makes two properties hold by
+   construction, and the property tests in test/test_obs.ml check them on
+   the flushed output:
 
-   Timestamps are monotonized per domain: every timestamp handed out by a
-   buffer is clamped to be >= the previous one from the same buffer.  With
-   spans closed strictly LIFO per domain (guaranteed by [with_span]), this
-   makes two properties hold by construction, and the property tests in
-   test/test_obs.ml check them on the flushed output:
-
-   - well-nestedness: two spans of one domain are either disjoint or one
-     contains the other;
-   - monotonicity: every span's start is <= its stop, and in buffer (close)
-     order stop times never decrease.
+   - well-nestedness: two spans are either disjoint or one contains the
+     other;
+   - monotonicity: every span's start is <= its stop, and in close order
+     stop times never decrease.
 
    Exporters: Chrome [trace_event] JSON (load in chrome://tracing or
    https://ui.perfetto.dev) and an indented human-readable text tree. *)
@@ -21,20 +17,15 @@
 type span = {
   name : string;
   args : (string * string) list;
-  tid : int;      (* id of the domain that recorded the span *)
-  seq : int;      (* per-domain close order *)
-  open_seq : int; (* per-domain open order — flush's clock-proof tie-break *)
+  tid : int;      (* always 0: the advisor runs on one domain *)
+  seq : int;      (* close order *)
+  open_seq : int; (* open order — flush's clock-proof order *)
   depth : int;    (* nesting depth at open time; 0 = toplevel *)
   start_s : float;
   stop_s : float;
 }
 
-(* One per domain.  [spans]/[seq] are written by the owning domain under
-   [lock] (flush reads them from the flushing domain); [last_ts] and [depth]
-   are touched only by the owning domain. *)
 type buffer = {
-  tid : int;
-  lock : Mutex.t;
   mutable last_ts : float;
   mutable seq : int;
   mutable opens : int;
@@ -42,35 +33,11 @@ type buffer = {
   mutable spans : span list;  (* reverse close order *)
 }
 
-(* Registry of every buffer ever created, for [flush].  Buffers are appended
-   with a CAS loop; they are never removed (a domain's buffer outlives its
-   batches, and the pool's worker domains live for the whole process). *)
-let buffers : buffer list Atomic.t = Atomic.make []
+(* The process's one trace buffer: [flush] drains it. *)
+let buf = { last_ts = 0.0; seq = 0; opens = 0; depth = 0; spans = [] } [@@lint.allow "D001"]
 
-let rec register buf =
-  let cur = Atomic.get buffers in
-  if not (Atomic.compare_and_set buffers cur (buf :: cur)) then register buf
-
-let key =
-  Domain.DLS.new_key (fun () ->
-      let buf =
-        {
-          tid = (Domain.self () :> int);
-          lock = Mutex.create ();
-          last_ts = 0.0;
-          seq = 0;
-          opens = 0;
-          depth = 0;
-          spans = [];
-        }
-      in
-      register buf;
-      buf)
-
-let buffer () = Domain.DLS.get key
-
-(* Monotonized clock read: never goes backwards within one buffer. *)
-let tick buf =
+(* Monotonized clock read: never goes backwards. *)
+let tick () =
   let t = Obs.now_s () in
   if t > buf.last_ts then begin
     buf.last_ts <- t;
@@ -80,27 +47,20 @@ let tick buf =
 
 let no_args () = []
 
-let record buf span =
-  Mutex.lock buf.lock;
-  buf.seq <- buf.seq + 1;
-  buf.spans <- span :: buf.spans;
-  Mutex.unlock buf.lock
-
 let with_span ?(args = no_args) name f =
   if not (Obs.on ()) then f ()
   else begin
-    let buf = buffer () in
-    let start_s = tick buf in
+    let start_s = tick () in
     let depth = buf.depth in
     buf.depth <- depth + 1;
     let open_seq = buf.opens + 1 in
     buf.opens <- open_seq;
     let finally () =
       buf.depth <- depth;
-      let stop_s = tick buf in
-      record buf
-        { name; args = args (); tid = buf.tid; seq = buf.seq + 1; open_seq;
-          depth; start_s; stop_s }
+      let stop_s = tick () in
+      let seq = buf.seq + 1 in
+      buf.seq <- seq;
+      buf.spans <- { name; args = args (); tid = 0; seq; open_seq; depth; start_s; stop_s } :: buf.spans
     in
     Fun.protect ~finally f
   end
@@ -113,30 +73,14 @@ let timed ?(args = no_args) name f =
   let result = with_span ~args name f in
   (result, Obs.now_s () -. t0)
 
+(* Open order, not close order: a parent and the child it opens within
+   one clock tick share a (monotonized) [start_s], and close order would
+   put the child first.  Open order is also start order, since the clock
+   never goes backwards. *)
 let flush () =
-  let drained =
-    List.concat_map
-      (fun buf ->
-        Mutex.lock buf.lock;
-        let spans = buf.spans in
-        buf.spans <- [];
-        Mutex.unlock buf.lock;
-        spans)
-      (Atomic.get buffers)
-  in
-  (* Tie-break on open order, not close order: a parent and the child it
-     opens within one clock tick share a (monotonized) [start_s], and close
-     order would emit the child first on exactly the runs where the tick
-     collides — flush order must not depend on clock granularity. *)
-  List.sort
-    (fun a b ->
-      match Float.compare a.start_s b.start_s with
-      | 0 -> (
-          match compare a.tid b.tid with
-          | 0 -> compare a.open_seq b.open_seq
-          | c -> c)
-      | c -> c)
-    drained
+  let spans = buf.spans in
+  buf.spans <- [];
+  List.sort (fun a b -> Int.compare a.open_seq b.open_seq) spans
 
 (* ------------------------------------------------------------ exporters -- *)
 
@@ -184,7 +128,7 @@ let export_chrome spans =
   Buffer.add_string b "\n]}\n";
   Buffer.contents b
 
-(* Indented tree per domain, chronological within a domain. *)
+(* Indented tree per recording domain ([tid]), chronological within one. *)
 let export_text spans =
   let b = Buffer.create 4096 in
   let tids =

@@ -1,25 +1,24 @@
-(** Nestable spans with per-domain buffers and monotonized timestamps.
+(** Nestable spans with monotonized timestamps.
 
-    A span is opened and closed by {!with_span} on the domain that runs the
-    traced code; closed spans accumulate in a domain-local buffer and
-    {!flush} merges every buffer into one chronological list.  Timestamps
-    are clamped per domain so that they never decrease, which makes the
-    flushed output well-nested and monotonic by construction (property
-    tested in [test/test_obs.ml]).
+    A span is opened and closed by {!with_span} around the traced code;
+    closed spans accumulate in one buffer and {!flush} returns them in
+    chronological order.  Timestamps are clamped so that they never
+    decrease, which makes the flushed output well-nested and monotonic by
+    construction (property tested in [test/test_obs.ml]).
 
     All entry points are no-ops while {!Obs.enabled} is off. *)
 
 type span = {
   name : string;
   args : (string * string) list;
-  tid : int;  (** id of the domain that recorded the span *)
-  seq : int;  (** per-domain close order (1-based) *)
+  tid : int;  (** the Chrome trace's thread id: always 0, one domain *)
+  seq : int;  (** close order (1-based) *)
   open_seq : int;
-      (** per-domain open order (1-based).  The {!flush} tie-break: two
-          same-domain spans can carry the same (monotonized) [start_s] when
-          the clock does not advance between opens, and close order would
-          put a child before its parent there — open order is the
-          chronological order regardless of clock granularity. *)
+      (** open order (1-based), the {!flush} order: two spans can carry the
+          same (monotonized) [start_s] when the clock does not advance
+          between opens, and close order would put a child before its
+          parent there — open order is the chronological order regardless
+          of clock granularity. *)
   depth : int;  (** nesting depth at open time; 0 = toplevel *)
   start_s : float;
   stop_s : float;
@@ -37,17 +36,16 @@ val timed : ?args:(unit -> (string * string) list) -> string -> (unit -> 'a) -> 
     test code that needs the duration regardless of tracing state. *)
 
 val flush : unit -> span list
-(** Drain every domain's buffer and return all spans sorted by start time
-    (ties broken by domain id, then open order — deterministic however
-    coarse the clock).  Spans are removed: a second flush returns only
-    spans recorded in between. *)
+(** Drain the buffer and return its spans in open order, which is start
+    time order, deterministic however coarse the clock.  Spans are removed:
+    a second flush returns only spans recorded in between. *)
 
 val export_chrome : span list -> string
 (** Chrome [trace_event] JSON (one complete event per span, microsecond
     timestamps); load into chrome://tracing or ui.perfetto.dev. *)
 
 val export_text : span list -> string
-(** Human-readable per-domain tree, indented by nesting depth. *)
+(** Human-readable tree per [tid], indented by nesting depth. *)
 
 val write_file : string -> string -> unit
 (** [write_file path contents] writes [contents] to [path] (truncating). *)

@@ -242,8 +242,7 @@ let set_value doc target new_value =
 
 let run_plan catalog (plan : Plan.t) =
   let metrics = fresh_metrics () and meter = { cost = 0.0 } in
-  (* Wall-clock, not [Sys.time]: process CPU time exceeds wall time once the
-     advisor evaluates on several domains, which made the field nonsense. *)
+  (* Wall-clock, not [Sys.time]: the field reports elapsed time. *)
   let t0 = Xia_obs.Obs.now_s () in
   let where = where_of_statement plan.Plan.statement in
   let victims () =

@@ -21,14 +21,13 @@ module C = Xia_storage.Cost_params
 module Rewriter = Xia_query.Rewriter
 module Ast = Xia_query.Ast
 module Pattern = Xia_xpath.Pattern
-module Par = Xia_par.Par
 
 type mode =
   | Normal    (* real indexes *)
   | Evaluate  (* virtual indexes: the advisor's Evaluate Indexes mode *)
 
-(* Counters are atomic: the advisor's parallel what-if evaluator optimizes
-   statements from several domains at once. *)
+(* [Atomic.t] only because the advisor benchmark reads the fields with
+   [Atomic.get]; the advisor runs on one domain. *)
 type counters = {
   optimize_calls : int Atomic.t;
   enumerate_calls : int Atomic.t;
@@ -55,11 +54,11 @@ let reset_counters () =
    committed fixture are unaffected; a large factor makes index plans lose
    every cost comparison, which collapses recommendations to the empty
    configuration — the deliberate quality regression the eval ratchet
-   (tools/ratchet.ml) must catch.  Atomic for D001; read on the what-if path, written only by
-   the eval CLI before any evaluator exists. *)
-let index_cost_factor = Atomic.make 1.0
+   (tools/ratchet.ml) must catch.  Read on the what-if path, written only
+   by the eval harness before it builds an evaluator. *)
+let index_cost_factor = ref 1.0 [@@lint.allow "D001"]
 
-let perturbed cost = cost *. Atomic.get index_cost_factor
+let perturbed cost = cost *. !index_cost_factor
 
 (* Index matching: can this index serve this access, whose pattern id is
    [access_pid]?  Same table, same data type, and the index pattern covers
@@ -151,11 +150,10 @@ type prepared = {
   slots : int;
   tail : tail;
   affected : float;  (* DML only: documents the statement modifies; no index changes it *)
-  probes : probe list Atomic.t;
+  mutable probes : probe list;
       (* the memo: keyed by index logical id × [slots] + access slot,
-         matching pairs only, published by compare-and-set.  An entry is a
-         pure function of its key and the statistics bound here, so racing
-         domains agree on it.  A list, not a map: a statement has a few
+         matching pairs only.  An entry is a pure function of its key and
+         the statistics bound here.  A list, not a map: a statement has a few
          matching pairs, and every statement of an evaluator keeps its memo
          for the evaluator's life. *)
 }
@@ -169,9 +167,6 @@ type prepared = {
 let min_docs = function
   | [] -> 0.0
   | docs -> List.fold_left Float.min infinity docs
-
-let affected_docs_of_bindings planned =
-  min_docs (List.map (fun (b : Plan.planned_binding) -> b.Plan.est_docs) planned)
 
 let prepare catalog (stmt : Ast.statement) =
   let next = ref 0 in
@@ -234,7 +229,7 @@ let prepare catalog (stmt : Ast.statement) =
       | Select_tail -> 0.0
       | Insert_tail _ -> 1.0
       | Modify_tail _ -> min_docs (List.map (fun b -> b.est_docs) bindings));
-    probes = Atomic.make [];
+    probes = [];
   }
 
 let affected_docs p = p.affected
@@ -276,19 +271,14 @@ let rec find_probe key = function
    match. *)
 let probe p (b : prepared_binding) (def : Index_def.t) (pa : prepared_access) =
   let key = (def.lid * p.slots) + pa.slot in
-  let pr = find_probe key (Atomic.get p.probes) in
+  let pr = find_probe key p.probes in
   if pr != absent then pr
   else begin
     let stats = Index_stats.derive_cached b.tstats def in
     let fresh = { key; stats; parts = scan_parts b.tstats stats def pa } in
-    let rec publish () =
-      let memo = Atomic.get p.probes in
-      let pr = find_probe key memo in
-      if pr != absent then pr (* another domain published it first *)
-      else if Atomic.compare_and_set p.probes memo (fresh :: memo) then fresh
-      else publish ()
-    in
-    publish ()
+    (* A memo of a pure function of the key and the bound statistics. *)
+    (p.probes <- fresh :: p.probes) [@lint.allow "E002"];
+    fresh
   end
 
 (* An index the planner may use, with whether it is virtual. *)
@@ -549,9 +539,8 @@ let batch_size_hist () =
     "optimizer.batch_size"
 
 (* The batched what-if invocation (Section VI-C): one optimizer invocation
-   runs [planner] over every prepared statement against one index setup,
-   fanned out over up to [domains] domains, positionally deterministic. *)
-let optimize_batched ?(mode = Evaluate) ?(domains = 1) ~virtual_config catalog
+   runs [planner] over every prepared statement against one index setup. *)
+let optimize_batched ?(mode = Evaluate) ~virtual_config catalog
     (prepared : prepared array) planner =
   let n = Array.length prepared in
   if n = 0 then [||]
@@ -559,7 +548,7 @@ let optimize_batched ?(mode = Evaluate) ?(domains = 1) ~virtual_config catalog
     Atomic.incr counters.optimize_calls;
     ignore (Atomic.fetch_and_add counters.batch_setup_saved (n - 1));
     let run () =
-      Par.map ~domains
+      Array.map
         (planner ~indexes_of:(visible_indexes mode ~virtual_config catalog prepared))
         prepared
     in
@@ -578,19 +567,19 @@ let optimize_batched ?(mode = Evaluate) ?(domains = 1) ~virtual_config catalog
 
 (* Each plan is bit-for-bit what [optimize] returns for the statement: both
    walk the same defs in the same order. *)
-let optimize_prepared ?mode ?domains ~virtual_config catalog prepared =
-  optimize_batched ?mode ?domains ~virtual_config catalog prepared plan_prepared
+let optimize_prepared ?mode ~virtual_config catalog prepared =
+  optimize_batched ?mode ~virtual_config catalog prepared plan_prepared
 
 (* The same invocation keeping only each statement's total: the walk
    builds no plan. *)
-let optimize_costs ?mode ?domains ~virtual_config catalog prepared =
-  optimize_batched ?mode ?domains ~virtual_config catalog prepared cost_prepared
+let optimize_costs ?mode ~virtual_config catalog prepared =
+  optimize_batched ?mode ~virtual_config catalog prepared cost_prepared
 
 (* [optimize_prepared] over statements prepared here.  Statistics are
    warmed first, so preparing reads the catalog only. *)
-let optimize_batch ?mode ?domains ~virtual_config catalog stmts =
+let optimize_batch ?mode ~virtual_config catalog stmts =
   Catalog.warm_stats catalog;
-  optimize_prepared ?mode ?domains ~virtual_config catalog
+  optimize_prepared ?mode ~virtual_config catalog
     (Array.map (prepare catalog) stmts)
 
 (* The Enumerate Indexes mode.  A universal virtual index (for each data type

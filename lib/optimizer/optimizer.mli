@@ -23,8 +23,8 @@ type counters = {
 }
 
 (** Global optimizer-call accounting (the quantity the paper's Section VI-C
-    minimizes).  Atomic: the parallel what-if evaluator optimizes from
-    several domains at once. *)
+    minimizes).  The fields are [Atomic.t] only because the advisor
+    benchmark reads them with [Atomic.get]. *)
 val counters : counters
 
 val reset_counters : unit -> unit
@@ -36,7 +36,7 @@ val reset_counters : unit -> unit
     recommendations to the empty configuration — the deliberate regression
     the eval ratchet ([tools/ratchet.ml]) must catch.  Test/eval-only:
     never set it in production paths. *)
-val index_cost_factor : float Atomic.t
+val index_cost_factor : float ref
 
 (** Index matching: can [def] serve [access]?  Same table and data type, and
     the index pattern covers the access pattern. *)
@@ -45,15 +45,14 @@ val index_matches : Index_def.t -> Xia_query.Rewriter.access -> bool
 (** A statement prepared for planning: rewritten once, with every number
     no index configuration can change (per binding: result estimate, result
     CPU, document-scan cost, filter count; per access: its interned pattern
-    id), and a concurrent memo of index-scan parts per (access, index
+    id), and a memo of index-scan parts per (access, index
     logical id) pair that matches.  A prepared statement is bound to the
     catalog statistics (and {!Selectivity.use_histograms} setting) current
     when it was prepared: prepare again after the data changes. *)
 type prepared
 
 (** Rewrite [stmt] and derive its configuration-independent costs.  Reads
-    the catalog's statistics (collecting any that are missing or stale), so
-    call {!Catalog.warm_stats} first when preparing from several domains.
+    the catalog's statistics, collecting any that are missing or stale.
     @raise Invalid_argument when the statement names an unknown table. *)
 val prepare : Catalog.t -> Ast.statement -> prepared
 
@@ -80,14 +79,12 @@ val statement_cost :
     per statement (the paper's Section VI-C lever).  Results are positional
     and bit-for-bit identical to {!optimize} on each statement with the same
     [virtual_config]: on an exact cost tie the index listed first wins, in
-    both.  The internal fan-out over up to [domains] (default 1) domains
-    never changes a plan, a cost, or a tie-break.  In [Evaluate] mode the
+    both.  In [Evaluate] mode the
     call reads nothing from [catalog]: statistics come from the prepared
     statements.  Counters: one [optimize_calls] and
     [batch_setup_saved += length prepared − 1] per call. *)
 val optimize_prepared :
   ?mode:mode ->
-  ?domains:int ->
   virtual_config:Index_def.t list ->
   Catalog.t ->
   prepared array ->
@@ -99,7 +96,6 @@ val optimize_prepared :
     numbers.  The what-if search reads only these costs. *)
 val optimize_costs :
   ?mode:mode ->
-  ?domains:int ->
   virtual_config:Index_def.t list ->
   Catalog.t ->
   prepared array ->
@@ -109,7 +105,6 @@ val optimize_costs :
     {!Catalog.warm_stats}); same results and counters. *)
 val optimize_batch :
   ?mode:mode ->
-  ?domains:int ->
   virtual_config:Index_def.t list ->
   Catalog.t ->
   Ast.statement array ->
@@ -118,11 +113,6 @@ val optimize_batch :
 (** Estimated documents a prepared DML statement modifies ([0.] for a
     query): no index configuration changes it. *)
 val affected_docs : prepared -> float
-
-(** Estimated documents a DML statement modifies, derived from its locating
-    binding(s): the most selective binding's estimate ([0.] with no locating
-    binding).  Exposed for the cost model's regression tests. *)
-val affected_docs_of_bindings : Plan.planned_binding list -> float
 
 (** Enumerate Indexes mode: the statement's basic candidate patterns, i.e.
     every access pattern matched against a universal virtual index. *)

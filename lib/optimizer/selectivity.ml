@@ -14,10 +14,9 @@ module Path_stats = Xia_storage.Path_stats
 module Index_def = Xia_index.Index_def
 module Xp = Xia_xpath.Ast
 
-(* Runtime toggle, for the histogram-accuracy ablation bench.  Atomic: it is
-   read from every worker domain during a parallel evaluation, and the bench
-   flips it between runs. *)
-let use_histograms = Atomic.make true
+(* Runtime toggle, for the histogram-accuracy ablation bench, which flips
+   it between runs. *)
+let use_histograms = ref true [@@lint.allow "D001"]
 
 (* The entries an index of type [dtype] stores for one path, and their
    distinct keys (at least one). *)
@@ -72,7 +71,7 @@ let path_selectivity ~distinct (v : Path_stats.path_info)
           else begin
             let below =
               match v.histogram with
-              | Some h when Atomic.get use_histograms ->
+              | Some h when !use_histograms ->
                   Xia_storage.Histogram.fraction_below h x
               | Some _ | None ->
                   (* uniform-distribution fallback *)

@@ -10,10 +10,10 @@ module Index_def = Xia_index.Index_def
 
 (** When set (the default), numeric range selectivities use the per-path
     histograms collected by RUNSTATS instead of a uniform-range assumption.
-    Exposed for the histogram-accuracy ablation.  Atomic because worker
-    domains read it during parallel evaluation; toggle it only between
-    evaluations, not while one is in flight. *)
-val use_histograms : bool Atomic.t
+    Exposed for the histogram-accuracy ablation.  A prepared statement keeps
+    the estimates it was prepared under: toggle it only between
+    evaluations. *)
+val use_histograms : bool ref
 
 type lookup_estimate = Xia_storage.Cost_params.lookup_estimate = {
   entries_matched : float;

@@ -42,7 +42,7 @@ type t = {
   infos : path_info array;  (* [ordered] as an array (same order) *)
   trie : trie;
   matching_memo : path_info list Xia_xpath.Interner.Dense.t;
-      (* pattern id -> covered paths; shared across domains (read-mostly) *)
+      (* pattern id -> covered paths *)
 }
 
 let path_key path = String.concat "/" path
@@ -274,7 +274,7 @@ let matching_walk t nfa =
 (* Memoized per interned pattern id, in a table indexed by the id.  The
    table lives in the stats object itself — stats are immutable once
    collected and rebuilt wholesale by RUNSTATS, so no table/generation key
-   component is needed — and is shared across domains (read-mostly). *)
+   component is needed. *)
 let walk_id t pid = matching_walk t (Xia_xpath.Pattern.nfa_of_id pid)
 
 let matching_id t pid = Xia_xpath.Interner.Dense.find_or_compute t.matching_memo pid walk_id t

@@ -48,7 +48,7 @@ val all_paths : t -> string list list
 
 (** Dataguide paths covered by an index pattern, in [ordered] order: a
     single trie walk advancing the pattern's NFA state set once per shared
-    label prefix.  Memoized per pattern id (shared across domains). *)
+    label prefix.  Memoized per pattern id. *)
 val matching : t -> Xia_xpath.Pattern.t -> path_info list
 
 (** {!matching} by interned pattern id ({!Xia_xpath.Pattern.id}): a hit

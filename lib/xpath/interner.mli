@@ -1,12 +1,10 @@
-(** Interning (key → dense int id) and read-mostly concurrent memoization.
+(** Interning (key → dense int id) and memoization.
 
-    Reads are lock-free: the table is an immutable map published through an
-    {!Atomic}.  Writers serialize on a mutex and publish a new snapshot.
     Each interner numbers its keys densely from 0, so ids are unique within
     one interner only.  They are stable within a run but their allocation
-    order may vary across runs and [--domains] settings — use them for
-    identity (hashing, cache keys, array indexes) only, never to order
-    anything user-visible.
+    order follows the order keys are first seen — use them for identity
+    (hashing, cache keys, array indexes) only, never to order anything
+    user-visible.
 
     A hit allocates nothing: no lookup here builds an option on its way to
     a found value, and the memo tables take the function to run on a miss
@@ -40,9 +38,8 @@ val labels : string t
 val label : string -> int
 val label_value : int -> string
 
-(** Read-mostly memo table for pure functions.  A miss computes outside the
-    lock (racing domains may duplicate work; first publish wins), so the
-    computation must be pure. *)
+(** Memo table for pure functions.  The function may consult the same
+    table; the first result stored for a key wins. *)
 module Cache : sig
   type ('k, 'v) t
 
@@ -55,29 +52,25 @@ module Cache : sig
 end
 
 (** Memo of a pure function of one dense id (as an interner hands out), in
-    an array indexed by the id.  Readers take no lock; a hit allocates
-    nothing. *)
+    an array indexed by the id.  A hit allocates nothing. *)
 module Dense : sig
   type 'v t
 
   val create : unit -> 'v t
 
   (** [find_or_compute t id f a]: the value cached for [id], or [f a id]
-      on a miss.  A racing miss may run [f] twice; the first published
-      result wins. *)
+      on a miss.  The first result stored for [id] wins. *)
   val find_or_compute : 'v t -> int -> ('a -> int -> 'v) -> 'a -> 'v
 end
 
 (** Memo of a pure boolean relation over pairs of dense ids, one byte per
-    pair, in rows indexed by the first id.  Readers take no lock; a hit
-    allocates nothing. *)
+    pair, in rows indexed by the first id.  A hit allocates nothing. *)
 module Pairs : sig
   type t
 
   val create : unit -> t
 
   (** [find_or_compute t a b f]: the value cached for [(a, b)], or [f a b]
-      on a miss.  A racing miss may run [f] twice; the first published
-      result wins. *)
+      on a miss.  The first result stored for [(a, b)] wins. *)
   val find_or_compute : t -> int -> int -> (int -> int -> bool) -> bool
 end

@@ -86,11 +86,8 @@ let interner : t Interner.t = Interner.create ~equal ()
 
 let id p = Interner.intern interner p
 
-(* Both memo tables are shared across domains and indexed by pattern id
-   ([Interner.Dense], [Interner.Pairs]): the parallel what-if evaluator asks
-   [covers]/[accepts] from several domains at once.  Reads take no lock and
-   a hit allocates nothing; results are pure, so a racing miss merely
-   duplicates a computation. *)
+(* Both memo tables are indexed by pattern id ([Interner.Dense],
+   [Interner.Pairs]); a hit allocates nothing. *)
 let nfas : Nfa.t Interner.Dense.t = Interner.Dense.create ()
 
 let compile () pid =

@@ -50,7 +50,7 @@ val targets_attribute : t -> bool
 (** [true] when the pattern can match more than one fixed label sequence. *)
 val is_general_shape : t -> bool
 
-(** The pattern's compiled automaton (memoized, shared across domains).
+(** The pattern's compiled automaton (memoized).
     @raise Invalid_argument beyond 60 steps, as {!Nfa.of_steps}. *)
 val nfa_of : t -> Nfa.t
 

@@ -34,7 +34,7 @@ let visible_indexes ~virtual_config catalog (mode : O.mode) table =
         (fun (d : Index_def.t) -> if String.equal d.table table then Some (d, true) else None)
         virtual_config
 
-let perturbed cost = cost *. Atomic.get O.index_cost_factor
+let perturbed cost = cost *. !O.index_cost_factor
 
 let index_matches (def : Index_def.t) (access : Rewriter.access) =
   String.equal def.table access.table
@@ -226,6 +226,15 @@ let modify_cost_per_doc tstats ~factor =
   (avg_doc_pages tstats *. C.sequential_page_cost *. factor)
   +. (avg_doc_elements tstats *. C.cpu_per_node)
 
+(* Documents a DML statement modifies: the most selective locating
+   binding's estimate, [0.] with none.  Every binding constrains the same
+   documents, so several bindings touch at most the smallest estimate. *)
+let affected_docs_of_bindings = function
+  | [] -> 0.0
+  | planned ->
+      List.fold_left (fun acc (b : Plan.planned_binding) -> Float.min acc b.Plan.est_docs) infinity
+        planned
+
 let plan_statement ~env_of (stmt : Ast.statement) =
   let bindings = Rewriter.bindings_of_statement stmt in
   let planned =
@@ -241,11 +250,11 @@ let plan_statement ~env_of (stmt : Ast.statement) =
   | Ast.Insert { table = _; document } -> (plan (insert_cost document), 1.0)
   | Ast.Delete { table; _ } ->
       let tstats = (env_of table).tstats in
-      let affected = O.affected_docs_of_bindings planned in
+      let affected = affected_docs_of_bindings planned in
       (plan (locate_cost +. (affected *. modify_cost_per_doc tstats ~factor:1.0)), affected)
   | Ast.Update { table; _ } ->
       let tstats = (env_of table).tstats in
-      let affected = O.affected_docs_of_bindings planned in
+      let affected = affected_docs_of_bindings planned in
       (plan (locate_cost +. (affected *. modify_cost_per_doc tstats ~factor:2.0)), affected)
 
 (* The old [optimize]: one statement, environments built on demand.  Returns

@@ -6,7 +6,7 @@
    trace mode scrubs "ts" and "dur" (wall-clock position and duration of
    every span); metrics mode scrubs "sum_us" and the per-bucket "n" tallies
    of histograms (latency-dependent), keeping counter values and histogram
-   "count" fields, which are deterministic at --domains 1; eval mode scrubs
+   "count" fields, which are deterministic; eval mode scrubs
    the per-case "elapsed" seconds of the quality-evaluation report, whose
    every other number (regret, ranks, call counts, spearman) is
    deterministic.

@@ -61,13 +61,13 @@ let () =
   List.iter
     (fun (name, catalog, wl) ->
       let set = En.candidates catalog wl in
-      let all_size = (S.all_index (B.create ~domains:1 catalog wl) set).S.size in
+      let all_size = (S.all_index (B.create catalog wl) set).S.size in
       List.iter
         (fun div ->
           let budget = all_size / div in
           List.iter
             (fun (alg, search) ->
-              let ev = B.create ~domains:1 catalog wl in
+              let ev = B.create catalog wl in
               print_outcome
                 (Printf.sprintf "%s budget=1/%d %s" name div alg)
                 (search ev set ~budget))

@@ -112,7 +112,7 @@ let benefit_tests =
         let child = List.hd children in
         let others = List.filter (fun (c : C.t) -> c.C.id <> child.C.id) children in
         let ids l = List.map (fun (c : C.t) -> c.C.id) l in
-        let ev = B.create ~domains:1 catalog wl in
+        let ev = B.create catalog wl in
         let cfg = B.extend ev B.empty [ child ] in
         let calls = B.evaluations ev in
         Alcotest.(check (list int)) "member again" [ child.C.id ]
@@ -121,7 +121,7 @@ let benefit_tests =
         let probed = B.extend ev cfg children in
         Alcotest.(check (list int)) "child listed once" (ids (others @ [ child ]))
           (ids (B.members probed));
-        let once = B.benefit (B.create ~domains:1 catalog wl) (others @ [ child ]) in
+        let once = B.benefit (B.create catalog wl) (others @ [ child ]) in
         Alcotest.(check bool) "indexed and charged once" true
           (Float.equal once (B.value ev probed)));
     tc "maintenance charge positive with DML" (fun () ->
@@ -168,7 +168,7 @@ let benefit_tests =
            makes the what-if call raise: the cache's failure path. *)
         let catalog = Lazy.force Helpers.shared_catalog in
         let wl = Xia_workload.Tpox.workload () in
-        let ev = B.create ~domains:1 catalog wl in
+        let ev = B.create catalog wl in
         let long =
           Helpers.pattern ("/Security" ^ String.concat "" (List.init 60 (fun _ -> "/Symbol")))
         in
@@ -237,14 +237,14 @@ let qcheck_incremental =
       let split = Random.State.int rng (List.length picked + 1) in
       let xs = List.filteri (fun i _ -> i < split) picked in
       let ys = List.filteri (fun i _ -> i >= split) picked in
-      let incremental domains =
-        let ev = B.create ~domains catalog wl in
+      let incremental () =
+        let ev = B.create catalog wl in
         let cfg = B.extend ev (B.extend ev B.empty ys) xs in
         (B.value ev cfg, B.groups cfg, B.evaluations ev, B.cache_hits ev)
       in
-      let v1, groups, evals1, hits1 = incremental 1 in
-      let v2, _, evals2, hits2 = incremental 2 in
-      let one_shot = B.benefit (B.create ~domains:1 catalog wl) (xs @ ys) in
+      let v1, groups, evals1, hits1 = incremental () in
+      let v2, _, evals2, hits2 = incremental () in
+      let one_shot = B.benefit (B.create catalog wl) (xs @ ys) in
       if not (Float.equal v1 one_shot) then
         QCheck.Test.fail_reportf "value %h <> one-shot benefit %h (seed %d)" v1 one_shot seed;
       if List.map ids groups <> List.map ids (Benefit_oracle.sub_configurations (xs @ ys))

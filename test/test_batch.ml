@@ -1,9 +1,9 @@
 (* Differential suites for the batched what-if entry point: one
    [Optimizer.optimize_batch] invocation must produce bit-for-bit the plans
-   per-statement [Optimizer.optimize] calls produce, for any domain count;
-   evaluator counters must be deterministic across runs; and the cost-model
-   regressions fixed alongside batching (multi-binding DML [affected],
-   stale-candidate rejection, full-fingerprint shard selection) stay fixed. *)
+   per-statement [Optimizer.optimize] calls produce; evaluator counters
+   must be deterministic across runs; and the cost-model regressions fixed
+   alongside batching (multi-binding DML [affected], stale-candidate
+   rejection) stay fixed. *)
 
 module O = Xia_optimizer.Optimizer
 module Plan = Xia_optimizer.Plan
@@ -74,23 +74,18 @@ let differential_tests =
                     (O.optimize ~mode:O.Evaluate ~virtual_config catalog)
                     stmts
                 in
-                List.iter
-                  (fun domains ->
-                    let got =
-                      O.optimize_batch ~mode:O.Evaluate ~domains ~virtual_config
-                        catalog stmts
-                    in
-                    Alcotest.(check int)
-                      (label ^ " length") (Array.length expected)
-                      (Array.length got);
-                    Array.iteri
-                      (fun i p ->
-                        check_plan_equal
-                          (Printf.sprintf "%s[%d] domains=%d cfg=%d" label i
-                             domains (List.length virtual_config))
-                          expected.(i) p)
-                      got)
-                  [ 1; 4 ])
+                let got =
+                  O.optimize_batch ~mode:O.Evaluate ~virtual_config catalog stmts
+                in
+                Alcotest.(check int)
+                  (label ^ " length") (Array.length expected)
+                  (Array.length got);
+                Array.iteri
+                  (fun i p ->
+                    check_plan_equal
+                      (Printf.sprintf "%s[%d] cfg=%d" label i (List.length virtual_config))
+                      expected.(i) p)
+                  got)
               (configs_for catalog workload))
           (fixtures ()));
     tc "batch counters: one invocation, n-1 setups saved" (fun () ->
@@ -115,12 +110,12 @@ let differential_tests =
           (O.optimize_batch ~mode:O.Evaluate ~virtual_config:[] catalog [||]));
   ]
 
-(* ---------- counter determinism across runs and domain counts ---------- *)
+(* ---------- counter determinism across runs ---------- *)
 
-let advise_run catalog workload domains =
+let advise_run catalog workload () =
   let calls0 = Atomic.get O.counters.O.optimize_calls in
   let saved0 = Atomic.get O.counters.O.batch_setup_saved in
-  let ev = B.create ~domains catalog workload in
+  let ev = B.create catalog workload in
   let set = En.candidates catalog workload in
   let all = S.all_index ev set in
   let o = S.greedy_heuristics ev set ~budget:(max 1 (all.S.size / 2)) in
@@ -133,7 +128,7 @@ let advise_run catalog workload domains =
 
 let determinism_tests =
   [
-    tc "evaluations/cache_hits/optimize_calls identical across runs and domains"
+    tc "evaluations/cache_hits/optimize_calls identical across runs"
       (fun () ->
         let catalog = Lazy.force Helpers.shared_catalog in
         let workload =
@@ -142,7 +137,7 @@ let determinism_tests =
               (Catalog.table_names catalog) 8
         in
         match
-          List.map (advise_run catalog workload) [ 1; 1; 4 ]
+          List.map (advise_run catalog workload) [ (); () ]
         with
         | (cfg1, ev1, h1, c1, s1) :: rest ->
             List.iter
@@ -166,6 +161,11 @@ let determinism_tests =
 
 (* ---------- regression: multi-binding DML affected estimate ---------- *)
 
+(* Every DML statement form has exactly one locating binding, so the
+   multi-binding rule is checked on the oracle's function, and the
+   optimizer's prepared estimate against the oracle on a real statement. *)
+let affected_of = Optimizer_oracle.affected_docs_of_bindings
+
 let affected_tests =
   [
     tc "affected_docs_of_bindings: min over locating bindings" (fun () ->
@@ -182,7 +182,7 @@ let affected_tests =
             Alcotest.(check bool)
               "singleton = est_docs" true
               (Float.equal b.Plan.est_docs
-                 (O.affected_docs_of_bindings plan.Plan.bindings));
+                 (affected_of plan.Plan.bindings));
             Alcotest.(check bool)
               "plan agrees" true
               (Float.equal (O.affected_docs (O.prepare catalog del)) b.Plan.est_docs);
@@ -193,14 +193,14 @@ let affected_tests =
             let narrow = { b with Plan.est_docs = 5.0 } in
             Alcotest.(check bool)
               "min over bindings" true
-              (Float.equal 5.0 (O.affected_docs_of_bindings [ wide; narrow ]));
+              (Float.equal 5.0 (affected_of [ wide; narrow ]));
             Alcotest.(check bool)
               "never zero when bindings locate docs" true
-              (O.affected_docs_of_bindings [ wide; narrow ] > 0.0)
+              (affected_of [ wide; narrow ] > 0.0)
         | _ -> Alcotest.fail "delete should plan exactly one binding");
         Alcotest.(check (float 0.0))
           "no locating binding -> 0" 0.0
-          (O.affected_docs_of_bindings []));
+          (affected_of []));
   ]
 
 (* ---------- regression: stale candidate sets are rejected ---------- *)
@@ -221,7 +221,7 @@ let stale_tests =
            statement 1 now reference a statement this evaluator has never
            costed.  The old code silently dropped them (undercounting the
            delta); it must fail loudly instead. *)
-        let ev = B.create ~domains:1 catalog (W.prefix 1 big) in
+        let ev = B.create catalog (W.prefix 1 big) in
         let stale =
           List.filter
             (fun (c : C.t) -> C.Int_set.mem 1 c.C.affected)
@@ -235,40 +235,10 @@ let stale_tests =
           (fun () -> ignore (B.benefit ev [ List.hd stale ])));
   ]
 
-(* ---------- regression: shard selection digests the whole key ---------- *)
-
-let shard_tests =
-  [
-    tc "fingerprints sharing a long prefix spread over shards" (fun () ->
-        (* [Hashtbl.hash] inspects a bounded prefix, so these 32 keys —
-           identical in their first 30 elements — all collapsed onto one
-           stripe before the fix. *)
-        let keys =
-          List.init 32 (fun k -> Array.append (Array.make 30 7) [| k |])
-        in
-        let shards =
-          List.sort_uniq compare (List.map B.shard_index keys)
-        in
-        List.iter
-          (fun s ->
-            Alcotest.(check bool) "in range" true (s >= 0 && s < 16))
-          shards;
-        Alcotest.(check bool)
-          (Printf.sprintf "%d distinct shards > 1" (List.length shards))
-          true
-          (List.length shards > 1);
-        (* Deterministic: the same key always owns the same stripe. *)
-        List.iter
-          (fun k ->
-            Alcotest.(check int) "stable" (B.shard_index k) (B.shard_index k))
-          keys);
-  ]
-
 let suites =
   [
     ("batch.differential", differential_tests);
     ("batch.determinism", determinism_tests);
     ("batch.affected", affected_tests);
     ("batch.stale", stale_tests);
-    ("batch.shards", shard_tests);
   ]

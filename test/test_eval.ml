@@ -2,8 +2,8 @@
 
    - Oracle soundness: the exhaustive optimum dominates every search
      algorithm's outcome EXACTLY (same evaluator, same feasibility, shared
-     sub-configuration cache — no epsilon), across synthetic instances,
-     budgets and domain counts; and whenever the useful pool has no index
+     sub-configuration cache — no epsilon), across synthetic instances
+     and budgets; and whenever the useful pool has no index
      interaction, dynamic programming matches the optimum under its own
      rounded-unit feasibility (modulo float-summation order), found by
      test/search_oracle.ml's knapsack enumerator.
@@ -62,7 +62,7 @@ let exhaustive_unit_tests =
         let catalog = Lazy.force Helpers.shared_catalog in
         let wl = W.prefix 3 (Xia_workload.Tpox.workload ()) in
         let set = En.candidates catalog wl in
-        let ev = B.create ~domains:1 catalog wl in
+        let ev = B.create catalog wl in
         let r = Ex.search ev set ~budget:0 in
         Alcotest.(check int) "config" 0 (List.length r.Ex.config);
         Alcotest.(check int) "feasible" 1 r.Ex.feasible;
@@ -85,7 +85,7 @@ let exhaustive_unit_tests =
         let catalog = Lazy.force Helpers.shared_catalog in
         let wl = Xia_workload.Tpox.workload () in
         let set = En.candidates catalog wl in
-        let ev = B.create ~domains:1 catalog wl in
+        let ev = B.create catalog wl in
         let budget = 1024 * 1024 in
         let fitting =
           List.length
@@ -107,13 +107,13 @@ let exhaustive_unit_tests =
 
 (* One synthetic instance: tiny TPoX catalog, [n] random queries, a budget
    fraction of the All-Index size.  Returns everything the properties need. *)
-let build_instance ~seed ~n ~frac ~domains =
+let build_instance ~seed ~n ~frac =
   let catalog = Lazy.force Helpers.shared_catalog in
   let wl =
     Synthetic.workload ~seed catalog (Cat.table_names catalog) n
   in
   let set = En.candidates catalog wl in
-  let ev = B.create ~domains catalog wl in
+  let ev = B.create catalog wl in
   let all = B.config_size ev (C.basics set) in
   let budget = int_of_float (frac *. float_of_int all) in
   (catalog, wl, set, ev, budget)
@@ -144,14 +144,9 @@ let algorithms =
 let qcheck_oracle =
   QCheck.Test.make ~name:"exhaustive dominates; dp optimal sans interaction"
     ~count:12
-    QCheck.(
-      quad (int_range 0 1000) (int_range 3 8)
-        (oneofl [ 0.3; 0.55; 0.9 ])
-        (oneofl [ 1; 4 ]))
-    (fun (seed, n, frac, domains) ->
-      let _catalog, _wl, set, ev, budget =
-        build_instance ~seed ~n ~frac ~domains
-      in
+    QCheck.(triple (int_range 0 1000) (int_range 3 8) (oneofl [ 0.3; 0.55; 0.9 ]))
+    (fun (seed, n, frac) ->
+      let _catalog, _wl, set, ev, budget = build_instance ~seed ~n ~frac in
       let exh =
         match Ex.search ev set ~budget with
         | exception Invalid_argument _ ->
@@ -204,7 +199,7 @@ let dp_matches_on_interaction_free =
       let hits = ref 0 in
       for seed = 0 to 39 do
         let _catalog, _wl, set, ev, budget =
-          build_instance ~seed ~n:3 ~frac:0.9 ~domains:1
+          build_instance ~seed ~n:3 ~frac:0.9
         in
         let pool = Search_oracle.pool ev set in
         let interaction_free =
@@ -232,7 +227,7 @@ let dp_matches_on_interaction_free =
 
 (* One full harness run shared by the committed-case properties (the whole
    thing takes well under a second at the tiny scale). *)
-let committed = lazy (Eval.run ~domains:2 ~small:true Eval.default_specs)
+let committed = lazy (Eval.run ~small:true Eval.default_specs)
 
 let committed_case_tests =
   [
@@ -287,15 +282,15 @@ let committed_case_tests =
             Alcotest.(check bool)
               (r.Eval.r_case ^ " statements > 0") true (r.Eval.r_statements > 0))
           (Lazy.force committed));
-    tc "run is deterministic across domain counts" (fun () ->
+    tc "run is deterministic across runs" (fun () ->
         let strip r = { r with Eval.r_elapsed = 0.0 } in
         let spec =
           List.filter
             (fun s -> s.Eval.s_name = "tpox-small")
             Eval.default_specs
         in
-        let a = List.map strip (Eval.run ~domains:1 ~small:true spec) in
-        let b = List.map strip (Eval.run ~domains:4 ~small:true spec) in
+        let a = List.map strip (Eval.run ~small:true spec) in
+        let b = List.map strip (Eval.run ~small:true spec) in
         Alcotest.(check bool) "identical modulo elapsed" true (a = b));
   ]
 
@@ -309,10 +304,10 @@ let perturbation_tests =
             (fun s -> s.Eval.s_name = "tpox-small")
             Eval.default_specs
         in
-        let broken = Eval.run ~domains:2 ~perturb:1e6 ~small:true spec in
+        let broken = Eval.run ~perturb:1e6 ~small:true spec in
         Alcotest.(check bool)
           "factor reset after run" true
-          (Float.equal 1.0 (Atomic.get Opt.index_cost_factor));
+          (Float.equal 1.0 !Opt.index_cost_factor);
         List.iter
           (fun (r : Eval.case_result) ->
             List.iter

@@ -70,9 +70,9 @@ let skewed_catalog () =
   catalog
 
 let with_histograms flag f =
-  let saved = Atomic.get Sel.use_histograms in
-  Atomic.set Sel.use_histograms flag;
-  Fun.protect ~finally:(fun () -> Atomic.set Sel.use_histograms saved) f
+  let saved = !Sel.use_histograms in
+  Sel.use_histograms := flag;
+  Fun.protect ~finally:(fun () -> Sel.use_histograms := saved) f
 
 let selectivity_tests =
   [

@@ -1,13 +1,12 @@
 (* Differential suites for the id-addressed lookups of the what-if
    optimizer: the dense coverage table ([Pattern.covers_id]) and the NFAs
    addressed by pattern id against automata compiled afresh for every
-   question, the same questions asked from several domains at once, and the
-   ids every index definition carries. *)
+   question, the same questions asked in two shuffled orders, and the ids
+   every index definition carries. *)
 
 module Pattern = Xia_xpath.Pattern
 module Nfa = Xia_xpath.Nfa
 module Index_def = Xia_index.Index_def
-module Par = Xia_par.Par
 
 let tc name f = Alcotest.test_case name `Quick f
 
@@ -47,10 +46,10 @@ let coverage_tests =
         Bool.equal (Pattern.accepts_id (Pattern.id p) path) (Nfa.accepts (fresh_nfa p) path));
   ]
 
-(* ---------------- the same questions from four domains ---------------- *)
+(* ---------------- the same questions in shuffled orders ---------------- *)
 
 (* Patterns over labels no other suite uses, so every cell starts unknown
-   and the domains race to fill it. *)
+   and the first round fills it in shuffled order. *)
 let private_patterns n =
   let rand = Random.State.make [| 23 |] in
   let gen =
@@ -79,9 +78,9 @@ let shuffle rand a =
   done;
   a
 
-let parallel_tests =
+let order_tests =
   [
-    tc "4 domains, shuffled order: identical answers, equal to the oracle" (fun () ->
+    tc "shuffled order: identical answers, equal to the oracle" (fun () ->
         let patterns = Array.of_list (private_patterns 60) in
         let pairs =
           Array.concat
@@ -94,7 +93,7 @@ let parallel_tests =
         let rand = Random.State.make [| 7 |] in
         let ask order =
           let answers =
-            Par.map ~domains:4
+            Array.map
               (fun i ->
                 let g, s = pairs.(i) in
                 (i, covers_by_id ~general:g ~specific:s))
@@ -105,8 +104,8 @@ let parallel_tests =
           by_pair
         in
         let indices = Array.init (Array.length pairs) Fun.id in
-        (* The first round fills the table while the domains race; the
-           second reads it back in another order. *)
+        (* The first round fills the table; the second reads it back in
+           another order. *)
         let first = ask (shuffle rand indices) in
         let second = ask (shuffle rand indices) in
         Alcotest.(check bool) "some pairs cover, some do not" true
@@ -189,7 +188,7 @@ let def_tests =
 let suites =
   [
     Helpers.qsuite "lookup.coverage" coverage_tests;
-    ("lookup.parallel", parallel_tests);
+    ("lookup.order", order_tests);
     ("lookup.allocation", allocation_tests);
     Helpers.qsuite "lookup.defs" def_tests;
   ]

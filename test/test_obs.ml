@@ -3,12 +3,11 @@
    The load-bearing suite is differential: running the full advisor pipeline
    with tracing+metrics enabled must produce bit-identical results to running
    it disabled — same recommended configuration, same costs, same evaluator
-   counters — at one domain and at four.  Instrumentation only ever reads the
-   clock and bumps observability state, never advisor state.
+   counters.  Instrumentation only ever reads the clock and bumps
+   observability state, never advisor state.
 
-   The property suite drives random span trees from several concurrent
-   domains and checks the flushed output is well-nested and monotonic, which
-   trace.ml promises by construction.  Exporters and the metrics registry get
+   The property suite drives random span trees and checks the flushed output
+   is well-nested and monotonic, which trace.ml promises by construction.  Exporters and the metrics registry get
    deterministic unit locks. *)
 
 module A = Xia_advisor.Advisor
@@ -44,10 +43,10 @@ type fingerprint = {
   cache_hits : int;
 }
 
-let fingerprint ~domains algorithm =
+let fingerprint algorithm =
   let catalog = Lazy.force Helpers.shared_catalog in
   let workload = tiny_workload catalog in
-  let session = A.create_session ~domains catalog workload in
+  let session = A.create_session catalog workload in
   let all = A.session_advise session ~budget:max_int A.All_index in
   let r = A.session_advise session ~budget:(all.A.outcome.S.size / 2) algorithm in
   {
@@ -77,20 +76,12 @@ let check_fingerprint label (a : fingerprint) (b : fingerprint) =
 let differential_tests =
   let case algorithm =
     tc (A.algorithm_name algorithm ^ ": enabled = disabled") (fun () ->
-        List.iter
-          (fun domains ->
-            let label =
-              Printf.sprintf "%s domains=%d" (A.algorithm_name algorithm) domains
-            in
-            let off = fingerprint ~domains algorithm in
-            let on =
-              Obs.with_enabled true (fun () ->
-                  Fun.protect
-                    ~finally:(fun () -> ignore (Trace.flush ()))
-                    (fun () -> fingerprint ~domains algorithm))
-            in
-            check_fingerprint label off on)
-          [ 1; 4 ])
+        let off = fingerprint algorithm in
+        let on =
+          Obs.with_enabled true (fun () ->
+              Fun.protect ~finally:(fun () -> ignore (Trace.flush ())) (fun () -> fingerprint algorithm))
+        in
+        check_fingerprint (A.algorithm_name algorithm) off on)
   in
   List.map case [ A.Greedy_heuristics; A.Top_down_full; A.Dynamic_programming ]
 
@@ -98,11 +89,11 @@ let switch_tests =
   [
     tc "disabled runs record no spans" (fun () ->
         ignore (Trace.flush ());
-        ignore (fingerprint ~domains:1 A.Greedy);
+        ignore (fingerprint A.Greedy);
         Alcotest.(check int) "no spans" 0 (List.length (Trace.flush ())));
     tc "enabled runs record pipeline spans and metrics" (fun () ->
         ignore (Trace.flush ());
-        ignore (Obs.with_enabled true (fun () -> fingerprint ~domains:1 A.Greedy_heuristics));
+        ignore (Obs.with_enabled true (fun () -> fingerprint A.Greedy_heuristics));
         let names =
           List.sort_uniq compare
             (List.map (fun (s : Trace.span) -> s.Trace.name) (Trace.flush ()))
@@ -120,86 +111,61 @@ let switch_tests =
 
 (* ------------------------------------------ span well-nestedness (qcheck) -- *)
 
-(* Random span trees on four concurrent domains; the flushed result must be
-   per-domain well-nested (no partial interval overlap) with close-order
-   stop times monotone.  Sequencing inside a domain is driven by a seeded
-   PRNG so failures replay. *)
+(* Random span trees; the flushed result must be well-nested (no partial
+   interval overlap) with close-order stop times monotone.  The tree
+   shapes come from a seeded PRNG so failures replay. *)
 let span_shape_prop =
-  QCheck.Test.make ~count:20 ~name:"concurrent spans flush well-nested and monotonic"
+  QCheck.Test.make ~count:20 ~name:"spans flush well-nested and monotonic"
     QCheck.(make Gen.(int_range 0 10_000))
     (fun seed ->
       ignore (Trace.flush ());
       Obs.with_enabled true (fun () ->
-          let work salt =
-            let st = Random.State.make [| seed; salt |] in
-            let rec go depth =
-              Trace.with_span
-                ~args:(fun () -> [ ("depth", string_of_int depth) ])
-                (Printf.sprintf "s%d.d%d" salt depth)
-                (fun () ->
-                  let kids = if depth >= 3 then 0 else Random.State.int st 3 in
-                  for _ = 1 to kids do
-                    go (depth + 1)
-                  done)
-            in
-            for _ = 1 to 1 + Random.State.int st 3 do
-              go 0
-            done
-          in
-          let spawned = List.init 3 (fun i -> Domain.spawn (fun () -> work i)) in
-          work 99;
-          List.iter Domain.join spawned);
+          List.iter
+            (fun salt ->
+              let st = Random.State.make [| seed; salt |] in
+              let rec go depth =
+                Trace.with_span
+                  ~args:(fun () -> [ ("depth", string_of_int depth) ])
+                  (Printf.sprintf "s%d.d%d" salt depth)
+                  (fun () ->
+                    let kids = if depth >= 3 then 0 else Random.State.int st 3 in
+                    for _ = 1 to kids do
+                      go (depth + 1)
+                    done)
+              in
+              for _ = 1 to 1 + Random.State.int st 3 do
+                go 0
+              done)
+            [ 0; 1; 2; 99 ]);
       let spans = Trace.flush () in
-      (* Flushed order restricted to one domain is exactly open order (the
-         tie-break cannot depend on clock granularity): open_seq must be
-         strictly increasing per tid in flush order. *)
-      let flush_order_is_open_order =
-        let last = Hashtbl.create 8 in
+      (* Flushed order is exactly open order (it cannot depend on clock
+         granularity): open_seq strictly increases in flush order. *)
+      let rec open_ordered = function
+        | (a : Trace.span) :: (b :: _ as rest) -> a.Trace.open_seq < b.Trace.open_seq && open_ordered rest
+        | _ -> true
+      in
+      let by_close = List.sort (fun (a : Trace.span) b -> compare a.Trace.seq b.Trace.seq) spans in
+      let rec stops_monotone = function
+        | (a : Trace.span) :: (b :: _ as rest) -> a.Trace.stop_s <= b.Trace.stop_s && stops_monotone rest
+        | _ -> true
+      in
+      let well_nested =
         List.for_all
-          (fun (s : Trace.span) ->
-            let prev =
-              Option.value ~default:0 (Hashtbl.find_opt last s.Trace.tid)
-            in
-            Hashtbl.replace last s.Trace.tid s.Trace.open_seq;
-            prev < s.Trace.open_seq)
+          (fun (a : Trace.span) ->
+            List.for_all
+              (fun (b : Trace.span) ->
+                (* partial overlap — a opens, b opens, a closes, b closes, all
+                   strictly — is the one forbidden shape *)
+                not
+                  (a.Trace.start_s < b.Trace.start_s
+                  && b.Trace.start_s < a.Trace.stop_s
+                  && a.Trace.stop_s < b.Trace.stop_s))
+              spans)
           spans
       in
-      let by_tid = Hashtbl.create 8 in
-      List.iter
-        (fun (s : Trace.span) ->
-          Hashtbl.replace by_tid s.Trace.tid
-            (s :: Option.value ~default:[] (Hashtbl.find_opt by_tid s.Trace.tid)))
-        spans;
-      spans <> [] && flush_order_is_open_order
-      && Hashtbl.fold
-           (fun _tid ss ok ->
-             let ss =
-               List.sort (fun (a : Trace.span) b -> compare a.Trace.seq b.Trace.seq) ss
-             in
-             let intervals_ok =
-               List.for_all (fun (s : Trace.span) -> s.Trace.start_s <= s.Trace.stop_s) ss
-             in
-             let rec stops_monotone = function
-               | (a : Trace.span) :: (b :: _ as rest) ->
-                   a.Trace.stop_s <= b.Trace.stop_s && stops_monotone rest
-               | _ -> true
-             in
-             let well_nested =
-               List.for_all
-                 (fun (a : Trace.span) ->
-                   List.for_all
-                     (fun (b : Trace.span) ->
-                       (* partial overlap — a opens, b opens, a closes, b
-                          closes, all strictly — is the one forbidden shape *)
-                       not
-                         (a.Trace.start_s < b.Trace.start_s
-                         && b.Trace.start_s < a.Trace.stop_s
-                         && a.Trace.stop_s < b.Trace.stop_s))
-                     ss)
-                 ss
-             in
-             ok && intervals_ok && stops_monotone ss && well_nested)
-           by_tid true)
+      spans <> [] && open_ordered spans
+      && List.for_all (fun (s : Trace.span) -> s.Trace.start_s <= s.Trace.stop_s) spans
+      && stops_monotone by_close && well_nested)
 
 (* --------------------------------------------------------- exporter locks -- *)
 
@@ -266,32 +232,6 @@ let metrics_tests =
         Metrics.incr c;
         Metrics.add (Metrics.counter "test_obs.counter") 4;
         Alcotest.(check int) "value" (base + 5) (Metrics.value c));
-    tc "concurrent first registration yields one instrument" (fun () ->
-        (* Instrumentation sites look metrics up by name on every use, from
-           any domain: racing first registrations must agree on a single
-           instrument and lose no increment. *)
-        let name = "test_obs.concurrent_registration" in
-        let domains = 4 and per_domain = 1000 in
-        let ready = Atomic.make 0 in
-        let work () =
-          Atomic.incr ready;
-          while Atomic.get ready < domains do
-            Domain.cpu_relax ()
-          done;
-          let first = Metrics.counter name in
-          for _ = 1 to per_domain do
-            Metrics.incr (Metrics.counter name)
-          done;
-          first
-        in
-        let handles =
-          List.map Domain.join (List.init domains (fun _ -> Domain.spawn work))
-        in
-        let c = List.hd handles in
-        Alcotest.(check bool)
-          "one instrument" true
-          (List.for_all (fun h -> h == c) handles);
-        Alcotest.(check int) "summed count" (domains * per_domain) (Metrics.value c));
     tc "kind clash raises Invalid_argument" (fun () ->
         ignore (Metrics.counter "test_obs.clash");
         match Metrics.gauge "test_obs.clash" with

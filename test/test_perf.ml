@@ -1,7 +1,7 @@
 (* Differential suites for the sublinear matching machinery: the trie walk
    against the linear NFA oracle on fuzzed data, interner determinism and
-   uniqueness (including under concurrent interning from several domains),
-   and the sharded sub-configuration cache against a sequential evaluator. *)
+   uniqueness, and the sub-configuration cache's counters across two
+   evaluators. *)
 
 module Pattern = Xia_xpath.Pattern
 module Interner = Xia_xpath.Interner
@@ -87,25 +87,6 @@ let interner_tests =
         Alcotest.(check (option int)) "find sees interned" (Some b) (Interner.find t "beta");
         Alcotest.(check (option int)) "find misses fresh" None (Interner.find t "gamma");
         Alcotest.(check int) "size counts distinct" 2 (Interner.size t));
-    tc "concurrent interning from several domains is consistent" (fun () ->
-        let t : string Interner.t = Interner.create () in
-        let labels = Array.init 200 (fun i -> Printf.sprintf "label-%d" (i mod 83)) in
-        let workers =
-          List.init 4 (fun _ ->
-              Domain.spawn (fun () -> Array.map (Interner.intern t) labels))
-        in
-        let maps = List.map Domain.join workers in
-        (* Every domain observed the same value→id mapping... *)
-        List.iter
-          (fun ids -> Alcotest.(check bool) "identical maps" true (ids = List.hd maps))
-          maps;
-        (* ...ids are dense and unique per distinct value... *)
-        Alcotest.(check int) "83 distinct labels" 83 (Interner.size t);
-        (* ...and every id resolves back to its string. *)
-        Array.iteri
-          (fun i id ->
-            Alcotest.(check string) "round-trip" labels.(i) (Interner.value t id))
-          (List.hd maps));
     tc "pattern ids agree with structural equality" (fun () ->
         let p1 = Helpers.pattern "/Security/Symbol" in
         let p2 = Helpers.pattern "/Security/Symbol" in
@@ -136,39 +117,26 @@ let interner_tests =
               same
               (Index_def.logical_id a = Index_def.logical_id b))
           pairs);
-    tc "cache computes once and is shared across domains" (fun () ->
+    tc "cache computes once per key" (fun () ->
         let cache : (int, int) Interner.Cache.t = Interner.Cache.create () in
-        let computed = Atomic.make 0 in
+        let computed = ref 0 in
         let compute k () =
-          Atomic.incr computed;
+          incr computed;
           k * 7
         in
-        let workers =
-          List.init 4 (fun _ ->
-              Domain.spawn (fun () ->
-                  Array.init 50 (fun i ->
-                      Interner.Cache.find_or_compute cache (i mod 10) compute (i mod 10) ())))
+        let results =
+          Array.init 50 (fun i -> Interner.Cache.find_or_compute cache (i mod 10) compute (i mod 10) ())
         in
-        let results = List.map Domain.join workers in
-        List.iter
-          (fun arr ->
-            Array.iteri
-              (fun i v -> Alcotest.(check int) "computed value" ((i mod 10) * 7) v)
-              arr)
-          results;
-        (* First publish wins; duplicate concurrent computes are possible but
-           bounded by the race window, never by the call count. *)
-        Alcotest.(check bool)
-          "far fewer computes than calls" true
-          (Atomic.get computed >= 10 && Atomic.get computed <= 40);
+        Array.iteri (fun i v -> Alcotest.(check int) "computed value" ((i mod 10) * 7) v) results;
+        Alcotest.(check int) "one compute per key" 10 !computed;
         Alcotest.(check (option int)) "find after compute" (Some 21) (Interner.Cache.find cache 3));
   ]
 
-(* ---------------- sharded cache ≡ sequential evaluator ---------------- *)
+(* ---------------- sub-configuration cache determinism ---------------- *)
 
-let shard_tests =
+let cache_tests =
   [
-    tc "counters and benefits identical: domains=1 vs domains=3" (fun () ->
+    tc "counters and benefits identical across two evaluators" (fun () ->
         let catalog = Lazy.force Helpers.shared_catalog in
         let workload =
           Xia_workload.Workload.of_strings
@@ -178,8 +146,8 @@ let shard_tests =
               {|for $c in CUSTACC('CADOC')/Customer where $c/Nationality = "Norway" return $c|};
             ]
         in
-        let run domains =
-          let ev = Benefit.create ~domains catalog workload in
+        let run () =
+          let ev = Benefit.create catalog workload in
           let set = Enumeration.candidates catalog workload in
           let basics = Candidate.basics set in
           let b_all = Benefit.benefit ev basics in
@@ -192,8 +160,8 @@ let shard_tests =
             Benefit.cache_hits ev,
             Benefit.cached_sub_configs ev )
         in
-        let a1, e1, g1, ev1, h1, c1 = run 1 in
-        let a3, e3, g3, ev3, h3, c3 = run 3 in
+        let a1, e1, g1, ev1, h1, c1 = run () in
+        let a3, e3, g3, ev3, h3, c3 = run () in
         Alcotest.(check (float 0.0)) "config benefit" a1 a3;
         List.iter2 (fun x y -> Alcotest.(check (float 0.0)) "individual benefit" x y) e1 e3;
         Alcotest.(check (float 0.0)) "cached re-read" g1 g3;
@@ -207,7 +175,7 @@ let shard_tests =
           Xia_workload.Workload.of_strings
             [ {|for $s in SECURITY('SDOC')/Security where $s/Symbol = "BCIIPRC" return $s|} ]
         in
-        let ev = Benefit.create ~domains:1 catalog workload in
+        let ev = Benefit.create catalog workload in
         let set = Enumeration.candidates catalog workload in
         List.iter
           (fun c ->
@@ -226,5 +194,5 @@ let suites =
   [
     ("perf.trie", trie_tests);
     ("perf.interner", interner_tests);
-    ("perf.shards", shard_tests);
+    ("perf.cache", cache_tests);
   ]

@@ -4,7 +4,7 @@
    bindings, DML), and over real indexes in Normal mode, every plan must be
    bit-identical — shape, index names, the access each index serves, [%h]
    costs and [est_docs] — and must count the same [plans_considered], with
-   the probe memo cold and warm, at one and two domains. *)
+   the probe memo cold and warm. *)
 
 module O = Xia_optimizer.Optimizer
 module Plan = Xia_optimizer.Plan
@@ -160,16 +160,16 @@ let check_costs label (plans : Plan.t array) plan_count costs cost_count =
 (* Plan [prepared] under [cfg] twice — cold memo, then warm — and compare
    both rounds with the oracle; cost [for_costs] (the same statements,
    prepared separately so its memo is cold too) alongside. *)
-let plan_twice label mode ~domains ~virtual_config catalog stmts prepared for_costs =
+let plan_twice label mode ~virtual_config catalog stmts prepared for_costs =
   List.iter
     (fun round ->
-      let label = Printf.sprintf "%s %s domains=%d" label round domains in
+      let label = Printf.sprintf "%s %s" label round in
       let c0 = plans_considered () in
-      let got = O.optimize_prepared ~mode ~domains ~virtual_config catalog prepared in
+      let got = O.optimize_prepared ~mode ~virtual_config catalog prepared in
       let got_count = plans_considered () - c0 in
       check_same label mode ~virtual_config catalog stmts got got_count;
       let c1 = plans_considered () in
-      let costs = O.optimize_costs ~mode ~domains ~virtual_config catalog for_costs in
+      let costs = O.optimize_costs ~mode ~virtual_config catalog for_costs in
       check_costs label got got_count costs (plans_considered () - c1))
     [ "cold"; "warm" ]
 
@@ -182,19 +182,16 @@ let qcheck_evaluate =
       List.iter
         (fun (label, catalog, stmts, defs) ->
           let configs = List.init 3 (fun _ -> random_config rng defs) in
-          List.iter
-            (fun domains ->
-              (* One preparation per domain count: its memo starts cold and
-                 warms across the configurations. *)
-              let prepared = Array.map (O.prepare catalog) stmts in
-              let for_costs = Array.map (O.prepare catalog) stmts in
-              List.iteri
-                (fun k virtual_config ->
-                  plan_twice
-                    (Printf.sprintf "%s seed=%d cfg%d" label seed k)
-                    O.Evaluate ~domains ~virtual_config catalog stmts prepared for_costs)
-                configs)
-            [ 1; 2 ];
+          (* One preparation: its memo starts cold and warms across the
+             configurations. *)
+          let prepared = Array.map (O.prepare catalog) stmts in
+          let for_costs = Array.map (O.prepare catalog) stmts in
+          List.iteri
+            (fun k virtual_config ->
+              plan_twice
+                (Printf.sprintf "%s seed=%d cfg%d" label seed k)
+                O.Evaluate ~virtual_config catalog stmts prepared for_costs)
+            configs;
           (* The one-statement entry points plan through the same path. *)
           let virtual_config = random_config rng defs in
           let label = Printf.sprintf "%s seed=%d optimize" label seed in
@@ -230,21 +227,17 @@ let normal_mode_tests =
               ~dtype:Index_def.Dstring ();
           ];
         let run () =
-          List.iter
-            (fun domains ->
-              let prepared = Array.map (O.prepare catalog) stmts in
-              let for_costs = Array.map (O.prepare catalog) stmts in
-              plan_twice "normal" O.Normal ~domains ~virtual_config:[] catalog stmts prepared
-                for_costs)
-            [ 1; 2 ]
+          let prepared = Array.map (O.prepare catalog) stmts in
+          let for_costs = Array.map (O.prepare catalog) stmts in
+          plan_twice "normal" O.Normal ~virtual_config:[] catalog stmts prepared for_costs
         in
         let seen = !index_plans in
         run ();
         Alcotest.(check bool) "some binding planned with an index" true (!index_plans > seen);
         (* Perturbed cost model (the eval harness's knob): the factor applies
            at plan time, never inside a memoized probe. *)
-        Atomic.set O.index_cost_factor 1000.0;
-        Fun.protect ~finally:(fun () -> Atomic.set O.index_cost_factor 1.0) run);
+        O.index_cost_factor := 1000.0;
+        Fun.protect ~finally:(fun () -> O.index_cost_factor := 1.0) run);
   ]
 
 let words_of n f =
