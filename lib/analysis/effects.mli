@@ -76,8 +76,3 @@ val d001_hits :
   (Location.t * string) list ->
   Parsetree.expression ->
   (Location.t * string) list
-
-(** The unambiguous IO builtin a dotted path names, if any.  Callers gate
-    on empty graph resolution first, so project bindings sharing a
-    builtin's name do not classify. *)
-val io_of_path : string list -> string option

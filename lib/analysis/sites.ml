@@ -8,8 +8,7 @@
    binding.  Along the way it keeps the context every site records:
 
    - the enclosing closures ([fun], [function], [lazy], [newtype]), so a
-     check can ask whether a site sits inside a given task closure or
-     dataflow root;
+     check can ask whether a site sits inside a given dataflow root;
    - the [@lint.allow] stack: the attributes of every enclosing
      expression and value binding, nested [let]s included;
    - whether the site is evaluated by the binding itself, outside any

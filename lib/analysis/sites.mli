@@ -9,7 +9,7 @@
     {!Callgraph} here; a binding's resolved references that no local
     binder shadows are its call list ({!calls}), the one edge set of the
     call graph.  {!Effects} folds a binding's sites into its summary;
-    {!Checks}, {!Races} and {!Dataflow} read them.  See DESIGN.md §5c. *)
+    {!Checks} and {!Dataflow} read them.  See DESIGN.md §5c. *)
 
 (** A resolved identifier.  [shadowed] holds when a variable some pattern
     of the same binding binds has this (single-component) name. *)

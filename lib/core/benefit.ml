@@ -95,11 +95,11 @@ type t = {
       (* memoized [useful_ids] result; same pairing assumption *)
 }
 
-(* Observability: cache traffic, mirrored into the
-   metrics registry when enabled ("benefit.*" counters, looked up by name at
-   each use).  The [evaluations]/[cache_hits] fields below stay
-   authoritative (and always on) — these counters only exist so a
-   [--metrics] snapshot can report them without an evaluator handle. *)
+(* Observability: cache traffic, mirrored into the metrics registry when
+   enabled ("benefit.*" counters, looked up by name at each use).  The
+   [evaluations]/[cache_hits] fields stay authoritative (and always on) —
+   these counters only exist so a [--metrics] snapshot can report them
+   without an evaluator handle. *)
 let count name n = if Xia_obs.Obs.on () then Xia_obs.Metrics.add (Xia_obs.Metrics.counter name) n
 
 let catalog t = t.catalog

@@ -4,7 +4,7 @@
    Runs the five search algorithms and the All-Index reference on three
    fixtures: tiny TPoX, tiny XMark, and tiny TPoX plus eight synthetic
    statements (whose overlapping affected sets build multi-member
-   interaction groups).  Each run gets a fresh single-domain evaluator and
+   interaction groups).  Each run gets a fresh evaluator and
    two budgets, half and a quarter of the All-Index size.  It prints the
    final configuration's logical keys in order, its size, its benefit in
    hexadecimal ([%h]), the optimizer calls the search consumed and the

@@ -219,8 +219,8 @@ let ids l = List.map (fun (c : C.t) -> c.C.id) l
 
 (* Extending [ys] by [xs] scores and partitions exactly like evaluating
    [xs @ ys] in one shot (each on a fresh evaluator, so neither borrows the
-   other's cache), the groups match the pairwise oracle, and the counters
-   do not depend on the domain count. *)
+   other's cache), the groups match the pairwise oracle, and two fresh
+   evaluators count the same. *)
 let qcheck_incremental =
   QCheck.Test.make ~count:25 ~name:"extend ys then xs = benefit (xs @ ys)"
     QCheck.(make Gen.(int_range 0 100_000))

@@ -389,12 +389,10 @@ let locked_helper_project =
   [
     ( "helpers.ml",
       "let m = Mutex.create ()\n\
-       let hits = ref 0\n\
-       let install c = hits := 1; Catalog.create_index c \"x\"\n\
+       let install c = Catalog.create_index c \"x\"\n\
        let locked c =\n\
       \  Mutex.lock m;\n\
-      \  Fun.protect ~finally:(fun () -> Mutex.unlock m) (fun () -> install c)\n\
-       let run cs = Par.iter locked cs\n" );
+      \  Fun.protect ~finally:(fun () -> Mutex.unlock m) (fun () -> install c)\n" );
     ("benefit.ml", "let evaluate c = Helpers.locked c\n");
   ]
 

@@ -127,8 +127,7 @@ let cluster_key catalog (stmt : Xia_query.Ast.statement) =
   (kind, List.sort_uniq compare tables, WS.signature catalog stmt)
 
 (* The clusters, as sorted (cluster key, weight) pairs, must be identical
-   across repeated runs and across input permutations; domain counts cannot
-   touch them (clustering is a pure sequential pass).  First-occurrence
+   across repeated runs and across input permutations.  First-occurrence
    cluster ORDER tracks the permuted input, so the pairs are sorted.  A
    weight sums its members' frequencies in workload order, so a permutation
    may reassociate that sum: across it, keys are compared exactly and
