@@ -581,6 +581,35 @@ let x001_tests =
           \  r\n");
   ]
 
+(* ------------------------------------ the deliberately leaking fixture -- *)
+
+let dataflow_fixture_tests =
+  [
+    tc "one leaking function trips all four checks" (fun () ->
+        check_ids "all four"
+          [ (3, "X001"); (4, "R003"); (5, "D002"); (7, "H002") ]
+          "let flag = Atomic.make 0\n\
+           let leak f =\n\
+          \  let saved = Atomic.get flag in\n\
+          \  Atomic.set flag (Atomic.get flag + 1);\n\
+          \  let t0 = Sys.time () in\n\
+          \  let r = f t0 in\n\
+          \  if r < 0 then failwith \"negative\";\n\
+          \  Atomic.set flag saved;\n\
+          \  r\n");
+    tc "each finding is individually suppressible" (fun () ->
+        check_ids "all suppressed" []
+          "let flag = Atomic.make 0\n\
+           let leak f =\n\
+          \  let saved = (Atomic.get flag [@lint.allow \"X001\"]) in\n\
+          \  (Atomic.set flag (Atomic.get flag + 1) [@lint.allow \"R003\"]);\n\
+          \  let t0 = (Sys.time () [@lint.allow \"D002\"]) in\n\
+          \  let r = f t0 in\n\
+          \  if r < 0 then (failwith \"negative\" [@lint.allow \"H002\"]);\n\
+          \  Atomic.set flag saved;\n\
+          \  r\n");
+  ]
+
 (* ------------------------------------- qcheck: the transitive engine -- *)
 
 (* A random call graph over bindings f0..f(n-1), rendered to source and
@@ -894,6 +923,27 @@ let site_tests =
            ;; ignore (Unix.gettimeofday ())\n\
            ;; if Sys.argv = [||] then failwith \"y\"\n\
            ;; let c = Atomic.make 0 in Atomic.set c (Atomic.get c + 1)\n");
+    tc "closure binder shadowing a global is no call edge" (fun () ->
+        (* [run]'s closure binds [counter] itself, so only [total] is a
+           call of [run]; in [spawn] the local [total] shadows the global,
+           while [counter] is the global. *)
+        let source =
+          "let counter () = ()\n\
+           let total () = ()\n\
+           let run items = List.iter (fun counter -> counter (); total ()) items\n\
+           let spawn items =\n\
+          \  let total = ignore in\n\
+          \  List.iter (fun x -> total x; counter ()) items\n"
+        in
+        let structure = Parse.implementation (Lexing.from_string source) in
+        let graph = Callgraph.build [ Callgraph.make_unit ~path:"s.ml" ~source structure ] in
+        let sites = Sites.build graph in
+        let calls name =
+          let n = List.find (fun (n : Callgraph.node) -> n.name = name) (Callgraph.nodes graph) in
+          List.map (fun (n : Callgraph.node) -> n.name) (Sites.calls sites n)
+        in
+        Alcotest.(check (list string)) "run" [ "total" ] (calls "run");
+        Alcotest.(check (list string)) "spawn" [ "counter" ] (calls "spawn"));
   ]
 
 (* ------------------------------------------------------ mutant corpus -- *)
@@ -1082,6 +1132,7 @@ let suites =
     ("lint.callgraph", callgraph_tests);
     ("lint.r003", r003_tests);
     ("lint.x001", x001_tests);
+    ("lint.dataflow_fixture", dataflow_fixture_tests);
     ("lint.engine_qcheck", engine_qcheck_tests);
     ("lint.n001", n001_tests);
     ("lint.e001", e001_tests);
