@@ -672,6 +672,28 @@ let walk () =
        0 tables)
     paths (List.length defs) entries
 
+(* ---------- RUNSTATS over deep and wide documents ---------- *)
+
+(* RUNSTATS over one 4,000-deep chain and one document with 4,000
+   distinct children, at every data scale.  One dataguide entry per path
+   keeps both linear in the path count, so the [second_pass]'s minor words
+   are held by the bench ratchet: a per-path copy of the path's labels
+   would make the chain's share grow with the square of its depth. *)
+let shapes () =
+  header "RUNSTATS over a 4,000-deep chain and a 4,000-wide document";
+  let store name doc =
+    let s = Xia_storage.Doc_store.create name in
+    ignore (Xia_storage.Doc_store.insert s doc);
+    s
+  in
+  let open Xia_xml.Types in
+  let rec chain k = if k = 0 then leaf "a" "x" else element "a" [ chain (k - 1) ] in
+  let deep = store "DEEP" (chain 3_999) in
+  let wide = store "WIDE" (element "r" (List.init 4_000 (fun i -> leaf (Printf.sprintf "c%d" i) "x"))) in
+  let paths s = Xia_storage.Path_stats.path_count (Xia_storage.Path_stats.collect s) in
+  let _, (deep_paths, wide_paths) = second_pass "shapes" (fun () -> (paths deep, paths wide)) in
+  Format.printf "deep chain: %d paths; wide document: %d paths@." deep_paths wide_paths
+
 (* ---------- Validation: the executor's document scans ---------- *)
 
 (* The read statements of the TPoX workload, executed on a catalog without
@@ -1107,6 +1129,7 @@ let experiments =
     ("scale10k", scale10k);
     ("scale10k-raw", scale10k_raw);
     ("walk", walk);
+    ("shapes", shapes);
     ("executor", executor);
     ("whatif", whatif);
     ("candidates", candidates);

@@ -320,7 +320,7 @@ let stats_cmd benchmark small data_dirs =
       Format.printf "%-55s %8s %8s %9s %8s@." "path" "nodes" "docs" "distinct" "numeric";
       Xia_storage.Path_stats.iter
         (fun info ->
-          Format.printf "%-55s %8d %8d %9d %7.0f%%@." info.Xia_storage.Path_stats.path_key
+          Format.printf "%-55s %8d %8d %9d %7.0f%%@." (Xia_storage.Path_stats.key info)
             info.Xia_storage.Path_stats.node_count info.Xia_storage.Path_stats.doc_count
             info.Xia_storage.Path_stats.distinct_values
             (100.0

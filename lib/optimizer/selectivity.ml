@@ -98,13 +98,19 @@ type lookup_estimate = Xia_storage.Cost_params.lookup_estimate = {
   total_entries : float;    (* size of the key population *)
 }
 
+(* [paths] (in [infos] order) from the first at or after position [index]. *)
+let rec drop_before index = function
+  | (info : Path_stats.path_info) :: tl when info.index < index -> drop_before index tl
+  | paths -> paths
+
 (* Expected matches of a condition against the key population of the
    pattern with id [pid] (per-path mixture; documents collapse binomially
    per path and are clamped by the table's document count).  When [query] —
    the id of the predicate's own pattern — is given, string-equality
    contributions from paths outside the query pattern are damped by
-   [cross_path_collision].  Whether a path is the query's own ("home") is
-   an NFA walk, so it is decided once per path, and only for a string
+   [cross_path_collision].  A path is the query's own ("home") when the
+   query pattern covers it too: both covered lists are in [infos] order, so
+   one merge by position decides it, once per path, and only for a string
    equality or inequality, the conditions that ask.  The covered paths are
    walked in place, summing into local floats (seeded with [0.0]) in path
    order: besides that flag per path, a probe builds one record, the
@@ -121,11 +127,18 @@ let lookup_estimate ?query (stats : Path_stats.t) pid dtype condition =
      The home domain's size scales the cross-path collision mass. *)
   let homes = Bytes.make (if home < 0 then 0 else List.length paths) '\000' in
   let home_distinct = ref 0 and rest = ref paths and k = ref 0 in
+  let home_rest = ref (if home < 0 then [] else Path_stats.matching_id stats home) in
   while home >= 0 && !rest <> [] do
     match !rest with
     | [] -> ()
     | (info : Path_stats.path_info) :: tl ->
-        if typed_entries dtype info <> 0 && Xia_xpath.Pattern.accepts_id home info.path then begin
+        home_rest := drop_before info.index !home_rest;
+        let at_home =
+          match !home_rest with
+          | (h : Path_stats.path_info) :: _ -> h.index = info.index
+          | [] -> false
+        in
+        if typed_entries dtype info <> 0 && at_home then begin
           Bytes.set homes !k '\001';
           home_distinct := !home_distinct + typed_distinct dtype info
         end;

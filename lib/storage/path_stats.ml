@@ -4,11 +4,17 @@
    For every distinct rooted label path occurring in a table (a "dataguide"
    entry) we keep node counts, document counts, distinct-value estimates,
    value sizes and the numeric value range.  Virtual index statistics are
-   derived from these, never from physical indexes. *)
+   derived from these, never from physical indexes.
+
+   The entries are the nodes of the dataguide trie itself: each holds its
+   parent, its interned label and its children, so a path costs one node
+   whatever its depth, and its label list or key is rebuilt on demand. *)
 
 type path_info = {
-  path : string list;
-  path_key : string;
+  parent : path_info option;
+  label : int;
+  mutable index : int;
+  mutable children : path_info array;
   mutable node_count : int;
   mutable doc_count : int;
   mutable distinct_values : int;
@@ -20,32 +26,30 @@ type path_info = {
   mutable histogram : Histogram.t option;
 }
 
-(* Trie over the interned label sequences of the dataguide.  Terminals store
-   the path's index into [infos] (the [ordered] list as an array), so a trie
-   walk can report matches in exactly the order the linear filter over
-   [ordered] would: collect indices, sort ints ascending, map back.  Children
-   are plain arrays frozen after collection — the trie is immutable once the
-   stats object is published. *)
-type trie = {
-  terminal : int;            (* index into [infos]; -1 when no path ends here *)
-  child_labels : int array;  (* interned label ids, parallel to [child_nodes] *)
-  child_nodes : trie array;
-}
-
 type t = {
   table : string;
   generation : int;
   doc_count : int;
   total_elements : int;
   total_bytes : int;
-  ordered : path_info list; (* deterministic order: by path key *)
-  infos : path_info array;  (* [ordered] as an array (same order) *)
-  trie : trie;
+  roots : path_info array;
+  infos : path_info array;
   matching_memo : path_info list Xia_xpath.Interner.Dense.t;
       (* pattern id -> covered paths *)
 }
 
-let path_key path = String.concat "/" path
+let path info =
+  let rec up acc info =
+    let acc = Xia_xpath.Interner.label_value info.label :: acc in
+    match info.parent with None -> acc | Some p -> up acc p
+  in
+  up [] info
+
+let key info = String.concat "/" (path info)
+
+let depth info =
+  let rec up n info = match info.parent with None -> n | Some p -> up (n + 1) p in
+  up 1 info
 
 (* Cap on the exact distinct-value sets kept during collection; beyond it we
    keep counting nodes but freeze the distinct estimate (matching the sampled
@@ -79,53 +83,18 @@ type collector_entry = {
   mutable sample : float list;  (* reservoir of numeric values *)
   mutable sample_size : int;
   mutable last_doc : int;
-  rng : Random.State.t;
+  mutable rng : Random.State.t option;  (* made on the first thinning step *)
+  mutable kids : collector_entry list;  (* children, unsorted *)
 }
 
-(* Build the label trie over every dataguide path.  Single-threaded (runs
-   inside [collect]); the mutable builder nodes are frozen into plain arrays
-   before the stats object is published. *)
-type trie_builder = {
-  mutable b_terminal : int;
-  b_children : (int, trie_builder) Hashtbl.t;
-}
-
-let build_trie infos =
-  let fresh () = { b_terminal = -1; b_children = Hashtbl.create 4 } in
-  let root = fresh () in
-  Array.iteri
-    (fun index info ->
-      let node =
-        List.fold_left
-          (fun node label ->
-            let l = Xia_xpath.Interner.label label in
-            match Hashtbl.find_opt node.b_children l with
-            | Some child -> child
-            | None ->
-                let child = fresh () in
-                Hashtbl.add node.b_children l child;
-                child)
-          root info.path
-      in
-      node.b_terminal <- index)
-    infos;
-  let rec freeze b =
-    let kids = Hashtbl.fold (fun l c acc -> (l, c) :: acc) b.b_children [] in
-    let kids = List.sort (fun (a, _) (b, _) -> compare a b) kids in
-    {
-      terminal = b.b_terminal;
-      child_labels = Array.of_list (List.map fst kids);
-      child_nodes = Array.of_list (List.map (fun (_, c) -> freeze c) kids);
-    }
-  in
-  freeze root
-
-let new_entry path key =
+let new_entry parent label =
   {
     info =
       {
-        path;
-        path_key = key;
+        parent;
+        label;
+        index = -1;
+        children = [||];
         node_count = 0;
         doc_count = 0;
         distinct_values = 0;
@@ -141,8 +110,19 @@ let new_entry path key =
     sample = [];
     sample_size = 0;
     last_doc = -1;
-    rng = Random.State.make [| Hashtbl.hash key |];
+    rng = None;
+    kids = [];
   }
+
+(* The thinning generator is seeded from the path key, which only a path
+   with more than [sample_cap] numeric values ever builds. *)
+let rng entry =
+  match entry.rng with
+  | Some rng -> rng
+  | None ->
+      let rng = Random.State.make [| Hashtbl.hash (key entry.info) |] in
+      entry.rng <- Some rng;
+      rng
 
 let touch doc_id entry value =
   let info = entry.info in
@@ -167,84 +147,74 @@ let touch doc_id entry value =
         entry.sample <- v :: entry.sample;
         entry.sample_size <- entry.sample_size + 1
       end
-      else if Random.State.int entry.rng info.node_count < sample_cap then
+      else if Random.State.int (rng entry) info.node_count < sample_cap then
         entry.sample <- (match entry.sample with _ :: rest -> v :: rest | [] -> [ v ])
 
-(* One guided walk per document: a node's guide value is its path's
-   collector entry, created on the path's first sight, so no per-node path
-   or key is built.  Entries are still keyed by path key here, once per
-   guide node, so labels that spell the same key share one entry. *)
+(* Fills in the statistics kept only while collecting, and the children
+   in label order, so a preorder lists paths in lexicographic order of
+   their label lists. *)
+let rec finish entry =
+  let info = entry.info in
+  info.distinct_values <- max 1 (String_set.length entry.values);
+  info.distinct_numeric <- Float_set.length entry.numerics;
+  info.histogram <- Histogram.create entry.sample;
+  List.iter finish entry.kids;
+  let children = Array.of_list (List.map (fun kid -> kid.info) entry.kids) in
+  Array.sort
+    (fun a b ->
+      String.compare
+        (Xia_xpath.Interner.label_value a.label)
+        (Xia_xpath.Interner.label_value b.label))
+    children;
+  info.children <- children
+
+(* One guided walk per document: a guide node is one path, and its value is
+   that path's collector entry, created as a child of its parent's on the
+   path's first sight, so no per-node path or key is built. *)
 let collect store =
-  let acc : (string, collector_entry) Hashtbl.t = Hashtbl.create 256 in
+  (* The empty path: its children are the root elements' paths. *)
+  let root = new_entry None (-1) in
   let label parent l =
-    let path = parent.info.path @ [ l ] in
-    let key = path_key path in
-    match Hashtbl.find_opt acc key with
-    | Some e -> e
-    | None ->
-        let e = new_entry path key in
-        Hashtbl.add acc key e;
-        e
+    let e =
+      new_entry (if parent == root then None else Some parent.info) (Xia_xpath.Interner.label l)
+    in
+    parent.kids <- e :: parent.kids;
+    e
   in
   let guide =
-    Xia_xml.Packed.guide (Doc_store.labels store) ~root:(new_entry [] "") ~label
-      ~dead:(fun _ -> false)
+    Xia_xml.Packed.guide (Doc_store.labels store) ~root ~label ~dead:(fun _ -> false)
   in
   Doc_store.iter
     (fun doc_id doc ->
       Xia_xml.Packed.walk guide (fun _id entry value -> touch doc_id entry value) doc)
     store;
-  let finish _ entry infos =
-    entry.info.distinct_values <- max 1 (String_set.length entry.values);
-    entry.info.distinct_numeric <- Float_set.length entry.numerics;
-    entry.info.histogram <- Histogram.create entry.sample;
-    entry.info :: infos
-  in
-  let ordered =
-    List.sort
-      (fun a b -> String.compare a.path_key b.path_key)
-      (Hashtbl.fold finish acc [])
-  in
-  let infos = Array.of_list ordered in
+  finish root;
+  let roots = root.info.children in
+  let rec preorder acc info = Array.fold_left preorder (info :: acc) info.children in
+  let infos = Array.of_list (List.rev (Array.fold_left preorder [] roots)) in
+  Array.iteri (fun i info -> info.index <- i) infos;
   {
     table = Doc_store.name store;
     generation = Doc_store.generation store;
     doc_count = Doc_store.doc_count store;
     total_elements = Doc_store.total_elements store;
     total_bytes = Doc_store.total_bytes store;
-    ordered;
+    roots;
     infos;
-    trie = build_trie infos;
     matching_memo = Xia_xpath.Interner.Dense.create ();
   }
 
-(* Walks the trie; a label never interned is on no path. *)
-let find t path =
-  let rec go node = function
-    | [] -> if node.terminal >= 0 then Some t.infos.(node.terminal) else None
-    | label :: rest -> (
-        match Xia_xpath.Interner.find Xia_xpath.Interner.labels label with
-        | None -> None
-        | Some id -> (
-            match Array.find_index (Int.equal id) node.child_labels with
-            | None -> None
-            | Some i -> go node.child_nodes.(i) rest))
-  in
-  go t.trie path
+let iter f t = Array.iter f t.infos
 
-let iter f t = List.iter f t.ordered
-
-let fold f t init = List.fold_left (fun acc info -> f acc info) init t.ordered
+let fold f t init = Array.fold_left f init t.infos
 
 let path_count t = Array.length t.infos
-
-let all_paths t = List.map (fun info -> info.path) t.ordered
 
 (* Paths covered by a linear index pattern, via a single trie walk: the NFA
    state set advances once per shared label prefix instead of once per path,
    and a dead state set prunes the whole subtree.  Each label's match mask is
-   computed once per walk ([mask_memo]); matched terminal indices are sorted
-   so the result is in [ordered] order. *)
+   computed once per walk ([mask_memo]).  Children are visited in label
+   order, so the matches come out in [infos] order. *)
 let matching_walk t nfa =
   let desc = Xia_xpath.Nfa.desc_mask nfa in
   let mask_memo : (int, int) Hashtbl.t = Hashtbl.create 32 in
@@ -257,19 +227,15 @@ let matching_walk t nfa =
         m
   in
   let matched = ref [] in
-  let rec walk node set =
-    if node.terminal >= 0 && Xia_xpath.Nfa.accepting nfa set then
-      matched := node.terminal :: !matched;
-    Array.iteri
-      (fun i label_id ->
-        let set' = Xia_xpath.Nfa.advance_masks ~desc ~matches:(mask_of label_id) set in
-        if set' <> 0 then walk node.child_nodes.(i) set')
-      node.child_labels
+  let rec walk set info =
+    let set = Xia_xpath.Nfa.advance_masks ~desc ~matches:(mask_of info.label) set in
+    if set <> 0 then begin
+      if Xia_xpath.Nfa.accepting nfa set then matched := info :: !matched;
+      Array.iter (walk set) info.children
+    end
   in
-  walk t.trie Xia_xpath.Nfa.initial;
-  List.map
-    (fun i -> t.infos.(i))
-    (List.sort compare !matched)
+  Array.iter (walk Xia_xpath.Nfa.initial) t.roots;
+  List.rev !matched
 
 (* Memoized per interned pattern id, in a table indexed by the id.  The
    table lives in the stats object itself — stats are immutable once

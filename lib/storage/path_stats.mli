@@ -1,11 +1,15 @@
 (** Per-path data statistics for a table — the RUNSTATS equivalent.
 
     One {!path_info} per distinct rooted label path in the data (attribute
-    components spelled ["@name"]). *)
+    components spelled ["@name"]).  The entries are the nodes of the
+    dataguide trie: a path is its parent's path extended by one label. *)
 
 type path_info = {
-  path : string list;
-  path_key : string;  (** components joined with ["/"] *)
+  parent : path_info option;  (** [None] for a root element's path *)
+  label : int;  (** the last component, interned ({!Xia_xpath.Interner.label}) *)
+  mutable index : int;  (** position in {!t.infos}; set by {!collect} *)
+  mutable children : path_info array;
+      (** the paths one label longer, sorted by label; set by {!collect} *)
   mutable node_count : int;
   mutable doc_count : int;  (** documents containing the path *)
   mutable distinct_values : int;
@@ -19,34 +23,37 @@ type path_info = {
           has no (or a single) numeric value *)
 }
 
-(** Label trie over the dataguide, built at collection time; immutable. *)
-type trie
-
 type t = {
   table : string;
   generation : int;  (** store generation at collection time *)
   doc_count : int;
   total_elements : int;
   total_bytes : int;
-  ordered : path_info list;
-  infos : path_info array;  (** [ordered] as an array (same order) *)
-  trie : trie;
+  roots : path_info array;  (** the root elements' paths, sorted by label *)
+  infos : path_info array;
+      (** every path, the trie in preorder with siblings sorted by label:
+          lexicographic order of the label lists *)
   matching_memo : path_info list Xia_xpath.Interner.Dense.t;
       (** pattern id → covered paths; shared, read-mostly *)
 }
 
-val path_key : string list -> string
+(** The path's labels, root first, rebuilt from the parent chain. *)
+val path : path_info -> string list
+
+(** {!path} joined with ["/"]. *)
+val key : path_info -> string
+
+(** The number of labels in {!path}. *)
+val depth : path_info -> int
 
 (** Scan the whole table and collect statistics (RUNSTATS). *)
 val collect : Doc_store.t -> t
 
-val find : t -> string list -> path_info option
 val iter : (path_info -> unit) -> t -> unit
 val fold : ('a -> path_info -> 'a) -> t -> 'a -> 'a
 val path_count : t -> int
-val all_paths : t -> string list list
 
-(** Dataguide paths covered by an index pattern, in [ordered] order: a
+(** Dataguide paths covered by an index pattern, in [infos] order: a
     single trie walk advancing the pattern's NFA state set once per shared
     label prefix.  Memoized per pattern id. *)
 val matching : t -> Xia_xpath.Pattern.t -> path_info list

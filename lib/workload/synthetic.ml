@@ -11,12 +11,6 @@
 module Path_stats = Xia_storage.Path_stats
 module Xp = Xia_xpath.Ast
 
-(* Relative steps (below the document root element) of a dataguide path. *)
-let rel_components (info : Path_stats.path_info) =
-  match info.path with
-  | [] | [ _ ] -> None
-  | _root :: rest -> Some rest
-
 let step_of_component c =
   if String.length c > 0 && c.[0] = '@' then
     Xia_xpath.Ast.
@@ -56,25 +50,19 @@ let predicate_for rng (info : Path_stats.path_info) =
    (possibly blurred) random leaf-ish path. *)
 let random_query rng catalog table =
   let stats = Xia_index.Catalog.stats catalog table in
+  (* Paths with steps below the document root element. *)
   let eligible =
     List.filter
-      (fun (info : Path_stats.path_info) ->
-        match rel_components info with
-        | Some (_ :: _) -> true
-        | Some [] | None -> false)
-      stats.Path_stats.ordered
+      (fun info -> Path_stats.depth info >= 2)
+      (Array.to_list stats.Path_stats.infos)
   in
   match eligible with
   | [] -> None
   | _ ->
       let info = List.nth eligible (Random.State.int rng (List.length eligible)) in
-      let root =
+      let root, rel =
         (* lint: collected paths are never empty (root component always present) *)
-        match info.path with r :: _ -> r | [] -> assert false
-      in
-      let rel =
-        (* lint: eligible paths were filtered to those with relative components *)
-        match rel_components info with Some r -> r | None -> assert false
+        match Path_stats.path info with r :: rel -> (r, rel) | [] -> assert false
       in
       let rel_steps = blur rng (List.map step_of_component rel) in
       let cmp, lit = predicate_for rng info in

@@ -97,10 +97,6 @@ let nfa_of_id pid = Interner.Dense.find_or_compute nfas pid compile ()
 
 let nfa_of p = nfa_of_id (id p)
 
-let accepts_id pid label_path = Nfa.accepts (nfa_of_id pid) label_path
-
-let accepts p label_path = accepts_id (id p) label_path
-
 (* The coverage table: cell (general, specific) of a dense byte matrix. *)
 let coverage = Interner.Pairs.create ()
 

@@ -57,13 +57,6 @@ val nfa_of : t -> Nfa.t
 (** {!nfa_of} by interned id (as from {!id}): a hit allocates nothing. *)
 val nfa_of_id : int -> Nfa.t
 
-(** Does the pattern match this concrete rooted label path?  (Attributes are
-    labels spelled ["@name"].) *)
-val accepts : t -> string list -> bool
-
-(** {!accepts} by interned id. *)
-val accepts_id : int -> string list -> bool
-
 (** [covers ~general ~specific]: every node reachable by [specific] is
     reachable by [general], in any document.  Exact language containment;
     memoized. *)

@@ -33,7 +33,7 @@ let print_stats label catalog =
           Printf.printf
             "  %s nodes=%d docs=%d distinct=%d bytes=%d numeric=%d distinct_num=%d min=%h \
              max=%h"
-            p.path_key p.node_count p.doc_count p.distinct_values p.total_value_bytes
+            (Path_stats.key p) p.node_count p.doc_count p.distinct_values p.total_value_bytes
             p.numeric_count p.distinct_numeric p.min_num p.max_num;
           (match p.histogram with
           | None -> ()

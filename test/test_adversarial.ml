@@ -51,6 +51,22 @@ let deep_tests =
            2002; the bare chain's root is dead at once. *)
         Alcotest.(check (list int)) "pruned build" [ 2002 ] (ranks "/w/x");
         Alcotest.(check (list int)) "leaf ranks" [ 2001; 2000 ] (ranks "//leaf"));
+    tc "RUNSTATS allocation grows linearly with depth" (fun () ->
+        (* Words [Path_stats.collect] allocates over one chain; a per-path
+           copy of the labels above it would make this quadratic (4x per
+           doubling). *)
+        let words depth =
+          let store = Xia_storage.Doc_store.create "D" in
+          ignore (Xia_storage.Doc_store.insert store (deep_doc depth));
+          Gc.minor ();
+          let before = Gc.allocated_bytes () in
+          ignore (Xia_storage.Path_stats.collect store);
+          Gc.minor ();
+          Gc.allocated_bytes () -. before
+        in
+        let shallow = words 2000 and deep = words 4000 in
+        let ratio = deep /. shallow in
+        if ratio >= 2.5 then Alcotest.failf "depth 4000 allocates %.2fx depth 2000" ratio);
     tc "serialization round-trips deep documents" (fun () ->
         let doc = deep_doc 1000 in
         let doc' = Xia_xml.Parser.parse_exn (Xia_xml.Printer.to_string doc) in
@@ -84,7 +100,7 @@ let pattern_tests =
     tc "recursive-label pattern matches repeated tags" (fun () ->
         let p = Pat.of_string "/n//n//leaf" in
         Alcotest.(check bool) "deep" true
-          (Pat.accepts p (List.init 10 (fun _ -> "n") @ [ "leaf" ])));
+          (Xia_xpath.Nfa.accepts (Pat.nfa_of p) (List.init 10 (fun _ -> "n") @ [ "leaf" ])));
     tc "containment of many-branch patterns terminates quickly" (fun () ->
         let g = Pat.of_string "//a//b//c//d//e" in
         let s = Pat.of_string "/a/x/b/y/c/z/d/w/e" in

@@ -43,7 +43,7 @@ let coverage_tests =
     QCheck.Test.make ~count:300 ~name:"accepts by id = a fresh NFA"
       (QCheck.pair Helpers.pattern_arbitrary Helpers.label_path_arbitrary)
       (fun (p, path) ->
-        Bool.equal (Pattern.accepts_id (Pattern.id p) path) (Nfa.accepts (fresh_nfa p) path));
+        Bool.equal (Nfa.accepts (Pattern.nfa_of p) path) (Nfa.accepts (fresh_nfa p) path));
   ]
 
 (* ---------------- the same questions in shuffled orders ---------------- *)

@@ -15,13 +15,15 @@ module Enumeration = Xia_advisor.Enumeration
 
 let tc name f = Alcotest.test_case name `Quick f
 
-let keys infos = List.map (fun (i : Path_stats.path_info) -> i.Path_stats.path_key) infos
+let keys infos = List.map Path_stats.key infos
 
 (* ---------------- trie walk ≡ linear filter ---------------- *)
 
-(* The oracle: one full NFA run per dataguide path, in [ordered] order. *)
+(* The oracle: one full NFA run per dataguide path, in [infos] order. *)
 let matching_linear (t : Path_stats.t) pattern =
-  List.filter (fun (info : Path_stats.path_info) -> Pattern.accepts pattern info.path) t.ordered
+  List.filter
+    (fun info -> Xia_xpath.Nfa.accepts (Pattern.nfa_of pattern) (Path_stats.path info))
+    (Array.to_list t.infos)
 
 let stats_of_docs docs =
   let store = Doc_store.create "FUZZ" in

@@ -5,6 +5,9 @@ module PS = Xia_storage.Path_stats
 
 let tc name f = Alcotest.test_case name `Quick f
 
+(* The path whose key is [key], by a scan of every path. *)
+let find st key = PS.fold (fun found i -> if PS.key i = key then Some i else found) st None
+
 let store_with docs =
   let s = DS.create "T" in
   List.iter (fun d -> ignore (DS.insert s (Helpers.xml d))) docs;
@@ -75,7 +78,7 @@ let path_stats_tests =
   [
     tc "collect counts nodes per path" (fun () ->
         let st = stats_of [ "<a><b>1</b><b>2</b></a>"; "<a><b>3</b></a>" ] in
-        match PS.find st [ "a"; "b" ] with
+        match find st "a/b" with
         | Some info ->
             Alcotest.(check int) "nodes" 3 info.PS.node_count;
             Alcotest.(check int) "docs" 2 info.PS.doc_count;
@@ -83,12 +86,12 @@ let path_stats_tests =
         | None -> Alcotest.fail "path missing");
     tc "distinct values deduplicated" (fun () ->
         let st = stats_of [ "<a><b>x</b><b>x</b><b>y</b></a>" ] in
-        match PS.find st [ "a"; "b" ] with
+        match find st "a/b" with
         | Some info -> Alcotest.(check int) "distinct" 2 info.PS.distinct_values
         | None -> Alcotest.fail "path missing");
     tc "numeric stats" (fun () ->
         let st = stats_of [ "<a><v>1.5</v><v>4.5</v><v>nope</v></a>" ] in
-        match PS.find st [ "a"; "v" ] with
+        match find st "a/v" with
         | Some info ->
             Alcotest.(check int) "numeric" 2 info.PS.numeric_count;
             Alcotest.(check (float 0.001)) "min" 1.5 info.PS.min_num;
@@ -96,17 +99,17 @@ let path_stats_tests =
         | None -> Alcotest.fail "path missing");
     tc "attribute paths recorded" (fun () ->
         let st = stats_of [ {|<a id="1"><b k="2"/></a>|} ] in
-        Alcotest.(check bool) "a/@id" true (PS.find st [ "a"; "@id" ] <> None);
-        Alcotest.(check bool) "a/b/@k" true (PS.find st [ "a"; "b"; "@k" ] <> None));
+        Alcotest.(check bool) "a/@id" true (find st "a/@id" <> None);
+        Alcotest.(check bool) "a/b/@k" true (find st "a/b/@k" <> None));
     tc "dataguide size" (fun () ->
         let st = stats_of [ "<a><b/><c><d/></c></a>" ] in
         Alcotest.(check int) "paths" 4 (PS.path_count st);
-        Alcotest.(check int) "all_paths" 4 (List.length (PS.all_paths st)));
+        Alcotest.(check int) "fold" 4 (PS.fold (fun n _ -> n + 1) st 0));
     tc "find misses absent paths" (fun () ->
         let st = stats_of [ "<a><b/></a>" ] in
-        Alcotest.(check bool) "empty path" true (PS.find st [] = None);
-        Alcotest.(check bool) "unseen label" true (PS.find st [ "a"; "never-seen" ] = None);
-        Alcotest.(check bool) "too long" true (PS.find st [ "a"; "b"; "a" ] = None));
+        Alcotest.(check bool) "empty path" true (find st "" = None);
+        Alcotest.(check bool) "unseen label" true (find st "a/never-seen" = None);
+        Alcotest.(check bool) "too long" true (find st "a/b/a" = None));
     tc "doc-level aggregates" (fun () ->
         let st = stats_of [ "<a><b/></a>"; "<a/>" ] in
         Alcotest.(check int) "docs" 2 st.PS.doc_count;
@@ -125,14 +128,46 @@ let path_stats_tests =
         Alcotest.(check bool) "same" true (h1 == h2));
     tc "avg_value_bytes" (fun () ->
         let st = stats_of [ "<a><b>xx</b><b>yyyy</b></a>" ] in
-        match PS.find st [ "a"; "b" ] with
+        match find st "a/b" with
         | Some info -> Alcotest.(check (float 0.001)) "avg" 3.0 (PS.avg_value_bytes info)
         | None -> Alcotest.fail "path missing");
+    tc "siblings sort by label before their extensions" (fun () ->
+        let st = stats_of [ "<r><a-b/><a><x/></a><a.b/><a_b/></r>" ] in
+        let keys = List.map PS.key (Array.to_list st.PS.infos) in
+        Alcotest.(check (list string)) "label-list order"
+          [ "r"; "r/a"; "r/a/x"; "r/a-b"; "r/a.b"; "r/a_b" ] keys);
     tc "ordered is deterministic" (fun () ->
         let st = stats_of [ "<a><z/><m/><b/></a>" ] in
-        let keys = List.map (fun i -> i.PS.path_key) st.PS.ordered in
+        let keys = List.map PS.key (Array.to_list st.PS.infos) in
         Alcotest.(check (list string)) "sorted" [ "a"; "a/b"; "a/m"; "a/z" ] keys);
   ]
+
+(* Documents over labels that extend one another by a character sorting
+   below or above ['/'], with numeric and other values. *)
+let extending_doc_gen =
+  QCheck.Gen.(
+    let label = oneofl [ "a"; "a-b"; "a.b"; "a_b" ] in
+    let value = oneofl [ "1"; "2.5"; "-7"; "x"; "" ] in
+    let tree =
+      sized_size (int_range 1 20)
+        (fix (fun self n ->
+             map3
+               (fun tag attrs children -> Xia_xml.Types.element ~attrs tag children)
+               label
+               (list_size (int_range 0 2) (pair (oneofl [ "a"; "a-b" ]) value))
+               (if n <= 1 then map (fun v -> [ Xia_xml.Types.text v ]) value
+                else list_size (int_range 0 3) (self (n / 2)))))
+    in
+    map2 (fun tag children -> Xia_xml.Types.element tag children) label (list_size (int_range 1 3) tree))
+
+(* [collect] equals the naive oracle field by field, in the same order,
+   and each path sits at its own [index]. *)
+let oracle_agrees docs =
+  let s = DS.create "P" in
+  List.iter (fun d -> ignore (DS.insert s d)) docs;
+  let st = PS.collect s in
+  Path_stats_oracle.of_stats st = Path_stats_oracle.collect s
+  && Array.for_all (fun (i : PS.path_info) -> st.PS.infos.(i.index) == i) st.PS.infos
 
 let properties =
   [
@@ -151,31 +186,13 @@ let properties =
         total_from_stats = !total_walk);
     QCheck.Test.make ~count:200 ~name:"per-path stats equal an oracle recount"
       (QCheck.list_of_size (QCheck.Gen.int_range 1 6) Helpers.doc_arbitrary)
-      (fun docs ->
-        let s = DS.create "P" in
-        List.iter (fun d -> ignore (DS.insert s d)) docs;
-        let st = PS.collect s in
-        let collected =
-          List.map
-            (fun (i : PS.path_info) ->
-              ( i.path_key,
-                {
-                  Walk_oracle.nodes = i.node_count;
-                  docs = i.doc_count;
-                  distinct = i.distinct_values;
-                  numeric = i.numeric_count;
-                  distinct_numeric = i.distinct_numeric;
-                  min_num = i.min_num;
-                  max_num = i.max_num;
-                } ))
-            st.PS.ordered
-        in
-        collected = Walk_oracle.recount s
-        && PS.path_count st = List.length collected
-        && List.for_all
-             (fun (i : PS.path_info) ->
-               match PS.find st i.path with Some j -> j == i | None -> false)
-             st.PS.ordered);
+      oracle_agrees;
+    QCheck.Test.make ~count:200
+      ~name:"per-path stats equal an oracle recount over labels extending each other"
+      (QCheck.make
+         ~print:(fun ds -> String.concat "\n" (List.map Xia_xml.Printer.to_string ds))
+         QCheck.Gen.(list_size (int_range 1 6) extending_doc_gen))
+      oracle_agrees;
     QCheck.Test.make ~count:100 ~name:"doc_count per path never exceeds table docs"
       (QCheck.list_of_size (QCheck.Gen.int_range 1 5) Helpers.doc_arbitrary)
       (fun docs ->

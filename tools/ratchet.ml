@@ -147,7 +147,7 @@ let produce domain exe scratch =
   let args, rows =
     match domain with
     | "bench" | "wall" ->
-      ( [ "quick"; "scale10k"; "scale10k-raw"; "walk"; "executor"; "whatif";
+      ( [ "quick"; "scale10k"; "scale10k-raw"; "walk"; "shapes"; "executor"; "whatif";
           "candidates"; "read"; "lint" ],
         bench_rows domain )
     | "eval" ->
