@@ -624,8 +624,10 @@ let take_minor_words () =
 (* Runs [pass] twice with observability off and records the minor words of
    the second run: the first fills the process-wide label, pattern,
    coverage and statistics tables, so the count depends on neither the
-   exhibits run before nor the clock, and the bench ratchet holds it.
-   Returns both results. *)
+   exhibits run before nor the clock, and the bench ratchet holds it.  That
+   also needs the pass's allocation not to depend on the values of interned
+   ids, which depend on what earlier exhibits interned first
+   ([Benefit.fingerprint]).  Returns both results. *)
 let second_pass name pass =
   let span = name ^ ".pass" in
   Obs.with_enabled false (fun () ->
@@ -821,8 +823,8 @@ let read () =
 
 (* The whole-program lint of the lib/ sources next to the executable's
    directory (the build tree's copy, where the lint.self_check tests find
-   them) in a [second_pass]: parsing, the call graph, effect summaries, the
-   dataflow fixpoints and the walk of every root.  It lints the relative
+   them) in a [second_pass]: parsing, the call graph, the site walk,
+   effect summaries and every check.  It lints the relative
    path "lib" from that directory, so the minor words depend on the
    sources alone, not on where the checkout is; they move with every edit
    to lib/, so the bench ratchet holds them within a factor, not with a

@@ -274,50 +274,9 @@ let build units_in =
 
 (* -------------------------------------------------- the transitive engine -- *)
 
-(* Every transitive fact of the analyzer is one of two queries over an edge
-   set the caller picks (resolved calls, uncaught calls, inverted calls).
-
-   [fixpoint ~succ ~join local] is the least solution of
-   [fact n = local n ⊔ fact c] over every [c] in [succ n], computed on
-   demand and memoized.  One Tarjan pass: the members of a strongly
-   connected component share the join of their local facts and of the
-   facts of the components they call, so recursion needs no iteration.
-   [join] must be a semilattice join (associative, commutative,
-   idempotent). *)
-let fixpoint ~succ ~join local =
-  let fact = Hashtbl.create 64 and low = Hashtbl.create 64 in
-  let stack = ref [] and counter = ref 0 in
-  let rec visit n =
-    let k = key n and index = !counter in
-    incr counter;
-    Hashtbl.replace low k index;
-    let own = ref (local n) in
-    stack := (k, own) :: !stack;
-    List.iter
-      (fun c ->
-        let ck = key c in
-        if not (Hashtbl.mem low ck) then visit c;
-        match Hashtbl.find_opt fact ck with
-        | Some f -> own := join !own f
-        | None -> Hashtbl.replace low k (min (Hashtbl.find low k) (Hashtbl.find low ck)))
-      (succ n);
-    if Hashtbl.find low k = index then begin
-      let rec split members = function
-        | ((k', _) as top) :: rest when k' = k -> (top :: members, rest)
-        | top :: rest -> split (top :: members) rest
-        | [] -> (members, [])
-      in
-      let members, rest = split [] !stack in
-      stack := rest;
-      let f = List.fold_left (fun acc (_, o) -> join acc !o) !own members in
-      List.iter (fun (k', _) -> Hashtbl.replace fact k' f) members
-    end
-  in
-  fun n ->
-    if not (Hashtbl.mem low (key n)) then visit n;
-    Hashtbl.find fact (key n)
-
-(* [reach ~succ ~cut root]: every node a depth-first walk from [root]
+(* Every transitive fact of the analyzer is one query over an edge set the
+   caller picks (resolved calls, or those calls inverted).
+   [reach ~succ ~cut root]: every node a depth-first walk from [root]
    enters, in entry order, each with its trail — the nodes from [root]
    down to the one it was entered from ([] for the root).  Callees are
    taken in key order, and the walk never enters a node where [cut]

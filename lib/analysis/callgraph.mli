@@ -61,16 +61,9 @@ val resolve : t -> unit_info -> string list -> node list
 
 (** {1 The transitive engine}
 
-    Every transitive fact of the analyzer is a query over an edge set the
-    caller picks — resolved calls ({!Sites.calls}), calls in uncaught
-    positions, or calls inverted into caller edges. *)
-
-(** [fixpoint ~succ ~join local] is the least solution of
-    [fact n = local n ⊔ fact c] over every [c] in [succ n], computed on
-    demand (one Tarjan pass per strongly connected component) and
-    memoized.  [join] must be associative, commutative and idempotent. *)
-val fixpoint :
-  succ:(node -> node list) -> join:('a -> 'a -> 'a) -> (node -> 'a) -> node -> 'a
+    Every transitive fact of the analyzer is a {!reach} query over an
+    edge set the caller picks — resolved calls ({!Sites.calls}) or those
+    calls inverted into caller edges. *)
 
 (** [reach ~succ ~cut root]: every node a depth-first walk from [root]
     enters, in entry order, each with its trail — the nodes from [root]

@@ -2,13 +2,13 @@
    single source of truth for IDs and titles.
 
    Unit-local checks (this file): D001 folds over one compilation unit's
-   module-level bindings, the call graph's nodes; D002, D004, H002 and
-   R003 read every site of the unit from the one [Sites] walk, bindings
-   or not; H001 is filesystem-level.  Whole-program checks: N001 and E001 (below) read the
-   local witnesses of each binding's [Effects] summary; D003 and E002 are
+   module-level bindings, the call graph's nodes, and X001 over each such
+   binding's sites; D002, D004, H002 and R003 read every site of the unit
+   from the one [Sites] walk, bindings or not; H001 is filesystem-level.
+   Whole-program checks: N001 and E001 (below) read the local witnesses
+   of each binding's [Effects] summary; D003 and E002 are
    [Callgraph.reach] queries over [Sites.calls] — backwards from each
-   mutator site, forwards from the batch roots.  X001 lives in
-   [Dataflow].
+   mutator site, forwards from the batch roots.
 
    Identifier references are matched on [Longident] paths after module-alias
    expansion through the graph — full name resolution (functors,
@@ -120,6 +120,104 @@ let check_sites ~notes ~d004 sites =
           | _ -> None)
       | _ -> None)
     sites
+
+(* ---------------------------------------------------------------- X001 -- *)
+
+(* X001 is one syntactic idiom, not a dataflow analysis (DESIGN.md §5k).  A
+   save is [let v = Atomic.get x] or [let v = !x]; it is judged only when
+   the same binding restores it somewhere ([Atomic.set x v] / [x := v]),
+   and then its [let] body must be exactly: assignments of an identifier
+   or a constant to [x], then [Fun.protect ~finally:(fun () -> <that
+   restore>) body] with [body] an identifier or a literal function.
+   Nothing in that shape can raise before the finalizer is in place, and
+   the finalizer does nothing but restore.  Any other shape is a finding
+   at the save binding, even one that happens to be exception-safe. *)
+
+let x001_message what v =
+  Printf.sprintf
+    "saved state %s (bound as %s) is not restored on some exceptional path; \
+     perform the restore in a Fun.protect ~finally"
+    what v
+
+let rec strip e =
+  match e.pexp_desc with Pexp_constraint (e, _) | Pexp_coerce (e, _, _) -> strip e | _ -> e
+
+(* [f path args] of an application of an identifier. *)
+let applied f e =
+  match (strip e).pexp_desc with
+  | Pexp_apply ({ pexp_desc = Pexp_ident lid; _ }, args) -> f (Longident.flatten lid.txt) args
+  | _ -> None
+
+(* [Atomic.get x] / [!x]: the target and the read as written. *)
+let save path args =
+  match Option.bind (Effects.first_nolabel args) Effects.sym with
+  | Some x when has_suffix ~suffix:[ "Atomic"; "get" ] path -> Some (x, "Atomic.get " ^ x)
+  | Some x when path = [ "!" ] || path = [ "Stdlib"; "!" ] -> Some (x, "!" ^ x)
+  | _ -> None
+
+(* [Atomic.set x e] / [x := e]: the target and [e]. *)
+let assignment path args =
+  if has_suffix ~suffix:[ "Atomic"; "set" ] path || path = [ ":=" ] || path = [ "Stdlib"; ":=" ]
+  then
+    match Effects.nolabel_args args with
+    | [ target; value ] -> Option.map (fun x -> (x, strip value)) (Effects.sym target)
+    | _ -> None
+  else None
+
+(* An assignment of a variable: the restore of a save bound to it. *)
+let restore path args =
+  match assignment path args with
+  | Some (x, { pexp_desc = Pexp_ident { txt = Longident.Lident v; _ }; _ }) -> Some (x, v)
+  | _ -> None
+
+(* Is the [let] body of the save of [x] bound as [v] the guarded shape? *)
+let rec guarded x v e =
+  match e.pexp_desc with
+  | Pexp_sequence (a, rest) -> (
+      match applied assignment a with
+      | Some (y, { pexp_desc = Pexp_ident _ | Pexp_constant _ | Pexp_construct (_, None); _ }) ->
+          String.equal y x && guarded x v rest
+      | _ -> false)
+  | Pexp_apply ({ pexp_desc = Pexp_ident lid; _ }, ([ _; _ ] as args))
+    when has_suffix ~suffix:[ "Fun"; "protect" ] (Longident.flatten lid.txt) -> (
+      match
+        (List.assoc_opt (Asttypes.Labelled "finally") args, List.assoc_opt Asttypes.Nolabel args)
+      with
+      | Some finally, Some body -> (
+          (match (strip finally).pexp_desc with
+          | Pexp_fun (Asttypes.Nolabel, None, _, r) -> applied restore r = Some (x, v)
+          | _ -> false)
+          &&
+          match (strip body).pexp_desc with
+          | Pexp_ident _ | Pexp_fun _ | Pexp_function _ -> true
+          | _ -> false)
+      | _ -> false)
+  | _ -> false
+
+let check_x001 sites nodes =
+  List.concat_map
+    (fun n ->
+      let own = Sites.node_sites sites n in
+      let restores =
+        List.filter_map
+          (fun (s : Sites.site) ->
+            match s.kind with Apply ({ path; _ }, args) -> restore path args | _ -> None)
+          own
+      in
+      List.filter_map
+        (fun (s : Sites.site) ->
+          match s.kind with
+          | Let (p, rhs, body) -> (
+              match (Callgraph.var_of_pattern p, applied save rhs) with
+              | Some v, Some (x, what)
+                when List.mem (x, v) restores
+                     && (not (Option.fold ~none:false ~some:(guarded x v) body))
+                     && not (Sites.active s "X001" || Effects.allow "X001" rhs.pexp_attributes) ->
+                  Some (Finding.of_location ~id:"X001" ~message:(x001_message what v) s.loc)
+              | _ -> None)
+          | _ -> None)
+        own)
+    nodes
 
 (* ---------------------------------------------------------------- D003 -- *)
 
@@ -319,9 +417,12 @@ let missing_mli ~mls ~mlis =
    [missing_mli]; the rest of the catalog is whole-program. *)
 let check_unit sites (u : Callgraph.unit_info) =
   let notes = Suppress.lint_note_lines u.source in
+  let nodes =
+    List.filter (fun (n : Callgraph.node) -> n.u == u) (Callgraph.nodes (Sites.graph sites))
+  in
   List.sort Finding.compare
-    (check_d001 (Sites.mutable_fields sites u)
-       (List.filter (fun (n : Callgraph.node) -> n.u == u) (Callgraph.nodes (Sites.graph sites)))
+    (check_d001 (Sites.mutable_fields sites u) nodes
+    @ check_x001 sites nodes
     @ check_sites ~notes ~d004:(d004_applies u.path) (Sites.unit_sites sites u))
 
 (* ------------------------------------------------------ check catalog -- *)

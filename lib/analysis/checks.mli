@@ -11,6 +11,10 @@
     - [H002] [failwith]/[assert false] without a [(* lint: reason *)] note.
     - [R003] non-atomic read-modify-write:
       [Atomic.set x (... Atomic.get x ...)].
+    - [X001] a save ([let v = Atomic.get x] / [let v = !x]) that the same
+      binding restores ([Atomic.set x v] / [x := v]), not in the one
+      exception-safe shape: assignments of identifiers or constants to
+      [x], then [Fun.protect ~finally:(fun () -> <the restore>) body].
 
     Whole-program checks (interprocedural, queries over the {!Effects}
     summaries and the call lists of {!Sites} on the cross-unit graph):
@@ -24,19 +28,16 @@
     - [E002] shared-state writes reachable from the virtual-config batch
       path.
 
-    The flow-sensitive check — [X001] skipped restore — is a forward
-    may-analysis by an intraprocedural walk of the parsetree, documented
-    in {!Dataflow} and DESIGN.md §5k.
-
     Identifier references are matched on [Longident] paths after
     module-alias expansion through the graph; a reference a local binder
     of the same binding shadows is no call edge, but full name resolution
     (functors, first-class modules, local modules) is out of scope.
     Suppress intentional sites with [\[@lint.allow "ID"\]]. *)
 
-(** Run every unit-local check (D001, D002, D004, H002, R003) on one
-    compilation unit: D001 over its module-level bindings, the rest over
-    every site of the unit ({!Sites.unit_sites}).  The unit's source text
+(** Run every unit-local check (D001, D002, D004, H002, R003, X001) on
+    one compilation unit: D001 over its module-level bindings, X001 over
+    each such binding's sites, the rest over every site of the unit
+    ({!Sites.unit_sites}).  The unit's source text
     honors [(* lint: reason *)] notes; its path selects D004
     applicability.  Attribute suppressions are already applied. *)
 val check_unit : Sites.t -> Callgraph.unit_info -> Finding.t list

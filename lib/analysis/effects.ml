@@ -315,7 +315,7 @@ let summarize t (n : Callgraph.node) =
   List.iter
     (fun (s : Sites.site) ->
       match s.kind with
-      | Let (x, rhs) -> (
+      | Let ({ ppat_desc = Ppat_var { txt = x; _ }; _ }, rhs, _) -> (
           match d001_hits mutable_fields [] rhs with
           | (_, what) :: _ -> Hashtbl.replace locals x what
           | [] -> ())

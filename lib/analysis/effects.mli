@@ -37,7 +37,7 @@ val summary : t -> Callgraph.node -> summary
 
 (** {1 Shared syntactic classifiers}
 
-    Used by {!Checks} and {!Dataflow}; they live here, once, so the whole
+    Used by {!Checks}; they live here, once, so the whole
     analysis stack agrees on what counts as mutable state and which
     expression names which target. *)
 

@@ -31,10 +31,9 @@ let parse_structure ~filename source =
   | e -> Error { path = filename; message = Printexc.to_string e }
 
 (* Every parsetree-level finding of a program, all read off one site walk
-   of the shared graph: the unit-local checks per unit, then the
-   whole-program checks (D003, N001, E001 and E002) over one
-   effect-inference pass, then the flow-sensitive X001 over the same
-   sites. *)
+   of the shared graph: the unit-local checks per unit (X001 included),
+   then the whole-program checks (D003, N001, E001 and E002) over one
+   effect-inference pass. *)
 let program_findings graph =
   let sites = Sites.build graph in
   let eff = Effects.analyze sites in
@@ -43,7 +42,6 @@ let program_findings graph =
   @ Checks.check_n001_program sites eff
   @ Checks.check_e001_program sites eff
   @ Checks.check_e002_program sites eff
-  @ Dataflow.check sites
 
 let lint_source ~filename source =
   match parse_structure ~filename source with

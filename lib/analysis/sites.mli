@@ -3,13 +3,12 @@
 
     The walk visits every expression of a unit once — call-graph nodes,
     functor bodies and toplevel [;;] expressions alike — and records the
-    syntactic sites the checks classify, each with its context: the
-    enclosing binding, the enclosing closures and the [\[@lint.allow\]]
-    IDs active there.  Every identifier is resolved through the
-    {!Callgraph} here; a binding's resolved references that no local
-    binder shadows are its call list ({!calls}), the one edge set of the
-    call graph.  {!Effects} folds a binding's sites into its summary;
-    {!Checks} and {!Dataflow} read them.  See DESIGN.md §5c. *)
+    syntactic sites the checks classify, each with the
+    [\[@lint.allow\]] IDs active there.  Every identifier is resolved
+    through the {!Callgraph} here; a binding's resolved references that
+    no local binder shadows are its call list ({!calls}), the one edge
+    set of the call graph.  {!Effects} folds a binding's sites into its
+    summary; {!Checks} reads them.  See DESIGN.md §5c. *)
 
 (** A resolved identifier.  [shadowed] holds when a variable some pattern
     of the same binding binds has this (single-component) name. *)
@@ -24,10 +23,10 @@ type kind =
   | Ref of ident  (** every identifier, applied or not *)
   | Apply of ident * (Asttypes.arg_label * Parsetree.expression) list
       (** an identifier applied to arguments; the head is also a [Ref] *)
-  | Computed_apply  (** an application whose head is not an identifier *)
   | Binder of string  (** a variable a pattern binds *)
-  | Let of string * Parsetree.expression
-      (** [let x = e] (a variable pattern and its right-hand side) *)
+  | Let of Parsetree.pattern * Parsetree.expression * Parsetree.expression option
+      (** a value binding: its pattern, its right-hand side and, in
+          [let p = e in body], the body *)
   | Setfield of Parsetree.expression * string * Parsetree.expression
       (** [base.f <- value] *)
   | Assert of Parsetree.expression  (** [assert e] *)
@@ -35,19 +34,9 @@ type kind =
 type site = {
   loc : Location.t;
   kind : kind;
-  binding : Callgraph.node option;
-      (** the enclosing call-graph node; [None] in a toplevel [;;]
-          expression, a functor body or a class *)
-  closures : Parsetree.expression list;
-      (** enclosing [fun]/[function]/[lazy]/[newtype] expressions,
-          innermost first *)
   allow : string list list;
       (** [\[@lint.allow\]] IDs of the enclosing expressions and value
           bindings, innermost first *)
-  uncaught : bool;
-      (** evaluated by the binding itself (outside any closure, default
-          argument, or [try] body with a catch-all handler), so an
-          exception raised here escapes the binding *)
 }
 
 type t
@@ -73,18 +62,6 @@ val mutable_fields : t -> Callgraph.unit_info -> (string, unit) Hashtbl.t
 
 (** Is the check ID among the site's active [\[@lint.allow\]] IDs? *)
 val active : site -> string -> bool
-
-(** The variables the [Binder] sites among these bind. *)
-val binders : site list -> (string, unit) Hashtbl.t
-
-(** Is the site inside this literal closure (through type constraints)? *)
-val inside : Parsetree.expression -> site -> bool
-
-(** Does the pattern match every value? *)
-val catch_all_pat : Parsetree.pattern -> bool
-
-(** A [try] case that catches every exception. *)
-val catch_all_case : Parsetree.case -> bool
 
 (** Apply [f] to every immediate child expression, in syntactic order. *)
 val iter_child_exprs : (Parsetree.expression -> unit) -> Parsetree.expression -> unit

@@ -236,10 +236,14 @@ let maintenance_charge t (config : Candidate.t list) =
 
 (* Fingerprint of a sub-configuration: the sorted array of its members'
    interned logical ids.  Equal configurations (up to order and index names)
-   get equal fingerprints; no string is built or hashed. *)
+   get equal fingerprints; no string is built or hashed.  [Array.sort]'s
+   heap sort allocates an exception for some sift-downs, how many depends
+   on the ids' relative order, and that order is the order in which the
+   process first interned each definition; the merge sort's allocation
+   depends on the length alone. *)
 let fingerprint (sub : Candidate.t list) =
   let arr = Array.of_list (List.map (fun (c : Candidate.t) -> c.def.lid) sub) in
-  Array.sort compare arr;
+  Array.stable_sort compare arr;
   arr
 
 (* Per-statement what-if costs of [stmts] (indices into the workload, in the

@@ -1,4 +1,4 @@
-(* Exception-safety fixture: one finding of the flow-sensitive check. *)
+(* Exception-safety fixture: one X001, a save restored outside Fun.protect. *)
 
 let flag = Atomic.make false
 

@@ -335,8 +335,8 @@ let self_check_tests =
           "no findings" []
           (List.map Finding.to_string report.findings));
     tc "repo lib/ is R-clean without any suppression" (fun () ->
-        (* The race checks pass on lib/ on their own merits: no attribute
-           hides an R-series finding. *)
+        (* R003 passes on lib/ on its own merits: no attribute hides an
+           R-series finding. *)
         let report = Lazy.force lib_report in
         Alcotest.(check (list string))
           "no R-series findings" []
@@ -346,17 +346,16 @@ let self_check_tests =
                  Some (Finding.to_string f)
                else None)
              report.findings));
-    tc "repo lib/ is L/X-clean without any suppression" (fun () ->
-        (* Same bar for the flow-sensitive checks: every lock region and
-           save/restore in lib/ is exception-safe on its own merits — no
-           attribute hides an L/X-series finding. *)
+    tc "repo lib/ is X-clean without any suppression" (fun () ->
+        (* Same bar for X001: every save/restore in lib/ restores in a
+           Fun.protect finalizer on its own merits — no attribute hides an
+           X-series finding. *)
         let report = Lazy.force lib_report in
         Alcotest.(check (list string))
-          "no L/X-series findings" []
+          "no X-series findings" []
           (List.filter_map
              (fun (f : Finding.t) ->
-               if String.length f.id > 0 && (f.id.[0] = 'L' || f.id.[0] = 'X')
-               then Some (Finding.to_string f)
+               if String.length f.id > 0 && f.id.[0] = 'X' then Some (Finding.to_string f)
                else None)
              report.findings));
     tc "injected D001 violation fails the full pipeline" (fun () ->
@@ -522,14 +521,46 @@ let x001_tests =
           \  depth := saved + 1;\n\
           \  let r = f () in\n\
           \  depth := saved;\n\
-          \  r\n");
+          \  r\n";
+        (* A may-raise call between the save and the Fun.protect. *)
+        check_ids "call before the protect"
+          [ (3, "X001") ]
+          "let depth = ref 0 [@@lint.allow \"D001\"]\n\
+           let deeper g f =\n\
+          \  let saved = !depth in\n\
+          \  depth := 1;\n\
+          \  g ();\n\
+          \  Fun.protect ~finally:(fun () -> depth := saved) f\n");
     tc "restore inside Fun.protect ~finally discharges" (fun () ->
         check_ids "clean" []
           "let flag = Atomic.make false\n\
            let with_flag f =\n\
           \  let saved = Atomic.get flag in\n\
           \  Atomic.set flag true;\n\
-          \  Fun.protect ~finally:(fun () -> Atomic.set flag saved) f\n");
+          \  Fun.protect ~finally:(fun () -> Atomic.set flag saved) f\n";
+        check_ids "ref restored in the finalizer" []
+          "let depth = ref 0 [@@lint.allow \"D001\"]\n\
+           let deeper f =\n\
+          \  let saved = !depth in\n\
+          \  depth := 1;\n\
+          \  Fun.protect (fun () -> f saved) ~finally:(fun () -> depth := saved)\n";
+        (* Only a finalizer that does nothing but the restore discharges:
+           a call before the restore, or an opaque finalizer, does not. *)
+        check_ids "finalizer calls before the restore"
+          [ (3, "X001") ]
+          "let flag = Atomic.make false\n\
+           let with_flag log f =\n\
+          \  let saved = Atomic.get flag in\n\
+          \  Atomic.set flag true;\n\
+          \  Fun.protect ~finally:(fun () -> log (); Atomic.set flag saved) f\n";
+        check_ids "opaque finalizer"
+          [ (3, "X001") ]
+          "let flag = Atomic.make false\n\
+           let with_flag f =\n\
+          \  let saved = Atomic.get flag in\n\
+          \  let restore_fn () = Atomic.set flag saved in\n\
+          \  Atomic.set flag true;\n\
+          \  Fun.protect ~finally:restore_fn f\n");
     tc "a read with no matching restore is not a save" (fun () ->
         check_ids "clean" []
           "let flag = Atomic.make false\n\
@@ -556,7 +587,10 @@ let x001_tests =
           \    ~finally:(fun () -> g (fun () -> let saved = Atomic.get flag in f (); Atomic.set flag saved))\n\
           \    (fun () -> ())\n");
     tc "only total primitives between save and restore" (fun () ->
-        check_ids "clean" []
+        (* Flagged: only the Fun.protect shape discharges a save, even
+           where nothing between it and the restore can raise. *)
+        check_ids "flagged"
+          [ (4, "X001") ]
           "let flag = Atomic.make false\n\
            let n = Atomic.make 0\n\
            let bump () =\n\
@@ -564,7 +598,9 @@ let x001_tests =
           \  Atomic.incr n;\n\
           \  Atomic.set flag saved\n");
     tc "catch-all try absorbs the exceptional path" (fun () ->
-        check_ids "clean" []
+        (* Flagged: a catch-all [try] is not the Fun.protect shape. *)
+        check_ids "flagged"
+          [ (3, "X001") ]
           "let flag = Atomic.make false\n\
            let run f =\n\
           \  let saved = Atomic.get flag in\n\
@@ -613,14 +649,9 @@ let dataflow_fixture_tests =
 (* ------------------------------------- qcheck: the transitive engine -- *)
 
 (* A random call graph over bindings f0..f(n-1), rendered to source and
-   linked by the real resolver: each body calls its successors.  [marks]
-   seed the boolean fixpoint, [cuts] the reach query from [root]. *)
-type rgraph = {
-  edges : int list array;
-  marks : bool array;
-  cuts : bool array;
-  root : int;
-}
+   linked by the real resolver: each body calls its successors.  [cuts]
+   cut the reach query from [root]. *)
+type rgraph = { edges : int list array; cuts : bool array; root : int }
 
 let rgraph_gen =
   QCheck.Gen.(
@@ -628,9 +659,8 @@ let rgraph_gen =
     let node = int_bound (size - 1) in
     let per_node g = array_size (return size) g in
     per_node (list_size (int_bound 3) node) >>= fun edges ->
-    per_node bool >>= fun marks ->
     per_node (frequency [ (1, return true); (3, return false) ]) >>= fun cuts ->
-    map (fun root -> { edges; marks; cuts; root }) node)
+    map (fun root -> { edges; cuts; root }) node)
 
 let render_graph g =
   String.concat ""
@@ -668,30 +698,8 @@ let closure ?(cut = fun _ -> false) g i =
   visit i;
   List.filter (fun j -> seen.(j)) (List.init (Array.length seen) Fun.id)
 
-let union a b = List.sort_uniq compare (a @ b)
-
 let engine_qcheck_tests =
   [
-    QCheck_alcotest.to_alcotest
-      (QCheck.Test.make ~name:"fixpoint with || and with union equals DFS closure"
-         ~count:300 rgraph_arbitrary (fun g ->
-           let graph = build_graph g in
-           let succ = succs graph in
-           let any_mark =
-             Callgraph.fixpoint ~succ ~join:( || ) (fun n -> g.marks.(node_index n))
-           in
-           let reached = Callgraph.fixpoint ~succ ~join:union (fun n -> [ node_index n ]) in
-           let ids = List.init (Array.length g.edges) Fun.id in
-           (* Query in opposite orders so the two tables fill from different
-              entry points. *)
-           List.for_all
-             (fun i ->
-               any_mark (graph_node graph i)
-               = List.exists (fun j -> g.marks.(j)) (closure g i))
-             ids
-           && List.for_all
-                (fun i -> reached (graph_node graph i) = closure g i)
-                (List.rev ids)));
     QCheck_alcotest.to_alcotest
       (QCheck.Test.make
          ~name:"reach enters exactly the uncut reachable nodes along real call paths"
@@ -716,19 +724,16 @@ let engine_qcheck_tests =
                   && not (List.exists cut (trail @ [ n ])))
                 found));
     QCheck_alcotest.to_alcotest
-      (QCheck.Test.make ~name:"fixpoint and reach are deterministic across runs"
+      (QCheck.Test.make ~name:"reach is deterministic across runs"
          ~count:300 rgraph_arbitrary (fun g ->
            let run () =
              let graph = build_graph g in
-             let succ = succs graph in
-             let reached = Callgraph.fixpoint ~succ ~join:union (fun n -> [ node_index n ]) in
              let names = List.map (fun (n : Callgraph.node) -> n.name) in
-             ( List.map (fun n -> reached n) (Callgraph.nodes graph),
-               List.map
-                 (fun (n, trail) -> names (trail @ [ n ]))
-                 (Callgraph.reach ~succ
-                    ~cut:(fun n -> g.cuts.(node_index n))
-                    (graph_node graph g.root)) )
+             List.map
+               (fun (n, trail) -> names (trail @ [ n ]))
+               (Callgraph.reach ~succ:(succs graph)
+                  ~cut:(fun n -> g.cuts.(node_index n))
+                  (graph_node graph g.root))
            in
            run () = run ()));
   ]
