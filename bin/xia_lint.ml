@@ -4,9 +4,8 @@
 
    Lints every .ml under the given paths (default: lib) as one program: the
    whole library set is parsed once, a cross-unit call graph is built from
-   it, every binding's effect witnesses are summarized
-   (Xia_analysis.Effects), and the check catalog in Xia_analysis.Checks
-   runs over the shared graph and summaries.  --callgraph prints the graph
+   it and walked once into a site table (Xia_analysis.Sites), and the
+   check catalog in Xia_analysis.Checks classifies those sites.  --callgraph prints the graph
    as Graphviz DOT instead of linting.  Each check's rationale is in DESIGN.md §5c/§5f/§5h/§5k.
    A finding is suppressed only in the source: [@lint.allow "ID"] at the
    site (or [@@lint.allow "ID"] on an enclosing binding), or, for H002, a

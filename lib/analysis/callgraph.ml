@@ -247,7 +247,7 @@ let build units_in =
   let lib_dir = Hashtbl.create 16 in
   let aliases = Hashtbl.create 64 in
   let opens = Hashtbl.create 64 in
-  let all_nodes = ref [] in
+  let unit_nodes = ref [] in
   List.iter
     (fun u ->
       Hashtbl.replace by_dir_mod (u.dir, u.modname) u;
@@ -257,7 +257,7 @@ let build units_in =
       Hashtbl.replace aliases u.path als;
       Hashtbl.replace opens u.path ops;
       List.iter (fun n -> Hashtbl.replace node_tbl (key n) n) ns;
-      all_nodes := !all_nodes @ ns)
+      unit_nodes := ns :: !unit_nodes)
     units;
   let dirs = List.sort_uniq String.compare (List.map (fun u -> u.dir) units) in
   List.iter
@@ -270,7 +270,10 @@ let build units_in =
           | None -> ()))
     dirs;
   let resolved = Hashtbl.create 1024 in
-  { units; node_tbl; node_list = !all_nodes; by_dir_mod; by_mod; lib_dir; aliases; opens; resolved }
+  {
+    units; node_tbl; node_list = List.concat (List.rev !unit_nodes); by_dir_mod; by_mod;
+    lib_dir; aliases; opens; resolved;
+  }
 
 (* -------------------------------------------------- the transitive engine -- *)
 

@@ -1,14 +1,17 @@
 (* The check catalog.  Every check has a stable ID; [catalog] below is the
-   single source of truth for IDs and titles.
+   single source of truth for IDs and titles.  Every check reads the sites
+   of the one [Sites] walk and classifies them itself: the tables that say
+   what a site *is* (allocators, IO sinks, mutators, order sources) sit
+   next to the check that uses them.
 
-   Unit-local checks (this file): D001 folds over one compilation unit's
-   module-level bindings, the call graph's nodes, and X001 over each such
-   binding's sites; D002, D004, H002 and R003 read every site of the unit
-   from the one [Sites] walk, bindings or not; H001 is filesystem-level.
-   Whole-program checks: N001 and E001 (below) read the local witnesses
-   of each binding's [Effects] summary; D003 and E002 are
-   [Callgraph.reach] queries over [Sites.calls] — backwards from each
-   mutator site, forwards from the batch roots.
+   Unit-local checks ([check_unit]): D001 folds over one compilation
+   unit's module-level bindings, the call graph's nodes; X001, E001 and
+   N001 read each such binding's own sites; D002, D004, H002 and R003
+   read every site of the unit, bindings or not; H001 is
+   filesystem-level.  Whole-program checks ([check_program]): D003 and
+   E002 are [Callgraph.reach] queries over [Sites.calls] — backwards from
+   each mutator site, forwards from the batch roots — that classify the
+   own sites of every binding they enter.
 
    Identifier references are matched on [Longident] paths after module-alias
    expansion through the graph — full name resolution (functors,
@@ -28,14 +31,162 @@ let io_modules = [ "persist" ]
 (* Binding names whose transitive call closure E002 polices. *)
 let batch_roots = [ "optimize_batch"; "optimize_prepared"; "optimize_costs" ]
 
-let has_suffix = Effects.has_suffix
+(* ------------------------------------------------ syntactic helpers -- *)
+
+let allow id attrs = List.mem id (Suppress.allow_ids attrs)
+
+(* Is [suffix] a component suffix of [path] ([["Atomic"; "get"]] of
+   [["Stdlib"; "Atomic"; "get"]])? *)
+let has_suffix ~suffix path =
+  let rec strip k l = if k <= 0 then Some l else match l with [] -> None | _ :: t -> strip (k - 1) t in
+  match strip (List.length path - List.length suffix) path with
+  | Some tail -> List.equal String.equal tail suffix
+  | None -> false
+
+(* The first of [suffixes] that [path] ends with, as a dotted name. *)
+let suffix_name suffixes path =
+  Option.map (String.concat ".") (List.find_opt (fun suffix -> has_suffix ~suffix path) suffixes)
+
+(* [Module.fn] when the path ends in a member of [table]: (module, fns). *)
+let member_of table path =
+  match List.rev path with
+  | f :: m :: _ ->
+      List.find_map
+        (fun (m', fns) -> if String.equal m m' && List.mem f fns then Some (m ^ "." ^ f) else None)
+        table
+  | _ -> None
+
+let nolabel_args args =
+  List.filter_map
+    (fun (label, (a : expression)) ->
+      match label with Asttypes.Nolabel -> Some a | _ -> None)
+    args
+
+(* The subject of a call: its first unlabeled argument ([x := v]'s
+   target, [Atomic.get x]'s atomic). *)
+let first_nolabel args = match nolabel_args args with a :: _ -> Some a | [] -> None
+
+(* Symbolic identity of an atomic/target expression: dotted ident or
+   field path ("enabled", "t.memo"); [None] when the expression has no
+   stable name (array cells, call results). *)
+let rec sym (e : expression) =
+  match e.pexp_desc with
+  | Pexp_ident lid -> Some (String.concat "." (Longident.flatten lid.txt))
+  | Pexp_field (b, lid) -> (
+      match sym b with
+      | Some s -> (
+          match List.rev (Longident.flatten lid.txt) with
+          | f :: _ -> Some (s ^ "." ^ f)
+          | [] -> None)
+      | None -> None)
+  | Pexp_constraint (e, _) | Pexp_coerce (e, _, _) | Pexp_open (_, e) -> sym e
+  | _ -> None
+
+(* Does [e] or some subexpression satisfy [p]?  Stops descending at the
+   first hit. *)
+let rec exists_expr p (e : expression) =
+  p e
+  ||
+  let found = ref false in
+  Sites.iter_child_exprs (fun c -> if not !found then found := exists_expr p c) e;
+  !found
+
+let in_dir d path = List.mem d (String.split_on_char '/' path)
 
 (* ---------------------------------------------------------------- D001 -- *)
 
-(* The D001 state classifiers ([d001_hits], the allocator/wrapper tables)
-   live in [Effects]: the effect pass and this check must agree on what
-   counts as raw mutable state.  The unit's mutable field names come from
-   the site walk, its module-level bindings from the call graph's nodes. *)
+(* A binding whose right-hand side evaluates to one of these at module
+   initialization is shared mutable state. *)
+let flagged_allocators =
+  [
+    [ "Hashtbl"; "create" ]; [ "Buffer"; "create" ]; [ "Queue"; "create" ];
+    [ "Stack"; "create" ]; [ "Weak"; "create" ]; [ "Dynarray"; "create" ];
+    [ "Bytes"; "create" ]; [ "Bytes"; "make" ]; [ "Array"; "make" ];
+    [ "Array"; "create_float" ]; [ "Array"; "init" ]; [ "Array"; "make_matrix" ];
+  ]
+
+(* Does this expression evaluate to a function?  Walks through the wrappers
+   a closure definition commonly sits under. *)
+let rec returns_closure (e : expression) =
+  match e.pexp_desc with
+  | Pexp_fun _ | Pexp_function _ | Pexp_newtype _ -> true
+  | Pexp_constraint (e, _) | Pexp_coerce (e, _, _) | Pexp_open (_, e)
+  | Pexp_letmodule (_, _, e) | Pexp_letexception (_, e) | Pexp_let (_, _, e)
+  | Pexp_sequence (_, e) ->
+      returns_closure e
+  | Pexp_ifthenelse (_, t, Some f) -> returns_closure t || returns_closure f
+  | _ -> false
+
+(* Classify an expression as raw shared mutable state: every (location,
+   allocator) pair found descending through the wrappers that merely
+   surround an initializer and through data constructors whose payload
+   would still be reachable shared state.  E002 uses the same classifier
+   for a binding's raw mutable locals. *)
+let rec d001_hits mutable_fields acc (e : expression) =
+  if allow "D001" e.pexp_attributes then acc
+  else
+    match e.pexp_desc with
+    (* Deferred allocation: a fresh value per call, not shared state. *)
+    | Pexp_fun _ | Pexp_function _ | Pexp_newtype _ | Pexp_lazy _ -> acc
+    | Pexp_constraint (e, _) | Pexp_coerce (e, _, _) | Pexp_open (_, e)
+    | Pexp_letmodule (_, _, e) | Pexp_letexception (_, e) ->
+        d001_hits mutable_fields acc e
+    | Pexp_let (_, vbs, body) ->
+        (* A memoizing closure — [let memo = ref None in fun () -> ...] — is
+           toplevel shared state with extra steps: the closure outlives the
+           binding and every caller shares the captured allocation.  Scan the
+           let-in bindings whenever the whole expression evaluates to a
+           function; a let-in whose body is a plain value ran once at init
+           and its locals are unreachable afterwards. *)
+        let acc =
+          if returns_closure body then
+            List.fold_left
+              (fun acc (vb : value_binding) ->
+                if allow "D001" vb.pvb_attributes then acc
+                else d001_hits mutable_fields acc vb.pvb_expr)
+              acc vbs
+          else acc
+        in
+        d001_hits mutable_fields acc body
+    | Pexp_sequence (_, e2) -> d001_hits mutable_fields acc e2
+    | Pexp_ifthenelse (_, t, f) ->
+        let acc = d001_hits mutable_fields acc t in
+        Option.fold ~none:acc ~some:(d001_hits mutable_fields acc) f
+    | Pexp_tuple es -> List.fold_left (d001_hits mutable_fields) acc es
+    | Pexp_construct (_, Some e) | Pexp_variant (_, Some e) ->
+        d001_hits mutable_fields acc e
+    | Pexp_apply ({ pexp_desc = Pexp_ident lid; _ }, _) ->
+        (* A call's arguments are not descended: only its own result can be
+           the shared allocation. *)
+        let path = Longident.flatten lid.txt in
+        if List.equal String.equal path [ "ref" ]
+                || List.equal String.equal path [ "Stdlib"; "ref" ]
+        then (e.pexp_loc, "ref") :: acc
+        else (
+          match suffix_name flagged_allocators path with
+          | Some name -> (e.pexp_loc, name) :: acc
+          | None -> acc)
+    | Pexp_record (fields, base) ->
+        let mutable_labels =
+          List.filter_map
+            (fun ((lid : Longident.t Location.loc), _) ->
+              match List.rev (Longident.flatten lid.txt) with
+              | last :: _ when Hashtbl.mem mutable_fields last -> Some last
+              | _ -> None)
+            fields
+        in
+        if mutable_labels <> [] then
+          ( e.pexp_loc,
+            Printf.sprintf "record literal with mutable field %s"
+              (String.concat ", " mutable_labels) )
+          :: acc
+        else
+          let acc =
+            List.fold_left (fun acc (_, fe) -> d001_hits mutable_fields acc fe) acc fields
+          in
+          Option.fold ~none:acc ~some:(d001_hits mutable_fields acc) base
+    | Pexp_array _ -> (e.pexp_loc, "array literal") :: acc
+    | _ -> acc
 
 let d001_message what =
   Printf.sprintf
@@ -45,15 +196,17 @@ let d001_message what =
     what
 
 (* Only module-level bindings (nested modules included); allocation
-   inside a function body is per-call and fine. *)
+   inside a function body is per-call and fine.  The unit's mutable field
+   names come from the site walk, its module-level bindings from the call
+   graph's nodes. *)
 let check_d001 mutable_fields nodes =
   List.concat_map
     (fun (n : Callgraph.node) ->
-      if Effects.allow "D001" n.attrs || List.mem "D001" n.allow then []
+      if allow "D001" n.attrs || List.mem "D001" n.allow then []
       else
         List.map
           (fun (loc, what) -> Finding.of_location ~id:"D001" ~message:(d001_message what) loc)
-          (Effects.d001_hits mutable_fields [] n.expr))
+          (d001_hits mutable_fields [] n.expr))
     nodes
 
 (* ------------------------------------------- D002, D004, H002 & R003 -- *)
@@ -70,9 +223,7 @@ let d004_message =
 (* D004 applies to library code only: any path with a [lib] component that is
    not under the obs directory.  bin/, bench/ and test/ may read the clock
    directly — they are leaves, not instrumented library surface. *)
-let d004_applies filename =
-  let components = String.split_on_char '/' filename in
-  List.mem "lib" components && not (List.mem "obs" components)
+let d004_applies path = in_dir "lib" path && not (in_dir "obs" path)
 
 let h002_message what =
   Printf.sprintf "%s without a (* lint: reason *) note explaining why it cannot happen" what
@@ -91,7 +242,7 @@ let atomic_get_of target (e : expression) =
   match e.pexp_desc with
   | Pexp_apply ({ pexp_desc = Pexp_ident lid; _ }, args)
     when has_suffix ~suffix:[ "Atomic"; "get" ] (Longident.flatten lid.txt) ->
-      Option.bind (Effects.first_nolabel args) Effects.sym = Some target
+      Option.bind (first_nolabel args) sym = Some target
   | _ -> false
 
 (* D002, D004, H002 and R003 read every site of the unit, bindings or
@@ -115,8 +266,8 @@ let check_sites ~notes ~d004 sites =
           h002 "assert false"
       | Apply ({ path; _ }, (Asttypes.Nolabel, target) :: (Asttypes.Nolabel, value) :: _)
         when has_suffix ~suffix:[ "Atomic"; "set" ] path -> (
-          match Effects.sym target with
-          | Some x when Effects.exists_expr (atomic_get_of x) value -> fire "R003" (r003_message x)
+          match sym target with
+          | Some x when exists_expr (atomic_get_of x) value -> fire "R003" (r003_message x)
           | _ -> None)
       | _ -> None)
     sites
@@ -150,7 +301,7 @@ let applied f e =
 
 (* [Atomic.get x] / [!x]: the target and the read as written. *)
 let save path args =
-  match Option.bind (Effects.first_nolabel args) Effects.sym with
+  match Option.bind (first_nolabel args) sym with
   | Some x when has_suffix ~suffix:[ "Atomic"; "get" ] path -> Some (x, "Atomic.get " ^ x)
   | Some x when path = [ "!" ] || path = [ "Stdlib"; "!" ] -> Some (x, "!" ^ x)
   | _ -> None
@@ -159,8 +310,8 @@ let save path args =
 let assignment path args =
   if has_suffix ~suffix:[ "Atomic"; "set" ] path || path = [ ":=" ] || path = [ "Stdlib"; ":=" ]
   then
-    match Effects.nolabel_args args with
-    | [ target; value ] -> Option.map (fun x -> (x, strip value)) (Effects.sym target)
+    match nolabel_args args with
+    | [ target; value ] -> Option.map (fun x -> (x, strip value)) (sym target)
     | _ -> None
   else None
 
@@ -194,46 +345,205 @@ let rec guarded x v e =
       | _ -> false)
   | _ -> false
 
-let check_x001 sites nodes =
-  List.concat_map
-    (fun n ->
-      let own = Sites.node_sites sites n in
-      let restores =
-        List.filter_map
-          (fun (s : Sites.site) ->
-            match s.kind with Apply ({ path; _ }, args) -> restore path args | _ -> None)
-          own
-      in
-      List.filter_map
-        (fun (s : Sites.site) ->
-          match s.kind with
-          | Let (p, rhs, body) -> (
-              match (Callgraph.var_of_pattern p, applied save rhs) with
-              | Some v, Some (x, what)
-                when List.mem (x, v) restores
-                     && (not (Option.fold ~none:false ~some:(guarded x v) body))
-                     && not (Sites.active s "X001" || Effects.allow "X001" rhs.pexp_attributes) ->
-                  Some (Finding.of_location ~id:"X001" ~message:(x001_message what v) s.loc)
-              | _ -> None)
+(* X001 over one binding's own sites. *)
+let check_x001 own =
+  let restores =
+    List.filter_map
+      (fun (s : Sites.site) ->
+        match s.kind with Apply ({ path; _ }, args) -> restore path args | _ -> None)
+      own
+  in
+  List.filter_map
+    (fun (s : Sites.site) ->
+      match s.kind with
+      | Let (p, rhs, body) -> (
+          match (Callgraph.var_of_pattern p, applied save rhs) with
+          | Some v, Some (x, what)
+            when List.mem (x, v) restores
+                 && (not (Option.fold ~none:false ~some:(guarded x v) body))
+                 && not (Sites.active s "X001" || allow "X001" rhs.pexp_attributes) ->
+              Some (Finding.of_location ~id:"X001" ~message:(x001_message what v) s.loc)
           | _ -> None)
-        own)
-    nodes
+      | _ -> None)
+    own
+
+(* --------------------------------------------------------- E001 & N001 -- *)
+
+(* Unambiguous IO sinks.  [sprintf]/[asprintf] build strings and are pure;
+   [fprintf] is excluded because a pp function cannot know whether its
+   formatter argument reaches a real channel. *)
+let io_single_idents =
+  [
+    "print_string"; "print_endline"; "print_newline"; "print_char"; "print_int";
+    "print_float"; "print_bytes"; "prerr_string"; "prerr_endline"; "prerr_newline";
+    "prerr_char"; "prerr_int"; "prerr_float"; "prerr_bytes"; "read_line"; "read_int";
+    "read_int_opt"; "read_float"; "read_float_opt"; "output_string"; "output_bytes";
+    "output_char"; "output_byte"; "output_value"; "output_binary_int"; "open_in";
+    "open_in_bin"; "open_in_gen"; "open_out"; "open_out_bin"; "open_out_gen";
+    "close_in"; "close_in_noerr"; "close_out"; "close_out_noerr"; "input_line";
+    "input_char"; "input_byte"; "input_value"; "really_input_string"; "input";
+    "in_channel_length"; "out_channel_length"; "flush"; "flush_all";
+    "stdin"; "stdout"; "stderr";
+  ]
+
+let io_suffixes =
+  [
+    [ "Printf"; "printf" ]; [ "Printf"; "eprintf" ];
+    [ "Format"; "printf" ]; [ "Format"; "eprintf" ];
+    [ "Format"; "std_formatter" ]; [ "Format"; "err_formatter" ];
+    [ "Sys"; "command" ]; [ "Sys"; "remove" ]; [ "Sys"; "rename" ];
+    [ "Sys"; "mkdir" ]; [ "Sys"; "rmdir" ]; [ "Sys"; "readdir" ];
+    [ "Sys"; "chdir" ]; [ "Sys"; "getcwd" ]; [ "Sys"; "is_directory" ];
+    [ "Sys"; "file_exists" ];
+    [ "Unix"; "openfile" ]; [ "Unix"; "read" ]; [ "Unix"; "write" ];
+    [ "Unix"; "close" ]; [ "Unix"; "system" ]; [ "Unix"; "mkdir" ];
+    [ "Unix"; "unlink" ]; [ "Unix"; "rename" ]; [ "Unix"; "stat" ];
+  ]
+
+let io_of_path path =
+  match path with
+  | [ x ] | [ "Stdlib"; x ] when List.mem x io_single_idents -> Some x
+  | _ -> (
+      match (suffix_name io_suffixes path, List.rev path) with
+      | Some name, _ -> Some name
+      | None, f :: m :: _ when String.equal m "In_channel" || String.equal m "Out_channel" ->
+          Some (m ^ "." ^ f)
+      | None, _ -> None)
+
+let e001_message what =
+  Printf.sprintf
+    "IO effect (%s) in library code outside lib/obs and the persistence \
+     boundary: route output through Xia_obs.Obs and file traffic through the \
+     sanctioned IO modules, or lift the channel to the caller"
+    what
+
+(* E001 applies in lib/ outside the sanctioned surfaces: lib/obs owns
+   logging, lib/analysis is the linter itself (it reads the source tree it
+   checks), and [io_modules] names the persistence boundary. *)
+let e001_applies (u : Callgraph.unit_info) =
+  in_dir "lib" u.path
+  && (not (in_dir "obs" u.path))
+  && (not (in_dir "analysis" u.path))
+  && not (List.mem u.basename io_modules)
+
+(* E001 over one binding's own sites: an unshadowed reference to an IO
+   builtin.  Only a reference no project binding answers to is
+   classified: a sibling binding that shares a builtin's name (an [input]
+   helper, say) is not the builtin. *)
+let check_e001 own =
+  List.filter_map
+    (fun (s : Sites.site) ->
+      match s.kind with
+      | Ref id when (not id.shadowed) && id.targets = [] && not (Sites.active s "E001") ->
+          Option.map
+            (fun what -> Finding.of_location ~id:"E001" ~message:(e001_message what) s.loc)
+            (io_of_path id.path)
+      | _ -> None)
+    own
+
+(* Iteration entry points whose callback observes container order. *)
+let order_sources =
+  [ [ "Hashtbl"; "fold" ]; [ "Hashtbl"; "iter" ]; [ "Queue"; "fold" ]; [ "Queue"; "iter" ] ]
+
+let sort_suffixes =
+  [
+    [ "List"; "sort" ]; [ "List"; "sort_uniq" ]; [ "List"; "stable_sort" ];
+    [ "List"; "fast_sort" ]; [ "Array"; "sort" ]; [ "Array"; "stable_sort" ];
+  ]
+
+let rec is_closure (e : expression) =
+  match e.pexp_desc with
+  | Pexp_fun _ | Pexp_function _ | Pexp_newtype _ -> true
+  | Pexp_constraint (e, _) | Pexp_coerce (e, _, _) -> is_closure e
+  | _ -> false
+
+(* Does this closure body build a list (cons, append, rev_append)? *)
+let builds_list =
+  exists_expr (fun e ->
+      match e.pexp_desc with
+      | Pexp_construct ({ txt = Longident.Lident "::"; _ }, Some _) -> true
+      | Pexp_ident { txt = Longident.Lident "@"; _ } -> true
+      | Pexp_ident lid ->
+          suffix_name
+            [ [ "List"; "rev_append" ]; [ "List"; "append" ]; [ "List"; "cons" ]; [ "Seq"; "cons" ] ]
+            (Longident.flatten lid.txt)
+          <> None
+      | _ -> false)
+
+let n001_message what =
+  Printf.sprintf
+    "%s builds a list in hash iteration order with no canonicalizing sort in \
+     the same binding; the unspecified order escapes into the result — sort \
+     it (List.sort) before it leaves the function"
+    what
+
+(* N001 over one binding's own sites: an order-dependent fold whose
+   literal closure builds a list, in a binding that never sorts — the
+   iteration order leaks into a value the advise path may return or
+   cache.  Library-scoped: bin/ and bench/ print for humans and may keep
+   hash order. *)
+let check_n001 own =
+  let sorts (s : Sites.site) =
+    match s.kind with
+    | Ref { path; _ } -> List.exists (fun suffix -> has_suffix ~suffix path) sort_suffixes
+    | _ -> false
+  in
+  let hits =
+    List.filter_map
+      (fun (s : Sites.site) ->
+        match s.kind with
+        | Apply ({ path; _ }, args) when not (Sites.active s "N001") -> (
+            match suffix_name order_sources path with
+            | Some what -> (
+                match List.find_opt (fun (l, a) -> l = Asttypes.Nolabel && is_closure a) args with
+                | Some (_, c) when builds_list c ->
+                    Some (Finding.of_location ~id:"N001" ~message:(n001_message what) s.loc)
+                | _ -> None)
+            | None -> None)
+        | _ -> None)
+      own
+  in
+  if hits = [] || List.exists sorts own then [] else hits
 
 (* ---------------------------------------------------------------- D003 -- *)
+
+(* Mutation entry points of the shared catalog/store API (D003's site set).
+   [warm_stats] is deliberately absent: an evaluator calls it when it is
+   built, to bind its statements to the statistics current then. *)
+let mutator_of_path =
+  member_of
+    [
+      ( "Catalog",
+        [
+          "add_table"; "create_index"; "drop_index"; "drop_all_indexes";
+          "refresh_indexes"; "runstats"; "runstats_all";
+        ] );
+      ("Doc_store", [ "insert"; "delete"; "replace"; "update" ]);
+    ]
+
+(* A binding's unsuppressed, unshadowed mutator references, alias-expanded
+   ([Catalog.runstats], [Xia_index.Catalog.runstats], or any local alias
+   of either). *)
+let mutations own =
+  List.filter_map
+    (fun (s : Sites.site) ->
+      match s.kind with
+      | Ref id when (not id.shadowed) && not (Sites.active s "D003") ->
+          Option.map (fun m -> (s.loc, m)) (mutator_of_path id.expanded)
+      | _ -> None)
+    own
 
 (* Whole-program D003: a catalog/store mutator site — in any unit — fires
    when some binding of a what-if module can reach it through the
    cross-unit call graph: a reverse [Callgraph.reach] from the site's host
    over caller edges (the inverted [Sites.calls]), with no cut — a mutex
-   does not make a what-if mutation acceptable.  [Effects] matches mutator
-   paths after alias expansion ([Catalog.runstats],
-   [Xia_index.Catalog.runstats], or any local alias of either), so the
-   check polices the catalog/store API boundary; mutation smuggled through
-   an unqualified internal helper of the mutated module itself is out of
-   reach (DESIGN.md §5f).  The message lists every binding the reverse
-   walk enters, the host included, qualified with the unit module name
-   when it lives in another unit. *)
-let check_d003_program sites eff =
+   does not make a what-if mutation acceptable.  The check polices the
+   catalog/store API boundary; mutation smuggled through an unqualified
+   internal helper of the mutated module itself is out of reach (DESIGN.md
+   §5f).  The message lists every binding the reverse walk enters, the
+   host included, qualified with the unit module name when it lives in
+   another unit. *)
+let check_d003 sites =
   let is_whatif (r : Callgraph.node) = List.mem r.u.basename whatif_modules in
   let callers = Hashtbl.create 256 in
   let callers_of c = Option.value ~default:[] (Hashtbl.find_opt callers (Callgraph.key c)) in
@@ -246,7 +556,7 @@ let check_d003_program sites eff =
     nodes;
   List.concat_map
     (fun (n : Callgraph.node) ->
-      match (Effects.summary eff n).mutations with
+      match mutations (Sites.node_sites sites n) with
       | [] -> []
       | witnesses ->
           let hosts =
@@ -264,70 +574,102 @@ let check_d003_program sites eff =
               |> List.sort String.compare
             in
             List.map
-              (fun (s : Effects.witness) ->
+              (fun (loc, what) ->
                 let message =
                   Printf.sprintf
                     "catalog/store mutation %s on a what-if evaluation path (in %s, \
                      reachable from: %s); what-if evaluation must not mutate shared \
                      state — pass ?virtual_config instead"
-                    s.s_what n.name (String.concat ", " entries)
+                    what n.name (String.concat ", " entries)
                 in
-                Finding.of_location ~id:"D003" ~message s.s_loc)
+                Finding.of_location ~id:"D003" ~message loc)
               witnesses)
     nodes
 
-(* --------------------------------------------------------- N001 & E-series -- *)
+(* ---------------------------------------------------------------- E002 -- *)
 
-let in_dir d path = List.mem d (String.split_on_char '/' path)
+(* Container mutators applied to a subject argument. *)
+let container_mutator_of_path =
+  member_of
+    [
+      ("Hashtbl", [ "add"; "replace"; "remove"; "reset"; "clear"; "filter_map_inplace" ]);
+      ("Queue", [ "add"; "push"; "pop"; "take"; "clear"; "transfer" ]);
+      ("Stack", [ "push"; "pop"; "clear" ]);
+      ( "Buffer",
+        [
+          "add_string"; "add_char"; "add_bytes"; "add_buffer"; "add_substring";
+          "add_subbytes"; "clear"; "reset"; "truncate";
+        ] );
+      ("Array", [ "set"; "unsafe_set"; "fill"; "blit" ]);
+      ("Bytes", [ "set"; "unsafe_set"; "fill"; "blit" ]);
+      ("Dynarray", [ "add_last"; "append"; "clear"; "set"; "remove_last" ]);
+    ]
 
-(* The unsuppressed local witnesses of every node [applies] to, as
-   findings. *)
-let local_findings sites ~id ~message ~applies witnesses =
-  List.concat_map
-    (fun (n : Callgraph.node) ->
-      if not (applies n) then []
-      else
-        List.filter_map
-          (fun (s : Effects.witness) ->
-            if s.s_suppressed then None
-            else Some (Finding.of_location ~id ~message:(message s.s_what) s.s_loc))
-          (witnesses n))
-    (Callgraph.nodes (Sites.graph sites))
+(* Mutators whose *element* comes first and the container second
+   ([Queue.add x q], [Stack.push x s]): their subject is the second
+   positional argument. *)
+let element_first_mutators = [ "Queue.add"; "Queue.push"; "Stack.push" ]
 
-let n001_message what =
-  Printf.sprintf
-    "%s builds a list in hash iteration order with no canonicalizing sort in \
-     the same binding; the unspecified order escapes into the result — sort \
-     it (List.sort) before it leaves the function"
-    what
+let rec head_ident_name (e : expression) =
+  match e.pexp_desc with
+  | Pexp_ident { txt = Longident.Lident x; _ } -> Some x
+  | Pexp_field (b, _) -> head_ident_name b
+  | Pexp_constraint (e, _) | Pexp_coerce (e, _, _) | Pexp_open (_, e) -> head_ident_name e
+  | _ -> None
 
-(* N001: an order-dependent fold in library code whose literal closure
-   builds a list and whose binding never sorts — the iteration order leaks
-   into a value the advise path may return or cache.  Library-scoped: bin/
-   and bench/ print for humans and may keep hash order. *)
-let check_n001_program sites eff =
-  local_findings sites ~id:"N001" ~message:n001_message
-    ~applies:(fun n -> in_dir "lib" n.u.path)
-    (fun n -> (Effects.summary eff n).order)
-
-let e001_message what =
-  Printf.sprintf
-    "IO effect (%s) in library code outside lib/obs and the persistence \
-     boundary: route output through Xia_obs.Obs and file traffic through the \
-     sanctioned IO modules, or lift the channel to the caller"
-    what
-
-(* E001: IO in lib/ outside the sanctioned surfaces.  lib/obs owns logging,
-   lib/analysis is the linter itself (it reads the source tree it checks),
-   and [io_modules] names the persistence boundary. *)
-let check_e001_program sites eff =
-  local_findings sites ~id:"E001" ~message:e001_message
-    ~applies:(fun n ->
-      in_dir "lib" n.u.path
-      && (not (in_dir "obs" n.u.path))
-      && (not (in_dir "analysis" n.u.path))
-      && not (List.mem n.u.basename io_modules))
-    (fun n -> (Effects.summary eff n).io)
+(* A binding's unsuppressed writes to shared state: assignments, counter
+   updates, container mutators and mutable-field writes whose target is
+   not one of the binding's raw mutable locals.  A local is any name the
+   binding let-binds to a [d001_hits] allocation, wherever: a name in
+   this table that an inner expression uses without binding it itself
+   must come from an enclosing scope, and the only enclosing definition
+   the analysis knows of is the raw one.  Atomic operations are never
+   writes here. *)
+let shared_writes sites (n : Callgraph.node) =
+  let own = Sites.node_sites sites n in
+  let mutable_fields = Sites.mutable_fields sites n.u in
+  let locals = Hashtbl.create 8 in
+  List.iter
+    (fun (s : Sites.site) ->
+      match s.kind with
+      | Let ({ ppat_desc = Ppat_var { txt = x; _ }; _ }, rhs, _) ->
+          if d001_hits mutable_fields [] rhs <> [] then Hashtbl.replace locals x ()
+      | _ -> ())
+    own;
+  let write target describe =
+    match Option.bind target head_ident_name with
+    | Some x when Hashtbl.mem locals x -> None
+    | _ -> Some (describe (Option.bind target sym))
+  in
+  let named fmt anon = function Some x -> Printf.sprintf fmt x | None -> anon in
+  List.filter_map
+    (fun (s : Sites.site) ->
+      let what =
+        match s.kind with
+        | Apply ({ path = [ ":=" ] | [ "Stdlib"; ":=" ]; _ }, args) ->
+            write (first_nolabel args) (named "assignment to %s" "ref assignment")
+        | Apply ({ path = [ ("incr" | "decr") ] | [ "Stdlib"; ("incr" | "decr") ]; _ }, args) ->
+            write (first_nolabel args) (named "counter update of %s" "counter update")
+        | Apply ({ path; _ }, args) -> (
+            match container_mutator_of_path path with
+            | Some m ->
+                let target =
+                  if List.mem m element_first_mutators then
+                    match nolabel_args args with _ :: a :: _ -> Some a | _ -> None
+                  else first_nolabel args
+                in
+                write target (function Some x -> Printf.sprintf "%s on %s" m x | None -> m)
+            | None -> None)
+        | Setfield (base, f, _) ->
+            write (Some base) (function
+              | Some x -> Printf.sprintf "mutable-field write %s.%s" x f
+              | None -> Printf.sprintf "mutable-field write .%s" f)
+        | _ -> None
+      in
+      match what with
+      | Some what when not (Sites.active s "E002") -> Some (s.loc, what)
+      | _ -> None)
+    own
 
 let e002_message what root via =
   Printf.sprintf
@@ -339,16 +681,15 @@ let e002_message what root via =
     (match via with [] -> "" | _ -> " via " ^ String.concat " -> " via)
 
 (* E002: a [Callgraph.reach] from every [batch_roots] binding (the
-   virtual-config what-if path) over the resolved calls, flagging raw
-   shared-state writes with the trail that led to their host (host
-   excluded).  Cuts: [warm_stats] and the optimizer's [prepare] (which
-   binds a statement to the statistics warmed before it) are the
-   sanctioned binding points, lib/obs is instrumentation, and the
+   virtual-config what-if path) over the resolved calls, flagging the
+   shared-state writes of every binding it enters with the trail that led
+   there (host excluded).  Cuts: [warm_stats] and the optimizer's
+   [prepare] (which binds a statement to the statistics warmed before it)
+   are the sanctioned binding points, lib/obs is instrumentation, and the
    [interner] module's tables hand out identities and memoize pure
    functions, so a write there never changes a result.  The root itself
-   is never cut.  Atomic writes never produce witnesses in the first
-   place. *)
-let check_e002_program sites eff =
+   is never cut.  A site two roots reach is reported once. *)
+let check_e002 sites =
   let sanctioned (m : Callgraph.node) =
     String.equal m.name "warm_stats"
     || (String.equal m.name "prepare" && String.equal m.u.basename "optimizer")
@@ -357,14 +698,13 @@ let check_e002_program sites eff =
   in
   let emitted = Hashtbl.create 16 in
   let findings = ref [] in
-  let emit root via (s : Effects.witness) =
-    let p = s.s_loc.Location.loc_start in
+  let emit root via ((loc : Location.t), what) =
+    let p = loc.loc_start in
     let dedup = (p.Lexing.pos_fname, p.Lexing.pos_lnum, p.Lexing.pos_cnum) in
-    if (not s.s_suppressed) && not (Hashtbl.mem emitted dedup) then begin
+    if not (Hashtbl.mem emitted dedup) then begin
       Hashtbl.replace emitted dedup ();
       findings :=
-        Finding.of_location ~id:"E002" ~message:(e002_message s.s_what root via) s.s_loc
-        :: !findings
+        Finding.of_location ~id:"E002" ~message:(e002_message what root via) loc :: !findings
     end
   in
   let roots =
@@ -378,7 +718,7 @@ let check_e002_program sites eff =
       List.iter
         (fun ((m : Callgraph.node), trail) ->
           let via = List.map (fun (v : Callgraph.node) -> v.name) trail in
-          List.iter (emit root.name via) (Effects.summary eff m).writes)
+          List.iter (emit root.name via) (shared_writes sites m))
         (Callgraph.reach ~succ:(Sites.calls sites) ~cut root))
     roots;
   List.rev !findings
@@ -414,16 +754,25 @@ let missing_mli ~mls ~mlis =
 
 (* Unit-local checks for one compilation unit.  The raw source text
    carries the lint-note comments; H001 is filesystem-level and lives in
-   [missing_mli]; the rest of the catalog is whole-program. *)
+   [missing_mli]; D003 and E002 are whole-program. *)
 let check_unit sites (u : Callgraph.unit_info) =
   let notes = Suppress.lint_note_lines u.source in
   let nodes =
     List.filter (fun (n : Callgraph.node) -> n.u == u) (Callgraph.nodes (Sites.graph sites))
   in
+  let e001 = e001_applies u and n001 = in_dir "lib" u.path in
+  let per_binding n =
+    let own = Sites.node_sites sites n in
+    check_x001 own
+    @ (if e001 then check_e001 own else [])
+    @ if n001 then check_n001 own else []
+  in
   List.sort Finding.compare
     (check_d001 (Sites.mutable_fields sites u) nodes
-    @ check_x001 sites nodes
+    @ List.concat_map per_binding nodes
     @ check_sites ~notes ~d004:(d004_applies u.path) (Sites.unit_sites sites u))
+
+let check_program sites = check_d003 sites @ check_e002 sites
 
 (* ------------------------------------------------------ check catalog -- *)
 

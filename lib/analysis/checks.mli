@@ -1,6 +1,7 @@
 (** The check catalog.
 
-    Unit-local checks (one compilation unit's sites, {!Sites.unit_sites}):
+    Unit-local checks (one compilation unit's sites, {!Sites.unit_sites},
+    or one binding's, {!Sites.node_sites}):
 
     - [D001] module-toplevel mutable state: it outlives one advise session
       and leaks between evaluators.
@@ -15,18 +16,24 @@
       binding restores ([Atomic.set x v] / [x := v]), not in the one
       exception-safe shape: assignments of identifiers or constants to
       [x], then [Fun.protect ~finally:(fun () -> <the restore>) body].
+    - [E001] IO effects in [lib/] outside the sanctioned surfaces
+      ([lib/obs], [lib/analysis] and the persistence boundary,
+      [persist]).
+    - [N001] hash iteration order escaping into a returned/cached result in
+      [lib/]: an order-dependent fold whose literal closure builds a list,
+      with no canonicalizing sort in the same binding.
 
-    Whole-program checks (interprocedural, queries over the {!Effects}
-    summaries and the call lists of {!Sites} on the cross-unit graph):
+    Whole-program checks (interprocedural, {!Callgraph.reach} queries
+    over the call lists of {!Sites} on the cross-unit graph):
 
     - [D003] catalog/store mutation transitively reachable — across
-      compilation units — from a binding of a what-if evaluation module:
-      what-if evaluation never mutates the catalog.
-    - [N001] hash iteration order escaping into a returned/cached result in
-      [lib/].
-    - [E001] IO effects in [lib/] outside the sanctioned surfaces.
-    - [E002] shared-state writes reachable from the virtual-config batch
-      path.
+      compilation units — from a binding of a what-if evaluation module
+      ([benefit], [optimizer]): what-if evaluation never mutates the
+      catalog.
+    - [E002] shared-state writes in the transitive call closure of
+      [optimize_batch], [optimize_prepared] and [optimize_costs] bindings,
+      beyond the sanctioned [warm_stats]/optimizer [prepare], [lib/obs]
+      and [interner] sites.
 
     Identifier references are matched on [Longident] paths after
     module-alias expansion through the graph; a reference a local binder
@@ -34,32 +41,19 @@
     (functors, first-class modules, local modules) is out of scope.
     Suppress intentional sites with [\[@lint.allow "ID"\]]. *)
 
-(** Run every unit-local check (D001, D002, D004, H002, R003, X001) on
-    one compilation unit: D001 over its module-level bindings, X001 over
-    each such binding's sites, the rest over every site of the unit
-    ({!Sites.unit_sites}).  The unit's source text
-    honors [(* lint: reason *)] notes; its path selects D004
+(** Run every unit-local check (D001, D002, D004, E001, H002, N001, R003,
+    X001) on one compilation unit: D001 over its module-level bindings,
+    X001, E001 and N001 over each such binding's own sites
+    ({!Sites.node_sites}), the rest over every site of the unit
+    ({!Sites.unit_sites}).  The unit's source text honors
+    [(* lint: reason *)] notes; its path selects D004, E001 and N001
     applicability.  Attribute suppressions are already applied. *)
 val check_unit : Sites.t -> Callgraph.unit_info -> Finding.t list
 
-(** Whole-program D003 over the effect summaries: flags every
-    alias-expanded [Catalog.*]/[Doc_store.*] mutator site carried in the
-    summary of a binding of a what-if module ([benefit], [optimizer]). *)
-val check_d003_program : Sites.t -> Effects.t -> Finding.t list
-
-(** N001: order-dependent folds in [lib/] whose literal closure builds a
-    list with no canonicalizing sort in the same binding. *)
-val check_n001_program : Sites.t -> Effects.t -> Finding.t list
-
-(** E001: IO sites in [lib/] outside [lib/obs], [lib/analysis] and the
-    persistence boundary ([persist]). *)
-val check_e001_program : Sites.t -> Effects.t -> Finding.t list
-
-(** E002: shared-state writes in the transitive call closure of
-    [optimize_batch], [optimize_prepared] and [optimize_costs] bindings,
-    beyond the sanctioned [warm_stats]/optimizer [prepare], [lib/obs] and
-    [interner] sites. *)
-val check_e002_program : Sites.t -> Effects.t -> Finding.t list
+(** The whole-program checks, D003 and E002: {!Callgraph.reach} queries
+    over {!Sites.calls} that classify the own sites of every binding they
+    enter. *)
+val check_program : Sites.t -> Finding.t list
 
 (** [missing_mli ~mls ~mlis] — H001: every [.ml] path with no matching
     [.mli] path (compared by extension-stripped name). *)

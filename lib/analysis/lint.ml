@@ -1,6 +1,7 @@
 (* Analyzer driver: parse OCaml sources with compiler-libs once, build the
-   cross-unit call graph once, run the unit-local and whole-program check
-   catalog over it, report.
+   cross-unit call graph once ([Callgraph]), walk it once into the site
+   table ([Sites]), run the unit-local and whole-program check catalog
+   over the sites ([Checks]), report.
 
    The unit of work is a source *string* ([lint_source]) so the test suite
    can exercise every check on inline fixtures — a one-unit program runs the
@@ -31,17 +32,11 @@ let parse_structure ~filename source =
   | e -> Error { path = filename; message = Printexc.to_string e }
 
 (* Every parsetree-level finding of a program, all read off one site walk
-   of the shared graph: the unit-local checks per unit (X001 included),
-   then the whole-program checks (D003, N001, E001 and E002) over one
-   effect-inference pass. *)
+   of the shared graph: the unit-local checks per unit, then the
+   whole-program checks (D003 and E002). *)
 let program_findings graph =
   let sites = Sites.build graph in
-  let eff = Effects.analyze sites in
-  List.concat_map (Checks.check_unit sites) (Callgraph.units graph)
-  @ Checks.check_d003_program sites eff
-  @ Checks.check_n001_program sites eff
-  @ Checks.check_e001_program sites eff
-  @ Checks.check_e002_program sites eff
+  List.concat_map (Checks.check_unit sites) (Callgraph.units graph) @ Checks.check_program sites
 
 let lint_source ~filename source =
   match parse_structure ~filename source with

@@ -1,5 +1,6 @@
 (** Analyzer driver: parse with compiler-libs once, build the cross-unit
-    call graph once, run the unit-local and whole-program checks. *)
+    call graph ({!Callgraph}) and its site table ({!Sites}) once, run the
+    unit-local and whole-program checks ({!Checks}) over the sites. *)
 
 type error = { path : string; message : string }
 

@@ -7,8 +7,9 @@
     [\[@lint.allow\]] IDs active there.  Every identifier is resolved
     through the {!Callgraph} here; a binding's resolved references that
     no local binder shadows are its call list ({!calls}), the one edge
-    set of the call graph.  {!Effects} folds a binding's sites into its
-    summary; {!Checks} reads them.  See DESIGN.md §5c. *)
+    set of the call graph.  {!Checks} classifies the sites itself: per
+    unit, per binding, or per binding a {!Callgraph.reach} enters.  See
+    DESIGN.md §5c. *)
 
 (** A resolved identifier.  [shadowed] holds when a variable some pattern
     of the same binding binds has this (single-component) name. *)

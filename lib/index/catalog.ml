@@ -5,8 +5,8 @@
    from the data statistics kept here.  That plays the role of the paper's
    server-side extension ("virtual indexes are added to the database catalog
    and to all the internal data structures of the optimizer, but they are
-   not physically created") without a shared mutable configuration, so
-   concurrent what-if evaluations never interfere. *)
+   not physically created") without a shared mutable configuration, so a
+   what-if evaluation never sees the virtual indexes of an earlier one. *)
 
 module Doc_store = Xia_storage.Doc_store
 module Path_stats = Xia_storage.Path_stats

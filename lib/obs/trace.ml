@@ -11,13 +11,12 @@
    - monotonicity: every span's start is <= its stop, and in close order
      stop times never decrease.
 
-   Exporters: Chrome [trace_event] JSON (load in chrome://tracing or
-   https://ui.perfetto.dev) and an indented human-readable text tree. *)
+   Exporter: Chrome [trace_event] JSON (load in chrome://tracing or
+   https://ui.perfetto.dev). *)
 
 type span = {
   name : string;
   args : (string * string) list;
-  tid : int;      (* always 0: the advisor runs on one domain *)
   seq : int;      (* close order *)
   open_seq : int; (* open order — flush's clock-proof order *)
   depth : int;    (* nesting depth at open time; 0 = toplevel *)
@@ -60,7 +59,7 @@ let with_span ?(args = no_args) name f =
       let stop_s = tick () in
       let seq = buf.seq + 1 in
       buf.seq <- seq;
-      buf.spans <- { name; args = args (); tid = 0; seq; open_seq; depth; start_s; stop_s } :: buf.spans
+      buf.spans <- { name; args = args (); seq; open_seq; depth; start_s; stop_s } :: buf.spans
     in
     Fun.protect ~finally f
   end
@@ -109,10 +108,9 @@ let export_chrome spans =
       if i > 0 then Buffer.add_string b ",\n";
       Buffer.add_string b
         (Printf.sprintf
-           "{\"name\":\"%s\",\"cat\":\"xia\",\"ph\":\"X\",\"ts\":%.1f,\"dur\":%.1f,\"pid\":0,\"tid\":%d"
+           "{\"name\":\"%s\",\"cat\":\"xia\",\"ph\":\"X\",\"ts\":%.1f,\"dur\":%.1f,\"pid\":0,\"tid\":0"
            (json_escape s.name) (s.start_s *. 1e6)
-           ((s.stop_s -. s.start_s) *. 1e6)
-           s.tid);
+           ((s.stop_s -. s.start_s) *. 1e6));
       if s.args <> [] then begin
         Buffer.add_string b ",\"args\":{";
         List.iteri
@@ -126,39 +124,6 @@ let export_chrome spans =
       Buffer.add_char b '}')
     spans;
   Buffer.add_string b "\n]}\n";
-  Buffer.contents b
-
-(* Indented tree per recording domain ([tid]), chronological within one. *)
-let export_text spans =
-  let b = Buffer.create 4096 in
-  let tids =
-    List.sort_uniq compare (List.map (fun (s : span) -> s.tid) spans)
-  in
-  List.iter
-    (fun tid ->
-      Buffer.add_string b (Printf.sprintf "domain %d\n" tid);
-      List.iter
-        (fun (s : span) ->
-          if s.tid = tid then begin
-            Buffer.add_string b (String.make (2 + (2 * s.depth)) ' ');
-            Buffer.add_string b
-              (Printf.sprintf "%-40s %10.3f ms" s.name
-                 ((s.stop_s -. s.start_s) *. 1e3));
-            if s.args <> [] then begin
-              Buffer.add_string b "  {";
-              List.iteri
-                (fun j (k, v) ->
-                  if j > 0 then Buffer.add_string b ", ";
-                  Buffer.add_string b k;
-                  Buffer.add_char b '=';
-                  Buffer.add_string b v)
-                s.args;
-              Buffer.add_char b '}'
-            end;
-            Buffer.add_char b '\n'
-          end)
-        spans)
-    tids;
   Buffer.contents b
 
 let write_file path contents =

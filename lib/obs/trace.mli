@@ -11,7 +11,6 @@
 type span = {
   name : string;
   args : (string * string) list;
-  tid : int;  (** the Chrome trace's thread id: always 0, one domain *)
   seq : int;  (** close order (1-based) *)
   open_seq : int;
       (** open order (1-based), the {!flush} order: two spans can carry the
@@ -43,9 +42,6 @@ val flush : unit -> span list
 val export_chrome : span list -> string
 (** Chrome [trace_event] JSON (one complete event per span, microsecond
     timestamps); load into chrome://tracing or ui.perfetto.dev. *)
-
-val export_text : span list -> string
-(** Human-readable tree per [tid], indented by nesting depth. *)
 
 val write_file : string -> string -> unit
 (** [write_file path contents] writes [contents] to [path] (truncating). *)

@@ -66,8 +66,8 @@ val serves : prepared -> Index_def.t -> bool
     configuration [Evaluate] mode plans against; [Normal] mode plans over
     the catalog's real indexes and ignores it.  The call installs nothing
     in the catalog (it only reads statistics, collecting missing or stale
-    ones as {!prepare} does), so any number of what-if evaluations can be
-    in flight. *)
+    ones as {!prepare} does), so a what-if evaluation leaves no virtual
+    index behind for the next one to see. *)
 val optimize :
   ?mode:mode -> ?virtual_config:Index_def.t list -> Catalog.t -> Ast.statement -> Plan.t
 

@@ -10,8 +10,9 @@ type match_ = {
   value : string;
 }
 
-(** A compiled absolute path.  It keeps scratch state, so it must be used
-    by one domain at a time. *)
+(** A compiled absolute path.  It keeps scratch state, so it is not
+    reentrant: one evaluation of a path must finish before the next one
+    of the same path starts. *)
 type path
 
 (** A compiled predicate, tested with an element as context node. *)

@@ -193,7 +193,11 @@ let d003_tests =
         Alcotest.(check bool) "names the mutator" true (has_sub "Catalog.create_index");
         Alcotest.(check bool)
           "lists both entry points" true
-          (has_sub "reachable from: benefit, install"));
+          (has_sub "reachable from: benefit, install");
+        check_ids "a shadowed install is judged by its own sites" [ (1, "D003") ]
+          ~filename:"lib/core/benefit.ml"
+          "let install c defs = Catalog.create_index c defs\n\
+           let install c defs = ignore (c, defs)\n");
     tc "same code outside what-if modules not hit" (fun () ->
         check_ids "clean" [] ~filename:"lib/core/search.ml"
           "let install c defs = Catalog.create_index c defs\n");
@@ -832,7 +836,11 @@ let e001_tests =
           (List.map (fun (f : Finding.t) -> (f.line, f.id)) fs);
         Alcotest.(check bool)
           "names the primitive" true
-          (contains (List.hd fs).Finding.message "print_endline"));
+          (contains (List.hd fs).Finding.message "print_endline");
+        check_ids "a shadowed f is judged by its own sites" [ (1, "E001") ]
+          ~filename:"lib/core/report.ml" "let f () = print_endline \"a\"\nlet f () = 1\n";
+        check_ids "a shadowing f is reported once" [ (2, "E001") ]
+          ~filename:"lib/core/report.ml" "let f () = 1\nlet f () = print_endline \"a\"\n");
     tc "lib/obs and the persistence module are sanctioned" (fun () ->
         check_ids "obs clean" [] ~filename:"lib/obs/obs.ml"
           "let show x = print_endline x\n";
@@ -956,9 +964,9 @@ let site_tests =
 (* One or more realistic regressions per check, each an edit of a
    file under lib/: [snippet] replaced [by] another text, or, when both
    are empty, the file deleted.  [id] must fire in [at], inside the
-   replacement when [at] is the edited file.  DESIGN.md §5h records, per
-   mutant, which checks fire and whether the build or another test
-   catches it. *)
+   replacement when [at] is the edited file, and no other check may fire
+   inside the replacement.  DESIGN.md §5h records, per mutant, which
+   checks fire and whether the build or another test catches it. *)
 type mutant = {
   id : string;
   what : string;
@@ -1109,19 +1117,34 @@ let mutant_tests =
             let report = Lint.lint_paths [ root ] in
             List.iter
               (fun m ->
-                let in_edit =
-                  if m.snippet = "" || m.at <> m.file then fun _ -> true
+                let edit =
+                  if m.snippet = "" then None
                   else
                     let s = read m in
                     let i = unique s m.by m.what in
-                    fun l -> l >= line_at s i && l <= line_at s (i + String.length m.by)
+                    Some (line_at s i, line_at s (i + String.length m.by))
+                in
+                let in_edit (f : Finding.t) =
+                  match edit with
+                  | Some (first, last) ->
+                      f.file = Filename.concat root m.file && f.line >= first && f.line <= last
+                  | None -> false
                 in
                 Alcotest.(check bool)
                   (Printf.sprintf "%s fires on %s" m.id m.what)
                   true
                   (List.exists
                      (fun (f : Finding.t) ->
-                       f.id = m.id && f.file = Filename.concat root m.at && in_edit f.line)
+                       f.id = m.id
+                       && f.file = Filename.concat root m.at
+                       && (m.snippet = "" || m.at <> m.file || in_edit f))
+                     report.findings);
+                Alcotest.(check (list string))
+                  (Printf.sprintf "only %s fires inside %s" m.id m.what)
+                  []
+                  (List.filter_map
+                     (fun (f : Finding.t) ->
+                       if in_edit f && f.id <> m.id then Some (Finding.to_string f) else None)
                      report.findings))
               mutants));
   ]

@@ -7,8 +7,8 @@
    observability state, never advisor state.
 
    The property suite drives random span trees and checks the flushed output
-   is well-nested and monotonic, which trace.ml promises by construction.  Exporters and the metrics registry get
-   deterministic unit locks. *)
+   is well-nested and monotonic, which trace.ml promises by construction.  The Chrome exporter and the
+   metrics registry get deterministic unit locks. *)
 
 module A = Xia_advisor.Advisor
 module B = Xia_advisor.Benefit
@@ -172,11 +172,11 @@ let span_shape_prop =
 let sample_spans =
   [
     {
-      Trace.name = "outer"; args = []; tid = 0; seq = 2; open_seq = 1;
+      Trace.name = "outer"; args = []; seq = 2; open_seq = 1;
       depth = 0; start_s = 1.0; stop_s = 2.0;
     };
     {
-      Trace.name = "inner"; args = [ ("k", "v") ]; tid = 0; seq = 1;
+      Trace.name = "inner"; args = [ ("k", "v") ]; seq = 1;
       open_seq = 2; depth = 1; start_s = 1.25; stop_s = 1.5;
     };
   ]
@@ -190,24 +190,11 @@ let exporter_tests =
             {\"name\":\"inner\",\"cat\":\"xia\",\"ph\":\"X\",\"ts\":1250000.0,\"dur\":250000.0,\"pid\":0,\"tid\":0,\"args\":{\"k\":\"v\"}}\n\
             ]}\n")
           (Trace.export_chrome sample_spans));
-    tc "text export indents by depth and lists args" (fun () ->
-        let text = Trace.export_text sample_spans in
-        match String.split_on_char '\n' text with
-        | [ header; outer; inner; "" ] ->
-            Alcotest.(check string) "header" "domain 0" header;
-            Alcotest.(check bool) "outer at depth 0" true
-              (String.length outer > 2 && String.sub outer 0 3 = "  o");
-            Alcotest.(check bool) "inner at depth 1" true
-              (String.length inner > 4 && String.sub inner 0 5 = "    i");
-            Alcotest.(check bool) "inner args rendered" true
-              (String.length inner >= 5
-              && String.sub inner (String.length inner - 5) 5 = "{k=v}")
-        | lines -> Alcotest.failf "expected 3 lines, got %d" (List.length lines - 1));
     tc "json strings are escaped" (fun () ->
         let spans =
           [
             {
-              Trace.name = "quo\"te"; args = [ ("a", "b\\c") ]; tid = 1; seq = 1;
+              Trace.name = "quo\"te"; args = [ ("a", "b\\c") ]; seq = 1;
               open_seq = 1; depth = 0; start_s = 0.0; stop_s = 0.0;
             };
           ]
