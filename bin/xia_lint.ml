@@ -9,7 +9,9 @@
    as Graphviz DOT instead of linting.  Each check's rationale is in DESIGN.md §5c/§5f/§5h/§5k.
    A finding is suppressed only in the source: [@lint.allow "ID"] at the
    site (or [@@lint.allow "ID"] on an enclosing binding), or, for H002, a
-   "(* lint: reason *)" note on the line or the line above.
+   "(* lint: reason *)" note on the line or the line above.  A linted
+   directory without a dune file is a warning on stderr: calls naming its
+   library do not resolve to it.
    Exit codes: 0 clean, 1 findings, 2 usage/parse errors. *)
 
 module Lint = Xia_analysis.Lint
@@ -41,6 +43,9 @@ let () =
     exit (if errors = [] then 0 else 2)
   end;
   let report = Lint.lint_paths paths in
+  List.iter
+    (fun (e : Lint.error) -> Printf.eprintf "xia_lint: warning: %s: %s\n" e.path e.message)
+    report.Lint.warnings;
   if report.Lint.errors <> [] then begin
     report_errors report.Lint.errors;
     exit 2

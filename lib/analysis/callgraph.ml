@@ -153,6 +153,7 @@ type t = {
   by_dir_mod : (string * string, unit_info) Hashtbl.t;  (* (dir, Modname) *)
   by_mod : (string, unit_info list) Hashtbl.t;          (* Modname -> units *)
   lib_dir : (string, string) Hashtbl.t;  (* "Xia_index" -> source dir *)
+  no_dune : string list;  (* unit directories without a readable dune file *)
   aliases : (string, (string, string list) Hashtbl.t) Hashtbl.t;  (* unit path *)
   opens : (string, string list list) Hashtbl.t;                   (* unit path *)
   resolved : (string * string list, node list) Hashtbl.t;  (* (unit path, path) *)
@@ -163,6 +164,7 @@ let by_key a b = compare (key a) (key b)
 
 let units t = t.units
 let nodes t = t.node_list
+let without_dune t = t.no_dune
 
 (* Expand leading module-alias components to a fixpoint (bounded: an alias
    chain longer than the alias table is a cycle). *)
@@ -260,19 +262,22 @@ let build units_in =
       unit_nodes := ns :: !unit_nodes)
     units;
   let dirs = List.sort_uniq String.compare (List.map (fun u -> u.dir) units) in
-  List.iter
-    (fun dir ->
-      match read_file_opt (Filename.concat dir "dune") with
-      | None -> ()
-      | Some contents -> (
-          match library_name_of_dune contents with
-          | Some libmod -> Hashtbl.replace lib_dir libmod dir
-          | None -> ()))
-    dirs;
+  let no_dune =
+    List.filter
+      (fun dir ->
+        match read_file_opt (Filename.concat dir "dune") with
+        | None -> true
+        | Some contents ->
+            Option.iter
+              (fun libmod -> Hashtbl.replace lib_dir libmod dir)
+              (library_name_of_dune contents);
+            false)
+      dirs
+  in
   let resolved = Hashtbl.create 1024 in
   {
     units; node_tbl; node_list = List.concat (List.rev !unit_nodes); by_dir_mod; by_mod;
-    lib_dir; aliases; opens; resolved;
+    lib_dir; no_dune; aliases; opens; resolved;
   }
 
 (* -------------------------------------------------- the transitive engine -- *)

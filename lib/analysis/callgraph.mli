@@ -40,6 +40,11 @@ val build : unit_info list -> t
 val units : t -> unit_info list
 val nodes : t -> node list
 
+(** The directories of units that have no readable [dune] file, sorted: a
+    call that names their library ([Xia_index.Catalog.stats]) resolves
+    only through the module-name fallback, if at all. *)
+val without_dune : t -> string list
+
 (** Stable node identity: [(unit path, binding name)]. *)
 val key : node -> string * string
 

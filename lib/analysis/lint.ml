@@ -14,9 +14,10 @@ type error = { path : string; message : string }
 type report = {
   findings : Finding.t list;   (* sorted *)
   errors : error list;         (* unreadable / unparsable inputs *)
+  warnings : error list;       (* inputs analyzed with less than their layout *)
 }
 
-let empty_report = { findings = []; errors = [] }
+let empty_report = { findings = []; errors = []; warnings = [] }
 
 let parse_structure ~filename source =
   let lexbuf = Lexing.from_string source in
@@ -93,10 +94,21 @@ let load paths =
   let units, parse_errors = load_units mls in
   (Callgraph.build units, mls, mlis, walk_errors @ parse_errors)
 
+(* A directory without its dune file is linted all the same, but calls
+   that name its library are not resolved to it: say so. *)
 let lint_paths paths =
   let graph, mls, mlis, errors = load paths in
   let all = Checks.missing_mli ~mls ~mlis @ program_findings graph in
-  { findings = List.sort Finding.compare all; errors }
+  let warnings =
+    List.map
+      (fun dir ->
+        {
+          path = dir;
+          message = "no dune file: calls naming this directory's library are not resolved to it";
+        })
+      (Callgraph.without_dune graph)
+  in
+  { findings = List.sort Finding.compare all; errors; warnings }
 
 (* DOT rendering of the cross-unit call graph for the given paths. *)
 let callgraph_dot paths =

@@ -7,6 +7,10 @@ type error = { path : string; message : string }
 type report = {
   findings : Finding.t list;   (** findings, sorted *)
   errors : error list;         (** unreadable / unparsable inputs *)
+  warnings : error list;
+      (** directories linted without their [dune] file, whose library's
+          calls the call graph cannot resolve to them; not in the JSON
+          report *)
 }
 
 val empty_report : report
@@ -17,7 +21,8 @@ val lint_source : filename:string -> string -> (Finding.t list, error) result
 
 (** Lint every [.ml] under [paths] (recursively; skips [_build] and dot
     directories) as one program sharing one call graph, including the H001
-    interface check. *)
+    interface check.  A directory of units without a [dune] file is a
+    warning. *)
 val lint_paths : string list -> report
 
 (** Deterministic Graphviz rendering of the call graph over every [.ml]

@@ -37,9 +37,9 @@ type site = { loc : Location.t; kind : kind; allow : string list list }
 type t = {
   graph : Callgraph.t;
   units : (string, site list * (string, unit) Hashtbl.t) Hashtbl.t;
-  (* one entry per node, duplicate toplevel names included (newest first) *)
-  nodes : (string * string, Callgraph.node * site list) Hashtbl.t;
-  calls : (string * string, Callgraph.node list) Hashtbl.t;
+  (* one entry per node, duplicate toplevel names included (newest first):
+     the node, its sites and its call list *)
+  nodes : (string * string, Callgraph.node * site list * Callgraph.node list) Hashtbl.t;
 }
 
 let graph t = t.graph
@@ -54,14 +54,12 @@ let iter_child_exprs f e =
 let unit_sites t (u : Callgraph.unit_info) = fst (Hashtbl.find t.units u.path)
 let mutable_fields t (u : Callgraph.unit_info) = snd (Hashtbl.find t.units u.path)
 
-let node_sites t n =
-  match List.find_opt (fun (m, _) -> m == n) (Hashtbl.find_all t.nodes (Callgraph.key n)) with
-  | Some (_, sites) -> sites
-  | None -> []
+(* A binding's own entry, even when a later toplevel binding of the same
+   name shadows it. *)
+let entry t n = List.find_opt (fun (m, _, _) -> m == n) (Hashtbl.find_all t.nodes (Callgraph.key n))
 
-(* A later toplevel binding of the same name is the one references
-   resolve to, so its call list is the name's. *)
-let calls t n = Option.value ~default:[] (Hashtbl.find_opt t.calls (Callgraph.key n))
+let node_sites t n = match entry t n with Some (_, sites, _) -> sites | None -> []
+let calls t n = match entry t n with Some (_, _, calls) -> calls | None -> []
 
 let binders sites =
   let bound = Hashtbl.create 16 in
@@ -83,9 +81,8 @@ let finish_node t (n : Callgraph.node) sites =
             id.targets
       | _ -> ())
     sites;
-  Hashtbl.add t.nodes (Callgraph.key n) (n, sites);
-  Hashtbl.replace t.calls (Callgraph.key n)
-    (List.sort Callgraph.by_key (Hashtbl.fold (fun _ tgt acc -> tgt :: acc) targets []))
+  Hashtbl.add t.nodes (Callgraph.key n)
+    (n, sites, List.sort Callgraph.by_key (Hashtbl.fold (fun _ tgt acc -> tgt :: acc) targets []))
 
 (* Walk one unit; [pending] holds the graph's nodes not yet reached, in
    collection order. *)
@@ -191,7 +188,7 @@ let walk_unit t (u : Callgraph.unit_info) pending =
 
 let build graph =
   let t =
-    { graph; units = Hashtbl.create 64; nodes = Hashtbl.create 256; calls = Hashtbl.create 256 }
+    { graph; units = Hashtbl.create 64; nodes = Hashtbl.create 256 }
   in
   let pending = ref (Callgraph.nodes graph) in
   List.iter (fun u -> walk_unit t u pending) (Callgraph.units graph);

@@ -55,7 +55,8 @@ val node_sites : t -> Callgraph.node -> site list
 
 (** The node's resolved call targets: the targets of its references that
     no local binder shadows, itself excluded, deduplicated and sorted by
-    {!Callgraph.key}. *)
+    {!Callgraph.key}.  Each binding has its own, a toplevel binding that a
+    later one of the same name shadows included. *)
 val calls : t -> Callgraph.node -> Callgraph.node list
 
 (** Field names declared [mutable] anywhere in the unit. *)

@@ -36,34 +36,46 @@ let def t = t.def
 let entry_count t = Array.length t.entries
 let built_generation t = t.built_generation
 
-let key_of_value dtype value =
+(* [number] is the numeric coercion's cell. *)
+let key_in number dtype value =
   match dtype with
   | Index_def.Dstring -> Some (Kstring value)
-  | Index_def.Ddouble -> (
-      match float_of_string_opt (String.trim value) with
-      | Some v -> Some (Kdouble v)
-      | None -> None)
+  | Index_def.Ddouble ->
+      if Xia_xpath.Ast.read_number number value then Some (Kdouble number.number) else None
+
+let key_of_value dtype value = key_in { Xia_xpath.Ast.number = 0.0 } dtype value
 
 (* The guided walk's value for a path is the pattern's NFA state set after
    reading it, computed once per distinct path of the walk.  Nodes whose set
    accepts are indexed.  A state set that has died stays empty on every
-   extension, so the walk skips that subtree without losing an entry. *)
+   extension, so the walk skips that subtree without losing an entry.  The
+   numeric coercion's cell comes along, one per build. *)
+type walker = {
+  nfa : Xia_xpath.Nfa.t;
+  guide : int Xia_xml.Packed.guide;
+  number : Xia_xpath.Ast.number;
+}
+
 let guide labels (def : Index_def.t) =
   let nfa = Xia_xpath.Pattern.nfa_of_id def.pid in
   let desc = Xia_xpath.Nfa.desc_mask nfa in
   let label set l =
     Xia_xpath.Nfa.advance_masks ~desc ~matches:(Xia_xpath.Nfa.match_mask nfa l) set
   in
-  (nfa, Xia_xml.Packed.guide labels ~root:Xia_xpath.Nfa.initial ~label ~dead:(Int.equal 0))
+  {
+    nfa;
+    guide = Xia_xml.Packed.guide labels ~root:Xia_xpath.Nfa.initial ~label ~dead:(Int.equal 0);
+    number = { Xia_xpath.Ast.number = 0.0 };
+  }
 
 let key_size = function Kstring s -> String.length s | Kdouble _ -> 8
 
-let entries_of_doc (def : Index_def.t) (nfa, guide) doc_id doc =
+let entries_of_doc (def : Index_def.t) w doc_id doc =
   let acc = ref [] in
-  Xia_xml.Packed.walk guide
+  Xia_xml.Packed.walk w.guide
     (fun node set value ->
-      if Xia_xpath.Nfa.accepting nfa set then
-        match key_of_value def.dtype value with
+      if Xia_xpath.Nfa.accepting w.nfa set then
+        match key_in w.number def.dtype value with
         | None -> ()
         | Some key -> acc := { key; doc = doc_id; node } :: !acc)
     doc;

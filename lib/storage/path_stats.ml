@@ -59,16 +59,53 @@ let distinct_cap = 200_000
 (* Reservoir size for the numeric sample feeding each path's histogram. *)
 let sample_cap = 4096
 
-(* Distinct-value sets.  Float equality is [Float.equal] and hashing is
-   [Hashtbl.hash], which both identify every [nan] and equate [-0.0] with
-   [0.0], as polymorphic equality does. *)
-module String_set = Hashtbl.Make (struct
-  type t = string
+(* Distinct strings: [Hashtbl]'s chained buckets, with each cell keeping
+   its value's [Hashtbl.hash] where [Hashtbl] keeps the unit data, so the
+   set takes no more words than [Hashtbl] does.  A value is hashed once:
+   the lookup and the insertion share the hash, and a resize relinks the
+   cells by the hash they keep. *)
+module String_set = struct
+  type bucket = Empty | Cell of { value : string; hash : int; mutable next : bucket }
+  type t = { mutable size : int; mutable buckets : bucket array }
 
-  let equal = String.equal
-  let hash = Hashtbl.hash
-end)
+  let create () = { size = 0; buckets = Array.make 8 Empty }
+  let length t = t.size
 
+  let rec mem value hash = function
+    | Empty -> false
+    | Cell c -> (c.hash = hash && String.equal c.value value) || mem value hash c.next
+
+  let resize t =
+    let buckets = Array.make (2 * Array.length t.buckets) Empty in
+    let mask = Array.length buckets - 1 in
+    let rec move = function
+      | Empty -> ()
+      | Cell c as cell ->
+          let next = c.next in
+          let i = c.hash land mask in
+          c.next <- buckets.(i);
+          buckets.(i) <- cell;
+          move next
+    in
+    Array.iter move t.buckets;
+    t.buckets <- buckets
+
+  let add t value =
+    let hash = Hashtbl.hash value in
+    let i = hash land (Array.length t.buckets - 1) in
+    let bucket = t.buckets.(i) in
+    if not (mem value hash bucket) then begin
+      t.buckets.(i) <- Cell { value; hash; next = bucket };
+      t.size <- t.size + 1;
+      if t.size > 2 * Array.length t.buckets then resize t
+    end
+end
+
+(* Distinct numbers: a [Hashtbl] set over [Float.equal], which identifies
+   every [nan] and equates [-0.0] with [0.0], as [Hashtbl.hash] does; one
+   [replace] per number hashes it once.  Sets over flat float arrays
+   allocate less, but they raised tpox-dml's heap high-water mark by 11%
+   (DESIGN.md §5o). *)
 module Float_set = Hashtbl.Make (struct
   type t = float
 
@@ -78,7 +115,7 @@ end)
 
 type collector_entry = {
   info : path_info;
-  values : unit String_set.t;
+  values : String_set.t;
   numerics : unit Float_set.t;
   mutable sample : float list;  (* reservoir of numeric values *)
   mutable sample_size : int;
@@ -105,7 +142,7 @@ let new_entry parent label =
         max_num = neg_infinity;
         histogram = None;
       };
-    values = String_set.create 64;
+    values = String_set.create ();
     numerics = Float_set.create 16;
     sample = [];
     sample_size = 0;
@@ -124,7 +161,8 @@ let rng entry =
       entry.rng <- Some rng;
       rng
 
-let touch doc_id entry value =
+(* [number] is the coercion's cell, one per collection. *)
+let touch number doc_id entry value =
   let info = entry.info in
   info.node_count <- info.node_count + 1;
   if entry.last_doc <> doc_id then begin
@@ -132,23 +170,21 @@ let touch doc_id entry value =
     info.doc_count <- info.doc_count + 1
   end;
   info.total_value_bytes <- info.total_value_bytes + String.length value;
-  if String_set.length entry.values < distinct_cap && not (String_set.mem entry.values value)
-  then String_set.add entry.values value ();
-  match float_of_string_opt (String.trim value) with
-  | None -> ()
-  | Some v ->
-      info.numeric_count <- info.numeric_count + 1;
-      if info.min_num > v then info.min_num <- v;
-      if info.max_num < v then info.max_num <- v;
-      if Float_set.length entry.numerics < distinct_cap && not (Float_set.mem entry.numerics v)
-      then Float_set.add entry.numerics v ();
-      (* Bernoulli reservoir: keep every value up to the cap, then thin. *)
-      if entry.sample_size < sample_cap then begin
-        entry.sample <- v :: entry.sample;
-        entry.sample_size <- entry.sample_size + 1
-      end
-      else if Random.State.int (rng entry) info.node_count < sample_cap then
-        entry.sample <- (match entry.sample with _ :: rest -> v :: rest | [] -> [ v ])
+  if String_set.length entry.values < distinct_cap then String_set.add entry.values value;
+  if Xia_xpath.Ast.read_number number value then begin
+    let v = number.number in
+    info.numeric_count <- info.numeric_count + 1;
+    if info.min_num > v then info.min_num <- v;
+    if info.max_num < v then info.max_num <- v;
+    if Float_set.length entry.numerics < distinct_cap then Float_set.replace entry.numerics v ();
+    (* Bernoulli reservoir: keep every value up to the cap, then thin. *)
+    if entry.sample_size < sample_cap then begin
+      entry.sample <- v :: entry.sample;
+      entry.sample_size <- entry.sample_size + 1
+    end
+    else if Random.State.int (rng entry) info.node_count < sample_cap then
+      entry.sample <- (match entry.sample with _ :: rest -> v :: rest | [] -> [ v ])
+  end
 
 (* Fills in the statistics kept only while collecting, and the children
    in label order, so a preorder lists paths in lexicographic order of
@@ -184,9 +220,10 @@ let collect store =
   let guide =
     Xia_xml.Packed.guide (Doc_store.labels store) ~root ~label ~dead:(fun _ -> false)
   in
+  let number = { Xia_xpath.Ast.number = 0.0 } in
   Doc_store.iter
     (fun doc_id doc ->
-      Xia_xml.Packed.walk guide (fun _id entry value -> touch doc_id entry value) doc)
+      Xia_xml.Packed.walk guide (fun _id entry value -> touch number doc_id entry value) doc)
     store;
   finish root;
   let roots = root.info.children in

@@ -204,17 +204,18 @@ let set_text doc ranks v =
 (* ---------- guided walk ---------- *)
 
 (* A per-walk dataguide: one node per distinct rooted label path met so
-   far.  Element children are keyed by label id and attribute children by
-   name id, in separate lists, so looking a child up compares integers and
-   allocates nothing; the few distinct paths of a table keep the lists
-   short.  Each node holds the consumer's value for its path, computed once
-   from the parent's value and the label, and whether that value is live. *)
+   far.  A node's children are kept sorted by key, twice the label id for
+   an element and that plus one for an attribute, so finding a child is a
+   binary search that compares integers and allocates nothing, whatever
+   the node's width.  Each node holds the consumer's value for its path,
+   computed once from the parent's value and the label, and whether that
+   value is live. *)
 type 'a guide_node = {
-  id : int;
+  key : int;
   value : 'a;
   live : bool;
-  mutable element_children : 'a guide_node list;
-  mutable attribute_children : 'a guide_node list;
+  mutable count : int;
+  mutable children : 'a guide_node array;  (* the first [count] are used *)
 }
 
 type 'a guide = {
@@ -224,23 +225,37 @@ type 'a guide = {
   dead : 'a -> bool;
 }
 
-let guide_node id value live =
-  { id; value; live; element_children = []; attribute_children = [] }
+let guide_node key value live = { key; value; live; count = 0; children = [||] }
 
 let guide table ~root ~label ~dead =
   { table; root = guide_node (-1) root (not (dead root)); label; dead }
 
-let add_child g parent ~attribute id =
-  let name = label g.table id in
-  let value = g.label parent.value (if attribute then "@" ^ name else name) in
-  let node = guide_node id value (not (g.dead value)) in
-  if attribute then parent.attribute_children <- node :: parent.attribute_children
-  else parent.element_children <- node :: parent.element_children;
+(* A new child at position [at], the array doubling when full.  Labels are
+   interned in document order, so a new child usually goes last. *)
+let add_child g parent key at =
+  let name = label g.table (key lsr 1) in
+  let value = g.label parent.value (if key land 1 = 1 then "@" ^ name else name) in
+  let node = guide_node key value (not (g.dead value)) in
+  let n = parent.count in
+  if n = Array.length parent.children then begin
+    let children = Array.make (max 1 (2 * n)) node in
+    Array.blit parent.children 0 children 0 n;
+    parent.children <- children
+  end;
+  Array.blit parent.children at parent.children (at + 1) (n - at);
+  parent.children.(at) <- node;
+  parent.count <- n + 1;
   node
 
-let rec find_child g parent ~attribute id = function
-  | [] -> add_child g parent ~attribute id
-  | node :: rest -> if node.id = id then node else find_child g parent ~attribute id rest
+let find_child g parent key =
+  let children = parent.children in
+  let lo = ref 0 and hi = ref parent.count in
+  while !lo < !hi do
+    let mid = (!lo + !hi) lsr 1 in
+    if children.(mid).key < key then lo := mid + 1 else hi := mid
+  done;
+  if !lo < parent.count && children.(!lo).key = key then children.(!lo)
+  else add_child g parent key !lo
 
 (* Preorder over elements, each followed by its attributes.  A dead
    element's subtree is skipped; ranks are array indexes, so nothing after
@@ -248,12 +263,12 @@ let rec find_child g parent ~attribute id = function
 let walk g f doc =
   if doc.labels != g.table then invalid_arg "Packed.walk: the guide serves another label table";
   let rec visit parent i =
-    let here = find_child g parent ~attribute:false doc.tags.(i) parent.element_children in
+    let here = find_child g parent (2 * doc.tags.(i)) in
     if here.live then begin
       f { Types.pre = i; attr = None } here.value doc.values.(i);
       let first = doc.attr_first.(i) in
       for s = first to doc.attr_first.(i + 1) - 1 do
-        let a = find_child g here ~attribute:true doc.attr_names.(s) here.attribute_children in
+        let a = find_child g here ((2 * doc.attr_names.(s)) + 1) in
         if a.live then f { Types.pre = i; attr = Some (s - first) } a.value doc.attr_values.(s)
       done;
       visit_children here (i + 1) doc.last.(i)

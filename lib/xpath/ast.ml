@@ -99,41 +99,88 @@ let eval_cmp_int c n =
   | Gt -> n > 0
   | Ge -> n >= 0
 
-(* Comparison semantics: a numeric literal coerces the node value to a number
-   (no match if the coercion fails); a string literal compares lexically.
+(* Numeric coercion of node values: [float_of_string_opt (String.trim v)],
+   bit for bit, without a C call or an allocation in the common cases.
 
    Node values are mostly plain decimals: an optional minus sign, digits,
-   and optionally a point and more digits.  With at most 15 digits and 22
-   after the point, the digits read as an integer and the power of ten
-   (every product on the way to it too) are exact doubles, so one division
-   rounds exactly as [float_of_string] does, and nothing is allocated.  Anything else goes to
-   [float_of_string]. *)
+   and optionally a point and more digits.  With at most 15 digits in all,
+   the digits read as an integer and the power of ten are exact doubles,
+   so one division rounds exactly as [float_of_string] does.
+   [plain_decimal v] packs such a value's digits, digits after the point and
+   sign into an int (a float result would be boxed), or is -1. *)
+let plain_decimal value =
+  let n = String.length value in
+  let start = if n > 0 && value.[0] = '-' then 1 else 0 in
+  let i = ref start and digits = ref 0 and point = ref (-1) and mantissa = ref 0 in
+  while !i < n do
+    (match value.[!i] with
+    | '0' .. '9' as c ->
+        mantissa := (10 * !mantissa) + Char.code c - Char.code '0';
+        incr digits
+    | '.' when !point < 0 && !digits > 0 -> point := !i
+    | _ -> i := n + 1);
+    incr i
+  done;
+  let fraction = if !point < 0 then 0 else n - 1 - !point in
+  if !i = n && !digits <= 15 && (!point < 0 || fraction > 0) && !digits > 0
+  then (!mantissa lsl 6) lor (fraction lsl 1) lor start
+  else -1
+
+(* Read-only: 10^0 to 10^15, each an exact double. *)
+let powers_of_ten =
+  [| 1e0; 1e1; 1e2; 1e3; 1e4; 1e5; 1e6; 1e7; 1e8; 1e9; 1e10; 1e11; 1e12; 1e13; 1e14; 1e15 |]
+[@@lint.allow "D001"]
+
+let[@inline] plain_value code =
+  let v = float_of_int (code lsr 6) /. powers_of_ten.((code lsr 1) land 31) in
+  if code land 1 = 1 then -.v else v
+
+(* Anything else goes to [float_of_string], but only when it could start a
+   number: past the blanks [strtod] skips ([String.trim]'s and ['\011']) and
+   the underscores [float_of_string] drops, a digit, a sign, a point, or the
+   first letter of [inf] or [nan].  Any other value would only make
+   [float_of_string] raise [Failure]. *)
+let other_number value =
+  let n = String.length value in
+  let i = ref 0 in
+  while
+    !i < n
+    && match value.[!i] with ' ' | '\t' | '\n' | '\011' | '\012' | '\r' | '_' -> true | _ -> false
+  do
+    incr i
+  done;
+  if
+    !i < n
+    && match value.[!i] with
+       | '0' .. '9' | '+' | '-' | '.' | 'i' | 'I' | 'n' | 'N' -> true
+       | _ -> false
+  then float_of_string_opt (String.trim value)
+  else None
+
+type number = { mutable number : float }
+
+let read_number cell value =
+  let code = plain_decimal value in
+  if code >= 0 then begin
+    cell.number <- plain_value code;
+    true
+  end
+  else
+    match other_number value with
+    | Some v ->
+        cell.number <- v;
+        true
+    | None -> false
+
+(* Comparison semantics: a numeric literal coerces the node value to a number
+   (no match if the coercion fails); a string literal compares lexically. *)
 let literal_matches value cmp literal =
   match literal with
-  | Number_lit x ->
-      let n = String.length value in
-      let start = if n > 0 && value.[0] = '-' then 1 else 0 in
-      let i = ref start and digits = ref 0 and point = ref (-1) and mantissa = ref 0 in
-      while !i < n do
-        (match value.[!i] with
-        | '0' .. '9' as c ->
-            mantissa := (10 * !mantissa) + Char.code c - Char.code '0';
-            incr digits
-        | '.' when !point < 0 && !digits > 0 -> point := !i
-        | _ -> i := n + 1);
-        incr i
-      done;
-      let fraction = if !point < 0 then 0 else n - 1 - !point in
-      if !i = n && !digits <= 15 && (!point < 0 || fraction > 0) && fraction <= 22 && !digits > 0
-      then
-        let scale = ref 1.0 in
-        for _ = 1 to fraction do
-          scale := !scale *. 10.0
-        done;
-        let v = float_of_int !mantissa /. !scale in
-        eval_cmp_int cmp (Float.compare (if start = 1 then -.v else v) x)
-      else (
-        match float_of_string_opt (String.trim value) with
+  | Number_lit x -> (
+      let code = plain_decimal value in
+      if code >= 0 then eval_cmp_int cmp (Float.compare (plain_value code) x)
+      else
+        match other_number value with
         | None -> false
         | Some v -> eval_cmp_int cmp (Float.compare v x))
   | String_lit s -> eval_cmp_int cmp (String.compare value s)

@@ -59,7 +59,20 @@ val flip_cmp : cmp -> cmp
 (** [eval_cmp_int c n] interprets [c] against [compare]-style result [n]. *)
 val eval_cmp_int : cmp -> int -> bool
 
+(** A float cell for {!read_number}.  A record of floats stores them
+    unboxed, so filling it allocates nothing. *)
+type number = { mutable number : float }
+
+(** [read_number cell v]: does node value [v] coerce to a number?  If so,
+    the number is left in [cell].  The coercion is
+    [float_of_string_opt (String.trim v)], bit for bit; a plain decimal
+    (optional [-], at most 15 digits, optionally a point among them) is read
+    without calling [float_of_string], and a value that cannot start a
+    number is rejected without it. *)
+val read_number : number -> string -> bool
+
 (** [literal_matches v c lit]: does node value [v] satisfy [v c lit]?  Numeric
-    literals coerce [v] to a float (failure to coerce means no match); string
-    literals compare lexically. *)
+    literals coerce [v] as {!read_number} does (failure to coerce means no
+    match), allocating nothing for a plain decimal; string literals compare
+    lexically. *)
 val literal_matches : string -> cmp -> literal -> bool

@@ -50,6 +50,70 @@ let tag_gen = QCheck.Gen.oneofl [ "a"; "b"; "c"; "d"; "item"; "name"; "Price" ]
 let text_gen =
   QCheck.Gen.oneofl [ "x"; "Energy"; "4.5"; "hello world"; "42"; "-3.25"; "" ]
 
+(* Node values spelled every way [float_of_string_opt (String.trim v)]
+   might read or reject: plain decimals around the fast reader's limits
+   (15 and 16 digits, 22 and 23 after the point, [1.], [.5]), signs,
+   exponents, hexadecimal [0x...p...], [nan], [inf] and [infinity] in
+   mixed case, an underscore anywhere, leading and trailing blanks
+   including the ['\011'] and ['\012'] that [strtod] skips, lone signs,
+   [""], and random ASCII. *)
+let number_text_gen =
+  QCheck.Gen.(
+    let digits lo hi = string_size ~gen:numeral (int_range lo hi) in
+    let blank = oneofl [ ' '; '\t'; '\n'; '\r'; '\011'; '\012' ] in
+    let blanks = string_size ~gen:blank (int_range 0 2) in
+    let plain =
+      let fraction = frequency [ (2, return ""); (3, map (( ^ ) ".") (digits 0 24)) ] in
+      let long_fraction = oneof [ digits 22 22; digits 23 23 ] in
+      let long_mantissa = oneof [ digits 15 15; digits 16 16 ] in
+      frequency
+        [
+          (4, map2 ( ^ ) (digits 0 18) fraction);
+          (1, map2 (fun w f -> w ^ "." ^ f) (digits 1 2) long_fraction);
+          (1, map2 ( ^ ) long_mantissa (oneofl [ ""; ".5"; "." ]));
+        ]
+    in
+    let exponent =
+      let e =
+        map3 (fun e s d -> e ^ s ^ d) (oneofl [ "e"; "E" ]) (oneofl [ ""; "-"; "+" ]) (digits 0 3)
+      in
+      frequency [ (4, return ""); (1, e) ]
+    in
+    let hex =
+      let mantissa = string_size ~gen:(oneofl [ '0'; '7'; 'a'; 'F'; '.' ]) (int_range 0 5) in
+      let power = map (( ^ ) "p") (oneof [ digits 1 2; map (( ^ ) "-") (digits 1 2) ]) in
+      map3 (fun x m p -> "0" ^ x ^ m ^ p) (oneofl [ "x"; "X" ]) mantissa
+        (frequency [ (1, return ""); (2, power) ])
+    in
+    let mixed_case w =
+      map
+        (fun ups -> String.mapi (fun i c -> if List.nth ups i then Char.uppercase_ascii c else c) w)
+        (list_repeat (String.length w) bool)
+    in
+    let word = oneofl [ "nan"; "inf"; "infinity" ] >>= mixed_case in
+    let number = frequency [ (6, map2 ( ^ ) plain exponent); (1, hex); (1, word) ] in
+    let sign = oneofl [ ""; ""; "-"; "+" ] in
+    let spelled =
+      map3 (fun lead (s, n) trail -> lead ^ s ^ n ^ trail) blanks (pair sign number) blanks
+    in
+    let underscore s =
+      let n = String.length s in
+      map (fun k -> k mod (n + 1)) nat
+      |> map (fun k -> String.sub s 0 k ^ "_" ^ String.sub s k (n - k))
+    in
+    let ascii = string_size ~gen:(map Char.chr (int_range 0 127)) (int_range 0 8) in
+    let near_char = oneofl [ '0'; '1'; '9'; '.'; '-'; 'e'; ' '; '_'; 'x'; 'n' ] in
+    let near = string_size ~gen:near_char (int_range 0 8) in
+    frequency
+      [
+        (8, spelled);
+        (1, spelled >>= underscore);
+        (1, oneofl [ "1."; ".5"; "-"; "+"; ""; "-.5"; "+.5"; "1e"; "0x"; "_1"; "1_" ]);
+        (1, ascii);
+        (1, near);
+        (1, text_gen);
+      ])
+
 let attr_gen =
   QCheck.Gen.(
     map2 (fun k v -> (k, v)) (oneofl [ "id"; "Acct"; "Sym" ]) text_gen)

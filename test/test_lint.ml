@@ -197,7 +197,24 @@ let d003_tests =
         check_ids "a shadowed install is judged by its own sites" [ (1, "D003") ]
           ~filename:"lib/core/benefit.ml"
           "let install c defs = Catalog.create_index c defs\n\
-           let install c defs = ignore (c, defs)\n");
+           let install c defs = ignore (c, defs)\n";
+        (* The same through a helper unit: each binding has its own call
+           edges, so the shadowed one still reaches the mutator. *)
+        let calls_helper = "let install c = Helper.go c\n"
+        and inert = "let install c = ignore c\n" in
+        List.iter
+          (fun (order, benefit) ->
+            with_temp_project
+              [ ("helper.ml", "let go c = Catalog.create_index c []\n"); ("benefit.ml", benefit) ]
+              (fun dir ->
+                Alcotest.(check (list (pair string int)))
+                  ("helper mutation reached from a shadowed install, " ^ order)
+                  [ ("helper.ml", 1) ]
+                  (List.filter_map
+                     (fun (f : Finding.t) ->
+                       if f.id = "D003" then Some (Filename.basename f.file, f.line) else None)
+                     (Lint.lint_paths [ dir ]).findings)))
+          [ ("shadowed first", calls_helper ^ inert); ("shadowed last", inert ^ calls_helper) ]);
     tc "same code outside what-if modules not hit" (fun () ->
         check_ids "clean" [] ~filename:"lib/core/search.ml"
           "let install c defs = Catalog.create_index c defs\n");
@@ -769,7 +786,7 @@ let json_report_tests =
     tc "parse errors are part of the envelope" (fun () ->
         let r =
           {
-            Lint.findings = [];
+            Lint.empty_report with
             errors = [ { Lint.path = "x.ml"; message = "boom" } ];
           }
         in
@@ -779,8 +796,8 @@ let json_report_tests =
     tc "findings are emitted sorted regardless of input order" (fun () ->
         let r =
           {
-            Lint.findings = [ mk_finding ~file:"b.ml" ~line:9 "D003"; mk_finding "D001" ];
-            errors = [];
+            Lint.empty_report with
+            findings = [ mk_finding ~file:"b.ml" ~line:9 "D003"; mk_finding "D001" ];
           }
         in
         let s = Lint.report_to_json r in
@@ -789,7 +806,7 @@ let json_report_tests =
         Alcotest.(check bool) "a.ml before b.ml" true (ia < ib));
     tc "byte-stable across runs" (fun () ->
         let r =
-          { Lint.findings = [ mk_finding "D002" ]; errors = [] }
+          { Lint.empty_report with findings = [ mk_finding "D002" ] }
         in
         Alcotest.(check string) "identical" (Lint.report_to_json r)
           (Lint.report_to_json r));
@@ -1093,6 +1110,32 @@ let rec remove_tree path =
   end
   else Sys.remove path
 
+(* The library layout comes from the dune files: without one, calls that
+   name the directory's library resolve to nothing, and the report says
+   so. *)
+let layout_tests =
+  [
+    tc "a directory linted without its dune file is a warning" (fun () ->
+        let dir = Filename.temp_dir "xia_lint_layout" "" in
+        let root = Filename.concat dir "lib" in
+        Fun.protect
+          ~finally:(fun () -> remove_tree dir)
+          (fun () ->
+            copy_tree repo_lib root;
+            let warnings () =
+              List.map (fun (e : Lint.error) -> e.path) (Lint.lint_paths [ root ]).warnings
+            in
+            Alcotest.(check (list string)) "every dune file there" [] (warnings ());
+            let dot_with, _ = Lint.callgraph_dot [ root ] in
+            let index = Filename.concat root "index" in
+            Sys.remove (Filename.concat index "dune");
+            Alcotest.(check (list string)) "lib/index named" [ index ] (warnings ());
+            let dot_without, _ = Lint.callgraph_dot [ root ] in
+            Alcotest.(check bool)
+              "the call graph it warns about is smaller" true
+              (String.length dot_without < String.length dot_with)));
+  ]
+
 let mutant_tests =
   [
     tc "every mutant's check fires on one mutated copy of lib/" (fun () ->
@@ -1169,5 +1212,6 @@ let suites =
     ("lint.format", format_tests);
     ("lint.json_report", json_report_tests);
     ("lint.self_check", self_check_tests);
+    ("lint.layout", layout_tests);
     ("lint.mutants", mutant_tests);
   ]

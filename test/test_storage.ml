@@ -143,11 +143,10 @@ let path_stats_tests =
   ]
 
 (* Documents over labels that extend one another by a character sorting
-   below or above ['/'], with numeric and other values. *)
-let extending_doc_gen =
+   below or above ['/'], with values from [value]. *)
+let extending_doc_gen value =
   QCheck.Gen.(
     let label = oneofl [ "a"; "a-b"; "a.b"; "a_b" ] in
-    let value = oneofl [ "1"; "2.5"; "-7"; "x"; "" ] in
     let tree =
       sized_size (int_range 1 20)
         (fix (fun self n ->
@@ -191,7 +190,14 @@ let properties =
       ~name:"per-path stats equal an oracle recount over labels extending each other"
       (QCheck.make
          ~print:(fun ds -> String.concat "\n" (List.map Xia_xml.Printer.to_string ds))
-         QCheck.Gen.(list_size (int_range 1 6) extending_doc_gen))
+         QCheck.Gen.(
+           list_size (int_range 1 6) (extending_doc_gen (oneofl [ "1"; "2.5"; "-7"; "x"; "" ]))))
+      oracle_agrees;
+    QCheck.Test.make ~count:300
+      ~name:"per-path stats equal an oracle recount over every number spelling"
+      (QCheck.make
+         ~print:(fun ds -> String.concat "\n" (List.map Xia_xml.Printer.to_string ds))
+         QCheck.Gen.(list_size (int_range 1 6) (extending_doc_gen Helpers.number_text_gen)))
       oracle_agrees;
     QCheck.Test.make ~count:100 ~name:"doc_count per path never exceeds table docs"
       (QCheck.list_of_size (QCheck.Gen.int_range 1 5) Helpers.doc_arbitrary)

@@ -193,32 +193,13 @@ let eval_tests =
           (fun () -> ignore (Helpers.packed (Xia_xml.Types.text "x"))));
   ]
 
-(* Node values around the plain decimals [literal_matches] reads without
-   [float_of_string]: signs, points, long digit runs, exponents, spaces. *)
-let number_text_gen =
-  QCheck.Gen.(
-    let digits lo hi = string_size ~gen:numeral (int_range lo hi) in
-    let plain =
-      map3
-        (fun sign whole frac -> sign ^ whole ^ frac)
-        (oneofl [ ""; "-"; "+" ])
-        (digits 0 18)
-        (frequency [ (2, return ""); (3, map (( ^ ) ".") (digits 0 24)) ])
-    in
-    frequency
-      [
-        (6, plain);
-        (1, string_size ~gen:(oneofl [ '0'; '1'; '9'; '.'; '-'; 'e'; ' '; '_'; 'x' ]) (int_range 0 8));
-        (1, Helpers.text_gen);
-      ])
-
 let properties =
   [
     QCheck.Test.make ~count:3000 ~name:"numeric literal_matches = float_of_string"
       (QCheck.make ~print:(fun (v, l, c) -> Printf.sprintf "%S %S %d" v l c)
          QCheck.Gen.(
-           let* value = number_text_gen in
-           let* lit = frequency [ (1, return value); (2, number_text_gen) ] in
+           let* value = Helpers.number_text_gen in
+           let* lit = frequency [ (1, return value); (2, Helpers.number_text_gen) ] in
            map (fun c -> (value, lit, c)) (int_range 0 5)))
       (fun (value, lit, c) ->
         let cmp = List.nth [ A.Eq; A.Ne; A.Lt; A.Le; A.Gt; A.Ge ] c in
@@ -230,6 +211,18 @@ let properties =
             match float_of_string_opt (String.trim value) with
             | None -> false
             | Some v -> A.eval_cmp_int cmp (Float.compare v x));
+    QCheck.Test.make ~count:20_000 ~name:"read_number = float_of_string_opt of the trimmed value"
+      (QCheck.make ~print:(Printf.sprintf "%S") Helpers.number_text_gen)
+      (fun value ->
+        let cell = { A.number = 0.0 } in
+        let same a b =
+          Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
+          || (Float.is_nan a && Float.is_nan b)
+        in
+        match (A.read_number cell value, float_of_string_opt (String.trim value)) with
+        | true, Some v -> same cell.A.number v
+        | false, None -> true
+        | true, None | false, Some _ -> false);
     QCheck.Test.make ~count:200 ~name:"//* returns every element" Helpers.doc_arbitrary
       (fun doc ->
         List.length (Helpers.eval_tree doc (Helpers.xpath "//*"))
