@@ -59,7 +59,6 @@ let bytes_of_paper_mb ~all_size mb =
 let table1 () =
   header
     "Table I / Section V: basic candidates of Q1,Q2 and their generalization";
-  let catalog = tpox_catalog () in
   let q1 =
     {|for $sec in SECURITY('SDOC')/Security where $sec/Symbol = "BCIIPRC" return $sec|}
   in
@@ -67,7 +66,7 @@ let table1 () =
     {|for $sec in SECURITY('SDOC')/Security[Yield>4.5] where $sec/SecInfo/*/Sector = "Energy" return <Security>{$sec/Name}</Security>|}
   in
   let wl = W.of_strings [ q1; q2 ] in
-  let set = Enumeration.candidates catalog wl in
+  let set = Enumeration.candidates wl in
   Format.printf "Workload: the paper's Q1 and Q2.@.@.";
   List.iter
     (fun (c : Candidate.t) ->
@@ -169,7 +168,7 @@ let table3 () =
   List.iter
     (fun n ->
       let wl = Synthetic.workload ~seed:7 catalog tables n in
-      let set = Enumeration.candidates catalog wl in
+      let set = Enumeration.candidates wl in
       let basic = List.length (Candidate.basics set) in
       let total = Candidate.cardinality set in
       Format.printf "%8d | %12d | %12d | %7.0f%%@." n basic total
@@ -407,7 +406,7 @@ let hist () =
       (Xia_storage.Doc_store.insert store
          (Xia_xml.Parser.parse_exn (Printf.sprintf "<a><v>%.1f</v></a>" v)))
   done;
-  ignore (Catalog.add_table catalog store);
+  Catalog.add_table catalog store;
   ignore (Catalog.runstats catalog "SKEW");
   Format.printf "%14s | %10s | %12s | %12s@." "predicate" "true docs" "est (hist)"
     "est (uniform)";
@@ -448,7 +447,7 @@ let calls () =
   Format.printf "%s@." line;
   List.iter
     (fun alg ->
-      let set = Enumeration.candidates catalog workload in
+      let set = Enumeration.candidates workload in
       let ev = Benefit.create catalog workload in
       let session = { Advisor.candidates = set; evaluator = ev } in
       let all = Advisor.session_advise session ~budget:max_int Advisor.All_index in
@@ -523,7 +522,7 @@ let scale () =
       in
       let (set, ev, r), elapsed =
         Trace.timed "scale.advise" (fun () ->
-            let set = Enumeration.candidates catalog wl in
+            let set = Enumeration.candidates wl in
             let ev = Benefit.create catalog wl in
             let session = { Advisor.candidates = set; evaluator = ev } in
             let all = Advisor.session_advise session ~budget:max_int Advisor.All_index in
@@ -573,7 +572,7 @@ let scale10k_budget catalog distinct =
     Synthetic.workload ~seed:32 ~label_prefix:"T" catalog
       (Catalog.table_names catalog) distinct
   in
-  let pool_set = Enumeration.candidates catalog pool in
+  let pool_set = Enumeration.candidates pool in
   List.fold_left
     (fun acc c -> acc + Candidate.size catalog c)
     0 (Candidate.basics pool_set)
@@ -746,7 +745,7 @@ let advisor_phase_setup () =
     @ Synthetic.workload ~seed:21 catalog (Catalog.table_names catalog)
         (if !quick then 29 else 69)
   in
-  (catalog, workload, Enumeration.candidates catalog workload)
+  (catalog, workload, Enumeration.candidates workload)
 
 let config_ids (r : Advisor.recommendation) =
   List.map (fun (c : Candidate.t) -> c.Candidate.id) r.Advisor.outcome.Search.config
@@ -789,7 +788,7 @@ let candidates () =
     Xia_advisor.Workload_summary.workload
       (Xia_advisor.Workload_summary.compress catalog workload)
   in
-  let _, set = second_pass "candidates" (fun () -> Enumeration.candidates catalog reps) in
+  let _, set = second_pass "candidates" (fun () -> Enumeration.candidates reps) in
   Format.printf "%d statements, %d representatives: %d basic, %d candidates@."
     (W.size workload) (W.size reps)
     (List.length (Candidate.basics set))
@@ -894,7 +893,7 @@ let micro () =
      already cached, so the measurement isolates the cache lookup path
      (fingerprint + shard probe) the searches actually sit on. *)
   let ev = Benefit.create catalog workload in
-  let set = Enumeration.candidates catalog workload in
+  let set = Enumeration.candidates workload in
   let basics = Candidate.basics set in
   ignore (Benefit.benefit ev basics);
   List.iter (fun c -> ignore (Benefit.individual_benefit ev c)) basics;
@@ -904,7 +903,7 @@ let micro () =
      upkeep, coverage tests) and grows with the workload if that work
      does. *)
   let search_wl = Synthetic.workload ~seed:17 catalog (Catalog.table_names catalog) 300 in
-  let search_set = Enumeration.candidates catalog search_wl in
+  let search_set = Enumeration.candidates search_wl in
   let search_ev = Benefit.create catalog search_wl in
   let search_budget = Benefit.config_size search_ev (Candidate.basics search_set) / 2 in
   ignore (Search.greedy_heuristics search_ev search_set ~budget:search_budget);
@@ -925,7 +924,7 @@ let micro () =
                (Xia_advisor.Generalize.pair pat_s
                   (Xia_xpath.Pattern.of_string "/Security/Symbol"))));
       Test.make ~name:"optimizer.enumerate"
-        (Staged.stage (fun () -> ignore (Optimizer.enumerate_indexes catalog q2)));
+        (Staged.stage (fun () -> ignore (Optimizer.enumerate_indexes q2)));
       Test.make ~name:"optimizer.evaluate"
         (Staged.stage (fun () ->
              ignore (Optimizer.statement_cost ~mode:Optimizer.Evaluate catalog q2)));
@@ -991,7 +990,7 @@ let micro_obs () =
   let stats = Catalog.stats catalog Tpox.security_table in
   let pat_g = Xia_xpath.Pattern.of_string "/Security//*" in
   let ev = Benefit.create catalog workload in
-  let set = Enumeration.candidates catalog workload in
+  let set = Enumeration.candidates workload in
   let basics = Candidate.basics set in
   ignore (Benefit.benefit ev basics);
   List.iter (fun c -> ignore (Benefit.individual_benefit ev c)) basics;

@@ -41,7 +41,7 @@ let load_table catalog spec =
         report.Xia_storage.Persist.failed;
       Format.printf "Loaded %d documents into %s from %s@."
         report.Xia_storage.Persist.loaded table dir;
-      Ok (ignore (Catalog.add_table catalog store))
+      Ok (Catalog.add_table catalog store)
 
 (* Either generated benchmark data or user directories of XML files. *)
 let load_catalog benchmark small data_dirs =
@@ -181,7 +181,7 @@ let explain_cmd benchmark small data_dirs query with_recommended =
   let* () = check_tables catalog "--query" (Xia_query.Ast.tables stmt) in
   Format.printf "Statement: %s@.@." (Xia_query.Printer.statement_to_string stmt);
   Format.printf "Indexable patterns (Enumerate Indexes mode):@.";
-  let candidates = Optimizer.enumerate_indexes catalog stmt in
+  let candidates = Optimizer.enumerate_indexes stmt in
   List.iter
     (fun (table, pattern, dtype) ->
       Format.printf "  %s on %s AS %s@."
@@ -208,7 +208,7 @@ let candidates_cmd benchmark small data_dirs workload_file update_freq synthetic
   let* catalog, workload, _ =
     setup benchmark small data_dirs workload_file update_freq synthetic []
   in
-  let set = Xia_advisor.Enumeration.candidates catalog workload in
+  let set = Xia_advisor.Enumeration.candidates workload in
   Format.printf "Workload: %d statements@." (W.size workload);
   Format.printf "Basic candidates: %d, total after generalization: %d@.@."
     (List.length (Xia_advisor.Candidate.basics set))

@@ -17,7 +17,7 @@ let () =
   for i = 0 to 1999 do
     ignore (Doc_store.insert store (Xia_workload.Tpox.security rng i))
   done;
-  ignore (Catalog.add_table catalog store);
+  Catalog.add_table catalog store;
   Catalog.runstats_all catalog;
   Format.printf "Loaded %d documents (%d KB, %d distinct paths)@.@."
     (Doc_store.doc_count store)
@@ -46,7 +46,7 @@ let () =
             (Xia_xpath.Pattern.to_string pattern)
             table
             (Xia_index.Index_def.data_type_to_string dtype))
-        (Optimizer.enumerate_indexes catalog item.statement))
+        (Optimizer.enumerate_indexes item.statement))
     workload;
   Format.printf "@.";
 

@@ -54,11 +54,6 @@ val by_key : node -> node -> int
 (** The variable a pattern binds, through type constraints. *)
 val var_of_pattern : Parsetree.pattern -> string option
 
-(** Alias-expand the leading components of a dotted path as seen from a
-    unit (e.g. [\["Catalog"; "stats"\]] to
-    [\["Xia_index"; "Catalog"; "stats"\]]). *)
-val expand : t -> unit_info -> string list -> string list
-
 (** Every node a dotted path may denote, seen from [unit_info] (alias
     expansion, library qualification, sibling units, [open]s; all plausible
     targets on ambiguity). *)
@@ -67,8 +62,7 @@ val resolve : t -> unit_info -> string list -> node list
 (** {1 The transitive engine}
 
     Every transitive fact of the analyzer is a {!reach} query over an
-    edge set the caller picks — resolved calls ({!Sites.calls}) or those
-    calls inverted into caller edges. *)
+    edge set the caller picks, the resolved calls ({!Sites.calls}). *)
 
 (** [reach ~succ ~cut root]: every node a depth-first walk from [root]
     enters, in entry order, each with its trail — the nodes from [root]

@@ -8,21 +8,20 @@
    unit's module-level bindings, the call graph's nodes; X001, E001 and
    N001 read each such binding's own sites; D002, D004, H002 and R003
    read every site of the unit, bindings or not; H001 is
-   filesystem-level.  Whole-program checks ([check_program]): D003 and
-   E002 are [Callgraph.reach] queries over [Sites.calls] — backwards from
-   each mutator site, forwards from the batch roots — that classify the
-   own sites of every binding they enter.
+   filesystem-level.  The whole-program check ([check_program]), E002, is
+   a [Callgraph.reach] query over [Sites.calls] forwards from the batch
+   roots that classifies the own sites of every binding it enters.  That
+   what-if evaluation never writes the catalog is the compiler's to check:
+   every what-if interface takes a catalog without its write capability
+   ([Catalog.read_only]).
 
    Identifier references are matched on [Longident] paths after module-alias
    expansion through the graph — full name resolution (functors,
-   first-class modules) is out of scope, so a functor-wrapped mutation can
+   first-class modules) is out of scope, so a functor-wrapped write can
    hide.  It does not occur in this codebase; suppressions cover
    intentional exceptions. *)
 
 open Parsetree
-
-(* Lowercase module basenames whose bindings are D003 entry points. *)
-let whatif_modules = [ "benefit"; "optimizer" ]
 
 (* Lowercase module basenames sanctioned to perform IO: the persistence
    boundary E001 carves out. *)
@@ -505,87 +504,6 @@ let check_n001 own =
   in
   if hits = [] || List.exists sorts own then [] else hits
 
-(* ---------------------------------------------------------------- D003 -- *)
-
-(* Mutation entry points of the shared catalog/store API (D003's site set).
-   [warm_stats] is deliberately absent: an evaluator calls it when it is
-   built, to bind its statements to the statistics current then. *)
-let mutator_of_path =
-  member_of
-    [
-      ( "Catalog",
-        [
-          "add_table"; "create_index"; "drop_index"; "drop_all_indexes";
-          "refresh_indexes"; "runstats"; "runstats_all";
-        ] );
-      ("Doc_store", [ "insert"; "delete"; "replace"; "update" ]);
-    ]
-
-(* A binding's unsuppressed, unshadowed mutator references, alias-expanded
-   ([Catalog.runstats], [Xia_index.Catalog.runstats], or any local alias
-   of either). *)
-let mutations own =
-  List.filter_map
-    (fun (s : Sites.site) ->
-      match s.kind with
-      | Ref id when (not id.shadowed) && not (Sites.active s "D003") ->
-          Option.map (fun m -> (s.loc, m)) (mutator_of_path id.expanded)
-      | _ -> None)
-    own
-
-(* Whole-program D003: a catalog/store mutator site — in any unit — fires
-   when some binding of a what-if module can reach it through the
-   cross-unit call graph: a reverse [Callgraph.reach] from the site's host
-   over caller edges (the inverted [Sites.calls]), with no cut — a mutex
-   does not make a what-if mutation acceptable.  The check polices the
-   catalog/store API boundary; mutation smuggled through an unqualified
-   internal helper of the mutated module itself is out of reach (DESIGN.md
-   §5f).  The message lists every binding the reverse walk enters, the
-   host included, qualified with the unit module name when it lives in
-   another unit. *)
-let check_d003 sites =
-  let is_whatif (r : Callgraph.node) = List.mem r.u.basename whatif_modules in
-  let callers = Hashtbl.create 256 in
-  let callers_of c = Option.value ~default:[] (Hashtbl.find_opt callers (Callgraph.key c)) in
-  let nodes = Callgraph.nodes (Sites.graph sites) in
-  List.iter
-    (fun n ->
-      List.iter
-        (fun c -> Hashtbl.replace callers (Callgraph.key c) (n :: callers_of c))
-        (Sites.calls sites n))
-    nodes;
-  List.concat_map
-    (fun (n : Callgraph.node) ->
-      match mutations (Sites.node_sites sites n) with
-      | [] -> []
-      | witnesses ->
-          let hosts =
-            List.map fst
-              (Callgraph.reach ~succ:callers_of ~cut:(fun _ -> false) n)
-          in
-          if not (List.exists is_whatif hosts) then []
-          else
-            let entries =
-              List.map
-                (fun (r : Callgraph.node) ->
-                  if String.equal r.u.path n.u.path then r.name
-                  else r.u.modname ^ "." ^ r.name)
-                hosts
-              |> List.sort String.compare
-            in
-            List.map
-              (fun (loc, what) ->
-                let message =
-                  Printf.sprintf
-                    "catalog/store mutation %s on a what-if evaluation path (in %s, \
-                     reachable from: %s); what-if evaluation must not mutate shared \
-                     state — pass ?virtual_config instead"
-                    what n.name (String.concat ", " entries)
-                in
-                Finding.of_location ~id:"D003" ~message loc)
-              witnesses)
-    nodes
-
 (* ---------------------------------------------------------------- E002 -- *)
 
 (* Container mutators applied to a subject argument. *)
@@ -754,7 +672,7 @@ let missing_mli ~mls ~mlis =
 
 (* Unit-local checks for one compilation unit.  The raw source text
    carries the lint-note comments; H001 is filesystem-level and lives in
-   [missing_mli]; D003 and E002 are whole-program. *)
+   [missing_mli]; E002 is whole-program. *)
 let check_unit sites (u : Callgraph.unit_info) =
   let notes = Suppress.lint_note_lines u.source in
   let nodes =
@@ -772,7 +690,7 @@ let check_unit sites (u : Callgraph.unit_info) =
     @ List.concat_map per_binding nodes
     @ check_sites ~notes ~d004:(d004_applies u.path) (Sites.unit_sites sites u))
 
-let check_program sites = check_d003 sites @ check_e002 sites
+let check_program = check_e002
 
 (* ------------------------------------------------------ check catalog -- *)
 
@@ -782,7 +700,6 @@ let catalog =
   [
     { id = "D001"; title = "module-toplevel mutable state" };
     { id = "D002"; title = "Sys.time used for timing" };
-    { id = "D003"; title = "catalog/store mutation on a what-if path" };
     { id = "D004"; title = "wall-clock read outside lib/obs" };
     { id = "E001"; title = "IO effect in library code" };
     { id = "E002"; title = "shared-state write on the virtual-config path" };

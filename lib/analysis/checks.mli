@@ -23,17 +23,17 @@
       [lib/]: an order-dependent fold whose literal closure builds a list,
       with no canonicalizing sort in the same binding.
 
-    Whole-program checks (interprocedural, {!Callgraph.reach} queries
+    The whole-program check (interprocedural, a {!Callgraph.reach} query
     over the call lists of {!Sites} on the cross-unit graph):
 
-    - [D003] catalog/store mutation transitively reachable — across
-      compilation units — from a binding of a what-if evaluation module
-      ([benefit], [optimizer]): what-if evaluation never mutates the
-      catalog.
     - [E002] shared-state writes in the transitive call closure of
       [optimize_batch], [optimize_prepared] and [optimize_costs] bindings,
       beyond the sanctioned [warm_stats]/optimizer [prepare], [lib/obs]
       and [interner] sites.
+
+    That what-if evaluation never writes the catalog is not a check: the
+    compiler enforces it, because every what-if interface takes a catalog
+    without its write capability ({!Xia_index.Catalog.read_only}).
 
     Identifier references are matched on [Longident] paths after
     module-alias expansion through the graph; a reference a local binder
@@ -50,9 +50,9 @@
     applicability.  Attribute suppressions are already applied. *)
 val check_unit : Sites.t -> Callgraph.unit_info -> Finding.t list
 
-(** The whole-program checks, D003 and E002: {!Callgraph.reach} queries
-    over {!Sites.calls} that classify the own sites of every binding they
-    enter. *)
+(** The whole-program check, E002: a {!Callgraph.reach} query over
+    {!Sites.calls} that classifies the own sites of every binding it
+    enters. *)
 val check_program : Sites.t -> Finding.t list
 
 (** [missing_mli ~mls ~mlis] — H001: every [.ml] path with no matching

@@ -34,7 +34,7 @@ let parse_structure ~filename source =
 
 (* Every parsetree-level finding of a program, all read off one site walk
    of the shared graph: the unit-local checks per unit, then the
-   whole-program checks (D003 and E002). *)
+   whole-program check (E002). *)
 let program_findings graph =
   let sites = Sites.build graph in
   List.concat_map (Checks.check_unit sites) (Callgraph.units graph) @ Checks.check_program sites

@@ -16,7 +16,7 @@ type report = {
 val empty_report : report
 
 (** Lint one source string as a one-unit program (every parsetree-level
-    check including D003, R003 and X001; no H001). *)
+    check including E002, R003 and X001; no H001). *)
 val lint_source : filename:string -> string -> (Finding.t list, error) result
 
 (** Lint every [.ml] under [paths] (recursively; skips [_build] and dot

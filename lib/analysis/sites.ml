@@ -19,7 +19,6 @@ open Parsetree
 
 type ident = {
   path : string list;
-  expanded : string list;
   targets : Callgraph.node list;
   mutable shadowed : bool;
 }
@@ -93,7 +92,7 @@ let walk_unit t (u : Callgraph.unit_info) pending =
   let resolve (lid : Longident.t Location.loc) =
     let path = Longident.flatten lid.txt in
     let targets = Callgraph.resolve t.graph u path in
-    { path; expanded = Callgraph.expand t.graph u path; targets; shadowed = false }
+    { path; targets; shadowed = false }
   in
   (* Run [f], then restore the [@lint.allow] stack. *)
   let scoped f =

@@ -15,7 +15,6 @@
     of the same binding binds has this (single-component) name. *)
 type ident = {
   path : string list;                (** as written *)
-  expanded : string list;            (** {!Callgraph.expand}ed *)
   targets : Callgraph.node list;     (** {!Callgraph.resolve}d *)
   mutable shadowed : bool;
 }

@@ -109,7 +109,7 @@ let create_session ?compress catalog workload =
   let summary = summarize_workload ~compress catalog workload in
   let candidates =
     timed "enumerate+generalize" (fun () ->
-        Enumeration.candidates catalog (Workload_summary.workload summary))
+        Enumeration.candidates (Workload_summary.workload summary))
   in
   Log.info (fun m ->
       m "candidates: %d basic, %d total"

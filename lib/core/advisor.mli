@@ -52,7 +52,7 @@ val advise :
   ?beta:float ->
   ?domains:int ->
   ?compress:bool ->
-  Catalog.t ->
+  _ Catalog.t ->
   Workload.t ->
   budget:int ->
   algorithm ->
@@ -62,7 +62,7 @@ val advise :
     across several budgets and algorithms. *)
 type session = { candidates : Candidate.set; evaluator : Benefit.t }
 
-val create_session : ?compress:bool -> Catalog.t -> Workload.t -> session
+val create_session : ?compress:bool -> _ Catalog.t -> Workload.t -> session
 
 val session_advise :
   ?beta:float -> session -> budget:int -> algorithm -> recommendation
@@ -70,10 +70,10 @@ val session_advise :
 (** Materialize the configuration, run the workload for real, drop the
     indexes; returns (wall seconds, simulated execution cost, result rows). *)
 val execute_workload :
-  Catalog.t -> Workload.t -> Index_def.t list -> float * float * int
+  [> `Write ] Catalog.t -> Workload.t -> Index_def.t list -> float * float * int
 
 (** Measured speedup of the configured run over the no-index run: the ratio
     of the deterministic simulated costs of the work actually done. *)
-val actual_speedup : Catalog.t -> Workload.t -> Index_def.t list -> float
+val actual_speedup : [> `Write ] Catalog.t -> Workload.t -> Index_def.t list -> float
 
 val pp_recommendation : Format.formatter -> recommendation -> unit

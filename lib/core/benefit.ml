@@ -61,7 +61,7 @@ type entry = {
 }
 
 type t = {
-  catalog : Catalog.t;
+  catalog : [ `Read ] Catalog.t;
   summary : Workload_summary.t;
   items : Workload.item array;
       (* the summary's representative statements — for a raw summary,
@@ -102,7 +102,6 @@ type t = {
    without an evaluator handle. *)
 let count name n = if Xia_obs.Obs.on () then Xia_obs.Metrics.add (Xia_obs.Metrics.counter name) n
 
-let catalog t = t.catalog
 let summary t = t.summary
 let evaluations t = t.evaluations
 let cache_hits t = t.cache_hits
@@ -121,6 +120,7 @@ let dml_statements items =
    (cluster = statement) this is exactly the historical per-item evaluator.
    [?domains] is accepted and ignored (see benefit.mli). *)
 let of_summary ?domains:_ catalog summary =
+  let catalog = Catalog.read_only catalog in
   let items = Array.of_list (Workload_summary.workload summary) in
   (* Collect missing or stale statistics for every table up front: every
      later evaluation plans against the statistics the prepared statements

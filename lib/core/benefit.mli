@@ -18,16 +18,14 @@ type t
     prepared statements, so the evaluator is bound to the catalog
     statistics current at creation.  Equivalent to [of_summary] over
     {!Workload_summary.raw}. *)
-val create : Catalog.t -> Workload.t -> t
+val create : _ Catalog.t -> Workload.t -> t
 
 (** Build an evaluator over a workload summary: statements are the summary's
     cluster representatives and every cost sum is weighted by the cluster
     frequencies, so the raw and compressed paths share one code path.  The
     evaluator runs on one domain: [domains] is accepted and ignored, only
     because the advisor benchmark still passes [~domains:1]. *)
-val of_summary : ?domains:int -> Catalog.t -> Workload_summary.t -> t
-
-val catalog : t -> Catalog.t
+val of_summary : ?domains:int -> _ Catalog.t -> Workload_summary.t -> t
 
 (** The summary this evaluator runs on (identity clusters for {!create}). *)
 val summary : t -> Workload_summary.t

@@ -66,12 +66,12 @@ val parents_of : set -> t -> t list
 val is_general : t -> bool
 
 (** Derived (virtual) statistics of the candidate. *)
-val stats : Xia_index.Catalog.t -> t -> Index_stats.t
+val stats : _ Xia_index.Catalog.t -> t -> Index_stats.t
 
 (** Estimated on-disk size in bytes. *)
-val size : Xia_index.Catalog.t -> t -> int
+val size : _ Xia_index.Catalog.t -> t -> int
 
-val config_size : Xia_index.Catalog.t -> t list -> int
+val config_size : _ Xia_index.Catalog.t -> t list -> int
 
 (** Fill in the affected sets of general candidates from the basic ones. *)
 val compute_affected : set -> unit

@@ -8,7 +8,7 @@
 module Index_def = Xia_index.Index_def
 
 (* Enumerate basic candidates for a workload into a fresh candidate set. *)
-let basic_candidates catalog (workload : Xia_workload.Workload.t) =
+let basics (workload : Xia_workload.Workload.t) =
   let set = Candidate.create_set () in
   Xia_obs.Trace.with_span "enumeration.basic"
     ~args:(fun () ->
@@ -19,9 +19,7 @@ let basic_candidates catalog (workload : Xia_workload.Workload.t) =
     (fun () ->
       List.iteri
         (fun stmt_index (item : Xia_workload.Workload.item) ->
-          let patterns =
-            Xia_optimizer.Optimizer.enumerate_indexes catalog item.statement
-          in
+          let patterns = Xia_optimizer.Optimizer.enumerate_indexes item.statement in
           if Xia_obs.Obs.on () then begin
             Xia_obs.Metrics.incr (Xia_obs.Metrics.counter "enumeration.statements");
             Xia_obs.Metrics.add
@@ -37,9 +35,11 @@ let basic_candidates catalog (workload : Xia_workload.Workload.t) =
         workload);
   set
 
+let basic_candidates _catalog workload = basics workload
+
 (* Full candidate generation: enumerate then generalize. *)
-let candidates catalog workload =
+let candidates workload =
   Xia_obs.Trace.with_span "enumeration.candidates" (fun () ->
-      let set = basic_candidates catalog workload in
+      let set = basics workload in
       Generalize.close set;
       set)

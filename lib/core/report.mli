@@ -41,7 +41,7 @@ type t = {
 
 (** Cost the workload with no index and under the configuration.
     @raise Invalid_argument when a statement names an unknown table. *)
-val evaluate_configuration : Catalog.t -> Workload.t -> Index_def.t list -> t
+val evaluate_configuration : _ Catalog.t -> Workload.t -> Index_def.t list -> t
 
 val pp : Format.formatter -> t -> unit
 
@@ -58,4 +58,4 @@ val pp_drop_reason : Format.formatter -> drop_reason -> unit
     without them minus [new_total].  Built from one report over every
     materialized index plus one cost batch per used index, all over the
     same prepared statements. *)
-val drop_recommendations : Catalog.t -> Workload.t -> (Index_def.t * drop_reason) list
+val drop_recommendations : _ Catalog.t -> Workload.t -> (Index_def.t * drop_reason) list

@@ -51,8 +51,8 @@ let dtype_tag = function
 (* Basic-candidate signature of a statement: the sorted interned ids of the
    (table, pattern, type) triples Enumerate Indexes derives from it.  Pure
    statement analysis — no cost-model invocation is counted or made. *)
-let signature catalog stmt =
-  let triples = Optimizer.enumerate_indexes catalog stmt in
+let signature stmt =
+  let triples = Optimizer.enumerate_indexes stmt in
   let ids =
     List.map
       (fun (table, pattern, dtype) ->
@@ -72,8 +72,8 @@ let kind_tag = function
 (* Cluster key: statement kind, then (for DML) the sorted target-table ids
    and a separator, then the signature.  Queries with equal signatures
    cluster together; DML only merges within the same kind and table set. *)
-let cluster_key catalog (stmt : Ast.statement) =
-  let sg = signature catalog stmt in
+let cluster_key (stmt : Ast.statement) =
+  let sg = signature stmt in
   let kind = kind_tag stmt in
   if kind = 0 then Array.append [| 0 |] sg
   else
@@ -117,7 +117,7 @@ end)
    member frequencies are summed in workload order. *)
 type acc = { rep : Workload.item; mutable sum : float }
 
-let compress catalog (workload : Workload.t) =
+let compress _catalog (workload : Workload.t) =
   let n = List.length workload in
   Xia_obs.Trace.with_span "summary.compress"
     ~args:(fun () -> [ ("statements", string_of_int n) ])
@@ -130,7 +130,7 @@ let compress catalog (workload : Workload.t) =
       match Statements.find_opt by_statement item.statement with
       | Some acc -> acc.sum <- acc.sum +. item.freq
       | None -> (
-          let key = cluster_key catalog item.statement in
+          let key = cluster_key item.statement in
           match Hashtbl.find_opt by_key key with
           | Some acc ->
               Statements.add by_statement item.statement acc;

@@ -211,7 +211,7 @@ let run_case ~perturb ~small spec =
      cost model. *)
   Optimizer.index_cost_factor := perturb;
   let search_ev = Benefit.create catalog workload in
-  let set = Enumeration.candidates catalog workload in
+  let set = Enumeration.candidates workload in
   let all_size = Benefit.config_size search_ev (Candidate.basics set) in
   let budgets =
     List.map

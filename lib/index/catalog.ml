@@ -17,31 +17,29 @@ type table = {
   mutable real_indexes : Physical_index.t list;
 }
 
-type t = {
-  tables : (string, table) Hashtbl.t;
-}
+(* The capability parameter is phantom: the interface alone decides which
+   functions need a writable catalog. *)
+type 'cap t = (string, table) Hashtbl.t
 
-let create () = { tables = Hashtbl.create 8 }
+let create () = Hashtbl.create 8
+let read_only t = t
 
 let add_table t store =
   let name = Doc_store.name store in
-  if Hashtbl.mem t.tables name then
+  if Hashtbl.mem t name then
     invalid_arg (Printf.sprintf "Catalog.add_table: table %s already exists" name);
-  let table = { store; stats = None; real_indexes = [] } in
-  Hashtbl.add t.tables name table;
-  table
-
-let find_table t name = Hashtbl.find_opt t.tables name
+  Hashtbl.add t name { store; stats = None; real_indexes = [] }
 
 let table_exn t name =
-  match find_table t name with
+  match Hashtbl.find_opt t name with
   | Some tbl -> tbl
   | None -> invalid_arg (Printf.sprintf "Catalog: unknown table %s" name)
 
 let table_names t =
-  List.sort String.compare (Hashtbl.fold (fun name _ acc -> name :: acc) t.tables [])
+  List.sort String.compare (Hashtbl.fold (fun name _ acc -> name :: acc) t [])
 
 let store t name = (table_exn t name).store
+let pages t name = Doc_store.pages (store t name)
 
 (* RUNSTATS: (re)collect statistics for one table. *)
 let runstats t name =
@@ -88,11 +86,11 @@ let drop_index t name =
         tbl.real_indexes <- keep;
         dropped := true
       end)
-    t.tables;
+    t;
   !dropped
 
 let drop_all_indexes t =
-  Hashtbl.iter (fun _ tbl -> tbl.real_indexes <- []) t.tables
+  Hashtbl.iter (fun _ tbl -> tbl.real_indexes <- []) t
 
 (* Bring stale real indexes up to date: incrementally from the table's
    change log when it reaches back far enough and the delta is small,
@@ -112,6 +110,6 @@ let refresh_indexes t =
                   Physical_index.apply_changes pi ~generation:gen changes
               | Some _ | None -> Physical_index.build tbl.store (Physical_index.def pi))
           tbl.real_indexes)
-    t.tables
+    t
 
 let real_indexes t name = (table_exn t name).real_indexes

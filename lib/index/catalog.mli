@@ -2,52 +2,60 @@
 
     Virtual indexes are not stored here: the optimizer's Evaluate mode takes
     a virtual-index configuration with each call
-    ([Optimizer.optimize ~virtual_config]). *)
+    ([Optimizer.optimize ~virtual_config]).
+
+    A catalog carries a capability: {!create} returns a writable
+    [[ `Write ] t], the mutators take [[> `Write ] t], and the readers take
+    any catalog.  Every what-if interface takes [_ t] and {!read_only}
+    drops the capability, so a what-if path that calls a mutator is a type
+    error. *)
 
 module Doc_store = Xia_storage.Doc_store
 module Path_stats = Xia_storage.Path_stats
 
-type table = {
-  store : Doc_store.t;
-  mutable stats : Path_stats.t option;
-  mutable real_indexes : Physical_index.t list;
-}
+type 'cap t
 
-type t
+val create : unit -> [ `Write ] t
 
-val create : unit -> t
+(** The same catalog without its write capability. *)
+val read_only : _ t -> [ `Read ] t
 
 (** @raise Invalid_argument on duplicate table names. *)
-val add_table : t -> Doc_store.t -> table
+val add_table : [> `Write ] t -> Doc_store.t -> unit
 
-val find_table : t -> string -> table option
+val table_names : _ t -> string list
 
-val table_names : t -> string list
-val store : t -> string -> Doc_store.t
+(** The table's document store, which DML mutates. *)
+val store : [> `Write ] t -> string -> Doc_store.t
+
+(** Pages the table's stored documents occupy ({!Doc_store.pages}). *)
+val pages : _ t -> string -> int
 
 (** Collect (and cache) statistics for one table. *)
-val runstats : t -> string -> Path_stats.t
+val runstats : [> `Write ] t -> string -> Path_stats.t
 
-val runstats_all : t -> unit
+val runstats_all : [> `Write ] t -> unit
 
-(** Cached statistics, recollected automatically when the table changed. *)
-val stats : t -> string -> Path_stats.t
+(** Cached statistics, recollected automatically when the table changed.
+    A reader: a store generation's statistics are a deterministic function
+    of the store, so the first read after a change only fills the cache. *)
+val stats : _ t -> string -> Path_stats.t
 
 (** Force-collect any missing or stale statistics for every table.  An
     evaluator calls it when it is built, so every statement it prepares is
     bound to the statistics current at its creation
     ({!Xia_advisor.Benefit.create}) and later [stats] reads are lookups. *)
-val warm_stats : t -> unit
+val warm_stats : _ t -> unit
 
 (** Materialize an index. @raise Invalid_argument on logical duplicates. *)
-val create_index : t -> Index_def.t -> Physical_index.t
+val create_index : [> `Write ] t -> Index_def.t -> Physical_index.t
 
 (** Drop a real index by name; [false] if absent. *)
-val drop_index : t -> string -> bool
+val drop_index : [> `Write ] t -> string -> bool
 
-val drop_all_indexes : t -> unit
+val drop_all_indexes : [> `Write ] t -> unit
 
 (** Rebuild real indexes whose base table changed. *)
-val refresh_indexes : t -> unit
+val refresh_indexes : [> `Write ] t -> unit
 
-val real_indexes : t -> string -> Physical_index.t list
+val real_indexes : _ t -> string -> Physical_index.t list

@@ -26,7 +26,7 @@ val set_value : Xia_xml.Packed.t -> Xia_xpath.Ast.path -> string -> Xia_xml.Pack
 
 (** Execute a plan.  A virtual index scan whose index is not materialized
     falls back to a document scan. *)
-val run_plan : Catalog.t -> Plan.t -> result
+val run_plan : [> `Write ] Catalog.t -> Plan.t -> result
 
 (** Refresh stale indexes, optimize in [Normal] mode and execute. *)
-val run_statement : Catalog.t -> Ast.statement -> result
+val run_statement : [> `Write ] Catalog.t -> Ast.statement -> result

@@ -15,7 +15,6 @@
 module Catalog = Xia_index.Catalog
 module Index_def = Xia_index.Index_def
 module Index_stats = Xia_index.Index_stats
-module Doc_store = Xia_storage.Doc_store
 module Path_stats = Xia_storage.Path_stats
 module C = Xia_storage.Cost_params
 module Rewriter = Xia_query.Rewriter
@@ -191,7 +190,7 @@ let prepare catalog (stmt : Ast.statement) =
       result_cpu;
       scan_cost =
         C.doc_scan
-          ~pages:(Doc_store.pages (Catalog.store catalog table))
+          ~pages:(Catalog.pages catalog table)
           ~docs:tstats.Path_stats.doc_count ~verify
         +. result_cpu;
       docs_cap = Float.max 1.0 (float_of_int tstats.Path_stats.doc_count);
@@ -589,7 +588,7 @@ let optimize_batch ?mode ~virtual_config catalog stmts =
    never built as definitions: an index of the access's own table and type
    is there by construction, so matching asks only whether [//*] or [//@*]
    covers the access pattern. *)
-let enumerate_indexes _catalog (stmt : Ast.statement) =
+let enumerate_indexes (stmt : Ast.statement) =
   Atomic.incr counters.enumerate_calls;
   let elem = Pattern.id Pattern.universal and attr = Pattern.id Pattern.universal_attr in
   let tables = Ast.tables stmt in

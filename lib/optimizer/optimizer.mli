@@ -54,7 +54,7 @@ type prepared
 (** Rewrite [stmt] and derive its configuration-independent costs.  Reads
     the catalog's statistics, collecting any that are missing or stale.
     @raise Invalid_argument when the statement names an unknown table. *)
-val prepare : Catalog.t -> Ast.statement -> prepared
+val prepare : _ Catalog.t -> Ast.statement -> prepared
 
 (** Can the index serve some access of the statement ({!index_matches} over
     the prepared accesses, from the definition's and the accesses' interned
@@ -69,10 +69,10 @@ val serves : prepared -> Index_def.t -> bool
     ones as {!prepare} does), so a what-if evaluation leaves no virtual
     index behind for the next one to see. *)
 val optimize :
-  ?mode:mode -> ?virtual_config:Index_def.t list -> Catalog.t -> Ast.statement -> Plan.t
+  ?mode:mode -> ?virtual_config:Index_def.t list -> _ Catalog.t -> Ast.statement -> Plan.t
 
 val statement_cost :
-  ?mode:mode -> ?virtual_config:Index_def.t list -> Catalog.t -> Ast.statement -> float
+  ?mode:mode -> ?virtual_config:Index_def.t list -> _ Catalog.t -> Ast.statement -> float
 
 (** Batched what-if evaluation: plan every prepared statement against one
     index setup — the visible indexes are gathered once per call, not once
@@ -86,7 +86,7 @@ val statement_cost :
 val optimize_prepared :
   ?mode:mode ->
   virtual_config:Index_def.t list ->
-  Catalog.t ->
+  _ Catalog.t ->
   prepared array ->
   Plan.t array
 
@@ -97,7 +97,7 @@ val optimize_prepared :
 val optimize_costs :
   ?mode:mode ->
   virtual_config:Index_def.t list ->
-  Catalog.t ->
+  _ Catalog.t ->
   prepared array ->
   float array
 
@@ -106,7 +106,7 @@ val optimize_costs :
 val optimize_batch :
   ?mode:mode ->
   virtual_config:Index_def.t list ->
-  Catalog.t ->
+  _ Catalog.t ->
   Ast.statement array ->
   Plan.t array
 
@@ -116,5 +116,4 @@ val affected_docs : prepared -> float
 
 (** Enumerate Indexes mode: the statement's basic candidate patterns, i.e.
     every access pattern matched against a universal virtual index. *)
-val enumerate_indexes :
-  Catalog.t -> Ast.statement -> (string * Pattern.t * Index_def.data_type) list
+val enumerate_indexes : Ast.statement -> (string * Pattern.t * Index_def.data_type) list

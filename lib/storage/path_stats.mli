@@ -2,9 +2,10 @@
 
     One {!path_info} per distinct rooted label path in the data (attribute
     components spelled ["@name"]).  The entries are the nodes of the
-    dataguide trie: a path is its parent's path extended by one label. *)
+    dataguide trie: a path is its parent's path extended by one label.
+    Both records are private: only {!collect} writes statistics. *)
 
-type path_info = {
+type path_info = private {
   parent : path_info option;  (** [None] for a root element's path *)
   label : int;  (** the last component, interned ({!Xia_xpath.Interner.label}) *)
   mutable index : int;  (** position in {!t.infos}; set by {!collect} *)
@@ -23,7 +24,7 @@ type path_info = {
           has no (or a single) numeric value *)
 }
 
-type t = {
+type t = private {
   table : string;
   generation : int;  (** store generation at collection time *)
   doc_count : int;

@@ -4,14 +4,14 @@
 (** One random single-predicate query over a table; [None] when the table has
     no usable paths. *)
 val random_query :
-  Random.State.t -> Xia_index.Catalog.t -> string -> Xia_query.Ast.statement option
+  Random.State.t -> _ Xia_index.Catalog.t -> string -> Xia_query.Ast.statement option
 
 (** [workload catalog tables n]: [n] random queries spread round-robin over
     [tables].  Deterministic for a fixed [seed]. *)
 val workload :
   ?seed:int ->
   ?label_prefix:string ->
-  Xia_index.Catalog.t ->
+  _ Xia_index.Catalog.t ->
   string list ->
   int ->
   Workload.t
@@ -26,7 +26,7 @@ val skewed_workload :
   ?alpha:float ->
   ?label_prefix:string ->
   distinct:int ->
-  Xia_index.Catalog.t ->
+  _ Xia_index.Catalog.t ->
   string list ->
   int ->
   Workload.t

@@ -195,9 +195,9 @@ let load ?(scale = default_scale) ?(seed = 42) catalog =
       (Xia_storage.Doc_store.insert ord
          (order rng i ~n_securities:scale.securities ~n_customers:scale.customers))
   done;
-  ignore (Xia_index.Catalog.add_table catalog sec);
-  ignore (Xia_index.Catalog.add_table catalog cust);
-  ignore (Xia_index.Catalog.add_table catalog ord);
+  Xia_index.Catalog.add_table catalog sec;
+  Xia_index.Catalog.add_table catalog cust;
+  Xia_index.Catalog.add_table catalog ord;
   Xia_index.Catalog.runstats_all catalog
 
 (* The 11-query TPoX-flavoured workload (mirroring the benchmark's query set;

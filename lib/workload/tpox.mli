@@ -25,7 +25,7 @@ val tiny_scale : scale
 
 (** Create and fill the three tables in the catalog, then collect
     statistics. *)
-val load : ?scale:scale -> ?seed:int -> Xia_index.Catalog.t -> unit
+val load : ?scale:scale -> ?seed:int -> [> `Write ] Xia_index.Catalog.t -> unit
 
 val query_strings : string list
 

@@ -130,9 +130,9 @@ let load ?(scale = default_scale) ?(seed = 1789) catalog =
       (Xia_storage.Doc_store.insert auctions
          (open_auction rng i ~n_items:scale.items ~n_persons:scale.persons))
   done;
-  ignore (Xia_index.Catalog.add_table catalog items);
-  ignore (Xia_index.Catalog.add_table catalog persons);
-  ignore (Xia_index.Catalog.add_table catalog auctions);
+  Xia_index.Catalog.add_table catalog items;
+  Xia_index.Catalog.add_table catalog persons;
+  Xia_index.Catalog.add_table catalog auctions;
   Xia_index.Catalog.runstats_all catalog
 
 (* Queries echoing XMark Q1 (person by id), Q2 (bid increases), Q5 (items

@@ -16,7 +16,7 @@ type scale = {
 val default_scale : scale
 val tiny_scale : scale
 
-val load : ?scale:scale -> ?seed:int -> Xia_index.Catalog.t -> unit
+val load : ?scale:scale -> ?seed:int -> [> `Write ] Xia_index.Catalog.t -> unit
 
 val query_strings : string list
 val queries : unit -> Workload.t

@@ -34,7 +34,7 @@ let () =
   let workload = Tpox.queries () @ Tpox.dml () in
   run "none" workload (fresh ());
   let catalog = fresh () in
-  let set = Xia_advisor.Enumeration.candidates catalog workload in
+  let set = Xia_advisor.Enumeration.candidates workload in
   List.iter
     (fun (c : Xia_advisor.Candidate.t) -> ignore (Catalog.create_index catalog c.def))
     (Xia_advisor.Candidate.to_list set);

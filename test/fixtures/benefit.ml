@@ -1,6 +1,6 @@
 (* Lint smoke-test fixture: never compiled, only parsed by xia_lint.
-   Named "benefit.ml" so the D003 what-if reentrancy check applies: the
-   catalog mutation below is reachable from both toplevel functions. *)
+   A catalog mutation reachable from both toplevel functions: a what-if
+   shape the type checker rejects, and no lint check flags. *)
 
 let install catalog defs = Catalog.create_index catalog defs
 

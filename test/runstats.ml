@@ -76,7 +76,7 @@ let () =
   Tpox.load ~scale:Tpox.tiny_scale ~seed:7 catalog;
   print_stats "tpox" catalog;
   let workload = Tpox.queries () @ Tpox.dml () in
-  let set = Xia_advisor.Enumeration.candidates catalog workload in
+  let set = Xia_advisor.Enumeration.candidates workload in
   List.iter
     (fun (c : Xia_advisor.Candidate.t) -> ignore (Catalog.create_index catalog c.def))
     (Xia_advisor.Candidate.to_list set);

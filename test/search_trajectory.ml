@@ -60,7 +60,7 @@ let print_outcome label (o : S.outcome) =
 let () =
   List.iter
     (fun (name, catalog, wl) ->
-      let set = En.candidates catalog wl in
+      let set = En.candidates wl in
       let all_size = (S.all_index (B.create catalog wl) set).S.size in
       List.iter
         (fun div ->

@@ -96,7 +96,7 @@ let benefit_tests =
     tc "cache avoids repeat optimizer calls" (fun () ->
         let catalog = Lazy.force Helpers.shared_catalog in
         let ev = B.create catalog (Xia_workload.Tpox.workload ()) in
-        let set = En.candidates catalog (Xia_workload.Tpox.workload ()) in
+        let set = En.candidates (Xia_workload.Tpox.workload ()) in
         let c = List.hd (C.basics set) in
         let _ = B.benefit ev [ c ] in
         let calls = B.evaluations ev in
@@ -108,7 +108,7 @@ let benefit_tests =
            configuration that may already hold some of them. *)
         let catalog = Lazy.force Helpers.shared_catalog in
         let wl = Xia_workload.Tpox.workload_with_updates ~update_freq:50.0 () in
-        let set = En.candidates catalog wl in
+        let set = En.candidates wl in
         let g = List.find (fun c -> C.children_of set c <> []) (C.generals set) in
         let children = C.children_of set g in
         let child = List.hd children in
@@ -130,7 +130,7 @@ let benefit_tests =
         let catalog = Lazy.force Helpers.shared_catalog in
         let wl = Xia_workload.Tpox.workload_with_updates ~update_freq:50.0 () in
         let ev = B.create catalog wl in
-        let set = En.candidates catalog wl in
+        let set = En.candidates wl in
         let order_idx =
           List.filter
             (fun c -> String.equal c.C.def.D.table Xia_workload.Tpox.order_table)
@@ -138,6 +138,32 @@ let benefit_tests =
         in
         Alcotest.(check bool) "nonempty" true (order_idx <> []);
         Alcotest.(check bool) "charged" true (B.maintenance_charge ev order_idx > 0.0));
+    tc "an evaluator is bound to the statistics at its creation" (fun () ->
+        (* One evaluator is built before the workload's DML runs for real,
+           the other over an untouched catalog: every figure the first one
+           reads after the DML must be the second one's. *)
+        let wl = Xia_workload.Tpox.workload_with_updates () in
+        let figures catalog ~before_reads =
+          let ev = B.create catalog wl in
+          let basics = C.basics (En.candidates wl) in
+          before_reads ();
+          (B.config_size ev basics, B.maintenance_charge ev basics, B.benefit ev basics)
+        in
+        let changed = Helpers.fresh_tiny_catalog () and untouched = Helpers.fresh_tiny_catalog () in
+        let generations c =
+          List.map (fun t -> Xia_storage.Doc_store.generation (Cat.store c t)) (Cat.table_names c)
+        in
+        let size, mc, benefit =
+          figures changed ~before_reads:(fun () -> ignore (A.execute_workload changed wl []))
+        in
+        Alcotest.(check bool)
+          "the DML changed a table" true
+          (generations changed <> generations untouched);
+        let size', mc', benefit' = figures untouched ~before_reads:ignore in
+        Alcotest.(check int) "config_size" size' size;
+        Alcotest.(check bool) "maintenance_charge" true (Float.equal mc' mc);
+        Alcotest.(check bool) "benefit" true (Float.equal benefit' benefit);
+        Alcotest.(check bool) "nonzero figures" true (size > 0 && mc > 0.0 && benefit > 0.0));
     tc "heavy insert traffic erodes an index's benefit" (fun () ->
         (* Inserts gain nothing from indexes but pay maintenance, so raising
            their frequency strictly lowers the benefit. *)
@@ -153,7 +179,7 @@ let benefit_tests =
             @ [ { insert with Xia_workload.Workload.freq } ]
           in
           let ev = B.create catalog wl in
-          let set = En.candidates catalog wl in
+          let set = En.candidates wl in
           let d =
             D.make ~table:Xia_workload.Tpox.order_table
               ~pattern:(Helpers.pattern "/FIXML/Order/@ID") ~dtype:D.Dstring ()
@@ -189,7 +215,7 @@ let benefit_tests =
         raises ();
         Alcotest.(check int) "evaluations" 1 (B.evaluations ev);
         Alcotest.(check int) "cache hits" 0 (B.cache_hits ev);
-        let set = En.candidates catalog wl in
+        let set = En.candidates wl in
         let symbol =
           Option.get
             (C.find_def set
@@ -215,7 +241,7 @@ let interaction_fixture =
        Xia_workload.Tpox.workload ()
        @ Xia_workload.Synthetic.workload ~seed:11 catalog (Cat.table_names catalog) 8
      in
-     (catalog, wl, Array.of_list (C.to_list (En.candidates catalog wl))))
+     (catalog, wl, Array.of_list (C.to_list (En.candidates wl))))
 
 let ids l = List.map (fun (c : C.t) -> c.C.id) l
 
@@ -441,7 +467,7 @@ let differential_tests =
     tc (name ^ " identical across two fresh evaluators") (fun () ->
         let catalog = Lazy.force Helpers.shared_catalog in
         let workload = tiny_workload catalog in
-        let set = En.candidates catalog workload in
+        let set = En.candidates workload in
         let run () =
           let ev = B.create catalog workload in
           let all = S.all_index ev set in
@@ -467,7 +493,7 @@ let qcheck_differential =
     (fun seed ->
       let catalog = Lazy.force Helpers.shared_catalog in
       let workload = Xia_workload.Synthetic.workload ~seed catalog (Cat.table_names catalog) 10 in
-      let set = En.candidates catalog workload in
+      let set = En.candidates workload in
       let outcome () =
         let ev = B.create catalog workload in
         let all = S.all_index ev set in
@@ -502,7 +528,7 @@ let dp_tests =
     tc "small budget still recommends a fitting index" (fun () ->
         let catalog = Lazy.force Helpers.shared_catalog in
         let workload = Xia_workload.Tpox.workload () in
-        let set = En.candidates catalog workload in
+        let set = En.candidates workload in
         let ev = B.create catalog workload in
         let pool =
           List.filter (fun (c : C.t) -> B.individual_benefit ev c > 0.0) (C.to_list set)

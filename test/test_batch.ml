@@ -52,8 +52,8 @@ let check_plan_equal label (a : Plan.t) (b : Plan.t) =
 (* Virtual configurations to exercise: none, every basic candidate def, and
    each statement's own basics would be redundant — a couple of singletons
    cover the sparse end. *)
-let configs_for catalog workload =
-  let set = En.candidates catalog workload in
+let configs_for workload =
+  let set = En.candidates workload in
   let all = List.map (fun (c : C.t) -> c.C.def) (C.basics set) in
   let singles = match all with [] -> [] | d :: _ -> [ [ d ] ] in
   [ [] ; all ] @ singles
@@ -86,7 +86,7 @@ let differential_tests =
                       (Printf.sprintf "%s[%d] cfg=%d" label i (List.length virtual_config))
                       expected.(i) p)
                   got)
-              (configs_for catalog workload))
+              (configs_for workload))
           (fixtures ()));
     tc "batch counters: one invocation, n-1 setups saved" (fun () ->
         let catalog = Lazy.force Helpers.shared_catalog in
@@ -116,7 +116,7 @@ let advise_run catalog workload () =
   let calls0 = Atomic.get O.counters.O.optimize_calls in
   let saved0 = Atomic.get O.counters.O.batch_setup_saved in
   let ev = B.create catalog workload in
-  let set = En.candidates catalog workload in
+  let set = En.candidates workload in
   let all = S.all_index ev set in
   let o = S.greedy_heuristics ev set ~budget:(max 1 (all.S.size / 2)) in
   ignore (B.workload_cost ev o.S.config);
@@ -216,7 +216,7 @@ let stale_tests =
               {|for $s in SECURITY('SDOC')/Security where $s/Yield > 4.5 return $s|};
             ]
         in
-        let set = En.candidates catalog big in
+        let set = En.candidates big in
         (* Evaluator over a 1-statement prefix: candidates affected by
            statement 1 now reference a statement this evaluator has never
            costed.  The old code silently dropped them (undercounting the

@@ -61,7 +61,7 @@ let or_catalog () =
             (Printf.sprintf "<a><k>K%02d</k><m>M%02d</m><v>%d</v></a>" (i mod 60)
                (i mod 50) i)))
   done;
-  ignore (Cat.add_table catalog store);
+  Cat.add_table catalog store;
   ignore (Cat.runstats catalog "T");
   catalog
 

@@ -61,7 +61,7 @@ let exhaustive_unit_tests =
     tc "zero budget admits exactly the empty configuration" (fun () ->
         let catalog = Lazy.force Helpers.shared_catalog in
         let wl = W.prefix 3 (Xia_workload.Tpox.workload ()) in
-        let set = En.candidates catalog wl in
+        let set = En.candidates wl in
         let ev = B.create catalog wl in
         let r = Ex.search ev set ~budget:0 in
         Alcotest.(check int) "config" 0 (List.length r.Ex.config);
@@ -84,7 +84,7 @@ let exhaustive_unit_tests =
     tc "pool-limit guard refuses large instances" (fun () ->
         let catalog = Lazy.force Helpers.shared_catalog in
         let wl = Xia_workload.Tpox.workload () in
-        let set = En.candidates catalog wl in
+        let set = En.candidates wl in
         let ev = B.create catalog wl in
         let budget = 1024 * 1024 in
         let fitting =
@@ -112,7 +112,7 @@ let build_instance ~seed ~n ~frac =
   let wl =
     Synthetic.workload ~seed catalog (Cat.table_names catalog) n
   in
-  let set = En.candidates catalog wl in
+  let set = En.candidates wl in
   let ev = B.create catalog wl in
   let all = B.config_size ev (C.basics set) in
   let budget = int_of_float (frac *. float_of_int all) in

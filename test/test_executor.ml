@@ -19,7 +19,7 @@ let small_catalog () =
       (DS.insert store
          (Helpers.xml (Printf.sprintf "<a><k>K%02d</k><v>%d</v></a>" (i mod 40) i)))
   done;
-  ignore (Cat.add_table catalog store);
+  Cat.add_table catalog store;
   ignore (Cat.runstats catalog "T");
   catalog
 
@@ -173,7 +173,7 @@ let property_tests =
               (fun (table, pattern, dtype) ->
                 let d = D.make ~table ~pattern ~dtype () in
                 try ignore (Cat.create_index catalog d) with Invalid_argument _ -> ())
-              (O.enumerate_indexes catalog i.statement))
+              (O.enumerate_indexes i.statement))
           wl;
         let after =
           List.map
@@ -197,7 +197,7 @@ let coupling_tests =
         for _ = 1 to 250 do
           ignore (DS.insert store (Helpers.xml "<a><k>K01</k><v>7</v><w><x>y</x></w></a>"))
         done;
-        ignore (Cat.add_table catalog store);
+        Cat.add_table catalog store;
         ignore (Cat.runstats catalog "T");
         let stmt = Helpers.statement "for $x in T/a return $x" in
         match (O.optimize ~mode:O.Normal catalog stmt).Plan.bindings with

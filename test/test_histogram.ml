@@ -65,7 +65,7 @@ let skewed_catalog () =
     in
     ignore (DS.insert store (Helpers.xml (Printf.sprintf "<a><v>%.1f</v></a>" v)))
   done;
-  ignore (Cat.add_table catalog store);
+  Cat.add_table catalog store;
   ignore (Cat.runstats catalog "T");
   catalog
 

@@ -1,10 +1,9 @@
 (* The xia_lint static analyzer (lib/analysis): every check ID gets a
    positive hit, a negative non-hit and a suppression path; the
-   whole-program checks (D003 and the N/E-series) additionally
-   get two-unit temp-dir projects proving the cross-module cases the old
-   per-file analysis could not see; plus the self-check that the
-   repository's own lib/ is lint-clean and a mutant corpus on which each
-   check must fire. *)
+   whole-program check (E002) additionally gets two-unit temp-dir projects
+   proving the cross-module cases a per-file analysis could not see; plus
+   the self-check that the repository's own lib/ is lint-clean and a
+   mutant corpus on which each check must fire. *)
 
 module Lint = Xia_analysis.Lint
 module Checks = Xia_analysis.Checks
@@ -168,63 +167,6 @@ let d004_tests =
     tc "attribute suppression" (fun () ->
         check_ids "suppressed" [] ~filename:"lib/core/par.ml"
           "let raw () = (Unix.gettimeofday () [@lint.allow \"D004\"])\n");
-  ]
-
-(* ---------------------------------------------------------------- D003 -- *)
-
-let d003_tests =
-  [
-    tc "catalog mutation reachable in what-if module" (fun () ->
-        let src =
-          "let install c defs = Catalog.create_index c defs\n\
-           let benefit c defs = install c defs\n"
-        in
-        let fs = findings ~filename:"lib/core/benefit.ml" src in
-        Alcotest.(check (list (pair int string)))
-          "one D003 at the call site"
-          [ (1, "D003") ]
-          (List.map (fun (f : Finding.t) -> (f.line, f.id)) fs);
-        let msg = (List.hd fs).Finding.message in
-        let has_sub needle =
-          let n = String.length needle and m = String.length msg in
-          let rec scan i = i + n <= m && (String.sub msg i n = needle || scan (i + 1)) in
-          scan 0
-        in
-        Alcotest.(check bool) "names the mutator" true (has_sub "Catalog.create_index");
-        Alcotest.(check bool)
-          "lists both entry points" true
-          (has_sub "reachable from: benefit, install");
-        check_ids "a shadowed install is judged by its own sites" [ (1, "D003") ]
-          ~filename:"lib/core/benefit.ml"
-          "let install c defs = Catalog.create_index c defs\n\
-           let install c defs = ignore (c, defs)\n";
-        (* The same through a helper unit: each binding has its own call
-           edges, so the shadowed one still reaches the mutator. *)
-        let calls_helper = "let install c = Helper.go c\n"
-        and inert = "let install c = ignore c\n" in
-        List.iter
-          (fun (order, benefit) ->
-            with_temp_project
-              [ ("helper.ml", "let go c = Catalog.create_index c []\n"); ("benefit.ml", benefit) ]
-              (fun dir ->
-                Alcotest.(check (list (pair string int)))
-                  ("helper mutation reached from a shadowed install, " ^ order)
-                  [ ("helper.ml", 1) ]
-                  (List.filter_map
-                     (fun (f : Finding.t) ->
-                       if f.id = "D003" then Some (Filename.basename f.file, f.line) else None)
-                     (Lint.lint_paths [ dir ]).findings)))
-          [ ("shadowed first", calls_helper ^ inert); ("shadowed last", inert ^ calls_helper) ]);
-    tc "same code outside what-if modules not hit" (fun () ->
-        check_ids "clean" [] ~filename:"lib/core/search.ml"
-          "let install c defs = Catalog.create_index c defs\n");
-    tc "warm_stats and reads are allowed" (fun () ->
-        check_ids "clean" [] ~filename:"benefit.ml"
-          "let prepare c = Catalog.warm_stats c\n\
-           let read c = Catalog.stats c \"T\"\n");
-    tc "attribute suppression" (fun () ->
-        check_ids "suppressed" [] ~filename:"benefit.ml"
-          "let install c = (Catalog.drop_all_indexes c [@lint.allow \"D003\"])\n");
   ]
 
 (* ---------------------------------------------------------------- H001 -- *)
@@ -403,65 +345,8 @@ let self_check_tests =
 
 (* ----------------------------------------- cross-unit call graph cases -- *)
 
-(* A lock-disciplined helper between a what-if caller and a mutator:
-   mutations propagate through it. *)
-let locked_helper_project =
-  [
-    ( "helpers.ml",
-      "let m = Mutex.create ()\n\
-       let install c = Catalog.create_index c \"x\"\n\
-       let locked c =\n\
-      \  Mutex.lock m;\n\
-      \  Fun.protect ~finally:(fun () -> Mutex.unlock m) (fun () -> install c)\n" );
-    ("benefit.ml", "let evaluate c = Helpers.locked c\n");
-  ]
-
 let callgraph_tests =
   [
-    tc "cross-unit D003 the per-file analysis provably missed" (fun () ->
-        let helpers = "let set c defs = Catalog.create_index c defs\n" in
-        let benefit = "let evaluate c defs = Helpers.set c defs\n" in
-        (* Either unit alone — the old per-file view — is clean: the mutator
-           lives outside the what-if module, and the what-if module only
-           calls an opaque sibling. *)
-        Alcotest.(check (list string))
-          "helpers.ml alone is clean" []
-          (List.map
-             (fun (f : Finding.t) -> f.id)
-             (findings ~filename:"lib/core/helpers.ml" helpers));
-        Alcotest.(check (list string))
-          "benefit.ml alone is clean" []
-          (List.map
-             (fun (f : Finding.t) -> f.id)
-             (findings ~filename:"lib/core/benefit.ml" benefit));
-        with_temp_project
-          [ ("helpers.ml", helpers); ("benefit.ml", benefit) ]
-          (fun dir ->
-            let report = Lint.lint_paths [ dir ] in
-            let d003 =
-              List.filter (fun (f : Finding.t) -> f.id = "D003") report.findings
-            in
-            Alcotest.(check int) "whole-program view finds it" 1 (List.length d003);
-            let f = List.hd d003 in
-            Alcotest.(check string)
-              "anchored at the mutator site" "helpers.ml"
-              (Filename.basename f.Finding.file);
-            Alcotest.(check bool)
-              "names the cross-unit entry point" true
-              (contains f.Finding.message "Benefit.evaluate")));
-    tc "cross-unit D003 propagates through a Mutex.lock helper" (fun () ->
-        with_temp_project locked_helper_project (fun dir ->
-            let d003 =
-              List.filter
-                (fun (f : Finding.t) -> f.id = "D003")
-                (Lint.lint_paths [ dir ]).findings
-            in
-            Alcotest.(check (list string))
-              "anchored at the mutator below the lock" [ "helpers.ml" ]
-              (List.map (fun (f : Finding.t) -> Filename.basename f.file) d003);
-            Alcotest.(check bool)
-              "the what-if caller above the lock is listed" true
-              (contains (List.hd d003).Finding.message "Benefit.evaluate")));
     tc "callgraph DOT is deterministic and shows the cross-unit edge" (fun () ->
         with_temp_project
           [
@@ -797,7 +682,7 @@ let json_report_tests =
         let r =
           {
             Lint.empty_report with
-            findings = [ mk_finding ~file:"b.ml" ~line:9 "D003"; mk_finding "D001" ];
+            findings = [ mk_finding ~file:"b.ml" ~line:9 "E002"; mk_finding "D001" ];
           }
         in
         let s = Lint.report_to_json r in
@@ -929,6 +814,45 @@ let e002_tests =
           "let optimize_batch tbl stmts =\n\
           \  let () = Hashtbl.replace tbl 0 () [@@lint.allow \"E002\"] in\n\
           \  stmts\n");
+    tc "cross-unit write the per-file analysis provably missed" (fun () ->
+        let helpers = "let bump tbl k = Hashtbl.replace tbl k ()\n" in
+        let optimizer = "let optimize_batch tbl stmts = List.iter (Helpers.bump tbl) stmts\n" in
+        (* Either unit alone is clean: the write lives outside the batch
+           root's unit, and the root only calls an opaque sibling. *)
+        check_ids "helpers.ml alone is clean" [] ~filename:"lib/optimizer/helpers.ml" helpers;
+        check_ids "optimizer.ml alone is clean" [] ~filename:"lib/optimizer/optimizer.ml"
+          optimizer;
+        with_temp_project
+          [ ("helpers.ml", helpers); ("optimizer.ml", optimizer) ]
+          (fun dir ->
+            match
+              List.filter (fun (f : Finding.t) -> f.id = "E002") (Lint.lint_paths [ dir ]).findings
+            with
+            | [ f ] ->
+                Alcotest.(check string)
+                  "anchored at the write" "helpers.ml" (Filename.basename f.Finding.file);
+                Alcotest.(check bool)
+                  "names the root and the trail" true
+                  (contains f.Finding.message
+                     "(Hashtbl.replace on tbl) reachable from optimize_batch's virtual-config \
+                      path via optimize_batch;")
+            | fs -> Alcotest.failf "expected one E002, got %d" (List.length fs)));
+    tc "a shadowed root keeps its own edges to a helper unit" (fun () ->
+        let calls_helper = "let optimize_batch tbl stmts = List.iter (Helpers.bump tbl) stmts\n"
+        and inert = "let optimize_batch _ stmts = stmts\n" in
+        List.iter
+          (fun (order, optimizer) ->
+            with_temp_project
+              [ ("helpers.ml", "let bump tbl k = Hashtbl.replace tbl k ()\n"); ("optimizer.ml", optimizer) ]
+              (fun dir ->
+                Alcotest.(check (list (pair string int)))
+                  ("helper write reached from a shadowed root, " ^ order)
+                  [ ("helpers.ml", 1) ]
+                  (List.filter_map
+                     (fun (f : Finding.t) ->
+                       if f.id = "E002" then Some (Filename.basename f.file, f.line) else None)
+                     (Lint.lint_paths [ dir ]).findings)))
+          [ ("shadowed first", calls_helper ^ inert); ("shadowed last", inert ^ calls_helper) ]);
   ]
 
 (* ------------------------------------------- sites outside a binding -- *)
@@ -1012,11 +936,6 @@ let indexable_patterns stmt =
   let where|}
       {|  let t0 = Sys.time () in
   let where|};
-    mutant "D003" "runstats in Benefit.of_summary" "core/benefit.ml"
-      {|  Catalog.warm_stats catalog;
-  let prepared =|}
-      {|  Catalog.runstats_all catalog;
-  let prepared =|};
     mutant "D004" "gettimeofday in Optimizer.optimize_one" "optimizer/optimizer.ml"
       {|    let t0 = Xia_obs.Obs.now_s () in
     let result = run () in|}
@@ -1047,8 +966,8 @@ let indexable_patterns stmt =
       {|let doc_ids t = List.sort compare (Hashtbl.fold (fun id _ acc -> id :: acc) t.docs [])|}
       {|let doc_ids t = Hashtbl.fold (fun id _ acc -> id :: acc) t.docs []|};
     mutant "N001" "dropped sort in Catalog.table_names" "index/catalog.ml"
-      {|  List.sort String.compare (Hashtbl.fold (fun name _ acc -> name :: acc) t.tables [])|}
-      {|  Hashtbl.fold (fun name _ acc -> name :: acc) t.tables []|};
+      {|  List.sort String.compare (Hashtbl.fold (fun name _ acc -> name :: acc) t [])|}
+      {|  Hashtbl.fold (fun name _ acc -> name :: acc) t []|};
     mutant "N001" "clusters in hash order in Workload_summary.compress" "core/workload_summary.ml"
       {|  let clusters = List.rev !order in
 |}
@@ -1196,7 +1115,6 @@ let suites =
   [
     ("lint.d001", d001_tests);
     ("lint.d002", d002_tests);
-    ("lint.d003", d003_tests);
     ("lint.d004", d004_tests);
     ("lint.h001", h001_tests);
     ("lint.h002", h002_tests);

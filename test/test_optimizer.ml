@@ -21,7 +21,7 @@ let controlled_catalog () =
          (Helpers.xml
             (Printf.sprintf "<a><k>K%02d</k><v>%d</v><pad>ppppppppp</pad></a>" (i mod 50) i)))
   done;
-  ignore (Cat.add_table catalog store);
+  Cat.add_table catalog store;
   ignore (Cat.runstats catalog "T");
   catalog
 
@@ -221,7 +221,7 @@ let plan_tests =
         let catalog = controlled_catalog () in
         O.reset_counters ();
         ignore (plan_of catalog "for $x in T/a return $x");
-        ignore (O.enumerate_indexes catalog (Helpers.statement "for $x in T/a return $x"));
+        ignore (O.enumerate_indexes (Helpers.statement "for $x in T/a return $x"));
         Alcotest.(check int) "optimize" 1 (Atomic.get O.counters.O.optimize_calls);
         Alcotest.(check int) "enumerate" 1 (Atomic.get O.counters.O.enumerate_calls));
   ]
@@ -229,9 +229,8 @@ let plan_tests =
 let enumerate_tests =
   [
     tc "enumerate returns predicate patterns" (fun () ->
-        let catalog = controlled_catalog () in
         let pats =
-          O.enumerate_indexes catalog
+          O.enumerate_indexes
             (Helpers.statement {|for $x in T/a where $x/k = "K03" and $x/v > 5 return $x|})
         in
         let strs =
@@ -244,21 +243,18 @@ let enumerate_tests =
         Alcotest.(check bool) "v double" true (List.mem ("/a/v", "DOUBLE") strs);
         Alcotest.(check int) "two" 2 (List.length strs));
     tc "enumerate covers attribute predicates" (fun () ->
-        let catalog = controlled_catalog () in
         let pats =
-          O.enumerate_indexes catalog
+          O.enumerate_indexes
             (Helpers.statement {|for $x in T/a where $x/@id = "7" return $x|})
         in
         Alcotest.(check int) "one" 1 (List.length pats));
     tc "enumerate of unconstrained query is empty" (fun () ->
-        let catalog = controlled_catalog () in
         Alcotest.(check int) "none" 0
           (List.length
-             (O.enumerate_indexes catalog (Helpers.statement "for $x in T/a return $x"))));
+             (O.enumerate_indexes (Helpers.statement "for $x in T/a return $x"))));
     tc "enumerate of insert is empty" (fun () ->
-        let catalog = controlled_catalog () in
         Alcotest.(check int) "none" 0
-          (List.length (O.enumerate_indexes catalog (Helpers.statement "insert into T <a/>"))));
+          (List.length (O.enumerate_indexes (Helpers.statement "insert into T <a/>"))));
   ]
 
 (* Consistency invariants tying the two optimizer modes together. *)
@@ -314,7 +310,7 @@ let consistency_tests =
           ]);
     tc "empty table plans gracefully" (fun () ->
         let catalog = Cat.create () in
-        ignore (Cat.add_table catalog (DS.create "E"));
+        Cat.add_table catalog (DS.create "E");
         ignore (Cat.runstats catalog "E");
         let p = plan_of catalog {|for $x in E/a where $x/k = "v" return $x|} in
         Alcotest.(check bool) "finite" true (Float.is_finite p.Plan.total_cost);

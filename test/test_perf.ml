@@ -150,7 +150,7 @@ let cache_tests =
         in
         let run () =
           let ev = Benefit.create catalog workload in
-          let set = Enumeration.candidates catalog workload in
+          let set = Enumeration.candidates workload in
           let basics = Candidate.basics set in
           let b_all = Benefit.benefit ev basics in
           let b_each = List.map (Benefit.individual_benefit ev) basics in
@@ -178,7 +178,7 @@ let cache_tests =
             [ {|for $s in SECURITY('SDOC')/Security where $s/Symbol = "BCIIPRC" return $s|} ]
         in
         let ev = Benefit.create catalog workload in
-        let set = Enumeration.candidates catalog workload in
+        let set = Enumeration.candidates workload in
         List.iter
           (fun c ->
             let direct = Candidate.size catalog c in

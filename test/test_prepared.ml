@@ -80,7 +80,7 @@ let fixtures =
          (Catalog.table_names catalog)
      in
      let fixture label catalog workload =
-       let set = En.candidates catalog workload in
+       let set = En.candidates workload in
        ( label,
          catalog,
          statements workload,

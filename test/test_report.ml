@@ -17,7 +17,7 @@ let fixture =
      let pool =
        List.map (fun (c : C.t) -> c.C.def)
          (C.to_list
-            (En.candidates catalog (Xia_workload.Tpox.workload_with_updates ())))
+            (En.candidates (Xia_workload.Tpox.workload_with_updates ())))
        @ [
            mk "SECURITY" "/Security/Name" D.Dstring;
            mk "CUSTACC" "/Customer/Name" D.Dstring;

@@ -116,7 +116,7 @@ let bounded_regret =
 
 (* A statement's cluster key, recomputed afresh: its kind, its target
    tables (DML only) and its signature. *)
-let cluster_key catalog (stmt : Xia_query.Ast.statement) =
+let cluster_key (stmt : Xia_query.Ast.statement) =
   let kind, tables =
     match stmt with
     | Xia_query.Ast.Select _ -> (0, [])
@@ -124,7 +124,7 @@ let cluster_key catalog (stmt : Xia_query.Ast.statement) =
     | Delete _ -> (2, Xia_query.Ast.tables stmt)
     | Update _ -> (3, Xia_query.Ast.tables stmt)
   in
-  (kind, List.sort_uniq compare tables, WS.signature catalog stmt)
+  (kind, List.sort_uniq compare tables, WS.signature stmt)
 
 (* The clusters, as sorted (cluster key, weight) pairs, must be identical
    across repeated runs and across input permutations.  First-occurrence
@@ -146,7 +146,7 @@ let qcheck_clustering =
       let clusters wl =
         let s = WS.compress catalog wl in
         List.combine
-          (List.map (fun (it : W.item) -> cluster_key catalog it.W.statement) (WS.workload s))
+          (List.map (fun (it : W.item) -> cluster_key it.W.statement) (WS.workload s))
           (Array.to_list (WS.weights s))
         |> List.sort compare
       in
@@ -168,8 +168,8 @@ let qcheck_clustering =
    order, members ascending, the first member as representative,
    frequencies summed in workload order.  Returns each cluster's
    representative and weight. *)
-let oracle catalog (wl : W.t) =
-  let key = cluster_key catalog in
+let oracle (wl : W.t) =
+  let key = cluster_key in
   let clusters =
     List.fold_left
       (fun (i, clusters) (it : W.item) ->
@@ -198,7 +198,7 @@ let same_bits a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
 
 let check_against_oracle what catalog wl =
   let s = WS.compress catalog wl in
-  let reps, weights = oracle catalog wl in
+  let reps, weights = oracle wl in
   Alcotest.(check (list string))
     (what ^ ": representatives") (W.labels reps) (W.labels (WS.workload s));
   Alcotest.(check bool)
@@ -303,7 +303,7 @@ let qcheck_memo_oracle =
         |> List.map snd
       in
       let s = WS.compress catalog shuffled in
-      let reps, weights = oracle catalog shuffled in
+      let reps, weights = oracle shuffled in
       W.labels reps = W.labels (WS.workload s)
       && same_statements reps (WS.workload s)
       && List.equal same_bits weights (Array.to_list (WS.weights s)))
@@ -335,7 +335,7 @@ let check_agrees label (lib : S.outcome) (oracle : S.outcome) =
 let prune_case (name, catalog, wl) =
   tc (name ^ ": prune on = prune off oracle, budgets 1/2 and 1/4") (fun () ->
       let catalog = Lazy.force catalog in
-      let set = En.candidates catalog wl in
+      let set = En.candidates wl in
       let all_size =
         (S.all_index (B.create catalog wl) set).S.size
       in
@@ -420,7 +420,7 @@ let qcheck_prune_oracle =
     (fun (seed, n, frac) ->
       let catalog = Lazy.force Helpers.shared_catalog in
       let wl = Synthetic.workload ~seed catalog (Cat.table_names catalog) n in
-      let set = En.candidates catalog wl in
+      let set = En.candidates wl in
       let all_size =
         B.config_size (B.create catalog wl) (C.basics set)
       in
@@ -479,7 +479,7 @@ let qcheck_order_invariance =
               [ 1; 2; 3 ])
           (WS.workload (WS.compress catalog wl))
       in
-      let set = En.candidates catalog wl in
+      let set = En.candidates wl in
       let all_size = B.config_size (B.create catalog wl) (C.basics set) in
       let budget = int_of_float (frac *. float_of_int all_size) in
       let keys (r : A.recommendation) =

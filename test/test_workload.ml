@@ -94,7 +94,7 @@ let xmark_tests =
         Xmark.load ~scale:Xmark.tiny_scale catalog;
         let wl = Xmark.workload () in
         Alcotest.(check int) "eight" 8 (W.size wl);
-        let set = Xia_advisor.Enumeration.candidates catalog wl in
+        let set = Xia_advisor.Enumeration.candidates wl in
         Alcotest.(check bool) "candidates" true
           (Xia_advisor.Candidate.cardinality set > 5));
     tc "person profile income is an attribute path" (fun () ->
