@@ -734,6 +734,71 @@ let executor () =
     + List.length (Catalog.real_indexes indexed Tpox.custacc_table)
     + List.length (Catalog.real_indexes indexed Tpox.order_table))
 
+(* ---------- Index upkeep: refreshes after DML ---------- *)
+
+(* One string index of 8,000 entries (2,000 documents of four keyed
+   elements) is refreshed after one document changes and again after two
+   more do, in a [second_pass]: its minor words are the writes' and the
+   refreshes'.  Then, outside the pass, a refresh after every document
+   changed is set against a build of the same index, in allocated words
+   (minor, plus arrays of over 256 words, which go straight to the major
+   heap) and min-of-5 wall time. *)
+let upkeep () =
+  header "Index upkeep: refreshes after one- and two-document changes";
+  let module DS = Xia_storage.Doc_store in
+  let module PI = Xia_index.Physical_index in
+  let docs = 2_000 in
+  let doc i v =
+    Xia_xml.Types.element "a"
+      (List.init 4 (fun j ->
+           Xia_xml.Types.leaf "b" (Printf.sprintf "k%05d" (((((4 * i) + j) * 7_919) + v) mod 100_000))))
+  in
+  let store = DS.create "UPKEEP" in
+  for i = 0 to docs - 1 do
+    ignore (DS.insert store (doc i 0))
+  done;
+  let catalog = Catalog.create () in
+  Catalog.add_table catalog store;
+  let def =
+    Xia_index.Index_def.make ~table:"UPKEEP" ~pattern:(Xia_xpath.Pattern.of_string "/a/b")
+      ~dtype:Xia_index.Index_def.Dstring ()
+  in
+  ignore (Catalog.create_index catalog def);
+  let changed = Array.init docs (fun i -> Xia_xml.Packed.pack (DS.labels store) (doc i 1)) in
+  let write ids = List.iter (fun id -> ignore (DS.update store id changed.(id))) ids in
+  let pass () =
+    write [ 17 ];
+    Catalog.refresh_indexes catalog;
+    write [ 942; 1_733 ];
+    Catalog.refresh_indexes catalog;
+    List.fold_left (fun n pi -> n + PI.entry_count pi) 0 (Catalog.real_indexes catalog "UPKEEP")
+  in
+  let _, n = second_pass "upkeep" pass in
+  Format.printf "%d documents, %d entries: refreshed after one, then two changed documents@." docs n;
+  let stale = List.hd (Catalog.real_indexes catalog "UPKEEP") in
+  write (List.init docs Fun.id);
+  let allocated () =
+    let minor, promoted, major = Gc.counters () in
+    minor +. major -. promoted
+  in
+  let measure f =
+    Obs.with_enabled false (fun () ->
+        ignore (f ());
+        let w0 = allocated () in
+        ignore (f ());
+        let words = allocated () -. w0 in
+        let best = ref infinity in
+        for _ = 1 to 5 do
+          best := Float.min !best (snd (Trace.timed "upkeep.measure" f))
+        done;
+        (words, !best))
+  in
+  let rw, rs = measure (fun () -> PI.entry_count (PI.refresh store stale)) in
+  let bw, bs = measure (fun () -> PI.entry_count (PI.build store def)) in
+  Format.printf
+    "every document changed: refresh %.0f words, %.4fs; build %.0f words, %.4fs (min of 5); refresh/build words %.3f@."
+    rw rs bw bs (rw /. bw)
+
 (* ---------- What-if evaluation: the batched Evaluate pass ---------- *)
 
 (* The workload and candidates of the advisor phase: TPoX plus synthetic
@@ -1130,6 +1195,7 @@ let experiments =
     ("walk", walk);
     ("shapes", shapes);
     ("executor", executor);
+    ("upkeep", upkeep);
     ("whatif", whatif);
     ("candidates", candidates);
     ("read", read);

@@ -92,24 +92,14 @@ let drop_index t name =
 let drop_all_indexes t =
   Hashtbl.iter (fun _ tbl -> tbl.real_indexes <- []) t
 
-(* Bring stale real indexes up to date: incrementally from the table's
-   change log when it reaches back far enough and the delta is small,
-   otherwise by a full rebuild. *)
+(* Bring stale real indexes up to date; one [refresh] per table shares
+   the table's touched documents among its indexes. *)
 let refresh_indexes t =
   Hashtbl.iter
     (fun _ tbl ->
       let gen = Doc_store.generation tbl.store in
-      tbl.real_indexes <-
-        List.map
-          (fun pi ->
-            if Physical_index.built_generation pi = gen then pi
-            else
-              match Doc_store.changes_since tbl.store (Physical_index.built_generation pi) with
-              | Some changes
-                when List.length changes <= max 64 (Doc_store.doc_count tbl.store / 2) ->
-                  Physical_index.apply_changes pi ~generation:gen changes
-              | Some _ | None -> Physical_index.build tbl.store (Physical_index.def pi))
-          tbl.real_indexes)
+      if List.exists (fun pi -> Physical_index.built_generation pi <> gen) tbl.real_indexes then
+        tbl.real_indexes <- List.map (Physical_index.refresh tbl.store) tbl.real_indexes)
     t
 
 let real_indexes t name = (table_exn t name).real_indexes

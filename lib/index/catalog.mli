@@ -55,7 +55,9 @@ val drop_index : [> `Write ] t -> string -> bool
 
 val drop_all_indexes : [> `Write ] t -> unit
 
-(** Rebuild real indexes whose base table changed. *)
+(** Bring every real index whose base table changed up to date
+    ({!Physical_index.refresh}): only the documents written since the
+    index's build are walked again. *)
 val refresh_indexes : [> `Write ] t -> unit
 
 val real_indexes : _ t -> string -> Physical_index.t list

@@ -70,17 +70,6 @@ let guide labels (def : Index_def.t) =
 
 let key_size = function Kstring s -> String.length s | Kdouble _ -> 8
 
-let entries_of_doc (def : Index_def.t) w doc_id doc =
-  let acc = ref [] in
-  Xia_xml.Packed.walk w.guide
-    (fun node set value ->
-      if Xia_xpath.Nfa.accepting w.nfa set then
-        match key_in w.number def.dtype value with
-        | None -> ()
-        | Some key -> acc := { key; doc = doc_id; node } :: !acc)
-    doc;
-  !acc
-
 let compare_entry a b =
   match compare_key a.key b.key with
   | 0 -> (
@@ -89,53 +78,83 @@ let compare_entry a b =
       | c -> c)
   | c -> c
 
-let of_entry_list def ~generation acc =
-  let entries = Array.of_list acc in
-  Array.sort compare_entry entries;
+(* The sorted entries of the documents [iter] reports: build passes the
+   whole table, refresh the touched documents. *)
+let sorted_entries store (def : Index_def.t) iter =
+  let w = guide (Doc_store.labels store) def in
+  let acc = ref [] in
+  iter (fun doc_id doc ->
+      Xia_xml.Packed.walk w.guide
+        (fun pre attr set value ->
+          if Xia_xpath.Nfa.accepting w.nfa set then
+            match key_in w.number def.dtype value with
+            | None -> ()
+            | Some key ->
+                let node = { Xia_xml.Types.pre; attr = (if attr < 0 then None else Some attr) } in
+                acc := { key; doc = doc_id; node } :: !acc)
+        doc);
+  let entries = Array.of_list !acc in
+  (* A merge sort: [Array.sort]'s heap sort raises an exception per sift.
+     The order is total, so any sort gives these entries. *)
+  Array.stable_sort compare_entry entries;
+  entries
+
+let make def ~generation entries =
   let key_bytes = Array.fold_left (fun n e -> n + key_size e.key) 0 entries in
   { def; entries; built_generation = generation; key_bytes }
 
-let build store (def : Index_def.t) =
-  let guide = guide (Doc_store.labels store) def in
-  let acc = ref [] in
-  Doc_store.iter
-    (fun doc_id doc -> acc := List.rev_append (entries_of_doc def guide doc_id doc) !acc)
-    store;
-  of_entry_list def ~generation:(Doc_store.generation store) !acc
+let build store def =
+  make def ~generation:(Doc_store.generation store)
+    (sorted_entries store def (fun f -> Doc_store.iter f store))
 
-(* Incremental maintenance: fold a change list into the index without
-   rescanning the whole table.  Every touched document's old entries are
-   dropped; documents whose final state is present contribute fresh ones. *)
-let apply_changes pi ~generation (changes : Doc_store.change list) =
-  let net : (Doc_store.doc_id, Xia_xml.Packed.t option) Hashtbl.t = Hashtbl.create 16 in
-  List.iter
-    (fun (c : Doc_store.change) ->
-      match c.kind with
-      | `Insert -> Hashtbl.replace net c.doc_id (Some c.doc)
-      | `Delete -> Hashtbl.replace net c.doc_id None)
-    changes;
-  let kept =
-    Array.to_list pi.entries
-    |> List.filter (fun e -> not (Hashtbl.mem net e.doc))
-  in
-  let added =
-    match changes with
-    | [] -> []
-    | first :: _ ->
-        (* Every change carries a document of the one store, so one guide
-           over its label table serves them all. *)
-        let guide = guide first.doc.labels pi.def in
-        (* Hash iteration order is fine here: [of_entry_list] sorts the
-           combined entry list under a total order before anything reads
-           it. *)
-        (Hashtbl.fold
-           (fun doc_id doc acc ->
-             match doc with
-             | None -> acc
-             | Some doc -> List.rev_append (entries_of_doc pi.def guide doc_id doc) acc)
-           net [] [@lint.allow "N001"])
-  in
-  of_entry_list pi.def ~generation (List.rev_append added kept)
+let marked mask id = id < Bytes.length mask && Bytes.get mask id <> '\000'
+
+(* Merge the entries of the documents not marked in [touched] with
+   [fresh], the touched documents' new entries: both runs are sorted, and no
+   entry of one equals an entry of the other (their documents differ), so
+   the result is what one sort of all of them gives. *)
+let merge old touched fresh =
+  let kept = Array.fold_left (fun n e -> if marked touched e.doc then n else n + 1) 0 old in
+  if kept = 0 then fresh
+  else begin
+    let out = Array.make (kept + Array.length fresh) old.(0) in
+    let i = ref 0 and j = ref 0 in
+    for o = 0 to Array.length out - 1 do
+      while !i < Array.length old && marked touched old.(!i).doc do incr i done;
+      let from_old =
+        !j = Array.length fresh || (!i < Array.length old && compare_entry old.(!i) fresh.(!j) < 0)
+      in
+      out.(o) <- (if from_old then old.(!i) else fresh.(!j));
+      if from_old then incr i else incr j
+    done;
+    out
+  end
+
+(* Past one pass over the table and one over the entries, a refresh costs
+   O(k log k) for k new entries.  [shared] is the last build generation's
+   mask of written documents, valid while the store's generation holds. *)
+let refresh store =
+  let shared = ref (-1, -1, Bytes.empty) in
+  fun pi ->
+    let generation = Doc_store.generation store in
+    if pi.built_generation = generation then pi
+    else begin
+      let touched =
+        match !shared with
+        | now, built, touched when now = generation && built = pi.built_generation -> touched
+        | _ ->
+            let ids = Doc_store.touched_since store pi.built_generation in
+            let touched = Bytes.make (1 + List.fold_left max (-1) ids) '\000' in
+            List.iter (fun id -> Bytes.set touched id '\001') ids;
+            shared := (generation, pi.built_generation, touched);
+            touched
+      in
+      let fresh =
+        sorted_entries store pi.def (fun f ->
+            Doc_store.iter (fun id doc -> if marked touched id then f id doc) store)
+      in
+      make pi.def ~generation (merge pi.entries touched fresh)
+    end
 
 (* First position with key >= k (lower bound). *)
 let lower_bound t k =

@@ -21,8 +21,8 @@ type t
 val def : t -> Index_def.t
 val entry_count : t -> int
 
-(** Store generation at build time; a differing store generation means the
-    index is stale. *)
+(** Store generation the entries reflect, set by {!build} and {!refresh};
+    a differing store generation means the index is stale. *)
 val built_generation : t -> int
 
 (** Key a value would get in an index of this type; [None] when a [Ddouble]
@@ -34,9 +34,11 @@ val build : Doc_store.t -> Index_def.t -> t
 (** Entry-comparison order used by the index (key, then doc, then node). *)
 val compare_entry : entry -> entry -> int
 
-(** Fold a change list into the index without rescanning the table; the
-    result reports [generation] as its build generation. *)
-val apply_changes : t -> generation:int -> Doc_store.change list -> t
+(** [refresh store pi] equals [build store (def pi)], but walks only the
+    documents written since {!built_generation} ({!Doc_store.touched_since})
+    and sorts only their entries.  [refresh store] looks them up once for
+    consecutive indexes of one build generation it is applied to. *)
+val refresh : Doc_store.t -> t -> t
 
 val lookup_eq : t -> key -> entry list
 

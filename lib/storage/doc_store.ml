@@ -1,27 +1,15 @@
 (* Table of XML documents.
 
    The unit of storage is a document in an XML-typed column, as in DB2
-   pureXML.  Documents get stable integer ids; DML bumps a generation counter
-   so that cached statistics and materialized indexes can detect staleness.
+   pureXML.  Documents get dense integer ids; DML bumps a generation counter,
+   so that cached statistics and materialized indexes can detect staleness,
+   and stamps the id it wrote with it, which [touched_since] reads.
    Each document is kept only packed ([Xia_xml.Packed]), its labels
    interned in the table's own label table; [find] unpacks the exact tree. *)
 
 module Packed = Xia_xml.Packed
 
 type doc_id = int
-
-(* One DML event, tagged with the generation it produced.  Replacement is
-   logged as a delete followed by an insert. *)
-type change = {
-  gen : int;
-  kind : [ `Insert | `Delete ];
-  doc_id : doc_id;
-  doc : Packed.t;
-}
-
-(* Bound on the retained change log; beyond it consumers must fall back to a
-   full rebuild. *)
-let log_limit = 20_000
 
 type t = {
   name : string;
@@ -31,9 +19,7 @@ type t = {
   mutable total_bytes : int;
   mutable total_elements : int;
   mutable generation : int;
-  mutable log : change list;      (* newest first *)
-  mutable log_floor : int;        (* generations <= floor are not in the log *)
-  mutable log_size : int;
+  mutable written : int array;  (* last-write generation of each id below [next_id] *)
 }
 
 let create name =
@@ -45,27 +31,32 @@ let create name =
     total_bytes = 0;
     total_elements = 0;
     generation = 0;
-    log = [];
-    log_floor = 0;
-    log_size = 0;
+    written = [||];
   }
 
-let record t kind doc_id doc =
-  if t.log_size >= log_limit then begin
-    (* Truncate: drop history, remember that it is incomplete. *)
-    t.log <- [];
-    t.log_size <- 0;
-    t.log_floor <- t.generation
+(* Every DML operation is one generation, so no two ids share a stamp. *)
+let stamp t id =
+  t.generation <- t.generation + 1;
+  if id >= Array.length t.written then begin
+    let written = Array.make (max 1024 (2 * id)) 0 in
+    Array.blit t.written 0 written 0 (Array.length t.written);
+    t.written <- written
   end;
-  t.log <- { gen = t.generation; kind; doc_id; doc } :: t.log;
-  t.log_size <- t.log_size + 1
+  t.written.(id) <- t.generation
 
-(* Changes with generation > [gen], oldest first; [None] when the log no
-   longer reaches back that far. *)
-let changes_since t gen =
-  if gen < t.log_floor then None
-  else
-    Some (List.rev (List.filter (fun c -> c.gen > gen) t.log))
+(* Sorted in an array: a list sort allocates at every merge level, and
+   [Array.sort]'s heap sort raises an exception per sift. *)
+let touched_since t gen =
+  let ids = Array.make t.next_id 0 and k = ref 0 in
+  for id = 0 to t.next_id - 1 do
+    if t.written.(id) > gen then begin
+      ids.(!k) <- id;
+      incr k
+    end
+  done;
+  let ids = Array.sub ids 0 !k in
+  Array.stable_sort (fun a b -> Int.compare t.written.(a) t.written.(b)) ids;
+  Array.to_list ids
 
 let name t = t.name
 let labels t = t.labels
@@ -90,8 +81,7 @@ let insert t doc =
   t.next_id <- id + 1;
   Hashtbl.replace t.docs id doc;
   add_sizes t 1 doc;
-  t.generation <- t.generation + 1;
-  record t `Insert id doc;
+  stamp t id;
   id
 
 let find_packed t id = Hashtbl.find_opt t.docs id
@@ -104,8 +94,7 @@ let delete t id =
   | Some old ->
       Hashtbl.remove t.docs id;
       add_sizes t (-1) old;
-      t.generation <- t.generation + 1;
-      record t `Delete id old;
+      stamp t id;
       true
 
 let update t id (doc : Packed.t) =
@@ -116,9 +105,7 @@ let update t id (doc : Packed.t) =
       Hashtbl.replace t.docs id doc;
       add_sizes t (-1) old;
       add_sizes t 1 doc;
-      t.generation <- t.generation + 1;
-      record t `Delete id old;
-      record t `Insert id doc;
+      stamp t id;
       true
 
 let replace t id doc = Hashtbl.mem t.docs id && update t id (Packed.pack t.labels doc)

@@ -5,14 +5,6 @@
 
 type doc_id = int
 
-(** One DML event.  Replacement is logged as delete + insert. *)
-type change = {
-  gen : int;
-  kind : [ `Insert | `Delete ];
-  doc_id : doc_id;
-  doc : Xia_xml.Packed.t;
-}
-
 type t
 
 val create : string -> t
@@ -23,12 +15,14 @@ val name : t -> string
 val labels : t -> Xia_xml.Packed.labels
 
 (** Monotone counter bumped by every DML operation; lets caches detect
-    staleness. *)
+    staleness.  Each operation also stamps the id it wrote (inserted,
+    replaced or deleted) with the generation it produced. *)
 val generation : t -> int
 
-(** Changes after generation [gen], oldest first; [None] when the bounded
-    change log has been truncated past that point (consumers must rebuild). *)
-val changes_since : t -> int -> change list option
+(** The ids written after generation [gen], in the order of their last
+    write; a deleted id is among them and {!find_packed} no longer finds
+    it. *)
+val touched_since : t -> int -> doc_id list
 
 val doc_count : t -> int
 val total_bytes : t -> int
@@ -51,7 +45,8 @@ val delete : t -> doc_id -> bool
 (** Replace the document stored under an existing id. *)
 val replace : t -> doc_id -> Xia_xml.Types.t -> bool
 
-(** {!replace} with a document already packed with {!labels}.
+(** {!replace} with a document already packed with {!labels}; like every
+    write, it stamps the id with the new {!generation}.
     @raise Invalid_argument if it was packed with another label table. *)
 val update : t -> doc_id -> Xia_xml.Packed.t -> bool
 

@@ -223,7 +223,7 @@ let collect store =
   let number = { Xia_xpath.Ast.number = 0.0 } in
   Doc_store.iter
     (fun doc_id doc ->
-      Xia_xml.Packed.walk guide (fun _id entry value -> touch number doc_id entry value) doc)
+      Xia_xml.Packed.walk guide (fun _ _ entry value -> touch number doc_id entry value) doc)
     store;
   finish root;
   let roots = root.info.children in

@@ -265,11 +265,11 @@ let walk g f doc =
   let rec visit parent i =
     let here = find_child g parent (2 * doc.tags.(i)) in
     if here.live then begin
-      f { Types.pre = i; attr = None } here.value doc.values.(i);
+      f i (-1) here.value doc.values.(i);
       let first = doc.attr_first.(i) in
       for s = first to doc.attr_first.(i + 1) - 1 do
         let a = find_child g here ((2 * doc.attr_names.(s)) + 1) in
-        if a.live then f { Types.pre = i; attr = Some (s - first) } a.value doc.attr_values.(s)
+        if a.live then f i (s - first) a.value doc.attr_values.(s)
       done;
       visit_children here (i + 1) doc.last.(i)
     end

@@ -76,8 +76,9 @@ type 'a guide
 val guide :
   labels -> root:'a -> label:('a -> string -> 'a) -> dead:('a -> bool) -> 'a guide
 
-(** [walk g f doc] calls [f id v value] for every element and every
+(** [walk g f doc] calls [f pre attr v value] for every element and every
     attribute of [doc] whose path value [v] is live, in document order:
-    each element followed by its attributes.
+    each element followed by its attributes.  [pre] and [attr] are the
+    fields of the node's {!Types.node_id}, [-1] standing for [attr = None].
     @raise Invalid_argument if [doc] uses another label table than [g]. *)
-val walk : 'a guide -> (Types.node_id -> 'a -> string -> unit) -> t -> unit
+val walk : 'a guide -> (int -> int -> 'a -> string -> unit) -> t -> unit

@@ -40,7 +40,7 @@ let collect store =
   DS.iter
     (fun doc_id doc ->
       Walk_oracle.iter_nodes
-        (fun _ path value ->
+        (fun _ _ path value ->
           let prev = Option.value ~default:[] (Hashtbl.find_opt rows path) in
           Hashtbl.replace rows path ((doc_id, value) :: prev))
         (Xia_xml.Packed.unpack doc))

@@ -26,11 +26,11 @@ let deep_tests =
         let g =
           Xia_xml.Packed.guide packed.labels ~root:() ~label:(fun () _ -> ()) ~dead:(fun () -> false)
         in
-        Xia_xml.Packed.walk g (fun _ () _ -> incr n) packed;
+        Xia_xml.Packed.walk g (fun _ _ () _ -> incr n) packed;
         (* 2000 wrappers + the leaf element; text nodes are not visited *)
         Alcotest.(check int) "nodes" 2001 !n;
         let oracle = ref 0 in
-        Walk_oracle.iter_nodes (fun _ _ _ -> incr oracle) doc;
+        Walk_oracle.iter_nodes (fun _ _ _ _ -> incr oracle) doc;
         Alcotest.(check int) "oracle nodes" !oracle !n;
         (* The deep chain followed by a sibling, and the bare chain. *)
         let store = Xia_storage.Doc_store.create "D" in

@@ -182,44 +182,56 @@ let physical_tests =
         Alcotest.(check bool) "reject" true (PI.key_of_value D.Ddouble "abc" = None));
   ]
 
-(* Incremental maintenance: folding the change log into an index must be
-   indistinguishable from rebuilding it. *)
+(* Incremental maintenance: refreshing an index after a change (walking
+   only the documents written since its build) must be indistinguishable
+   from rebuilding it. *)
 let same_entries a b =
   let l pi = List.map (fun (e : PI.entry) -> (e.PI.key, e.PI.doc, e.PI.node)) (PI.all pi) in
   l a = l b
 
 let incremental_tests =
   [
-    tc "insert via change log equals rebuild" (fun () ->
+    tc "insert via change leaves refresh equal to rebuild" (fun () ->
         let s = store_with [ "<a><b>x</b></a>" ] in
         let pi = PI.build s (def "/a/b") in
-        let gen0 = PI.built_generation pi in
         ignore (DS.insert s (Helpers.xml "<a><b>y</b><b>z</b></a>"));
-        let changes = Option.get (DS.changes_since s gen0) in
-        let inc = PI.apply_changes pi ~generation:(DS.generation s) changes in
+        let inc = PI.refresh s pi in
         Alcotest.(check bool) "equal" true (same_entries inc (PI.build s (def "/a/b")));
-        Alcotest.(check int) "three" 3 (PI.entry_count inc));
-    tc "delete via change log equals rebuild" (fun () ->
+        Alcotest.(check int) "three" 3 (PI.entry_count inc);
+        Alcotest.(check int) "fresh" (DS.generation s) (PI.built_generation inc));
+    tc "delete via change leaves refresh equal to rebuild" (fun () ->
         let s = store_with [ "<a><b>x</b></a>"; "<a><b>y</b></a>" ] in
         let pi = PI.build s (def "/a/b") in
-        let gen0 = PI.built_generation pi in
         ignore (DS.delete s 0);
-        let changes = Option.get (DS.changes_since s gen0) in
-        let inc = PI.apply_changes pi ~generation:(DS.generation s) changes in
+        let inc = PI.refresh s pi in
         Alcotest.(check bool) "equal" true (same_entries inc (PI.build s (def "/a/b")));
         Alcotest.(check int) "one" 1 (PI.entry_count inc));
-    tc "replace via change log equals rebuild" (fun () ->
+    tc "replace via change leaves refresh equal to rebuild" (fun () ->
         let s = store_with [ "<a><b>x</b></a>" ] in
         let pi = PI.build s (def "/a/b") in
-        let gen0 = PI.built_generation pi in
         ignore (DS.replace s 0 (Helpers.xml "<a><b>q</b><c/></a>"));
-        let changes = Option.get (DS.changes_since s gen0) in
-        let inc = PI.apply_changes pi ~generation:(DS.generation s) changes in
+        let inc = PI.refresh s pi in
         Alcotest.(check bool) "equal" true (same_entries inc (PI.build s (def "/a/b"))));
-    tc "changes_since None after deep history" (fun () ->
-        let s = DS.create "T" in
-        Alcotest.(check bool) "fresh log reaches gen 0" true
-          (DS.changes_since s 0 <> None));
+    tc "one refresh closure serves indexes of several generations" (fun () ->
+        (* [PI.refresh s] shares the documents written since a build among
+           the indexes built at that generation: an index built earlier, or
+           a write between two applications, must not see a stale share. *)
+        let s = store_with [ "<a><b>1</b><c>1</c></a>" ] in
+        let b = PI.build s (def "/a/b") in
+        ignore (DS.insert s (Helpers.xml "<a><b>2</b><c>2</c></a>"));
+        let c = PI.build s (def "/a/c") in
+        ignore (DS.replace s 0 (Helpers.xml "<a><b>3</b><c>3</c></a>"));
+        let refresh = PI.refresh s in
+        let c' = refresh c in
+        let b' = refresh b in
+        Alcotest.(check bool) "c" true (same_entries c' (PI.build s (def "/a/c")));
+        Alcotest.(check bool) "b, built earlier" true
+          (same_entries b' (PI.build s (def "/a/b")));
+        (* the share is c's generation's again, then a write follows *)
+        ignore (refresh c);
+        ignore (DS.delete s 1);
+        Alcotest.(check bool) "c after a write" true
+          (same_entries (refresh c) (PI.build s (def "/a/c"))));
     tc "catalog refresh uses incremental path transparently" (fun () ->
         let c = Cat.create () in
         Cat.add_table c (store_with [ "<a><b>1</b></a>" ]);
@@ -282,7 +294,7 @@ let oracle_pattern_gen docs =
           st :: assemble false rest
     in
     let paths = ref [] in
-    List.iter (Walk_oracle.iter_nodes (fun _ path _ -> paths := path :: !paths)) docs;
+    List.iter (Walk_oracle.iter_nodes (fun _ _ path _ -> paths := path :: !paths)) docs;
     let from_data =
       let* path = oneofl !paths in
       let* steps = flatten_l (List.map generalize path) in
@@ -309,7 +321,7 @@ let oracle_properties =
         List.iter (fun d -> ignore (DS.insert s d)) docs;
         let d = D.make ~table:"T" ~pattern ~dtype () in
         PI.all (PI.build s d) = Walk_oracle.build s d);
-    QCheck.Test.make ~count:200 ~name:"apply_changes equals the oracle build"
+    QCheck.Test.make ~count:200 ~name:"refresh equals the oracle build"
       oracle_build_arbitrary (fun (pattern, dtype, docs) ->
         (* Build over the first document, then insert the rest and delete
            the first. *)
@@ -319,47 +331,50 @@ let oracle_properties =
         let pi = PI.build s d in
         List.iter (fun doc -> ignore (DS.insert s doc)) (List.tl docs);
         ignore (DS.delete s first);
-        let changes = Option.get (DS.changes_since s (PI.built_generation pi)) in
-        PI.all (PI.apply_changes pi ~generation:(DS.generation s) changes)
-        = Walk_oracle.build s d);
+        PI.all (PI.refresh s pi) = Walk_oracle.build s d);
   ]
 
 let incremental_properties =
   [
     QCheck.Test.make ~count:60 ~name:"random DML: incremental equals rebuild"
       QCheck.(pair (int_range 0 100_000) (int_range 1 25))
-      (fun (seed, ops) ->
+      (fun (seed, batches) ->
+        (* Each refresh follows a batch of 1-8 operations, so one delta can
+           hold an insert and a delete of one document, two replaces of one
+           document, or the delete that empties the table. *)
         let rng = Random.State.make [| seed |] in
         let s = store_with [ "<a><b>x</b></a>"; "<a><b>y</b><c>z</c></a>" ] in
         let d = def "/a/*" in
         let pi = ref (PI.build s d) in
         let ok = ref true in
-        for _ = 1 to ops do
-          let gen0 = PI.built_generation !pi in
-          (match Random.State.int rng 3 with
-          | 0 ->
-              ignore
-                (DS.insert s
-                   (Helpers.xml
-                      (Printf.sprintf "<a><b>v%d</b></a>" (Random.State.int rng 50))))
-          | 1 -> (
-              match DS.doc_ids s with
-              | [] -> ()
-              | ids -> ignore (DS.delete s (List.nth ids (Random.State.int rng (List.length ids)))))
-          | _ -> (
-              match DS.doc_ids s with
-              | [] -> ()
-              | ids ->
-                  ignore
-                    (DS.replace s
-                       (List.nth ids (Random.State.int rng (List.length ids)))
-                       (Helpers.xml
-                          (Printf.sprintf "<a><c>r%d</c></a>" (Random.State.int rng 50))))));
-          match DS.changes_since s gen0 with
-          | None -> ()
-          | Some changes ->
-              pi := PI.apply_changes !pi ~generation:(DS.generation s) changes;
-              if not (same_entries !pi (PI.build s d)) then ok := false
+        let last = ref 0 in
+        let pick () =
+          match DS.doc_ids s with
+          | [] -> None
+          | ids -> Some (List.nth ids (Random.State.int rng (List.length ids)))
+        in
+        let replace id =
+          last := id;
+          ignore
+            (DS.replace s id
+               (Helpers.xml (Printf.sprintf "<a><c>r%d</c></a>" (Random.State.int rng 50))))
+        in
+        for _ = 1 to batches do
+          for _ = 1 to 1 + Random.State.int rng 8 do
+            match Random.State.int rng 6 with
+            | 0 ->
+                last :=
+                  DS.insert s
+                    (Helpers.xml (Printf.sprintf "<a><b>v%d</b></a>" (Random.State.int rng 50)))
+            | 1 -> Option.iter (fun id -> ignore (DS.delete s id)) (pick ())
+            | 2 -> Option.iter replace (pick ())
+            (* the document the last insert or replace wrote *)
+            | 3 -> ignore (DS.delete s !last)
+            | 4 -> replace !last
+            | _ -> List.iter (fun id -> ignore (DS.delete s id)) (DS.doc_ids s)
+          done;
+          pi := PI.refresh s !pi;
+          if not (same_entries !pi (PI.build s d)) then ok := false
         done;
         !ok);
   ]

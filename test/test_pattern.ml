@@ -170,7 +170,7 @@ let properties =
            evaluating the pattern as a path, and vice versa. *)
         let by_accepts = ref 0 in
         Walk_oracle.iter_nodes
-          (fun _ path _ -> if accepts_pattern p path then incr by_accepts)
+          (fun _ _ path _ -> if accepts_pattern p path then incr by_accepts)
           doc;
         let by_eval =
           List.length (Helpers.eval_tree doc (Pat.to_path p))

@@ -15,6 +15,21 @@ let store_with docs =
 
 let doc_store_tests =
   [
+    tc "touched_since lists ids by their last write" (fun () ->
+        let s = DS.create "T" in
+        let ids = List.init 1500 (fun _ -> DS.insert s (Helpers.xml "<a/>")) in
+        Alcotest.(check (list int)) "every insert" ids (DS.touched_since s 0);
+        let gen0 = DS.generation s in
+        ignore (DS.replace s 0 (Helpers.xml "<b/>"));
+        ignore (DS.delete s 1_200);
+        ignore (DS.replace s 1 (Helpers.xml "<b/>"));
+        let gen1 = DS.generation s in
+        ignore (DS.replace s 0 (Helpers.xml "<c/>"));
+        Alcotest.(check bool) "a failed delete writes nothing" false (DS.delete s 1_200);
+        Alcotest.(check int) "one generation per write" (gen0 + 4) (DS.generation s);
+        Alcotest.(check (list int)) "since gen0" [ 1_200; 1; 0 ] (DS.touched_since s gen0);
+        Alcotest.(check (list int)) "since gen1" [ 0 ] (DS.touched_since s gen1);
+        Alcotest.(check (list int)) "none" [] (DS.touched_since s (DS.generation s)));
     tc "insert assigns increasing ids" (fun () ->
         let s = DS.create "T" in
         let a = DS.insert s (Helpers.xml "<a/>") in
@@ -180,7 +195,7 @@ let properties =
         let total_walk = ref 0 in
         DS.iter
           (fun _ d ->
-            Walk_oracle.iter_nodes (fun _ _ _ -> incr total_walk) (Xia_xml.Packed.unpack d))
+            Walk_oracle.iter_nodes (fun _ _ _ _ -> incr total_walk) (Xia_xml.Packed.unpack d))
           s;
         total_from_stats = !total_walk);
     QCheck.Test.make ~count:200 ~name:"per-path stats equal an oracle recount"

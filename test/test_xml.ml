@@ -85,7 +85,7 @@ let model_tests =
         let doc = parse_ok {|<a id="7"><b>x</b><c><d/></c></a>|} in
         let seen = ref [] in
         Walk_oracle.iter_nodes
-          (fun id path value -> seen := (id, path, value) :: !seen)
+          (fun pre attr path value -> seen := (Walk_oracle.node_id pre attr, path, value) :: !seen)
           doc;
         let seen = List.rev !seen in
         check Alcotest.int "count" 5 (List.length seen);
@@ -137,14 +137,12 @@ let properties =
     QCheck.Test.make ~count:200 ~name:"count_elements = iter_nodes elements"
       Helpers.doc_arbitrary (fun doc ->
         let n = ref 0 in
-        Walk_oracle.iter_nodes (fun id _ _ -> if id.T.attr = None then incr n) doc;
+        Walk_oracle.iter_nodes (fun _ attr _ _ -> if attr < 0 then incr n) doc;
         !n = T.count_elements doc);
     QCheck.Test.make ~count:200 ~name:"preorder ids are dense and increasing"
       Helpers.doc_arbitrary (fun doc ->
         let ids = ref [] in
-        Walk_oracle.iter_nodes
-          (fun id _ _ -> if id.T.attr = None then ids := id.T.pre :: !ids)
-          doc;
+        Walk_oracle.iter_nodes (fun pre attr _ _ -> if attr < 0 then ids := pre :: !ids) doc;
         let ids = List.rev !ids in
         List.mapi (fun i x -> (i, x)) ids |> List.for_all (fun (i, x) -> i = x));
     QCheck.Test.make ~count:300 ~name:"guided walk visits what the oracle walk visits"
@@ -153,9 +151,12 @@ let properties =
         let packed = Helpers.packed doc in
         let g = Packed.guide packed.labels ~root:[] ~label:(fun p l -> p @ [ l ]) ~dead:(fun _ -> false) in
         let seen = ref [] in
-        Packed.walk g (fun id path value -> seen := (id, path, value) :: !seen) packed;
+        let node = Walk_oracle.node_id in
+        Packed.walk g (fun pre attr path value -> seen := (node pre attr, path, value) :: !seen) packed;
         let oracle = ref [] in
-        Walk_oracle.iter_nodes (fun id path value -> oracle := (id, path, value) :: !oracle) doc;
+        Walk_oracle.iter_nodes
+          (fun pre attr path value -> oracle := (node pre attr, path, value) :: !oracle)
+          doc;
         !seen = !oracle);
     QCheck.Test.make ~count:300 ~name:"guided walk skips dead subtrees, ranks unchanged"
       (QCheck.pair Helpers.doc_arbitrary (QCheck.make Helpers.tag_gen)) (fun (doc, tag) ->
@@ -167,11 +168,14 @@ let properties =
             ~label:(fun (_, p) l -> (not (String.equal l tag), p @ [ l ]))
         in
         let seen = ref [] in
-        Packed.walk g (fun id (_, path) value -> seen := (id, path, value) :: !seen) packed;
+        let node = Walk_oracle.node_id in
+        Packed.walk g
+          (fun pre attr (_, path) value -> seen := (node pre attr, path, value) :: !seen)
+          packed;
         let oracle = ref [] in
         Walk_oracle.iter_nodes
-          (fun id path value ->
-            if not (List.mem tag path) then oracle := (id, path, value) :: !oracle)
+          (fun pre attr path value ->
+            if not (List.mem tag path) then oracle := (node pre attr, path, value) :: !oracle)
           doc;
         !seen = !oracle);
     QCheck.Test.make ~count:200 ~name:"element_value = direct_text" Helpers.doc_arbitrary

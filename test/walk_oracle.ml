@@ -12,9 +12,14 @@ module T = Xia_xml.Types
 module PI = Xia_index.Physical_index
 module DS = Xia_storage.Doc_store
 
-(* [iter_nodes f doc] calls [f id label_path value] for every element and
-   every attribute, in document order; attribute labels are "@name" and the
-   root element has rank 0. *)
+(* The node id [Packed.walk]'s callback describes by its two ints. *)
+let node_id pre attr = { T.pre; attr = (if attr < 0 then None else Some attr) }
+
+(* [iter_nodes f doc] calls [f pre attr label_path value] for every element
+   and every attribute, in document order, with [Packed.walk]'s callback:
+   [pre] is the element's preorder rank (the root's is 0) and [attr] the
+   attribute's position in its element, -1 for the element itself;
+   attribute labels are "@name". *)
 let iter_nodes f doc =
   let counter = ref 0 in
   let rec walk rev_path node =
@@ -25,10 +30,8 @@ let iter_nodes f doc =
         incr counter;
         let rev_path = e.tag :: rev_path in
         let label_path = List.rev rev_path in
-        f { T.pre; attr = None } label_path (T.direct_text e);
-        List.iteri
-          (fun i (k, v) -> f { T.pre; attr = Some i } (label_path @ [ "@" ^ k ]) v)
-          e.attrs;
+        f pre (-1) label_path (T.direct_text e);
+        List.iteri (fun i (k, v) -> f pre i (label_path @ [ "@" ^ k ]) v) e.attrs;
         List.iter (walk rev_path) e.children
   in
   walk [] doc
@@ -40,11 +43,11 @@ let build store (def : Xia_index.Index_def.t) =
   DS.iter
     (fun doc_id doc ->
       iter_nodes
-        (fun node path value ->
+        (fun pre attr path value ->
           if Xia_xpath.Nfa.accepts (Xia_xpath.Pattern.nfa_of def.pattern) path then
             match PI.key_of_value def.dtype value with
             | None -> ()
-            | Some key -> acc := { PI.key; doc = doc_id; node } :: !acc)
+            | Some key -> acc := { PI.key; doc = doc_id; node = node_id pre attr } :: !acc)
         (Xia_xml.Packed.unpack doc))
     store;
   List.sort PI.compare_entry !acc

@@ -147,8 +147,8 @@ let produce domain exe scratch =
   let args, rows =
     match domain with
     | "bench" | "wall" ->
-      ( [ "quick"; "scale10k"; "scale10k-raw"; "walk"; "shapes"; "executor"; "whatif";
-          "candidates"; "read"; "lint" ],
+      ( [ "quick"; "scale10k"; "scale10k-raw"; "walk"; "shapes"; "executor"; "upkeep";
+          "whatif"; "candidates"; "read"; "lint" ],
         bench_rows domain )
     | "eval" ->
       let perturb = Option.value (Sys.getenv_opt "XIA_EVAL_PERTURB") ~default:"1" in
