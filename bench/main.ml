@@ -611,17 +611,27 @@ let scale10k_raw () =
 
 (* ---------- RUNSTATS and index builds ---------- *)
 
-(* Minor words the running exhibit measured itself, for its record; an
-   exhibit that sets it must allocate the same on every run. *)
-let exhibit_minor_words : float option ref = ref None [@@lint.allow "D001"]
+(* Words allocated so far: the minor heap's, plus the blocks of over 256
+   words that go straight to the major heap.  Promoted words are counted
+   once, when allocated in the minor heap, so the count does not depend on
+   when minor collections happen.  The minor part is [Gc.minor_words]:
+   [Gc.counters]' own minor count misses part of the current minor heap
+   (OCaml 5.1). *)
+let allocated_words () =
+  let _, promoted, major = Gc.counters () in
+  Gc.minor_words () +. major -. promoted
 
-let take_minor_words () =
-  let words = !exhibit_minor_words in
-  exhibit_minor_words := None;
+(* Words the running exhibit measured itself, for its record; an exhibit
+   that sets it must allocate the same on every run. *)
+let exhibit_alloc_words : float option ref = ref None [@@lint.allow "D001"]
+
+let take_alloc_words () =
+  let words = !exhibit_alloc_words in
+  exhibit_alloc_words := None;
   words
 
-(* Runs [pass] twice with observability off and records the minor words of
-   the second run: the first fills the process-wide label, pattern,
+(* Runs [pass] twice with observability off and records the words the
+   second run allocates: the first fills the process-wide label, pattern,
    coverage and statistics tables, so the count depends on neither the
    exhibits run before nor the clock, and the bench ratchet holds it.  That
    also needs the pass's allocation not to depend on the values of interned
@@ -631,16 +641,16 @@ let second_pass name pass =
   let span = name ^ ".pass" in
   Obs.with_enabled false (fun () ->
       let first = pass () in
-      let w0 = Gc.minor_words () in
+      let w0 = allocated_words () in
       let second, elapsed = Trace.timed span pass in
-      let words = Gc.minor_words () -. w0 in
-      exhibit_minor_words := Some words;
-      Format.printf "second pass: %.4fs, %.0f minor words@." elapsed words;
+      let words = allocated_words () -. w0 in
+      exhibit_alloc_words := Some words;
+      Format.printf "second pass: %.4fs, %.0f allocated words@." elapsed words;
       (first, second))
 
 (* RUNSTATS over every TPoX table, then a build of every basic candidate
    index of the TPoX workload, on a fresh catalog at one domain; the
-   record's minor words are those of the [second_pass]. *)
+   record's allocated words are those of the [second_pass]. *)
 let walk () =
   header "RUNSTATS and index builds: the guided document walk";
   let catalog = Catalog.create () in
@@ -677,8 +687,8 @@ let walk () =
 
 (* RUNSTATS over one 4,000-deep chain and one document with 4,000
    distinct children, at every data scale.  One dataguide entry per path
-   keeps both linear in the path count, so the [second_pass]'s minor words
-   are held by the bench ratchet: a per-path copy of the path's labels
+   keeps both linear in the path count, so the [second_pass]'s allocated
+   words are held by the bench ratchet: a per-path copy of the path's labels
    would make the chain's share grow with the square of its depth. *)
 let shapes () =
   header "RUNSTATS over a 4,000-deep chain and a 4,000-wide document";
@@ -700,7 +710,7 @@ let shapes () =
 (* The read statements of the TPoX workload, executed on a catalog without
    indexes and on one with every basic candidate index built: mostly
    table scans, and some index probes with fetches.  Index builds happen
-   before [second_pass] runs either pass, so its minor words are the
+   before [second_pass] runs either pass, so its allocated words are the
    executor's own (planning included). *)
 let executor () =
   header "Validation: the TPoX reads executed with and without indexes";
@@ -738,11 +748,10 @@ let executor () =
 
 (* One string index of 8,000 entries (2,000 documents of four keyed
    elements) is refreshed after one document changes and again after two
-   more do, in a [second_pass]: its minor words are the writes' and the
-   refreshes'.  Then, outside the pass, a refresh after every document
+   more do, in a [second_pass]: its allocated words are the writes' and
+   the refreshes'.  Then, outside the pass, a refresh after every document
    changed is set against a build of the same index, in allocated words
-   (minor, plus arrays of over 256 words, which go straight to the major
-   heap) and min-of-5 wall time. *)
+   and min-of-5 wall time. *)
 let upkeep () =
   header "Index upkeep: refreshes after one- and two-document changes";
   let module DS = Xia_storage.Doc_store in
@@ -777,16 +786,12 @@ let upkeep () =
   Format.printf "%d documents, %d entries: refreshed after one, then two changed documents@." docs n;
   let stale = List.hd (Catalog.real_indexes catalog "UPKEEP") in
   write (List.init docs Fun.id);
-  let allocated () =
-    let minor, promoted, major = Gc.counters () in
-    minor +. major -. promoted
-  in
   let measure f =
     Obs.with_enabled false (fun () ->
         ignore (f ());
-        let w0 = allocated () in
+        let w0 = allocated_words () in
         ignore (f ());
-        let words = allocated () -. w0 in
+        let words = allocated_words () -. w0 in
         let best = ref infinity in
         for _ = 1 to 5 do
           best := Float.min !best (snd (Trace.timed "upkeep.measure" f))
@@ -887,9 +892,9 @@ let read () =
 
 (* The whole-program lint of the lib/ sources next to the executable's
    directory (the build tree's copy, where the lint.self_check tests find
-   them) in a [second_pass]: parsing, the call graph, the site walk,
-   effect summaries and every check.  It lints the relative
-   path "lib" from that directory, so the minor words depend on the
+   them) in a [second_pass]: parsing, the call graph, the site walk and
+   every check.  It lints the relative
+   path "lib" from that directory, so the allocated words depend on the
    sources alone, not on where the checkout is; they move with every edit
    to lib/, so the bench ratchet holds them within a factor, not with a
    [max] line.  The call graph resolves calls across libraries through
@@ -1109,7 +1114,7 @@ type exhibit_record = {
   enumerate_calls : int;
       (* Enumerate Indexes passes: compression makes one per distinct
          statement, not one per statement *)
-  minor_words : float option;  (* only from an exhibit that measures its own *)
+  alloc_words : float option;  (* only from an exhibit that measures its own *)
   phases : phase list;
 }
 
@@ -1157,8 +1162,8 @@ let write_advisor_json path records =
              r.phases)
       in
       let words =
-        match r.minor_words with
-        | Some w -> Printf.sprintf " \"minor_words\": %.0f," w
+        match r.alloc_words with
+        | Some w -> Printf.sprintf " \"alloc_words\": %.0f," w
         | None -> ""
       in
       Printf.fprintf oc
@@ -1247,7 +1252,7 @@ let () =
           - saved0;
         enumerate_calls =
           Atomic.get Optimizer.counters.Optimizer.enumerate_calls - enums0;
-        minor_words = take_minor_words ();
+        alloc_words = take_alloc_words ();
         phases;
       }
       :: !records

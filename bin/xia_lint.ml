@@ -1,12 +1,12 @@
 (* xia_lint — state-safety and hygiene analyzer for this repository.
 
-   Usage: xia_lint [--json] [--callgraph] PATH...
+   Usage: xia_lint [--json] PATH...
 
    Lints every .ml under the given paths (default: lib) as one program: the
    whole library set is parsed once, a cross-unit call graph is built from
    it and walked once into a site table (Xia_analysis.Sites), and the
-   check catalog in Xia_analysis.Checks classifies those sites.  --callgraph prints the graph
-   as Graphviz DOT instead of linting.  Each check's rationale is in DESIGN.md §5c/§5f/§5h/§5k.
+   check catalog in Xia_analysis.Checks classifies those sites.  Each check's rationale is in
+   DESIGN.md §5c/§5f/§5h/§5k.
    A finding is suppressed only in the source: [@lint.allow "ID"] at the
    site (or [@@lint.allow "ID"] on an enclosing binding), or, for H002, a
    "(* lint: reason *)" note on the line or the line above.  A linted
@@ -19,35 +19,18 @@ module Finding = Xia_analysis.Finding
 
 let () =
   let json = ref false in
-  let callgraph = ref false in
   let paths = ref [] in
-  let spec =
-    [
-      ("--json", Arg.Set json, " emit the versioned JSON report");
-      ( "--callgraph",
-        Arg.Set callgraph,
-        " print the cross-unit call graph as Graphviz DOT and exit" );
-    ]
-  in
-  Arg.parse spec (fun p -> paths := p :: !paths) "xia_lint [--json] [--callgraph] PATH...";
+  let spec = [ ("--json", Arg.Set json, " emit the versioned JSON report") ] in
+  Arg.parse spec (fun p -> paths := p :: !paths) "xia_lint [--json] PATH...";
   let paths = match List.rev !paths with [] -> [ "lib" ] | ps -> ps in
-  let report_errors errors =
-    List.iter
-      (fun (e : Lint.error) -> Printf.eprintf "xia_lint: %s: %s\n" e.path e.message)
-      errors
-  in
-  if !callgraph then begin
-    let dot, errors = Lint.callgraph_dot paths in
-    report_errors errors;
-    print_string dot;
-    exit (if errors = [] then 0 else 2)
-  end;
   let report = Lint.lint_paths paths in
   List.iter
     (fun (e : Lint.error) -> Printf.eprintf "xia_lint: warning: %s: %s\n" e.path e.message)
     report.Lint.warnings;
   if report.Lint.errors <> [] then begin
-    report_errors report.Lint.errors;
+    List.iter
+      (fun (e : Lint.error) -> Printf.eprintf "xia_lint: %s: %s\n" e.path e.message)
+      report.Lint.errors;
     exit 2
   end;
   if !json then print_string (Lint.report_to_json report)

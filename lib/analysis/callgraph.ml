@@ -12,12 +12,10 @@
    - sibling units: within one library directory, [Catalog.stats] resolves to
      [catalog.ml] next door.
 
-   Resolution is conservative on ambiguity: every plausible target becomes an
-   edge, so reachability over-approximates the real program.  What it cannot
-   see — first-class functions passed as arguments, functor applications,
-   shadowing by local modules — is documented in DESIGN.md §5f; clients must
-   treat absence of a path as "not proven reachable", never "unreachable
-   proven". *)
+   Resolution is conservative on ambiguity: every plausible target is kept.
+   What it cannot see — first-class functions passed as arguments, functor
+   applications, shadowing by local modules — is documented in DESIGN.md
+   §5f. *)
 
 open Parsetree
 
@@ -63,11 +61,11 @@ let rec var_of_pattern (p : pattern) =
    "_.x" inside [module _]), each with the [@@lint.allow] IDs of its
    enclosing module bindings.  Bindings with non-variable patterns still
    run at module initialization; they get a synthetic "(init:LINE)" name
-   so their call sites participate in reachability.  And the unit's
+   so their sites are judged as a binding's.  And the unit's
    toplevel [module X = Path] aliases and [open Path] statements: aliases
    inside nested modules or expressions are rare in this codebase and
-   ignoring them only loses edges for code that also hides from qualified
-   matching. *)
+   ignoring them only loses resolutions for code that also hides from
+   qualified matching. *)
 let collect_bindings u =
   let nodes = ref [] and aliases = Hashtbl.create 8 and opens = ref [] in
   let rec items ~top prefix allow structure =
@@ -160,7 +158,6 @@ type t = {
 }
 
 let key n = (n.u.path, n.name)
-let by_key a b = compare (key a) (key b)
 
 let units t = t.units
 let nodes t = t.node_list
@@ -279,50 +276,3 @@ let build units_in =
     units; node_tbl; node_list = List.concat (List.rev !unit_nodes); by_dir_mod; by_mod;
     lib_dir; no_dune; aliases; opens; resolved;
   }
-
-(* -------------------------------------------------- the transitive engine -- *)
-
-(* Every transitive fact of the analyzer is one query over an edge set the
-   caller picks (resolved calls, or those calls inverted).
-   [reach ~succ ~cut root]: every node a depth-first walk from [root]
-   enters, in entry order, each with its trail — the nodes from [root]
-   down to the one it was entered from ([] for the root).  Callees are
-   taken in key order, and the walk never enters a node where [cut]
-   holds, the root included. *)
-let reach ~succ ~cut root =
-  let seen = Hashtbl.create 64 in
-  let out = ref [] in
-  let rec visit trail n =
-    if not (Hashtbl.mem seen (key n) || cut n) then begin
-      Hashtbl.replace seen (key n) ();
-      out := (n, List.rev trail) :: !out;
-      List.iter (visit (n :: trail)) (List.sort by_key (succ n))
-    end
-  in
-  visit [] root;
-  List.rev !out
-
-(* ------------------------------------------------------------------ DOT -- *)
-
-let dot_id n = Printf.sprintf "%s.%s" n.u.basename n.name
-
-let to_dot ~succ t =
-  let buf = Buffer.create 4096 in
-  Buffer.add_string buf "digraph callgraph {\n";
-  Buffer.add_string buf "  rankdir=LR;\n  node [shape=box, fontsize=10];\n";
-  let sorted = List.sort by_key t.node_list in
-  List.iter
-    (fun n ->
-      Buffer.add_string buf
-        (Printf.sprintf "  \"%s\" [tooltip=\"%s\"];\n" (dot_id n) n.u.path))
-    sorted;
-  List.iter
-    (fun n ->
-      List.iter
-        (fun s ->
-          Buffer.add_string buf
-            (Printf.sprintf "  \"%s\" -> \"%s\";\n" (dot_id n) (dot_id s)))
-        (succ n))
-    sorted;
-  Buffer.add_string buf "}\n";
-  Buffer.contents buf

@@ -2,11 +2,10 @@
 
     Nodes are toplevel value bindings (dotted names inside nested modules).
     The graph resolves [Longident] paths through the dune library layout,
-    toplevel module aliases and [open]s — conservatively on ambiguity, so
-    reachability over-approximates the real program.  Its edges are the
-    resolved call lists the one site walk produces ({!Sites.calls}): a
-    binding's edges reach every binding its body references under a name
-    no local binder shadows.  See DESIGN.md §5f for the soundness and
+    toplevel module aliases and [open]s — conservatively on ambiguity:
+    every plausible target is kept.  The one site walk ({!Sites}) resolves
+    every identifier through it, so E001 can tell a project binding from
+    an IO builtin.  See DESIGN.md §5f for the soundness and
     incompleteness trade-offs. *)
 
 type unit_info = {
@@ -48,9 +47,6 @@ val without_dune : t -> string list
 (** Stable node identity: [(unit path, binding name)]. *)
 val key : node -> string * string
 
-(** Compare nodes by {!key}. *)
-val by_key : node -> node -> int
-
 (** The variable a pattern binds, through type constraints. *)
 val var_of_pattern : Parsetree.pattern -> string option
 
@@ -58,20 +54,3 @@ val var_of_pattern : Parsetree.pattern -> string option
     expansion, library qualification, sibling units, [open]s; all plausible
     targets on ambiguity). *)
 val resolve : t -> unit_info -> string list -> node list
-
-(** {1 The transitive engine}
-
-    Every transitive fact of the analyzer is a {!reach} query over an
-    edge set the caller picks, the resolved calls ({!Sites.calls}). *)
-
-(** [reach ~succ ~cut root]: every node a depth-first walk from [root]
-    enters, in entry order, each with its trail — the nodes from [root]
-    down to the one it was entered from ([\[\]] for the root).  Callees
-    are taken in key order; the walk never enters a node where [cut]
-    holds, the root included. *)
-val reach :
-  succ:(node -> node list) -> cut:(node -> bool) -> node -> (node * node list) list
-
-(** Deterministic Graphviz rendering of the graph with the edges [succ]
-    (nodes and edges sorted). *)
-val to_dot : succ:(node -> node list) -> t -> string

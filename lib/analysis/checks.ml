@@ -1,23 +1,23 @@
 (* The check catalog.  Every check has a stable ID; [catalog] below is the
    single source of truth for IDs and titles.  Every check reads the sites
    of the one [Sites] walk and classifies them itself: the tables that say
-   what a site *is* (allocators, IO sinks, mutators, order sources) sit
+   what a site *is* (allocators, IO sinks, order sources) sit
    next to the check that uses them.
 
-   Unit-local checks ([check_unit]): D001 folds over one compilation
-   unit's module-level bindings, the call graph's nodes; X001, E001 and
-   N001 read each such binding's own sites; D002, D004, H002 and R003
-   read every site of the unit, bindings or not; H001 is
-   filesystem-level.  The whole-program check ([check_program]), E002, is
-   a [Callgraph.reach] query over [Sites.calls] forwards from the batch
-   roots that classifies the own sites of every binding it enters.  That
-   what-if evaluation never writes the catalog is the compiler's to check:
-   every what-if interface takes a catalog without its write capability
-   ([Catalog.read_only]).
+   Every check is unit-local ([check_unit]): D001 folds over one
+   compilation unit's module-level bindings, the call graph's nodes;
+   X001, E001 and N001 read each such binding's own sites; D002, D004,
+   H002 and R003 read every site of the unit, bindings or not; H001 is
+   filesystem-level.  The call graph only resolves names across units, so
+   E001 can tell a project binding from an IO builtin.  That what-if
+   evaluation never writes the catalog, and that batched what-if planning
+   reads no catalog at all, is the compiler's to check: every what-if
+   interface takes a catalog without its write capability
+   ([Catalog.read_only]), and the batch entry points take none.
 
    Identifier references are matched on [Longident] paths after module-alias
    expansion through the graph — full name resolution (functors,
-   first-class modules) is out of scope, so a functor-wrapped write can
+   first-class modules) is out of scope, so a functor-wrapped IO call can
    hide.  It does not occur in this codebase; suppressions cover
    intentional exceptions. *)
 
@@ -26,9 +26,6 @@ open Parsetree
 (* Lowercase module basenames sanctioned to perform IO: the persistence
    boundary E001 carves out. *)
 let io_modules = [ "persist" ]
-
-(* Binding names whose transitive call closure E002 polices. *)
-let batch_roots = [ "optimize_batch"; "optimize_prepared"; "optimize_costs" ]
 
 (* ------------------------------------------------ syntactic helpers -- *)
 
@@ -45,15 +42,6 @@ let has_suffix ~suffix path =
 (* The first of [suffixes] that [path] ends with, as a dotted name. *)
 let suffix_name suffixes path =
   Option.map (String.concat ".") (List.find_opt (fun suffix -> has_suffix ~suffix path) suffixes)
-
-(* [Module.fn] when the path ends in a member of [table]: (module, fns). *)
-let member_of table path =
-  match List.rev path with
-  | f :: m :: _ ->
-      List.find_map
-        (fun (m', fns) -> if String.equal m m' && List.mem f fns then Some (m ^ "." ^ f) else None)
-        table
-  | _ -> None
 
 let nolabel_args args =
   List.filter_map
@@ -119,8 +107,7 @@ let rec returns_closure (e : expression) =
 (* Classify an expression as raw shared mutable state: every (location,
    allocator) pair found descending through the wrappers that merely
    surround an initializer and through data constructors whose payload
-   would still be reachable shared state.  E002 uses the same classifier
-   for a binding's raw mutable locals. *)
+   would still be reachable shared state. *)
 let rec d001_hits mutable_fields acc (e : expression) =
   if allow "D001" e.pexp_attributes then acc
   else
@@ -504,143 +491,6 @@ let check_n001 own =
   in
   if hits = [] || List.exists sorts own then [] else hits
 
-(* ---------------------------------------------------------------- E002 -- *)
-
-(* Container mutators applied to a subject argument. *)
-let container_mutator_of_path =
-  member_of
-    [
-      ("Hashtbl", [ "add"; "replace"; "remove"; "reset"; "clear"; "filter_map_inplace" ]);
-      ("Queue", [ "add"; "push"; "pop"; "take"; "clear"; "transfer" ]);
-      ("Stack", [ "push"; "pop"; "clear" ]);
-      ( "Buffer",
-        [
-          "add_string"; "add_char"; "add_bytes"; "add_buffer"; "add_substring";
-          "add_subbytes"; "clear"; "reset"; "truncate";
-        ] );
-      ("Array", [ "set"; "unsafe_set"; "fill"; "blit" ]);
-      ("Bytes", [ "set"; "unsafe_set"; "fill"; "blit" ]);
-      ("Dynarray", [ "add_last"; "append"; "clear"; "set"; "remove_last" ]);
-    ]
-
-(* Mutators whose *element* comes first and the container second
-   ([Queue.add x q], [Stack.push x s]): their subject is the second
-   positional argument. *)
-let element_first_mutators = [ "Queue.add"; "Queue.push"; "Stack.push" ]
-
-let rec head_ident_name (e : expression) =
-  match e.pexp_desc with
-  | Pexp_ident { txt = Longident.Lident x; _ } -> Some x
-  | Pexp_field (b, _) -> head_ident_name b
-  | Pexp_constraint (e, _) | Pexp_coerce (e, _, _) | Pexp_open (_, e) -> head_ident_name e
-  | _ -> None
-
-(* A binding's unsuppressed writes to shared state: assignments, counter
-   updates, container mutators and mutable-field writes whose target is
-   not one of the binding's raw mutable locals.  A local is any name the
-   binding let-binds to a [d001_hits] allocation, wherever: a name in
-   this table that an inner expression uses without binding it itself
-   must come from an enclosing scope, and the only enclosing definition
-   the analysis knows of is the raw one.  Atomic operations are never
-   writes here. *)
-let shared_writes sites (n : Callgraph.node) =
-  let own = Sites.node_sites sites n in
-  let mutable_fields = Sites.mutable_fields sites n.u in
-  let locals = Hashtbl.create 8 in
-  List.iter
-    (fun (s : Sites.site) ->
-      match s.kind with
-      | Let ({ ppat_desc = Ppat_var { txt = x; _ }; _ }, rhs, _) ->
-          if d001_hits mutable_fields [] rhs <> [] then Hashtbl.replace locals x ()
-      | _ -> ())
-    own;
-  let write target describe =
-    match Option.bind target head_ident_name with
-    | Some x when Hashtbl.mem locals x -> None
-    | _ -> Some (describe (Option.bind target sym))
-  in
-  let named fmt anon = function Some x -> Printf.sprintf fmt x | None -> anon in
-  List.filter_map
-    (fun (s : Sites.site) ->
-      let what =
-        match s.kind with
-        | Apply ({ path = [ ":=" ] | [ "Stdlib"; ":=" ]; _ }, args) ->
-            write (first_nolabel args) (named "assignment to %s" "ref assignment")
-        | Apply ({ path = [ ("incr" | "decr") ] | [ "Stdlib"; ("incr" | "decr") ]; _ }, args) ->
-            write (first_nolabel args) (named "counter update of %s" "counter update")
-        | Apply ({ path; _ }, args) -> (
-            match container_mutator_of_path path with
-            | Some m ->
-                let target =
-                  if List.mem m element_first_mutators then
-                    match nolabel_args args with _ :: a :: _ -> Some a | _ -> None
-                  else first_nolabel args
-                in
-                write target (function Some x -> Printf.sprintf "%s on %s" m x | None -> m)
-            | None -> None)
-        | Setfield (base, f, _) ->
-            write (Some base) (function
-              | Some x -> Printf.sprintf "mutable-field write %s.%s" x f
-              | None -> Printf.sprintf "mutable-field write .%s" f)
-        | _ -> None
-      in
-      match what with
-      | Some what when not (Sites.active s "E002") -> Some (s.loc, what)
-      | _ -> None)
-    own
-
-let e002_message what root via =
-  Printf.sprintf
-    "shared-state write (%s) reachable from %s's virtual-config path%s; \
-     what-if evaluation beyond the sanctioned warm_stats/prepare sites \
-     must stay effect-free — thread state through arguments or move the \
-     write outside the batch"
-    what root
-    (match via with [] -> "" | _ -> " via " ^ String.concat " -> " via)
-
-(* E002: a [Callgraph.reach] from every [batch_roots] binding (the
-   virtual-config what-if path) over the resolved calls, flagging the
-   shared-state writes of every binding it enters with the trail that led
-   there (host excluded).  Cuts: [warm_stats] and the optimizer's
-   [prepare] (which binds a statement to the statistics warmed before it)
-   are the sanctioned binding points, lib/obs is instrumentation, and the
-   [interner] module's tables hand out identities and memoize pure
-   functions, so a write there never changes a result.  The root itself
-   is never cut.  A site two roots reach is reported once. *)
-let check_e002 sites =
-  let sanctioned (m : Callgraph.node) =
-    String.equal m.name "warm_stats"
-    || (String.equal m.name "prepare" && String.equal m.u.basename "optimizer")
-    || in_dir "obs" m.u.path
-    || String.equal m.u.basename "interner"
-  in
-  let emitted = Hashtbl.create 16 in
-  let findings = ref [] in
-  let emit root via ((loc : Location.t), what) =
-    let p = loc.loc_start in
-    let dedup = (p.Lexing.pos_fname, p.Lexing.pos_lnum, p.Lexing.pos_cnum) in
-    if not (Hashtbl.mem emitted dedup) then begin
-      Hashtbl.replace emitted dedup ();
-      findings :=
-        Finding.of_location ~id:"E002" ~message:(e002_message what root via) loc :: !findings
-    end
-  in
-  let roots =
-    List.filter
-      (fun (n : Callgraph.node) -> List.mem n.name batch_roots)
-      (Callgraph.nodes (Sites.graph sites))
-  in
-  List.iter
-    (fun (root : Callgraph.node) ->
-      let cut m = Callgraph.key m <> Callgraph.key root && sanctioned m in
-      List.iter
-        (fun ((m : Callgraph.node), trail) ->
-          let via = List.map (fun (v : Callgraph.node) -> v.name) trail in
-          List.iter (emit root.name via) (shared_writes sites m))
-        (Callgraph.reach ~succ:(Sites.calls sites) ~cut root))
-    roots;
-  List.rev !findings
-
 (* ---------------------------------------------------------------- H001 -- *)
 
 let module_of_path path = String.capitalize_ascii (Filename.remove_extension (Filename.basename path))
@@ -672,7 +522,7 @@ let missing_mli ~mls ~mlis =
 
 (* Unit-local checks for one compilation unit.  The raw source text
    carries the lint-note comments; H001 is filesystem-level and lives in
-   [missing_mli]; E002 is whole-program. *)
+   [missing_mli]. *)
 let check_unit sites (u : Callgraph.unit_info) =
   let notes = Suppress.lint_note_lines u.source in
   let nodes =
@@ -690,8 +540,6 @@ let check_unit sites (u : Callgraph.unit_info) =
     @ List.concat_map per_binding nodes
     @ check_sites ~notes ~d004:(d004_applies u.path) (Sites.unit_sites sites u))
 
-let check_program = check_e002
-
 (* ------------------------------------------------------ check catalog -- *)
 
 type check_info = { id : string; title : string }
@@ -702,7 +550,6 @@ let catalog =
     { id = "D002"; title = "Sys.time used for timing" };
     { id = "D004"; title = "wall-clock read outside lib/obs" };
     { id = "E001"; title = "IO effect in library code" };
-    { id = "E002"; title = "shared-state write on the virtual-config path" };
     { id = "H001"; title = "module without an .mli interface" };
     { id = "H002"; title = "failwith/assert false without a lint note" };
     { id = "N001"; title = "hash iteration order escapes into a result" };

@@ -1,7 +1,7 @@
 (** The check catalog.
 
-    Unit-local checks (one compilation unit's sites, {!Sites.unit_sites},
-    or one binding's, {!Sites.node_sites}):
+    Every check is unit-local (one compilation unit's sites,
+    {!Sites.unit_sites}, or one binding's, {!Sites.node_sites}):
 
     - [D001] module-toplevel mutable state: it outlives one advise session
       and leaks between evaluators.
@@ -23,21 +23,15 @@
       [lib/]: an order-dependent fold whose literal closure builds a list,
       with no canonicalizing sort in the same binding.
 
-    The whole-program check (interprocedural, a {!Callgraph.reach} query
-    over the call lists of {!Sites} on the cross-unit graph):
-
-    - [E002] shared-state writes in the transitive call closure of
-      [optimize_batch], [optimize_prepared] and [optimize_costs] bindings,
-      beyond the sanctioned [warm_stats]/optimizer [prepare], [lib/obs]
-      and [interner] sites.
-
-    That what-if evaluation never writes the catalog is not a check: the
-    compiler enforces it, because every what-if interface takes a catalog
-    without its write capability ({!Xia_index.Catalog.read_only}).
+    That what-if evaluation never writes the catalog, and that batched
+    what-if planning reads none, is not a check: the compiler enforces it,
+    because every what-if interface takes a catalog without its write
+    capability ({!Xia_index.Catalog.read_only}) and the batch entry points
+    ({!Xia_optimizer.Optimizer.optimize_costs}) take no catalog.
 
     Identifier references are matched on [Longident] paths after
     module-alias expansion through the graph; a reference a local binder
-    of the same binding shadows is no call edge, but full name resolution
+    of the same binding shadows is the local, but full name resolution
     (functors, first-class modules, local modules) is out of scope.
     Suppress intentional sites with [\[@lint.allow "ID"\]]. *)
 
@@ -49,11 +43,6 @@
     [(* lint: reason *)] notes; its path selects D004, E001 and N001
     applicability.  Attribute suppressions are already applied. *)
 val check_unit : Sites.t -> Callgraph.unit_info -> Finding.t list
-
-(** The whole-program check, E002: a {!Callgraph.reach} query over
-    {!Sites.calls} that classifies the own sites of every binding it
-    enters. *)
-val check_program : Sites.t -> Finding.t list
 
 (** [missing_mli ~mls ~mlis] — H001: every [.ml] path with no matching
     [.mli] path (compared by extension-stripped name). *)

@@ -1,13 +1,12 @@
 (* Analyzer driver: parse OCaml sources with compiler-libs once, build the
    cross-unit call graph once ([Callgraph]), walk it once into the site
-   table ([Sites]), run the unit-local and whole-program check catalog
-   over the sites ([Checks]), report.
+   table ([Sites]), run the check catalog over the sites ([Checks]),
+   report.
 
    The unit of work is a source *string* ([lint_source]) so the test suite
    can exercise every check on inline fixtures — a one-unit program runs the
-   identical whole-program pipeline over a one-unit graph; [lint_paths]
-   layers the filesystem walk (and the filesystem-level H001 check) on
-   top. *)
+   identical pipeline over a one-unit graph; [lint_paths] layers the
+   filesystem walk (and the filesystem-level H001 check) on top. *)
 
 type error = { path : string; message : string }
 
@@ -33,11 +32,10 @@ let parse_structure ~filename source =
   | e -> Error { path = filename; message = Printexc.to_string e }
 
 (* Every parsetree-level finding of a program, all read off one site walk
-   of the shared graph: the unit-local checks per unit, then the
-   whole-program check (E002). *)
+   of the shared graph, unit by unit. *)
 let program_findings graph =
   let sites = Sites.build graph in
-  List.concat_map (Checks.check_unit sites) (Callgraph.units graph) @ Checks.check_program sites
+  List.concat_map (Checks.check_unit sites) (Callgraph.units graph)
 
 let lint_source ~filename source =
   match parse_structure ~filename source with
@@ -85,19 +83,15 @@ let load_units mls =
     ([], []) mls
   |> fun (units, errors) -> (List.rev units, List.rev errors)
 
-(* The loader behind every path-based entry point: walk [paths], parse
-   every .ml once and link the parsable units into one call graph.  Walk
-   and parse errors do not abort — the graph over the parsable subset is
-   still useful — and ride along for the caller to report. *)
-let load paths =
+(* Every .ml under [paths] is parsed once and the parsable units are linked
+   into one call graph: walk and parse errors do not abort, and ride along
+   in the report.  A directory without its dune file is linted all the
+   same, but calls that name its library are not resolved to it: say
+   so. *)
+let lint_paths paths =
   let mls, mlis, walk_errors = collect_sources paths in
   let units, parse_errors = load_units mls in
-  (Callgraph.build units, mls, mlis, walk_errors @ parse_errors)
-
-(* A directory without its dune file is linted all the same, but calls
-   that name its library are not resolved to it: say so. *)
-let lint_paths paths =
-  let graph, mls, mlis, errors = load paths in
+  let graph = Callgraph.build units in
   let all = Checks.missing_mli ~mls ~mlis @ program_findings graph in
   let warnings =
     List.map
@@ -108,12 +102,7 @@ let lint_paths paths =
         })
       (Callgraph.without_dune graph)
   in
-  { findings = List.sort Finding.compare all; errors; warnings }
-
-(* DOT rendering of the cross-unit call graph for the given paths. *)
-let callgraph_dot paths =
-  let graph, _, _, errors = load paths in
-  (Callgraph.to_dot ~succ:(Sites.calls (Sites.build graph)) graph, errors)
+  { findings = List.sort Finding.compare all; errors = walk_errors @ parse_errors; warnings }
 
 (* ------------------------------------------------------ JSON rendering -- *)
 

@@ -1,6 +1,6 @@
 (** Analyzer driver: parse with compiler-libs once, build the cross-unit
     call graph ({!Callgraph}) and its site table ({!Sites}) once, run the
-    unit-local and whole-program checks ({!Checks}) over the sites. *)
+    checks ({!Checks}) over the sites. *)
 
 type error = { path : string; message : string }
 
@@ -16,7 +16,7 @@ type report = {
 val empty_report : report
 
 (** Lint one source string as a one-unit program (every parsetree-level
-    check including E002, R003 and X001; no H001). *)
+    check; no H001). *)
 val lint_source : filename:string -> string -> (Finding.t list, error) result
 
 (** Lint every [.ml] under [paths] (recursively; skips [_build] and dot
@@ -24,11 +24,6 @@ val lint_source : filename:string -> string -> (Finding.t list, error) result
     interface check.  A directory of units without a [dune] file is a
     warning. *)
 val lint_paths : string list -> report
-
-(** Deterministic Graphviz rendering of the call graph over every [.ml]
-    under [paths], plus any walk/parse errors (the graph covers the parsable
-    subset). *)
-val callgraph_dot : string list -> string * error list
 
 (** Schema version of {!report_to_json}'s envelope. *)
 val json_schema_version : int

@@ -12,8 +12,7 @@
    Each identifier is resolved here.  When a node's walk ends, a
    reference whose single-component name some pattern of the node binds
    is marked shadowed (over-approximate on purpose: a sibling-branch
-   binder only ever silences an edge), and the targets of the other
-   references form the node's call list. *)
+   binder only ever silences a finding). *)
 
 open Parsetree
 
@@ -28,7 +27,6 @@ type kind =
   | Apply of ident * (Asttypes.arg_label * expression) list
   | Binder of string
   | Let of pattern * expression * expression option
-  | Setfield of expression * string * expression
   | Assert of expression
 
 type site = { loc : Location.t; kind : kind; allow : string list list }
@@ -37,8 +35,8 @@ type t = {
   graph : Callgraph.t;
   units : (string, site list * (string, unit) Hashtbl.t) Hashtbl.t;
   (* one entry per node, duplicate toplevel names included (newest first):
-     the node, its sites and its call list *)
-  nodes : (string * string, Callgraph.node * site list * Callgraph.node list) Hashtbl.t;
+     the node and its sites *)
+  nodes : (string * string, Callgraph.node * site list) Hashtbl.t;
 }
 
 let graph t = t.graph
@@ -55,33 +53,26 @@ let mutable_fields t (u : Callgraph.unit_info) = snd (Hashtbl.find t.units u.pat
 
 (* A binding's own entry, even when a later toplevel binding of the same
    name shadows it. *)
-let entry t n = List.find_opt (fun (m, _, _) -> m == n) (Hashtbl.find_all t.nodes (Callgraph.key n))
-
-let node_sites t n = match entry t n with Some (_, sites, _) -> sites | None -> []
-let calls t n = match entry t n with Some (_, _, calls) -> calls | None -> []
+let node_sites t n =
+  match List.find_opt (fun (m, _) -> m == n) (Hashtbl.find_all t.nodes (Callgraph.key n)) with
+  | Some (_, sites) -> sites
+  | None -> []
 
 let binders sites =
   let bound = Hashtbl.create 16 in
   List.iter (fun s -> match s.kind with Binder x -> Hashtbl.replace bound x () | _ -> ()) sites;
   bound
 
-(* Shadowing and the call list of one node, once its walk is done. *)
+(* Shadowing in one node, once its walk is done. *)
 let finish_node t (n : Callgraph.node) sites =
-  let bound = binders sites and targets = Hashtbl.create 8 in
+  let bound = binders sites in
   List.iter
     (fun s ->
       match s.kind with
       | Ref ({ path = [ x ]; _ } as id) when Hashtbl.mem bound x -> id.shadowed <- true
-      | Ref id ->
-          List.iter
-            (fun tgt ->
-              let k = Callgraph.key tgt in
-              if k <> Callgraph.key n then Hashtbl.replace targets k tgt)
-            id.targets
       | _ -> ())
     sites;
-  Hashtbl.add t.nodes (Callgraph.key n)
-    (n, sites, List.sort Callgraph.by_key (Hashtbl.fold (fun _ tgt acc -> tgt :: acc) targets []))
+  Hashtbl.add t.nodes (Callgraph.key n) (n, sites)
 
 (* Walk one unit; [pending] holds the graph's nodes not yet reached, in
    collection order. *)
@@ -127,9 +118,6 @@ let walk_unit t (u : Callgraph.unit_info) pending =
         it.expr it body
     | Pexp_assert a ->
         add e.pexp_loc (Assert a);
-        default.expr it e
-    | Pexp_setfield (base, lid, value) ->
-        add e.pexp_loc (Setfield (base, Longident.last lid.txt, value));
         default.expr it e
     | _ -> default.expr it e
   in

@@ -5,11 +5,9 @@
     functor bodies and toplevel [;;] expressions alike — and records the
     syntactic sites the checks classify, each with the
     [\[@lint.allow\]] IDs active there.  Every identifier is resolved
-    through the {!Callgraph} here; a binding's resolved references that
-    no local binder shadows are its call list ({!calls}), the one edge
-    set of the call graph.  {!Checks} classifies the sites itself: per
-    unit, per binding, or per binding a {!Callgraph.reach} enters.  See
-    DESIGN.md §5c. *)
+    through the {!Callgraph} here, and marked when a local binder of the
+    same binding shadows it.  {!Checks} classifies the sites itself: per
+    unit or per binding.  See DESIGN.md §5c. *)
 
 (** A resolved identifier.  [shadowed] holds when a variable some pattern
     of the same binding binds has this (single-component) name. *)
@@ -27,8 +25,6 @@ type kind =
   | Let of Parsetree.pattern * Parsetree.expression * Parsetree.expression option
       (** a value binding: its pattern, its right-hand side and, in
           [let p = e in body], the body *)
-  | Setfield of Parsetree.expression * string * Parsetree.expression
-      (** [base.f <- value] *)
   | Assert of Parsetree.expression  (** [assert e] *)
 
 type site = {
@@ -49,14 +45,10 @@ val graph : t -> Callgraph.t
 (** Every site of a unit, in walk (pre-)order. *)
 val unit_sites : t -> Callgraph.unit_info -> site list
 
-(** The sites of one binding's right-hand side, in walk order. *)
+(** The sites of one binding's right-hand side, in walk order.  Each
+    binding has its own, a toplevel binding that a later one of the same
+    name shadows included. *)
 val node_sites : t -> Callgraph.node -> site list
-
-(** The node's resolved call targets: the targets of its references that
-    no local binder shadows, itself excluded, deduplicated and sorted by
-    {!Callgraph.key}.  Each binding has its own, a toplevel binding that a
-    later one of the same name shadows included. *)
-val calls : t -> Callgraph.node -> Callgraph.node list
 
 (** Field names declared [mutable] anywhere in the unit. *)
 val mutable_fields : t -> Callgraph.unit_info -> (string, unit) Hashtbl.t

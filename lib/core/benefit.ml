@@ -20,7 +20,9 @@
    ([Optimizer.prepare]: rewritten, its configuration-independent costs
    derived, its index-scan parts memoized from then on), so the prepared
    statements are bound to the statistics the evaluator was created over —
-   like [base_costs] and the sub-configuration cache.  What-if calls pass
+   like [base_costs], the sub-configuration cache and the table statistics
+   that candidate sizes and maintenance charges derive from.  The evaluator
+   keeps no catalog.  What-if calls pass
    the virtual configuration to the optimizer explicitly
    ([~virtual_config]), so an evaluation never mutates the catalog, and they
    go through [Optimizer.optimize_costs]: ONE optimizer invocation per
@@ -43,6 +45,7 @@
    which repeating an update statement matters. *)
 
 module Catalog = Xia_index.Catalog
+module Index_stats = Xia_index.Index_stats
 module Maintenance = Xia_index.Maintenance
 module Optimizer = Xia_optimizer.Optimizer
 module Plan = Xia_optimizer.Plan
@@ -61,7 +64,8 @@ type entry = {
 }
 
 type t = {
-  catalog : [ `Read ] Catalog.t;
+  table_stats : (string * Xia_storage.Path_stats.t) list;
+      (* every table's statistics, read once at creation *)
   summary : Workload_summary.t;
   items : Workload.item array;
       (* the summary's representative statements — for a raw summary,
@@ -120,20 +124,19 @@ let dml_statements items =
    (cluster = statement) this is exactly the historical per-item evaluator.
    [?domains] is accepted and ignored (see benefit.mli). *)
 let of_summary ?domains:_ catalog summary =
-  let catalog = Catalog.read_only catalog in
   let items = Array.of_list (Workload_summary.workload summary) in
-  (* Collect missing or stale statistics for every table up front: every
-     later evaluation plans against the statistics the prepared statements
-     bound here. *)
-  Catalog.warm_stats catalog;
+  (* Read every table's statistics up front, collecting missing or stale
+     ones: the prepared statements, the sizes and the maintenance charges
+     all derive from these. *)
+  let table_stats =
+    List.map (fun name -> (name, Catalog.stats catalog name)) (Catalog.table_names catalog)
+  in
   let prepared =
     Array.map (fun (item : Workload.item) -> Optimizer.prepare catalog item.statement) items
   in
-  let base_costs =
-    Optimizer.optimize_costs ~mode:Optimizer.Evaluate ~virtual_config:[] catalog prepared
-  in
+  let base_costs = Optimizer.optimize_costs ~virtual_config:[] prepared in
   {
-    catalog;
+    table_stats;
     summary;
     items;
     prepared;
@@ -216,6 +219,14 @@ let base_workload_cost t =
   done;
   canonical_sum terms
 
+(* A candidate's index statistics, derived from its table's statistics at
+   the evaluator's creation. *)
+let stats t (c : Candidate.t) =
+  let table = c.def.Xia_index.Index_def.table in
+  match List.assoc_opt table t.table_stats with
+  | Some tstats -> Index_stats.derive_cached tstats c.def
+  | None -> invalid_arg (Printf.sprintf "Benefit: unknown table %s" table)
+
 (* Maintenance charge of a configuration: for every DML statement, every
    index of the configuration on the statement's table pays mc. *)
 let maintenance_charge t (config : Candidate.t list) =
@@ -225,9 +236,8 @@ let maintenance_charge t (config : Candidate.t list) =
       List.iter
         (fun (c : Candidate.t) ->
           if List.mem c.def.Xia_index.Index_def.table tables then begin
-            let stats = Candidate.stats t.catalog c in
             terms :=
-              (t.weights.(i) *. Maintenance.cost stats ~docs_affected:t.base_affected.(i))
+              (t.weights.(i) *. Maintenance.cost (stats t c) ~docs_affected:t.base_affected.(i))
               :: !terms
           end)
         config)
@@ -271,8 +281,7 @@ let config_costs t ~defs key stmts =
       let missing = List.filter (fun i -> not (Hashtbl.mem entry.e_costs i)) stmts in
       if missing <> [] then begin
         let costs =
-          Optimizer.optimize_costs ~mode:Optimizer.Evaluate ~virtual_config:entry.e_defs
-            t.catalog
+          Optimizer.optimize_costs ~virtual_config:entry.e_defs
             (Array.of_list (List.map (fun i -> t.prepared.(i)) missing))
         in
         List.iteri (fun k i -> Hashtbl.replace entry.e_costs i costs.(k)) missing;
@@ -483,11 +492,12 @@ let benefit t (config : Candidate.t list) = value t (extend t empty config)
 let individual_benefit t c = benefit t [ c ]
 
 (* Derived candidate size, memoized per candidate id: the search algorithms
-   recompute catalog-derived sizes inside every density sort and knapsack
-   round, and the derivation walk is far from free. *)
+   read sizes inside every density sort and knapsack round, and the
+   derivation walk is far from free. *)
+let size t c = (stats t c).Index_stats.size_bytes
+
 let candidate_size t (c : Candidate.t) =
-  Xia_xpath.Interner.Cache.find_or_compute t.size_memo c.Candidate.id Candidate.size
-    t.catalog c
+  Xia_xpath.Interner.Cache.find_or_compute t.size_memo c.Candidate.id size t c
 
 let config_size t (config : Candidate.t list) =
   List.fold_left (fun acc c -> acc + candidate_size t c) 0 config
@@ -631,7 +641,7 @@ let compute_used_in_plans t (set : Candidate.set) =
   let batches = ref 0 in
   let plan_group defs idxs =
     let plans =
-      Optimizer.optimize_prepared ~mode:Optimizer.Evaluate ~virtual_config:defs t.catalog
+      Optimizer.optimize_prepared ~virtual_config:defs
         (Array.of_list (List.map (fun i -> t.prepared.(i)) idxs))
     in
     incr batches;

@@ -12,12 +12,14 @@ module Workload = Xia_workload.Workload
 
 type t
 
-(** Build an evaluator: prepares every statement once
+(** Build an evaluator: reads every table's statistics once (collecting
+    missing or stale ones), prepares every statement once
     ({!Xia_optimizer.Optimizer.prepare}) and costs it with no indexes (one
-    batched optimizer invocation).  Every later what-if evaluation plans the
-    prepared statements, so the evaluator is bound to the catalog
-    statistics current at creation.  Equivalent to [of_summary] over
-    {!Workload_summary.raw}. *)
+    batched optimizer invocation).  The evaluator keeps no catalog: every
+    later what-if evaluation plans the prepared statements, and sizes and
+    maintenance charges derive from the statistics read here, so every
+    figure it reports is bound to the catalog as it was at creation.
+    Equivalent to [of_summary] over {!Workload_summary.raw}. *)
 val create : _ Catalog.t -> Workload.t -> t
 
 (** Build an evaluator over a workload summary: statements are the summary's
@@ -65,7 +67,8 @@ val base_workload_cost : t -> float
     gets a bit-identical cost. *)
 val workload_cost : t -> Candidate.t list -> float
 
-(** Total maintenance charge [Σ freq·mc(x, s)] of a configuration. *)
+(** Total maintenance charge [Σ freq·mc(x, s)] of a configuration, from
+    the statistics at the evaluator's creation. *)
 val maintenance_charge : t -> Candidate.t list -> float
 
 (** A configuration partitioned into sub-configurations ("groups") of
@@ -107,8 +110,11 @@ val benefit : t -> Candidate.t list -> float
 
 val individual_benefit : t -> Candidate.t -> float
 
-(** Derived size in bytes of a candidate's index, memoized per candidate id
-    (the statistics derivation walk is pure but not free). *)
+(** Derived size in bytes of a candidate's index, from its table's
+    statistics at the evaluator's creation; memoized per candidate id (the
+    statistics derivation walk is pure but not free).
+    @raise Invalid_argument when the candidate's table was not in the
+    catalog. *)
 val candidate_size : t -> Candidate.t -> int
 
 (** Sum of {!candidate_size} over a configuration. *)

@@ -51,8 +51,8 @@ let evaluate_prepared catalog (workload : Workload.t) prepared defs =
   let total_size =
     List.fold_left (fun acc d -> acc + (stats catalog d).Index_stats.size_bytes) 0 defs
   in
-  let base_costs = Optimizer.optimize_costs ~virtual_config:[] catalog prepared in
-  let new_plans = Optimizer.optimize_prepared ~virtual_config:defs catalog prepared in
+  let base_costs = Optimizer.optimize_costs ~virtual_config:[] prepared in
+  let new_plans = Optimizer.optimize_prepared ~virtual_config:defs prepared in
   let new_costs = Array.map (fun (p : Plan.t) -> p.Plan.total_cost) new_plans in
   let statements =
     List.mapi
@@ -165,7 +165,7 @@ let drop_recommendations catalog (workload : Workload.t) =
         let without = List.filter (fun x -> not (Index_def.same x d)) defs in
         let without_cost =
           weighted workload
-            (Optimizer.optimize_costs ~virtual_config:without catalog prepared)
+            (Optimizer.optimize_costs ~virtual_config:without prepared)
         in
         let benefit = without_cost -. report.new_total in
         if maintenance > benefit then

@@ -41,12 +41,6 @@ val runstats_all : [> `Write ] t -> unit
     of the store, so the first read after a change only fills the cache. *)
 val stats : _ t -> string -> Path_stats.t
 
-(** Force-collect any missing or stale statistics for every table.  An
-    evaluator calls it when it is built, so every statement it prepares is
-    bound to the statistics current at its creation
-    ({!Xia_advisor.Benefit.create}) and later [stats] reads are lookups. *)
-val warm_stats : _ t -> unit
-
 (** Materialize an index. @raise Invalid_argument on logical duplicates. *)
 val create_index : [> `Write ] t -> Index_def.t -> Physical_index.t
 

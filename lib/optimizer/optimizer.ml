@@ -276,7 +276,7 @@ let probe p (b : prepared_binding) (def : Index_def.t) (pa : prepared_access) =
     let stats = Index_stats.derive_cached b.tstats def in
     let fresh = { key; stats; parts = scan_parts b.tstats stats def pa } in
     (* A memo of a pure function of the key and the bound statistics. *)
-    (p.probes <- fresh :: p.probes) [@lint.allow "E002"];
+    p.probes <- fresh :: p.probes;
     fresh
   end
 
@@ -477,9 +477,8 @@ let plan_prepared ~indexes_of p =
   }
 
 (* Batch setup: per table the prepared statements touch, its visible
-   indexes.  [Evaluate] keeps [virtual_config] order, which is the
-   tie-break order. *)
-let visible_indexes mode ~virtual_config catalog (prepared : prepared array) =
+   indexes, [of_table table]. *)
+let visible_indexes of_table (prepared : prepared array) =
   let tables = ref [] in
   Array.iter
     (fun p ->
@@ -489,23 +488,24 @@ let visible_indexes mode ~virtual_config catalog (prepared : prepared array) =
           if not (List.mem table !tables) then tables := table :: !tables)
         p.bindings)
     prepared;
-  let of_table table =
-    match mode with
-    | Normal ->
-        Array.of_list
-          (List.map
-             (fun pi -> { def = Xia_index.Physical_index.def pi; is_virtual = false })
-             (Catalog.real_indexes catalog table))
-    | Evaluate ->
-        Array.of_list
-          (List.filter_map
-             (fun (d : Index_def.t) ->
-               if String.equal d.table table then Some { def = d; is_virtual = true }
-               else None)
-             virtual_config)
-  in
   let by_table = List.map (fun t -> (t, of_table t)) !tables in
   fun table -> List.assoc table by_table
+
+(* [Evaluate]: the table's indexes in [virtual_config], in its order, which
+   is the tie-break order. *)
+let virtual_indexes virtual_config table =
+  Array.of_list
+    (List.filter_map
+       (fun (d : Index_def.t) ->
+         if String.equal d.table table then Some { def = d; is_virtual = true } else None)
+       virtual_config)
+
+(* [Normal]: the table's materialized indexes, in catalog order. *)
+let real_indexes catalog table =
+  Array.of_list
+    (List.map
+       (fun pi -> { def = Xia_index.Physical_index.def pi; is_virtual = false })
+       (Catalog.real_indexes catalog table))
 
 (* One statement through [planner] ([plan_prepared] or [cost_prepared]),
    counted and timed as one optimizer invocation. *)
@@ -513,7 +513,12 @@ let optimize_one ?(mode = Evaluate) ~virtual_config catalog stmt planner =
   let run () =
     Atomic.incr counters.optimize_calls;
     let p = prepare catalog stmt in
-    planner ~indexes_of:(visible_indexes mode ~virtual_config catalog [| p |]) p
+    let of_table =
+      match mode with
+      | Normal -> real_indexes catalog
+      | Evaluate -> virtual_indexes virtual_config
+    in
+    planner ~indexes_of:(visible_indexes of_table [| p |]) p
   in
   if not (Xia_obs.Obs.on ()) then run ()
   else begin
@@ -538,9 +543,10 @@ let batch_size_hist () =
     "optimizer.batch_size"
 
 (* The batched what-if invocation (Section VI-C): one optimizer invocation
-   runs [planner] over every prepared statement against one index setup. *)
-let optimize_batched ?(mode = Evaluate) ~virtual_config catalog
-    (prepared : prepared array) planner =
+   runs [planner] over every prepared statement against one virtual index
+   setup.  It has no catalog: the prepared statements carry every
+   statistic it reads. *)
+let optimize_batched ~virtual_config (prepared : prepared array) planner =
   let n = Array.length prepared in
   if n = 0 then [||]
   else begin
@@ -548,7 +554,7 @@ let optimize_batched ?(mode = Evaluate) ~virtual_config catalog
     ignore (Atomic.fetch_and_add counters.batch_setup_saved (n - 1));
     let run () =
       Array.map
-        (planner ~indexes_of:(visible_indexes mode ~virtual_config catalog prepared))
+        (planner ~indexes_of:(visible_indexes (virtual_indexes virtual_config) prepared))
         prepared
     in
     if not (Xia_obs.Obs.on ()) then run ()
@@ -566,20 +572,13 @@ let optimize_batched ?(mode = Evaluate) ~virtual_config catalog
 
 (* Each plan is bit-for-bit what [optimize] returns for the statement: both
    walk the same defs in the same order. *)
-let optimize_prepared ?mode ~virtual_config catalog prepared =
-  optimize_batched ?mode ~virtual_config catalog prepared plan_prepared
+let optimize_prepared ~virtual_config prepared =
+  optimize_batched ~virtual_config prepared plan_prepared
 
 (* The same invocation keeping only each statement's total: the walk
    builds no plan. *)
-let optimize_costs ?mode ~virtual_config catalog prepared =
-  optimize_batched ?mode ~virtual_config catalog prepared cost_prepared
-
-(* [optimize_prepared] over statements prepared here.  Statistics are
-   warmed first, so preparing reads the catalog only. *)
-let optimize_batch ?mode ~virtual_config catalog stmts =
-  Catalog.warm_stats catalog;
-  optimize_prepared ?mode ~virtual_config catalog
-    (Array.map (prepare catalog) stmts)
+let optimize_costs ~virtual_config prepared =
+  optimize_batched ~virtual_config prepared cost_prepared
 
 (* The Enumerate Indexes mode.  A universal virtual index (for each data type
    and node kind) is put in place for every table the statement touches; the

@@ -13,7 +13,8 @@ type mode =
 type counters = {
   optimize_calls : int Atomic.t;
       (** optimizer invocations: one per {!optimize} and one per
-          {!optimize_batch} (however many statements the batch plans) *)
+          {!optimize_prepared} or {!optimize_costs} (however many
+          statements the batch plans) *)
   enumerate_calls : int Atomic.t;
   plans_considered : int Atomic.t;
   batch_setup_saved : int Atomic.t;
@@ -75,40 +76,21 @@ val statement_cost :
   ?mode:mode -> ?virtual_config:Index_def.t list -> _ Catalog.t -> Ast.statement -> float
 
 (** Batched what-if evaluation: plan every prepared statement against one
-    index setup — the visible indexes are gathered once per call, not once
-    per statement (the paper's Section VI-C lever).  Results are positional
-    and bit-for-bit identical to {!optimize} on each statement with the same
-    [virtual_config]: on an exact cost tie the index listed first wins, in
-    both.  In [Evaluate] mode the
-    call reads nothing from [catalog]: statistics come from the prepared
-    statements.  Counters: one [optimize_calls] and
+    virtual-index configuration (Evaluate mode) — the visible indexes are
+    gathered once per call, not once per statement (the paper's Section
+    VI-C lever).  Results are positional and bit-for-bit identical to
+    {!optimize} on each statement with the same [virtual_config]: on an
+    exact cost tie the index listed first wins, in both.  The call takes
+    no catalog: every statistic it reads was bound by {!prepare}.
+    Counters: one [optimize_calls] and
     [batch_setup_saved += length prepared − 1] per call. *)
-val optimize_prepared :
-  ?mode:mode ->
-  virtual_config:Index_def.t list ->
-  _ Catalog.t ->
-  prepared array ->
-  Plan.t array
+val optimize_prepared : virtual_config:Index_def.t list -> prepared array -> Plan.t array
 
 (** {!optimize_prepared} keeping only each statement's [total_cost]: the
     same walk, same counters and observability, bit-for-bit the same costs,
     but no {!Plan.t} is built — the planner keeps each binding's winner as
     numbers.  The what-if search reads only these costs. *)
-val optimize_costs :
-  ?mode:mode ->
-  virtual_config:Index_def.t list ->
-  _ Catalog.t ->
-  prepared array ->
-  float array
-
-(** {!optimize_prepared} over statements prepared by this call (after
-    {!Catalog.warm_stats}); same results and counters. *)
-val optimize_batch :
-  ?mode:mode ->
-  virtual_config:Index_def.t list ->
-  _ Catalog.t ->
-  Ast.statement array ->
-  Plan.t array
+val optimize_costs : virtual_config:Index_def.t list -> prepared array -> float array
 
 (** Estimated documents a prepared DML statement modifies ([0.] for a
     query): no index configuration changes it. *)

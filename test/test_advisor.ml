@@ -163,7 +163,29 @@ let benefit_tests =
         Alcotest.(check int) "config_size" size' size;
         Alcotest.(check bool) "maintenance_charge" true (Float.equal mc' mc);
         Alcotest.(check bool) "benefit" true (Float.equal benefit' benefit);
-        Alcotest.(check bool) "nonzero figures" true (size > 0 && mc > 0.0 && benefit > 0.0));
+        Alcotest.(check bool) "nonzero figures" true (size > 0 && mc > 0.0 && benefit > 0.0);
+        (* Sizes and maintenance charges too: 300 orders inserted into
+           XORDER through the executor after the evaluator is built (an
+           evaluator that read live statistics reported 253,952 B). *)
+        let grown = Helpers.fresh_tiny_catalog () in
+        let rng = Random.State.make [| 43 |] in
+        let size'', mc'', _ =
+          figures grown ~before_reads:(fun () ->
+              for i = 1 to 300 do
+                let order =
+                  Xia_workload.Tpox.order rng (10_000 + i) ~n_securities:300 ~n_customers:150
+                in
+                ignore
+                  (Xia_optimizer.Executor.run_statement grown
+                     (Helpers.statement
+                        ("insert into XORDER " ^ Xia_xml.Printer.to_string order)))
+              done)
+        in
+        Alcotest.(check int) "orders inserted" 500
+          (List.length
+             (Xia_storage.Doc_store.doc_ids (Cat.store grown Xia_workload.Tpox.order_table)));
+        Alcotest.(check int) "config_size after inserts" 237_568 size'';
+        Alcotest.(check bool) "maintenance_charge after inserts" true (Float.equal mc' mc''));
     tc "heavy insert traffic erodes an index's benefit" (fun () ->
         (* Inserts gain nothing from indexes but pay maintenance, so raising
            their frequency strictly lowers the benefit. *)

@@ -1,5 +1,5 @@
 (* Differential suites for the batched what-if entry point: one
-   [Optimizer.optimize_batch] invocation must produce bit-for-bit the plans
+   [Optimizer.optimize_prepared] invocation must produce bit-for-bit the plans
    per-statement [Optimizer.optimize] calls produce; evaluator counters
    must be deterministic across runs; and the cost-model regressions fixed
    alongside batching (multi-binding DML [affected], stale-candidate
@@ -75,7 +75,7 @@ let differential_tests =
                     stmts
                 in
                 let got =
-                  O.optimize_batch ~mode:O.Evaluate ~virtual_config catalog stmts
+                  O.optimize_prepared ~virtual_config (Array.map (O.prepare catalog) stmts)
                 in
                 Alcotest.(check int)
                   (label ^ " length") (Array.length expected)
@@ -94,9 +94,10 @@ let differential_tests =
         let stmts =
           Array.of_list (List.map (fun (it : W.item) -> it.W.statement) workload)
         in
+        let prepared = Array.map (O.prepare catalog) stmts in
         let calls0 = Atomic.get O.counters.O.optimize_calls in
         let saved0 = Atomic.get O.counters.O.batch_setup_saved in
-        ignore (O.optimize_batch ~mode:O.Evaluate ~virtual_config:[] catalog stmts);
+        ignore (O.optimize_prepared ~virtual_config:[] prepared);
         Alcotest.(check int)
           "one optimize_calls" 1
           (Atomic.get O.counters.O.optimize_calls - calls0);
@@ -107,7 +108,7 @@ let differential_tests =
         (* Empty batches are free. *)
         Alcotest.(check (array Alcotest.reject))
           "empty batch" [||]
-          (O.optimize_batch ~mode:O.Evaluate ~virtual_config:[] catalog [||]));
+          (O.optimize_prepared ~virtual_config:[] [||]));
   ]
 
 (* ---------- counter determinism across runs ---------- *)

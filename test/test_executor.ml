@@ -89,16 +89,22 @@ let dml_tests =
     tc "update through an index rewrites documents in probe order" (fun () ->
         (* The order an update visits its victims fixes the order its
            charges are summed in and the order it writes them, which is
-           what is checked: [touched_since] lists ids by their last
-           write. *)
-        let catalog = small_catalog () in
-        ignore (Cat.create_index catalog (def "/a/k"));
-        let store = Cat.store catalog "T" in
+           what is checked: [touched_since] lists ids by their last write.
+           The indexed values fall as ids rise, so the probe's ascending
+           keys visit the ids in descending order. *)
+        let catalog = Cat.create () in
+        let store = DS.create "T" in
+        for i = 0 to 399 do
+          ignore (DS.insert store (Helpers.xml (Printf.sprintf "<a><k>K</k><v>%d</v></a>" (399 - i))))
+        done;
+        Cat.add_table catalog store;
+        ignore (Cat.runstats catalog "T");
+        ignore (Cat.create_index catalog (def ~dtype:D.Ddouble "/a/v"));
         let gen0 = DS.generation store in
-        let r = E.run_statement catalog (Helpers.statement {|update T set /a/v = "0" where /a[k="K02"]|}) in
+        let r = E.run_statement catalog (Helpers.statement {|update T set /a/k = "X" where /a[v<10]|}) in
         Alcotest.(check bool) "fetched" true (r.E.metrics.E.docs_fetched > 0);
         Alcotest.(check (list int)) "probe order"
-          (List.init 10 (fun i -> 2 + (40 * i)))
+          (List.init 10 (fun i -> 399 - i))
           (DS.touched_since store gen0));
     tc "insert adds a document" (fun () ->
         let catalog = small_catalog () in

@@ -1,16 +1,12 @@
 (* The xia_lint static analyzer (lib/analysis): every check ID gets a
-   positive hit, a negative non-hit and a suppression path; the
-   whole-program check (E002) additionally gets two-unit temp-dir projects
-   proving the cross-module cases a per-file analysis could not see; plus
-   the self-check that the repository's own lib/ is lint-clean and a
-   mutant corpus on which each check must fire. *)
+   positive hit, a negative non-hit and a suppression path; plus the
+   self-check that the repository's own lib/ is lint-clean and a mutant
+   corpus on which each check must fire. *)
 
 module Lint = Xia_analysis.Lint
 module Checks = Xia_analysis.Checks
 module Finding = Xia_analysis.Finding
 module Suppress = Xia_analysis.Suppress
-module Callgraph = Xia_analysis.Callgraph
-module Sites = Xia_analysis.Sites
 
 let tc name f = Alcotest.test_case name `Quick f
 
@@ -36,22 +32,6 @@ let index_of haystack needle =
     if i + n > m then -1 else if String.sub haystack i n = needle then i else scan (i + 1)
   in
   scan 0
-
-(* A throwaway directory holding a multi-unit project, for the
-   whole-program checks. *)
-let with_temp_project files f =
-  let dir = Filename.temp_dir "xia_lint_test" "" in
-  Fun.protect
-    ~finally:(fun () ->
-      Array.iter (fun e -> Sys.remove (Filename.concat dir e)) (Sys.readdir dir);
-      Sys.rmdir dir)
-    (fun () ->
-      List.iter
-        (fun (name, src) ->
-          Out_channel.with_open_text (Filename.concat dir name) (fun oc ->
-              output_string oc src))
-        files;
-      f dir)
 
 (* ---------------------------------------------------------------- D001 -- *)
 
@@ -343,30 +323,6 @@ let self_check_tests =
                  (List.map (fun (f : Finding.t) -> f.id) report.findings))));
   ]
 
-(* ----------------------------------------- cross-unit call graph cases -- *)
-
-let callgraph_tests =
-  [
-    tc "callgraph DOT is deterministic and shows the cross-unit edge" (fun () ->
-        with_temp_project
-          [
-            ("helpers.ml", "let set c defs = Catalog.create_index c defs\n");
-            ("benefit.ml", "let evaluate c defs = Helpers.set c defs\n");
-          ]
-          (fun dir ->
-            let dot1, errs = Lint.callgraph_dot [ dir ] in
-            let dot2, _ = Lint.callgraph_dot [ dir ] in
-            Alcotest.(check (list string))
-              "no errors" []
-              (List.map (fun (e : Lint.error) -> e.message) errs);
-            Alcotest.(check string) "deterministic" dot1 dot2;
-            Alcotest.(check bool)
-              "digraph with both labelled nodes" true
-              (contains dot1 "digraph"
-              && contains dot1 "benefit.evaluate"
-              && contains dot1 "helpers.set")));
-  ]
-
 (* ---------------------------------------------------------------- R003 -- *)
 
 let r003_tests =
@@ -552,98 +508,6 @@ let dataflow_fixture_tests =
           \  r\n");
   ]
 
-(* ------------------------------------- qcheck: the transitive engine -- *)
-
-(* A random call graph over bindings f0..f(n-1), rendered to source and
-   linked by the real resolver: each body calls its successors.  [cuts]
-   cut the reach query from [root]. *)
-type rgraph = { edges : int list array; cuts : bool array; root : int }
-
-let rgraph_gen =
-  QCheck.Gen.(
-    int_range 1 9 >>= fun size ->
-    let node = int_bound (size - 1) in
-    let per_node g = array_size (return size) g in
-    per_node (list_size (int_bound 3) node) >>= fun edges ->
-    per_node (frequency [ (1, return true); (3, return false) ]) >>= fun cuts ->
-    map (fun root -> { edges; cuts; root }) node)
-
-let render_graph g =
-  String.concat ""
-    (List.mapi
-       (fun i cs ->
-         Printf.sprintf "let f%d () = %s()\n" i
-           (String.concat "" (List.map (Printf.sprintf "f%d (); ") cs)))
-       (Array.to_list g.edges))
-
-let rgraph_arbitrary = QCheck.make ~print:render_graph rgraph_gen
-
-let build_graph g =
-  let source = render_graph g in
-  let structure = Parse.implementation (Lexing.from_string source) in
-  Callgraph.build [ Callgraph.make_unit ~path:"g.ml" ~source structure ]
-
-(* The graph's edges: the call lists of one site walk. *)
-let succs graph = Sites.calls (Sites.build graph)
-
-let node_index (n : Callgraph.node) =
-  int_of_string (String.sub n.name 1 (String.length n.name - 1))
-
-let graph_node graph i =
-  List.find (fun (n : Callgraph.node) -> node_index n = i) (Callgraph.nodes graph)
-
-(* The oracle: a plain DFS from [i] that never enters a [cut] node. *)
-let closure ?(cut = fun _ -> false) g i =
-  let seen = Array.make (Array.length g.edges) false in
-  let rec visit j =
-    if not (seen.(j) || cut j) then begin
-      seen.(j) <- true;
-      List.iter visit g.edges.(j)
-    end
-  in
-  visit i;
-  List.filter (fun j -> seen.(j)) (List.init (Array.length seen) Fun.id)
-
-let engine_qcheck_tests =
-  [
-    QCheck_alcotest.to_alcotest
-      (QCheck.Test.make
-         ~name:"reach enters exactly the uncut reachable nodes along real call paths"
-         ~count:300 rgraph_arbitrary (fun g ->
-           let graph = build_graph g in
-           let cut n = g.cuts.(node_index n) in
-           let found =
-             Callgraph.reach ~succ:(succs graph) ~cut (graph_node graph g.root)
-           in
-           let is_edge a b = List.mem b g.edges.(a) in
-           let rec real_path = function
-             | a :: (b :: _ as rest) -> is_edge a b && real_path rest
-             | _ -> true
-           in
-           List.sort compare (List.map (fun (n, _) -> node_index n) found)
-           = closure ~cut:(fun j -> g.cuts.(j)) g g.root
-           && List.for_all
-                (fun (n, trail) ->
-                  let path = List.map node_index (trail @ [ n ]) in
-                  List.hd path = g.root
-                  && real_path path
-                  && not (List.exists cut (trail @ [ n ])))
-                found));
-    QCheck_alcotest.to_alcotest
-      (QCheck.Test.make ~name:"reach is deterministic across runs"
-         ~count:300 rgraph_arbitrary (fun g ->
-           let run () =
-             let graph = build_graph g in
-             let names = List.map (fun (n : Callgraph.node) -> n.name) in
-             List.map
-               (fun (n, trail) -> names (trail @ [ n ]))
-               (Callgraph.reach ~succ:(succs graph)
-                  ~cut:(fun n -> g.cuts.(node_index n))
-                  (graph_node graph g.root))
-           in
-           run () = run ()));
-  ]
-
 (* ---------------------------------------------- versioned JSON envelope -- *)
 
 let mk_finding ?(file = "a.ml") ?(line = 1) id =
@@ -657,14 +521,13 @@ let json_report_tests =
         Alcotest.(check bool) "catalog has D001" true (contains s "{\"id\": \"D001\"");
         Alcotest.(check bool) "catalog has R003" true (contains s "{\"id\": \"R003\"");
         Alcotest.(check bool) "catalog has E001" true (contains s "{\"id\": \"E001\"");
-        Alcotest.(check bool) "catalog has E002" true (contains s "{\"id\": \"E002\"");
         Alcotest.(check bool) "catalog has N001" true (contains s "{\"id\": \"N001\"");
         Alcotest.(check bool) "catalog has X001" true (contains s "{\"id\": \"X001\"");
         List.iter
           (fun id ->
             Alcotest.(check bool) ("catalog lacks " ^ id) false
               (contains s (Printf.sprintf "{\"id\": \"%s\"" id)))
-          [ "L001"; "L002"; "N002"; "R001"; "R002"; "X002" ];
+          [ "E002"; "L001"; "L002"; "N002"; "R001"; "R002"; "X002" ];
         Alcotest.(check bool) "empty findings" true (contains s "\"findings\": []");
         Alcotest.(check bool) "no suppression block" false (contains s "suppressed");
         Alcotest.(check bool) "empty errors" true (contains s "\"errors\": []"));
@@ -682,7 +545,7 @@ let json_report_tests =
         let r =
           {
             Lint.empty_report with
-            findings = [ mk_finding ~file:"b.ml" ~line:9 "E002"; mk_finding "D001" ];
+            findings = [ mk_finding ~file:"b.ml" ~line:9 "E001"; mk_finding "D001" ];
           }
         in
         let s = Lint.report_to_json r in
@@ -756,103 +619,14 @@ let e001_tests =
     tc "attribute suppression" (fun () ->
         check_ids "suppressed" [] ~filename:"lib/core/report.ml"
           "let show x = (print_endline x [@lint.allow \"E001\"])\n");
-  ]
-
-(* ---------------------------------------------------------------- E002 -- *)
-
-let e002_tests =
-  [
-    tc "shared write reachable from optimize_batch" (fun () ->
-        let fs =
-          findings ~filename:"lib/optimizer/optimizer.ml"
-            "let bump tbl k = Hashtbl.replace tbl k ()\n\
-             let optimize_batch tbl stmts = List.map (fun s -> bump tbl s; s) stmts\n"
-        in
-        Alcotest.(check (list (pair int string)))
-          "flagged at the write"
-          [ (1, "E002") ]
-          (List.map (fun (f : Finding.t) -> (f.line, f.id)) fs);
-        Alcotest.(check bool)
-          "names the batch root" true
-          (contains (List.hd fs).Finding.message "optimize_batch"));
-    tc "warm_stats is a sanctioned sink" (fun () ->
-        check_ids "clean" [] ~filename:"lib/optimizer/optimizer.ml"
-          "let warm_stats tbl = Hashtbl.replace tbl 0 ()\n\
-           let optimize_batch tbl stmts = warm_stats tbl; stmts\n");
-    tc "optimize_prepared is a batch root" (fun () ->
-        check_ids "flagged at the write" [ (1, "E002") ] ~filename:"lib/optimizer/optimizer.ml"
-          "let bump tbl k = Hashtbl.replace tbl k ()\n\
-           let optimize_prepared tbl ps = Array.map (fun p -> bump tbl p; p) ps\n");
-    tc "optimize_costs is a batch root" (fun () ->
-        check_ids "flagged at the write" [ (1, "E002") ] ~filename:"lib/optimizer/optimizer.ml"
-          "let bump tbl k = Hashtbl.replace tbl k ()\n\
-           let walk tbl p = bump tbl p; 0.0\n\
-           let optimize_costs tbl ps = Array.map (walk tbl) ps\n");
-    tc "the optimizer's prepare is a sanctioned sink" (fun () ->
-        check_ids "clean" [] ~filename:"lib/optimizer/optimizer.ml"
-          "let prepare tbl s = Hashtbl.replace tbl s (); s\n\
-           let optimize_batch tbl stmts = List.map (prepare tbl) stmts\n");
-    tc "a prepare outside the optimizer is not" (fun () ->
-        check_ids "flagged" [ (1, "E002") ] ~filename:"lib/core/benefit.ml"
-          "let prepare tbl s = Hashtbl.replace tbl s (); s\n\
-           let optimize_batch tbl stmts = List.map (prepare tbl) stmts\n");
-    tc "no finding without a batch root" (fun () ->
-        check_ids "clean" [] ~filename:"lib/optimizer/optimizer.ml"
-          "let bump tbl k = Hashtbl.replace tbl k ()\nlet run tbl s = bump tbl s\n");
-    tc "per-call local containers are exempt" (fun () ->
-        check_ids "clean" [] ~filename:"lib/optimizer/optimizer.ml"
-          "let optimize_batch stmts =\n\
-          \  let q = Queue.create () in\n\
-          \  List.iter (fun s -> Queue.add s q) stmts;\n\
-          \  Queue.length q\n");
-    tc "attribute suppression at the write site" (fun () ->
-        check_ids "suppressed" [] ~filename:"lib/optimizer/optimizer.ml"
-          "let bump tbl k = (Hashtbl.replace tbl k () [@lint.allow \"E002\"])\n\
-           let optimize_batch tbl stmts = List.map (fun s -> bump tbl s; s) stmts\n");
-    tc "a nested let's attribute suppresses the write inside it" (fun () ->
-        check_ids "suppressed" [] ~filename:"lib/optimizer/optimizer.ml"
-          "let optimize_batch tbl stmts =\n\
-          \  let () = Hashtbl.replace tbl 0 () [@@lint.allow \"E002\"] in\n\
-          \  stmts\n");
-    tc "cross-unit write the per-file analysis provably missed" (fun () ->
-        let helpers = "let bump tbl k = Hashtbl.replace tbl k ()\n" in
-        let optimizer = "let optimize_batch tbl stmts = List.iter (Helpers.bump tbl) stmts\n" in
-        (* Either unit alone is clean: the write lives outside the batch
-           root's unit, and the root only calls an opaque sibling. *)
-        check_ids "helpers.ml alone is clean" [] ~filename:"lib/optimizer/helpers.ml" helpers;
-        check_ids "optimizer.ml alone is clean" [] ~filename:"lib/optimizer/optimizer.ml"
-          optimizer;
-        with_temp_project
-          [ ("helpers.ml", helpers); ("optimizer.ml", optimizer) ]
-          (fun dir ->
-            match
-              List.filter (fun (f : Finding.t) -> f.id = "E002") (Lint.lint_paths [ dir ]).findings
-            with
-            | [ f ] ->
-                Alcotest.(check string)
-                  "anchored at the write" "helpers.ml" (Filename.basename f.Finding.file);
-                Alcotest.(check bool)
-                  "names the root and the trail" true
-                  (contains f.Finding.message
-                     "(Hashtbl.replace on tbl) reachable from optimize_batch's virtual-config \
-                      path via optimize_batch;")
-            | fs -> Alcotest.failf "expected one E002, got %d" (List.length fs)));
-    tc "a shadowed root keeps its own edges to a helper unit" (fun () ->
-        let calls_helper = "let optimize_batch tbl stmts = List.iter (Helpers.bump tbl) stmts\n"
-        and inert = "let optimize_batch _ stmts = stmts\n" in
-        List.iter
-          (fun (order, optimizer) ->
-            with_temp_project
-              [ ("helpers.ml", "let bump tbl k = Hashtbl.replace tbl k ()\n"); ("optimizer.ml", optimizer) ]
-              (fun dir ->
-                Alcotest.(check (list (pair string int)))
-                  ("helper write reached from a shadowed root, " ^ order)
-                  [ ("helpers.ml", 1) ]
-                  (List.filter_map
-                     (fun (f : Finding.t) ->
-                       if f.id = "E002" then Some (Filename.basename f.file, f.line) else None)
-                     (Lint.lint_paths [ dir ]).findings)))
-          [ ("shadowed first", calls_helper ^ inert); ("shadowed last", inert ^ calls_helper) ]);
+    tc "a local binder named like an IO function is not flagged" (fun () ->
+        (* [run]'s closure and [spawn]'s [let] bind [print_string]
+           themselves; [spawn]'s [print_endline] is the builtin. *)
+        check_ids "only the builtin" [ (4, "E001") ] ~filename:"lib/core/report.ml"
+          "let run items = List.iter (fun print_string -> print_string \"a\") items\n\
+           let spawn items =\n\
+          \  let print_string = ignore in\n\
+          \  List.iter (fun x -> print_string x; print_endline \"b\") items\n");
   ]
 
 (* ------------------------------------------- sites outside a binding -- *)
@@ -877,27 +651,6 @@ let site_tests =
            ;; ignore (Unix.gettimeofday ())\n\
            ;; if Sys.argv = [||] then failwith \"y\"\n\
            ;; let c = Atomic.make 0 in Atomic.set c (Atomic.get c + 1)\n");
-    tc "closure binder shadowing a global is no call edge" (fun () ->
-        (* [run]'s closure binds [counter] itself, so only [total] is a
-           call of [run]; in [spawn] the local [total] shadows the global,
-           while [counter] is the global. *)
-        let source =
-          "let counter () = ()\n\
-           let total () = ()\n\
-           let run items = List.iter (fun counter -> counter (); total ()) items\n\
-           let spawn items =\n\
-          \  let total = ignore in\n\
-          \  List.iter (fun x -> total x; counter ()) items\n"
-        in
-        let structure = Parse.implementation (Lexing.from_string source) in
-        let graph = Callgraph.build [ Callgraph.make_unit ~path:"s.ml" ~source structure ] in
-        let sites = Sites.build graph in
-        let calls name =
-          let n = List.find (fun (n : Callgraph.node) -> n.name = name) (Callgraph.nodes graph) in
-          List.map (fun (n : Callgraph.node) -> n.name) (Sites.calls sites n)
-        in
-        Alcotest.(check (list string)) "run" [ "total" ] (calls "run");
-        Alcotest.(check (list string)) "spawn" [ "counter" ] (calls "spawn"));
   ]
 
 (* ------------------------------------------------------ mutant corpus -- *)
@@ -949,12 +702,6 @@ let indexable_patterns stmt =
   in
   Printf.eprintf "summary: %d clusters\n%!" (cluster_count t);
 |};
-    mutant ~at:"index/catalog.ml" "E002" "Catalog.stats in Optimizer.visible_indexes" "optimizer/optimizer.ml"
-      {|          let table = b.info.Rewriter.source.Ast.table in
-          if not|}
-      {|          let table = b.info.Rewriter.source.Ast.table in
-          ignore (Catalog.stats catalog table);
-          if not|};
     mutant ~at:"query/printer.ml" "H001" "deleted Query printer interface" "query/printer.mli" "" "";
     mutant "H002" "unnoted failwith in Selectivity" "optimizer/selectivity.ml"
       {|| Xp.Gt | Xp.Ge -> 1.0 -. below
@@ -1045,14 +792,9 @@ let layout_tests =
               List.map (fun (e : Lint.error) -> e.path) (Lint.lint_paths [ root ]).warnings
             in
             Alcotest.(check (list string)) "every dune file there" [] (warnings ());
-            let dot_with, _ = Lint.callgraph_dot [ root ] in
             let index = Filename.concat root "index" in
             Sys.remove (Filename.concat index "dune");
-            Alcotest.(check (list string)) "lib/index named" [ index ] (warnings ());
-            let dot_without, _ = Lint.callgraph_dot [ root ] in
-            Alcotest.(check bool)
-              "the call graph it warns about is smaller" true
-              (String.length dot_without < String.length dot_with)));
+            Alcotest.(check (list string)) "lib/index named" [ index ] (warnings ())));
   ]
 
 let mutant_tests =
@@ -1118,14 +860,11 @@ let suites =
     ("lint.d004", d004_tests);
     ("lint.h001", h001_tests);
     ("lint.h002", h002_tests);
-    ("lint.callgraph", callgraph_tests);
     ("lint.r003", r003_tests);
     ("lint.x001", x001_tests);
     ("lint.dataflow_fixture", dataflow_fixture_tests);
-    ("lint.engine_qcheck", engine_qcheck_tests);
     ("lint.n001", n001_tests);
     ("lint.e001", e001_tests);
-    ("lint.e002", e002_tests);
     ("lint.sites", site_tests);
     ("lint.format", format_tests);
     ("lint.json_report", json_report_tests);

@@ -3,8 +3,8 @@
    tiny XMark and synthetic statements (OR filters, AND pairs, several
    bindings, DML), and over real indexes in Normal mode, every plan must be
    bit-identical — shape, index names, the access each index serves, [%h]
-   costs and [est_docs] — and must count the same [plans_considered], with
-   the probe memo cold and warm. *)
+   costs and [est_docs] — and must count the same [plans_considered]; a
+   batch with the probe memo cold and warm. *)
 
 module O = Xia_optimizer.Optimizer
 module Plan = Xia_optimizer.Plan
@@ -160,18 +160,28 @@ let check_costs label (plans : Plan.t array) plan_count costs cost_count =
 (* Plan [prepared] under [cfg] twice — cold memo, then warm — and compare
    both rounds with the oracle; cost [for_costs] (the same statements,
    prepared separately so its memo is cold too) alongside. *)
-let plan_twice label mode ~virtual_config catalog stmts prepared for_costs =
+let plan_twice label ~virtual_config catalog stmts prepared for_costs =
   List.iter
     (fun round ->
       let label = Printf.sprintf "%s %s" label round in
       let c0 = plans_considered () in
-      let got = O.optimize_prepared ~mode ~virtual_config catalog prepared in
+      let got = O.optimize_prepared ~virtual_config prepared in
       let got_count = plans_considered () - c0 in
-      check_same label mode ~virtual_config catalog stmts got got_count;
+      check_same label O.Evaluate ~virtual_config catalog stmts got got_count;
       let c1 = plans_considered () in
-      let costs = O.optimize_costs ~mode ~virtual_config catalog for_costs in
+      let costs = O.optimize_costs ~virtual_config for_costs in
       check_costs label got got_count costs (plans_considered () - c1))
     [ "cold"; "warm" ]
+
+(* The one-statement entry points: plans and costs against the oracle. *)
+let plan_each label mode ~virtual_config catalog stmts =
+  let c0 = plans_considered () in
+  let got = Array.map (O.optimize ~mode ~virtual_config catalog) stmts in
+  let got_count = plans_considered () - c0 in
+  check_same label mode ~virtual_config catalog stmts got got_count;
+  let c1 = plans_considered () in
+  let costs = Array.map (O.statement_cost ~mode ~virtual_config catalog) stmts in
+  check_costs label got got_count costs (plans_considered () - c1)
 
 let qcheck_evaluate =
   QCheck.Test.make ~count:12 ~name:"prepared = oracle under random virtual configs"
@@ -190,25 +200,19 @@ let qcheck_evaluate =
             (fun k virtual_config ->
               plan_twice
                 (Printf.sprintf "%s seed=%d cfg%d" label seed k)
-                O.Evaluate ~virtual_config catalog stmts prepared for_costs)
+                ~virtual_config catalog stmts prepared for_costs)
             configs;
           (* The one-statement entry points plan through the same path. *)
-          let virtual_config = random_config rng defs in
-          let label = Printf.sprintf "%s seed=%d optimize" label seed in
-          let c0 = plans_considered () in
-          let got = Array.map (O.optimize ~mode:O.Evaluate ~virtual_config catalog) stmts in
-          let got_count = plans_considered () - c0 in
-          check_same label O.Evaluate ~virtual_config catalog stmts got got_count;
-          let c1 = plans_considered () in
-          let costs =
-            Array.map (O.statement_cost ~mode:O.Evaluate ~virtual_config catalog) stmts
-          in
-          check_costs label got got_count costs (plans_considered () - c1))
+          plan_each
+            (Printf.sprintf "%s seed=%d optimize" label seed)
+            O.Evaluate ~virtual_config:(random_config rng defs) catalog stmts)
         (Lazy.force fixtures);
       !index_plans > seen)
 
 (* Normal mode over materialized indexes, including two real indexes with
-   the same pattern (the catalog's order breaks their cost tie). *)
+   the same pattern (the catalog's order breaks their cost tie).  Only the
+   one-statement entry points plan in Normal mode: the batched ones take
+   no catalog. *)
 let normal_mode_tests =
   [
     tc "Normal mode: prepared = oracle over real indexes" (fun () ->
@@ -226,11 +230,7 @@ let normal_mode_tests =
             Index_def.make ~table:"XORDER" ~pattern:(Helpers.pattern "/FIXML/Order/@Acct")
               ~dtype:Index_def.Dstring ();
           ];
-        let run () =
-          let prepared = Array.map (O.prepare catalog) stmts in
-          let for_costs = Array.map (O.prepare catalog) stmts in
-          plan_twice "normal" O.Normal ~virtual_config:[] catalog stmts prepared for_costs
-        in
+        let run () = plan_each "normal" O.Normal ~virtual_config:[] catalog stmts in
         let seen = !index_plans in
         run ();
         Alcotest.(check bool) "some binding planned with an index" true (!index_plans > seen);
@@ -260,10 +260,10 @@ let allocation_tests =
         let once = Array.map (O.prepare catalog) stmts in
         let prepared = Array.concat (List.init 50 (fun _ -> once)) in
         let virtual_config = Array.to_list defs in
-        let cost () = O.optimize_costs ~mode:O.Evaluate ~virtual_config catalog prepared in
+        let cost () = O.optimize_costs ~virtual_config prepared in
         (* The first pass memoizes every probe. *)
         let costs = cost () in
-        let base = O.optimize_costs ~mode:O.Evaluate ~virtual_config:[] catalog prepared in
+        let base = O.optimize_costs ~virtual_config:[] prepared in
         Alcotest.(check bool) "some statement costed with an index" true
           (Array.exists2 (fun c b -> c < b) costs base);
         let runs = 20 in

@@ -99,9 +99,9 @@ let bench_rows domain report =
   let metrics =
     [ "optimizer_calls"; "optimizer_calls_raw"; "enumerate_calls"; "wall_seconds" ]
   in
-  (* minor_words only where the exhibit measured an exact count *)
+  (* alloc_words only where the exhibit measured an exact count *)
   let exhibit e =
-    let metrics = if find "minor_words" e = None then metrics else metrics @ [ "minor_words" ] in
+    let metrics = if find "alloc_words" e = None then metrics else metrics @ [ "alloc_words" ] in
     List.map (fun m -> row (str "name" e) m (num m e)) metrics
   in
   let rows = List.concat_map exhibit (arr "exhibits" report) in
