@@ -744,6 +744,39 @@ let executor () =
     + List.length (Catalog.real_indexes indexed Tpox.custacc_table)
     + List.length (Catalog.real_indexes indexed Tpox.order_table))
 
+(* ---------- Document scans ---------- *)
+
+(* The read statements of the TPoX workload, planned once on the tiny TPoX
+   store without indexes, so that every binding is a document scan, and
+   executed [rounds] times in a [second_pass], at every data scale.  A scan
+   allocates nothing per document, so the pass's allocated words are the
+   executor's per statement. *)
+let scan () =
+  header "Document scans: the TPoX reads over the tiny TPoX store";
+  let catalog = Catalog.create () in
+  Tpox.load ~scale:Tpox.tiny_scale catalog;
+  let plans =
+    List.filter_map
+      (fun (i : W.item) ->
+        if Xia_query.Ast.is_dml i.statement then None
+        else Some (Optimizer.optimize ~mode:Optimizer.Normal catalog i.statement))
+      (Tpox.workload ())
+  in
+  let rounds = 20 in
+  let pass () =
+    let scanned = ref 0 in
+    for _ = 1 to rounds do
+      List.iter
+        (fun plan ->
+          let r = Xia_optimizer.Executor.run_plan catalog plan in
+          scanned := !scanned + r.metrics.docs_scanned)
+        plans
+    done;
+    !scanned
+  in
+  let _, scanned = second_pass "scan" pass in
+  Format.printf "%d reads, %d rounds: %d documents scanned@." (List.length plans) rounds scanned
+
 (* ---------- Index upkeep: refreshes after DML ---------- *)
 
 (* One string index of 8,000 entries (2,000 documents of four keyed
@@ -1200,6 +1233,7 @@ let experiments =
     ("walk", walk);
     ("shapes", shapes);
     ("executor", executor);
+    ("scan", scan);
     ("upkeep", upkeep);
     ("whatif", whatif);
     ("candidates", candidates);

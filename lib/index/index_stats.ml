@@ -106,15 +106,26 @@ let derive (stats : Path_stats.t) (def : Index_def.t) =
     }
   end
 
-(* Memo keyed by (the definition's logical id, generation): derivation is
-   pure. *)
-let derivation_cache : (int * int, t) Xia_xpath.Interner.Cache.t =
-  Xia_xpath.Interner.Cache.create ()
+(* Memo of [derive], one cell per definition logical id, holding the
+   statistics object its derivation read.  A cell answers only for that
+   very object (physical equality): two catalogs whose stores saw as many
+   writes have equal generations but not the same statistics.  Each id
+   keeps one derivation, so reloading catalogs does not grow the memo. *)
+type memo = { mutable source : Path_stats.t option; mutable derived : t }
+
+let memo : memo Xia_xpath.Interner.Dense.t = Xia_xpath.Interner.Dense.create ()
+
+let fresh_memo () _ = { source = None; derived = empty }
 
 let derive_cached stats (def : Index_def.t) =
-  Xia_xpath.Interner.Cache.find_or_compute derivation_cache
-    (def.lid, stats.Path_stats.generation)
-    derive stats def
+  let m = Xia_xpath.Interner.Dense.find_or_compute memo def.lid fresh_memo () in
+  match m.source with
+  | Some source when source == stats -> m.derived
+  | Some _ | None ->
+      let derived = derive stats def in
+      m.source <- Some stats;
+      m.derived <- derived;
+      derived
 
 let pp ppf s =
   Fmt.pf ppf "{entries=%d; distinct=%d; docs=%d; size=%dB; leaves=%d; levels=%d}"

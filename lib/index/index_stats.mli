@@ -26,7 +26,10 @@ val btree_shape : entries:int -> avg_key_bytes:float -> int * int * int
 
 val derive : Xia_storage.Path_stats.t -> Index_def.t -> t
 
-(** [derive] memoized on (index logical key, stats generation). *)
+(** [derive] memoized per index logical key for the statistics object it
+    was last derived from: a hit needs that very object, so statistics of
+    another catalog (or a later RUNSTATS) are derived afresh.  A hit
+    allocates nothing. *)
 val derive_cached : Xia_storage.Path_stats.t -> Index_def.t -> t
 
 val pp : Format.formatter -> t -> unit

@@ -102,12 +102,12 @@ let physical_for catalog (choice : Plan.index_choice) =
     (fun pi -> Index_def.same (Physical_index.def pi) choice.def)
     (Catalog.real_indexes catalog table)
 
-(* The running simulated cost, flat so that a charge allocates nothing;
-   [run_plan] copies it into the metrics.  Every charge adds one term, in
-   the order the work happens. *)
-type meter = { mutable cost : float }
-
-let[@inline] charge meter cost = meter.cost <- meter.cost +. cost
+(* The running simulated cost is a flat [C.meter]; [run_plan] copies it
+   into the metrics.  Every charge adds one term, in the order the work
+   happens.  A scan's or a probe's charge allocates only its boxed result;
+   a visited document's charges add themselves ([C.charge_doc_verify],
+   [C.charge_doc_fetch]) and allocate nothing. *)
+let[@inline] charge (meter : C.meter) cost = meter.cost <- meter.cost +. cost
 
 (* The documents a binding's plan visits: the whole table, or the ones its
    index probes return, in probe order. *)
@@ -185,7 +185,7 @@ let visit_docs catalog metrics meter (b : Plan.planned_binding) access f init =
       Doc_store.fold
         (fun doc_id doc acc ->
           metrics.docs_scanned <- metrics.docs_scanned + 1;
-          charge meter (C.doc_verify_cpu ~elements:(Packed.elements doc) ~predicates:nfilters);
+          C.charge_doc_verify meter ~elements:(Packed.elements doc) ~predicates:nfilters;
           f doc_id doc acc)
         store init
   | Fetch doc_ids ->
@@ -195,8 +195,8 @@ let visit_docs catalog metrics meter (b : Plan.planned_binding) access f init =
           | None -> acc
           | Some doc ->
               metrics.docs_fetched <- metrics.docs_fetched + 1;
-              charge meter (C.doc_fetch_io doc.bytes);
-              charge meter (C.doc_verify_cpu ~elements:(Packed.elements doc) ~predicates:nfilters);
+              C.charge_doc_fetch meter doc.bytes;
+              C.charge_doc_verify meter ~elements:(Packed.elements doc) ~predicates:nfilters;
               f doc_id doc acc)
         init doc_ids
 
@@ -220,9 +220,10 @@ let binding_rows catalog metrics meter where b =
   visit_docs catalog metrics meter b (access catalog metrics meter b)
     (fun _ doc rows -> rows + bound doc) 0
 
-(* Documents where a binding binds a node: a scan lists them last visited
-   first, a fetch in probe order, which is the order an update charges
-   them in. *)
+(* Documents where a binding binds a node: a scan, which visits ids in
+   ascending order, lists them in descending id order, a fetch in probe
+   order; a delete or update writes them, and charges them, in that
+   order. *)
 let binding_docs catalog metrics meter where b =
   let bound = bound_counter catalog where b in
   let access = access catalog metrics meter b in
@@ -241,7 +242,7 @@ let set_value doc target new_value =
   Packed.set_text doc (Eval.elements target doc) new_value
 
 let run_plan catalog (plan : Plan.t) =
-  let metrics = fresh_metrics () and meter = { cost = 0.0 } in
+  let metrics = fresh_metrics () and meter = { C.cost = 0.0 } in
   (* Wall-clock, not [Sys.time]: the field reports elapsed time. *)
   let t0 = Xia_obs.Obs.now_s () in
   let where = where_of_statement plan.Plan.statement in

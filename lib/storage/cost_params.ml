@@ -38,7 +38,8 @@ let index_update_entry_cost = 25.0
 
    Each written once and inlined into the charges below.  The default build
    inlines nothing across modules, so a charge takes ints or floats its
-   caller has boxed anyway, and returns one boxed float (DESIGN.md §6). *)
+   caller has boxed anyway, and returns one boxed float (DESIGN.md §6);
+   the per-document charges return nothing and add to a meter instead. *)
 
 let[@inline] doc_pages bytes = Float.max 1.0 (bytes /. float_of_int page_size)
 let[@inline] node_cpu elements = elements *. cpu_per_node
@@ -83,9 +84,18 @@ let modify_cost ~pages ~elements ~factor = (sequential_io pages *. factor) +. no
 (* ---------- the executor's charges ---------- *)
 
 let probe_cpu entries = entries_cpu (float_of_int entries)
-let doc_verify_cpu ~elements ~predicates = verify_cpu ~elements:(float_of_int elements) ~predicates
-let doc_fetch_io bytes = random_io (doc_pages (float_of_int bytes))
 let doc_write_io bytes = sequential_io (doc_pages (float_of_int bytes))
+
+(* The charges paid once per visited document add themselves to the meter
+   here, where the formulas inline, so no float crosses a module boundary
+   and a visit allocates nothing.  The sum is the one the executor formed
+   from the returned floats: the same terms added in the same order. *)
+type meter = { mutable cost : float }
+
+let charge_doc_verify meter ~elements ~predicates =
+  meter.cost <- meter.cost +. verify_cpu ~elements:(float_of_int elements) ~predicates
+
+let charge_doc_fetch meter bytes = meter.cost <- meter.cost +. random_io (doc_pages (float_of_int bytes))
 
 (* ---------- index maintenance ---------- *)
 

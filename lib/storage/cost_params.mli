@@ -70,15 +70,24 @@ val modify_cost : pages:float -> elements:float -> factor:float -> float
 (** {1 The executor's charges}
 
     In order: reading a table of so many pages, descending a B-tree of so
-    many levels, scanning so many index entries, {!verify_cpu} of one
-    document, and fetching and writing a document of so many bytes. *)
+    many levels, scanning so many index entries, and writing a document of
+    so many bytes. *)
 
 val table_scan_io : int -> float
 val descent : int -> float
 val probe_cpu : int -> float
-val doc_verify_cpu : elements:int -> predicates:int -> float
-val doc_fetch_io : int -> float
 val doc_write_io : int -> float
+
+(** The running simulated cost of one execution, one flat float. *)
+type meter = { mutable cost : float }
+
+(** Adds {!verify_cpu} of one document of [elements] elements to the
+    meter; allocates nothing. *)
+val charge_doc_verify : meter -> elements:int -> predicates:int -> unit
+
+(** Adds the random read of one document of so many bytes to the meter;
+    allocates nothing. *)
+val charge_doc_fetch : meter -> int -> unit
 
 (** {1 Index maintenance} *)
 

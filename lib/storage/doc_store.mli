@@ -1,7 +1,9 @@
 (** A table of XML documents (one XML-typed column, as in DB2 pureXML).
     Documents are stored packed ({!Xia_xml.Packed}) with the table's own
     label table; trees go in through {!insert} and {!replace} and come back
-    out, exactly, through {!find}. *)
+    out, exactly, through {!find}.  Ids are dense and never reused: the
+    documents sit in one array indexed by id, a deleted id leaving a hole,
+    and every scan visits the live ids in ascending order. *)
 
 type doc_id = int
 
@@ -37,6 +39,7 @@ val insert : t -> Xia_xml.Types.t -> doc_id
 (** The stored tree, unpacked: equal to the one inserted or replaced. *)
 val find : t -> doc_id -> Xia_xml.Types.t option
 
+(** The stored document itself, one array read. *)
 val find_packed : t -> doc_id -> Xia_xml.Packed.t option
 
 (** [false] when the document does not exist. *)
@@ -50,7 +53,10 @@ val replace : t -> doc_id -> Xia_xml.Types.t -> bool
     @raise Invalid_argument if it was packed with another label table. *)
 val update : t -> doc_id -> Xia_xml.Packed.t -> bool
 
+(** {!iter}, {!fold} and {!doc_ids} visit the live ids in ascending order,
+    which is the order their documents were inserted in. *)
 val iter : (doc_id -> Xia_xml.Packed.t -> unit) -> t -> unit
+
 val fold : (doc_id -> Xia_xml.Packed.t -> 'a -> 'a) -> t -> 'a -> 'a
 val doc_ids : t -> doc_id list
 

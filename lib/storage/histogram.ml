@@ -18,26 +18,34 @@ let bucket_count t = Array.length t.counts
 let total t = t.total
 let bounds t = (t.lo, t.hi)
 
+(* The histogram of [total] values spanning [lo, hi], [iter add] adding
+   each value; [None] when the span is a single point. *)
+let make lo hi total iter =
+  if hi <= lo then None
+  else begin
+    let counts = Array.make buckets 0 in
+    let width = (hi -. lo) /. float_of_int buckets in
+    iter (fun v ->
+        let i = min (buckets - 1) (int_of_float ((v -. lo) /. width)) in
+        counts.(i) <- counts.(i) + 1);
+    Some { lo; hi; counts; total }
+  end
+
 (* Build from a sample; [None] when the sample is empty or degenerate. *)
 let create values =
   match values with
   | [] -> None
   | v0 :: _ ->
-      let lo = List.fold_left Float.min v0 values in
-      let hi = List.fold_left Float.max v0 values in
-      if hi <= lo then None
-      else begin
-        let counts = Array.make buckets 0 in
-        let width = (hi -. lo) /. float_of_int (Array.length counts) in
-        List.iter
-          (fun v ->
-            let i =
-              min (Array.length counts - 1) (int_of_float ((v -. lo) /. width))
-            in
-            counts.(i) <- counts.(i) + 1)
-          values;
-        Some { lo; hi; counts; total = List.length values }
-      end
+      make (List.fold_left Float.min v0 values) (List.fold_left Float.max v0 values)
+        (List.length values) (fun add -> List.iter add values)
+
+let of_array values =
+  if Array.length values = 0 then None
+  else
+    make
+      (Array.fold_left Float.min values.(0) values)
+      (Array.fold_left Float.max values.(0) values)
+      (Array.length values) (fun add -> Array.iter add values)
 
 (* Fraction of values strictly below [x], with linear interpolation inside
    the straddled bucket. *)

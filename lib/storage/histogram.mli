@@ -9,6 +9,9 @@ val buckets : int
 (** [None] on an empty or single-point sample. *)
 val create : float list -> t option
 
+(** {!create} over the values of an array. *)
+val of_array : float array -> t option
+
 val bucket_count : t -> int
 val total : t -> int
 val bounds : t -> float * float

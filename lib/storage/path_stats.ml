@@ -117,10 +117,10 @@ type collector_entry = {
   info : path_info;
   values : String_set.t;
   numerics : unit Float_set.t;
-  mutable sample : float list;  (* reservoir of numeric values *)
-  mutable sample_size : int;
+  mutable sample : float list;  (* the numbers, while there are at most [sample_cap] *)
+  mutable reservoir : float array;  (* past [sample_cap] numbers, the sample in their stead *)
   mutable last_doc : int;
-  mutable rng : Random.State.t option;  (* made on the first thinning step *)
+  mutable rng : Random.State.t option;  (* made on the first replacement step *)
   mutable kids : collector_entry list;  (* children, unsorted *)
 }
 
@@ -145,13 +145,13 @@ let new_entry parent label =
     values = String_set.create ();
     numerics = Float_set.create 16;
     sample = [];
-    sample_size = 0;
+    reservoir = [||];
     last_doc = -1;
     rng = None;
     kids = [];
   }
 
-(* The thinning generator is seeded from the path key, which only a path
+(* The reservoir's generator is seeded from the path key, which only a path
    with more than [sample_cap] numeric values ever builds. *)
 let rng entry =
   match entry.rng with
@@ -177,26 +177,36 @@ let touch number doc_id entry value =
     if info.min_num > v then info.min_num <- v;
     if info.max_num < v then info.max_num <- v;
     if Float_set.length entry.numerics < distinct_cap then Float_set.replace entry.numerics v ();
-    (* Bernoulli reservoir: keep every value up to the cap, then thin. *)
-    if entry.sample_size < sample_cap then begin
-      entry.sample <- v :: entry.sample;
-      entry.sample_size <- entry.sample_size + 1
+    (* Algorithm R: keep every number up to the cap; then the [n]th
+       replaces a uniformly drawn slot with probability [sample_cap / n],
+       so the sample stays uniform over the numbers seen in any order. *)
+    let n = info.numeric_count in
+    if n <= sample_cap then entry.sample <- v :: entry.sample
+    else begin
+      if n = sample_cap + 1 then begin
+        entry.reservoir <- Array.of_list entry.sample;
+        entry.sample <- []
+      end;
+      let j = Random.State.int (rng entry) n in
+      if j < sample_cap then entry.reservoir.(j) <- v
     end
-    else if Random.State.int (rng entry) info.node_count < sample_cap then
-      entry.sample <- (match entry.sample with _ :: rest -> v :: rest | [] -> [ v ])
   end
 
 (* Fills in the statistics kept only while collecting, and the children
    in label order, so a preorder lists paths in lexicographic order of
-   their label lists. *)
+   their label lists.  A merge sort: [Array.sort]'s heap sort raises an
+   exception per sift, so what it allocates depends on the order the
+   documents showed the children in. *)
 let rec finish entry =
   let info = entry.info in
   info.distinct_values <- max 1 (String_set.length entry.values);
   info.distinct_numeric <- Float_set.length entry.numerics;
-  info.histogram <- Histogram.create entry.sample;
+  info.histogram <-
+    (if Array.length entry.reservoir > 0 then Histogram.of_array entry.reservoir
+     else Histogram.create entry.sample);
   List.iter finish entry.kids;
   let children = Array.of_list (List.map (fun kid -> kid.info) entry.kids) in
-  Array.sort
+  Array.stable_sort
     (fun a b ->
       String.compare
         (Xia_xpath.Interner.label_value a.label)

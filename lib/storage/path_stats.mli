@@ -20,8 +20,10 @@ type path_info = private {
   mutable min_num : float;
   mutable max_num : float;
   mutable histogram : Histogram.t option;
-      (** numeric value histogram from a bounded sample; [None] when the path
-          has no (or a single) numeric value *)
+      (** numeric value histogram from a sample of at most 4,096 of the
+          path's numbers, uniform whatever the order the documents are
+          scanned in (reservoir sampling, Algorithm R); [None] when the
+          path has no (or a single) numeric value *)
 }
 
 type t = private {

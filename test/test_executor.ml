@@ -106,6 +106,23 @@ let dml_tests =
         Alcotest.(check (list int)) "probe order"
           (List.init 10 (fun i -> 399 - i))
           (DS.touched_since store gen0));
+    tc "a table-scan delete or update writes documents in descending id order" (fun () ->
+        (* A scan visits ids in ascending order and lists the documents it
+           binds from the last visited, so its victims are written from the
+           highest id down. *)
+        let catalog = small_catalog () in
+        let store = Cat.store catalog "T" in
+        let written stmt =
+          let gen0 = DS.generation store in
+          let r = E.run_statement catalog (Helpers.statement stmt) in
+          Alcotest.(check int) "a table scan" 400 r.E.metrics.E.docs_scanned;
+          DS.touched_since store gen0
+        in
+        let descending k = List.init 10 (fun i -> 360 + k - (40 * i)) in
+        Alcotest.(check (list int)) "update" (descending 2)
+          (written {|update T set /a/v = "999" where /a[k="K02"]|});
+        Alcotest.(check (list int)) "delete" (descending 3)
+          (written {|delete from T where /a[k="K03"]|}));
     tc "insert adds a document" (fun () ->
         let catalog = small_catalog () in
         let n0 = DS.doc_count (Cat.store catalog "T") in

@@ -111,11 +111,33 @@ let stats_tests =
         Alcotest.(check bool) "size" true (s2 > s1);
         Alcotest.(check bool) "leaves" true (l2 > l1);
         Alcotest.(check bool) "levels" true (v2 >= v1 && v1 >= 1));
-    tc "derive_cached memoizes per generation" (fun () ->
+    tc "derive_cached memoizes per statistics object" (fun () ->
         let store = store_with [ "<a><b>1</b></a>" ] in
         let st = PS.collect store in
         let d = def "/a/b" in
         Alcotest.(check bool) "same" true (IS.derive_cached st d == IS.derive_cached st d));
+    tc "derive_cached never answers with another catalog's statistics" (fun () ->
+        (* Tiny TPoX under seeds 7 and 8: the stores saw as many writes, so
+           their statistics share a generation, but not their values. *)
+        let stats_of seed =
+          let catalog = Cat.create () in
+          Xia_workload.Tpox.load ~scale:Xia_workload.Tpox.tiny_scale ~seed catalog;
+          let defs =
+            List.map
+              (fun (c : Xia_advisor.Candidate.t) -> c.def)
+              (Xia_advisor.Candidate.basics
+                 (Xia_advisor.Enumeration.basic_candidates catalog (Xia_workload.Tpox.workload ())))
+          in
+          List.map (fun (d : D.t) -> (Cat.stats catalog d.table, d)) defs
+        in
+        let seed7 = stats_of 7 and seed8 = stats_of 8 in
+        List.iter (fun (st, d) -> ignore (IS.derive_cached st d)) seed7;
+        List.iter
+          (fun (st, d) ->
+            Alcotest.(check string) (D.name d)
+              (Fmt.to_to_string IS.pp (IS.derive st d))
+              (Fmt.to_to_string IS.pp (IS.derive_cached st d)))
+          seed8);
   ]
 
 let entry_values entries = List.map (fun (e : PI.entry) -> e.PI.key) entries

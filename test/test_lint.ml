@@ -709,9 +709,6 @@ let indexable_patterns stmt =
               | Xp.Eq | Xp.Ne -> assert false|}
       {|| Xp.Gt | Xp.Ge -> 1.0 -. below
               | Xp.Eq | Xp.Ne -> failwith "Selectivity: Eq/Ne in a range branch"|};
-    mutant "N001" "dropped sort in Doc_store.doc_ids" "storage/doc_store.ml"
-      {|let doc_ids t = List.sort compare (Hashtbl.fold (fun id _ acc -> id :: acc) t.docs [])|}
-      {|let doc_ids t = Hashtbl.fold (fun id _ acc -> id :: acc) t.docs []|};
     mutant "N001" "dropped sort in Catalog.table_names" "index/catalog.ml"
       {|  List.sort String.compare (Hashtbl.fold (fun name _ acc -> name :: acc) t [])|}
       {|  Hashtbl.fold (fun name _ acc -> name :: acc) t []|};

@@ -214,6 +214,25 @@ let properties =
          ~print:(fun ds -> String.concat "\n" (List.map Xia_xml.Printer.to_string ds))
          QCheck.Gen.(list_size (int_range 1 6) (extending_doc_gen Helpers.number_text_gen)))
       oracle_agrees;
+    (* Past the reservoir's 4,096 slots the sample stays uniform over the
+       numbers, whatever order the documents are read in: for numbers
+       rising with the document id its bounds span nearly all of
+       [min_num, max_num], and about half of it lies below the middle. *)
+    QCheck.Test.make ~count:5 ~name:"a histogram samples numbers rising with the doc id uniformly"
+      (QCheck.int_range 8_192 16_384)
+      (fun n ->
+        let s = DS.create "R" in
+        for i = 0 to n - 1 do
+          let open Xia_xml.Types in
+          ignore (DS.insert s (element "a" [ leaf "v" (string_of_int i) ]))
+        done;
+        match find (PS.collect s) "a/v" with
+        | Some { PS.histogram = Some h; min_num; max_num; _ } ->
+            let module H = Xia_storage.Histogram in
+            let lo, hi = H.bounds h in
+            hi -. lo >= 0.9 *. (max_num -. min_num)
+            && Float.abs (H.fraction_below h ((min_num +. max_num) /. 2.0) -. 0.5) < 0.1
+        | _ -> false);
     QCheck.Test.make ~count:100 ~name:"doc_count per path never exceeds table docs"
       (QCheck.list_of_size (QCheck.Gen.int_range 1 5) Helpers.doc_arbitrary)
       (fun docs ->
@@ -229,6 +248,7 @@ type op =
   | Insert of Xia_xml.Types.t
   | Delete of int
   | Replace of int * Xia_xml.Types.t
+  | Update of int * Xia_xml.Types.t  (* packed with the store's labels first *)
 
 let op_gen =
   QCheck.Gen.(
@@ -237,14 +257,22 @@ let op_gen =
         (3, map (fun d -> Insert d) Helpers.doc_gen);
         (2, map (fun k -> Delete k) (int_range 0 12));
         (2, map2 (fun k d -> Replace (k, d)) (int_range 0 12) Helpers.doc_gen);
+        (2, map2 (fun k d -> Update (k, d)) (int_range 0 12) Helpers.doc_gen);
       ])
 
 let print_op = function
   | Insert d -> "insert " ^ Xia_xml.Printer.to_string d
   | Delete k -> Printf.sprintf "delete %d" k
   | Replace (k, d) -> Printf.sprintf "replace %d %s" k (Xia_xml.Printer.to_string d)
+  | Update (k, d) -> Printf.sprintf "update %d %s" k (Xia_xml.Printer.to_string d)
 
-(* Everything a failed delete or replace must leave alone. *)
+let apply s = function
+  | Insert d -> ignore (DS.insert s d); true
+  | Delete k -> DS.delete s k
+  | Replace (k, d) -> DS.replace s k d
+  | Update (k, d) -> DS.update s k (Xia_xml.Packed.pack (DS.labels s) d)
+
+(* Everything a failed delete, replace or update must leave alone. *)
 let snapshot s =
   ( DS.generation s,
     DS.total_bytes s,
@@ -280,13 +308,80 @@ let size_properties =
         List.for_all
           (fun op ->
             let before = snapshot s in
-            let ok =
-              match op with
-              | Insert d -> ignore (DS.insert s d); true
-              | Delete k -> DS.delete s k
-              | Replace (k, d) -> DS.replace s k d
-            in
+            let ok = apply s op in
             sizes_consistent s && (ok || snapshot s = before))
+          ops);
+  ]
+
+(* ---------- the store against a map oracle ---------- *)
+
+module Int_map = Map.Make (Int)
+
+(* What the store should hold: the live documents by id, the next id, the
+   generation and each written id's last-write generation. *)
+type oracle = {
+  docs : Xia_xml.Types.t Int_map.t;
+  next : int;
+  gen : int;
+  written : int Int_map.t;
+}
+
+let oracle_apply o op =
+  let write o id docs =
+    { o with docs; gen = o.gen + 1; written = Int_map.add id (o.gen + 1) o.written }
+  in
+  match op with
+  | Insert d -> { (write o o.next (Int_map.add o.next d o.docs)) with next = o.next + 1 }
+  | Delete k when Int_map.mem k o.docs -> write o k (Int_map.remove k o.docs)
+  | (Replace (k, d) | Update (k, d)) when Int_map.mem k o.docs ->
+      write o k (Int_map.add k d o.docs)
+  | Delete _ | Replace _ | Update _ -> o
+
+let agrees_with s o =
+  let text = Xia_xml.Printer.to_string in
+  let live = List.map fst (Int_map.bindings o.docs) in
+  let iterated = ref [] in
+  DS.iter (fun id _ -> iterated := id :: !iterated) s;
+  let found id =
+    Option.map (fun p -> text (Xia_xml.Packed.unpack p)) (DS.find_packed s id)
+  in
+  let last_writes gen =
+    Int_map.bindings o.written
+    |> List.filter (fun (_, g) -> g > gen)
+    |> List.sort (fun (_, a) (_, b) -> Int.compare a b)
+    |> List.map fst
+  in
+  List.rev !iterated = live
+  && List.rev (DS.fold (fun id _ acc -> id :: acc) s []) = live
+  && DS.doc_ids s = live
+  && DS.fold
+       (fun id p ok -> ok && match DS.find_packed s id with Some q -> q == p | None -> false)
+       s true
+  && List.for_all
+       (fun id -> found id = Option.map text (Int_map.find_opt id o.docs))
+       (List.init (o.next + 3) (fun i -> i - 1))
+  && DS.doc_count s = Int_map.cardinal o.docs
+  && DS.generation s = o.gen
+  && DS.total_bytes s = Int_map.fold (fun _ d n -> n + Xia_xml.Types.byte_size d) o.docs 0
+  && DS.total_elements s = Int_map.fold (fun _ d n -> n + Xia_xml.Types.count_elements d) o.docs 0
+  && List.for_all
+       (fun gen -> DS.touched_since s gen = last_writes gen)
+       (List.init (o.gen + 1) Fun.id)
+
+let oracle_properties =
+  [
+    QCheck.Test.make ~count:300 ~name:"the store agrees with a map oracle under random DML"
+      (QCheck.make
+         ~print:(fun ops -> String.concat "\n" (List.map print_op ops))
+         QCheck.Gen.(list_size (int_range 1 30) op_gen))
+      (fun ops ->
+        let s = DS.create "P" in
+        let o = ref { docs = Int_map.empty; next = 0; gen = 0; written = Int_map.empty } in
+        List.for_all
+          (fun op ->
+            ignore (apply s op);
+            o := oracle_apply !o op;
+            agrees_with s !o)
           ops);
   ]
 
@@ -296,4 +391,5 @@ let suites =
     ("storage.path_stats", path_stats_tests);
     Helpers.qsuite "storage.properties" properties;
     Helpers.qsuite "storage.sizes" size_properties;
+    Helpers.qsuite "storage.oracle" oracle_properties;
   ]
