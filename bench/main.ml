@@ -923,17 +923,14 @@ let read () =
 
 (* ---------- Lint: every check over lib/ ---------- *)
 
-(* The whole-program lint of the lib/ sources next to the executable's
-   directory (the build tree's copy, where the lint.self_check tests find
-   them) in a [second_pass]: parsing, the call graph, the site walk and
-   every check.  It lints the relative
-   path "lib" from that directory, so the allocated words depend on the
-   sources alone, not on where the checkout is; they move with every edit
-   to lib/, so the bench ratchet holds them within a factor, not with a
-   [max] line.  The call graph resolves calls across libraries through
-   their dune files, which only rules that depend on (source_tree lib)
-   copy into the build tree: without them the count would change, so a
-   lint warning fails the exhibit. *)
+(* The lint of the lib/ sources next to the executable's directory (the
+   build tree's copy, which rules that depend on (source_tree lib) put
+   there, and where the lint.self_check tests find them) in a
+   [second_pass]: parsing, the site walk and every check.  It lints the
+   relative path "lib" from that directory, so the allocated words depend
+   on the sources alone, not on where the checkout is; they move with
+   every edit to lib/, so the bench ratchet holds them within a factor,
+   not with a [max] line.  A read or parse error fails the exhibit. *)
 let lint () =
   header "Lint: every check over lib/";
   let cwd = Sys.getcwd () in
@@ -948,7 +945,7 @@ let lint () =
         Format.printf "%d findings@." (List.length report.findings);
         List.map
           (fun (e : Xia_analysis.Lint.error) -> e.path ^ ": " ^ e.message)
-          (report.errors @ report.warnings))
+          report.errors)
   in
   if errors <> [] then begin
     List.iter prerr_endline errors;

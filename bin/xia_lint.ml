@@ -2,16 +2,14 @@
 
    Usage: xia_lint [--json] PATH...
 
-   Lints every .ml under the given paths (default: lib) as one program: the
-   whole library set is parsed once, a cross-unit call graph is built from
-   it and walked once into a site table (Xia_analysis.Sites), and the
-   check catalog in Xia_analysis.Checks classifies those sites.  Each check's rationale is in
-   DESIGN.md §5c/§5f/§5h/§5k.
+   Lints every .ml under the given paths (default: lib) unit by unit: each
+   unit is parsed once and walked once into a site table
+   (Xia_analysis.Sites), and the check catalog in Xia_analysis.Checks
+   classifies those sites.  Each check's rationale is in DESIGN.md
+   §5c/§5f/§5h/§5k.
    A finding is suppressed only in the source: [@lint.allow "ID"] at the
    site (or [@@lint.allow "ID"] on an enclosing binding), or, for H002, a
-   "(* lint: reason *)" note on the line or the line above.  A linted
-   directory without a dune file is a warning on stderr: calls naming its
-   library do not resolve to it.
+   "(* lint: reason *)" note on the line or the line above.
    Exit codes: 0 clean, 1 findings, 2 usage/parse errors. *)
 
 module Lint = Xia_analysis.Lint
@@ -24,9 +22,6 @@ let () =
   Arg.parse spec (fun p -> paths := p :: !paths) "xia_lint [--json] PATH...";
   let paths = match List.rev !paths with [] -> [ "lib" ] | ps -> ps in
   let report = Lint.lint_paths paths in
-  List.iter
-    (fun (e : Lint.error) -> Printf.eprintf "xia_lint: warning: %s: %s\n" e.path e.message)
-    report.Lint.warnings;
   if report.Lint.errors <> [] then begin
     List.iter
       (fun (e : Lint.error) -> Printf.eprintf "xia_lint: %s: %s\n" e.path e.message)

@@ -5,21 +5,19 @@
    next to the check that uses them.
 
    Every check is unit-local ([check_unit]): D001 folds over one
-   compilation unit's module-level bindings, the call graph's nodes;
-   X001, E001 and N001 read each such binding's own sites; D002, D004,
-   H002 and R003 read every site of the unit, bindings or not; H001 is
-   filesystem-level.  The call graph only resolves names across units, so
-   E001 can tell a project binding from an IO builtin.  That what-if
+   compilation unit's module-level bindings; X001, E001 and N001 read each
+   such binding's own sites; D002, D004, H002 and R003 read every site of
+   the unit, bindings or not; H001 is filesystem-level.  That what-if
    evaluation never writes the catalog, and that batched what-if planning
    reads no catalog at all, is the compiler's to check: every what-if
    interface takes a catalog without its write capability
    ([Catalog.read_only]), and the batch entry points take none.
 
-   Identifier references are matched on [Longident] paths after module-alias
-   expansion through the graph — full name resolution (functors,
-   first-class modules) is out of scope, so a functor-wrapped IO call can
-   hide.  It does not occur in this codebase; suppressions cover
-   intentional exceptions. *)
+   Identifier references are matched on [Longident] paths as written; E001
+   alone asks whether the unit binds the name itself.  Full name
+   resolution (aliases, opens, functors, first-class modules) is out of
+   scope, so a functor-wrapped IO call can hide.  It does not occur in
+   this codebase; suppressions cover intentional exceptions. *)
 
 open Parsetree
 
@@ -182,18 +180,16 @@ let d001_message what =
     what
 
 (* Only module-level bindings (nested modules included); allocation
-   inside a function body is per-call and fine.  The unit's mutable field
-   names come from the site walk, its module-level bindings from the call
-   graph's nodes. *)
-let check_d001 mutable_fields nodes =
+   inside a function body is per-call and fine. *)
+let check_d001 (w : Sites.t) =
   List.concat_map
-    (fun (n : Callgraph.node) ->
-      if allow "D001" n.attrs || List.mem "D001" n.allow then []
+    (fun (b : Sites.binding) ->
+      if allow "D001" b.attrs || List.mem "D001" b.enclosing then []
       else
         List.map
           (fun (loc, what) -> Finding.of_location ~id:"D001" ~message:(d001_message what) loc)
-          (d001_hits mutable_fields [] n.expr))
-    nodes
+          (d001_hits w.mutable_fields [] b.expr))
+    w.bindings
 
 (* ------------------------------------------- D002, D004, H002 & R003 -- *)
 
@@ -244,13 +240,13 @@ let check_sites ~notes ~d004 sites =
         else fire "H002" (h002_message what)
       in
       match s.kind with
-      | Ref { path; _ } when has_suffix ~suffix:[ "Sys"; "time" ] path -> fire "D002" d002_message
-      | Ref { path; _ } when d004 && has_suffix ~suffix:[ "Unix"; "gettimeofday" ] path ->
+      | Ref path when has_suffix ~suffix:[ "Sys"; "time" ] path -> fire "D002" d002_message
+      | Ref path when d004 && has_suffix ~suffix:[ "Unix"; "gettimeofday" ] path ->
           fire "D004" d004_message
-      | Apply ({ path = [ "failwith" ] | [ "Stdlib"; "failwith" ]; _ }, _) -> h002 "failwith"
+      | Apply (([ "failwith" ] | [ "Stdlib"; "failwith" ]), _) -> h002 "failwith"
       | Assert { pexp_desc = Pexp_construct ({ txt = Longident.Lident "false"; _ }, None); _ } ->
           h002 "assert false"
-      | Apply ({ path; _ }, (Asttypes.Nolabel, target) :: (Asttypes.Nolabel, value) :: _)
+      | Apply (path, (Asttypes.Nolabel, target) :: (Asttypes.Nolabel, value) :: _)
         when has_suffix ~suffix:[ "Atomic"; "set" ] path -> (
           match sym target with
           | Some x when exists_expr (atomic_get_of x) value -> fire "R003" (r003_message x)
@@ -336,14 +332,14 @@ let check_x001 own =
   let restores =
     List.filter_map
       (fun (s : Sites.site) ->
-        match s.kind with Apply ({ path; _ }, args) -> restore path args | _ -> None)
+        match s.kind with Apply (path, args) -> restore path args | _ -> None)
       own
   in
   List.filter_map
     (fun (s : Sites.site) ->
       match s.kind with
       | Let (p, rhs, body) -> (
-          match (Callgraph.var_of_pattern p, applied save rhs) with
+          match (Sites.var_of_pattern p, applied save rhs) with
           | Some v, Some (x, what)
             when List.mem (x, v) restores
                  && (not (Option.fold ~none:false ~some:(guarded x v) body))
@@ -406,24 +402,34 @@ let e001_message what =
 (* E001 applies in lib/ outside the sanctioned surfaces: lib/obs owns
    logging, lib/analysis is the linter itself (it reads the source tree it
    checks), and [io_modules] names the persistence boundary. *)
-let e001_applies (u : Callgraph.unit_info) =
-  in_dir "lib" u.path
-  && (not (in_dir "obs" u.path))
-  && (not (in_dir "analysis" u.path))
-  && not (List.mem u.basename io_modules)
+let e001_applies path =
+  in_dir "lib" path
+  && (not (in_dir "obs" path))
+  && (not (in_dir "analysis" path))
+  && not (List.mem (String.lowercase_ascii Filename.(remove_extension (basename path))) io_modules)
 
-(* E001 over one binding's own sites: an unshadowed reference to an IO
-   builtin.  Only a reference no project binding answers to is
-   classified: a sibling binding that shares a builtin's name (an [input]
-   helper, say) is not the builtin. *)
-let check_e001 own =
+(* E001 over one binding's own sites: a reference to an IO builtin.  A
+   reference is the builtin unless the unit binds its name itself: a
+   variable some pattern of the same binding binds (over-approximate on
+   purpose: a sibling-branch binder only ever silences a finding), or a
+   module-level binding of the unit with the same dotted name, before or
+   after the reference (an [input] helper, say, or the
+   [Out_channel.output_string] of a nested [module Out_channel]).  Names
+   are not resolved across units (DESIGN.md §5f). *)
+let check_e001 (w : Sites.t) own =
+  let binder x (s : Sites.site) = match s.kind with Binder y -> y = x | _ -> false in
+  let bound path =
+    List.exists (fun (b : Sites.binding) -> b.name = String.concat "." path) w.bindings
+    || match path with [ x ] -> List.exists (binder x) own | _ -> false
+  in
   List.filter_map
     (fun (s : Sites.site) ->
       match s.kind with
-      | Ref id when (not id.shadowed) && id.targets = [] && not (Sites.active s "E001") ->
-          Option.map
-            (fun what -> Finding.of_location ~id:"E001" ~message:(e001_message what) s.loc)
-            (io_of_path id.path)
+      | Ref path when not (Sites.active s "E001") -> (
+          match io_of_path path with
+          | Some what when not (bound path) ->
+              Some (Finding.of_location ~id:"E001" ~message:(e001_message what) s.loc)
+          | _ -> None)
       | _ -> None)
     own
 
@@ -471,14 +477,14 @@ let n001_message what =
 let check_n001 own =
   let sorts (s : Sites.site) =
     match s.kind with
-    | Ref { path; _ } -> List.exists (fun suffix -> has_suffix ~suffix path) sort_suffixes
+    | Ref path -> List.exists (fun suffix -> has_suffix ~suffix path) sort_suffixes
     | _ -> false
   in
   let hits =
     List.filter_map
       (fun (s : Sites.site) ->
         match s.kind with
-        | Apply ({ path; _ }, args) when not (Sites.active s "N001") -> (
+        | Apply (path, args) when not (Sites.active s "N001") -> (
             match suffix_name order_sources path with
             | Some what -> (
                 match List.find_opt (fun (l, a) -> l = Asttypes.Nolabel && is_closure a) args with
@@ -523,22 +529,18 @@ let missing_mli ~mls ~mlis =
 (* Unit-local checks for one compilation unit.  The raw source text
    carries the lint-note comments; H001 is filesystem-level and lives in
    [missing_mli]. *)
-let check_unit sites (u : Callgraph.unit_info) =
-  let notes = Suppress.lint_note_lines u.source in
-  let nodes =
-    List.filter (fun (n : Callgraph.node) -> n.u == u) (Callgraph.nodes (Sites.graph sites))
-  in
-  let e001 = e001_applies u and n001 = in_dir "lib" u.path in
-  let per_binding n =
-    let own = Sites.node_sites sites n in
-    check_x001 own
-    @ (if e001 then check_e001 own else [])
-    @ if n001 then check_n001 own else []
+let check_unit (u : Sites.unit_info) =
+  let notes = Suppress.lint_note_lines u.source and w = Sites.walk u in
+  let e001 = e001_applies u.path and n001 = in_dir "lib" u.path in
+  let per_binding (b : Sites.binding) =
+    check_x001 b.own
+    @ (if e001 then check_e001 w b.own else [])
+    @ if n001 then check_n001 b.own else []
   in
   List.sort Finding.compare
-    (check_d001 (Sites.mutable_fields sites u) nodes
-    @ List.concat_map per_binding nodes
-    @ check_sites ~notes ~d004:(d004_applies u.path) (Sites.unit_sites sites u))
+    (check_d001 w
+    @ List.concat_map per_binding w.bindings
+    @ check_sites ~notes ~d004:(d004_applies u.path) w.sites)
 
 (* ------------------------------------------------------ check catalog -- *)
 

@@ -1,7 +1,7 @@
 (** The check catalog.
 
-    Every check is unit-local (one compilation unit's sites,
-    {!Sites.unit_sites}, or one binding's, {!Sites.node_sites}):
+    Every check is unit-local (one compilation unit's sites or one
+    module-level binding's, both from {!Sites.walk}):
 
     - [D001] module-toplevel mutable state: it outlives one advise session
       and leaks between evaluators.
@@ -29,20 +29,20 @@
     capability ({!Xia_index.Catalog.read_only}) and the batch entry points
     ({!Xia_optimizer.Optimizer.optimize_costs}) take no catalog.
 
-    Identifier references are matched on [Longident] paths after
-    module-alias expansion through the graph; a reference a local binder
-    of the same binding shadows is the local, but full name resolution
-    (functors, first-class modules, local modules) is out of scope.
+    Identifier references are matched on [Longident] paths as written.
+    E001 treats a reference as the unit's own binding when a pattern of
+    the same binding or a module-level binding of the unit binds its
+    name; full name resolution (aliases, opens, functors, first-class
+    modules) is out of scope.
     Suppress intentional sites with [\[@lint.allow "ID"\]]. *)
 
-(** Run every unit-local check (D001, D002, D004, E001, H002, N001, R003,
-    X001) on one compilation unit: D001 over its module-level bindings,
-    X001, E001 and N001 over each such binding's own sites
-    ({!Sites.node_sites}), the rest over every site of the unit
-    ({!Sites.unit_sites}).  The unit's source text honors
-    [(* lint: reason *)] notes; its path selects D004, E001 and N001
-    applicability.  Attribute suppressions are already applied. *)
-val check_unit : Sites.t -> Callgraph.unit_info -> Finding.t list
+(** Walk one compilation unit ({!Sites.walk}) and run every unit-local
+    check (D001, D002, D004, E001, H002, N001, R003, X001) on it, sorted:
+    D001 over its module-level bindings, X001, E001 and N001 over each
+    such binding's own sites, the rest over every site of the unit.  The
+    unit's source text honors [(* lint: reason *)] notes; its path selects
+    D004, E001 and N001 applicability. *)
+val check_unit : Sites.unit_info -> Finding.t list
 
 (** [missing_mli ~mls ~mlis] — H001: every [.ml] path with no matching
     [.mli] path (compared by extension-stripped name). *)

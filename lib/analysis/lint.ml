@@ -1,22 +1,20 @@
-(* Analyzer driver: parse OCaml sources with compiler-libs once, build the
-   cross-unit call graph once ([Callgraph]), walk it once into the site
-   table ([Sites]), run the check catalog over the sites ([Checks]),
-   report.
+(* Analyzer driver: parse OCaml sources with compiler-libs once, walk each
+   unit once into its site table ([Sites]), run the check catalog over the
+   sites ([Checks]), report.
 
    The unit of work is a source *string* ([lint_source]) so the test suite
-   can exercise every check on inline fixtures — a one-unit program runs the
-   identical pipeline over a one-unit graph; [lint_paths] layers the
-   filesystem walk (and the filesystem-level H001 check) on top. *)
+   can exercise every check on inline fixtures through the identical
+   per-unit pipeline; [lint_paths] layers the filesystem walk (and the
+   filesystem-level H001 check) on top. *)
 
 type error = { path : string; message : string }
 
 type report = {
   findings : Finding.t list;   (* sorted *)
   errors : error list;         (* unreadable / unparsable inputs *)
-  warnings : error list;       (* inputs analyzed with less than their layout *)
 }
 
-let empty_report = { findings = []; errors = []; warnings = [] }
+let empty_report = { findings = []; errors = [] }
 
 let parse_structure ~filename source =
   let lexbuf = Lexing.from_string source in
@@ -31,18 +29,10 @@ let parse_structure ~filename source =
       Error { path = filename; message = String.trim msg }
   | e -> Error { path = filename; message = Printexc.to_string e }
 
-(* Every parsetree-level finding of a program, all read off one site walk
-   of the shared graph, unit by unit. *)
-let program_findings graph =
-  let sites = Sites.build graph in
-  List.concat_map (Checks.check_unit sites) (Callgraph.units graph)
-
 let lint_source ~filename source =
-  match parse_structure ~filename source with
-  | Error e -> Error e
-  | Ok structure ->
-      let u = Callgraph.make_unit ~path:filename ~source structure in
-      Ok (List.sort Finding.compare (program_findings (Callgraph.build [ u ])))
+  Result.map
+    (fun structure -> Checks.check_unit { path = filename; source; structure })
+    (parse_structure ~filename source)
 
 let read_file path = In_channel.with_open_bin path In_channel.input_all
 
@@ -68,41 +58,20 @@ let collect_sources paths =
   List.iter visit paths;
   (List.rev !mls, List.rev !mlis, List.rev !errors)
 
-(* Parse every .ml into a unit; unreadable/unparsable files become errors
-   and drop out of the graph (their findings are unknowable anyway). *)
-let load_units mls =
-  List.fold_left
-    (fun (units, errors) ml ->
-      match read_file ml with
-      | exception Sys_error m -> (units, { path = ml; message = m } :: errors)
-      | source -> (
-          match parse_structure ~filename:ml source with
-          | Ok structure ->
-              (Callgraph.make_unit ~path:ml ~source structure :: units, errors)
-          | Error e -> (units, e :: errors)))
-    ([], []) mls
-  |> fun (units, errors) -> (List.rev units, List.rev errors)
-
-(* Every .ml under [paths] is parsed once and the parsable units are linked
-   into one call graph: walk and parse errors do not abort, and ride along
-   in the report.  A directory without its dune file is linted all the
-   same, but calls that name its library are not resolved to it: say
-   so. *)
+(* Every .ml under [paths] is read, parsed and checked once: walk, read
+   and parse errors do not abort, and ride along in the report. *)
 let lint_paths paths =
   let mls, mlis, walk_errors = collect_sources paths in
-  let units, parse_errors = load_units mls in
-  let graph = Callgraph.build units in
-  let all = Checks.missing_mli ~mls ~mlis @ program_findings graph in
-  let warnings =
-    List.map
-      (fun dir ->
-        {
-          path = dir;
-          message = "no dune file: calls naming this directory's library are not resolved to it";
-        })
-      (Callgraph.without_dune graph)
+  let results, errors =
+    List.partition_map
+      (fun ml ->
+        match read_file ml with
+        | exception Sys_error message -> Right { path = ml; message }
+        | source -> Result.fold ~ok:Either.left ~error:Either.right (lint_source ~filename:ml source))
+      mls
   in
-  { findings = List.sort Finding.compare all; errors = walk_errors @ parse_errors; warnings }
+  let all = Checks.missing_mli ~mls ~mlis @ List.concat results in
+  { findings = List.sort Finding.compare all; errors = walk_errors @ errors }
 
 (* ------------------------------------------------------ JSON rendering -- *)
 

@@ -1,46 +1,41 @@
 (* The site table: one parsetree walk per compilation unit.
 
-   The walk is a single [Ast_iterator] over the whole structure.  It
-   mirrors [Callgraph]'s binding collection at the module level (toplevel
-   value bindings, recursing into nested structures), so each
-   node's right-hand side is walked as that node; everything else — a
-   toplevel [;;] expression, a functor body, a class — is walked with no
-   binding.  Along the way it keeps the one context every site records:
-   the [@lint.allow] stack, the attributes of every enclosing expression
-   and value binding, nested [let]s included.
-
-   Each identifier is resolved here.  When a node's walk ends, a
-   reference whose single-component name some pattern of the node binds
-   is marked shadowed (over-approximate on purpose: a sibling-branch
-   binder only ever silences a finding). *)
+   The walk is a single [Ast_iterator] over the whole structure, driven
+   at the module level by its own pass: each value binding of the unit's
+   structure, recursing into nested structures with a dotted prefix
+   ("Cache.find_or_compute", "_.x" inside [module _]), becomes a binding
+   as the pass reaches it, its right-hand side walked as that binding's
+   own sites.  Everything else — a toplevel [;;] expression, a functor
+   body, a class — is walked with no binding.  Along the way it keeps the
+   one context every site records: the [@lint.allow] stack, the
+   attributes of every enclosing expression and value binding, nested
+   [let]s included. *)
 
 open Parsetree
 
-type ident = {
-  path : string list;
-  targets : Callgraph.node list;
-  mutable shadowed : bool;
-}
+type unit_info = { path : string; source : string; structure : structure }
 
 type kind =
-  | Ref of ident
-  | Apply of ident * (Asttypes.arg_label * expression) list
+  | Ref of string list
+  | Apply of string list * (Asttypes.arg_label * expression) list
   | Binder of string
   | Let of pattern * expression * expression option
   | Assert of expression
 
 type site = { loc : Location.t; kind : kind; allow : string list list }
 
-type t = {
-  graph : Callgraph.t;
-  units : (string, site list * (string, unit) Hashtbl.t) Hashtbl.t;
-  (* one entry per node, duplicate toplevel names included (newest first):
-     the node and its sites *)
-  nodes : (string * string, Callgraph.node * site list) Hashtbl.t;
+type binding = {
+  name : string;
+  expr : expression;
+  attrs : attributes;
+  loc : Location.t;
+  enclosing : string list;
+  own : site list;
 }
 
-let graph t = t.graph
-let active s id = List.exists (List.mem id) s.allow
+type t = { sites : site list; bindings : binding list; mutable_fields : (string, unit) Hashtbl.t }
+
+let active (s : site) id = List.exists (List.mem id) s.allow
 
 (* The standard one-level [Ast_iterator] trick. *)
 let iter_child_exprs f e =
@@ -48,43 +43,17 @@ let iter_child_exprs f e =
     { Ast_iterator.default_iterator with expr = (fun _ c -> f c) }
     e
 
-let unit_sites t (u : Callgraph.unit_info) = fst (Hashtbl.find t.units u.path)
-let mutable_fields t (u : Callgraph.unit_info) = snd (Hashtbl.find t.units u.path)
+let rec var_of_pattern (p : pattern) =
+  match p.ppat_desc with
+  | Ppat_var v -> Some v.txt
+  | Ppat_constraint (p, _) -> var_of_pattern p
+  | _ -> None
 
-(* A binding's own entry, even when a later toplevel binding of the same
-   name shadows it. *)
-let node_sites t n =
-  match List.find_opt (fun (m, _) -> m == n) (Hashtbl.find_all t.nodes (Callgraph.key n)) with
-  | Some (_, sites) -> sites
-  | None -> []
-
-let binders sites =
-  let bound = Hashtbl.create 16 in
-  List.iter (fun s -> match s.kind with Binder x -> Hashtbl.replace bound x () | _ -> ()) sites;
-  bound
-
-(* Shadowing in one node, once its walk is done. *)
-let finish_node t (n : Callgraph.node) sites =
-  let bound = binders sites in
-  List.iter
-    (fun s ->
-      match s.kind with
-      | Ref ({ path = [ x ]; _ } as id) when Hashtbl.mem bound x -> id.shadowed <- true
-      | _ -> ())
-    sites;
-  Hashtbl.add t.nodes (Callgraph.key n) (n, sites)
-
-(* Walk one unit; [pending] holds the graph's nodes not yet reached, in
-   collection order. *)
-let walk_unit t (u : Callgraph.unit_info) pending =
-  let sites = ref [] and fields = Hashtbl.create 16 in
+let walk u =
+  let sites = ref [] and bindings = ref [] and fields = Hashtbl.create 16 in
   let allow = ref [] in
   let add loc kind = sites := { loc; kind; allow = !allow } :: !sites in
-  let resolve (lid : Longident.t Location.loc) =
-    let path = Longident.flatten lid.txt in
-    let targets = Callgraph.resolve t.graph u path in
-    { path; targets; shadowed = false }
-  in
+  let path (lid : Longident.t Location.loc) = Longident.flatten lid.txt in
   (* Run [f], then restore the [@lint.allow] stack. *)
   let scoped f =
     let saved = !allow in
@@ -107,11 +76,11 @@ let walk_unit t (u : Callgraph.unit_info) pending =
   in
   let visit (it : Ast_iterator.iterator) e =
     match e.pexp_desc with
-    | Pexp_ident lid -> add e.pexp_loc (Ref (resolve lid))
+    | Pexp_ident lid -> add e.pexp_loc (Ref (path lid))
     | Pexp_apply (({ pexp_desc = Pexp_ident lid; _ } as f), args) ->
-        let id = resolve lid in
-        add e.pexp_loc (Apply (id, args));
-        allowing (Suppress.allow_ids f.pexp_attributes) (fun () -> add f.pexp_loc (Ref id));
+        let p = path lid in
+        add e.pexp_loc (Apply (p, args));
+        allowing (Suppress.allow_ids f.pexp_attributes) (fun () -> add f.pexp_loc (Ref p));
         List.iter (fun (_, a) -> it.expr it a) args
     | Pexp_let (_, vbs, body) ->
         List.iter (bind (Some body) it) vbs;
@@ -142,41 +111,44 @@ let walk_unit t (u : Callgraph.unit_info) pending =
     default.type_declaration it td
   in
   let it = { default with expr; pat; value_binding = bind None; type_declaration } in
-  (* The module level, walked as [Callgraph] collects it: a module-level
-     binding is the next pending node, its right-hand side walked as that
-     node and its pattern not (the node's own name is no local binder).
-     Any other item, and any module expression but a structure or a
-     constraint, is walked by [it]. *)
-  let node_binding vb =
-    match !pending with
-    | (n : Callgraph.node) :: rest when n.expr == vb.pvb_expr ->
-        pending := rest;
-        let before = !sites in
-        allowing (Suppress.allow_ids vb.pvb_attributes) (fun () -> it.expr it vb.pvb_expr);
-        let rec since = function l when l == before -> [] | s :: l -> s :: since l | [] -> [] in
-        finish_node t n (List.rev (since !sites))
-    | _ -> bind None it vb
+  (* The module level: a value binding becomes a binding named under
+     [prefix], its right-hand side walked as its own sites and its pattern
+     not (the binding's own name is no local binder).  Bindings with
+     non-variable patterns still run at module initialization; they get a
+     synthetic "(init:LINE)" name so their sites are judged as a
+     binding's.  Any other item, and any module expression but a structure
+     or a constraint, is walked by [it]. *)
+  let module_value prefix enclosing vb =
+    let name =
+      match var_of_pattern vb.pvb_pat with
+      | Some n -> prefix ^ n
+      | None -> Printf.sprintf "%s(init:%d)" prefix vb.pvb_loc.loc_start.pos_lnum
+    in
+    let before = !sites in
+    allowing (Suppress.allow_ids vb.pvb_attributes) (fun () -> it.expr it vb.pvb_expr);
+    let rec since = function l when l == before -> [] | s :: l -> s :: since l | [] -> [] in
+    let own = List.rev (since !sites) in
+    bindings :=
+      { name; expr = vb.pvb_expr; attrs = vb.pvb_attributes; loc = vb.pvb_loc; enclosing; own }
+      :: !bindings
   in
-  let rec structure_item item =
+  let rec structure_item prefix enclosing item =
     match item.pstr_desc with
-    | Pstr_value (_, vbs) -> List.iter node_binding vbs
-    | Pstr_module mb -> module_expr mb.pmb_expr
-    | Pstr_recmodule mbs -> List.iter (fun mb -> module_expr mb.pmb_expr) mbs
-    | Pstr_include incl -> module_expr incl.pincl_mod
+    | Pstr_value (_, vbs) -> List.iter (module_value prefix enclosing) vbs
+    | Pstr_module mb -> module_binding prefix enclosing mb
+    | Pstr_recmodule mbs -> List.iter (module_binding prefix enclosing) mbs
+    | Pstr_include incl -> module_expr prefix enclosing incl.pincl_mod
     | _ -> it.structure_item it item
-  and module_expr me =
+  and module_binding prefix enclosing mb =
+    module_expr
+      (prefix ^ Option.value ~default:"_" mb.pmb_name.txt ^ ".")
+      (Suppress.allow_ids mb.pmb_attributes @ enclosing)
+      mb.pmb_expr
+  and module_expr prefix enclosing me =
     match me.pmod_desc with
-    | Pmod_structure items -> List.iter structure_item items
-    | Pmod_constraint (me, _) -> module_expr me
+    | Pmod_structure items -> List.iter (structure_item prefix enclosing) items
+    | Pmod_constraint (me, _) -> module_expr prefix enclosing me
     | _ -> it.module_expr it me
   in
-  List.iter structure_item u.structure;
-  Hashtbl.replace t.units u.path (List.rev !sites, fields)
-
-let build graph =
-  let t =
-    { graph; units = Hashtbl.create 64; nodes = Hashtbl.create 256 }
-  in
-  let pending = ref (Callgraph.nodes graph) in
-  List.iter (fun u -> walk_unit t u pending) (Callgraph.units graph);
-  t
+  List.iter (structure_item "" []) u.structure;
+  { sites = List.rev !sites; bindings = List.rev !bindings; mutable_fields = fields }

@@ -1,25 +1,23 @@
 (** The site table: one parsetree walk per compilation unit, shared by
     every check.
 
-    The walk visits every expression of a unit once — call-graph nodes,
-    functor bodies and toplevel [;;] expressions alike — and records the
-    syntactic sites the checks classify, each with the
-    [\[@lint.allow\]] IDs active there.  Every identifier is resolved
-    through the {!Callgraph} here, and marked when a local binder of the
-    same binding shadows it.  {!Checks} classifies the sites itself: per
-    unit or per binding.  See DESIGN.md §5c. *)
+    The walk visits every expression of a unit once — module-level
+    bindings, functor bodies and toplevel [;;] expressions alike — and
+    records the syntactic sites the checks classify, each with the
+    [\[@lint.allow\]] IDs active there.  It makes the unit's module-level
+    bindings as it reaches them, each with its own sites.  Identifiers are
+    recorded as written: {!Checks} classifies the sites itself, per unit
+    or per binding.  See DESIGN.md §5c. *)
 
-(** A resolved identifier.  [shadowed] holds when a variable some pattern
-    of the same binding binds has this (single-component) name. *)
-type ident = {
-  path : string list;                (** as written *)
-  targets : Callgraph.node list;     (** {!Callgraph.resolve}d *)
-  mutable shadowed : bool;
+type unit_info = {
+  path : string;  (** as given to the driver, e.g. "lib/core/benefit.ml" *)
+  source : string;
+  structure : Parsetree.structure;
 }
 
 type kind =
-  | Ref of ident  (** every identifier, applied or not *)
-  | Apply of ident * (Asttypes.arg_label * Parsetree.expression) list
+  | Ref of string list  (** every identifier, applied or not, as written *)
+  | Apply of string list * (Asttypes.arg_label * Parsetree.expression) list
       (** an identifier applied to arguments; the head is also a [Ref] *)
   | Binder of string  (** a variable a pattern binds *)
   | Let of Parsetree.pattern * Parsetree.expression * Parsetree.expression option
@@ -35,23 +33,33 @@ type site = {
           bindings, innermost first *)
 }
 
-type t
+(** A module-level value binding (nested modules included). *)
+type binding = {
+  name : string;
+      (** dotted inside nested modules, [_] naming an anonymous one;
+          ["(init:LINE)"] for a pattern that binds no single variable *)
+  expr : Parsetree.expression;
+  attrs : Parsetree.attributes;
+  loc : Location.t;
+  enclosing : string list;  (** [\[@@lint.allow\]] IDs of the enclosing module bindings *)
+  own : site list;
+      (** the sites of its right-hand side, in walk order; each binding
+          has its own, a binding that a later one of the same name
+          shadows included *)
+}
 
-(** Walk every unit of the graph once. *)
-val build : Callgraph.t -> t
+type t = {
+  sites : site list;  (** every site of the unit, in walk (pre-)order *)
+  bindings : binding list;  (** in source order *)
+  mutable_fields : (string, unit) Hashtbl.t;
+      (** field names declared [mutable] anywhere in the unit *)
+}
 
-val graph : t -> Callgraph.t
+(** Walk one unit. *)
+val walk : unit_info -> t
 
-(** Every site of a unit, in walk (pre-)order. *)
-val unit_sites : t -> Callgraph.unit_info -> site list
-
-(** The sites of one binding's right-hand side, in walk order.  Each
-    binding has its own, a toplevel binding that a later one of the same
-    name shadows included. *)
-val node_sites : t -> Callgraph.node -> site list
-
-(** Field names declared [mutable] anywhere in the unit. *)
-val mutable_fields : t -> Callgraph.unit_info -> (string, unit) Hashtbl.t
+(** The variable a pattern binds, through type constraints. *)
+val var_of_pattern : Parsetree.pattern -> string option
 
 (** Is the check ID among the site's active [\[@lint.allow\]] IDs? *)
 val active : site -> string -> bool

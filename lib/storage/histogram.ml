@@ -18,34 +18,37 @@ let bucket_count t = Array.length t.counts
 let total t = t.total
 let bounds t = (t.lo, t.hi)
 
-(* The histogram of [total] values spanning [lo, hi], [iter add] adding
-   each value; [None] when the span is a single point. *)
-let make lo hi total iter =
-  if hi <= lo then None
+(* The histogram of the finite values [iter add] adds, spanning [lo, hi]
+   (their bounds): a [nan] or an infinity has no bucket, so it is neither
+   a bound nor counted, and [total] is the finite count.  [None] when the
+   span is a single point or empty. *)
+let make lo hi iter =
+  if not (hi > lo) then None
   else begin
     let counts = Array.make buckets 0 in
     let width = (hi -. lo) /. float_of_int buckets in
     iter (fun v ->
-        let i = min (buckets - 1) (int_of_float ((v -. lo) /. width)) in
-        counts.(i) <- counts.(i) + 1);
-    Some { lo; hi; counts; total }
+        if Float.is_finite v then begin
+          let i = min (buckets - 1) (int_of_float ((v -. lo) /. width)) in
+          counts.(i) <- counts.(i) + 1
+        end);
+    Some { lo; hi; counts; total = Array.fold_left ( + ) 0 counts }
   end
 
-(* Build from a sample; [None] when the sample is empty or degenerate. *)
-let create values =
-  match values with
+let lower lo v = if Float.is_finite v && v < lo then v else lo
+let upper hi v = if Float.is_finite v && v > hi then v else hi
+
+(* RUNSTATS asks for the histogram of every path, most with an empty
+   sample: that answer allocates nothing. *)
+let create = function
   | [] -> None
-  | v0 :: _ ->
-      make (List.fold_left Float.min v0 values) (List.fold_left Float.max v0 values)
-        (List.length values) (fun add -> List.iter add values)
+  | values ->
+      make (List.fold_left lower infinity values) (List.fold_left upper neg_infinity values)
+        (fun add -> List.iter add values)
 
 let of_array values =
-  if Array.length values = 0 then None
-  else
-    make
-      (Array.fold_left Float.min values.(0) values)
-      (Array.fold_left Float.max values.(0) values)
-      (Array.length values) (fun add -> Array.iter add values)
+  make (Array.fold_left lower infinity values) (Array.fold_left upper neg_infinity values)
+    (fun add -> Array.iter add values)
 
 (* Fraction of values strictly below [x], with linear interpolation inside
    the straddled bucket. *)

@@ -6,14 +6,19 @@ type t
 (** Bucket count of every histogram. *)
 val buckets : int
 
-(** [None] on an empty or single-point sample. *)
+(** The histogram of a sample's finite values: [nan] and infinities are
+    neither bounds nor counted.  [None] with fewer than two distinct
+    finite values. *)
 val create : float list -> t option
 
 (** {!create} over the values of an array. *)
 val of_array : float array -> t option
 
 val bucket_count : t -> int
+
+(** The count of finite values. *)
 val total : t -> int
+
 val bounds : t -> float * float
 
 (** Fraction of values strictly below [x] (interpolated in the straddled

@@ -52,6 +52,69 @@ let histogram_tests =
         Alcotest.(check (float 0.0001)) "outside" 0.0 (H.point_density h 5000.0));
   ]
 
+(* The bucket counts, read off the printed histogram "hist[lo..hi: c,c,...]". *)
+let counts h =
+  let s = Format.asprintf "%a" H.pp h in
+  let from = String.index s ':' + 2 in
+  List.map int_of_string (String.split_on_char ',' (String.sub s from (String.length s - from - 1)))
+
+(* Samples mixing nan, infinities and finite values; small integers repeat,
+   so some samples hold fewer than two distinct finite values. *)
+let mixed_sample =
+  QCheck.make ~print:QCheck.Print.(list float)
+    QCheck.Gen.(
+      list_size (int_range 0 30)
+        (frequency
+           [
+             (1, return nan); (1, return infinity); (1, return neg_infinity);
+             (2, map float_of_int (int_range (-2) 2)); (2, float_range (-1e6) 1e6);
+           ]))
+
+let stats_of docs =
+  let store = DS.create "N" in
+  List.iter (fun d -> ignore (DS.insert store (Helpers.xml d))) docs;
+  Xia_storage.Path_stats.collect store
+
+let histogram_at stats key =
+  match
+    List.find_opt
+      (fun info -> Xia_storage.Path_stats.key info = key)
+      (Array.to_list stats.Xia_storage.Path_stats.infos)
+  with
+  | Some info -> info.histogram
+  | None -> Alcotest.failf "path %s missing" key
+
+let non_finite_tests =
+  [
+    QCheck_alcotest.to_alcotest
+      (QCheck.Test.make ~count:500
+         ~name:"create = of_array over finite values only, with finite bounds and counts summing to total"
+         mixed_sample (fun sample ->
+           let finite = List.filter Float.is_finite sample in
+           match (H.create sample, H.of_array (Array.of_list sample)) with
+           | None, None -> List.length (List.sort_uniq Float.compare finite) < 2
+           | Some h, Some g ->
+               let lo, hi = H.bounds h in
+               Format.asprintf "%a" H.pp h = Format.asprintf "%a" H.pp g
+               && H.total h = H.total g
+               && Float.is_finite lo && Float.is_finite hi
+               && lo = List.fold_left Float.min infinity finite
+               && hi = List.fold_left Float.max neg_infinity finite
+               && H.total h = List.length finite
+               && List.fold_left ( + ) 0 (counts h) = H.total h
+           | _ -> false));
+    tc "RUNSTATS builds no histogram from nan, inf and one finite value" (fun () ->
+        let found = "<a><b>nan</b><b>3</b><b>inf</b></a>" in
+        Alcotest.(check bool) "none" true (histogram_at (stats_of [ found ]) "a/b" = None);
+        match histogram_at (stats_of [ found; "<a><b>5</b><b>-inf</b></a>" ]) "a/b" with
+        | Some h ->
+            Alcotest.(check (pair (float 0.) (float 0.))) "finite bounds" (3., 5.) (H.bounds h);
+            Alcotest.(check int) "finite count" 2 (H.total h);
+            Alcotest.(check (list int)) "counts" [ 1; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 1 ]
+              (counts h)
+        | None -> Alcotest.fail "no histogram over 3 and 5");
+  ]
+
 (* A table with a skewed numeric path: 90% of values uniform in [0,100), a
    sparse tail up to 1000 — skew coarser than the histogram bucket width, so
    equi-width buckets capture it. *)
@@ -116,4 +179,8 @@ let selectivity_tests =
   ]
 
 let suites =
-  [ ("histogram.core", histogram_tests); ("histogram.selectivity", selectivity_tests) ]
+  [
+    ("histogram.core", histogram_tests);
+    ("histogram.non_finite", non_finite_tests);
+    ("histogram.selectivity", selectivity_tests);
+  ]

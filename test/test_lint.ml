@@ -627,12 +627,25 @@ let e001_tests =
            let spawn items =\n\
           \  let print_string = ignore in\n\
           \  List.iter (fun x -> print_string x; print_endline \"b\") items\n");
+    tc "a unit-level binding named like an IO function is not flagged" (fun () ->
+        check_ids "the unit's own input" [] ~filename:"lib/core/report.ml"
+          "let read ic = input ic (Bytes.create 4) 0 4\n\
+           let input ic buf pos len = ignore (ic, buf, pos); len\n");
+    tc "a nested module named like an IO module is not flagged" (fun () ->
+        check_ids "the unit's own Out_channel" [] ~filename:"lib/core/report.ml"
+          "module Out_channel = struct let output_string _ _ = () end\n\
+           let show oc s = Out_channel.output_string oc s\n");
+    tc "an IO path next to the unit's own bindings is flagged" (fun () ->
+        check_ids "only Printf.eprintf" [ (3, "E001") ] ~filename:"lib/core/report.ml"
+          "let input ic = ic\n\
+           module Out_channel = struct let output_string _ _ = () end\n\
+           let warn s = Printf.eprintf \"%s\" (input s); Out_channel.output_string () s\n");
   ]
 
 (* ------------------------------------------- sites outside a binding -- *)
 
-(* A functor body and a toplevel [;;] expression are not call-graph nodes;
-   the unit-local checks still reach every site in them. *)
+(* A functor body and a toplevel [;;] expression are not module-level
+   bindings; the unit-local checks still reach every site in them. *)
 let site_tests =
   [
     tc "D002, D004, H002 and R003 inside a functor body" (fun () ->
@@ -773,27 +786,6 @@ let rec remove_tree path =
   end
   else Sys.remove path
 
-(* The library layout comes from the dune files: without one, calls that
-   name the directory's library resolve to nothing, and the report says
-   so. *)
-let layout_tests =
-  [
-    tc "a directory linted without its dune file is a warning" (fun () ->
-        let dir = Filename.temp_dir "xia_lint_layout" "" in
-        let root = Filename.concat dir "lib" in
-        Fun.protect
-          ~finally:(fun () -> remove_tree dir)
-          (fun () ->
-            copy_tree repo_lib root;
-            let warnings () =
-              List.map (fun (e : Lint.error) -> e.path) (Lint.lint_paths [ root ]).warnings
-            in
-            Alcotest.(check (list string)) "every dune file there" [] (warnings ());
-            let index = Filename.concat root "index" in
-            Sys.remove (Filename.concat index "dune");
-            Alcotest.(check (list string)) "lib/index named" [ index ] (warnings ())));
-  ]
-
 let mutant_tests =
   [
     tc "every mutant's check fires on one mutated copy of lib/" (fun () ->
@@ -866,6 +858,5 @@ let suites =
     ("lint.format", format_tests);
     ("lint.json_report", json_report_tests);
     ("lint.self_check", self_check_tests);
-    ("lint.layout", layout_tests);
     ("lint.mutants", mutant_tests);
   ]
