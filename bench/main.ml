@@ -408,29 +408,44 @@ let hist () =
   done;
   Catalog.add_table catalog store;
   ignore (Catalog.runstats catalog "SKEW");
+  (* The uniform-range estimate, straight from the path's bounds: the
+     share of [min_num, max_num] on the predicate's side of [x]. *)
+  let stats = Catalog.stats catalog "SKEW" in
+  let v =
+    Xia_storage.Path_stats.fold
+      (fun acc info -> if Xia_storage.Path_stats.key info = "a/v" then Some info else acc)
+      stats None
+    |> Option.get
+  in
+  let uniform below x =
+    let f =
+      Float.max 0.0
+        (Float.min 1.0
+           ((x -. v.Xia_storage.Path_stats.min_num)
+           /. (v.Xia_storage.Path_stats.max_num -. v.Xia_storage.Path_stats.min_num)))
+    in
+    float_of_int stats.Xia_storage.Path_stats.doc_count *. if below then f else 1.0 -. f
+  in
   Format.printf "%14s | %10s | %12s | %12s@." "predicate" "true docs" "est (hist)"
     "est (uniform)";
   Format.printf "%s@." line;
   List.iter
-    (fun (label, q, truth) ->
-      let stmt = Xia_query.Parser.parse_statement_exn q in
-      let est flag =
-        let saved = !Xia_optimizer.Selectivity.use_histograms in
-        Xia_optimizer.Selectivity.use_histograms := flag;
-        Fun.protect
-          ~finally:(fun () ->
-            Xia_optimizer.Selectivity.use_histograms := saved)
-          (fun () ->
-            match (Optimizer.optimize catalog stmt).Xia_optimizer.Plan.bindings with
-            | [ b ] -> b.Xia_optimizer.Plan.est_docs
-            | _ -> 0.0)
+    (fun (label, below, x, truth) ->
+      let stmt =
+        Xia_query.Parser.parse_statement_exn
+          (Printf.sprintf "for $x in SKEW/a where $x/%s return $x" label)
       in
-      Format.printf "%14s | %10d | %12.0f | %12.0f@." label truth (est true) (est false))
+      let est =
+        match (Optimizer.optimize catalog stmt).Xia_optimizer.Plan.bindings with
+        | [ b ] -> b.Xia_optimizer.Plan.est_docs
+        | _ -> 0.0
+      in
+      Format.printf "%14s | %10d | %12.0f | %12.0f@." label truth est (uniform below x))
     [
-      ("v < 100", "for $x in SKEW/a where $x/v < 100 return $x", 4500);
-      ("v < 50", "for $x in SKEW/a where $x/v < 50 return $x", 2250);
-      ("v > 500", "for $x in SKEW/a where $x/v > 500 return $x", 250);
-      ("v > 900", "for $x in SKEW/a where $x/v > 900 return $x", 50);
+      ("v < 100", true, 100.0, 4500);
+      ("v < 50", true, 50.0, 2250);
+      ("v > 500", false, 500.0, 250);
+      ("v > 900", false, 900.0, 50);
     ];
   Format.printf
     "@.Histograms track the skewed distribution; the uniform assumption misprices@.\

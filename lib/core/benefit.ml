@@ -19,10 +19,10 @@
    Every statement is prepared once, when the evaluator is built
    ([Optimizer.prepare]: rewritten, its configuration-independent costs
    derived, its index-scan parts memoized from then on), so the prepared
-   statements are bound to the statistics the evaluator was created over —
-   like [base_costs], the sub-configuration cache and the table statistics
-   that candidate sizes and maintenance charges derive from.  The evaluator
-   keeps no catalog.  What-if calls pass
+   statements are bound to the evaluator's index-cost factor and to the
+   statistics it was created over — like [base_costs], the sub-configuration
+   cache and the table statistics that candidate sizes and maintenance
+   charges derive from.  The evaluator keeps no catalog.  What-if calls pass
    the virtual configuration to the optimizer explicitly
    ([~virtual_config]), so an evaluation never mutates the catalog, and they
    go through [Optimizer.optimize_costs]: ONE optimizer invocation per
@@ -123,7 +123,7 @@ let dml_statements items =
    every downstream cost sum is weighted per cluster.  For a raw summary
    (cluster = statement) this is exactly the historical per-item evaluator.
    [?domains] is accepted and ignored (see benefit.mli). *)
-let of_summary ?domains:_ catalog summary =
+let of_summary ?domains:_ ?index_cost_factor catalog summary =
   let items = Array.of_list (Workload_summary.workload summary) in
   (* Read every table's statistics up front, collecting missing or stale
      ones: the prepared statements, the sizes and the maintenance charges
@@ -131,9 +131,8 @@ let of_summary ?domains:_ catalog summary =
   let table_stats =
     List.map (fun name -> (name, Catalog.stats catalog name)) (Catalog.table_names catalog)
   in
-  let prepared =
-    Array.map (fun (item : Workload.item) -> Optimizer.prepare catalog item.statement) items
-  in
+  let prepare (item : Workload.item) = Optimizer.prepare ?index_cost_factor catalog item.statement in
+  let prepared = Array.map prepare items in
   let base_costs = Optimizer.optimize_costs ~virtual_config:[] prepared in
   {
     table_stats;
@@ -157,7 +156,8 @@ let of_summary ?domains:_ catalog summary =
     useful_memo = None;
   }
 
-let create catalog (workload : Workload.t) = of_summary catalog (Workload_summary.raw workload)
+let create ?index_cost_factor catalog (workload : Workload.t) =
+  of_summary ?index_cost_factor catalog (Workload_summary.raw workload)
 
 let count_evaluations t n =
   t.evaluations <- t.evaluations + n;

@@ -19,15 +19,20 @@ type t
     later what-if evaluation plans the prepared statements, and sizes and
     maintenance charges derive from the statistics read here, so every
     figure it reports is bound to the catalog as it was at creation.
-    Equivalent to [of_summary] over {!Workload_summary.raw}. *)
-val create : _ Catalog.t -> Workload.t -> t
+    [index_cost_factor] (default [1.0]) is passed to every
+    {!Xia_optimizer.Optimizer.prepare}: it scales this evaluator's
+    index-plan costs and no other evaluator's.  Equivalent to
+    [of_summary] over {!Workload_summary.raw}. *)
+val create : ?index_cost_factor:float -> _ Catalog.t -> Workload.t -> t
 
 (** Build an evaluator over a workload summary: statements are the summary's
     cluster representatives and every cost sum is weighted by the cluster
     frequencies, so the raw and compressed paths share one code path.  The
     evaluator runs on one domain: [domains] is accepted and ignored, only
-    because the advisor benchmark still passes [~domains:1]. *)
-val of_summary : ?domains:int -> _ Catalog.t -> Workload_summary.t -> t
+    because the advisor benchmark still passes [~domains:1].
+    [index_cost_factor] is as in {!create}. *)
+val of_summary :
+  ?domains:int -> ?index_cost_factor:float -> _ Catalog.t -> Workload_summary.t -> t
 
 (** The summary this evaluator runs on (identity clusters for {!create}). *)
 val summary : t -> Workload_summary.t

@@ -1,12 +1,13 @@
 (* Recommendation-quality evaluation harness.
 
    Two-evaluator protocol: the algorithms under test search on an evaluator
-   built while [Optimizer.index_cost_factor] = [perturb]; ground truth
-   (exhaustive optimum, regret scoring) always runs on a second evaluator
-   built after the factor is reset to 1.0.  A deliberately broken cost model
-   therefore degrades the recommendations, never the yardstick — which is
-   exactly what lets the eval ratchet (tools/ratchet.ml) fail on quality
-   regressions.
+   whose statements are prepared with index-cost factor [perturb]; ground
+   truth (exhaustive optimum, regret scoring) always runs on a second
+   evaluator prepared at the default 1.0.  The factor lives in each
+   evaluator's prepared statements, so neither sees the other's.  A
+   deliberately broken cost model therefore degrades the recommendations,
+   never the yardstick — which is exactly what lets the eval ratchet
+   (tools/ratchet.ml) fail on quality regressions.
 
    No IO here: the report renders to a string ([to_json]) or a formatter
    ([pp_case]); printing and file writes live in bin/. *)
@@ -22,7 +23,6 @@ module Candidate = Xia_advisor.Candidate
 module Enumeration = Xia_advisor.Enumeration
 module Search = Xia_advisor.Search
 module Index_def = Xia_index.Index_def
-module Optimizer = Xia_optimizer.Optimizer
 module Obs = Xia_obs.Obs
 module Trace = Xia_obs.Trace
 
@@ -209,8 +209,7 @@ let run_case ~perturb ~small spec =
   let catalog, workload = build_case ~small spec in
   (* Search phase: evaluator and algorithms see the (possibly perturbed)
      cost model. *)
-  Optimizer.index_cost_factor := perturb;
-  let search_ev = Benefit.create catalog workload in
+  let search_ev = Benefit.create ~index_cost_factor:perturb catalog workload in
   let set = Enumeration.candidates workload in
   let all_size = Benefit.config_size search_ev (Candidate.basics set) in
   let budgets =
@@ -234,10 +233,7 @@ let run_case ~perturb ~small spec =
   let predicted_of config =
     search_base -. Benefit.workload_cost search_ev config
   in
-  (* Scoring phase: ground truth under the unperturbed model.  The factor is
-     reset (not restored): 1.0 is the process-wide resting state and the
-     yardstick must never inherit a perturbation. *)
-  Optimizer.index_cost_factor := 1.0;
+  (* Scoring phase: ground truth under the unperturbed model. *)
   let truth_ev = Benefit.create catalog workload in
   let _base_wall, base_cost, _rows =
     Advisor.execute_workload catalog workload []
@@ -308,14 +304,7 @@ let run_case ~perturb ~small spec =
     r_elapsed = Obs.now_s () -. t0;
   }
 
-let run ?(perturb = 1.0) ~small specs =
-  let results =
-    List.map (fun spec -> run_case ~perturb ~small spec) specs
-  in
-  (* run_case leaves the factor at 1.0; make that invariant hold even for an
-     empty spec list. *)
-  Optimizer.index_cost_factor := 1.0;
-  results
+let run ?(perturb = 1.0) ~small specs = List.map (run_case ~perturb ~small) specs
 
 (* --- Rendering -------------------------------------------------------- *)
 

@@ -13,8 +13,9 @@
       (simulated-cost) improvement, summarized per case as a tie-corrected
       Spearman rank correlation — the cost-model-drift detector.
 
-    Search runs under {!Xia_optimizer.Optimizer.index_cost_factor} =
-    [perturb]; scoring always runs under the unperturbed model, so a
+    Search runs on an evaluator built with
+    {!Xia_advisor.Benefit.create}[ ~index_cost_factor:perturb]; scoring
+    runs on a second evaluator built without it, so a
     perturbed (deliberately broken) cost model shows up as regret < 1, not
     as a shifted yardstick.  All reported numbers except [elapsed] are
     deterministic — the quality ratchet ([tools/ratchet.ml]) compares
@@ -75,9 +76,8 @@ type case_result = {
     (average ranks for ties; 0 on degenerate inputs). *)
 val spearman : float array -> float array -> float
 
-(** Run the cases.  [perturb] (default 1.0) is applied to
-    {!Xia_optimizer.Optimizer.index_cost_factor} for the search phase only
-    and the factor is reset to 1.0 before scoring; [small] selects the tiny
+(** Run the cases.  [perturb] (default 1.0) is the search evaluator's
+    [index_cost_factor] and no other's; [small] selects the tiny
     benchmark scale.  The searches all run on one evaluator per case, in
     {!Xia_advisor.Advisor.all_algorithms} order. *)
 val run :

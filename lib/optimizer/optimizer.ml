@@ -45,20 +45,6 @@ let reset_counters () =
   Atomic.set counters.plans_considered 0;
   Atomic.set counters.batch_setup_saved 0
 
-(* Cost-model perturbation knob for the recommendation-quality evaluation
-   harness (lib/eval): every index-plan cost (single scan, index OR, index
-   AND) is multiplied by this factor before it competes with the document
-   scan.  At the default 1.0 the multiplication is a bitwise no-op
-   (IEEE-754: x *. 1.0 = x for every finite x), so plans, costs and every
-   committed fixture are unaffected; a large factor makes index plans lose
-   every cost comparison, which collapses recommendations to the empty
-   configuration — the deliberate quality regression the eval ratchet
-   (tools/ratchet.ml) must catch.  Read on the what-if path, written only
-   by the eval harness before it builds an evaluator. *)
-let index_cost_factor = ref 1.0 [@@lint.allow "D001"]
-
-let perturbed cost = cost *. !index_cost_factor
-
 (* Index matching: can this index serve this access, whose pattern id is
    [access_pid]?  Same table, same data type, and the index pattern covers
    the access pattern — asked of the coverage table by the two ids, so a
@@ -145,7 +131,7 @@ type probe = {
 type prepared = {
   statement : Ast.statement;
   bindings : prepared_binding array;
-  accesses : prepared_access list;  (* every binding's, in slot order *)
+  index_cost_factor : float;  (* scales every index-plan cost; see [prepare] *)
   slots : int;
   tail : tail;
   affected : float;  (* DML only: documents the statement modifies; no index changes it *)
@@ -167,7 +153,11 @@ let min_docs = function
   | [] -> 0.0
   | docs -> List.fold_left Float.min infinity docs
 
-let prepare catalog (stmt : Ast.statement) =
+(* [index_cost_factor] is the eval harness's cost-model perturbation
+   (lib/eval): at the default 1.0 the multiplication is a bitwise no-op
+   (x *. 1.0 = x), and a large factor makes every index plan lose to the
+   document scan.  It perturbs only the statements prepared with it. *)
+let prepare ?(index_cost_factor = 1.0) catalog (stmt : Ast.statement) =
   let next = ref 0 in
   let prepare_access (access : Rewriter.access) =
     let slot = !next in
@@ -219,8 +209,7 @@ let prepare catalog (stmt : Ast.statement) =
   {
     statement = stmt;
     bindings = Array.of_list bindings;
-    accesses =
-      List.concat_map (fun b -> List.concat_map Array.to_list (Array.to_list b.filters)) bindings;
+    index_cost_factor;
     slots = !next;
     tail;
     affected =
@@ -243,11 +232,17 @@ let[@inline] statement_total p locate =
 (* [index_matches] for a prepared access. *)
 let serves_access def (pa : prepared_access) = matches def pa.access pa.pid
 
-let rec serves_any def = function
-  | [] -> false
-  | pa :: rest -> serves_access def pa || serves_any def rest
-
-let serves p def = serves_any def p.accesses
+let serves p def =
+  let found = ref false in
+  for k = 0 to Array.length p.bindings - 1 do
+    let filters = p.bindings.(k).filters in
+    for f = 0 to Array.length filters - 1 do
+      for d = 0 to Array.length filters.(f) - 1 do
+        if (not !found) && serves_access def filters.(f).(d) then found := true
+      done
+    done
+  done;
+  !found
 
 let scan_parts tstats (s : Index_stats.t) (def : Index_def.t) (pa : prepared_access) =
   if s.Index_stats.entries = 0 then { lookup = 0.0; docs_fetched = 0.0; rid_cpu = 0.0 }
@@ -297,24 +292,24 @@ let optimize_latency () = Xia_obs.Metrics.histogram "optimizer.optimize_latency_
    walk below reads their floats unboxed. *)
 
 (* A single index scan, from its probe's parts. *)
-let[@inline] scan_cost b (pr : parts) =
-  perturbed (pr.lookup +. (pr.docs_fetched *. b.fetch_per_doc))
+let[@inline] scan_cost p b (pr : parts) =
+  (pr.lookup +. (pr.docs_fetched *. b.fetch_per_doc)) *. p.index_cost_factor
 
 (* An index OR, from its disjuncts' summed lookups and fetched documents
    (their union, capped by the table). *)
-let[@inline] or_cost b ~lookups ~docs =
-  perturbed (lookups +. (Float.min b.docs_cap docs *. b.fetch_per_doc))
+let[@inline] or_cost p b ~lookups ~docs =
+  (lookups +. (Float.min b.docs_cap docs *. b.fetch_per_doc)) *. p.index_cost_factor
 
 (* A scan's fraction of the table's documents. *)
 let[@inline] frac b (x : parts) = Float.min 1.0 (x.docs_fetched /. b.docs_cap)
 
 (* An index AND of two scans: both lookups, a RID comparison per fetched
    entry, and the documents of the intersection under independence. *)
-let[@inline] and_cost b (x : parts) (y : parts) =
+let[@inline] and_cost p b (x : parts) (y : parts) =
   let lookups = 0.0 +. x.lookup +. y.lookup in
   let rid_cpu = 0.0 +. x.rid_cpu +. y.rid_cpu in
   let inter_docs = b.docs_cap *. (1.0 *. frac b x *. frac b y) in
-  perturbed (lookups +. rid_cpu +. (inter_docs *. b.fetch_per_doc))
+  (lookups +. rid_cpu +. (inter_docs *. b.fetch_per_doc)) *. p.index_cost_factor
 
 (* The document scan's cost is fixed per binding: [scan_cost] of
    [prepared_binding], set by [prepare]. *)
@@ -329,7 +324,7 @@ let best_index ~count p b (vis : visible array) pa =
     if serves_access def pa then begin
       let pr = probe p b def pa in
       if pr.stats.Index_stats.entries <> 0 then begin
-        let cost = scan_cost b pr.parts in
+        let cost = scan_cost p b pr.parts in
         if count then Atomic.incr counters.plans_considered;
         if !best < 0 || not (!best_cost <= cost) then begin
           best := v;
@@ -376,7 +371,7 @@ let walk : type r. r outcome -> prepared -> visible array -> prepared_binding ->
       let v = best_index ~count:true p b vis filter.(0) in
       if v >= 0 then begin
         if b.pairs then wins.(f) <- v;
-        let cost = scan_cost b (parts_at p b vis v filter.(0)) +. b.result_cpu in
+        let cost = scan_cost p b (parts_at p b vis v filter.(0)) +. b.result_cpu in
         if cost < !best then begin
           best := cost;
           kind := Single;
@@ -398,7 +393,7 @@ let walk : type r. r outcome -> prepared -> visible array -> prepared_binding ->
       done;
       if !served then begin
         Atomic.incr counters.plans_considered;
-        let cost = or_cost b ~lookups:!lookups ~docs:!docs +. b.result_cpu in
+        let cost = or_cost p b ~lookups:!lookups ~docs:!docs +. b.result_cpu in
         if cost < !best then begin
           best := cost;
           kind := Or;
@@ -417,7 +412,7 @@ let walk : type r. r outcome -> prepared -> visible array -> prepared_binding ->
           if w >= 0 then begin
             Atomic.incr counters.plans_considered;
             let y = parts_at p b vis w b.filters.(j).(0) in
-            let cost = and_cost b x y +. b.result_cpu in
+            let cost = and_cost p b x y +. b.result_cpu in
             if cost < !best then begin
               best := cost;
               kind := And;

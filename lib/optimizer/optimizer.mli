@@ -30,15 +30,6 @@ val counters : counters
 
 val reset_counters : unit -> unit
 
-(** Cost-model perturbation knob for the quality-evaluation harness
-    ([lib/eval]): every index-plan cost is multiplied by this factor before
-    competing with the document scan.  The default [1.0] is a bitwise no-op;
-    a large factor makes index plans lose every comparison, collapsing
-    recommendations to the empty configuration — the deliberate regression
-    the eval ratchet ([tools/ratchet.ml]) must catch.  Test/eval-only:
-    never set it in production paths. *)
-val index_cost_factor : float ref
-
 (** Index matching: can [def] serve [access]?  Same table and data type, and
     the index pattern covers the access pattern. *)
 val index_matches : Index_def.t -> Xia_query.Rewriter.access -> bool
@@ -48,18 +39,27 @@ val index_matches : Index_def.t -> Xia_query.Rewriter.access -> bool
     CPU, document-scan cost, filter count; per access: its interned pattern
     id), and a memo of index-scan parts per (access, index
     logical id) pair that matches.  A prepared statement is bound to the
-    catalog statistics (and {!Selectivity.use_histograms} setting) current
-    when it was prepared: prepare again after the data changes. *)
+    catalog statistics current when it was prepared and to its
+    [index_cost_factor]: prepare again after the data changes. *)
 type prepared
 
 (** Rewrite [stmt] and derive its configuration-independent costs.  Reads
     the catalog's statistics, collecting any that are missing or stale.
+
+    [index_cost_factor] (default [1.0]) is the quality-evaluation harness's
+    cost-model perturbation ([lib/eval]): every index-plan cost of the
+    prepared statement is multiplied by it before competing with the
+    document scan.  [1.0] is a bitwise no-op; a large factor makes index
+    plans lose every comparison, collapsing recommendations to the empty
+    configuration, the deliberate regression the eval ratchet
+    ([tools/ratchet.ml]) must catch.  {!optimize} and {!statement_cost}
+    prepare at [1.0].
     @raise Invalid_argument when the statement names an unknown table. *)
-val prepare : _ Catalog.t -> Ast.statement -> prepared
+val prepare : ?index_cost_factor:float -> _ Catalog.t -> Ast.statement -> prepared
 
 (** Can the index serve some access of the statement ({!index_matches} over
-    the prepared accesses, from the definition's and the accesses' interned
-    pattern ids)? *)
+    the bindings' prepared filters, from the definition's and the accesses'
+    interned pattern ids)? *)
 val serves : prepared -> Index_def.t -> bool
 
 (** Optimize a statement: {!prepare} it, then plan it once.  Default mode

@@ -14,10 +14,6 @@ module Path_stats = Xia_storage.Path_stats
 module Index_def = Xia_index.Index_def
 module Xp = Xia_xpath.Ast
 
-(* Runtime toggle, for the histogram-accuracy ablation bench, which flips
-   it between runs. *)
-let use_histograms = ref true [@@lint.allow "D001"]
-
 (* The entries an index of type [dtype] stores for one path, and their
    distinct keys (at least one). *)
 let typed_entries dtype (info : Path_stats.path_info) =
@@ -71,10 +67,10 @@ let path_selectivity ~distinct (v : Path_stats.path_info)
           else begin
             let below =
               match v.histogram with
-              | Some h when !use_histograms ->
-                  Xia_storage.Histogram.fraction_below h x
-              | Some _ | None ->
-                  (* uniform-distribution fallback *)
+              | Some h -> Xia_storage.Histogram.fraction_below h x
+              | None ->
+                  (* uniform-distribution fallback: the sample held fewer
+                     than two distinct finite values *)
                   clamp ((x -. v.min_num) /. (v.max_num -. v.min_num))
             in
             let f =

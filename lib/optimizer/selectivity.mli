@@ -1,19 +1,12 @@
 (** Selectivity estimation from path statistics.
 
     All estimates are per-path mixtures over the dataguide paths a pattern
-    covers: each path contributes its own uniform-range or 1/distinct
-    fraction weighted by entry count.  This prices general indexes correctly
+    covers: each path contributes its own histogram (or uniform-range) or
+    1/distinct fraction weighted by entry count.  This prices general indexes correctly
     (more entries match any condition in a bigger, more mixed population). *)
 
 module Path_stats = Xia_storage.Path_stats
 module Index_def = Xia_index.Index_def
-
-(** When set (the default), numeric range selectivities use the per-path
-    histograms collected by RUNSTATS instead of a uniform-range assumption.
-    Exposed for the histogram-accuracy ablation.  A prepared statement keeps
-    the estimates it was prepared under: toggle it only between
-    evaluations. *)
-val use_histograms : bool ref
 
 type lookup_estimate = Xia_storage.Cost_params.lookup_estimate = {
   entries_matched : float;

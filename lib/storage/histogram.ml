@@ -18,6 +18,14 @@ let bucket_count t = Array.length t.counts
 let total t = t.total
 let bounds t = (t.lo, t.hi)
 
+(* [v]'s offset from [lo] in widths of [n] equal buckets over finite
+   [lo, hi].  A span over [max_float] overflows to [inf]: there every
+   operand is halved, which keeps widths and offsets finite. *)
+let[@inline] position lo hi n v =
+  let span = hi -. lo in
+  if Float.is_finite span then (v -. lo) /. (span /. float_of_int n)
+  else ((v *. 0.5) -. (lo *. 0.5)) /. (((hi *. 0.5) -. (lo *. 0.5)) /. float_of_int n)
+
 (* The histogram of the finite values [iter add] adds, spanning [lo, hi]
    (their bounds): a [nan] or an infinity has no bucket, so it is neither
    a bound nor counted, and [total] is the finite count.  [None] when the
@@ -26,17 +34,18 @@ let make lo hi iter =
   if not (hi > lo) then None
   else begin
     let counts = Array.make buckets 0 in
-    let width = (hi -. lo) /. float_of_int buckets in
     iter (fun v ->
         if Float.is_finite v then begin
-          let i = min (buckets - 1) (int_of_float ((v -. lo) /. width)) in
+          let i = min (buckets - 1) (int_of_float (position lo hi buckets v)) in
           counts.(i) <- counts.(i) + 1
         end);
     Some { lo; hi; counts; total = Array.fold_left ( + ) 0 counts }
   end
 
-let lower lo v = if Float.is_finite v && v < lo then v else lo
-let upper hi v = if Float.is_finite v && v > hi then v else hi
+(* [0.] = [-0.], so the sign bit breaks that tie: a sample holding both has
+   bounds [-0.] below and [0.] above, whatever their order. *)
+let lower lo v = if Float.is_finite v && (v < lo || (v = lo && Float.sign_bit v)) then v else lo
+let upper hi v = if Float.is_finite v && (v > hi || (v = hi && not (Float.sign_bit v))) then v else hi
 
 (* RUNSTATS asks for the histogram of every path, most with an empty
    sample: that answer allocates nothing. *)
@@ -57,8 +66,7 @@ let fraction_below t x =
   else if x >= t.hi then 1.0
   else begin
     let n = Array.length t.counts in
-    let width = (t.hi -. t.lo) /. float_of_int n in
-    let pos = (x -. t.lo) /. width in
+    let pos = position t.lo t.hi n x in
     let full = int_of_float pos in
     let partial = pos -. float_of_int full in
     let below = ref 0.0 in
@@ -79,8 +87,7 @@ let point_density t x =
   if x < t.lo || x > t.hi then 0.0
   else begin
     let n = Array.length t.counts in
-    let width = (t.hi -. t.lo) /. float_of_int n in
-    let i = min (n - 1) (max 0 (int_of_float ((x -. t.lo) /. width))) in
+    let i = min (n - 1) (max 0 (int_of_float (position t.lo t.hi n x))) in
     float_of_int t.counts.(i) /. float_of_int (max 1 t.total)
   end
 

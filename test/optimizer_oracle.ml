@@ -34,8 +34,6 @@ let visible_indexes ~virtual_config catalog (mode : O.mode) table =
         (fun (d : Index_def.t) -> if String.equal d.table table then Some (d, true) else None)
         virtual_config
 
-let perturbed cost = cost *. !O.index_cost_factor
-
 let index_matches (def : Index_def.t) (access : Rewriter.access) =
   String.equal def.table access.table
   && Index_def.equal_data_type def.dtype access.dtype
@@ -93,12 +91,13 @@ let fetch_and_verify_cost tstats nfilters docs =
   *. ((C.effective_random_page_cost *. avg_doc_pages tstats)
      +. verify_cost_per_doc tstats nfilters)
 
-let index_scan_cost tstats (info : Rewriter.binding_info) choice =
+(* Every index plan's cost is scaled by the perturbation [factor]. *)
+let index_scan_cost ~factor tstats (info : Rewriter.binding_info) choice =
   let nfilters = predicate_count info in
   let lookup, docs_fetched, _frac = index_scan_parts tstats choice in
-  perturbed (lookup +. fetch_and_verify_cost tstats nfilters docs_fetched)
+  (lookup +. fetch_and_verify_cost tstats nfilters docs_fetched) *. factor
 
-let index_or_cost tstats (info : Rewriter.binding_info) choices =
+let index_or_cost ~factor tstats (info : Rewriter.binding_info) choices =
   let nfilters = predicate_count info in
   let docs_cap = Float.max 1.0 (float_of_int tstats.Path_stats.doc_count) in
   let lookups, docs_union =
@@ -109,9 +108,9 @@ let index_or_cost tstats (info : Rewriter.binding_info) choices =
       (0.0, 0.0) choices
   in
   let docs_union = Float.min docs_cap docs_union in
-  perturbed (lookups +. fetch_and_verify_cost tstats nfilters docs_union)
+  (lookups +. fetch_and_verify_cost tstats nfilters docs_union) *. factor
 
-let index_and_cost tstats (info : Rewriter.binding_info) choices =
+let index_and_cost ~factor tstats (info : Rewriter.binding_info) choices =
   let nfilters = predicate_count info in
   let docs = Float.max 1.0 (float_of_int tstats.Path_stats.doc_count) in
   let lookups, rid_cpu, inter_frac =
@@ -122,7 +121,7 @@ let index_and_cost tstats (info : Rewriter.binding_info) choices =
       (0.0, 0.0, 1.0) choices
   in
   let inter_docs = docs *. inter_frac in
-  perturbed (lookups +. rid_cpu +. fetch_and_verify_cost tstats nfilters inter_docs)
+  (lookups +. rid_cpu +. fetch_and_verify_cost tstats nfilters inter_docs) *. factor
 
 let est_result_docs tstats (info : Rewriter.binding_info) =
   float_of_int tstats.Path_stats.doc_count
@@ -146,7 +145,7 @@ let table_env ~virtual_config catalog mode table =
         (visible_indexes ~virtual_config catalog mode table);
   }
 
-let plan_binding env (info : Rewriter.binding_info) =
+let plan_binding ~factor env (info : Rewriter.binding_info) =
   let tstats = env.tstats in
   let est_docs = est_result_docs tstats info in
   let result_cpu = est_docs *. C.cpu_per_result in
@@ -164,7 +163,7 @@ let plan_binding env (info : Rewriter.binding_info) =
     in
     List.fold_left
       (fun acc c ->
-        let cost = index_scan_cost tstats info c in
+        let cost = index_scan_cost ~factor tstats info c in
         incr plans_considered;
         match acc with
         | Some (_, best_cost) when best_cost <= cost -> acc
@@ -183,7 +182,7 @@ let plan_binding env (info : Rewriter.binding_info) =
             if List.for_all Option.is_some choices then begin
               let choices = List.map (fun o -> fst (Option.get o)) choices in
               incr plans_considered;
-              Some (Plan.Index_or choices, index_or_cost tstats info choices)
+              Some (Plan.Index_or choices, index_or_cost ~factor tstats info choices)
             end
             else None)
       info.filters
@@ -204,7 +203,7 @@ let plan_binding env (info : Rewriter.binding_info) =
     List.map
       (fun (c, c') ->
         incr plans_considered;
-        let cost = index_and_cost tstats info [ c; c' ] +. result_cpu in
+        let cost = index_and_cost ~factor tstats info [ c; c' ] +. result_cpu in
         (Plan.Index_and [ c; c' ], cost))
       (pairs scan_winners)
   in
@@ -235,12 +234,12 @@ let affected_docs_of_bindings = function
       List.fold_left (fun acc (b : Plan.planned_binding) -> Float.min acc b.Plan.est_docs) infinity
         planned
 
-let plan_statement ~env_of (stmt : Ast.statement) =
+let plan_statement ~factor ~env_of (stmt : Ast.statement) =
   let bindings = Rewriter.bindings_of_statement stmt in
   let planned =
     List.map
       (fun (info : Rewriter.binding_info) ->
-        plan_binding (env_of info.Rewriter.source.Ast.table) info)
+        plan_binding ~factor (env_of info.Rewriter.source.Ast.table) info)
       bindings
   in
   let locate_cost = List.fold_left (fun acc b -> acc +. b.Plan.est_cost) 0.0 planned in
@@ -257,7 +256,9 @@ let plan_statement ~env_of (stmt : Ast.statement) =
       let affected = affected_docs_of_bindings planned in
       (plan (locate_cost +. (affected *. modify_cost_per_doc tstats ~factor:2.0)), affected)
 
-(* The old [optimize]: one statement, environments built on demand.  Returns
-   the plan and the documents a DML statement modifies. *)
-let optimize ?(mode = O.Evaluate) ~virtual_config catalog stmt =
-  plan_statement stmt ~env_of:(fun table -> table_env ~virtual_config catalog mode table)
+(* The old [optimize]: one statement, environments built on demand, index
+   plans scaled by [index_cost_factor] (default 1.0).  Returns the plan and
+   the documents a DML statement modifies. *)
+let optimize ?(mode = O.Evaluate) ?(index_cost_factor = 1.0) ~virtual_config catalog stmt =
+  plan_statement stmt ~factor:index_cost_factor ~env_of:(fun table ->
+      table_env ~virtual_config catalog mode table)

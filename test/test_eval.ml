@@ -11,7 +11,9 @@
      in (0, 1], the heuristic search stays at >= 0.9, and the oracle rows
      are exactly optimal.
    - Perturbation: a broken search-phase cost model collapses regret while
-     ground truth stands still — the quality ratchet's failure mode.
+     ground truth stands still — the quality ratchet's failure mode — and
+     a perturbed evaluator and a plain one built side by side each cost
+     as if alone.
    - Spearman: tie-corrected rank correlation unit cases. *)
 
 module A = Xia_advisor.Advisor
@@ -24,7 +26,6 @@ module W = Xia_workload.Workload
 module Synthetic = Xia_workload.Synthetic
 module Eval = Xia_eval.Eval
 module Ex = Xia_eval.Exhaustive
-module Opt = Xia_optimizer.Optimizer
 
 let tc name f = Alcotest.test_case name `Quick f
 
@@ -305,9 +306,6 @@ let perturbation_tests =
             Eval.default_specs
         in
         let broken = Eval.run ~perturb:1e6 ~small:true spec in
-        Alcotest.(check bool)
-          "factor reset after run" true
-          (Float.equal 1.0 !Opt.index_cost_factor);
         List.iter
           (fun (r : Eval.case_result) ->
             List.iter
@@ -327,6 +325,34 @@ let perturbation_tests =
                 end)
               r.Eval.r_entries)
           broken);
+    tc "a perturbed and a plain evaluator side by side stay independent" (fun () ->
+        (* The eval builds its search evaluator at a factor and its truth
+           evaluator without one.  Interleaved calls on configurations
+           neither has cached must each equal the same call on an
+           evaluator used alone. *)
+        let catalog = Lazy.force Helpers.shared_catalog in
+        let wl = Xia_workload.Tpox.workload () in
+        let basics = C.basics (En.candidates wl) in
+        let configs = basics :: List.map (fun c -> [ c ]) basics in
+        let perturbed () = B.create ~index_cost_factor:1000.0 catalog wl in
+        let plain () = B.create catalog wl in
+        let alone make = let ev = make () in List.map (B.workload_cost ev) configs in
+        let alone_perturbed = alone perturbed and alone_plain = alone plain in
+        let ev_p = perturbed () and ev_1 = plain () in
+        let side_by_side =
+          List.map (fun c -> let p = B.workload_cost ev_p c in (p, B.workload_cost ev_1 c)) configs
+        in
+        let bits = List.map Int64.bits_of_float in
+        Alcotest.(check (list int64)) "perturbed" (bits alone_perturbed)
+          (bits (List.map fst side_by_side));
+        Alcotest.(check (list int64)) "plain" (bits alone_plain)
+          (bits (List.map snd side_by_side));
+        (* The factor reaches the costs: all indexes help the plain model
+           only. *)
+        Alcotest.(check bool) "perturbed indexes help nothing" true
+          (Float.equal (B.base_workload_cost ev_p) (List.hd alone_perturbed));
+        Alcotest.(check bool) "plain indexes help" true
+          (List.hd alone_plain < B.base_workload_cost ev_1));
   ]
 
 let suites =

@@ -75,14 +75,16 @@ let stats_of docs =
   List.iter (fun d -> ignore (DS.insert store (Helpers.xml d))) docs;
   Xia_storage.Path_stats.collect store
 
-let histogram_at stats key =
+let path_at stats key =
   match
     List.find_opt
       (fun info -> Xia_storage.Path_stats.key info = key)
       (Array.to_list stats.Xia_storage.Path_stats.infos)
   with
-  | Some info -> info.histogram
+  | Some info -> info
   | None -> Alcotest.failf "path %s missing" key
+
+let histogram_at stats key = (path_at stats key).histogram
 
 let non_finite_tests =
   [
@@ -113,6 +115,36 @@ let non_finite_tests =
             Alcotest.(check (list int)) "counts" [ 1; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 1 ]
               (counts h)
         | None -> Alcotest.fail "no histogram over 3 and 5");
+    tc "a sample holding 0 and -0 has the same bounds in either order" (fun () ->
+        let bits sample =
+          let lo, hi = H.bounds (Option.get (H.create sample)) in
+          (Int64.bits_of_float lo, Int64.bits_of_float hi)
+        in
+        let same label a b =
+          Alcotest.(check (pair int64 int64)) label (bits a) (bits b)
+        in
+        same "lower" [ 0.; -0.; 5. ] [ -0.; 0.; 5. ];
+        same "upper" [ -5.; 0.; -0. ] [ -5.; -0.; 0. ];
+        Alcotest.(check bool) "lower is -0" true
+          (Float.sign_bit (fst (H.bounds (Option.get (H.create [ 0.; -0.; 5. ])))));
+        Alcotest.(check bool) "upper is +0" false
+          (Float.sign_bit (snd (H.bounds (Option.get (H.create [ -5.; -0.; 0. ]))))));
+    tc "a sample spanning more than max_float spreads over the buckets" (fun () ->
+        (* hi - lo overflows to inf here; each bucket is still 1e308 / 8 wide. *)
+        let sample = [ -1e308; 0.; 1.; 2.; 1e308 ] in
+        let h = Option.get (H.create sample) in
+        let lo, hi = H.bounds h in
+        Alcotest.(check bool) "finite bounds" true (Float.is_finite lo && Float.is_finite hi);
+        Alcotest.(check bool) "no bucket holds every value" true
+          (List.for_all (fun c -> c < H.total h) (counts h));
+        Alcotest.(check (list int)) "counts" [ 1; 0; 0; 0; 0; 0; 0; 0; 3; 0; 0; 0; 0; 0; 0; 1 ]
+          (counts h);
+        Alcotest.(check bool) "fraction below 1e307 is not 0" true
+          (H.fraction_below h 1e307 > 0.0);
+        Alcotest.(check (float 1e-9)) "density at 0" 0.6 (H.point_density h 0.0);
+        Alcotest.(check string) "of_array agrees"
+          (Format.asprintf "%a" H.pp h)
+          (Format.asprintf "%a" H.pp (Option.get (H.of_array (Array.of_list sample)))));
   ]
 
 (* A table with a skewed numeric path: 90% of values uniform in [0,100), a
@@ -132,50 +164,49 @@ let skewed_catalog () =
   ignore (Cat.runstats catalog "T");
   catalog
 
-let with_histograms flag f =
-  let saved = !Sel.use_histograms in
-  Sel.use_histograms := flag;
-  Fun.protect ~finally:(fun () -> Sel.use_histograms := saved) f
+(* The skewed table's statistics and its numeric path. *)
+let skewed_path catalog =
+  let stats = Cat.stats catalog "T" in
+  (stats, path_at stats "a/v")
+
+(* The uniform-range model's fraction of a path's values below [x], from
+   its bounds alone. *)
+let uniform_below (v : Xia_storage.Path_stats.path_info) x =
+  Float.max 0.0 (Float.min 1.0 ((x -. v.min_num) /. (v.max_num -. v.min_num)))
 
 let selectivity_tests =
   [
     tc "runstats attaches histograms" (fun () ->
         let catalog = skewed_catalog () in
-        let stats = Cat.stats catalog "T" in
-        match
-          List.find_opt
-            (fun info -> Xia_storage.Path_stats.key info = "a/v")
-            (Array.to_list stats.infos)
-        with
-        | Some info -> Alcotest.(check bool) "present" true (info.histogram <> None)
-        | None -> Alcotest.fail "path missing");
+        let _, info = skewed_path catalog in
+        Alcotest.(check bool) "present" true (info.histogram <> None));
     tc "histogram beats uniform assumption on skewed data" (fun () ->
         let catalog = skewed_catalog () in
-        let stats = Cat.stats catalog "T" in
+        let stats, info = skewed_path catalog in
         let cond = R.Ccompare (Xia_xpath.Ast.Lt, Xia_xpath.Ast.Number_lit 100.0) in
-        let est flag =
-          with_histograms flag (fun () ->
-              (Sel.lookup_estimate stats (Helpers.pattern_id "/a/v") D.Ddouble cond)
-                .Sel.entries_matched)
+        let with_hist =
+          (Sel.lookup_estimate stats (Helpers.pattern_id "/a/v") D.Ddouble cond).Sel.entries_matched
         in
+        let without = float_of_int info.numeric_count *. uniform_below info 100.0 in
         (* truth: 900 of 1000 values are < 100 *)
-        let with_hist = est true and without = est false in
         Alcotest.(check bool) "hist close" true (Float.abs (with_hist -. 900.0) < 150.0);
         Alcotest.(check bool) "uniform far" true (without < 300.0));
     tc "optimizer picks better plans with histograms" (fun () ->
-        (* On the skewed table, "v > 900" is rare (true sel ~1%): the uniform
-           model estimates ~10%; both should still index, but estimated rows
-           must differ. *)
+        (* On the skewed table, "v < 100" holds for 90% of the documents;
+           the uniform model, spreading the values over [0, 999], puts it
+           near 10%, so the optimizer's estimate must follow the
+           histogram. *)
         let catalog = skewed_catalog () in
+        let stats, info = skewed_path catalog in
         let stmt = Helpers.statement "for $x in T/a where $x/v < 100 return $x" in
-        let docs flag =
-          with_histograms flag (fun () ->
-              match (Xia_optimizer.Optimizer.optimize catalog stmt).Xia_optimizer.Plan.bindings with
-              | [ b ] -> b.Xia_optimizer.Plan.est_docs
-              | _ -> Alcotest.fail "one binding expected")
+        let docs =
+          match (Xia_optimizer.Optimizer.optimize catalog stmt).Xia_optimizer.Plan.bindings with
+          | [ b ] -> b.Xia_optimizer.Plan.est_docs
+          | _ -> Alcotest.fail "one binding expected"
         in
-        Alcotest.(check bool) "hist estimates many" true (docs true > 700.0);
-        Alcotest.(check bool) "uniform underestimates" true (docs false < 400.0));
+        let uniform = float_of_int stats.doc_count *. uniform_below info 100.0 in
+        Alcotest.(check bool) "hist estimates many" true (docs > 700.0);
+        Alcotest.(check bool) "uniform underestimates" true (uniform < 400.0));
   ]
 
 let suites =

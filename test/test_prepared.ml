@@ -1,10 +1,11 @@
 (* Prepared planning against the from-scratch planner it replaced
    ([Optimizer_oracle]): for random virtual configurations over tiny TPoX,
    tiny XMark and synthetic statements (OR filters, AND pairs, several
-   bindings, DML), and over real indexes in Normal mode, every plan must be
-   bit-identical — shape, index names, the access each index serves, [%h]
-   costs and [est_docs] — and must count the same [plans_considered]; a
-   batch with the probe memo cold and warm. *)
+   bindings, DML), prepared at index-cost factor 1 and at the eval's
+   perturbation 1000, and over real indexes in Normal mode, every plan must
+   be bit-identical — shape, index names, the access each index serves,
+   [%h] costs and [est_docs] — and must count the same [plans_considered];
+   a batch with the probe memo cold and warm. *)
 
 module O = Xia_optimizer.Optimizer
 module Plan = Xia_optimizer.Plan
@@ -121,10 +122,12 @@ let plans_considered () = Atomic.get O.counters.O.plans_considered
    document scans only. *)
 let index_plans = ref 0
 
-let check_same label mode ~virtual_config catalog stmts got got_count =
+let check_same ?(factor = 1.0) label mode ~virtual_config catalog stmts got got_count =
   let before = !Optimizer_oracle.plans_considered in
   let expected =
-    Array.map (Optimizer_oracle.optimize ~mode ~virtual_config catalog) stmts
+    Array.map
+      (Optimizer_oracle.optimize ~mode ~index_cost_factor:factor ~virtual_config catalog)
+      stmts
   in
   let expected_count = !Optimizer_oracle.plans_considered - before in
   Array.iteri
@@ -158,16 +161,17 @@ let check_costs label (plans : Plan.t array) plan_count costs cost_count =
       cost_count
 
 (* Plan [prepared] under [cfg] twice — cold memo, then warm — and compare
-   both rounds with the oracle; cost [for_costs] (the same statements,
-   prepared separately so its memo is cold too) alongside. *)
-let plan_twice label ~virtual_config catalog stmts prepared for_costs =
+   both rounds with the oracle at the index-cost [factor] both were
+   prepared with; cost [for_costs] (the same statements, prepared
+   separately so its memo is cold too) alongside. *)
+let plan_twice ?factor label ~virtual_config catalog stmts prepared for_costs =
   List.iter
     (fun round ->
       let label = Printf.sprintf "%s %s" label round in
       let c0 = plans_considered () in
       let got = O.optimize_prepared ~virtual_config prepared in
       let got_count = plans_considered () - c0 in
-      check_same label O.Evaluate ~virtual_config catalog stmts got got_count;
+      check_same ?factor label O.Evaluate ~virtual_config catalog stmts got got_count;
       let c1 = plans_considered () in
       let costs = O.optimize_costs ~virtual_config for_costs in
       check_costs label got got_count costs (plans_considered () - c1))
@@ -192,16 +196,20 @@ let qcheck_evaluate =
       List.iter
         (fun (label, catalog, stmts, defs) ->
           let configs = List.init 3 (fun _ -> random_config rng defs) in
-          (* One preparation: its memo starts cold and warms across the
-             configurations. *)
-          let prepared = Array.map (O.prepare catalog) stmts in
-          let for_costs = Array.map (O.prepare catalog) stmts in
-          List.iteri
-            (fun k virtual_config ->
-              plan_twice
-                (Printf.sprintf "%s seed=%d cfg%d" label seed k)
-                ~virtual_config catalog stmts prepared for_costs)
-            configs;
+          (* One preparation per factor: its memo starts cold and warms
+             across the configurations.  Factor 1000 is the eval's
+             perturbed search model. *)
+          List.iter
+            (fun factor ->
+              let prepared = Array.map (O.prepare ~index_cost_factor:factor catalog) stmts in
+              let for_costs = Array.map (O.prepare ~index_cost_factor:factor catalog) stmts in
+              List.iteri
+                (fun k virtual_config ->
+                  plan_twice ~factor
+                    (Printf.sprintf "%s seed=%d factor=%g cfg%d" label seed factor k)
+                    ~virtual_config catalog stmts prepared for_costs)
+                configs)
+            [ 1.0; 1000.0 ];
           (* The one-statement entry points plan through the same path. *)
           plan_each
             (Printf.sprintf "%s seed=%d optimize" label seed)
@@ -230,14 +238,9 @@ let normal_mode_tests =
             Index_def.make ~table:"XORDER" ~pattern:(Helpers.pattern "/FIXML/Order/@Acct")
               ~dtype:Index_def.Dstring ();
           ];
-        let run () = plan_each "normal" O.Normal ~virtual_config:[] catalog stmts in
         let seen = !index_plans in
-        run ();
-        Alcotest.(check bool) "some binding planned with an index" true (!index_plans > seen);
-        (* Perturbed cost model (the eval harness's knob): the factor applies
-           at plan time, never inside a memoized probe. *)
-        O.index_cost_factor := 1000.0;
-        Fun.protect ~finally:(fun () -> O.index_cost_factor := 1.0) run);
+        plan_each "normal" O.Normal ~virtual_config:[] catalog stmts;
+        Alcotest.(check bool) "some binding planned with an index" true (!index_plans > seen));
   ]
 
 let words_of n f =
