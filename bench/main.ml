@@ -894,6 +894,57 @@ let whatif () =
     (Benefit.evaluations ev)
     (List.map config_ids outs = List.map config_ids outs0)
 
+(* ---------- What-if pre-passes: plan usage, the search pool, the floors ---------- *)
+
+(* Distinct random queries over the TPoX tables, the shape of advbench's
+   whatif-2k workload: [n] of them at full scale, fewer at quick scale. *)
+let distinct_workload catalog n =
+  let seen = Hashtbl.create n in
+  Synthetic.workload ~seed:31 catalog (Catalog.table_names catalog) (2 * n)
+  |> List.filter (fun (it : W.item) ->
+         let text = Xia_query.Printer.statement_to_string it.W.statement in
+         (not (Hashtbl.mem seen text)) && (Hashtbl.add seen text (); true))
+  |> List.filteri (fun i _ -> i < n)
+
+(* [Benefit.used_in_plans], [useful_ids] and [floors] on a fresh evaluator,
+   in a [second_pass].  The pre-passes match each distinct access key once
+   against the candidates, where each used to test every (statement,
+   candidate) pair; the exhibit prints both counts. *)
+let pool () =
+  header "What-if pre-passes: plan usage, the search pool and the floors";
+  let catalog = tpox_catalog () in
+  let workload = distinct_workload catalog (if !quick then 300 else 2000) in
+  let set = Enumeration.candidates workload in
+  let pass () =
+    let ev = Benefit.create catalog workload in
+    let used = Benefit.used_in_plans ev set in
+    let useful = Benefit.useful_ids ev set in
+    ignore (Benefit.floors ev set);
+    (ev, Hashtbl.length used, Hashtbl.length useful)
+  in
+  let _, (ev, used, useful) = second_pass "pool" pass in
+  let keys =
+    List.concat_map
+      (fun (it : W.item) ->
+        Array.to_list (Optimizer.access_keys (Optimizer.prepare catalog it.W.statement)))
+      workload
+    |> List.sort_uniq compare |> List.length
+  in
+  let n = W.size workload
+  and basics = List.length (Candidate.basics set)
+  and cands = Candidate.cardinality set in
+  Format.printf "%d statements, %d distinct access keys, %d basic of %d candidates@." n keys
+    basics cands;
+  Format.printf "%d used in plans, %d in the search pool@." used useful;
+  Format.printf "index-access match tests: %d (keys x basics %d + keys x generals %d)@."
+    (Benefit.match_tests ev) (keys * basics)
+    (keys * (cands - basics));
+  Format.printf
+    "(statement, candidate) pairs the statement scans tested: %d (statements x basics %d + \
+     statements x candidates %d)@."
+    ((n * basics) + (n * cands))
+    (n * basics) (n * cands)
+
 (* ---------- Candidate generation: enumeration and generalization ---------- *)
 
 (* [Enumeration.candidates] over the representatives of [scale10k]'s
@@ -1248,6 +1299,7 @@ let experiments =
     ("scan", scan);
     ("upkeep", upkeep);
     ("whatif", whatif);
+    ("pool", pool);
     ("candidates", candidates);
     ("read", read);
     ("lint", lint);

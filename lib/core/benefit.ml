@@ -63,6 +63,25 @@ type entry = {
   e_costs : (int, float) Hashtbl.t;  (* statement index -> total cost *)
 }
 
+(* The pre-passes' access index.  The cost floors and plan usage
+   ([bounds], [compute_used_in_plans]) ask, of every statement, which
+   candidates affect it and which serve one of its indexable accesses.
+   Testing every (statement, candidate) pair scans the whole pool once per
+   statement.  The access index holds each statement's distinct access
+   keys ([Optimizer.access_keys]) and, per key, the candidates that serve
+   it, matched once per key: statements of one workload share few keys
+   (2,000 queries, 141 keys).  Plan usage reads only basics, so the keys
+   are matched against basics and against generals on separate first
+   uses.  Which candidates affect a statement is read off the affected
+   sets. *)
+type access_index = {
+  set : Candidate.set;
+  keys : int array array;  (* statement -> its access keys *)
+  serving : (int, int array) Hashtbl.t option array;
+      (* basics, then generals: access key -> the ids of the candidates of
+         that origin serving it, ascending *)
+}
+
 type t = {
   table_stats : (string * Xia_storage.Path_stats.t) list;
       (* every table's statistics, read once at creation *)
@@ -97,6 +116,11 @@ type t = {
       (* memoized [used_in_plans] result; same pairing assumption *)
   mutable useful_memo : (int, unit) Hashtbl.t option;
       (* memoized [useful_ids] result; same pairing assumption *)
+  mutable access_memo : access_index option;
+      (* the pre-passes' index (see [access_index]); same pairing
+         assumption *)
+  mutable match_tests : int;
+      (* index-access match tests the pre-passes made (see [access_index]) *)
 }
 
 (* Observability: cache traffic, mirrored into the metrics registry when
@@ -111,6 +135,7 @@ let evaluations t = t.evaluations
 let cache_hits t = t.cache_hits
 let pruned_count t = t.pruned
 let cached_sub_configs t = Hashtbl.length t.cache
+let match_tests t = t.match_tests
 
 let dml_statements items =
   Array.to_list items
@@ -154,6 +179,8 @@ let of_summary ?domains:_ ?index_cost_factor catalog summary =
     floors_memo = None;
     used_memo = None;
     useful_memo = None;
+    access_memo = None;
+    match_tests = 0;
   }
 
 let create ?index_cost_factor catalog (workload : Workload.t) =
@@ -251,10 +278,12 @@ let maintenance_charge t (config : Candidate.t list) =
    on the ids' relative order, and that order is the order in which the
    process first interned each definition; the merge sort's allocation
    depends on the length alone. *)
-let fingerprint (sub : Candidate.t list) =
-  let arr = Array.of_list (List.map (fun (c : Candidate.t) -> c.def.lid) sub) in
+let sorted_ids arr =
   Array.stable_sort compare arr;
   arr
+
+let fingerprint (sub : Candidate.t list) =
+  sorted_ids (Array.of_list (List.map (fun (c : Candidate.t) -> c.def.lid) sub))
 
 (* Per-statement what-if costs of [stmts] (indices into the workload, in the
    caller's order) under the configuration fingerprinted by [key], through
@@ -502,6 +531,124 @@ let candidate_size t (c : Candidate.t) =
 let config_size t (config : Candidate.t list) =
   List.fold_left (fun acc c -> acc + candidate_size t c) 0 config
 
+(* ---------- the pre-passes' access index ---------- *)
+
+(* Built once per evaluator, on the first pre-pass; the same pairing
+   assumption as the memos. *)
+let access_index t (set : Candidate.set) =
+  match t.access_memo with
+  | Some ix -> ix
+  | None ->
+      let ix =
+        { set; keys = Array.map Optimizer.access_keys t.prepared; serving = [| None; None |] }
+      in
+      t.access_memo <- Some ix;
+      ix
+
+(* Access key -> the candidates of [origin] serving it: each distinct key
+   matched against each candidate of [origin] once. *)
+let serving t ix (origin : Candidate.origin) =
+  let slot = match origin with Candidate.Basic -> 0 | Candidate.General -> 1 in
+  match ix.serving.(slot) with
+  | Some table -> table
+  | None ->
+      let count = Candidate.cardinality ix.set in
+      let table = Hashtbl.create 16 in
+      let buf = Array.make count 0 in
+      Array.iter
+        (Array.iter (fun key ->
+             if not (Hashtbl.mem table key) then begin
+               let m = ref 0 in
+               for id = 0 to count - 1 do
+                 let c = Candidate.get ix.set id in
+                 if c.origin = origin then begin
+                   t.match_tests <- t.match_tests + 1;
+                   if Optimizer.key_matches c.def key then begin
+                     buf.(!m) <- id;
+                     incr m
+                   end
+                 end
+               done;
+               Hashtbl.replace table key (Array.sub buf 0 !m)
+             end))
+        ix.keys;
+      ix.serving.(slot) <- Some table;
+      table
+
+(* Does every candidate [table] lists for one of [keys] (from [k] on, from
+   its [j]th on) affect statement [i]?  If so, none of them can enter the
+   statement's plan from outside its affected candidates. *)
+let rec keys_affect ix table keys i k j =
+  k >= Array.length keys
+  ||
+  let ids = Hashtbl.find table keys.(k) in
+  if j >= Array.length ids then keys_affect ix table keys i (k + 1) 0
+  else
+    Int_set.mem i (Candidate.get ix.set ids.(j)).affected
+    && keys_affect ix table keys i k (j + 1)
+
+(* The definitions of the candidates with [config]'s ids, in order, and
+   their {!fingerprint}. *)
+let rec defs_at ix config k =
+  if k = Array.length config then []
+  else (Candidate.get ix.set config.(k)).def :: defs_at ix config (k + 1)
+
+let fingerprint_at ix config =
+  let lids = Array.make (Array.length config) 0 in
+  for k = 0 to Array.length config - 1 do
+    lids.(k) <- (Candidate.get ix.set config.(k)).def.lid
+  done;
+  sorted_ids lids
+
+(* Statement -> the ids of the candidates affecting it, ascending: the
+   affected sets inverted.  Affected indices outside the workload belong
+   to a stale candidate set: no statement here has them, as no
+   statement's [Int_set.mem] did. *)
+let affecting t ix =
+  let n = Array.length t.prepared and count = Candidate.cardinality ix.set in
+  let counts = Array.make n 0 in
+  let bump i = if i >= 0 && i < n then counts.(i) <- counts.(i) + 1 in
+  for id = 0 to count - 1 do
+    Int_set.iter bump (Candidate.get ix.set id).affected
+  done;
+  let rows = Array.map (fun k -> Array.make k 0) counts in
+  Array.fill counts 0 n 0;
+  let id = ref 0 in
+  let place i =
+    if i >= 0 && i < n then begin
+      rows.(i).(counts.(i)) <- !id;
+      counts.(i) <- counts.(i) + 1
+    end
+  in
+  for c = 0 to count - 1 do
+    id := c;
+    Int_set.iter place (Candidate.get ix.set c).affected
+  done;
+  rows
+
+(* The candidates that could apply to statement [i], ascending: those
+   affecting it ([affecting]) and those serving one of its keys.  Without
+   cross-coverage, [affecting] itself. *)
+let applicable t ix affecting i =
+  let basic = serving t ix Candidate.Basic and general = serving t ix Candidate.General in
+  let keys = ix.keys.(i) in
+  if keys_affect ix basic keys i 0 0 && keys_affect ix general keys i 0 0 then affecting
+  else begin
+    let mark = Array.make (Candidate.cardinality ix.set) false in
+    let add id = mark.(id) <- true in
+    Array.iter add affecting;
+    Array.iter
+      (fun key ->
+        Array.iter add (Hashtbl.find basic key);
+        Array.iter add (Hashtbl.find general key))
+      keys;
+    let members = ref [] in
+    for id = Array.length mark - 1 downto 0 do
+      if mark.(id) then members := id :: !members
+    done;
+    Array.of_list !members
+  end
+
 (* Per-statement cost FLOORS: statement i's what-if cost under the
    configuration of EVERY candidate that could possibly apply to it — the
    candidates affecting i plus any candidate whose definition matches one of
@@ -515,10 +662,11 @@ let config_size t (config : Candidate.t list) =
        floor_i <= cost_i(config) <= base_i   for every configuration.
 
    Statements no candidate can touch keep their base cost as the floor.
-   Grouped by configuration fingerprint: one batched evaluation per distinct
-   group, routed through the sub-configuration cache (so a group whose
-   fingerprint a search later evaluates in full is already paid for).
-   Memoized per evaluator. *)
+   The applicable sets come from the affected sets, inverted, and the
+   access index.  Grouped by configuration: one batched evaluation per distinct group, in
+   first-occurrence order, routed through the sub-configuration cache (so a
+   group whose fingerprint a search later evaluates in full is already paid
+   for).  Memoized per evaluator. *)
 let bounds t (set : Candidate.set) =
   match t.floors_memo with
   | Some b -> b
@@ -527,35 +675,25 @@ let bounds t (set : Candidate.set) =
         ~args:(fun () ->
           [ ("statements", string_of_int (Array.length t.items)) ])
       @@ fun () ->
-      let cands = Candidate.to_list set in
+      let ix = access_index t set in
       let fl = Array.copy t.base_costs in
       let groups = Hashtbl.create 32 in
-      let order = ref [] in  (* fingerprints, reverse first-occurrence order *)
-      Array.iteri
-        (fun i p ->
-          let cfg =
-            List.filter
-              (fun (c : Candidate.t) ->
-                Int_set.mem i c.affected || Optimizer.serves p c.def)
-              cands
-          in
-          if cfg <> [] then begin
-            let key = fingerprint cfg in
-            match Hashtbl.find_opt groups key with
-            | Some (_, idxs) -> idxs := i :: !idxs
-            | None ->
-                order := key :: !order;
-                let defs =
-                  List.map (fun (c : Candidate.t) -> c.Candidate.def) cfg
-                in
-                Hashtbl.replace groups key (defs, ref [ i ])
-          end)
-        t.prepared;
+      let order = ref [] in  (* configurations, reverse first-occurrence order *)
+      let rows = affecting t ix in
+      for i = 0 to Array.length t.prepared - 1 do
+        let config = applicable t ix rows.(i) i in
+        if Array.length config > 0 then begin
+          match Hashtbl.find groups config with
+          | idxs -> idxs := i :: !idxs
+          | exception Not_found ->
+              order := config :: !order;
+              Hashtbl.replace groups config (ref [ i ])
+        end
+      done;
       List.iter
-        (fun key ->
-          let defs, idxs = Hashtbl.find groups key in
-          let stmts = List.rev !idxs in
-          let costs = config_costs t ~defs key stmts in
+        (fun config ->
+          let stmts = List.rev !(Hashtbl.find groups config) in
+          let costs = config_costs t ~defs:(defs_at ix config 0) (fingerprint_at ix config) stmts in
           List.iter2 (fun i c -> fl.(i) <- c) stmts costs)
         (List.rev !order);
       let gaps = Array.mapi (fun i f -> t.weights.(i) *. (t.base_costs.(i) -. f)) fl in
@@ -602,41 +740,45 @@ let atomic_upper_bound t (set : Candidate.set) (c : Candidate.t) =
    the plans coincide exactly when every basic MATCHING one of the
    statement's accesses also AFFECTS it: the filtered applicable lists are
    then literally equal, element order included (both filter the same
-   basics-ordered defs list), so no cost or tie-break can differ.
+   basics-ordered defs list), so no cost or tie-break can differ.  The
+   basics matching each access key come from the access index, and whether
+   they affect the statement from their affected sets.
    Statements with cross-coverage — some basic matches an access without
    affecting them, so the union would let a foreign index into their plan —
    fall back to batches over their exact configuration, grouped by
-   fingerprint. *)
+   configuration in first-occurrence order. *)
 let compute_used_in_plans t (set : Candidate.set) =
+  let ix = access_index t set in
+  let basic = serving t ix Candidate.Basic in
   let basics = Candidate.basics set in
-  let all_defs = List.map (fun (c : Candidate.t) -> c.Candidate.def) basics in
+  let n = Array.length t.prepared in
+  (* The statements some basic affects.  Affected indices outside the
+     workload belong to a stale candidate set. *)
+  let touched = Array.make n false in
+  let touch i = if i >= 0 && i < n then touched.(i) <- true in
+  List.iter (fun (c : Candidate.t) -> Int_set.iter touch c.affected) basics;
   let union_ok = ref [] in          (* statement indices, reverse order *)
-  let fallback = ref [] in          (* (fingerprint, defs, indices rev) *)
-  Array.iteri
-    (fun i p ->
-      let config =
-        List.filter (fun (c : Candidate.t) -> Int_set.mem i c.affected) basics
-      in
-      if config <> [] then begin
-        let cross =
-          List.exists
-            (fun (c : Candidate.t) ->
-              (not (Int_set.mem i c.affected)) && Optimizer.serves p c.def)
-            basics
+  let groups = Hashtbl.create 16 in (* configuration -> statement indices, reverse order *)
+  let order = ref [] in             (* configurations, reverse first-occurrence order *)
+  for i = 0 to n - 1 do
+    if touched.(i) then begin
+      if keys_affect ix basic ix.keys.(i) i 0 0 then union_ok := i :: !union_ok
+      else begin
+        (* the statement's own basics, by id *)
+        let config =
+          Array.of_list
+            (List.filter_map
+               (fun (c : Candidate.t) -> if Int_set.mem i c.affected then Some c.id else None)
+               basics)
         in
-        if not cross then union_ok := i :: !union_ok
-        else begin
-          let key = fingerprint config in
-          match List.assoc_opt key !fallback with
-          | Some (_, idxs) -> idxs := i :: !idxs
-          | None ->
-              let defs =
-                List.map (fun (c : Candidate.t) -> c.Candidate.def) config
-              in
-              fallback := (key, (defs, ref [ i ])) :: !fallback
-        end
-      end)
-    t.prepared;
+        match Hashtbl.find groups config with
+        | idxs -> idxs := i :: !idxs
+        | exception Not_found ->
+            order := config :: !order;
+            Hashtbl.replace groups config (ref [ i ])
+      end
+    end
+  done;
   let used = Hashtbl.create 32 in
   let batches = ref 0 in
   let plan_group defs idxs =
@@ -652,12 +794,12 @@ let compute_used_in_plans t (set : Candidate.set) =
           (Plan.indexes_used plan))
       plans
   in
-  (match List.rev !union_ok with [] -> () | idxs -> plan_group all_defs idxs);
-  (* [fallback] was built by prepending in statement order; restore it so the
-     batch sequence — and with it every counter — is deterministic. *)
+  (match List.rev !union_ok with
+  | [] -> ()
+  | idxs -> plan_group (List.map (fun (c : Candidate.t) -> c.Candidate.def) basics) idxs);
   List.iter
-    (fun (_, (defs, idxs)) -> plan_group defs (List.rev !idxs))
-    (List.rev !fallback);
+    (fun config -> plan_group (defs_at ix config 0) (List.rev !(Hashtbl.find groups config)))
+    (List.rev !order);
   count_evaluations t !batches;
   used
 
@@ -684,27 +826,24 @@ let useful_ids ?(prune = false) t set =
   | Some ids -> ids
   | None ->
       let used = used_in_plans t set in
-      let cands = Array.of_list (Candidate.to_list set) in
       let ids = Hashtbl.create 64 in
       let probe =
-        List.filter_map
+        List.filter
           (fun (c : Candidate.t) ->
             if Hashtbl.mem used c.def.lid then begin
               Hashtbl.replace ids c.Candidate.id ();
-              None
+              false
             end
             else if prune && atomic_upper_bound t set c <= 0.0 then begin
               count_pruned t 1;
-              None
+              false
             end
-            else Some c)
-          (Array.to_list cands)
+            else true)
+          (Candidate.to_list set)
       in
-      let rest = Array.of_list probe in
-      let indiv = Array.map (individual_benefit t) rest in
-      Array.iteri
-        (fun i (c : Candidate.t) ->
-          if indiv.(i) > 0.0 then Hashtbl.replace ids c.Candidate.id ())
-        rest;
+      List.iter
+        (fun (c : Candidate.t) ->
+          if individual_benefit t c > 0.0 then Hashtbl.replace ids c.Candidate.id ())
+        probe;
       t.useful_memo <- Some ids;
       ids

@@ -59,6 +59,12 @@ val count_pruned : t -> int -> unit
 (** Number of distinct sub-configurations currently cached. *)
 val cached_sub_configs : t -> int
 
+(** Index-access match tests ({!Xia_optimizer.Optimizer.key_matches}) made
+    by this evaluator's {!used_in_plans} and {!floors}: one per (distinct
+    access key, candidate) pair, the basics for the first and every
+    candidate for the second, whatever the number of statements. *)
+val match_tests : t -> int
+
 (** Frequency-weighted workload cost with no indexes, its terms summed in
     ascending order. *)
 val base_workload_cost : t -> float
@@ -128,7 +134,9 @@ val config_size : t -> Candidate.t list -> int
 (** Per-statement cost floors: statement [i]'s what-if cost under every
     candidate that could possibly apply to it, so
     [floors.(i) <= cost_i(config) <= base_i] for EVERY configuration drawn
-    from [set].  Memoized per evaluator (one grouped batch pass on first
+    from [set].  The candidates applicable to each statement come from its
+    affected sets and from one match of each distinct access key against
+    the pool.  Memoized per evaluator (one grouped batch pass on first
     use). *)
 val floors : t -> Candidate.set -> float array
 

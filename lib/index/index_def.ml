@@ -82,6 +82,28 @@ let logical_key d =
 
 let logical_id d = d.lid
 
+(* [key_id]'s lookup without the interner's key tuple: per pattern id, the
+   (table label, type, logical id) triples already interned with it. *)
+type known = { mutable ids : (int * data_type * int) list }
+
+let known : known Xia_xpath.Interner.Dense.t = Xia_xpath.Interner.Dense.create ()
+let none_known () _ = { ids = [] }
+
+let rec find_known label dtype = function
+  | [] -> -1
+  | (l, d, id) :: rest ->
+      if l = label && equal_data_type d dtype then id else find_known label dtype rest
+
+let key_id ~table ~dtype ~pid =
+  let label = Xia_xpath.Interner.label table in
+  let k = Xia_xpath.Interner.Dense.find_or_compute known pid none_known () in
+  match find_known label dtype k.ids with
+  | -1 ->
+      let id = Xia_xpath.Interner.intern id_interner (label, dtype, pid) in
+      k.ids <- (label, dtype, id) :: k.ids;
+      id
+  | id -> id
+
 let compare_logical a b =
   match String.compare a.table b.table with
   | 0 -> ( match compare a.dtype b.dtype with 0 -> compare a.pattern b.pattern | c -> c)
@@ -93,6 +115,15 @@ let covers ~general ~specific =
   String.equal general.table specific.table
   && equal_data_type general.dtype specific.dtype
   && Xia_xpath.Pattern.covers_id ~general:general.pid ~specific:specific.pid
+
+(* The same test against an interned identity: the table and type compare
+   as the ids the interner stored, so no string is compared. *)
+let covers_id ~general specific =
+  let glabel, gdtype, _ = Xia_xpath.Interner.value id_interner general.lid in
+  let label, dtype, pid = Xia_xpath.Interner.value id_interner specific in
+  glabel = label
+  && equal_data_type gdtype dtype
+  && Xia_xpath.Pattern.covers_id ~general:general.pid ~specific:pid
 
 let pp ppf d =
   Fmt.pf ppf "%s ON %s XMLPATTERN '%s' AS %s" (name d) d.table

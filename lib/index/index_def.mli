@@ -53,6 +53,12 @@ val logical_key : t -> string
     user-visible order. *)
 val logical_id : t -> int
 
+(** [key_id ~table ~dtype ~pid]: the logical id of an index on exactly this
+    table, type and pattern id ([Xia_xpath.Pattern.id]), interned on first
+    sight.  The optimizer keys an indexable access by it.  A hit allocates
+    nothing. *)
+val key_id : table:string -> dtype:data_type -> pid:int -> int
+
 (** A total order on logical identities (table, then type, then the
     pattern's structure), independent of interning history and
     allocation-free; not {!logical_key}'s string order. *)
@@ -61,5 +67,10 @@ val compare_logical : t -> t -> int
 (** [covers ~general ~specific]: the general index can serve every lookup of
     the specific one (same table/type, containing pattern). *)
 val covers : general:t -> specific:t -> bool
+
+(** [covers_id ~general id]: {!covers} against the logical identity [id]
+    ({!logical_id} or {!key_id}), read from the interned ids.  Allocates
+    nothing. *)
+val covers_id : general:t -> int -> bool
 
 val pp : Format.formatter -> t -> unit

@@ -216,8 +216,3 @@ let size_bytes t =
     let avg_key_bytes = float_of_int t.key_bytes /. float_of_int entries in
     let size, _, _ = Index_stats.btree_shape ~entries ~avg_key_bytes in
     size
-
-let distinct_doc_count entries =
-  let seen = Hashtbl.create 64 in
-  List.iter (fun e -> Hashtbl.replace seen e.doc ()) entries;
-  Hashtbl.length seen

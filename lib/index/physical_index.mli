@@ -54,5 +54,3 @@ val iter : (entry -> unit) -> t -> unit
 
 (** Size under the same B-tree layout model as virtual indexes. *)
 val size_bytes : t -> int
-
-val distinct_doc_count : entry list -> int

@@ -232,17 +232,35 @@ let[@inline] statement_total p locate =
 (* [index_matches] for a prepared access. *)
 let serves_access def (pa : prepared_access) = matches def pa.access pa.pid
 
-let serves p def =
-  let found = ref false in
+(* An access's key is the logical id of the index on exactly its table,
+   type and pattern, so which indexes serve an access depends on its key
+   alone, and a caller matching many statements matches each distinct key
+   once.  Interned on request, not by [prepare]: planning never reads a
+   key, so per-statement planning does not pay for them. *)
+let access_keys p =
+  let keys = Array.make p.slots 0 and n = ref 0 in
   for k = 0 to Array.length p.bindings - 1 do
     let filters = p.bindings.(k).filters in
     for f = 0 to Array.length filters - 1 do
       for d = 0 to Array.length filters.(f) - 1 do
-        if (not !found) && serves_access def filters.(f).(d) then found := true
+        let pa = filters.(f).(d) in
+        let key =
+          Index_def.key_id ~table:pa.access.Rewriter.table ~dtype:pa.access.dtype ~pid:pa.pid
+        in
+        let seen = ref false in
+        for j = 0 to !n - 1 do
+          if keys.(j) = key then seen := true
+        done;
+        if not !seen then begin
+          keys.(!n) <- key;
+          incr n
+        end
       done
     done
   done;
-  !found
+  if !n = p.slots then keys else Array.sub keys 0 !n
+
+let key_matches def key = Index_def.covers_id ~general:def key
 
 let scan_parts tstats (s : Index_stats.t) (def : Index_def.t) (pa : prepared_access) =
   if s.Index_stats.entries = 0 then { lookup = 0.0; docs_fetched = 0.0; rid_cpu = 0.0 }

@@ -57,10 +57,15 @@ type prepared
     @raise Invalid_argument when the statement names an unknown table. *)
 val prepare : ?index_cost_factor:float -> _ Catalog.t -> Ast.statement -> prepared
 
-(** Can the index serve some access of the statement ({!index_matches} over
-    the bindings' prepared filters, from the definition's and the accesses'
-    interned pattern ids)? *)
-val serves : prepared -> Index_def.t -> bool
+(** The statement's distinct access keys, in access order.  An access's key
+    is {!Index_def.key_id} of its table, data type and pattern: the logical
+    id of the index on exactly that access.  Interned on each call (a
+    caller asking often keeps them). *)
+val access_keys : prepared -> int array
+
+(** [key_matches def key]: does [def] serve the accesses with key [key]
+    ({!index_matches} on each of them)?  Allocates nothing. *)
+val key_matches : Index_def.t -> int -> bool
 
 (** Optimize a statement: {!prepare} it, then plan it once.  Default mode
     is [Evaluate].  [virtual_config] (default none) is the virtual-index

@@ -39,6 +39,13 @@ let index_matches (def : Index_def.t) (access : Rewriter.access) =
   && Index_def.equal_data_type def.dtype access.dtype
   && Pattern.covers ~general:def.pattern ~specific:access.pattern
 
+(* Can [def] serve some access of the statement's bindings?  The test the
+   what-if pre-passes once made per (statement, candidate) pair. *)
+let serves (stmt : Ast.statement) def =
+  List.exists
+    (fun (info : Rewriter.binding_info) -> List.exists (List.exists (index_matches def)) info.filters)
+    (Rewriter.bindings_of_statement stmt)
+
 let avg_doc_pages (tstats : Path_stats.t) =
   if tstats.doc_count = 0 then 1.0
   else

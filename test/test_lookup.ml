@@ -133,6 +133,8 @@ let allocation_tests =
         let interner : string Xia_xpath.Interner.t = Xia_xpath.Interner.create () in
         let cache : (int, int) Xia_xpath.Interner.Cache.t = Xia_xpath.Interner.Cache.create () in
         let square a b = (a * a) + b in
+        let def = Index_def.make ~table:"LK" ~pattern:general ~dtype:Index_def.Dstring () in
+        let key = Index_def.key_id ~table:"LK" ~dtype:Index_def.Dstring ~pid:s in
         let hits =
           [
             ("covers_id", fun () -> Pattern.covers_id ~general:g ~specific:s);
@@ -141,6 +143,9 @@ let allocation_tests =
             ("Interner.intern", fun () -> Xia_xpath.Interner.intern interner "lk" = 0);
             ( "Cache.find_or_compute",
               fun () -> Xia_xpath.Interner.Cache.find_or_compute cache 3 square 3 0 = 9 );
+            ( "Index_def.key_id",
+              fun () -> Index_def.key_id ~table:"LK" ~dtype:Index_def.Dstring ~pid:s = key );
+            ("Index_def.covers_id", fun () -> Index_def.covers_id ~general:def key);
           ]
         in
         List.iter
@@ -180,6 +185,14 @@ let def_tests =
         Bool.equal (Index_def.logical_id a = Index_def.logical_id b) (Index_def.same a b)
         && Bool.equal (Index_def.same a b) structural
         && Index_def.logical_id a = a.lid);
+    QCheck.Test.make ~count:500 ~name:"key_id = logical_id, covers_id = covers"
+      (QCheck.pair def_arbitrary def_arbitrary)
+      (fun (((table, pattern, dtype) as x), y) ->
+        let a = make x and b = make y in
+        Index_def.key_id ~table ~dtype ~pid:(Pattern.id pattern) = Index_def.logical_id a
+        && Bool.equal
+             (Index_def.covers_id ~general:b (Index_def.logical_id a))
+             (Index_def.covers ~general:b ~specific:a));
     QCheck.Test.make ~count:300 ~name:"make carries the pattern's id"
       def_arbitrary
       (fun ((_, pattern, _) as x) -> (make x).pid = Pattern.id pattern);

@@ -10,4 +10,5 @@ let () =
    @ Test_histogram.suites @ Test_sqlxml.suites @ Test_persist.suites @ Test_fuzz.suites
    @ Test_disjunction.suites @ Test_adversarial.suites
    @ Test_perf.suites @ Test_batch.suites @ Test_lint.suites @ Test_obs.suites
-   @ Test_summary.suites @ Test_eval.suites @ Test_prepared.suites @ Test_lookup.suites @ Test_report.suites)
+   @ Test_summary.suites @ Test_eval.suites @ Test_prepared.suites @ Test_lookup.suites @ Test_report.suites
+   @ Test_prepass.suites)

@@ -148,7 +148,7 @@ let produce domain exe scratch =
     match domain with
     | "bench" | "wall" ->
       ( [ "quick"; "scale10k"; "scale10k-raw"; "walk"; "shapes"; "executor"; "scan"; "upkeep";
-          "whatif"; "candidates"; "read"; "lint" ],
+          "whatif"; "pool"; "candidates"; "read"; "lint" ],
         bench_rows domain )
     | "eval" ->
       let perturb = Option.value (Sys.getenv_opt "XIA_EVAL_PERTURB") ~default:"1" in
