@@ -963,6 +963,47 @@ let candidates () =
     (List.length (Candidate.basics set))
     (Candidate.cardinality set)
 
+(* ---------- Load: XML text to a catalog with statistics ---------- *)
+
+(* The TPoX documents (drawn as [Tpox.load] draws them) as
+   [Xia_xml.Printer] text, then parsed, inserted into fresh tables and
+   summarized by RUNSTATS in a [second_pass]: the path from data text to
+   a catalog that advbench's setup phase times.  Parsing allocates little
+   beyond the trees it returns, so the words track the documents' size. *)
+let load () =
+  header "Load: parse, insert and RUNSTATS over TPoX document text";
+  let scale = if !quick then Tpox.tiny_scale else Tpox.default_scale in
+  let rng = Random.State.make [| 42 |] in
+  let text = Xia_xml.Printer.to_string in
+  let securities = Array.init scale.securities (fun i -> text (Tpox.security rng i)) in
+  let customers = Array.init scale.customers (fun i -> text (Tpox.customer rng i)) in
+  let orders =
+    Array.init scale.orders (fun i ->
+        text (Tpox.order rng i ~n_securities:scale.securities ~n_customers:scale.customers))
+  in
+  let tables =
+    [ (Tpox.security_table, securities); (Tpox.custacc_table, customers); (Tpox.order_table, orders) ]
+  in
+  let pass () =
+    let catalog = Catalog.create () in
+    List.iter
+      (fun (name, docs) ->
+        let store = Xia_storage.Doc_store.create name in
+        Array.iter
+          (fun doc -> ignore (Xia_storage.Doc_store.insert store (Xia_xml.Parser.parse_exn doc)))
+          docs;
+        Catalog.add_table catalog store)
+      tables;
+    Catalog.runstats_all catalog;
+    catalog
+  in
+  let _, catalog = second_pass "load" pass in
+  let sum f = List.fold_left (fun n (name, docs) -> n + f name docs) 0 tables in
+  Format.printf "%d documents, %d bytes of text, %d paths@."
+    (sum (fun _ docs -> Array.length docs))
+    (sum (fun _ docs -> Array.fold_left (fun n doc -> n + String.length doc) 0 docs))
+    (sum (fun name _ -> Xia_storage.Path_stats.path_count (Catalog.stats catalog name)))
+
 (* ---------- Workload reading: a Zipf-repeated query log ---------- *)
 
 (* [scale10k]'s workload (10k statements over 64 templates at quick scale)
@@ -1302,6 +1343,7 @@ let experiments =
     ("pool", pool);
     ("candidates", candidates);
     ("read", read);
+    ("load", load);
     ("lint", lint);
     ("eval-quality", eval_quality);
   ]

@@ -114,8 +114,11 @@ module Statements = Hashtbl.Make (struct
 end)
 
 (* A cluster being built: its first item is the representative, and
-   member frequencies are summed in workload order. *)
-type acc = { rep : Workload.item; mutable sum : float }
+   member frequencies are summed in workload order, into an all-float
+   record so that an addition boxes nothing. *)
+type total = { mutable sum : float }
+
+type acc = { rep : Workload.item; total : total }
 
 let compress _catalog (workload : Workload.t) =
   let n = List.length workload in
@@ -127,16 +130,16 @@ let compress _catalog (workload : Workload.t) =
   let order = ref [] in  (* clusters in reverse first-occurrence order *)
   List.iter
     (fun (item : Workload.item) ->
-      match Statements.find_opt by_statement item.statement with
-      | Some acc -> acc.sum <- acc.sum +. item.freq
-      | None -> (
+      match Statements.find by_statement item.statement with
+      | acc -> acc.total.sum <- acc.total.sum +. item.freq
+      | exception Not_found -> (
           let key = cluster_key item.statement in
           match Hashtbl.find_opt by_key key with
           | Some acc ->
               Statements.add by_statement item.statement acc;
-              acc.sum <- acc.sum +. item.freq
+              acc.total.sum <- acc.total.sum +. item.freq
           | None ->
-              let acc = { rep = item; sum = item.freq } in
+              let acc = { rep = item; total = { sum = item.freq } } in
               Hashtbl.add by_key key acc;
               Statements.add by_statement item.statement acc;
               order := acc :: !order))
@@ -144,7 +147,7 @@ let compress _catalog (workload : Workload.t) =
   let clusters = List.rev !order in
   let t =
     { items = List.map (fun acc -> acc.rep) clusters;
-      weights = Array.of_list (List.map (fun acc -> acc.sum) clusters);
+      weights = Array.of_list (List.map (fun acc -> acc.total.sum) clusters);
       statements = n; compressed = true }
   in
   if Xia_obs.Obs.on () then begin

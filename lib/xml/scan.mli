@@ -48,7 +48,9 @@ val fail : t -> string -> 'a
     Dune's dev profile compiles with [-opaque], so a call into this module
     is never inlined: loops over many characters belong in the bulk
     primitives ({!skip_while}, {!take_while}, {!skip_past}), not in a
-    caller's per-character {!peek}/{!advance}. *)
+    caller's per-character {!peek}/{!advance}.  The bulk primitives still
+    call their predicate per character, so a grammar that reads megabytes
+    (the XML parser) scans [input] with loops of its own and moves [pos]. *)
 
 val eof : t -> bool
 val peek : t -> char option

@@ -12,15 +12,16 @@ let printable = QCheck.make ~print:(Printf.sprintf "%S") printable_gen
 
 (* Mutate a valid input by splicing random characters, to reach deeper parser
    states than pure noise. *)
-let mutated_gen seeds =
+let mutate base =
   QCheck.Gen.(
-    let* base = oneofl seeds in
     let* pos = int_range 0 (max 1 (String.length base - 1)) in
     let* insert = string_size ~gen:(map Char.chr (int_range 32 126)) (int_range 0 5) in
     return
       (String.sub base 0 (min pos (String.length base))
       ^ insert
       ^ String.sub base pos (String.length base - pos)))
+
+let mutated_gen seeds = QCheck.Gen.(oneofl seeds >>= mutate)
 
 let xpath_seeds =
   [

@@ -13,12 +13,55 @@ let parse_ok s =
   | Ok doc -> doc
   | Error e -> Alcotest.failf "parse %S failed: %a" s Xia_xml.Scan.pp_error e
 
-let parse_err s =
+(* The located error of a rejected input: line, column and message. *)
+let error_of s =
   match P.parse s with
   | Ok _ -> Alcotest.failf "parse %S unexpectedly succeeded" s
-  | Error _ -> ()
+  | Error (e : Xia_xml.Scan.error) -> (e.line, e.column, e.message)
+
+let parse_err s = ignore (error_of s)
 
 let roundtrip s = Pr.to_string (parse_ok s)
+
+let located = Alcotest.(triple int int string)
+
+(* Character references follow XML 1.0: [&#DDD;] and [&#xHHH;] only, the
+   code point encoded as UTF-8, and 0, the surrogates and anything above
+   0x10FFFF rejected where the reference ends. *)
+let char_ref_tests =
+  let decodes name input bytes =
+    tc name (fun () -> check Alcotest.string "text" ("<a>" ^ bytes ^ "</a>") (roundtrip input))
+  in
+  let rejected name input =
+    tc name (fun () ->
+        check located "error"
+          (1, String.length input - 3, "invalid character reference")
+          (error_of input))
+  in
+  [
+    decodes "two-byte code point as UTF-8" "<a>caf&#233;</a>" "caf\xc3\xa9";
+    decodes "four-byte code point as UTF-8" "<a>&#x1F600;</a>" "\xf0\x9f\x98\x80";
+    decodes "last code point" "<a>&#x10FFFF;</a>" "\xf4\x8f\xbf\xbf";
+    decodes "code points around the surrogates" "<a>&#xD7FF;&#57344;</a>" "\xed\x9f\xbf\xee\x80\x80";
+    decodes "upper-case hex digits" "<a>&#x4a;&#x4A;</a>" "JJ";
+    tc "in an attribute value" (fun () ->
+        check Alcotest.string "rt" "<a k=\"\xc3\xa9A\"/>" (roundtrip {|<a k="&#233;&#x41;"/>|}));
+    rejected "binary form" "<a>&#0b1000001;</a>";
+    rejected "octal form" "<a>&#0o101;</a>";
+    rejected "underscore in digits" "<a>&#6_5;</a>";
+    rejected "signed form" "<a>&#+65;</a>";
+    rejected "0x prefix in a decimal reference" "<a>&#0x41;</a>";
+    rejected "upper-case X" "<a>&#X41;</a>";
+    rejected "no digits" "<a>&#x;</a>";
+    rejected "code point 0" "<a>&#0;</a>";
+    rejected "hex code point 0" "<a>&#x0;</a>";
+    rejected "first surrogate" "<a>&#xD800;</a>";
+    rejected "last surrogate" "<a>&#57343;</a>";
+    rejected "above 0x10FFFF" "<a>&#x110000;</a>";
+    rejected "too many digits to fit an int" "<a>&#99999999999999999999999999;</a>";
+    tc "whitespace reference makes a whitespace-only run" (fun () ->
+        check Alcotest.string "rt" "<a><b/></a>" (roundtrip "<a>&#32;&#x9;<b/>&#10;</a>"));
+  ]
 
 let basic_tests =
   [
@@ -234,10 +277,109 @@ let packing_properties =
           [ a; b ]);
   ]
 
+(* Printed random documents with everything the grammar skips or decodes
+   spliced in: whitespace, comments, CDATA and processing instructions
+   into text and between children, entity and character references (some
+   invalid) into text and attribute values, either quote, spaces around
+   [=] and before [>], both forms of an empty element, and a prolog. *)
+let spliced_doc_gen =
+  QCheck.Gen.(
+    let escape s =
+      String.concat ""
+        (List.map
+           (function
+             | '&' -> "&amp;" | '<' -> "&lt;" | '"' -> "&quot;" | '\'' -> "&apos;"
+             | c -> String.make 1 c)
+           (List.of_seq (String.to_seq s)))
+    in
+    let space = oneofl [ ""; " "; "\n  "; "\t"; "\r\n" ] in
+    let reference =
+      frequency
+        [
+          ( 12,
+            oneofl
+              [ "&amp;"; "&lt;"; "&gt;"; "&quot;"; "&apos;"; "&#65;"; "&#x41;"; "&#233;";
+                "&#x1F600;"; "&#32;"; "&#xa;" ] );
+          (1, oneofl [ "&#0;"; "&#X41;"; "&#xD800;"; "&#x110000;"; "&nope;"; "&#;"; "&amp" ]);
+        ]
+    in
+    let misc = [ "<!-- c -->"; "<!---->"; "<?pi x?>"; " "; "\n  " ] in
+    let text_piece =
+      frequency
+        [
+          (3, oneofl misc);
+          (3, reference);
+          (2, oneofl [ "<![CDATA[x<&]]>"; "<![CDATA[]]>"; "<![CDATA[ ]]>"; "]]>"; ">" ]);
+        ]
+    in
+    (* [s] escaped, with up to three pieces spliced in at random places. *)
+    let splice piece s =
+      let+ cuts = list_size (int_range 0 3) (pair (int_bound (String.length s)) piece) in
+      let cuts = List.stable_sort (fun (a, _) (b, _) -> compare a b) cuts in
+      let buf = Buffer.create 32 in
+      let at =
+        List.fold_left
+          (fun at (k, piece) ->
+            Buffer.add_string buf (escape (String.sub s at (k - at)));
+            Buffer.add_string buf piece;
+            k)
+          0 cuts
+      in
+      Buffer.add_string buf (escape (String.sub s at (String.length s - at)));
+      Buffer.contents buf
+    in
+    let attribute (k, v) =
+      let* quote = oneofl [ "\""; "'" ] and* v = splice (frequency [ (1, return " "); (3, reference) ]) v
+      and* before = space and* around = space in
+      return (before ^ " " ^ k ^ around ^ "=" ^ around ^ quote ^ v ^ quote)
+    in
+    let rec node = function
+      | T.Text s -> splice text_piece s
+      | T.Element { tag; attrs; children } ->
+          let* attrs = flatten_l (List.map attribute attrs)
+          and* children = flatten_l (List.map node children)
+          and* gaps = list_repeat (List.length children + 1) (oneofl ("" :: misc))
+          and* self_closing = bool and* trailing = space in
+          let open_tag = "<" ^ tag ^ String.concat "" attrs ^ trailing in
+          if children = [] && self_closing then return (open_tag ^ "/>")
+          else
+            let body = List.concat (List.map2 (fun gap child -> [ gap; child ]) (List.tl gaps) children) in
+            return
+              (open_tag ^ ">" ^ List.hd gaps ^ String.concat "" body ^ "</" ^ tag ^ trailing ^ ">")
+    in
+    let* doc = Helpers.doc_gen in
+    let* body = node doc
+    and* prolog = oneofl [ ""; "<?xml version=\"1.0\"?>\n"; "<!DOCTYPE a>"; "<!-- top -->\n" ]
+    and* after = oneofl [ ""; "\n"; "<!-- end -->"; "<?pi?>\n" ] in
+    return (prolog ^ body ^ after))
+
+(* Both parsers give the same tree, or the same located error. *)
+let same_as_oracle input =
+  match (P.parse input, Xml_oracle.parse input) with
+  | Ok a, Ok b -> a = b
+  | Error a, Error b -> a = b
+  | _ -> false
+
+let differential =
+  [
+    QCheck.Test.make ~count:1000 ~name:"parser = oracle on spliced printed documents"
+      (QCheck.make ~print:(Printf.sprintf "%S") spliced_doc_gen)
+      same_as_oracle;
+    (* The fuzz.parsers mutations of its XML seeds, and of spliced
+       documents. *)
+    QCheck.Test.make ~count:1000 ~name:"parser = oracle on mutated documents"
+      (QCheck.make ~print:(Printf.sprintf "%S")
+         QCheck.Gen.(
+           oneof [ oneofl Test_fuzz.xml_seeds; spliced_doc_gen ] >>= Test_fuzz.mutate))
+      same_as_oracle;
+  ]
+
 let suites =
   [
     ("xml.parser", basic_tests);
+    ("xml.char_ref", char_ref_tests);
     ("xml.model", model_tests);
     Helpers.qsuite "xml.properties" properties;
     Helpers.qsuite "xml.packed" packing_properties;
+    Helpers.qsuite "xml.differential" differential;
   ]
