@@ -327,8 +327,8 @@ let accuracy () =
   List.iter
     (fun (item : W.item) ->
       let est =
-        Optimizer.statement_cost ~mode:Optimizer.Evaluate ~virtual_config:defs catalog
-          item.W.statement
+        (Optimizer.optimize_costs ~virtual_config:defs
+           [| Optimizer.prepare catalog item.W.statement |]).(0)
       in
       let actual =
         (Xia_optimizer.Executor.run_statement catalog item.W.statement)
@@ -436,7 +436,10 @@ let hist () =
           (Printf.sprintf "for $x in SKEW/a where $x/%s return $x" label)
       in
       let est =
-        match (Optimizer.optimize catalog stmt).Xia_optimizer.Plan.bindings with
+        match
+          (Optimizer.optimize_prepared ~virtual_config:[] [| Optimizer.prepare catalog stmt |]).(0)
+            .Xia_optimizer.Plan.bindings
+        with
         | [ b ] -> b.Xia_optimizer.Plan.est_docs
         | _ -> 0.0
       in
@@ -502,9 +505,10 @@ let ixor () =
     "query: Nationality = \"Norway\" OR CountryOfResidence = \"Norway\"@.@.";
   Format.printf "%-28s | %12s | %s@." "configuration" "est cost" "plan";
   Format.printf "%s@." line;
+  let prepared = [| Optimizer.prepare catalog q |] in
   List.iter
     (fun (label, defs) ->
-      let plan = Optimizer.optimize ~mode:Optimizer.Evaluate ~virtual_config:defs catalog q in
+      let plan = (Optimizer.optimize_prepared ~virtual_config:defs prepared).(0) in
       let shape =
         match plan.Xia_optimizer.Plan.bindings with
         | [ b ] -> Fmt.str "%a" Xia_optimizer.Plan.pp_binding_plan b.Xia_optimizer.Plan.plan
@@ -774,7 +778,7 @@ let scan () =
     List.filter_map
       (fun (i : W.item) ->
         if Xia_query.Ast.is_dml i.statement then None
-        else Some (Optimizer.optimize ~mode:Optimizer.Normal catalog i.statement))
+        else Some (Optimizer.optimize catalog i.statement))
       (Tpox.workload ())
   in
   let rounds = 20 in
@@ -1134,7 +1138,8 @@ let micro () =
         (Staged.stage (fun () -> ignore (Optimizer.enumerate_indexes q2)));
       Test.make ~name:"optimizer.evaluate"
         (Staged.stage (fun () ->
-             ignore (Optimizer.statement_cost ~mode:Optimizer.Evaluate catalog q2)));
+             ignore
+               (Optimizer.optimize_costs ~virtual_config:[] [| Optimizer.prepare catalog q2 |])));
       (* One trie walk, served from the shared per-stats cache on repeats. *)
       Test.make ~name:"stats.matching"
         (Staged.stage (fun () -> ignore (Xia_storage.Path_stats.matching stats pat_g)));

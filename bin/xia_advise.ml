@@ -103,19 +103,47 @@ let index_def spec =
       | other, Ok _ -> bad (Printf.sprintf "unknown type %S" other))
   | _ -> bad (Printf.sprintf "expected TABLE:PATTERN:TYPE, got %S" spec)
 
-(* Catalog, workload and --index definitions of a run, with every table
-   they name checked loaded: the one setup of every workload command. *)
-let setup benchmark small data_dirs workload_file update_freq synthetic index_specs =
-  let* catalog = load_catalog benchmark small data_dirs in
-  let* workload = base_workload benchmark update_freq synthetic workload_file catalog in
-  let* defs =
+(* The --index definitions, in order; a spec for the same index (table,
+   pattern and type) as an earlier one is an error.  The specs are parsed
+   last first: that order numbers the generated index names. *)
+let index_defs specs =
+  let* parsed =
     List.fold_right
       (fun spec acc ->
         let* d = index_def spec in
         let* ds = acc in
-        Ok (d :: ds))
-      index_specs (Ok [])
+        Ok ((spec, d) :: ds))
+      specs (Ok [])
   in
+  let rec distinct seen = function
+    | [] -> Ok (List.rev_map snd seen)
+    | (spec, d) :: rest -> (
+        match List.find_opt (fun (_, e) -> Xia_index.Index_def.same d e) seen with
+        | Some (earlier, _) ->
+            Error (Scan.error "--index" (Printf.sprintf "%S repeats the index %S" spec earlier))
+        | None -> distinct ((spec, d) :: seen) rest)
+  in
+  distinct [] parsed
+
+(* Catalog, workload and --index definitions of a run, with every table
+   they name checked loaded: the one setup of every workload command.  The
+   DML frequency must be a finite non-negative number and the synthetic
+   query count non-negative, as in a workload file. *)
+let setup benchmark small data_dirs workload_file update_freq synthetic index_specs =
+  let* () =
+    if Float.is_finite update_freq && update_freq >= 0.0 then Ok ()
+    else
+      Error
+        (Scan.error "--update-freq"
+           (Printf.sprintf "frequency %g is not a finite non-negative number" update_freq))
+  in
+  let* () =
+    if synthetic >= 0 then Ok ()
+    else Error (Scan.error "--synthetic" (Printf.sprintf "count %d is negative" synthetic))
+  in
+  let* defs = index_defs index_specs in
+  let* catalog = load_catalog benchmark small data_dirs in
+  let* workload = base_workload benchmark update_freq synthetic workload_file catalog in
   let* () =
     check_tables catalog
       (Option.value workload_file ~default:"--workload")
@@ -123,6 +151,16 @@ let setup benchmark small data_dirs workload_file update_freq synthetic index_sp
   in
   let* () = check_tables catalog "--index" (List.map (fun d -> d.Xia_index.Index_def.table) defs) in
   Ok (catalog, workload, defs)
+
+(* The disk budget in bytes.  NaN and negative budgets are errors; a
+   budget of [max_int] bytes or more, [infinity] included, saturates at
+   [max_int]. *)
+let budget_bytes mb =
+  if Float.is_nan mb || mb < 0.0 then
+    Error (Scan.error "--budget-mb" (Printf.sprintf "budget %g is not a non-negative number" mb))
+  else
+    let bytes = mb *. 1024.0 *. 1024.0 in
+    Ok (if bytes >= float_of_int max_int then max_int else int_of_float bytes)
 
 let algorithm_of_string = function
   | "greedy" -> Ok Advisor.Greedy
@@ -140,11 +178,11 @@ let advise_cmd benchmark small data_dirs workload_file budget_mb algorithm beta
   (* Either observability flag switches the whole pipeline's spans and
      metrics on for this run. *)
   if trace_file <> None || metrics_file <> None then Xia_obs.Obs.set_enabled true;
+  let* alg = algorithm_of_string algorithm in
+  let* budget = budget_bytes budget_mb in
   let* catalog, workload, _ =
     setup benchmark small data_dirs workload_file update_freq synthetic []
   in
-  let* alg = algorithm_of_string algorithm in
-  let budget = int_of_float (budget_mb *. 1024.0 *. 1024.0) in
   let r, elapsed =
     Xia_obs.Trace.timed "cli.advise" (fun () ->
         Advisor.advise ~beta ?compress catalog workload ~budget alg)
@@ -189,9 +227,9 @@ let explain_cmd benchmark small data_dirs query with_recommended =
         table
         (Xia_index.Index_def.data_type_to_string dtype))
     candidates;
-  Format.printf "@.Plan without indexes:@.  %a@."
-    Xia_optimizer.Plan.pp
-    (Optimizer.optimize ~mode:Optimizer.Evaluate ~virtual_config:[] catalog stmt);
+  let prepared = [| Optimizer.prepare catalog stmt |] in
+  let plan virtual_config = (Optimizer.optimize_prepared ~virtual_config prepared).(0) in
+  Format.printf "@.Plan without indexes:@.  %a@." Xia_optimizer.Plan.pp (plan []);
   if with_recommended then begin
     let defs =
       List.map
@@ -199,8 +237,7 @@ let explain_cmd benchmark small data_dirs query with_recommended =
         candidates
     in
     Format.printf "@.Plan with every candidate indexed (virtually):@.  %a@."
-      Xia_optimizer.Plan.pp
-      (Optimizer.optimize ~mode:Optimizer.Evaluate ~virtual_config:defs catalog stmt)
+      Xia_optimizer.Plan.pp (plan defs)
   end;
   Ok ()
 

@@ -57,13 +57,3 @@ let json_escape s =
 let to_json f =
   Printf.sprintf "{\"file\":\"%s\",\"line\":%d,\"col\":%d,\"id\":\"%s\",\"message\":\"%s\"}"
     (json_escape f.file) f.line f.col (json_escape f.id) (json_escape f.message)
-
-(* Machine-readable report: a JSON array, one finding object per line, sorted
-   for byte-stable output (regression-locked by the test suite). *)
-let list_to_json findings =
-  let sorted = List.sort compare findings in
-  match sorted with
-  | [] -> "[]\n"
-  | fs ->
-      let body = String.concat ",\n  " (List.map to_json fs) in
-      "[\n  " ^ body ^ "\n]\n"

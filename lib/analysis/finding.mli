@@ -24,7 +24,3 @@ val json_escape : string -> string
 
 (** One finding as a JSON object. *)
 val to_json : t -> string
-
-(** A sorted JSON array of findings, one object per line, trailing newline.
-    Byte-stable for identical inputs (regression-locked by the tests). *)
-val list_to_json : t list -> string

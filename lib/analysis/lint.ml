@@ -14,8 +14,6 @@ type report = {
   errors : error list;         (* unreadable / unparsable inputs *)
 }
 
-let empty_report = { findings = []; errors = [] }
-
 let parse_structure ~filename source =
   let lexbuf = Lexing.from_string source in
   Lexing.set_filename lexbuf filename;

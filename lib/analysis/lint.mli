@@ -9,8 +9,6 @@ type report = {
   errors : error list;         (** unreadable / unparsable inputs *)
 }
 
-val empty_report : report
-
 (** Lint one source string as one unit (every parsetree-level check; no
     H001). *)
 val lint_source : filename:string -> string -> (Finding.t list, error) result
@@ -18,9 +16,6 @@ val lint_source : filename:string -> string -> (Finding.t list, error) result
 (** Lint every [.ml] under [paths] (recursively; skips [_build] and dot
     directories) unit by unit, plus the H001 interface check. *)
 val lint_paths : string list -> report
-
-(** Schema version of {!report_to_json}'s envelope. *)
-val json_schema_version : int
 
 (** The versioned machine-readable report: schema version, check catalog,
     findings sorted by (file, line, col, id), walk/parse errors.

@@ -147,7 +147,7 @@ val floors : t -> Candidate.set -> float array
     Memoized per candidate id. *)
 val atomic_upper_bound : t -> Candidate.set -> Candidate.t -> float
 
-(* Interned logical ids ({!Xia_index.Index_def.logical_id}) of candidates
+(* Interned logical ids ([Xia_index.Index_def.t]'s [lid]) of candidates
    used by some plan when each statement's basic candidates are installed
    together (captures combination-only value).  Memoized per evaluator. *)
 val used_in_plans : t -> Candidate.set -> (int, unit) Hashtbl.t

@@ -35,7 +35,7 @@ module Int_tbl = Hashtbl.Make (Int)
 type set = {
   mutable items : t array;  (* [0, count) filled; the rest is filler *)
   mutable count : int;
-  by_lid : int Int_tbl.t;  (* [Index_def.logical_id] -> id *)
+  by_lid : int Int_tbl.t;  (* [Index_def.t]'s [lid] -> id *)
 }
 
 let create_set () = { items = [||]; count = 0; by_lid = Int_tbl.create 64 }
@@ -119,23 +119,16 @@ let generals set = select (fun c -> c.origin = General) set
 
 let cardinality set = set.count
 
-(* Roots of the DAG: candidates nobody generalizes further. *)
-let roots set = select (fun c -> Int_set.is_empty c.parents) set
-
 let children_of set c = List.filter_map (find set) (Int_set.elements c.children)
 let parents_of set c = List.filter_map (find set) (Int_set.elements c.parents)
 
 let is_general c = c.origin = General
 
-(* Derived statistics and size: virtual-index statistics from the data
+(* Size from the virtual-index statistics derived from the data
    statistics of the candidate's table. *)
-let stats catalog (c : t) =
-  Index_stats.derive_cached (Xia_index.Catalog.stats catalog c.def.Index_def.table) c.def
-
-let size catalog c = (stats catalog c).Index_stats.size_bytes
-
-let config_size catalog config =
-  List.fold_left (fun acc c -> acc + size catalog c) 0 config
+let size catalog (c : t) =
+  (Index_stats.derive_cached (Xia_index.Catalog.stats catalog c.def.Index_def.table) c.def)
+    .Index_stats.size_bytes
 
 (* Recompute affected sets from basic candidates: a candidate affects every
    statement one of whose basic patterns it covers. *)

@@ -7,7 +7,6 @@
     workload statement indices whose basic patterns it covers. *)
 
 module Index_def = Xia_index.Index_def
-module Index_stats = Xia_index.Index_stats
 module Int_set : Set.S with type elt = int
 
 type origin =
@@ -26,8 +25,6 @@ type t = {
 type set
 
 val create_set : unit -> set
-
-val find : set -> int -> t option
 
 (** The candidate with the definition's logical identity, if any. *)
 val find_def : set -> Index_def.t -> t option
@@ -50,28 +47,21 @@ val affected_array : t -> int array
     Allocates nothing. *)
 val overlap : int array -> int array -> bool
 
-(** All candidates in id order; {!basics}, {!generals} and {!roots} keep
-    that order too. *)
+(** All candidates in id order; {!basics} and {!generals} keep that order
+    too. *)
 val to_list : set -> t list
 
 val basics : set -> t list
 val generals : set -> t list
 val cardinality : set -> int
 
-(** DAG roots: candidates with no parents. *)
-val roots : set -> t list
-
 val children_of : set -> t -> t list
 val parents_of : set -> t -> t list
 val is_general : t -> bool
 
-(** Derived (virtual) statistics of the candidate. *)
-val stats : _ Xia_index.Catalog.t -> t -> Index_stats.t
-
-(** Estimated on-disk size in bytes. *)
+(** Estimated on-disk size in bytes, from the candidate's derived
+    (virtual) statistics. *)
 val size : _ Xia_index.Catalog.t -> t -> int
-
-val config_size : _ Xia_index.Catalog.t -> t list -> int
 
 (** Fill in the affected sets of general candidates from the basic ones. *)
 val compute_affected : set -> unit

@@ -1,7 +1,7 @@
 (* Database catalog: tables with their statistics and their real indexes.
 
    Virtual indexes are not catalog state: the optimizer's Evaluate mode takes
-   a virtual-index configuration with each call and derives its statistics
+   a virtual-index configuration with each batch and derives its statistics
    from the data statistics kept here.  That plays the role of the paper's
    server-side extension ("virtual indexes are added to the database catalog
    and to all the internal data structures of the optimizer, but they are
@@ -67,22 +67,6 @@ let create_index t (def : Index_def.t) =
   let pi = Physical_index.build tbl.store def in
   tbl.real_indexes <- pi :: tbl.real_indexes;
   pi
-
-let drop_index t name =
-  let dropped = ref false in
-  Hashtbl.iter
-    (fun _ tbl ->
-      let keep, gone =
-        List.partition
-          (fun pi -> not (String.equal (Index_def.name (Physical_index.def pi)) name))
-          tbl.real_indexes
-      in
-      if gone <> [] then begin
-        tbl.real_indexes <- keep;
-        dropped := true
-      end)
-    t;
-  !dropped
 
 let drop_all_indexes t =
   Hashtbl.iter (fun _ tbl -> tbl.real_indexes <- []) t

@@ -1,8 +1,8 @@
 (** Database catalog: tables, statistics and real indexes.
 
     Virtual indexes are not stored here: the optimizer's Evaluate mode takes
-    a virtual-index configuration with each call
-    ([Optimizer.optimize ~virtual_config]).
+    a virtual-index configuration with each batch of prepared statements
+    ([Optimizer.optimize_prepared ~virtual_config]).
 
     A catalog carries a capability: {!create} returns a writable
     [[ `Write ] t], the mutators take [[> `Write ] t], and the readers take
@@ -43,9 +43,6 @@ val stats : _ t -> string -> Path_stats.t
 
 (** Materialize an index. @raise Invalid_argument on logical duplicates. *)
 val create_index : [> `Write ] t -> Index_def.t -> Physical_index.t
-
-(** Drop a real index by name; [false] if absent. *)
-val drop_index : [> `Write ] t -> string -> bool
 
 val drop_all_indexes : [> `Write ] t -> unit
 

@@ -26,7 +26,7 @@ type t = {
   pattern : Xia_xpath.Pattern.t;
   dtype : data_type;
   pid : int;  (* [Pattern.id pattern] *)
-  lid : int;  (* interned logical identity, see [logical_id] *)
+  lid : int;  (* interned logical identity *)
 }
 
 (* Interned logical identity: (table id, dtype, pattern id) triples map to
@@ -80,7 +80,6 @@ let logical_key d =
     (data_type_to_string d.dtype)
     (Xia_xpath.Pattern.key d.pattern)
 
-let logical_id d = d.lid
 
 (* [key_id]'s lookup without the interner's key tuple: per pattern id, the
    (table label, type, logical id) triples already interned with it. *)

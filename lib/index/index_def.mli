@@ -21,7 +21,10 @@ type t = private {
   pattern : Xia_xpath.Pattern.t;
   dtype : data_type;
   pid : int;  (** [Xia_xpath.Pattern.id pattern] *)
-  lid : int;  (** {!logical_id} *)
+  lid : int;
+      (** interned int id of the logical identity: equal iff {!logical_key}
+          is equal (iff {!same}).  Stable within a run only — identity
+          (fingerprints, cache keys), never user-visible order. *)
 }
 
 (** Create a definition.  Without [name] it draws the next serial of a
@@ -47,12 +50,6 @@ val same : t -> t -> bool
 (** Canonical key of the logical identity. *)
 val logical_key : t -> string
 
-(** Interned int id of the logical identity: equal iff {!logical_key} is
-    equal (iff {!same}).  Interned by {!make}, so this is a field read.
-    Stable within a run only — identity (fingerprints, cache keys), never
-    user-visible order. *)
-val logical_id : t -> int
-
 (** [key_id ~table ~dtype ~pid]: the logical id of an index on exactly this
     table, type and pattern id ([Xia_xpath.Pattern.id]), interned on first
     sight.  The optimizer keys an indexable access by it.  A hit allocates
@@ -69,7 +66,7 @@ val compare_logical : t -> t -> int
 val covers : general:t -> specific:t -> bool
 
 (** [covers_id ~general id]: {!covers} against the logical identity [id]
-    ({!logical_id} or {!key_id}), read from the interned ids.  Allocates
+    (a [lid] or {!key_id}), read from the interned ids.  Allocates
     nothing. *)
 val covers_id : general:t -> int -> bool
 

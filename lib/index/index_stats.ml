@@ -126,7 +126,3 @@ let derive_cached stats (def : Index_def.t) =
       m.source <- Some stats;
       m.derived <- derived;
       derived
-
-let pp ppf s =
-  Fmt.pf ppf "{entries=%d; distinct=%d; docs=%d; size=%dB; leaves=%d; levels=%d}"
-    s.entries s.distinct_keys s.matched_docs s.size_bytes s.leaf_pages s.levels

@@ -31,5 +31,3 @@ val derive : Xia_storage.Path_stats.t -> Index_def.t -> t
     another catalog (or a later RUNSTATS) are derived afresh.  A hit
     allocates nothing. *)
 val derive_cached : Xia_storage.Path_stats.t -> Index_def.t -> t
-
-val pp : Format.formatter -> t -> unit

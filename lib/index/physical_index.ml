@@ -205,8 +205,6 @@ let lookup_ne t k =
 
 let all t = slice t 0 (Array.length t.entries)
 
-let iter f t = Array.iter f t.entries
-
 (* Actual size under the same layout model used for virtual indexes, so that
    real and virtual configurations are measured with one yardstick. *)
 let size_bytes t =

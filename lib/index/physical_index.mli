@@ -50,7 +50,6 @@ type bound =
 val lookup_range : t -> lo:bound -> hi:bound -> entry list
 val lookup_ne : t -> key -> entry list
 val all : t -> entry list
-val iter : (entry -> unit) -> t -> unit
 
 (** Size under the same B-tree layout model as virtual indexes. *)
 val size_bytes : t -> int

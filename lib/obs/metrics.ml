@@ -87,12 +87,10 @@ let histogram ?bounds_us name =
 
 let incr c = Stdlib.incr c
 let add c n = c := !c + n
-let value c = !c
 
 let set g v = g := v
-let get g = !g
 
-let observe_us h us =
+let observe h us =
   let rec bucket i =
     if i >= Array.length h.bounds then i
     else if us <= h.bounds.(i) then i
@@ -103,8 +101,7 @@ let observe_us h us =
   h.count <- h.count + 1;
   h.sum_us <- h.sum_us + int_of_float us
 
-let observe_s h s = observe_us h (s *. 1e6)
-let observe = observe_us
+let observe_s h s = observe h (s *. 1e6)
 
 (* ------------------------------------------------------------- snapshot -- *)
 

@@ -24,18 +24,17 @@ val histogram : ?bounds_us:float array -> string -> histogram
 
 val incr : counter -> unit
 val add : counter -> int -> unit
-val value : counter -> int
 
 val set : gauge -> float -> unit
-val get : gauge -> float
 
-val observe_us : histogram -> float -> unit
+(** [observe_s h s] records a latency of [s] seconds. *)
 val observe_s : histogram -> float -> unit
 
 val observe : histogram -> float -> unit
-(** [observe h v] records a unitless sample (batch sizes, counts): [v] is
-    bucketed against the registered bounds as-is.  Pass explicit [bounds_us]
-    at registration so the default latency bounds don't misbucket it. *)
+(** [observe h v] records [v] as-is against the registered bounds: a
+    latency in microseconds, or a unitless sample (batch sizes, counts).
+    Pass explicit [bounds_us] at registration for a unitless sample so the
+    default latency bounds don't misbucket it. *)
 
 type snapshot_value =
   | Counter_v of int

@@ -1,7 +1,7 @@
 (** Observability master switch and clock.
 
     The advisor pipeline is instrumented with {!Trace} spans and {!Metrics}
-    updates, all gated on {!enabled}.  With the flag off (the default) the
+    updates, all gated on {!on}.  With the flag off (the default) the
     instrumentation is a single load per site; with it on, spans and metric
     updates record into the trace buffer and the metrics registry.
 
@@ -9,11 +9,8 @@
     clock and bumps observability state, never advisor state.  The
     differential suite in [test/test_obs.ml] locks this in. *)
 
-val enabled : bool ref
-(** The master switch.  Off by default. *)
-
 val on : unit -> bool
-(** [on ()] is [!enabled]. *)
+(** The master switch.  Off by default. *)
 
 val set_enabled : bool -> unit
 

@@ -6,7 +6,7 @@
     decrease, which makes the flushed output well-nested and monotonic by
     construction (property tested in [test/test_obs.ml]).
 
-    All entry points are no-ops while {!Obs.enabled} is off. *)
+    All entry points are no-ops while {!Obs.on} is off. *)
 
 type span = {
   name : string;

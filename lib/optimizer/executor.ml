@@ -287,5 +287,5 @@ let run_plan catalog (plan : Plan.t) =
 
 let run_statement catalog stmt =
   Catalog.refresh_indexes catalog;
-  let plan = Optimizer.optimize ~mode:Optimizer.Normal catalog stmt in
+  let plan = Optimizer.optimize catalog stmt in
   run_plan catalog plan

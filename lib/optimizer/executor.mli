@@ -28,5 +28,6 @@ val set_value : Xia_xml.Packed.t -> Xia_xpath.Ast.path -> string -> Xia_xml.Pack
     falls back to a document scan. *)
 val run_plan : [> `Write ] Catalog.t -> Plan.t -> result
 
-(** Refresh stale indexes, optimize in [Normal] mode and execute. *)
+(** Refresh stale indexes, plan over the real indexes
+    ({!Optimizer.optimize}) and execute. *)
 val run_statement : [> `Write ] Catalog.t -> Ast.statement -> result

@@ -6,8 +6,8 @@
    - Enumerate Indexes: optimize the statement with a virtual universal index
      ("//*", and "//@*" for attributes) in place and report every query
      pattern the index-matching step matched against it;
-   - Evaluate Indexes: cost the statement against a virtual-index
-     configuration, passed with each call.
+   - Evaluate Indexes: cost prepared statements against a virtual-index
+     configuration, passed with each batch.
 
    All index statistics — virtual or real — are derived from data statistics,
    so estimated costs are consistent across modes. *)
@@ -20,10 +20,6 @@ module C = Xia_storage.Cost_params
 module Rewriter = Xia_query.Rewriter
 module Ast = Xia_query.Ast
 module Pattern = Xia_xpath.Pattern
-
-type mode =
-  | Normal    (* real indexes *)
-  | Evaluate  (* virtual indexes: the advisor's Evaluate Indexes mode *)
 
 (* [Atomic.t] only because the advisor benchmark reads the fields with
    [Atomic.get]; the advisor runs on one domain. *)
@@ -38,12 +34,6 @@ let counters =
   { optimize_calls = Atomic.make 0; enumerate_calls = Atomic.make 0;
     plans_considered = Atomic.make 0;
     batch_setup_saved = Atomic.make 0 }
-
-let reset_counters () =
-  Atomic.set counters.optimize_calls 0;
-  Atomic.set counters.enumerate_calls 0;
-  Atomic.set counters.plans_considered 0;
-  Atomic.set counters.batch_setup_saved 0
 
 (* Index matching: can this index serve this access, whose pattern id is
    [access_pid]?  Same table, same data type, and the index pattern covers
@@ -504,8 +494,8 @@ let visible_indexes of_table (prepared : prepared array) =
   let by_table = List.map (fun t -> (t, of_table t)) !tables in
   fun table -> List.assoc table by_table
 
-(* [Evaluate]: the table's indexes in [virtual_config], in its order, which
-   is the tie-break order. *)
+(* What-if planning: the table's indexes in [virtual_config], in its
+   order, which is the tie-break order. *)
 let virtual_indexes virtual_config table =
   Array.of_list
     (List.filter_map
@@ -513,25 +503,20 @@ let virtual_indexes virtual_config table =
          if String.equal d.table table then Some { def = d; is_virtual = true } else None)
        virtual_config)
 
-(* [Normal]: the table's materialized indexes, in catalog order. *)
+(* [optimize]: the table's materialized indexes, in catalog order. *)
 let real_indexes catalog table =
   Array.of_list
     (List.map
        (fun pi -> { def = Xia_index.Physical_index.def pi; is_virtual = false })
        (Catalog.real_indexes catalog table))
 
-(* One statement through [planner] ([plan_prepared] or [cost_prepared]),
-   counted and timed as one optimizer invocation. *)
-let optimize_one ?(mode = Evaluate) ~virtual_config catalog stmt planner =
+(* One statement planned over the catalog's real indexes, counted and
+   timed as one optimizer invocation. *)
+let optimize catalog stmt =
   let run () =
     Atomic.incr counters.optimize_calls;
     let p = prepare catalog stmt in
-    let of_table =
-      match mode with
-      | Normal -> real_indexes catalog
-      | Evaluate -> virtual_indexes virtual_config
-    in
-    planner ~indexes_of:(visible_indexes of_table [| p |]) p
+    plan_prepared ~indexes_of:(visible_indexes (real_indexes catalog) [| p |]) p
   in
   if not (Xia_obs.Obs.on ()) then run ()
   else begin
@@ -541,12 +526,6 @@ let optimize_one ?(mode = Evaluate) ~virtual_config catalog stmt planner =
       (Xia_obs.Obs.now_s () -. t0);
     result
   end
-
-let optimize ?mode ?(virtual_config = []) catalog stmt =
-  optimize_one ?mode ~virtual_config catalog stmt plan_prepared
-
-let statement_cost ?mode ?(virtual_config = []) catalog stmt =
-  optimize_one ?mode ~virtual_config catalog stmt cost_prepared
 
 (* Distribution of batch sizes, for the observability layer.  Unitless
    bounds: a sample is a statement count, not a latency. *)
@@ -583,8 +562,8 @@ let optimize_batched ~virtual_config (prepared : prepared array) planner =
           results)
   end
 
-(* Each plan is bit-for-bit what [optimize] returns for the statement: both
-   walk the same defs in the same order. *)
+(* [optimize]'s walk, over the virtual configuration in its order instead
+   of the real indexes. *)
 let optimize_prepared ~virtual_config prepared =
   optimize_batched ~virtual_config prepared plan_prepared
 

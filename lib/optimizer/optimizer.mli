@@ -6,10 +6,6 @@ module Index_def = Xia_index.Index_def
 module Ast = Xia_query.Ast
 module Pattern = Xia_xpath.Pattern
 
-type mode =
-  | Normal    (** plan over real (materialized) indexes *)
-  | Evaluate  (** plan over a virtual-index configuration *)
-
 type counters = {
   optimize_calls : int Atomic.t;
       (** optimizer invocations: one per {!optimize} and one per
@@ -27,8 +23,6 @@ type counters = {
     minimizes).  The fields are [Atomic.t] only because the advisor
     benchmark reads them with [Atomic.get]. *)
 val counters : counters
-
-val reset_counters : unit -> unit
 
 (** Index matching: can [def] serve [access]?  Same table and data type, and
     the index pattern covers the access pattern. *)
@@ -52,8 +46,7 @@ type prepared
     document scan.  [1.0] is a bitwise no-op; a large factor makes index
     plans lose every comparison, collapsing recommendations to the empty
     configuration, the deliberate regression the eval ratchet
-    ([tools/ratchet.ml]) must catch.  {!optimize} and {!statement_cost}
-    prepare at [1.0].
+    ([tools/ratchet.ml]) must catch.  {!optimize} prepares at [1.0].
     @raise Invalid_argument when the statement names an unknown table. *)
 val prepare : ?index_cost_factor:float -> _ Catalog.t -> Ast.statement -> prepared
 
@@ -67,26 +60,21 @@ val access_keys : prepared -> int array
     ({!index_matches} on each of them)?  Allocates nothing. *)
 val key_matches : Index_def.t -> int -> bool
 
-(** Optimize a statement: {!prepare} it, then plan it once.  Default mode
-    is [Evaluate].  [virtual_config] (default none) is the virtual-index
-    configuration [Evaluate] mode plans against; [Normal] mode plans over
-    the catalog's real indexes and ignores it.  The call installs nothing
-    in the catalog (it only reads statistics, collecting missing or stale
-    ones as {!prepare} does), so a what-if evaluation leaves no virtual
-    index behind for the next one to see. *)
-val optimize :
-  ?mode:mode -> ?virtual_config:Index_def.t list -> _ Catalog.t -> Ast.statement -> Plan.t
-
-val statement_cost :
-  ?mode:mode -> ?virtual_config:Index_def.t list -> _ Catalog.t -> Ast.statement -> float
+(** Plan a statement over the catalog's real (materialized) indexes:
+    {!prepare} it, then plan it once.  This is the executor's planner;
+    every what-if plan or cost goes through {!prepare} and
+    {!optimize_prepared} or {!optimize_costs}. *)
+val optimize : _ Catalog.t -> Ast.statement -> Plan.t
 
 (** Batched what-if evaluation: plan every prepared statement against one
     virtual-index configuration (Evaluate mode) — the visible indexes are
     gathered once per call, not once per statement (the paper's Section
-    VI-C lever).  Results are positional and bit-for-bit identical to
-    {!optimize} on each statement with the same [virtual_config]: on an
-    exact cost tie the index listed first wins, in both.  The call takes
-    no catalog: every statistic it reads was bound by {!prepare}.
+    VI-C lever).  Results are positional, planned by {!optimize}'s walk
+    over [virtual_config] instead of the real indexes: on an exact cost tie
+    the index listed first wins.  The call takes no catalog: every
+    statistic it reads was bound by {!prepare}.  The call installs nothing
+    in any catalog, so a what-if evaluation leaves no virtual index behind
+    for the next one to see.
     Counters: one [optimize_calls] and
     [batch_setup_saved += length prepared − 1] per call. *)
 val optimize_prepared : virtual_config:Index_def.t list -> prepared array -> Plan.t array

@@ -26,9 +26,6 @@ val lookup_estimate :
   Xia_query.Rewriter.condition ->
   lookup_estimate
 
-(** Fraction of the table's documents satisfying one access. *)
-val doc_fraction : Path_stats.t -> Xia_query.Rewriter.access -> float
-
 (** Product over the filters (independence) of the fraction of documents
     satisfying each disjunctive filter. *)
 val combined_doc_fraction :

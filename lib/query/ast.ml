@@ -52,18 +52,9 @@ type statement =
       new_value : string;
     }
 
-let is_query = function
-  | Select _ -> true
-  | Insert _ | Delete _ | Update _ -> false
-
-let is_dml s = not (is_query s)
-
-let statement_table = function
-  | Select f -> (
-      match f.bindings with
-      | (_, src) :: _ -> Some src.table
-      | [] -> None)
-  | Insert { table; _ } | Delete { table; _ } | Update { table; _ } -> Some table
+let is_dml = function
+  | Select _ -> false
+  | Insert _ | Delete _ | Update _ -> true
 
 (* All tables a statement touches. *)
 let tables = function

@@ -39,11 +39,7 @@ type statement =
       new_value : string;
     }
 
-val is_query : statement -> bool
 val is_dml : statement -> bool
-
-(** Primary table of the statement (first binding for queries). *)
-val statement_table : statement -> string option
 
 val tables : statement -> string list
 

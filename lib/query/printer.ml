@@ -69,5 +69,3 @@ let statement_to_string = function
       Printf.sprintf "update %s set %s = %S where %s" table
         (Xpp.path_to_string target) new_value
         (Xpp.path_to_string selector)
-
-let pp ppf s = Fmt.string ppf (statement_to_string s)

@@ -140,20 +140,3 @@ let indexable_accesses stmt =
     (List.concat_map
        (fun b -> List.concat b.filters)
        (bindings_of_statement stmt))
-
-(* The index patterns (with types) a statement exposes: the paper's per-query
-   candidate index patterns, before generalization. *)
-let indexable_patterns stmt =
-  let seen = Hashtbl.create 16 in
-  List.filter_map
-    (fun a ->
-      let key =
-        Printf.sprintf "%s|%s|%s" a.table (Pattern.key a.pattern)
-          (Index_def.data_type_to_string a.dtype)
-      in
-      if Hashtbl.mem seen key then None
-      else begin
-        Hashtbl.add seen key ();
-        Some (a.table, a.pattern, a.dtype)
-      end)
-    (indexable_accesses stmt)

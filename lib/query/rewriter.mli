@@ -38,8 +38,3 @@ val bindings_of_statement : Ast.statement -> binding_info list
 
 (** All filters of a statement, deduplicated. *)
 val indexable_accesses : Ast.statement -> access list
-
-(** Distinct (table, pattern, type) triples the statement exposes: the
-    statement's candidate index patterns before generalization. *)
-val indexable_patterns :
-  Ast.statement -> (string * Pattern.t * Index_def.data_type) list

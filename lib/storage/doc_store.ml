@@ -72,7 +72,7 @@ let pages t =
   max 1 ((t.total_bytes + Cost_params.page_size - 1) / Cost_params.page_size)
 
 (* The packed sizes: the executor charges every visit from them, and delete
-   and replace subtract them from the table totals without re-walking the
+   and update subtract them from the table totals without re-walking the
    old document. *)
 let add_sizes t sign (doc : Packed.t) =
   t.total_bytes <- t.total_bytes + (sign * doc.bytes);
@@ -123,9 +123,6 @@ let update t id (doc : Packed.t) =
       stamp t id;
       true
 
-let replace t id doc =
-  Option.is_some (find_packed t id) && update t id (Packed.pack t.labels doc)
-
 let iter f t =
   for id = 0 to t.next_id - 1 do
     match t.docs.(id) with Some doc -> f id doc | None -> ()
@@ -145,11 +142,3 @@ let doc_ids t =
     if Option.is_some t.docs.(id) then ids := id :: !ids
   done;
   !ids
-
-let avg_doc_bytes t =
-  let n = doc_count t in
-  if n = 0 then 0.0 else float_of_int t.total_bytes /. float_of_int n
-
-let avg_doc_elements t =
-  let n = doc_count t in
-  if n = 0 then 0.0 else float_of_int t.total_elements /. float_of_int n

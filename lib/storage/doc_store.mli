@@ -1,9 +1,10 @@
 (** A table of XML documents (one XML-typed column, as in DB2 pureXML).
     Documents are stored packed ({!Xia_xml.Packed}) with the table's own
-    label table; trees go in through {!insert} and {!replace} and come back
-    out, exactly, through {!find}.  Ids are dense and never reused: the
-    documents sit in one array indexed by id, a deleted id leaving a hole,
-    and every scan visits the live ids in ascending order. *)
+    label table; trees go in through {!insert} (or packed, through
+    {!update}) and come back out, exactly, through {!find}.  Ids are dense
+    and never reused: the documents sit in one array indexed by id, a
+    deleted id leaving a hole, and every scan visits the live ids in
+    ascending order. *)
 
 type doc_id = int
 
@@ -18,7 +19,7 @@ val labels : t -> Xia_xml.Packed.labels
 
 (** Monotone counter bumped by every DML operation; lets caches detect
     staleness.  Each operation also stamps the id it wrote (inserted,
-    replaced or deleted) with the generation it produced. *)
+    updated or deleted) with the generation it produced. *)
 val generation : t -> int
 
 (** The ids written after generation [gen], in the order of their last
@@ -36,7 +37,7 @@ val pages : t -> int
 (** @raise Invalid_argument if the root is a text node. *)
 val insert : t -> Xia_xml.Types.t -> doc_id
 
-(** The stored tree, unpacked: equal to the one inserted or replaced. *)
+(** The stored tree, unpacked: equal to the one inserted or updated. *)
 val find : t -> doc_id -> Xia_xml.Types.t option
 
 (** The stored document itself, one array read. *)
@@ -45,11 +46,9 @@ val find_packed : t -> doc_id -> Xia_xml.Packed.t option
 (** [false] when the document does not exist. *)
 val delete : t -> doc_id -> bool
 
-(** Replace the document stored under an existing id. *)
-val replace : t -> doc_id -> Xia_xml.Types.t -> bool
-
-(** {!replace} with a document already packed with {!labels}; like every
-    write, it stamps the id with the new {!generation}.
+(** Replace the document stored under an existing id ([false] when there
+    is none) with one packed with {!labels}; like every write, it stamps
+    the id with the new {!generation}.
     @raise Invalid_argument if it was packed with another label table. *)
 val update : t -> doc_id -> Xia_xml.Packed.t -> bool
 
@@ -59,6 +58,3 @@ val iter : (doc_id -> Xia_xml.Packed.t -> unit) -> t -> unit
 
 val fold : (doc_id -> Xia_xml.Packed.t -> 'a -> 'a) -> t -> 'a -> 'a
 val doc_ids : t -> doc_id list
-
-val avg_doc_bytes : t -> float
-val avg_doc_elements : t -> float

@@ -14,7 +14,6 @@ type t = {
 
 let buckets = 16
 
-let bucket_count t = Array.length t.counts
 let total t = t.total
 let bounds t = (t.lo, t.hi)
 
@@ -75,20 +74,6 @@ let fraction_below t x =
     done;
     if full < n then below := !below +. (partial *. float_of_int t.counts.(full));
     !below /. float_of_int (max 1 t.total)
-  end
-
-(* Fraction of values in [x, y) — clamped, y >= x. *)
-let fraction_between t x y =
-  Float.max 0.0 (fraction_below t y -. fraction_below t x)
-
-(* Density around a point: the straddling bucket's share, used as an upper
-   bound for equality fractions. *)
-let point_density t x =
-  if x < t.lo || x > t.hi then 0.0
-  else begin
-    let n = Array.length t.counts in
-    let i = min (n - 1) (max 0 (int_of_float (position t.lo t.hi n x))) in
-    float_of_int t.counts.(i) /. float_of_int (max 1 t.total)
   end
 
 let pp ppf t =

@@ -293,7 +293,3 @@ let walk_id t pid = matching_walk t (Xia_xpath.Pattern.nfa_of_id pid)
 let matching_id t pid = Xia_xpath.Interner.Dense.find_or_compute t.matching_memo pid walk_id t
 
 let matching t pattern = matching_id t (Xia_xpath.Pattern.id pattern)
-
-let avg_value_bytes info =
-  if info.node_count = 0 then 0.0
-  else float_of_int info.total_value_bytes /. float_of_int info.node_count

@@ -64,5 +64,3 @@ val matching : t -> Xia_xpath.Pattern.t -> path_info list
 (** {!matching} by interned pattern id ({!Xia_xpath.Pattern.id}): a hit
     allocates nothing. *)
 val matching_id : t -> int -> path_info list
-
-val avg_value_bytes : path_info -> float

@@ -1,11 +1,6 @@
 (** Synthetic workloads of random path queries occurring in the data
     (Section VII-C of the paper). *)
 
-(** One random single-predicate query over a table; [None] when the table has
-    no usable paths. *)
-val random_query :
-  Random.State.t -> _ Xia_index.Catalog.t -> string -> Xia_query.Ast.statement option
-
 (** [workload catalog tables n]: [n] random queries spread round-robin over
     [tables].  Deterministic for a fixed [seed]. *)
 val workload :

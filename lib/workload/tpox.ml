@@ -228,7 +228,7 @@ let query_strings =
     {|for $ord in XORDER('ODOC')/FIXML/Order where $ord/@Acct = "ACCT000770" return <Ord>{$ord/@ID}</Ord>|};
   ]
 
-let queries () =
+let workload () =
   List.mapi
     (fun i s ->
       Workload.item (Printf.sprintf "Q%d" (i + 1)) (Xia_query.Parser.parse_statement_exn s))
@@ -274,7 +274,6 @@ let variation_queries () =
       Workload.item (Printf.sprintf "V%d" (i + 1)) (Xia_query.Parser.parse_statement_exn s))
     variation_query_strings
 
-let workload () = queries ()
 
 let workload_with_updates ?(update_freq = 1.0) () =
-  queries () @ List.map (fun i -> { i with Workload.freq = update_freq }) (dml ())
+  workload () @ List.map (fun i -> { i with Workload.freq = update_freq }) (dml ())

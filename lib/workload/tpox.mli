@@ -27,11 +27,6 @@ val tiny_scale : scale
     statistics. *)
 val load : ?scale:scale -> ?seed:int -> [> `Write ] Xia_index.Catalog.t -> unit
 
-val query_strings : string list
-
-(** The 11 read-only queries (Q1 and Q2 are the paper's running examples). *)
-val queries : unit -> Workload.t
-
 (** Insert / update / delete statements (order entry, price update, ...). *)
 val dml : unit -> Workload.t
 
@@ -39,7 +34,7 @@ val dml : unit -> Workload.t
     queries navigate — the future-workload scenario of Section VII-C. *)
 val variation_queries : unit -> Workload.t
 
-(** Alias for {!queries}. *)
+(** The 11 read-only queries (Q1 and Q2 are the paper's running examples). *)
 val workload : unit -> Workload.t
 
 (** Queries plus DML with the given frequency on each DML statement. *)

@@ -49,12 +49,7 @@ let of_file path = Xia_xml.Scan.unwrap read path
 let of_strings strs =
   List.mapi (fun i s -> item (label (i + 1)) (Xia_query.Parser.parse_statement_exn s)) strs
 
-let queries w = List.filter (fun i -> Xia_query.Ast.is_query i.statement) w
-let dml w = List.filter (fun i -> Xia_query.Ast.is_dml i.statement) w
-
 let size = List.length
-
-let total_frequency w = List.fold_left (fun acc i -> acc +. i.freq) 0.0 w
 
 (* First [n] items: the paper's training prefixes in the generalization
    experiment. *)

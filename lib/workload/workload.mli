@@ -26,10 +26,7 @@ val of_file : string -> t
 (** Parse one statement per string. @raise Invalid_argument on parse errors. *)
 val of_strings : string list -> t
 
-val queries : t -> t
-val dml : t -> t
 val size : t -> int
-val total_frequency : t -> float
 
 (** First [n] items (training prefix). *)
 val prefix : int -> t -> t

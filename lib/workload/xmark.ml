@@ -150,10 +150,8 @@ let query_strings =
     {|for $a in XMAUCTION('XDOC')/open_auction where $a/seller/@person = "person99" return $a|};
   ]
 
-let queries () =
+let workload () =
   List.mapi
     (fun i s ->
       Workload.item (Printf.sprintf "X%d" (i + 1)) (Xia_query.Parser.parse_statement_exn s))
     query_strings
-
-let workload () = queries ()

@@ -2,7 +2,7 @@
 
     A packed document numbers its elements in preorder (the root is rank 0)
     and keeps one array slot per element: its interned label, the rank of the
-    last element in its subtree, and its value ({!Types.element_value}).
+    last element in its subtree, and its value ({!Types.direct_text}).
     The children of element [i] are [i + 1], then [last.(j) + 1] after each
     child [j], up to [last.(i)]; its proper descendants are exactly the ranks
     [i + 1 .. last.(i)].  Attributes sit in slot arrays in document order,
@@ -25,15 +25,13 @@ val labels : unit -> labels
 (** The id of a name, or [-1] when no document of the table uses it. *)
 val find_label : labels -> string -> int
 
-val label : labels -> int -> string
-
 (** {2 Documents} *)
 
 type t = private {
   labels : labels;  (** the table every label below is interned in *)
   tags : int array;  (** label of each element *)
   last : int array;  (** rank of the last element of each element's subtree *)
-  values : string array;  (** {!Types.element_value} of each element *)
+  values : string array;  (** {!Types.direct_text} of each element *)
   attr_first : int array;  (** first slot of each element; one more entry, the slot count *)
   attr_names : int array;
   attr_values : string array;

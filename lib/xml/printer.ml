@@ -53,42 +53,3 @@ let to_string doc =
   let buf = Buffer.create 256 in
   add_compact buf doc;
   Buffer.contents buf
-
-let rec add_pretty buf indent = function
-  | Types.Text s -> Buffer.add_string buf (escape_text s)
-  | Types.Element e ->
-      let pad = String.make (2 * indent) ' ' in
-      Buffer.add_string buf pad;
-      Buffer.add_char buf '<';
-      Buffer.add_string buf e.tag;
-      add_attrs buf e.attrs;
-      (match e.children with
-      | [] -> Buffer.add_string buf "/>\n"
-      | [ Types.Text s ] ->
-          Buffer.add_char buf '>';
-          Buffer.add_string buf (escape_text s);
-          Buffer.add_string buf "</";
-          Buffer.add_string buf e.tag;
-          Buffer.add_string buf ">\n"
-      | children ->
-          Buffer.add_string buf ">\n";
-          List.iter
-            (fun c ->
-              match c with
-              | Types.Text _ ->
-                  Buffer.add_string buf (String.make (2 * (indent + 1)) ' ');
-                  add_pretty buf (indent + 1) c;
-                  Buffer.add_char buf '\n'
-              | Types.Element _ -> add_pretty buf (indent + 1) c)
-            children;
-          Buffer.add_string buf pad;
-          Buffer.add_string buf "</";
-          Buffer.add_string buf e.tag;
-          Buffer.add_string buf ">\n")
-
-let to_pretty_string doc =
-  let buf = Buffer.create 256 in
-  add_pretty buf 0 doc;
-  Buffer.contents buf
-
-let pp ppf doc = Fmt.string ppf (to_string doc)

@@ -3,8 +3,3 @@
 (** Compact single-line serialization; inverse of {!Parser.parse} up to
     whitespace normalization. *)
 val to_string : Types.t -> string
-
-(** Indented, human-readable serialization. *)
-val to_pretty_string : Types.t -> string
-
-val pp : Format.formatter -> Types.t -> unit

@@ -23,8 +23,6 @@ let to_string e =
   | s, "" | "", s -> s ^ ": " ^ e.message
   | s, p -> Printf.sprintf "%s:%s: %s" s p e.message
 
-let pp_error ppf e = Format.pp_print_string ppf (to_string e)
-
 let error source message = { source; line = 0; column = 0; message }
 
 let locate input at message =

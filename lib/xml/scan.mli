@@ -27,8 +27,6 @@ type error = {
     and the source when it is [""]. *)
 val to_string : error -> string
 
-val pp_error : Format.formatter -> error -> unit
-
 (** [error source message]: an error about a whole input, with no position. *)
 val error : string -> string -> error
 

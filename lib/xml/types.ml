@@ -26,19 +26,11 @@ let compare_node_id a b =
   | 0 -> compare a.attr b.attr
   | c -> c
 
-let equal_node_id a b = compare_node_id a b = 0
-
 let element ?(attrs = []) tag children = Element { tag; attrs; children }
 let text s = Text s
 
 (* Leaf element holding a single text value: <tag>value</tag>. *)
 let leaf ?(attrs = []) tag value = element ~attrs tag [ text value ]
-
-let is_element = function Element _ -> true | Text _ -> false
-
-let tag_of = function
-  | Element e -> Some e.tag
-  | Text _ -> None
 
 (* Concatenation of the direct text children of an element; this is the value
    a value index stores for the node. *)
@@ -51,27 +43,9 @@ let direct_text e =
   List.iter add e.children;
   Buffer.contents buf
 
-(* The same value without copying in the usual cases: no children give
-   [""] and a single text child gives that text itself. *)
-let element_value e =
-  match e.children with
-  | [] -> ""
-  | [ Text s ] -> s
-  | _ -> direct_text e
-
-let node_value = function
-  | Element e -> element_value e
-  | Text s -> s
-
 let rec count_elements = function
   | Text _ -> 0
   | Element e -> 1 + List.fold_left (fun n c -> n + count_elements c) 0 e.children
-
-let rec count_nodes = function
-  | Text _ -> 1
-  | Element e ->
-      1 + List.length e.attrs
-      + List.fold_left (fun n c -> n + count_nodes c) 0 e.children
 
 (* Serialized size approximation, used by the storage layer to report table
    sizes in bytes without keeping the source text around. *)

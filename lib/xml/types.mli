@@ -24,7 +24,6 @@ type node_id = {
 }
 
 val compare_node_id : node_id -> node_id -> int
-val equal_node_id : node_id -> node_id -> bool
 
 val element : ?attrs:(string * string) list -> string -> t list -> t
 val text : string -> t
@@ -32,23 +31,10 @@ val text : string -> t
 (** [leaf tag v] is [<tag>v</tag>]. *)
 val leaf : ?attrs:(string * string) list -> string -> string -> t
 
-val is_element : t -> bool
-val tag_of : t -> string option
-
 (** Concatenated direct text children of an element. *)
 val direct_text : element -> string
 
-(** [direct_text] without a copy in the usual cases: [""] for an element
-    without children, the text itself for a single text child. *)
-val element_value : element -> string
-
-(** Value of a node: [element_value] for elements, the text for text nodes. *)
-val node_value : t -> string
-
 val count_elements : t -> int
-
-(** Elements + attributes + text nodes. *)
-val count_nodes : t -> int
 
 (** Approximate serialized size in bytes. *)
 val byte_size : t -> int

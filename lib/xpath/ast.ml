@@ -35,8 +35,6 @@ and predicate =
 
 type path = step list
 
-let step ?(predicates = []) axis test = { axis; test; predicates }
-
 let equal_axis a b =
   match a, b with
   | Child, Child | Descendant, Descendant -> true
@@ -75,20 +73,7 @@ and equal_predicate a b =
 and equal_path a b =
   List.length a = List.length b && List.for_all2 equal_step a b
 
-(* Strip all predicates, keeping only the structural skeleton of the path. *)
-let strip_predicates path = List.map (fun s -> { s with predicates = [] }) path
-
-let structural = strip_predicates
-
 let has_predicates path = List.exists (fun s -> s.predicates <> []) path
-
-let flip_cmp = function
-  | Eq -> Eq
-  | Ne -> Ne
-  | Lt -> Gt
-  | Le -> Ge
-  | Gt -> Lt
-  | Ge -> Le
 
 let eval_cmp_int c n =
   match c with

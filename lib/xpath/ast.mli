@@ -36,25 +36,12 @@ and predicate =
 
 type path = step list
 
-val step : ?predicates:predicate list -> axis -> node_test -> step
-
 val equal_axis : axis -> axis -> bool
 val equal_name_test : name_test -> name_test -> bool
 val equal_node_test : node_test -> node_test -> bool
-val equal_step : step -> step -> bool
 val equal_path : path -> path -> bool
 
-(** Remove all predicates, keeping the structural skeleton. *)
-val strip_predicates : path -> path
-
-(** Alias of {!strip_predicates}. *)
-val structural : path -> path
-
 val has_predicates : path -> bool
-
-(** [flip_cmp c] is the comparison with operand order reversed
-    (so [a c b] iff [b (flip_cmp c) a]). *)
-val flip_cmp : cmp -> cmp
 
 (** [eval_cmp_int c n] interprets [c] against [compare]-style result [n]. *)
 val eval_cmp_int : cmp -> int -> bool

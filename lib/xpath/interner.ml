@@ -48,10 +48,6 @@ let find_id t key =
   | exception Not_found -> -1
   | bucket -> scan_id t.equal key bucket
 
-let find t key =
-  let id = find_id t key in
-  if id < 0 then None else Some id
-
 let intern t key =
   let id = find_id t key in
   if id >= 0 then id
@@ -71,8 +67,6 @@ let intern t key =
   end
 
 let value t id = t.values.(id)
-
-let size t = t.count
 
 (* ---------------------------------------------------------------- labels -- *)
 
@@ -103,8 +97,6 @@ module Cache = struct
   (* The value cached for [key]; [Not_found] (raised without a backtrace)
      when there is none. *)
   let find_exn t key = scan t.equal key (Int_map.find (t.hash key) t.buckets)
-
-  let find t key = match find_exn t key with v -> Some v | exception Not_found -> None
 
   let find_or_compute t key f a b =
     match find_exn t key with

@@ -21,20 +21,12 @@ val create : ?hash:('a -> int) -> ?equal:('a -> 'a -> bool) -> unit -> 'a t
     allocates nothing. *)
 val intern : 'a t -> 'a -> int
 
-(** Read-only lookup: [None] if the key was never interned. *)
-val find : 'a t -> 'a -> int option
-
 (** The key interned as [id].  Unspecified for ids not allocated by this
     interner. *)
 val value : 'a t -> int -> 'a
 
-(** Number of ids allocated. *)
-val size : 'a t -> int
-
-(** The global label interner for rooted-path components ("Security",
-    ["@id"], ...). *)
-val labels : string t
-
+(** The id of a rooted-path component ("Security", ["@id"], ...) in the
+    global label interner. *)
 val label : string -> int
 val label_value : int -> string
 
@@ -44,7 +36,6 @@ module Cache : sig
   type ('k, 'v) t
 
   val create : ?hash:('k -> int) -> ?equal:('k -> 'k -> bool) -> unit -> ('k, 'v) t
-  val find : ('k, 'v) t -> 'k -> 'v option
 
   (** [find_or_compute t key f a b]: the value cached for [key], or [f a b]
       on a miss.  A hit allocates nothing. *)

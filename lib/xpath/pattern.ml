@@ -47,35 +47,9 @@ let compare a b = String.compare (to_string a) (to_string b)
 (* Canonical key for hashing; patterns print unambiguously. *)
 let key = to_string
 
-let length = List.length
-
 let universal = [ { axis = Ast.Descendant; test = Ast.Elem Ast.Wildcard } ]
 
 let universal_attr = [ { axis = Ast.Descendant; test = Ast.Attr Ast.Wildcard } ]
-
-let last_step p =
-  match List.rev p with
-  | [] -> invalid_arg "Pattern.last_step: empty pattern"
-  | s :: _ -> s
-
-let targets_attribute p =
-  match (last_step p).test with
-  | Ast.Attr _ -> true
-  | Ast.Elem _ -> false
-
-let has_wildcard p =
-  List.exists
-    (fun s ->
-      match s.test with
-      | Ast.Elem Ast.Wildcard | Ast.Attr Ast.Wildcard -> true
-      | Ast.Elem (Ast.Name _) | Ast.Attr (Ast.Name _) -> false)
-    p
-
-let has_descendant p = List.exists (fun s -> s.axis = Ast.Descendant) p
-
-(* A pattern is "general-looking" when it could match paths other than one
-   fixed label sequence. *)
-let is_general_shape p = has_wildcard p || has_descendant p
 
 (* Interned pattern ids.  Interning is structural (over the step list), so
    obtaining a pattern's id never rebuilds its string key; everything
@@ -108,8 +82,6 @@ let covers_id ~general ~specific =
   Interner.Pairs.find_or_compute coverage general specific contained
 
 let covers ~general ~specific = covers_id ~general:(id general) ~specific:(id specific)
-
-let equivalent a b = covers ~general:a ~specific:b && covers ~general:b ~specific:a
 
 (* The paper's rewrite rule 0: any middle step that is a child- or
    descendant-axis wildcard is dropped and the following step's axis becomes

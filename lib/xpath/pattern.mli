@@ -32,23 +32,12 @@ val key : t -> string
     ordering (use {!key}/{!compare} for user-visible order). *)
 val id : t -> int
 
-val length : t -> int
-
 (** The universal pattern [//*], matching every element and used by the
     optimizer's Enumerate Indexes mode. *)
 val universal : t
 
 (** The universal attribute pattern [//@*]. *)
 val universal_attr : t
-
-(** @raise Invalid_argument on the empty pattern. *)
-val last_step : t -> step
-
-(** Does the pattern index attribute nodes? *)
-val targets_attribute : t -> bool
-
-(** [true] when the pattern can match more than one fixed label sequence. *)
-val is_general_shape : t -> bool
 
 (** The pattern's compiled automaton (memoized).
     @raise Invalid_argument beyond 60 steps, as {!Nfa.of_steps}. *)
@@ -66,8 +55,6 @@ val covers : general:t -> specific:t -> bool
     indexed by the two ids, computed once from the NFAs.  A known pair
     allocates nothing. *)
 val covers_id : general:int -> specific:int -> bool
-
-val equivalent : t -> t -> bool
 
 (** The paper's rewrite rule 0: middle wildcard steps are folded into a
     descendant axis on the following step ([/a/*/b] → [/a//b]). *)

@@ -205,7 +205,7 @@ let set_value doc target v =
         incr counter;
         let children = List.map rebuild e.children in
         if Hashtbl.mem hits pre then
-          T.Element { e with children = T.Text v :: List.filter T.is_element children }
+          T.Element { e with children = T.Text v :: List.filter (function T.Element _ -> true | T.Text _ -> false) children }
         else T.Element { e with children }
   in
   rebuild doc

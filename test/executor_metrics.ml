@@ -31,7 +31,7 @@ let run label workload catalog =
     workload
 
 let () =
-  let workload = Tpox.queries () @ Tpox.dml () in
+  let workload = Tpox.workload () @ Tpox.dml () in
   run "none" workload (fresh ());
   let catalog = fresh () in
   let set = Xia_advisor.Enumeration.candidates workload in

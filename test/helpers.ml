@@ -8,6 +8,11 @@ let xpath s = Xia_xpath.Parser.parse_exn s
 (* A document packed with a label table of its own, as a store would. *)
 let packed doc = Xia_xml.Packed.pack (Xia_xml.Packed.labels ()) doc
 
+(* Store [doc] under an existing id of [store], packed with its labels. *)
+let replace store id doc =
+  let module DS = Xia_storage.Doc_store in
+  DS.update store id (Xia_xml.Packed.pack (DS.labels store) doc)
+
 (* Evaluation over a tree: its packed form, with the path compiled against
    that form's labels. *)
 let eval_tree doc path =
@@ -20,6 +25,12 @@ let exists_tree doc path =
 let pattern s = Xia_xpath.Pattern.of_string s
 let pattern_id s = Xia_xpath.Pattern.id (pattern s)
 let statement s = Xia_query.Parser.parse_statement_exn s
+
+(* What-if planning of one statement: prepared, then planned against
+   [virtual_config] (default none) in a batch of one. *)
+let whatif_plan ?(virtual_config = []) catalog stmt =
+  let module O = Xia_optimizer.Optimizer in
+  (O.optimize_prepared ~virtual_config [| O.prepare catalog stmt |]).(0)
 
 (* The paper's running-example document shape. *)
 let security_doc =
@@ -199,7 +210,7 @@ let xpath_gen =
     and step_gen depth =
       let preds = if depth <= 0 then return [] else list_size (int_range 0 2) (pred_gen (depth - 1)) in
       map3
-        (fun axis test predicates -> A.step ~predicates axis test)
+        (fun axis test predicates -> { A.axis; test; predicates })
         (oneofl [ A.Child; A.Descendant ])
         test_gen preds
     and pred_gen depth =

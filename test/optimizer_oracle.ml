@@ -8,7 +8,6 @@
    out once.  It counts the plans it considers in [plans_considered], at
    the same points the optimizer counts [counters.plans_considered]. *)
 
-module O = Xia_optimizer.Optimizer
 module Plan = Xia_optimizer.Plan
 module Selectivity = Xia_optimizer.Selectivity
 module Catalog = Xia_index.Catalog
@@ -23,13 +22,19 @@ module Pattern = Xia_xpath.Pattern
 
 let plans_considered = ref 0
 
-let visible_indexes ~virtual_config catalog (mode : O.mode) table =
+(* Which indexes a plan may use: the catalog's materialized ones
+   ([Optimizer.optimize]) or a virtual configuration (what-if). *)
+type mode =
+  | Normal
+  | Evaluate
+
+let visible_indexes ~virtual_config catalog mode table =
   match mode with
-  | O.Normal ->
+  | Normal ->
       List.map
         (fun pi -> (Xia_index.Physical_index.def pi, false))
         (Catalog.real_indexes catalog table)
-  | O.Evaluate ->
+  | Evaluate ->
       List.filter_map
         (fun (d : Index_def.t) -> if String.equal d.table table then Some (d, true) else None)
         virtual_config
@@ -266,6 +271,6 @@ let plan_statement ~factor ~env_of (stmt : Ast.statement) =
 (* The old [optimize]: one statement, environments built on demand, index
    plans scaled by [index_cost_factor] (default 1.0).  Returns the plan and
    the documents a DML statement modifies. *)
-let optimize ?(mode = O.Evaluate) ?(index_cost_factor = 1.0) ~virtual_config catalog stmt =
+let optimize ?(mode = Evaluate) ?(index_cost_factor = 1.0) ~virtual_config catalog stmt =
   plan_statement stmt ~factor:index_cost_factor ~env_of:(fun table ->
       table_env ~virtual_config catalog mode table)

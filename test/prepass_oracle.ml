@@ -24,7 +24,7 @@ let used_in_plans catalog statements set =
     (fun i stmt ->
       match List.filter (fun (c : C.t) -> C.Int_set.mem i c.C.affected) (C.basics set) with
       | [] -> []
-      | own -> List.map Index_def.logical_id (Plan.indexes_used (plan catalog own stmt)))
+      | own -> List.map (fun (d : Index_def.t) -> d.lid) (Plan.indexes_used (plan catalog own stmt)))
     statements
   |> List.concat |> List.sort_uniq compare
 
@@ -49,7 +49,7 @@ let useful_ids fresh catalog statements set =
   let used = used_in_plans catalog statements set in
   List.filter_map
     (fun (c : C.t) ->
-      if List.mem (Index_def.logical_id c.C.def) used || B.individual_benefit fresh c > 0.0 then
+      if List.mem c.C.def.Index_def.lid used || B.individual_benefit fresh c > 0.0 then
         Some c.C.id
       else None)
     (C.to_list set)

@@ -2,8 +2,8 @@
    Xia_advisor.Report's prepared batches replaced, kept as the differential
    oracle.
 
-   Every cost is one [Optimizer.optimize] call, which rewrites and prepares
-   its statement afresh: 2·N calls for a report over N statements, and a
+   Every cost is one [Helpers.whatif_plan] call, which rewrites and
+   prepares its statement afresh and plans it in a batch of one: 2·N calls for a report over N statements, and a
    drop review of K used indexes plans every statement 2 + 4·K times (the
    with-all cost again, the without-this-index cost, and a whole second
    report per index for its maintenance).  Slow, but each number is
@@ -36,13 +36,13 @@ let evaluate_configuration catalog (workload : Workload.t) defs =
   let base_plans =
     List.map
       (fun (item : Workload.item) ->
-        Optimizer.optimize ~virtual_config:[] catalog item.statement)
+        Helpers.whatif_plan catalog item.statement)
       workload
   in
   let new_plans =
     List.map
       (fun (item : Workload.item) ->
-        Optimizer.optimize ~virtual_config:defs catalog item.statement)
+        Helpers.whatif_plan ~virtual_config:defs catalog item.statement)
       workload
   in
   let statements =
@@ -102,8 +102,7 @@ let estimated_workload_cost catalog (workload : Workload.t) defs =
     (fun acc (item : Workload.item) ->
       acc
       +. item.freq
-         *. Optimizer.statement_cost ~mode:Optimizer.Evaluate ~virtual_config:defs
-              catalog item.statement)
+         *. (Helpers.whatif_plan ~virtual_config:defs catalog item.statement).Plan.total_cost)
     0.0 workload
 
 let drop_recommendations catalog (workload : Workload.t) =

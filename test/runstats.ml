@@ -60,7 +60,7 @@ let print_indexes label catalog =
       List.iter
         (fun pi ->
           let b = Buffer.create 4096 in
-          Physical_index.iter (fun e -> Buffer.add_string b (entry_line e)) pi;
+          List.iter (fun e -> Buffer.add_string b (entry_line e)) (Physical_index.all pi);
           Printf.printf "%s index %s entries=%d size=%d digest=%s\n" label
             (Xia_index.Index_def.logical_key (Physical_index.def pi))
             (Physical_index.entry_count pi) (Physical_index.size_bytes pi)
@@ -75,7 +75,7 @@ let () =
   let catalog = Catalog.create () in
   Tpox.load ~scale:Tpox.tiny_scale ~seed:7 catalog;
   print_stats "tpox" catalog;
-  let workload = Tpox.queries () @ Tpox.dml () in
+  let workload = Tpox.workload () @ Tpox.dml () in
   let set = Xia_advisor.Enumeration.candidates workload in
   List.iter
     (fun (c : Xia_advisor.Candidate.t) -> ignore (Catalog.create_index catalog c.def))

@@ -375,8 +375,7 @@ let search_tests =
           List.concat_map
             (fun (item : W.item) ->
               Xia_optimizer.Plan.indexes_used
-                (Xia_optimizer.Optimizer.optimize ~mode:Xia_optimizer.Optimizer.Evaluate
-                   ~virtual_config:defs (Lazy.force Helpers.shared_catalog)
+                (Helpers.whatif_plan ~virtual_config:defs (Lazy.force Helpers.shared_catalog)
                    item.W.statement))
             (Xia_workload.Tpox.workload ())
         in

@@ -1,9 +1,9 @@
 (* Differential suites for the batched what-if entry point: one
    [Optimizer.optimize_prepared] invocation must produce bit-for-bit the plans
-   per-statement [Optimizer.optimize] calls produce; evaluator counters
-   must be deterministic across runs; and the cost-model regressions fixed
-   alongside batching (multi-binding DML [affected], stale-candidate
-   rejection) stay fixed. *)
+   the from-scratch planner [Optimizer_oracle] produces per statement;
+   evaluator counters must be deterministic across runs; and the cost-model
+   regressions fixed alongside batching (multi-binding DML [affected],
+   stale-candidate rejection) stay fixed. *)
 
 module O = Xia_optimizer.Optimizer
 module Plan = Xia_optimizer.Plan
@@ -35,7 +35,7 @@ let fixtures () =
       Xia_workload.Synthetic.workload ~seed:5 tpox (Catalog.table_names tpox) 12 );
   ]
 
-let ids_used plan = List.map Index_def.logical_id (Plan.indexes_used plan)
+let ids_used plan = List.map (fun (d : Index_def.t) -> d.lid) (Plan.indexes_used plan)
 
 let check_plan_equal label (a : Plan.t) (b : Plan.t) =
   Alcotest.(check bool)
@@ -71,7 +71,7 @@ let differential_tests =
               (fun virtual_config ->
                 let expected =
                   Array.map
-                    (O.optimize ~mode:O.Evaluate ~virtual_config catalog)
+                    (fun stmt -> fst (Optimizer_oracle.optimize ~virtual_config catalog stmt))
                     stmts
                 in
                 let got =
@@ -175,7 +175,7 @@ let affected_tests =
           Helpers.statement
             {|delete from SECURITY where /Security[Symbol="BCIIPRC"]|}
         in
-        let plan = O.optimize ~mode:O.Evaluate ~virtual_config:[] catalog del in
+        let plan = Helpers.whatif_plan catalog del in
         (match plan.Plan.bindings with
         | [ b ] ->
             (* Single binding: exactly the binding's own estimate (the old

@@ -47,7 +47,7 @@ let rewriter_tests =
         | _ -> Alcotest.fail "expected one disjunctive filter");
     tc "both disjunct patterns are candidates" (fun () ->
         let s = Helpers.statement {|for $x in T/a where $x/k = "a" or $x/m = "b" return $x|} in
-        Alcotest.(check int) "two" 2 (List.length (R.indexable_patterns s)));
+        Alcotest.(check int) "two" 2 (List.length (Xia_optimizer.Optimizer.enumerate_indexes s)));
   ]
 
 (* 600 docs with two selective keys. *)
@@ -74,7 +74,7 @@ let optimizer_tests =
     tc "index OR plan chosen when both disjuncts indexed" (fun () ->
         let catalog = or_catalog () in
         let p =
-          O.optimize ~mode:O.Evaluate ~virtual_config:[ def "/a/k"; def "/a/m" ] catalog
+          Helpers.whatif_plan ~virtual_config:[ def "/a/k"; def "/a/m" ] catalog
             (Helpers.statement or_query)
         in
         match p.Plan.bindings with
@@ -84,7 +84,7 @@ let optimizer_tests =
     tc "no index OR when one disjunct lacks an index" (fun () ->
         let catalog = or_catalog () in
         let p =
-          O.optimize ~mode:O.Evaluate ~virtual_config:[ def "/a/k" ] catalog
+          Helpers.whatif_plan ~virtual_config:[ def "/a/k" ] catalog
             (Helpers.statement or_query)
         in
         match p.Plan.bindings with
@@ -92,7 +92,7 @@ let optimizer_tests =
         | _ -> Alcotest.fail "expected doc scan");
     tc "or estimate uses inclusion-exclusion" (fun () ->
         let catalog = or_catalog () in
-        let p = O.optimize ~mode:O.Evaluate catalog (Helpers.statement or_query) in
+        let p = Helpers.whatif_plan catalog (Helpers.statement or_query) in
         match p.Plan.bindings with
         | [ b ] ->
             (* 10 + 12 matching docs, minus tiny overlap *)
@@ -102,10 +102,10 @@ let optimizer_tests =
     tc "index OR is cheaper than doc scan" (fun () ->
         let catalog = or_catalog () in
         let base =
-          (O.optimize ~mode:O.Evaluate catalog (Helpers.statement or_query)).Plan.total_cost
+          (Helpers.whatif_plan catalog (Helpers.statement or_query)).Plan.total_cost
         in
         let indexed =
-          (O.optimize ~mode:O.Evaluate ~virtual_config:[ def "/a/k"; def "/a/m" ] catalog
+          (Helpers.whatif_plan ~virtual_config:[ def "/a/k"; def "/a/m" ] catalog
              (Helpers.statement or_query))
             .Plan.total_cost
         in

@@ -76,7 +76,7 @@ let correctness_tests =
     tc "virtual-only plan falls back to scan" (fun () ->
         let catalog = small_catalog () in
         let plan =
-          O.optimize ~mode:O.Evaluate ~virtual_config:[ def "/a/k" ] catalog
+          Helpers.whatif_plan ~virtual_config:[ def "/a/k" ] catalog
             (Helpers.statement {|for $x in T/a where $x/k = "K02" return $x|})
         in
         let r = E.run_plan catalog plan in
@@ -222,7 +222,7 @@ let coupling_tests =
         Cat.add_table catalog store;
         ignore (Cat.runstats catalog "T");
         let stmt = Helpers.statement "for $x in T/a return $x" in
-        match (O.optimize ~mode:O.Normal catalog stmt).Plan.bindings with
+        match (O.optimize catalog stmt).Plan.bindings with
         | [ { plan = Plan.Doc_scan; est_cost; est_docs; _ } ] ->
             let estimated = est_cost -. (est_docs *. Xia_storage.Cost_params.cpu_per_result) in
             let executed = (E.run_statement catalog stmt).E.metrics.E.simulated_cost in

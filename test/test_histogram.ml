@@ -22,18 +22,13 @@ let histogram_tests =
         let lo, hi = H.bounds h in
         Alcotest.(check (float 0.001)) "lo" 0.0 lo;
         Alcotest.(check (float 0.001)) "hi" 999.0 hi;
-        Alcotest.(check int) "total" 1000 (H.total h);
-        Alcotest.(check int) "buckets" H.buckets (H.bucket_count h));
+        Alcotest.(check int) "total" 1000 (H.total h));
     tc "fraction_below on uniform data" (fun () ->
         let h = Option.get (H.create uniform_sample) in
         Alcotest.(check (float 0.02)) "half" 0.5 (H.fraction_below h 499.5);
         Alcotest.(check (float 0.02)) "tenth" 0.1 (H.fraction_below h 99.9);
         Alcotest.(check (float 0.001)) "below lo" 0.0 (H.fraction_below h (-1.0));
         Alcotest.(check (float 0.001)) "above hi" 1.0 (H.fraction_below h 2000.0));
-    tc "fraction_between" (fun () ->
-        let h = Option.get (H.create uniform_sample) in
-        Alcotest.(check (float 0.03)) "quarter" 0.25 (H.fraction_between h 250.0 500.0);
-        Alcotest.(check (float 0.001)) "empty" 0.0 (H.fraction_between h 500.0 500.0));
     tc "skewed distribution is captured" (fun () ->
         (* 90% of mass at the low end. *)
         let sample =
@@ -44,12 +39,6 @@ let histogram_tests =
         (* value < 10 covers 90% of values but only ~9% of the range;
            interpolation within the straddled bucket costs some precision *)
         Alcotest.(check bool) "skew detected" true (H.fraction_below h 10.0 > 0.7));
-    tc "point_density" (fun () ->
-        let h = Option.get (H.create uniform_sample) in
-        Alcotest.(check bool) "roughly 1/buckets" true
-          (let d = H.point_density h 500.0 in
-           d > 0.03 && d < 0.1);
-        Alcotest.(check (float 0.0001)) "outside" 0.0 (H.point_density h 5000.0));
   ]
 
 (* The bucket counts, read off the printed histogram "hist[lo..hi: c,c,...]". *)
@@ -141,7 +130,6 @@ let non_finite_tests =
           (counts h);
         Alcotest.(check bool) "fraction below 1e307 is not 0" true
           (H.fraction_below h 1e307 > 0.0);
-        Alcotest.(check (float 1e-9)) "density at 0" 0.6 (H.point_density h 0.0);
         Alcotest.(check string) "of_array agrees"
           (Format.asprintf "%a" H.pp h)
           (Format.asprintf "%a" H.pp (Option.get (H.of_array (Array.of_list sample)))));
@@ -200,7 +188,7 @@ let selectivity_tests =
         let stats, info = skewed_path catalog in
         let stmt = Helpers.statement "for $x in T/a where $x/v < 100 return $x" in
         let docs =
-          match (Xia_optimizer.Optimizer.optimize catalog stmt).Xia_optimizer.Plan.bindings with
+          match (Helpers.whatif_plan catalog stmt).Xia_optimizer.Plan.bindings with
           | [ b ] -> b.Xia_optimizer.Plan.est_docs
           | _ -> Alcotest.fail "one binding expected"
         in

@@ -134,9 +134,8 @@ let stats_tests =
         List.iter (fun (st, d) -> ignore (IS.derive_cached st d)) seed7;
         List.iter
           (fun (st, d) ->
-            Alcotest.(check string) (D.name d)
-              (Fmt.to_to_string IS.pp (IS.derive st d))
-              (Fmt.to_to_string IS.pp (IS.derive_cached st d)))
+            Alcotest.(check bool) (D.name d) true
+              (compare (IS.derive st d) (IS.derive_cached st d) = 0))
           seed8);
   ]
 
@@ -232,7 +231,7 @@ let incremental_tests =
     tc "replace via change leaves refresh equal to rebuild" (fun () ->
         let s = store_with [ "<a><b>x</b></a>" ] in
         let pi = PI.build s (def "/a/b") in
-        ignore (DS.replace s 0 (Helpers.xml "<a><b>q</b><c/></a>"));
+        ignore (Helpers.replace s 0 (Helpers.xml "<a><b>q</b><c/></a>"));
         let inc = PI.refresh s pi in
         Alcotest.(check bool) "equal" true (same_entries inc (PI.build s (def "/a/b"))));
     tc "one refresh closure serves indexes of several generations" (fun () ->
@@ -243,7 +242,7 @@ let incremental_tests =
         let b = PI.build s (def "/a/b") in
         ignore (DS.insert s (Helpers.xml "<a><b>2</b><c>2</c></a>"));
         let c = PI.build s (def "/a/c") in
-        ignore (DS.replace s 0 (Helpers.xml "<a><b>3</b><c>3</c></a>"));
+        ignore (Helpers.replace s 0 (Helpers.xml "<a><b>3</b><c>3</c></a>"));
         let refresh = PI.refresh s in
         let c' = refresh c in
         let b' = refresh b in
@@ -379,7 +378,7 @@ let incremental_properties =
         let replace id =
           last := id;
           ignore
-            (DS.replace s id
+            (Helpers.replace s id
                (Helpers.xml (Printf.sprintf "<a><c>r%d</c></a>" (Random.State.int rng 50))))
         in
         for _ = 1 to batches do
@@ -432,9 +431,8 @@ let catalog_tests =
         let d = def "/a/b" in
         ignore (Cat.create_index c d);
         Alcotest.(check int) "one" 1 (List.length (Cat.real_indexes c "T"));
-        Alcotest.(check bool) "dropped" true (Cat.drop_index c (D.name d));
-        Alcotest.(check int) "zero" 0 (List.length (Cat.real_indexes c "T"));
-        Alcotest.(check bool) "missing" false (Cat.drop_index c "nope"));
+        Cat.drop_all_indexes c;
+        Alcotest.(check int) "zero" 0 (List.length (Cat.real_indexes c "T")));
     tc "duplicate logical index rejected" (fun () ->
         let c = Cat.create () in
         Cat.add_table c (store_with [ "<a><b>1</b></a>" ]);

@@ -63,7 +63,7 @@ let pipeline_tests =
             C.Int_set.iter
               (fun i ->
                 let pats =
-                  Xia_query.Rewriter.indexable_patterns items.(i).W.statement
+                  Xia_optimizer.Optimizer.enumerate_indexes items.(i).W.statement
                 in
                 Alcotest.(check bool)
                   (Printf.sprintf "cand %d affects stmt %d" c.C.id i)

@@ -182,16 +182,15 @@ let def_tests =
           && Index_def.equal_data_type a.dtype b.dtype
           && Pattern.equal a.pattern b.pattern
         in
-        Bool.equal (Index_def.logical_id a = Index_def.logical_id b) (Index_def.same a b)
-        && Bool.equal (Index_def.same a b) structural
-        && Index_def.logical_id a = a.lid);
+        Bool.equal (a.lid = b.lid) (Index_def.same a b)
+        && Bool.equal (Index_def.same a b) structural);
     QCheck.Test.make ~count:500 ~name:"key_id = logical_id, covers_id = covers"
       (QCheck.pair def_arbitrary def_arbitrary)
       (fun (((table, pattern, dtype) as x), y) ->
         let a = make x and b = make y in
-        Index_def.key_id ~table ~dtype ~pid:(Pattern.id pattern) = Index_def.logical_id a
+        Index_def.key_id ~table ~dtype ~pid:(Pattern.id pattern) = a.lid
         && Bool.equal
-             (Index_def.covers_id ~general:b (Index_def.logical_id a))
+             (Index_def.covers_id ~general:b a.lid)
              (Index_def.covers ~general:b ~specific:a));
     QCheck.Test.make ~count:300 ~name:"make carries the pattern's id"
       def_arbitrary

@@ -21,6 +21,12 @@ module Metrics = Xia_obs.Metrics
 
 let tc name f = Alcotest.test_case name `Quick f
 
+(* A registered counter's value, read from a metrics snapshot. *)
+let counter_value name =
+  match List.assoc name (Metrics.snapshot ()) with
+  | Metrics.Counter_v n -> n
+  | _ -> Alcotest.failf "%s is not a counter" name
+
 (* ------------------------------------------------- differential harness -- *)
 
 let tiny_workload catalog =
@@ -106,7 +112,24 @@ let switch_tests =
             "benefit.workload_cost"; "search.all_index"; "search.greedy_heuristics";
           ];
         Alcotest.(check bool) "benefit.evaluations counted" true
-          (Metrics.value (Metrics.counter "benefit.evaluations") > 0));
+          (counter_value "benefit.evaluations" > 0));
+    tc "with_enabled restores the switch when its body raises" (fun () ->
+        let saved = Obs.on () in
+        Fun.protect
+          ~finally:(fun () -> Obs.set_enabled saved)
+          (fun () ->
+            List.iter
+              (fun before ->
+                Obs.set_enabled before;
+                (match
+                   Obs.with_enabled (not before) (fun () ->
+                       Alcotest.(check bool) "forced inside" (not before) (Obs.on ());
+                       raise Exit)
+                 with
+                | () -> Alcotest.fail "the body's exception was swallowed"
+                | exception Exit -> ());
+                Alcotest.(check bool) "restored after the raise" before (Obs.on ()))
+              [ false; true ]));
   ]
 
 (* ------------------------------------------ span well-nestedness (qcheck) -- *)
@@ -215,10 +238,10 @@ let metrics_tests =
   [
     tc "counter: incr/add accumulate; re-registration shares state" (fun () ->
         let c = Metrics.counter "test_obs.counter" in
-        let base = Metrics.value c in
+        let base = counter_value "test_obs.counter" in
         Metrics.incr c;
         Metrics.add (Metrics.counter "test_obs.counter") 4;
-        Alcotest.(check int) "value" (base + 5) (Metrics.value c));
+        Alcotest.(check int) "value" (base + 5) (counter_value "test_obs.counter"));
     tc "kind clash raises Invalid_argument" (fun () ->
         ignore (Metrics.counter "test_obs.clash");
         match Metrics.gauge "test_obs.clash" with
@@ -226,9 +249,9 @@ let metrics_tests =
         | exception Invalid_argument _ -> ());
     tc "histogram buckets observations by bound" (fun () ->
         let h = Metrics.histogram ~bounds_us:[| 10.; 100. |] "test_obs.hist" in
-        Metrics.observe_us h 5.0;
-        Metrics.observe_us h 50.0;
-        Metrics.observe_us h 5000.0;
+        Metrics.observe h 5.0;
+        Metrics.observe h 50.0;
+        Metrics.observe h 5000.0;
         (* 5ms lands in the implicit overflow bucket *)
         match List.assoc "test_obs.hist" (Metrics.snapshot ()) with
         | Metrics.Histogram_v { count; sum_us; buckets } ->

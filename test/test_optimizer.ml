@@ -96,7 +96,7 @@ let selectivity_tests =
     tc "doc_fraction bounded by 1" (fun () ->
         let catalog = controlled_catalog () in
         let stats = Cat.stats catalog "T" in
-        let f = Sel.doc_fraction stats (access "/a/k" R.Cexists) in
+        let f = Sel.combined_doc_fraction stats [ [ access "/a/k" R.Cexists ] ] in
         Alcotest.(check (float 0.001)) "all docs" 1.0 f);
     tc "combined_doc_fraction multiplies" (fun () ->
         let catalog = controlled_catalog () in
@@ -128,7 +128,7 @@ let matching_tests =
   ]
 
 let plan_of ?(cfg = []) catalog stmt =
-  O.optimize ~mode:O.Evaluate ~virtual_config:cfg catalog (Helpers.statement stmt)
+  Helpers.whatif_plan ~virtual_config:cfg catalog (Helpers.statement stmt)
 
 let affected_of catalog stmt = O.affected_docs (O.prepare catalog (Helpers.statement stmt))
 
@@ -181,11 +181,11 @@ let plan_tests =
         | _ -> Alcotest.fail "expected index scan");
     tc "normal mode ignores virtual indexes" (fun () ->
         let catalog = controlled_catalog () in
-        match
-          (O.optimize ~mode:O.Normal ~virtual_config:[ def "/a/k" ] catalog
-             (Helpers.statement {|for $x in T/a where $x/k = "K03" return $x|}))
-            .Plan.bindings
-        with
+        let stmt = Helpers.statement {|for $x in T/a where $x/k = "K03" return $x|} in
+        (match (Helpers.whatif_plan ~virtual_config:[ def "/a/k" ] catalog stmt).Plan.bindings with
+        | [ { plan = Plan.Index_scan _; _ } ] -> ()
+        | _ -> Alcotest.fail "expected an index scan what-if");
+        match (O.optimize catalog stmt).Plan.bindings with
         | [ { plan = Plan.Doc_scan; _ } ] -> ()
         | _ -> Alcotest.fail "expected doc scan in normal mode");
     tc "insert cost independent of indexes" (fun () ->
@@ -219,11 +219,13 @@ let plan_tests =
         Alcotest.(check int) "one" 1 (List.length (Plan.indexes_used p)));
     tc "counters accumulate" (fun () ->
         let catalog = controlled_catalog () in
-        O.reset_counters ();
+        let optimize0 = Atomic.get O.counters.O.optimize_calls in
+        let enumerate0 = Atomic.get O.counters.O.enumerate_calls in
         ignore (plan_of catalog "for $x in T/a return $x");
         ignore (O.enumerate_indexes (Helpers.statement "for $x in T/a return $x"));
-        Alcotest.(check int) "optimize" 1 (Atomic.get O.counters.O.optimize_calls);
-        Alcotest.(check int) "enumerate" 1 (Atomic.get O.counters.O.enumerate_calls));
+        Alcotest.(check int) "optimize" 1 (Atomic.get O.counters.O.optimize_calls - optimize0);
+        Alcotest.(check int) "enumerate" 1
+          (Atomic.get O.counters.O.enumerate_calls - enumerate0));
   ]
 
 let enumerate_tests =
@@ -258,9 +260,6 @@ let enumerate_tests =
   ]
 
 (* Consistency invariants tying the two optimizer modes together. *)
-let plan_stmt ?(cfg = []) catalog stmt =
-  O.optimize ~mode:O.Evaluate ~virtual_config:cfg catalog stmt
-
 let consistency_tests =
   [
     tc "virtual and real estimates agree for the same definitions" (fun () ->
@@ -268,11 +267,11 @@ let consistency_tests =
         let stmt = Helpers.statement {|for $x in T/a where $x/k = "K03" return $x|} in
         let d = def "/a/k" in
         let virtual_cost =
-          (plan_stmt ~cfg:[ d ] catalog stmt).Plan.total_cost
+          (Helpers.whatif_plan ~virtual_config:[ d ] catalog stmt).Plan.total_cost
         in
         ignore (Cat.create_index catalog d);
         let real_cost =
-          (O.optimize ~mode:O.Normal catalog stmt).Plan.total_cost
+          (O.optimize catalog stmt).Plan.total_cost
         in
         Alcotest.(check (float 0.0001)) "same" virtual_cost real_cost);
     tc "adding a virtual index never increases a query's cost" (fun () ->
@@ -287,10 +286,10 @@ let consistency_tests =
         in
         List.iter
           (fun stmt ->
-            let base = (plan_stmt catalog stmt).Plan.total_cost in
+            let base = (Helpers.whatif_plan catalog stmt).Plan.total_cost in
             let indexed =
-              (plan_stmt
-                 ~cfg:[ def "/a/k"; def ~dtype:D.Ddouble "/a/v"; def "/a//*" ]
+              (Helpers.whatif_plan
+                 ~virtual_config:[ def "/a/k"; def ~dtype:D.Ddouble "/a/v"; def "/a//*" ]
                  catalog stmt)
                 .Plan.total_cost
             in

@@ -96,10 +96,8 @@ let persist_tests =
         let store = DS.create "T" in
         ignore (ok (P.load_directory store dir));
         match DS.find store 0 with
-        | Some doc ->
-            Alcotest.(check (option string)) "first is a.xml" (Some "a")
-              (Xia_xml.Types.tag_of doc)
-        | None -> Alcotest.fail "doc 0 missing");
+        | Some (Xia_xml.Types.Element e) -> Alcotest.(check string) "first is a.xml" "a" e.tag
+        | Some (Xia_xml.Types.Text _) | None -> Alcotest.fail "doc 0 missing");
   ]
 
 let workload_file_tests =
@@ -136,7 +134,7 @@ let workload_file_tests =
         let wl = ok (W.read (Filename.concat dir "wl.txt")) in
         Alcotest.(check int) "two" 2 (W.size wl);
         (* Both lines must expose the same indexable pattern. *)
-        match List.map (fun (i : W.item) -> Xia_query.Rewriter.indexable_patterns i.W.statement) wl with
+        match List.map (fun (i : W.item) -> Xia_optimizer.Optimizer.enumerate_indexes i.W.statement) wl with
         | [ [ (_, p1, _) ]; [ (_, p2, _) ] ] ->
             Alcotest.(check string) "same" (Xia_xpath.Pattern.to_string p1)
               (Xia_xpath.Pattern.to_string p2)

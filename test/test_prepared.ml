@@ -171,21 +171,24 @@ let plan_twice ?factor label ~virtual_config catalog stmts prepared for_costs =
       let c0 = plans_considered () in
       let got = O.optimize_prepared ~virtual_config prepared in
       let got_count = plans_considered () - c0 in
-      check_same ?factor label O.Evaluate ~virtual_config catalog stmts got got_count;
+      check_same ?factor label Optimizer_oracle.Evaluate ~virtual_config catalog stmts got
+        got_count;
       let c1 = plans_considered () in
       let costs = O.optimize_costs ~virtual_config for_costs in
       check_costs label got got_count costs (plans_considered () - c1))
     [ "cold"; "warm" ]
 
-(* The one-statement entry points: plans and costs against the oracle. *)
+(* Statements planned one at a time, each prepared afresh: over the real
+   indexes by [optimize], or what-if in a batch of one. *)
 let plan_each label mode ~virtual_config catalog stmts =
+  let plan =
+    match mode with
+    | Optimizer_oracle.Normal -> O.optimize catalog
+    | Optimizer_oracle.Evaluate -> Helpers.whatif_plan ~virtual_config catalog
+  in
   let c0 = plans_considered () in
-  let got = Array.map (O.optimize ~mode ~virtual_config catalog) stmts in
-  let got_count = plans_considered () - c0 in
-  check_same label mode ~virtual_config catalog stmts got got_count;
-  let c1 = plans_considered () in
-  let costs = Array.map (O.statement_cost ~mode ~virtual_config catalog) stmts in
-  check_costs label got got_count costs (plans_considered () - c1)
+  let got = Array.map plan stmts in
+  check_same label mode ~virtual_config catalog stmts got (plans_considered () - c0)
 
 let qcheck_evaluate =
   QCheck.Test.make ~count:12 ~name:"prepared = oracle under random virtual configs"
@@ -210,17 +213,17 @@ let qcheck_evaluate =
                     ~virtual_config catalog stmts prepared for_costs)
                 configs)
             [ 1.0; 1000.0 ];
-          (* The one-statement entry points plan through the same path. *)
+          (* Statements prepared one at a time plan through the same path. *)
           plan_each
-            (Printf.sprintf "%s seed=%d optimize" label seed)
-            O.Evaluate ~virtual_config:(random_config rng defs) catalog stmts)
+            (Printf.sprintf "%s seed=%d one at a time" label seed)
+            Optimizer_oracle.Evaluate ~virtual_config:(random_config rng defs) catalog stmts)
         (Lazy.force fixtures);
       !index_plans > seen)
 
-(* Normal mode over materialized indexes, including two real indexes with
-   the same pattern (the catalog's order breaks their cost tie).  Only the
-   one-statement entry points plan in Normal mode: the batched ones take
-   no catalog. *)
+(* [optimize] over materialized indexes, including two real indexes with
+   the same pattern (the catalog's order breaks their cost tie).  Only
+   [optimize] plans over real indexes: the batched entry points take no
+   catalog. *)
 let normal_mode_tests =
   [
     tc "Normal mode: prepared = oracle over real indexes" (fun () ->
@@ -239,7 +242,7 @@ let normal_mode_tests =
               ~dtype:Index_def.Dstring ();
           ];
         let seen = !index_plans in
-        plan_each "normal" O.Normal ~virtual_config:[] catalog stmts;
+        plan_each "normal" Optimizer_oracle.Normal ~virtual_config:[] catalog stmts;
         Alcotest.(check bool) "some binding planned with an index" true (!index_plans > seen));
   ]
 

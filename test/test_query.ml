@@ -77,9 +77,7 @@ let parser_tests =
           (Result.is_error (QP.parse_statement "insert into T <a><b></a>")));
     tc "statement metadata" (fun () ->
         let s = Helpers.statement "for $x in T/a return $x" in
-        Alcotest.(check bool) "query" true (Q.is_query s);
         Alcotest.(check bool) "not dml" false (Q.is_dml s);
-        Alcotest.(check (option string)) "table" (Some "T") (Q.statement_table s);
         let d = Helpers.statement "delete from U where /a" in
         Alcotest.(check bool) "dml" true (Q.is_dml d);
         Alcotest.(check (list string)) "tables" [ "U" ] (Q.tables d));
@@ -93,7 +91,7 @@ let table_one_tests =
           Helpers.statement
             {|for $sec in SECURITY('SDOC')/Security where $sec/Symbol = "BCIIPRC" return $sec|}
         in
-        match R.indexable_patterns q1 with
+        match Xia_optimizer.Optimizer.enumerate_indexes q1 with
         | [ (table, pattern, dtype) ] ->
             Alcotest.(check string) "table" "SECURITY" table;
             Alcotest.(check string) "pattern" "/Security/Symbol"
@@ -110,7 +108,7 @@ let table_one_tests =
         let pats =
           List.map
             (fun (_, p, d) -> (Xia_xpath.Pattern.to_string p, D.data_type_to_string d))
-            (R.indexable_patterns q2)
+            (Xia_optimizer.Optimizer.enumerate_indexes q2)
         in
         Alcotest.(check bool) "C3 yield numeric" true
           (List.mem ("/Security/Yield", "DOUBLE") pats);

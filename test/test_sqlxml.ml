@@ -90,7 +90,7 @@ let equivalence_tests =
           List.map
             (fun (t, p, d) ->
               (t, Xia_xpath.Pattern.to_string p, Xia_index.Index_def.data_type_to_string d))
-            (R.indexable_patterns s)
+            (Xia_optimizer.Optimizer.enumerate_indexes s)
         in
         Alcotest.(check (list (triple string string string))) "same candidates"
           (pats xq) (pats sql));
@@ -101,7 +101,7 @@ let equivalence_tests =
             {|for $s in SECURITY('SDOC')/Security[Yield>4.5] return $s|}
         in
         let sql = parse {|SELECT * FROM SECURITY WHERE XMLEXISTS('$d/Security[Yield>4.5]')|} in
-        let cost s = Xia_optimizer.Optimizer.statement_cost catalog s in
+        let cost s = (Helpers.whatif_plan catalog s).Xia_optimizer.Plan.total_cost in
         Alcotest.(check (float 0.0001)) "same cost" (cost xq) (cost sql));
     tc "parse_any dispatches correctly" (fun () ->
         (match S.parse_any "for $x in T/a return $x" with

@@ -20,11 +20,11 @@ let doc_store_tests =
         let ids = List.init 1500 (fun _ -> DS.insert s (Helpers.xml "<a/>")) in
         Alcotest.(check (list int)) "every insert" ids (DS.touched_since s 0);
         let gen0 = DS.generation s in
-        ignore (DS.replace s 0 (Helpers.xml "<b/>"));
+        ignore (Helpers.replace s 0 (Helpers.xml "<b/>"));
         ignore (DS.delete s 1_200);
-        ignore (DS.replace s 1 (Helpers.xml "<b/>"));
+        ignore (Helpers.replace s 1 (Helpers.xml "<b/>"));
         let gen1 = DS.generation s in
-        ignore (DS.replace s 0 (Helpers.xml "<c/>"));
+        ignore (Helpers.replace s 0 (Helpers.xml "<c/>"));
         Alcotest.(check bool) "a failed delete writes nothing" false (DS.delete s 1_200);
         Alcotest.(check int) "one generation per write" (gen0 + 4) (DS.generation s);
         Alcotest.(check (list int)) "since gen0" [ 1_200; 1; 0 ] (DS.touched_since s gen0);
@@ -55,9 +55,9 @@ let doc_store_tests =
     tc "replace swaps content" (fun () ->
         let s = DS.create "T" in
         let id = DS.insert s (Helpers.xml "<a/>") in
-        Alcotest.(check bool) "replaced" true (DS.replace s id (Helpers.xml "<b><c/></b>"));
+        Alcotest.(check bool) "replaced" true (Helpers.replace s id (Helpers.xml "<b><c/></b>"));
         Alcotest.(check int) "elements" 2 (DS.total_elements s);
-        Alcotest.(check bool) "missing" false (DS.replace s 999 (Helpers.xml "<x/>")));
+        Alcotest.(check bool) "missing" false (Helpers.replace s 999 (Helpers.xml "<x/>")));
     tc "update takes only documents packed for the table" (fun () ->
         let s = DS.create "T" in
         let id = DS.insert s (Helpers.xml "<a>x</a>") in
@@ -81,10 +81,6 @@ let doc_store_tests =
         let s = store_with [ "<a/>"; "<b/>"; "<c/>" ] in
         Alcotest.(check int) "fold" 3 (DS.fold (fun _ _ n -> n + 1) s 0);
         Alcotest.(check int) "ids" 3 (List.length (DS.doc_ids s)));
-    tc "averages" (fun () ->
-        let s = store_with [ "<a><b/></a>"; "<a/>" ] in
-        Alcotest.(check (float 0.001)) "elems" 1.5 (DS.avg_doc_elements s);
-        Alcotest.(check bool) "bytes" true (DS.avg_doc_bytes s > 0.0));
   ]
 
 let stats_of docs = PS.collect (store_with docs)
@@ -141,11 +137,6 @@ let path_stats_tests =
         let h1 = PS.matching st (Helpers.pattern "//b") in
         let h2 = PS.matching st (Helpers.pattern "//b") in
         Alcotest.(check bool) "same" true (h1 == h2));
-    tc "avg_value_bytes" (fun () ->
-        let st = stats_of [ "<a><b>xx</b><b>yyyy</b></a>" ] in
-        match find st "a/b" with
-        | Some info -> Alcotest.(check (float 0.001)) "avg" 3.0 (PS.avg_value_bytes info)
-        | None -> Alcotest.fail "path missing");
     tc "siblings sort by label before their extensions" (fun () ->
         let st = stats_of [ "<r><a-b/><a><x/></a><a.b/><a_b/></r>" ] in
         let keys = List.map PS.key (Array.to_list st.PS.infos) in
@@ -247,7 +238,6 @@ let properties =
 type op =
   | Insert of Xia_xml.Types.t
   | Delete of int
-  | Replace of int * Xia_xml.Types.t
   | Update of int * Xia_xml.Types.t  (* packed with the store's labels first *)
 
 let op_gen =
@@ -256,23 +246,20 @@ let op_gen =
       [
         (3, map (fun d -> Insert d) Helpers.doc_gen);
         (2, map (fun k -> Delete k) (int_range 0 12));
-        (2, map2 (fun k d -> Replace (k, d)) (int_range 0 12) Helpers.doc_gen);
         (2, map2 (fun k d -> Update (k, d)) (int_range 0 12) Helpers.doc_gen);
       ])
 
 let print_op = function
   | Insert d -> "insert " ^ Xia_xml.Printer.to_string d
   | Delete k -> Printf.sprintf "delete %d" k
-  | Replace (k, d) -> Printf.sprintf "replace %d %s" k (Xia_xml.Printer.to_string d)
   | Update (k, d) -> Printf.sprintf "update %d %s" k (Xia_xml.Printer.to_string d)
 
 let apply s = function
   | Insert d -> ignore (DS.insert s d); true
   | Delete k -> DS.delete s k
-  | Replace (k, d) -> DS.replace s k d
-  | Update (k, d) -> DS.update s k (Xia_xml.Packed.pack (DS.labels s) d)
+  | Update (k, d) -> Helpers.replace s k d
 
-(* Everything a failed delete, replace or update must leave alone. *)
+(* Everything a failed delete or update must leave alone. *)
 let snapshot s =
   ( DS.generation s,
     DS.total_bytes s,
@@ -333,9 +320,8 @@ let oracle_apply o op =
   match op with
   | Insert d -> { (write o o.next (Int_map.add o.next d o.docs)) with next = o.next + 1 }
   | Delete k when Int_map.mem k o.docs -> write o k (Int_map.remove k o.docs)
-  | (Replace (k, d) | Update (k, d)) when Int_map.mem k o.docs ->
-      write o k (Int_map.add k d o.docs)
-  | Delete _ | Replace _ | Update _ -> o
+  | Update (k, d) when Int_map.mem k o.docs -> write o k (Int_map.add k d o.docs)
+  | Delete _ | Update _ -> o
 
 let agrees_with s o =
   let text = Xia_xml.Printer.to_string in

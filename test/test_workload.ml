@@ -14,21 +14,11 @@ let workload_tests =
     tc "of_strings labels sequentially" (fun () ->
         let w = W.of_strings [ "for $x in T/a return $x"; "insert into T <a/>" ] in
         Alcotest.(check (list string)) "labels" [ "S1"; "S2" ] (W.labels w));
-    tc "queries/dml partition" (fun () ->
-        let w = W.of_strings [ "for $x in T/a return $x"; "insert into T <a/>" ] in
-        Alcotest.(check int) "queries" 1 (W.size (W.queries w));
-        Alcotest.(check int) "dml" 1 (W.size (W.dml w)));
     tc "prefix" (fun () ->
         let w = W.of_strings [ "for $x in T/a return $x"; "insert into T <a/>" ] in
         Alcotest.(check int) "one" 1 (W.size (W.prefix 1 w));
         Alcotest.(check int) "zero" 0 (W.size (W.prefix 0 w));
         Alcotest.(check int) "over" 2 (W.size (W.prefix 10 w)));
-    tc "total_frequency" (fun () ->
-        let w =
-          [ W.item ~freq:2.0 "a" (Helpers.statement "for $x in T/a return $x");
-            W.item ~freq:3.5 "b" (Helpers.statement "for $x in T/a return $x") ]
-        in
-        Alcotest.(check (float 0.001)) "sum" 5.5 (W.total_frequency w));
     tc "find_opt" (fun () ->
         let w = W.of_strings [ "for $x in T/a return $x" ] in
         Alcotest.(check bool) "found" true (W.find_opt w "S1" <> None);
@@ -71,7 +61,7 @@ let tpox_tests =
         Alcotest.(check int) "securities" Tpox.tiny_scale.Tpox.securities
           (DS.doc_count (Cat.store catalog Tpox.security_table)));
     tc "eleven queries, all parseable" (fun () ->
-        Alcotest.(check int) "eleven" 11 (W.size (Tpox.queries ())));
+        Alcotest.(check int) "eleven" 11 (W.size (Tpox.workload ())));
     tc "dml statements parse" (fun () ->
         Alcotest.(check int) "four" 4 (W.size (Tpox.dml ()));
         Alcotest.(check bool) "all dml" true

@@ -11,7 +11,7 @@ let tc name f = Alcotest.test_case name `Quick f
 let parse_ok s =
   match P.parse s with
   | Ok doc -> doc
-  | Error e -> Alcotest.failf "parse %S failed: %a" s Xia_xml.Scan.pp_error e
+  | Error e -> Alcotest.failf "parse %S failed: %s" s (Xia_xml.Scan.to_string e)
 
 (* The located error of a rejected input: line, column and message. *)
 let error_of s =
@@ -110,14 +110,10 @@ let model_tests =
   [
     tc "count_elements" (fun () ->
         check Alcotest.int "n" 4 (T.count_elements (parse_ok "<a><b/><c><d/></c></a>")));
-    tc "count_nodes includes attrs and text" (fun () ->
-        check Alcotest.int "n" 4 (T.count_nodes (parse_ok {|<a id="1" k="2">x</a>|})));
     tc "direct_text concatenates only direct children" (fun () ->
         match parse_ok "<a>x<b>inner</b>y</a>" with
         | T.Element e -> check Alcotest.string "v" "xy" (T.direct_text e)
         | T.Text _ -> Alcotest.fail "expected element");
-    tc "node_value of text" (fun () ->
-        check Alcotest.string "v" "s" (T.node_value (T.text "s")));
     tc "leaf builds tag with value" (fun () ->
         check Alcotest.string "rt" "<t>v</t>" (Pr.to_string (T.leaf "t" "v")));
     tc "byte_size positive and grows" (fun () ->
@@ -145,7 +141,7 @@ let model_tests =
     tc "find_by_pre" (fun () ->
         (* A packed document's preorder rank is its array index. *)
         let doc = Helpers.packed (parse_ok "<a><b/><c><d/></c></a>") in
-        check Alcotest.string "tag" "d" (Packed.label doc.labels doc.tags.(3));
+        check Alcotest.int "tag" (Packed.find_label doc.labels "d") doc.tags.(3);
         check Alcotest.int "subtree of c" 3 doc.last.(2);
         Alcotest.(check bool) "missing" true (Packed.elements doc <= 99));
     tc "equal structural" (fun () ->
@@ -159,12 +155,7 @@ let model_tests =
         let c = { T.pre = 2; attr = None } in
         Alcotest.(check bool) "a<b" true (T.compare_node_id a b < 0);
         Alcotest.(check bool) "b<c" true (T.compare_node_id b c < 0);
-        Alcotest.(check bool) "a=a" true (T.equal_node_id a a));
-    tc "pretty printer parses back" (fun () ->
-        (* no mixed content: pretty-printing interleaves indentation text *)
-        let doc = parse_ok {|<a id="1"><b>x</b><c><d/></c></a>|} in
-        let pretty = Pr.to_pretty_string doc in
-        Alcotest.(check bool) "equal" true (T.equal doc (parse_ok pretty)));
+        Alcotest.(check int) "a=a" 0 (T.compare_node_id a a));
   ]
 
 let properties =
@@ -221,17 +212,6 @@ let properties =
             if not (List.mem tag path) then oracle := (node pre attr, path, value) :: !oracle)
           doc;
         !seen = !oracle);
-    QCheck.Test.make ~count:200 ~name:"element_value = direct_text" Helpers.doc_arbitrary
-      (fun doc ->
-        let ok = ref true in
-        let rec check = function
-          | T.Text _ -> ()
-          | T.Element e ->
-              ok := !ok && String.equal (T.element_value e) (T.direct_text e);
-              List.iter check e.children
-        in
-        check doc;
-        !ok);
   ]
 
 (* Documents that stress packing: the random trees (mixed content, [Text

@@ -74,16 +74,9 @@ let parser_tests =
 
 let ast_tests =
   [
-    tc "strip_predicates removes all" (fun () ->
-        let p = Helpers.xpath {|/a[b>1]/c[d="x"]|} in
-        Alcotest.(check bool) "has preds" true (A.has_predicates p);
-        let s = A.strip_predicates p in
-        Alcotest.(check bool) "no preds" false (A.has_predicates s);
-        check Alcotest.string "shape" "/a/c" (Pr.path_to_string s));
-    tc "flip_cmp is involutive" (fun () ->
-        List.iter
-          (fun c -> Alcotest.(check bool) "inv" true (A.flip_cmp (A.flip_cmp c) = c))
-          [ A.Eq; A.Ne; A.Lt; A.Le; A.Gt; A.Ge ]);
+    tc "has_predicates sees predicates on any step" (fun () ->
+        Alcotest.(check bool) "has preds" true (A.has_predicates (Helpers.xpath {|/a/c[d="x"]|}));
+        Alcotest.(check bool) "no preds" false (A.has_predicates (Helpers.xpath "/a/c")));
     tc "literal_matches numeric coercion" (fun () ->
         Alcotest.(check bool) "gt" true (A.literal_matches "4.7" A.Gt (A.Number_lit 4.5));
         Alcotest.(check bool) "not gt" false (A.literal_matches "4.2" A.Gt (A.Number_lit 4.5));
@@ -239,7 +232,7 @@ let properties =
         List.for_all
           (fun (m : E.match_) ->
             List.exists
-              (fun (m' : E.match_) -> Xia_xml.Types.equal_node_id m.E.id m'.E.id)
+              (fun (m' : E.match_) -> Xia_xml.Types.compare_node_id m.E.id m'.E.id = 0)
               deep)
           direct);
   ]
