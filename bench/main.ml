@@ -640,13 +640,14 @@ let allocated_words () =
   let _, promoted, major = Gc.counters () in
   Gc.minor_words () +. major -. promoted
 
-(* Words the running exhibit measured itself, for its record; an exhibit
-   that sets it must allocate the same on every run. *)
-let exhibit_alloc_words : float option ref = ref None [@@lint.allow "D001"]
+(* Exact word counts the running exhibit measured itself, for its record,
+   by metric name ([alloc_words], [store_words]); an exhibit that sets one
+   must measure the same on every run. *)
+let exhibit_words : (string * float) list ref = ref [] [@@lint.allow "D001"]
 
-let take_alloc_words () =
-  let words = !exhibit_alloc_words in
-  exhibit_alloc_words := None;
+let take_exhibit_words () =
+  let words = List.rev !exhibit_words in
+  exhibit_words := [];
   words
 
 (* Runs [pass] twice with observability off and records the words the
@@ -663,7 +664,7 @@ let second_pass name pass =
       let w0 = allocated_words () in
       let second, elapsed = Trace.timed span pass in
       let words = allocated_words () -. w0 in
-      exhibit_alloc_words := Some words;
+      exhibit_words := ("alloc_words", words) :: !exhibit_words;
       Format.printf "second pass: %.4fs, %.0f allocated words@." elapsed words;
       (first, second))
 
@@ -1008,6 +1009,39 @@ let load () =
     (sum (fun _ docs -> Array.fold_left (fun n doc -> n + String.length doc) 0 docs))
     (sum (fun name _ -> Xia_storage.Path_stats.path_count (Catalog.stats catalog name)))
 
+(* ---------- Store: the words the packed documents hold ---------- *)
+
+(* The TPoX stores after [Tpox.load], each measured with
+   [Obj.reachable_words]: its packed documents, their label table and the
+   per-id arrays.  The record's [store_words] is the sum, an exact count
+   the bench ratchet holds, so a change to the packed layout shows in it.
+   advbench's tpox-dml validation holds two full-scale catalogs at once,
+   so their stores weigh on its heap high-water mark. *)
+let store () =
+  header "Store: the words the packed TPoX documents hold";
+  let catalog = Catalog.create () in
+  if !quick then Tpox.load ~scale:Tpox.tiny_scale catalog else Tpox.load catalog;
+  Format.printf "%-12s %8s %9s %7s %10s@." "table" "docs" "elements" "slots" "words";
+  let total =
+    List.fold_left
+      (fun total name ->
+        let store = Catalog.store catalog name in
+        let elements, slots =
+          Xia_storage.Doc_store.fold
+            (fun _ (doc : Xia_xml.Packed.t) (e, s) ->
+              (e + Xia_xml.Packed.elements doc, s + Array.length doc.attr_values))
+            store (0, 0)
+        in
+        let words = Obj.reachable_words (Obj.repr store) in
+        Format.printf "%-12s %8d %9d %7d %10d@." name
+          (Xia_storage.Doc_store.doc_count store)
+          elements slots words;
+        total + words)
+      0 (Catalog.table_names catalog)
+  in
+  Format.printf "total %d words@." total;
+  exhibit_words := ("store_words", float_of_int total) :: !exhibit_words
+
 (* ---------- Workload reading: a Zipf-repeated query log ---------- *)
 
 (* [scale10k]'s workload (10k statements over 64 templates at quick scale)
@@ -1256,7 +1290,7 @@ type exhibit_record = {
   enumerate_calls : int;
       (* Enumerate Indexes passes: compression makes one per distinct
          statement, not one per statement *)
-  alloc_words : float option;  (* only from an exhibit that measures its own *)
+  words : (string * float) list;  (* only from an exhibit that measures its own *)
   phases : phase list;
 }
 
@@ -1304,9 +1338,7 @@ let write_advisor_json path records =
              r.phases)
       in
       let words =
-        match r.alloc_words with
-        | Some w -> Printf.sprintf " \"alloc_words\": %.0f," w
-        | None -> ""
+        String.concat "" (List.map (fun (m, w) -> Printf.sprintf " \"%s\": %.0f," m w) r.words)
       in
       Printf.fprintf oc
         "    {\"name\": \"%s\", \"wall_seconds\": %.4f, \"optimizer_calls\": %d, \"optimizer_calls_raw\": %d, \"enumerate_calls\": %d,%s \"phases\": [%s]}%s\n"
@@ -1349,6 +1381,7 @@ let experiments =
     ("candidates", candidates);
     ("read", read);
     ("load", load);
+    ("store", store);
     ("lint", lint);
     ("eval-quality", eval_quality);
   ]
@@ -1397,7 +1430,7 @@ let () =
           - saved0;
         enumerate_calls =
           Atomic.get Optimizer.counters.Optimizer.enumerate_calls - enums0;
-        alloc_words = take_alloc_words ();
+        words = take_exhibit_words ();
         phases;
       }
       :: !records

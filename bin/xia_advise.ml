@@ -125,18 +125,22 @@ let index_defs specs =
   in
   distinct [] parsed
 
+(* A threshold or factor that must be a finite number, non-negative or
+   positive: NaN, [infinity] and the excluded signs are errors. *)
+let finite_number ~flag ~what ~positive x =
+  if Float.is_finite x && (if positive then x > 0.0 else x >= 0.0) then Ok ()
+  else
+    Error
+      (Scan.error flag
+         (Printf.sprintf "%s %g is not a finite %s number" what x
+            (if positive then "positive" else "non-negative")))
+
 (* Catalog, workload and --index definitions of a run, with every table
    they name checked loaded: the one setup of every workload command.  The
    DML frequency must be a finite non-negative number and the synthetic
    query count non-negative, as in a workload file. *)
 let setup benchmark small data_dirs workload_file update_freq synthetic index_specs =
-  let* () =
-    if Float.is_finite update_freq && update_freq >= 0.0 then Ok ()
-    else
-      Error
-        (Scan.error "--update-freq"
-           (Printf.sprintf "frequency %g is not a finite non-negative number" update_freq))
-  in
+  let* () = finite_number ~flag:"--update-freq" ~what:"frequency" ~positive:false update_freq in
   let* () =
     if synthetic >= 0 then Ok ()
     else Error (Scan.error "--synthetic" (Printf.sprintf "count %d is negative" synthetic))
@@ -180,6 +184,7 @@ let advise_cmd benchmark small data_dirs workload_file budget_mb algorithm beta
   if trace_file <> None || metrics_file <> None then Xia_obs.Obs.set_enabled true;
   let* alg = algorithm_of_string algorithm in
   let* budget = budget_bytes budget_mb in
+  let* () = finite_number ~flag:"--beta" ~what:"threshold" ~positive:false beta in
   let* catalog, workload, _ =
     setup benchmark small data_dirs workload_file update_freq synthetic []
   in
@@ -289,6 +294,7 @@ let review_cmd benchmark small data_dirs workload_file update_freq synthetic ind
    (two-evaluator protocol, scoring, JSON rendering) lives in lib/eval; this
    command only selects cases, prints the tables and writes the files. *)
 let eval_cmd benchmark small json_file perturb trace_file metrics_file =
+  let* () = finite_number ~flag:"--perturb" ~what:"factor" ~positive:true perturb in
   if trace_file <> None || metrics_file <> None then Xia_obs.Obs.set_enabled true;
   let specs =
     let all = Xia_eval.Eval.default_specs in

@@ -5,7 +5,9 @@
    tree of records and lists by a handful of flat arrays, so a reader walks
    consecutive memory, a rank is an array index, and a label is an integer
    interned in the store's table instead of a string compared byte by
-   byte. *)
+   byte.  The layout is compact: one word per element for its label and
+   subtree end, and 32-bit attribute columns, left empty in a document
+   without attributes. *)
 
 module Names = Hashtbl.Make (String)
 
@@ -36,17 +38,45 @@ let label t id = t.names.(id)
 
 type t = {
   labels : labels;
-  tags : int array;
-  last : int array;
+  nodes : int array;
   values : string array;
-  attr_first : int array;
-  attr_names : int array;
+  attr_first : Bytes.t;
+  attr_names : Bytes.t;
   attr_values : string array;
   mixed : (int * (int * string) list) array;
   bytes : int;
 }
 
-let elements doc = Array.length doc.tags
+let elements doc = Array.length doc.nodes
+
+(* ---------- the columns ---------- *)
+
+(* An element's word: its label id in bits 0-30, the rank of its
+   subtree's last element in bits 31-61. *)
+let field_bits = 31
+let field_mask = (1 lsl field_bits) - 1
+
+let tag doc i = doc.nodes.(i) land field_mask
+let last doc i = doc.nodes.(i) lsr field_bits
+
+(* A 32-bit column holds little-endian unsigned entries below 2^31. *)
+external get32 : Bytes.t -> int -> int32 = "%caml_bytes_get32"
+external set32 : Bytes.t -> int -> int32 -> unit = "%caml_bytes_set32"
+external swap32 : int32 -> int32 = "%bswap_int32"
+external big_endian : unit -> bool = "%big_endian"
+
+let read32 column k =
+  let v = get32 column (4 * k) in
+  Int32.to_int (if big_endian () then swap32 v else v)
+
+let write32 column k x =
+  let v = Int32.of_int x in
+  set32 column (4 * k) (if big_endian () then swap32 v else v)
+
+(* A document without attributes keeps both columns empty: every element's
+   first slot is 0. *)
+let attr_first doc i = if Bytes.length doc.attr_first = 0 then 0 else read32 doc.attr_first i
+let attr_name doc s = read32 doc.attr_names s
 
 (* ---------- packing ---------- *)
 
@@ -59,6 +89,14 @@ let rec text_positions pos = function
   | [] -> []
   | Types.Text s :: cs -> (pos, s) :: text_positions (pos + 1) cs
   | Types.Element _ :: cs -> text_positions (pos + 1) cs
+
+(* A label id, rank or slot must fit in [field_bits]. *)
+let too_wide what = invalid_arg ("Packed.pack: a " ^ what ^ " needs more than 31 bits")
+
+let label_id labels name =
+  let id = intern labels name in
+  if id > field_mask then too_wide "label id";
+  id
 
 (* One pass sizes the arrays, a second fills them in preorder.  The byte
    size is summed on the way, with the terms of [Types.byte_size]. *)
@@ -82,9 +120,12 @@ let pack labels doc =
   in
   count root;
   let n = !n and slots = !slots in
-  let tags = Array.make n 0 and last = Array.make n 0 and values = Array.make n "" in
-  let attr_first = Array.make (n + 1) slots in
-  let attr_names = Array.make slots 0 and attr_values = Array.make slots "" in
+  if n - 1 > field_mask then too_wide "rank";
+  if slots > field_mask then too_wide "slot";
+  let nodes = Array.make n 0 and values = Array.make n "" in
+  let columns k = if slots = 0 then Bytes.empty else Bytes.create (4 * k) in
+  let attr_first = columns (n + 1) and attr_names = columns slots in
+  let attr_values = Array.make slots "" in
   let next = ref 0 and slot = ref 0 and bytes = ref 0 and mixed = ref [] in
   let value_of i (e : Types.element) =
     match e.children with
@@ -97,18 +138,18 @@ let pack labels doc =
   let rec fill (e : Types.element) =
     let i = !next in
     incr next;
-    tags.(i) <- intern labels e.tag;
-    attr_first.(i) <- !slot;
+    let id = label_id labels e.tag in
+    if slots > 0 then write32 attr_first i !slot;
     fill_attrs e.attrs;
     let v = value_of i e in
     values.(i) <- v;
     bytes := !bytes + (2 * String.length e.tag) + 5 + String.length v;
     fill_children e.children;
-    last.(i) <- !next - 1
+    nodes.(i) <- id lor ((!next - 1) lsl field_bits)
   and fill_attrs = function
     | [] -> ()
     | (k, v) :: rest ->
-        attr_names.(!slot) <- intern labels k;
+        write32 attr_names !slot (label_id labels k);
         attr_values.(!slot) <- v;
         bytes := !bytes + String.length k + String.length v + 4;
         incr slot;
@@ -121,10 +162,10 @@ let pack labels doc =
     | Types.Text _ :: cs -> fill_children cs
   in
   fill root;
+  if slots > 0 then write32 attr_first n slots;
   {
     labels;
-    tags;
-    last;
+    nodes;
     values;
     attr_first;
     attr_names;
@@ -155,18 +196,17 @@ let unpack doc =
       end
       else None
     in
+    let first = attr_first doc i in
     let attrs =
       List.init
-        (doc.attr_first.(i + 1) - doc.attr_first.(i))
-        (fun k ->
-          let s = doc.attr_first.(i) + k in
-          (name doc.attr_names.(s), doc.attr_values.(s)))
+        (attr_first doc (i + 1) - first)
+        (fun k -> (name (attr_name doc (first + k)), doc.attr_values.(first + k)))
     in
     let rec children j =
-      if j > doc.last.(i) then []
+      if j > last doc i then []
       else
         let c = build j in
-        c :: children (doc.last.(j) + 1)
+        c :: children (last doc j + 1)
     in
     let elems = children (i + 1) in
     let children =
@@ -174,7 +214,7 @@ let unpack doc =
       | Some texts -> interleave 0 texts elems
       | None -> if doc.values.(i) = "" then elems else Types.Text doc.values.(i) :: elems
     in
-    Types.Element { tag = name doc.tags.(i); attrs; children }
+    Types.Element { tag = name (tag doc i); attrs; children }
   in
   build 0
 
@@ -263,20 +303,20 @@ let find_child g parent key =
 let walk g f doc =
   if doc.labels != g.table then invalid_arg "Packed.walk: the guide serves another label table";
   let rec visit parent i =
-    let here = find_child g parent (2 * doc.tags.(i)) in
+    let here = find_child g parent (2 * tag doc i) in
     if here.live then begin
       f i (-1) here.value doc.values.(i);
-      let first = doc.attr_first.(i) in
-      for s = first to doc.attr_first.(i + 1) - 1 do
-        let a = find_child g here ((2 * doc.attr_names.(s)) + 1) in
+      let first = attr_first doc i in
+      for s = first to attr_first doc (i + 1) - 1 do
+        let a = find_child g here ((2 * attr_name doc s) + 1) in
         if a.live then f i (s - first) a.value doc.attr_values.(s)
       done;
-      visit_children here (i + 1) doc.last.(i)
+      visit_children here (i + 1) (last doc i)
     end
   and visit_children parent j stop =
     if j <= stop then begin
       visit parent j;
-      visit_children parent (doc.last.(j) + 1) stop
+      visit_children parent (last doc j + 1) stop
     end
   in
   visit g.root 0

@@ -1,11 +1,19 @@
 (* XPath evaluation over packed documents.
 
    Elements are ranks into the document's preorder arrays: the children of
-   [e] are found by hopping over subtrees ([last.(c) + 1]), its descendants
-   are the ranks [e + 1 .. last.(e)], and the attributes of a subtree are
+   [e] are found by hopping over subtrees ([last c + 1]), its descendants
+   are the ranks [e + 1 .. last e], and the attributes of a subtree are
    one contiguous slot range.  The document node is rank [-1], whose only
    child is the root and whose subtree is every element.  Name tests are
    compiled to label ids, so testing a node compares two integers.
+
+   The columns are decoded here, not through [Packed]'s accessors: the
+   default build compiles with [-opaque], so a call into another module is
+   never inlined, and the evaluator reads a label or a subtree end at every
+   node it visits.  The decoding follows the layout in packed.mli: an
+   element's word holds its label id in bits 0-30 and its subtree end in
+   bits 31-61; the attribute columns are little-endian 32-bit entries,
+   empty in a document without attributes.
 
    A path is followed depth first, one context at a time.  The result is
    the nodes the last step reaches, in the order the steps reach them and
@@ -62,14 +70,31 @@ and predicate labels p =
   match p with
   | Ast.Exists rel | Ast.Compare (rel, _, _) -> { rel = List.map (compile_step labels) rel; goal = p }
 
+(* ---------- the columns ---------- *)
+
+let tag (doc : P.t) j = doc.nodes.(j) land 0x7FFF_FFFF
+let end_of (doc : P.t) j = doc.nodes.(j) lsr 31
+let elements_of (doc : P.t) = Array.length doc.nodes
+
+external get32 : Bytes.t -> int -> int32 = "%caml_bytes_get32"
+external swap32 : int32 -> int32 = "%bswap_int32"
+external big_endian : unit -> bool = "%big_endian"
+
+let read32 column k =
+  let v = get32 column (4 * k) in
+  Int32.to_int (if big_endian () then swap32 v else v)
+
+let attr_first (doc : P.t) e = if Bytes.length doc.attr_first = 0 then 0 else read32 doc.attr_first e
+let attr_name (doc : P.t) k = read32 doc.attr_names k
+
 (* ---------- ranges ---------- *)
 
-let last (doc : P.t) e = if e < 0 then Array.length doc.tags - 1 else doc.last.(e)
+let last doc e = if e < 0 then elements_of doc - 1 else end_of doc e
 
 (* Slots of [e]'s own attributes, and the end of its subtree's slots. *)
-let own_first (doc : P.t) e = if e < 0 then 0 else doc.attr_first.(e)
-let own_end (doc : P.t) e = if e < 0 then 0 else doc.attr_first.(e + 1)
-let subtree_end (doc : P.t) e = doc.attr_first.(last doc e + 1)
+let own_first doc e = if e < 0 then 0 else attr_first doc e
+let own_end doc e = if e < 0 then 0 else attr_first doc (e + 1)
+let subtree_end doc e = attr_first doc (last doc e + 1)
 
 (* Attribute slots an attribute step reaches from [e]: its own, or along
    the descendant axis those of [e] and every element below it. *)
@@ -116,17 +141,17 @@ let rec reach (doc : P.t) goal e steps =
 
 and child_reach doc goal s rest j stop =
   j <= stop
-  && ((name_ok s.name doc.tags.(j) && all_hold doc j s.predicates && reach doc goal j rest)
-     || child_reach doc goal s rest (doc.last.(j) + 1) stop)
+  && ((name_ok s.name (tag doc j) && all_hold doc j s.predicates && reach doc goal j rest)
+     || child_reach doc goal s rest (end_of doc j + 1) stop)
 
 and desc_reach doc goal s rest j stop =
   j <= stop
-  && ((name_ok s.name doc.tags.(j) && all_hold doc j s.predicates && reach doc goal j rest)
+  && ((name_ok s.name (tag doc j) && all_hold doc j s.predicates && reach doc goal j rest)
      || desc_reach doc goal s rest (j + 1) stop)
 
 and attr_reach doc goal s k stop =
   k < stop
-  && ((name_ok s.name doc.attr_names.(k)
+  && ((name_ok s.name (attr_name doc k)
       && all_hold_on_attr doc.attr_values.(k) s.predicates
       && goal_value goal doc.attr_values.(k))
      || attr_reach doc goal s (k + 1) stop)
@@ -169,7 +194,7 @@ let path labels steps =
 
 (* Node ids: an element is its rank, the attribute in slot [k] is [k] plus
    the element count. *)
-let node_count (doc : P.t) = Array.length doc.tags + Array.length doc.attr_names
+let node_count (doc : P.t) = elements_of doc + Array.length doc.attr_values
 
 (* Has [x] been reached by step [level] before, in this evaluation? *)
 let reached_before p doc level x =
@@ -199,9 +224,9 @@ let rec follow p keep (doc : P.t) level antichain e steps =
         match rest with
         | _ :: _ -> ()
         | [] ->
-            let base = Array.length doc.tags in
+            let base = elements_of doc in
             for k = own_first doc e to attr_end doc s e - 1 do
-              if name_ok s.name doc.attr_names.(k)
+              if name_ok s.name (attr_name doc k)
                  && all_hold_on_attr doc.attr_values.(k) s.predicates
                  && not (dedup && reached_before p doc level (base + k))
               then arrive p keep doc (base + k)
@@ -213,7 +238,7 @@ let rec follow p keep (doc : P.t) level antichain e steps =
             let j = ref (e + 1) in
             while !j <= stop do
               enter p keep doc level antichain dedup s rest !j;
-              j := doc.last.(!j) + 1
+              j := end_of doc !j + 1
             done
         | Ast.Descendant ->
             for j = e + 1 to last doc e do
@@ -221,14 +246,14 @@ let rec follow p keep (doc : P.t) level antichain e steps =
             done
 
 and enter p keep doc level antichain dedup s rest j =
-  if name_ok s.name doc.tags.(j)
+  if name_ok s.name (tag doc j)
      && all_hold doc j s.predicates
      && not (dedup && reached_before p doc level j)
   then follow p keep doc (level + 1) antichain j rest
 
 and arrive p keep doc x =
   match p.mode with
-  | Count -> if x < Array.length doc.tags && keep doc x then p.count <- p.count + 1
+  | Count -> if x < elements_of doc && keep doc x then p.count <- p.count + 1
   | Collect -> p.found <- x :: p.found
 
 (* Runs the path; the empty path reaches the root element. *)
@@ -252,20 +277,20 @@ let owner (doc : P.t) k =
     if lo >= hi then lo
     else
       let mid = (lo + hi + 1) / 2 in
-      if doc.attr_first.(mid) <= k then search mid hi else search lo (mid - 1)
+      if attr_first doc mid <= k then search mid hi else search lo (mid - 1)
   in
-  search 0 (Array.length doc.tags - 1)
+  search 0 (elements_of doc - 1)
 
 let eval p (doc : P.t) =
   run p Collect any doc;
-  let elements = Array.length doc.tags in
+  let elements = elements_of doc in
   List.rev_map
     (fun x ->
       if x < elements then { id = { T.pre = x; attr = None }; value = doc.values.(x) }
       else
         let k = x - elements in
         let e = owner doc k in
-        { id = { T.pre = e; attr = Some (k - doc.attr_first.(e)) }; value = doc.attr_values.(k) })
+        { id = { T.pre = e; attr = Some (k - attr_first doc e) }; value = doc.attr_values.(k) })
     p.found
 
 let elements p doc =

@@ -141,8 +141,8 @@ let model_tests =
     tc "find_by_pre" (fun () ->
         (* A packed document's preorder rank is its array index. *)
         let doc = Helpers.packed (parse_ok "<a><b/><c><d/></c></a>") in
-        check Alcotest.int "tag" (Packed.find_label doc.labels "d") doc.tags.(3);
-        check Alcotest.int "subtree of c" 3 doc.last.(2);
+        check Alcotest.int "tag" (Packed.find_label doc.labels "d") (Packed.tag doc 3);
+        check Alcotest.int "subtree of c" 3 (Packed.last doc 2);
         Alcotest.(check bool) "missing" true (Packed.elements doc <= 99));
     tc "equal structural" (fun () ->
         Alcotest.(check bool) "eq" true
@@ -239,8 +239,50 @@ let packing_gen =
     in
     frequency [ (6, Helpers.doc_gen); (1, deep); (1, wide) ])
 
+(* The tree without its attributes. *)
+let rec strip_attrs = function
+  | T.Text _ as t -> t
+  | T.Element e -> T.Element { e with attrs = []; children = List.map strip_attrs e.children }
+
+(* The columns a preorder walk of [doc] gives: per rank its label id, the
+   rank of its subtree's last element and its first attribute slot, and
+   per slot its label id. *)
+let preorder_columns labels doc =
+  let rows = ref [] and names = ref [] and next = ref 0 and slot = ref 0 in
+  let rec visit = function
+    | T.Text _ -> ()
+    | T.Element e ->
+        let rank = !next and first = !slot in
+        incr next;
+        List.iter
+          (fun (k, _) ->
+            names := Packed.find_label labels k :: !names;
+            incr slot)
+          e.attrs;
+        List.iter visit e.children;
+        rows := (rank, Packed.find_label labels e.tag, !next - 1, first) :: !rows
+  in
+  visit doc;
+  (List.rev !rows, Array.of_list (List.rev !names))
+
 let packing_properties =
   [
+    QCheck.Test.make ~count:300 ~name:"columns = a preorder walk of the unpacked tree"
+      (QCheck.pair Helpers.doc_arbitrary QCheck.bool) (fun (doc, keep_attrs) ->
+        let doc = if keep_attrs then doc else strip_attrs doc in
+        let p = Packed.pack (Packed.labels ()) doc in
+        let rows, names = preorder_columns p.labels (Packed.unpack p) in
+        let slots = Array.length names in
+        List.for_all
+          (fun (i, tag, last, first) ->
+            Packed.tag p i = tag && Packed.last p i = last && Packed.attr_first p i = first)
+          rows
+        && List.length rows = Packed.elements p
+        && Packed.attr_first p (Packed.elements p) = slots
+        && Array.length p.attr_values = slots
+        && List.for_all (fun s -> Packed.attr_name p s = names.(s)) (List.init slots Fun.id)
+        (* An attribute-free document holds the shared empty columns. *)
+        && (slots > 0 || (p.attr_first == Bytes.empty && p.attr_names == Bytes.empty)));
     QCheck.Test.make ~count:400 ~name:"packing round-trips exactly"
       (QCheck.make
          ~print:(fun (a, b) -> Pr.to_string a ^ "\n" ^ Pr.to_string b)

@@ -99,9 +99,10 @@ let bench_rows domain report =
   let metrics =
     [ "optimizer_calls"; "optimizer_calls_raw"; "enumerate_calls"; "wall_seconds" ]
   in
-  (* alloc_words only where the exhibit measured an exact count *)
+  (* alloc_words and store_words only where the exhibit measured an exact count *)
   let exhibit e =
-    let metrics = if find "alloc_words" e = None then metrics else metrics @ [ "alloc_words" ] in
+    let exact = List.filter (fun m -> find m e <> None) [ "alloc_words"; "store_words" ] in
+    let metrics = metrics @ exact in
     List.map (fun m -> row (str "name" e) m (num m e)) metrics
   in
   let rows = List.concat_map exhibit (arr "exhibits" report) in
@@ -148,7 +149,7 @@ let produce domain exe scratch =
     match domain with
     | "bench" | "wall" ->
       ( [ "quick"; "scale10k"; "scale10k-raw"; "walk"; "shapes"; "executor"; "scan"; "upkeep";
-          "whatif"; "pool"; "candidates"; "read"; "load"; "lint" ],
+          "whatif"; "pool"; "candidates"; "read"; "load"; "store"; "lint" ],
         bench_rows domain )
     | "eval" ->
       let perturb = Option.value (Sys.getenv_opt "XIA_EVAL_PERTURB") ~default:"1" in
